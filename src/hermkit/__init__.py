@@ -16,7 +16,7 @@ from .manifold import (Box, Chart, Christoffel, Embedding, SamplePlan, VectorFie
 from .maps import (ConformalityData, MapSpec, TensionData, condition_ii_residual,
                    conformality, differential, fibre_mean_curvature,
                    holomorphy_residual, homothety_residual, lift_structure,
-                   second_fundamental_form, superminimality_residual, tension)
+                   superminimality_residual, tension)
 from .numdiff import DiffConfig, FrameBasis, orthonormalize, partial, second_partial
 from .scenarios import (CheckResult, VerificationReport, run_scenario,
                         scenario_description, scenario_ids)
@@ -38,6 +38,6 @@ __all__ = [
     "fibre_mean_curvature", "gradient", "hermitian_frame", "holomorphy_residual",
     "homothety_residual", "lee_vector", "lie_bracket", "lift_structure",
     "nabla_J", "nijenhuis", "orthonormalize", "partial", "run_scenario",
-    "scenario_description", "scenario_ids", "second_fundamental_form",
+    "scenario_description", "scenario_ids",
     "second_partial", "superminimality_residual", "tension",
 ]

@@ -573,15 +573,27 @@ def _validate(config: GeoConfig) -> None:
 
 
 def to_chart(config: GeoConfig, name: str = "user"):
-    """Build (Chart, AlmostComplexField | None) from a parsed config."""
+    """Build (Chart, AlmostComplexField | None) from a parsed config.
+
+    A structure must be g-compatible, g(J., J.) = g, at the probe points;
+    otherwise ``ConfigError`` is raised.
+    """
     from .hermitian import AlmostComplexField
     from .manifold import Box, Chart
 
     box = Box(tuple(a for a, _ in config.domain), tuple(b for _, b in config.domain))
-    chart = Chart(dim=config.dim, box=box, metric_fn=config.metric_fn(), name=name)
+    metric_fn = config.metric_fn()
+    chart = Chart(dim=config.dim, box=box, metric_fn=metric_fn, name=name)
     structure_fn = config.structure_fn()
     structure = None
     if structure_fn is not None:
+        for p in config.probe_points():
+            g = metric_fn(p)
+            j = structure_fn(p)
+            resid = float(np.max(np.abs(j.T @ g @ j - g)))
+            if resid > J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g)))):
+                raise ConfigError(f"J is not g-compatible: g(J., J.) - g has residual "
+                                  f"{resid:.3g} at probe {p.tolist()}")
         structure = AlmostComplexField(chart, structure_fn, source="intrinsic")
     return chart, structure
 

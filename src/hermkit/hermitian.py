@@ -17,7 +17,7 @@ import numpy as np
 from . import numdiff
 from .errors import RankDeficient
 from .manifold import Chart, SamplePlan, VectorField, christoffel
-from .numdiff import Array, DiffConfig, FrameBasis, orthonormalize
+from .numdiff import Array, DiffConfig, FrameBasis, project_out
 
 SQRT2 = np.sqrt(2.0)
 
@@ -53,11 +53,6 @@ class AlmostComplexField:
 def bilinear(g: Array, z: Array, w: Array) -> complex:
     """Complex-bilinear extension of g (no conjugation)."""
     return complex(z @ g @ w)
-
-
-def hermitian_inner(g: Array, z: Array, w: Array) -> complex:
-    """Hermitian extension of g (conjugate-linear in the second slot)."""
-    return complex(z @ g @ np.conj(w))
 
 
 def g_norm(g: Array, v: Array) -> float:
@@ -111,14 +106,6 @@ class HermitianFrame:
         return worst
 
 
-def _gs_project(v: Array, basis: list[Array], g: Array) -> Array:
-    w = v.copy()
-    for _ in range(2):
-        for b in basis:
-            w = w - (w @ g @ b) * b
-    return w
-
-
 def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
                     pivots: Sequence[int] | None = None) -> HermitianFrame:
     """Greedy Hermitian frame at x: pick a unit e_k, append Je_k, project, repeat.
@@ -148,14 +135,14 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfi
             break
         e = np.zeros(d)
         e[idx] = 1.0
-        w = _gs_project(e, accepted(), g)
+        w = project_out(e, accepted(), g)
         n = np.sqrt(max(w @ g @ w, 0.0))
         if n <= tol:
             if pivots is not None:
                 raise RankDeficient(f"recorded pivot {idx} became dependent")
             continue
         ek = w / n
-        jek = _gs_project(j @ ek, accepted() + [ek], g)
+        jek = project_out(j @ ek, accepted() + [ek], g)
         njk = np.sqrt(max(jek @ g @ jek, 0.0))
         if njk <= tol:
             raise RankDeficient("J e_k collapsed onto the accepted span; J or g is broken")

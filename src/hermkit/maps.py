@@ -16,7 +16,7 @@ from .errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
                      MissingStructure)
 from .hermitian import AlmostComplexField, g_norm, hermitian_frame_field, nabla_j_tensor
 from .manifold import Chart, christoffel, gradient
-from .numdiff import Array, DiffConfig, orthonormalize
+from .numdiff import Array, DiffConfig, orthonormalize, project_out
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
 RANK_FACTOR = 1e-6
@@ -60,10 +60,6 @@ def differential(spec: MapSpec, x) -> Array:
     return np.column_stack(cols)
 
 
-def pushforward(spec: MapSpec, x, v) -> Array:
-    return differential(spec, x) @ np.asarray(v, dtype=float)
-
-
 def holomorphy_residual(spec: MapSpec, x) -> float:
     """Frobenius norm of dphi J - J_target(phi(x)) dphi."""
     if spec.source_structure is None or spec.target_structure is None:
@@ -81,7 +77,8 @@ class ConformalityData:
 
     ``kind`` is ``regular`` (full rank onto the target), ``critical`` (rank 0)
     or ``degenerate`` (intermediate rank, reported as conformality failure).
-    ``dilation`` is positive exactly on regular points.
+    ``dilation`` is positive exactly on regular points.  ``differential`` is
+    the differential the split was computed from.
     """
 
     kind: str
@@ -90,6 +87,7 @@ class ConformalityData:
     vertical_basis: tuple
     horizontal_basis: tuple
     singular_values: Array
+    differential: Array
     near_critical: bool = False
 
     @property
@@ -97,34 +95,38 @@ class ConformalityData:
         return self.kind == KIND_REGULAR
 
 
+def _rank_split(spec: MapSpec, x) -> tuple[Array, Array, Array, Array, int]:
+    """The differential d at x, the source metric g, the singular values and
+    right singular vectors (rows of vt) of d, and its rank.
+
+    Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
+    ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
+    """
+    x = np.asarray(x, dtype=float)
+    d = differential(spec, x)
+    g = spec.source.metric(x, spec.cfg)
+    _, sv, vt = np.linalg.svd(d)
+    smax = float(sv[0]) if len(sv) else 0.0
+    rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
+    return d, g, sv, vt, rank
+
+
 def conformality(spec: MapSpec, x) -> ConformalityData:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
     conformal dphi is on the horizontal part."""
     x = np.asarray(x, dtype=float)
-    d = differential(spec, x)
-    n, dim = d.shape
-    g = spec.source.metric(x, spec.cfg)
-    sv = np.linalg.svd(d, compute_uv=False)
-    smax = float(sv[0]) if len(sv) else 0.0
-    threshold = smax * RANK_FACTOR
-    _, _, vt = np.linalg.svd(d)
-    rank = int(np.sum(sv > threshold)) if smax > 0 else 0
+    d, g, sv, vt, rank = _rank_split(spec, x)
+    n = d.shape[0]
     if rank == 0:
-        vertical = orthonormalize([vt[i] for i in range(dim)], g)
-        return ConformalityData(KIND_CRITICAL, 0.0, 0.0, vertical.vectors, (), sv)
-    null_rows = [vt[i] for i in range(rank, dim)]
-    vertical = orthonormalize(null_rows, g) if null_rows else None
-    v_vectors = vertical.vectors if vertical else ()
-    # Horizontal = g-orthogonal complement of the kernel.
-    row_space = [vt[i] for i in range(rank)]
+        vertical = orthonormalize(list(vt), g)
+        return ConformalityData(KIND_CRITICAL, 0.0, 0.0, vertical.vectors, (), sv, d)
+    smax = float(sv[0])
+    v_vectors = orthonormalize(list(vt[rank:]), g).vectors if rank < len(vt) else ()
+    # Horizontal = g-orthogonal complement of the kernel: project each row-space
+    # vector off the kernel first and the earlier horizontal vectors second.
     horiz: list[Array] = []
-    for w in row_space:
-        u = w.copy()
-        for _ in range(2):
-            for b in v_vectors:
-                u = u - (u @ g @ b) * b
-            for b in horiz:
-                u = u - (u @ g @ b) * b
+    for w in vt[:rank]:
+        u = project_out(w, v_vectors + tuple(horiz), g)
         nn = np.sqrt(max(u @ g @ u, 0.0))
         if nn > numdiff.RANK_RTOL * max(1.0, smax):
             horiz.append(u / nn)
@@ -136,25 +138,12 @@ def conformality(spec: MapSpec, x) -> ConformalityData:
     padded[: gram.shape[0], : gram.shape[1]] = gram
     residual = float(np.linalg.norm(padded - lam_sq * np.eye(n)))
     if rank < n:
-        return ConformalityData(KIND_DEGENERATE, 0.0, residual, v_vectors, tuple(horiz), sv)
-    near = bool(sv[rank - 1] <= NEAR_CRITICAL_FACTOR * threshold)
+        return ConformalityData(KIND_DEGENERATE, 0.0, residual, v_vectors, tuple(horiz),
+                                sv, d)
+    near = bool(sv[rank - 1] <= NEAR_CRITICAL_FACTOR * (smax * RANK_FACTOR))
     lam = float(np.sqrt(max(lam_sq, 0.0)))
-    return ConformalityData(KIND_REGULAR, lam, residual, v_vectors, tuple(horiz), sv, near)
-
-
-def second_fundamental_form(spec: MapSpec, x, i: int, j: int) -> Array:
-    """(nabla dphi)^gamma_{ij}; symmetric in (i, j) by construction."""
-    x = np.asarray(x, dtype=float)
-    cfg = spec.cfg
-    fx = spec(x)
-    spec.target.require_interior(fx, cfg)
-    d2 = numdiff.second_partial(spec, x, i, j, cfg, domain=spec.source.domain_predicate())
-    d = differential(spec, x)
-    gamma_m = christoffel(spec.source, x, cfg).symbols
-    gamma_n = christoffel(spec.target, fx, cfg).symbols
-    first = d2 - np.einsum("k,gk->g", gamma_m[:, i, j], d)
-    second = np.einsum("gab,a,b->g", gamma_n, d[:, i], d[:, j])
-    return first + second
+    return ConformalityData(KIND_REGULAR, lam, residual, v_vectors, tuple(horiz), sv, d,
+                            near)
 
 
 def sff_tensor(spec: MapSpec, x) -> Array:
@@ -216,36 +205,35 @@ def tension_in_frame(spec: MapSpec, x, frame_vectors: Sequence[Array]) -> Array:
     return out
 
 
-def _vertical_projector(spec: MapSpec, x) -> Array:
-    """g-orthogonal projector onto ker dphi at x (basis independent, smooth)."""
-    x = np.asarray(x, dtype=float)
-    d = differential(spec, x)
-    g = spec.source.metric(x, spec.cfg)
-    sv = np.linalg.svd(d, compute_uv=False)
-    smax = float(sv[0])
-    _, _, vt = np.linalg.svd(d)
-    rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
+def _vertical_projector(spec: MapSpec, x, split=None) -> Array:
+    """g-orthogonal projector onto ker dphi at x (basis independent, smooth).
+
+    ``split`` reuses a :func:`_rank_split` already computed at x.
+    """
+    _, g, _, vt, rank = _rank_split(spec, x) if split is None else split
     null = vt[rank:].T
     if null.shape[1] == 0:
         return np.zeros((spec.source.dim, spec.source.dim))
     return null @ np.linalg.solve(null.T @ g @ null, null.T @ g)
 
 
-def vertical_frame_fields(spec: MapSpec, base_x) -> list[Callable[[Array], Array]]:
-    """Smooth g-orthonormal vertical frame fields near base_x.
+def vertical_frame_field(spec: MapSpec, base_x) -> Callable[[Array], Array]:
+    """Smooth g-orthonormal vertical frame near base_x, as a matrix field whose
+    columns are the frame vectors.
 
     Fixed coordinate axes (chosen at the base point by largest vertical
     projection, ties broken by index) are pushed through the pointwise
     ker-dphi projector and orthonormalized in the metric; the construction is
     deterministic and smooth wherever the projections stay independent.
+    Raises ``CriticalPoint`` when base_x is not a regular point.
     """
     base_x = np.asarray(base_x, dtype=float)
-    conf = conformality(spec, base_x)
-    if not conf.regular:
+    split = _rank_split(spec, base_x)
+    _, g0, _, _, rank = split
+    if rank < spec.target.dim:
         raise CriticalPoint(f"no vertical frame at non-regular point {base_x!r}")
     k = spec.source.dim - spec.target.dim
-    p_v = _vertical_projector(spec, base_x)
-    g0 = spec.source.metric(base_x, spec.cfg)
+    p_v = _vertical_projector(spec, base_x, split)
     # Pivoted selection: each chosen axis must stay independent of the span of
     # the earlier ones, otherwise two axes with large but parallel vertical
     # projections would collapse the frame.
@@ -256,9 +244,7 @@ def vertical_frame_fields(spec: MapSpec, base_x) -> list[Callable[[Array], Array
         for i in range(spec.source.dim):
             if i in axes:
                 continue
-            w = p_v[:, i].copy()
-            for b in basis:
-                w = w - (w @ g0 @ b) * b
+            w = project_out(p_v[:, i], basis, g0)
             score = float(np.sqrt(max(w @ g0 @ w, 0.0)))
             if score > best:
                 best, best_axis, best_vec = score, i, w
@@ -267,32 +253,29 @@ def vertical_frame_fields(spec: MapSpec, base_x) -> list[Callable[[Array], Array
         axes.append(best_axis)
         basis.append(best_vec / best)
 
-    def frame_at(x: Array) -> list[Array]:
-        p = _vertical_projector(spec, x)
-        g = spec.source.metric(x, spec.cfg)
-        basis = orthonormalize([p[:, i] for i in axes], g, required=k)
-        return list(basis.vectors)
+    def frame_at(x: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        split = _rank_split(spec, x)
+        p = _vertical_projector(spec, x, split)
+        return orthonormalize([p[:, i] for i in axes], split[1], required=k).matrix
 
-    fields = []
-    for a in range(k):
-        fields.append(lambda x, a=a: frame_at(np.asarray(x, dtype=float))[a])
-    return fields
+    return frame_at
 
 
 def fibre_mean_curvature(spec: MapSpec, x) -> Array:
     """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame; the zero
     vector exactly when the fibre is minimal at x."""
     x = np.asarray(x, dtype=float)
-    conf = conformality(spec, x)
-    if not conf.regular:
-        raise CriticalPoint(f"fibre mean curvature needs a regular point, got {conf.kind}")
     cfg = spec.cfg
-    fields = vertical_frame_fields(spec, x)
+    dim = spec.source.dim
+    field = vertical_frame_field(spec, x)
     gamma = christoffel(spec.source, x, cfg).symbols
-    total = np.zeros(spec.source.dim)
-    for fld in fields:
-        v = fld(x)
-        dv = np.stack([numdiff.partial(fld, x, i, cfg) for i in range(spec.source.dim)])
+    frame = field(x)
+    # dframe[i, :, a] is the i-th partial derivative of the a-th frame vector.
+    dframe = np.stack([numdiff.partial(field, x, i, cfg) for i in range(dim)])
+    total = np.zeros(dim)
+    for a in range(frame.shape[1]):
+        v, dv = frame[:, a], dframe[:, :, a]
         total = total + np.einsum("i,ik->k", v, dv) + np.einsum("kij,i,j->k", gamma, v, v)
     p_v = _vertical_projector(spec, x)
     return total - p_v @ total
@@ -315,7 +298,7 @@ def homothety_residual(spec: MapSpec, points: Sequence[Array]) -> float:
 
         grad = gradient(spec.source, lam_sq, x, spec.cfg)
         h = spec.target.metric(spec(x), spec.cfg)
-        worst = max(worst, g_norm(h, differential(spec, x) @ grad))
+        worst = max(worst, g_norm(h, conf.differential @ grad))
     return worst
 
 
@@ -342,13 +325,12 @@ def superminimality_residual(spec: MapSpec, j_field: AlmostComplexField, x,
     return worst
 
 
-def _lift_matrix(spec: MapSpec, x, g: Array) -> tuple[Array, Array, tuple, Array]:
+def _lift_matrix(spec: MapSpec, x) -> tuple[Array, Array, tuple, Array]:
     """Horizontal-lift operator L with dphi L = id and image H, plus split data."""
-    d = differential(spec, x)
-    n = spec.target.dim
     conf = conformality(spec, x)
     if not conf.regular:
         raise CriticalPoint(f"horizontal lift needs a regular point, got {conf.kind}")
+    d = conf.differential
     a = np.column_stack(conf.horizontal_basis)
     lift = a @ np.linalg.inv(d @ a)
     return lift, d, conf.vertical_basis, a
@@ -372,7 +354,7 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
     def j_at(x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         g = spec.source.metric(x, spec.cfg)
-        lift, d, v_basis, _ = _lift_matrix(spec, x, g)
+        lift, d, v_basis, _ = _lift_matrix(spec, x)
         if len(v_basis) != 2:
             raise FibreDimension(f"lift needs 2-dimensional fibres, got {len(v_basis)}")
         v1, v2 = v_basis
@@ -415,8 +397,7 @@ def condition_ii_residual(spec: MapSpec, j_field: AlmostComplexField,
         def split_at(p: Array):
             key = p.tobytes()
             if key not in cache:
-                gl = spec.source.metric(p, cfg)
-                lift, _, _, _ = _lift_matrix(spec, p, gl)
+                lift, _, _, _ = _lift_matrix(spec, p)
                 cache[key] = (lift, frame_at(spec(p)).complex_frame)
             return cache[key]
 
@@ -426,6 +407,7 @@ def condition_ii_residual(spec: MapSpec, j_field: AlmostComplexField,
             comp = np.real(zs[k]) if part == "re" else np.imag(zs[k])
             return lift @ comp
 
+        p_v = _vertical_projector(spec, x)
         for k in range(m):
             for l in range(k + 1, m):
                 fields = {}
@@ -437,7 +419,6 @@ def condition_ii_residual(spec: MapSpec, j_field: AlmostComplexField,
                 ad = lie_bracket(fields[(k, "re")], fields[(l, "im")], x, cfg)
                 bc = lie_bracket(fields[(k, "im")], fields[(l, "re")], x, cfg)
                 bracket = (ac - bd) + 1j * (ad + bc)
-                p_v = _vertical_projector(spec, x)
                 vert = p_v @ bracket
                 part01 = antiholomorphic_part(j_field(x), vert)
                 worst = max(worst, g_norm(g, part01))

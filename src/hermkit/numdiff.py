@@ -1,10 +1,12 @@
 """Deterministic finite-difference differentiation and metric-aware orthonormalization.
 
 Everything downstream (connections, tension fields, structure tensors) is built
-on the two stencil routines and the Gram-Schmidt routine in this module, so the
+on the two stencil routines and the Gram-Schmidt step in this module, so the
 error behaviour of the whole package is pinned down here: central differences
 are second order in ``step``, and the optional Richardson extrapolation removes
-the leading error term.
+the leading error term.  :func:`project_out` is the package's only
+Gram-Schmidt step; :func:`orthonormalize` and every frame construction in
+``hermitian`` and ``maps`` are built on it.
 """
 
 from __future__ import annotations
@@ -161,6 +163,19 @@ def _g_norm(v: Array, g: Array) -> float:
     return float(np.sqrt(max(v @ g @ v, 0.0)))
 
 
+def project_out(v: Array, basis: Sequence[Array], g: Array) -> Array:
+    """``v`` minus its g-components along a g-orthonormal ``basis``.
+
+    Modified Gram-Schmidt over ``basis`` in order, run twice: the second pass
+    keeps the Gram residual near 1e-15 ("twice is enough").
+    """
+    w = np.array(v, dtype=float)
+    for _ in range(2):
+        for b in basis:
+            w = w - (w @ g @ b) * b
+    return w
+
+
 def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = None) -> FrameBasis:
     """Modified Gram-Schmidt in the g-inner product, in the given order.
 
@@ -183,12 +198,7 @@ def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = No
     basis: list[Array] = []
     dropped: list[int] = []
     for idx, v in enumerate(vecs):
-        w = v.copy()
-        for b in basis:
-            w = w - (w @ g @ b) * b
-        # One re-orthogonalization pass keeps the Gram residual near 1e-15.
-        for b in basis:
-            w = w - (w @ g @ b) * b
+        w = project_out(v, basis, g)
         n = _g_norm(w, g)
         if n <= tol:
             dropped.append(idx)

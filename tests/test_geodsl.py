@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermkit import geodsl
+from hermkit import cli, geodsl
 from hermkit.errors import (ConfigError, DimensionMismatch, DslError,
                             DslSyntaxError, EvaluationError, UnknownSymbol)
 
@@ -204,6 +204,26 @@ def test_to_chart_and_map(cfg):
     npt.assert_allclose(spec(np.array([2.0, 1.0])), [3.0, 4.0])
     assert spec.source_structure is not None
     assert spec.target_structure is not None
+
+
+INCOMPATIBLE_J_SRC = """
+dim = 2
+g = [[1, 0], [0, 4]]
+J = [[0, -1], [1, 0]]
+"""
+
+
+def test_to_chart_rejects_incompatible_structure():
+    config = geodsl.parse(INCOMPATIBLE_J_SRC)
+    with pytest.raises(ConfigError, match="g-compatible"):
+        geodsl.to_chart(config)
+
+
+def test_classify_incompatible_structure_exits_2(tmp_path, capsys):
+    path = tmp_path / "incompatible.geo"
+    path.write_text(INCOMPATIBLE_J_SRC, encoding="utf-8")
+    assert cli.main(["classify", "--config", str(path), "--points", "2"]) == 2
+    assert "g-compatible" in capsys.readouterr().err
 
 
 def test_deep_nesting_is_structured_error():

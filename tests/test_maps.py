@@ -6,12 +6,12 @@ from hermkit import catalog
 from hermkit.errors import (CriticalPoint, FibreDimension, MissingStructure)
 from hermkit.hermitian import g_norm, nabla_j_tensor
 from hermkit.manifold import Box, Chart, SamplePlan
-from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, conformality,
-                          condition_ii_residual, differential,
+from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
+                          conformality, condition_ii_residual, differential,
                           fibre_mean_curvature, holomorphy_residual,
-                          homothety_residual, lift_structure,
-                          second_fundamental_form, sff_tensor,
-                          superminimality_residual, tension, tension_in_frame)
+                          homothety_residual, lift_structure, sff_tensor,
+                          superminimality_residual, tension, tension_in_frame,
+                          vertical_frame_field)
 from hermkit.numdiff import orthonormalize
 
 
@@ -30,7 +30,13 @@ def torus_entry():
     return catalog.flat_torus()
 
 
+@pytest.fixture(scope="module")
+def punctured2():
+    return catalog.punctured_hopf(2).maps["hopf"]
+
+
 CE_POINT = np.array([0.5, 0.7, 0.9, 1.1])
+PUNCTURED2_POINT = np.array([1.4, 0.2, -0.3, 0.5, 0.1, -0.2])
 
 
 def flat_map(fn, source_dim=2, target_dim=2, lo=-2.0, hi=2.0):
@@ -110,19 +116,60 @@ def test_conformality_partial_rank_degenerate():
     assert c.conformality_residual > 0.1
 
 
+@pytest.mark.parametrize("operator", [conformality, _vertical_projector])
+def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    operator(hopf, CE_POINT)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec_name, point", [("hopf", CE_POINT),
+                                              ("punctured2", PUNCTURED2_POINT)])
+def test_vertical_projector_matches_split(request, spec_name, point):
+    spec = request.getfixturevalue(spec_name)
+    c = conformality(spec, point)
+    p_v = _vertical_projector(spec, point)
+    for v in c.vertical_basis:
+        npt.assert_allclose(p_v @ v, v, atol=1e-10)
+    for h in c.horizontal_basis:
+        npt.assert_allclose(p_v @ h, 0.0, atol=1e-10)
+    npt.assert_allclose(p_v @ p_v, p_v, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec_name, point", [("hopf", CE_POINT),
+                                              ("punctured2", PUNCTURED2_POINT)])
+def test_vertical_frame_field_orthonormal_in_kernel(request, spec_name, point):
+    spec = request.getfixturevalue(spec_name)
+    frame = vertical_frame_field(spec, point)(point)
+    assert frame.shape == (spec.source.dim, spec.source.dim - spec.target.dim)
+    g = spec.source.metric(point, spec.cfg)
+    npt.assert_allclose(frame.T @ g @ frame, np.eye(frame.shape[1]), atol=1e-12)
+    npt.assert_allclose(differential(spec, point) @ frame, 0.0, atol=1e-8)
+
+
+def test_vertical_frame_field_needs_regular():
+    spec = flat_map(lambda x: np.array([x[0], 0.0]))
+    with pytest.raises(CriticalPoint):
+        vertical_frame_field(spec, np.array([0.3, 0.4]))
+
+
 def test_sff_identity_and_linear(torus_entry):
     spec = torus_entry.maps["identity"]
-    val = second_fundamental_form(spec, np.array([0.8, 0.9]), 0, 1)
-    npt.assert_allclose(val, 0.0, atol=1e-9)
+    npt.assert_allclose(sff_tensor(spec, np.array([0.8, 0.9]))[0, 1], 0.0, atol=1e-9)
     linear = flat_map(lambda x: np.array([2.0 * x[0] + x[1], x[1] - x[0]]))
-    val = second_fundamental_form(linear, np.array([0.2, 0.1]), 0, 0)
-    npt.assert_allclose(val, 0.0, atol=1e-9)
+    npt.assert_allclose(sff_tensor(linear, np.array([0.2, 0.1]))[0, 0], 0.0, atol=1e-9)
 
 
 def test_sff_symmetry_bitwise(hopf):
-    a = second_fundamental_form(hopf, CE_POINT, 0, 2)
-    b = second_fundamental_form(hopf, CE_POINT, 2, 0)
-    assert np.array_equal(a, b)
+    sff = sff_tensor(hopf, CE_POINT)
+    assert np.array_equal(sff, np.swapaxes(sff, 0, 1))
 
 
 def test_fibre_inclusion_is_geodesic(cfg):
@@ -264,8 +311,6 @@ def test_condition_ii_complex_line_target_trivial(punctured1):
                                  [np.array([1.4, 0.2, -0.3, 0.5])]) == 0.0
 
 
-def test_condition_ii_punctured_two():
-    spec = catalog.punctured_hopf(2).maps["hopf"]
-    lifted = lift_structure(spec, +1)
-    x = np.array([1.4, 0.2, -0.3, 0.5, 0.1, -0.2])
-    assert condition_ii_residual(spec, lifted, [x]) <= 1e-6
+def test_condition_ii_punctured_two(punctured2):
+    lifted = lift_structure(punctured2, +1)
+    assert condition_ii_residual(punctured2, lifted, [PUNCTURED2_POINT]) <= 1e-6

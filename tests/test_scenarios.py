@@ -165,3 +165,11 @@ def test_surface_case_failing_sides_match():
     c = report.get_check("lee-pushforward-iff-tension")
     assert c.detail["side_a"] > 0.1
     np.testing.assert_allclose(c.detail["side_a"], c.detail["side_b"], rtol=1e-5)
+
+
+def test_lift_invariant_checks_count_the_points_they_use():
+    # the invariants are checked on the first 5 samples only
+    report = run_scenario("punctured-hopf-1-lift-plus", SamplePlan(seed=0, count=7), CFG)
+    assert report.get_check("lift-square-identity").samples_used == 5
+    assert report.get_check("lift-metric-compatibility").samples_used == 5
+    assert report.get_check("lifted-nijenhuis").samples_used == 7
