@@ -13,9 +13,9 @@ from .hermitian import (AlmostComplexField, HermitianFrame, StructureReport,
 from .manifold import (Box, Chart, Christoffel, Embedding, SamplePlan, VectorField,
                        christoffel, covariant_derivative, embedded_pullbacks,
                        gradient, lie_bracket)
-from .maps import (ConformalityData, MapSpec, TensionData, condition_ii_residual,
-                   conformality, differential, fibre_mean_curvature,
-                   holomorphy_residual, homothety_residual, lift_structure,
+from .maps import (ConformalityData, MapSpec, condition_ii_residual, conformality,
+                   differential, fibre_mean_curvature, holomorphy_residual,
+                   homothety_residual, lee_pushforward, lift_structure,
                    superminimality_residual, tension)
 from .numdiff import DiffConfig, FrameBasis, orthonormalize, partial, second_partial
 from .scenarios import (CheckResult, VerificationReport, run_scenario,
@@ -30,14 +30,14 @@ __all__ = [
     "EvaluationError", "EvaluationOutsideDomain", "FibreDimension", "FrameBasis",
     "GeometryError", "HermitianFrame", "MapSpec", "MissingStructure",
     "PreconditionFailed", "RankDeficient", "SamplePlan", "SingularMetric",
-    "StructureReport", "TargetDimensionTooSmall", "TensionData",
-    "TooManyExcludedSamples", "UnknownScenario", "UnknownSymbol",
+    "StructureReport", "TargetDimensionTooSmall", "TooManyExcludedSamples",
+    "UnknownScenario", "UnknownSymbol",
     "VectorField", "VerificationReport", "WrongDimension",
     "christoffel", "classify_structure", "condition_ii_residual", "conformality",
     "covariant_derivative", "differential", "divergence_J", "embedded_pullbacks",
     "fibre_mean_curvature", "gradient", "hermitian_frame", "holomorphy_residual",
-    "homothety_residual", "lee_vector", "lie_bracket", "lift_structure",
-    "nabla_J", "nijenhuis", "orthonormalize", "partial", "run_scenario",
+    "homothety_residual", "lee_pushforward", "lee_vector", "lie_bracket",
+    "lift_structure", "nabla_J", "nijenhuis", "orthonormalize", "partial", "run_scenario",
     "scenario_description", "scenario_ids",
     "second_partial", "superminimality_residual", "tension",
 ]

@@ -609,25 +609,29 @@ def mobius_postcompose(entry: CatalogEntry, params: tuple, map_name: str = "hopf
 # registry
 # ---------------------------------------------------------------------------
 
-_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
+_BUILDERS: dict[str, Callable[[DiffConfig], CatalogEntry]] = {
     "flat-torus": flat_torus,
-    "complex-plane": complex_plane,
+    "complex-plane": lambda cfg: complex_plane(),
     "flat-t4": flat_t4,
-    "cp-1": lambda: complex_projective(1),
-    "cp-2": lambda: complex_projective(2),
-    "ce-1-0": lambda: calabi_eckmann(1, 0),
-    "ce-0-1": lambda: calabi_eckmann(0, 1),
-    "ce-1-1": lambda: calabi_eckmann(1, 1),
-    "ce-2-1": lambda: calabi_eckmann(2, 1),
-    "hopf-s3": lambda: hopf_map(1),
-    "product-hopf-1-1": lambda: product_hopf(1, 1),
-    "product-hopf-1-1-rescaled": lambda: product_hopf(1, 1, target_scale=1.5),
-    "punctured-hopf-1": lambda: punctured_hopf(1),
-    "punctured-hopf-2": lambda: punctured_hopf(2),
-    "punctured-hopf-2-perturbed": lambda: punctured_hopf(2, perturbed=True),
+    "cp-1": lambda cfg: complex_projective(1),
+    "cp-2": lambda cfg: complex_projective(2),
+    "ce-1-0": lambda cfg: calabi_eckmann(1, 0, cfg),
+    "ce-0-1": lambda cfg: calabi_eckmann(0, 1, cfg),
+    "ce-1-1": lambda cfg: calabi_eckmann(1, 1, cfg),
+    "ce-2-1": lambda cfg: calabi_eckmann(2, 1, cfg),
+    "hopf-s3": lambda cfg: hopf_map(1, cfg),
+    "hopf-s3-mobius-scale": lambda cfg: mobius_postcompose(
+        hopf_map(1, cfg), (2.0, 0.0, 0.0, 1.0), suffix="mobius-scale"),
+    "hopf-s3-mobius-generic": lambda cfg: mobius_postcompose(
+        hopf_map(1, cfg), (1.0, 0.3, 0.1, 1.0), suffix="mobius-generic"),
+    "product-hopf-1-1": lambda cfg: product_hopf(1, 1, cfg=cfg),
+    "product-hopf-1-1-rescaled": lambda cfg: product_hopf(1, 1, target_scale=1.5, cfg=cfg),
+    "punctured-hopf-1": lambda cfg: punctured_hopf(1, cfg=cfg),
+    "punctured-hopf-2": lambda cfg: punctured_hopf(2, cfg=cfg),
+    "punctured-hopf-2-perturbed": lambda cfg: punctured_hopf(2, perturbed=True, cfg=cfg),
     "hopf-surface-coords": hopf_surface_coords,
-    "annulus-radial": annulus_radial,
-    "annulus-radial-rescaled": lambda: annulus_radial(target_scale=1.7),
+    "annulus-radial": lambda cfg: annulus_radial(cfg=cfg),
+    "annulus-radial-rescaled": lambda cfg: annulus_radial(target_scale=1.7, cfg=cfg),
     "hopf-fibre-inclusion": hopf_fibre_inclusion,
 }
 
@@ -636,9 +640,10 @@ def entry_ids() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def get_entry(entry_id: str) -> CatalogEntry:
+def get_entry(entry_id: str, cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+    """Build the named entry; maps and structures differentiate with ``cfg``."""
     try:
         builder = _BUILDERS[entry_id]
     except KeyError:
         raise KeyError(f"unknown catalog entry {entry_id!r}") from None
-    return builder()
+    return builder(cfg)

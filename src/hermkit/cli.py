@@ -94,11 +94,21 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: dict, args) -> None:
+def _render_classification(payload: dict, config_name: str) -> str:
+    report = payload["classification"]
+    lines = [f"classification of {config_name} (tolerance {report['tolerance']!r}):"]
+    for name, verdict in report["verdicts"].items():
+        lines.append(f"  [{'ok' if verdict else 'XX'}] {name}: "
+                     f"residual {report['residuals'][name]!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _emit(payload: dict, args, render=_render_text) -> None:
+    """Write the payload as JSON, or as text by ``render``, to --out or stdout."""
     if args.report == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        text = _render_text(payload)
+        text = render(payload)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
     else:
@@ -140,19 +150,7 @@ def _cmd_classify(args) -> int:
         "warnings": config.warnings,
         "overall": all(report.verdicts.values()),
     }
-    if args.report == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [f"classification of {args.config.name} "
-                 f"(tolerance {report.tolerance!r}):"]
-        for name, verdict in report.verdicts.items():
-            resid = payload["classification"]["residuals"][name]
-            lines.append(f"  [{'ok' if verdict else 'XX'}] {name}: residual {resid!r}")
-        text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args, lambda p: _render_classification(p, args.config.name))
     return 0 if payload["overall"] else 1
 
 

@@ -74,14 +74,14 @@ Expr = Num | Coord | Neg | BinOp | Call
 
 def evaluate(expr: Expr, point) -> float:
     """Evaluate recursively; NaN/Inf and math-domain violations raise
-    EvaluationError."""
+    EvaluationError naming the expression and the point."""
     point = np.asarray(point, dtype=float)
     try:
         value = _eval(expr, point)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise EvaluationError(str(exc)) from exc
+        raise EvaluationError(f"{exc} in {pretty(expr)} at {point.tolist()}") from exc
     if not math.isfinite(value):
-        raise EvaluationError(f"expression produced {value}")
+        raise EvaluationError(f"{pretty(expr)} produced {value} at {point.tolist()}")
     return value
 
 

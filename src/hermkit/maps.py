@@ -14,7 +14,8 @@ import numpy as np
 from . import numdiff
 from .errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
                      MissingStructure)
-from .hermitian import AlmostComplexField, g_norm, hermitian_frame_field, nabla_j_tensor
+from .hermitian import (AlmostComplexField, g_norm, hermitian_frame_field, lee_vector,
+                        nabla_j_tensor)
 from .manifold import Chart, christoffel, gradient
 from .numdiff import Array, DiffConfig, orthonormalize, project_out
 
@@ -168,31 +169,22 @@ def sff_tensor(spec: MapSpec, x) -> Array:
     return out
 
 
-@dataclass(frozen=True)
-class TensionData:
-    """Tension vector, push-forward of the Lee-type field, and their mismatch."""
-
-    tension: Array
-    lee_pushforward: Array | None = None
-    lemma_residual: float | None = None
-
-
-def tension(spec: MapSpec, x) -> TensionData:
-    """Tension field tau = g^{ij} (nabla dphi)_{ij}; when both structures are
-    present the report also carries dphi(J div J) and |tau + dphi(J div J)|."""
-    from .hermitian import lee_vector
-
+def tension(spec: MapSpec, x) -> Array:
+    """Tension field tau = g^{ij} (nabla dphi)_{ij} at x."""
     x = np.asarray(x, dtype=float)
     g_inv = spec.source.metric_inverse(x, spec.cfg)
-    sff = sff_tensor(spec, x)
-    tau = np.einsum("ij,ijg->g", g_inv, sff)
-    if spec.source_structure is None or spec.target_structure is None:
-        return TensionData(tau)
+    return np.einsum("ij,ijg->g", g_inv, sff_tensor(spec, x))
+
+
+def lee_pushforward(spec: MapSpec, x) -> Array:
+    """dphi(J div J) at x, the push-forward of the source's Lee-type field; the
+    tension identity reads tau = -dphi(J div J)."""
+    if spec.source_structure is None:
+        raise MissingStructure("the Lee push-forward needs an almost-complex structure "
+                               "on the source")
+    x = np.asarray(x, dtype=float)
     lee = lee_vector(spec.source, spec.source_structure, x, spec.cfg)
-    push = differential(spec, x) @ lee
-    h = spec.target.metric(spec(x), spec.cfg)
-    residual = g_norm(h, tau + push)
-    return TensionData(tau, push, residual)
+    return differential(spec, x) @ lee
 
 
 def tension_in_frame(spec: MapSpec, x, frame_vectors: Sequence[Array]) -> Array:

@@ -14,12 +14,23 @@ Implications "A passing forces B to pass" are scored as
 ``max(a, b) <= 10 * max(min(a, b), tol)``.  Both are monotone in the
 tolerance, and inside the tolerance regime they reduce to the plain
 "if one side passes, the other passes at 10x tolerance" coupling.
+
+Registry
+--------
+``SCENARIOS`` is a data table: each row names a description, a ``check_*``
+function of this module, a catalog entry id, the key of a map or a chart in
+that entry, and the check's keyword arguments.  :func:`run_scenario` builds the
+entry at the run's ``DiffConfig`` and calls the check on the map, or on the
+chart with the entry's structure ``J``.  The map checks share one per-sample
+pass, :func:`_morphism_pass`, which computes the conformality data and the
+tension norm once per sample; the fibre-minimality residual reuses that
+conformality data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +39,9 @@ from .errors import (CriticalPoint, FibreDimension, PreconditionFailed,
                      TargetDimensionTooSmall, TooManyExcludedSamples,
                      UnknownScenario, WrongDimension)
 from .hermitian import (AlmostComplexField, classify_structure, divergence_J,
-                        g_norm, lee_vector, nabla_j_tensor, nijenhuis)
+                        g_norm, nabla_j_tensor, nijenhuis)
 from .manifold import Chart, SamplePlan
-from .maps import KIND_CRITICAL, KIND_REGULAR, MapSpec
+from .maps import KIND_CRITICAL, MapSpec
 from .numdiff import Array, DiffConfig
 
 #: Tolerance coupling factor between the two sides of a proved implication.
@@ -166,6 +177,63 @@ def _nijenhuis_residual(chart: Chart, j_field: AlmostComplexField, x, g: Array,
     return worst
 
 
+def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[list[Array], float]:
+    """The plan's samples on the map's source and the map-residual tolerance
+    there."""
+    points = plan.points(spec.source, spec.cfg)
+    return points, spec.cfg.tolerance(_map_scale(spec, points))
+
+
+def _morphism_pass(spec: MapSpec, points: Sequence[Array]) -> list[tuple]:
+    """(conformality data, |tau|_h) at each sample, in sample order."""
+    out = []
+    for x in points:
+        h = spec.target.metric(spec(x), spec.cfg)
+        out.append((maps.conformality(spec, x), g_norm(h, maps.tension(spec, x))))
+    return out
+
+
+def _conformality_max(samples: Sequence[tuple]) -> float:
+    """Largest conformality residual over the non-critical samples."""
+    return max([0.0, *(c.conformality_residual for c, _ in samples
+                       if c.kind != KIND_CRITICAL)])
+
+
+def _tension_max(samples: Sequence[tuple]) -> float:
+    return max([0.0, *(t for _, t in samples)])
+
+
+def _fibre_residual(spec: MapSpec, points: Sequence[Array],
+                    confs: Sequence[maps.ConformalityData]) -> tuple[float, int, int]:
+    """Max fibre mean-curvature norm over regular, non-near-critical samples,
+    with the number of samples used and excluded.  ``confs`` holds the
+    conformality data of ``points``; too many exclusions raise."""
+    values = []
+    excluded = 0
+    for x, c in zip(points, confs):
+        if c.kind == KIND_CRITICAL:
+            continue
+        if not c.regular:
+            raise CriticalPoint(f"degenerate-rank sample at {x!r}")
+        if c.near_critical:
+            excluded += 1
+            continue
+        g = spec.source.metric(x, spec.cfg)
+        values.append(g_norm(g, maps.fibre_mean_curvature(spec, x)))
+    _guard_excluded(excluded, len(points), "fibre minimality")
+    return max([0.0, *values]), len(values), excluded
+
+
+def _require_holomorphic(spec: MapSpec, points: Sequence[Array], tol: float) -> float:
+    """The holomorphy residual over the samples; raises unless it is within tol."""
+    if spec.source_structure is None or spec.target_structure is None:
+        raise PreconditionFailed("holomorphic", "structures missing on one side")
+    holo = max(maps.holomorphy_residual(spec, x) for x in points)
+    if holo > tol:
+        raise PreconditionFailed("holomorphic", f"residual {holo} > {tol}")
+    return holo
+
+
 # ---------------------------------------------------------------------------
 # map-level scenario assemblies
 # ---------------------------------------------------------------------------
@@ -181,83 +249,40 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     flagged; optional extras add holomorphy, fibre minimality and a pinned
     dilation value to the report.
     """
-    cfg = spec.cfg
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
-    conf_res = 0.0
-    tension_res = 0.0
-    dilation_dev = 0.0
-    critical = 0
-    for x in points:
-        c = maps.conformality(spec, x)
-        if c.kind == KIND_CRITICAL:
-            critical += 1
-        else:
-            conf_res = max(conf_res, c.conformality_residual)
-            if expected_dilation is not None:
-                dilation_dev = max(dilation_dev, abs(c.dilation - expected_dilation))
-        h = spec.target.metric(spec(x), cfg)
-        tension_res = max(tension_res, g_norm(h, maps.tension(spec, x).tension))
+    points, tol = _map_points(spec, plan)
+    samples = _morphism_pass(spec, points)
+    critical = sum(c.kind == KIND_CRITICAL for c, _ in samples)
     checks = [
-        check("horizontally-weakly-conformal", conf_res, tol, len(points)),
-        check("tension-vanishes", tension_res, tol, len(points)),
+        check("horizontally-weakly-conformal", _conformality_max(samples), tol, len(points)),
+        check("tension-vanishes", _tension_max(samples), tol, len(points)),
     ]
     if include_holomorphy:
         holo = max(maps.holomorphy_residual(spec, x) for x in points)
         checks.insert(0, check("holomorphic", holo, tol, len(points)))
     if expected_dilation is not None:
-        checks.append(check("dilation-deviation", dilation_dev, tol, len(points),
+        dev = max([0.0, *(abs(c.dilation - expected_dilation) for c, _ in samples
+                          if c.kind != KIND_CRITICAL)])
+        checks.append(check("dilation-deviation", dev, tol, len(points),
                             expected=expected_dilation))
-    excluded = 0
     if include_fibres:
-        fibre_res, used, excluded = _fibre_residual(spec, points)
-        _guard_excluded(excluded, len(points), "fibre minimality")
+        fibre_res, used, excluded = _fibre_residual(spec, points, [c for c, _ in samples])
         checks.append(check("fibre-minimality", fibre_res, tol, used, excluded))
-    return _report(scenario_id, checks, plan, cfg, critical_samples=critical,
+    return _report(scenario_id, checks, plan, spec.cfg, critical_samples=critical,
                    map=spec.name)
-
-
-def _fibre_residual(spec: MapSpec, points: Sequence[Array]) -> tuple[float, int, int]:
-    """Max fibre mean-curvature norm over regular, non-near-critical samples."""
-    worst = 0.0
-    used = 0
-    excluded = 0
-    for x in points:
-        c = maps.conformality(spec, x)
-        if c.kind == KIND_CRITICAL:
-            continue
-        if not c.regular:
-            raise CriticalPoint(f"degenerate-rank sample at {x!r}")
-        if c.near_critical:
-            excluded += 1
-            continue
-        g = spec.source.metric(x, spec.cfg)
-        worst = max(worst, g_norm(g, maps.fibre_mean_curvature(spec, x)))
-        used += 1
-    return worst, used, excluded
 
 
 def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
                             scenario_id: str) -> VerificationReport:
     """The detector must *fail* this map: conformality or tension residual is
     genuinely large (rejection mode)."""
-    cfg = spec.cfg
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
-    conf_res = 0.0
-    tension_res = 0.0
-    for x in points:
-        c = maps.conformality(spec, x)
-        if c.kind != KIND_CRITICAL:
-            conf_res = max(conf_res, c.conformality_residual)
-        h = spec.target.metric(spec(x), cfg)
-        tension_res = max(tension_res, g_norm(h, maps.tension(spec, x).tension))
+    points, tol = _map_points(spec, plan)
+    samples = _morphism_pass(spec, points)
+    conf_res = _conformality_max(samples)
+    tension_res = _tension_max(samples)
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
               len(points), mode="gt", conformality=conf_res, tension=tension_res),
-    ], plan, cfg, map=spec.name)
+    ], plan, spec.cfg, map=spec.name)
 
 
 def check_two_of_three(spec: MapSpec, plan: SamplePlan,
@@ -265,7 +290,6 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
     """For targets of real dimension > 2: of {harmonic morphism, minimal fibres,
     horizontal homothety}, any two passing force the third at the coupling
     factor.  Dimension-2 targets route to :func:`check_surface_case`."""
-    cfg = spec.cfg
     if spec.target.dim <= 2:
         if spec.source_structure is None or spec.target_structure is None:
             raise TargetDimensionTooSmall(
@@ -274,19 +298,13 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         meta = dict(report.metadata)
         meta["routed"] = "surface-case"
         return VerificationReport(report.scenario_id, report.checks, meta)
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
-    hm_res = 0.0
-    for x in points:
-        c = maps.conformality(spec, x)
+    points, tol = _map_points(spec, plan)
+    samples = _morphism_pass(spec, points)
+    for c, _ in samples:
         if not c.regular:
             raise CriticalPoint(f"two-of-three needs regular samples, got {c.kind}")
-        h = spec.target.metric(spec(x), cfg)
-        hm_res = max(hm_res, c.conformality_residual,
-                     g_norm(h, maps.tension(spec, x).tension))
-    fibre_res, used, excluded = _fibre_residual(spec, points)
-    _guard_excluded(excluded, len(points), "fibre minimality")
+    hm_res = max([0.0, *(r for c, t in samples for r in (c.conformality_residual, t))])
+    fibre_res, used, excluded = _fibre_residual(spec, points, [c for c, _ in samples])
     hom_res = maps.homothety_residual(spec, points)
     checks = [
         implication_check("morphism+minimal-imply-homothetic",
@@ -296,7 +314,7 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         implication_check("morphism+homothetic-imply-minimal",
                           max(hm_res, hom_res), fibre_res, tol, used, excluded),
     ]
-    return _report(scenario_id, checks, plan, cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
                    residuals={"harmonic_morphism": hm_res, "fibre_minimality": fibre_res,
                               "homothety": hom_res})
 
@@ -306,34 +324,17 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
     """Holomorphic maps to a 1-complex-dimensional target: the Lee push-forward
     vanishes exactly when the tension does, and the morphism verdict matches
     fibre minimality at regular points."""
-    cfg = spec.cfg
     if spec.target.dim != 2:
         raise WrongDimension("surface case needs a target of real dimension 2")
-    if spec.source_structure is None or spec.target_structure is None:
-        raise PreconditionFailed("holomorphic", "structures missing on one side")
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
-    holo = max(maps.holomorphy_residual(spec, x) for x in points)
-    if holo > tol:
-        raise PreconditionFailed("holomorphic", f"residual {holo} > {tol}")
-    lee_res = 0.0
-    tension_res = 0.0
-    conf_res = 0.0
-    critical = 0
-    for x in points:
-        td = maps.tension(spec, x)
-        h = spec.target.metric(spec(x), cfg)
-        tension_res = max(tension_res, g_norm(h, td.tension))
-        lee_res = max(lee_res, g_norm(h, td.lee_pushforward))
-        c = maps.conformality(spec, x)
-        if c.kind == KIND_CRITICAL:
-            critical += 1
-        else:
-            conf_res = max(conf_res, c.conformality_residual)
-    fibre_res, used, excluded = _fibre_residual(spec, points)
-    _guard_excluded(excluded, len(points), "fibre minimality")
-    hm_res = max(conf_res, tension_res)
+    points, tol = _map_points(spec, plan)
+    holo = _require_holomorphic(spec, points, tol)
+    samples = _morphism_pass(spec, points)
+    lee_res = max([0.0, *(g_norm(spec.target.metric(spec(x), spec.cfg),
+                                 maps.lee_pushforward(spec, x)) for x in points)])
+    tension_res = _tension_max(samples)
+    critical = sum(c.kind == KIND_CRITICAL for c, _ in samples)
+    fibre_res, used, excluded = _fibre_residual(spec, points, [c for c, _ in samples])
+    hm_res = max(_conformality_max(samples), tension_res)
     checks = [
         check("holomorphic", holo, tol, len(points)),
         biconditional_check("lee-pushforward-iff-tension", lee_res, tension_res,
@@ -341,59 +342,50 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
         biconditional_check("morphism-iff-minimal-fibres", hm_res, fibre_res,
                             tol, used, excluded),
     ]
-    return _report(scenario_id, checks, plan, cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
                    critical_samples=critical,
                    residuals={"lee_pushforward": lee_res, "tension": tension_res,
                               "fibre_minimality": fibre_res})
 
 
 def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
-                             scenario_id: str = "cosymplectic-image") -> VerificationReport:
+                             scenario_id: str = "cosymplectic-image",
+                             expect_both_fail: bool = False) -> VerificationReport:
     """For a holomorphic horizontally weakly conformal map, the target is
     cosymplectic exactly when the map is a harmonic morphism.
 
     Density of the image cannot be decided numerically; the target structure is
     classified at the pushed sample points and that surrogate is recorded in
     the metadata.  The source's cosymplectic residual is recorded as context.
+    With ``expect_both_fail`` both sides of the biconditional must also be
+    genuinely nonzero.
     """
     cfg = spec.cfg
-    if spec.source_structure is None or spec.target_structure is None:
-        raise PreconditionFailed("holomorphic", "structures missing on one side")
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
-    holo = max(maps.holomorphy_residual(spec, x) for x in points)
-    if holo > tol:
-        raise PreconditionFailed("holomorphic", f"residual {holo} > {tol}")
-    conf_res = 0.0
-    tension_res = 0.0
-    pushed = []
-    for x in points:
-        c = maps.conformality(spec, x)
-        if c.kind != KIND_CRITICAL:
-            conf_res = max(conf_res, c.conformality_residual)
-        h = spec.target.metric(spec(x), cfg)
-        tension_res = max(tension_res, g_norm(h, maps.tension(spec, x).tension))
-        pushed.append(spec(x))
+    points, tol = _map_points(spec, plan)
+    _require_holomorphic(spec, points, tol)
+    samples = _morphism_pass(spec, points)
+    conf_res = _conformality_max(samples)
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
-    source_cos = 0.0
-    for x in points:
-        g = spec.source.metric(x, cfg)
-        source_cos = max(source_cos, g_norm(g, divergence_J(
-            spec.source, spec.source_structure, x, cfg)))
+    source_cos = max([0.0, *(g_norm(spec.source.metric(x, cfg), divergence_J(
+        spec.source, spec.source_structure, x, cfg)) for x in points)])
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
-                                       complex_form=False, points=pushed)
-    hm_res = max(conf_res, tension_res)
+                                       complex_form=False,
+                                       points=[spec(x) for x in points])
+    target_cos = target_report.residual_cosympl
+    hm_res = max(conf_res, _tension_max(samples))
     checks = [
         biconditional_check("target-cosymplectic-iff-harmonic-morphism",
-                            target_report.residual_cosympl, hm_res, tol, len(points)),
+                            target_cos, hm_res, tol, len(points)),
     ]
+    if expect_both_fail:
+        checks.append(check("both-sides-nonzero", min(target_cos, hm_res),
+                            COUPLING * tol, len(points), mode="gt"))
     return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    coverage="target classified at pushed samples (density surrogate)",
                    source_cosymplectic_residual=source_cos,
-                   residuals={"target_cosymplectic": target_report.residual_cosympl,
+                   residuals={"target_cosymplectic": target_cos,
                               "harmonic_morphism": hm_res})
 
 
@@ -402,30 +394,24 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
     """tau(phi) = -dphi(J div J) for holomorphic maps into a (1,2)-symplectic
     target, as a samplewise residual."""
     cfg = spec.cfg
-    if spec.source_structure is None or spec.target_structure is None:
-        raise PreconditionFailed("holomorphic", "structures missing on one side")
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
-    holo = max(maps.holomorphy_residual(spec, x) for x in points)
-    if holo > tol:
-        raise PreconditionFailed("holomorphic", f"residual {holo} > {tol}")
+    points, tol = _map_points(spec, plan)
+    _require_holomorphic(spec, points, tol)
     pushed = [spec(x) for x in points]
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
                                        complex_form=False, points=pushed)
     if not target_report.verdicts["one_two_symplectic"]:
         raise PreconditionFailed("target (1,2)-symplectic",
                                  f"residual {target_report.residual_12sympl}")
-    worst = 0.0
-    sides = (0.0, 0.0)
+    lemma, tau_norms, lee_norms = [0.0], [0.0], [0.0]
     for x in points:
-        td = maps.tension(spec, x)
+        tau = maps.tension(spec, x)
+        push = maps.lee_pushforward(spec, x)
         h = spec.target.metric(spec(x), cfg)
-        worst = max(worst, td.lemma_residual)
-        sides = (max(sides[0], g_norm(h, td.tension)),
-                 max(sides[1], g_norm(h, td.lee_pushforward)))
-    checks = [check("tension-equals-minus-lee-pushforward", worst, tol, len(points),
-                    tension_norm=sides[0], lee_pushforward_norm=sides[1])]
+        lemma.append(g_norm(h, tau + push))
+        tau_norms.append(g_norm(h, tau))
+        lee_norms.append(g_norm(h, push))
+    checks = [check("tension-equals-minus-lee-pushforward", max(lemma), tol, len(points),
+                    tension_norm=max(tau_norms), lee_pushforward_norm=max(lee_norms))]
     return _report(scenario_id, checks, plan, cfg, map=spec.name)
 
 
@@ -437,9 +423,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     cfg = spec.cfg
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
+    points, tol = _map_points(spec, plan)
     pushed = [spec(x) for x in points]
     target_nij = 0.0
     for y in pushed:
@@ -487,9 +471,7 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     otherwise it must exceed the non-parallelism floor of 1e-3 somewhere.
     """
     cfg = spec.cfg
-    points = plan.points(spec.source, cfg)
-    scale = _map_scale(spec, points)
-    tol = cfg.tolerance(scale)
+    points, tol = _map_points(spec, plan)
     lifted = maps.lift_structure(spec, orientation)
     inv_points = points[:5]
     inv = lifted.invariant_residuals(inv_points, cfg)
@@ -560,13 +542,11 @@ def check_gauduchon(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
     return _report(scenario_id, checks, plan, cfg, probes_per_sample=8)
 
 
-def check_divergence_closed_form(r: int, s: int, plan: SamplePlan, cfg: DiffConfig,
-                                 scenario_id: str = "") -> VerificationReport:
-    """Numerical div J on the odd-sphere product against the closed form
-    -2 (r J1 n1 + s J2 n2) pushed to chart components."""
-    entry = catalog.calabi_eckmann(r, s, cfg)
-    chart = entry.charts["ce"]
-    j_field = entry.structures["J"]
+def check_divergence_closed_form(chart: Chart, j_field: AlmostComplexField,
+                                 plan: SamplePlan, cfg: DiffConfig, scenario_id: str,
+                                 r: int, s: int) -> VerificationReport:
+    """Numerical div J on the odd-sphere product S^{2r+1} x S^{2s+1} against
+    the closed form -2 (r J1 n1 + s J2 n2) pushed to chart components."""
     points = plan.points(chart, cfg)
     worst = 0.0
     scale = 1.0
@@ -576,9 +556,8 @@ def check_divergence_closed_form(r: int, s: int, plan: SamplePlan, cfg: DiffConf
         worst = max(worst, float(np.max(np.abs(num - ana))))
         scale = max(scale, 1.0 + float(np.max(np.abs(ana))))
     tol = cfg.tolerance(scale)
-    sid = scenario_id or f"ce-{r}-{s}-divergence"
-    return _report(sid, [check("divergence-matches-closed-form", worst, tol,
-                               len(points))], plan, cfg, r=r, s=s)
+    return _report(scenario_id, [check("divergence-matches-closed-form", worst, tol,
+                                       len(points))], plan, cfg, r=r, s=s)
 
 
 def check_structure_verdicts(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
@@ -612,6 +591,21 @@ def check_structure_verdicts(chart: Chart, j_field: AlmostComplexField, plan: Sa
                    structure_report=report.to_dict())
 
 
+def check_radial_fibres(spec: MapSpec, plan: SamplePlan, scenario_id: str,
+                        target_scale: float) -> VerificationReport:
+    """Straight radial fibres of the annulus projection are minimal, and the
+    dilation is target_scale / r."""
+    points, tol = _map_points(spec, plan)
+    confs = [maps.conformality(spec, x) for x in points]
+    fibre_res, used, excluded = _fibre_residual(spec, points, confs)
+    dev = max(abs(c.dilation - target_scale / x[0]) for c, x in zip(confs, points))
+    checks = [
+        check("fibre-minimality", fibre_res, tol, used, excluded),
+        check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(points)),
+    ]
+    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name)
+
+
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -620,265 +614,126 @@ _ALL_TRUE = {"kahler": True, "one_two_symplectic": True, "cosymplectic": True,
              "integrable": True}
 _CE_PATTERN = {"kahler": False, "one_two_symplectic": False, "cosymplectic": False,
                "integrable": True}
+_MORPHISM_EXTRAS = {"include_holomorphy": True, "include_fibres": True,
+                    "expected_dilation": 1.0}
 
-
-def _classify_scenario(entry_id: str, chart_key: str, expected: dict, sid: str):
-    def run(plan: SamplePlan, cfg: DiffConfig) -> VerificationReport:
-        entry = catalog.get_entry(entry_id)
-        return check_structure_verdicts(entry.charts[chart_key], entry.structures["J"],
-                                        plan, cfg, expected, scenario_id=sid)
-    return run
-
-
-def _scenario_hopf_s3(plan, cfg):
-    entry = catalog.hopf_map(1, cfg)
-    return check_harmonic_morphism(entry.maps["hopf"], plan, scenario_id="hopf-s3",
-                                   include_holomorphy=True, include_fibres=True,
-                                   expected_dilation=1.0)
-
-
-def _scenario_product_hopf(plan, cfg):
-    entry = catalog.product_hopf(1, 1, cfg=cfg)
-    return check_harmonic_morphism(entry.maps["hopf"], plan,
-                                   scenario_id="product-hopf-1-1",
-                                   include_holomorphy=True, include_fibres=True,
-                                   expected_dilation=1.0)
-
-
-def _scenario_mobius(which: str):
-    params = {"scale": (2.0, 0.0, 0.0, 1.0),
-              "generic": (1.0, 0.3, 0.1, 1.0)}[which]
-
-    def run(plan, cfg):
-        entry = catalog.mobius_postcompose(catalog.hopf_map(1, cfg), params,
-                                           suffix=f"mobius-{which}")
-        return check_harmonic_morphism(entry.maps["hopf"], plan,
-                                       scenario_id=f"hopf-s3-mobius-{which}",
-                                       include_holomorphy=True)
-    return run
-
-
-def _scenario_lemma(entry_builder, map_name: str, sid: str):
-    def run(plan, cfg):
-        entry = entry_builder(cfg)
-        return check_lemma_tension(entry.maps[map_name], plan, scenario_id=sid)
-    return run
-
-
-def _scenario_surface(entry_builder, map_name: str, sid: str):
-    def run(plan, cfg):
-        entry = entry_builder(cfg)
-        return check_surface_case(entry.maps[map_name], plan, scenario_id=sid)
-    return run
-
-
-def _scenario_two_of_three(entry_builder, map_name: str, sid: str):
-    def run(plan, cfg):
-        entry = entry_builder(cfg)
-        return check_two_of_three(entry.maps[map_name], plan, scenario_id=sid)
-    return run
-
-
-def _scenario_integrability(n: int, orientation: int, sid: str):
-    def run(plan, cfg):
-        entry = catalog.punctured_hopf(n, cfg=cfg)
-        return check_integrability_theorem(entry.maps["hopf"], orientation, plan,
-                                           scenario_id=sid)
-    return run
-
-
-def _scenario_lift(n: int, orientation: int, sid: str):
-    def run(plan, cfg):
-        entry = catalog.punctured_hopf(n, cfg=cfg)
-        return check_lifted_structure(entry.maps["hopf"], orientation, plan,
-                                      scenario_id=sid, expect_parallel=orientation == 1)
-    return run
-
-
-def _scenario_cosymplectic_image(perturbed: bool, sid: str):
-    def run(plan, cfg):
-        entry = catalog.punctured_hopf(2, perturbed=perturbed, cfg=cfg)
-        report = check_cosymplectic_image(entry.maps["hopf"], plan, scenario_id=sid)
-        if perturbed:
-            # both sides of the biconditional must genuinely fail here
-            res = report.metadata["residuals"]
-            tol = cfg.tolerance(_map_scale(entry.maps["hopf"],
-                                           plan.points(entry.charts["source"], cfg)))
-            extra = check("both-sides-nonzero",
-                          min(res["target_cosymplectic"], res["harmonic_morphism"]),
-                          COUPLING * tol, plan.count, mode="gt")
-            return VerificationReport(report.scenario_id, report.checks + (extra,),
-                                      report.metadata)
-        return report
-    return run
-
-
-def _scenario_gauduchon(entry_id: str, chart_key: str, expected_norm: float, sid: str):
-    def run(plan, cfg):
-        entry = catalog.get_entry(entry_id)
-        return check_gauduchon(entry.charts[chart_key], entry.structures["J"], plan,
-                               cfg, scenario_id=sid, expected_delta_norm=expected_norm)
-    return run
-
-
-def _scenario_annulus(rescaled: bool, sid: str):
-    def run(plan, cfg):
-        entry = catalog.annulus_radial(target_scale=1.7 if rescaled else 1.0, cfg=cfg)
-        spec = entry.maps["radial"]
-        points = plan.points(spec.source, cfg)
-        scale = _map_scale(spec, points)
-        tol = cfg.tolerance(scale)
-        fibre_res, used, excluded = _fibre_residual(spec, points)
-        _guard_excluded(excluded, len(points), "fibre minimality")
-        dilations = [maps.conformality(spec, x).dilation for x in points]
-        expected = [(1.7 if rescaled else 1.0) / x[0] for x in points]
-        dev = max(abs(d - e) for d, e in zip(dilations, expected))
-        checks = [
-            check("fibre-minimality", fibre_res, tol, used, excluded),
-            check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(points)),
-        ]
-        return _report(sid, checks, plan, cfg, map=spec.name)
-    return run
-
-
-def _scenario_t4_integrability(plan, cfg):
-    entry = catalog.flat_t4(cfg)
-    return check_integrability_theorem(entry.maps["projection"], +1, plan,
-                                       scenario_id="t4-projection-integrability")
-
-
-def _scenario_torus_identity_image(plan, cfg):
-    entry = catalog.flat_torus(cfg)
-    return check_cosymplectic_image(entry.maps["identity"], plan,
-                                    scenario_id="torus-identity-cosymplectic-image")
-
-
-def _scenario_conjugation(plan, cfg):
-    entry = catalog.flat_torus(cfg)
-    return check_harmonic_morphism(entry.maps["conjugation"], plan,
-                                   scenario_id="torus-conjugation")
-
-
-def _scenario_nonconformal(plan, cfg):
-    entry = catalog.flat_torus(cfg)
-    return check_rejected_morphism(entry.maps["nonconformal"], plan,
-                                   scenario_id="torus-nonconformal-rejected")
-
-
-SCENARIOS: dict[str, tuple[str, Callable]] = {
+#: scenario id -> (description, check function name, catalog entry id, map or
+#: chart key in that entry, keyword arguments of the check).
+SCENARIOS: dict[str, tuple[str, str, str, str, dict]] = {
     "torus-classify": ("flat torus structure classification (all classes hold)",
-                       _classify_scenario("flat-torus", "torus", _ALL_TRUE,
-                                          "torus-classify")),
+                       "check_structure_verdicts", "flat-torus", "torus",
+                       {"expected": _ALL_TRUE}),
     "cp-1-classify": ("Fubini-Study line: Kaehler classification",
-                      _classify_scenario("cp-1", "cp", _ALL_TRUE, "cp-1-classify")),
+                      "check_structure_verdicts", "cp-1", "cp", {"expected": _ALL_TRUE}),
     "cp-2-classify": ("Fubini-Study plane: Kaehler classification",
-                      _classify_scenario("cp-2", "cp", _ALL_TRUE, "cp-2-classify")),
+                      "check_structure_verdicts", "cp-2", "cp", {"expected": _ALL_TRUE}),
     "ce-1-0-classify": ("S3 x S1: integrable, not cosymplectic",
-                        _classify_scenario("ce-1-0", "ce", _CE_PATTERN,
-                                           "ce-1-0-classify")),
+                        "check_structure_verdicts", "ce-1-0", "ce",
+                        {"expected": _CE_PATTERN}),
     "ce-1-1-classify": ("S3 x S3: integrable, not cosymplectic",
-                        _classify_scenario("ce-1-1", "ce", _CE_PATTERN,
-                                           "ce-1-1-classify")),
+                        "check_structure_verdicts", "ce-1-1", "ce",
+                        {"expected": _CE_PATTERN}),
     "ce-1-0-divergence": ("div J on S3 x S1 against the closed form",
-                          lambda plan, cfg: check_divergence_closed_form(1, 0, plan, cfg)),
+                          "check_divergence_closed_form", "ce-1-0", "ce", {"r": 1, "s": 0}),
     "ce-0-1-divergence": ("div J on S1 x S3 against the closed form",
-                          lambda plan, cfg: check_divergence_closed_form(0, 1, plan, cfg)),
+                          "check_divergence_closed_form", "ce-0-1", "ce", {"r": 0, "s": 1}),
     "ce-1-1-divergence": ("div J on S3 x S3 against the closed form",
-                          lambda plan, cfg: check_divergence_closed_form(1, 1, plan, cfg)),
+                          "check_divergence_closed_form", "ce-1-1", "ce", {"r": 1, "s": 1}),
     "ce-2-1-divergence": ("div J on S5 x S3 against the closed form",
-                          lambda plan, cfg: check_divergence_closed_form(2, 1, plan, cfg)),
+                          "check_divergence_closed_form", "ce-2-1", "ce", {"r": 2, "s": 1}),
     "hopf-s3": ("Hopf projection: holomorphic Riemannian submersion with "
-                "vanishing tension and geodesic fibres", _scenario_hopf_s3),
+                "vanishing tension and geodesic fibres",
+                "check_harmonic_morphism", "hopf-s3", "hopf", _MORPHISM_EXTRAS),
     "product-hopf-1-1": ("product Hopf projection: harmonic morphism checks",
-                         _scenario_product_hopf),
+                         "check_harmonic_morphism", "product-hopf-1-1", "hopf",
+                         _MORPHISM_EXTRAS),
     "product-hopf-1-1-lemma": ("tension identity on the product Hopf projection",
-                               _scenario_lemma(lambda cfg: catalog.product_hopf(1, 1, cfg=cfg),
-                                               "hopf", "product-hopf-1-1-lemma")),
+                               "check_lemma_tension", "product-hopf-1-1", "hopf", {}),
     "torus-square-lemma": ("tension identity for the squaring map on the flat torus",
-                           _scenario_lemma(catalog.flat_torus, "square",
-                                           "torus-square-lemma")),
+                           "check_lemma_tension", "flat-torus", "square", {}),
     "hopf-surface-lemma": ("tension identity with both sides nonzero",
-                           _scenario_lemma(catalog.hopf_surface_coords, "coords",
-                                           "hopf-surface-lemma")),
+                           "check_lemma_tension", "hopf-surface-coords", "coords", {}),
     "hopf-s3-surface-case": ("surface-target biconditionals for the Hopf projection",
-                             _scenario_surface(lambda cfg: catalog.hopf_map(1, cfg),
-                                               "hopf", "hopf-s3-surface-case")),
+                             "check_surface_case", "hopf-s3", "hopf", {}),
     "hopf-surface-coords-surface-case": ("surface-target biconditionals where both "
                                          "sides fail together",
-                                         _scenario_surface(catalog.hopf_surface_coords,
-                                                           "coords",
-                                                           "hopf-surface-coords-surface-case")),
+                                         "check_surface_case", "hopf-surface-coords",
+                                         "coords", {}),
     "product-hopf-1-1-two-of-three": ("morphism/minimal-fibres/homothety coupling",
-                                      _scenario_two_of_three(
-                                          lambda cfg: catalog.product_hopf(1, 1, cfg=cfg),
-                                          "hopf", "product-hopf-1-1-two-of-three")),
+                                      "check_two_of_three", "product-hopf-1-1", "hopf", {}),
     "product-hopf-1-1-rescaled-two-of-three": ("coupling is stable under constant "
                                                "rescaling of the target metric",
-                                               _scenario_two_of_three(
-                                                   lambda cfg: catalog.product_hopf(
-                                                       1, 1, target_scale=1.5, cfg=cfg),
-                                                   "hopf",
-                                                   "product-hopf-1-1-rescaled-two-of-three")),
+                                               "check_two_of_three",
+                                               "product-hopf-1-1-rescaled", "hopf", {}),
     "punctured-hopf-2-two-of-three": ("coupling on the punctured-space projection",
-                                      _scenario_two_of_three(
-                                          lambda cfg: catalog.punctured_hopf(2, cfg=cfg),
-                                          "hopf", "punctured-hopf-2-two-of-three")),
+                                      "check_two_of_three", "punctured-hopf-2", "hopf", {}),
     "t4-projection-two-of-three": ("dimension gate: 2-dimensional target routes to "
                                    "the surface case",
-                                   _scenario_two_of_three(catalog.flat_t4, "projection",
-                                                          "t4-projection-two-of-three")),
+                                   "check_two_of_three", "flat-t4", "projection", {}),
     "punctured-hopf-1-lift-plus": ("orientation +1 lift is the parallel structure",
-                                   _scenario_lift(1, +1, "punctured-hopf-1-lift-plus")),
+                                   "check_lifted_structure", "punctured-hopf-1", "hopf",
+                                   {"orientation": 1, "expect_parallel": True}),
     "punctured-hopf-1-lift-minus": ("orientation -1 lift is integrable, not parallel",
-                                    _scenario_lift(1, -1, "punctured-hopf-1-lift-minus")),
+                                    "check_lifted_structure", "punctured-hopf-1", "hopf",
+                                    {"orientation": -1, "expect_parallel": False}),
     "punctured-hopf-2-lift-plus": ("orientation +1 lift is the parallel structure",
-                                   _scenario_lift(2, +1, "punctured-hopf-2-lift-plus")),
+                                   "check_lifted_structure", "punctured-hopf-2", "hopf",
+                                   {"orientation": 1, "expect_parallel": True}),
     "punctured-hopf-2-lift-minus": ("orientation -1 lift is integrable, not parallel",
-                                    _scenario_lift(2, -1, "punctured-hopf-2-lift-minus")),
+                                    "check_lifted_structure", "punctured-hopf-2", "hopf",
+                                    {"orientation": -1, "expect_parallel": False}),
     "punctured-hopf-1-integrability-plus": ("superminimality + bracket condition "
                                             "force integrability",
-                                            _scenario_integrability(
-                                                1, +1, "punctured-hopf-1-integrability-plus")),
+                                            "check_integrability_theorem",
+                                            "punctured-hopf-1", "hopf", {"orientation": 1}),
     "punctured-hopf-1-integrability-minus": ("same, opposite fibre orientation",
-                                             _scenario_integrability(
-                                                 1, -1, "punctured-hopf-1-integrability-minus")),
+                                             "check_integrability_theorem",
+                                             "punctured-hopf-1", "hopf", {"orientation": -1}),
     "punctured-hopf-2-integrability-plus": ("superminimality + bracket condition "
                                             "force integrability",
-                                            _scenario_integrability(
-                                                2, +1, "punctured-hopf-2-integrability-plus")),
+                                            "check_integrability_theorem",
+                                            "punctured-hopf-2", "hopf", {"orientation": 1}),
     "punctured-hopf-2-integrability-minus": ("same, opposite fibre orientation",
-                                             _scenario_integrability(
-                                                 2, -1, "punctured-hopf-2-integrability-minus")),
+                                             "check_integrability_theorem",
+                                             "punctured-hopf-2", "hopf", {"orientation": -1}),
     "t4-projection-integrability": ("integrable product projection (trivial case)",
-                                    _scenario_t4_integrability),
+                                    "check_integrability_theorem", "flat-t4", "projection",
+                                    {"orientation": 1}),
     "punctured-hopf-2-cosymplectic-image": ("cosymplectic target matches the morphism "
                                             "verdict (both sides hold)",
-                                            _scenario_cosymplectic_image(
-                                                False, "punctured-hopf-2-cosymplectic-image")),
+                                            "check_cosymplectic_image", "punctured-hopf-2",
+                                            "hopf", {}),
     "punctured-hopf-2-cosymplectic-image-perturbed": (
         "conformally stretched target: both sides fail together",
-        _scenario_cosymplectic_image(True, "punctured-hopf-2-cosymplectic-image-perturbed")),
+        "check_cosymplectic_image", "punctured-hopf-2-perturbed", "hopf",
+        {"expect_both_fail": True}),
     "torus-identity-cosymplectic-image": ("identity on the flat torus (trivial case)",
-                                          _scenario_torus_identity_image),
+                                          "check_cosymplectic_image", "flat-torus",
+                                          "identity", {}),
     "hopf-surface-gauduchon": ("div J directions are parallel on S3 x S1, |div J| = 2",
-                               _scenario_gauduchon("ce-1-0", "ce", 2.0,
-                                                   "hopf-surface-gauduchon")),
+                               "check_gauduchon", "ce-1-0", "ce",
+                               {"expected_delta_norm": 2.0}),
     "t4-gauduchon": ("div J directions are parallel on the flat 4-torus",
-                     _scenario_gauduchon("flat-t4", "t4", 0.0, "t4-gauduchon")),
+                     "check_gauduchon", "flat-t4", "t4", {"expected_delta_norm": 0.0}),
     "hopf-s3-mobius-scale": ("post-composition with w -> 2w keeps the morphism verdict",
-                             _scenario_mobius("scale")),
+                             "check_harmonic_morphism", "hopf-s3-mobius-scale", "hopf",
+                             {"include_holomorphy": True}),
     "hopf-s3-mobius-generic": ("post-composition with a generic fractional-linear "
                                "map keeps the morphism verdict",
-                               _scenario_mobius("generic")),
+                               "check_harmonic_morphism", "hopf-s3-mobius-generic", "hopf",
+                               {"include_holomorphy": True}),
     "torus-conjugation": ("anti-holomorphic isometry-like map is still a morphism",
-                          _scenario_conjugation),
+                          "check_harmonic_morphism", "flat-torus", "conjugation", {}),
     "torus-nonconformal-rejected": ("a generic quadratic map is correctly rejected",
-                                    _scenario_nonconformal),
+                                    "check_rejected_morphism", "flat-torus", "nonconformal",
+                                    {}),
     "annulus-radial-fibres": ("radial fibres of the annulus projection are straight",
-                              _scenario_annulus(False, "annulus-radial-fibres")),
+                              "check_radial_fibres", "annulus-radial", "radial",
+                              {"target_scale": 1.0}),
     "annulus-radial-rescaled-fibres": ("target rescaling changes the dilation, "
                                        "not the fibre geometry",
-                                       _scenario_annulus(True, "annulus-radial-rescaled-fibres")),
+                                       "check_radial_fibres", "annulus-radial-rescaled",
+                                       "radial", {"target_scale": 1.7}),
 }
 
 
@@ -894,12 +749,20 @@ def scenario_description(scenario_id: str) -> str:
 
 
 def run_scenario(scenario_id: str, plan: SamplePlan, cfg: DiffConfig) -> VerificationReport:
-    """Dispatch to the named check with freshly built catalog objects.
+    """Build the scenario's catalog entry at ``cfg`` and run its check on the
+    named map, or on the named chart with the entry's structure ``J``.
 
     Deterministic for equal (scenario_id, plan, cfg).
     """
     try:
-        _, runner = SCENARIOS[scenario_id]
+        _, check_name, entry_id, key, kwargs = SCENARIOS[scenario_id]
     except KeyError:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}") from None
-    return runner(plan, cfg)
+    entry = catalog.get_entry(entry_id, cfg)
+    # Looked up at call time, so a wrapper installed on the module attribute
+    # (as a tracer does) is the one that runs.
+    run = globals()[check_name]
+    if key in entry.maps:
+        return run(entry.maps[key], plan=plan, scenario_id=scenario_id, **kwargs)
+    return run(entry.charts[key], entry.structures["J"], plan=plan, cfg=cfg,
+               scenario_id=scenario_id, **kwargs)

@@ -5,6 +5,7 @@ import pytest
 from hermkit import catalog
 from hermkit.errors import DegenerateParameters
 from hermkit.manifold import Embedding, SamplePlan
+from hermkit.numdiff import DiffConfig
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -109,6 +110,11 @@ def test_registry_roundtrip():
     assert "hopf-s3" in catalog.entry_ids()
     with pytest.raises(KeyError):
         catalog.get_entry("no-such-entry")
+
+
+def test_get_entry_passes_config_to_maps():
+    entry = catalog.get_entry("hopf-s3", DiffConfig(step=1e-3))
+    assert entry.maps["hopf"].cfg.step == 1e-3
 
 
 def test_perturbed_target_is_conformally_stretched(cfg):

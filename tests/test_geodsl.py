@@ -84,6 +84,17 @@ def test_evaluation_domain_errors(src, point):
         geodsl.evaluate(expr, point)
 
 
+def test_evaluation_error_names_expression_and_point():
+    expr = geodsl.parse_expr("log(x1 - 1)", dim=1)
+    with pytest.raises(EvaluationError, match=r"log\(") as err:
+        geodsl.evaluate(expr, [0.5])
+    assert "[0.5]" in str(err.value)
+    expr = geodsl.parse_expr("x1 * 10^308", dim=1)  # overflows to inf, no exception
+    with pytest.raises(EvaluationError, match=r"x1 \* 10") as err:
+        geodsl.evaluate(expr, [10.0])
+    assert "inf" in str(err.value) and "[10.0]" in str(err.value)
+
+
 def test_unknown_symbol_and_dimension_mismatch():
     with pytest.raises(UnknownSymbol):
         geodsl.parse_expr("foo(x1)", dim=1)
@@ -224,6 +235,24 @@ def test_classify_incompatible_structure_exits_2(tmp_path, capsys):
     path.write_text(INCOMPATIBLE_J_SRC, encoding="utf-8")
     assert cli.main(["classify", "--config", str(path), "--points", "2"]) == 2
     assert "g-compatible" in capsys.readouterr().err
+
+
+BAD_LOG_SRC = """
+dim = 2
+domain x1 = [0.2, 1.7]
+domain x2 = [0.2, 1.7]
+g = [[1, 0], [0, 1]]
+J = [[0, -1], [1, 0]]
+map f -> 2 = [log(x1 - 1), x2]
+"""
+
+
+def test_check_map_evaluation_error_names_expression(tmp_path, capsys):
+    path = tmp_path / "bad-log.geo"
+    path.write_text(BAD_LOG_SRC, encoding="utf-8")
+    assert cli.main(["check-map", "--config", str(path), "--map", "f",
+                     "--points", "2"]) == 2
+    assert "log(x1 - 1" in capsys.readouterr().err
 
 
 def test_deep_nesting_is_structured_error():

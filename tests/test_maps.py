@@ -2,16 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog
+from hermkit import catalog, hermitian, maps
 from hermkit.errors import (CriticalPoint, FibreDimension, MissingStructure)
 from hermkit.hermitian import g_norm, nabla_j_tensor
 from hermkit.manifold import Box, Chart, SamplePlan
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
                           conformality, condition_ii_residual, differential,
                           fibre_mean_curvature, holomorphy_residual,
-                          homothety_residual, lift_structure, sff_tensor,
-                          superminimality_residual, tension, tension_in_frame,
-                          vertical_frame_field)
+                          homothety_residual, lee_pushforward, lift_structure,
+                          sff_tensor, superminimality_residual, tension,
+                          tension_in_frame, vertical_frame_field)
 from hermkit.numdiff import orthonormalize
 
 
@@ -177,27 +177,45 @@ def test_fibre_inclusion_is_geodesic(cfg):
     curve in the 3-sphere (trace of the second fundamental form)."""
     entry = catalog.hopf_fibre_inclusion()
     spec = entry.maps["inclusion"]
-    td = tension(spec, np.array([0.05]))
+    tau = tension(spec, np.array([0.05]))
     h = spec.target.metric(spec(np.array([0.05])), cfg)
-    assert g_norm(h, td.tension) <= 1e-6
+    assert g_norm(h, tau) <= 1e-6
 
 
 def test_tension_identity_flat(torus_entry):
-    td = tension(torus_entry.maps["identity"], np.array([0.8, 0.9]))
-    npt.assert_allclose(td.tension, 0.0, atol=1e-9)
+    tau = tension(torus_entry.maps["identity"], np.array([0.8, 0.9]))
+    npt.assert_allclose(tau, 0.0, atol=1e-9)
 
 
 def test_tension_square_map_harmonic(torus_entry):
-    td = tension(torus_entry.maps["square"], np.array([0.8, 0.9]))
-    npt.assert_allclose(td.tension, 0.0, atol=1e-7)
-    assert td.lemma_residual <= 1e-7
+    spec = torus_entry.maps["square"]
+    x = np.array([0.8, 0.9])
+    tau = tension(spec, x)
+    npt.assert_allclose(tau, 0.0, atol=1e-7)
+    h = spec.target.metric(spec(x), spec.cfg)
+    assert g_norm(h, tau + lee_pushforward(spec, x)) <= 1e-7
+
+
+def test_tension_computes_no_lee_field(hopf, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("tension must not build the Lee field")
+
+    monkeypatch.setattr(hermitian, "lee_vector", fail)
+    monkeypatch.setattr(maps, "lee_vector", fail)
+    assert tension(hopf, CE_POINT).shape == (2,)
+
+
+def test_lee_pushforward_needs_source_structure():
+    spec = flat_map(lambda x: np.array([x[0], x[1]]))
+    with pytest.raises(MissingStructure):
+        lee_pushforward(spec, np.array([0.1, 0.2]))
 
 
 def test_tension_frame_independent(hopf, rng):
     g = hopf.source.metric(CE_POINT, hopf.cfg)
     frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
     via_frame = tension_in_frame(hopf, CE_POINT, frame.vectors)
-    direct = tension(hopf, CE_POINT).tension
+    direct = tension(hopf, CE_POINT)
     npt.assert_allclose(via_frame, direct, atol=1e-5)
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,25 @@ def test_every_registered_scenario_passes(sid):
     report = run_scenario(sid, SMALL, CFG)
     failed = [c.name for c in report.checks if not c.verdict]
     assert report.overall, (sid, failed)
+
+
+@pytest.mark.parametrize("sid", scenarios.scenario_ids())
+def test_table_row_resolves(sid):
+    """Each row names a check, a catalog entry and exactly one map or chart of
+    it, and its kwargs fit the check's signature."""
+    _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
+    assert check_name.startswith("check_")
+    run = getattr(scenarios, check_name)
+    assert callable(run)
+    assert entry_id in catalog.entry_ids()
+    entry = catalog.get_entry(entry_id)
+    assert (key in entry.maps) != (key in entry.charts)
+    signature = inspect.signature(run)
+    if key in entry.maps:
+        signature.bind(entry.maps[key], plan=SMALL, scenario_id=sid, **kwargs)
+    else:
+        signature.bind(entry.charts[key], entry.structures["J"], plan=SMALL, cfg=CFG,
+                       scenario_id=sid, **kwargs)
 
 
 def test_unknown_scenario():
