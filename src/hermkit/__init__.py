@@ -7,16 +7,16 @@ from .errors import (ConfigError, CriticalPoint, DimensionMismatch, DslError,
                      PreconditionFailed, RankDeficient, SingularMetric,
                      TargetDimensionTooSmall, TooManyExcludedSamples,
                      UnknownScenario, UnknownSymbol, WrongDimension)
-from .hermitian import (AlmostComplexField, HermitianFrame, StructureReport,
-                        classify_structure, divergence_J, hermitian_frame,
-                        lee_vector, nabla_J, nijenhuis)
+from .hermitian import (AlmostComplexField, HermitianFrame, StructureJet,
+                        StructureReport, classify_structure, divergence_J,
+                        hermitian_frame, lee_vector, nabla_J, nijenhuis, structure_jet)
 from .manifold import (Box, Chart, Christoffel, Embedding, SamplePlan, VectorField,
                        christoffel, covariant_derivative, embedded_pullbacks,
                        gradient, lie_bracket)
-from .maps import (ConformalityData, MapSpec, condition_ii_residual, conformality,
-                   differential, fibre_mean_curvature, holomorphy_residual,
-                   homothety_residual, lee_pushforward, lift_structure,
-                   superminimality_residual, tension)
+from .maps import (ConformalityData, MapSpec, PointJet, condition_ii_residual,
+                   conformality, differential, fibre_mean_curvature,
+                   holomorphy_residual, homothety_residual, lee_pushforward,
+                   lift_structure, point_jet, superminimality_residual, tension)
 from .numdiff import DiffConfig, FrameBasis, orthonormalize, partial, second_partial
 from .scenarios import (CheckResult, VerificationReport, run_scenario,
                         scenario_description, scenario_ids)
@@ -28,16 +28,16 @@ __all__ = [
     "ConfigError", "ConformalityData", "CriticalPoint", "DiffConfig",
     "DimensionMismatch", "DslError", "DslSyntaxError", "Embedding",
     "EvaluationError", "EvaluationOutsideDomain", "FibreDimension", "FrameBasis",
-    "GeometryError", "HermitianFrame", "MapSpec", "MissingStructure",
+    "GeometryError", "HermitianFrame", "MapSpec", "MissingStructure", "PointJet",
     "PreconditionFailed", "RankDeficient", "SamplePlan", "SingularMetric",
-    "StructureReport", "TargetDimensionTooSmall", "TooManyExcludedSamples",
+    "StructureJet", "StructureReport", "TargetDimensionTooSmall", "TooManyExcludedSamples",
     "UnknownScenario", "UnknownSymbol",
     "VectorField", "VerificationReport", "WrongDimension",
     "christoffel", "classify_structure", "condition_ii_residual", "conformality",
     "covariant_derivative", "differential", "divergence_J", "embedded_pullbacks",
     "fibre_mean_curvature", "gradient", "hermitian_frame", "holomorphy_residual",
     "homothety_residual", "lee_pushforward", "lee_vector", "lie_bracket",
-    "lift_structure", "nabla_J", "nijenhuis", "orthonormalize", "partial", "run_scenario",
-    "scenario_description", "scenario_ids",
-    "second_partial", "superminimality_residual", "tension",
+    "lift_structure", "nabla_J", "nijenhuis", "orthonormalize", "partial", "point_jet",
+    "run_scenario", "scenario_description", "scenario_ids",
+    "second_partial", "structure_jet", "superminimality_residual", "tension",
 ]

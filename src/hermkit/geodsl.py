@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, DslSyntaxError,
                      EvaluationError, UnknownSymbol)
+from .hermitian import J_SQUARE_TOL, AlmostComplexField
+from .manifold import Box, Chart
 
 FUNCTIONS = {
     "sin": (1, math.sin),
@@ -342,8 +344,6 @@ def parse_expr(text: str, dim: int | None = None, line_no: int = 1) -> Expr:
 # config
 # ---------------------------------------------------------------------------
 
-#: Load-time validation bound on J^2 + I.
-J_SQUARE_TOL = 1e-9
 #: Asymmetry beyond this triggers a symmetrization warning.
 SYMMETRY_WARN = 1e-12
 
@@ -578,9 +578,6 @@ def to_chart(config: GeoConfig, name: str = "user"):
     A structure must be g-compatible, g(J., J.) = g, at the probe points;
     otherwise ``ConfigError`` is raised.
     """
-    from .hermitian import AlmostComplexField
-    from .manifold import Box, Chart
-
     box = Box(tuple(a for a, _ in config.domain), tuple(b for _, b in config.domain))
     metric_fn = config.metric_fn()
     chart = Chart(dim=config.dim, box=box, metric_fn=metric_fn, name=name)
@@ -601,8 +598,6 @@ def to_chart(config: GeoConfig, name: str = "user"):
 def to_map(config: GeoConfig, name: str, cfg, source_chart=None, structure=None):
     """Build a MapSpec for a named config map; the target is a flat chart."""
     from .catalog import multiplication_by_i
-    from .hermitian import AlmostComplexField
-    from .manifold import Box, Chart
     from .maps import MapSpec
 
     if source_chart is None:

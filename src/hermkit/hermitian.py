@@ -5,20 +5,31 @@ classification.
 Complex tangent vectors are numpy complex arrays over chart coordinates; all
 field machinery (metrics, connections, brackets) stays real-valued and the
 complex-bilinear / Hermitian extensions of the metric are applied explicitly.
+
+The pointwise structure operators (nabla J, div J, the Lee field, the
+Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
+:func:`dj_stack` stencil and, unless built with ``connection=False`` (all the
+Nijenhuis tensor needs), the Christoffel symbols and nabla J.
+:func:`structure_jet` builds it once per (structure, point) and callers pass it
+down, so no operator that reads it evaluates or differentiates J again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numdiff
-from .errors import RankDeficient
-from .manifold import Chart, SamplePlan, VectorField, christoffel
+from .errors import PreconditionFailed, RankDeficient
+from .manifold import (Chart, SamplePlan, VectorField, christoffel, constant_field,
+                       lie_bracket)
 from .numdiff import Array, DiffConfig, FrameBasis, project_out
 
+#: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
+#: as almost Hermitian (scaled by max(1, max|g|) where g enters).
+J_SQUARE_TOL = 1e-9
 SQRT2 = np.sqrt(2.0)
 
 
@@ -44,15 +55,26 @@ class AlmostComplexField:
         compat = 0.0
         for p in points:
             j = self(p)
-            g = self.chart.metric(p, cfg)
-            square = max(square, float(np.max(np.abs(j @ j + np.eye(len(j))))))
-            compat = max(compat, float(np.max(np.abs(j.T @ g @ j - g))))
+            s, c = _invariant_residuals(self.chart.metric(p, cfg), j)
+            square = max(square, s)
+            compat = max(compat, c)
         return {"square": square, "compatibility": compat}
+
+
+def _invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
+    """max|J^2 + I| and max|J^T g J - g| at one point."""
+    return (float(np.max(np.abs(j @ j + np.eye(len(j))))),
+            float(np.max(np.abs(j.T @ g @ j - g))))
 
 
 def bilinear(g: Array, z: Array, w: Array) -> complex:
     """Complex-bilinear extension of g (no conjugation)."""
     return complex(z @ g @ w)
+
+
+def unit_axes(g: Array) -> list[Array]:
+    """The coordinate axes scaled to unit length in g."""
+    return [np.eye(len(g))[i] / np.sqrt(g[i, i]) for i in range(len(g))]
 
 
 def g_norm(g: Array, v: Array) -> float:
@@ -173,73 +195,84 @@ def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> A
                      for i in range(chart.dim)])
 
 
-def nabla_j_tensor(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
-    """Covariant derivative of J as the array T[i, k, j] = (nabla_i J)^k_j.
+def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
+    """Covariant derivative of J as the array T[i, k, j] = (nabla_i J)^k_j, from
+    the Christoffel symbols, J and the stack d_i J at one point.
 
     (nabla_i J)^k_j = d_i J^k_j + Gamma^k_{il} J^l_j - Gamma^l_{ij} J^k_l.
     """
+    return dj + np.einsum("kil,lj->ikj", gamma, j) - np.einsum("lij,kl->ikj", gamma, j)
+
+
+@dataclass(frozen=True)
+class StructureJet:
+    """g, J and d J at one point (``dj[i, k, j]`` = d_i J^k_j), with the
+    Christoffel symbols and ``nabla[i, k, j]`` = (nabla_i J)^k_j, or ``None``
+    for both when built without the connection."""
+
+    x: Array
+    metric: Array
+    j: Array
+    dj: Array
+    gamma: Array | None
+    nabla: Array | None
+
+
+def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
+                  connection: bool = True) -> StructureJet:
+    """Evaluate g and J at x once, differentiate J once and, with
+    ``connection``, build the Christoffel symbols and nabla J."""
     x = np.asarray(x, dtype=float)
-    dj = dj_stack(chart, j_field, x, cfg)
-    gamma = christoffel(chart, x, cfg).symbols
+    g = chart.metric(x, cfg)
     j = j_field(x)
-    term2 = np.einsum("kil,lj->ikj", gamma, j)
-    term3 = np.einsum("lij,kl->ikj", gamma, j)
-    return dj + term2 - term3
+    gamma = christoffel(chart, x, cfg).symbols if connection else None
+    dj = dj_stack(chart, j_field, x, cfg)
+    nabla = nabla_j_tensor(gamma, j, dj) if connection else None
+    return StructureJet(x, g, j, dj, gamma, nabla)
 
 
-def nabla_J(chart: Chart, j_field: AlmostComplexField, x, x_vec, y_vec, cfg: DiffConfig,
-            tensor: Array | None = None) -> Array:
-    """(nabla_X J) Y at x; extension-independent in both arguments."""
-    t = nabla_j_tensor(chart, j_field, x, cfg) if tensor is None else tensor
-    return np.einsum("ikj,i,j->k", t, np.asarray(x_vec, dtype=float),
+def nabla_J(jet: StructureJet, x_vec, y_vec) -> Array:
+    """(nabla_X J) Y at the jet's point; extension-independent in both arguments."""
+    return np.einsum("ikj,i,j->k", jet.nabla, np.asarray(x_vec, dtype=float),
                      np.asarray(y_vec, dtype=float))
 
 
-def divergence_J(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-                 tensor: Array | None = None) -> Array:
-    """div J = trace of nabla J over any g-orthonormal frame, as g^{ij}(nabla_i J)^k_j."""
-    x = np.asarray(x, dtype=float)
-    t = nabla_j_tensor(chart, j_field, x, cfg) if tensor is None else tensor
-    g_inv = chart.metric_inverse(x, cfg)
-    return np.einsum("ij,ikj->k", g_inv, t)
+def divergence_J(jet: StructureJet) -> Array:
+    """div J = trace of nabla J over any g-orthonormal frame, as g^{ij}(nabla_i J)^k_j.
+
+    The jet's Christoffel build has already checked that g is invertible.
+    """
+    return np.einsum("ij,ikj->k", np.linalg.inv(jet.metric), jet.nabla)
 
 
-def divergence_J_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-                       frame_vectors: Sequence[Array]) -> Array:
+def divergence_J_frame(jet: StructureJet, frame_vectors: Sequence[Array]) -> Array:
     """div J summed explicitly over a supplied g-orthonormal frame.
 
-    Used to confirm frame independence of :func:`divergence_J`.
+    The test oracle for :func:`divergence_J` (frame independence of the
+    trace); no scenario calls it.
     """
-    t = nabla_j_tensor(chart, j_field, x, cfg)
-    out = np.zeros(chart.dim)
+    out = np.zeros(len(jet.x))
     for u in frame_vectors:
-        out = out + nabla_J(chart, j_field, x, u, u, cfg, tensor=t)
+        out = out + nabla_J(jet, u, u)
     return out
 
 
-def lee_vector(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-               tensor: Array | None = None) -> Array:
-    """The Lee-type vector field J(div J) at x."""
-    x = np.asarray(x, dtype=float)
-    return j_field(x) @ divergence_J(chart, j_field, x, cfg, tensor=tensor)
+def lee_vector(jet: StructureJet) -> Array:
+    """The Lee-type vector field J(div J) at the jet's point."""
+    return jet.j @ divergence_J(jet)
 
 
-def nijenhuis(chart: Chart, j_field: AlmostComplexField, x, x_vec, y_vec, cfg: DiffConfig,
-              dj: Array | None = None) -> Array:
+def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
     """Nijenhuis tensor N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y].
 
     Evaluated on the constant-component extensions of X and Y, for which the
     bracket of the J-transformed fields contracts against d_i J directly.
     """
-    x = np.asarray(x, dtype=float)
     xv = np.asarray(x_vec, dtype=float)
     yv = np.asarray(y_vec, dtype=float)
-    j = j_field(x)
-    d = dj_stack(chart, j_field, x, cfg) if dj is None else dj
-    jx = j @ xv
-    jy = j @ yv
-    a1 = np.einsum("i,ikj,j->k", jx, d, yv)   # (JX)^i (d_i J) Y
-    a2 = np.einsum("i,ikj,j->k", jy, d, xv)   # (JY)^i (d_i J) X
+    j, d = jet.j, jet.dj
+    a1 = np.einsum("i,ikj,j->k", j @ xv, d, yv)   # (JX)^i (d_i J) Y
+    a2 = np.einsum("i,ikj,j->k", j @ yv, d, xv)   # (JY)^i (d_i J) X
     a3 = j @ np.einsum("i,ikj,j->k", yv, d, xv)   # -J[JX, Y] on constant extensions
     a4 = j @ np.einsum("i,ikj,j->k", xv, d, yv)   # -J[X, JY] on constant extensions
     return a1 - a2 + a3 - a4
@@ -248,8 +281,6 @@ def nijenhuis(chart: Chart, j_field: AlmostComplexField, x, x_vec, y_vec, cfg: D
 def nijenhuis_bracket_route(chart: Chart, j_field: AlmostComplexField, x, x_vec, y_vec,
                             cfg: DiffConfig) -> Array:
     """Literal bracket evaluation of N(X, Y); slow cross-check of :func:`nijenhuis`."""
-    from .manifold import constant_field, lie_bracket
-
     x = np.asarray(x, dtype=float)
     xv = np.asarray(x_vec, dtype=float)
     yv = np.asarray(y_vec, dtype=float)
@@ -333,6 +364,9 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     frame criteria ((0,1)-parts of nabla_{conj Z} W and of sum_k
     nabla_{conj Z_k} Z_k) are evaluated as well.  ``points`` overrides the
     plan's samples (used when a map pushes samples onto this chart).
+    Raises ``PreconditionFailed`` at a sample where J^2 + I or J^T g J - g
+    exceeds ``J_SQUARE_TOL * max(1, max|g|)``: such a pair is not almost
+    Hermitian and has no classification.
     """
     points = plan.points(chart, cfg) if points is None else [np.asarray(p, dtype=float)
                                                              for p in points]
@@ -340,14 +374,17 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     r_12_c = r_cos_c = 0.0
     scale = 1.0
     for x in points:
-        g = chart.metric(x, cfg)
-        j = j_field(x)
-        gamma = christoffel(chart, x, cfg).symbols
+        jet = structure_jet(chart, j_field, x, cfg)
+        g, j, gamma, t = jet.metric, jet.j, jet.gamma, jet.nabla
         scale = max(scale, 1.0 + float(np.max(np.abs(gamma))) * (1.0 + float(np.max(np.abs(j)))))
         frame = hermitian_frame(chart, j_field, x, cfg)
+        square, compat = _invariant_residuals(g, j)
+        bound = J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))
+        if square > bound or compat > bound:
+            raise PreconditionFailed(
+                "almost Hermitian", f"J^2 + I residual {square:.3g}, g(J., J.) - g "
+                f"residual {compat:.3g} at {x.tolist()}")
         u = frame.real_frame.matrix  # d x d, columns are the frame
-        dj = dj_stack(chart, j_field, x, cfg)
-        t = dj + np.einsum("kil,lj->ikj", gamma, j) - np.einsum("lij,kl->ikj", gamma, j)
         ju = j @ u
         nab = np.einsum("ikj,ia,jb->kab", t, u, u)
         nab_j = np.einsum("ikj,ia,jb->kab", t, ju, ju)
@@ -356,11 +393,11 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
         s12 = nab + nab_j
         norms12 = np.sqrt(np.maximum(np.einsum("kab,kl,lab->ab", s12, g, s12), 0.0))
         r_12 = max(r_12, float(np.max(norms12)))
-        delta = divergence_J(chart, j_field, x, cfg, tensor=t)
+        delta = divergence_J(jet)
         r_cosympl = max(r_cosympl, g_norm(g, delta))
         for a in range(u.shape[1]):
             for b in range(a + 1, u.shape[1]):
-                n_ab = nijenhuis(chart, j_field, x, u[:, a], u[:, b], cfg, dj=dj)
+                n_ab = nijenhuis(jet, u[:, a], u[:, b])
                 r_nij = max(r_nij, g_norm(g, n_ab))
         if complex_form:
             frame_at, base = hermitian_frame_field(chart, j_field, x, cfg)
@@ -373,19 +410,13 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
                     cache[key] = frame_at(p).complex_frame
                 return cache[key]
 
-            def z_re(p, k):
-                return np.real(frame_cached(p)[k])
-
-            def z_im(p, k):
-                return np.imag(frame_cached(p)[k])
-
             m = base.m
             cosym_sum = np.zeros(chart.dim, dtype=complex)
             for k in range(m):
                 zk = base.complex_frame[k]
                 for l in range(m):
-                    re_fn = lambda p, l=l: z_re(p, l)
-                    im_fn = lambda p, l=l: z_im(p, l)
+                    re_fn = lambda p, l=l: np.real(frame_cached(p)[l])
+                    im_fn = lambda p, l=l: np.imag(frame_cached(p)[l])
                     cov = _cov_complex(chart, np.conj(zk), re_fn, im_fn, x, cfg, gamma)
                     if l == k:
                         cosym_sum = cosym_sum + cov

@@ -2,6 +2,13 @@
 horizontal conformality and dilation, second fundamental form and tension,
 fibre geometry, superminimality, and lifted almost Hermitian structures on the
 total space of a conformal submersion with 2-dimensional fibres.
+
+Every pointwise operator reads a :class:`PointJet` (x, Dphi from one
+:func:`differential` stencil, the source metric g and the one-SVD rank split
+of Dphi), which :func:`point_jet` builds once per (map, point) for callers to
+pass down.  Jets are also built at the stencil points of the vertical frame
+field, the dilation gradient and the lifted structure, so a jet holds only what
+those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numdiff
-from .errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
-                     MissingStructure)
-from .hermitian import (AlmostComplexField, g_norm, hermitian_frame_field, lee_vector,
-                        nabla_j_tensor)
-from .manifold import Chart, christoffel, gradient
+from .errors import CriticalPoint, FibreDimension, MissingStructure
+from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
+                        hermitian_frame_field, lee_vector, nabla_J, structure_jet,
+                        unit_axes)
+from .manifold import Chart, VectorField, christoffel, gradient, lie_bracket
 from .numdiff import Array, DiffConfig, orthonormalize, project_out
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
@@ -61,14 +68,42 @@ def differential(spec: MapSpec, x) -> Array:
     return np.column_stack(cols)
 
 
-def holomorphy_residual(spec: MapSpec, x) -> float:
-    """Frobenius norm of dphi J - J_target(phi(x)) dphi."""
-    if spec.source_structure is None or spec.target_structure is None:
-        raise MissingStructure("holomorphy needs almost-complex structures on both charts")
+@dataclass(frozen=True)
+class PointJet:
+    """Dphi(x), the source metric g(x) and the SVD of Dphi at one point.
+
+    Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
+    ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
+    """
+
+    spec: MapSpec
+    x: Array
+    differential: Array
+    metric: Array
+    singular_values: Array
+    vt: Array
+    rank: int
+
+
+def point_jet(spec: MapSpec, x) -> PointJet:
+    """Differentiate the map at x once and split the differential by rank."""
     x = np.asarray(x, dtype=float)
     d = differential(spec, x)
-    j_src = spec.source_structure(x)
-    j_tgt = spec.target_structure(spec(x))
+    g = spec.source.metric(x, spec.cfg)
+    _, sv, vt = np.linalg.svd(d)
+    smax = float(sv[0]) if len(sv) else 0.0
+    rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
+    return PointJet(spec, x, d, g, sv, vt, rank)
+
+
+def holomorphy_residual(jet: PointJet) -> float:
+    """Frobenius norm of dphi J - J_target(phi(x)) dphi."""
+    spec = jet.spec
+    if spec.source_structure is None or spec.target_structure is None:
+        raise MissingStructure("holomorphy needs almost-complex structures on both charts")
+    d = jet.differential
+    j_src = spec.source_structure(jet.x)
+    j_tgt = spec.target_structure(spec(jet.x))
     return float(np.linalg.norm(d @ j_src - j_tgt @ d))
 
 
@@ -78,8 +113,7 @@ class ConformalityData:
 
     ``kind`` is ``regular`` (full rank onto the target), ``critical`` (rank 0)
     or ``degenerate`` (intermediate rank, reported as conformality failure).
-    ``dilation`` is positive exactly on regular points.  ``differential`` is
-    the differential the split was computed from.
+    ``dilation`` is positive exactly on regular points.
     """
 
     kind: str
@@ -87,8 +121,6 @@ class ConformalityData:
     conformality_residual: float
     vertical_basis: tuple
     horizontal_basis: tuple
-    singular_values: Array
-    differential: Array
     near_critical: bool = False
 
     @property
@@ -96,31 +128,15 @@ class ConformalityData:
         return self.kind == KIND_REGULAR
 
 
-def _rank_split(spec: MapSpec, x) -> tuple[Array, Array, Array, Array, int]:
-    """The differential d at x, the source metric g, the singular values and
-    right singular vectors (rows of vt) of d, and its rank.
-
-    Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
-    ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
-    """
-    x = np.asarray(x, dtype=float)
-    d = differential(spec, x)
-    g = spec.source.metric(x, spec.cfg)
-    _, sv, vt = np.linalg.svd(d)
-    smax = float(sv[0]) if len(sv) else 0.0
-    rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
-    return d, g, sv, vt, rank
-
-
-def conformality(spec: MapSpec, x) -> ConformalityData:
+def conformality(jet: PointJet) -> ConformalityData:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
     conformal dphi is on the horizontal part."""
-    x = np.asarray(x, dtype=float)
-    d, g, sv, vt, rank = _rank_split(spec, x)
+    spec, d, g, sv, vt, rank = (jet.spec, jet.differential, jet.metric,
+                                jet.singular_values, jet.vt, jet.rank)
     n = d.shape[0]
     if rank == 0:
         vertical = orthonormalize(list(vt), g)
-        return ConformalityData(KIND_CRITICAL, 0.0, 0.0, vertical.vectors, (), sv, d)
+        return ConformalityData(KIND_CRITICAL, 0.0, 0.0, vertical.vectors, ())
     smax = float(sv[0])
     v_vectors = orthonormalize(list(vt[rank:]), g).vectors if rank < len(vt) else ()
     # Horizontal = g-orthogonal complement of the kernel: project each row-space
@@ -131,7 +147,7 @@ def conformality(spec: MapSpec, x) -> ConformalityData:
         nn = np.sqrt(max(u @ g @ u, 0.0))
         if nn > numdiff.RANK_RTOL * max(1.0, smax):
             horiz.append(u / nn)
-    h_tgt = spec.target.metric(spec(x), spec.cfg)
+    h_tgt = spec.target.metric(spec(jet.x), spec.cfg)
     img = np.column_stack([d @ u for u in horiz]) if horiz else np.zeros((n, 0))
     gram = img.T @ h_tgt @ img
     lam_sq = float(np.mean(np.diag(gram))) if gram.size else 0.0
@@ -139,22 +155,19 @@ def conformality(spec: MapSpec, x) -> ConformalityData:
     padded[: gram.shape[0], : gram.shape[1]] = gram
     residual = float(np.linalg.norm(padded - lam_sq * np.eye(n)))
     if rank < n:
-        return ConformalityData(KIND_DEGENERATE, 0.0, residual, v_vectors, tuple(horiz),
-                                sv, d)
+        return ConformalityData(KIND_DEGENERATE, 0.0, residual, v_vectors, tuple(horiz))
     near = bool(sv[rank - 1] <= NEAR_CRITICAL_FACTOR * (smax * RANK_FACTOR))
     lam = float(np.sqrt(max(lam_sq, 0.0)))
-    return ConformalityData(KIND_REGULAR, lam, residual, v_vectors, tuple(horiz), sv, d,
-                            near)
+    return ConformalityData(KIND_REGULAR, lam, residual, v_vectors, tuple(horiz), near)
 
 
-def sff_tensor(spec: MapSpec, x) -> Array:
-    """All components of nabla dphi at x, shape (d, d, n)."""
-    x = np.asarray(x, dtype=float)
+def sff_tensor(jet: PointJet) -> Array:
+    """All components of nabla dphi at the jet's point, shape (d, d, n)."""
+    spec, x, d = jet.spec, jet.x, jet.differential
     cfg = spec.cfg
     dim = spec.source.dim
     fx = spec(x)
     spec.target.require_interior(fx, cfg)
-    d = differential(spec, x)
     gamma_m = christoffel(spec.source, x, cfg).symbols
     gamma_n = christoffel(spec.target, fx, cfg).symbols
     out = np.zeros((dim, dim, spec.target.dim))
@@ -169,63 +182,63 @@ def sff_tensor(spec: MapSpec, x) -> Array:
     return out
 
 
-def tension(spec: MapSpec, x) -> Array:
-    """Tension field tau = g^{ij} (nabla dphi)_{ij} at x."""
-    x = np.asarray(x, dtype=float)
-    g_inv = spec.source.metric_inverse(x, spec.cfg)
-    return np.einsum("ij,ijg->g", g_inv, sff_tensor(spec, x))
+def tension(jet: PointJet) -> Array:
+    """Tension field tau = g^{ij} (nabla dphi)_{ij} at the jet's point."""
+    g_inv = jet.spec.source.metric_inverse(jet.x, jet.spec.cfg)
+    return np.einsum("ij,ijg->g", g_inv, sff_tensor(jet))
 
 
-def lee_pushforward(spec: MapSpec, x) -> Array:
-    """dphi(J div J) at x, the push-forward of the source's Lee-type field; the
-    tension identity reads tau = -dphi(J div J)."""
+def lee_pushforward(jet: PointJet) -> Array:
+    """dphi(J div J) at the jet's point, the push-forward of the source's
+    Lee-type field; the tension identity reads tau = -dphi(J div J)."""
+    spec = jet.spec
     if spec.source_structure is None:
         raise MissingStructure("the Lee push-forward needs an almost-complex structure "
                                "on the source")
-    x = np.asarray(x, dtype=float)
-    lee = lee_vector(spec.source, spec.source_structure, x, spec.cfg)
-    return differential(spec, x) @ lee
+    lee = lee_vector(structure_jet(spec.source, spec.source_structure, jet.x, spec.cfg))
+    return jet.differential @ lee
 
 
-def tension_in_frame(spec: MapSpec, x, frame_vectors: Sequence[Array]) -> Array:
-    """Tension summed explicitly over a g-orthonormal frame (frame-independence probe)."""
-    x = np.asarray(x, dtype=float)
-    sff = sff_tensor(spec, x)
-    out = np.zeros(spec.target.dim)
+def tension_in_frame(jet: PointJet, frame_vectors: Sequence[Array]) -> Array:
+    """Tension summed explicitly over a g-orthonormal frame.
+
+    The test oracle for :func:`tension` (frame independence of the trace);
+    no scenario calls it.
+    """
+    sff = sff_tensor(jet)
+    out = np.zeros(jet.spec.target.dim)
     for u in frame_vectors:
         out = out + np.einsum("i,j,ijg->g", u, u, sff)
     return out
 
 
-def _vertical_projector(spec: MapSpec, x, split=None) -> Array:
-    """g-orthogonal projector onto ker dphi at x (basis independent, smooth).
-
-    ``split`` reuses a :func:`_rank_split` already computed at x.
-    """
-    _, g, _, vt, rank = _rank_split(spec, x) if split is None else split
-    null = vt[rank:].T
+def _vertical_projector(jet: PointJet) -> Array:
+    """g-orthogonal projector onto ker dphi at the jet's point (basis
+    independent, smooth)."""
+    null = jet.vt[jet.rank:].T
     if null.shape[1] == 0:
-        return np.zeros((spec.source.dim, spec.source.dim))
+        return np.zeros((jet.spec.source.dim, jet.spec.source.dim))
+    g = jet.metric
     return null @ np.linalg.solve(null.T @ g @ null, null.T @ g)
 
 
-def vertical_frame_field(spec: MapSpec, base_x) -> Callable[[Array], Array]:
-    """Smooth g-orthonormal vertical frame near base_x, as a matrix field whose
+def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
+    """Smooth g-orthonormal vertical frame near the jet's point: a function
+    from the jet at a nearby point to the frame there, as a matrix whose
     columns are the frame vectors.
 
     Fixed coordinate axes (chosen at the base point by largest vertical
     projection, ties broken by index) are pushed through the pointwise
     ker-dphi projector and orthonormalized in the metric; the construction is
     deterministic and smooth wherever the projections stay independent.
-    Raises ``CriticalPoint`` when base_x is not a regular point.
+    Raises ``CriticalPoint`` when the base point is not a regular point.
     """
-    base_x = np.asarray(base_x, dtype=float)
-    split = _rank_split(spec, base_x)
-    _, g0, _, _, rank = split
-    if rank < spec.target.dim:
-        raise CriticalPoint(f"no vertical frame at non-regular point {base_x!r}")
+    spec = jet.spec
+    if jet.rank < spec.target.dim:
+        raise CriticalPoint(f"no vertical frame at non-regular point {jet.x!r}")
     k = spec.source.dim - spec.target.dim
-    p_v = _vertical_projector(spec, base_x, split)
+    g0 = jet.metric
+    p_v = _vertical_projector(jet)
     # Pivoted selection: each chosen axis must stay independent of the span of
     # the earlier ones, otherwise two axes with large but parallel vertical
     # projections would collapse the frame.
@@ -245,87 +258,71 @@ def vertical_frame_field(spec: MapSpec, base_x) -> Callable[[Array], Array]:
         axes.append(best_axis)
         basis.append(best_vec / best)
 
-    def frame_at(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        split = _rank_split(spec, x)
-        p = _vertical_projector(spec, x, split)
-        return orthonormalize([p[:, i] for i in axes], split[1], required=k).matrix
+    def frame_at(at: PointJet) -> Array:
+        p = _vertical_projector(at)
+        return orthonormalize([p[:, i] for i in axes], at.metric, required=k).matrix
 
     return frame_at
 
 
-def fibre_mean_curvature(spec: MapSpec, x) -> Array:
+def fibre_mean_curvature(jet: PointJet) -> Array:
     """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame; the zero
-    vector exactly when the fibre is minimal at x."""
-    x = np.asarray(x, dtype=float)
+    vector exactly when the fibre is minimal at the jet's point."""
+    spec, x = jet.spec, jet.x
     cfg = spec.cfg
     dim = spec.source.dim
-    field = vertical_frame_field(spec, x)
+    frame_at = vertical_frame_field(jet)
     gamma = christoffel(spec.source, x, cfg).symbols
-    frame = field(x)
+    frame = frame_at(jet)
     # dframe[i, :, a] is the i-th partial derivative of the a-th frame vector.
-    dframe = np.stack([numdiff.partial(field, x, i, cfg) for i in range(dim)])
+    dframe = np.stack([numdiff.partial(lambda p: frame_at(point_jet(spec, p)), x, i, cfg)
+                       for i in range(dim)])
     total = np.zeros(dim)
     for a in range(frame.shape[1]):
         v, dv = frame[:, a], dframe[:, :, a]
         total = total + np.einsum("i,ik->k", v, dv) + np.einsum("kij,i,j->k", gamma, v, v)
-    p_v = _vertical_projector(spec, x)
+    p_v = _vertical_projector(jet)
     return total - p_v @ total
 
 
-def homothety_residual(spec: MapSpec, points: Sequence[Array]) -> float:
-    """max over the points of |dphi(grad lambda^2)| in the target metric."""
+def homothety_residual(jets: Sequence[PointJet], confs: Sequence[ConformalityData]) -> float:
+    """max over the samples of |dphi(grad lambda^2)| in the target metric;
+    ``confs`` holds the conformality data at the jets' points."""
     worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        conf = conformality(spec, x)
+    for jet, conf in zip(jets, confs):
         if not conf.regular:
             raise CriticalPoint(f"homothety residual needs regular samples, got {conf.kind}")
+        spec = jet.spec
 
         def lam_sq(p: Array) -> float:
-            c = conformality(spec, p)
+            c = conformality(point_jet(spec, p))
             if not c.regular:
                 raise CriticalPoint(f"dilation field hit a non-regular stencil point {p!r}")
             return c.dilation**2
 
-        grad = gradient(spec.source, lam_sq, x, spec.cfg)
-        h = spec.target.metric(spec(x), spec.cfg)
-        worst = max(worst, g_norm(h, conf.differential @ grad))
+        grad = gradient(spec.source, lam_sq, jet.x, spec.cfg)
+        h = spec.target.metric(spec(jet.x), spec.cfg)
+        worst = max(worst, g_norm(h, jet.differential @ grad))
     return worst
 
 
-def superminimality_residual(spec: MapSpec, j_field: AlmostComplexField, x,
-                             probes: Sequence[Array] | None = None) -> float:
-    """max over vertical frame vectors V and probe vectors Y of |(nabla_V J) Y|."""
-    x = np.asarray(x, dtype=float)
-    conf = conformality(spec, x)
+def superminimality_residual(conf: ConformalityData, structure: StructureJet) -> float:
+    """max over vertical frame vectors V and unit coordinate axes Y of
+    |(nabla_V J) Y|, from the map's conformality data and the source
+    structure's jet at one point."""
     if not conf.regular:
         raise CriticalPoint(f"superminimality needs a regular point, got {conf.kind}")
-    g = spec.source.metric(x, spec.cfg)
-    t = nabla_j_tensor(spec.source, j_field, x, spec.cfg)
-    if probes is None:
-        probes = []
-        for i in range(spec.source.dim):
-            e = np.zeros(spec.source.dim)
-            e[i] = 1.0
-            probes.append(e / np.sqrt(g[i, i]))
-    worst = 0.0
-    for v in conf.vertical_basis:
-        for y in probes:
-            val = np.einsum("ikj,i,j->k", t, v, y)
-            worst = max(worst, g_norm(g, val))
-    return worst
+    g, axes = structure.metric, unit_axes(structure.metric)
+    return max([0.0, *(g_norm(g, nabla_J(structure, v, y))
+                       for v in conf.vertical_basis for y in axes)])
 
 
-def _lift_matrix(spec: MapSpec, x) -> tuple[Array, Array, tuple, Array]:
-    """Horizontal-lift operator L with dphi L = id and image H, plus split data."""
-    conf = conformality(spec, x)
+def _lift_matrix(jet: PointJet, conf: ConformalityData) -> Array:
+    """Horizontal-lift operator L with dphi L = id and image H, at the jet's point."""
     if not conf.regular:
         raise CriticalPoint(f"horizontal lift needs a regular point, got {conf.kind}")
-    d = conf.differential
     a = np.column_stack(conf.horizontal_basis)
-    lift = a @ np.linalg.inv(d @ a)
-    return lift, d, conf.vertical_basis, a
+    return a @ np.linalg.inv(jet.differential @ a)
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -344,74 +341,69 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
         raise MissingStructure("lift_structure needs a fibre orientation form on the map")
 
     def j_at(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        g = spec.source.metric(x, spec.cfg)
-        lift, d, v_basis, _ = _lift_matrix(spec, x)
+        jet = point_jet(spec, x)
+        conf = conformality(jet)
+        lift = _lift_matrix(jet, conf)
+        v_basis, g = conf.vertical_basis, jet.metric
         if len(v_basis) != 2:
             raise FibreDimension(f"lift needs 2-dimensional fibres, got {len(v_basis)}")
         v1, v2 = v_basis
-        omega = np.asarray(spec.fibre_orientation(x), dtype=float)
+        omega = np.asarray(spec.fibre_orientation(jet.x), dtype=float)
         signed = float(v1 @ omega @ v2)
         if abs(signed) < 1e-12:
             raise ValueError("fibre orientation form is degenerate on the fibre")
         sigma = orientation * np.sign(signed)
         rot = sigma * (np.outer(v2, g @ v1) - np.outer(v1, g @ v2))
-        j_tgt = spec.target_structure(spec(x))
-        return lift @ j_tgt @ d + rot
+        j_tgt = spec.target_structure(spec(jet.x))
+        return lift @ j_tgt @ jet.differential + rot
 
     return AlmostComplexField(spec.source, j_at, source="lifted")
 
 
-def condition_ii_residual(spec: MapSpec, j_field: AlmostComplexField,
-                          points: Sequence[Array]) -> float:
+def condition_ii_residual(samples: Sequence[tuple]) -> float:
     """max (0,1)-part norm of the vertical component of [Z, W] over pairs of
-    horizontal (1,0) frame fields built by the horizontal-lift construction."""
-    if spec.target_structure is None:
-        raise MissingStructure("condition (ii) needs the target structure")
-    from .manifold import lie_bracket
-    from .hermitian import antiholomorphic_part
-    from .manifold import VectorField
+    horizontal (1,0) frame fields built by the horizontal-lift construction.
 
-    cfg = spec.cfg
+    ``samples`` holds (map jet, conformality data, source structure jet) per point.
+    """
     worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        g = spec.source.metric(x, cfg)
-        conf = conformality(spec, x)
+    for jet, conf, structure in samples:
+        spec, x, cfg = jet.spec, jet.x, jet.spec.cfg
+        if spec.target_structure is None:
+            raise MissingStructure("condition (ii) needs the target structure")
         if not conf.regular:
             raise CriticalPoint(f"condition (ii) needs regular samples, got {conf.kind}")
         frame_at, base = hermitian_frame_field(spec.target, spec.target_structure, spec(x), cfg)
         m = base.m
         if m < 2:
             continue
-        cache: dict = {}  # the four lifted fields share the split at each stencil point
+        # The four lifted fields share the lift at each stencil point; the
+        # sample's own comes from its jet.
+        cache = {x.tobytes(): (_lift_matrix(jet, conf), frame_at(spec(x)).complex_frame)}
 
         def split_at(p: Array):
             key = p.tobytes()
             if key not in cache:
-                lift, _, _, _ = _lift_matrix(spec, p)
-                cache[key] = (lift, frame_at(spec(p)).complex_frame)
+                at = point_jet(spec, p)
+                cache[key] = (_lift_matrix(at, conformality(at)),
+                              frame_at(spec(p)).complex_frame)
             return cache[key]
 
-        def lifted(p: Array, k: int, part: str) -> Array:
-            p = np.asarray(p, dtype=float)
-            lift, zs = split_at(p)
-            comp = np.real(zs[k]) if part == "re" else np.imag(zs[k])
-            return lift @ comp
+        def lifted(k: int, part: Callable[[Array], Array]) -> VectorField:
+            """The real or imaginary part of the horizontal lift of Z_k."""
+            def at(p: Array) -> Array:
+                lift, zs = split_at(p)
+                return lift @ part(zs[k])
+            return VectorField(spec.source, at)
 
-        p_v = _vertical_projector(spec, x)
+        p_v = _vertical_projector(jet)
         for k in range(m):
             for l in range(k + 1, m):
-                fields = {}
-                for idx, part in ((k, "re"), (k, "im"), (l, "re"), (l, "im")):
-                    fields[(idx, part)] = VectorField(
-                        spec.source, lambda p, idx=idx, part=part: lifted(p, idx, part))
-                ac = lie_bracket(fields[(k, "re")], fields[(l, "re")], x, cfg)
-                bd = lie_bracket(fields[(k, "im")], fields[(l, "im")], x, cfg)
-                ad = lie_bracket(fields[(k, "re")], fields[(l, "im")], x, cfg)
-                bc = lie_bracket(fields[(k, "im")], fields[(l, "re")], x, cfg)
-                bracket = (ac - bd) + 1j * (ad + bc)
+                zr, zi = lifted(k, np.real), lifted(k, np.imag)
+                wr, wi = lifted(l, np.real), lifted(l, np.imag)
+                bracket = ((lie_bracket(zr, wr, x, cfg) - lie_bracket(zi, wi, x, cfg))
+                           + 1j * (lie_bracket(zr, wi, x, cfg) + lie_bracket(zi, wr, x, cfg)))
                 vert = p_v @ bracket
-                part01 = antiholomorphic_part(j_field(x), vert)
-                worst = max(worst, g_norm(g, part01))
+                part01 = antiholomorphic_part(structure.j, vert)
+                worst = max(worst, g_norm(jet.metric, part01))
     return worst

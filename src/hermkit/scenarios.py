@@ -21,10 +21,13 @@ Registry
 function of this module, a catalog entry id, the key of a map or a chart in
 that entry, and the check's keyword arguments.  :func:`run_scenario` builds the
 entry at the run's ``DiffConfig`` and calls the check on the map, or on the
-chart with the entry's structure ``J``.  The map checks share one per-sample
-pass, :func:`_morphism_pass`, which computes the conformality data and the
-tension norm once per sample; the fibre-minimality residual reuses that
-conformality data.
+chart with the entry's structure ``J``.
+
+A map check builds the map's jet at each sample once, in :func:`_map_points`,
+and passes it to every operator; a structure check builds one structure jet
+per sample.  The map checks share one per-sample pass, :func:`_morphism_pass`,
+for the conformality data and the tension norm, which fibre minimality,
+homothety, superminimality and condition (ii) reuse.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ from . import catalog, maps
 from .errors import (CriticalPoint, FibreDimension, PreconditionFailed,
                      TargetDimensionTooSmall, TooManyExcludedSamples,
                      UnknownScenario, WrongDimension)
-from .hermitian import (AlmostComplexField, classify_structure, divergence_J,
-                        g_norm, nabla_j_tensor, nijenhuis)
+from .hermitian import (AlmostComplexField, StructureJet, classify_structure,
+                        divergence_J, g_norm, nabla_J, nijenhuis, structure_jet,
+                        unit_axes)
 from .manifold import Chart, SamplePlan
-from .maps import KIND_CRITICAL, MapSpec
-from .numdiff import Array, DiffConfig
+from .maps import KIND_CRITICAL, MapSpec, PointJet
+from .numdiff import DiffConfig
 
 #: Tolerance coupling factor between the two sides of a proved implication.
 COUPLING = 10.0
@@ -150,46 +154,36 @@ def _guard_excluded(excluded: int, total: int, what: str) -> None:
             f"{excluded}/{total} samples excluded as near-critical in {what}")
 
 
-def _map_scale(spec: MapSpec, points: Sequence[Array]) -> float:
+def _map_scale(jets: Sequence[PointJet]) -> float:
     """Input-magnitude scale for map residual tolerances: differentials enter
     the tension and conformality sums quadratically."""
+    return (1.0 + max([0.0, *(float(np.linalg.norm(jet.differential)) for jet in jets)])) ** 2
+
+
+def _nijenhuis_residual(jet: StructureJet) -> float:
+    """Max |N(e_a, e_b)| over coordinate pairs at the jet's point."""
+    e = np.eye(len(jet.x))
     worst = 0.0
-    for x in points:
-        worst = max(worst, float(np.linalg.norm(maps.differential(spec, x))))
-    return (1.0 + worst) ** 2
-
-
-def _nijenhuis_residual(chart: Chart, j_field: AlmostComplexField, x, g: Array,
-                        cfg: DiffConfig) -> float:
-    """Max |N(e_a, e_b)| over coordinate pairs, sharing one derivative stack."""
-    from .hermitian import dj_stack
-
-    d = chart.dim
-    dj = dj_stack(chart, j_field, x, cfg)
-    worst = 0.0
-    for a in range(d):
-        for b in range(a + 1, d):
-            ea = np.zeros(d)
-            eb = np.zeros(d)
-            ea[a] = 1.0
-            eb[b] = 1.0
-            worst = max(worst, g_norm(g, nijenhuis(chart, j_field, x, ea, eb, cfg, dj=dj)))
+    for a in range(len(e)):
+        for b in range(a + 1, len(e)):
+            worst = max(worst, g_norm(jet.metric, nijenhuis(jet, e[a], e[b])))
     return worst
 
 
-def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[list[Array], float]:
-    """The plan's samples on the map's source and the map-residual tolerance
-    there."""
-    points = plan.points(spec.source, spec.cfg)
-    return points, spec.cfg.tolerance(_map_scale(spec, points))
+def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[list[PointJet], float]:
+    """The map's jets at the plan's samples on its source, in sample order,
+    and the map-residual tolerance there."""
+    jets = [maps.point_jet(spec, x) for x in plan.points(spec.source, spec.cfg)]
+    return jets, spec.cfg.tolerance(_map_scale(jets))
 
 
-def _morphism_pass(spec: MapSpec, points: Sequence[Array]) -> list[tuple]:
+def _morphism_pass(jets: Sequence[PointJet]) -> list[tuple]:
     """(conformality data, |tau|_h) at each sample, in sample order."""
     out = []
-    for x in points:
-        h = spec.target.metric(spec(x), spec.cfg)
-        out.append((maps.conformality(spec, x), g_norm(h, maps.tension(spec, x))))
+    for jet in jets:
+        spec = jet.spec
+        h = spec.target.metric(spec(jet.x), spec.cfg)
+        out.append((maps.conformality(jet), g_norm(h, maps.tension(jet))))
     return out
 
 
@@ -203,32 +197,31 @@ def _tension_max(samples: Sequence[tuple]) -> float:
     return max([0.0, *(t for _, t in samples)])
 
 
-def _fibre_residual(spec: MapSpec, points: Sequence[Array],
+def _fibre_residual(jets: Sequence[PointJet],
                     confs: Sequence[maps.ConformalityData]) -> tuple[float, int, int]:
     """Max fibre mean-curvature norm over regular, non-near-critical samples,
     with the number of samples used and excluded.  ``confs`` holds the
-    conformality data of ``points``; too many exclusions raise."""
+    conformality data at the jets' points; too many exclusions raise."""
     values = []
     excluded = 0
-    for x, c in zip(points, confs):
+    for jet, c in zip(jets, confs):
         if c.kind == KIND_CRITICAL:
             continue
         if not c.regular:
-            raise CriticalPoint(f"degenerate-rank sample at {x!r}")
+            raise CriticalPoint(f"degenerate-rank sample at {jet.x!r}")
         if c.near_critical:
             excluded += 1
             continue
-        g = spec.source.metric(x, spec.cfg)
-        values.append(g_norm(g, maps.fibre_mean_curvature(spec, x)))
-    _guard_excluded(excluded, len(points), "fibre minimality")
+        values.append(g_norm(jet.metric, maps.fibre_mean_curvature(jet)))
+    _guard_excluded(excluded, len(jets), "fibre minimality")
     return max([0.0, *values]), len(values), excluded
 
 
-def _require_holomorphic(spec: MapSpec, points: Sequence[Array], tol: float) -> float:
+def _require_holomorphic(spec: MapSpec, jets: Sequence[PointJet], tol: float) -> float:
     """The holomorphy residual over the samples; raises unless it is within tol."""
     if spec.source_structure is None or spec.target_structure is None:
         raise PreconditionFailed("holomorphic", "structures missing on one side")
-    holo = max(maps.holomorphy_residual(spec, x) for x in points)
+    holo = max(maps.holomorphy_residual(jet) for jet in jets)
     if holo > tol:
         raise PreconditionFailed("holomorphic", f"residual {holo} > {tol}")
     return holo
@@ -249,23 +242,23 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     flagged; optional extras add holomorphy, fibre minimality and a pinned
     dilation value to the report.
     """
-    points, tol = _map_points(spec, plan)
-    samples = _morphism_pass(spec, points)
+    jets, tol = _map_points(spec, plan)
+    samples = _morphism_pass(jets)
     critical = sum(c.kind == KIND_CRITICAL for c, _ in samples)
     checks = [
-        check("horizontally-weakly-conformal", _conformality_max(samples), tol, len(points)),
-        check("tension-vanishes", _tension_max(samples), tol, len(points)),
+        check("horizontally-weakly-conformal", _conformality_max(samples), tol, len(jets)),
+        check("tension-vanishes", _tension_max(samples), tol, len(jets)),
     ]
     if include_holomorphy:
-        holo = max(maps.holomorphy_residual(spec, x) for x in points)
-        checks.insert(0, check("holomorphic", holo, tol, len(points)))
+        holo = max(maps.holomorphy_residual(jet) for jet in jets)
+        checks.insert(0, check("holomorphic", holo, tol, len(jets)))
     if expected_dilation is not None:
         dev = max([0.0, *(abs(c.dilation - expected_dilation) for c, _ in samples
                           if c.kind != KIND_CRITICAL)])
-        checks.append(check("dilation-deviation", dev, tol, len(points),
+        checks.append(check("dilation-deviation", dev, tol, len(jets),
                             expected=expected_dilation))
     if include_fibres:
-        fibre_res, used, excluded = _fibre_residual(spec, points, [c for c, _ in samples])
+        fibre_res, used, excluded = _fibre_residual(jets, [c for c, _ in samples])
         checks.append(check("fibre-minimality", fibre_res, tol, used, excluded))
     return _report(scenario_id, checks, plan, spec.cfg, critical_samples=critical,
                    map=spec.name)
@@ -275,13 +268,13 @@ def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
                             scenario_id: str) -> VerificationReport:
     """The detector must *fail* this map: conformality or tension residual is
     genuinely large (rejection mode)."""
-    points, tol = _map_points(spec, plan)
-    samples = _morphism_pass(spec, points)
+    jets, tol = _map_points(spec, plan)
+    samples = _morphism_pass(jets)
     conf_res = _conformality_max(samples)
     tension_res = _tension_max(samples)
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
-              len(points), mode="gt", conformality=conf_res, tension=tension_res),
+              len(jets), mode="gt", conformality=conf_res, tension=tension_res),
     ], plan, spec.cfg, map=spec.name)
 
 
@@ -298,19 +291,20 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         meta = dict(report.metadata)
         meta["routed"] = "surface-case"
         return VerificationReport(report.scenario_id, report.checks, meta)
-    points, tol = _map_points(spec, plan)
-    samples = _morphism_pass(spec, points)
-    for c, _ in samples:
+    jets, tol = _map_points(spec, plan)
+    samples = _morphism_pass(jets)
+    confs = [c for c, _ in samples]
+    for c in confs:
         if not c.regular:
             raise CriticalPoint(f"two-of-three needs regular samples, got {c.kind}")
     hm_res = max([0.0, *(r for c, t in samples for r in (c.conformality_residual, t))])
-    fibre_res, used, excluded = _fibre_residual(spec, points, [c for c, _ in samples])
-    hom_res = maps.homothety_residual(spec, points)
+    fibre_res, used, excluded = _fibre_residual(jets, confs)
+    hom_res = maps.homothety_residual(jets, confs)
     checks = [
         implication_check("morphism+minimal-imply-homothetic",
-                          max(hm_res, fibre_res), hom_res, tol, len(points)),
+                          max(hm_res, fibre_res), hom_res, tol, len(jets)),
         implication_check("minimal+homothetic-imply-morphism",
-                          max(fibre_res, hom_res), hm_res, tol, len(points)),
+                          max(fibre_res, hom_res), hm_res, tol, len(jets)),
         implication_check("morphism+homothetic-imply-minimal",
                           max(hm_res, hom_res), fibre_res, tol, used, excluded),
     ]
@@ -326,19 +320,19 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
     fibre minimality at regular points."""
     if spec.target.dim != 2:
         raise WrongDimension("surface case needs a target of real dimension 2")
-    points, tol = _map_points(spec, plan)
-    holo = _require_holomorphic(spec, points, tol)
-    samples = _morphism_pass(spec, points)
-    lee_res = max([0.0, *(g_norm(spec.target.metric(spec(x), spec.cfg),
-                                 maps.lee_pushforward(spec, x)) for x in points)])
+    jets, tol = _map_points(spec, plan)
+    holo = _require_holomorphic(spec, jets, tol)
+    samples = _morphism_pass(jets)
+    lee_res = max([0.0, *(g_norm(spec.target.metric(spec(jet.x), spec.cfg),
+                                 maps.lee_pushforward(jet)) for jet in jets)])
     tension_res = _tension_max(samples)
     critical = sum(c.kind == KIND_CRITICAL for c, _ in samples)
-    fibre_res, used, excluded = _fibre_residual(spec, points, [c for c, _ in samples])
+    fibre_res, used, excluded = _fibre_residual(jets, [c for c, _ in samples])
     hm_res = max(_conformality_max(samples), tension_res)
     checks = [
-        check("holomorphic", holo, tol, len(points)),
+        check("holomorphic", holo, tol, len(jets)),
         biconditional_check("lee-pushforward-iff-tension", lee_res, tension_res,
-                            tol, len(points)),
+                            tol, len(jets)),
         biconditional_check("morphism-iff-minimal-fibres", hm_res, fibre_res,
                             tol, used, excluded),
     ]
@@ -361,27 +355,27 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     genuinely nonzero.
     """
     cfg = spec.cfg
-    points, tol = _map_points(spec, plan)
-    _require_holomorphic(spec, points, tol)
-    samples = _morphism_pass(spec, points)
+    jets, tol = _map_points(spec, plan)
+    _require_holomorphic(spec, jets, tol)
+    samples = _morphism_pass(jets)
     conf_res = _conformality_max(samples)
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
-    source_cos = max([0.0, *(g_norm(spec.source.metric(x, cfg), divergence_J(
-        spec.source, spec.source_structure, x, cfg)) for x in points)])
+    source_cos = max([0.0, *(g_norm(sj.metric, divergence_J(sj)) for sj in (
+        structure_jet(spec.source, spec.source_structure, jet.x, cfg) for jet in jets))])
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
                                        complex_form=False,
-                                       points=[spec(x) for x in points])
+                                       points=[spec(jet.x) for jet in jets])
     target_cos = target_report.residual_cosympl
     hm_res = max(conf_res, _tension_max(samples))
     checks = [
         biconditional_check("target-cosymplectic-iff-harmonic-morphism",
-                            target_cos, hm_res, tol, len(points)),
+                            target_cos, hm_res, tol, len(jets)),
     ]
     if expect_both_fail:
         checks.append(check("both-sides-nonzero", min(target_cos, hm_res),
-                            COUPLING * tol, len(points), mode="gt"))
+                            COUPLING * tol, len(jets), mode="gt"))
     return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    coverage="target classified at pushed samples (density surrogate)",
                    source_cosymplectic_residual=source_cos,
@@ -394,23 +388,23 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
     """tau(phi) = -dphi(J div J) for holomorphic maps into a (1,2)-symplectic
     target, as a samplewise residual."""
     cfg = spec.cfg
-    points, tol = _map_points(spec, plan)
-    _require_holomorphic(spec, points, tol)
-    pushed = [spec(x) for x in points]
+    jets, tol = _map_points(spec, plan)
+    _require_holomorphic(spec, jets, tol)
+    pushed = [spec(jet.x) for jet in jets]
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
                                        complex_form=False, points=pushed)
     if not target_report.verdicts["one_two_symplectic"]:
         raise PreconditionFailed("target (1,2)-symplectic",
                                  f"residual {target_report.residual_12sympl}")
     lemma, tau_norms, lee_norms = [0.0], [0.0], [0.0]
-    for x in points:
-        tau = maps.tension(spec, x)
-        push = maps.lee_pushforward(spec, x)
-        h = spec.target.metric(spec(x), cfg)
+    for jet in jets:
+        tau = maps.tension(jet)
+        push = maps.lee_pushforward(jet)
+        h = spec.target.metric(spec(jet.x), cfg)
         lemma.append(g_norm(h, tau + push))
         tau_norms.append(g_norm(h, tau))
         lee_norms.append(g_norm(h, push))
-    checks = [check("tension-equals-minus-lee-pushforward", max(lemma), tol, len(points),
+    checks = [check("tension-equals-minus-lee-pushforward", max(lemma), tol, len(jets),
                     tension_norm=max(tau_norms), lee_pushforward_norm=max(lee_norms))]
     return _report(scenario_id, checks, plan, cfg, map=spec.name)
 
@@ -423,34 +417,29 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     cfg = spec.cfg
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
-    points, tol = _map_points(spec, plan)
-    pushed = [spec(x) for x in points]
-    target_nij = 0.0
-    for y in pushed:
-        h = spec.target.metric(y, cfg)
-        target_nij = max(target_nij, _nijenhuis_residual(spec.target,
-                                                         spec.target_structure, y, h, cfg))
+    jets, tol = _map_points(spec, plan)
+    pushed = [spec(jet.x) for jet in jets]
+    target_nij = max([0.0, *(_nijenhuis_residual(structure_jet(
+        spec.target, spec.target_structure, y, cfg, connection=False)) for y in pushed)])
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
     lifted = maps.lift_structure(spec, orientation)
-    inv = lifted.invariant_residuals(points[: min(len(points), 5)], cfg)
+    inv = lifted.invariant_residuals([jet.x for jet in jets[:5]], cfg)
     supermin = 0.0
     nij = 0.0
-    used = 0
-    excluded = 0
     included = []
-    for x in points:
-        c = maps.conformality(spec, x)
+    for jet in jets:
+        c = maps.conformality(jet)
         if c.near_critical or not c.regular:
-            excluded += 1
             continue
-        included.append(x)
-        supermin = max(supermin, maps.superminimality_residual(spec, lifted, x))
-        g = spec.source.metric(x, cfg)
-        nij = max(nij, _nijenhuis_residual(spec.source, lifted, x, g, cfg))
-        used += 1
-    _guard_excluded(excluded, len(points), "integrability sampling")
-    cond_ii = maps.condition_ii_residual(spec, lifted, included)
+        lj = structure_jet(spec.source, lifted, jet.x, cfg)
+        included.append((jet, c, lj))
+        supermin = max(supermin, maps.superminimality_residual(c, lj))
+        nij = max(nij, _nijenhuis_residual(lj))
+    used = len(included)
+    excluded = len(jets) - used
+    _guard_excluded(excluded, len(jets), "integrability sampling")
+    cond_ii = maps.condition_ii_residual(included)
     checks = [
         check("fibres-superminimal", supermin, tol, used, excluded),
         check("horizontal-bracket-condition", cond_ii, tol, used, excluded),
@@ -471,30 +460,29 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     otherwise it must exceed the non-parallelism floor of 1e-3 somewhere.
     """
     cfg = spec.cfg
-    points, tol = _map_points(spec, plan)
+    jets, tol = _map_points(spec, plan)
     lifted = maps.lift_structure(spec, orientation)
-    inv_points = points[:5]
+    inv_points = [jet.x for jet in jets[:5]]
     inv = lifted.invariant_residuals(inv_points, cfg)
     nij = 0.0
     nabla = 0.0
     d = spec.source.dim
-    for x in points:
-        g = spec.source.metric(x, cfg)
-        t = nabla_j_tensor(spec.source, lifted, x, cfg)
+    for jet in jets:
+        lj = structure_jet(spec.source, lifted, jet.x, cfg)
+        g, t = lj.metric, lj.nabla
         for i in range(d):
             for jdx in range(d):
-                col = np.sqrt(max(float(t[i, :, jdx] @ g @ t[i, :, jdx]), 0.0))
-                nabla = max(nabla, col)
-        nij = max(nij, _nijenhuis_residual(spec.source, lifted, x, g, cfg))
+                nabla = max(nabla, np.sqrt(max(float(t[i, :, jdx] @ g @ t[i, :, jdx]), 0.0)))
+        nij = max(nij, _nijenhuis_residual(lj))
     checks = [
         check("lift-square-identity", inv["square"], 1e-9, len(inv_points)),
         check("lift-metric-compatibility", inv["compatibility"], 1e-9, len(inv_points)),
-        check("lifted-nijenhuis", nij, tol, len(points)),
+        check("lifted-nijenhuis", nij, tol, len(jets)),
     ]
     if expect_parallel:
-        checks.append(check("lift-parallel", nabla, tol, len(points)))
+        checks.append(check("lift-parallel", nabla, tol, len(jets)))
     else:
-        checks.append(check("lift-not-parallel", nabla, 1e-3, len(points), mode="gt"))
+        checks.append(check("lift-not-parallel", nabla, 1e-3, len(jets), mode="gt"))
     return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    orientation=orientation)
 
@@ -512,23 +500,15 @@ def check_gauduchon(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
     norm_dev = 0.0
     scale = 1.0
     for x in points:
-        g = chart.metric(x, cfg)
-        j = j_field(x)
-        t = nabla_j_tensor(chart, j_field, x, cfg)
-        delta = np.einsum("ij,ikj->k", np.linalg.inv(g), t)
-        lee = j @ delta
-        probes = []
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = 1.0
-            e = e / np.sqrt(g[i, i])
-            probes.append(e)
-            probes.append(j @ e)
-        for y in probes:
-            r_delta = max(r_delta, g_norm(g, np.einsum("ikj,i,j->k", t, delta, y)))
-            r_lee = max(r_lee, g_norm(g, np.einsum("ikj,i,j->k", t, lee, y)))
+        jet = structure_jet(chart, j_field, x, cfg)
+        g = jet.metric
+        delta = divergence_J(jet)
+        lee = jet.j @ delta
+        for y in (p for e in unit_axes(g) for p in (e, jet.j @ e)):
+            r_delta = max(r_delta, g_norm(g, nabla_J(jet, delta, y)))
+            r_lee = max(r_lee, g_norm(g, nabla_J(jet, lee, y)))
         dn = g_norm(g, delta)
-        scale = max(scale, (1.0 + dn) * (1.0 + float(np.max(np.abs(t)))))
+        scale = max(scale, (1.0 + dn) * (1.0 + float(np.max(np.abs(jet.nabla)))))
         if expected_delta_norm is not None:
             norm_dev = max(norm_dev, abs(dn - expected_delta_norm))
     tol = cfg.tolerance(scale)
@@ -551,7 +531,7 @@ def check_divergence_closed_form(chart: Chart, j_field: AlmostComplexField,
     worst = 0.0
     scale = 1.0
     for x in points:
-        num = divergence_J(chart, j_field, x, cfg)
+        num = divergence_J(structure_jet(chart, j_field, x, cfg))
         ana = catalog.odd_sphere_product_divergence(chart, r, s, x, cfg)
         worst = max(worst, float(np.max(np.abs(num - ana))))
         scale = max(scale, 1.0 + float(np.max(np.abs(ana))))
@@ -595,13 +575,13 @@ def check_radial_fibres(spec: MapSpec, plan: SamplePlan, scenario_id: str,
                         target_scale: float) -> VerificationReport:
     """Straight radial fibres of the annulus projection are minimal, and the
     dilation is target_scale / r."""
-    points, tol = _map_points(spec, plan)
-    confs = [maps.conformality(spec, x) for x in points]
-    fibre_res, used, excluded = _fibre_residual(spec, points, confs)
-    dev = max(abs(c.dilation - target_scale / x[0]) for c, x in zip(confs, points))
+    jets, tol = _map_points(spec, plan)
+    confs = [maps.conformality(jet) for jet in jets]
+    fibre_res, used, excluded = _fibre_residual(jets, confs)
+    dev = max(abs(c.dilation - target_scale / jet.x[0]) for c, jet in zip(confs, jets))
     checks = [
         check("fibre-minimality", fibre_res, tol, used, excluded),
-        check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(points)),
+        check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(jets)),
     ]
     return _report(scenario_id, checks, plan, spec.cfg, map=spec.name)
 

@@ -3,12 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from hermkit import catalog
-from hermkit.hermitian import (antiholomorphic_part, bilinear, classify_structure,
-                               divergence_J, divergence_J_frame, g_norm,
-                               hermitian_frame, holomorphic_part, lee_vector,
-                               nabla_J, nabla_j_tensor, nijenhuis,
-                               nijenhuis_bracket_route)
-from hermkit.manifold import SamplePlan
+from hermkit.errors import PreconditionFailed
+from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part, bilinear,
+                               classify_structure, divergence_J, divergence_J_frame,
+                               g_norm, hermitian_frame, holomorphic_part, lee_vector,
+                               nabla_J, nijenhuis, nijenhuis_bracket_route,
+                               structure_jet)
+from hermkit.manifold import Box, Chart, SamplePlan
 from hermkit.numdiff import orthonormalize
 
 
@@ -51,39 +52,38 @@ def test_frame_hermitian_property_on_product_sphere(ce10, cfg):
 
 def test_nabla_j_constant_structure(torus, cfg):
     chart, j_field = torus
-    t = nabla_j_tensor(chart, j_field, np.array([0.6, 1.0]), cfg)
+    t = structure_jet(chart, j_field, np.array([0.6, 1.0]), cfg).nabla
     npt.assert_allclose(t, 0.0, atol=1e-12)
 
 
 def test_nabla_j_kaehler_metric(cp1, cfg, plan):
     chart, j_field = cp1
     for x in plan.points(chart, cfg):
-        t = nabla_j_tensor(chart, j_field, x, cfg)
+        t = structure_jet(chart, j_field, x, cfg).nabla
         assert np.max(np.abs(t)) <= cfg.tolerance(1.0)
 
 
 def test_nabla_j_nonzero_on_product_sphere(ce10, cfg):
     chart, j_field = ce10
-    x = np.array([0.5, 0.7, 0.9, 1.1])
+    jet = structure_jet(chart, j_field, np.array([0.5, 0.7, 0.9, 1.1]), cfg)
     worst = 0.0
     for i in range(4):
         for j in range(4):
             e_i = np.eye(4)[i]
             e_j = np.eye(4)[j]
-            worst = max(worst, float(np.linalg.norm(
-                nabla_J(chart, j_field, x, e_i, e_j, cfg))))
+            worst = max(worst, float(np.linalg.norm(nabla_J(jet, e_i, e_j))))
     assert worst > 10.0 * cfg.tolerance(1.0)
 
 
 def test_divergence_flat_structures(torus, cfg):
     chart, j_field = torus
-    npt.assert_allclose(divergence_J(chart, j_field, np.array([0.6, 0.9]), cfg),
+    npt.assert_allclose(divergence_J(structure_jet(chart, j_field, np.array([0.6, 0.9]), cfg)),
                         0.0, atol=1e-12)
 
 
 def test_divergence_kaehler_is_zero(cp1, cfg):
     chart, j_field = cp1
-    val = divergence_J(chart, j_field, np.array([0.4, -0.7]), cfg)
+    val = divergence_J(structure_jet(chart, j_field, np.array([0.4, -0.7]), cfg))
     npt.assert_allclose(val, 0.0, atol=1e-8)
 
 
@@ -93,7 +93,7 @@ def test_divergence_matches_closed_form(r, s, cfg):
     chart = entry.charts["ce"]
     j_field = entry.structures["J"]
     for x in SamplePlan(seed=2, count=3).points(chart, cfg):
-        num = divergence_J(chart, j_field, x, cfg)
+        num = divergence_J(structure_jet(chart, j_field, x, cfg))
         ana = catalog.odd_sphere_product_divergence(chart, r, s, x, cfg)
         npt.assert_allclose(num, ana, atol=1e-7)
 
@@ -104,8 +104,9 @@ def test_divergence_frame_independent(ce10, cfg, rng):
     x = np.array([0.6, 0.8, 1.0, 0.5])
     g = chart.metric(x, cfg)
     frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
-    via_frame = divergence_J_frame(chart, j_field, x, cfg, frame.vectors)
-    via_trace = divergence_J(chart, j_field, x, cfg)
+    jet = structure_jet(chart, j_field, x, cfg)
+    via_frame = divergence_J_frame(jet, frame.vectors)
+    via_trace = divergence_J(jet)
     npt.assert_allclose(via_frame, via_trace, atol=10.0 * cfg.tolerance(1.0))
 
 
@@ -113,51 +114,51 @@ def test_lee_vector_norm_preserved(ce10, cfg):
     """|J div J| = |div J| since J is isometric; the product-sphere value is 2."""
     chart, j_field = ce10
     x = np.array([0.5, 0.7, 0.9, 1.1])
-    g = chart.metric(x, cfg)
-    delta = divergence_J(chart, j_field, x, cfg)
-    lee = lee_vector(chart, j_field, x, cfg)
+    jet = structure_jet(chart, j_field, x, cfg)
+    g = jet.metric
+    delta = divergence_J(jet)
+    lee = lee_vector(jet)
     npt.assert_allclose(g_norm(g, lee), g_norm(g, delta), atol=1e-9)
     npt.assert_allclose(g_norm(g, delta), 2.0, atol=1e-8)
 
 
 def test_lee_vector_flat(torus, cfg):
     chart, j_field = torus
-    npt.assert_allclose(lee_vector(chart, j_field, np.array([0.5, 0.5]), cfg),
+    npt.assert_allclose(lee_vector(structure_jet(chart, j_field, np.array([0.5, 0.5]), cfg)),
                         0.0, atol=1e-12)
 
 
 def test_nijenhuis_flat_and_projective(torus, cp1, cfg):
     for chart, j_field, x in [(torus[0], torus[1], np.array([0.5, 0.8])),
                               (cp1[0], cp1[1], np.array([0.4, -0.6]))]:
-        val = nijenhuis(chart, j_field, x, np.eye(chart.dim)[0], np.eye(chart.dim)[1], cfg)
+        jet = structure_jet(chart, j_field, x, cfg)
+        val = nijenhuis(jet, np.eye(chart.dim)[0], np.eye(chart.dim)[1])
         npt.assert_allclose(val, 0.0, atol=1e-10)
 
 
 def test_nijenhuis_integrable_product_sphere(ce10, cfg):
     chart, j_field = ce10
-    x = np.array([0.5, 0.7, 0.9, 1.1])
+    jet = structure_jet(chart, j_field, np.array([0.5, 0.7, 0.9, 1.1]), cfg)
     for a in range(4):
         for b in range(a + 1, 4):
-            val = nijenhuis(chart, j_field, x, np.eye(4)[a], np.eye(4)[b], cfg)
+            val = nijenhuis(jet, np.eye(4)[a], np.eye(4)[b])
             assert np.max(np.abs(val)) <= cfg.tolerance(1.0)
 
 
 def test_nijenhuis_antisymmetric(ce10, cfg, rng):
     chart, j_field = ce10
-    x = np.array([0.6, 0.9, 0.7, 1.0])
+    jet = structure_jet(chart, j_field, np.array([0.6, 0.9, 0.7, 1.0]), cfg)
     u = rng.normal(size=4)
     v = rng.normal(size=4)
-    npt.assert_allclose(nijenhuis(chart, j_field, x, u, v, cfg),
-                        -nijenhuis(chart, j_field, x, v, u, cfg), atol=1e-9)
+    npt.assert_allclose(nijenhuis(jet, u, v), -nijenhuis(jet, v, u), atol=1e-9)
 
 
 def test_nijenhuis_scaling_tensorial(ce10, cfg, rng):
     chart, j_field = ce10
-    x = np.array([0.6, 0.9, 0.7, 1.0])
+    jet = structure_jet(chart, j_field, np.array([0.6, 0.9, 0.7, 1.0]), cfg)
     u = rng.normal(size=4)
     v = rng.normal(size=4)
-    npt.assert_allclose(nijenhuis(chart, j_field, x, 2.5 * u, v, cfg),
-                        2.5 * nijenhuis(chart, j_field, x, u, v, cfg), atol=1e-9)
+    npt.assert_allclose(nijenhuis(jet, 2.5 * u, v), 2.5 * nijenhuis(jet, u, v), atol=1e-9)
 
 
 def test_nijenhuis_two_routes_agree(ce10, cfg, rng):
@@ -166,7 +167,7 @@ def test_nijenhuis_two_routes_agree(ce10, cfg, rng):
     x = np.array([0.5, 0.8, 1.0, 0.6])
     u = rng.normal(size=4)
     v = rng.normal(size=4)
-    fast = nijenhuis(chart, j_field, x, u, v, cfg)
+    fast = nijenhuis(structure_jet(chart, j_field, x, cfg), u, v)
     slow = nijenhuis_bracket_route(chart, j_field, x, u, v, cfg)
     npt.assert_allclose(fast, slow, atol=1e-7)
 
@@ -220,3 +221,13 @@ def test_classify_deterministic(torus, cfg, plan):
     a = classify_structure(chart, j_field, plan, cfg).to_dict()
     b = classify_structure(chart, j_field, plan, cfg).to_dict()
     assert a == b
+
+
+def test_classify_rejects_incompatible_structure(cfg):
+    """The standard J is not compatible with g = diag(1, 4): J^T g J = diag(4, 1)."""
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)),
+                  metric_fn=lambda x: np.diag([1.0, 4.0]))
+    j_field = AlmostComplexField(chart, lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]))
+    with pytest.raises(PreconditionFailed) as err:
+        classify_structure(chart, j_field, SamplePlan(count=3), cfg)
+    assert err.value.precondition == "almost Hermitian"

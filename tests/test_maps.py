@@ -4,13 +4,13 @@ import pytest
 
 from hermkit import catalog, hermitian, maps
 from hermkit.errors import (CriticalPoint, FibreDimension, MissingStructure)
-from hermkit.hermitian import g_norm, nabla_j_tensor
+from hermkit.hermitian import g_norm, structure_jet
 from hermkit.manifold import Box, Chart, SamplePlan
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
                           conformality, condition_ii_residual, differential,
                           fibre_mean_curvature, holomorphy_residual,
                           homothety_residual, lee_pushforward, lift_structure,
-                          sff_tensor, superminimality_residual, tension,
+                          point_jet, sff_tensor, superminimality_residual, tension,
                           tension_in_frame, vertical_frame_field)
 from hermkit.numdiff import orthonormalize
 
@@ -66,24 +66,33 @@ def test_differential_hopf_rank(hopf):
     assert np.linalg.matrix_rank(d, tol=1e-8) == 2
 
 
+def jet_of(spec, x):
+    return point_jet(spec, np.asarray(x, dtype=float))
+
+
+def confs_of(spec, points):
+    jets = [jet_of(spec, x) for x in points]
+    return jets, [conformality(jet) for jet in jets]
+
+
 def test_holomorphy_identity(torus_entry):
-    assert holomorphy_residual(torus_entry.maps["identity"], np.array([0.8, 0.9])) <= 1e-12
+    assert holomorphy_residual(jet_of(torus_entry.maps["identity"], [0.8, 0.9])) <= 1e-12
 
 
 def test_holomorphy_conjugation_value(torus_entry):
     # direct 2x2 arithmetic: |d J - J' d|_F = 2 sqrt(2) for (x, y) -> (x, -y)
-    val = holomorphy_residual(torus_entry.maps["conjugation"], np.array([0.8, 0.9]))
+    val = holomorphy_residual(jet_of(torus_entry.maps["conjugation"], [0.8, 0.9]))
     npt.assert_allclose(val, 2.0 * np.sqrt(2.0), atol=1e-10)
 
 
 def test_holomorphy_missing_structure():
     spec = flat_map(lambda x: np.array(x))
     with pytest.raises(MissingStructure):
-        holomorphy_residual(spec, np.array([0.1, 0.1]))
+        holomorphy_residual(jet_of(spec, [0.1, 0.1]))
 
 
 def test_conformality_hopf_submersion(hopf):
-    c = conformality(hopf, CE_POINT)
+    c = conformality(jet_of(hopf, CE_POINT))
     assert c.regular
     npt.assert_allclose(c.dilation, 1.0, atol=1e-9)
     assert c.conformality_residual <= 1e-9
@@ -97,20 +106,20 @@ def test_conformality_hopf_submersion(hopf):
 def test_conformality_punctured_dilation(punctured1):
     z = np.array([1.0, 0.25, 0.3, 0.15])
     z = 2.0 * z / np.linalg.norm(z)
-    c = conformality(punctured1, z)
+    c = conformality(jet_of(punctured1, z))
     npt.assert_allclose(c.dilation, 0.5, atol=1e-9)
 
 
 def test_conformality_critical_constant():
     spec = flat_map(lambda x: np.array([1.0, 1.0]))
-    c = conformality(spec, np.array([0.3, 0.4]))
+    c = conformality(jet_of(spec, [0.3, 0.4]))
     assert c.kind == KIND_CRITICAL
     assert c.dilation == 0.0
 
 
 def test_conformality_partial_rank_degenerate():
     spec = flat_map(lambda x: np.array([x[0], 0.0]))
-    c = conformality(spec, np.array([0.3, 0.4]))
+    c = conformality(jet_of(spec, [0.3, 0.4]))
     assert c.kind == KIND_DEGENERATE
     assert c.dilation == 0.0
     assert c.conformality_residual > 0.1
@@ -118,6 +127,7 @@ def test_conformality_partial_rank_degenerate():
 
 @pytest.mark.parametrize("operator", [conformality, _vertical_projector])
 def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
+    """Building the jet takes the one SVD; the operators that read it take none."""
     calls = []
     svd = np.linalg.svd
 
@@ -126,7 +136,9 @@ def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    operator(hopf, CE_POINT)
+    jet = jet_of(hopf, CE_POINT)
+    assert len(calls) == 1
+    operator(jet)
     assert len(calls) == 1
 
 
@@ -134,8 +146,9 @@ def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
                                               ("punctured2", PUNCTURED2_POINT)])
 def test_vertical_projector_matches_split(request, spec_name, point):
     spec = request.getfixturevalue(spec_name)
-    c = conformality(spec, point)
-    p_v = _vertical_projector(spec, point)
+    jet = jet_of(spec, point)
+    c = conformality(jet)
+    p_v = _vertical_projector(jet)
     for v in c.vertical_basis:
         npt.assert_allclose(p_v @ v, v, atol=1e-10)
     for h in c.horizontal_basis:
@@ -147,28 +160,29 @@ def test_vertical_projector_matches_split(request, spec_name, point):
                                               ("punctured2", PUNCTURED2_POINT)])
 def test_vertical_frame_field_orthonormal_in_kernel(request, spec_name, point):
     spec = request.getfixturevalue(spec_name)
-    frame = vertical_frame_field(spec, point)(point)
+    jet = jet_of(spec, point)
+    frame = vertical_frame_field(jet)(jet)
     assert frame.shape == (spec.source.dim, spec.source.dim - spec.target.dim)
     g = spec.source.metric(point, spec.cfg)
     npt.assert_allclose(frame.T @ g @ frame, np.eye(frame.shape[1]), atol=1e-12)
-    npt.assert_allclose(differential(spec, point) @ frame, 0.0, atol=1e-8)
+    npt.assert_allclose(jet.differential @ frame, 0.0, atol=1e-8)
 
 
 def test_vertical_frame_field_needs_regular():
     spec = flat_map(lambda x: np.array([x[0], 0.0]))
     with pytest.raises(CriticalPoint):
-        vertical_frame_field(spec, np.array([0.3, 0.4]))
+        vertical_frame_field(jet_of(spec, [0.3, 0.4]))
 
 
 def test_sff_identity_and_linear(torus_entry):
     spec = torus_entry.maps["identity"]
-    npt.assert_allclose(sff_tensor(spec, np.array([0.8, 0.9]))[0, 1], 0.0, atol=1e-9)
+    npt.assert_allclose(sff_tensor(jet_of(spec, [0.8, 0.9]))[0, 1], 0.0, atol=1e-9)
     linear = flat_map(lambda x: np.array([2.0 * x[0] + x[1], x[1] - x[0]]))
-    npt.assert_allclose(sff_tensor(linear, np.array([0.2, 0.1]))[0, 0], 0.0, atol=1e-9)
+    npt.assert_allclose(sff_tensor(jet_of(linear, [0.2, 0.1]))[0, 0], 0.0, atol=1e-9)
 
 
 def test_sff_symmetry_bitwise(hopf):
-    sff = sff_tensor(hopf, CE_POINT)
+    sff = sff_tensor(jet_of(hopf, CE_POINT))
     assert np.array_equal(sff, np.swapaxes(sff, 0, 1))
 
 
@@ -177,23 +191,24 @@ def test_fibre_inclusion_is_geodesic(cfg):
     curve in the 3-sphere (trace of the second fundamental form)."""
     entry = catalog.hopf_fibre_inclusion()
     spec = entry.maps["inclusion"]
-    tau = tension(spec, np.array([0.05]))
+    tau = tension(jet_of(spec, [0.05]))
     h = spec.target.metric(spec(np.array([0.05])), cfg)
     assert g_norm(h, tau) <= 1e-6
 
 
 def test_tension_identity_flat(torus_entry):
-    tau = tension(torus_entry.maps["identity"], np.array([0.8, 0.9]))
+    tau = tension(jet_of(torus_entry.maps["identity"], [0.8, 0.9]))
     npt.assert_allclose(tau, 0.0, atol=1e-9)
 
 
 def test_tension_square_map_harmonic(torus_entry):
     spec = torus_entry.maps["square"]
     x = np.array([0.8, 0.9])
-    tau = tension(spec, x)
+    jet = jet_of(spec, x)
+    tau = tension(jet)
     npt.assert_allclose(tau, 0.0, atol=1e-7)
     h = spec.target.metric(spec(x), spec.cfg)
-    assert g_norm(h, tau + lee_pushforward(spec, x)) <= 1e-7
+    assert g_norm(h, tau + lee_pushforward(jet)) <= 1e-7
 
 
 def test_tension_computes_no_lee_field(hopf, monkeypatch):
@@ -202,25 +217,26 @@ def test_tension_computes_no_lee_field(hopf, monkeypatch):
 
     monkeypatch.setattr(hermitian, "lee_vector", fail)
     monkeypatch.setattr(maps, "lee_vector", fail)
-    assert tension(hopf, CE_POINT).shape == (2,)
+    assert tension(jet_of(hopf, CE_POINT)).shape == (2,)
 
 
 def test_lee_pushforward_needs_source_structure():
     spec = flat_map(lambda x: np.array([x[0], x[1]]))
     with pytest.raises(MissingStructure):
-        lee_pushforward(spec, np.array([0.1, 0.2]))
+        lee_pushforward(jet_of(spec, [0.1, 0.2]))
 
 
 def test_tension_frame_independent(hopf, rng):
     g = hopf.source.metric(CE_POINT, hopf.cfg)
     frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
-    via_frame = tension_in_frame(hopf, CE_POINT, frame.vectors)
-    direct = tension(hopf, CE_POINT)
+    jet = jet_of(hopf, CE_POINT)
+    via_frame = tension_in_frame(jet, frame.vectors)
+    direct = tension(jet)
     npt.assert_allclose(via_frame, direct, atol=1e-5)
 
 
 def test_fibre_mean_curvature_hopf(hopf):
-    val = fibre_mean_curvature(hopf, CE_POINT)
+    val = fibre_mean_curvature(jet_of(hopf, CE_POINT))
     g = hopf.source.metric(CE_POINT, hopf.cfg)
     assert g_norm(g, val) <= 1e-6
 
@@ -228,7 +244,7 @@ def test_fibre_mean_curvature_hopf(hopf):
 def test_fibre_mean_curvature_needs_regular():
     spec = flat_map(lambda x: np.array([1.0, 1.0]))
     with pytest.raises(CriticalPoint):
-        fibre_mean_curvature(spec, np.array([0.3, 0.4]))
+        fibre_mean_curvature(jet_of(spec, [0.3, 0.4]))
 
 
 def test_annulus_fibres_straight_and_dilation_scales(cfg):
@@ -238,37 +254,39 @@ def test_annulus_fibres_straight_and_dilation_scales(cfg):
     for scale in (1.0, 1.7):
         entry = catalog.annulus_radial(target_scale=scale)
         spec = entry.maps["radial"]
-        mc = fibre_mean_curvature(spec, x)
+        jet = jet_of(spec, x)
+        mc = fibre_mean_curvature(jet)
         assert np.linalg.norm(mc) <= 1e-7
-        c = conformality(spec, x)
+        c = conformality(jet)
         npt.assert_allclose(c.dilation, scale / x[0], atol=1e-9)
 
 
 def test_homothety_hopf_and_punctured(hopf, punctured1):
-    assert homothety_residual(hopf, [CE_POINT]) <= 1e-6
+    assert homothety_residual(*confs_of(hopf, [CE_POINT])) <= 1e-6
     # grad(lambda^2) is proportional to the position vector, which is vertical
     z = np.array([1.4, 0.2, -0.3, 0.5])
-    assert homothety_residual(punctured1, [z]) <= 1e-5
+    assert homothety_residual(*confs_of(punctured1, [z])) <= 1e-5
 
 
 def test_homothety_mobius_composite_nonzero():
     entry = catalog.mobius_postcompose(catalog.hopf_map(1), (1.0, 0.3, 0.1, 1.0))
     spec = entry.maps["hopf"]
-    assert homothety_residual(spec, [CE_POINT]) > 1e-3
+    assert homothety_residual(*confs_of(spec, [CE_POINT])) > 1e-3
 
 
 def test_superminimality_constant_structure():
     entry = catalog.flat_t4()
     spec = entry.maps["projection"]
     x = np.array([0.8, 0.9, 1.0, 1.1])
-    assert superminimality_residual(spec, entry.structures["J"], x) <= 1e-10
+    structure = structure_jet(spec.source, entry.structures["J"], x, spec.cfg)
+    assert superminimality_residual(conformality(jet_of(spec, x)), structure) <= 1e-10
 
 
 def test_lift_plus_reproduces_standard_structure(punctured1):
     lifted = lift_structure(punctured1, +1)
     x = np.array([1.4, 0.2, -0.3, 0.5])
     npt.assert_allclose(lifted(x), catalog.multiplication_by_i(2), atol=1e-10)
-    t = nabla_j_tensor(punctured1.source, lifted, x, punctured1.cfg)
+    t = structure_jet(punctured1.source, lifted, x, punctured1.cfg).nabla
     assert np.max(np.abs(t)) <= 1e-7
 
 
@@ -278,7 +296,7 @@ def test_lift_minus_valid_but_not_parallel(punctured1):
     inv = lifted.invariant_residuals([x], punctured1.cfg)
     assert inv["square"] <= 1e-9
     assert inv["compatibility"] <= 1e-9
-    t = nabla_j_tensor(punctured1.source, lifted, x, punctured1.cfg)
+    t = structure_jet(punctured1.source, lifted, x, punctured1.cfg).nabla
     assert np.max(np.abs(t)) >= 1e-3
 
 
@@ -289,7 +307,7 @@ def test_lift_makes_map_holomorphic(punctured1, orientation):
     spec = MapSpec(punctured1.source, punctured1.target, punctured1.fn,
                    punctured1.cfg, source_structure=lifted,
                    target_structure=punctured1.target_structure)
-    assert holomorphy_residual(spec, np.array([1.4, 0.2, -0.3, 0.5])) <= 1e-8
+    assert holomorphy_residual(jet_of(spec, [1.4, 0.2, -0.3, 0.5])) <= 1e-8
 
 
 def test_lift_requires_two_dimensional_fibres():
@@ -315,20 +333,21 @@ def test_lift_requires_orientation_and_target_structure(hopf):
         lift_structure(no_orientation, +1)
 
 
+def condition_ii_at(spec, orientation, x):
+    lifted = lift_structure(spec, orientation)
+    jet = jet_of(spec, x)
+    structure = structure_jet(spec.source, lifted, x, spec.cfg)
+    return condition_ii_residual([(jet, conformality(jet), structure)])
+
+
 def test_condition_ii_product_projection():
-    entry = catalog.flat_t4()
-    spec = entry.maps["projection"]
-    lifted = lift_structure(spec, +1)
-    x = np.array([0.8, 0.9, 1.0, 1.1])
-    assert condition_ii_residual(spec, lifted, [x]) <= 1e-9
+    spec = catalog.flat_t4().maps["projection"]
+    assert condition_ii_at(spec, +1, np.array([0.8, 0.9, 1.0, 1.1])) <= 1e-9
 
 
 def test_condition_ii_complex_line_target_trivial(punctured1):
-    lifted = lift_structure(punctured1, +1)
-    assert condition_ii_residual(punctured1, lifted,
-                                 [np.array([1.4, 0.2, -0.3, 0.5])]) == 0.0
+    assert condition_ii_at(punctured1, +1, np.array([1.4, 0.2, -0.3, 0.5])) == 0.0
 
 
 def test_condition_ii_punctured_two(punctured2):
-    lifted = lift_structure(punctured2, +1)
-    assert condition_ii_residual(punctured2, lifted, [PUNCTURED2_POINT]) <= 1e-6
+    assert condition_ii_at(punctured2, +1, PUNCTURED2_POINT) <= 1e-6

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from hermkit import catalog, scenarios
+from hermkit import catalog, hermitian, maps, scenarios
 from hermkit.errors import (PreconditionFailed, TargetDimensionTooSmall,
                             TooManyExcludedSamples, UnknownScenario, WrongDimension)
 from hermkit.manifold import Box, Chart, SamplePlan
@@ -194,3 +194,57 @@ def test_lift_invariant_checks_count_the_points_they_use():
     assert report.get_check("lift-square-identity").samples_used == 5
     assert report.get_check("lift-metric-compatibility").samples_used == 5
     assert report.get_check("lifted-nijenhuis").samples_used == 7
+
+
+def sample_points(sid, plan):
+    """The plan's samples on the source of a map scenario's map."""
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    return plan.points(catalog.get_entry(entry_id, CFG).maps[key].source, CFG)
+
+
+def times_at(points, x):
+    return sum(np.array_equal(p, x) for p in points)
+
+
+@pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma"])
+def test_each_sample_is_differentiated_once(sid, monkeypatch):
+    """The map's jet at a sample is built once and passed to every operator."""
+    seen = []
+    differential = maps.differential
+
+    def recording(spec, x):
+        seen.append(np.array(x, dtype=float))
+        return differential(spec, x)
+
+    monkeypatch.setattr(maps, "differential", recording)
+    plan = SamplePlan(count=2)
+    assert run_scenario(sid, plan, CFG).overall
+    for x in sample_points(sid, plan):
+        assert times_at(seen, x) == 1
+
+
+def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
+    """One d J stencil per sample for the lifted J, and J itself evaluated at
+    the sample by the jet and by the invariant check only."""
+    differentiated, evaluated = [], []
+    dj_stack = hermitian.dj_stack
+    call = hermitian.AlmostComplexField.__call__
+
+    def recording_dj(chart, j_field, x, cfg):
+        if j_field.source == "lifted":
+            differentiated.append(np.array(x, dtype=float))
+        return dj_stack(chart, j_field, x, cfg)
+
+    def recording_call(self, x):
+        if self.source == "lifted":
+            evaluated.append(np.array(x, dtype=float))
+        return call(self, x)
+
+    monkeypatch.setattr(hermitian, "dj_stack", recording_dj)
+    monkeypatch.setattr(hermitian.AlmostComplexField, "__call__", recording_call)
+    sid = "punctured-hopf-1-lift-plus"
+    plan = SamplePlan(count=2)
+    assert run_scenario(sid, plan, CFG).overall
+    for x in sample_points(sid, plan):
+        assert times_at(differentiated, x) == 1
+        assert times_at(evaluated, x) <= 2
