@@ -12,11 +12,17 @@ Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
 Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 :func:`structure_jet` builds it once per (structure, point) and callers pass it
 down, so no operator that reads it evaluates or differentiates J again.
+
+Each :class:`AlmostComplexField` memoizes J(x) in a private dict it owns,
+keyed by the exact bytes of the float64 point; g(x) and the Christoffel
+symbols come from the chart's own memo (see ``manifold``).  Only successful
+evaluations are stored, stored arrays are read-only, and a memo is freed with
+its field (a field from ``dataclasses.replace`` starts empty).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +31,7 @@ from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
 from .manifold import (Chart, SamplePlan, VectorField, christoffel, constant_field,
                        lie_bracket)
-from .numdiff import Array, DiffConfig, FrameBasis, project_out
+from .numdiff import Array, DiffConfig, FrameBasis, project_out, read_only
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
@@ -45,9 +51,15 @@ class AlmostComplexField:
     chart: Chart
     fn: Callable[[Array], Array]
     source: str = "intrinsic"
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        j = self._values.get(key)
+        if j is None:
+            j = self._values[key] = read_only(self.fn(x))
+        return j
 
     def invariant_residuals(self, points: Sequence[Array], cfg: DiffConfig | None = None) -> dict:
         """Max residuals of J^2 + I and of g(JX, JY) - g(X, Y) over the points."""
@@ -377,7 +389,7 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
         jet = structure_jet(chart, j_field, x, cfg)
         g, j, gamma, t = jet.metric, jet.j, jet.gamma, jet.nabla
         scale = max(scale, 1.0 + float(np.max(np.abs(gamma))) * (1.0 + float(np.max(np.abs(j)))))
-        frame = hermitian_frame(chart, j_field, x, cfg)
+        frame_at, frame = hermitian_frame_field(chart, j_field, x, cfg)
         square, compat = _invariant_residuals(g, j)
         bound = J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))
         if square > bound or compat > bound:
@@ -400,8 +412,9 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
                 n_ab = nijenhuis(jet, u[:, a], u[:, b])
                 r_nij = max(r_nij, g_norm(g, n_ab))
         if complex_form:
-            frame_at, base = hermitian_frame_field(chart, j_field, x, cfg)
-            cache: dict = {}  # stencil points repeat across frame-field components
+            # Stencil points repeat across frame-field components; at x itself
+            # the pivoted frame is the sample's frame.
+            cache = {x.tobytes(): frame.complex_frame}
 
             def frame_cached(p):
                 p = np.asarray(p, dtype=float)
@@ -410,10 +423,10 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
                     cache[key] = frame_at(p).complex_frame
                 return cache[key]
 
-            m = base.m
+            m = frame.m
             cosym_sum = np.zeros(chart.dim, dtype=complex)
             for k in range(m):
-                zk = base.complex_frame[k]
+                zk = frame.complex_frame[k]
                 for l in range(m):
                     re_fn = lambda p, l=l: np.real(frame_cached(p)[l])
                     im_fn = lambda p, l=l: np.imag(frame_cached(p)[l])

@@ -4,18 +4,25 @@ A :class:`Chart` is a coordinate box plus a metric field.  The metric is either
 supplied directly (intrinsic) or derived from an embedding ``psi`` into
 Euclidean space as ``Dpsi^T Dpsi``.  Everything is evaluated pointwise; there
 are no atlases or transition functions.
+
+Each chart memoizes, in private dicts it owns, the metric g(x) that
+:meth:`Chart.metric` returns and the :class:`Christoffel` symbols that
+:func:`christoffel` builds, both keyed by the exact bytes of the float64
+point and the ``DiffConfig``.  Only successful evaluations are stored, stored
+arrays are read-only, and nothing stored refers back to the chart, so a memo
+is freed with its chart (a chart from ``dataclasses.replace`` starts empty).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import numdiff
 from .errors import EvaluationOutsideDomain, RankDeficient, SingularMetric
-from .numdiff import Array, DiffConfig
+from .numdiff import Array, DiffConfig, read_only
 
 #: Symmetry slack accepted from a user-supplied metric field.
 METRIC_SYMMETRY_TOL = 1e-12
@@ -86,6 +93,8 @@ class Chart:
     embedding: Embedding | None = None
     predicate: Callable[[Array], bool] | None = None
     name: str = ""
+    _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _christoffel: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.metric_fn is None) == (self.embedding is None):
@@ -94,9 +103,11 @@ class Chart:
             raise ValueError("box dimension does not match chart dimension")
 
     def contains(self, x, margin: float = 0.0) -> bool:
+        """Whether x lies in the chart; for a stack of points, whether every row does."""
+        x = np.asarray(x, dtype=float)
         ok = self.box.contains(x, margin)
         if ok and self.predicate is not None:
-            ok = bool(self.predicate(np.asarray(x, dtype=float)))
+            ok = all(bool(self.predicate(p)) for p in np.atleast_2d(x))
         return ok
 
     def domain_predicate(self, margin: float = 0.0) -> Callable[[Array], bool]:
@@ -113,6 +124,10 @@ class Chart:
     def metric(self, x, cfg: DiffConfig | None = None) -> Array:
         """Metric matrix at x; for embedded charts this is Dpsi^T Dpsi."""
         x = np.asarray(x, dtype=float)
+        key = (x.tobytes(), cfg)
+        g = self._metrics.get(key)
+        if g is not None:
+            return g
         if self.metric_fn is not None:
             g = np.asarray(self.metric_fn(x), dtype=float)
         else:
@@ -120,7 +135,8 @@ class Chart:
             g = d.T @ d
         if np.max(np.abs(g - g.T)) > METRIC_SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
             raise SingularMetric(f"metric at {x!r} is not symmetric")
-        return 0.5 * (g + g.T)
+        g = self._metrics[key] = read_only(0.5 * (g + g.T))
+        return g
 
     def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
         g = self.metric(x, cfg)
@@ -170,6 +186,11 @@ class Christoffel:
 
 def christoffel(chart: Chart, x, cfg: DiffConfig) -> Christoffel:
     """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
+    x = np.asarray(x, dtype=float)
+    key = (x.tobytes(), cfg)
+    known = chart._christoffel.get(key)
+    if known is not None:
+        return known
     x = chart.require_interior(x, cfg)
     d = chart.dim
     g_inv = chart.metric_inverse(x, cfg)
@@ -180,7 +201,8 @@ def christoffel(chart: Chart, x, cfg: DiffConfig) -> Christoffel:
     combined = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, combined)
     gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
-    return Christoffel(x, gamma)
+    out = chart._christoffel[key] = Christoffel(read_only(x), read_only(gamma))
+    return out
 
 
 def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) -> Array:

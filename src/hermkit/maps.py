@@ -9,11 +9,20 @@ of Dphi), which :func:`point_jet` builds once per (map, point) for callers to
 pass down.  Jets are also built at the stencil points of the vertical frame
 field, the dilation gradient and the lifted structure, so a jet holds only what
 those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.
+
+Each :class:`MapSpec` memoizes, in private dicts it owns and keyed by the
+exact bytes of the float64 point, phi(x) as :meth:`MapSpec.__call__` returns
+it and the parts of :func:`point_jet` (x, Dphi, g, the singular values, vt and
+the rank).  The parts, not the jet, are stored, because a jet refers to its
+map and would tie the map and its memo into a reference cycle; every call
+builds a fresh jet around them.  Only successful evaluations are stored,
+stored arrays are read-only, and a memo is freed with its map (a map from
+``dataclasses.replace`` starts empty).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +33,7 @@ from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, 
                         hermitian_frame_field, lee_vector, nabla_J, structure_jet,
                         unit_axes)
 from .manifold import Chart, VectorField, christoffel, gradient, lie_bracket
-from .numdiff import Array, DiffConfig, orthonormalize, project_out
+from .numdiff import Array, DiffConfig, orthonormalize, project_out, read_only
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
 RANK_FACTOR = 1e-6
@@ -55,9 +64,16 @@ class MapSpec:
     target_structure: AlmostComplexField | None = None
     fibre_orientation: Callable[[Array], Array] | None = None
     name: str = ""
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
-        return np.atleast_1d(np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float))
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        y = self._values.get(key)
+        if y is None:
+            y = self._values[key] = read_only(np.atleast_1d(self.fn(x)))
+        return y
 
 
 def differential(spec: MapSpec, x) -> Array:
@@ -88,12 +104,17 @@ class PointJet:
 def point_jet(spec: MapSpec, x) -> PointJet:
     """Differentiate the map at x once and split the differential by rank."""
     x = np.asarray(x, dtype=float)
-    d = differential(spec, x)
-    g = spec.source.metric(x, spec.cfg)
-    _, sv, vt = np.linalg.svd(d)
-    smax = float(sv[0]) if len(sv) else 0.0
-    rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
-    return PointJet(spec, x, d, g, sv, vt, rank)
+    key = x.tobytes()
+    parts = spec._jets.get(key)
+    if parts is None:
+        d = differential(spec, x)
+        g = spec.source.metric(x, spec.cfg)
+        _, sv, vt = np.linalg.svd(d)
+        smax = float(sv[0]) if len(sv) else 0.0
+        rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
+        parts = spec._jets[key] = (read_only(x), read_only(d), g, read_only(sv),
+                                   read_only(vt), rank)
+    return PointJet(spec, *parts)
 
 
 def holomorphy_residual(jet: PointJet) -> float:

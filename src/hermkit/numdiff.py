@@ -53,8 +53,18 @@ class DiffConfig:
         return self.tolerance_abs + self.tolerance_factor * self.step**2 * abs(scale)
 
 
+def read_only(a) -> Array:
+    """A float copy of ``a`` that cannot be written to: the form in which a
+    memo stores and hands out a value, so no caller can change it for the next."""
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _check_domain(domain, points) -> None:
-    if domain is None:
+    """Check the whole stencil in one ``domain`` call; only when it fails, walk
+    the points to name the first one outside."""
+    if domain is None or domain(np.stack(points)):
         return
     for p in points:
         if not domain(p):
@@ -73,7 +83,8 @@ def partial(f: Callable[[Array], Array | float], x, i: int, cfg: DiffConfig,
 
     Central difference with step ``cfg.step``; with ``cfg.richardson`` the
     fourth-order combination of the step-h and step-h/2 estimates is returned.
-    ``domain``, when given, is checked at every stencil point.
+    ``domain``, when given, is called once on the stack of stencil points and
+    must hold for every row.
     """
     x = np.asarray(x, dtype=float)
     h = cfg.step

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog
+from hermkit import catalog, hermitian
 from hermkit.errors import PreconditionFailed
 from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part, bilinear,
                                classify_structure, divergence_J, divergence_J_frame,
@@ -221,6 +221,25 @@ def test_classify_deterministic(torus, cfg, plan):
     a = classify_structure(chart, j_field, plan, cfg).to_dict()
     b = classify_structure(chart, j_field, plan, cfg).to_dict()
     assert a == b
+
+
+def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
+    """The real-form residuals and the complex-form frame field share the
+    sample's frame; stencil points get their own pivoted frames."""
+    seen = []
+    build = hermitian.hermitian_frame
+
+    def recording(chart, j_field, x, cfg, pivots=None):
+        seen.append(np.array(x, dtype=float))
+        return build(chart, j_field, x, cfg, pivots)
+
+    monkeypatch.setattr(hermitian, "hermitian_frame", recording)
+    entry = catalog.complex_projective(2)
+    chart, j_field = entry.charts["cp"], entry.structures["J"]
+    plan = SamplePlan(count=2)
+    classify_structure(chart, j_field, plan, cfg)
+    for x in plan.points(chart, cfg):
+        assert sum(np.array_equal(p, x) for p in seen) == 1
 
 
 def test_classify_rejects_incompatible_structure(cfg):

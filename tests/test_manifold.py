@@ -30,6 +30,16 @@ def test_box_contains_margin():
         Box((1.0,), (0.0,))
 
 
+def test_chart_contains_applies_the_predicate_to_every_row():
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2),
+                  predicate=lambda p: float(p @ p) > 0.01)
+    assert chart.contains([[0.5, 0.5], [-0.5, 0.2]])
+    assert not chart.contains([[0.5, 0.5], [0.0, 0.05]])
+    assert not chart.contains([[0.5, 0.5], [1.5, 0.5]])
+    assert chart.contains([0.5, 0.5])
+    assert not chart.contains([0.0, 0.05])
+
+
 def test_chart_requires_exactly_one_metric_source():
     with pytest.raises(ValueError):
         Chart(dim=1, box=Box((0.0,), (1.0,)))

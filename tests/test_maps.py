@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -127,7 +129,10 @@ def test_conformality_partial_rank_degenerate():
 
 @pytest.mark.parametrize("operator", [conformality, _vertical_projector])
 def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
-    """Building the jet takes the one SVD; the operators that read it take none."""
+    """Building the jet takes the one SVD; the operators that read it take none.
+
+    A fresh map: the module's ``hopf`` already holds jets in its memo."""
+    hopf = dataclasses.replace(hopf)
     calls = []
     svd = np.linalg.svd
 

@@ -1,0 +1,145 @@
+"""The point memos of maps, charts and structures.
+
+Each ``MapSpec``, ``Chart`` and ``AlmostComplexField`` evaluates each distinct
+point once, hands out read-only arrays, stores nothing for a call that raises,
+and frees its memo with itself.
+"""
+
+import dataclasses
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from hermkit import catalog, scenarios
+from hermkit.errors import EvaluationOutsideDomain, SingularMetric
+from hermkit.manifold import Box, Chart, SamplePlan, christoffel
+from hermkit.maps import MapSpec, point_jet
+from hermkit.numdiff import DiffConfig
+
+CFG = DiffConfig()
+CE_POINT = np.array([0.5, 0.7, 0.9, 1.1])
+
+
+def hopf():
+    return catalog.hopf_map(1).maps["hopf"]
+
+
+def counting(spec):
+    """A fresh copy of ``spec`` whose map records the bytes of every point it
+    is evaluated at."""
+    seen = []
+
+    def fn(x, inner=spec.fn):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return inner(x)
+
+    return dataclasses.replace(spec, fn=fn), seen
+
+
+def run_row(sid, entry, plan, spec=None):
+    """Run a scenario's check on ``entry``; a map scenario runs on ``spec``
+    when given."""
+    _, check_name, _, key, kwargs = scenarios.SCENARIOS[sid]
+    run = getattr(scenarios, check_name)
+    if key in entry.maps:
+        return run(spec or entry.maps[key], plan=plan, scenario_id=sid, **kwargs)
+    return run(entry.charts[key], entry.structures["J"], plan=plan, cfg=CFG,
+               scenario_id=sid, **kwargs)
+
+
+@pytest.mark.parametrize("sid", ["product-hopf-1-1-two-of-three",
+                                 "punctured-hopf-2-integrability-plus", "hopf-s3"])
+def test_map_evaluated_once_per_distinct_point(sid):
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    entry = catalog.get_entry(entry_id, CFG)
+    spec, seen = counting(entry.maps[key])
+    assert run_row(sid, entry, SamplePlan(seed=0, count=2), spec).overall
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+def test_second_jet_takes_no_svd_and_no_map_call(monkeypatch):
+    spec, seen = counting(hopf())
+    first = point_jet(spec, CE_POINT)
+    svds = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svds.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    evaluated = len(seen)
+    again = point_jet(spec, CE_POINT.copy())
+    assert svds == []
+    assert len(seen) == evaluated
+    assert again.spec is spec
+    assert again.differential is first.differential
+    assert again.rank == first.rank
+
+
+def test_memoized_arrays_are_read_only():
+    entry = catalog.hopf_map(1)
+    spec = entry.maps["hopf"]
+    jet = point_jet(spec, CE_POINT)
+    structure = spec.source_structure
+    arrays = [spec(CE_POINT), spec.source.metric(CE_POINT, CFG), structure(CE_POINT),
+              christoffel(spec.source, CE_POINT, CFG).symbols,
+              jet.x, jet.differential, jet.metric, jet.singular_values, jet.vt]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_memo_keeps_no_alias_of_the_callers_point():
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2))
+    spec = MapSpec(chart, chart, lambda x: x, CFG)
+    x = np.array([0.1, 0.2])
+    y = spec(x)
+    x[0] = 0.5
+    assert y.tolist() == [0.1, 0.2]
+    assert spec(np.array([0.1, 0.2])) is y
+
+
+def test_failed_evaluation_stores_nothing():
+    calls = []
+
+    def asymmetric(x):
+        calls.append(x)
+        return np.array([[1.0, 0.5], [0.2, 1.0]])
+
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=asymmetric)
+    for _ in range(2):
+        with pytest.raises(SingularMetric, match="not symmetric"):
+            chart.metric([0.0, 0.0], CFG)
+    assert len(calls) == 2
+
+
+def test_jet_outside_the_domain_raises_each_time():
+    spec = hopf()
+    lo = np.array(spec.source.box.lo, dtype=float)
+    for _ in range(2):
+        with pytest.raises(EvaluationOutsideDomain, match="closer than"):
+            point_jet(spec, lo)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("sid", scenarios.scenario_ids())
+def test_entry_freed_by_refcount(sid, no_cyclic_gc):
+    """With the cyclic collector off, a scenario's maps and charts are freed as
+    soon as the entry and the report are dropped: no memo holds its owner."""
+    entry = catalog.get_entry(scenarios.SCENARIOS[sid][2], CFG)
+    report = run_row(sid, entry, SamplePlan(0, 1))
+    refs = [weakref.ref(obj) for obj in (*entry.maps.values(), *entry.charts.values(),
+                                          *entry.structures.values())]
+    del entry, report
+    assert [ref for ref in refs if ref() is not None] == []

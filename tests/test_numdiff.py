@@ -89,6 +89,21 @@ def test_partial_domain_guard(cfg):
         partial(lambda x: x[0] ** 2, np.array([1.0]), 0, cfg, domain=domain)
 
 
+def test_stencil_domain_checked_in_one_call(cfg):
+    stacks = []
+
+    def domain(p):
+        stacks.append(np.shape(p))
+        return bool(np.all(np.abs(p) <= 1.0))
+
+    partial(lambda x: x[0] ** 2, np.array([0.5]), 0, cfg, domain=domain)
+    assert stacks == [(4, 1)]
+    stacks.clear()
+    with pytest.raises(EvaluationOutsideDomain, match=r"array\(\[1.0001\]\)"):
+        partial(lambda x: x[0] ** 2, np.array([1.0]), 0, cfg, domain=domain)
+    assert stacks[0] == (4, 1)
+
+
 def test_determinism_bitwise(cfg):
     f = lambda x: math.sin(x[0] * 1.7) + x[1] ** 3
     x = np.array([0.31, 0.77])

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from hermkit import catalog, hermitian, maps, scenarios
+from hermkit import catalog, hermitian, manifold, maps, scenarios
 from hermkit.errors import (PreconditionFailed, TargetDimensionTooSmall,
                             TooManyExcludedSamples, UnknownScenario, WrongDimension)
 from hermkit.manifold import Box, Chart, SamplePlan
@@ -206,7 +206,8 @@ def times_at(points, x):
     return sum(np.array_equal(p, x) for p in points)
 
 
-@pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma"])
+@pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma",
+                                 "punctured-hopf-2-integrability-plus"])
 def test_each_sample_is_differentiated_once(sid, monkeypatch):
     """The map's jet at a sample is built once and passed to every operator."""
     seen = []
@@ -248,3 +249,21 @@ def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
     for x in sample_points(sid, plan):
         assert times_at(differentiated, x) == 1
         assert times_at(evaluated, x) <= 2
+
+
+@pytest.mark.parametrize("sid", ["hopf-s3-surface-case", "product-hopf-1-1-two-of-three"])
+def test_christoffel_built_once_per_sample(sid, monkeypatch):
+    """The source chart builds its Christoffel symbols at a sample once, however
+    many operators read them there."""
+    built = []
+    symbols = manifold.Christoffel
+
+    def recording(point, gamma):
+        built.append(np.array(point, dtype=float))
+        return symbols(point, gamma)
+
+    monkeypatch.setattr(manifold, "Christoffel", recording)
+    plan = SamplePlan(count=2)
+    assert run_scenario(sid, plan, CFG).overall
+    for x in sample_points(sid, plan):
+        assert times_at(built, x) == 1
