@@ -10,31 +10,30 @@ from .errors import (ConfigError, CriticalPoint, DimensionMismatch, DslError,
 from .hermitian import (AlmostComplexField, HermitianFrame, StructureJet,
                         StructureReport, classify_structure, divergence_J,
                         hermitian_frame, lee_vector, nabla_J, nijenhuis, structure_jet)
-from .manifold import (Box, Chart, Christoffel, Embedding, SamplePlan, VectorField,
-                       christoffel, covariant_derivative, embedded_pullbacks,
-                       gradient, lie_bracket)
+from .manifold import (Box, Chart, Embedding, SamplePlan, VectorField, christoffel,
+                       covariant_derivative, gradient, lie_bracket)
 from .maps import (ConformalityData, MapSpec, PointJet, condition_ii_residual,
                    conformality, differential, fibre_mean_curvature,
                    holomorphy_residual, homothety_residual, lee_pushforward,
                    lift_structure, point_jet, superminimality_residual, tension)
-from .numdiff import DiffConfig, FrameBasis, orthonormalize, partial, second_partial
+from .numdiff import DiffConfig, orthonormalize, partial, second_partial
 from .scenarios import (CheckResult, VerificationReport, run_scenario,
                         scenario_description, scenario_ids)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlmostComplexField", "Box", "Chart", "CheckResult", "Christoffel",
+    "AlmostComplexField", "Box", "Chart", "CheckResult",
     "ConfigError", "ConformalityData", "CriticalPoint", "DiffConfig",
     "DimensionMismatch", "DslError", "DslSyntaxError", "Embedding",
-    "EvaluationError", "EvaluationOutsideDomain", "FibreDimension", "FrameBasis",
+    "EvaluationError", "EvaluationOutsideDomain", "FibreDimension",
     "GeometryError", "HermitianFrame", "MapSpec", "MissingStructure", "PointJet",
     "PreconditionFailed", "RankDeficient", "SamplePlan", "SingularMetric",
     "StructureJet", "StructureReport", "TargetDimensionTooSmall", "TooManyExcludedSamples",
     "UnknownScenario", "UnknownSymbol",
     "VectorField", "VerificationReport", "WrongDimension",
     "christoffel", "classify_structure", "condition_ii_residual", "conformality",
-    "covariant_derivative", "differential", "divergence_J", "embedded_pullbacks",
+    "covariant_derivative", "differential", "divergence_J",
     "fibre_mean_curvature", "gradient", "hermitian_frame", "holomorphy_residual",
     "homothety_residual", "lee_pushforward", "lee_vector", "lie_bracket",
     "lift_structure", "nabla_J", "nijenhuis", "orthonormalize", "partial", "point_jet",

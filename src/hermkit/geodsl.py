@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, DslSyntaxError,
                      EvaluationError, UnknownSymbol)
-from .hermitian import J_SQUARE_TOL, AlmostComplexField
+from .hermitian import J_SQUARE_TOL, AlmostComplexField, _invariant_residuals
 from .manifold import Box, Chart
 
 FUNCTIONS = {
@@ -544,7 +544,7 @@ def _assemble_matrix(rows, elems, dim: int, label: str):
 
 def _validate(config: GeoConfig) -> None:
     probes = config.probe_points()
-    metric = config.metric_fn()
+    metrics = []
     for p in probes:
         raw = np.array([[evaluate(config.metric[i][j], p) for j in range(config.dim)]
                         for i in range(config.dim)])
@@ -552,17 +552,16 @@ def _validate(config: GeoConfig) -> None:
         if asym > SYMMETRY_WARN:
             config.warnings.append(
                 f"metric asymmetry {asym:.3g} at probe {p.tolist()}; symmetrized")
-        g = metric(p)
-        eigs = np.linalg.eigvalsh(g)
-        if eigs.min() <= 0:
+        g = 0.5 * (raw + raw.T)
+        if np.linalg.eigvalsh(g).min() <= 0:
             raise ConfigError(f"metric is not positive-definite at probe {p.tolist()}")
+        metrics.append(g)
     structure = config.structure_fn()
     if structure is not None:
         if config.dim % 2 != 0:
             raise ConfigError("J needs an even-dimensional chart")
-        for p in probes:
-            j = structure(p)
-            resid = float(np.max(np.abs(j @ j + np.eye(config.dim))))
+        for p, g in zip(probes, metrics):
+            resid, _ = _invariant_residuals(g, structure(p))
             if resid > J_SQUARE_TOL:
                 raise ConfigError(
                     f"J^2 + I has residual {resid:.3g} at probe {p.tolist()}")
@@ -586,8 +585,7 @@ def to_chart(config: GeoConfig, name: str = "user"):
     if structure_fn is not None:
         for p in config.probe_points():
             g = metric_fn(p)
-            j = structure_fn(p)
-            resid = float(np.max(np.abs(j.T @ g @ j - g)))
+            _, resid = _invariant_residuals(g, structure_fn(p))
             if resid > J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g)))):
                 raise ConfigError(f"J is not g-compatible: g(J., J.) - g has residual "
                                   f"{resid:.3g} at probe {p.tolist()}")

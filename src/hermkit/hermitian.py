@@ -13,11 +13,9 @@ Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 :func:`structure_jet` builds it once per (structure, point) and callers pass it
 down, so no operator that reads it evaluates or differentiates J again.
 
-Each :class:`AlmostComplexField` memoizes J(x) in a private dict it owns,
-keyed by the exact bytes of the float64 point; g(x) and the Christoffel
-symbols come from the chart's own memo (see ``manifold``).  Only successful
-evaluations are stored, stored arrays are read-only, and a memo is freed with
-its field (a field from ``dataclasses.replace`` starts empty).
+Each :class:`AlmostComplexField` memoizes J(x) and its Hermitian frames per
+point (see ``numdiff.memoized`` for the contract); g(x) and the Christoffel
+symbols come from the chart's memo.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ import numpy as np
 from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
 from .manifold import (Chart, SamplePlan, VectorField, christoffel, constant_field,
-                       lie_bracket)
-from .numdiff import Array, DiffConfig, FrameBasis, project_out, read_only
+                       covariant_derivative, lie_bracket)
+from .numdiff import Array, DiffConfig, memoized, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
@@ -51,15 +49,11 @@ class AlmostComplexField:
     chart: Chart
     fn: Callable[[Array], Array]
     source: str = "intrinsic"
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
         x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        j = self._values.get(key)
-        if j is None:
-            j = self._values[key] = read_only(self.fn(x))
-        return j
+        return memoized(self._memo, ("J", x.tobytes()), lambda: np.array(self.fn(x), dtype=float))
 
     def invariant_residuals(self, points: Sequence[Array], cfg: DiffConfig | None = None) -> dict:
         """Max residuals of J^2 + I and of g(JX, JY) - g(X, Y) over the points."""
@@ -99,11 +93,6 @@ def antiholomorphic_part(j: Array, w: Array) -> Array:
     return 0.5 * (w + 1j * (j @ w))
 
 
-def holomorphic_part(j: Array, w: Array) -> Array:
-    """(1,0)-part (w - i J w) / 2 of a (possibly complex) vector."""
-    return 0.5 * (w - 1j * (j @ w))
-
-
 @dataclass(frozen=True)
 class HermitianFrame:
     """Orthonormal frame {e_1..e_m, Je_1..Je_m} with Z_k = (e_k - i Je_k)/sqrt(2).
@@ -113,21 +102,13 @@ class HermitianFrame:
     field.
     """
 
-    real_frame: FrameBasis
+    real_frame: tuple  # e_1..e_m, Je_1..Je_m
     complex_frame: tuple  # m complex arrays Z_k; the conjugates span T^{0,1}
     pivots: tuple
 
     @property
     def m(self) -> int:
         return len(self.complex_frame)
-
-    @property
-    def e_vectors(self) -> tuple:
-        return self.real_frame.vectors[: self.m]
-
-    @property
-    def je_vectors(self) -> tuple:
-        return self.real_frame.vectors[self.m:]
 
     def frame_residual(self, g: Array) -> float:
         """Max deviation of <Z_k, conj(Z_l)> = delta_kl and <Z_k, Z_l> = 0."""
@@ -141,13 +122,24 @@ class HermitianFrame:
 
 
 def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-                    pivots: Sequence[int] | None = None) -> HermitianFrame:
+                    pivots: tuple | None = None) -> HermitianFrame:
     """Greedy Hermitian frame at x: pick a unit e_k, append Je_k, project, repeat.
 
     Candidates are the coordinate axes in order; with ``pivots`` given, exactly
-    those candidate indices are used (the smooth-field construction).
+    those candidate indices are used: the pivots of the frame at a base point
+    give a frame field that is smooth near it.  Frames are memoized on
+    ``j_field`` (``chart`` must be its chart) per point, ``cfg`` and pivots.
     """
     x = np.asarray(x, dtype=float)
+    frame = memoized(j_field._memo, ("frame", x.tobytes(), cfg, pivots),
+                     lambda: _hermitian_frame(chart, j_field, x, cfg, pivots))
+    if pivots is None:  # rebuilt with its own pivots, it comes out bit for bit the same
+        memoized(j_field._memo, ("frame", x.tobytes(), cfg, frame.pivots), lambda: frame)
+    return frame
+
+
+def _hermitian_frame(chart: Chart, j_field: AlmostComplexField, x: Array, cfg: DiffConfig,
+                     pivots: tuple | None) -> HermitianFrame:
     d = chart.dim
     if d % 2 != 0:
         raise RankDeficient("almost complex structures need an even-dimensional chart")
@@ -185,25 +177,14 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfi
         used.append(idx)
     if len(e_list) != d // 2:
         raise RankDeficient("could not complete a Hermitian frame from coordinate axes")
-    real = FrameBasis(tuple(e_list + je_list), g)
     complex_frame = tuple((e - 1j * je) / SQRT2 for e, je in zip(e_list, je_list))
-    return HermitianFrame(real, complex_frame, tuple(used))
-
-
-def hermitian_frame_field(chart: Chart, j_field: AlmostComplexField, base_x, cfg: DiffConfig):
-    """Frame field smooth near base_x: the base point's pivot order is frozen."""
-    base = hermitian_frame(chart, j_field, base_x, cfg)
-
-    def at(x) -> HermitianFrame:
-        return hermitian_frame(chart, j_field, x, cfg, pivots=base.pivots)
-
-    return at, base
+    return HermitianFrame(tuple(e_list + je_list), complex_frame, tuple(used))
 
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
     """Plain coordinate derivatives d_i J, stacked as [i, k, j]."""
     x = np.asarray(x, dtype=float)
-    return np.stack([numdiff.partial(j_field, x, i, cfg, domain=chart.domain_predicate())
+    return np.stack([numdiff.partial(j_field, x, i, cfg, domain=chart.contains)
                      for i in range(chart.dim)])
 
 
@@ -237,7 +218,7 @@ def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
     x = np.asarray(x, dtype=float)
     g = chart.metric(x, cfg)
     j = j_field(x)
-    gamma = christoffel(chart, x, cfg).symbols if connection else None
+    gamma = christoffel(chart, x, cfg) if connection else None
     dj = dj_stack(chart, j_field, x, cfg)
     nabla = nabla_j_tensor(gamma, j, dj) if connection else None
     return StructureJet(x, g, j, dj, gamma, nabla)
@@ -308,23 +289,14 @@ def nijenhuis_bracket_route(chart: Chart, j_field: AlmostComplexField, x, x_vec,
     return term1 - term2 - term3 - term4
 
 
-def _cov_along(chart: Chart, v: Array, field_fn: Callable[[Array], Array], x,
-               cfg: DiffConfig, gamma: Array) -> Array:
-    """nabla_v W for a constant direction v and a real vector-field function."""
-    dw = np.stack([numdiff.partial(field_fn, x, i, cfg) for i in range(chart.dim)])
-    w = np.asarray(field_fn(x), dtype=float)
-    return np.einsum("i,ik->k", v, dw) + np.einsum("kij,i,j->k", gamma, v, w)
-
-
-def _cov_complex(chart: Chart, direction: Array, re_fn, im_fn, x, cfg: DiffConfig,
-                 gamma: Array) -> Array:
-    """Complex-bilinear covariant derivative along a complex direction at x."""
-    a = np.real(direction)
-    b = np.imag(direction)
-    out = _cov_along(chart, a, re_fn, x, cfg, gamma) + 1j * _cov_along(chart, a, im_fn, x, cfg, gamma)
-    out = out + 1j * (_cov_along(chart, b, re_fn, x, cfg, gamma)
-                      + 1j * _cov_along(chart, b, im_fn, x, cfg, gamma))
-    return out
+def _cov_complex(direction: Array, re_field: VectorField, im_field: VectorField, x,
+                 cfg: DiffConfig) -> Array:
+    """Complex-bilinear covariant derivative of the field re + i im along a
+    complex direction at x."""
+    a, b = (constant_field(re_field.chart, part(direction)) for part in (np.real, np.imag))
+    cov = lambda v, w: covariant_derivative(v, w, x, cfg)
+    out = cov(a, re_field) + 1j * cov(a, im_field)
+    return out + 1j * (cov(b, re_field) + 1j * cov(b, im_field))
 
 
 @dataclass(frozen=True)
@@ -389,14 +361,14 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
         jet = structure_jet(chart, j_field, x, cfg)
         g, j, gamma, t = jet.metric, jet.j, jet.gamma, jet.nabla
         scale = max(scale, 1.0 + float(np.max(np.abs(gamma))) * (1.0 + float(np.max(np.abs(j)))))
-        frame_at, frame = hermitian_frame_field(chart, j_field, x, cfg)
+        frame = hermitian_frame(chart, j_field, x, cfg)
         square, compat = _invariant_residuals(g, j)
         bound = J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))
         if square > bound or compat > bound:
             raise PreconditionFailed(
                 "almost Hermitian", f"J^2 + I residual {square:.3g}, g(J., J.) - g "
                 f"residual {compat:.3g} at {x.tolist()}")
-        u = frame.real_frame.matrix  # d x d, columns are the frame
+        u = np.column_stack(frame.real_frame)
         ju = j @ u
         nab = np.einsum("ikj,ia,jb->kab", t, u, u)
         nab_j = np.einsum("ikj,ia,jb->kab", t, ju, ju)
@@ -412,25 +384,18 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
                 n_ab = nijenhuis(jet, u[:, a], u[:, b])
                 r_nij = max(r_nij, g_norm(g, n_ab))
         if complex_form:
-            # Stencil points repeat across frame-field components; at x itself
-            # the pivoted frame is the sample's frame.
-            cache = {x.tobytes(): frame.complex_frame}
-
-            def frame_cached(p):
-                p = np.asarray(p, dtype=float)
-                key = p.tobytes()
-                if key not in cache:
-                    cache[key] = frame_at(p).complex_frame
-                return cache[key]
+            def z_part(l: int, part) -> VectorField:
+                """A part of the frame field Z_l, smooth near x (x's pivots)."""
+                return VectorField(chart, lambda p: part(hermitian_frame(
+                    chart, j_field, p, cfg, frame.pivots).complex_frame[l]))
 
             m = frame.m
             cosym_sum = np.zeros(chart.dim, dtype=complex)
             for k in range(m):
                 zk = frame.complex_frame[k]
                 for l in range(m):
-                    re_fn = lambda p, l=l: np.real(frame_cached(p)[l])
-                    im_fn = lambda p, l=l: np.imag(frame_cached(p)[l])
-                    cov = _cov_complex(chart, np.conj(zk), re_fn, im_fn, x, cfg, gamma)
+                    cov = _cov_complex(np.conj(zk), z_part(l, np.real), z_part(l, np.imag),
+                                       x, cfg)
                     if l == k:
                         cosym_sum = cosym_sum + cov
                     r_12_c = max(r_12_c, g_norm(g, antiholomorphic_part(j, cov)))

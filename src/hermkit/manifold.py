@@ -5,12 +5,8 @@ supplied directly (intrinsic) or derived from an embedding ``psi`` into
 Euclidean space as ``Dpsi^T Dpsi``.  Everything is evaluated pointwise; there
 are no atlases or transition functions.
 
-Each chart memoizes, in private dicts it owns, the metric g(x) that
-:meth:`Chart.metric` returns and the :class:`Christoffel` symbols that
-:func:`christoffel` builds, both keyed by the exact bytes of the float64
-point and the ``DiffConfig``.  Only successful evaluations are stored, stored
-arrays are read-only, and nothing stored refers back to the chart, so a memo
-is freed with its chart (a chart from ``dataclasses.replace`` starts empty).
+Each chart memoizes g(x) and the Christoffel symbols per point and
+``DiffConfig`` (see ``numdiff.memoized`` for the contract).
 """
 
 from __future__ import annotations
@@ -21,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import EvaluationOutsideDomain, RankDeficient, SingularMetric
-from .numdiff import Array, DiffConfig, read_only
+from .errors import EvaluationOutsideDomain, SingularMetric
+from .numdiff import Array, DiffConfig, memoized
 
 #: Symmetry slack accepted from a user-supplied metric field.
 METRIC_SYMMETRY_TOL = 1e-12
@@ -93,8 +89,7 @@ class Chart:
     embedding: Embedding | None = None
     predicate: Callable[[Array], bool] | None = None
     name: str = ""
-    _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _christoffel: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.metric_fn is None) == (self.embedding is None):
@@ -110,9 +105,6 @@ class Chart:
             ok = all(bool(self.predicate(p)) for p in np.atleast_2d(x))
         return ok
 
-    def domain_predicate(self, margin: float = 0.0) -> Callable[[Array], bool]:
-        return lambda p: self.contains(p, margin)
-
     def require_interior(self, x, cfg: DiffConfig, depth: float = 2.0) -> Array:
         """Check that a depth*step stencil around x stays inside the chart."""
         x = np.asarray(x, dtype=float)
@@ -124,10 +116,9 @@ class Chart:
     def metric(self, x, cfg: DiffConfig | None = None) -> Array:
         """Metric matrix at x; for embedded charts this is Dpsi^T Dpsi."""
         x = np.asarray(x, dtype=float)
-        key = (x.tobytes(), cfg)
-        g = self._metrics.get(key)
-        if g is not None:
-            return g
+        return memoized(self._memo, ("g", x.tobytes(), cfg), lambda: self._metric(x, cfg))
+
+    def _metric(self, x: Array, cfg: DiffConfig | None) -> Array:
         if self.metric_fn is not None:
             g = np.asarray(self.metric_fn(x), dtype=float)
         else:
@@ -135,8 +126,7 @@ class Chart:
             g = d.T @ d
         if np.max(np.abs(g - g.T)) > METRIC_SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
             raise SingularMetric(f"metric at {x!r} is not symmetric")
-        g = self._metrics[key] = read_only(0.5 * (g + g.T))
-        return g
+        return 0.5 * (g + g.T)
 
     def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
         g = self.metric(x, cfg)
@@ -165,44 +155,25 @@ def constant_field(chart: Chart, v) -> VectorField:
     return VectorField(chart, lambda x: v)
 
 
-def coordinate_field(chart: Chart, i: int) -> VectorField:
-    e = np.zeros(chart.dim)
-    e[i] = 1.0
-    return constant_field(chart, e)
-
-
-@dataclass(frozen=True)
-class Christoffel:
-    """Connection coefficients Gamma^k_{ij} at one point (k first index)."""
-
-    point: Array
-    symbols: Array  # shape (d, d, d), symbols[k, i, j]
-
-    def __post_init__(self):
-        if np.max(np.abs(self.symbols - np.swapaxes(self.symbols, 1, 2))) > 1e-12 * (
-                1.0 + np.max(np.abs(self.symbols))):
-            raise ValueError("Christoffel symbols must be symmetric in the lower pair")
-
-
-def christoffel(chart: Chart, x, cfg: DiffConfig) -> Christoffel:
-    """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
+def christoffel(chart: Chart, x, cfg: DiffConfig) -> Array:
+    """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)
+    as the array ``gamma[k, i, j]``, symmetric in (i, j)."""
     x = np.asarray(x, dtype=float)
-    key = (x.tobytes(), cfg)
-    known = chart._christoffel.get(key)
-    if known is not None:
-        return known
-    x = chart.require_interior(x, cfg)
+    return memoized(chart._memo, ("gamma", x.tobytes(), cfg),
+                    lambda: _christoffel(chart, x, cfg))
+
+
+def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:
+    chart.require_interior(x, cfg)
     d = chart.dim
     g_inv = chart.metric_inverse(x, cfg)
     metric = lambda p: chart.metric(p, cfg)
-    dg = np.stack([numdiff.partial(metric, x, i, cfg, domain=chart.domain_predicate())
+    dg = np.stack([numdiff.partial(metric, x, i, cfg, domain=chart.contains)
                    for i in range(d)])  # dg[i, j, l] = d_i g_{jl}
     # combined[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     combined = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, combined)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
-    out = chart._christoffel[key] = Christoffel(read_only(x), read_only(gamma))
-    return out
+    return 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
 
 
 def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) -> Array:
@@ -211,7 +182,7 @@ def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: Dif
         raise ValueError("fields live on different charts")
     chart = x_field.chart
     x = np.asarray(x, dtype=float)
-    gamma = christoffel(chart, x, cfg).symbols
+    gamma = christoffel(chart, x, cfg)
     xv = x_field(x)
     yv = y_field(x)
     dy = np.stack([numdiff.partial(y_field, x, i, cfg) for i in range(chart.dim)])
@@ -237,22 +208,6 @@ def gradient(chart: Chart, f: Callable[[Array], float], x, cfg: DiffConfig) -> A
     g_inv = chart.metric_inverse(x, cfg)
     df = np.array([float(numdiff.partial(f, x, i, cfg)) for i in range(chart.dim)])
     return g_inv @ df
-
-
-def embedded_pullbacks(embedding: Embedding, x, cfg: DiffConfig) -> tuple[Array, Array]:
-    """Derived metric and ambient-to-chart projection of an embedding.
-
-    The projection ``P = (Dpsi^T Dpsi)^{-1} Dpsi^T`` is a left inverse of
-    Dpsi, so tangent ambient vectors map back to their chart components.
-    """
-    x = np.asarray(x, dtype=float)
-    d = embedding.dpsi(x, cfg)
-    g = d.T @ d
-    sv = np.linalg.svd(d, compute_uv=False)
-    if sv[-1] <= sv[0] * numdiff.RANK_RTOL:
-        raise RankDeficient(f"embedding differential is rank-deficient at {x!r}")
-    projection = np.linalg.solve(g, d.T)
-    return g, projection
 
 
 def sample_points(chart: Chart, seed: int, count: int, margin: float) -> list[Array]:

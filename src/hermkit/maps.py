@@ -10,14 +10,11 @@ pass down.  Jets are also built at the stencil points of the vertical frame
 field, the dilation gradient and the lifted structure, so a jet holds only what
 those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.
 
-Each :class:`MapSpec` memoizes, in private dicts it owns and keyed by the
-exact bytes of the float64 point, phi(x) as :meth:`MapSpec.__call__` returns
-it and the parts of :func:`point_jet` (x, Dphi, g, the singular values, vt and
-the rank).  The parts, not the jet, are stored, because a jet refers to its
-map and would tie the map and its memo into a reference cycle; every call
-builds a fresh jet around them.  Only successful evaluations are stored,
-stored arrays are read-only, and a memo is freed with its map (a map from
-``dataclasses.replace`` starts empty).
+Each :class:`MapSpec` memoizes per point phi(x), the parts of its
+:func:`point_jet`, its :func:`conformality` data and its horizontal-lift
+matrix (see ``numdiff.memoized`` for the contract).  The jet's parts, not the
+jet, are stored, because a jet refers to its map and would tie the map and
+its memo into a reference cycle.
 """
 
 from __future__ import annotations
@@ -30,10 +27,9 @@ import numpy as np
 from . import numdiff
 from .errors import CriticalPoint, FibreDimension, MissingStructure
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
-                        hermitian_frame_field, lee_vector, nabla_J, structure_jet,
-                        unit_axes)
+                        hermitian_frame, lee_vector, nabla_J, structure_jet, unit_axes)
 from .manifold import Chart, VectorField, christoffel, gradient, lie_bracket
-from .numdiff import Array, DiffConfig, orthonormalize, project_out, read_only
+from .numdiff import Array, DiffConfig, memoized, orthonormalize, project_out
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
 RANK_FACTOR = 1e-6
@@ -64,22 +60,18 @@ class MapSpec:
     target_structure: AlmostComplexField | None = None
     fibre_orientation: Callable[[Array], Array] | None = None
     name: str = ""
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
         x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        y = self._values.get(key)
-        if y is None:
-            y = self._values[key] = read_only(np.atleast_1d(self.fn(x)))
-        return y
+        return memoized(self._memo, ("phi", x.tobytes()),
+                        lambda: np.array(np.atleast_1d(self.fn(x)), dtype=float))
 
 
 def differential(spec: MapSpec, x) -> Array:
     """The differential as a (target dim) x (source dim) array of partials."""
     x = spec.source.require_interior(x, spec.cfg)
-    cols = [numdiff.partial(spec, x, j, spec.cfg, domain=spec.source.domain_predicate())
+    cols = [numdiff.partial(spec, x, j, spec.cfg, domain=spec.source.contains)
             for j in range(spec.source.dim)]
     return np.column_stack(cols)
 
@@ -104,17 +96,17 @@ class PointJet:
 def point_jet(spec: MapSpec, x) -> PointJet:
     """Differentiate the map at x once and split the differential by rank."""
     x = np.asarray(x, dtype=float)
-    key = x.tobytes()
-    parts = spec._jets.get(key)
-    if parts is None:
-        d = differential(spec, x)
-        g = spec.source.metric(x, spec.cfg)
-        _, sv, vt = np.linalg.svd(d)
-        smax = float(sv[0]) if len(sv) else 0.0
-        rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
-        parts = spec._jets[key] = (read_only(x), read_only(d), g, read_only(sv),
-                                   read_only(vt), rank)
-    return PointJet(spec, *parts)
+    return PointJet(spec, *memoized(spec._memo, ("jet", x.tobytes()),
+                                    lambda: _jet_parts(spec, x)))
+
+
+def _jet_parts(spec: MapSpec, x: Array) -> tuple:
+    d = differential(spec, x)
+    g = spec.source.metric(x, spec.cfg)
+    _, sv, vt = np.linalg.svd(d)
+    smax = float(sv[0]) if len(sv) else 0.0
+    rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
+    return x.copy(), d, g, sv, vt, rank
 
 
 def holomorphy_residual(jet: PointJet) -> float:
@@ -152,14 +144,18 @@ class ConformalityData:
 def conformality(jet: PointJet) -> ConformalityData:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
     conformal dphi is on the horizontal part."""
+    return memoized(jet.spec._memo, ("conformality", jet.x.tobytes()),
+                    lambda: _conformality(jet))
+
+
+def _conformality(jet: PointJet) -> ConformalityData:
     spec, d, g, sv, vt, rank = (jet.spec, jet.differential, jet.metric,
                                 jet.singular_values, jet.vt, jet.rank)
     n = d.shape[0]
     if rank == 0:
-        vertical = orthonormalize(list(vt), g)
-        return ConformalityData(KIND_CRITICAL, 0.0, 0.0, vertical.vectors, ())
+        return ConformalityData(KIND_CRITICAL, 0.0, 0.0, orthonormalize(list(vt), g), ())
     smax = float(sv[0])
-    v_vectors = orthonormalize(list(vt[rank:]), g).vectors if rank < len(vt) else ()
+    v_vectors = orthonormalize(list(vt[rank:]), g) if rank < len(vt) else ()
     # Horizontal = g-orthogonal complement of the kernel: project each row-space
     # vector off the kernel first and the earlier horizontal vectors second.
     horiz: list[Array] = []
@@ -189,13 +185,12 @@ def sff_tensor(jet: PointJet) -> Array:
     dim = spec.source.dim
     fx = spec(x)
     spec.target.require_interior(fx, cfg)
-    gamma_m = christoffel(spec.source, x, cfg).symbols
-    gamma_n = christoffel(spec.target, fx, cfg).symbols
+    gamma_m = christoffel(spec.source, x, cfg)
+    gamma_n = christoffel(spec.target, fx, cfg)
     out = np.zeros((dim, dim, spec.target.dim))
     for i in range(dim):
         for j in range(i, dim):
-            d2 = numdiff.second_partial(spec, x, i, j, cfg,
-                                        domain=spec.source.domain_predicate())
+            d2 = numdiff.second_partial(spec, x, i, j, cfg, domain=spec.source.contains)
             val = (d2 - np.einsum("k,gk->g", gamma_m[:, i, j], d)
                    + np.einsum("gab,a,b->g", gamma_n, d[:, i], d[:, j]))
             out[i, j] = val
@@ -281,7 +276,7 @@ def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
 
     def frame_at(at: PointJet) -> Array:
         p = _vertical_projector(at)
-        return orthonormalize([p[:, i] for i in axes], at.metric, required=k).matrix
+        return np.column_stack(orthonormalize([p[:, i] for i in axes], at.metric, required=k))
 
     return frame_at
 
@@ -293,7 +288,7 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     cfg = spec.cfg
     dim = spec.source.dim
     frame_at = vertical_frame_field(jet)
-    gamma = christoffel(spec.source, x, cfg).symbols
+    gamma = christoffel(spec.source, x, cfg)
     frame = frame_at(jet)
     # dframe[i, :, a] is the i-th partial derivative of the a-th frame vector.
     dframe = np.stack([numdiff.partial(lambda p: frame_at(point_jet(spec, p)), x, i, cfg)
@@ -306,11 +301,11 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     return total - p_v @ total
 
 
-def homothety_residual(jets: Sequence[PointJet], confs: Sequence[ConformalityData]) -> float:
-    """max over the samples of |dphi(grad lambda^2)| in the target metric;
-    ``confs`` holds the conformality data at the jets' points."""
+def homothety_residual(jets: Sequence[PointJet]) -> float:
+    """max over the samples of |dphi(grad lambda^2)| in the target metric."""
     worst = 0.0
-    for jet, conf in zip(jets, confs):
+    for jet in jets:
+        conf = conformality(jet)
         if not conf.regular:
             raise CriticalPoint(f"homothety residual needs regular samples, got {conf.kind}")
         spec = jet.spec
@@ -327,10 +322,11 @@ def homothety_residual(jets: Sequence[PointJet], confs: Sequence[ConformalityDat
     return worst
 
 
-def superminimality_residual(conf: ConformalityData, structure: StructureJet) -> float:
+def superminimality_residual(jet: PointJet, structure: StructureJet) -> float:
     """max over vertical frame vectors V and unit coordinate axes Y of
-    |(nabla_V J) Y|, from the map's conformality data and the source
-    structure's jet at one point."""
+    |(nabla_V J) Y|, from the map's jet and the source structure's jet at one
+    point."""
+    conf = conformality(jet)
     if not conf.regular:
         raise CriticalPoint(f"superminimality needs a regular point, got {conf.kind}")
     g, axes = structure.metric, unit_axes(structure.metric)
@@ -338,12 +334,16 @@ def superminimality_residual(conf: ConformalityData, structure: StructureJet) ->
                        for v in conf.vertical_basis for y in axes)])
 
 
-def _lift_matrix(jet: PointJet, conf: ConformalityData) -> Array:
+def _lift_matrix(jet: PointJet) -> Array:
     """Horizontal-lift operator L with dphi L = id and image H, at the jet's point."""
-    if not conf.regular:
-        raise CriticalPoint(f"horizontal lift needs a regular point, got {conf.kind}")
-    a = np.column_stack(conf.horizontal_basis)
-    return a @ np.linalg.inv(jet.differential @ a)
+    def compute() -> Array:
+        conf = conformality(jet)
+        if not conf.regular:
+            raise CriticalPoint(f"horizontal lift needs a regular point, got {conf.kind}")
+        a = np.column_stack(conf.horizontal_basis)
+        return a @ np.linalg.inv(jet.differential @ a)
+
+    return memoized(jet.spec._memo, ("lift", jet.x.tobytes()), compute)
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -363,9 +363,8 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
 
     def j_at(x: Array) -> Array:
         jet = point_jet(spec, x)
-        conf = conformality(jet)
-        lift = _lift_matrix(jet, conf)
-        v_basis, g = conf.vertical_basis, jet.metric
+        lift = _lift_matrix(jet)
+        v_basis, g = conformality(jet).vertical_basis, jet.metric
         if len(v_basis) != 2:
             raise FibreDimension(f"lift needs 2-dimensional fibres, got {len(v_basis)}")
         v1, v2 = v_basis
@@ -385,36 +384,28 @@ def condition_ii_residual(samples: Sequence[tuple]) -> float:
     """max (0,1)-part norm of the vertical component of [Z, W] over pairs of
     horizontal (1,0) frame fields built by the horizontal-lift construction.
 
-    ``samples`` holds (map jet, conformality data, source structure jet) per point.
+    ``samples`` holds (map jet, source structure jet) per point.
     """
     worst = 0.0
-    for jet, conf, structure in samples:
+    for jet, structure in samples:
         spec, x, cfg = jet.spec, jet.x, jet.spec.cfg
         if spec.target_structure is None:
             raise MissingStructure("condition (ii) needs the target structure")
+        conf = conformality(jet)
         if not conf.regular:
             raise CriticalPoint(f"condition (ii) needs regular samples, got {conf.kind}")
-        frame_at, base = hermitian_frame_field(spec.target, spec.target_structure, spec(x), cfg)
+        base = hermitian_frame(spec.target, spec.target_structure, spec(x), cfg)
         m = base.m
         if m < 2:
             continue
-        # The four lifted fields share the lift at each stencil point; the
-        # sample's own comes from its jet.
-        cache = {x.tobytes(): (_lift_matrix(jet, conf), frame_at(spec(x)).complex_frame)}
-
-        def split_at(p: Array):
-            key = p.tobytes()
-            if key not in cache:
-                at = point_jet(spec, p)
-                cache[key] = (_lift_matrix(at, conformality(at)),
-                              frame_at(spec(p)).complex_frame)
-            return cache[key]
 
         def lifted(k: int, part: Callable[[Array], Array]) -> VectorField:
-            """The real or imaginary part of the horizontal lift of Z_k."""
+            """The real or imaginary part of the horizontal lift of the frame
+            field Z_k, smooth near phi(x) (the base frame's pivots)."""
             def at(p: Array) -> Array:
-                lift, zs = split_at(p)
-                return lift @ part(zs[k])
+                zs = hermitian_frame(spec.target, spec.target_structure, spec(p), cfg,
+                                     base.pivots).complex_frame
+                return _lift_matrix(point_jet(spec, p)) @ part(zs[k])
             return VectorField(spec.source, at)
 
         p_v = _vertical_projector(jet)

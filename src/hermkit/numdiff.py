@@ -6,12 +6,13 @@ error behaviour of the whole package is pinned down here: central differences
 are second order in ``step``, and the optional Richardson extrapolation removes
 the leading error term.  :func:`project_out` is the package's only
 Gram-Schmidt step; :func:`orthonormalize` and every frame construction in
-``hermitian`` and ``maps`` are built on it.
+``hermitian`` and ``maps`` are built on it.  :func:`memoized` is the
+package's only cache, and its docstring states the contract every memo keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,28 +54,46 @@ class DiffConfig:
         return self.tolerance_abs + self.tolerance_factor * self.step**2 * abs(scale)
 
 
-def read_only(a) -> Array:
-    """A float copy of ``a`` that cannot be written to: the form in which a
-    memo stores and hands out a value, so no caller can change it for the next."""
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+def memoized(memo: dict, key, compute: Callable):
+    """``memo[key]``, computed by ``compute()`` and stored on a miss.
+
+    The package's only cache: each ``MapSpec``, ``Chart`` and
+    ``AlmostComplexField`` owns one ``_memo`` dict, and every entry keeps
+    this contract:
+
+    * the key names the value and holds the exact bytes of the float64
+      point, as in ``("g", x.tobytes(), cfg)``;
+    * only successes are stored, so a call that raises raises again;
+    * every array in a stored value, also inside tuples and dataclasses, is
+      made read-only, so ``compute`` must return arrays nobody else holds
+      (a copy of what a user function returns);
+    * no stored value refers to the memo's owner, so the memo is freed by
+      reference counting with it; ``_memo`` is an ``init=False`` field, so
+      ``dataclasses.replace`` starts an empty one.
+    """
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _freeze(compute())
+    return value
 
 
-def _check_domain(domain, points) -> None:
-    """Check the whole stencil in one ``domain`` call; only when it fails, walk
-    the points to name the first one outside."""
-    if domain is None or domain(np.stack(points)):
-        return
-    for p in points:
-        if not domain(p):
-            raise EvaluationOutsideDomain(f"stencil point {p!r} outside domain")
+def _freeze(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple) or is_dataclass(value):
+        for part in (value if isinstance(value, tuple) else vars(value).values()):
+            _freeze(part)
+    return value
 
 
-def _central(f, x: Array, i: int, h: float):
-    e = np.zeros_like(x)
-    e[i] = h
-    return (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h)
+def _stencil(f, points, domain) -> list:
+    """``f`` at each stencil point, after one ``domain`` call on all of them;
+    only when that fails are the points walked to name the first one outside."""
+    if domain is not None and not domain(np.stack(points)):
+        for p in points:
+            if not domain(p):
+                raise EvaluationOutsideDomain(f"stencil point {p!r} outside domain")
+    return [np.asarray(f(p)) for p in points]
 
 
 def partial(f: Callable[[Array], Array | float], x, i: int, cfg: DiffConfig,
@@ -87,87 +106,37 @@ def partial(f: Callable[[Array], Array | float], x, i: int, cfg: DiffConfig,
     must hold for every row.
     """
     x = np.asarray(x, dtype=float)
-    h = cfg.step
-    offsets = [h, -h] + ([h / 2, -h / 2] if cfg.richardson else [])
-    stencil = []
-    for off in offsets:
-        e = np.zeros_like(x)
-        e[i] = off
-        stencil.append(x + e)
-    _check_domain(domain, stencil)
-    d_h = _central(f, x, i, h)
-    if not cfg.richardson:
-        return d_h
-    d_h2 = _central(f, x, i, h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _second_same(f, x: Array, i: int, h: float):
-    e = np.zeros_like(x)
-    e[i] = h
-    return (np.asarray(f(x + e)) - 2.0 * np.asarray(f(x)) + np.asarray(f(x - e))) / h**2
-
-
-def _second_mixed(f, x: Array, i: int, j: int, h: float):
-    ei = np.zeros_like(x)
-    ej = np.zeros_like(x)
-    ei[i] = h
-    ej[j] = h
-    return (np.asarray(f(x + ei + ej)) - np.asarray(f(x + ei - ej))
-            - np.asarray(f(x - ei + ej)) + np.asarray(f(x - ei - ej))) / (4.0 * h**2)
+    e = np.eye(len(x))[i]
+    steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
+    v = _stencil(f, [p for s in steps for p in (x + s * e, x - s * e)], domain)
+    d = [(v[2 * k] - v[2 * k + 1]) / (2.0 * s) for k, s in enumerate(steps)]
+    return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
 
 
 def second_partial(f: Callable[[Array], Array | float], x, i: int, j: int, cfg: DiffConfig,
                    domain: Callable[[Array], bool] | None = None):
     """Second partial derivative along axes ``i`` and ``j``; symmetric in (i, j).
 
-    Three-point stencil on the diagonal, the four corner points off it.  The
-    Richardson pair here is (2h, h) rather than (h, h/2): second-difference
-    roundoff grows like 1/h**2, so halving the step would amplify it 4x.
+    Three-point stencil on the diagonal, the four corner points off it;
+    ``domain`` is checked on exactly the points evaluated.  The Richardson
+    pair here is (2h, h) rather than (h, h/2): second-difference roundoff
+    grows like 1/h**2, so halving the step would amplify it 4x.
     """
     x = np.asarray(x, dtype=float)
     i, j = (i, j) if i <= j else (j, i)
-    h = cfg.step
-    steps = [2.0 * h, h] if cfg.richardson else [h]
-    probe = []
-    for s in steps:
-        ei = np.zeros_like(x)
-        ej = np.zeros_like(x)
-        ei[i] = s
-        ej[j] = s
-        probe += [x + ei + ej, x - ei - ej, x + ei - ej, x - ei + ej]
-    _check_domain(domain, probe)
+    ei, ej = np.eye(len(x))[[i, j]]
+    steps = [2.0 * cfg.step, cfg.step] if cfg.richardson else [cfg.step]
     if i == j:
-        vals = [_second_same(f, x, i, s) for s in steps]
+        v = _stencil(f, [p for s in steps for p in (x + s * ei, x, x - s * ei)], domain)
+        d = [(v[3 * k] - 2.0 * v[3 * k + 1] + v[3 * k + 2]) / s**2
+             for k, s in enumerate(steps)]
     else:
-        vals = [_second_mixed(f, x, i, j, s) for s in steps]
-    if not cfg.richardson:
-        return vals[0]
-    d_2h, d_h = vals
-    return (4.0 * d_h - d_2h) / 3.0
-
-
-@dataclass(frozen=True)
-class FrameBasis:
-    """A g-orthonormal list of coordinate vectors at one point.
-
-    ``dropped`` records the input indices discarded by pivoting.
-    """
-
-    vectors: tuple
-    metric_at_point: Array
-    dropped: tuple = ()
-
-    @property
-    def matrix(self) -> Array:
-        """Vectors as columns, shape (d, k)."""
-        return np.column_stack(self.vectors)
-
-    def gram_residual(self) -> float:
-        """Max deviation of v_i^T g v_j from the identity."""
-        u = self.matrix
-        gram = u.T @ self.metric_at_point @ u
-        return float(np.max(np.abs(gram - np.eye(u.shape[1]))))
+        v = _stencil(f, [p for s in steps for p in (x + s * ei + s * ej, x + s * ei - s * ej,
+                                                     x - s * ei + s * ej, x - s * ei - s * ej)],
+                     domain)
+        d = [(v[4 * k] - v[4 * k + 1] - v[4 * k + 2] + v[4 * k + 3]) / (4.0 * s**2)
+             for k, s in enumerate(steps)]
+    return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
 
 
 def _g_norm(v: Array, g: Array) -> float:
@@ -187,12 +156,13 @@ def project_out(v: Array, basis: Sequence[Array], g: Array) -> Array:
     return w
 
 
-def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = None) -> FrameBasis:
-    """Modified Gram-Schmidt in the g-inner product, in the given order.
+def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = None) -> tuple:
+    """Modified Gram-Schmidt in the g-inner product, in the given order: the
+    g-orthonormal vectors, as a tuple.
 
     Vectors whose residual after projection falls below the relative rank
-    tolerance are dropped and reported in ``FrameBasis.dropped``.  Raises
-    ``RankDeficient`` when fewer than ``required`` (default: all) survive.
+    tolerance are dropped.  Raises ``RankDeficient`` when fewer than
+    ``required`` (default: all) survive.
     """
     g = np.asarray(g, dtype=float)
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -201,20 +171,17 @@ def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = No
     if not vecs:
         if required > 0:
             raise RankDeficient("no input vectors")
-        return FrameBasis((), g)
+        return ()
     # Largest singular value of the g-weighted collection sets the rank scale.
     chol = np.linalg.cholesky(g)
     smax = np.linalg.norm(chol.T @ np.column_stack(vecs), ord=2)
     tol = smax * RANK_RTOL
     basis: list[Array] = []
-    dropped: list[int] = []
-    for idx, v in enumerate(vecs):
+    for v in vecs:
         w = project_out(v, basis, g)
         n = _g_norm(w, g)
-        if n <= tol:
-            dropped.append(idx)
-            continue
-        basis.append(w / n)
+        if n > tol:
+            basis.append(w / n)
     if len(basis) < required:
         raise RankDeficient(f"requested {required} independent vectors, got {len(basis)}")
-    return FrameBasis(tuple(basis), g, tuple(dropped))
+    return tuple(basis)

@@ -24,10 +24,9 @@ entry at the run's ``DiffConfig`` and calls the check on the map, or on the
 chart with the entry's structure ``J``.
 
 A map check builds the map's jet at each sample once, in :func:`_map_points`,
-and passes it to every operator; a structure check builds one structure jet
-per sample.  The map checks share one per-sample pass, :func:`_morphism_pass`,
-for the conformality data and the tension norm, which fibre minimality,
-homothety, superminimality and condition (ii) reuse.
+and passes it to every operator; the conformality data at a point come from
+the map's memo, so every operator that reads them shares one computation.  A
+structure check builds one structure jet per sample.
 """
 
 from __future__ import annotations
@@ -177,34 +176,32 @@ def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[list[PointJet], float]
     return jets, spec.cfg.tolerance(_map_scale(jets))
 
 
-def _morphism_pass(jets: Sequence[PointJet]) -> list[tuple]:
-    """(conformality data, |tau|_h) at each sample, in sample order."""
-    out = []
-    for jet in jets:
-        spec = jet.spec
-        h = spec.target.metric(spec(jet.x), spec.cfg)
-        out.append((maps.conformality(jet), g_norm(h, maps.tension(jet))))
-    return out
+def _critical_count(jets: Sequence[PointJet]) -> int:
+    return sum(maps.conformality(jet).kind == KIND_CRITICAL for jet in jets)
 
 
-def _conformality_max(samples: Sequence[tuple]) -> float:
+def _conformality_max(jets: Sequence[PointJet]) -> float:
     """Largest conformality residual over the non-critical samples."""
-    return max([0.0, *(c.conformality_residual for c, _ in samples
-                       if c.kind != KIND_CRITICAL)])
+    confs = map(maps.conformality, jets)
+    return max([0.0, *(c.conformality_residual for c in confs if c.kind != KIND_CRITICAL)])
 
 
-def _tension_max(samples: Sequence[tuple]) -> float:
-    return max([0.0, *(t for _, t in samples)])
+def _tension_norm(jet: PointJet) -> float:
+    spec = jet.spec
+    return g_norm(spec.target.metric(spec(jet.x), spec.cfg), maps.tension(jet))
 
 
-def _fibre_residual(jets: Sequence[PointJet],
-                    confs: Sequence[maps.ConformalityData]) -> tuple[float, int, int]:
+def _tension_max(jets: Sequence[PointJet]) -> float:
+    return max([0.0, *map(_tension_norm, jets)])
+
+
+def _fibre_residual(jets: Sequence[PointJet]) -> tuple[float, int, int]:
     """Max fibre mean-curvature norm over regular, non-near-critical samples,
-    with the number of samples used and excluded.  ``confs`` holds the
-    conformality data at the jets' points; too many exclusions raise."""
+    with the number of samples used and excluded; too many exclusions raise."""
     values = []
     excluded = 0
-    for jet, c in zip(jets, confs):
+    for jet in jets:
+        c = maps.conformality(jet)
         if c.kind == KIND_CRITICAL:
             continue
         if not c.regular:
@@ -243,24 +240,22 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     dilation value to the report.
     """
     jets, tol = _map_points(spec, plan)
-    samples = _morphism_pass(jets)
-    critical = sum(c.kind == KIND_CRITICAL for c, _ in samples)
     checks = [
-        check("horizontally-weakly-conformal", _conformality_max(samples), tol, len(jets)),
-        check("tension-vanishes", _tension_max(samples), tol, len(jets)),
+        check("horizontally-weakly-conformal", _conformality_max(jets), tol, len(jets)),
+        check("tension-vanishes", _tension_max(jets), tol, len(jets)),
     ]
     if include_holomorphy:
         holo = max(maps.holomorphy_residual(jet) for jet in jets)
         checks.insert(0, check("holomorphic", holo, tol, len(jets)))
     if expected_dilation is not None:
-        dev = max([0.0, *(abs(c.dilation - expected_dilation) for c, _ in samples
-                          if c.kind != KIND_CRITICAL)])
+        dev = max([0.0, *(abs(c.dilation - expected_dilation)
+                          for c in map(maps.conformality, jets) if c.kind != KIND_CRITICAL)])
         checks.append(check("dilation-deviation", dev, tol, len(jets),
                             expected=expected_dilation))
     if include_fibres:
-        fibre_res, used, excluded = _fibre_residual(jets, [c for c, _ in samples])
+        fibre_res, used, excluded = _fibre_residual(jets)
         checks.append(check("fibre-minimality", fibre_res, tol, used, excluded))
-    return _report(scenario_id, checks, plan, spec.cfg, critical_samples=critical,
+    return _report(scenario_id, checks, plan, spec.cfg, critical_samples=_critical_count(jets),
                    map=spec.name)
 
 
@@ -269,9 +264,8 @@ def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
     """The detector must *fail* this map: conformality or tension residual is
     genuinely large (rejection mode)."""
     jets, tol = _map_points(spec, plan)
-    samples = _morphism_pass(jets)
-    conf_res = _conformality_max(samples)
-    tension_res = _tension_max(samples)
+    conf_res = _conformality_max(jets)
+    tension_res = _tension_max(jets)
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
               len(jets), mode="gt", conformality=conf_res, tension=tension_res),
@@ -292,14 +286,13 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         meta["routed"] = "surface-case"
         return VerificationReport(report.scenario_id, report.checks, meta)
     jets, tol = _map_points(spec, plan)
-    samples = _morphism_pass(jets)
-    confs = [c for c, _ in samples]
-    for c in confs:
+    for c in map(maps.conformality, jets):
         if not c.regular:
             raise CriticalPoint(f"two-of-three needs regular samples, got {c.kind}")
-    hm_res = max([0.0, *(r for c, t in samples for r in (c.conformality_residual, t))])
-    fibre_res, used, excluded = _fibre_residual(jets, confs)
-    hom_res = maps.homothety_residual(jets, confs)
+    hm_res = max([0.0, *(r for jet in jets for r in (
+        maps.conformality(jet).conformality_residual, _tension_norm(jet)))])
+    fibre_res, used, excluded = _fibre_residual(jets)
+    hom_res = maps.homothety_residual(jets)
     checks = [
         implication_check("morphism+minimal-imply-homothetic",
                           max(hm_res, fibre_res), hom_res, tol, len(jets)),
@@ -322,13 +315,11 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
         raise WrongDimension("surface case needs a target of real dimension 2")
     jets, tol = _map_points(spec, plan)
     holo = _require_holomorphic(spec, jets, tol)
-    samples = _morphism_pass(jets)
+    tension_res = _tension_max(jets)
     lee_res = max([0.0, *(g_norm(spec.target.metric(spec(jet.x), spec.cfg),
                                  maps.lee_pushforward(jet)) for jet in jets)])
-    tension_res = _tension_max(samples)
-    critical = sum(c.kind == KIND_CRITICAL for c, _ in samples)
-    fibre_res, used, excluded = _fibre_residual(jets, [c for c, _ in samples])
-    hm_res = max(_conformality_max(samples), tension_res)
+    fibre_res, used, excluded = _fibre_residual(jets)
+    hm_res = max(_conformality_max(jets), tension_res)
     checks = [
         check("holomorphic", holo, tol, len(jets)),
         biconditional_check("lee-pushforward-iff-tension", lee_res, tension_res,
@@ -337,7 +328,7 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
                             tol, used, excluded),
     ]
     return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
-                   critical_samples=critical,
+                   critical_samples=_critical_count(jets),
                    residuals={"lee_pushforward": lee_res, "tension": tension_res,
                               "fibre_minimality": fibre_res})
 
@@ -357,8 +348,7 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     cfg = spec.cfg
     jets, tol = _map_points(spec, plan)
     _require_holomorphic(spec, jets, tol)
-    samples = _morphism_pass(jets)
-    conf_res = _conformality_max(samples)
+    conf_res = _conformality_max(jets)
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
@@ -368,7 +358,7 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
                                        complex_form=False,
                                        points=[spec(jet.x) for jet in jets])
     target_cos = target_report.residual_cosympl
-    hm_res = max(conf_res, _tension_max(samples))
+    hm_res = max(conf_res, _tension_max(jets))
     checks = [
         biconditional_check("target-cosymplectic-iff-harmonic-morphism",
                             target_cos, hm_res, tol, len(jets)),
@@ -433,8 +423,8 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
         if c.near_critical or not c.regular:
             continue
         lj = structure_jet(spec.source, lifted, jet.x, cfg)
-        included.append((jet, c, lj))
-        supermin = max(supermin, maps.superminimality_residual(c, lj))
+        included.append((jet, lj))
+        supermin = max(supermin, maps.superminimality_residual(jet, lj))
         nij = max(nij, _nijenhuis_residual(lj))
     used = len(included)
     excluded = len(jets) - used
@@ -576,9 +566,8 @@ def check_radial_fibres(spec: MapSpec, plan: SamplePlan, scenario_id: str,
     """Straight radial fibres of the annulus projection are minimal, and the
     dilation is target_scale / r."""
     jets, tol = _map_points(spec, plan)
-    confs = [maps.conformality(jet) for jet in jets]
-    fibre_res, used, excluded = _fibre_residual(jets, confs)
-    dev = max(abs(c.dilation - target_scale / jet.x[0]) for c, jet in zip(confs, jets))
+    fibre_res, used, excluded = _fibre_residual(jets)
+    dev = max(abs(maps.conformality(jet).dilation - target_scale / jet.x[0]) for jet in jets)
     checks = [
         check("fibre-minimality", fibre_res, tol, used, excluded),
         check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(jets)),

@@ -23,3 +23,26 @@ def plan20():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def memo_builds(monkeypatch):
+    """``memo_builds(module, kind)`` records, per point, the distinct values of
+    ``kind`` that ``module`` computes into a memo: a dict from the point's
+    bytes to the ids of those values.  One entry per point means the value
+    was built there once, however often it was read."""
+    def record(module, kind):
+        built = {}
+        memoized = module.memoized
+
+        def recording(memo, key, compute):
+            def traced():
+                value = compute()
+                if key[0] == kind:
+                    built.setdefault(key[1], set()).add(id(value))
+                return value
+            return memoized(memo, key, traced)
+
+        monkeypatch.setattr(module, "memoized", recording)
+        return built
+    return record

@@ -6,7 +6,7 @@ from hermkit import catalog, hermitian
 from hermkit.errors import PreconditionFailed
 from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part, bilinear,
                                classify_structure, divergence_J, divergence_J_frame,
-                               g_norm, hermitian_frame, holomorphic_part, lee_vector,
+                               g_norm, hermitian_frame, lee_vector,
                                nabla_J, nijenhuis, nijenhuis_bracket_route,
                                structure_jet)
 from hermkit.manifold import Box, Chart, SamplePlan
@@ -35,8 +35,7 @@ def test_frame_flat_torus(torus, cfg):
     chart, j_field = torus
     frame = hermitian_frame(chart, j_field, np.array([0.5, 0.9]), cfg)
     assert frame.m == 1
-    npt.assert_allclose(frame.e_vectors[0], [1.0, 0.0])
-    npt.assert_allclose(frame.je_vectors[0], [0.0, 1.0])
+    npt.assert_allclose(frame.real_frame, [[1.0, 0.0], [0.0, 1.0]])  # e_1, J e_1
     assert len(frame.complex_frame) == 1
 
 
@@ -47,7 +46,8 @@ def test_frame_hermitian_property_on_product_sphere(ce10, cfg):
         frame = hermitian_frame(chart, j_field, x, cfg)
         g = chart.metric(x, cfg)
         assert frame.frame_residual(g) <= 1e-10
-        assert frame.real_frame.gram_residual() <= 1e-10
+        u = np.column_stack(frame.real_frame)
+        assert np.max(np.abs(u.T @ g @ u - np.eye(4))) <= 1e-10
 
 
 def test_nabla_j_constant_structure(torus, cfg):
@@ -105,7 +105,7 @@ def test_divergence_frame_independent(ce10, cfg, rng):
     g = chart.metric(x, cfg)
     frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
     jet = structure_jet(chart, j_field, x, cfg)
-    via_frame = divergence_J_frame(jet, frame.vectors)
+    via_frame = divergence_J_frame(jet, frame)
     via_trace = divergence_J(jet)
     npt.assert_allclose(via_frame, via_trace, atol=10.0 * cfg.tolerance(1.0))
 
@@ -173,13 +173,14 @@ def test_nijenhuis_two_routes_agree(ce10, cfg, rng):
 
 
 def test_type_projectors(ce10, cfg, rng):
-    """X = X^{1,0} + X^{0,1} and J X^{1,0} = i X^{1,0}."""
+    """X = X^{1,0} + X^{0,1} and J X^{1,0} = i X^{1,0}; for a real X the
+    (1,0)-part is the conjugate of the (0,1)-part."""
     chart, j_field = ce10
     x = np.array([0.5, 0.7, 0.9, 1.1])
     j = j_field(x)
     v = rng.normal(size=4)
-    hol = holomorphic_part(j, v)
     anti = antiholomorphic_part(j, v)
+    hol = np.conj(anti)
     npt.assert_allclose(hol + anti, v, atol=1e-12)
     npt.assert_allclose(j @ hol, 1j * hol, atol=1e-12)
     npt.assert_allclose(j @ anti, -1j * anti, atol=1e-12)
@@ -223,23 +224,16 @@ def test_classify_deterministic(torus, cfg, plan):
     assert a == b
 
 
-def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
+def test_classify_builds_one_hermitian_frame_per_sample(memo_builds, cfg):
     """The real-form residuals and the complex-form frame field share the
     sample's frame; stencil points get their own pivoted frames."""
-    seen = []
-    build = hermitian.hermitian_frame
-
-    def recording(chart, j_field, x, cfg, pivots=None):
-        seen.append(np.array(x, dtype=float))
-        return build(chart, j_field, x, cfg, pivots)
-
-    monkeypatch.setattr(hermitian, "hermitian_frame", recording)
+    built = memo_builds(hermitian, "frame")
     entry = catalog.complex_projective(2)
     chart, j_field = entry.charts["cp"], entry.structures["J"]
     plan = SamplePlan(count=2)
     classify_structure(chart, j_field, plan, cfg)
     for x in plan.points(chart, cfg):
-        assert sum(np.array_equal(p, x) for p in seen) == 1
+        assert len(built[x.tobytes()]) == 1
 
 
 def test_classify_rejects_incompatible_structure(cfg):

@@ -7,9 +7,8 @@ import pytest
 from hermkit import catalog
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
 from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
-                              christoffel, constant_field, coordinate_field,
-                              covariant_derivative, embedded_pullbacks, gradient,
-                              lie_bracket)
+                              christoffel, constant_field, covariant_derivative,
+                              gradient, lie_bracket)
 from hermkit.numdiff import DiffConfig
 
 
@@ -53,7 +52,7 @@ def test_metric_rejects_asymmetry():
 
 
 def test_christoffel_flat_is_zero(cfg):
-    gamma = christoffel(flat2(), np.array([0.3, 0.4]), cfg).symbols
+    gamma = christoffel(flat2(), np.array([0.3, 0.4]), cfg)
     npt.assert_allclose(gamma, 0.0, atol=1e-12)
 
 
@@ -61,7 +60,7 @@ def test_christoffel_round_sphere_closed_form(cfg):
     """Round-sphere chart: Gamma^th_{ph ph} = -sin th cos th and
     Gamma^ph_{th ph} = cot th."""
     x = np.array([1.0, 0.8])
-    gamma = christoffel(sphere2(), x, cfg).symbols
+    gamma = christoffel(sphere2(), x, cfg)
     npt.assert_allclose(gamma[0, 1, 1], -math.sin(1.0) * math.cos(1.0), atol=1e-9)
     npt.assert_allclose(gamma[1, 0, 1], 1.0 / math.tan(1.0), atol=1e-9)
     npt.assert_allclose(gamma[0, 0, 0], 0.0, atol=1e-9)
@@ -70,12 +69,12 @@ def test_christoffel_round_sphere_closed_form(cfg):
 def test_christoffel_fubini_study_origin(cfg):
     """The projective-space metric is Euclidean to second order at w = 0."""
     chart = catalog.fs_chart(1)
-    gamma = christoffel(chart, np.zeros(2), cfg).symbols
+    gamma = christoffel(chart, np.zeros(2), cfg)
     npt.assert_allclose(gamma, 0.0, atol=1e-9)
 
 
 def test_christoffel_lower_symmetry_exact(cfg):
-    gamma = christoffel(sphere2(), np.array([0.9, 0.7]), cfg).symbols
+    gamma = christoffel(sphere2(), np.array([0.9, 0.7]), cfg)
     npt.assert_allclose(gamma, np.swapaxes(gamma, 1, 2), rtol=0, atol=0)
 
 
@@ -94,7 +93,7 @@ def test_covariant_derivative_flat_constants(cfg):
 
 def test_covariant_derivative_meridians_are_geodesics(cfg):
     chart = sphere2()
-    theta = coordinate_field(chart, 0)
+    theta = constant_field(chart, [1.0, 0.0])
     val = covariant_derivative(theta, theta, np.array([1.0, 0.8]), cfg)
     npt.assert_allclose(val, 0.0, atol=1e-9)
 
@@ -120,7 +119,7 @@ def test_metric_compatibility_probe(entry_id, chart_key, cfg, plan):
 
 def test_lie_bracket_coordinate_fields_commute(cfg):
     chart = flat2()
-    val = lie_bracket(coordinate_field(chart, 0), coordinate_field(chart, 1),
+    val = lie_bracket(constant_field(chart, [1.0, 0.0]), constant_field(chart, [0.0, 1.0]),
                       np.array([0.1, -0.4]), cfg)
     npt.assert_allclose(val, 0.0, atol=1e-12)
 
@@ -178,25 +177,35 @@ def test_gradient_constant(cfg):
     npt.assert_allclose(val, 0.0, atol=1e-12)
 
 
+def embedded_chart(emb, dim):
+    return Chart(dim=dim, box=Box((-2.0,) * dim, (2.0,) * dim), embedding=emb)
+
+
 def test_embedded_pullbacks_identity(cfg):
+    """The metric pulled back by the identity embedding, and the projection
+    (Dpsi^T Dpsi)^{-1} Dpsi^T built from it, are the identity."""
     emb = Embedding(2, lambda x: np.array(x, dtype=float))
-    g, proj = embedded_pullbacks(emb, np.array([0.3, 0.4]), cfg)
+    x = np.array([0.3, 0.4])
+    g = embedded_chart(emb, 2).metric(x, cfg)
     npt.assert_allclose(g, np.eye(2), atol=1e-10)
-    npt.assert_allclose(proj, np.eye(2), atol=1e-10)
+    npt.assert_allclose(np.linalg.solve(g, emb.dpsi(x, cfg).T), np.eye(2), atol=1e-10)
 
 
 def test_embedded_pullbacks_unit_circle(cfg):
     emb = Embedding(2, lambda t: np.array([math.cos(t[0]), math.sin(t[0])]))
-    g, _ = embedded_pullbacks(emb, np.array([0.7]), cfg)
+    g = embedded_chart(emb, 1).metric(np.array([0.7]), cfg)
     npt.assert_allclose(g, [[1.0]], atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_projection_left_inverse_of_embedding(n, cfg):
+    """The projection built from the chart's pulled-back metric is a left
+    inverse of Dpsi, so tangent ambient vectors map back to chart components."""
     emb = catalog.sphere_embedding(n)
     x = np.linspace(0.4, 1.1, n)
-    _, proj = embedded_pullbacks(emb, x, cfg)
-    npt.assert_allclose(proj @ emb.dpsi(x, cfg), np.eye(n), atol=1e-9)
+    d = emb.dpsi(x, cfg)
+    proj = np.linalg.solve(embedded_chart(emb, n).metric(x, cfg), d.T)
+    npt.assert_allclose(proj @ d, np.eye(n), atol=1e-9)
 
 
 def test_sample_plan_reproducible():

@@ -72,11 +72,6 @@ def jet_of(spec, x):
     return point_jet(spec, np.asarray(x, dtype=float))
 
 
-def confs_of(spec, points):
-    jets = [jet_of(spec, x) for x in points]
-    return jets, [conformality(jet) for jet in jets]
-
-
 def test_holomorphy_identity(torus_entry):
     assert holomorphy_residual(jet_of(torus_entry.maps["identity"], [0.8, 0.9])) <= 1e-12
 
@@ -235,7 +230,7 @@ def test_tension_frame_independent(hopf, rng):
     g = hopf.source.metric(CE_POINT, hopf.cfg)
     frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
     jet = jet_of(hopf, CE_POINT)
-    via_frame = tension_in_frame(jet, frame.vectors)
+    via_frame = tension_in_frame(jet, frame)
     direct = tension(jet)
     npt.assert_allclose(via_frame, direct, atol=1e-5)
 
@@ -267,16 +262,16 @@ def test_annulus_fibres_straight_and_dilation_scales(cfg):
 
 
 def test_homothety_hopf_and_punctured(hopf, punctured1):
-    assert homothety_residual(*confs_of(hopf, [CE_POINT])) <= 1e-6
+    assert homothety_residual([jet_of(hopf, CE_POINT)]) <= 1e-6
     # grad(lambda^2) is proportional to the position vector, which is vertical
     z = np.array([1.4, 0.2, -0.3, 0.5])
-    assert homothety_residual(*confs_of(punctured1, [z])) <= 1e-5
+    assert homothety_residual([jet_of(punctured1, z)]) <= 1e-5
 
 
 def test_homothety_mobius_composite_nonzero():
     entry = catalog.mobius_postcompose(catalog.hopf_map(1), (1.0, 0.3, 0.1, 1.0))
     spec = entry.maps["hopf"]
-    assert homothety_residual(*confs_of(spec, [CE_POINT])) > 1e-3
+    assert homothety_residual([jet_of(spec, CE_POINT)]) > 1e-3
 
 
 def test_superminimality_constant_structure():
@@ -284,7 +279,7 @@ def test_superminimality_constant_structure():
     spec = entry.maps["projection"]
     x = np.array([0.8, 0.9, 1.0, 1.1])
     structure = structure_jet(spec.source, entry.structures["J"], x, spec.cfg)
-    assert superminimality_residual(conformality(jet_of(spec, x)), structure) <= 1e-10
+    assert superminimality_residual(jet_of(spec, x), structure) <= 1e-10
 
 
 def test_lift_plus_reproduces_standard_structure(punctured1):
@@ -342,7 +337,7 @@ def condition_ii_at(spec, orientation, x):
     lifted = lift_structure(spec, orientation)
     jet = jet_of(spec, x)
     structure = structure_jet(spec.source, lifted, x, spec.cfg)
-    return condition_ii_residual([(jet, conformality(jet), structure)])
+    return condition_ii_residual([(jet, structure)])
 
 
 def test_condition_ii_product_projection():

@@ -2,20 +2,23 @@
 
 Each ``MapSpec``, ``Chart`` and ``AlmostComplexField`` evaluates each distinct
 point once, hands out read-only arrays, stores nothing for a call that raises,
-and frees its memo with itself.
+and frees its memo with itself; ``numdiff.memoized`` is the only cache.
 """
 
+import ast
 import dataclasses
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hermkit import catalog, scenarios
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
+from hermkit.hermitian import hermitian_frame
 from hermkit.manifold import Box, Chart, SamplePlan, christoffel
-from hermkit.maps import MapSpec, point_jet
+from hermkit.maps import MapSpec, _lift_matrix, conformality, point_jet
 from hermkit.numdiff import DiffConfig
 
 CFG = DiffConfig()
@@ -85,9 +88,13 @@ def test_memoized_arrays_are_read_only():
     spec = entry.maps["hopf"]
     jet = point_jet(spec, CE_POINT)
     structure = spec.source_structure
+    frame = hermitian_frame(spec.source, structure, CE_POINT, CFG)
+    conf = conformality(jet)
     arrays = [spec(CE_POINT), spec.source.metric(CE_POINT, CFG), structure(CE_POINT),
-              christoffel(spec.source, CE_POINT, CFG).symbols,
-              jet.x, jet.differential, jet.metric, jet.singular_values, jet.vt]
+              christoffel(spec.source, CE_POINT, CFG),
+              jet.x, jet.differential, jet.metric, jet.singular_values, jet.vt,
+              *frame.real_frame, *frame.complex_frame,
+              *conf.vertical_basis, *conf.horizontal_basis, _lift_matrix(jet)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0.0
@@ -143,3 +150,32 @@ def test_entry_freed_by_refcount(sid, no_cyclic_gc):
                                           *entry.structures.values())]
     del entry, report
     assert [ref for ref in refs if ref() is not None] == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hermkit"
+
+
+def unkeyed_tobytes(source: str) -> list[int]:
+    """Lines of ``.tobytes()`` calls that are not inside the key, the second
+    argument, of a ``memoized(...)`` call: the mark of a side cache."""
+    tree = ast.parse(source)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    keys = {id(n) for call in calls if getattr(call.func, "id", None) == "memoized"
+            and len(call.args) > 1 for n in ast.walk(call.args[1])}
+    return [call.lineno for call in calls
+            if getattr(call.func, "attr", None) == "tobytes" and id(call) not in keys]
+
+
+def test_detector_flags_a_side_cache():
+    source = ("cache = {}\n"
+              "def f(x):\n"
+              "    return memoized(memo, ('g', x.tobytes()), lambda: x)\n"
+              "def g(x):\n"
+              "    return cache.setdefault(x.tobytes(), x)\n")
+    assert unkeyed_tobytes(source) == [5]
+
+
+def test_every_point_key_is_a_memo_key():
+    """Only ``numdiff.memoized`` caches by point in the package."""
+    found = {p.name: unkeyed_tobytes(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -252,18 +252,24 @@ def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3-surface-case", "product-hopf-1-1-two-of-three"])
-def test_christoffel_built_once_per_sample(sid, monkeypatch):
+def test_christoffel_built_once_per_sample(sid, memo_builds):
     """The source chart builds its Christoffel symbols at a sample once, however
     many operators read them there."""
-    built = []
-    symbols = manifold.Christoffel
-
-    def recording(point, gamma):
-        built.append(np.array(point, dtype=float))
-        return symbols(point, gamma)
-
-    monkeypatch.setattr(manifold, "Christoffel", recording)
+    built = memo_builds(manifold, "gamma")
     plan = SamplePlan(count=2)
     assert run_scenario(sid, plan, CFG).overall
     for x in sample_points(sid, plan):
-        assert times_at(built, x) == 1
+        assert len(built[x.tobytes()]) == 1
+
+
+def test_condition_ii_builds_one_target_frame_per_sample(memo_builds):
+    """Condition (ii) builds the target's Hermitian frame at phi(x) once: its
+    frame field near phi(x) reuses the base frame there."""
+    built = memo_builds(hermitian, "frame")
+    sid = "punctured-hopf-2-integrability-plus"
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    plan = SamplePlan(count=2)
+    assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
+    for x in sample_points(sid, plan):
+        assert len(built[spec(x).tobytes()]) == 1
