@@ -39,6 +39,15 @@ def to_real(w: Array) -> Array:
     return out
 
 
+def _i_times(v: Array) -> Array:
+    """Multiplication by i in real coordinates, along the first axis:
+    ``to_real(1j * to_complex(v))`` without the complex round trip."""
+    out = np.empty_like(v)
+    out[0::2] = -v[1::2]
+    out[1::2] = v[0::2]
+    return out
+
+
 def multiplication_by_i(m: int) -> Array:
     """The standard complex structure on R^{2m}: z -> iz in real coordinates."""
     j = np.zeros((2 * m, 2 * m))
@@ -69,20 +78,17 @@ def sphere_jacobian(theta: Array) -> Array:
     """Analytic differential of :func:`sphere_psi`, shape (n+1, n)."""
     theta = np.asarray(theta, dtype=float)
     n = len(theta)
-    s = np.sin(theta)
-    c = np.cos(theta)
-    jac = np.zeros((n + 1, n))
+    s = np.sin(theta).tolist()
+    c = np.cos(theta).tolist()
+    jac = [[0.0] * n for _ in range(n + 1)]
     for i in range(n):
-        for k in range(i, n):
-            p = 1.0
-            for j in range(k):
-                p *= c[j] if j == i else s[j]
-            jac[k, i] = -p * s[k] if i == k else p * c[k]
-        p = 1.0
-        for j in range(n):
-            p *= c[j] if j == i else s[j]
-        jac[n, i] = p
-    return jac
+        p = 1.0  # product over j < k of c[j] (j == i) or s[j], kept across rows k
+        for k in range(n):
+            if k >= i:
+                jac[k][i] = -p * s[k] if i == k else p * c[k]
+            p *= c[k] if k == i else s[k]
+        jac[n][i] = p
+    return np.array(jac)
 
 
 def sphere_embedding(n: int) -> Embedding:
@@ -193,17 +199,17 @@ def constant_structure(chart: Chart, j: Array) -> AlmostComplexField:
 # ---------------------------------------------------------------------------
 
 def _ambient_j_product(r: int, s: int, p: Array, w: Array) -> Array:
-    """The standard structure on S^{2r+1} x S^{2s+1}: horizontal parts rotate by
-    i, the two unit normals' rotations trade places with a sign."""
+    """The standard structure on S^{2r+1} x S^{2s+1} applied to each column of
+    ``w``: horizontal parts rotate by i, the two unit normals' rotations trade
+    places with a sign."""
     a1 = 2 * r + 2
-    p1, p2 = p[:a1], p[a1:]
+    p1, p2 = p[:a1, None], p[a1:, None]
     w1, w2 = w[:a1], w[a1:]
-    ip1 = to_real(1j * to_complex(p1))
-    ip2 = to_real(1j * to_complex(p2))
-    a = float(w1 @ ip1)
-    b = float(w2 @ ip2)
-    out1 = to_real(1j * to_complex(w1)) + a * p1 - b * ip1
-    out2 = to_real(1j * to_complex(w2)) + b * p2 + a * ip2
+    ip1, ip2 = _i_times(p1), _i_times(p2)
+    a = np.vecdot(w1, ip1, axis=0)
+    b = np.vecdot(w2, ip2, axis=0)
+    out1 = _i_times(w1) + a * p1 - b * ip1
+    out2 = _i_times(w2) + b * p2 + a * ip2
     return np.concatenate([out1, out2])
 
 
@@ -214,9 +220,7 @@ def odd_sphere_product_structure(chart: Chart, r: int, s: int,
         dpsi = chart.embedding.dpsi(x, cfg)
         g = dpsi.T @ dpsi
         p = chart.embedding.psi(x)
-        cols = np.column_stack([_ambient_j_product(r, s, p, dpsi[:, k])
-                                for k in range(chart.dim)])
-        return np.linalg.solve(g, dpsi.T @ cols)
+        return np.linalg.solve(g, dpsi.T @ _ambient_j_product(r, s, p, dpsi))
 
     return AlmostComplexField(chart, j_at, source="ambient")
 
@@ -229,8 +233,8 @@ def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
     g = dpsi.T @ dpsi
     p = chart.embedding.psi(x)
     a1 = 2 * r + 2
-    ip1 = to_real(1j * to_complex(p[:a1]))
-    ip2 = to_real(1j * to_complex(p[a1:]))
+    ip1 = _i_times(p[:a1])
+    ip2 = _i_times(p[a1:])
     ambient = -2.0 * np.concatenate([r * ip1, s * ip2])
     return np.linalg.solve(g, dpsi.T @ ambient)
 
@@ -270,8 +274,8 @@ def _fibre_orientation_from_ambient(chart: Chart, r: int,
         dpsi = chart.embedding.dpsi(x, cfg)
         g = dpsi.T @ dpsi
         p = chart.embedding.psi(x)
-        ip1 = np.concatenate([to_real(1j * to_complex(p[:a1])), np.zeros(len(p) - a1)])
-        ip2 = np.concatenate([np.zeros(a1), to_real(1j * to_complex(p[a1:]))])
+        ip1 = np.concatenate([_i_times(p[:a1]), np.zeros(len(p) - a1)])
+        ip2 = np.concatenate([np.zeros(a1), _i_times(p[a1:])])
         a = np.linalg.solve(g, dpsi.T @ ip1)
         b = np.linalg.solve(g, dpsi.T @ ip2)
         ga, gb = g @ a, g @ b

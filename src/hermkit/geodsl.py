@@ -358,6 +358,8 @@ class GeoConfig:
     structure: list | None
     maps: dict            # name -> (target_dim, [Expr])
     warnings: list = field(default_factory=list)
+    #: Set by ``parse``: why J is not g-compatible at a probe point, or None.
+    incompatibility: str | None = None
 
     def metric_fn(self) -> Callable:
         def fn(x):
@@ -561,10 +563,14 @@ def _validate(config: GeoConfig) -> None:
         if config.dim % 2 != 0:
             raise ConfigError("J needs an even-dimensional chart")
         for p, g in zip(probes, metrics):
-            resid, _ = _invariant_residuals(g, structure(p))
+            resid, compat = _invariant_residuals(g, structure(p))
             if resid > J_SQUARE_TOL:
                 raise ConfigError(
                     f"J^2 + I has residual {resid:.3g} at probe {p.tolist()}")
+            if (config.incompatibility is None
+                    and compat > J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))):
+                config.incompatibility = (f"J is not g-compatible: g(J., J.) - g has "
+                                          f"residual {compat:.3g} at probe {p.tolist()}")
     for name, (target_dim, exprs) in config.maps.items():
         for p in probes:
             for e in exprs:
@@ -574,8 +580,8 @@ def _validate(config: GeoConfig) -> None:
 def to_chart(config: GeoConfig, name: str = "user"):
     """Build (Chart, AlmostComplexField | None) from a parsed config.
 
-    A structure must be g-compatible, g(J., J.) = g, at the probe points;
-    otherwise ``ConfigError`` is raised.
+    A structure must be g-compatible, g(J., J.) = g, at the probe points
+    (checked by ``parse``); otherwise ``ConfigError`` is raised.
     """
     box = Box(tuple(a for a, _ in config.domain), tuple(b for _, b in config.domain))
     metric_fn = config.metric_fn()
@@ -583,12 +589,8 @@ def to_chart(config: GeoConfig, name: str = "user"):
     structure_fn = config.structure_fn()
     structure = None
     if structure_fn is not None:
-        for p in config.probe_points():
-            g = metric_fn(p)
-            _, resid = _invariant_residuals(g, structure_fn(p))
-            if resid > J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g)))):
-                raise ConfigError(f"J is not g-compatible: g(J., J.) - g has residual "
-                                  f"{resid:.3g} at probe {p.tolist()}")
+        if config.incompatibility is not None:
+            raise ConfigError(config.incompatibility)
         structure = AlmostComplexField(chart, structure_fn, source="intrinsic")
     return chart, structure
 

@@ -12,6 +12,10 @@ Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
 Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 :func:`structure_jet` builds it once per (structure, point) and callers pass it
 down, so no operator that reads it evaluates or differentiates J again.
+The complex form of :func:`classify_structure` reads the same jet and
+differentiates the Hermitian frame fields once per sample: one stencil per axis
+for the real and imaginary parts of all Z_l together, from which every
+nabla_{conj Z_k} Z_l is contracted.
 
 Each :class:`AlmostComplexField` memoizes J(x) and its Hermitian frames per
 point (see ``numdiff.memoized`` for the contract); g(x) and the Christoffel
@@ -28,7 +32,7 @@ import numpy as np
 from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
 from .manifold import (Chart, SamplePlan, VectorField, christoffel, constant_field,
-                       covariant_derivative, lie_bracket)
+                       lie_bracket)
 from .numdiff import Array, DiffConfig, memoized, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
@@ -73,11 +77,6 @@ def _invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
             float(np.max(np.abs(j.T @ g @ j - g))))
 
 
-def bilinear(g: Array, z: Array, w: Array) -> complex:
-    """Complex-bilinear extension of g (no conjugation)."""
-    return complex(z @ g @ w)
-
-
 def unit_axes(g: Array) -> list[Array]:
     """The coordinate axes scaled to unit length in g."""
     return [np.eye(len(g))[i] / np.sqrt(g[i, i]) for i in range(len(g))]
@@ -109,16 +108,6 @@ class HermitianFrame:
     @property
     def m(self) -> int:
         return len(self.complex_frame)
-
-    def frame_residual(self, g: Array) -> float:
-        """Max deviation of <Z_k, conj(Z_l)> = delta_kl and <Z_k, Z_l> = 0."""
-        worst = 0.0
-        for k, zk in enumerate(self.complex_frame):
-            for l, zl in enumerate(self.complex_frame):
-                herm = bilinear(g, zk, np.conj(zl)) - (1.0 if k == l else 0.0)
-                iso = bilinear(g, zk, zl)
-                worst = max(worst, abs(herm), abs(iso))
-        return worst
 
 
 def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
@@ -289,16 +278,6 @@ def nijenhuis_bracket_route(chart: Chart, j_field: AlmostComplexField, x, x_vec,
     return term1 - term2 - term3 - term4
 
 
-def _cov_complex(direction: Array, re_field: VectorField, im_field: VectorField, x,
-                 cfg: DiffConfig) -> Array:
-    """Complex-bilinear covariant derivative of the field re + i im along a
-    complex direction at x."""
-    a, b = (constant_field(re_field.chart, part(direction)) for part in (np.real, np.imag))
-    cov = lambda v, w: covariant_derivative(v, w, x, cfg)
-    out = cov(a, re_field) + 1j * cov(a, im_field)
-    return out + 1j * (cov(b, re_field) + 1j * cov(b, im_field))
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """Residuals and verdicts of the pointwise structure classification.
@@ -384,21 +363,34 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
                 n_ab = nijenhuis(jet, u[:, a], u[:, b])
                 r_nij = max(r_nij, g_norm(g, n_ab))
         if complex_form:
-            def z_part(l: int, part) -> VectorField:
-                """A part of the frame field Z_l, smooth near x (x's pivots)."""
-                return VectorField(chart, lambda p: part(hermitian_frame(
-                    chart, j_field, p, cfg, frame.pivots).complex_frame[l]))
+            def z_parts(p: Array) -> Array:
+                """[Re Z, Im Z] of the frame field at p, smooth near x (x's pivots),
+                as [part, l, k]."""
+                z = np.array(hermitian_frame(chart, j_field, p, cfg, frame.pivots).complex_frame)
+                return np.stack([np.real(z), np.imag(z)])
 
-            m = frame.m
+            # dz[part, l, i, k] = d_i of that part of Z_l^k: one stencil per axis for
+            # all frame fields; each (part, l) slice is C-contiguous, like the stack
+            # manifold.covariant_derivative contracts, so the sums match it bit for bit
+            dz = np.ascontiguousarray(np.moveaxis(np.stack(
+                [numdiff.partial(z_parts, x, i, cfg) for i in range(chart.dim)]), 0, 2))
+            z_at = [(np.real(z), np.imag(z)) for z in frame.complex_frame]
+
+            def cov(v: Array, l: int, part: int) -> Array:
+                """nabla_v of one part of Z_l, as in manifold.covariant_derivative."""
+                return (np.einsum("i,ik->k", v, dz[part, l])
+                        + np.einsum("kij,i,j->k", gamma, v, z_at[l][part]))
+
             cosym_sum = np.zeros(chart.dim, dtype=complex)
-            for k in range(m):
-                zk = frame.complex_frame[k]
-                for l in range(m):
-                    cov = _cov_complex(np.conj(zk), z_part(l, np.real), z_part(l, np.imag),
-                                       x, cfg)
+            for k, zk in enumerate(frame.complex_frame):
+                d_re, d_im = np.real(np.conj(zk)), np.imag(np.conj(zk))
+                for l in range(frame.m):
+                    # nabla_{conj Z_k} Z_l, complex-bilinear in both arguments
+                    nab_kl = cov(d_re, l, 0) + 1j * cov(d_re, l, 1)
+                    nab_kl = nab_kl + 1j * (cov(d_im, l, 0) + 1j * cov(d_im, l, 1))
                     if l == k:
-                        cosym_sum = cosym_sum + cov
-                    r_12_c = max(r_12_c, g_norm(g, antiholomorphic_part(j, cov)))
+                        cosym_sum = cosym_sum + nab_kl
+                    r_12_c = max(r_12_c, g_norm(g, antiholomorphic_part(j, nab_kl)))
             r_cos_c = max(r_cos_c, g_norm(g, antiholomorphic_part(j, cosym_sum)))
     tol = cfg.tolerance(scale)
     verdicts = {

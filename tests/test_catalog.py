@@ -18,6 +18,58 @@ def test_sphere_jacobian_matches_finite_differences(n, cfg, rng):
         npt.assert_allclose(analytic, numeric, atol=1e-9)
 
 
+def sphere_jacobian_rowwise(theta):
+    """The differential of ``sphere_psi``, each entry's product formed afresh."""
+    n = len(theta)
+    s, c = np.sin(theta), np.cos(theta)
+    jac = np.zeros((n + 1, n))
+    for i in range(n):
+        for k in range(i, n):
+            p = 1.0
+            for j in range(k):
+                p *= c[j] if j == i else s[j]
+            jac[k, i] = -p * s[k] if i == k else p * c[k]
+        p = 1.0
+        for j in range(n):
+            p *= c[j] if j == i else s[j]
+        jac[n, i] = p
+    return jac
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sphere_jacobian_running_products_are_exact(n, rng):
+    for _ in range(3):
+        theta = rng.uniform(0.35, 1.15, size=n)
+        assert np.array_equal(catalog.sphere_jacobian(theta), sphere_jacobian_rowwise(theta))
+
+
+def ambient_j_column(r, s, p, w):
+    """The standard structure on S^{2r+1} x S^{2s+1} applied to one vector w,
+    through complex coordinates."""
+    a1 = 2 * r + 2
+    p1, p2 = p[:a1], p[a1:]
+    w1, w2 = w[:a1], w[a1:]
+    ip1 = catalog.to_real(1j * catalog.to_complex(p1))
+    ip2 = catalog.to_real(1j * catalog.to_complex(p2))
+    a = float(w1 @ ip1)
+    b = float(w2 @ ip2)
+    out1 = catalog.to_real(1j * catalog.to_complex(w1)) + a * p1 - b * ip1
+    out2 = catalog.to_real(1j * catalog.to_complex(w2)) + b * p2 + a * ip2
+    return np.concatenate([out1, out2])
+
+
+@pytest.mark.parametrize("r, s", [(1, 0), (0, 1), (1, 1), (2, 1)])
+def test_ambient_j_on_a_column_block_matches_each_column(r, s, cfg):
+    chart = catalog.calabi_eckmann(r, s, cfg).charts["ce"]
+    for x in SamplePlan(seed=2, count=3).points(chart, cfg):
+        dpsi = chart.embedding.dpsi(x, cfg)
+        p = chart.embedding.psi(x)
+        block = catalog._ambient_j_product(r, s, p, dpsi)
+        columns = np.column_stack([ambient_j_column(r, s, p, dpsi[:, k])
+                                   for k in range(chart.dim)])
+        assert np.array_equal(block, columns)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sphere_points_on_unit_sphere(n, rng):
     for _ in range(3):
@@ -30,6 +82,7 @@ def test_real_complex_round_trip(rng):
     npt.assert_allclose(catalog.to_real(catalog.to_complex(v)), v)
     j = catalog.multiplication_by_i(3)
     npt.assert_allclose(j @ v, catalog.to_real(1j * catalog.to_complex(v)))
+    npt.assert_array_equal(catalog._i_times(v), catalog.to_real(1j * catalog.to_complex(v)))
     npt.assert_allclose(j @ j, -np.eye(6))
 
 

@@ -4,13 +4,63 @@ import pytest
 
 from hermkit import catalog, hermitian
 from hermkit.errors import PreconditionFailed
-from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part, bilinear,
+from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
                                classify_structure, divergence_J, divergence_J_frame,
                                g_norm, hermitian_frame, lee_vector,
                                nabla_J, nijenhuis, nijenhuis_bracket_route,
                                structure_jet)
-from hermkit.manifold import Box, Chart, SamplePlan
+from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, constant_field,
+                              covariant_derivative)
 from hermkit.numdiff import orthonormalize
+
+
+def bilinear(g, z, w) -> complex:
+    """Complex-bilinear extension of g (no conjugation)."""
+    return complex(z @ g @ w)
+
+
+def frame_residual(frame, g) -> float:
+    """Max deviation of <Z_k, conj(Z_l)> = delta_kl and <Z_k, Z_l> = 0."""
+    worst = 0.0
+    for k, zk in enumerate(frame.complex_frame):
+        for l, zl in enumerate(frame.complex_frame):
+            herm = bilinear(g, zk, np.conj(zl)) - (1.0 if k == l else 0.0)
+            iso = bilinear(g, zk, zl)
+            worst = max(worst, abs(herm), abs(iso))
+    return worst
+
+
+def cov_complex(direction, re_field, im_field, x, cfg):
+    """Complex-bilinear covariant derivative of the field re + i im along a
+    complex direction at x, from four real covariant derivatives."""
+    a, b = (constant_field(re_field.chart, part(direction)) for part in (np.real, np.imag))
+    cov = lambda v, w: covariant_derivative(v, w, x, cfg)
+    out = cov(a, re_field) + 1j * cov(a, im_field)
+    return out + 1j * (cov(b, re_field) + 1j * cov(b, im_field))
+
+
+def complex_form_residuals(chart, j_field, points, cfg) -> tuple:
+    """The (1,2)-symplectic and cosymplectic Hermitian-frame residuals, with
+    every frame field a separate real and imaginary vector field and each
+    nabla_{conj Z_k} Z_l built by :func:`cov_complex`."""
+    r_12_c = r_cos_c = 0.0
+    for x in points:
+        frame = hermitian_frame(chart, j_field, x, cfg)
+        g, j = chart.metric(x, cfg), j_field(x)
+
+        def z_part(l, part):
+            return VectorField(chart, lambda p: part(hermitian_frame(
+                chart, j_field, p, cfg, frame.pivots).complex_frame[l]))
+
+        cosym_sum = np.zeros(chart.dim, dtype=complex)
+        for k, zk in enumerate(frame.complex_frame):
+            for l in range(frame.m):
+                cov = cov_complex(np.conj(zk), z_part(l, np.real), z_part(l, np.imag), x, cfg)
+                if l == k:
+                    cosym_sum = cosym_sum + cov
+                r_12_c = max(r_12_c, g_norm(g, antiholomorphic_part(j, cov)))
+        r_cos_c = max(r_cos_c, g_norm(g, antiholomorphic_part(j, cosym_sum)))
+    return r_12_c, r_cos_c
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +95,7 @@ def test_frame_hermitian_property_on_product_sphere(ce10, cfg):
     for x in SamplePlan(seed=5, count=10).points(chart, cfg):
         frame = hermitian_frame(chart, j_field, x, cfg)
         g = chart.metric(x, cfg)
-        assert frame.frame_residual(g) <= 1e-10
+        assert frame_residual(frame, g) <= 1e-10
         u = np.column_stack(frame.real_frame)
         assert np.max(np.abs(u.T @ g @ u - np.eye(4))) <= 1e-10
 
@@ -234,6 +284,34 @@ def test_classify_builds_one_hermitian_frame_per_sample(memo_builds, cfg):
     classify_structure(chart, j_field, plan, cfg)
     for x in plan.points(chart, cfg):
         assert len(built[x.tobytes()]) == 1
+
+
+@pytest.mark.parametrize("entry_id", ["ce-1-1", "cp-2"])
+def test_classify_complex_form_matches_per_pair_route(entry_id, cfg):
+    """One stencil per axis for all frame fields gives bit for bit the
+    residuals of four covariant derivatives per (k, l) pair."""
+    entry = catalog.get_entry(entry_id, cfg)
+    (chart,), j_field = entry.charts.values(), entry.structures["J"]
+    plan = SamplePlan(seed=3, count=3)
+    report = classify_structure(chart, j_field, plan, cfg)
+    fresh = catalog.get_entry(entry_id, cfg)  # an empty memo: the oracle computes afresh
+    (chart,), j_field = fresh.charts.values(), fresh.structures["J"]
+    oracle = complex_form_residuals(chart, j_field, plan.points(chart, cfg), cfg)
+    assert (report.residual_12sympl_complex, report.residual_cosympl_complex) == oracle
+    assert oracle[0] > 0.0
+
+
+def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
+    """The sample's frame, then one pivoted frame per stencil point of the
+    frame-field derivative: at most 1 + 4 dim lookups per sample."""
+    calls = []
+    lookup = hermitian.hermitian_frame
+    monkeypatch.setattr(hermitian, "hermitian_frame",
+                        lambda *args, **kwargs: calls.append(1) or lookup(*args, **kwargs))
+    entry = catalog.calabi_eckmann(1, 1)
+    plan = SamplePlan(count=2)
+    classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
+    assert len(calls) <= plan.count * (1 + 4 * entry.charts["ce"].dim)
 
 
 def test_classify_rejects_incompatible_structure(cfg):
