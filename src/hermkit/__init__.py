@@ -16,7 +16,7 @@ from .maps import (ConformalityData, MapSpec, PointJet, condition_ii_residual,
                    conformality, differential, fibre_mean_curvature,
                    holomorphy_residual, homothety_residual, lee_pushforward,
                    lift_structure, point_jet, superminimality_residual, tension)
-from .numdiff import DiffConfig, orthonormalize, partial, second_partial
+from .numdiff import DiffConfig, by_row, orthonormalize, partial, second_partial
 from .scenarios import (CheckResult, VerificationReport, run_scenario,
                         scenario_description, scenario_ids)
 
@@ -32,7 +32,7 @@ __all__ = [
     "StructureJet", "StructureReport", "TargetDimensionTooSmall", "TooManyExcludedSamples",
     "UnknownScenario", "UnknownSymbol",
     "VectorField", "VerificationReport", "WrongDimension",
-    "christoffel", "classify_structure", "condition_ii_residual", "conformality",
+    "by_row", "christoffel", "classify_structure", "condition_ii_residual", "conformality",
     "covariant_derivative", "differential", "divergence_J",
     "fibre_mean_curvature", "gradient", "hermitian_frame", "holomorphy_residual",
     "homothety_residual", "lee_pushforward", "lee_vector", "lie_bracket",

@@ -25,17 +25,17 @@ DEFAULT_CFG = DiffConfig()
 
 
 def to_complex(v: Array) -> Array:
-    """Real coordinates (x0, y0, x1, y1, ...) as a complex vector."""
+    """Real coordinates (x0, y0, x1, y1, ...) along the last axis as complex ones."""
     v = np.asarray(v, dtype=float)
-    return v[0::2] + 1j * v[1::2]
+    return v[..., 0::2] + 1j * v[..., 1::2]
 
 
 def to_real(w: Array) -> Array:
     """Inverse of :func:`to_complex`."""
     w = np.asarray(w, dtype=complex)
-    out = np.empty(2 * len(w))
-    out[0::2] = np.real(w)
-    out[1::2] = np.imag(w)
+    out = np.empty((*w.shape[:-1], 2 * w.shape[-1]))
+    out[..., 0::2] = np.real(w)
+    out[..., 1::2] = np.imag(w)
     return out
 
 
@@ -62,16 +62,11 @@ def multiplication_by_i(m: int) -> Array:
 # ---------------------------------------------------------------------------
 
 def sphere_psi(theta: Array) -> Array:
-    """Angular parametrization of the unit sphere S^n, theta in R^n."""
+    """Angular parametrization of the unit sphere S^n, theta in R^n (the last axis)."""
     theta = np.asarray(theta, dtype=float)
-    n = len(theta)
-    s = np.sin(theta)
     c = np.cos(theta)
-    prefix = np.concatenate([[1.0], np.cumprod(s)])
-    x = np.empty(n + 1)
-    x[:n] = prefix[:n] * c
-    x[n] = prefix[n]
-    return x
+    prefix = np.cumprod(np.sin(theta), axis=-1)
+    return np.concatenate([c[..., :1], prefix[..., :-1] * c[..., 1:], prefix[..., -1:]], axis=-1)
 
 
 def sphere_jacobian(theta: Array) -> Array:
@@ -99,15 +94,12 @@ def product_embedding(e1: Embedding, d1: int, e2: Embedding) -> Embedding:
     """Block embedding of a product chart; the metric comes out block diagonal."""
 
     def psi(x: Array) -> Array:
-        return np.concatenate([e1.psi(x[:d1]), e2.psi(x[d1:])])
+        return np.concatenate([e1.psi(x[..., :d1]), e2.psi(x[..., d1:])], axis=-1)
 
     def jac(x: Array) -> Array:
-        j1 = e1.dpsi(x[:d1], DEFAULT_CFG)
-        j2 = e2.dpsi(x[d1:], DEFAULT_CFG)
-        out = np.zeros((j1.shape[0] + j2.shape[0], j1.shape[1] + j2.shape[1]))
-        out[: j1.shape[0], : j1.shape[1]] = j1
-        out[j1.shape[0]:, j1.shape[1]:] = j2
-        return out
+        j1, j2 = e1.dpsi(x[:d1], DEFAULT_CFG), e2.dpsi(x[d1:], DEFAULT_CFG)
+        return np.block([[j1, np.zeros((len(j1), j2.shape[1]))],
+                         [np.zeros((len(j2), j1.shape[1])), j2]])
 
     return Embedding(e1.ambient_dim + e2.ambient_dim, psi, jac)
 
@@ -216,9 +208,7 @@ def _ambient_j_product(r: int, s: int, p: Array, w: Array) -> Array:
 def odd_sphere_product_structure(chart: Chart, r: int, s: int,
                                  cfg: DiffConfig = DEFAULT_CFG) -> AlmostComplexField:
     def j_at(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        dpsi = chart.embedding.dpsi(x, cfg)
-        g = dpsi.T @ dpsi
+        dpsi, g = chart.dpsi(x, cfg), chart.metric(x, cfg)
         p = chart.embedding.psi(x)
         return np.linalg.solve(g, dpsi.T @ _ambient_j_product(r, s, p, dpsi))
 
@@ -228,14 +218,10 @@ def odd_sphere_product_structure(chart: Chart, r: int, s: int,
 def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
                                   cfg: DiffConfig = DEFAULT_CFG) -> Array:
     """Chart components of the closed-form divergence -2(r J1 n1 + s J2 n2)."""
-    x = np.asarray(x, dtype=float)
-    dpsi = chart.embedding.dpsi(x, cfg)
-    g = dpsi.T @ dpsi
+    dpsi, g = chart.dpsi(x, cfg), chart.metric(x, cfg)
     p = chart.embedding.psi(x)
     a1 = 2 * r + 2
-    ip1 = _i_times(p[:a1])
-    ip2 = _i_times(p[a1:])
-    ambient = -2.0 * np.concatenate([r * ip1, s * ip2])
+    ambient = -2.0 * np.concatenate([r * _i_times(p[:a1]), s * _i_times(p[a1:])])
     return np.linalg.solve(g, dpsi.T @ ambient)
 
 
@@ -244,22 +230,22 @@ def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
 # ---------------------------------------------------------------------------
 
 def _affine_coords(z_real: Array) -> Array:
-    """Affine chart coordinates z_k / z_0 of a point of C^{k+1} - {0}."""
+    """Affine chart coordinates z_k / z_0 of each row of a stack in C^{k+1} - {0}."""
     z = to_complex(z_real)
-    return to_real(z[1:] / z[0])
+    return to_real(z[:, 1:] / z[:, :1])
 
 
 def _product_hopf_fn(chart: Chart, r: int, s: int) -> Callable[[Array], Array]:
     a1 = 2 * r + 2
 
     def fn(x: Array) -> Array:
-        p = chart.embedding.psi(np.asarray(x, dtype=float))
+        p = chart.embedding.psi(x)
         parts = []
         if r > 0:
-            parts.append(_affine_coords(p[:a1]))
+            parts.append(_affine_coords(p[:, :a1]))
         if s > 0:
-            parts.append(_affine_coords(p[a1:]))
-        return np.concatenate(parts)
+            parts.append(_affine_coords(p[:, a1:]))
+        return np.concatenate(parts, axis=1)
 
     return fn
 
@@ -270,9 +256,7 @@ def _fibre_orientation_from_ambient(chart: Chart, r: int,
     a1 = 2 * r + 2
 
     def omega(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        dpsi = chart.embedding.dpsi(x, cfg)
-        g = dpsi.T @ dpsi
+        dpsi, g = chart.dpsi(x, cfg), chart.metric(x, cfg)
         p = chart.embedding.psi(x)
         ip1 = np.concatenate([_i_times(p[:a1]), np.zeros(len(p) - a1)])
         ip2 = np.concatenate([np.zeros(a1), _i_times(p[a1:])])
@@ -317,14 +301,19 @@ def flat_torus(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     j_t = constant_structure(torus, multiplication_by_i(1))
     j_p = constant_structure(plane, multiplication_by_i(1))
 
+    # np.float_power squares by libm pow, as ``**`` on a float64 scalar does; ``**`` on
+    # an array multiplies, which can differ in the last bit (times 1/step**2 in D^2).
     def square(x):
-        return np.array([x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1]])
+        u, v = x[:, 0], x[:, 1]
+        return np.stack([np.float_power(u, 2) - np.float_power(v, 2), 2.0 * u * v], axis=1)
 
     def conjugation(x):
-        return np.array([x[0], -x[1]])
+        return np.stack([x[:, 0], -x[:, 1]], axis=1)
 
     def nonconformal(x):
-        return np.array([x[0] ** 2 + 0.5 * x[1], x[0] - 0.3 * x[1] ** 2])
+        u, v = x[:, 0], x[:, 1]
+        return np.stack([np.float_power(u, 2) + 0.5 * v, u - 0.3 * np.float_power(v, 2)],
+                        axis=1)
 
     maps = {
         "identity": MapSpec(torus, torus, lambda x: np.array(x, dtype=float), cfg,
@@ -353,7 +342,7 @@ def flat_t4(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     j2 = constant_structure(torus, multiplication_by_i(1))
     omega = np.zeros((4, 4))
     omega[2, 3], omega[3, 2] = 1.0, -1.0
-    projection = MapSpec(t4, torus, lambda x: np.array(x[:2], dtype=float), cfg,
+    projection = MapSpec(t4, torus, lambda x: x[:, :2], cfg,
                          source_structure=j4, target_structure=j2,
                          fibre_orientation=lambda x: omega, name="projection")
     return CatalogEntry(
@@ -469,9 +458,8 @@ def punctured_hopf(n: int, perturbed: bool = False,
         b = j0 @ a
         return np.outer(a, b) - np.outer(b, a)
 
-    spec = MapSpec(source, target, lambda x: _affine_coords(np.asarray(x, dtype=float)),
-                   cfg, source_structure=j_std, target_structure=j_tgt,
-                   fibre_orientation=omega, name=f"punctured-hopf-{n}")
+    spec = MapSpec(source, target, _affine_coords, cfg, source_structure=j_std,
+                   target_structure=j_tgt, fibre_orientation=omega, name=f"punctured-hopf-{n}")
     suffix = "-perturbed" if perturbed else ""
     return CatalogEntry(
         id=f"punctured-hopf-{n}{suffix}",
@@ -496,10 +484,9 @@ def hopf_surface_coords(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     j_tgt = plane.structures["J"]
 
     def fn(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
         p = source.embedding.psi(x)
-        scale = np.exp(-x[3])
-        return np.array([scale * p[0], scale * p[1]])
+        scale = np.exp(-x[:, 3])
+        return np.stack([scale * p[:, 0], scale * p[:, 1]], axis=1)
 
     spec = MapSpec(source, target, fn, cfg, source_structure=j_src,
                    target_structure=j_tgt, name="hopf-surface-coords")
@@ -519,8 +506,8 @@ def annulus_radial(target_scale: float = 1.0, cfg: DiffConfig = DEFAULT_CFG) -> 
     the non-constant 1/r."""
 
     def psi(x: Array) -> Array:
-        rr, th = x
-        return np.array([rr * np.cos(th), rr * np.sin(th)])
+        rr, th = x[..., 0], x[..., 1]
+        return np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1)
 
     def jac(x: Array) -> Array:
         rr, th = x
@@ -531,7 +518,7 @@ def annulus_radial(target_scale: float = 1.0, cfg: DiffConfig = DEFAULT_CFG) -> 
                    embedding=Embedding(2, psi, jac), name="annulus")
     g = np.array([[target_scale**2]])
     circle = Chart(dim=1, box=Box((0.0,), (1.2,)), metric_fn=lambda x: g, name="circle")
-    spec = MapSpec(source, circle, lambda x: np.array([x[1]]), cfg, name="radial")
+    spec = MapSpec(source, circle, lambda x: x[:, 1:], cfg, name="radial")
     suffix = "" if target_scale == 1.0 else "-rescaled"
     return CatalogEntry(
         id=f"annulus-radial{suffix}",
@@ -547,11 +534,11 @@ def hopf_fibre_inclusion(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     base_angles = np.array([0.7, 0.8, 0.9])
     z0 = sphere_psi(base_angles)
 
-    def curve(t: float) -> Array:
-        return to_real(np.exp(1j * t) * to_complex(z0))
+    def curve(t: Array) -> Array:
+        return to_real(np.exp(1j * t)[..., None] * to_complex(z0))
 
     def psi(x: Array) -> Array:
-        return curve(float(x[0]))
+        return curve(np.asarray(x, dtype=float)[..., 0])
 
     def jac(x: Array) -> Array:
         return to_real(1j * np.exp(1j * float(x[0])) * to_complex(z0)).reshape(-1, 1)
@@ -560,11 +547,11 @@ def hopf_fibre_inclusion(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
                    embedding=Embedding(4, psi, jac), name="fibre")
 
     def angles(x: Array) -> Array:
-        p = curve(float(x[0]))
-        th1 = np.arccos(np.clip(p[0], -1.0, 1.0))
-        th2 = np.arccos(np.clip(p[1] / np.sin(th1), -1.0, 1.0))
-        th3 = np.arctan2(p[3], p[2])
-        return np.array([th1, th2, th3])
+        p = curve(x[:, 0])
+        th1 = np.arccos(np.clip(p[:, 0], -1.0, 1.0))
+        th2 = np.arccos(np.clip(p[:, 1] / np.sin(th1), -1.0, 1.0))
+        th3 = np.arctan2(p[:, 3], p[:, 2])
+        return np.stack([th1, th2, th3], axis=1)
 
     spec = MapSpec(source, target, angles, cfg, name="fibre-inclusion")
     return CatalogEntry(
@@ -588,11 +575,13 @@ def mobius_postcompose(entry: CatalogEntry, params: tuple, map_name: str = "hopf
                                    "1-complex-dimensional target")
 
     def fn(x: Array) -> Array:
-        w = to_complex(base(x))[0]
+        w = to_complex(base(x))[:, 0]
         denom = c * w + d
-        if abs(denom) < 1e-12:
-            raise DegenerateParameters(f"pole of the fractional-linear map hit at {x!r}")
-        return to_real(np.array([(a * w + b) / denom]))
+        poles = np.flatnonzero(np.abs(denom) < 1e-12)
+        if poles.size:
+            raise DegenerateParameters(
+                f"pole of the fractional-linear map hit at {x[poles[0]]!r}")
+        return to_real(((a * w + b) / denom)[:, None])
 
     spec = MapSpec(base.source, base.target, fn, base.cfg,
                    source_structure=base.source_structure,

@@ -380,8 +380,8 @@ class GeoConfig:
     def map_fn(self, name: str) -> tuple[int, Callable]:
         target_dim, exprs = self.maps[name]
 
-        def fn(x):
-            return np.array([evaluate(e, x) for e in exprs])
+        def fn(stack):
+            return np.array([[evaluate(e, p) for e in exprs] for p in stack])
         return target_dim, fn
 
     def probe_points(self, count: int = 5) -> list[np.ndarray]:
@@ -571,10 +571,8 @@ def _validate(config: GeoConfig) -> None:
                     and compat > J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))):
                 config.incompatibility = (f"J is not g-compatible: g(J., J.) - g has "
                                           f"residual {compat:.3g} at probe {p.tolist()}")
-    for name, (target_dim, exprs) in config.maps.items():
-        for p in probes:
-            for e in exprs:
-                evaluate(e, p)
+    for name in config.maps:
+        config.map_fn(name)[1](probes)
 
 
 def to_chart(config: GeoConfig, name: str = "user"):

@@ -13,8 +13,8 @@ Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 :func:`structure_jet` builds it once per (structure, point) and callers pass it
 down, so no operator that reads it evaluates or differentiates J again.
 The complex form of :func:`classify_structure` reads the same jet and
-differentiates the Hermitian frame fields once per sample: one stencil per axis
-for the real and imaginary parts of all Z_l together, from which every
+differentiates the Hermitian frame fields once per sample: one stencil for the
+real and imaginary parts of all Z_l together, from which every
 nabla_{conj Z_k} Z_l is contracted.
 
 Each :class:`AlmostComplexField` memoizes J(x) and its Hermitian frames per
@@ -172,9 +172,7 @@ def _hermitian_frame(chart: Chart, j_field: AlmostComplexField, x: Array, cfg: D
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
     """Plain coordinate derivatives d_i J, stacked as [i, k, j]."""
-    x = np.asarray(x, dtype=float)
-    return np.stack([numdiff.partial(j_field, x, i, cfg, domain=chart.contains)
-                     for i in range(chart.dim)])
+    return numdiff.partial(numdiff.by_row(j_field), x, cfg, domain=chart.contains)
 
 
 def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
@@ -369,11 +367,11 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
                 z = np.array(hermitian_frame(chart, j_field, p, cfg, frame.pivots).complex_frame)
                 return np.stack([np.real(z), np.imag(z)])
 
-            # dz[part, l, i, k] = d_i of that part of Z_l^k: one stencil per axis for
-            # all frame fields; each (part, l) slice is C-contiguous, like the stack
+            # dz[part, l, i, k] = d_i of that part of Z_l^k: one stencil for all
+            # frame fields; each (part, l) slice is C-contiguous, like the stack
             # manifold.covariant_derivative contracts, so the sums match it bit for bit
-            dz = np.ascontiguousarray(np.moveaxis(np.stack(
-                [numdiff.partial(z_parts, x, i, cfg) for i in range(chart.dim)]), 0, 2))
+            dz = np.ascontiguousarray(np.moveaxis(
+                numdiff.partial(numdiff.by_row(z_parts), x, cfg), 0, 2))
             z_at = [(np.real(z), np.imag(z)) for z in frame.complex_frame]
 
             def cov(v: Array, l: int, part: int) -> Array:

@@ -5,8 +5,8 @@ supplied directly (intrinsic) or derived from an embedding ``psi`` into
 Euclidean space as ``Dpsi^T Dpsi``.  Everything is evaluated pointwise; there
 are no atlases or transition functions.
 
-Each chart memoizes g(x) and the Christoffel symbols per point and
-``DiffConfig`` (see ``numdiff.memoized`` for the contract).
+Each chart memoizes g(x), D(psi)(x) for an embedded chart and the Christoffel
+symbols per point and ``DiffConfig`` (see ``numdiff.memoized`` for the contract).
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class Box:
 class Embedding:
     """Parametrization of a chart inside Euclidean R^ambient_dim.
 
-    ``jacobian`` is the analytic differential when available; otherwise the
-    columns of D(psi) are produced by finite differences.
+    ``jacobian`` is the analytic differential when available; otherwise D(psi)
+    comes from one finite-difference stencil, with ``psi`` evaluated row by row.
     """
 
     ambient_dim: int
@@ -70,9 +70,7 @@ class Embedding:
     def dpsi(self, x: Array, cfg: DiffConfig) -> Array:
         if self.jacobian is not None:
             return np.asarray(self.jacobian(x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        cols = [numdiff.partial(self.psi, x, i, cfg) for i in range(len(x))]
-        return np.column_stack(cols)
+        return np.ascontiguousarray(numdiff.partial(numdiff.by_row(self.psi), x, cfg).T)
 
 
 @dataclass(frozen=True)
@@ -122,11 +120,17 @@ class Chart:
         if self.metric_fn is not None:
             g = np.asarray(self.metric_fn(x), dtype=float)
         else:
-            d = self.embedding.dpsi(x, cfg or DiffConfig())
+            d = self.dpsi(x, cfg)
             g = d.T @ d
         if np.max(np.abs(g - g.T)) > METRIC_SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
             raise SingularMetric(f"metric at {x!r} is not symmetric")
         return 0.5 * (g + g.T)
+
+    def dpsi(self, x, cfg: DiffConfig | None = None) -> Array:
+        """D(psi) at x for an embedded chart; the metric there is its Gram matrix."""
+        x = np.asarray(x, dtype=float)
+        return memoized(self._memo, ("dpsi", x.tobytes(), cfg),
+                        lambda: np.array(self.embedding.dpsi(x, cfg or DiffConfig())))
 
     def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
         g = self.metric(x, cfg)
@@ -165,11 +169,9 @@ def christoffel(chart: Chart, x, cfg: DiffConfig) -> Array:
 
 def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:
     chart.require_interior(x, cfg)
-    d = chart.dim
     g_inv = chart.metric_inverse(x, cfg)
-    metric = lambda p: chart.metric(p, cfg)
-    dg = np.stack([numdiff.partial(metric, x, i, cfg, domain=chart.contains)
-                   for i in range(d)])  # dg[i, j, l] = d_i g_{jl}
+    metric = numdiff.by_row(lambda p: chart.metric(p, cfg))
+    dg = numdiff.partial(metric, x, cfg, domain=chart.contains)  # dg[i, j, l] = d_i g_{jl}
     # combined[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     combined = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, combined)
@@ -185,7 +187,7 @@ def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: Dif
     gamma = christoffel(chart, x, cfg)
     xv = x_field(x)
     yv = y_field(x)
-    dy = np.stack([numdiff.partial(y_field, x, i, cfg) for i in range(chart.dim)])
+    dy = numdiff.partial(numdiff.by_row(y_field), x, cfg)
     return np.einsum("i,ik->k", xv, dy) + np.einsum("kij,i,j->k", gamma, xv, yv)
 
 
@@ -197,8 +199,8 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) 
     x = np.asarray(x, dtype=float)
     xv = x_field(x)
     yv = y_field(x)
-    dy = np.stack([numdiff.partial(y_field, x, i, cfg) for i in range(chart.dim)])
-    dx = np.stack([numdiff.partial(x_field, x, i, cfg) for i in range(chart.dim)])
+    dy = numdiff.partial(numdiff.by_row(y_field), x, cfg)
+    dx = numdiff.partial(numdiff.by_row(x_field), x, cfg)
     return np.einsum("i,ik->k", xv, dy) - np.einsum("i,ik->k", yv, dx)
 
 
@@ -206,8 +208,7 @@ def gradient(chart: Chart, f: Callable[[Array], float], x, cfg: DiffConfig) -> A
     """(grad f)^k = g^{kl} d_l f at x."""
     x = np.asarray(x, dtype=float)
     g_inv = chart.metric_inverse(x, cfg)
-    df = np.array([float(numdiff.partial(f, x, i, cfg)) for i in range(chart.dim)])
-    return g_inv @ df
+    return g_inv @ numdiff.partial(numdiff.by_row(f), x, cfg)
 
 
 def sample_points(chart: Chart, seed: int, count: int, margin: float) -> list[Array]:

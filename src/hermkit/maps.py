@@ -10,11 +10,14 @@ pass down.  Jets are also built at the stencil points of the vertical frame
 field, the dilation gradient and the lifted structure, so a jet holds only what
 those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.
 
-Each :class:`MapSpec` memoizes per point phi(x), the parts of its
-:func:`point_jet`, its :func:`conformality` data and its horizontal-lift
-matrix (see ``numdiff.memoized`` for the contract).  The jet's parts, not the
-jet, are stored, because a jet refers to its map and would tie the map and
-its memo into a reference cycle.
+A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
+(k, target dim) stack of their images; a single point is passed as one row, so
+:func:`differential` and :func:`sff_tensor` each evaluate the map once, on one
+stencil.  Each :class:`MapSpec` memoizes per point phi(x) (per row: a stack
+evaluates only its missing rows), the parts of its :func:`point_jet`, its
+:func:`conformality` data and its horizontal-lift matrix (see
+``numdiff.memoized`` for the contract).  The jet's parts, not the jet, are
+stored, because a jet refers to its map and would tie it into a reference cycle.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numdiff
-from .errors import CriticalPoint, FibreDimension, MissingStructure
+from .errors import CriticalPoint, FibreDimension, MissingStructure, WrongDimension
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
                         hermitian_frame, lee_vector, nabla_J, structure_jet, unit_axes)
-from .manifold import Chart, VectorField, christoffel, gradient, lie_bracket
+from .manifold import Chart, christoffel, gradient
 from .numdiff import Array, DiffConfig, memoized, orthonormalize, project_out
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
@@ -49,7 +52,8 @@ class MapSpec:
     The almost-complex structures are optional; holomorphy and tension-identity
     operations require them, metric-level operations do not.
     ``fibre_orientation`` supplies the antisymmetric 2-form (as a matrix field)
-    that orients 2-dimensional fibres for :func:`lift_structure`.
+    that orients 2-dimensional fibres for :func:`lift_structure`.  An ``fn``
+    that returns anything but (k, target dim) for k rows raises ``WrongDimension``.
     """
 
     source: Chart
@@ -63,17 +67,26 @@ class MapSpec:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
+        """phi at a point, or at each row of a (k, source dim) stack."""
         x = np.asarray(x, dtype=float)
-        return memoized(self._memo, ("phi", x.tobytes()),
-                        lambda: np.array(np.atleast_1d(self.fn(x)), dtype=float))
+        stack = np.atleast_2d(x)
+        values = memoized(self._memo, [("phi", p.tobytes()) for p in stack],
+                          lambda missing: self._evaluate(stack[missing]))
+        return np.stack(values) if x.ndim > 1 else values[0]
+
+    def _evaluate(self, stack: Array) -> Array:
+        value, expected = np.array(self.fn(stack), dtype=float), (len(stack), self.target.dim)
+        if value.shape != expected:
+            raise WrongDimension(f"map {self.name or '(unnamed)'}: fn returned {value.shape} "
+                                 f"for a stack of shape {stack.shape}, expected {expected}")
+        return value
 
 
 def differential(spec: MapSpec, x) -> Array:
     """The differential as a (target dim) x (source dim) array of partials."""
     x = spec.source.require_interior(x, spec.cfg)
-    cols = [numdiff.partial(spec, x, j, spec.cfg, domain=spec.source.contains)
-            for j in range(spec.source.dim)]
-    return np.column_stack(cols)
+    return np.ascontiguousarray(
+        numdiff.partial(spec, x, spec.cfg, domain=spec.source.contains).T)
 
 
 @dataclass(frozen=True)
@@ -180,21 +193,15 @@ def _conformality(jet: PointJet) -> ConformalityData:
 
 def sff_tensor(jet: PointJet) -> Array:
     """All components of nabla dphi at the jet's point, shape (d, d, n)."""
-    spec, x, d = jet.spec, jet.x, jet.differential
-    cfg = spec.cfg
-    dim = spec.source.dim
+    spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.spec.cfg
     fx = spec(x)
     spec.target.require_interior(fx, cfg)
     gamma_m = christoffel(spec.source, x, cfg)
     gamma_n = christoffel(spec.target, fx, cfg)
-    out = np.zeros((dim, dim, spec.target.dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            d2 = numdiff.second_partial(spec, x, i, j, cfg, domain=spec.source.contains)
-            val = (d2 - np.einsum("k,gk->g", gamma_m[:, i, j], d)
-                   + np.einsum("gab,a,b->g", gamma_n, d[:, i], d[:, j]))
-            out[i, j] = val
-            out[j, i] = val
+    out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
+           - np.einsum("kij,gk->ijg", gamma_m, d) + np.einsum("gab,ai,bj->ijg", gamma_n, d, d))
+    i, j = np.tril_indices(spec.source.dim, -1)
+    out[i, j] = out[j, i]  # the upper triangle mirrored: symmetric bit for bit
     return out
 
 
@@ -291,8 +298,7 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     gamma = christoffel(spec.source, x, cfg)
     frame = frame_at(jet)
     # dframe[i, :, a] is the i-th partial derivative of the a-th frame vector.
-    dframe = np.stack([numdiff.partial(lambda p: frame_at(point_jet(spec, p)), x, i, cfg)
-                       for i in range(dim)])
+    dframe = numdiff.partial(numdiff.by_row(lambda p: frame_at(point_jet(spec, p))), x, cfg)
     total = np.zeros(dim)
     for a in range(frame.shape[1]):
         v, dv = frame[:, a], dframe[:, :, a]
@@ -399,23 +405,32 @@ def condition_ii_residual(samples: Sequence[tuple]) -> float:
         if m < 2:
             continue
 
-        def lifted(k: int, part: Callable[[Array], Array]) -> VectorField:
-            """The real or imaginary part of the horizontal lift of the frame
-            field Z_k, smooth near phi(x) (the base frame's pivots)."""
-            def at(p: Array) -> Array:
-                zs = hermitian_frame(spec.target, spec.target_structure, spec(p), cfg,
-                                     base.pivots).complex_frame
-                return _lift_matrix(point_jet(spec, p)) @ part(zs[k])
-            return VectorField(spec.source, at)
+        def lifts(lift: Array, zs: tuple) -> Array:
+            """[Re, Im] of the horizontal lift of each Z_k, as [part, k, :]."""
+            return np.array([[lift @ part(z) for z in zs] for part in (np.real, np.imag)])
+
+        def lifted_at(p: Array) -> Array:
+            """The lifts at p, smooth near phi(x) (the base frame's pivots)."""
+            zs = hermitian_frame(spec.target, spec.target_structure, spec(p), cfg,
+                                 base.pivots).complex_frame
+            return lifts(_lift_matrix(point_jet(spec, p)), zs)
+
+        # dz[part, k, i, :] = d_i of that part of the lifted Z_k, one stencil for all; each
+        # (part, k) slice is C-contiguous, as in manifold.lie_bracket, so brackets match it
+        dz = np.ascontiguousarray(np.moveaxis(
+            numdiff.partial(numdiff.by_row(lifted_at), x, cfg), 0, 2))
+        at_x = lifts(_lift_matrix(jet), base.complex_frame)
+
+        def bracket(a: tuple, b: tuple) -> Array:
+            """[A, B] of two real fields, each named by (part, k)."""
+            return (np.einsum("i,ik->k", at_x[a], dz[b])
+                    - np.einsum("i,ik->k", at_x[b], dz[a]))
 
         p_v = _vertical_projector(jet)
         for k in range(m):
             for l in range(k + 1, m):
-                zr, zi = lifted(k, np.real), lifted(k, np.imag)
-                wr, wi = lifted(l, np.real), lifted(l, np.imag)
-                bracket = ((lie_bracket(zr, wr, x, cfg) - lie_bracket(zi, wi, x, cfg))
-                           + 1j * (lie_bracket(zr, wi, x, cfg) + lie_bracket(zi, wr, x, cfg)))
-                vert = p_v @ bracket
-                part01 = antiholomorphic_part(structure.j, vert)
+                zw = ((bracket((0, k), (0, l)) - bracket((1, k), (1, l)))
+                      + 1j * (bracket((0, k), (1, l)) + bracket((1, k), (0, l))))
+                part01 = antiholomorphic_part(structure.j, p_v @ zw)
                 worst = max(worst, g_norm(jet.metric, part01))
     return worst

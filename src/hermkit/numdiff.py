@@ -4,8 +4,10 @@ Everything downstream (connections, tension fields, structure tensors) is built
 on the two stencil routines and the Gram-Schmidt step in this module, so the
 error behaviour of the whole package is pinned down here: central differences
 are second order in ``step``, and the optional Richardson extrapolation removes
-the leading error term.  :func:`project_out` is the package's only
-Gram-Schmidt step; :func:`orthonormalize` and every frame construction in
+the leading error term.  Each stencil routine differentiates along every axis
+at once, calling its function once on the (k, n) stack of all its stencil
+points; :func:`by_row` makes such a function from a per-point one.
+:func:`project_out` is the package's only Gram-Schmidt step; :func:`orthonormalize` and every frame construction in
 ``hermitian`` and ``maps`` are built on it.  :func:`memoized` is the
 package's only cache, and its docstring states the contract every memo keeps.
 """
@@ -70,7 +72,20 @@ def memoized(memo: dict, key, compute: Callable):
     * no stored value refers to the memo's owner, so the memo is freed by
       reference counting with it; ``_memo`` is an ``init=False`` field, so
       ``dataclasses.replace`` starts an empty one.
+
+    ``key`` may also be a list of row keys, as in ``[("phi", p.tobytes()) for p
+    in stack]``: ``compute`` gets the positions of the first occurrences of the
+    keys not stored yet and stacks their values; each row is stored as its own
+    entry, and the list of the entries for ``key`` is returned.
     """
+    if isinstance(key, list):
+        missing: dict = {}
+        for i, k in enumerate(key):
+            if k not in memo:
+                missing.setdefault(k, i)
+        if missing:
+            memo.update(zip(missing, _freeze(compute(list(missing.values())))))
+        return [memo[k] for k in key]
     value = memo.get(key)
     if value is None:
         value = memo[key] = _freeze(compute())
@@ -86,56 +101,72 @@ def _freeze(value):
     return value
 
 
-def _stencil(f, points, domain) -> list:
-    """``f`` at each stencil point, after one ``domain`` call on all of them;
-    only when that fails are the points walked to name the first one outside."""
-    if domain is not None and not domain(np.stack(points)):
+def by_row(f: Callable[[Array], Array | float]) -> Callable[[Array], Array]:
+    """The stack function of a per-point ``f``: ``f`` at each row, stacked."""
+    return lambda points: np.stack([np.asarray(f(p)) for p in points])
+
+
+def _stencil(f, points: Array, domain) -> Array:
+    """``f`` on the whole stack of stencil points, after one ``domain`` call on
+    it; only when that fails are the rows walked to name the first one outside."""
+    if domain is not None and not domain(points):
         for p in points:
             if not domain(p):
                 raise EvaluationOutsideDomain(f"stencil point {p!r} outside domain")
-    return [np.asarray(f(p)) for p in points]
+    return np.asarray(f(points))
 
 
-def partial(f: Callable[[Array], Array | float], x, i: int, cfg: DiffConfig,
-            domain: Callable[[Array], bool] | None = None):
-    """First partial derivative of ``f`` along axis ``i`` at ``x``.
+def partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
+            domain: Callable[[Array], bool] | None = None) -> Array:
+    """Every first partial derivative of ``f`` at ``x``, stacked as ``[i, ...]``.
 
-    Central difference with step ``cfg.step``; with ``cfg.richardson`` the
-    fourth-order combination of the step-h and step-h/2 estimates is returned.
+    ``f`` maps a (k, n) stack of points to the stack of its k values; it is
+    called once, on the stencils of all axes together.  Central difference
+    with step ``cfg.step``; with ``cfg.richardson`` the fourth-order
+    combination of the step-h and step-h/2 estimates is returned.
     ``domain``, when given, is called once on the stack of stencil points and
     must hold for every row.
     """
     x = np.asarray(x, dtype=float)
-    e = np.eye(len(x))[i]
+    eye = np.eye(len(x))
     steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
-    v = _stencil(f, [p for s in steps for p in (x + s * e, x - s * e)], domain)
-    d = [(v[2 * k] - v[2 * k + 1]) / (2.0 * s) for k, s in enumerate(steps)]
+    # rows ordered [step, sign, axis i]: x + s e_i, then x - s e_i
+    v = _stencil(f, np.concatenate([p for s in steps for p in (x + s * eye, x - s * eye)]), domain)
+    v = v.reshape(len(steps), 2, len(x), *v.shape[1:])
+    d = [(v[k, 0] - v[k, 1]) / (2.0 * s) for k, s in enumerate(steps)]
     return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
 
 
-def second_partial(f: Callable[[Array], Array | float], x, i: int, j: int, cfg: DiffConfig,
-                   domain: Callable[[Array], bool] | None = None):
-    """Second partial derivative along axes ``i`` and ``j``; symmetric in (i, j).
+def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
+                   domain: Callable[[Array], bool] | None = None) -> Array:
+    """Every second partial derivative of ``f`` at ``x``, as the symmetric
+    array ``[i, j, ...]``.
 
-    Three-point stencil on the diagonal, the four corner points off it;
-    ``domain`` is checked on exactly the points evaluated.  The Richardson
+    ``f`` maps a stack of points to the stack of its values and is called
+    once, on one stack: the centre x (shared by every diagonal stencil), the
+    three-point stencils on the diagonal and the four corner points of each
+    pair i < j; ``domain`` is checked on exactly those points.  The Richardson
     pair here is (2h, h) rather than (h, h/2): second-difference roundoff
     grows like 1/h**2, so halving the step would amplify it 4x.
     """
     x = np.asarray(x, dtype=float)
-    i, j = (i, j) if i <= j else (j, i)
-    ei, ej = np.eye(len(x))[[i, j]]
+    n, eye = len(x), np.eye(len(x))
     steps = [2.0 * cfg.step, cfg.step] if cfg.richardson else [cfg.step]
-    if i == j:
-        v = _stencil(f, [p for s in steps for p in (x + s * ei, x, x - s * ei)], domain)
-        d = [(v[3 * k] - 2.0 * v[3 * k + 1] + v[3 * k + 2]) / s**2
-             for k, s in enumerate(steps)]
-    else:
-        v = _stencil(f, [p for s in steps for p in (x + s * ei + s * ej, x + s * ei - s * ej,
-                                                     x - s * ei + s * ej, x - s * ei - s * ej)],
-                     domain)
-        d = [(v[4 * k] - v[4 * k + 1] - v[4 * k + 2] + v[4 * k + 3]) / (4.0 * s**2)
-             for k, s in enumerate(steps)]
+    i, j = np.triu_indices(n, 1)
+    ei, ej = eye[i], eye[j]
+    # rows: x, then [step, sign, axis] on the diagonal, then [step, corner, pair]
+    diag = [p for s in steps for p in (x + s * eye, x - s * eye)]
+    corners = [p for s in steps for p in (x + s * ei + s * ej, x + s * ei - s * ej,
+                                          x - s * ei + s * ej, x - s * ei - s * ej)]
+    v = _stencil(f, np.concatenate([x[None], *diag, *corners]), domain)
+    vd = v[1:1 + len(diag) * n].reshape(len(steps), 2, n, *v.shape[1:])
+    vc = v[1 + len(diag) * n:].reshape(len(steps), 4, len(i), *v.shape[1:])
+    d = []
+    for k, s in enumerate(steps):
+        h = np.empty((n, n, *v.shape[1:]))
+        h[range(n), range(n)] = (vd[k, 0] - 2.0 * v[0] + vd[k, 1]) / s**2
+        h[i, j] = h[j, i] = (vc[k, 0] - vc[k, 1] - vc[k, 2] + vc[k, 3]) / (4.0 * s**2)
+        d.append(h)
     return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
 
 

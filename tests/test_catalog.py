@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from hermkit import catalog
 from hermkit.errors import DegenerateParameters
+from hermkit.hermitian import classify_structure
 from hermkit.manifold import Embedding, SamplePlan
 from hermkit.numdiff import DiffConfig
 
@@ -177,3 +180,52 @@ def test_perturbed_target_is_conformally_stretched(cfg):
     g0 = flat.charts["target"].metric(w, cfg)
     g1 = bent.charts["target"].metric(w, cfg)
     npt.assert_allclose(g1, np.exp(0.5 * w[0]) * g0, atol=1e-12)
+
+
+@pytest.mark.parametrize("entry_id", catalog.entry_ids())
+def test_closures_evaluate_a_stack_as_its_rows(entry_id, cfg):
+    """Every map's fn, and every embedding's psi, gives on a stack bit for bit
+    what it gives on each row alone."""
+    entry = catalog.get_entry(entry_id, cfg)
+    plan = SamplePlan(seed=5, count=12)
+    for spec in entry.maps.values():
+        stack = np.array(plan.points(spec.source, cfg))
+        rows = np.concatenate([spec.fn(stack[i:i + 1]) for i in range(len(stack))])
+        assert np.array_equal(spec.fn(stack), rows), spec.name
+    for chart in entry.charts.values():
+        if chart.embedding is not None:
+            stack = np.array(plan.points(chart, cfg))
+            rows = np.array([chart.embedding.psi(p) for p in stack])
+            assert np.array_equal(chart.embedding.psi(stack), rows), chart.name
+
+
+def test_mobius_pole_names_the_offending_row(cfg):
+    base = catalog.hopf_map(1, cfg)
+    spec = base.maps["hopf"]
+    stack = np.array(SamplePlan(seed=5, count=3).points(spec.source, cfg))
+    w = complex(*spec(stack[1]))
+    composed = catalog.mobius_postcompose(base, (1.0, 0.0, 1.0, -w)).maps["hopf"]
+    with pytest.raises(DegenerateParameters, match=re.escape(repr(stack[1]))):
+        composed.fn(stack)
+
+
+def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
+    """J, its closed-form divergence and the metric share one D(psi) per point:
+    the embedding is differentiated once at each point classify reaches."""
+    entry = catalog.calabi_eckmann(1, 1, cfg)
+    chart = entry.charts["ce"]
+    seen = []
+    dpsi = Embedding.dpsi
+
+    def recording(self, x, cfg):
+        if self is chart.embedding:
+            seen.append(np.asarray(x, dtype=float).tobytes())
+        return dpsi(self, x, cfg)
+
+    monkeypatch.setattr(Embedding, "dpsi", recording)
+    plan = SamplePlan(count=2)
+    classify_structure(chart, entry.structures["J"], plan, cfg)
+    for x in plan.points(chart, cfg):
+        catalog.odd_sphere_product_divergence(chart, 1, 1, x, cfg)
+    assert seen
+    assert len(seen) == len(set(seen))

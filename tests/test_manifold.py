@@ -109,8 +109,9 @@ def test_metric_compatibility_probe(entry_id, chart_key, cfg, plan):
     z_field = VectorField(chart, lambda p: np.cos(p) * 0.5 + 1.0)
     for x in plan.points(chart, cfg):
         inner = lambda p: float(y_field(p) @ chart.metric(p, cfg) @ z_field(p))
-        from hermkit.numdiff import partial
-        lhs = sum(x_field(x)[i] * partial(inner, x, i, cfg) for i in range(d))
+        from hermkit.numdiff import by_row, partial
+        d_inner = partial(by_row(inner), x, cfg)
+        lhs = sum(x_field(x)[i] * d_inner[i] for i in range(d))
         g = chart.metric(x, cfg)
         rhs = (covariant_derivative(x_field, y_field, x, cfg) @ g @ z_field(x)
                + y_field(x) @ g @ covariant_derivative(x_field, z_field, x, cfg))

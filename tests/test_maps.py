@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog, hermitian, maps
-from hermkit.errors import (CriticalPoint, FibreDimension, MissingStructure)
-from hermkit.hermitian import g_norm, structure_jet
-from hermkit.manifold import Box, Chart, SamplePlan
+from hermkit import catalog, hermitian, maps, scenarios
+from hermkit.errors import CriticalPoint, FibreDimension, MissingStructure, WrongDimension
+from hermkit.hermitian import antiholomorphic_part, g_norm, structure_jet
+from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
                           conformality, condition_ii_residual, differential,
                           fibre_mean_curvature, holomorphy_residual,
@@ -57,7 +57,7 @@ def test_differential_identity(torus_entry):
 
 
 def test_differential_constant():
-    spec = flat_map(lambda x: np.array([1.0, 2.0]))
+    spec = flat_map(lambda x: np.tile([1.0, 2.0], (len(x), 1)))
     d = differential(spec, np.array([0.1, 0.2]))
     npt.assert_allclose(d, 0.0, atol=1e-12)
 
@@ -108,14 +108,14 @@ def test_conformality_punctured_dilation(punctured1):
 
 
 def test_conformality_critical_constant():
-    spec = flat_map(lambda x: np.array([1.0, 1.0]))
+    spec = flat_map(lambda x: np.ones((len(x), 2)))
     c = conformality(jet_of(spec, [0.3, 0.4]))
     assert c.kind == KIND_CRITICAL
     assert c.dilation == 0.0
 
 
 def test_conformality_partial_rank_degenerate():
-    spec = flat_map(lambda x: np.array([x[0], 0.0]))
+    spec = flat_map(lambda x: x * [1.0, 0.0])
     c = conformality(jet_of(spec, [0.3, 0.4]))
     assert c.kind == KIND_DEGENERATE
     assert c.dilation == 0.0
@@ -169,7 +169,7 @@ def test_vertical_frame_field_orthonormal_in_kernel(request, spec_name, point):
 
 
 def test_vertical_frame_field_needs_regular():
-    spec = flat_map(lambda x: np.array([x[0], 0.0]))
+    spec = flat_map(lambda x: x * [1.0, 0.0])
     with pytest.raises(CriticalPoint):
         vertical_frame_field(jet_of(spec, [0.3, 0.4]))
 
@@ -177,7 +177,7 @@ def test_vertical_frame_field_needs_regular():
 def test_sff_identity_and_linear(torus_entry):
     spec = torus_entry.maps["identity"]
     npt.assert_allclose(sff_tensor(jet_of(spec, [0.8, 0.9]))[0, 1], 0.0, atol=1e-9)
-    linear = flat_map(lambda x: np.array([2.0 * x[0] + x[1], x[1] - x[0]]))
+    linear = flat_map(lambda x: x @ np.array([[2.0, -1.0], [1.0, 1.0]]))
     npt.assert_allclose(sff_tensor(jet_of(linear, [0.2, 0.1]))[0, 0], 0.0, atol=1e-9)
 
 
@@ -221,7 +221,7 @@ def test_tension_computes_no_lee_field(hopf, monkeypatch):
 
 
 def test_lee_pushforward_needs_source_structure():
-    spec = flat_map(lambda x: np.array([x[0], x[1]]))
+    spec = flat_map(lambda x: x[:, :2])
     with pytest.raises(MissingStructure):
         lee_pushforward(jet_of(spec, [0.1, 0.2]))
 
@@ -242,7 +242,7 @@ def test_fibre_mean_curvature_hopf(hopf):
 
 
 def test_fibre_mean_curvature_needs_regular():
-    spec = flat_map(lambda x: np.array([1.0, 1.0]))
+    spec = flat_map(lambda x: np.ones((len(x), 2)))
     with pytest.raises(CriticalPoint):
         fibre_mean_curvature(jet_of(spec, [0.3, 0.4]))
 
@@ -317,7 +317,7 @@ def test_lift_requires_two_dimensional_fibres():
     j_tgt = catalog.constant_structure(tgt, catalog.multiplication_by_i(1))
     omega = np.zeros((3, 3))
     omega[1, 2], omega[2, 1] = 1.0, -1.0
-    spec = MapSpec(src, tgt, lambda x: np.array(x[:2]), cfg,
+    spec = MapSpec(src, tgt, lambda x: x[:, :2], cfg,
                    target_structure=j_tgt, fibre_orientation=lambda x: omega)
     with pytest.raises(FibreDimension):
         lift_structure(spec, +1)(np.zeros(3))
@@ -351,3 +351,62 @@ def test_condition_ii_complex_line_target_trivial(punctured1):
 
 def test_condition_ii_punctured_two(punctured2):
     assert condition_ii_at(punctured2, +1, PUNCTURED2_POINT) <= 1e-6
+
+
+def lifted_field(spec, base, k, part):
+    """One part of the horizontal lift of the frame field Z_k, smooth near the
+    base point's image (the base frame's pivots)."""
+    def at(p):
+        zs = hermitian.hermitian_frame(spec.target, spec.target_structure, spec(p), spec.cfg,
+                                       base.pivots).complex_frame
+        return maps._lift_matrix(point_jet(spec, p)) @ part(zs[k])
+    return VectorField(spec.source, at)
+
+
+def condition_ii_bracket_route(samples):
+    """Condition (ii) through four ``lie_bracket`` calls per (k, l) pair, each
+    differentiating its own two lifted fields: the reference for
+    :func:`condition_ii_residual`."""
+    worst = 0.0
+    for jet, structure in samples:
+        spec, x, cfg = jet.spec, jet.x, jet.spec.cfg
+        base = hermitian.hermitian_frame(spec.target, spec.target_structure, spec(x), cfg)
+        p_v = _vertical_projector(jet)
+        for k in range(base.m):
+            for l in range(k + 1, base.m):
+                zr, zi = lifted_field(spec, base, k, np.real), lifted_field(spec, base, k, np.imag)
+                wr, wi = lifted_field(spec, base, l, np.real), lifted_field(spec, base, l, np.imag)
+                bracket = ((lie_bracket(zr, wr, x, cfg) - lie_bracket(zi, wi, x, cfg))
+                           + 1j * (lie_bracket(zr, wi, x, cfg) + lie_bracket(zi, wr, x, cfg)))
+                part01 = antiholomorphic_part(structure.j, p_v @ bracket)
+                worst = max(worst, g_norm(jet.metric, part01))
+    return worst
+
+
+def condition_ii_samples(spec, orientation, points):
+    lifted = lift_structure(spec, orientation)
+    return [(jet_of(spec, x), structure_jet(spec.source, lifted, x, spec.cfg)) for x in points]
+
+
+@pytest.mark.parametrize("orientation", [+1, -1])
+def test_condition_ii_matches_the_bracket_route(orientation):
+    """One stencil for all lifted frame fields gives bit for bit the residual of
+    four Lie brackets per (k, l) pair."""
+    spec = catalog.punctured_hopf(2).maps["hopf"]
+    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
+    residual = condition_ii_residual(condition_ii_samples(spec, orientation, points))
+    fresh = catalog.punctured_hopf(2).maps["hopf"]  # an empty memo: the oracle computes afresh
+    oracle = condition_ii_bracket_route(condition_ii_samples(fresh, orientation, points))
+    assert residual == oracle
+    assert oracle > 0.0
+
+
+def test_map_that_does_not_broadcast_is_rejected():
+    """A per-point fn returns the wrong shape for a stack: the map names itself
+    and both shapes, and no check classifies it."""
+    spec = dataclasses.replace(flat_map(lambda x: np.array([x[0], x[1]])), name="per-point")
+    with pytest.raises(WrongDimension, match=r"per-point.*\(2, 2\).*\(3, 2\).*\(3, 2\)"):
+        spec(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
+    with pytest.raises(WrongDimension, match="per-point"):
+        scenarios.check_harmonic_morphism(spec, SamplePlan(count=2))
+    assert spec._memo == {}

@@ -19,7 +19,7 @@ from hermkit.errors import EvaluationOutsideDomain, SingularMetric
 from hermkit.hermitian import hermitian_frame
 from hermkit.manifold import Box, Chart, SamplePlan, christoffel
 from hermkit.maps import MapSpec, _lift_matrix, conformality, point_jet
-from hermkit.numdiff import DiffConfig
+from hermkit.numdiff import DiffConfig, memoized
 
 CFG = DiffConfig()
 CE_POINT = np.array([0.5, 0.7, 0.9, 1.1])
@@ -30,12 +30,12 @@ def hopf():
 
 
 def counting(spec):
-    """A fresh copy of ``spec`` whose map records the bytes of every point it
-    is evaluated at."""
+    """A fresh copy of ``spec`` whose map records the bytes of every row it is
+    evaluated at."""
     seen = []
 
     def fn(x, inner=spec.fn):
-        seen.append(np.asarray(x, dtype=float).tobytes())
+        seen.extend(p.tobytes() for p in np.asarray(x, dtype=float))
         return inner(x)
 
     return dataclasses.replace(spec, fn=fn), seen
@@ -108,6 +108,50 @@ def test_memo_keeps_no_alias_of_the_callers_point():
     x[0] = 0.5
     assert y.tolist() == [0.1, 0.2]
     assert spec(np.array([0.1, 0.2])) is y
+
+
+def test_row_keys_store_nothing_when_the_stack_raises():
+    memo = {}
+    keys = [("phi", b"a"), ("phi", b"b")]
+
+    def failing(missing):
+        raise ValueError("no value")
+
+    with pytest.raises(ValueError):
+        memoized(memo, keys, failing)
+    assert memo == {}
+    asked = []
+
+    def compute(missing):
+        asked.append(missing)
+        return np.array([[1.0, 2.0], [3.0, 4.0]])
+
+    rows = memoized(memo, [keys[0], keys[1], keys[0]], compute)
+    assert asked == [[0, 1]]
+    assert rows[0] is rows[2] is memo[keys[0]]
+    assert [row.tolist() for row in rows] == [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]]
+    for row in rows:
+        with pytest.raises(ValueError):
+            row[...] = 0.0
+    again = memoized(memo, keys[::-1], failing)
+    assert again[0] is rows[1] and again[1] is rows[0]
+
+
+def test_map_stack_that_raises_stores_no_row():
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2))
+
+    def fn(x):
+        if np.any(x[:, 0] > 0.5):
+            raise EvaluationOutsideDomain("x0 > 0.5")
+        return np.array(x)
+
+    spec = MapSpec(chart, chart, fn, CFG)
+    with pytest.raises(EvaluationOutsideDomain):
+        spec(np.array([[0.1, 0.2], [0.9, 0.2]]))
+    assert spec._memo == {}
+    stack = spec(np.array([[0.1, 0.2], [0.3, 0.2], [0.1, 0.2]]))
+    assert stack.tolist() == [[0.1, 0.2], [0.3, 0.2], [0.1, 0.2]]
+    assert len(spec._memo) == 2
 
 
 def test_failed_evaluation_stores_nothing():

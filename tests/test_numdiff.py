@@ -5,7 +5,40 @@ import numpy.testing as npt
 import pytest
 
 from hermkit.errors import EvaluationOutsideDomain, RankDeficient
-from hermkit.numdiff import DiffConfig, orthonormalize, partial, second_partial
+from hermkit.numdiff import DiffConfig, by_row, orthonormalize, partial, second_partial
+
+
+def partial_axis(f, x, i, cfg, domain=None):
+    """The first partial along one axis, one per-point ``f`` call per stencil
+    point: the reference the stacked :func:`partial` must equal bit for bit."""
+    x = np.asarray(x, dtype=float)
+    e = np.eye(len(x))[i]
+    steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
+    points = [p for s in steps for p in (x + s * e, x - s * e)]
+    if domain is not None and not all(domain(p) for p in points):
+        raise EvaluationOutsideDomain("stencil point outside domain")
+    v = [np.asarray(f(p)) for p in points]
+    d = [(v[2 * k] - v[2 * k + 1]) / (2.0 * s) for k, s in enumerate(steps)]
+    return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
+
+
+def second_partial_axes(f, x, i, j, cfg):
+    """The second partial along one pair of axes, per point: the reference for
+    the stacked :func:`second_partial`."""
+    x = np.asarray(x, dtype=float)
+    i, j = (i, j) if i <= j else (j, i)
+    ei, ej = np.eye(len(x))[[i, j]]
+    steps = [2.0 * cfg.step, cfg.step] if cfg.richardson else [cfg.step]
+    if i == j:
+        v = [np.asarray(f(p)) for s in steps for p in (x + s * ei, x, x - s * ei)]
+        d = [(v[3 * k] - 2.0 * v[3 * k + 1] + v[3 * k + 2]) / s**2
+             for k, s in enumerate(steps)]
+    else:
+        v = [np.asarray(f(p)) for s in steps for p in (x + s * ei + s * ej, x + s * ei - s * ej,
+                                                        x - s * ei + s * ej, x - s * ei - s * ej)]
+        d = [(v[4 * k] - v[4 * k + 1] - v[4 * k + 2] + v[4 * k + 3]) / (4.0 * s**2)
+             for k, s in enumerate(steps)]
+    return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
 
 
 def test_config_validation():
@@ -23,48 +56,48 @@ def test_tolerance_is_scale_aware():
 
 def test_partial_quadratic_exact(cfg):
     # central differences differentiate polynomials of degree <= 2 exactly
-    val = partial(lambda x: x[0] ** 2, np.array([1.0]), 0, cfg)
+    val = partial(by_row(lambda x: x[0] ** 2), np.array([1.0]), cfg)[0]
     npt.assert_allclose(val, 2.0, rtol=0, atol=1e-11)
 
 
 def test_partial_sin_against_analytic(cfg):
-    val = partial(lambda x: math.sin(x[0]), np.array([0.0]), 0, cfg)
+    val = partial(by_row(lambda x: math.sin(x[0])), np.array([0.0]), cfg)[0]
     assert abs(val - 1.0) <= cfg.step**2 / 6.0
 
 
 def test_partial_constant_is_zero(cfg):
-    assert partial(lambda x: 4.25, np.array([0.3, 0.4]), 1, cfg) == 0.0
+    assert partial(by_row(lambda x: 4.25), np.array([0.3, 0.4]), cfg)[1] == 0.0
 
 
 def test_partial_vector_valued(cfg):
     f = lambda x: np.array([x[0] * x[1], x[1] ** 2])
-    val = partial(f, np.array([2.0, 3.0]), 1, cfg)
+    val = partial(by_row(f), np.array([2.0, 3.0]), cfg)[1]
     npt.assert_allclose(val, [2.0, 6.0], atol=1e-10)
 
 
 def test_second_partial_bilinear_exact(cfg):
-    val = second_partial(lambda x: x[0] * x[1], np.array([0.7, -0.2]), 0, 1, cfg)
+    val = second_partial(by_row(lambda x: x[0] * x[1]), np.array([0.7, -0.2]), cfg)[0, 1]
     npt.assert_allclose(val, 1.0, atol=1e-9)
 
 
 def test_second_partial_diagonal_quadratic(cfg):
-    val = second_partial(lambda x: x[0] ** 2 + x[1] ** 2, np.array([0.3, 0.4]), 0, 0, cfg)
+    val = second_partial(by_row(lambda x: x[0] ** 2 + x[1] ** 2), np.array([0.3, 0.4]),
+                         cfg)[0, 0]
     npt.assert_allclose(val, 2.0, atol=1e-7)
 
 
 def test_second_partial_mixed_analytic(cfg):
     # d^2/dxdy sin(x)cos(y) = -cos(x)sin(y) = 0 at the origin
     f = lambda x: math.sin(x[0]) * math.cos(x[1])
-    val = second_partial(f, np.array([0.0, 0.0]), 0, 1, cfg)
+    val = second_partial(by_row(f), np.array([0.0, 0.0]), cfg)[0, 1]
     assert abs(val) <= 1e-8
 
 
 def test_second_partial_symmetric_by_construction(cfg):
     f = lambda x: math.exp(x[0]) * math.sin(2 * x[1])
     x = np.array([0.2, 0.5])
-    a = second_partial(f, x, 0, 1, cfg)
-    b = second_partial(f, x, 1, 0, cfg)
-    assert a == b  # bitwise: the stencil is identical
+    hessian = second_partial(by_row(f), x, cfg)
+    assert hessian[0, 1] == hessian[1, 0]  # bitwise: the stencil is identical
 
 
 @pytest.mark.parametrize("richardson,lo,hi", [(False, 3.5, 4.5), (True, 14.0, 18.0)])
@@ -75,8 +108,8 @@ def test_convergence_order_on_exp(richardson, lo, hi):
     exact = math.exp(0.3)
     errors = []
     for step in (0.05, 0.025):
-        est = partial(lambda p: math.exp(p[0]), x, 0,
-                      DiffConfig(step=step, richardson=richardson))
+        est = partial(by_row(lambda p: math.exp(p[0])), x,
+                      DiffConfig(step=step, richardson=richardson))[0]
         errors.append(abs(est - exact))
     ratio = errors[0] / errors[1]
     assert lo <= ratio <= hi
@@ -84,19 +117,19 @@ def test_convergence_order_on_exp(richardson, lo, hi):
 
 def test_partial_domain_guard(cfg):
     domain = lambda p: bool(np.all(np.abs(p) <= 1.0))
-    partial(lambda x: x[0] ** 2, np.array([0.5]), 0, cfg, domain=domain)
+    partial(by_row(lambda x: x[0] ** 2), np.array([0.5]), cfg, domain=domain)
     with pytest.raises(EvaluationOutsideDomain):
-        partial(lambda x: x[0] ** 2, np.array([1.0]), 0, cfg, domain=domain)
+        partial(by_row(lambda x: x[0] ** 2), np.array([1.0]), cfg, domain=domain)
 
 
 def test_second_partial_checks_the_points_it_evaluates(cfg):
     """The diagonal stencil reaches x +- 2h, not the corners x +- 4h."""
     domain = lambda p: bool(np.all(np.atleast_2d(p)[:, 0] <= 1.0))
-    f = lambda p: p[0] ** 2
-    val = second_partial(f, np.array([1.0 - 3e-4, 0.5]), 0, 0, cfg, domain=domain)
+    f = by_row(lambda p: p[0] ** 2)
+    val = second_partial(f, np.array([1.0 - 3e-4, 0.5]), cfg, domain=domain)[0, 0]
     npt.assert_allclose(val, 2.0, atol=1e-7)
     with pytest.raises(EvaluationOutsideDomain):
-        second_partial(f, np.array([1.0 - 1e-4, 0.5]), 0, 0, cfg, domain=domain)
+        second_partial(f, np.array([1.0 - 1e-4, 0.5]), cfg, domain=domain)
 
 
 def test_stencil_domain_checked_in_one_call(cfg):
@@ -106,22 +139,71 @@ def test_stencil_domain_checked_in_one_call(cfg):
         stacks.append(np.shape(p))
         return bool(np.all(np.abs(p) <= 1.0))
 
-    partial(lambda x: x[0] ** 2, np.array([0.5]), 0, cfg, domain=domain)
+    partial(by_row(lambda x: x[0] ** 2), np.array([0.5]), cfg, domain=domain)
     assert stacks == [(4, 1)]
     stacks.clear()
     with pytest.raises(EvaluationOutsideDomain, match=r"array\(\[1.0001\]\)"):
-        partial(lambda x: x[0] ** 2, np.array([1.0]), 0, cfg, domain=domain)
+        partial(by_row(lambda x: x[0] ** 2), np.array([1.0]), cfg, domain=domain)
     assert stacks[0] == (4, 1)
 
 
+def vector_field(x):
+    """A vector-valued function of three coordinates, per point."""
+    return np.array([math.sin(x[0] * 1.7) * x[2], math.exp(x[1] - x[0]), x[0] * x[1] ** 3,
+                     math.cos(x[2]) / (2.0 + x[1])])
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_stacked_stencils_equal_the_per_axis_reference(richardson):
+    cfg = DiffConfig(richardson=richardson)
+    x = np.array([0.31, -0.77, 1.2])
+    first = partial(by_row(vector_field), x, cfg)
+    second = second_partial(by_row(vector_field), x, cfg)
+    assert first.shape == (3, 4) and second.shape == (3, 3, 4)
+    for i in range(3):
+        assert np.array_equal(first[i], partial_axis(vector_field, x, i, cfg))
+        for j in range(3):
+            assert np.array_equal(second[i, j], second_partial_axes(vector_field, x, i, j, cfg))
+
+
+@pytest.mark.parametrize("stencil, rows", [(partial, 4 * 3), (second_partial, 1 + 4 * 3 + 8 * 3)])
+def test_one_domain_call_and_one_function_call_per_stencil(stencil, rows, cfg):
+    domains, calls = [], []
+
+    def domain(p):
+        domains.append(np.shape(p))
+        return True
+
+    def f(points):
+        calls.append(np.shape(points))
+        return by_row(vector_field)(points)
+
+    stencil(f, np.array([0.31, -0.77, 1.2]), cfg, domain=domain)
+    assert domains == [(rows, 3)]
+    assert calls == [(rows, 3)]
+
+
+def test_hessian_centre_evaluated_once(cfg):
+    seen = []
+
+    def f(points):
+        seen.extend(p.tobytes() for p in points)
+        return by_row(vector_field)(points)
+
+    x = np.array([0.31, -0.77, 1.2])
+    second_partial(f, x, cfg)
+    assert seen.count(x.tobytes()) == 1
+    assert len(seen) == len(set(seen))
+
+
 def test_determinism_bitwise(cfg):
-    f = lambda x: math.sin(x[0] * 1.7) + x[1] ** 3
+    f = by_row(lambda x: math.sin(x[0] * 1.7) + x[1] ** 3)
     x = np.array([0.31, 0.77])
-    a = partial(f, x, 0, cfg)
-    b = partial(f, x, 0, cfg)
+    a = partial(f, x, cfg)[0]
+    b = partial(f, x, cfg)[0]
     assert a == b
-    c = second_partial(f, x, 0, 1, cfg)
-    d = second_partial(f, x, 0, 1, cfg)
+    c = second_partial(f, x, cfg)[0, 1]
+    d = second_partial(f, x, cfg)[0, 1]
     assert c == d
 
 

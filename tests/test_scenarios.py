@@ -156,7 +156,7 @@ def test_near_critical_exclusion_cap():
     cfg = CFG
     src = Chart(dim=2, box=Box((0.0, 0.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2))
     tgt = Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)), metric_fn=lambda x: np.eye(2))
-    spec = MapSpec(src, tgt, lambda x: np.array([x[0], 5e-6 * x[1]]), cfg)
+    spec = MapSpec(src, tgt, lambda x: x * [1.0, 5e-6], cfg)
     with pytest.raises(TooManyExcludedSamples):
         scenarios.check_harmonic_morphism(spec, SMALL, include_fibres=True)
 
@@ -273,3 +273,18 @@ def test_condition_ii_builds_one_target_frame_per_sample(memo_builds):
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
     for x in sample_points(sid, plan):
         assert len(built[spec(x).tobytes()]) == 1
+
+
+def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
+    """The base frame at phi(x), then one pivoted frame per stencil point of the
+    lifted frame fields' one stencil: at most 1 + 4 dim lookups per sample."""
+    calls = []
+    lookup = maps.hermitian_frame
+    monkeypatch.setattr(maps, "hermitian_frame",
+                        lambda *args, **kwargs: calls.append(1) or lookup(*args, **kwargs))
+    sid = "punctured-hopf-2-integrability-plus"
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    plan = SamplePlan(0, 2)
+    assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
+    assert 0 < len(calls) <= plan.count * (1 + 4 * spec.source.dim)
