@@ -8,7 +8,10 @@ is printed per report:
 * ``list``;
 * ``classify`` and ``check-map`` (``--report json``) on the benchmark's
   generated DSL configs for a few seeds, written to a temporary directory by
-  ``hermbench/workloads.py``.
+  ``hermbench/workloads.py``;
+* ``classify`` and ``check-map`` on the fixed configs in ``HAND_CONFIGS``,
+  whose metrics and maps use the functions and the non-integer powers the
+  generated configs leave out.
 
 Run it on two checkouts and ``diff`` the outputs to confirm that a refactor
 leaves the reports byte-identical:
@@ -44,6 +47,35 @@ GRID = (
 )
 #: Seeds of the generated DSL configs.
 DSL_SEEDS = (0, 1, 7)
+#: Hand-written configs: log, tan, atan2, sqrt and non-integer ^ in g and in maps.
+HAND_CONFIGS = {
+    "functions-2d": """\
+dim = 2
+domain x1 = [0.5, 1.5]
+domain x2 = [0.2, 1.2]
+g = [[sqrt(1 + x1^2) + log(2 + x2)^1.5 + 0.1*atan2(x2, x1) + 0.05*tan(x1/2), 0], \
+[0, sqrt(1 + x1^2) + log(2 + x2)^1.5 + 0.1*atan2(x2, x1) + 0.05*tan(x1/2)]]
+J = [[0, -1], [1, 0]]
+map logz -> 2 = [log(sqrt(x1^2 + x2^2)), atan2(x2, x1)]
+map mixed -> 2 = [tan(x1/2) + x2^1.5, sqrt(x1 + x2) - log(x1)]
+""",
+    "functions-4d": """\
+dim = 4
+domain x1 = [0.3, 1.3]
+domain x2 = [0.3, 1.3]
+domain x3 = [-0.5, 0.5]
+domain x4 = [-0.5, 0.5]
+g[1][1] = 1 + x2^0.5
+g[2][2] = 1 + x2^0.5
+g[3][3] = exp(0.3*atan2(x3, 1 + x1)) * sqrt(2 + x4)
+g[4][4] = exp(0.3*atan2(x3, 1 + x1)) * sqrt(2 + x4)
+J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+map proj -> 2 = [x1, x2]
+map curved -> 2 = [log(1 + x1^2 + x2^2) + tan(0.3*x3), atan2(x2, x1)^1.5 + x4]
+""",
+}
+#: Flags of every hand-written config call.
+HAND_FLAGS = ("--report", "json", "--seed", "0", "--points", "3")
 
 
 def digest(argv: list[str]) -> str:
@@ -67,6 +99,14 @@ def main() -> int:
         for seed in DSL_SEEDS:
             for item in workloads.items("dsl-configs", seed, Path(tmp), geodsl.parse):
                 print(f"{digest(list(item.argv))}  {item.label}  seed {seed}", flush=True)
+        for name, source in HAND_CONFIGS.items():
+            path = Path(tmp) / f"{name}.geo"
+            path.write_text(source, encoding="utf-8")
+            calls = [("classify",)] + [("check-map", "--map", m)
+                                       for m in geodsl.parse(source).maps]
+            for call in calls:
+                line = digest([*call, "--config", str(path), *HAND_FLAGS])
+                print(f"{line}  {' '.join(call)} {name}", flush=True)
     return 0
 
 

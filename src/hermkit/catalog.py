@@ -19,7 +19,7 @@ from .errors import DegenerateParameters
 from .hermitian import AlmostComplexField
 from .manifold import Box, Chart, Embedding
 from .maps import MapSpec
-from .numdiff import Array, DiffConfig
+from .numdiff import Array, DiffConfig, by_row, constant
 
 DEFAULT_CFG = DiffConfig()
 
@@ -125,16 +125,17 @@ def product_sphere_chart(n1: int, n2: int, name: str = "") -> Chart:
 # ---------------------------------------------------------------------------
 
 def flat_chart(dim: int, lo: float, hi: float, scale: float = 1.0, name: str = "flat") -> Chart:
-    g = scale**2 * np.eye(dim)
     return Chart(dim=dim, box=Box((lo,) * dim, (hi,) * dim),
-                 metric_fn=lambda x: g, name=name)
+                 metric_fn=constant(scale**2 * np.eye(dim)), name=name)
 
 
 def fs_metric(n: int) -> Callable[[Array], Array]:
-    """Fubini-Study metric on the affine chart of CP^n in real coordinates.
+    """Fubini-Study metric on the affine chart of CP^n in real coordinates, at
+    one point.
 
     Normalized so the projection from the unit sphere is a Riemannian
-    submersion (holomorphic sectional curvature 4).
+    submersion (holomorphic sectional curvature 4).  Charts evaluate it row
+    by row: on a stack, the broadcast sums round differently in the last bit.
     """
     basis = np.zeros((n, 2 * n), dtype=complex)
     for k in range(n):
@@ -154,7 +155,7 @@ def fs_metric(n: int) -> Callable[[Array], Array]:
 
 def fs_chart(n: int, half_width: float = 6.0, name: str = "") -> Chart:
     box = Box((-half_width,) * (2 * n), (half_width,) * (2 * n))
-    return Chart(dim=2 * n, box=box, metric_fn=fs_metric(n), name=name or f"cp{n}")
+    return Chart(dim=2 * n, box=box, metric_fn=by_row(fs_metric(n)), name=name or f"cp{n}")
 
 
 def product_fs_metric(r: int, s: int, scale: float = 1.0) -> Callable[[Array], Array]:
@@ -177,13 +178,12 @@ def product_fs_chart(r: int, s: int, scale: float = 1.0, half_width: float = 6.0
                      name: str = "") -> Chart:
     d = 2 * (r + s)
     box = Box((-half_width,) * d, (half_width,) * d)
-    return Chart(dim=d, box=box, metric_fn=product_fs_metric(r, s, scale),
+    return Chart(dim=d, box=box, metric_fn=by_row(product_fs_metric(r, s, scale)),
                  name=name or f"cp{r}xcp{s}")
 
 
 def constant_structure(chart: Chart, j: Array) -> AlmostComplexField:
-    j = np.asarray(j, dtype=float)
-    return AlmostComplexField(chart, lambda x: j, source="intrinsic")
+    return AlmostComplexField(chart, constant(j), source="intrinsic")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def odd_sphere_product_structure(chart: Chart, r: int, s: int,
         p = chart.embedding.psi(x)
         return np.linalg.solve(g, dpsi.T @ _ambient_j_product(r, s, p, dpsi))
 
-    return AlmostComplexField(chart, j_at, source="ambient")
+    return AlmostComplexField(chart, by_row(j_at), source="ambient")
 
 
 def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
@@ -439,7 +439,7 @@ def punctured_hopf(n: int, perturbed: bool = False,
     d = 2 * n + 2
     lo = (1.0,) + (-0.7,) * (d - 1)
     hi = (2.5,) + (0.7,) * (d - 1)
-    source = Chart(dim=d, box=Box(lo, hi), metric_fn=lambda x: np.eye(d),
+    source = Chart(dim=d, box=Box(lo, hi), metric_fn=constant(np.eye(d)),
                    name=f"punctured-c{n + 1}")
     j_std = constant_structure(source, multiplication_by_i(n + 1))
     base_metric = fs_metric(n)
@@ -447,7 +447,7 @@ def punctured_hopf(n: int, perturbed: bool = False,
         def metric(x):
             return np.exp(0.5 * x[0]) * base_metric(x)
         target = Chart(dim=2 * n, box=Box((-6.0,) * 2 * n, (6.0,) * 2 * n),
-                       metric_fn=metric, name=f"cp{n}-conformal")
+                       metric_fn=by_row(metric), name=f"cp{n}-conformal")
     else:
         target = fs_chart(n)
     j_tgt = constant_structure(target, multiplication_by_i(n))
@@ -516,8 +516,8 @@ def annulus_radial(target_scale: float = 1.0, cfg: DiffConfig = DEFAULT_CFG) -> 
 
     source = Chart(dim=2, box=Box((1.2, 0.2), (1.8, 1.0)),
                    embedding=Embedding(2, psi, jac), name="annulus")
-    g = np.array([[target_scale**2]])
-    circle = Chart(dim=1, box=Box((0.0,), (1.2,)), metric_fn=lambda x: g, name="circle")
+    circle = Chart(dim=1, box=Box((0.0,), (1.2,)), metric_fn=constant([[target_scale**2]]),
+                   name="circle")
     spec = MapSpec(source, circle, lambda x: x[:, 1:], cfg, name="radial")
     suffix = "" if target_scale == 1.0 else "-rescaled"
     return CatalogEntry(

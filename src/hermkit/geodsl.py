@@ -13,12 +13,32 @@ minus and the functions sin cos tan exp log sqrt atan2.  ``^`` is
 right-associative and binds tighter than unary minus, so ``-x1^2`` is
 ``-(x1^2)``.  The grammar has no conditionals or user functions, keeping every
 parsed field smooth.
+
+Evaluation contract.  :func:`evaluate` is the reference: it walks the tree at
+one point in Python floats and ``math``.  Each config entry is compiled once
+(:func:`compile_exprs`) into a closure over a (k, dim) stack of points, so
+the metric, J and map functions take whole stencils.  The compiled closures
+give :func:`evaluate`'s values bit for bit on every platform:
+
+* arithmetic and negation are NumPy array operations, which round like
+  Python's float operators (IEEE 754);
+* ``^`` and the functions go through ``math`` element by element, because
+  NumPy's exp, log, tan, arctan2 and power differ from libm in the last bit
+  on some inputs;
+* the stack is evaluated under ``np.errstate`` raising on division by zero,
+  invalid operations and overflow.  On any such flag, any exception or any
+  non-finite value, the stack is evaluated again row by row with
+  :func:`evaluate`, which returns its values or raises its
+  ``EvaluationError``, naming the expression, the point and the entry's
+  config line.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,6 +47,7 @@ from .errors import (ConfigError, DimensionMismatch, DslSyntaxError,
                      EvaluationError, UnknownSymbol)
 from .hermitian import J_SQUARE_TOL, AlmostComplexField, _invariant_residuals
 from .manifold import Box, Chart
+from .numdiff import constant
 
 FUNCTIONS = {
     "sin": (1, math.sin),
@@ -75,8 +96,9 @@ Expr = Num | Coord | Neg | BinOp | Call
 
 
 def evaluate(expr: Expr, point) -> float:
-    """Evaluate recursively; NaN/Inf and math-domain violations raise
-    EvaluationError naming the expression and the point."""
+    """Evaluate recursively at one point; NaN/Inf and math-domain violations
+    raise EvaluationError naming the expression and the point.  The reference
+    that :func:`compile_exprs` equals."""
     point = np.asarray(point, dtype=float)
     try:
         value = _eval(expr, point)
@@ -111,6 +133,116 @@ def _eval(expr: Expr, point: np.ndarray) -> float:
         return math.pow(a, b)
     arity, fn = FUNCTIONS[expr.name]
     return fn(*(_eval(a, point) for a in expr.args))
+
+
+def compile_exprs(exprs, lines=None) -> Callable[[np.ndarray], np.ndarray]:
+    """The stack function of a list of expressions: a (k, n) stack of points
+    to the (k, len(exprs)) array of their values, equal bit for bit to
+    :func:`evaluate` at each row and expression.
+
+    Each distinct expression is compiled once.  ``lines``, when given, holds
+    the config line of each expression; an ``EvaluationError`` then starts
+    with ``line <n>:`` (``None`` marks an expression with no line).
+    """
+    index: dict = {}  # keyed by repr: trees compare Num(0.0) equal to Num(-0.0)
+    for e in exprs:
+        index.setdefault(repr(e), (len(index), e))
+    parts = [_compile(e) for _, e in index.values()]
+    columns = [index[repr(e)][0] for e in exprs]
+
+    def fn(points):
+        points = np.asarray(points, dtype=float)
+        values = np.empty((len(points), len(parts)))
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                for c, part in enumerate(parts):
+                    values[:, c] = part(points) if callable(part) else part
+            if np.isfinite(values).all():
+                return values[:, columns]
+        except (ArithmeticError, ValueError):
+            pass
+        return _row_by_row(exprs, lines, points)
+
+    return fn
+
+
+def _row_by_row(exprs, lines, points: np.ndarray) -> np.ndarray:
+    """:func:`evaluate` at each row and expression: the values, or the first
+    error in row order."""
+    out = np.empty((len(points), len(exprs)))
+    for r, p in enumerate(points):
+        for c, e in enumerate(exprs):
+            try:
+                out[r, c] = evaluate(e, p)
+            except EvaluationError as exc:
+                if lines is None or lines[c] is None:
+                    raise
+                raise EvaluationError(f"line {lines[c]}: {exc}") from exc
+    return out
+
+
+def _divide(a, b):
+    """``a / b`` over a stack, raising on a zero divisor as Python's ``/`` does
+    (NumPy would give inf/0 = inf without a flag)."""
+    if isinstance(b, np.ndarray) and not b.all():
+        raise ZeroDivisionError("float division by zero")
+    return np.divide(a, b)
+
+
+def _elementwise(fn: Callable) -> Callable:
+    """``fn`` applied row by row to its arguments, stacks or floats."""
+    def kernel(*values):
+        columns = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v)
+                   for v in values]
+        return np.array(list(map(fn, *columns)), dtype=float)
+    return kernel
+
+
+#: Stack kernels of the operators.  NumPy's negation and +, -, *, / round like
+#: Python's float operators; ``^`` goes through ``math.pow`` element by element.
+_KERNELS = {"neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+            "/": _divide, "^": _elementwise(math.pow),
+            **{name: _elementwise(fn) for name, (_, fn) in FUNCTIONS.items()}}
+_NO_POINT = np.zeros(0)
+
+
+def _compile(expr: Expr):
+    """``expr`` as a closure over a (k, n) stack of points, or as the float
+    :func:`evaluate` gives when it reads no coordinate."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Coord):
+        i = expr.index - 1
+        return lambda points: points[:, i]
+    if isinstance(expr, Neg):
+        name, args = "neg", [_compile(expr.arg)]
+    elif isinstance(expr, BinOp):
+        name, args = expr.op, [_compile(expr.left), _compile(expr.right)]
+    else:
+        name, args = expr.name, [_compile(a) for a in expr.args]
+    if name == "/" and not callable(args[1]) and args[1] == 0.0:
+        return _unevaluable  # Python's / raises at every row
+    if not any(callable(a) for a in args):
+        try:
+            return _eval(expr, _NO_POINT)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            return _unevaluable
+    kernel = _KERNELS[name]
+    if len(args) == 1:
+        (a,) = args
+        return lambda points: kernel(a(points))
+    a, b = args
+    if not callable(a):
+        return lambda points: kernel(a, b(points))
+    if not callable(b):
+        return lambda points: kernel(a(points), b)
+    return lambda points: kernel(a(points), b(points))
+
+
+def _unevaluable(points):
+    """A subexpression that raises wherever it is evaluated; the row-by-row
+    fallback reports it with :func:`evaluate`'s message."""
+    raise ArithmeticError("subexpression does not evaluate")
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -360,29 +492,46 @@ class GeoConfig:
     warnings: list = field(default_factory=list)
     #: Set by ``parse``: why J is not g-compatible at a probe point, or None.
     incompatibility: str | None = None
+    #: Config line of each entry, set by ``parse``: keys ``("g", i, j)``,
+    #: ``("J", i, j)`` (0-based) and ``("map", name)``; an entry that no
+    #: statement assigned has none.
+    lines: dict = field(default_factory=dict, compare=False)
+
+    @cached_property
+    def _stack_fns(self) -> dict:
+        """Every entry compiled once per config: ``"g"`` and ``"J"`` map a
+        (k, dim) stack to the (k, dim, dim) raw matrices, ``("map", name)``
+        to the (k, target dim) values."""
+        d = self.dim
+
+        def matrix(label: str, rows: list) -> Callable:
+            fn = compile_exprs([e for row in rows for e in row],
+                               [self.lines.get((label, i, j)) for i in range(d) for j in range(d)])
+            return lambda stack: fn(stack).reshape(len(stack), d, d)
+
+        fns = {("map", name): compile_exprs(exprs, [self.lines.get(("map", name))] * len(exprs))
+               for name, (_, exprs) in self.maps.items()}
+        fns["g"] = matrix("g", self.metric)
+        if self.structure is not None:
+            fns["J"] = matrix("J", self.structure)
+        return fns
 
     def metric_fn(self) -> Callable:
-        def fn(x):
-            g = np.array([[evaluate(self.metric[i][j], x) for j in range(self.dim)]
-                          for i in range(self.dim)])
-            return 0.5 * (g + g.T)
+        """(k, dim) stack -> (k, dim, dim) stack of the symmetrized metric."""
+        raw = self._stack_fns["g"]
+
+        def fn(stack):
+            g = raw(stack)
+            return 0.5 * (g + np.swapaxes(g, 1, 2))
         return fn
 
     def structure_fn(self) -> Callable | None:
-        if self.structure is None:
-            return None
-
-        def fn(x):
-            return np.array([[evaluate(self.structure[i][j], x)
-                              for j in range(self.dim)] for i in range(self.dim)])
-        return fn
+        """(k, dim) stack -> (k, dim, dim) stack of J, or None without J."""
+        return self._stack_fns.get("J")
 
     def map_fn(self, name: str) -> tuple[int, Callable]:
-        target_dim, exprs = self.maps[name]
-
-        def fn(stack):
-            return np.array([[evaluate(e, p) for e in exprs] for p in stack])
-        return target_dim, fn
+        """The target dimension and the (k, dim) -> (k, target dim) stack function."""
+        return self.maps[name][0], self._stack_fns[("map", name)]
 
     def probe_points(self, count: int = 5) -> list[np.ndarray]:
         lo = np.array([a for a, _ in self.domain])
@@ -434,11 +583,13 @@ def _parse(source: str) -> GeoConfig:
             raise DslSyntaxError(0, 0, f"UTF-8 text ({exc})") from exc
     dim: int | None = None
     domain: dict[int, tuple] = {}
-    metric_rows: list | None = None
-    metric_elems: dict[tuple, Expr] = {}
-    structure_rows: list | None = None
-    structure_elems: dict[tuple, Expr] = {}
+    # per label "g" / "J": the whole matrix and its line, or (i, j) -> (Expr, line)
+    matrices: dict[str, tuple] = {}
+    elements: dict[str, dict] = {"g": {}, "J": {}}
     maps: dict[str, tuple] = {}
+    lines: dict = {}
+    # (line, expressions, dim while parsing) of every g, J and map statement
+    statements: list[tuple] = []
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no)
@@ -468,7 +619,6 @@ def _parse(source: str) -> GeoConfig:
                 raise ConfigError(f"line {line_no}: empty domain interval for x{idx}")
             domain[idx] = (lo, hi)
         elif head.text in ("g", "J"):
-            target_rows = "metric" if head.text == "g" else "structure"
             if p.accept("SYMBOL", "["):
                 i_tok = p.expect("NUMBER")
                 p.expect("SYMBOL", "]")
@@ -480,17 +630,13 @@ def _parse(source: str) -> GeoConfig:
                 i, j = int(float(i_tok.text)), int(float(j_tok.text))
                 if i < 1 or j < 1:
                     raise DslSyntaxError(i_tok.line, i_tok.col, "1-based indices")
-                if target_rows == "metric":
-                    metric_elems[(i, j)] = expr
-                else:
-                    structure_elems[(i, j)] = expr
+                elements[head.text][(i, j)] = (expr, line_no)
+                statements.append((line_no, [expr], dim))
             else:
                 p.expect("SYMBOL", "=")
                 rows = p.matrix()
-                if target_rows == "metric":
-                    metric_rows = rows
-                else:
-                    structure_rows = rows
+                matrices[head.text] = (rows, line_no)
+                statements.append((line_no, [e for row in rows for e in row], dim))
         elif head.text == "map":
             name = p.expect("IDENT").text
             p.expect("SYMBOL", "->")
@@ -505,6 +651,8 @@ def _parse(source: str) -> GeoConfig:
                     f"line {line_no}: map {name!r} declares target dimension "
                     f"{target_dim} but has {len(exprs)} components")
             maps[name] = (target_dim, exprs)
+            lines[("map", name)] = line_no
+            statements.append((line_no, exprs, dim))
         else:
             raise DslSyntaxError(head.line, head.col,
                                  "'dim', 'domain', 'g', 'J' or 'map'")
@@ -513,57 +661,81 @@ def _parse(source: str) -> GeoConfig:
 
     if dim is None:
         raise ConfigError("no 'dim = <n>' statement")
+    for line_no, exprs, parsed_dim in statements:
+        if parsed_dim == dim:  # the parser has checked these coordinates
+            continue
+        for index in (i for e in exprs for i in _coordinates(e)):
+            if index > dim:
+                raise DimensionMismatch(
+                    f"line {line_no}: coordinate x{index} exceeds dimension {dim}")
     warnings: list[str] = []
-    metric = _assemble_matrix(metric_rows, metric_elems, dim, "g")
+    metric = _assemble_matrix(matrices.get("g"), elements["g"], dim, "g", lines)
     if metric is None:
         raise ConfigError("no metric given (use 'g = [[...]]' or 'g[i][j] = ...')")
-    structure = _assemble_matrix(structure_rows, structure_elems, dim, "J")
+    structure = _assemble_matrix(matrices.get("J"), elements["J"], dim, "J", lines)
     for idx in domain:
         if idx > dim:
             raise DimensionMismatch(f"domain declared for x{idx} but dim = {dim}")
     box = [domain.get(i + 1, (-1.0, 1.0)) for i in range(dim)]
-    config = GeoConfig(dim, box, metric, structure, maps, warnings)
+    config = GeoConfig(dim, box, metric, structure, maps, warnings, lines=lines)
     _validate(config)
     return config
 
 
-def _assemble_matrix(rows, elems, dim: int, label: str):
-    if rows is not None and elems:
+def _coordinates(expr: Expr):
+    """The coordinate indices ``expr`` reads, in source order."""
+    if isinstance(expr, Coord):
+        yield expr.index
+    elif isinstance(expr, Neg):
+        yield from _coordinates(expr.arg)
+    elif isinstance(expr, BinOp):
+        yield from _coordinates(expr.left)
+        yield from _coordinates(expr.right)
+    elif isinstance(expr, Call):
+        for arg in expr.args:
+            yield from _coordinates(arg)
+
+
+def _assemble_matrix(matrix, elems, dim: int, label: str, lines: dict):
+    """The dim x dim matrix from a whole-matrix statement ``(rows, line)`` or
+    from ``(i, j) -> (Expr, line)``; records each entry's line in ``lines``."""
+    if matrix is not None and elems:
         raise ConfigError(f"{label}: mix of whole-matrix and elementwise assignments")
-    if rows is not None:
+    if matrix is not None:
+        rows, line = matrix
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise DimensionMismatch(f"{label} must be a {dim} x {dim} matrix")
+        lines.update({(label, i, j): line for i in range(dim) for j in range(dim)})
         return rows
     if elems:
         out = [[Num(0.0) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), expr in elems.items():
+        for (i, j), (expr, line) in elems.items():
             if i > dim or j > dim:
                 raise DimensionMismatch(f"{label}[{i}][{j}] exceeds dimension {dim}")
             out[i - 1][j - 1] = expr
+            lines[(label, i - 1, j - 1)] = line
         return out
     return None
 
 
 def _validate(config: GeoConfig) -> None:
-    probes = config.probe_points()
-    metrics = []
-    for p in probes:
-        raw = np.array([[evaluate(config.metric[i][j], p) for j in range(config.dim)]
-                        for i in range(config.dim)])
+    """Probe g, J and every map at once on the stack of probe points."""
+    probes = np.array(config.probe_points())
+    raws = config._stack_fns["g"](probes)
+    metrics = 0.5 * (raws + np.swapaxes(raws, 1, 2))
+    for p, raw, g in zip(probes, raws, metrics):
         asym = float(np.max(np.abs(raw - raw.T)))
         if asym > SYMMETRY_WARN:
             config.warnings.append(
                 f"metric asymmetry {asym:.3g} at probe {p.tolist()}; symmetrized")
-        g = 0.5 * (raw + raw.T)
         if np.linalg.eigvalsh(g).min() <= 0:
             raise ConfigError(f"metric is not positive-definite at probe {p.tolist()}")
-        metrics.append(g)
     structure = config.structure_fn()
     if structure is not None:
         if config.dim % 2 != 0:
             raise ConfigError("J needs an even-dimensional chart")
-        for p, g in zip(probes, metrics):
-            resid, compat = _invariant_residuals(g, structure(p))
+        for p, g, j in zip(probes, metrics, structure(probes)):
+            resid, compat = _invariant_residuals(g, j)
             if resid > J_SQUARE_TOL:
                 raise ConfigError(
                     f"J^2 + I has residual {resid:.3g} at probe {p.tolist()}")
@@ -603,10 +775,10 @@ def to_map(config: GeoConfig, name: str, cfg, source_chart=None, structure=None)
     target_dim, fn = config.map_fn(name)
     target = Chart(dim=target_dim,
                    box=Box((-1e9,) * target_dim, (1e9,) * target_dim),
-                   metric_fn=lambda x: np.eye(target_dim), name=f"{name}-target")
+                   metric_fn=constant(np.eye(target_dim)), name=f"{name}-target")
     target_structure = None
     if target_dim % 2 == 0 and structure is not None:
         target_structure = AlmostComplexField(
-            target, lambda x: multiplication_by_i(target_dim // 2), source="intrinsic")
+            target, constant(multiplication_by_i(target_dim // 2)), source="intrinsic")
     return MapSpec(source_chart, target, fn, cfg, source_structure=structure,
                    target_structure=target_structure, name=name)

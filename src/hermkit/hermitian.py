@@ -17,9 +17,9 @@ differentiates the Hermitian frame fields once per sample: one stencil for the
 real and imaginary parts of all Z_l together, from which every
 nabla_{conj Z_k} Z_l is contracted.
 
-Each :class:`AlmostComplexField` memoizes J(x) and its Hermitian frames per
-point (see ``numdiff.memoized`` for the contract); g(x) and the Christoffel
-symbols come from the chart's memo.
+Each :class:`AlmostComplexField` memoizes J(x) per row and its Hermitian
+frames per point (see ``numdiff.memoized`` for the contract); g(x) and the
+Christoffel symbols come from the chart's memo.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
 from .manifold import (Chart, SamplePlan, VectorField, christoffel, constant_field,
                        lie_bracket)
-from .numdiff import Array, DiffConfig, memoized, project_out
+from .numdiff import Array, DiffConfig, as_stack, memoized, memoized_rows, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
@@ -45,6 +45,8 @@ SQRT2 = np.sqrt(2.0)
 class AlmostComplexField:
     """A field of endomorphisms J with J^2 = -I, compatible with the metric.
 
+    ``fn`` maps a (k, dim) stack of points to the (k, dim, dim) stack of J
+    there, so :func:`dj_stack` evaluates it once per stencil.
     ``source`` records how the field was built: ``intrinsic`` (given directly),
     ``ambient`` (an ambient-space rule pushed to the chart through an
     embedding), or ``lifted`` (produced by ``maps.lift_structure``).
@@ -56,8 +58,10 @@ class AlmostComplexField:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        return memoized(self._memo, ("J", x.tobytes()), lambda: np.array(self.fn(x), dtype=float))
+        """J at a point, or the stack of J at the rows of a (k, dim) stack."""
+        d = self.chart.dim
+        return memoized_rows(self._memo, "J", x, lambda stack: as_stack(
+            self.fn(stack), stack, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn"))
 
     def invariant_residuals(self, points: Sequence[Array], cfg: DiffConfig | None = None) -> dict:
         """Max residuals of J^2 + I and of g(JX, JY) - g(X, Y) over the points."""
@@ -172,7 +176,7 @@ def _hermitian_frame(chart: Chart, j_field: AlmostComplexField, x: Array, cfg: D
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
     """Plain coordinate derivatives d_i J, stacked as [i, k, j]."""
-    return numdiff.partial(numdiff.by_row(j_field), x, cfg, domain=chart.contains)
+    return numdiff.partial(j_field, x, cfg, domain=chart.contains)
 
 
 def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:

@@ -2,11 +2,15 @@
 
 A :class:`Chart` is a coordinate box plus a metric field.  The metric is either
 supplied directly (intrinsic) or derived from an embedding ``psi`` into
-Euclidean space as ``Dpsi^T Dpsi``.  Everything is evaluated pointwise; there
-are no atlases or transition functions.
+Euclidean space as ``Dpsi^T Dpsi``.  A ``metric_fn`` maps a (k, dim) stack of
+points to the (k, dim, dim) stack of their metric matrices, so
+:func:`christoffel` evaluates it once per stencil; :func:`numdiff.by_row` and
+:func:`numdiff.constant` make one from a per-point rule or a constant matrix.
+There are no atlases or transition functions.
 
-Each chart memoizes g(x), D(psi)(x) for an embedded chart and the Christoffel
-symbols per point and ``DiffConfig`` (see ``numdiff.memoized`` for the contract).
+Each chart memoizes g(x) per row, D(psi)(x) for an embedded chart and the
+Christoffel symbols per point and ``DiffConfig`` (see ``numdiff.memoized`` for
+the contract).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import EvaluationOutsideDomain, SingularMetric
-from .numdiff import Array, DiffConfig, memoized
+from .numdiff import Array, DiffConfig, as_stack, memoized, memoized_rows
 
 #: Symmetry slack accepted from a user-supplied metric field.
 METRIC_SYMMETRY_TOL = 1e-12
@@ -112,19 +116,22 @@ class Chart:
         return x
 
     def metric(self, x, cfg: DiffConfig | None = None) -> Array:
-        """Metric matrix at x; for embedded charts this is Dpsi^T Dpsi."""
-        x = np.asarray(x, dtype=float)
-        return memoized(self._memo, ("g", x.tobytes(), cfg), lambda: self._metric(x, cfg))
+        """Metric matrix at x, or the stack of them at the rows of a stack x;
+        for embedded charts this is Dpsi^T Dpsi."""
+        return memoized_rows(self._memo, "g", x, lambda stack: self._metric(stack, cfg), cfg)
 
-    def _metric(self, x: Array, cfg: DiffConfig | None) -> Array:
+    def _metric(self, stack: Array, cfg: DiffConfig | None) -> Array:
         if self.metric_fn is not None:
-            g = np.asarray(self.metric_fn(x), dtype=float)
+            g = as_stack(self.metric_fn(stack), stack, (self.dim, self.dim),
+                         f"chart {self.name or '(unnamed)'}: metric_fn")
         else:
-            d = self.dpsi(x, cfg)
-            g = d.T @ d
-        if np.max(np.abs(g - g.T)) > METRIC_SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
-            raise SingularMetric(f"metric at {x!r} is not symmetric")
-        return 0.5 * (g + g.T)
+            g = np.stack([d.T @ d for d in (self.dpsi(p, cfg) for p in stack)])
+        gt = np.swapaxes(g, 1, 2)
+        bound = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+        asymmetric = np.flatnonzero(np.max(np.abs(g - gt), axis=(1, 2)) > bound)
+        if asymmetric.size:
+            raise SingularMetric(f"metric at {stack[asymmetric[0]]!r} is not symmetric")
+        return 0.5 * (g + gt)
 
     def dpsi(self, x, cfg: DiffConfig | None = None) -> Array:
         """D(psi) at x for an embedded chart; the metric there is its Gram matrix."""
@@ -170,8 +177,8 @@ def christoffel(chart: Chart, x, cfg: DiffConfig) -> Array:
 def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:
     chart.require_interior(x, cfg)
     g_inv = chart.metric_inverse(x, cfg)
-    metric = numdiff.by_row(lambda p: chart.metric(p, cfg))
-    dg = numdiff.partial(metric, x, cfg, domain=chart.contains)  # dg[i, j, l] = d_i g_{jl}
+    dg = numdiff.partial(lambda stack: chart.metric(stack, cfg), x, cfg,
+                         domain=chart.contains)  # dg[i, j, l] = d_i g_{jl}
     # combined[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     combined = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, combined)

@@ -28,11 +28,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numdiff
-from .errors import CriticalPoint, FibreDimension, MissingStructure, WrongDimension
+from .errors import CriticalPoint, FibreDimension, MissingStructure
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
                         hermitian_frame, lee_vector, nabla_J, structure_jet, unit_axes)
 from .manifold import Chart, christoffel, gradient
-from .numdiff import Array, DiffConfig, memoized, orthonormalize, project_out
+from .numdiff import (Array, DiffConfig, as_stack, memoized, memoized_rows, orthonormalize,
+                      project_out)
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
 RANK_FACTOR = 1e-6
@@ -68,18 +69,8 @@ class MapSpec:
 
     def __call__(self, x) -> Array:
         """phi at a point, or at each row of a (k, source dim) stack."""
-        x = np.asarray(x, dtype=float)
-        stack = np.atleast_2d(x)
-        values = memoized(self._memo, [("phi", p.tobytes()) for p in stack],
-                          lambda missing: self._evaluate(stack[missing]))
-        return np.stack(values) if x.ndim > 1 else values[0]
-
-    def _evaluate(self, stack: Array) -> Array:
-        value, expected = np.array(self.fn(stack), dtype=float), (len(stack), self.target.dim)
-        if value.shape != expected:
-            raise WrongDimension(f"map {self.name or '(unnamed)'}: fn returned {value.shape} "
-                                 f"for a stack of shape {stack.shape}, expected {expected}")
-        return value
+        return memoized_rows(self._memo, "phi", x, lambda stack: as_stack(
+            self.fn(stack), stack, (self.target.dim,), f"map {self.name or '(unnamed)'}: fn"))
 
 
 def differential(spec: MapSpec, x) -> Array:
@@ -383,7 +374,7 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
         j_tgt = spec.target_structure(spec(jet.x))
         return lift @ j_tgt @ jet.differential + rot
 
-    return AlmostComplexField(spec.source, j_at, source="lifted")
+    return AlmostComplexField(spec.source, numdiff.by_row(j_at), source="lifted")
 
 
 def condition_ii_residual(samples: Sequence[tuple]) -> float:

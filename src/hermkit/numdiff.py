@@ -6,7 +6,8 @@ error behaviour of the whole package is pinned down here: central differences
 are second order in ``step``, and the optional Richardson extrapolation removes
 the leading error term.  Each stencil routine differentiates along every axis
 at once, calling its function once on the (k, n) stack of all its stencil
-points; :func:`by_row` makes such a function from a per-point one.
+points; :func:`by_row` makes such a function from a per-point one and
+:func:`constant` one that is the same at every row.
 :func:`project_out` is the package's only Gram-Schmidt step; :func:`orthonormalize` and every frame construction in
 ``hermitian`` and ``maps`` are built on it.  :func:`memoized` is the
 package's only cache, and its docstring states the contract every memo keeps.
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationOutsideDomain, RankDeficient
+from .errors import EvaluationOutsideDomain, RankDeficient, WrongDimension
 
 Array = np.ndarray
 
@@ -92,6 +93,32 @@ def memoized(memo: dict, key, compute: Callable):
     return value
 
 
+def memoized_rows(memo: dict, tag: str, x, compute: Callable[[Array], Array], *extra):
+    """The value at a point, or the stack of the values at the rows of a stack.
+
+    Each row is memoized under ``(tag, row.tobytes(), *extra)``, and
+    ``compute`` maps a (k, n) stack to the stack of its k values: it is
+    called once, on the distinct rows not stored yet (a point goes in as one
+    row).  A point is looked up by its own key, so a hit costs one dict read.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return memoized(memo, (tag, x.tobytes(), *extra), lambda: compute(x[None])[0])
+    return np.stack(memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
+                             lambda missing: compute(x[missing])))
+
+
+def as_stack(values, points: Array, row_shape: tuple, owner: str) -> Array:
+    """What a stack function returned on ``points``, as a new float array of
+    shape (len(points), *row_shape); any other shape raises ``WrongDimension``
+    naming ``owner``."""
+    out, expected = np.array(values, dtype=float), (len(points), *row_shape)
+    if out.shape != expected:
+        raise WrongDimension(f"{owner} returned {out.shape} for a stack of shape "
+                             f"{points.shape}, expected {expected}")
+    return out
+
+
 def _freeze(value):
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
@@ -104,6 +131,12 @@ def _freeze(value):
 def by_row(f: Callable[[Array], Array | float]) -> Callable[[Array], Array]:
     """The stack function of a per-point ``f``: ``f`` at each row, stacked."""
     return lambda points: np.stack([np.asarray(f(p)) for p in points])
+
+
+def constant(value) -> Callable[[Array], Array]:
+    """The stack function with ``value`` at every row."""
+    value = np.asarray(value, dtype=float)
+    return lambda points: np.broadcast_to(value, (len(points), *value.shape))
 
 
 def _stencil(f, points: Array, domain) -> Array:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -184,8 +185,8 @@ def test_perturbed_target_is_conformally_stretched(cfg):
 
 @pytest.mark.parametrize("entry_id", catalog.entry_ids())
 def test_closures_evaluate_a_stack_as_its_rows(entry_id, cfg):
-    """Every map's fn, and every embedding's psi, gives on a stack bit for bit
-    what it gives on each row alone."""
+    """Every map's fn, every embedding's psi, every chart's metric and every
+    structure's J give on a stack bit for bit what they give on each row alone."""
     entry = catalog.get_entry(entry_id, cfg)
     plan = SamplePlan(seed=5, count=12)
     for spec in entry.maps.values():
@@ -193,10 +194,16 @@ def test_closures_evaluate_a_stack_as_its_rows(entry_id, cfg):
         rows = np.concatenate([spec.fn(stack[i:i + 1]) for i in range(len(stack))])
         assert np.array_equal(spec.fn(stack), rows), spec.name
     for chart in entry.charts.values():
+        stack = np.array(plan.points(chart, cfg))
         if chart.embedding is not None:
-            stack = np.array(plan.points(chart, cfg))
             rows = np.array([chart.embedding.psi(p) for p in stack])
             assert np.array_equal(chart.embedding.psi(stack), rows), chart.name
+        rows = np.array([dataclasses.replace(chart).metric(p, cfg) for p in stack])
+        assert np.array_equal(dataclasses.replace(chart).metric(stack, cfg), rows), chart.name
+    for name, structure in entry.structures.items():
+        stack = np.array(plan.points(structure.chart, cfg))
+        rows = np.concatenate([structure.fn(stack[i:i + 1]) for i in range(len(stack))])
+        assert np.array_equal(structure.fn(stack), rows), name
 
 
 def test_mobius_pole_names_the_offending_row(cfg):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hermkit import cli, geodsl
 from hermkit.errors import (ConfigError, DimensionMismatch, DslError,
                             DslSyntaxError, EvaluationError, UnknownSymbol)
+from hermkit.hermitian import dj_stack
+from hermkit.manifold import christoffel
 
 TORUS_SRC = """
 # flat torus with the usual structure
@@ -32,15 +34,15 @@ g[2][2] = sin(x1)^2
 def test_parse_identity_metric():
     config = geodsl.parse("dim = 2\ng = [[1, 0], [0, 1]]")
     fn = config.metric_fn()
-    npt.assert_allclose(fn(np.array([0.3, -0.4])), np.eye(2))
+    npt.assert_allclose(fn(np.array([[0.3, -0.4]])), [np.eye(2)])
 
 
 def test_parse_elementwise_metric_matches_oracle():
     config = geodsl.parse(SPHERE_SRC)
     fn = config.metric_fn()
-    for theta in (0.5, 1.0, 2.0):
-        npt.assert_allclose(fn(np.array([theta, 1.0])),
-                            np.diag([1.0, math.sin(theta) ** 2]), atol=1e-15)
+    thetas = (0.5, 1.0, 2.0)
+    npt.assert_allclose(fn(np.array([[theta, 1.0] for theta in thetas])),
+                        [np.diag([1.0, math.sin(theta) ** 2]) for theta in thetas], atol=1e-15)
 
 
 def test_parse_dangling_comma_is_syntax_error():
@@ -77,11 +79,31 @@ def test_atan2_against_library():
     ("log(x1)", [0.0]),
     ("x1/0", [1.0]),
     ("10^(10^10)", [0.0]),
+    ("0/0", [1.0]),
+    ("log(0)", [1.0]),
+    ("sqrt(-1)", [1.0]),
+    ("(-8)^(1/3)", [1.0]),
+    ("x1/x1", [0.0]),
+    ("2/x1", [0.0]),
+    ("(x1 - 9)^(1/3)", [1.0]),
+    ("exp(x1)", [1000.0]),
+    ("x1 * x1", [1e200]),
 ])
 def test_evaluation_domain_errors(src, point):
+    """evaluate raises, and the compiled stack raises the same message."""
     expr = geodsl.parse_expr(src, dim=1)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as ref:
         geodsl.evaluate(expr, point)
+    with pytest.raises(EvaluationError) as stacked:
+        geodsl.compile_exprs([expr])(np.array([point, [0.5]]))
+    assert str(stacked.value) == str(ref.value)
+
+
+def test_overflow_that_recovers_matches_evaluate():
+    """x1 * 10^308 overflows to inf, and 1/inf is 0.0 on both paths."""
+    expr = geodsl.parse_expr("1/(x1 * 10^308)", dim=1)
+    assert geodsl.evaluate(expr, [10.0]) == 0.0
+    assert geodsl.compile_exprs([expr])(np.array([[10.0], [0.5]])).tolist() == [[0.0], [2e-308]]
 
 
 def test_evaluation_error_names_expression_and_point():
@@ -93,6 +115,69 @@ def test_evaluation_error_names_expression_and_point():
     with pytest.raises(EvaluationError, match=r"x1 \* 10") as err:
         geodsl.evaluate(expr, [10.0])
     assert "inf" in str(err.value) and "[10.0]" in str(err.value)
+
+
+def _tree(children):
+    one = sorted(name for name, (arity, _) in geodsl.FUNCTIONS.items() if arity == 1)
+    return (st.builds(geodsl.Neg, children)
+            | st.builds(geodsl.BinOp, st.sampled_from("+-*/^"), children, children)
+            | st.builds(lambda name, a: geodsl.Call(name, (a,)), st.sampled_from(one), children)
+            | st.builds(lambda a, b: geodsl.Call("atan2", (a, b)), children, children))
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -8.0, 1.0 / 3.0, 10.0, 1e308,
+                           1e-300, 3.7]) | st.floats(-50.0, 50.0)
+_EXPRS = st.recursive(st.builds(geodsl.Num, _VALUES) | st.builds(geodsl.Coord, st.integers(1, 2)),
+                      _tree, max_leaves=10)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except EvaluationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_EXPRS, min_size=1, max_size=3),
+       st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=5))
+def test_compiled_stack_equals_evaluate_row_by_row(exprs, rows):
+    """On any stack, the compiled expressions give what evaluate gives at each
+    row, bit for bit, or raise the EvaluationError it raises first."""
+    stack = np.array(rows)
+    ref = _outcome(lambda: np.array([[geodsl.evaluate(e, p) for e in exprs] for p in stack]))
+    got = _outcome(lambda: geodsl.compile_exprs(exprs)(stack))
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("src,line", [
+    ("g = [[1, 0], [0, x3^2 + 1]]\ndim = 2", 1),
+    ("map m -> 1 = [x7]\ndim = 2\ng = [[1, 0], [0, 1]]", 1),
+    ("dim = 3\ng = [[1, 0], [0, 1]]\nJ = [[0, -1], [1, x3]]\ndim = 2", 3),
+])
+def test_coordinate_beyond_a_later_dim_names_its_line(src, line):
+    with pytest.raises(DimensionMismatch, match=rf"^line {line}: coordinate x\d exceeds"):
+        geodsl.parse(src)
+
+
+@pytest.mark.parametrize("entry,line", [
+    ("g = [[1, 0], [0, 1 + log(x1)]]", 4),
+    ("g[2][2] = 1 + log(x1)", 4),
+    ("J = [[0, -1], [1, log(x1)]]", 5),
+    ("map f -> 1 = [x2 + log(x1)]", 5),
+])
+def test_evaluation_error_names_the_config_line(entry, line):
+    """A g, J or map entry that fails names its config line, the expression
+    and the point."""
+    lines = ["dim = 2", "domain x1 = [-1, 1]", "", entry]
+    if not entry.startswith("g"):
+        lines.insert(3, "g = [[1, 0], [0, 1]]")
+    with pytest.raises(EvaluationError, match=rf"^line {line}: math domain error in .*"
+                                              rf"log\(x1\) at \[0\.0, 0\.0\]$"):
+        geodsl.parse("\n".join(lines))
 
 
 def test_unknown_symbol_and_dimension_mismatch():
@@ -125,7 +210,7 @@ def test_metric_symmetrized_with_warning():
     config = geodsl.parse("dim = 2\ng = [[1, 0.001], [0, 1]]")
     assert config.warnings
     fn = config.metric_fn()
-    g = fn(np.zeros(2))
+    (g,) = fn(np.zeros((1, 2)))
     npt.assert_allclose(g, g.T)
     npt.assert_allclose(g[0, 1], 0.0005)
 
@@ -217,6 +302,31 @@ def test_to_chart_and_map(cfg):
     assert spec.target_structure is not None
 
 
+def test_config_functions_run_once_per_stack(monkeypatch, cfg):
+    """parse probes g, J and the map on one stack of probe points; a
+    Christoffel or d J stencil evaluates g or J once."""
+    calls = []
+    compile_exprs = geodsl.compile_exprs
+
+    def recording(exprs, lines=None):
+        fn = compile_exprs(exprs, lines)
+
+        def stacked(points):
+            calls.append((len(exprs), np.shape(points)))
+            return fn(points)
+        return stacked
+
+    monkeypatch.setattr(geodsl, "compile_exprs", recording)
+    config = geodsl.parse(TORUS_SRC)
+    assert calls == [(4, (5, 2)), (4, (5, 2)), (2, (5, 2))]
+    calls.clear()
+    chart, structure = geodsl.to_chart(config)
+    x = np.array([1.0, 2.0])
+    christoffel(chart, x, cfg)
+    dj_stack(chart, structure, x, cfg)
+    assert calls == [(4, (1, 2)), (4, (8, 2)), (4, (8, 2))]
+
+
 INCOMPATIBLE_J_SRC = """
 dim = 2
 g = [[1, 0], [0, 4]]
@@ -252,7 +362,8 @@ def test_check_map_evaluation_error_names_expression(tmp_path, capsys):
     path.write_text(BAD_LOG_SRC, encoding="utf-8")
     assert cli.main(["check-map", "--config", str(path), "--map", "f",
                      "--points", "2"]) == 2
-    assert "log(x1 - 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "log(x1 - 1" in err and "line 7:" in err
 
 
 def test_deep_nesting_is_structured_error():

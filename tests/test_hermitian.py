@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog, hermitian
+from hermkit import catalog, hermitian, numdiff
 from hermkit.errors import PreconditionFailed
 from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
                                classify_structure, divergence_J, divergence_J_frame,
@@ -11,7 +11,7 @@ from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
                                structure_jet)
 from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, constant_field,
                               covariant_derivative)
-from hermkit.numdiff import orthonormalize
+from hermkit.numdiff import constant, orthonormalize
 
 
 def bilinear(g, z, w) -> complex:
@@ -286,6 +286,30 @@ def test_classify_builds_one_hermitian_frame_per_sample(memo_builds, cfg):
         assert len(built[x.tobytes()]) == 1
 
 
+def test_classify_builds_each_metric_once_per_point(memo_builds, cfg):
+    """Stencils ask the chart for stacks of metrics; each row is still built
+    once, however many stencils and samples share it."""
+    built = memo_builds(numdiff, "g")
+    entry = catalog.calabi_eckmann(1, 1, cfg)
+    plan = SamplePlan(count=2)
+    classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
+    assert len(built) > 2 * 4 * 4
+    assert all(len(ids) == 1 for ids in built.values())
+
+
+def test_dj_stack_evaluates_j_once_per_stencil(cfg):
+    shapes = []
+
+    def j_fn(stack):
+        shapes.append(stack.shape)
+        return constant([[0.0, -1.0], [1.0, 0.0]])(stack)
+
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
+    dj = hermitian.dj_stack(chart, AlmostComplexField(chart, j_fn), np.array([0.2, 0.1]), cfg)
+    assert shapes == [(8, 2)]
+    assert np.array_equal(dj, np.zeros((2, 2, 2)))
+
+
 @pytest.mark.parametrize("entry_id", ["ce-1-1", "cp-2"])
 def test_classify_complex_form_matches_per_pair_route(entry_id, cfg):
     """One stencil per axis for all frame fields gives bit for bit the
@@ -317,8 +341,8 @@ def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
 def test_classify_rejects_incompatible_structure(cfg):
     """The standard J is not compatible with g = diag(1, 4): J^T g J = diag(4, 1)."""
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)),
-                  metric_fn=lambda x: np.diag([1.0, 4.0]))
-    j_field = AlmostComplexField(chart, lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]))
+                  metric_fn=constant(np.diag([1.0, 4.0])))
+    j_field = AlmostComplexField(chart, constant([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(PreconditionFailed) as err:
         classify_structure(chart, j_field, SamplePlan(count=3), cfg)
     assert err.value.precondition == "almost Hermitian"

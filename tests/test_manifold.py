@@ -5,16 +5,16 @@ import numpy.testing as npt
 import pytest
 
 from hermkit import catalog
-from hermkit.errors import EvaluationOutsideDomain, SingularMetric
+from hermkit.errors import EvaluationOutsideDomain, SingularMetric, WrongDimension
 from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
                               christoffel, constant_field, covariant_derivative,
                               gradient, lie_bracket)
-from hermkit.numdiff import DiffConfig
+from hermkit.numdiff import DiffConfig, by_row, constant
 
 
 def flat2():
     return Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)),
-                 metric_fn=lambda x: np.eye(2), name="flat2")
+                 metric_fn=constant(np.eye(2)), name="flat2")
 
 
 def sphere2():
@@ -30,7 +30,7 @@ def test_box_contains_margin():
 
 
 def test_chart_contains_applies_the_predicate_to_every_row():
-    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2),
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)),
                   predicate=lambda p: float(p @ p) > 0.01)
     assert chart.contains([[0.5, 0.5], [-0.5, 0.2]])
     assert not chart.contains([[0.5, 0.5], [0.0, 0.05]])
@@ -46,8 +46,29 @@ def test_chart_requires_exactly_one_metric_source():
 
 def test_metric_rejects_asymmetry():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)),
-                  metric_fn=lambda x: np.array([[1.0, 0.5], [0.2, 1.0]]))
+                  metric_fn=constant([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(SingularMetric):
+        chart.metric(np.zeros(2))
+
+
+def test_christoffel_evaluates_the_metric_once_per_stencil(cfg):
+    """metric_fn runs once at the point and once on all 4 * dim stencil rows."""
+    shapes = []
+
+    def metric_fn(stack):
+        shapes.append(stack.shape)
+        return by_row(lambda p: np.diag([1.0, 1.0 + p[0] ** 2]))(stack)
+
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=metric_fn)
+    gamma = christoffel(chart, np.array([0.3, 0.4]), cfg)
+    assert shapes == [(1, 2), (8, 2)]
+    npt.assert_allclose(gamma[1, 0, 1], 0.3 / (1.0 + 0.3 ** 2), rtol=1e-9)
+
+
+def test_metric_fn_must_return_a_stack():
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2),
+                  name="per-point")
+    with pytest.raises(WrongDimension, match=r"per-point.*\(2, 2\).*\(1, 2\).*\(1, 2, 2\)"):
         chart.metric(np.zeros(2))
 
 

@@ -14,7 +14,7 @@ from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_pro
                           homothety_residual, lee_pushforward, lift_structure,
                           point_jet, sff_tensor, superminimality_residual, tension,
                           tension_in_frame, vertical_frame_field)
-from hermkit.numdiff import orthonormalize
+from hermkit.numdiff import constant, orthonormalize
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +44,9 @@ PUNCTURED2_POINT = np.array([1.4, 0.2, -0.3, 0.5, 0.1, -0.2])
 def flat_map(fn, source_dim=2, target_dim=2, lo=-2.0, hi=2.0):
     cfg = catalog.DEFAULT_CFG
     src = Chart(dim=source_dim, box=Box((lo,) * source_dim, (hi,) * source_dim),
-                metric_fn=lambda x: np.eye(source_dim))
+                metric_fn=constant(np.eye(source_dim)))
     tgt = Chart(dim=target_dim, box=Box((-1e3,) * target_dim, (1e3,) * target_dim),
-                metric_fn=lambda x: np.eye(target_dim))
+                metric_fn=constant(np.eye(target_dim)))
     return MapSpec(src, tgt, fn, cfg)
 
 
@@ -312,7 +312,7 @@ def test_lift_makes_map_holomorphic(punctured1, orientation):
 
 def test_lift_requires_two_dimensional_fibres():
     cfg = catalog.DEFAULT_CFG
-    src = Chart(dim=3, box=Box((-1.0,) * 3, (1.0,) * 3), metric_fn=lambda x: np.eye(3))
+    src = Chart(dim=3, box=Box((-1.0,) * 3, (1.0,) * 3), metric_fn=constant(np.eye(3)))
     tgt = catalog.flat_chart(2, -2.0, 2.0)
     j_tgt = catalog.constant_structure(tgt, catalog.multiplication_by_i(1))
     omega = np.zeros((3, 3))

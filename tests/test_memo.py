@@ -19,7 +19,7 @@ from hermkit.errors import EvaluationOutsideDomain, SingularMetric
 from hermkit.hermitian import hermitian_frame
 from hermkit.manifold import Box, Chart, SamplePlan, christoffel
 from hermkit.maps import MapSpec, _lift_matrix, conformality, point_jet
-from hermkit.numdiff import DiffConfig, memoized
+from hermkit.numdiff import DiffConfig, constant, memoized
 
 CFG = DiffConfig()
 CE_POINT = np.array([0.5, 0.7, 0.9, 1.1])
@@ -101,7 +101,7 @@ def test_memoized_arrays_are_read_only():
 
 
 def test_memo_keeps_no_alias_of_the_callers_point():
-    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2))
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
     spec = MapSpec(chart, chart, lambda x: x, CFG)
     x = np.array([0.1, 0.2])
     y = spec(x)
@@ -138,7 +138,7 @@ def test_row_keys_store_nothing_when_the_stack_raises():
 
 
 def test_map_stack_that_raises_stores_no_row():
-    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2))
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
 
     def fn(x):
         if np.any(x[:, 0] > 0.5):
@@ -159,7 +159,7 @@ def test_failed_evaluation_stores_nothing():
 
     def asymmetric(x):
         calls.append(x)
-        return np.array([[1.0, 0.5], [0.2, 1.0]])
+        return constant([[1.0, 0.5], [0.2, 1.0]])(x)
 
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=asymmetric)
     for _ in range(2):

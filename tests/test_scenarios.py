@@ -8,7 +8,7 @@ from hermkit.errors import (PreconditionFailed, TargetDimensionTooSmall,
                             TooManyExcludedSamples, UnknownScenario, WrongDimension)
 from hermkit.manifold import Box, Chart, SamplePlan
 from hermkit.maps import MapSpec
-from hermkit.numdiff import DiffConfig
+from hermkit.numdiff import DiffConfig, constant
 from hermkit.scenarios import (biconditional_check, check, check_gauduchon,
                                check_lemma_tension, check_rejected_morphism,
                                check_surface_case, check_two_of_three,
@@ -154,8 +154,8 @@ def test_near_critical_exclusion_cap():
     """A map whose differential keeps one singular value barely above the rank
     threshold excludes every sample and must error instead of passing silently."""
     cfg = CFG
-    src = Chart(dim=2, box=Box((0.0, 0.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2))
-    tgt = Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)), metric_fn=lambda x: np.eye(2))
+    src = Chart(dim=2, box=Box((0.0, 0.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
+    tgt = Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)), metric_fn=constant(np.eye(2)))
     spec = MapSpec(src, tgt, lambda x: x * [1.0, 5e-6], cfg)
     with pytest.raises(TooManyExcludedSamples):
         scenarios.check_harmonic_morphism(spec, SMALL, include_fibres=True)
