@@ -14,12 +14,12 @@ Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 down, so no operator that reads it evaluates or differentiates J again.
 The complex form of :func:`classify_structure` reads the same jet and
 differentiates the Hermitian frame fields once per sample: one stencil for the
-real and imaginary parts of all Z_l together, from which every
-nabla_{conj Z_k} Z_l is contracted.
+real and imaginary parts of all Z_l together, their frames built in one pass
+over the stencil's stack, from which every nabla_{conj Z_k} Z_l is contracted.
 
 Each :class:`AlmostComplexField` memoizes J(x) per row and its Hermitian
-frames per point (see ``numdiff.memoized`` for the contract); g(x) and the
-Christoffel symbols come from the chart's memo.
+frames per point, not per stack (see ``numdiff.memoized`` for the contract);
+g(x) and the Christoffel symbols come from the chart's memo.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
 from .manifold import (Chart, SamplePlan, VectorField, christoffel, constant_field,
                        lie_bracket)
-from .numdiff import Array, DiffConfig, as_stack, memoized, memoized_rows, project_out
+from .numdiff import Array, DiffConfig, as_stack, g_length, memoized, memoized_rows, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
@@ -81,6 +81,16 @@ def _invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
             float(np.max(np.abs(j.T @ g @ j - g))))
 
 
+def require_almost_hermitian(g: Array, j: Array, x: Array) -> None:
+    """Raise ``PreconditionFailed`` unless (g, J) at x is almost Hermitian."""
+    square, compat = _invariant_residuals(g, j)
+    bound = J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))
+    if square > bound or compat > bound:
+        raise PreconditionFailed(
+            "almost Hermitian", f"J^2 + I residual {square:.3g}, g(J., J.) - g "
+            f"residual {compat:.3g} at {x.tolist()}")
+
+
 def unit_axes(g: Array) -> list[Array]:
     """The coordinate axes scaled to unit length in g."""
     return [np.eye(len(g))[i] / np.sqrt(g[i, i]) for i in range(len(g))]
@@ -120,10 +130,17 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfi
 
     Candidates are the coordinate axes in order; with ``pivots`` given, exactly
     those candidate indices are used: the pivots of the frame at a base point
-    give a frame field that is smooth near it.  Frames are memoized on
-    ``j_field`` (``chart`` must be its chart) per point, ``cfg`` and pivots.
+    give a frame field that is smooth near it.  ``x`` is a point, built as a
+    one-row stack and memoized on ``j_field`` (``chart`` must be its chart) per
+    point, ``cfg`` and pivots; or a (k, dim) stack, which needs ``pivots`` and is
+    not memoized (stencil frames are read once), each frame vector then being a
+    (k, dim) stack whose rows equal the frames at those points bit for bit.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        if pivots is None:
+            raise ValueError("a stack of points needs the pivots of its frame field")
+        return _hermitian_frame(chart, j_field, x, cfg, pivots)
     frame = memoized(j_field._memo, ("frame", x.tobytes(), cfg, pivots),
                      lambda: _hermitian_frame(chart, j_field, x, cfg, pivots))
     if pivots is None:  # rebuilt with its own pivots, it comes out bit for bit the same
@@ -136,40 +153,35 @@ def _hermitian_frame(chart: Chart, j_field: AlmostComplexField, x: Array, cfg: D
     d = chart.dim
     if d % 2 != 0:
         raise RankDeficient("almost complex structures need an even-dimensional chart")
-    g = chart.metric(x, cfg)
-    j = j_field(x)
-    chol = np.linalg.cholesky(g)
-    scale = np.linalg.norm(chol.T, ord=2)
-    tol = scale * numdiff.RANK_RTOL
-    e_list: list[Array] = []
-    je_list: list[Array] = []
+    stack = np.atleast_2d(x)
+    g, j = chart.metric(stack, cfg), j_field(stack)
+    chol_t = np.swapaxes(np.linalg.cholesky(g), 1, 2)  # its 2-norm sets each row's rank scale
+    tol = np.linalg.norm(chol_t, ord=2, axis=(1, 2))[:, None] * numdiff.RANK_RTOL
+    basis: list[Array] = []  # e_1, Je_1, e_2, Je_2, ...
     used: list[int] = []
-
-    def accepted() -> list[Array]:
-        return [v for pair in zip(e_list, je_list) for v in pair]
-
-    candidates = list(pivots) if pivots is not None else list(range(d))
-    for idx in candidates:
-        if len(e_list) == d // 2:
+    for idx in pivots if pivots is not None else range(d):
+        if len(basis) == d:
             break
-        e = np.zeros(d)
-        e[idx] = 1.0
-        w = project_out(e, accepted(), g)
-        n = np.sqrt(max(w @ g @ w, 0.0))
-        if n <= tol:
+        e = np.zeros(stack.shape)
+        e[:, idx] = 1.0
+        w = project_out(e, basis, g)
+        n = g_length(w, g)
+        if np.any(n <= tol):
             if pivots is not None:
                 raise RankDeficient(f"recorded pivot {idx} became dependent")
             continue
         ek = w / n
-        jek = project_out(j @ ek, accepted() + [ek], g)
-        njk = np.sqrt(max(jek @ g @ jek, 0.0))
-        if njk <= tol:
+        jek = project_out((j @ ek[..., None])[..., 0], basis + [ek], g)
+        njk = g_length(jek, g)
+        if np.any(njk <= tol):
             raise RankDeficient("J e_k collapsed onto the accepted span; J or g is broken")
-        e_list.append(ek)
-        je_list.append(jek / njk)
+        basis += [ek, jek / njk]
         used.append(idx)
-    if len(e_list) != d // 2:
+    if len(basis) != d:
         raise RankDeficient("could not complete a Hermitian frame from coordinate axes")
+    if x.ndim == 1:
+        basis = [v[0] for v in basis]
+    e_list, je_list = basis[0::2], basis[1::2]
     complex_frame = tuple((e - 1j * je) / SQRT2 for e, je in zip(e_list, je_list))
     return HermitianFrame(tuple(e_list + je_list), complex_frame, tuple(used))
 
@@ -329,9 +341,9 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     frame criteria ((0,1)-parts of nabla_{conj Z} W and of sum_k
     nabla_{conj Z_k} Z_k) are evaluated as well.  ``points`` overrides the
     plan's samples (used when a map pushes samples onto this chart).
-    Raises ``PreconditionFailed`` at a sample where J^2 + I or J^T g J - g
-    exceeds ``J_SQUARE_TOL * max(1, max|g|)``: such a pair is not almost
-    Hermitian and has no classification.
+    Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at a
+    sample where (g, J) is not almost Hermitian: such a pair has no
+    classification.
     """
     points = plan.points(chart, cfg) if points is None else [np.asarray(p, dtype=float)
                                                              for p in points]
@@ -343,12 +355,7 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
         g, j, gamma, t = jet.metric, jet.j, jet.gamma, jet.nabla
         scale = max(scale, 1.0 + float(np.max(np.abs(gamma))) * (1.0 + float(np.max(np.abs(j)))))
         frame = hermitian_frame(chart, j_field, x, cfg)
-        square, compat = _invariant_residuals(g, j)
-        bound = J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))
-        if square > bound or compat > bound:
-            raise PreconditionFailed(
-                "almost Hermitian", f"J^2 + I residual {square:.3g}, g(J., J.) - g "
-                f"residual {compat:.3g} at {x.tolist()}")
+        require_almost_hermitian(g, j, x)
         u = np.column_stack(frame.real_frame)
         ju = j @ u
         nab = np.einsum("ikj,ia,jb->kab", t, u, u)
@@ -365,17 +372,16 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
                 n_ab = nijenhuis(jet, u[:, a], u[:, b])
                 r_nij = max(r_nij, g_norm(g, n_ab))
         if complex_form:
-            def z_parts(p: Array) -> Array:
-                """[Re Z, Im Z] of the frame field at p, smooth near x (x's pivots),
-                as [part, l, k]."""
-                z = np.array(hermitian_frame(chart, j_field, p, cfg, frame.pivots).complex_frame)
-                return np.stack([np.real(z), np.imag(z)])
+            def z_parts(ps: Array) -> Array:
+                """[Re Z, Im Z] of the frame field at the rows of ps, smooth near x
+                (x's pivots), as [row, part, l, k]."""
+                z = np.array(hermitian_frame(chart, j_field, ps, cfg, frame.pivots).complex_frame)
+                return np.moveaxis(np.stack([np.real(z), np.imag(z)]), 2, 0)
 
             # dz[part, l, i, k] = d_i of that part of Z_l^k: one stencil for all
             # frame fields; each (part, l) slice is C-contiguous, like the stack
             # manifold.covariant_derivative contracts, so the sums match it bit for bit
-            dz = np.ascontiguousarray(np.moveaxis(
-                numdiff.partial(numdiff.by_row(z_parts), x, cfg), 0, 2))
+            dz = np.ascontiguousarray(np.moveaxis(numdiff.partial(z_parts, x, cfg), 0, 2))
             z_at = [(np.real(z), np.imag(z)) for z in frame.complex_frame]
 
             def cov(v: Array, l: int, part: int) -> Array:

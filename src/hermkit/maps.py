@@ -30,7 +30,8 @@ import numpy as np
 from . import numdiff
 from .errors import CriticalPoint, FibreDimension, MissingStructure
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
-                        hermitian_frame, lee_vector, nabla_J, structure_jet, unit_axes)
+                        hermitian_frame, lee_vector, nabla_J, require_almost_hermitian,
+                        structure_jet, unit_axes)
 from .manifold import Chart, christoffel, gradient
 from .numdiff import (Array, DiffConfig, as_stack, memoized, memoized_rows, orthonormalize,
                       project_out)
@@ -114,13 +115,16 @@ def _jet_parts(spec: MapSpec, x: Array) -> tuple:
 
 
 def holomorphy_residual(jet: PointJet) -> float:
-    """Frobenius norm of dphi J - J_target(phi(x)) dphi."""
+    """Frobenius norm of dphi J - J_target(phi(x)) dphi; raises
+    ``PreconditionFailed`` unless (g, J) is almost Hermitian at x and phi(x)."""
     spec = jet.spec
     if spec.source_structure is None or spec.target_structure is None:
         raise MissingStructure("holomorphy needs almost-complex structures on both charts")
-    d = jet.differential
+    d, y = jet.differential, spec(jet.x)
     j_src = spec.source_structure(jet.x)
-    j_tgt = spec.target_structure(spec(jet.x))
+    j_tgt = spec.target_structure(y)
+    require_almost_hermitian(jet.metric, j_src, jet.x)
+    require_almost_hermitian(spec.target.metric(y, spec.cfg), j_tgt, y)
     return float(np.linalg.norm(d @ j_src - j_tgt @ d))
 
 
@@ -400,16 +404,16 @@ def condition_ii_residual(samples: Sequence[tuple]) -> float:
             """[Re, Im] of the horizontal lift of each Z_k, as [part, k, :]."""
             return np.array([[lift @ part(z) for z in zs] for part in (np.real, np.imag)])
 
-        def lifted_at(p: Array) -> Array:
-            """The lifts at p, smooth near phi(x) (the base frame's pivots)."""
-            zs = hermitian_frame(spec.target, spec.target_structure, spec(p), cfg,
+        def lifted_at(stack: Array) -> Array:
+            """The lifts at the rows, smooth near phi(x) (the base frame's pivots)."""
+            zs = hermitian_frame(spec.target, spec.target_structure, spec(stack), cfg,
                                  base.pivots).complex_frame
-            return lifts(_lift_matrix(point_jet(spec, p)), zs)
+            return np.stack([lifts(_lift_matrix(point_jet(spec, p)), [z[r] for z in zs])
+                             for r, p in enumerate(stack)])
 
         # dz[part, k, i, :] = d_i of that part of the lifted Z_k, one stencil for all; each
         # (part, k) slice is C-contiguous, as in manifold.lie_bracket, so brackets match it
-        dz = np.ascontiguousarray(np.moveaxis(
-            numdiff.partial(numdiff.by_row(lifted_at), x, cfg), 0, 2))
+        dz = np.ascontiguousarray(np.moveaxis(numdiff.partial(lifted_at, x, cfg), 0, 2))
         at_x = lifts(_lift_matrix(jet), base.complex_frame)
 
         def bracket(a: tuple, b: tuple) -> Array:

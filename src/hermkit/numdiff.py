@@ -8,14 +8,15 @@ the leading error term.  Each stencil routine differentiates along every axis
 at once, calling its function once on the (k, n) stack of all its stencil
 points; :func:`by_row` makes such a function from a per-point one and
 :func:`constant` one that is the same at every row.
-:func:`project_out` is the package's only Gram-Schmidt step; :func:`orthonormalize` and every frame construction in
+:func:`project_out`, on a vector or a stack, is the package's only Gram-Schmidt
+step; :func:`orthonormalize` and every frame construction in
 ``hermitian`` and ``maps`` are built on it.  :func:`memoized` is the
 package's only cache, and its docstring states the contract every memo keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +52,10 @@ class DiffConfig:
             raise ValueError("tolerance_abs must be positive")
         if not self.tolerance_factor > 0:
             raise ValueError("tolerance_factor must be positive")
+        object.__setattr__(self, "_hash", hash(astuple(self)))  # memo keys hash it often
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def tolerance(self, scale: float = 1.0) -> float:
         """Scale-aware residual bound for inputs of the given magnitude."""
@@ -80,13 +85,18 @@ def memoized(memo: dict, key, compute: Callable):
     entry, and the list of the entries for ``key`` is returned.
     """
     if isinstance(key, list):
-        missing: dict = {}
+        found = [memo.get(k) for k in key]
+        missing: dict = {}  # first position of each key not stored yet
         for i, k in enumerate(key):
-            if k not in memo:
+            if found[i] is None:
                 missing.setdefault(k, i)
         if missing:
-            memo.update(zip(missing, _freeze(compute(list(missing.values())))))
-        return [memo[k] for k in key]
+            rows = list(_freeze(compute(list(missing.values()))))
+            memo.update(zip(missing, rows))
+            for i, row in zip(missing.values(), rows):
+                found[i] = row
+            found = [memo[k] if v is None else v for k, v in zip(key, found)]  # repeated keys
+        return found
     value = memo.get(key)
     if value is None:
         value = memo[key] = _freeze(compute())
@@ -203,20 +213,23 @@ def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
     return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
 
 
-def _g_norm(v: Array, g: Array) -> float:
-    return float(np.sqrt(max(v @ g @ v, 0.0)))
+def g_length(v: Array, g: Array) -> Array:
+    """The g-length of a vector or of each row of a stack, as in :func:`project_out`."""
+    return np.sqrt(np.maximum((v[..., None, :] @ g @ v[..., :, None])[..., 0], 0.0))
 
 
 def project_out(v: Array, basis: Sequence[Array], g: Array) -> Array:
     """``v`` minus its g-components along a g-orthonormal ``basis``.
 
-    Modified Gram-Schmidt over ``basis`` in order, run twice: the second pass
-    keeps the Gram residual near 1e-15 ("twice is enough").
+    A vector, or row by row a (k, d) stack with a (k, d, d) stack of metrics, each
+    row equal to that row alone bit for bit.  Modified Gram-Schmidt over ``basis``
+    in order, run twice: the second pass keeps the Gram residual near 1e-15
+    ("twice is enough").
     """
     w = np.array(v, dtype=float)
     for _ in range(2):
         for b in basis:
-            w = w - (w @ g @ b) * b
+            w = w - (w[..., None, :] @ g @ b[..., :, None])[..., 0] * b
     return w
 
 
@@ -243,7 +256,7 @@ def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = No
     basis: list[Array] = []
     for v in vecs:
         w = project_out(v, basis, g)
-        n = _g_norm(w, g)
+        n = g_length(w, g)
         if n > tol:
             basis.append(w / n)
     if len(basis) < required:

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from hermkit import catalog, hermitian, numdiff
-from hermkit.errors import PreconditionFailed
+from hermkit import geodsl
+from hermkit.errors import PreconditionFailed, RankDeficient
 from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
                                classify_structure, divergence_J, divergence_J_frame,
                                g_norm, hermitian_frame, lee_vector,
@@ -12,6 +13,7 @@ from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
 from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, constant_field,
                               covariant_derivative)
 from hermkit.numdiff import constant, orthonormalize
+
 
 
 def bilinear(g, z, w) -> complex:
@@ -326,8 +328,9 @@ def test_classify_complex_form_matches_per_pair_route(entry_id, cfg):
 
 
 def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
-    """The sample's frame, then one pivoted frame per stencil point of the
-    frame-field derivative: at most 1 + 4 dim lookups per sample."""
+    """The sample's frame, then the pivoted frames at all the stencil points
+    of the frame-field derivative in one stacked call: at most 2 lookups per
+    sample."""
     calls = []
     lookup = hermitian.hermitian_frame
     monkeypatch.setattr(hermitian, "hermitian_frame",
@@ -335,7 +338,7 @@ def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
     entry = catalog.calabi_eckmann(1, 1)
     plan = SamplePlan(count=2)
     classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
-    assert len(calls) <= plan.count * (1 + 4 * entry.charts["ce"].dim)
+    assert len(calls) <= plan.count * 2
 
 
 def test_classify_rejects_incompatible_structure(cfg):
@@ -346,3 +349,78 @@ def test_classify_rejects_incompatible_structure(cfg):
     with pytest.raises(PreconditionFailed) as err:
         classify_structure(chart, j_field, SamplePlan(count=3), cfg)
     assert err.value.precondition == "almost Hermitian"
+
+
+CONFORMAL_SRC = """
+dim = 4
+domain x1 = [-1.0, 1.0]
+domain x2 = [-1.0, 1.0]
+domain x3 = [-1.0, 1.0]
+domain x4 = [-1.0, 1.0]
+g[1][1] = exp(2*(0.3*sin(0.8*x1 + 1.2*x3) + 0.25*cos(1.1*x2 - 0.7*x4)))
+g[2][2] = exp(2*(0.3*sin(0.8*x1 + 1.2*x3) + 0.25*cos(1.1*x2 - 0.7*x4)))
+g[3][3] = exp(2*(0.3*sin(0.8*x1 + 1.2*x3) + 0.25*cos(1.1*x2 - 0.7*x4)))
+g[4][4] = exp(2*(0.3*sin(0.8*x1 + 1.2*x3) + 0.25*cos(1.1*x2 - 0.7*x4)))
+J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+"""
+
+
+def chart_and_structure(name, cfg):
+    """A fresh (chart, J) for a catalog entry or the conformally flat config."""
+    if name == "conformal-dsl":
+        return geodsl.to_chart(geodsl.parse(CONFORMAL_SRC))
+    entry = catalog.get_entry(name, cfg)
+    (chart,), j_field = entry.charts.values(), entry.structures["J"]
+    return chart, j_field
+
+
+def stencil_stack(x, cfg):
+    """The points of one Richardson first-derivative stencil around x."""
+    eye = np.eye(len(x))
+    return np.concatenate([x + s * eye for h in (cfg.step, cfg.step / 2) for s in (h, -h)])
+
+
+@pytest.mark.parametrize("name", ["cp-2", "ce-1-1", "ce-2-1", "conformal-dsl"])
+def test_stacked_frame_equals_frames_at_points(name, cfg):
+    """One frame build on a stencil stack gives, row by row, the frames built
+    at each point alone with the same pivots, under ``np.array_equal``."""
+    chart, j_field = chart_and_structure(name, cfg)
+    for x in SamplePlan(seed=3, count=2).points(chart, cfg):
+        pivots = hermitian_frame(chart, j_field, x, cfg).pivots
+        stack = stencil_stack(x, cfg)
+        stacked = hermitian_frame(chart, j_field, stack, cfg, pivots)
+        assert stacked.pivots == pivots and stacked.m == chart.dim // 2
+        fresh_chart, fresh_j = chart_and_structure(name, cfg)  # empty memos
+        for r, p in enumerate(stack):
+            at_p = hermitian_frame(fresh_chart, fresh_j, p, cfg, pivots)
+            assert at_p.pivots == pivots
+            for a, b in zip(stacked.real_frame + stacked.complex_frame,
+                            at_p.real_frame + at_p.complex_frame):
+                assert a.shape == (len(stack), chart.dim)
+                assert np.array_equal(a[r], b)
+
+
+def test_stacked_frame_needs_pivots(cfg):
+    chart, j_field = chart_and_structure("cp-2", cfg)
+    stack = stencil_stack(np.array([0.3, 0.2, -0.1, 0.4]), cfg)
+    with pytest.raises(ValueError, match="pivots"):
+        hermitian_frame(chart, j_field, stack, cfg)
+
+
+def test_stacked_frame_rejects_a_dependent_recorded_pivot(cfg):
+    """Left of x1 = 0, J pairs (x1, x2) and (x3, x4), so the greedy frame records
+    pivots (0, 2); right of it J pairs (x1, x3), where axis 3 becomes J e_1."""
+    paired = np.zeros((4, 4))
+    paired[[1, 0, 3, 2], [0, 1, 2, 3]] = [1.0, -1.0, 1.0, -1.0]
+    crossed = np.zeros((4, 4))
+    crossed[[2, 0, 3, 1], [0, 2, 1, 3]] = [1.0, -1.0, 1.0, -1.0]
+    chart = Chart(dim=4, box=Box((-1.0,) * 4, (1.0,) * 4), metric_fn=constant(np.eye(4)))
+    j_field = AlmostComplexField(chart, numdiff.by_row(
+        lambda p: paired if p[0] < 0.0 else crossed))
+    left = np.array([-0.5, 0.1, 0.2, 0.3])
+    assert hermitian_frame(chart, j_field, left, cfg).pivots == (0, 2)
+    stack = np.stack([left, -left])
+    with pytest.raises(RankDeficient, match="^recorded pivot 2 became dependent$"):
+        hermitian_frame(chart, j_field, stack, cfg, (0, 2))
+    with pytest.raises(RankDeficient, match="^recorded pivot 2 became dependent$"):
+        hermitian_frame(chart, j_field, -left, cfg, (0, 2))

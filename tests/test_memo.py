@@ -100,6 +100,21 @@ def test_memoized_arrays_are_read_only():
             a[...] = 0.0
 
 
+def test_stacked_frame_stores_no_frame_entry():
+    """A stack of stencil points is read once: its frames are not memoized,
+    while a point's frame is."""
+    entry = catalog.calabi_eckmann(1, 1, CFG)
+    chart, structure = entry.charts["ce"], entry.structures["J"]
+    (x,) = SamplePlan(count=1).points(chart, CFG)
+    other = catalog.calabi_eckmann(1, 1, CFG)  # the pivots come from another memo
+    pivots = hermitian_frame(other.charts["ce"], other.structures["J"], x, CFG).pivots
+    stack = x + CFG.step * np.vstack([np.eye(6), -np.eye(6)])
+    assert hermitian_frame(chart, structure, stack, CFG, pivots).m == 3
+    assert not any(k[0] == "frame" for k in structure._memo)
+    hermitian_frame(chart, structure, x, CFG, pivots)
+    assert [k[0] for k in structure._memo].count("frame") == 1
+
+
 def test_memo_keeps_no_alias_of_the_callers_point():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
     spec = MapSpec(chart, chart, lambda x: x, CFG)

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from hermkit.errors import EvaluationOutsideDomain, RankDeficient
-from hermkit.numdiff import DiffConfig, by_row, orthonormalize, partial, second_partial
+from hermkit.numdiff import (DiffConfig, by_row, orthonormalize, partial, project_out,
+                             second_partial)
 
 
 def partial_axis(f, x, i, cfg, domain=None):
@@ -247,3 +248,33 @@ def test_orthonormalize_gram_residual_modest_condition(rng):
         vecs = [rng.normal(size=d) for _ in range(d)]
         u = np.column_stack(orthonormalize(vecs, g))
         assert np.max(np.abs(u.T @ g @ u - np.eye(d))) <= 1e-10
+
+
+def project_out_oracle(v, basis, g):
+    """The one-vector Gram-Schmidt step with the coefficient written as
+    ``w @ g @ b``: the formula the stacked step must reproduce bit for bit."""
+    w = np.array(v, dtype=float)
+    for _ in range(2):
+        for b in basis:
+            w = w - (w @ g @ b) * b
+    return w
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_project_out_stack_equals_rows_bit_for_bit(d, rng):
+    """A (k, d) stack with a (k, d, d) stack of metrics projects each row as
+    that row alone, and a vector as the ``w @ g @ b`` formula, under
+    ``np.array_equal``."""
+    for _ in range(20):
+        k, m = int(rng.integers(1, 13)), int(rng.integers(0, d + 1))
+        a = rng.normal(size=(k, d, d))
+        g = a @ np.swapaxes(a, 1, 2) + np.eye(d)
+        v = rng.normal(size=(k, d))
+        basis = [rng.normal(size=(k, d)) for _ in range(m)]
+        stacked = project_out(v, basis, g)
+        assert stacked.shape == (k, d)
+        for r in range(k):
+            row = project_out(v[r], [b[r] for b in basis], g[r])
+            assert row.shape == (d,)
+            assert np.array_equal(stacked[r], row)
+            assert np.array_equal(row, project_out_oracle(v[r], [b[r] for b in basis], g[r]))

@@ -118,6 +118,40 @@ def test_lemma_precondition_antiholomorphic():
     assert err.value.precondition == "holomorphic"
 
 
+STANDARD_J = [[0.0, -1.0], [1.0, 0.0]]
+
+
+def identity_map(source_g, target_g) -> MapSpec:
+    """The identity of the square with the standard J on both sides and the
+    given constant metrics."""
+    charts = [Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(g))
+              for g in (source_g, target_g)]
+    source, target = (hermitian.AlmostComplexField(c, constant(STANDARD_J)) for c in charts)
+    return MapSpec(charts[0], charts[1], lambda x: x, CFG, source_structure=source,
+                   target_structure=target)
+
+
+@pytest.mark.parametrize("run", [check_surface_case, check_lemma_tension, lambda spec, plan:
+                                 scenarios.check_harmonic_morphism(spec, plan,
+                                                                   include_holomorphy=True)])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_map_checks_reject_incompatible_structure(run, side):
+    """The standard J is not compatible with g = diag(1, 4): J^T g J = diag(4, 1).
+    The identity is holomorphic, so only the almost Hermitian check can stop it."""
+    bad, good = np.diag([1.0, 4.0]), np.eye(2)
+    spec = identity_map(bad, good) if side == "source" else identity_map(good, bad)
+    with pytest.raises(PreconditionFailed) as err:
+        run(spec, SMALL)
+    assert err.value.precondition == "almost Hermitian"
+    assert "g(J., J.) - g residual 3" in str(err.value)
+
+
+def test_map_checks_accept_compatible_structure():
+    spec = identity_map(np.eye(2), 4.0 * np.eye(2))
+    assert check_lemma_tension(spec, SMALL).overall
+    assert scenarios.check_harmonic_morphism(spec, SMALL, include_holomorphy=True).overall
+
+
 def test_lemma_precondition_target_not_symplectic():
     entry = catalog.punctured_hopf(2, perturbed=True)
     with pytest.raises(PreconditionFailed) as err:
@@ -276,8 +310,9 @@ def test_condition_ii_builds_one_target_frame_per_sample(memo_builds):
 
 
 def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
-    """The base frame at phi(x), then one pivoted frame per stencil point of the
-    lifted frame fields' one stencil: at most 1 + 4 dim lookups per sample."""
+    """The base frame at phi(x), then the pivoted frames at phi of all the
+    stencil points of the lifted frame fields' one stencil in one stacked
+    call: at most 2 lookups per sample."""
     calls = []
     lookup = maps.hermitian_frame
     monkeypatch.setattr(maps, "hermitian_frame",
@@ -287,4 +322,4 @@ def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     plan = SamplePlan(0, 2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
-    assert 0 < len(calls) <= plan.count * (1 + 4 * spec.source.dim)
+    assert 0 < len(calls) <= plan.count * 2
