@@ -18,12 +18,20 @@ leaves the reports byte-identical:
 
     python3 scripts/report_digest.py > after.txt
 
+or compare against a saved baseline, such as the committed
+``scripts/report_digest.txt``: ``--check FILE`` prints the label of every
+line that differs from FILE (or is missing on either side) and exits 1 if
+there is one, 0 otherwise:
+
+    python3 scripts/report_digest.py --check scripts/report_digest.txt
+
 The script imports hermkit from ``src/`` and the config generator from
 ``hermbench/`` next to it, so it measures the checkout it lives in.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -88,17 +96,17 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
-def main() -> int:
+def lines():
+    """Every ``sha256  label`` line, in order."""
     for seed, flags in GRID:
         for sid in scenarios.scenario_ids():
             extra = ["--seed", str(seed), *flags]
-            line = digest(["run", sid, *extra, "--report", "json"])
-            print(f"{line}  {sid}  {' '.join(extra)}", flush=True)
-    print(f"{digest(['list'])}  list", flush=True)
+            yield f"{digest(['run', sid, *extra, '--report', 'json'])}  {sid}  {' '.join(extra)}"
+    yield f"{digest(['list'])}  list"
     with tempfile.TemporaryDirectory() as tmp:
         for seed in DSL_SEEDS:
             for item in workloads.items("dsl-configs", seed, Path(tmp), geodsl.parse):
-                print(f"{digest(list(item.argv))}  {item.label}  seed {seed}", flush=True)
+                yield f"{digest(list(item.argv))}  {item.label}  seed {seed}"
         for name, source in HAND_CONFIGS.items():
             path = Path(tmp) / f"{name}.geo"
             path.write_text(source, encoding="utf-8")
@@ -106,8 +114,30 @@ def main() -> int:
                                        for m in geodsl.parse(source).maps]
             for call in calls:
                 line = digest([*call, "--config", str(path), *HAND_FLAGS])
-                print(f"{line}  {' '.join(call)} {name}", flush=True)
-    return 0
+                yield f"{line}  {' '.join(call)} {name}"
+
+
+def by_label(text_lines) -> dict:
+    """label -> digest of ``sha256  label`` lines."""
+    return {label: sha for sha, label in (line.split("  ", 1) for line in text_lines)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="print the labels whose digest differs from FILE; exit 1 if any")
+    args = parser.parse_args(argv)
+    if args.check is None:
+        for line in lines():
+            print(line, flush=True)
+        return 0
+    expected = by_label(Path(args.check).read_text(encoding="utf-8").splitlines())
+    got = by_label(lines())
+    drift = [label for label in {**expected, **got} if expected.get(label) != got.get(label)]
+    for label in drift:
+        print(label, flush=True)
+    print(f"{len(drift)} of {len(expected)} lines differ from {args.check}", file=sys.stderr)
+    return 1 if drift else 0
 
 
 if __name__ == "__main__":

@@ -265,7 +265,7 @@ def _fibre_orientation_from_ambient(chart: Chart, r: int,
         ga, gb = g @ a, g @ b
         return np.outer(ga, gb) - np.outer(gb, ga)
 
-    return omega
+    return by_row(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def flat_t4(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     omega[2, 3], omega[3, 2] = 1.0, -1.0
     projection = MapSpec(t4, torus, lambda x: x[:, :2], cfg,
                          source_structure=j4, target_structure=j2,
-                         fibre_orientation=lambda x: omega, name="projection")
+                         fibre_orientation=constant(omega), name="projection")
     return CatalogEntry(
         id="flat-t4",
         description="flat 4-torus chart, product structure, coordinate projection",
@@ -455,8 +455,8 @@ def punctured_hopf(n: int, perturbed: bool = False,
 
     def omega(x: Array) -> Array:
         a = np.asarray(x, dtype=float)
-        b = j0 @ a
-        return np.outer(a, b) - np.outer(b, a)
+        b = (j0 @ a[:, :, None])[:, :, 0]
+        return a[:, :, None] * b[:, None] - b[:, :, None] * a[:, None]
 
     spec = MapSpec(source, target, _affine_coords, cfg, source_structure=j_std,
                    target_structure=j_tgt, fibre_orientation=omega, name=f"punctured-hopf-{n}")

@@ -144,11 +144,9 @@ def compile_exprs(exprs, lines=None) -> Callable[[np.ndarray], np.ndarray]:
     the config line of each expression; an ``EvaluationError`` then starts
     with ``line <n>:`` (``None`` marks an expression with no line).
     """
-    index: dict = {}  # keyed by repr: trees compare Num(0.0) equal to Num(-0.0)
-    for e in exprs:
-        index.setdefault(repr(e), (len(index), e))
+    index: dict = {}  # keyed by repr, once per tree: trees compare Num(0.0) equal to Num(-0.0)
+    columns = [index.setdefault(repr(e), (len(index), e))[0] for e in exprs]
     parts = [_compile(e) for _, e in index.values()]
-    columns = [index[repr(e)][0] for e in exprs]
 
     def fn(points):
         points = np.asarray(points, dtype=float)

@@ -31,8 +31,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
-from .manifold import (Chart, SamplePlan, VectorField, christoffel, constant_field,
-                       lie_bracket)
+from .manifold import Chart, SamplePlan, christoffel
 from .numdiff import Array, DiffConfig, as_stack, g_length, memoized, memoized_rows, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
@@ -64,21 +63,17 @@ class AlmostComplexField:
             self.fn(stack), stack, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn"))
 
     def invariant_residuals(self, points: Sequence[Array], cfg: DiffConfig | None = None) -> dict:
-        """Max residuals of J^2 + I and of g(JX, JY) - g(X, Y) over the points."""
-        square = 0.0
-        compat = 0.0
-        for p in points:
-            j = self(p)
-            s, c = _invariant_residuals(self.chart.metric(p, cfg), j)
-            square = max(square, s)
-            compat = max(compat, c)
+        """Max residuals of J^2 + I and of g(JX, JY) - g(X, Y) over the points,
+        evaluated as one stack."""
+        stack = np.array(points, dtype=float)
+        square, compat = _invariant_residuals(self.chart.metric(stack, cfg), self(stack))
         return {"square": square, "compatibility": compat}
 
 
 def _invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
-    """max|J^2 + I| and max|J^T g J - g| at one point."""
-    return (float(np.max(np.abs(j @ j + np.eye(len(j))))),
-            float(np.max(np.abs(j.T @ g @ j - g))))
+    """max|J^2 + I| and max|J^T g J - g| at one point, or over the rows of stacks."""
+    return (float(np.max(np.abs(j @ j + np.eye(j.shape[-1])))),
+            float(np.max(np.abs(np.swapaxes(j, -1, -2) @ g @ j - g))))
 
 
 def require_almost_hermitian(g: Array, j: Array, x: Array) -> None:
@@ -241,18 +236,6 @@ def divergence_J(jet: StructureJet) -> Array:
     return np.einsum("ij,ikj->k", np.linalg.inv(jet.metric), jet.nabla)
 
 
-def divergence_J_frame(jet: StructureJet, frame_vectors: Sequence[Array]) -> Array:
-    """div J summed explicitly over a supplied g-orthonormal frame.
-
-    The test oracle for :func:`divergence_J` (frame independence of the
-    trace); no scenario calls it.
-    """
-    out = np.zeros(len(jet.x))
-    for u in frame_vectors:
-        out = out + nabla_J(jet, u, u)
-    return out
-
-
 def lee_vector(jet: StructureJet) -> Array:
     """The Lee-type vector field J(div J) at the jet's point."""
     return jet.j @ divergence_J(jet)
@@ -272,24 +255,6 @@ def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
     a3 = j @ np.einsum("i,ikj,j->k", yv, d, xv)   # -J[JX, Y] on constant extensions
     a4 = j @ np.einsum("i,ikj,j->k", xv, d, yv)   # -J[X, JY] on constant extensions
     return a1 - a2 + a3 - a4
-
-
-def nijenhuis_bracket_route(chart: Chart, j_field: AlmostComplexField, x, x_vec, y_vec,
-                            cfg: DiffConfig) -> Array:
-    """Literal bracket evaluation of N(X, Y); slow cross-check of :func:`nijenhuis`."""
-    x = np.asarray(x, dtype=float)
-    xv = np.asarray(x_vec, dtype=float)
-    yv = np.asarray(y_vec, dtype=float)
-    j_at = j_field(x)
-    xf = constant_field(chart, xv)
-    yf = constant_field(chart, yv)
-    jxf = VectorField(chart, lambda p: j_field(p) @ xv)
-    jyf = VectorField(chart, lambda p: j_field(p) @ yv)
-    term1 = lie_bracket(jxf, jyf, x, cfg)
-    term2 = j_at @ lie_bracket(jxf, yf, x, cfg)
-    term3 = j_at @ lie_bracket(xf, jyf, x, cfg)
-    term4 = lie_bracket(xf, yf, x, cfg)
-    return term1 - term2 - term3 - term4
 
 
 @dataclass(frozen=True)

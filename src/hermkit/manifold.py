@@ -6,6 +6,7 @@ Euclidean space as ``Dpsi^T Dpsi``.  A ``metric_fn`` maps a (k, dim) stack of
 points to the (k, dim, dim) stack of their metric matrices, so
 :func:`christoffel` evaluates it once per stencil; :func:`numdiff.by_row` and
 :func:`numdiff.constant` make one from a per-point rule or a constant matrix.
+:func:`gradient` takes such a stack function too.
 There are no atlases or transition functions.
 
 Each chart memoizes g(x) per row, D(psi)(x) for an embedded chart and the
@@ -211,11 +212,12 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) 
     return np.einsum("i,ik->k", xv, dy) - np.einsum("i,ik->k", yv, dx)
 
 
-def gradient(chart: Chart, f: Callable[[Array], float], x, cfg: DiffConfig) -> Array:
-    """(grad f)^k = g^{kl} d_l f at x."""
+def gradient(chart: Chart, f: Callable[[Array], Array], x, cfg: DiffConfig) -> Array:
+    """(grad f)^k = g^{kl} d_l f at x; ``f`` maps a stack of points to the
+    stack of its values, as for ``numdiff.partial``."""
     x = np.asarray(x, dtype=float)
     g_inv = chart.metric_inverse(x, cfg)
-    return g_inv @ numdiff.partial(numdiff.by_row(f), x, cfg)
+    return g_inv @ numdiff.partial(f, x, cfg)
 
 
 def sample_points(chart: Chart, seed: int, count: int, margin: float) -> list[Array]:

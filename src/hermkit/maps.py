@@ -6,15 +6,18 @@ total space of a conformal submersion with 2-dimensional fibres.
 Every pointwise operator reads a :class:`PointJet` (x, Dphi from one
 :func:`differential` stencil, the source metric g and the one-SVD rank split
 of Dphi), which :func:`point_jet` builds once per (map, point) for callers to
-pass down.  Jets are also built at the stencil points of the vertical frame
+pass down.  Jets are also needed at every stencil point of the vertical frame
 field, the dilation gradient and the lifted structure, so a jet holds only what
-those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.
+those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.  Such
+jets are built as one stack: :func:`point_jet`, :func:`differential` and
+:func:`conformality` take a point or a (k, source dim) stack, a point being the
+one-row case of the same code and each row equal to its point's bit for bit.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images; a single point is passed as one row, so
 :func:`differential` and :func:`sff_tensor` each evaluate the map once, on one
-stencil.  Each :class:`MapSpec` memoizes per point phi(x) (per row: a stack
-evaluates only its missing rows), the parts of its :func:`point_jet`, its
+stencil.  Each :class:`MapSpec` memoizes per point (per row: a stack computes
+only its missing rows) phi(x), the parts of its :func:`point_jet`, its
 :func:`conformality` data and its horizontal-lift matrix (see
 ``numdiff.memoized`` for the contract).  The jet's parts, not the jet, are
 stored, because a jet refers to its map and would tie it into a reference cycle.
@@ -28,13 +31,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numdiff
-from .errors import CriticalPoint, FibreDimension, MissingStructure
+from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
                         hermitian_frame, lee_vector, nabla_J, require_almost_hermitian,
                         structure_jet, unit_axes)
 from .manifold import Chart, christoffel, gradient
-from .numdiff import (Array, DiffConfig, as_stack, memoized, memoized_rows, orthonormalize,
-                      project_out)
+from .numdiff import (Array, DiffConfig, as_stack, gram_schmidt, memoized, memoized_rows,
+                      orthonormalize, project_out)
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
 RANK_FACTOR = 1e-6
@@ -53,9 +56,10 @@ class MapSpec:
 
     The almost-complex structures are optional; holomorphy and tension-identity
     operations require them, metric-level operations do not.
-    ``fibre_orientation`` supplies the antisymmetric 2-form (as a matrix field)
-    that orients 2-dimensional fibres for :func:`lift_structure`.  An ``fn``
-    that returns anything but (k, target dim) for k rows raises ``WrongDimension``.
+    ``fibre_orientation`` maps a stack of points to the stack of the antisymmetric
+    2-forms (as matrices) that orient 2-dimensional fibres for :func:`lift_structure`.
+    An ``fn`` that returns anything but (k, target dim) for k rows raises
+    ``WrongDimension``.
     """
 
     source: Chart
@@ -75,15 +79,24 @@ class MapSpec:
 
 
 def differential(spec: MapSpec, x) -> Array:
-    """The differential as a (target dim) x (source dim) array of partials."""
-    x = spec.source.require_interior(x, spec.cfg)
-    return np.ascontiguousarray(
-        numdiff.partial(spec, x, spec.cfg, domain=spec.source.contains).T)
+    """The differential as a (target dim) x (source dim) array of partials, or their
+    stack at the rows of a stack (one map call; errors are those of the first bad row)."""
+    x = np.asarray(x, dtype=float)
+    try:
+        spec.source.require_interior(x, spec.cfg)
+        d = numdiff.partial(spec, x, spec.cfg, domain=spec.source.contains)
+    except EvaluationOutsideDomain:
+        if x.ndim == 2:  # name the first row that fails alone
+            for p in x:
+                differential(spec, p)
+        raise
+    return np.ascontiguousarray(np.swapaxes(d, -1, -2))
 
 
 @dataclass(frozen=True)
 class PointJet:
-    """Dphi(x), the source metric g(x) and the SVD of Dphi at one point.
+    """Dphi(x), the source metric g(x) and the SVD of Dphi at one point, or
+    their stacks (``rank`` an integer array) at the rows of a stack.
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
@@ -95,23 +108,41 @@ class PointJet:
     metric: Array
     singular_values: Array
     vt: Array
-    rank: int
+    rank: int | Array
 
 
 def point_jet(spec: MapSpec, x) -> PointJet:
-    """Differentiate the map at x once and split the differential by rank."""
-    x = np.asarray(x, dtype=float)
-    return PointJet(spec, *memoized(spec._memo, ("jet", x.tobytes()),
-                                    lambda: _jet_parts(spec, x)))
+    """Differentiate the map at x, or at each row of a stack x, once and split
+    the differential by rank."""
+    return PointJet(spec, *memoized_rows(spec._memo, "jet", x, lambda s: _jet_rows(spec, s),
+                                         combine=lambda rows: map(np.stack, zip(*rows))))
 
 
-def _jet_parts(spec: MapSpec, x: Array) -> tuple:
+def _jet_rows(spec: MapSpec, x: Array) -> tuple:
+    """The jet parts at each row of a stack from one differential, one metric
+    call and one batched SVD; the rank is decided per row."""
+    x = np.array(x)
     d = differential(spec, x)
     g = spec.source.metric(x, spec.cfg)
     _, sv, vt = np.linalg.svd(d)
-    smax = float(sv[0]) if len(sv) else 0.0
-    rank = int(np.sum(sv > smax * RANK_FACTOR)) if smax > 0 else 0
-    return x.copy(), d, g, sv, vt, rank
+    smax = np.max(sv, axis=1, initial=0.0)
+    rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[:, None], axis=1), 0)
+    return tuple(zip(x, d, g, sv, vt, rank.tolist()))
+
+
+def _as_stack(jet: PointJet, rows=None) -> PointJet:
+    """A point's jet as a one-row stack, or the rows ``rows`` of a stacked jet."""
+    parts = (jet.x, jet.differential, jet.metric, jet.singular_values, jet.vt, jet.rank)
+    return PointJet(jet.spec, *(np.asarray(p)[None] if rows is None else p[rows] for p in parts))
+
+
+def _per_row(jet: PointJet, tag: str, compute: Callable[[PointJet], tuple], combine=np.stack):
+    """A value memoized under ``(tag, x.tobytes())`` at the jet's point, or ``combine`` of
+    them at its rows; ``compute`` maps a stacked jet of the rows not stored yet to theirs."""
+    stack = _as_stack(jet) if jet.x.ndim == 1 else jet
+    values = memoized(jet.spec._memo, [(tag, p.tobytes()) for p in stack.x],
+                      lambda rows: compute(_as_stack(stack, rows)))
+    return values[0] if jet.x.ndim == 1 else combine(values)
 
 
 def holomorphy_residual(jet: PointJet) -> float:
@@ -149,41 +180,47 @@ class ConformalityData:
         return self.kind == KIND_REGULAR
 
 
-def conformality(jet: PointJet) -> ConformalityData:
+def conformality(jet: PointJet) -> ConformalityData | list[ConformalityData]:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
-    conformal dphi is on the horizontal part."""
-    return memoized(jet.spec._memo, ("conformality", jet.x.tobytes()),
-                    lambda: _conformality(jet))
+    conformal dphi is on the horizontal part; for a stacked jet, the list of
+    the data at its rows."""
+    return _per_row(jet, "conformality", _conformality, list)
 
 
-def _conformality(jet: PointJet) -> ConformalityData:
-    spec, d, g, sv, vt, rank = (jet.spec, jet.differential, jet.metric,
-                                jet.singular_values, jet.vt, jet.rank)
-    n = d.shape[0]
-    if rank == 0:
-        return ConformalityData(KIND_CRITICAL, 0.0, 0.0, orthonormalize(list(vt), g), ())
-    smax = float(sv[0])
-    v_vectors = orthonormalize(list(vt[rank:]), g) if rank < len(vt) else ()
-    # Horizontal = g-orthogonal complement of the kernel: project each row-space
-    # vector off the kernel first and the earlier horizontal vectors second.
-    horiz: list[Array] = []
-    for w in vt[:rank]:
-        u = project_out(w, v_vectors + tuple(horiz), g)
-        nn = np.sqrt(max(u @ g @ u, 0.0))
-        if nn > numdiff.RANK_RTOL * max(1.0, smax):
-            horiz.append(u / nn)
-    h_tgt = spec.target.metric(spec(jet.x), spec.cfg)
-    img = np.column_stack([d @ u for u in horiz]) if horiz else np.zeros((n, 0))
-    gram = img.T @ h_tgt @ img
-    lam_sq = float(np.mean(np.diag(gram))) if gram.size else 0.0
-    padded = np.zeros((n, n))
-    padded[: gram.shape[0], : gram.shape[1]] = gram
-    residual = float(np.linalg.norm(padded - lam_sq * np.eye(n)))
-    if rank < n:
-        return ConformalityData(KIND_DEGENERATE, 0.0, residual, v_vectors, tuple(horiz))
-    near = bool(sv[rank - 1] <= NEAR_CRITICAL_FACTOR * (smax * RANK_FACTOR))
-    lam = float(np.sqrt(max(lam_sq, 0.0)))
-    return ConformalityData(KIND_REGULAR, lam, residual, v_vectors, tuple(horiz), near)
+def _conformality(jet: PointJet) -> tuple:
+    """The split at the rows of a stacked jet: rows of equal rank run as one stack (sub-stacks
+    where Gram-Schmidt keeps different vectors), with one target metric call for all."""
+    spec, d, g, sv, vt = jet.spec, jet.differential, jet.metric, jet.singular_values, jet.vt
+    n, out = d.shape[1], [None] * len(d)
+    h_tgt, active = np.zeros((len(d), n, n)), jet.rank > 0
+    if active.any():
+        h_tgt[active] = spec.target.metric(spec(jet.x[active]), spec.cfg)
+    for rank in sorted(set(jet.rank.tolist())):
+        rows = np.flatnonzero(jet.rank == rank)
+        kind = KIND_CRITICAL if rank == 0 else KIND_DEGENERATE if rank < n else KIND_REGULAR
+        vertical = orthonormalize([vt[rows, i] for i in range(rank, vt.shape[1])], g[rows])
+        # Horizontal = g-orthogonal complement of the kernel: project each row-space
+        # vector off the kernel first and the earlier horizontal vectors second.
+        tol = numdiff.RANK_RTOL * np.maximum(1.0, sv[rows, 0])
+        for part, horiz in gram_schmidt([vt[rows, i] for i in range(rank)], g[rows], tol,
+                                        vertical):
+            at, h = rows[part], len(horiz)
+            img = (np.stack([(d[at] @ u[:, :, None])[:, :, 0] for u in horiz], axis=-1)
+                   if horiz else np.zeros((len(at), n, 0)))
+            gram = np.swapaxes(img, 1, 2) @ h_tgt[at] @ img
+            lam_sq = np.diagonal(gram, axis1=1, axis2=2).sum(axis=1) / max(h, 1)
+            padded = np.zeros((len(at), n, n))
+            padded[:, :h, :h] = gram
+            flat = (padded - lam_sq[:, None, None] * np.eye(n)).reshape(len(at), 1, n * n)
+            residual = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0].tolist()
+            near = (sv[at, rank - 1] <= NEAR_CRITICAL_FACTOR * (sv[at, 0] * RANK_FACTOR)).tolist()
+            lam = np.sqrt(np.maximum(lam_sq, 0.0)).tolist()
+            for i, r in enumerate(at):
+                regular = kind == KIND_REGULAR
+                out[r] = ConformalityData(kind, lam[i] if regular else 0.0, residual[i],
+                                          tuple(v[part[i]] for v in vertical),
+                                          tuple(u[i] for u in horiz), regular and near[i])
+    return tuple(out)
 
 
 def sff_tensor(jet: PointJet) -> Array:
@@ -217,27 +254,17 @@ def lee_pushforward(jet: PointJet) -> Array:
     return jet.differential @ lee
 
 
-def tension_in_frame(jet: PointJet, frame_vectors: Sequence[Array]) -> Array:
-    """Tension summed explicitly over a g-orthonormal frame.
-
-    The test oracle for :func:`tension` (frame independence of the trace);
-    no scenario calls it.
-    """
-    sff = sff_tensor(jet)
-    out = np.zeros(jet.spec.target.dim)
-    for u in frame_vectors:
-        out = out + np.einsum("i,j,ijg->g", u, u, sff)
-    return out
-
-
 def _vertical_projector(jet: PointJet) -> Array:
-    """g-orthogonal projector onto ker dphi at the jet's point (basis
-    independent, smooth)."""
-    null = jet.vt[jet.rank:].T
-    if null.shape[1] == 0:
-        return np.zeros((jet.spec.source.dim, jet.spec.source.dim))
-    g = jet.metric
-    return null @ np.linalg.solve(null.T @ g @ null, null.T @ g)
+    """g-orthogonal projector onto ker dphi at the jet's point, or at each row
+    of a stacked jet (basis independent, smooth)."""
+    stack = _as_stack(jet) if jet.x.ndim == 1 else jet
+    out = np.zeros(stack.metric.shape)
+    for rank in sorted(set(stack.rank[stack.rank < out.shape[-1]].tolist())):
+        rows = np.flatnonzero(stack.rank == rank)
+        null_t, g = stack.vt[rows, rank:], stack.metric[rows]
+        null = np.swapaxes(null_t, 1, 2)
+        out[rows] = null @ np.linalg.solve(null_t @ g @ null, null_t @ g)
+    return out if jet.x.ndim == 2 else out[0]
 
 
 def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
@@ -248,8 +275,9 @@ def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
     Fixed coordinate axes (chosen at the base point by largest vertical
     projection, ties broken by index) are pushed through the pointwise
     ker-dphi projector and orthonormalized in the metric; the construction is
-    deterministic and smooth wherever the projections stay independent.
-    Raises ``CriticalPoint`` when the base point is not a regular point.
+    deterministic and smooth wherever the projections stay independent (a
+    stacked jet gives the stack of frames; a 0-dimensional fibre, the empty
+    frame).  Raises ``CriticalPoint`` when the base point is not regular.
     """
     spec = jet.spec
     if jet.rank < spec.target.dim:
@@ -278,14 +306,16 @@ def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
 
     def frame_at(at: PointJet) -> Array:
         p = _vertical_projector(at)
-        return np.column_stack(orthonormalize([p[:, i] for i in axes], at.metric, required=k))
+        frame = orthonormalize([p[..., i] for i in axes], at.metric, required=k)
+        return np.stack(frame, axis=-1) if k else np.zeros((*at.x.shape, 0))
 
     return frame_at
 
 
 def fibre_mean_curvature(jet: PointJet) -> Array:
     """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame; the zero
-    vector exactly when the fibre is minimal at the jet's point."""
+    vector exactly when the fibre is minimal at the jet's point (0-dimensional
+    fibres are)."""
     spec, x = jet.spec, jet.x
     cfg = spec.cfg
     dim = spec.source.dim
@@ -293,7 +323,7 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     gamma = christoffel(spec.source, x, cfg)
     frame = frame_at(jet)
     # dframe[i, :, a] is the i-th partial derivative of the a-th frame vector.
-    dframe = numdiff.partial(numdiff.by_row(lambda p: frame_at(point_jet(spec, p))), x, cfg)
+    dframe = numdiff.partial(lambda stack: frame_at(point_jet(spec, stack)), x, cfg)
     total = np.zeros(dim)
     for a in range(frame.shape[1]):
         v, dv = frame[:, a], dframe[:, :, a]
@@ -311,11 +341,12 @@ def homothety_residual(jets: Sequence[PointJet]) -> float:
             raise CriticalPoint(f"homothety residual needs regular samples, got {conf.kind}")
         spec = jet.spec
 
-        def lam_sq(p: Array) -> float:
-            c = conformality(point_jet(spec, p))
-            if not c.regular:
-                raise CriticalPoint(f"dilation field hit a non-regular stencil point {p!r}")
-            return c.dilation**2
+        def lam_sq(stack: Array) -> Array:
+            confs = conformality(point_jet(spec, stack))
+            for p, c in zip(stack, confs):
+                if not c.regular:
+                    raise CriticalPoint(f"dilation field hit a non-regular stencil point {p!r}")
+            return np.array([c.dilation**2 for c in confs])
 
         grad = gradient(spec.source, lam_sq, jet.x, spec.cfg)
         h = spec.target.metric(spec(jet.x), spec.cfg)
@@ -336,15 +367,17 @@ def superminimality_residual(jet: PointJet, structure: StructureJet) -> float:
 
 
 def _lift_matrix(jet: PointJet) -> Array:
-    """Horizontal-lift operator L with dphi L = id and image H, at the jet's point."""
-    def compute() -> Array:
-        conf = conformality(jet)
-        if not conf.regular:
-            raise CriticalPoint(f"horizontal lift needs a regular point, got {conf.kind}")
-        a = np.column_stack(conf.horizontal_basis)
-        return a @ np.linalg.inv(jet.differential @ a)
+    """Horizontal-lift operator L with dphi L = id and image H, at the jet's
+    point or at each row of a stacked jet."""
+    def compute(stack: PointJet) -> Array:
+        confs = conformality(stack)
+        for conf in confs:
+            if not conf.regular:
+                raise CriticalPoint(f"horizontal lift needs a regular point, got {conf.kind}")
+        a = np.stack([np.column_stack(conf.horizontal_basis) for conf in confs])
+        return a @ np.linalg.inv(stack.differential @ a)
 
-    return memoized(jet.spec._memo, ("lift", jet.x.tobytes()), compute)
+    return _per_row(jet, "lift", compute)
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -362,23 +395,27 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
     if spec.fibre_orientation is None:
         raise MissingStructure("lift_structure needs a fibre orientation form on the map")
 
-    def j_at(x: Array) -> Array:
-        jet = point_jet(spec, x)
-        lift = _lift_matrix(jet)
-        v_basis, g = conformality(jet).vertical_basis, jet.metric
-        if len(v_basis) != 2:
-            raise FibreDimension(f"lift needs 2-dimensional fibres, got {len(v_basis)}")
-        v1, v2 = v_basis
-        omega = np.asarray(spec.fibre_orientation(jet.x), dtype=float)
-        signed = float(v1 @ omega @ v2)
-        if abs(signed) < 1e-12:
+    def j_at(stack: Array) -> Array:
+        """The lifted J at the rows of a stack, from their jets built as one stack."""
+        jets = point_jet(spec, stack)
+        lift = _lift_matrix(jets)
+        confs = conformality(jets)
+        dims = [len(conf.vertical_basis) for conf in confs if len(conf.vertical_basis) != 2]
+        if dims:
+            raise FibreDimension(f"lift needs 2-dimensional fibres, got {dims[0]}")
+        v1, v2 = (np.stack(v) for v in zip(*(conf.vertical_basis for conf in confs)))
+        omega = as_stack(spec.fibre_orientation(stack), stack, (spec.source.dim,) * 2,
+                         f"map {spec.name or '(unnamed)'}: fibre_orientation")
+        signed = (v1[:, None] @ omega @ v2[:, :, None])[:, 0, 0]
+        if np.any(np.abs(signed) < 1e-12):
             raise ValueError("fibre orientation form is degenerate on the fibre")
-        sigma = orientation * np.sign(signed)
-        rot = sigma * (np.outer(v2, g @ v1) - np.outer(v1, g @ v2))
-        j_tgt = spec.target_structure(spec(jet.x))
-        return lift @ j_tgt @ jet.differential + rot
+        sigma = (orientation * np.sign(signed))[:, None, None]
+        g_v1, g_v2 = ((jets.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
+        rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
+        j_tgt = spec.target_structure(spec(stack))
+        return lift @ j_tgt @ jets.differential + rot
 
-    return AlmostComplexField(spec.source, numdiff.by_row(j_at), source="lifted")
+    return AlmostComplexField(spec.source, j_at, source="lifted")
 
 
 def condition_ii_residual(samples: Sequence[tuple]) -> float:
@@ -401,15 +438,15 @@ def condition_ii_residual(samples: Sequence[tuple]) -> float:
             continue
 
         def lifts(lift: Array, zs: tuple) -> Array:
-            """[Re, Im] of the horizontal lift of each Z_k, as [part, k, :]."""
-            return np.array([[lift @ part(z) for z in zs] for part in (np.real, np.imag)])
+            """[Re, Im] of the horizontal lift of each Z_k, as [..., part, k, :]."""
+            parts = np.stack([np.stack([f(z) for z in zs], -2) for f in (np.real, np.imag)], -3)
+            return (lift[..., None, None, :, :] @ parts[..., None])[..., 0]
 
         def lifted_at(stack: Array) -> Array:
             """The lifts at the rows, smooth near phi(x) (the base frame's pivots)."""
             zs = hermitian_frame(spec.target, spec.target_structure, spec(stack), cfg,
                                  base.pivots).complex_frame
-            return np.stack([lifts(_lift_matrix(point_jet(spec, p)), [z[r] for z in zs])
-                             for r, p in enumerate(stack)])
+            return lifts(_lift_matrix(point_jet(spec, stack)), zs)
 
         # dz[part, k, i, :] = d_i of that part of the lifted Z_k, one stencil for all; each
         # (part, k) slice is C-contiguous, as in manifold.lie_bracket, so brackets match it

@@ -6,12 +6,14 @@ error behaviour of the whole package is pinned down here: central differences
 are second order in ``step``, and the optional Richardson extrapolation removes
 the leading error term.  Each stencil routine differentiates along every axis
 at once, calling its function once on the (k, n) stack of all its stencil
-points; :func:`by_row` makes such a function from a per-point one and
+points (:func:`partial` at a point or at every row of a stack of points);
+:func:`by_row` makes such a function from a per-point one and
 :func:`constant` one that is the same at every row.
 :func:`project_out`, on a vector or a stack, is the package's only Gram-Schmidt
-step; :func:`orthonormalize` and every frame construction in
-``hermitian`` and ``maps`` are built on it.  :func:`memoized` is the
-package's only cache, and its docstring states the contract every memo keeps.
+step; :func:`gram_schmidt`, :func:`orthonormalize` and every frame
+construction in ``hermitian`` and ``maps`` are built on it.  :func:`memoized`
+is the package's only cache, and its docstring states the contract every memo
+keeps.
 """
 
 from __future__ import annotations
@@ -103,19 +105,20 @@ def memoized(memo: dict, key, compute: Callable):
     return value
 
 
-def memoized_rows(memo: dict, tag: str, x, compute: Callable[[Array], Array], *extra):
-    """The value at a point, or the stack of the values at the rows of a stack.
+def memoized_rows(memo: dict, tag: str, x, compute: Callable[[Array], Array], *extra,
+                  combine: Callable = np.stack):
+    """The value at a point, or ``combine`` of the values at the rows of a stack.
 
     Each row is memoized under ``(tag, row.tobytes(), *extra)``, and
-    ``compute`` maps a (k, n) stack to the stack of its k values: it is
-    called once, on the distinct rows not stored yet (a point goes in as one
-    row).  A point is looked up by its own key, so a hit costs one dict read.
+    ``compute`` maps a (k, n) stack to the stack (or tuple) of its k values:
+    it is called once, on the distinct rows not stored yet (a point goes in as
+    one row).  A point is looked up by its own key: a hit is one dict read.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return memoized(memo, (tag, x.tobytes(), *extra), lambda: compute(x[None])[0])
-    return np.stack(memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
-                             lambda missing: compute(x[missing])))
+    return combine(memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
+                            lambda missing: compute(x[missing])))
 
 
 def as_stack(values, points: Array, row_shape: tuple, owner: str) -> Array:
@@ -161,23 +164,27 @@ def _stencil(f, points: Array, domain) -> Array:
 
 def partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
             domain: Callable[[Array], bool] | None = None) -> Array:
-    """Every first partial derivative of ``f`` at ``x``, stacked as ``[i, ...]``.
+    """Every first partial derivative of ``f`` at ``x``, stacked as ``[i, ...]``,
+    or as ``[r, i, ...]`` at the rows r of a (k, n) stack ``x``, each row as alone.
 
     ``f`` maps a (k, n) stack of points to the stack of its k values; it is
-    called once, on the stencils of all axes together.  Central difference
+    called once, on the stencils of all axes (and rows) together.  Central difference
     with step ``cfg.step``; with ``cfg.richardson`` the fourth-order
     combination of the step-h and step-h/2 estimates is returned.
     ``domain``, when given, is called once on the stack of stencil points and
     must hold for every row.
     """
     x = np.asarray(x, dtype=float)
-    eye = np.eye(len(x))
+    n, eye = x.shape[-1], np.eye(x.shape[-1])
     steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
-    # rows ordered [step, sign, axis i]: x + s e_i, then x - s e_i
-    v = _stencil(f, np.concatenate([p for s in steps for p in (x + s * eye, x - s * eye)]), domain)
-    v = v.reshape(len(steps), 2, len(x), *v.shape[1:])
-    d = [(v[k, 0] - v[k, 1]) / (2.0 * s) for k, s in enumerate(steps)]
-    return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
+    # rows ordered [row, step, sign, axis i]: x + s e_i, then x - s e_i (x + (-s) e_i
+    # is x - s e_i bit for bit)
+    offsets = np.concatenate([s * eye for h in steps for s in (h, -h)])
+    v = _stencil(f, (x[..., None, :] + offsets).reshape(-1, n), domain)
+    v = v.reshape(x.size // n, len(steps), 2, n, *v.shape[1:])
+    d = [(v[:, k, 0] - v[:, k, 1]) / (2.0 * s) for k, s in enumerate(steps)]
+    out = (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
+    return out if x.ndim == 2 else out[0]
 
 
 def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
@@ -233,13 +240,37 @@ def project_out(v: Array, basis: Sequence[Array], g: Array) -> Array:
     return w
 
 
+def gram_schmidt(vectors: Sequence[Array], g: Array, tol: Array,
+                 basis: tuple = ()) -> list[tuple[Array, tuple]]:
+    """Modified Gram-Schmidt of (k, d) stacks of vectors in a (k, d, d) stack of
+    metrics, each row bit for bit as alone: in order, each vector is projected
+    off ``basis`` (g-orthonormal (k, d) stacks, not returned) and the vectors
+    kept before it, and kept, normalized, where its g-length exceeds ``tol``
+    (one per row).  Rows that keep different vectors part into sub-stacks: the
+    result is a list of groups (positions of their rows, kept (k, d) stacks).
+    """
+    kept: tuple = ()
+    for v in vectors:
+        w = project_out(v, basis + kept, g)
+        n = g_length(w, g)
+        keep = n[:, 0] > tol
+        if keep.all():
+            kept += (w / n,)
+        elif keep.any():  # the rows disagree: each part starts again on its own
+            return [(np.flatnonzero(part)[rows], vs) for part in (keep, ~keep)
+                    for rows, vs in gram_schmidt([u[part] for u in vectors], g[part],
+                                                 tol[part], tuple(b[part] for b in basis))]
+    return [(np.arange(len(g)), kept)]
+
+
 def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = None) -> tuple:
     """Modified Gram-Schmidt in the g-inner product, in the given order: the
     g-orthonormal vectors, as a tuple.
 
     Vectors whose residual after projection falls below the relative rank
     tolerance are dropped.  Raises ``RankDeficient`` when fewer than
-    ``required`` (default: all) survive.
+    ``required`` (default: all) survive.  (k, d) stacks of vectors in a (k, d, d) stack
+    of metrics come back as (k, d) stacks, each row as alone; every row must keep all.
     """
     g = np.asarray(g, dtype=float)
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -249,16 +280,16 @@ def orthonormalize(vectors: Sequence[Array], g: Array, required: int | None = No
         if required > 0:
             raise RankDeficient("no input vectors")
         return ()
-    # Largest singular value of the g-weighted collection sets the rank scale.
-    chol = np.linalg.cholesky(g)
-    smax = np.linalg.norm(chol.T @ np.column_stack(vecs), ord=2)
-    tol = smax * RANK_RTOL
-    basis: list[Array] = []
-    for v in vecs:
-        w = project_out(v, basis, g)
-        n = g_length(w, g)
-        if n > tol:
-            basis.append(w / n)
-    if len(basis) < required:
-        raise RankDeficient(f"requested {required} independent vectors, got {len(basis)}")
-    return tuple(basis)
+    stack = g.ndim == 3
+    if stack and required != len(vecs):
+        raise ValueError("a stack must keep all of its vectors")
+    g, vecs = (g, vecs) if stack else (g[None], [v[None] for v in vecs])
+    # Largest singular value of the g-weighted collection sets each row's rank scale.
+    chol_t = np.swapaxes(np.linalg.cholesky(g), 1, 2)
+    smax = np.linalg.norm(chol_t @ np.stack(vecs, axis=-1), ord=2, axis=(1, 2))
+    # the group of the first row that keeps too few, if any
+    _, kept = min(gram_schmidt(vecs, g, smax * RANK_RTOL),
+                  key=lambda group: (len(group[1]) >= required, group[0][0]))
+    if len(kept) < required:
+        raise RankDeficient(f"requested {required} independent vectors, got {len(kept)}")
+    return kept if stack else tuple(v[0] for v in kept)

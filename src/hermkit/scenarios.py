@@ -23,10 +23,11 @@ that entry, and the check's keyword arguments.  :func:`run_scenario` builds the
 entry at the run's ``DiffConfig`` and calls the check on the map, or on the
 chart with the entry's structure ``J``.
 
-A map check builds the map's jet at each sample once, in :func:`_map_points`,
-and passes it to every operator; the conformality data at a point come from
-the map's memo, so every operator that reads them shares one computation.  A
-structure check builds one structure jet per sample.
+A map check builds the map's jets at its samples once, as one stack, in
+:func:`_map_points`, passes the jet at each sample to every operator and reads
+the conformality data at the samples through one stacked call; operators that
+read them at a point get them from the map's memo.  A structure check builds
+one structure jet per sample.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .hermitian import (AlmostComplexField, StructureJet, classify_structure,
                         divergence_J, g_norm, nabla_J, nijenhuis, structure_jet,
                         unit_axes)
 from .manifold import Chart, SamplePlan
-from .maps import KIND_CRITICAL, MapSpec, PointJet
+from .maps import KIND_CRITICAL, ConformalityData, MapSpec, PointJet
 from .numdiff import DiffConfig
 
 #: Tolerance coupling factor between the two sides of a proved implication.
@@ -169,20 +170,21 @@ def _nijenhuis_residual(jet: StructureJet) -> float:
     return worst
 
 
-def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[list[PointJet], float]:
-    """The map's jets at the plan's samples on its source, in sample order,
-    and the map-residual tolerance there."""
-    jets = [maps.point_jet(spec, x) for x in plan.points(spec.source, spec.cfg)]
-    return jets, spec.cfg.tolerance(_map_scale(jets))
+def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[PointJet, list[PointJet], float]:
+    """The stacked jet at the plan's samples on its source, the jets at the
+    samples in order (read back from the memo) and the map-residual tolerance."""
+    points = plan.points(spec.source, spec.cfg)
+    stack = maps.point_jet(spec, np.array(points))
+    jets = [maps.point_jet(spec, x) for x in points]
+    return stack, jets, spec.cfg.tolerance(_map_scale(jets))
 
 
-def _critical_count(jets: Sequence[PointJet]) -> int:
-    return sum(maps.conformality(jet).kind == KIND_CRITICAL for jet in jets)
+def _critical_count(confs: Sequence[ConformalityData]) -> int:
+    return sum(c.kind == KIND_CRITICAL for c in confs)
 
 
-def _conformality_max(jets: Sequence[PointJet]) -> float:
+def _conformality_max(confs: Sequence[ConformalityData]) -> float:
     """Largest conformality residual over the non-critical samples."""
-    confs = map(maps.conformality, jets)
     return max([0.0, *(c.conformality_residual for c in confs if c.kind != KIND_CRITICAL)])
 
 
@@ -195,13 +197,13 @@ def _tension_max(jets: Sequence[PointJet]) -> float:
     return max([0.0, *map(_tension_norm, jets)])
 
 
-def _fibre_residual(jets: Sequence[PointJet]) -> tuple[float, int, int]:
+def _fibre_residual(jets: Sequence[PointJet],
+                    confs: Sequence[ConformalityData]) -> tuple[float, int, int]:
     """Max fibre mean-curvature norm over regular, non-near-critical samples,
     with the number of samples used and excluded; too many exclusions raise."""
     values = []
     excluded = 0
-    for jet in jets:
-        c = maps.conformality(jet)
+    for jet, c in zip(jets, confs):
         if c.kind == KIND_CRITICAL:
             continue
         if not c.regular:
@@ -239,9 +241,10 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     flagged; optional extras add holomorphy, fibre minimality and a pinned
     dilation value to the report.
     """
-    jets, tol = _map_points(spec, plan)
+    stack, jets, tol = _map_points(spec, plan)
+    confs = maps.conformality(stack)
     checks = [
-        check("horizontally-weakly-conformal", _conformality_max(jets), tol, len(jets)),
+        check("horizontally-weakly-conformal", _conformality_max(confs), tol, len(jets)),
         check("tension-vanishes", _tension_max(jets), tol, len(jets)),
     ]
     if include_holomorphy:
@@ -249,13 +252,13 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
         checks.insert(0, check("holomorphic", holo, tol, len(jets)))
     if expected_dilation is not None:
         dev = max([0.0, *(abs(c.dilation - expected_dilation)
-                          for c in map(maps.conformality, jets) if c.kind != KIND_CRITICAL)])
+                          for c in confs if c.kind != KIND_CRITICAL)])
         checks.append(check("dilation-deviation", dev, tol, len(jets),
                             expected=expected_dilation))
     if include_fibres:
-        fibre_res, used, excluded = _fibre_residual(jets)
+        fibre_res, used, excluded = _fibre_residual(jets, confs)
         checks.append(check("fibre-minimality", fibre_res, tol, used, excluded))
-    return _report(scenario_id, checks, plan, spec.cfg, critical_samples=_critical_count(jets),
+    return _report(scenario_id, checks, plan, spec.cfg, critical_samples=_critical_count(confs),
                    map=spec.name)
 
 
@@ -263,8 +266,8 @@ def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
                             scenario_id: str) -> VerificationReport:
     """The detector must *fail* this map: conformality or tension residual is
     genuinely large (rejection mode)."""
-    jets, tol = _map_points(spec, plan)
-    conf_res = _conformality_max(jets)
+    stack, jets, tol = _map_points(spec, plan)
+    conf_res = _conformality_max(maps.conformality(stack))
     tension_res = _tension_max(jets)
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
@@ -285,13 +288,14 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         meta = dict(report.metadata)
         meta["routed"] = "surface-case"
         return VerificationReport(report.scenario_id, report.checks, meta)
-    jets, tol = _map_points(spec, plan)
-    for c in map(maps.conformality, jets):
+    stack, jets, tol = _map_points(spec, plan)
+    confs = maps.conformality(stack)
+    for c in confs:
         if not c.regular:
             raise CriticalPoint(f"two-of-three needs regular samples, got {c.kind}")
-    hm_res = max([0.0, *(r for jet in jets for r in (
-        maps.conformality(jet).conformality_residual, _tension_norm(jet)))])
-    fibre_res, used, excluded = _fibre_residual(jets)
+    hm_res = max([0.0, *(r for jet, c in zip(jets, confs) for r in (
+        c.conformality_residual, _tension_norm(jet)))])
+    fibre_res, used, excluded = _fibre_residual(jets, confs)
     hom_res = maps.homothety_residual(jets)
     checks = [
         implication_check("morphism+minimal-imply-homothetic",
@@ -313,13 +317,14 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
     fibre minimality at regular points."""
     if spec.target.dim != 2:
         raise WrongDimension("surface case needs a target of real dimension 2")
-    jets, tol = _map_points(spec, plan)
+    stack, jets, tol = _map_points(spec, plan)
     holo = _require_holomorphic(spec, jets, tol)
     tension_res = _tension_max(jets)
     lee_res = max([0.0, *(g_norm(spec.target.metric(spec(jet.x), spec.cfg),
                                  maps.lee_pushforward(jet)) for jet in jets)])
-    fibre_res, used, excluded = _fibre_residual(jets)
-    hm_res = max(_conformality_max(jets), tension_res)
+    confs = maps.conformality(stack)
+    fibre_res, used, excluded = _fibre_residual(jets, confs)
+    hm_res = max(_conformality_max(confs), tension_res)
     checks = [
         check("holomorphic", holo, tol, len(jets)),
         biconditional_check("lee-pushforward-iff-tension", lee_res, tension_res,
@@ -328,7 +333,7 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
                             tol, used, excluded),
     ]
     return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
-                   critical_samples=_critical_count(jets),
+                   critical_samples=_critical_count(confs),
                    residuals={"lee_pushforward": lee_res, "tension": tension_res,
                               "fibre_minimality": fibre_res})
 
@@ -346,9 +351,9 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     genuinely nonzero.
     """
     cfg = spec.cfg
-    jets, tol = _map_points(spec, plan)
+    stack, jets, tol = _map_points(spec, plan)
     _require_holomorphic(spec, jets, tol)
-    conf_res = _conformality_max(jets)
+    conf_res = _conformality_max(maps.conformality(stack))
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
@@ -378,7 +383,7 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
     """tau(phi) = -dphi(J div J) for holomorphic maps into a (1,2)-symplectic
     target, as a samplewise residual."""
     cfg = spec.cfg
-    jets, tol = _map_points(spec, plan)
+    _, jets, tol = _map_points(spec, plan)
     _require_holomorphic(spec, jets, tol)
     pushed = [spec(jet.x) for jet in jets]
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
@@ -407,7 +412,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     cfg = spec.cfg
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
-    jets, tol = _map_points(spec, plan)
+    stack, jets, tol = _map_points(spec, plan)
     pushed = [spec(jet.x) for jet in jets]
     target_nij = max([0.0, *(_nijenhuis_residual(structure_jet(
         spec.target, spec.target_structure, y, cfg, connection=False)) for y in pushed)])
@@ -418,8 +423,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     supermin = 0.0
     nij = 0.0
     included = []
-    for jet in jets:
-        c = maps.conformality(jet)
+    for jet, c in zip(jets, maps.conformality(stack)):
         if c.near_critical or not c.regular:
             continue
         lj = structure_jet(spec.source, lifted, jet.x, cfg)
@@ -450,7 +454,7 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     otherwise it must exceed the non-parallelism floor of 1e-3 somewhere.
     """
     cfg = spec.cfg
-    jets, tol = _map_points(spec, plan)
+    _, jets, tol = _map_points(spec, plan)
     lifted = maps.lift_structure(spec, orientation)
     inv_points = [jet.x for jet in jets[:5]]
     inv = lifted.invariant_residuals(inv_points, cfg)
@@ -565,9 +569,10 @@ def check_radial_fibres(spec: MapSpec, plan: SamplePlan, scenario_id: str,
                         target_scale: float) -> VerificationReport:
     """Straight radial fibres of the annulus projection are minimal, and the
     dilation is target_scale / r."""
-    jets, tol = _map_points(spec, plan)
-    fibre_res, used, excluded = _fibre_residual(jets)
-    dev = max(abs(maps.conformality(jet).dilation - target_scale / jet.x[0]) for jet in jets)
+    stack, jets, tol = _map_points(spec, plan)
+    confs = maps.conformality(stack)
+    fibre_res, used, excluded = _fibre_residual(jets, confs)
+    dev = max(abs(c.dilation - target_scale / jet.x[0]) for jet, c in zip(jets, confs))
     checks = [
         check("fibre-minimality", fibre_res, tol, used, excluded),
         check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(jets)),

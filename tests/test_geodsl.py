@@ -153,6 +153,15 @@ def test_compiled_stack_equals_evaluate_row_by_row(exprs, rows):
         assert np.array_equal(got, ref)
 
 
+def test_compiled_entries_that_differ_in_the_sign_of_a_zero_stay_apart():
+    """x1*0.0 and x1*-0.0 compare equal as trees but differ in value, so they
+    compile to two columns; repeated entries share one."""
+    plus, minus = (geodsl.BinOp("*", geodsl.Coord(1), geodsl.Num(z)) for z in (0.0, -0.0))
+    assert plus == minus
+    values = geodsl.compile_exprs([plus, minus, plus])(np.array([[2.0], [-3.0]]))
+    assert np.signbit(values).tolist() == [[False, True, False], [True, False, True]]
+
+
 @pytest.mark.parametrize("src,line", [
     ("g = [[1, 0], [0, x3^2 + 1]]\ndim = 2", 1),
     ("map m -> 1 = [x7]\ndim = 2\ng = [[1, 0], [0, 1]]", 1),

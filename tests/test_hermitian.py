@@ -6,12 +6,10 @@ from hermkit import catalog, hermitian, numdiff
 from hermkit import geodsl
 from hermkit.errors import PreconditionFailed, RankDeficient
 from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
-                               classify_structure, divergence_J, divergence_J_frame,
-                               g_norm, hermitian_frame, lee_vector,
-                               nabla_J, nijenhuis, nijenhuis_bracket_route,
-                               structure_jet)
+                               classify_structure, divergence_J, g_norm, hermitian_frame,
+                               lee_vector, nabla_J, nijenhuis, structure_jet)
 from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, constant_field,
-                              covariant_derivative)
+                              covariant_derivative, lie_bracket)
 from hermkit.numdiff import constant, orthonormalize
 
 
@@ -150,6 +148,15 @@ def test_divergence_matches_closed_form(r, s, cfg):
         npt.assert_allclose(num, ana, atol=1e-7)
 
 
+def divergence_J_frame(jet, frame_vectors):
+    """div J summed explicitly over a supplied g-orthonormal frame: the oracle
+    for :func:`divergence_J` (frame independence of the trace)."""
+    out = np.zeros(len(jet.x))
+    for u in frame_vectors:
+        out = out + nabla_J(jet, u, u)
+    return out
+
+
 def test_divergence_frame_independent(ce10, cfg, rng):
     """Tracing over a random g-orthonormal frame gives the same vector."""
     chart, j_field = ce10
@@ -211,6 +218,17 @@ def test_nijenhuis_scaling_tensorial(ce10, cfg, rng):
     u = rng.normal(size=4)
     v = rng.normal(size=4)
     npt.assert_allclose(nijenhuis(jet, 2.5 * u, v), 2.5 * nijenhuis(jet, u, v), atol=1e-9)
+
+
+def nijenhuis_bracket_route(chart, j_field, x, xv, yv, cfg):
+    """Literal bracket evaluation of N(X, Y) on constant-component X and Y: the
+    slow oracle for :func:`nijenhuis`."""
+    j_at = j_field(x)
+    xf, yf = constant_field(chart, xv), constant_field(chart, yv)
+    jxf = VectorField(chart, lambda p: j_field(p) @ xv)
+    jyf = VectorField(chart, lambda p: j_field(p) @ yv)
+    return (lie_bracket(jxf, jyf, x, cfg) - j_at @ lie_bracket(jxf, yf, x, cfg)
+            - j_at @ lie_bracket(xf, jyf, x, cfg) - lie_bracket(xf, yf, x, cfg))
 
 
 def test_nijenhuis_two_routes_agree(ce10, cfg, rng):

@@ -184,18 +184,18 @@ def test_lie_bracket_jacobi_identity(cfg):
 
 
 def test_gradient_flat_linear(cfg):
-    val = gradient(flat2(), lambda p: p[0], np.array([0.3, 0.1]), cfg)
+    val = gradient(flat2(), lambda p: p[:, 0], np.array([0.3, 0.1]), cfg)
     npt.assert_allclose(val, [1.0, 0.0], atol=1e-10)
 
 
 def test_gradient_sphere_polar_angle(cfg):
     # g^{th th} = 1 on the round sphere, so grad(theta) = d/d theta
-    val = gradient(sphere2(), lambda p: p[0], np.array([1.0, 0.8]), cfg)
+    val = gradient(sphere2(), lambda p: p[:, 0], np.array([1.0, 0.8]), cfg)
     npt.assert_allclose(val, [1.0, 0.0], atol=1e-9)
 
 
 def test_gradient_constant(cfg):
-    val = gradient(sphere2(), lambda p: 2.5, np.array([1.0, 0.8]), cfg)
+    val = gradient(sphere2(), constant(2.5), np.array([1.0, 0.8]), cfg)
     npt.assert_allclose(val, 0.0, atol=1e-12)
 
 

@@ -13,7 +13,7 @@ from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_pro
                           fibre_mean_curvature, holomorphy_residual,
                           homothety_residual, lee_pushforward, lift_structure,
                           point_jet, sff_tensor, superminimality_residual, tension,
-                          tension_in_frame, vertical_frame_field)
+                          vertical_frame_field)
 from hermkit.numdiff import constant, orthonormalize
 
 
@@ -226,6 +226,16 @@ def test_lee_pushforward_needs_source_structure():
         lee_pushforward(jet_of(spec, [0.1, 0.2]))
 
 
+def tension_in_frame(jet, frame_vectors):
+    """Tension summed explicitly over a g-orthonormal frame: the oracle for
+    :func:`tension` (frame independence of the trace)."""
+    sff = sff_tensor(jet)
+    out = np.zeros(jet.spec.target.dim)
+    for u in frame_vectors:
+        out = out + np.einsum("i,j,ijg->g", u, u, sff)
+    return out
+
+
 def test_tension_frame_independent(hopf, rng):
     g = hopf.source.metric(CE_POINT, hopf.cfg)
     frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
@@ -399,6 +409,65 @@ def test_condition_ii_matches_the_bracket_route(orientation):
     oracle = condition_ii_bracket_route(condition_ii_samples(fresh, orientation, points))
     assert residual == oracle
     assert oracle > 0.0
+
+
+def ragged_map():
+    """(x, y) -> (x^2, y^2) with g = diag(1, s): rank 2 off the axes, 1 on them and
+    0 at the origin; s = 1e-24 below y = -0.5, where the horizontal vector of a
+    rank-1 row has g-length 1e-12 and Gram-Schmidt drops it."""
+    def metric(x):
+        s = np.where(x[:, 1] < -0.5, 1e-24, 1.0)
+        return np.stack([np.diag([1.0, v]) for v in s])
+
+    cfg = catalog.DEFAULT_CFG
+    src = Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)), metric_fn=metric)
+    tgt = Chart(dim=2, box=Box((-1e3, -1e3), (1e3, 1e3)), metric_fn=constant(np.eye(2)))
+    return MapSpec(src, tgt, lambda x: x**2, cfg)
+
+
+RAGGED_ROWS = np.array([[0.5, 0.7], [0.0, 0.0], [0.0, 0.7], [0.0, -0.7], [0.6, 2e-6],
+                        [-0.4, 0.3], [0.7, 0.0]])
+
+
+def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
+    """Every part of a stacked jet and of its conformality data equals the
+    one-point call at that row, on a stack that mixes regular, near-critical,
+    critical and degenerate rows and a row whose horizontal vector is dropped."""
+    spec = ragged_map()
+    stack = point_jet(spec, RAGGED_ROWS)
+    confs = conformality(stack)
+    kinds = [c.kind for c in confs]
+    assert kinds == ["regular", "critical", "degenerate", "degenerate", "regular", "regular",
+                     "degenerate"]
+    assert [c.near_critical for c in confs] == [False] * 4 + [True] + [False] * 2
+    assert [len(c.horizontal_basis) for c in confs] == [2, 0, 1, 0, 2, 2, 1]
+    for r, x in enumerate(RAGGED_ROWS):
+        alone = dataclasses.replace(spec)  # an empty memo: the point is computed afresh
+        jet = point_jet(alone, x)
+        for part in ("x", "differential", "metric", "singular_values", "vt", "rank"):
+            assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)), (r, part)
+        one, row = conformality(jet), confs[r]
+        assert (one.kind, one.near_critical) == (row.kind, row.near_critical)
+        assert np.array_equal([one.dilation, one.conformality_residual],
+                              [row.dilation, row.conformality_residual])
+        for basis in ("vertical_basis", "horizontal_basis"):
+            a, b = getattr(one, basis), getattr(row, basis)
+            assert len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
+    """The vertical frame field and the horizontal lift read from a stacked jet
+    equal the one-point calls row by row."""
+    stack = PUNCTURED2_POINT + 1e-3 * np.vstack([np.eye(6), -np.eye(6)])
+    jets = point_jet(punctured2, stack)
+    frame_at = vertical_frame_field(point_jet(punctured2, PUNCTURED2_POINT))
+    frames, lifts = frame_at(jets), maps._lift_matrix(jets)
+    projectors = _vertical_projector(jets)
+    for r, x in enumerate(stack):
+        jet = point_jet(dataclasses.replace(punctured2), x)
+        assert np.array_equal(frames[r], frame_at(jet))
+        assert np.array_equal(lifts[r], maps._lift_matrix(jet))
+        assert np.array_equal(projectors[r], _vertical_projector(jet))
 
 
 def test_map_that_does_not_broadcast_is_rejected():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermkit import catalog, scenarios
+from hermkit import catalog, maps, scenarios
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
 from hermkit.hermitian import hermitian_frame
 from hermkit.manifold import Box, Chart, SamplePlan, christoffel
@@ -81,6 +81,50 @@ def test_second_jet_takes_no_svd_and_no_map_call(monkeypatch):
     assert again.spec is spec
     assert again.differential is first.differential
     assert again.rank == first.rank
+
+
+def test_stacked_jet_raises_what_its_first_bad_row_raises():
+    """A stack whose second row is outside the chart raises the class and the
+    message of that row alone, and stores no jet."""
+    spec = hopf()
+    bad = np.array(spec.source.box.lo, dtype=float)
+    with pytest.raises(EvaluationOutsideDomain) as alone:
+        point_jet(dataclasses.replace(spec), bad)
+    with pytest.raises(EvaluationOutsideDomain) as stacked:
+        point_jet(spec, np.array([CE_POINT, bad, CE_POINT - 0.1]))
+    assert str(stacked.value) == str(alone.value)
+    assert not any(k[0] == "jet" for k in spec._memo)
+
+
+def test_stacked_jet_computes_a_repeated_row_once(monkeypatch):
+    spec = hopf()
+    rows = []
+    differential = maps.differential
+
+    def recording(spec, x):
+        rows.extend(np.atleast_2d(x).tolist())
+        return differential(spec, x)
+
+    monkeypatch.setattr(maps, "differential", recording)
+    jets = point_jet(spec, np.array([CE_POINT, CE_POINT - 0.1, CE_POINT]))
+    assert rows == [CE_POINT.tolist(), (CE_POINT - 0.1).tolist()]
+    assert np.array_equal(jets.differential[0], jets.differential[2])
+    assert [k[0] for k in spec._memo].count("jet") == 2
+
+
+def test_point_call_after_a_stack_is_a_memo_hit(monkeypatch):
+    spec, seen = counting(hopf())
+    stack = point_jet(spec, np.array([CE_POINT, CE_POINT - 0.1]))
+    conformality(stack)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
+    evaluated = len(seen)
+    jet = point_jet(spec, CE_POINT - 0.1)
+    conf = conformality(jet)
+    assert svds == [] and len(seen) == evaluated
+    assert np.array_equal(jet.differential, stack.differential[1])
+    assert conf is spec._memo[("conformality", (CE_POINT - 0.1).tobytes())]
 
 
 def test_memoized_arrays_are_read_only():

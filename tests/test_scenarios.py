@@ -152,6 +152,20 @@ def test_map_checks_accept_compatible_structure():
     assert scenarios.check_harmonic_morphism(spec, SMALL, include_holomorphy=True).overall
 
 
+def test_zero_dimensional_fibres_are_minimal():
+    """A regular map between charts of equal dimension has 0-dimensional fibres,
+    which are trivially minimal: the surface case holds and the fibre residual
+    is exactly 0."""
+    spec = identity_map(np.eye(2), 4.0 * np.eye(2))
+    report = check_surface_case(spec, SMALL)
+    assert report.overall
+    assert report.metadata["residuals"]["fibre_minimality"] == 0.0
+    assert report.get_check("morphism-iff-minimal-fibres").samples_used == SMALL.count
+    jet = maps.point_jet(spec, np.array([0.1, 0.2]))
+    assert maps.vertical_frame_field(jet)(jet).shape == (2, 0)
+    assert maps.fibre_mean_curvature(jet).tolist() == [0.0, 0.0]
+
+
 def test_lemma_precondition_target_not_symplectic():
     entry = catalog.punctured_hopf(2, perturbed=True)
     with pytest.raises(PreconditionFailed) as err:
@@ -243,12 +257,13 @@ def times_at(points, x):
 @pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma",
                                  "punctured-hopf-2-integrability-plus"])
 def test_each_sample_is_differentiated_once(sid, monkeypatch):
-    """The map's jet at a sample is built once and passed to every operator."""
+    """The map's jet at a sample is built once, alone or as a row of a stack,
+    and passed to every operator."""
     seen = []
     differential = maps.differential
 
     def recording(spec, x):
-        seen.append(np.array(x, dtype=float))
+        seen.extend(np.atleast_2d(np.array(x, dtype=float)))
         return differential(spec, x)
 
     monkeypatch.setattr(maps, "differential", recording)
