@@ -8,7 +8,7 @@ Commands:
 
 Exit codes: 0 all requested verdicts true, 1 some verdict false,
 2 usage or config error.  JSON reports are byte-identical across runs with
-equal flags (schema_version 1).
+equal flags (schema_version 2).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import DslError, GeometryError, UnknownScenario
 from .manifold import SamplePlan
 from .numdiff import DiffConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def build_parser() -> argparse.ArgumentParser:

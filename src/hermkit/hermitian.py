@@ -12,14 +12,12 @@ Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
 Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 :func:`structure_jet` builds it once per (structure, point) and callers pass it
 down, so no operator that reads it evaluates or differentiates J again.
-The complex form of :func:`classify_structure` reads the same jet and
-differentiates the Hermitian frame fields once per sample: one stencil for the
-real and imaginary parts of all Z_l together, their frames built in one pass
-over the stencil's stack, from which every nabla_{conj Z_k} Z_l is contracted.
+:func:`classify_structure` decides every class from the real form of nabla J
+at a sample's Hermitian frame (Gray & Hervella 1980).
 
-Each :class:`AlmostComplexField` memoizes J(x) per row and its Hermitian
-frames per point, not per stack (see ``numdiff.memoized`` for the contract);
-g(x) and the Christoffel symbols come from the chart's memo.
+Each :class:`AlmostComplexField` memoizes J(x) per row (see
+``numdiff.memoized`` for the contract); g(x) and the Christoffel symbols come
+from the chart's memo.  Hermitian frames are not memoized.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
 from .manifold import Chart, SamplePlan, christoffel
-from .numdiff import Array, DiffConfig, as_stack, g_length, memoized, memoized_rows, project_out
+from .numdiff import Array, DiffConfig, as_stack, g_length, memoized_rows, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
@@ -126,25 +124,13 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfi
     Candidates are the coordinate axes in order; with ``pivots`` given, exactly
     those candidate indices are used: the pivots of the frame at a base point
     give a frame field that is smooth near it.  ``x`` is a point, built as a
-    one-row stack and memoized on ``j_field`` (``chart`` must be its chart) per
-    point, ``cfg`` and pivots; or a (k, dim) stack, which needs ``pivots`` and is
-    not memoized (stencil frames are read once), each frame vector then being a
-    (k, dim) stack whose rows equal the frames at those points bit for bit.
+    one-row stack (``chart`` must be the chart of ``j_field``); or a (k, dim)
+    stack, which needs ``pivots``, each frame vector then being a (k, dim)
+    stack whose rows equal the frames at those points bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        if pivots is None:
-            raise ValueError("a stack of points needs the pivots of its frame field")
-        return _hermitian_frame(chart, j_field, x, cfg, pivots)
-    frame = memoized(j_field._memo, ("frame", x.tobytes(), cfg, pivots),
-                     lambda: _hermitian_frame(chart, j_field, x, cfg, pivots))
-    if pivots is None:  # rebuilt with its own pivots, it comes out bit for bit the same
-        memoized(j_field._memo, ("frame", x.tobytes(), cfg, frame.pivots), lambda: frame)
-    return frame
-
-
-def _hermitian_frame(chart: Chart, j_field: AlmostComplexField, x: Array, cfg: DiffConfig,
-                     pivots: tuple | None) -> HermitianFrame:
+    if x.ndim == 2 and pivots is None:
+        raise ValueError("a stack of points needs the pivots of its frame field")
     d = chart.dim
     if d % 2 != 0:
         raise RankDeficient("almost complex structures need an even-dimensional chart")
@@ -259,19 +245,14 @@ def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Residuals and verdicts of the pointwise structure classification.
-
-    The complex-form residuals re-express the (1,2)-symplectic and
-    cosymplectic conditions through Hermitian frame fields; they vanish
-    together with the real-form residuals.
-    """
+    """Residuals and verdicts of the pointwise structure classification, each
+    residual the maximum of its real-form condition on nabla J over the
+    samples (see :func:`classify_structure`)."""
 
     residual_kahler: float
     residual_12sympl: float
     residual_cosympl: float
     residual_integrable: float
-    residual_12sympl_complex: float
-    residual_cosympl_complex: float
     verdicts: dict
     samples: tuple
     tolerance: float
@@ -284,8 +265,6 @@ class StructureReport:
                 "one_two_symplectic": self.residual_12sympl,
                 "cosymplectic": self.residual_cosympl,
                 "integrable": self.residual_integrable,
-                "one_two_symplectic_complex": self.residual_12sympl_complex,
-                "cosymplectic_complex": self.residual_cosympl_complex,
             },
             "verdicts": dict(self.verdicts),
             "tolerance": self.tolerance,
@@ -295,17 +274,16 @@ class StructureReport:
 
 
 def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
-                       cfg: DiffConfig, complex_form: bool = True,
+                       cfg: DiffConfig,
                        points: Sequence[Array] | None = None) -> StructureReport:
     """Classify (chart, J) at the plan's sample points.
 
-    Residuals are maxima over samples and frame vectors of:
-    Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
+    Residuals are maxima over samples, and over X, Y in each sample's
+    Hermitian frame, of the real-form conditions on nabla J (Gray & Hervella
+    1980): Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
     ``|(nabla_X J) Y + (nabla_JX J) J Y|``; cosymplectic ``|div J|``;
-    integrable ``|N(X, Y)|``.  With ``complex_form`` the equivalent Hermitian
-    frame criteria ((0,1)-parts of nabla_{conj Z} W and of sum_k
-    nabla_{conj Z_k} Z_k) are evaluated as well.  ``points`` overrides the
-    plan's samples (used when a map pushes samples onto this chart).
+    integrable ``|N(X, Y)|``.  ``points`` overrides the plan's samples (used
+    when a map pushes samples onto this chart).
     Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at a
     sample where (g, J) is not almost Hermitian: such a pair has no
     classification.
@@ -313,7 +291,6 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     points = plan.points(chart, cfg) if points is None else [np.asarray(p, dtype=float)
                                                              for p in points]
     r_kahler = r_12 = r_cosympl = r_nij = 0.0
-    r_12_c = r_cos_c = 0.0
     scale = 1.0
     for x in points:
         jet = structure_jet(chart, j_field, x, cfg)
@@ -336,35 +313,6 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
             for b in range(a + 1, u.shape[1]):
                 n_ab = nijenhuis(jet, u[:, a], u[:, b])
                 r_nij = max(r_nij, g_norm(g, n_ab))
-        if complex_form:
-            def z_parts(ps: Array) -> Array:
-                """[Re Z, Im Z] of the frame field at the rows of ps, smooth near x
-                (x's pivots), as [row, part, l, k]."""
-                z = np.array(hermitian_frame(chart, j_field, ps, cfg, frame.pivots).complex_frame)
-                return np.moveaxis(np.stack([np.real(z), np.imag(z)]), 2, 0)
-
-            # dz[part, l, i, k] = d_i of that part of Z_l^k: one stencil for all
-            # frame fields; each (part, l) slice is C-contiguous, like the stack
-            # manifold.covariant_derivative contracts, so the sums match it bit for bit
-            dz = np.ascontiguousarray(np.moveaxis(numdiff.partial(z_parts, x, cfg), 0, 2))
-            z_at = [(np.real(z), np.imag(z)) for z in frame.complex_frame]
-
-            def cov(v: Array, l: int, part: int) -> Array:
-                """nabla_v of one part of Z_l, as in manifold.covariant_derivative."""
-                return (np.einsum("i,ik->k", v, dz[part, l])
-                        + np.einsum("kij,i,j->k", gamma, v, z_at[l][part]))
-
-            cosym_sum = np.zeros(chart.dim, dtype=complex)
-            for k, zk in enumerate(frame.complex_frame):
-                d_re, d_im = np.real(np.conj(zk)), np.imag(np.conj(zk))
-                for l in range(frame.m):
-                    # nabla_{conj Z_k} Z_l, complex-bilinear in both arguments
-                    nab_kl = cov(d_re, l, 0) + 1j * cov(d_re, l, 1)
-                    nab_kl = nab_kl + 1j * (cov(d_im, l, 0) + 1j * cov(d_im, l, 1))
-                    if l == k:
-                        cosym_sum = cosym_sum + nab_kl
-                    r_12_c = max(r_12_c, g_norm(g, antiholomorphic_part(j, nab_kl)))
-            r_cos_c = max(r_cos_c, g_norm(g, antiholomorphic_part(j, cosym_sum)))
     tol = cfg.tolerance(scale)
     verdicts = {
         "kahler": r_kahler <= tol,
@@ -372,5 +320,5 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
         "cosymplectic": r_cosympl <= tol,
         "integrable": r_nij <= tol,
     }
-    return StructureReport(r_kahler, r_12, r_cosympl, r_nij, r_12_c, r_cos_c,
-                           verdicts, tuple(points), tol, scale)
+    return StructureReport(r_kahler, r_12, r_cosympl, r_nij, verdicts, tuple(points), tol,
+                           scale)

@@ -30,30 +30,30 @@ Array = np.ndarray
 #: Relative rank rule: a vector is dropped when its post-projection norm falls
 #: below (largest singular value) * RANK_RTOL.
 RANK_RTOL = 1e-9
+#: Weight of the ``step**2 * scale`` truncation term in :meth:`DiffConfig.tolerance`.
+TOLERANCE_FACTOR = 50.0
 
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Stencil step, extrapolation switch and the residual-tolerance model.
+    """Stencil step, extrapolation switch and the residual-tolerance floor.
 
     A check passes when its residual is at most
-    ``tolerance_abs + tolerance_factor * step**2 * scale`` where ``scale`` is
+    ``tolerance_abs + TOLERANCE_FACTOR * step**2 * scale`` where ``scale`` is
     the magnitude of the inputs feeding the residual; truncation errors of the
     second-order stencils grow like ``step**2``, so the bound tracks them.
+    ``step`` and ``tolerance_abs`` must be positive and finite.
     """
 
     step: float = 1e-4
     richardson: bool = True
     tolerance_abs: float = 1e-6
-    tolerance_factor: float = 50.0
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.tolerance_abs > 0:
-            raise ValueError("tolerance_abs must be positive")
-        if not self.tolerance_factor > 0:
-            raise ValueError("tolerance_factor must be positive")
+        for name in ("step", "tolerance_abs"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         object.__setattr__(self, "_hash", hash(astuple(self)))  # memo keys hash it often
 
     def __hash__(self) -> int:
@@ -61,7 +61,7 @@ class DiffConfig:
 
     def tolerance(self, scale: float = 1.0) -> float:
         """Scale-aware residual bound for inputs of the given magnitude."""
-        return self.tolerance_abs + self.tolerance_factor * self.step**2 * abs(scale)
+        return self.tolerance_abs + TOLERANCE_FACTOR * self.step**2 * abs(scale)
 
 
 def memoized(memo: dict, key, compute: Callable):
@@ -152,6 +152,18 @@ def constant(value) -> Callable[[Array], Array]:
     return lambda points: np.broadcast_to(value, (len(points), *value.shape))
 
 
+def _require_resolved(x: Array, offset: float, step: float) -> None:
+    """Raise ``ValueError`` when x + offset or x - offset rounds back to x in
+    some coordinate of a point or of a row of a stack: the stencil would
+    difference f at x against itself."""
+    size = np.abs(x)
+    unresolved = size + offset == size  # where x + offset or x - offset equals x
+    if unresolved.any():
+        point = np.atleast_2d(x)[unresolved.reshape(-1, x.shape[-1]).any(axis=1)][0]
+        raise ValueError(f"step {step!r} is below the resolution of the coordinates at "
+                         f"{point.tolist()}: x +- {offset!r} rounds back to x")
+
+
 def _stencil(f, points: Array, domain) -> Array:
     """``f`` on the whole stack of stencil points, after one ``domain`` call on
     it; only when that fails are the rows walked to name the first one outside."""
@@ -172,11 +184,13 @@ def partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
     with step ``cfg.step``; with ``cfg.richardson`` the fourth-order
     combination of the step-h and step-h/2 estimates is returned.
     ``domain``, when given, is called once on the stack of stencil points and
-    must hold for every row.
+    must hold for every row.  Raises ``ValueError`` when the smallest offset
+    does not move some coordinate of ``x``.
     """
     x = np.asarray(x, dtype=float)
     n, eye = x.shape[-1], np.eye(x.shape[-1])
     steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
+    _require_resolved(x, steps[-1], cfg.step)
     # rows ordered [row, step, sign, axis i]: x + s e_i, then x - s e_i (x + (-s) e_i
     # is x - s e_i bit for bit)
     offsets = np.concatenate([s * eye for h in steps for s in (h, -h)])
@@ -197,11 +211,13 @@ def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
     three-point stencils on the diagonal and the four corner points of each
     pair i < j; ``domain`` is checked on exactly those points.  The Richardson
     pair here is (2h, h) rather than (h, h/2): second-difference roundoff
-    grows like 1/h**2, so halving the step would amplify it 4x.
+    grows like 1/h**2, so halving the step would amplify it 4x.  Raises
+    ``ValueError`` when the step does not move some coordinate of ``x``.
     """
     x = np.asarray(x, dtype=float)
     n, eye = len(x), np.eye(len(x))
     steps = [2.0 * cfg.step, cfg.step] if cfg.richardson else [cfg.step]
+    _require_resolved(x, cfg.step, cfg.step)
     i, j = np.triu_indices(n, 1)
     ei, ej = eye[i], eye[j]
     # rows: x, then [step, sign, axis] on the diagonal, then [step, corner, pair]

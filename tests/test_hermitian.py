@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog, hermitian, numdiff
+from hermkit import catalog, hermitian, numdiff, scenarios
 from hermkit import geodsl
 from hermkit.errors import PreconditionFailed, RankDeficient
 from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
@@ -47,10 +47,15 @@ def complex_form_residuals(chart, j_field, points, cfg) -> tuple:
     for x in points:
         frame = hermitian_frame(chart, j_field, x, cfg)
         g, j = chart.metric(x, cfg), j_field(x)
+        frames = {}  # 4 m^2 covariant derivatives read the frame at each stencil point
+
+        def frame_at(p):
+            if p.tobytes() not in frames:
+                frames[p.tobytes()] = hermitian_frame(chart, j_field, p, cfg, frame.pivots)
+            return frames[p.tobytes()]
 
         def z_part(l, part):
-            return VectorField(chart, lambda p: part(hermitian_frame(
-                chart, j_field, p, cfg, frame.pivots).complex_frame[l]))
+            return VectorField(chart, lambda p: part(frame_at(p).complex_frame[l]))
 
         cosym_sum = np.zeros(chart.dim, dtype=complex)
         for k, zk in enumerate(frame.complex_frame):
@@ -269,8 +274,9 @@ def test_classify_flat_torus_all_true(torus, cfg, plan):
     report = classify_structure(chart, j_field, plan, cfg)
     assert all(report.verdicts.values())
     assert report.residual_kahler <= 1e-10
-    assert report.residual_12sympl_complex <= 1e-8
-    assert report.residual_cosympl_complex <= 1e-8
+    r_12_c, r_cos_c = complex_form_residuals(chart, j_field, report.samples, cfg)
+    assert r_12_c <= 1e-8
+    assert r_cos_c <= 1e-8
 
 
 def test_classify_projective_all_true(cp1, cfg, plan):
@@ -283,8 +289,9 @@ def test_classify_product_sphere_pattern(ce10, cfg, plan):
     assert report.verdicts == {"kahler": False, "one_two_symplectic": False,
                                "cosymplectic": False, "integrable": True}
     # the Hermitian-frame forms detect the same failures
-    assert report.residual_12sympl_complex > 10 * report.tolerance
-    assert report.residual_cosympl_complex > 10 * report.tolerance
+    r_12_c, r_cos_c = complex_form_residuals(ce10[0], ce10[1], report.samples, cfg)
+    assert r_12_c > 10 * report.tolerance
+    assert r_cos_c > 10 * report.tolerance
 
 
 def test_classify_deterministic(torus, cfg, plan):
@@ -294,16 +301,18 @@ def test_classify_deterministic(torus, cfg, plan):
     assert a == b
 
 
-def test_classify_builds_one_hermitian_frame_per_sample(memo_builds, cfg):
-    """The real-form residuals and the complex-form frame field share the
-    sample's frame; stencil points get their own pivoted frames."""
-    built = memo_builds(hermitian, "frame")
+def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
+    """Every real-form residual at a sample reads the one frame built there."""
+    built = []
+    frame_at = hermitian.hermitian_frame
+    monkeypatch.setattr(hermitian, "hermitian_frame", lambda chart, j_field, x, *args:
+                        built.append(np.asarray(x).tobytes()) or frame_at(chart, j_field, x, *args))
     entry = catalog.complex_projective(2)
     chart, j_field = entry.charts["cp"], entry.structures["J"]
     plan = SamplePlan(count=2)
     classify_structure(chart, j_field, plan, cfg)
     for x in plan.points(chart, cfg):
-        assert len(built[x.tobytes()]) == 1
+        assert built.count(x.tobytes()) == 1
 
 
 def test_classify_builds_each_metric_once_per_point(memo_builds, cfg):
@@ -330,25 +339,25 @@ def test_dj_stack_evaluates_j_once_per_stencil(cfg):
     assert np.array_equal(dj, np.zeros((2, 2, 2)))
 
 
-@pytest.mark.parametrize("entry_id", ["ce-1-1", "cp-2"])
-def test_classify_complex_form_matches_per_pair_route(entry_id, cfg):
-    """One stencil per axis for all frame fields gives bit for bit the
-    residuals of four covariant derivatives per (k, l) pair."""
-    entry = catalog.get_entry(entry_id, cfg)
-    (chart,), j_field = entry.charts.values(), entry.structures["J"]
-    plan = SamplePlan(seed=3, count=3)
-    report = classify_structure(chart, j_field, plan, cfg)
-    fresh = catalog.get_entry(entry_id, cfg)  # an empty memo: the oracle computes afresh
-    (chart,), j_field = fresh.charts.values(), fresh.structures["J"]
-    oracle = complex_form_residuals(chart, j_field, plan.points(chart, cfg), cfg)
-    assert (report.residual_12sympl_complex, report.residual_cosympl_complex) == oracle
-    assert oracle[0] > 0.0
+@pytest.mark.parametrize("name", [*(sid for sid in scenarios.scenario_ids()
+                                    if sid.endswith("-classify")), "conformal-dsl"])
+def test_classify_real_form_and_complex_form_pass_or_fail_together(name, cfg):
+    """The (1,2)-symplectic and cosymplectic residuals of the real form agree
+    with the Hermitian-frame form of the same conditions under the scenarios'
+    biconditional coupling, on the chart of every ``*-classify`` scenario and
+    on the conformally flat config."""
+    chart, j_field = chart_and_structure(name, cfg)
+    report = classify_structure(chart, j_field, SamplePlan(seed=3, count=3), cfg)
+    r_12_c, r_cos_c = complex_form_residuals(chart, j_field, report.samples, cfg)
+    for real, complex_form in ((report.residual_12sympl, r_12_c),
+                               (report.residual_cosympl, r_cos_c)):
+        assert scenarios.biconditional_check("real-vs-complex-form", real, complex_form,
+                                             report.tolerance, len(report.samples)).verdict
 
 
 def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
-    """The sample's frame, then the pivoted frames at all the stencil points
-    of the frame-field derivative in one stacked call: at most 2 lookups per
-    sample."""
+    """The sample's frame is the only frame classification builds: one
+    lookup per sample, none on a stencil."""
     calls = []
     lookup = hermitian.hermitian_frame
     monkeypatch.setattr(hermitian, "hermitian_frame",
@@ -356,7 +365,7 @@ def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
     entry = catalog.calabi_eckmann(1, 1)
     plan = SamplePlan(count=2)
     classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
-    assert len(calls) <= plan.count * 2
+    assert len(calls) == plan.count
 
 
 def test_classify_rejects_incompatible_structure(cfg):
@@ -384,9 +393,14 @@ J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
 def chart_and_structure(name, cfg):
-    """A fresh (chart, J) for a catalog entry or the conformally flat config."""
+    """A fresh (chart, J) for a one-chart catalog entry, the chart of a
+    scenario row, or the conformally flat config."""
     if name == "conformal-dsl":
         return geodsl.to_chart(geodsl.parse(CONFORMAL_SRC))
+    if name in scenarios.SCENARIOS:
+        _, _, entry_id, key, _ = scenarios.SCENARIOS[name]
+        entry = catalog.get_entry(entry_id, cfg)
+        return entry.charts[key], entry.structures["J"]
     entry = catalog.get_entry(name, cfg)
     (chart,), j_field = entry.charts.values(), entry.structures["J"]
     return chart, j_field

@@ -132,12 +132,10 @@ def test_memoized_arrays_are_read_only():
     spec = entry.maps["hopf"]
     jet = point_jet(spec, CE_POINT)
     structure = spec.source_structure
-    frame = hermitian_frame(spec.source, structure, CE_POINT, CFG)
     conf = conformality(jet)
     arrays = [spec(CE_POINT), spec.source.metric(CE_POINT, CFG), structure(CE_POINT),
               christoffel(spec.source, CE_POINT, CFG),
               jet.x, jet.differential, jet.metric, jet.singular_values, jet.vt,
-              *frame.real_frame, *frame.complex_frame,
               *conf.vertical_basis, *conf.horizontal_basis, _lift_matrix(jet)]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -145,8 +143,8 @@ def test_memoized_arrays_are_read_only():
 
 
 def test_stacked_frame_stores_no_frame_entry():
-    """A stack of stencil points is read once: its frames are not memoized,
-    while a point's frame is."""
+    """Hermitian frames are not memoized, at a stack of stencil points or at
+    a point."""
     entry = catalog.calabi_eckmann(1, 1, CFG)
     chart, structure = entry.charts["ce"], entry.structures["J"]
     (x,) = SamplePlan(count=1).points(chart, CFG)
@@ -156,7 +154,8 @@ def test_stacked_frame_stores_no_frame_entry():
     assert hermitian_frame(chart, structure, stack, CFG, pivots).m == 3
     assert not any(k[0] == "frame" for k in structure._memo)
     hermitian_frame(chart, structure, x, CFG, pivots)
-    assert [k[0] for k in structure._memo].count("frame") == 1
+    hermitian_frame(chart, structure, x, CFG)
+    assert not any(k[0] == "frame" for k in structure._memo)
 
 
 def test_memo_keeps_no_alias_of_the_callers_point():

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from hermkit.errors import EvaluationOutsideDomain, RankDeficient
-from hermkit.numdiff import (DiffConfig, by_row, orthonormalize, partial, project_out,
-                             second_partial)
+from hermkit.numdiff import (TOLERANCE_FACTOR, DiffConfig, by_row, orthonormalize, partial,
+                             project_out, second_partial)
 
 
 def partial_axis(f, x, i, cfg, domain=None):
@@ -49,10 +49,39 @@ def test_config_validation():
         DiffConfig(tolerance_abs=-1.0)
 
 
+@pytest.mark.parametrize("field", ["step", "tolerance_abs"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_values(field, value):
+    """An infinite tolerance would pass every ``le`` check and fail every
+    rejection check; an infinite step leaves every stencil undefined."""
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value!r}$"):
+        DiffConfig(**{field: value})
+
+
 def test_tolerance_is_scale_aware():
-    cfg = DiffConfig(step=1e-2, tolerance_abs=1e-6, tolerance_factor=50.0)
+    cfg = DiffConfig(step=1e-2, tolerance_abs=1e-6)
+    assert TOLERANCE_FACTOR == 50.0
     assert cfg.tolerance(0.0) == 1e-6
     npt.assert_allclose(cfg.tolerance(2.0), 1e-6 + 50.0 * 1e-4 * 2.0)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_stencils_reject_a_step_the_coordinates_cannot_resolve(richardson):
+    """x +- the smallest offset must move every coordinate, or every difference
+    reads 0: the smallest offset is step/2 for extrapolated first partials and
+    step for second partials."""
+    f = by_row(lambda p: math.exp(p[0] + p[1]))
+    x = np.array([0.25, 0.9])
+    # 1e-16 moves 0.9 (its half ulp is 5.6e-17) but 5e-17 does not
+    unresolved = [(partial, 1e-16 if richardson else 1e-17), (second_partial, 1e-17)]
+    for stencil, step in unresolved:
+        cfg = DiffConfig(step=step, richardson=richardson)
+        with pytest.raises(ValueError, match=rf"^step {step!r} .* at \[0.25, 0.9\]"):
+            stencil(f, x, cfg)
+    cfg = DiffConfig(step=1e-16, richardson=False)
+    assert second_partial(f, x, cfg).shape == (2, 2) and partial(f, x, cfg).shape == (2,)
+    with pytest.raises(ValueError, match=r"at \[0.25, 0.9\]"):  # the first bad row of a stack
+        partial(f, np.array([[1e-3, 1e-3], [0.25, 0.9], [1e-3, 1e-3]]), DiffConfig(step=1e-17))
 
 
 def test_partial_quadratic_exact(cfg):

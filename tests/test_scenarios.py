@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from hermkit import catalog, hermitian, manifold, maps, scenarios
+from hermkit import catalog, cli, hermitian, manifold, maps, scenarios
 from hermkit.errors import (PreconditionFailed, TargetDimensionTooSmall,
                             TooManyExcludedSamples, UnknownScenario, WrongDimension)
 from hermkit.manifold import Box, Chart, SamplePlan
@@ -23,6 +23,18 @@ def test_every_registered_scenario_passes(sid):
     report = run_scenario(sid, SMALL, CFG)
     failed = [c.name for c in report.checks if not c.verdict]
     assert report.overall, (sid, failed)
+
+
+@pytest.mark.parametrize("flags,named", [(["--step", "1e-17"], "step 1e-17 "),
+                                         (["--step", "1e-300"], "step 1e-300 "),
+                                         (["--tol", "inf"], "got inf"),
+                                         (["--tol", "1e400"], "got inf")])
+def test_run_rejects_a_step_or_tolerance_that_decides_nothing(flags, named, capsys):
+    """A step below the coordinates' resolution made every residual 0.0 and an
+    infinite tolerance passed every ``le`` check: both are usage errors."""
+    assert cli.main(["run", "hopf-s3", "--points", "2", *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and named in out.err
 
 
 @pytest.mark.parametrize("sid", scenarios.scenario_ids())
@@ -311,17 +323,20 @@ def test_christoffel_built_once_per_sample(sid, memo_builds):
         assert len(built[x.tobytes()]) == 1
 
 
-def test_condition_ii_builds_one_target_frame_per_sample(memo_builds):
+def test_condition_ii_builds_one_target_frame_per_sample(monkeypatch):
     """Condition (ii) builds the target's Hermitian frame at phi(x) once: its
     frame field near phi(x) reuses the base frame there."""
-    built = memo_builds(hermitian, "frame")
+    built = []
+    frame_at = maps.hermitian_frame
+    monkeypatch.setattr(maps, "hermitian_frame", lambda chart, j_field, x, *args:
+                        built.append(np.asarray(x).tobytes()) or frame_at(chart, j_field, x, *args))
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     plan = SamplePlan(count=2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
     for x in sample_points(sid, plan):
-        assert len(built[spec(x).tobytes()]) == 1
+        assert built.count(spec(x).tobytes()) == 1
 
 
 def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
