@@ -14,6 +14,7 @@ equal flags (schema_version 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -55,6 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--map", dest="map_name", required=True)
     add_numeric_flags(p_map)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: building one
+    formats every argument's help, and ``parse_args`` keeps no state between
+    calls."""
+    return build_parser()
 
 
 def _diff_config(args) -> DiffConfig:
@@ -169,9 +178,8 @@ def _cmd_check_map(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -10,10 +10,14 @@ The pointwise structure operators (nabla J, div J, the Lee field, the
 Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
 :func:`dj_stack` stencil and, unless built with ``connection=False`` (all the
 Nijenhuis tensor needs), the Christoffel symbols and nabla J.
-:func:`structure_jet` builds it once per (structure, point) and callers pass it
-down, so no operator that reads it evaluates or differentiates J again.
-:func:`classify_structure` decides every class from the real form of nabla J
-at a sample's Hermitian frame (Gray & Hervella 1980).
+:func:`structure_jet` builds it once per (structure, stack of points): one J
+call, one :func:`dj_stack` stencil and one ``christoffel`` call for all the
+samples of a check, a point being the one-row case of the same code and each
+row equal to its point's jet bit for bit.  Callers pass the jet (or its
+:meth:`StructureJet.rows`) down, so no operator that reads it evaluates or
+differentiates J again.  :func:`classify_structure` decides every class from
+the real form of nabla J at a sample's Hermitian frame (Gray & Hervella 1980);
+the frames stay per sample, because their greedy pivots are decided per point.
 
 Each :class:`AlmostComplexField` memoizes J(x) per row (see
 ``numdiff.memoized`` for the contract); g(x) and the Christoffel symbols come
@@ -168,24 +172,28 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfi
 
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
-    """Plain coordinate derivatives d_i J, stacked as [i, k, j]."""
+    """Plain coordinate derivatives d_i J, stacked as [i, k, j], or as
+    [r, i, k, j] at the rows r of a stack x, from one stencil."""
     return numdiff.partial(j_field, x, cfg, domain=chart.contains)
 
 
 def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
     """Covariant derivative of J as the array T[i, k, j] = (nabla_i J)^k_j, from
-    the Christoffel symbols, J and the stack d_i J at one point.
+    the Christoffel symbols, J and the stack d_i J at one point, or their
+    stacks at the rows of a stack of points.
 
     (nabla_i J)^k_j = d_i J^k_j + Gamma^k_{il} J^l_j - Gamma^l_{ij} J^k_l.
     """
-    return dj + np.einsum("kil,lj->ikj", gamma, j) - np.einsum("lij,kl->ikj", gamma, j)
+    return (dj + np.einsum("...kil,...lj->...ikj", gamma, j)
+            - np.einsum("...lij,...kl->...ikj", gamma, j))
 
 
 @dataclass(frozen=True)
 class StructureJet:
     """g, J and d J at one point (``dj[i, k, j]`` = d_i J^k_j), with the
     Christoffel symbols and ``nabla[i, k, j]`` = (nabla_i J)^k_j, or ``None``
-    for both when built without the connection."""
+    for both when built without the connection; or the stacks of them at the
+    rows of a stack of points, each part with a leading row axis."""
 
     x: Array
     metric: Array
@@ -194,11 +202,17 @@ class StructureJet:
     gamma: Array | None
     nabla: Array | None
 
+    def rows(self) -> list[StructureJet]:
+        """The jets at the rows of a stacked jet, as views of its parts."""
+        parts = vars(self).values()
+        return [StructureJet(*(None if p is None else p[r] for p in parts))
+                for r in range(len(self.x))]
+
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
                   connection: bool = True) -> StructureJet:
-    """Evaluate g and J at x once, differentiate J once and, with
-    ``connection``, build the Christoffel symbols and nabla J."""
+    """Evaluate g and J at x, or at the rows of a stack x, once, differentiate
+    J once and, with ``connection``, build the Christoffel symbols and nabla J."""
     x = np.asarray(x, dtype=float)
     g = chart.metric(x, cfg)
     j = j_field(x)
@@ -218,13 +232,14 @@ def divergence_J(jet: StructureJet) -> Array:
     """div J = trace of nabla J over any g-orthonormal frame, as g^{ij}(nabla_i J)^k_j.
 
     The jet's Christoffel build has already checked that g is invertible.
+    A stacked jet gives the stack of div J at its rows.
     """
-    return np.einsum("ij,ikj->k", np.linalg.inv(jet.metric), jet.nabla)
+    return np.einsum("...ij,...ikj->...k", np.linalg.inv(jet.metric), jet.nabla)
 
 
 def lee_vector(jet: StructureJet) -> Array:
-    """The Lee-type vector field J(div J) at the jet's point."""
-    return jet.j @ divergence_J(jet)
+    """The Lee-type vector field J(div J) at the jet's point, or its stack."""
+    return (jet.j @ divergence_J(jet)[..., None])[..., 0]
 
 
 def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
@@ -286,14 +301,16 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     when a map pushes samples onto this chart).
     Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at a
     sample where (g, J) is not almost Hermitian: such a pair has no
-    classification.
+    classification.  The structure jet of all samples is built first, as one
+    stack.
     """
     points = plan.points(chart, cfg) if points is None else [np.asarray(p, dtype=float)
                                                              for p in points]
+    jets = structure_jet(chart, j_field, np.array(points), cfg)
+    deltas = divergence_J(jets)
     r_kahler = r_12 = r_cosympl = r_nij = 0.0
     scale = 1.0
-    for x in points:
-        jet = structure_jet(chart, j_field, x, cfg)
+    for x, jet, delta in zip(points, jets.rows(), deltas):
         g, j, gamma, t = jet.metric, jet.j, jet.gamma, jet.nabla
         scale = max(scale, 1.0 + float(np.max(np.abs(gamma))) * (1.0 + float(np.max(np.abs(j)))))
         frame = hermitian_frame(chart, j_field, x, cfg)
@@ -307,7 +324,6 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
         s12 = nab + nab_j
         norms12 = np.sqrt(np.maximum(np.einsum("kab,kl,lab->ab", s12, g, s12), 0.0))
         r_12 = max(r_12, float(np.max(norms12)))
-        delta = divergence_J(jet)
         r_cosympl = max(r_cosympl, g_norm(g, delta))
         for a in range(u.shape[1]):
             for b in range(a + 1, u.shape[1]):

@@ -4,13 +4,15 @@ A :class:`Chart` is a coordinate box plus a metric field.  The metric is either
 supplied directly (intrinsic) or derived from an embedding ``psi`` into
 Euclidean space as ``Dpsi^T Dpsi``.  A ``metric_fn`` maps a (k, dim) stack of
 points to the (k, dim, dim) stack of their metric matrices, so
-:func:`christoffel` evaluates it once per stencil; :func:`numdiff.by_row` and
+:func:`christoffel` evaluates it once per stencil: at a point, or at every row
+of a stack of points as one stencil, as :meth:`Chart.metric_inverse` takes a
+stack with one batched inversion; :func:`numdiff.by_row` and
 :func:`numdiff.constant` make one from a per-point rule or a constant matrix.
 :func:`gradient` takes such a stack function too.
 There are no atlases or transition functions.
 
 Each chart memoizes g(x) per row, D(psi)(x) for an embedded chart and the
-Christoffel symbols per point and ``DiffConfig`` (see ``numdiff.memoized`` for
+Christoffel symbols per row and ``DiffConfig`` (see ``numdiff.memoized`` for
 the contract).
 """
 
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import EvaluationOutsideDomain, SingularMetric
+from .errors import DslError, EvaluationOutsideDomain, GeometryError, SingularMetric
 from .numdiff import Array, DiffConfig, as_stack, memoized, memoized_rows
 
 #: Symmetry slack accepted from a user-supplied metric field.
@@ -109,11 +111,14 @@ class Chart:
         return ok
 
     def require_interior(self, x, cfg: DiffConfig, depth: float = 2.0) -> Array:
-        """Check that a depth*step stencil around x stays inside the chart."""
+        """Check that a depth*step stencil around x, or around every row of a
+        stack x, stays inside the chart; the error names the first row that fails."""
         x = np.asarray(x, dtype=float)
-        if not self.contains(x, depth * cfg.step):
+        margin = depth * cfg.step
+        if not self.contains(x, margin):
+            bad = next(p for p in np.atleast_2d(x) if not self.contains(p, margin))
             raise EvaluationOutsideDomain(
-                f"{self.name or 'chart'}: point {x!r} closer than {depth}*step to the boundary")
+                f"{self.name or 'chart'}: point {bad!r} closer than {depth}*step to the boundary")
         return x
 
     def metric(self, x, cfg: DiffConfig | None = None) -> Array:
@@ -141,13 +146,22 @@ class Chart:
                         lambda: np.array(self.embedding.dpsi(x, cfg or DiffConfig())))
 
     def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
+        """Inverse metric at x, or the stack of them at the rows of a stack x
+        (one batched ``inv`` and one batched ``eigvalsh``); raises
+        ``SingularMetric`` where g is singular or not positive-definite, as
+        the first bad row alone would."""
+        x = np.asarray(x, dtype=float)
         g = self.metric(x, cfg)
         try:
             inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetric(f"metric at {x!r} is singular") from exc
-        if np.min(np.linalg.eigvalsh(g)) <= 0:
-            raise SingularMetric(f"metric at {x!r} is not positive-definite")
+        except np.linalg.LinAlgError:
+            problem = "is singular"
+        else:
+            problem = None if np.min(np.linalg.eigvalsh(g)) > 0 else "is not positive-definite"
+        if problem:
+            for p in x if x.ndim == 2 else ():  # name the first bad row
+                self.metric_inverse(p, cfg)
+            raise SingularMetric(f"metric at {x!r} {problem}")
         return inv
 
 
@@ -169,21 +183,32 @@ def constant_field(chart: Chart, v) -> VectorField:
 
 def christoffel(chart: Chart, x, cfg: DiffConfig) -> Array:
     """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)
-    as the array ``gamma[k, i, j]``, symmetric in (i, j)."""
+    as the array ``gamma[k, i, j]``, symmetric in (i, j), or their stack at the
+    rows of a stack x: one metric stencil for all rows not memoized yet, each
+    row stored under its own key, as ``memoized_rows`` does."""
     x = np.asarray(x, dtype=float)
-    return memoized(chart._memo, ("gamma", x.tobytes(), cfg),
-                    lambda: _christoffel(chart, x, cfg))
+    rows = np.atleast_2d(x)
+    gammas = memoized(chart._memo, [("gamma", p.tobytes(), cfg) for p in rows],
+                      lambda missing: _christoffel(chart, rows[missing], cfg))
+    return gammas[0] if x.ndim == 1 else np.stack(gammas)
 
 
 def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:
-    chart.require_interior(x, cfg)
-    g_inv = chart.metric_inverse(x, cfg)
-    dg = numdiff.partial(lambda stack: chart.metric(stack, cfg), x, cfg,
-                         domain=chart.contains)  # dg[i, j, l] = d_i g_{jl}
-    # combined[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    combined = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, combined)
-    return 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
+    """The symbols at the rows of a (k, n) stack; on an error the rows are
+    built alone, so the error raised is the first bad row's."""
+    try:
+        chart.require_interior(x, cfg)
+        g_inv = chart.metric_inverse(x, cfg)
+        dg = numdiff.partial(lambda stack: chart.metric(stack, cfg), x, cfg,
+                             domain=chart.contains)  # dg[r, i, j, l] = d_i g_{jl} at row r
+    except (GeometryError, DslError, ValueError):
+        for p in x if len(x) > 1 else ():
+            _christoffel(chart, p[None], cfg)
+        raise
+    # combined[r, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
+    combined = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
+    gamma = 0.5 * np.einsum("rkl,rijl->rkij", g_inv, combined)
+    return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
 
 
 def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) -> Array:

@@ -12,6 +12,9 @@ those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.  Such
 jets are built as one stack: :func:`point_jet`, :func:`differential` and
 :func:`conformality` take a point or a (k, source dim) stack, a point being the
 one-row case of the same code and each row equal to its point's bit for bit.
+:func:`sff_tensor`, :func:`tension` and :func:`lee_pushforward` read such a
+stacked jet too: one ``second_partial`` stencil and one stacked ``christoffel``
+call on the source samples and one on their images serve all samples of a check.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images; a single point is passed as one row, so
@@ -224,34 +227,38 @@ def _conformality(jet: PointJet) -> tuple:
 
 
 def sff_tensor(jet: PointJet) -> Array:
-    """All components of nabla dphi at the jet's point, shape (d, d, n)."""
+    """All components of nabla dphi at the jet's point, shape (d, d, n), or
+    their stack at the rows of a stacked jet."""
     spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.spec.cfg
     fx = spec(x)
     spec.target.require_interior(fx, cfg)
     gamma_m = christoffel(spec.source, x, cfg)
     gamma_n = christoffel(spec.target, fx, cfg)
     out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
-           - np.einsum("kij,gk->ijg", gamma_m, d) + np.einsum("gab,ai,bj->ijg", gamma_n, d, d))
+           - np.einsum("...kij,...gk->...ijg", gamma_m, d)
+           + np.einsum("...gab,...ai,...bj->...ijg", gamma_n, d, d))
     i, j = np.tril_indices(spec.source.dim, -1)
-    out[i, j] = out[j, i]  # the upper triangle mirrored: symmetric bit for bit
+    out[..., i, j, :] = out[..., j, i, :]  # the upper triangle mirrored: symmetric bit for bit
     return out
 
 
 def tension(jet: PointJet) -> Array:
-    """Tension field tau = g^{ij} (nabla dphi)_{ij} at the jet's point."""
+    """Tension field tau = g^{ij} (nabla dphi)_{ij} at the jet's point, or its
+    stack at the rows of a stacked jet."""
     g_inv = jet.spec.source.metric_inverse(jet.x, jet.spec.cfg)
-    return np.einsum("ij,ijg->g", g_inv, sff_tensor(jet))
+    return np.einsum("...ij,...ijg->...g", g_inv, sff_tensor(jet))
 
 
 def lee_pushforward(jet: PointJet) -> Array:
     """dphi(J div J) at the jet's point, the push-forward of the source's
-    Lee-type field; the tension identity reads tau = -dphi(J div J)."""
+    Lee-type field, or its stack at the rows of a stacked jet; the tension
+    identity reads tau = -dphi(J div J)."""
     spec = jet.spec
     if spec.source_structure is None:
         raise MissingStructure("the Lee push-forward needs an almost-complex structure "
                                "on the source")
     lee = lee_vector(structure_jet(spec.source, spec.source_structure, jet.x, spec.cfg))
-    return jet.differential @ lee
+    return (jet.differential @ lee[..., None])[..., 0]
 
 
 def _vertical_projector(jet: PointJet) -> Array:

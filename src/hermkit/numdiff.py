@@ -5,10 +5,10 @@ on the two stencil routines and the Gram-Schmidt step in this module, so the
 error behaviour of the whole package is pinned down here: central differences
 are second order in ``step``, and the optional Richardson extrapolation removes
 the leading error term.  Each stencil routine differentiates along every axis
-at once, calling its function once on the (k, n) stack of all its stencil
-points (:func:`partial` at a point or at every row of a stack of points);
-:func:`by_row` makes such a function from a per-point one and
-:func:`constant` one that is the same at every row.
+at once, at a point or at every row of a stack of points, calling its function
+once on the (k, n) stack of all its stencil points; :func:`by_row` makes such
+a function from a per-point one and :func:`constant` one that is the same at
+every row.
 :func:`project_out`, on a vector or a stack, is the package's only Gram-Schmidt
 step; :func:`gram_schmidt`, :func:`orthonormalize` and every frame
 construction in ``hermitian`` and ``maps`` are built on it.  :func:`memoized`
@@ -204,36 +204,46 @@ def partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
 def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
                    domain: Callable[[Array], bool] | None = None) -> Array:
     """Every second partial derivative of ``f`` at ``x``, as the symmetric
-    array ``[i, j, ...]``.
+    array ``[i, j, ...]``, or as ``[r, i, j, ...]`` at the rows r of a (k, n)
+    stack ``x``, each row as alone.
 
     ``f`` maps a stack of points to the stack of its values and is called
-    once, on one stack: the centre x (shared by every diagonal stencil), the
-    three-point stencils on the diagonal and the four corner points of each
-    pair i < j; ``domain`` is checked on exactly those points.  The Richardson
-    pair here is (2h, h) rather than (h, h/2): second-difference roundoff
-    grows like 1/h**2, so halving the step would amplify it 4x.  Raises
-    ``ValueError`` when the step does not move some coordinate of ``x``.
+    once, on one stack holding, row after row: the centre x (shared by every
+    diagonal stencil), the three-point stencils on the diagonal and the four
+    corner points of each pair i < j; ``domain`` is called once, on exactly
+    those points.  The Richardson pair here is (2h, h) rather than (h, h/2):
+    second-difference roundoff grows like 1/h**2, so halving the step would
+    amplify it 4x.  Raises ``ValueError`` when the step does not move some
+    coordinate of ``x``.
     """
     x = np.asarray(x, dtype=float)
-    n, eye = len(x), np.eye(len(x))
+    n, eye = x.shape[-1], np.eye(x.shape[-1])
     steps = [2.0 * cfg.step, cfg.step] if cfg.richardson else [cfg.step]
     _require_resolved(x, cfg.step, cfg.step)
     i, j = np.triu_indices(n, 1)
     ei, ej = eye[i], eye[j]
-    # rows: x, then [step, sign, axis] on the diagonal, then [step, corner, pair]
-    diag = [p for s in steps for p in (x + s * eye, x - s * eye)]
-    corners = [p for s in steps for p in (x + s * ei + s * ej, x + s * ei - s * ej,
-                                          x - s * ei + s * ej, x - s * ei - s * ej)]
-    v = _stencil(f, np.concatenate([x[None], *diag, *corners]), domain)
-    vd = v[1:1 + len(diag) * n].reshape(len(steps), 2, n, *v.shape[1:])
-    vc = v[1 + len(diag) * n:].reshape(len(steps), 4, len(i), *v.shape[1:])
+    # offsets: [step, sign, axis] on the diagonal, then [step, corner, pair]; each
+    # coordinate moves by at most one nonzero term, so x + offset is x + s e_i + s e_j
+    # bit for bit
+    offsets = np.concatenate([s * e for s in steps for e in (eye, -eye)]
+                             + [s * a + s * b for s in steps
+                                for a, b in ((ei, ej), (ei, -ej), (-ei, ej), (-ei, -ej))])
+    rows = np.atleast_2d(x)
+    points = np.concatenate([rows[:, None], rows[:, None] + offsets], axis=1)
+    v = _stencil(f, points.reshape(-1, n), domain)
+    v = v.reshape(len(rows), 1 + len(offsets), *v.shape[1:])
+    centre, vd = v[:, :1], v[:, 1:1 + 2 * len(steps) * n].reshape(
+        len(rows), len(steps), 2, n, *v.shape[2:])
+    vc = v[:, 1 + 2 * len(steps) * n:].reshape(len(rows), len(steps), 4, len(i), *v.shape[2:])
     d = []
     for k, s in enumerate(steps):
-        h = np.empty((n, n, *v.shape[1:]))
-        h[range(n), range(n)] = (vd[k, 0] - 2.0 * v[0] + vd[k, 1]) / s**2
-        h[i, j] = h[j, i] = (vc[k, 0] - vc[k, 1] - vc[k, 2] + vc[k, 3]) / (4.0 * s**2)
+        h = np.empty((len(rows), n, n, *v.shape[2:]))
+        h[:, range(n), range(n)] = (vd[:, k, 0] - 2.0 * centre + vd[:, k, 1]) / s**2
+        h[:, i, j] = h[:, j, i] = (vc[:, k, 0] - vc[:, k, 1] - vc[:, k, 2]
+                                   + vc[:, k, 3]) / (4.0 * s**2)
         d.append(h)
-    return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
+    out = (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
+    return out if x.ndim == 2 else out[0]
 
 
 def g_length(v: Array, g: Array) -> Array:

@@ -24,10 +24,12 @@ entry at the run's ``DiffConfig`` and calls the check on the map, or on the
 chart with the entry's structure ``J``.
 
 A map check builds the map's jets at its samples once, as one stack, in
-:func:`_map_points`, passes the jet at each sample to every operator and reads
-the conformality data at the samples through one stacked call; operators that
-read them at a point get them from the map's memo.  A structure check builds
-one structure jet per sample.
+:func:`_map_points`.  The conformality data, the tension and the Lee
+push-forward at the samples are read through one stacked call each; operators
+that still work per sample get the jet at each sample, and read what the
+stacked calls stored from the map's memo.  A structure check builds one
+stacked structure jet for all its samples (the lift checks, one for the lifted
+J) and reads its rows.
 """
 
 from __future__ import annotations
@@ -188,13 +190,21 @@ def _conformality_max(confs: Sequence[ConformalityData]) -> float:
     return max([0.0, *(c.conformality_residual for c in confs if c.kind != KIND_CRITICAL)])
 
 
-def _tension_norm(jet: PointJet) -> float:
-    spec = jet.spec
-    return g_norm(spec.target.metric(spec(jet.x), spec.cfg), maps.tension(jet))
+def _target_norms(stack: PointJet, vectors) -> list[float]:
+    """The target-metric norm at phi(x) of each row of ``vectors``, a stack of
+    target vectors at the rows of a stacked jet."""
+    spec = stack.spec
+    h = spec.target.metric(spec(stack.x), spec.cfg)
+    return [g_norm(hr, v) for hr, v in zip(h, vectors)]
 
 
-def _tension_max(jets: Sequence[PointJet]) -> float:
-    return max([0.0, *map(_tension_norm, jets)])
+def _tension_norms(stack: PointJet) -> list[float]:
+    """|tau| at each sample of a stacked jet, from one stacked tension."""
+    return _target_norms(stack, maps.tension(stack))
+
+
+def _tension_max(stack: PointJet) -> float:
+    return max([0.0, *_tension_norms(stack)])
 
 
 def _fibre_residual(jets: Sequence[PointJet],
@@ -245,7 +255,7 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     confs = maps.conformality(stack)
     checks = [
         check("horizontally-weakly-conformal", _conformality_max(confs), tol, len(jets)),
-        check("tension-vanishes", _tension_max(jets), tol, len(jets)),
+        check("tension-vanishes", _tension_max(stack), tol, len(jets)),
     ]
     if include_holomorphy:
         holo = max(maps.holomorphy_residual(jet) for jet in jets)
@@ -268,7 +278,7 @@ def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
     genuinely large (rejection mode)."""
     stack, jets, tol = _map_points(spec, plan)
     conf_res = _conformality_max(maps.conformality(stack))
-    tension_res = _tension_max(jets)
+    tension_res = _tension_max(stack)
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
               len(jets), mode="gt", conformality=conf_res, tension=tension_res),
@@ -293,8 +303,8 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
     for c in confs:
         if not c.regular:
             raise CriticalPoint(f"two-of-three needs regular samples, got {c.kind}")
-    hm_res = max([0.0, *(r for jet, c in zip(jets, confs) for r in (
-        c.conformality_residual, _tension_norm(jet)))])
+    hm_res = max([0.0, *(r for c, t in zip(confs, _tension_norms(stack)) for r in (
+        c.conformality_residual, t))])
     fibre_res, used, excluded = _fibre_residual(jets, confs)
     hom_res = maps.homothety_residual(jets)
     checks = [
@@ -319,9 +329,8 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
         raise WrongDimension("surface case needs a target of real dimension 2")
     stack, jets, tol = _map_points(spec, plan)
     holo = _require_holomorphic(spec, jets, tol)
-    tension_res = _tension_max(jets)
-    lee_res = max([0.0, *(g_norm(spec.target.metric(spec(jet.x), spec.cfg),
-                                 maps.lee_pushforward(jet)) for jet in jets)])
+    tension_res = _tension_max(stack)
+    lee_res = max([0.0, *_target_norms(stack, maps.lee_pushforward(stack))])
     confs = maps.conformality(stack)
     fibre_res, used, excluded = _fibre_residual(jets, confs)
     hm_res = max(_conformality_max(confs), tension_res)
@@ -357,12 +366,12 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
-    source_cos = max([0.0, *(g_norm(sj.metric, divergence_J(sj)) for sj in (
-        structure_jet(spec.source, spec.source_structure, jet.x, cfg) for jet in jets))])
+    source = structure_jet(spec.source, spec.source_structure, stack.x, cfg)
+    source_cos = max([0.0, *map(g_norm, source.metric, divergence_J(source))])
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
-                                       points=[spec(jet.x) for jet in jets])
+                                       points=spec(stack.x))
     target_cos = target_report.residual_cosympl
-    hm_res = max(conf_res, _tension_max(jets))
+    hm_res = max(conf_res, _tension_max(stack))
     checks = [
         biconditional_check("target-cosymplectic-iff-harmonic-morphism",
                             target_cos, hm_res, tol, len(jets)),
@@ -382,24 +391,19 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
     """tau(phi) = -dphi(J div J) for holomorphic maps into a (1,2)-symplectic
     target, as a samplewise residual."""
     cfg = spec.cfg
-    _, jets, tol = _map_points(spec, plan)
+    stack, jets, tol = _map_points(spec, plan)
     _require_holomorphic(spec, jets, tol)
-    pushed = [spec(jet.x) for jet in jets]
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
-                                       points=pushed)
+                                       points=spec(stack.x))
     if not target_report.verdicts["one_two_symplectic"]:
         raise PreconditionFailed("target (1,2)-symplectic",
                                  f"residual {target_report.residual_12sympl}")
-    lemma, tau_norms, lee_norms = [0.0], [0.0], [0.0]
-    for jet in jets:
-        tau = maps.tension(jet)
-        push = maps.lee_pushforward(jet)
-        h = spec.target.metric(spec(jet.x), cfg)
-        lemma.append(g_norm(h, tau + push))
-        tau_norms.append(g_norm(h, tau))
-        lee_norms.append(g_norm(h, push))
-    checks = [check("tension-equals-minus-lee-pushforward", max(lemma), tol, len(jets),
-                    tension_norm=max(tau_norms), lee_pushforward_norm=max(lee_norms))]
+    tau = maps.tension(stack)
+    push = maps.lee_pushforward(stack)
+    checks = [check("tension-equals-minus-lee-pushforward",
+                    max([0.0, *_target_norms(stack, tau + push)]), tol, len(jets),
+                    tension_norm=max([0.0, *_target_norms(stack, tau)]),
+                    lee_pushforward_norm=max([0.0, *_target_norms(stack, push)]))]
     return _report(scenario_id, checks, plan, cfg, map=spec.name)
 
 
@@ -412,23 +416,18 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
     stack, jets, tol = _map_points(spec, plan)
-    pushed = [spec(jet.x) for jet in jets]
-    target_nij = max([0.0, *(_nijenhuis_residual(structure_jet(
-        spec.target, spec.target_structure, y, cfg, connection=False)) for y in pushed)])
+    target_nij = max([0.0, *map(_nijenhuis_residual, structure_jet(
+        spec.target, spec.target_structure, spec(stack.x), cfg, connection=False).rows())])
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
     lifted = maps.lift_structure(spec, orientation)
-    inv = lifted.invariant_residuals([jet.x for jet in jets[:5]], cfg)
-    supermin = 0.0
-    nij = 0.0
-    included = []
-    for jet, c in zip(jets, maps.conformality(stack)):
-        if c.near_critical or not c.regular:
-            continue
-        lj = structure_jet(spec.source, lifted, jet.x, cfg)
-        included.append((jet, lj))
-        supermin = max(supermin, maps.superminimality_residual(jet, lj))
-        nij = max(nij, _nijenhuis_residual(lj))
+    inv = lifted.invariant_residuals(stack.x[:5], cfg)
+    rows = [r for r, c in enumerate(maps.conformality(stack))
+            if c.regular and not c.near_critical]
+    included = list(zip([jets[r] for r in rows], structure_jet(
+        spec.source, lifted, stack.x[rows], cfg).rows() if rows else []))
+    supermin = max([0.0, *(maps.superminimality_residual(jet, lj) for jet, lj in included)])
+    nij = max([0.0, *(_nijenhuis_residual(lj) for _, lj in included)])
     used = len(included)
     excluded = len(jets) - used
     _guard_excluded(excluded, len(jets), "integrability sampling")
@@ -453,15 +452,14 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     otherwise it must exceed the non-parallelism floor of 1e-3 somewhere.
     """
     cfg = spec.cfg
-    _, jets, tol = _map_points(spec, plan)
+    stack, jets, tol = _map_points(spec, plan)
     lifted = maps.lift_structure(spec, orientation)
-    inv_points = [jet.x for jet in jets[:5]]
+    inv_points = stack.x[:5]
     inv = lifted.invariant_residuals(inv_points, cfg)
     nij = 0.0
     nabla = 0.0
     d = spec.source.dim
-    for jet in jets:
-        lj = structure_jet(spec.source, lifted, jet.x, cfg)
+    for lj in structure_jet(spec.source, lifted, stack.x, cfg).rows():
         g, t = lj.metric, lj.nabla
         for i in range(d):
             for jdx in range(d):
@@ -488,14 +486,13 @@ def check_gauduchon(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
     if chart.dim != 4:
         raise WrongDimension("this identity is specific to complex dimension 2")
     points = plan.points(chart, cfg)
+    jets = structure_jet(chart, j_field, np.array(points), cfg)
     r_delta = 0.0
     r_lee = 0.0
     norm_dev = 0.0
     scale = 1.0
-    for x in points:
-        jet = structure_jet(chart, j_field, x, cfg)
+    for jet, delta in zip(jets.rows(), divergence_J(jets)):
         g = jet.metric
-        delta = divergence_J(jet)
         lee = jet.j @ delta
         for y in (p for e in unit_axes(g) for p in (e, jet.j @ e)):
             r_delta = max(r_delta, g_norm(g, nabla_J(jet, delta, y)))
@@ -521,10 +518,10 @@ def check_divergence_closed_form(chart: Chart, j_field: AlmostComplexField,
     """Numerical div J on the odd-sphere product S^{2r+1} x S^{2s+1} against
     the closed form -2 (r J1 n1 + s J2 n2) pushed to chart components."""
     points = plan.points(chart, cfg)
+    nums = divergence_J(structure_jet(chart, j_field, np.array(points), cfg))
     worst = 0.0
     scale = 1.0
-    for x in points:
-        num = divergence_J(structure_jet(chart, j_field, x, cfg))
+    for x, num in zip(points, nums):
         ana = catalog.odd_sphere_product_divergence(chart, r, s, x, cfg)
         worst = max(worst, float(np.max(np.abs(num - ana))))
         scale = max(scale, 1.0 + float(np.max(np.abs(ana))))

@@ -294,6 +294,49 @@ def test_classify_product_sphere_pattern(ce10, cfg, plan):
     assert r_cos_c > 10 * report.tolerance
 
 
+def kodaira_thurston(pairs):
+    """A chart of the Kodaira-Thurston nilmanifold with coframe dx, dy, dz - x dy,
+    dt, orthonormal frame E1 = d_x, E2 = d_y + x d_z, E3 = d_z, E4 = d_t, and the
+    left-invariant J with J E_a = E_b for each (a, b) in ``pairs`` (0-based)."""
+    def metric(p):  # dx^2 + dy^2 + (dz - x dy)^2 + dt^2
+        g = np.tile(np.eye(4), (len(p), 1, 1))
+        g[:, 1, 1] = 1.0 + p[:, 0] ** 2
+        g[:, 1, 2] = g[:, 2, 1] = -p[:, 0]
+        return g
+
+    in_frame = np.zeros((4, 4))
+    for a, b in pairs:
+        in_frame[b, a], in_frame[a, b] = 1.0, -1.0
+
+    def j(p):
+        frame = np.tile(np.eye(4), (len(p), 1, 1))
+        frame[:, 2, 1] = p[:, 0]
+        return frame @ in_frame @ np.linalg.inv(frame)
+
+    chart = Chart(dim=4, box=Box((-1.0,) * 4, (1.0,) * 4), metric_fn=metric,
+                  name="kodaira-thurston")
+    return chart, AlmostComplexField(chart, j)
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    (((0, 2), (1, 3)), {"kahler": False, "one_two_symplectic": True,
+                        "cosymplectic": True, "integrable": False}),
+    (((0, 1), (2, 3)), {"kahler": False, "one_two_symplectic": False,
+                        "cosymplectic": False, "integrable": True}),
+])
+def test_classify_separates_one_two_symplectic_from_kahler(pairs, expected, cfg):
+    """On the Kodaira-Thurston chart, J E1 = E3, J E2 = E4 is (1,2)-symplectic
+    and cosymplectic but neither Kaehler nor integrable, and J E1 = E2,
+    J E3 = E4 is integrable only: the (1,2)-symplectic residual is not the
+    Kaehler one."""
+    report = classify_structure(*kodaira_thurston(pairs), SamplePlan(0, 3), cfg)
+    assert report.verdicts == expected
+    assert report.residual_kahler > 0.4
+    for name, holds in expected.items():
+        if not holds:
+            assert report.to_dict()["residuals"][name] > 0.4, name
+
+
 def test_classify_deterministic(torus, cfg, plan):
     chart, j_field = torus
     a = classify_structure(chart, j_field, plan, cfg).to_dict()
@@ -324,6 +367,19 @@ def test_classify_builds_each_metric_once_per_point(memo_builds, cfg):
     classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
     assert len(built) > 2 * 4 * 4
     assert all(len(ids) == 1 for ids in built.values())
+
+
+def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
+    """All samples of a classification share one d J stencil and one
+    Christoffel call."""
+    calls = {"dj_stack": [], "christoffel": []}
+    for name, at in (("dj_stack", 2), ("christoffel", 1)):  # the position of x
+        original = getattr(hermitian, name)
+        monkeypatch.setattr(hermitian, name, lambda *args, _name=name, _at=at, _f=original:
+                            calls[_name].append(np.shape(args[_at])) or _f(*args))
+    entry = catalog.calabi_eckmann(1, 1, cfg)
+    classify_structure(entry.charts["ce"], entry.structures["J"], SamplePlan(count=3), cfg)
+    assert calls == {"dj_stack": [(3, 6)], "christoffel": [(3, 6)]}
 
 
 def test_dj_stack_evaluates_j_once_per_stencil(cfg):
@@ -456,3 +512,32 @@ def test_stacked_frame_rejects_a_dependent_recorded_pivot(cfg):
         hermitian_frame(chart, j_field, stack, cfg, (0, 2))
     with pytest.raises(RankDeficient, match="^recorded pivot 2 became dependent$"):
         hermitian_frame(chart, j_field, -left, cfg, (0, 2))
+
+
+def structure_cases(name, cfg):
+    """Fresh (chart, J) pairs: the source and the target of a map entry, or
+    the one chart of ``chart_and_structure``."""
+    if name in ("hopf-s3", "product-hopf-1-1"):
+        entry = catalog.get_entry(name, cfg)
+        return [(entry.charts[k], entry.structures[k]) for k in ("source", "target")]
+    return [chart_and_structure(name, cfg)]
+
+
+@pytest.mark.parametrize("name", ["hopf-s3", "product-hopf-1-1", "ce-2-1", "conformal-dsl"])
+def test_stacked_structure_jet_equals_one_point_calls_bit_for_bit(name, cfg):
+    """Every part of a stacked structure jet, its div J and its Lee field equal
+    the one-point calls row by row, each point computed on fresh memos."""
+    for case, (chart, j_field) in enumerate(structure_cases(name, cfg)):
+        points = np.array(SamplePlan(seed=3, count=3).points(chart, cfg))
+        jets = structure_jet(chart, j_field, points, cfg)
+        delta, lee = divergence_J(jets), lee_vector(jets)
+        rows = jets.rows()
+        for r, x in enumerate(points):
+            fresh_chart, fresh_j = structure_cases(name, cfg)[case]
+            jet = structure_jet(fresh_chart, fresh_j, x, cfg)
+            for part in ("x", "metric", "j", "dj", "gamma", "nabla"):
+                assert getattr(jets, part).shape == (3, *getattr(jet, part).shape)
+                assert np.array_equal(getattr(jets, part)[r], getattr(jet, part)), (r, part)
+                assert np.array_equal(getattr(rows[r], part), getattr(jet, part))
+            assert np.array_equal(delta[r], divergence_J(jet))
+            assert np.array_equal(lee[r], lee_vector(jet))

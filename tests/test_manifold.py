@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -63,6 +64,60 @@ def test_christoffel_evaluates_the_metric_once_per_stencil(cfg):
     gamma = christoffel(chart, np.array([0.3, 0.4]), cfg)
     assert shapes == [(1, 2), (8, 2)]
     npt.assert_allclose(gamma[1, 0, 1], 0.3 / (1.0 + 0.3 ** 2), rtol=1e-9)
+
+
+def diagonal_chart():
+    """g = diag(1, x1) on (-1, 1)^2: singular on x1 = 0, indefinite left of it."""
+    return Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), name="diagonal",
+                 metric_fn=lambda p: np.stack([np.diag([1.0, v]) for v in p[:, 0]]))
+
+
+GOOD = [[0.5, 0.1], [0.3, -0.2]]
+BAD = {"outside": [0.9999, 0.1], "singular": [0.0, 0.1], "indefinite": [-0.5, 0.1]}
+
+
+def raised(call):
+    """The type and message of what ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+def metric_inverse(chart, x, cfg):
+    return chart.metric_inverse(x, cfg)
+
+
+def require_interior(chart, x, cfg):
+    return chart.require_interior(x, cfg)
+
+
+@pytest.mark.parametrize("operator", [christoffel, metric_inverse, require_interior])
+@pytest.mark.parametrize("order", list(itertools.permutations(BAD)))
+def test_stacked_geometry_raises_what_its_first_bad_row_raises(operator, order, cfg):
+    """A stack with an out-of-domain row, a singular-metric row and a row whose
+    metric is not positive-definite, in any order after good rows, raises the
+    error (type and message) that its first bad row raises alone."""
+    stack = np.array([*GOOD, *(BAD[name] for name in order)])
+    alone = [raised(lambda: operator(diagonal_chart(), p, cfg)) for p in stack]
+    expected = next(e for e in alone if e is not None)
+    assert expected[0] in (EvaluationOutsideDomain, SingularMetric)
+    assert raised(lambda: operator(diagonal_chart(), stack, cfg)) == expected
+
+
+@pytest.mark.parametrize("entry_id, key", [("hopf-s3", "source"), ("hopf-s3", "target"),
+                                           ("product-hopf-1-1", "source"), ("ce-2-1", "ce")])
+def test_stacked_christoffel_and_inverse_metric_equal_point_calls(entry_id, key, cfg):
+    """Row by row, bit for bit, on fresh memos for every point."""
+    chart = catalog.get_entry(entry_id, cfg).charts[key]
+    points = np.array(SamplePlan(seed=3, count=3).points(chart, cfg))
+    gammas, g_inv = christoffel(chart, points, cfg), chart.metric_inverse(points, cfg)
+    assert gammas.shape == (3, chart.dim, chart.dim, chart.dim)
+    for r, x in enumerate(points):
+        alone = catalog.get_entry(entry_id, cfg).charts[key]
+        assert np.array_equal(gammas[r], christoffel(alone, x, cfg))
+        assert np.array_equal(g_inv[r], alone.metric_inverse(x, cfg))
 
 
 def test_metric_fn_must_return_a_stack():

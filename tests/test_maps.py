@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog, hermitian, maps, scenarios
+from hermkit import catalog, geodsl, hermitian, maps, numdiff, scenarios
 from hermkit.errors import CriticalPoint, FibreDimension, MissingStructure, WrongDimension
 from hermkit.hermitian import antiholomorphic_part, g_norm, structure_jet
 from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
@@ -479,3 +479,51 @@ def test_map_that_does_not_broadcast_is_rejected():
     with pytest.raises(WrongDimension, match="per-point"):
         scenarios.check_harmonic_morphism(spec, SamplePlan(count=2))
     assert spec._memo == {}
+
+
+DSL_MAP_SRC = """\
+dim = 4
+domain x1 = [0.5, 1.5]
+domain x2 = [-0.5, 0.5]
+domain x3 = [0.5, 1.5]
+domain x4 = [-0.5, 0.5]
+g[1][1] = exp(0.3*sin(x1 + x3) + 0.2*x2*x4)
+g[2][2] = exp(0.3*sin(x1 + x3) + 0.2*x2*x4)
+g[3][3] = exp(0.3*sin(x1 + x3) + 0.2*x2*x4)
+g[4][4] = exp(0.3*sin(x1 + x3) + 0.2*x2*x4)
+J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+map product -> 2 = [x1*x3 - x2*x4, x1*x4 + x2*x3]
+"""
+
+
+def fresh_map(name):
+    """A map with empty memos: a catalog map entry's map or the DSL map."""
+    if name == "dsl":
+        return geodsl.to_map(geodsl.parse(DSL_MAP_SRC), "product", catalog.DEFAULT_CFG)
+    return catalog.get_entry(name).maps["hopf"]
+
+
+@pytest.mark.parametrize("name", ["hopf-s3", "product-hopf-1-1", "dsl"])
+def test_stacked_tension_equals_one_point_calls_bit_for_bit(name):
+    """nabla dphi, the tension and the Lee push-forward read from a stacked jet
+    equal the one-point calls row by row, each point on fresh memos."""
+    spec = fresh_map(name)
+    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
+    stack = point_jet(spec, points)
+    sff, tau, push = sff_tensor(stack), tension(stack), lee_pushforward(stack)
+    assert tau.shape == (3, spec.target.dim)
+    for r, x in enumerate(points):
+        jet = point_jet(fresh_map(name), x)
+        assert np.array_equal(sff[r], sff_tensor(jet))
+        assert np.array_equal(tau[r], tension(jet))
+        assert np.array_equal(push[r], lee_pushforward(jet))
+
+
+def test_harmonic_morphism_check_takes_one_second_partial(monkeypatch):
+    """The tension of every sample of a check comes from one stencil."""
+    shapes = []
+    original = numdiff.second_partial
+    monkeypatch.setattr(numdiff, "second_partial", lambda f, x, *args, **kwargs:
+                        shapes.append(np.shape(x)) or original(f, x, *args, **kwargs))
+    scenarios.check_harmonic_morphism(fresh_map("dsl"), SamplePlan(count=4))
+    assert shapes == [(4, 4)]

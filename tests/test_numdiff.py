@@ -213,6 +213,41 @@ def test_one_domain_call_and_one_function_call_per_stencil(stencil, rows, cfg):
     assert calls == [(rows, 3)]
 
 
+@pytest.mark.parametrize("richardson", [True, False])
+def test_stacked_second_partial_equals_each_row_alone(richardson):
+    """A (k, n) stack takes one domain call and one function call, on the
+    stencils of all its rows, and each row equals the row alone bit for bit."""
+    cfg = DiffConfig(richardson=richardson)
+    stack = np.array([[0.31, -0.77, 1.2], [0.0, 0.5, -0.25], [-1.1, 0.2, 0.4]])
+    domains, calls = [], []
+
+    def domain(p):
+        domains.append(np.shape(p))
+        return True
+
+    def f(points):
+        calls.append(np.shape(points))
+        return by_row(vector_field)(points)
+
+    out = second_partial(f, stack, cfg, domain=domain)
+    per_row = 1 + 4 * 3 + 8 * 3 if richardson else 1 + 2 * 3 + 4 * 3
+    assert domains == calls == [(3 * per_row, 3)]
+    assert out.shape == (3, 3, 3, 4)
+    for r, x in enumerate(stack):
+        assert np.array_equal(out[r], second_partial(by_row(vector_field), x, cfg))
+
+
+def test_stacked_second_partial_names_the_first_row_outside(cfg):
+    domain = lambda p: bool(np.all(np.atleast_2d(p)[:, 0] <= 1.0))
+    f = by_row(lambda p: p[0] ** 2)
+    stack = np.array([[0.5, 0.5], [1.0 - 1e-4, 0.5], [1.0 - 5e-5, 0.5]])
+    with pytest.raises(EvaluationOutsideDomain) as alone:
+        second_partial(f, stack[1], cfg, domain=domain)
+    with pytest.raises(EvaluationOutsideDomain) as stacked:
+        second_partial(f, stack, cfg, domain=domain)
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_hessian_centre_evaluated_once(cfg):
     seen = []
 

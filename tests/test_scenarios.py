@@ -37,6 +37,32 @@ def test_run_rejects_a_step_or_tolerance_that_decides_nothing(flags, named, caps
     assert out.out == "" and out.err.startswith("error: ") and named in out.err
 
 
+MAIN_CALLS = [
+    (["run", "torus-classify", "--points", "2", "--report", "json"], 0),
+    (["run"], 2),
+    (["list"], 0),
+    (["frobnicate"], 2),
+    (["run", "--help"], 0),
+    (["run", "hopf-s3", "--points", "two"], 2),
+    (["run", "no-such-scenario", "--points", "2"], 2),
+]
+
+
+def test_main_twice_in_a_row_prints_and_returns_the_same(capsys):
+    """The process keeps one parser: a second pass over good and bad calls,
+    each right after a different one, prints the same output and returns the
+    same exit code as the first pass."""
+    passes = []
+    for _ in range(2):
+        outputs = []
+        for argv, code in MAIN_CALLS:
+            assert cli.main(argv) == code, argv
+            outputs.append(capsys.readouterr())
+            assert outputs[-1].out or outputs[-1].err
+        passes.append(outputs)
+    assert passes[0] == passes[1]
+
+
 @pytest.mark.parametrize("sid", scenarios.scenario_ids())
 def test_table_row_resolves(sid):
     """Each row names a check, a catalog entry and exactly one map or chart of
@@ -286,20 +312,21 @@ def test_each_sample_is_differentiated_once(sid, monkeypatch):
 
 
 def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
-    """One d J stencil per sample for the lifted J, and J itself evaluated at
-    the sample by the jet and by the invariant check only."""
+    """One d J stencil per sample for the lifted J (alone or as a row of a
+    stack), and J itself evaluated at the sample by the jet and by the
+    invariant check only."""
     differentiated, evaluated = [], []
     dj_stack = hermitian.dj_stack
     call = hermitian.AlmostComplexField.__call__
 
     def recording_dj(chart, j_field, x, cfg):
         if j_field.source == "lifted":
-            differentiated.append(np.array(x, dtype=float))
+            differentiated.extend(np.atleast_2d(np.array(x, dtype=float)))
         return dj_stack(chart, j_field, x, cfg)
 
     def recording_call(self, x):
         if self.source == "lifted":
-            evaluated.append(np.array(x, dtype=float))
+            evaluated.extend(np.atleast_2d(np.array(x, dtype=float)))
         return call(self, x)
 
     monkeypatch.setattr(hermitian, "dj_stack", recording_dj)
