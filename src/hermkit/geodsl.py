@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, DslSyntaxError,
                      EvaluationError, UnknownSymbol)
-from .hermitian import J_SQUARE_TOL, AlmostComplexField, _invariant_residuals
+from .hermitian import J_SQUARE_TOL, AlmostComplexField, invariant_residuals
 from .manifold import Box, Chart
 from .numdiff import constant
 
@@ -288,57 +289,23 @@ class _Token:
     col: int
 
 
-_SYMBOLS = ("->", "+", "-", "*", "/", "^", "(", ")", "[", "]", ",", "=")
+#: One token after optional whitespace: an ASCII number or name, a symbol, or
+#: the end of the line (a comment runs to it).
+_TOKEN = re.compile(r"\s*(?:(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYMBOL>->|[-+*/^()\[\],=])"
+                    r"|(?P<END>#|\Z))")
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line_no, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line_no, col))
-            i = j
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched is None:
-            raise DslSyntaxError(line_no, col, f"a token (got {ch!r})")
-        tokens.append(_Token("SYMBOL", matched, line_no, col))
-        i += len(matched)
-    tokens.append(_Token("END", "", line_no, len(text) + 1))
-    return tokens
+    tokens, pos = [], 0
+    while (match := _TOKEN.match(text, pos)) is not None:
+        kind = match.lastgroup
+        if kind == "END":
+            return tokens + [_Token("END", "", line_no, len(text) + 1)]
+        tokens.append(_Token(kind, match[kind], line_no, match.start(kind) + 1))
+        pos = match.end()
+    i = len(text) - len(text[pos:].lstrip())
+    raise DslSyntaxError(line_no, i + 1, f"a token (got {text[i]!r})")
 
 
 class _Parser:
@@ -456,6 +423,15 @@ class _Parser:
             rows.append(self.vector())
         self.expect("SYMBOL", "]")
         return rows
+
+
+def _positive_int(tok: _Token, what: str) -> int:
+    """The value of a number token that is a positive integer; else ``DslSyntaxError``
+    naming ``what`` was expected there."""
+    value = float(tok.text)
+    if not (value.is_integer() and value >= 1):
+        raise DslSyntaxError(tok.line, tok.col, what)
+    return int(value)
 
 
 def parse_expr(text: str, dim: int | None = None, line_no: int = 1) -> Expr:
@@ -597,11 +573,7 @@ def _parse(source: str) -> GeoConfig:
         head = p.expect("IDENT")
         if head.text == "dim":
             p.expect("SYMBOL", "=")
-            tok = p.expect("NUMBER")
-            value = float(tok.text)
-            if value != int(value) or int(value) < 1:
-                raise DslSyntaxError(tok.line, tok.col, "a positive integer dimension")
-            dim = int(value)
+            dim = _positive_int(p.expect("NUMBER"), "a positive integer dimension")
         elif head.text == "domain":
             axis = p.expect("IDENT")
             if not (axis.text.startswith("x") and axis.text[1:].isdigit()):
@@ -618,16 +590,13 @@ def _parse(source: str) -> GeoConfig:
             domain[idx] = (lo, hi)
         elif head.text in ("g", "J"):
             if p.accept("SYMBOL", "["):
-                i_tok = p.expect("NUMBER")
+                i = _positive_int(p.expect("NUMBER"), "1-based indices")
                 p.expect("SYMBOL", "]")
                 p.expect("SYMBOL", "[")
-                j_tok = p.expect("NUMBER")
+                j = _positive_int(p.expect("NUMBER"), "1-based indices")
                 p.expect("SYMBOL", "]")
                 p.expect("SYMBOL", "=")
                 expr = p.expr()
-                i, j = int(float(i_tok.text)), int(float(j_tok.text))
-                if i < 1 or j < 1:
-                    raise DslSyntaxError(i_tok.line, i_tok.col, "1-based indices")
                 elements[head.text][(i, j)] = (expr, line_no)
                 statements.append((line_no, [expr], dim))
             else:
@@ -638,10 +607,7 @@ def _parse(source: str) -> GeoConfig:
         elif head.text == "map":
             name = p.expect("IDENT").text
             p.expect("SYMBOL", "->")
-            tgt = p.expect("NUMBER")
-            target_dim = int(float(tgt.text))
-            if target_dim < 1:
-                raise DslSyntaxError(tgt.line, tgt.col, "a positive target dimension")
+            target_dim = _positive_int(p.expect("NUMBER"), "a positive target dimension")
             p.expect("SYMBOL", "=")
             exprs = p.vector()
             if len(exprs) != target_dim:
@@ -733,7 +699,7 @@ def _validate(config: GeoConfig) -> None:
         if config.dim % 2 != 0:
             raise ConfigError("J needs an even-dimensional chart")
         for p, g, j in zip(probes, metrics, structure(probes)):
-            resid, compat = _invariant_residuals(g, j)
+            resid, compat = invariant_residuals(g, j)
             if resid > J_SQUARE_TOL:
                 raise ConfigError(
                     f"J^2 + I has residual {resid:.3g} at probe {p.tolist()}")

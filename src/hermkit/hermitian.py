@@ -68,11 +68,11 @@ class AlmostComplexField:
         """Max residuals of J^2 + I and of g(JX, JY) - g(X, Y) over the points,
         evaluated as one stack."""
         stack = np.array(points, dtype=float)
-        square, compat = _invariant_residuals(self.chart.metric(stack, cfg), self(stack))
+        square, compat = invariant_residuals(self.chart.metric(stack, cfg), self(stack))
         return {"square": square, "compatibility": compat}
 
 
-def _invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
+def invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
     """max|J^2 + I| and max|J^T g J - g| at one point, or over the rows of stacks."""
     return (float(np.max(np.abs(j @ j + np.eye(j.shape[-1])))),
             float(np.max(np.abs(np.swapaxes(j, -1, -2) @ g @ j - g))))
@@ -80,7 +80,7 @@ def _invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
 
 def require_almost_hermitian(g: Array, j: Array, x: Array) -> None:
     """Raise ``PreconditionFailed`` unless (g, J) at x is almost Hermitian."""
-    square, compat = _invariant_residuals(g, j)
+    square, compat = invariant_residuals(g, j)
     bound = J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))
     if square > bound or compat > bound:
         raise PreconditionFailed(
@@ -203,7 +203,10 @@ class StructureJet:
     nabla: Array | None
 
     def rows(self) -> list[StructureJet]:
-        """The jets at the rows of a stacked jet, as views of its parts."""
+        """The jets at the rows of a stacked jet, as views of its parts; a point's
+        jet is its one row."""
+        if self.x.ndim == 1:
+            return [self]
         parts = vars(self).values()
         return [StructureJet(*(None if p is None else p[r] for p in parts))
                 for r in range(len(self.x))]

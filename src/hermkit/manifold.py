@@ -8,7 +8,7 @@ points to the (k, dim, dim) stack of their metric matrices, so
 of a stack of points as one stencil, as :meth:`Chart.metric_inverse` takes a
 stack with one batched inversion; :func:`numdiff.by_row` and
 :func:`numdiff.constant` make one from a per-point rule or a constant matrix.
-:func:`gradient` takes such a stack function too.
+:func:`gradient` takes such a stack function too, at a point or a stack.
 There are no atlases or transition functions.
 
 Each chart memoizes g(x) per row, D(psi)(x) for an embedded chart and the
@@ -184,13 +184,9 @@ def constant_field(chart: Chart, v) -> VectorField:
 def christoffel(chart: Chart, x, cfg: DiffConfig) -> Array:
     """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)
     as the array ``gamma[k, i, j]``, symmetric in (i, j), or their stack at the
-    rows of a stack x: one metric stencil for all rows not memoized yet, each
-    row stored under its own key, as ``memoized_rows`` does."""
-    x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    gammas = memoized(chart._memo, [("gamma", p.tobytes(), cfg) for p in rows],
-                      lambda missing: _christoffel(chart, rows[missing], cfg))
-    return gammas[0] if x.ndim == 1 else np.stack(gammas)
+    rows of a stack x: one metric stencil for all rows not memoized yet."""
+    return memoized_rows(chart._memo, "gamma", x, lambda stack: _christoffel(chart, stack, cfg),
+                         cfg)
 
 
 def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:
@@ -238,11 +234,11 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) 
 
 
 def gradient(chart: Chart, f: Callable[[Array], Array], x, cfg: DiffConfig) -> Array:
-    """(grad f)^k = g^{kl} d_l f at x; ``f`` maps a stack of points to the
-    stack of its values, as for ``numdiff.partial``."""
+    """(grad f)^k = g^{kl} d_l f at x, or its stack at the rows of a (k, n) stack x,
+    each row bit for bit its point's; ``f`` maps a stack of points to the stack of
+    its values, as for ``numdiff.partial``."""
     x = np.asarray(x, dtype=float)
-    g_inv = chart.metric_inverse(x, cfg)
-    return g_inv @ numdiff.partial(f, x, cfg)
+    return (chart.metric_inverse(x, cfg) @ numdiff.partial(f, x, cfg)[..., None])[..., 0]
 
 
 def sample_points(chart: Chart, seed: int, count: int, margin: float) -> list[Array]:

@@ -3,43 +3,41 @@ horizontal conformality and dilation, second fundamental form and tension,
 fibre geometry, superminimality, and lifted almost Hermitian structures on the
 total space of a conformal submersion with 2-dimensional fibres.
 
-Every pointwise operator reads a :class:`PointJet` (x, Dphi from one
-:func:`differential` stencil, the source metric g and the one-SVD rank split
-of Dphi), which :func:`point_jet` builds once per (map, point) for callers to
-pass down.  Jets are also needed at every stencil point of the vertical frame
-field, the dilation gradient and the lifted structure, so a jet holds only what
-those read: h(phi(x)), Christoffel symbols, D^2 phi and phi(x) stay out.  Such
-jets are built as one stack: :func:`point_jet`, :func:`differential` and
-:func:`conformality` take a point or a (k, source dim) stack, a point being the
-one-row case of the same code and each row equal to its point's bit for bit.
-:func:`sff_tensor`, :func:`tension` and :func:`lee_pushforward` read such a
-stacked jet too: one ``second_partial`` stencil and one stacked ``christoffel``
-call on the source samples and one on their images serve all samples of a check.
+Every operator reads a :class:`PointJet` (x, Dphi from one :func:`differential`
+stencil, the source metric g and the one-SVD rank split of Dphi) at a point or
+at the rows of a (k, source dim) stack, a point being the one-row case of the
+same code and each row equal to its point's bit for bit.  A map check builds
+one with :func:`point_jet` for all its samples.  A jet builds two things when
+first read and shares them with every reader: ``jet.split``, its
+:func:`conformality` data, and ``jet.stencil``, the jet at the first-order
+stencil points of all its rows, as one stack.  The third-order operators
+(:func:`fibre_mean_curvature`, :func:`homothety_residual`,
+:func:`lifted_structure_jet`, :func:`condition_ii_residual`) difference values
+computed on that stencil jet, so a check takes at most two :func:`differential`
+calls; :func:`sff_tensor` and :func:`tension` take one ``second_partial``
+stencil for all its samples.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
-(k, target dim) stack of their images; a single point is passed as one row, so
-:func:`differential` and :func:`sff_tensor` each evaluate the map once, on one
-stencil.  Each :class:`MapSpec` memoizes per point (per row: a stack computes
-only its missing rows) phi(x), the parts of its :func:`point_jet`, its
-:func:`conformality` data and its horizontal-lift matrix (see
-``numdiff.memoized`` for the contract).  The jet's parts, not the jet, are
-stored, because a jet refers to its map and would tie it into a reference cycle.
+(k, target dim) stack of their images; a single point is passed as one row.
+Each :class:`MapSpec` memoizes phi(x) per row, and nothing else (see
+``numdiff.memoized`` for the contract).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property, wraps
+from typing import Callable
 
 import numpy as np
 
 from . import numdiff
 from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
-                        hermitian_frame, lee_vector, nabla_J, require_almost_hermitian,
-                        structure_jet, unit_axes)
+                        hermitian_frame, lee_vector, nabla_J, nabla_j_tensor,
+                        require_almost_hermitian, structure_jet, unit_axes)
 from .manifold import Chart, christoffel, gradient
-from .numdiff import (Array, DiffConfig, as_stack, gram_schmidt, memoized, memoized_rows,
+from .numdiff import (Array, DiffConfig, as_stack, g_length, gram_schmidt, memoized_rows,
                       orthonormalize, project_out)
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
@@ -103,6 +101,8 @@ class PointJet:
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
+    ``split`` and ``stencil`` are built when first read and then kept; a jet
+    made by :meth:`take` reads both from the jet it was taken from.
     """
 
     spec: MapSpec
@@ -112,54 +112,78 @@ class PointJet:
     singular_values: Array
     vt: Array
     rank: int | Array
+    whole: tuple | None = field(default=None, repr=False)  # (jet, rows) for a taken jet
+
+    def take(self, rows=None) -> PointJet:
+        """The rows ``rows`` (an index array) of a stacked jet, or a point's jet as a
+        one-row stack (``rows=None``)."""
+        parts = (self.x, self.differential, self.metric, self.singular_values, self.vt,
+                 self.rank)
+        return PointJet(self.spec, *(np.asarray(p)[None] if rows is None else p[rows]
+                                     for p in parts), whole=(self, rows))
+
+    @cached_property
+    def split(self) -> ConformalityData | list[ConformalityData]:
+        """The :func:`conformality` data at the jet's point or rows."""
+        if self.whole is None:
+            return conformality(self)
+        whole, rows = self.whole
+        return [whole.split] if rows is None else [whole.split[r] for r in rows]
+
+    @cached_property
+    def stencil(self) -> PointJet:
+        """The stencil jet: the stacked jet at the ``numdiff.stencil`` points of the
+        jet's point or rows, in their order (one block of rows per row)."""
+        if self.whole is None:
+            points = numdiff.stencil(self.x, self.spec.cfg)
+            return point_jet(self.spec, points.reshape(-1, points.shape[-1]))
+        whole, rows = self.whole
+        return whole.stencil if rows is None else whole.stencil.take(_blocks(whole, rows))
+
+
+def _blocks(jet: PointJet, rows) -> Array:
+    """The rows of ``jet.stencil`` that belong to the rows ``rows`` of a stacked jet."""
+    per = len(jet.stencil.x) // len(jet.x)
+    return (np.asarray(rows, dtype=int)[:, None] * per + np.arange(per)).ravel()
 
 
 def point_jet(spec: MapSpec, x) -> PointJet:
     """Differentiate the map at x, or at each row of a stack x, once and split
-    the differential by rank."""
-    return PointJet(spec, *memoized_rows(spec._memo, "jet", x, lambda s: _jet_rows(spec, s),
-                                         combine=lambda rows: map(np.stack, zip(*rows))))
-
-
-def _jet_rows(spec: MapSpec, x: Array) -> tuple:
-    """The jet parts at each row of a stack from one differential, one metric
-    call and one batched SVD; the rank is decided per row."""
-    x = np.array(x)
+    the differential by rank: one :func:`differential` (one map call), one metric
+    call and one batched SVD, the rank decided per row."""
+    x = np.array(x, dtype=float)
     d = differential(spec, x)
     g = spec.source.metric(x, spec.cfg)
     _, sv, vt = np.linalg.svd(d)
-    smax = np.max(sv, axis=1, initial=0.0)
-    rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[:, None], axis=1), 0)
-    return tuple(zip(x, d, g, sv, vt, rank.tolist()))
+    smax = np.max(sv, axis=-1, initial=0.0)
+    rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
+    return PointJet(spec, x, d, g, sv, vt, rank if x.ndim == 2 else int(rank))
 
 
-def _as_stack(jet: PointJet, rows=None) -> PointJet:
-    """A point's jet as a one-row stack, or the rows ``rows`` of a stacked jet."""
-    parts = (jet.x, jet.differential, jet.metric, jet.singular_values, jet.vt, jet.rank)
-    return PointJet(jet.spec, *(np.asarray(p)[None] if rows is None else p[rows] for p in parts))
+def _rowwise(op: Callable) -> Callable:
+    """``op`` of a stacked jet, which returns one value per row, also taking a
+    point's jet (and a structure jet at the point): its value is the one row's."""
+    @wraps(op)
+    def at(jet: PointJet, *args):
+        return op(jet, *args) if jet.x.ndim == 2 else op(jet.take(), *args)[0]
+    return at
 
 
-def _per_row(jet: PointJet, tag: str, compute: Callable[[PointJet], tuple], combine=np.stack):
-    """A value memoized under ``(tag, x.tobytes())`` at the jet's point, or ``combine`` of
-    them at its rows; ``compute`` maps a stacked jet of the rows not stored yet to theirs."""
-    stack = _as_stack(jet) if jet.x.ndim == 1 else jet
-    values = memoized(jet.spec._memo, [(tag, p.tobytes()) for p in stack.x],
-                      lambda rows: compute(_as_stack(stack, rows)))
-    return values[0] if jet.x.ndim == 1 else combine(values)
-
-
-def holomorphy_residual(jet: PointJet) -> float:
-    """Frobenius norm of dphi J - J_target(phi(x)) dphi; raises
-    ``PreconditionFailed`` unless (g, J) is almost Hermitian at x and phi(x)."""
+@_rowwise
+def holomorphy_residual(jet: PointJet) -> list[float]:
+    """Frobenius norm of dphi J - J_target(phi(x)) dphi at each row; raises
+    ``PreconditionFailed`` unless (g, J) is almost Hermitian at x and phi(x)
+    (at the first row where it is not)."""
     spec = jet.spec
     if spec.source_structure is None or spec.target_structure is None:
         raise MissingStructure("holomorphy needs almost-complex structures on both charts")
     d, y = jet.differential, spec(jet.x)
-    j_src = spec.source_structure(jet.x)
-    j_tgt = spec.target_structure(y)
-    require_almost_hermitian(jet.metric, j_src, jet.x)
-    require_almost_hermitian(spec.target.metric(y, spec.cfg), j_tgt, y)
-    return float(np.linalg.norm(d @ j_src - j_tgt @ d))
+    j_src, j_tgt = spec.source_structure(jet.x), spec.target_structure(y)
+    h = spec.target.metric(y, spec.cfg)
+    for r in range(len(d)):
+        require_almost_hermitian(jet.metric[r], j_src[r], jet.x[r])
+        require_almost_hermitian(h[r], j_tgt[r], y[r])
+    return [float(np.linalg.norm(m)) for m in d @ j_src - j_tgt @ d]
 
 
 @dataclass(frozen=True)
@@ -183,16 +207,12 @@ class ConformalityData:
         return self.kind == KIND_REGULAR
 
 
-def conformality(jet: PointJet) -> ConformalityData | list[ConformalityData]:
+@_rowwise
+def conformality(jet: PointJet) -> list[ConformalityData]:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
-    conformal dphi is on the horizontal part; for a stacked jet, the list of
-    the data at its rows."""
-    return _per_row(jet, "conformality", _conformality, list)
-
-
-def _conformality(jet: PointJet) -> tuple:
-    """The split at the rows of a stacked jet: rows of equal rank run as one stack (sub-stacks
-    where Gram-Schmidt keeps different vectors), with one target metric call for all."""
+    conformal dphi is on the horizontal part, at each row: rows of equal rank run
+    as one stack (sub-stacks where Gram-Schmidt keeps different vectors), with one
+    target metric call for all.  Readers take it from ``jet.split``, built once."""
     spec, d, g, sv, vt = jet.spec, jet.differential, jet.metric, jet.singular_values, jet.vt
     n, out = d.shape[1], [None] * len(d)
     h_tgt, active = np.zeros((len(d), n, n)), jet.rank > 0
@@ -223,7 +243,7 @@ def _conformality(jet: PointJet) -> tuple:
                 out[r] = ConformalityData(kind, lam[i] if regular else 0.0, residual[i],
                                           tuple(v[part[i]] for v in vertical),
                                           tuple(u[i] for u in horiz), regular and near[i])
-    return tuple(out)
+    return out
 
 
 def sff_tensor(jet: PointJet) -> Array:
@@ -261,130 +281,153 @@ def lee_pushforward(jet: PointJet) -> Array:
     return (jet.differential @ lee[..., None])[..., 0]
 
 
+@_rowwise
 def _vertical_projector(jet: PointJet) -> Array:
-    """g-orthogonal projector onto ker dphi at the jet's point, or at each row
-    of a stacked jet (basis independent, smooth)."""
-    stack = _as_stack(jet) if jet.x.ndim == 1 else jet
-    out = np.zeros(stack.metric.shape)
-    for rank in sorted(set(stack.rank[stack.rank < out.shape[-1]].tolist())):
-        rows = np.flatnonzero(stack.rank == rank)
-        null_t, g = stack.vt[rows, rank:], stack.metric[rows]
+    """g-orthogonal projector onto ker dphi at each row (basis independent, smooth)."""
+    out = np.zeros(jet.metric.shape)
+    for rank in sorted(set(jet.rank[jet.rank < out.shape[-1]].tolist())):
+        rows = np.flatnonzero(jet.rank == rank)
+        null_t, g = jet.vt[rows, rank:], jet.metric[rows]
         null = np.swapaxes(null_t, 1, 2)
         out[rows] = null @ np.linalg.solve(null_t @ g @ null, null_t @ g)
-    return out if jet.x.ndim == 2 else out[0]
+    return out
 
 
 def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
-    """Smooth g-orthonormal vertical frame near the jet's point: a function
-    from the jet at a nearby point to the frame there, as a matrix whose
-    columns are the frame vectors.
+    """Smooth g-orthonormal vertical frame near the jet's point, or near each row
+    of a stacked jet: a function from the jet at nearby points (for a stacked
+    jet, in one block of rows per row, as in ``jet.stencil``) to the frame there,
+    as a matrix whose columns are the frame vectors (a 0-dimensional fibre has
+    the empty frame).
 
-    Fixed coordinate axes (chosen at the base point by largest vertical
+    Fixed coordinate axes (chosen per row of ``jet`` by largest vertical
     projection, ties broken by index) are pushed through the pointwise
     ker-dphi projector and orthonormalized in the metric; the construction is
-    deterministic and smooth wherever the projections stay independent (a
-    stacked jet gives the stack of frames; a 0-dimensional fibre, the empty
-    frame).  Raises ``CriticalPoint`` when the base point is not regular.
+    deterministic and smooth wherever the projections stay independent.
+    Raises ``CriticalPoint`` at the first row of ``jet`` that is not regular.
     """
-    spec = jet.spec
-    if jet.rank < spec.target.dim:
-        raise CriticalPoint(f"no vertical frame at non-regular point {jet.x!r}")
-    k = spec.source.dim - spec.target.dim
-    g0 = jet.metric
-    p_v = _vertical_projector(jet)
-    # Pivoted selection: each chosen axis must stay independent of the span of
-    # the earlier ones, otherwise two axes with large but parallel vertical
-    # projections would collapse the frame.
-    axes: list[int] = []
-    basis: list[Array] = []
-    for _ in range(k):
-        best, best_axis, best_vec = -1.0, -1, None
-        for i in range(spec.source.dim):
-            if i in axes:
-                continue
-            w = project_out(p_v[:, i], basis, g0)
-            score = float(np.sqrt(max(w @ g0 @ w, 0.0)))
-            if score > best:
-                best, best_axis, best_vec = score, i, w
-        if best <= numdiff.RANK_RTOL:
+    spec, base = jet.spec, jet if jet.x.ndim == 2 else jet.take()
+    bad = np.flatnonzero(base.rank < spec.target.dim)
+    if bad.size:
+        raise CriticalPoint(f"no vertical frame at non-regular point {base.x[bad[0]]!r}")
+    n, k = spec.source.dim, spec.source.dim - spec.target.dim
+    p_v, g0, rows = _vertical_projector(base), base.metric, np.arange(len(base.x))
+    axes, basis = np.zeros((len(rows), 0), dtype=int), []
+    for _ in range(k):  # pivoted: each axis must stay independent of the earlier ones
+        w = np.stack([project_out(p_v[:, :, i], basis, g0) for i in range(n)], axis=1)
+        score = g_length(w, g0[:, None])[..., 0]
+        score[rows[:, None], axes] = -1.0
+        best = np.argmax(score, axis=1)
+        if np.any(score[rows, best] <= numdiff.RANK_RTOL):
             raise CriticalPoint("vertical projections of the coordinate axes are degenerate")
-        axes.append(best_axis)
-        basis.append(best_vec / best)
+        axes = np.column_stack([axes, best])
+        basis.append(w[rows, best] / score[rows, best, None])
 
     def frame_at(at: PointJet) -> Array:
-        p = _vertical_projector(at)
-        frame = orthonormalize([p[..., i] for i in axes], at.metric, required=k)
-        return np.stack(frame, axis=-1) if k else np.zeros((*at.x.shape, 0))
+        p, g = _vertical_projector(at).reshape(-1, n, n), at.metric.reshape(-1, n, n)
+        cols, rows = np.repeat(axes, len(p) // len(axes), axis=0), np.arange(len(p))
+        frame = orthonormalize([p[rows, :, cols[:, a]] for a in range(k)], g, required=k)
+        out = np.stack(frame, axis=-1) if k else np.zeros((len(p), n, 0))
+        return out if at.x.ndim == 2 else out[0]
 
     return frame_at
 
 
+@_rowwise
 def fibre_mean_curvature(jet: PointJet) -> Array:
-    """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame; the zero
-    vector exactly when the fibre is minimal at the jet's point (0-dimensional
-    fibres are)."""
-    spec, x = jet.spec, jet.x
-    cfg = spec.cfg
-    dim = spec.source.dim
+    """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame at each
+    row; the zero vector exactly when the fibre is minimal there (0-dimensional
+    fibres are).  The frame field is differenced on the jet's stencil jet."""
+    spec, cfg = jet.spec, jet.spec.cfg
     frame_at = vertical_frame_field(jet)
-    gamma = christoffel(spec.source, x, cfg)
+    gamma = christoffel(spec.source, jet.x, cfg)
     frame = frame_at(jet)
-    # dframe[i, :, a] is the i-th partial derivative of the a-th frame vector.
-    dframe = numdiff.partial(lambda stack: frame_at(point_jet(spec, stack)), x, cfg)
-    total = np.zeros(dim)
-    for a in range(frame.shape[1]):
-        v, dv = frame[:, a], dframe[:, :, a]
-        total = total + np.einsum("i,ik->k", v, dv) + np.einsum("kij,i,j->k", gamma, v, v)
+    # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
+    dframe = numdiff.difference(frame_at(jet.stencil), jet.x, cfg)
     p_v = _vertical_projector(jet)
-    return total - p_v @ total
+    out = np.zeros(jet.x.shape)
+    for r in range(len(out)):
+        total = np.zeros(spec.source.dim)
+        for a in range(frame.shape[2]):
+            v, dv = frame[r, :, a], dframe[r, :, :, a]
+            total = total + np.einsum("i,ik->k", v, dv) + np.einsum("kij,i,j->k", gamma[r], v, v)
+        out[r] = total - p_v[r] @ total
+    return out
 
 
-def homothety_residual(jets: Sequence[PointJet]) -> float:
-    """max over the samples of |dphi(grad lambda^2)| in the target metric."""
-    worst = 0.0
-    for jet in jets:
-        conf = conformality(jet)
+def require_regular(jet: PointJet, what: str) -> None:
+    """Raise ``CriticalPoint`` at the first row of the jet that is not regular."""
+    for conf in jet.split:
         if not conf.regular:
-            raise CriticalPoint(f"homothety residual needs regular samples, got {conf.kind}")
-        spec = jet.spec
-
-        def lam_sq(stack: Array) -> Array:
-            confs = conformality(point_jet(spec, stack))
-            for p, c in zip(stack, confs):
-                if not c.regular:
-                    raise CriticalPoint(f"dilation field hit a non-regular stencil point {p!r}")
-            return np.array([c.dilation**2 for c in confs])
-
-        grad = gradient(spec.source, lam_sq, jet.x, spec.cfg)
-        h = spec.target.metric(spec(jet.x), spec.cfg)
-        worst = max(worst, g_norm(h, jet.differential @ grad))
-    return worst
+            raise CriticalPoint(f"{what}, got {conf.kind}")
 
 
-def superminimality_residual(jet: PointJet, structure: StructureJet) -> float:
+@_rowwise
+def homothety_residual(jet: PointJet) -> list[float]:
+    """|dphi(grad lambda^2)| in the target metric at each row, lambda^2 read at
+    the points of the jet's stencil jet."""
+    spec, cfg = jet.spec, jet.spec.cfg
+    require_regular(jet, "homothety residual needs regular samples")
+    lam_sq = []
+    for p, conf in zip(jet.stencil.x, jet.stencil.split):
+        if not conf.regular:
+            raise CriticalPoint(f"dilation field hit a non-regular stencil point {p!r}")
+        lam_sq.append(conf.dilation**2)
+    # gradient evaluates its function on exactly these stencil points
+    grad = gradient(spec.source, lambda points: np.array(lam_sq), jet.x, cfg)
+    h = spec.target.metric(spec(jet.x), cfg)
+    return [g_norm(hr, d @ v) for hr, d, v in zip(h, jet.differential, grad)]
+
+
+@_rowwise
+def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[float]:
     """max over vertical frame vectors V and unit coordinate axes Y of
-    |(nabla_V J) Y|, from the map's jet and the source structure's jet at one
-    point."""
-    conf = conformality(jet)
-    if not conf.regular:
-        raise CriticalPoint(f"superminimality needs a regular point, got {conf.kind}")
-    g, axes = structure.metric, unit_axes(structure.metric)
-    return max([0.0, *(g_norm(g, nabla_J(structure, v, y))
-                       for v in conf.vertical_basis for y in axes)])
+    |(nabla_V J) Y| at each row, from the map's jet and the source structure's
+    jet at the same points."""
+    require_regular(jet, "superminimality needs a regular point")
+    return [max([0.0, *(g_norm(s.metric, nabla_J(s, v, y)) for v in conf.vertical_basis
+                        for y in unit_axes(s.metric))])
+            for conf, s in zip(jet.split, structure.rows())]
 
 
+@_rowwise
 def _lift_matrix(jet: PointJet) -> Array:
-    """Horizontal-lift operator L with dphi L = id and image H, at the jet's
-    point or at each row of a stacked jet."""
-    def compute(stack: PointJet) -> Array:
-        confs = conformality(stack)
-        for conf in confs:
-            if not conf.regular:
-                raise CriticalPoint(f"horizontal lift needs a regular point, got {conf.kind}")
-        a = np.stack([np.column_stack(conf.horizontal_basis) for conf in confs])
-        return a @ np.linalg.inv(stack.differential @ a)
+    """Horizontal-lift operator L with dphi L = id and image H at each row."""
+    require_regular(jet, "horizontal lift needs a regular point")
+    a = np.stack([np.column_stack(conf.horizontal_basis) for conf in jet.split])
+    return a @ np.linalg.inv(jet.differential @ a)
 
-    return _per_row(jet, "lift", compute)
+
+def _require_liftable(spec: MapSpec, orientation: int) -> None:
+    if orientation not in (+1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    if spec.target_structure is None:
+        raise MissingStructure("lift_structure needs an almost-complex structure on the target")
+    if spec.fibre_orientation is None:
+        raise MissingStructure("lift_structure needs a fibre orientation form on the map")
+
+
+@_rowwise
+def lifted_j(jet: PointJet, orientation: int) -> Array:
+    """The lifted J of :func:`lift_structure` at each row, from the jet's
+    conformality data."""
+    spec = jet.spec
+    _require_liftable(spec, orientation)
+    lift = _lift_matrix(jet)
+    dims = [len(conf.vertical_basis) for conf in jet.split if len(conf.vertical_basis) != 2]
+    if dims:
+        raise FibreDimension(f"lift needs 2-dimensional fibres, got {dims[0]}")
+    v1, v2 = (np.stack(v) for v in zip(*(conf.vertical_basis for conf in jet.split)))
+    omega = as_stack(spec.fibre_orientation(jet.x), jet.x, (spec.source.dim,) * 2,
+                     f"map {spec.name or '(unnamed)'}: fibre_orientation")
+    signed = (v1[:, None] @ omega @ v2[:, :, None])[:, 0, 0]
+    if np.any(np.abs(signed) < 1e-12):
+        raise ValueError("fibre orientation form is degenerate on the fibre")
+    sigma = (orientation * np.sign(signed))[:, None, None]
+    g_v1, g_v2 = ((jet.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
+    rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
+    j_tgt = spec.target_structure(spec(jet.x))
+    return lift @ j_tgt @ jet.differential + rot
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -393,83 +436,72 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
 
     On the horizontal space J = (dphi|_H)^{-1} J_target dphi|_H; on the fibre
     tangent it rotates by +90 degrees (orientation=+1) or -90 degrees in the
-    metric, the sense fixed by the map's fibre orientation form.
+    metric, the sense fixed by the map's fibre orientation form (see :func:`lifted_j`).
     """
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    if spec.target_structure is None:
-        raise MissingStructure("lift_structure needs an almost-complex structure on the target")
-    if spec.fibre_orientation is None:
-        raise MissingStructure("lift_structure needs a fibre orientation form on the map")
-
-    def j_at(stack: Array) -> Array:
-        """The lifted J at the rows of a stack, from their jets built as one stack."""
-        jets = point_jet(spec, stack)
-        lift = _lift_matrix(jets)
-        confs = conformality(jets)
-        dims = [len(conf.vertical_basis) for conf in confs if len(conf.vertical_basis) != 2]
-        if dims:
-            raise FibreDimension(f"lift needs 2-dimensional fibres, got {dims[0]}")
-        v1, v2 = (np.stack(v) for v in zip(*(conf.vertical_basis for conf in confs)))
-        omega = as_stack(spec.fibre_orientation(stack), stack, (spec.source.dim,) * 2,
-                         f"map {spec.name or '(unnamed)'}: fibre_orientation")
-        signed = (v1[:, None] @ omega @ v2[:, :, None])[:, 0, 0]
-        if np.any(np.abs(signed) < 1e-12):
-            raise ValueError("fibre orientation form is degenerate on the fibre")
-        sigma = (orientation * np.sign(signed))[:, None, None]
-        g_v1, g_v2 = ((jets.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
-        rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
-        j_tgt = spec.target_structure(spec(stack))
-        return lift @ j_tgt @ jets.differential + rot
-
-    return AlmostComplexField(spec.source, j_at, source="lifted")
+    _require_liftable(spec, orientation)
+    return AlmostComplexField(spec.source, lambda stack: lifted_j(point_jet(spec, stack),
+                                                                  orientation), source="lifted")
 
 
-def condition_ii_residual(samples: Sequence[tuple]) -> float:
+def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
+    """The structure jet of the lifted J at the rows of a stacked map jet: J from
+    the jet, d J differenced on its stencil jet, with the connection."""
+    spec, cfg = jet.spec, jet.spec.cfg
+    j = lifted_j(jet, orientation)
+    gamma = christoffel(spec.source, jet.x, cfg)
+    dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, cfg)
+    return StructureJet(jet.x, jet.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
+
+
+def _lifts(lift: Array, zs: Array) -> Array:
+    """[Re, Im] of the horizontal lifts of frames ``zs`` ([r, k, :]) by the
+    lift matrices at the rows r, as [r, part, k, :]."""
+    parts = np.stack([zs.real, zs.imag], axis=-3)
+    return (lift[:, None, None] @ parts[..., None])[..., 0]
+
+
+@_rowwise
+def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]:
     """max (0,1)-part norm of the vertical component of [Z, W] over pairs of
-    horizontal (1,0) frame fields built by the horizontal-lift construction.
+    horizontal (1,0) frame fields built by the horizontal-lift construction, at
+    each row, from the map's jet and the source structure's jet at the same points.
 
-    ``samples`` holds (map jet, source structure jet) per point.
+    Each row's target Hermitian frame at phi(x) fixes the pivots of its frame
+    field; the lifted frame fields are differenced on the map's stencil jet.
     """
-    worst = 0.0
-    for jet, structure in samples:
-        spec, x, cfg = jet.spec, jet.x, jet.spec.cfg
-        if spec.target_structure is None:
-            raise MissingStructure("condition (ii) needs the target structure")
-        conf = conformality(jet)
-        if not conf.regular:
-            raise CriticalPoint(f"condition (ii) needs regular samples, got {conf.kind}")
-        base = hermitian_frame(spec.target, spec.target_structure, spec(x), cfg)
-        m = base.m
-        if m < 2:
-            continue
-
-        def lifts(lift: Array, zs: tuple) -> Array:
-            """[Re, Im] of the horizontal lift of each Z_k, as [..., part, k, :]."""
-            parts = np.stack([np.stack([f(z) for z in zs], -2) for f in (np.real, np.imag)], -3)
-            return (lift[..., None, None, :, :] @ parts[..., None])[..., 0]
-
-        def lifted_at(stack: Array) -> Array:
-            """The lifts at the rows, smooth near phi(x) (the base frame's pivots)."""
-            zs = hermitian_frame(spec.target, spec.target_structure, spec(stack), cfg,
-                                 base.pivots).complex_frame
-            return lifts(_lift_matrix(point_jet(spec, stack)), zs)
-
-        # dz[part, k, i, :] = d_i of that part of the lifted Z_k, one stencil for all; each
-        # (part, k) slice is C-contiguous, as in manifold.lie_bracket, so brackets match it
-        dz = np.ascontiguousarray(np.moveaxis(numdiff.partial(lifted_at, x, cfg), 0, 2))
-        at_x = lifts(_lift_matrix(jet), base.complex_frame)
-
+    spec, cfg = jet.spec, jet.spec.cfg
+    if spec.target_structure is None:
+        raise MissingStructure("condition (ii) needs the target structure")
+    require_regular(jet, "condition (ii) needs regular samples")
+    bases = [hermitian_frame(spec.target, spec.target_structure, y, cfg) for y in spec(jet.x)]
+    m = bases[0].m
+    if m < 2:
+        return [0.0] * len(bases)
+    stencil = jet.stencil
+    y, zs = spec(stencil.x), np.empty((len(stencil.x), m, spec.target.dim), dtype=complex)
+    for pivots in dict.fromkeys(base.pivots for base in bases):
+        at = _blocks(jet, [r for r, base in enumerate(bases) if base.pivots == pivots])
+        zs[at] = np.stack(hermitian_frame(spec.target, spec.target_structure, y[at], cfg,
+                                          pivots).complex_frame, axis=1)
+    # dz[r, part, k, i, :] = d_i of that part of the lifted Z_k at row r; each (part, k)
+    # slice of a row is C-contiguous, as in manifold.lie_bracket, so brackets match it
+    dz = np.ascontiguousarray(np.moveaxis(
+        numdiff.difference(_lifts(_lift_matrix(stencil), zs), jet.x, cfg), 1, 3))
+    at_x = _lifts(_lift_matrix(jet), np.stack([np.stack(base.complex_frame) for base in bases]))
+    p_v = _vertical_projector(jet)
+    out = []
+    for r, s in enumerate(structure.rows()):
         def bracket(a: tuple, b: tuple) -> Array:
             """[A, B] of two real fields, each named by (part, k)."""
-            return (np.einsum("i,ik->k", at_x[a], dz[b])
-                    - np.einsum("i,ik->k", at_x[b], dz[a]))
+            return (np.einsum("i,ik->k", at_x[r][a], dz[r][b])
+                    - np.einsum("i,ik->k", at_x[r][b], dz[r][a]))
 
-        p_v = _vertical_projector(jet)
+        worst = 0.0
         for k in range(m):
             for l in range(k + 1, m):
                 zw = ((bracket((0, k), (0, l)) - bracket((1, k), (1, l)))
                       + 1j * (bracket((0, k), (1, l)) + bracket((1, k), (0, l))))
-                part01 = antiholomorphic_part(structure.j, p_v @ zw)
-                worst = max(worst, g_norm(jet.metric, part01))
-    return worst
+                part01 = antiholomorphic_part(s.j, p_v[r] @ zw)
+                worst = max(worst, g_norm(jet.metric[r], part01))
+        out.append(worst)
+    return out

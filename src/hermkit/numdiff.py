@@ -8,7 +8,9 @@ the leading error term.  Each stencil routine differentiates along every axis
 at once, at a point or at every row of a stack of points, calling its function
 once on the (k, n) stack of all its stencil points; :func:`by_row` makes such
 a function from a per-point one and :func:`constant` one that is the same at
-every row.
+every row.  :func:`partial` is :func:`difference` of the values at the points
+of :func:`stencil`, so a caller that already holds those values (a map's jets
+at the stencil points of all the samples of a check) differences them alone.
 :func:`project_out`, on a vector or a stack, is the package's only Gram-Schmidt
 step; :func:`gram_schmidt`, :func:`orthonormalize` and every frame
 construction in ``hermitian`` and ``maps`` are built on it.  :func:`memoized`
@@ -18,7 +20,7 @@ keeps.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, is_dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,16 +69,16 @@ class DiffConfig:
 def memoized(memo: dict, key, compute: Callable):
     """``memo[key]``, computed by ``compute()`` and stored on a miss.
 
-    The package's only cache: each ``MapSpec``, ``Chart`` and
-    ``AlmostComplexField`` owns one ``_memo`` dict, and every entry keeps
-    this contract:
+    The package's only cache: each ``MapSpec`` (tag ``"phi"``), ``Chart``
+    (``"g"``, ``"gamma"``, ``"dpsi"``) and ``AlmostComplexField`` (``"J"``)
+    owns one ``_memo`` dict, and every entry keeps this contract:
 
     * the key names the value and holds the exact bytes of the float64
       point, as in ``("g", x.tobytes(), cfg)``;
+    * the value is one array, which is made read-only, so ``compute`` must
+      return arrays nobody else holds (a copy of what a user function
+      returns);
     * only successes are stored, so a call that raises raises again;
-    * every array in a stored value, also inside tuples and dataclasses, is
-      made read-only, so ``compute`` must return arrays nobody else holds
-      (a copy of what a user function returns);
     * no stored value refers to the memo's owner, so the memo is freed by
       reference counting with it; ``_memo`` is an ``init=False`` field, so
       ``dataclasses.replace`` starts an empty one.
@@ -105,20 +107,19 @@ def memoized(memo: dict, key, compute: Callable):
     return value
 
 
-def memoized_rows(memo: dict, tag: str, x, compute: Callable[[Array], Array], *extra,
-                  combine: Callable = np.stack):
-    """The value at a point, or ``combine`` of the values at the rows of a stack.
+def memoized_rows(memo: dict, tag: str, x, compute: Callable[[Array], Array], *extra):
+    """The value at a point, or the stack of the values at the rows of a stack.
 
     Each row is memoized under ``(tag, row.tobytes(), *extra)``, and
-    ``compute`` maps a (k, n) stack to the stack (or tuple) of its k values:
+    ``compute`` maps a (k, n) stack to the stack of its k values:
     it is called once, on the distinct rows not stored yet (a point goes in as
     one row).  A point is looked up by its own key: a hit is one dict read.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return memoized(memo, (tag, x.tobytes(), *extra), lambda: compute(x[None])[0])
-    return combine(memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
-                            lambda missing: compute(x[missing])))
+    return np.stack(memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
+                             lambda missing: compute(x[missing])))
 
 
 def as_stack(values, points: Array, row_shape: tuple, owner: str) -> Array:
@@ -132,12 +133,8 @@ def as_stack(values, points: Array, row_shape: tuple, owner: str) -> Array:
     return out
 
 
-def _freeze(value):
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, tuple) or is_dataclass(value):
-        for part in (value if isinstance(value, tuple) else vars(value).values()):
-            _freeze(part)
+def _freeze(value: Array) -> Array:
+    value.flags.writeable = False
     return value
 
 
@@ -164,41 +161,61 @@ def _require_resolved(x: Array, offset: float, step: float) -> None:
                          f"{point.tolist()}: x +- {offset!r} rounds back to x")
 
 
-def _stencil(f, points: Array, domain) -> Array:
-    """``f`` on the whole stack of stencil points, after one ``domain`` call on
-    it; only when that fails are the rows walked to name the first one outside."""
+def _require_domain(points: Array, domain) -> None:
+    """One ``domain`` call on the whole (k, n) stack of stencil points; only when
+    that fails are the rows walked to name the first one outside."""
     if domain is not None and not domain(points):
         for p in points:
             if not domain(p):
                 raise EvaluationOutsideDomain(f"stencil point {p!r} outside domain")
-    return np.asarray(f(points))
+
+
+def stencil(x, cfg: DiffConfig, domain: Callable[[Array], bool] | None = None) -> Array:
+    """The points at which :func:`partial` evaluates its function: (m, n) at a
+    point ``x``, (k, m, n) at the rows of a (k, n) stack, each row's m points
+    ordered [step, sign, axis i] (x + s e_i, then x - s e_i, which is x + (-s) e_i
+    bit for bit).
+
+    ``domain``, when given, is called once on the stack of all the points and
+    must hold for every one.  Raises ``ValueError`` when the smallest offset
+    does not move some coordinate of ``x``.
+    """
+    x, eye = np.asarray(x, dtype=float), np.eye(np.shape(x)[-1])
+    steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
+    _require_resolved(x, steps[-1], cfg.step)
+    points = x[..., None, :] + np.concatenate([s * eye for h in steps for s in (h, -h)])
+    _require_domain(points.reshape(-1, x.shape[-1]), domain)
+    return points
+
+
+def difference(values, x, cfg: DiffConfig) -> Array:
+    """Every first partial derivative at ``x`` from ``values``, the stack of the
+    values at the :func:`stencil` points of ``x`` in order: ``[i, ...]`` at a
+    point, ``[r, i, ...]`` at the rows r of a (k, n) stack.
+
+    Central difference with step ``cfg.step``; with ``cfg.richardson`` the
+    fourth-order combination of the step-h and step-h/2 estimates.
+    """
+    x, v = np.asarray(x, dtype=float), np.asarray(values)
+    n = x.shape[-1]
+    steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
+    v = v.reshape(x.size // n, len(steps), 2, n, *v.shape[1:])
+    d = [(v[:, k, 0] - v[:, k, 1]) / (2.0 * s) for k, s in enumerate(steps)]
+    out = (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
+    return out if x.ndim == 2 else out[0]
 
 
 def partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
             domain: Callable[[Array], bool] | None = None) -> Array:
     """Every first partial derivative of ``f`` at ``x``, stacked as ``[i, ...]``,
-    or as ``[r, i, ...]`` at the rows r of a (k, n) stack ``x``, each row as alone.
+    or as ``[r, i, ...]`` at the rows r of a (k, n) stack ``x``, each row as alone:
+    :func:`difference` of ``f`` on the :func:`stencil` points.
 
     ``f`` maps a (k, n) stack of points to the stack of its k values; it is
-    called once, on the stencils of all axes (and rows) together.  Central difference
-    with step ``cfg.step``; with ``cfg.richardson`` the fourth-order
-    combination of the step-h and step-h/2 estimates is returned.
-    ``domain``, when given, is called once on the stack of stencil points and
-    must hold for every row.  Raises ``ValueError`` when the smallest offset
-    does not move some coordinate of ``x``.
+    called once, on the stencils of all axes (and rows) together.
     """
-    x = np.asarray(x, dtype=float)
-    n, eye = x.shape[-1], np.eye(x.shape[-1])
-    steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
-    _require_resolved(x, steps[-1], cfg.step)
-    # rows ordered [row, step, sign, axis i]: x + s e_i, then x - s e_i (x + (-s) e_i
-    # is x - s e_i bit for bit)
-    offsets = np.concatenate([s * eye for h in steps for s in (h, -h)])
-    v = _stencil(f, (x[..., None, :] + offsets).reshape(-1, n), domain)
-    v = v.reshape(x.size // n, len(steps), 2, n, *v.shape[1:])
-    d = [(v[:, k, 0] - v[:, k, 1]) / (2.0 * s) for k, s in enumerate(steps)]
-    out = (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
-    return out if x.ndim == 2 else out[0]
+    points = stencil(x, cfg, domain)
+    return difference(f(points.reshape(-1, points.shape[-1])), x, cfg)
 
 
 def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
@@ -230,7 +247,8 @@ def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
                                 for a, b in ((ei, ej), (ei, -ej), (-ei, ej), (-ei, -ej))])
     rows = np.atleast_2d(x)
     points = np.concatenate([rows[:, None], rows[:, None] + offsets], axis=1)
-    v = _stencil(f, points.reshape(-1, n), domain)
+    _require_domain(points.reshape(-1, n), domain)
+    v = np.asarray(f(points.reshape(-1, n)))
     v = v.reshape(len(rows), 1 + len(offsets), *v.shape[1:])
     centre, vd = v[:, :1], v[:, 1:1 + 2 * len(steps) * n].reshape(
         len(rows), len(steps), 2, n, *v.shape[2:])

@@ -24,10 +24,11 @@ entry at the run's ``DiffConfig`` and calls the check on the map, or on the
 chart with the entry's structure ``J``.
 
 A map check builds the map's jets at its samples once, as one stack, in
-:func:`_map_points`.  The conformality data, the tension and the Lee
-push-forward at the samples are read through one stacked call each; operators
-that still work per sample get the jet at each sample, and read what the
-stacked calls stored from the map's memo.  A structure check builds one
+:func:`_map_points`, and every operator reads that stacked jet (or the rows
+:meth:`maps.PointJet.take` selects from it), one stacked call each: the
+conformality data, holomorphy, the tension, the Lee push-forward and the
+third-order operators, which share the jet's one stencil jet.  So a map check
+takes at most two ``maps.differential`` calls.  A structure check builds one
 stacked structure jet for all its samples (the lift checks, one for the lifted
 J) and reads its rows.
 """
@@ -44,10 +45,10 @@ from .errors import (CriticalPoint, FibreDimension, PreconditionFailed,
                      TargetDimensionTooSmall, TooManyExcludedSamples,
                      UnknownScenario, WrongDimension)
 from .hermitian import (AlmostComplexField, StructureJet, classify_structure,
-                        divergence_J, g_norm, nabla_J, nijenhuis, structure_jet,
-                        unit_axes)
+                        divergence_J, g_norm, invariant_residuals, nabla_J, nijenhuis,
+                        structure_jet, unit_axes)
 from .manifold import Chart, SamplePlan
-from .maps import KIND_CRITICAL, ConformalityData, MapSpec, PointJet
+from .maps import KIND_CRITICAL, KIND_DEGENERATE, ConformalityData, MapSpec, PointJet
 from .numdiff import TOLERANCE_FACTOR, DiffConfig
 
 #: Tolerance coupling factor between the two sides of a proved implication.
@@ -156,10 +157,10 @@ def _guard_excluded(excluded: int, total: int, what: str) -> None:
             f"{excluded}/{total} samples excluded as near-critical in {what}")
 
 
-def _map_scale(jets: Sequence[PointJet]) -> float:
+def _map_scale(stack: PointJet) -> float:
     """Input-magnitude scale for map residual tolerances: differentials enter
     the tension and conformality sums quadratically."""
-    return (1.0 + max([0.0, *(float(np.linalg.norm(jet.differential)) for jet in jets)])) ** 2
+    return (1.0 + max([0.0, *(float(np.linalg.norm(d)) for d in stack.differential)])) ** 2
 
 
 def _nijenhuis_residual(jet: StructureJet) -> float:
@@ -172,13 +173,19 @@ def _nijenhuis_residual(jet: StructureJet) -> float:
     return worst
 
 
-def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[PointJet, list[PointJet], float]:
-    """The stacked jet at the plan's samples on its source, the jets at the
-    samples in order (read back from the memo) and the map-residual tolerance."""
-    points = plan.points(spec.source, spec.cfg)
-    stack = maps.point_jet(spec, np.array(points))
-    jets = [maps.point_jet(spec, x) for x in points]
-    return stack, jets, spec.cfg.tolerance(_map_scale(jets))
+def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[PointJet, float]:
+    """The stacked jet at the plan's samples on its source and the map-residual
+    tolerance."""
+    stack = maps.point_jet(spec, np.array(plan.points(spec.source, spec.cfg)))
+    return stack, spec.cfg.tolerance(_map_scale(stack))
+
+
+def _lift_invariants(stack: PointJet, orientation: int) -> tuple[dict, int]:
+    """max|J^2 + I| and max|J^T g J - g| of the lifted J over the first five
+    samples, and their number."""
+    first = stack.take(np.arange(min(5, len(stack.x))))
+    square, compatibility = invariant_residuals(first.metric, maps.lifted_j(first, orientation))
+    return {"square": square, "compatibility": compatibility}, len(first.x)
 
 
 def _critical_count(confs: Sequence[ConformalityData]) -> int:
@@ -198,39 +205,29 @@ def _target_norms(stack: PointJet, vectors) -> list[float]:
     return [g_norm(hr, v) for hr, v in zip(h, vectors)]
 
 
-def _tension_norms(stack: PointJet) -> list[float]:
-    """|tau| at each sample of a stacked jet, from one stacked tension."""
-    return _target_norms(stack, maps.tension(stack))
-
-
 def _tension_max(stack: PointJet) -> float:
-    return max([0.0, *_tension_norms(stack)])
+    return max([0.0, *_target_norms(stack, maps.tension(stack))])
 
 
-def _fibre_residual(jets: Sequence[PointJet],
-                    confs: Sequence[ConformalityData]) -> tuple[float, int, int]:
+def _fibre_residual(stack: PointJet) -> tuple[float, int, int]:
     """Max fibre mean-curvature norm over regular, non-near-critical samples,
     with the number of samples used and excluded; too many exclusions raise."""
-    values = []
-    excluded = 0
-    for jet, c in zip(jets, confs):
-        if c.kind == KIND_CRITICAL:
-            continue
-        if not c.regular:
-            raise CriticalPoint(f"degenerate-rank sample at {jet.x!r}")
-        if c.near_critical:
-            excluded += 1
-            continue
-        values.append(g_norm(jet.metric, maps.fibre_mean_curvature(jet)))
-    _guard_excluded(excluded, len(jets), "fibre minimality")
+    for x, c in zip(stack.x, stack.split):
+        if c.kind == KIND_DEGENERATE:
+            raise CriticalPoint(f"degenerate-rank sample at {x!r}")
+    rows = [r for r, c in enumerate(stack.split) if c.regular and not c.near_critical]
+    excluded, used = sum(c.near_critical for c in stack.split), stack.take(rows)
+    values = [g_norm(g, v) for g, v in zip(used.metric, maps.fibre_mean_curvature(used))
+              ] if rows else []
+    _guard_excluded(excluded, len(stack.x), "fibre minimality")
     return max([0.0, *values]), len(values), excluded
 
 
-def _require_holomorphic(spec: MapSpec, jets: Sequence[PointJet], tol: float) -> float:
+def _require_holomorphic(spec: MapSpec, stack: PointJet, tol: float) -> float:
     """The holomorphy residual over the samples; raises unless it is within tol."""
     if spec.source_structure is None or spec.target_structure is None:
         raise PreconditionFailed("holomorphic", "structures missing on one side")
-    holo = max(maps.holomorphy_residual(jet) for jet in jets)
+    holo = max(maps.holomorphy_residual(stack))
     if holo > tol:
         raise PreconditionFailed("holomorphic", f"residual {holo} > {tol}")
     return holo
@@ -251,22 +248,20 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     flagged; optional extras add holomorphy, fibre minimality and a pinned
     dilation value to the report.
     """
-    stack, jets, tol = _map_points(spec, plan)
-    confs = maps.conformality(stack)
+    stack, tol = _map_points(spec, plan)
+    confs, n = stack.split, len(stack.x)
     checks = [
-        check("horizontally-weakly-conformal", _conformality_max(confs), tol, len(jets)),
-        check("tension-vanishes", _tension_max(stack), tol, len(jets)),
+        check("horizontally-weakly-conformal", _conformality_max(confs), tol, n),
+        check("tension-vanishes", _tension_max(stack), tol, n),
     ]
     if include_holomorphy:
-        holo = max(maps.holomorphy_residual(jet) for jet in jets)
-        checks.insert(0, check("holomorphic", holo, tol, len(jets)))
+        checks.insert(0, check("holomorphic", max(maps.holomorphy_residual(stack)), tol, n))
     if expected_dilation is not None:
         dev = max([0.0, *(abs(c.dilation - expected_dilation)
                           for c in confs if c.kind != KIND_CRITICAL)])
-        checks.append(check("dilation-deviation", dev, tol, len(jets),
-                            expected=expected_dilation))
+        checks.append(check("dilation-deviation", dev, tol, n, expected=expected_dilation))
     if include_fibres:
-        fibre_res, used, excluded = _fibre_residual(jets, confs)
+        fibre_res, used, excluded = _fibre_residual(stack)
         checks.append(check("fibre-minimality", fibre_res, tol, used, excluded))
     return _report(scenario_id, checks, plan, spec.cfg, critical_samples=_critical_count(confs),
                    map=spec.name)
@@ -276,12 +271,12 @@ def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
                             scenario_id: str) -> VerificationReport:
     """The detector must *fail* this map: conformality or tension residual is
     genuinely large (rejection mode)."""
-    stack, jets, tol = _map_points(spec, plan)
-    conf_res = _conformality_max(maps.conformality(stack))
+    stack, tol = _map_points(spec, plan)
+    conf_res = _conformality_max(stack.split)
     tension_res = _tension_max(stack)
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
-              len(jets), mode="gt", conformality=conf_res, tension=tension_res),
+              len(stack.x), mode="gt", conformality=conf_res, tension=tension_res),
     ], plan, spec.cfg, map=spec.name)
 
 
@@ -298,20 +293,19 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         meta = dict(report.metadata)
         meta["routed"] = "surface-case"
         return VerificationReport(report.scenario_id, report.checks, meta)
-    stack, jets, tol = _map_points(spec, plan)
-    confs = maps.conformality(stack)
-    for c in confs:
-        if not c.regular:
-            raise CriticalPoint(f"two-of-three needs regular samples, got {c.kind}")
-    hm_res = max([0.0, *(r for c, t in zip(confs, _tension_norms(stack)) for r in (
+    stack, tol = _map_points(spec, plan)
+    maps.require_regular(stack, "two-of-three needs regular samples")
+    tension = _target_norms(stack, maps.tension(stack))
+    hm_res = max([0.0, *(r for c, t in zip(stack.split, tension) for r in (
         c.conformality_residual, t))])
-    fibre_res, used, excluded = _fibre_residual(jets, confs)
-    hom_res = maps.homothety_residual(jets)
+    fibre_res, used, excluded = _fibre_residual(stack)
+    hom_res = max(maps.homothety_residual(stack))
+    n = len(stack.x)
     checks = [
         implication_check("morphism+minimal-imply-homothetic",
-                          max(hm_res, fibre_res), hom_res, tol, len(jets)),
+                          max(hm_res, fibre_res), hom_res, tol, n),
         implication_check("minimal+homothetic-imply-morphism",
-                          max(fibre_res, hom_res), hm_res, tol, len(jets)),
+                          max(fibre_res, hom_res), hm_res, tol, n),
         implication_check("morphism+homothetic-imply-minimal",
                           max(hm_res, hom_res), fibre_res, tol, used, excluded),
     ]
@@ -327,17 +321,17 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
     fibre minimality at regular points."""
     if spec.target.dim != 2:
         raise WrongDimension("surface case needs a target of real dimension 2")
-    stack, jets, tol = _map_points(spec, plan)
-    holo = _require_holomorphic(spec, jets, tol)
+    stack, tol = _map_points(spec, plan)
+    holo = _require_holomorphic(spec, stack, tol)
     tension_res = _tension_max(stack)
     lee_res = max([0.0, *_target_norms(stack, maps.lee_pushforward(stack))])
-    confs = maps.conformality(stack)
-    fibre_res, used, excluded = _fibre_residual(jets, confs)
+    confs = stack.split
+    fibre_res, used, excluded = _fibre_residual(stack)
     hm_res = max(_conformality_max(confs), tension_res)
     checks = [
-        check("holomorphic", holo, tol, len(jets)),
+        check("holomorphic", holo, tol, len(stack.x)),
         biconditional_check("lee-pushforward-iff-tension", lee_res, tension_res,
-                            tol, len(jets)),
+                            tol, len(stack.x)),
         biconditional_check("morphism-iff-minimal-fibres", hm_res, fibre_res,
                             tol, used, excluded),
     ]
@@ -360,9 +354,9 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     genuinely nonzero.
     """
     cfg = spec.cfg
-    stack, jets, tol = _map_points(spec, plan)
-    _require_holomorphic(spec, jets, tol)
-    conf_res = _conformality_max(maps.conformality(stack))
+    stack, tol = _map_points(spec, plan)
+    _require_holomorphic(spec, stack, tol)
+    conf_res = _conformality_max(stack.split)
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
@@ -374,11 +368,11 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     hm_res = max(conf_res, _tension_max(stack))
     checks = [
         biconditional_check("target-cosymplectic-iff-harmonic-morphism",
-                            target_cos, hm_res, tol, len(jets)),
+                            target_cos, hm_res, tol, len(stack.x)),
     ]
     if expect_both_fail:
         checks.append(check("both-sides-nonzero", min(target_cos, hm_res),
-                            COUPLING * tol, len(jets), mode="gt"))
+                            COUPLING * tol, len(stack.x), mode="gt"))
     return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    coverage="target classified at pushed samples (density surrogate)",
                    source_cosymplectic_residual=source_cos,
@@ -391,8 +385,8 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
     """tau(phi) = -dphi(J div J) for holomorphic maps into a (1,2)-symplectic
     target, as a samplewise residual."""
     cfg = spec.cfg
-    stack, jets, tol = _map_points(spec, plan)
-    _require_holomorphic(spec, jets, tol)
+    stack, tol = _map_points(spec, plan)
+    _require_holomorphic(spec, stack, tol)
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
                                        points=spec(stack.x))
     if not target_report.verdicts["one_two_symplectic"]:
@@ -401,7 +395,7 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
     tau = maps.tension(stack)
     push = maps.lee_pushforward(stack)
     checks = [check("tension-equals-minus-lee-pushforward",
-                    max([0.0, *_target_norms(stack, tau + push)]), tol, len(jets),
+                    max([0.0, *_target_norms(stack, tau + push)]), tol, len(stack.x),
                     tension_norm=max([0.0, *_target_norms(stack, tau)]),
                     lee_pushforward_norm=max([0.0, *_target_norms(stack, push)]))]
     return _report(scenario_id, checks, plan, cfg, map=spec.name)
@@ -415,23 +409,20 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     cfg = spec.cfg
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
-    stack, jets, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan)
     target_nij = max([0.0, *map(_nijenhuis_residual, structure_jet(
         spec.target, spec.target_structure, spec(stack.x), cfg, connection=False).rows())])
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
-    lifted = maps.lift_structure(spec, orientation)
-    inv = lifted.invariant_residuals(stack.x[:5], cfg)
-    rows = [r for r, c in enumerate(maps.conformality(stack))
-            if c.regular and not c.near_critical]
-    included = list(zip([jets[r] for r in rows], structure_jet(
-        spec.source, lifted, stack.x[rows], cfg).rows() if rows else []))
-    supermin = max([0.0, *(maps.superminimality_residual(jet, lj) for jet, lj in included)])
-    nij = max([0.0, *(_nijenhuis_residual(lj) for _, lj in included)])
-    used = len(included)
-    excluded = len(jets) - used
-    _guard_excluded(excluded, len(jets), "integrability sampling")
-    cond_ii = maps.condition_ii_residual(included)
+    inv, _ = _lift_invariants(stack, orientation)
+    rows = [r for r, c in enumerate(stack.split) if c.regular and not c.near_critical]
+    used, excluded = len(rows), len(stack.x) - len(rows)
+    _guard_excluded(excluded, len(stack.x), "integrability sampling")
+    included = stack.take(rows)
+    lifted = maps.lifted_structure_jet(included, orientation)
+    supermin = max(maps.superminimality_residual(included, lifted))
+    nij = max(map(_nijenhuis_residual, lifted.rows()))
+    cond_ii = max(maps.condition_ii_residual(included, lifted))
     checks = [
         check("fibres-superminimal", supermin, tol, used, excluded),
         check("horizontal-bracket-condition", cond_ii, tol, used, excluded),
@@ -452,28 +443,21 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     otherwise it must exceed the non-parallelism floor of 1e-3 somewhere.
     """
     cfg = spec.cfg
-    stack, jets, tol = _map_points(spec, plan)
-    lifted = maps.lift_structure(spec, orientation)
-    inv_points = stack.x[:5]
-    inv = lifted.invariant_residuals(inv_points, cfg)
-    nij = 0.0
-    nabla = 0.0
-    d = spec.source.dim
-    for lj in structure_jet(spec.source, lifted, stack.x, cfg).rows():
-        g, t = lj.metric, lj.nabla
-        for i in range(d):
-            for jdx in range(d):
-                nabla = max(nabla, np.sqrt(max(float(t[i, :, jdx] @ g @ t[i, :, jdx]), 0.0)))
-        nij = max(nij, _nijenhuis_residual(lj))
+    stack, tol = _map_points(spec, plan)
+    inv, inv_count = _lift_invariants(stack, orientation)
+    lifted, d = maps.lifted_structure_jet(stack, orientation).rows(), spec.source.dim
+    columns = [(lj.metric, lj.nabla[i, :, j]) for lj in lifted for i in range(d) for j in range(d)]
+    nabla = max(np.sqrt(max(float(t @ g @ t), 0.0)) for g, t in columns)
+    nij = max(map(_nijenhuis_residual, lifted))
     checks = [
-        check("lift-square-identity", inv["square"], 1e-9, len(inv_points)),
-        check("lift-metric-compatibility", inv["compatibility"], 1e-9, len(inv_points)),
-        check("lifted-nijenhuis", nij, tol, len(jets)),
+        check("lift-square-identity", inv["square"], 1e-9, inv_count),
+        check("lift-metric-compatibility", inv["compatibility"], 1e-9, inv_count),
+        check("lifted-nijenhuis", nij, tol, len(stack.x)),
     ]
     if expect_parallel:
-        checks.append(check("lift-parallel", nabla, tol, len(jets)))
+        checks.append(check("lift-parallel", nabla, tol, len(stack.x)))
     else:
-        checks.append(check("lift-not-parallel", nabla, 1e-3, len(jets), mode="gt"))
+        checks.append(check("lift-not-parallel", nabla, 1e-3, len(stack.x), mode="gt"))
     return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    orientation=orientation)
 
@@ -560,13 +544,12 @@ def check_radial_fibres(spec: MapSpec, plan: SamplePlan, scenario_id: str,
                         target_scale: float) -> VerificationReport:
     """Straight radial fibres of the annulus projection are minimal, and the
     dilation is target_scale / r."""
-    stack, jets, tol = _map_points(spec, plan)
-    confs = maps.conformality(stack)
-    fibre_res, used, excluded = _fibre_residual(jets, confs)
-    dev = max(abs(c.dilation - target_scale / jet.x[0]) for jet, c in zip(jets, confs))
+    stack, tol = _map_points(spec, plan)
+    fibre_res, used, excluded = _fibre_residual(stack)
+    dev = max(abs(c.dilation - target_scale / x[0]) for x, c in zip(stack.x, stack.split))
     checks = [
         check("fibre-minimality", fibre_res, tol, used, excluded),
-        check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(jets)),
+        check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(stack.x)),
     ]
     return _report(scenario_id, checks, plan, spec.cfg, map=spec.name)
 

@@ -52,6 +52,55 @@ def test_parse_dangling_comma_is_syntax_error():
     assert err.value.col == 9
 
 
+@pytest.mark.parametrize("src, line, col, got", [
+    ("dim = 1\nmap f -> 1 = [x\u00b2]", 2, 16, "\u00b2"),       # superscript two
+    ("dim = \u00b2", 1, 7, "\u00b2"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x\u0661 + x2]", 3, 16, "\u0661"),  # Arabic-Indic one
+])
+def test_numbers_and_names_are_ascii(src, line, col, got):
+    """A non-ASCII digit is no token: it neither reaches int() nor reads as an ASCII one."""
+    with pytest.raises(DslSyntaxError) as err:
+        geodsl.parse(src)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert f"got {got!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("src, col, expected", [
+    ("dim = 1e999", 7, "a positive integer dimension"),
+    ("dim = 2.5", 7, "a positive integer dimension"),
+    ("dim = 2\ng[1][1e999] = 1", 6, "1-based indices"),
+    ("dim = 2\ng[1.5][1] = 1", 3, "1-based indices"),
+    ("dim = 2\nmap f -> 1e999 = [x1]", 10, "a positive target dimension"),
+    ("dim = 2\nmap f -> 1.5 = [x1]", 10, "a positive target dimension"),
+])
+def test_counts_and_indices_are_positive_integers(src, col, expected):
+    """An overflowing or fractional count or index is a syntax error at its token,
+    not an OverflowError and not a silent truncation."""
+    with pytest.raises(DslSyntaxError, match=expected) as err:
+        geodsl.parse(src)
+    assert (err.value.line, err.value.col) == (src.count("\n") + 1, col)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    (".5", [("NUMBER", ".5", 1)]),
+    ("5.", [("NUMBER", "5.", 1)]),
+    ("1e+5", [("NUMBER", "1e+5", 1)]),
+    ("1e", [("NUMBER", "1", 1), ("IDENT", "e", 2)]),
+    ("1.2.3", [("NUMBER", "1.2", 1), ("NUMBER", ".3", 4)]),
+    ("->", [("SYMBOL", "->", 1)]),
+    (" x_1 -1.5E-3 # - x", [("IDENT", "x_1", 2), ("SYMBOL", "-", 6), ("NUMBER", "1.5E-3", 7)]),
+])
+def test_tokens_and_columns(text, tokens):
+    found = geodsl._tokenize_line(text, 4)
+    assert [(t.kind, t.text, t.col) for t in found] == tokens + [("END", "", len(text) + 1)]
+    assert {t.line for t in found} == {4}
+
+
+def test_a_character_that_starts_no_token_is_named():
+    with pytest.raises(DslSyntaxError, match=r"line 2, col 4: expected a token \(got '\$'\)"):
+        geodsl._tokenize_line("x1 $ 2", 2)
+
+
 @pytest.mark.parametrize("src,value", [
     ("2+3*4^2", 50.0),
     ("2^3^2", 512.0),          # right-associative

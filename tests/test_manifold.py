@@ -254,6 +254,22 @@ def test_gradient_constant(cfg):
     npt.assert_allclose(val, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("count", [4, 3])
+def test_gradient_on_a_stack_equals_each_point_bit_for_bit(count, cfg):
+    """On fs_chart(2) (dim 4), a stack of as many rows as the dimension and one
+    of fewer rows: the (k, n) stack of gradients, each row its point's."""
+    chart = catalog.fs_chart(2)
+    points = np.array(SamplePlan(seed=2, count=count).points(chart, cfg))
+
+    def f(p):
+        return np.sin(p[:, 0]) * p[:, 1] + p[:, 2] ** 2 - np.cos(p[:, 3])
+
+    stack = gradient(chart, f, points, cfg)
+    assert stack.shape == (count, 4)
+    for row, x in zip(stack, points):
+        assert np.array_equal(row, gradient(chart, f, x, cfg))
+
+
 def embedded_chart(emb, dim):
     return Chart(dim=dim, box=Box((-2.0,) * dim, (2.0,) * dim), embedding=emb)
 

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from hermkit import catalog, geodsl, hermitian, maps, numdiff, scenarios
-from hermkit.errors import CriticalPoint, FibreDimension, MissingStructure, WrongDimension
+from hermkit.errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
+                            MissingStructure, WrongDimension)
 from hermkit.hermitian import antiholomorphic_part, g_norm, structure_jet
 from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
@@ -272,16 +273,16 @@ def test_annulus_fibres_straight_and_dilation_scales(cfg):
 
 
 def test_homothety_hopf_and_punctured(hopf, punctured1):
-    assert homothety_residual([jet_of(hopf, CE_POINT)]) <= 1e-6
+    assert homothety_residual(jet_of(hopf, CE_POINT)) <= 1e-6
     # grad(lambda^2) is proportional to the position vector, which is vertical
     z = np.array([1.4, 0.2, -0.3, 0.5])
-    assert homothety_residual([jet_of(punctured1, z)]) <= 1e-5
+    assert homothety_residual(jet_of(punctured1, z)) <= 1e-5
 
 
 def test_homothety_mobius_composite_nonzero():
     entry = catalog.mobius_postcompose(catalog.hopf_map(1), (1.0, 0.3, 0.1, 1.0))
     spec = entry.maps["hopf"]
-    assert homothety_residual([jet_of(spec, CE_POINT)]) > 1e-3
+    assert homothety_residual(jet_of(spec, CE_POINT)) > 1e-3
 
 
 def test_superminimality_constant_structure():
@@ -347,7 +348,7 @@ def condition_ii_at(spec, orientation, x):
     lifted = lift_structure(spec, orientation)
     jet = jet_of(spec, x)
     structure = structure_jet(spec.source, lifted, x, spec.cfg)
-    return condition_ii_residual([(jet, structure)])
+    return condition_ii_residual(jet, structure)
 
 
 def test_condition_ii_product_projection():
@@ -400,11 +401,12 @@ def condition_ii_samples(spec, orientation, points):
 
 @pytest.mark.parametrize("orientation", [+1, -1])
 def test_condition_ii_matches_the_bracket_route(orientation):
-    """One stencil for all lifted frame fields gives bit for bit the residual of
-    four Lie brackets per (k, l) pair."""
+    """One stencil for all lifted frame fields of all samples gives bit for bit
+    the residual of four Lie brackets per (k, l) pair at each sample."""
     spec = catalog.punctured_hopf(2).maps["hopf"]
-    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
-    residual = condition_ii_residual(condition_ii_samples(spec, orientation, points))
+    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
+    structure = structure_jet(spec.source, lift_structure(spec, orientation), points, spec.cfg)
+    residual = max(condition_ii_residual(point_jet(spec, points), structure))
     fresh = catalog.punctured_hopf(2).maps["hopf"]  # an empty memo: the oracle computes afresh
     oracle = condition_ii_bracket_route(condition_ii_samples(fresh, orientation, points))
     assert residual == oracle
@@ -527,3 +529,69 @@ def test_harmonic_morphism_check_takes_one_second_partial(monkeypatch):
                         shapes.append(np.shape(x)) or original(f, x, *args, **kwargs))
     scenarios.check_harmonic_morphism(fresh_map("dsl"), SamplePlan(count=4))
     assert shapes == [(4, 4)]
+
+
+def test_stacked_operators_equal_one_point_calls_bit_for_bit():
+    """Holomorphy, fibre mean curvature, homothety, superminimality, condition (ii)
+    and the lifted structure jet read from one stacked jet (and its one stencil
+    jet) equal the one-point calls row by row, each point on fresh memos."""
+    spec = catalog.punctured_hopf(2).maps["hopf"]
+    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
+    stack = point_jet(spec, points)
+    lifted = maps.lifted_structure_jet(stack, +1)
+    source = structure_jet(spec.source, spec.source_structure, points, spec.cfg)
+    rows = {"holomorphy": holomorphy_residual(stack), "fibre": fibre_mean_curvature(stack),
+            "homothety": homothety_residual(stack),
+            "superminimality": superminimality_residual(stack, source),
+            "condition (ii)": condition_ii_residual(stack, lifted)}
+    for r, x in enumerate(points):
+        fresh = catalog.punctured_hopf(2).maps["hopf"]
+        jet = point_jet(fresh, x)
+        lifted_at = structure_jet(fresh.source, lift_structure(fresh, +1), x, fresh.cfg)
+        for part in ("j", "dj", "nabla"):
+            assert np.array_equal(getattr(lifted, part)[r], getattr(lifted_at, part)), part
+        alone = {"holomorphy": holomorphy_residual(jet), "fibre": fibre_mean_curvature(jet),
+                 "homothety": homothety_residual(jet),
+                 "superminimality": superminimality_residual(
+                     jet, structure_jet(fresh.source, fresh.source_structure, x, fresh.cfg)),
+                 "condition (ii)": condition_ii_residual(jet, lifted_at)}
+        for name, value in alone.items():
+            assert np.array_equal(rows[name][r], value), name
+    assert max(rows["condition (ii)"]) > 0.0
+
+
+def source_structure_jet(jet):
+    spec = jet.spec
+    return structure_jet(spec.source, spec.source_structure, jet.x, spec.cfg)
+
+
+@pytest.mark.parametrize("operator", [
+    fibre_mean_curvature, homothety_residual,
+    lambda jet: maps.lifted_structure_jet(jet, -1),
+    lambda jet: condition_ii_residual(jet, source_structure_jet(jet))])
+def test_stack_whose_stencil_leaves_the_chart_raises_what_that_sample_raises(operator):
+    """The stencil jet of a later sample leaves the chart (its own jet does not):
+    the stack raises the class and the message of that sample alone."""
+    spec = catalog.punctured_hopf(2).maps["hopf"]
+    bad = np.array(spec.source.box.lo) + 2.5 * spec.cfg.step
+    with pytest.raises(EvaluationOutsideDomain) as alone:
+        operator(point_jet(spec, bad[None]))
+    stack = point_jet(spec, np.array([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01, bad]))
+    with pytest.raises(EvaluationOutsideDomain) as stacked:
+        operator(stack)
+    assert "closer than" in str(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_condition_ii_with_a_non_regular_later_sample_raises_what_it_raises():
+    """A critical sample after a regular one: the stack raises that sample's error."""
+    spec = flat_map(lambda x: np.stack([x[:, 0] * x[:, 1], x[:, 2] * x[:, 3]], axis=1),
+                    source_dim=4, target_dim=2)
+    spec = dataclasses.replace(spec, target_structure=catalog.constant_structure(
+        spec.target, catalog.multiplication_by_i(1)))
+    critical = np.zeros(4)
+    with pytest.raises(CriticalPoint) as alone:
+        condition_ii_residual(point_jet(spec, critical), None)
+    with pytest.raises(CriticalPoint) as stacked:
+        condition_ii_residual(point_jet(spec, np.array([[0.5, 0.6, 0.7, 0.8], critical])), None)
+    assert str(stacked.value) == str(alone.value)

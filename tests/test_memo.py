@@ -18,7 +18,7 @@ from hermkit import catalog, maps, scenarios
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
 from hermkit.hermitian import hermitian_frame
 from hermkit.manifold import Box, Chart, SamplePlan, christoffel
-from hermkit.maps import MapSpec, _lift_matrix, conformality, point_jet
+from hermkit.maps import MapSpec, point_jet
 from hermkit.numdiff import DiffConfig, constant, memoized
 
 CFG = DiffConfig()
@@ -63,23 +63,41 @@ def test_map_evaluated_once_per_distinct_point(sid):
     assert len(seen) == len(set(seen))
 
 
-def test_second_jet_takes_no_svd_and_no_map_call(monkeypatch):
+MAP_SCENARIOS = [sid for sid in scenarios.scenario_ids()
+                 if scenarios.SCENARIOS[sid][3] in catalog.get_entry(scenarios.SCENARIOS[sid][2],
+                                                                    CFG).maps]
+
+
+def test_twenty_nine_map_scenarios():
+    assert len(MAP_SCENARIOS) == 29
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("sid", MAP_SCENARIOS)
+def test_map_check_takes_two_differentials_and_memoizes_phi_only(sid, count, monkeypatch):
+    """A map check differentiates the map at most twice (its samples, then its
+    stencil jet), and afterwards the map's memo holds phi and nothing else."""
+    calls = []
+    differential = maps.differential
+    monkeypatch.setattr(maps, "differential", lambda spec, x:
+                        calls.append(np.shape(x)) or differential(spec, x))
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    entry = catalog.get_entry(entry_id, CFG)
+    assert run_row(sid, entry, SamplePlan(0, count)).overall
+    assert 0 < len(calls) <= 2
+    assert calls[0] == (count, entry.maps[key].source.dim)
+    assert {k[0] for k in entry.maps[key]._memo} == {"phi"}
+
+
+def test_second_jet_makes_no_map_call():
+    """A jet is not memoized, but the map values its stencil reads are."""
     spec, seen = counting(hopf())
     first = point_jet(spec, CE_POINT)
-    svds = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        svds.append(args)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     evaluated = len(seen)
     again = point_jet(spec, CE_POINT.copy())
-    assert svds == []
     assert len(seen) == evaluated
     assert again.spec is spec
-    assert again.differential is first.differential
+    assert np.array_equal(again.differential, first.differential)
     assert again.rank == first.rank
 
 
@@ -96,47 +114,12 @@ def test_stacked_jet_raises_what_its_first_bad_row_raises():
     assert not any(k[0] == "jet" for k in spec._memo)
 
 
-def test_stacked_jet_computes_a_repeated_row_once(monkeypatch):
-    spec = hopf()
-    rows = []
-    differential = maps.differential
-
-    def recording(spec, x):
-        rows.extend(np.atleast_2d(x).tolist())
-        return differential(spec, x)
-
-    monkeypatch.setattr(maps, "differential", recording)
-    jets = point_jet(spec, np.array([CE_POINT, CE_POINT - 0.1, CE_POINT]))
-    assert rows == [CE_POINT.tolist(), (CE_POINT - 0.1).tolist()]
-    assert np.array_equal(jets.differential[0], jets.differential[2])
-    assert [k[0] for k in spec._memo].count("jet") == 2
-
-
-def test_point_call_after_a_stack_is_a_memo_hit(monkeypatch):
-    spec, seen = counting(hopf())
-    stack = point_jet(spec, np.array([CE_POINT, CE_POINT - 0.1]))
-    conformality(stack)
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
-    evaluated = len(seen)
-    jet = point_jet(spec, CE_POINT - 0.1)
-    conf = conformality(jet)
-    assert svds == [] and len(seen) == evaluated
-    assert np.array_equal(jet.differential, stack.differential[1])
-    assert conf is spec._memo[("conformality", (CE_POINT - 0.1).tobytes())]
-
-
 def test_memoized_arrays_are_read_only():
     entry = catalog.hopf_map(1)
     spec = entry.maps["hopf"]
-    jet = point_jet(spec, CE_POINT)
     structure = spec.source_structure
-    conf = conformality(jet)
     arrays = [spec(CE_POINT), spec.source.metric(CE_POINT, CFG), structure(CE_POINT),
-              christoffel(spec.source, CE_POINT, CFG),
-              jet.x, jet.differential, jet.metric, jet.singular_values, jet.vt,
-              *conf.vertical_basis, *conf.horizontal_basis, _lift_matrix(jet)]
+              christoffel(spec.source, CE_POINT, CFG), point_jet(spec, CE_POINT).metric]
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0.0

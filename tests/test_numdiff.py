@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from hermkit.errors import EvaluationOutsideDomain, RankDeficient
-from hermkit.numdiff import (TOLERANCE_FACTOR, DiffConfig, by_row, orthonormalize, partial,
-                             project_out, second_partial)
+from hermkit.numdiff import (TOLERANCE_FACTOR, DiffConfig, by_row, difference,
+                             orthonormalize, partial, project_out, second_partial, stencil)
 
 
 def partial_axis(f, x, i, cfg, domain=None):
@@ -194,6 +194,20 @@ def test_stacked_stencils_equal_the_per_axis_reference(richardson):
         assert np.array_equal(first[i], partial_axis(vector_field, x, i, cfg))
         for j in range(3):
             assert np.array_equal(second[i, j], second_partial_axes(vector_field, x, i, j, cfg))
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("shape", [(3,), (5, 3)])
+def test_partial_is_the_difference_of_the_values_on_the_stencil(richardson, shape):
+    """At a point and at a stack: the stencil's shape, and partial equal to
+    difference of the function's values on the flattened stencil, bit for bit."""
+    cfg = DiffConfig(richardson=richardson)
+    x = np.linspace(-0.8, 1.3, math.prod(shape)).reshape(shape)
+    points = stencil(x, cfg)
+    m = (4 if richardson else 2) * 3
+    assert points.shape == shape[:-1] + (m, 3)
+    values = by_row(vector_field)(points.reshape(-1, 3))
+    assert np.array_equal(partial(by_row(vector_field), x, cfg), difference(values, x, cfg))
 
 
 @pytest.mark.parametrize("stencil, rows", [(partial, 4 * 3), (second_partial, 1 + 4 * 3 + 8 * 3)])

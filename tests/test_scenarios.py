@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from hermkit import catalog, cli, hermitian, manifold, maps, scenarios
+from hermkit import catalog, cli, hermitian, maps, numdiff, scenarios
 from hermkit.errors import (PreconditionFailed, TargetDimensionTooSmall,
                             TooManyExcludedSamples, UnknownScenario, WrongDimension)
 from hermkit.manifold import Box, Chart, SamplePlan
@@ -312,38 +312,34 @@ def test_each_sample_is_differentiated_once(sid, monkeypatch):
 
 
 def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
-    """One d J stencil per sample for the lifted J (alone or as a row of a
-    stack), and J itself evaluated at the sample by the jet and by the
-    invariant check only."""
-    differentiated, evaluated = [], []
-    dj_stack = hermitian.dj_stack
+    """The lifted J is read from the map's jets: at a sample by the structure jet
+    and by the invariant check, at each point of the sample's stencil once (the
+    stencil jet's row), and the lifted field itself is never evaluated."""
+    read, evaluated = [], []
+    lifted_j = maps.lifted_j
     call = hermitian.AlmostComplexField.__call__
 
-    def recording_dj(chart, j_field, x, cfg):
-        if j_field.source == "lifted":
-            differentiated.extend(np.atleast_2d(np.array(x, dtype=float)))
-        return dj_stack(chart, j_field, x, cfg)
-
     def recording_call(self, x):
-        if self.source == "lifted":
-            evaluated.extend(np.atleast_2d(np.array(x, dtype=float)))
+        evaluated.append(self.source)
         return call(self, x)
 
-    monkeypatch.setattr(hermitian, "dj_stack", recording_dj)
+    monkeypatch.setattr(maps, "lifted_j", lambda jet, orientation:
+                        read.extend(np.atleast_2d(jet.x)) or lifted_j(jet, orientation))
     monkeypatch.setattr(hermitian.AlmostComplexField, "__call__", recording_call)
     sid = "punctured-hopf-1-lift-plus"
     plan = SamplePlan(count=2)
     assert run_scenario(sid, plan, CFG).overall
+    assert "lifted" not in evaluated
     for x in sample_points(sid, plan):
-        assert times_at(differentiated, x) == 1
-        assert times_at(evaluated, x) <= 2
+        assert times_at(read, x) == 2
+        assert [times_at(read, p) for p in numdiff.stencil(x, CFG)] == [1] * 4 * 4
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3-surface-case", "product-hopf-1-1-two-of-three"])
 def test_christoffel_built_once_per_sample(sid, memo_builds):
     """The source chart builds its Christoffel symbols at a sample once, however
     many operators read them there."""
-    built = memo_builds(manifold, "gamma")
+    built = memo_builds(numdiff, "gamma")
     plan = SamplePlan(count=2)
     assert run_scenario(sid, plan, CFG).overall
     for x in sample_points(sid, plan):
