@@ -6,6 +6,10 @@ projections, and a few auxiliary fixtures used by the verification scenarios.
 All sphere charts use products of angular coordinates on dense open sets; the
 boxes keep samples well away from coordinate degeneracies and, for Hopf-type
 maps, keep the first complex coordinate bounded away from zero.
+
+The embeddings' Jacobians, the ambient J, its fibre orientation form and the
+closed-form divergence take a (k, n) stack in one call, each row bit for bit
+its point's; only the Fubini-Study metrics go row by row (see :func:`fs_metric`).
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ def to_real(w: Array) -> Array:
 
 
 def _i_times(v: Array) -> Array:
-    """Multiplication by i in real coordinates, along the first axis:
-    ``to_real(1j * to_complex(v))`` without the complex round trip."""
+    """Multiplication by i in real coordinates on each column of a matrix or of a
+    stack of them: ``to_real(1j * to_complex(v))`` without the complex round trip."""
     out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
+    out[..., 0::2, :] = -v[..., 1::2, :]
+    out[..., 1::2, :] = v[..., 0::2, :]
     return out
 
 
@@ -70,20 +74,19 @@ def sphere_psi(theta: Array) -> Array:
 
 
 def sphere_jacobian(theta: Array) -> Array:
-    """Analytic differential of :func:`sphere_psi`, shape (n+1, n)."""
+    """Analytic differential of :func:`sphere_psi` at the rows of a (k, n) stack: (k, n+1, n)."""
     theta = np.asarray(theta, dtype=float)
-    n = len(theta)
-    s = np.sin(theta).tolist()
-    c = np.cos(theta).tolist()
-    jac = [[0.0] * n for _ in range(n + 1)]
+    n = theta.shape[1]
+    s, c = np.sin(theta), np.cos(theta)
+    jac = np.zeros((len(theta), n + 1, n))
     for i in range(n):
-        p = 1.0  # product over j < k of c[j] (j == i) or s[j], kept across rows k
+        p = np.ones(len(theta))  # product over j < k of c[j] (j == i) or s[j], kept across k
         for k in range(n):
             if k >= i:
-                jac[k][i] = -p * s[k] if i == k else p * c[k]
-            p *= c[k] if k == i else s[k]
-        jac[n][i] = p
-    return np.array(jac)
+                jac[:, k, i] = -p * s[:, k] if i == k else p * c[:, k]
+            p = p * (c[:, k] if k == i else s[:, k])
+        jac[:, n, i] = p
+    return jac
 
 
 def sphere_embedding(n: int) -> Embedding:
@@ -97,9 +100,10 @@ def product_embedding(e1: Embedding, d1: int, e2: Embedding) -> Embedding:
         return np.concatenate([e1.psi(x[..., :d1]), e2.psi(x[..., d1:])], axis=-1)
 
     def jac(x: Array) -> Array:
-        j1, j2 = e1.dpsi(x[:d1], DEFAULT_CFG), e2.dpsi(x[d1:], DEFAULT_CFG)
-        return np.block([[j1, np.zeros((len(j1), j2.shape[1]))],
-                         [np.zeros((len(j2), j1.shape[1])), j2]])
+        out = np.zeros((len(x), e1.ambient_dim + e2.ambient_dim, x.shape[1]))
+        out[:, :e1.ambient_dim, :d1] = e1.dpsi(x[:, :d1], DEFAULT_CFG)
+        out[:, e1.ambient_dim:, d1:] = e2.dpsi(x[:, d1:], DEFAULT_CFG)
+        return out
 
     return Embedding(e1.ambient_dim + e2.ambient_dim, psi, jac)
 
@@ -191,38 +195,41 @@ def constant_structure(chart: Chart, j: Array) -> AlmostComplexField:
 # ---------------------------------------------------------------------------
 
 def _ambient_j_product(r: int, s: int, p: Array, w: Array) -> Array:
-    """The standard structure on S^{2r+1} x S^{2s+1} applied to each column of
-    ``w``: horizontal parts rotate by i, the two unit normals' rotations trade
-    places with a sign."""
+    """The standard structure on S^{2r+1} x S^{2s+1} at each row of a stack of
+    ambient points ``p``, applied to each column of that row of ``w``: horizontal
+    parts rotate by i, the two unit normals' rotations trade places with a sign."""
     a1 = 2 * r + 2
-    p1, p2 = p[:a1, None], p[a1:, None]
-    w1, w2 = w[:a1], w[a1:]
+    p1, p2 = p[:, :a1, None], p[:, a1:, None]
+    w1, w2 = w[:, :a1], w[:, a1:]
     ip1, ip2 = _i_times(p1), _i_times(p2)
-    a = np.vecdot(w1, ip1, axis=0)
-    b = np.vecdot(w2, ip2, axis=0)
+    a = np.vecdot(w1, ip1, axis=-2)[:, None]
+    b = np.vecdot(w2, ip2, axis=-2)[:, None]
     out1 = _i_times(w1) + a * p1 - b * ip1
     out2 = _i_times(w2) + b * p2 + a * ip2
-    return np.concatenate([out1, out2])
+    return np.concatenate([out1, out2], axis=1)
+
+
+def _chart_components(chart: Chart, x: Array, cfg: DiffConfig, ambient: Array) -> Array:
+    """Chart components g^{-1} D(psi)^T v of the columns v of ``ambient``, at x or its rows."""
+    return np.linalg.solve(chart.metric(x, cfg), np.swapaxes(chart.dpsi(x, cfg), -1, -2) @ ambient)
 
 
 def odd_sphere_product_structure(chart: Chart, r: int, s: int,
                                  cfg: DiffConfig = DEFAULT_CFG) -> AlmostComplexField:
     def j_at(x: Array) -> Array:
-        dpsi, g = chart.dpsi(x, cfg), chart.metric(x, cfg)
-        p = chart.embedding.psi(x)
-        return np.linalg.solve(g, dpsi.T @ _ambient_j_product(r, s, p, dpsi))
+        ambient = _ambient_j_product(r, s, chart.embedding.psi(x), chart.dpsi(x, cfg))
+        return _chart_components(chart, x, cfg, ambient)
 
-    return AlmostComplexField(chart, by_row(j_at), source="ambient")
+    return AlmostComplexField(chart, j_at, source="ambient")
 
 
 def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
                                   cfg: DiffConfig = DEFAULT_CFG) -> Array:
-    """Chart components of the closed-form divergence -2(r J1 n1 + s J2 n2)."""
-    dpsi, g = chart.dpsi(x, cfg), chart.metric(x, cfg)
-    p = chart.embedding.psi(x)
-    a1 = 2 * r + 2
-    ambient = -2.0 * np.concatenate([r * _i_times(p[:a1]), s * _i_times(p[a1:])])
-    return np.linalg.solve(g, dpsi.T @ ambient)
+    """Chart components of the closed-form divergence -2(r J1 n1 + s J2 n2) at x or its rows."""
+    x = np.asarray(x, dtype=float)
+    a1, ip = 2 * r + 2, _i_times(chart.embedding.psi(x)[..., None])
+    ambient = -2.0 * np.concatenate([r * ip[..., :a1, :], s * ip[..., a1:, :]], axis=-2)
+    return _chart_components(chart, x, cfg, ambient)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +259,17 @@ def _product_hopf_fn(chart: Chart, r: int, s: int) -> Callable[[Array], Array]:
 
 def _fibre_orientation_from_ambient(chart: Chart, r: int,
                                     cfg: DiffConfig = DEFAULT_CFG) -> Callable[[Array], Array]:
-    """Orientation 2-form of the Hopf-fibre tangents span{J1 n1, J2 n2}."""
+    """Orientation 2-form of the Hopf-fibre tangents span{J1 n1, J2 n2}: a stack function."""
     a1 = 2 * r + 2
 
     def omega(x: Array) -> Array:
-        dpsi, g = chart.dpsi(x, cfg), chart.metric(x, cfg)
-        p = chart.embedding.psi(x)
-        ip1 = np.concatenate([_i_times(p[:a1]), np.zeros(len(p) - a1)])
-        ip2 = np.concatenate([np.zeros(a1), _i_times(p[a1:])])
-        a = np.linalg.solve(g, dpsi.T @ ip1)
-        b = np.linalg.solve(g, dpsi.T @ ip2)
-        ga, gb = g @ a, g @ b
-        return np.outer(ga, gb) - np.outer(gb, ga)
+        ip1 = _i_times(chart.embedding.psi(x)[..., None])
+        ip2 = ip1.copy()
+        ip1[:, a1:], ip2[:, :a1] = 0.0, 0.0
+        ga, gb = (chart.metric(x, cfg) @ _chart_components(chart, x, cfg, ip) for ip in (ip1, ip2))
+        return ga * np.swapaxes(gb, 1, 2) - gb * np.swapaxes(ga, 1, 2)
 
-    return by_row(omega)
+    return omega
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +514,8 @@ def annulus_radial(target_scale: float = 1.0, cfg: DiffConfig = DEFAULT_CFG) -> 
         return np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1)
 
     def jac(x: Array) -> Array:
-        rr, th = x
-        return np.array([[np.cos(th), -rr * np.sin(th)],
-                         [np.sin(th), rr * np.cos(th)]])
+        rr, c, s = x[:, 0], np.cos(x[:, 1]), np.sin(x[:, 1])
+        return np.stack([np.stack([c, -rr * s], axis=1), np.stack([s, rr * c], axis=1)], axis=1)
 
     source = Chart(dim=2, box=Box((1.2, 0.2), (1.8, 1.0)),
                    embedding=Embedding(2, psi, jac), name="annulus")
@@ -541,7 +544,7 @@ def hopf_fibre_inclusion(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
         return curve(np.asarray(x, dtype=float)[..., 0])
 
     def jac(x: Array) -> Array:
-        return to_real(1j * np.exp(1j * float(x[0])) * to_complex(z0)).reshape(-1, 1)
+        return to_real(1j * np.exp(1j * x[:, :1]) * to_complex(z0))[..., None]
 
     source = Chart(dim=1, box=Box((-0.25,), (0.25,)),
                    embedding=Embedding(4, psi, jac), name="fibre")

@@ -13,11 +13,11 @@ Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 :func:`structure_jet` builds it once per (structure, stack of points): one J
 call, one :func:`dj_stack` stencil and one ``christoffel`` call for all the
 samples of a check, a point being the one-row case of the same code and each
-row equal to its point's jet bit for bit.  Callers pass the jet (or its
-:meth:`StructureJet.rows`) down, so no operator that reads it evaluates or
-differentiates J again.  :func:`classify_structure` decides every class from
-the real form of nabla J at a sample's Hermitian frame (Gray & Hervella 1980);
-the frames stay per sample, because their greedy pivots are decided per point.
+row equal to its point's jet bit for bit.  Callers pass the stacked jet down
+(with stacks of vectors), so no operator evaluates or differentiates J again.
+:func:`classify_structure` decides every class from the real form of nabla J
+at the samples' Hermitian frames (Gray & Hervella 1980), built by one stacked
+greedy pass of :func:`hermitian_frame`.
 
 Each :class:`AlmostComplexField` memoizes J(x) per row (see
 ``numdiff.memoized`` for the contract); g(x) and the Christoffel symbols come
@@ -40,6 +40,8 @@ from .numdiff import Array, DiffConfig, as_stack, g_length, memoized_rows, proje
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
 J_SQUARE_TOL = 1e-9
 SQRT2 = np.sqrt(2.0)
+#: The classes :func:`classify_structure` decides, in the order of its residuals.
+CLASSES = ("kahler", "one_two_symplectic", "cosymplectic", "integrable")
 
 
 @dataclass(frozen=True)
@@ -64,43 +66,41 @@ class AlmostComplexField:
         return memoized_rows(self._memo, "J", x, lambda stack: as_stack(
             self.fn(stack), stack, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn"))
 
-    def invariant_residuals(self, points: Sequence[Array], cfg: DiffConfig | None = None) -> dict:
-        """Max residuals of J^2 + I and of g(JX, JY) - g(X, Y) over the points,
-        evaluated as one stack."""
-        stack = np.array(points, dtype=float)
-        square, compat = invariant_residuals(self.chart.metric(stack, cfg), self(stack))
-        return {"square": square, "compatibility": compat}
 
-
-def invariant_residuals(g: Array, j: Array) -> tuple[float, float]:
-    """max|J^2 + I| and max|J^T g J - g| at one point, or over the rows of stacks."""
-    return (float(np.max(np.abs(j @ j + np.eye(j.shape[-1])))),
-            float(np.max(np.abs(np.swapaxes(j, -1, -2) @ g @ j - g))))
+def invariant_residuals(g: Array, j: Array) -> tuple[Array, Array]:
+    """max|J^2 + I| and max|J^T g J - g| at one point, or at each row of stacks."""
+    return (np.max(np.abs(j @ j + np.eye(j.shape[-1])), axis=(-2, -1)),
+            np.max(np.abs(np.swapaxes(j, -1, -2) @ g @ j - g), axis=(-2, -1)))
 
 
 def require_almost_hermitian(g: Array, j: Array, x: Array) -> None:
-    """Raise ``PreconditionFailed`` unless (g, J) at x is almost Hermitian."""
+    """Raise ``PreconditionFailed`` unless (g, J) is almost Hermitian at every row
+    of stacks g, J and x; the error names the first row that is not."""
     square, compat = invariant_residuals(g, j)
-    bound = J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))
-    if square > bound or compat > bound:
+    bound = J_SQUARE_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+    bad = np.flatnonzero(np.maximum(square, compat) > bound)
+    if bad.size:
+        r = bad[0]
         raise PreconditionFailed(
-            "almost Hermitian", f"J^2 + I residual {square:.3g}, g(J., J.) - g "
-            f"residual {compat:.3g} at {x.tolist()}")
+            "almost Hermitian", f"J^2 + I residual {square[r]:.3g}, g(J., J.) - g "
+            f"residual {compat[r]:.3g} at {x[r].tolist()}")
 
 
 def unit_axes(g: Array) -> list[Array]:
-    """The coordinate axes scaled to unit length in g."""
-    return [np.eye(len(g))[i] / np.sqrt(g[i, i]) for i in range(len(g))]
+    """The coordinate axes scaled to unit length in g, or (stacks) in each metric of a stack."""
+    d = g.shape[-1]
+    return [np.eye(d)[i] / np.sqrt(g[..., i, i])[..., None] for i in range(d)]
 
 
-def g_norm(g: Array, v: Array) -> float:
-    """Norm of a real or complex coordinate vector in (the extension of) g."""
-    return float(np.sqrt(max(np.real(v @ g @ np.conj(v)), 0.0)))
+def g_norm(g: Array, v: Array) -> float | Array:
+    """Norm of a real or complex vector in (the extension of) g, or of each row of stacks."""
+    norm = np.sqrt(np.maximum(np.real(v[..., None, :] @ g @ np.conj(v)[..., None]), 0.0))
+    return float(norm[0, 0]) if norm.ndim == 2 else norm[:, 0, 0]
 
 
 def antiholomorphic_part(j: Array, w: Array) -> Array:
-    """(0,1)-part (w + i J w) / 2 of a (possibly complex) vector."""
-    return 0.5 * (w + 1j * (j @ w))
+    """(0,1)-part (w + i J w) / 2 of a (possibly complex) vector, or of each row of a stack."""
+    return 0.5 * (w + 1j * (j @ w[..., None])[..., 0])
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,11 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfi
     those candidate indices are used: the pivots of the frame at a base point
     give a frame field that is smooth near it.  ``x`` is a point, built as a
     one-row stack (``chart`` must be the chart of ``j_field``); or a (k, dim)
-    stack, which needs ``pivots``, each frame vector then being a (k, dim)
-    stack whose rows equal the frames at those points bit for bit.
+    stack, each frame vector then being a (k, dim) stack whose rows equal the
+    frames at those points bit for bit, and ``pivots`` of the frame the tuple
+    of each row's pivots.  One stacked greedy pass picks every row's pivots.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2 and pivots is None:
-        raise ValueError("a stack of points needs the pivots of its frame field")
     d = chart.dim
     if d % 2 != 0:
         raise RankDeficient("almost complex structures need an even-dimensional chart")
@@ -142,33 +141,50 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfi
     g, j = chart.metric(stack, cfg), j_field(stack)
     chol_t = np.swapaxes(np.linalg.cholesky(g), 1, 2)  # its 2-norm sets each row's rank scale
     tol = np.linalg.norm(chol_t, ord=2, axis=(1, 2))[:, None] * numdiff.RANK_RTOL
-    basis: list[Array] = []  # e_1, Je_1, e_2, Je_2, ...
-    used: list[int] = []
-    for idx in pivots if pivots is not None else range(d):
+    frame, used = np.empty((d, *stack.shape)), [()] * len(stack)
+    _greedy_frame(g, j, tol, pivots is not None, tuple(range(d) if pivots is None else pivots),
+                  np.arange(len(stack)), frame, used)
+    if x.ndim == 1:
+        frame, used = frame[:, 0], used[0]
+    e_list, je_list = list(frame[0::2]), list(frame[1::2])
+    complex_frame = tuple((e - 1j * je) / SQRT2 for e, je in zip(e_list, je_list))
+    return HermitianFrame(tuple(e_list + je_list), complex_frame, tuple(used))
+
+
+def _greedy_frame(g: Array, j: Array, tol: Array, fixed: bool, candidates: tuple, rows: Array,
+                  frame: Array, used: list, basis: tuple = (), picked: tuple = ()) -> None:
+    """Write e_1, Je_1, ... at stacks g and J, from the axes ``candidates`` after ``basis``
+    (from the axes ``picked``), into ``frame[:, rows]`` and the pivots into ``used``; rows
+    that skip different axes go on as sub-stacks (with ``fixed`` none may skip)."""
+    d = g.shape[-1]
+    for pos, idx in enumerate(candidates):
         if len(basis) == d:
             break
-        e = np.zeros(stack.shape)
+        e = np.zeros(g.shape[:-1])
         e[:, idx] = 1.0
         w = project_out(e, basis, g)
         n = g_length(w, g)
-        if np.any(n <= tol):
-            if pivots is not None:
-                raise RankDeficient(f"recorded pivot {idx} became dependent")
+        skip = (n <= tol)[:, 0]
+        if skip.any() and fixed:
+            raise RankDeficient(f"recorded pivot {idx} became dependent")
+        if skip.all():
             continue
+        if skip.any():  # the rows disagree: each part goes on from this candidate alone
+            for part in (~skip, skip):
+                _greedy_frame(g[part], j[part], tol[part], fixed, candidates[pos:], rows[part],
+                              frame, used, tuple(b[part] for b in basis), picked)
+            return
         ek = w / n
-        jek = project_out((j @ ek[..., None])[..., 0], basis + [ek], g)
+        jek = project_out((j @ ek[..., None])[..., 0], basis + (ek,), g)
         njk = g_length(jek, g)
         if np.any(njk <= tol):
             raise RankDeficient("J e_k collapsed onto the accepted span; J or g is broken")
-        basis += [ek, jek / njk]
-        used.append(idx)
+        basis, picked = basis + (ek, jek / njk), picked + (idx,)
     if len(basis) != d:
         raise RankDeficient("could not complete a Hermitian frame from coordinate axes")
-    if x.ndim == 1:
-        basis = [v[0] for v in basis]
-    e_list, je_list = basis[0::2], basis[1::2]
-    complex_frame = tuple((e - 1j * je) / SQRT2 for e, je in zip(e_list, je_list))
-    return HermitianFrame(tuple(e_list + je_list), complex_frame, tuple(used))
+    frame[:, rows] = basis
+    for r in rows:
+        used[r] = picked
 
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
@@ -202,15 +218,6 @@ class StructureJet:
     gamma: Array | None
     nabla: Array | None
 
-    def rows(self) -> list[StructureJet]:
-        """The jets at the rows of a stacked jet, as views of its parts; a point's
-        jet is its one row."""
-        if self.x.ndim == 1:
-            return [self]
-        parts = vars(self).values()
-        return [StructureJet(*(None if p is None else p[r] for p in parts))
-                for r in range(len(self.x))]
-
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
                   connection: bool = True) -> StructureJet:
@@ -225,9 +232,14 @@ def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
     return StructureJet(x, g, j, dj, gamma, nabla)
 
 
+def apply_j(jet: StructureJet, v) -> Array:
+    """J v at the jet's point, or row by row for a stacked jet and a stack of vectors."""
+    return (jet.j @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
 def nabla_J(jet: StructureJet, x_vec, y_vec) -> Array:
-    """(nabla_X J) Y at the jet's point; extension-independent in both arguments."""
-    return np.einsum("ikj,i,j->k", jet.nabla, np.asarray(x_vec, dtype=float),
+    """(nabla_X J) Y at the jet's point or rows; extension-independent in X and Y."""
+    return np.einsum("...ikj,...i,...j->...k", jet.nabla, np.asarray(x_vec, dtype=float),
                      np.asarray(y_vec, dtype=float))
 
 
@@ -242,22 +254,21 @@ def divergence_J(jet: StructureJet) -> Array:
 
 def lee_vector(jet: StructureJet) -> Array:
     """The Lee-type vector field J(div J) at the jet's point, or its stack."""
-    return (jet.j @ divergence_J(jet)[..., None])[..., 0]
+    return apply_j(jet, divergence_J(jet))
 
 
 def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
     """Nijenhuis tensor N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y].
 
     Evaluated on the constant-component extensions of X and Y, for which the
-    bracket of the J-transformed fields contracts against d_i J directly.
+    bracket of the J-transformed fields contracts against d_i J directly.  A
+    stacked jet takes stacks of vectors and gives the stack of N at its rows.
     """
-    xv = np.asarray(x_vec, dtype=float)
-    yv = np.asarray(y_vec, dtype=float)
-    j, d = jet.j, jet.dj
-    a1 = np.einsum("i,ikj,j->k", j @ xv, d, yv)   # (JX)^i (d_i J) Y
-    a2 = np.einsum("i,ikj,j->k", j @ yv, d, xv)   # (JY)^i (d_i J) X
-    a3 = j @ np.einsum("i,ikj,j->k", yv, d, xv)   # -J[JX, Y] on constant extensions
-    a4 = j @ np.einsum("i,ikj,j->k", xv, d, yv)   # -J[X, JY] on constant extensions
+    xv, yv, d = np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float), jet.dj
+    a1 = np.einsum("...i,...ikj,...j->...k", apply_j(jet, xv), d, yv)  # (JX)^i (d_i J) Y
+    a2 = np.einsum("...i,...ikj,...j->...k", apply_j(jet, yv), d, xv)  # (JY)^i (d_i J) X
+    a3 = apply_j(jet, np.einsum("...i,...ikj,...j->...k", yv, d, xv))  # -J[JX, Y]
+    a4 = apply_j(jet, np.einsum("...i,...ikj,...j->...k", xv, d, yv))  # -J[X, JY]
     return a1 - a2 + a3 - a4
 
 
@@ -276,14 +287,15 @@ class StructureReport:
     tolerance: float
     scale: float
 
+    @property
+    def residuals(self) -> dict:
+        """The residuals by class name (:data:`CLASSES`)."""
+        return dict(zip(CLASSES, (self.residual_kahler, self.residual_12sympl,
+                                  self.residual_cosympl, self.residual_integrable)))
+
     def to_dict(self) -> dict:
         return {
-            "residuals": {
-                "kahler": self.residual_kahler,
-                "one_two_symplectic": self.residual_12sympl,
-                "cosymplectic": self.residual_cosympl,
-                "integrable": self.residual_integrable,
-            },
+            "residuals": self.residuals,
             "verdicts": dict(self.verdicts),
             "tolerance": self.tolerance,
             "scale": self.scale,
@@ -304,40 +316,29 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     when a map pushes samples onto this chart).
     Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at a
     sample where (g, J) is not almost Hermitian: such a pair has no
-    classification.  The structure jet of all samples is built first, as one
-    stack.
+    classification.  The structure jet and the Hermitian frames of all samples
+    are built first, each as one stack, and every residual is one stacked pass
+    (the Nijenhuis one per frame pair).
     """
-    points = plan.points(chart, cfg) if points is None else [np.asarray(p, dtype=float)
-                                                             for p in points]
-    jets = structure_jet(chart, j_field, np.array(points), cfg)
-    deltas = divergence_J(jets)
-    r_kahler = r_12 = r_cosympl = r_nij = 0.0
-    scale = 1.0
-    for x, jet, delta in zip(points, jets.rows(), deltas):
-        g, j, gamma, t = jet.metric, jet.j, jet.gamma, jet.nabla
-        scale = max(scale, 1.0 + float(np.max(np.abs(gamma))) * (1.0 + float(np.max(np.abs(j)))))
-        frame = hermitian_frame(chart, j_field, x, cfg)
-        require_almost_hermitian(g, j, x)
-        u = np.column_stack(frame.real_frame)
-        ju = j @ u
-        nab = np.einsum("ikj,ia,jb->kab", t, u, u)
-        nab_j = np.einsum("ikj,ia,jb->kab", t, ju, ju)
-        norms = np.sqrt(np.maximum(np.einsum("kab,kl,lab->ab", nab, g, nab), 0.0))
-        r_kahler = max(r_kahler, float(np.max(norms)))
-        s12 = nab + nab_j
-        norms12 = np.sqrt(np.maximum(np.einsum("kab,kl,lab->ab", s12, g, s12), 0.0))
-        r_12 = max(r_12, float(np.max(norms12)))
-        r_cosympl = max(r_cosympl, g_norm(g, delta))
-        for a in range(u.shape[1]):
-            for b in range(a + 1, u.shape[1]):
-                n_ab = nijenhuis(jet, u[:, a], u[:, b])
-                r_nij = max(r_nij, g_norm(g, n_ab))
+    stack = np.array(plan.points(chart, cfg) if points is None else points, dtype=float)
+    jets = structure_jet(chart, j_field, stack, cfg)
+    g, j, t = jets.metric, jets.j, jets.nabla
+    scale = max(1.0, float(np.max(1.0 + np.max(np.abs(jets.gamma), axis=(1, 2, 3))
+                                  * (1.0 + np.max(np.abs(j), axis=(1, 2))))))
+    frame = hermitian_frame(chart, j_field, stack, cfg)
+    require_almost_hermitian(g, j, stack)
+    u = np.stack(frame.real_frame, axis=-1)  # u[r, :, a] is the a-th frame vector at row r
+    ju = j @ u
+    nab = np.einsum("rikj,ria,rjb->rkab", t, u, u)
+    nab_j = np.einsum("rikj,ria,rjb->rkab", t, ju, ju)
+    s12 = nab + nab_j
+    r_kahler, r_12 = (float(np.max(np.sqrt(np.maximum(
+        np.einsum("rkab,rkl,rlab->rab", a, g, a), 0.0)), initial=0.0)) for a in (nab, s12))
+    r_cosympl = float(np.max(g_norm(g, divergence_J(jets)), initial=0.0))
+    r_nij = max([0.0, *(float(np.max(g_norm(g, nijenhuis(jets, ea, eb))))
+                        for a, ea in enumerate(frame.real_frame)
+                        for eb in frame.real_frame[a + 1:])])
     tol = cfg.tolerance(scale)
-    verdicts = {
-        "kahler": r_kahler <= tol,
-        "one_two_symplectic": r_12 <= tol,
-        "cosymplectic": r_cosympl <= tol,
-        "integrable": r_nij <= tol,
-    }
-    return StructureReport(r_kahler, r_12, r_cosympl, r_nij, verdicts, tuple(points), tol,
-                           scale)
+    residuals = (r_kahler, r_12, r_cosympl, r_nij)
+    return StructureReport(*residuals, dict(zip(CLASSES, (r <= tol for r in residuals))),
+                           tuple(stack), tol, scale)

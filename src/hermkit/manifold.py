@@ -3,17 +3,17 @@
 A :class:`Chart` is a coordinate box plus a metric field.  The metric is either
 supplied directly (intrinsic) or derived from an embedding ``psi`` into
 Euclidean space as ``Dpsi^T Dpsi``.  A ``metric_fn`` maps a (k, dim) stack of
-points to the (k, dim, dim) stack of their metric matrices, so
-:func:`christoffel` evaluates it once per stencil: at a point, or at every row
-of a stack of points as one stencil, as :meth:`Chart.metric_inverse` takes a
-stack with one batched inversion; :func:`numdiff.by_row` and
+points to the (k, dim, dim) stack of their metric matrices, and an
+embedding's ``jacobian`` the stack to the stack of D(psi), so
+:func:`christoffel` evaluates either once per stencil: at a point, or at every
+row of a stack of points as one stencil, as :meth:`Chart.metric_inverse` takes
+a stack with one batched inversion; :func:`numdiff.by_row` and
 :func:`numdiff.constant` make one from a per-point rule or a constant matrix.
 :func:`gradient` takes such a stack function too, at a point or a stack.
 There are no atlases or transition functions.
 
-Each chart memoizes g(x) per row, D(psi)(x) for an embedded chart and the
-Christoffel symbols per row and ``DiffConfig`` (see ``numdiff.memoized`` for
-the contract).
+Each chart memoizes g(x), D(psi)(x) for an embedded chart and the Christoffel
+symbols per row and ``DiffConfig`` (see ``numdiff.memoized`` for the contract).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DslError, EvaluationOutsideDomain, GeometryError, SingularMetric
-from .numdiff import Array, DiffConfig, as_stack, memoized, memoized_rows
+from .numdiff import Array, DiffConfig, as_stack, memoized_rows
 
 #: Symmetry slack accepted from a user-supplied metric field.
 METRIC_SYMMETRY_TOL = 1e-12
@@ -66,7 +66,8 @@ class Box:
 class Embedding:
     """Parametrization of a chart inside Euclidean R^ambient_dim.
 
-    ``jacobian`` is the analytic differential when available; otherwise D(psi)
+    ``jacobian`` is the analytic differential when available, as a stack function:
+    (k, dim) points to the (k, ambient_dim, dim) stack of D(psi).  Otherwise D(psi)
     comes from one finite-difference stencil, with ``psi`` evaluated row by row.
     """
 
@@ -74,10 +75,15 @@ class Embedding:
     psi: Callable[[Array], Array]
     jacobian: Callable[[Array], Array] | None = None
 
-    def dpsi(self, x: Array, cfg: DiffConfig) -> Array:
+    def dpsi(self, x, cfg: DiffConfig) -> Array:
+        """D(psi) at a point, or its stack at the rows of a stack (each row its point's)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.dpsi(x[None], cfg)[0]
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        return np.ascontiguousarray(numdiff.partial(numdiff.by_row(self.psi), x, cfg).T)
+            return as_stack(self.jacobian(x), x, (self.ambient_dim, x.shape[1]), "jacobian")
+        return np.ascontiguousarray(np.swapaxes(
+            numdiff.partial(numdiff.by_row(self.psi), x, cfg), 1, 2))
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,8 @@ class Chart:
             g = as_stack(self.metric_fn(stack), stack, (self.dim, self.dim),
                          f"chart {self.name or '(unnamed)'}: metric_fn")
         else:
-            g = np.stack([d.T @ d for d in (self.dpsi(p, cfg) for p in stack)])
+            d = self.dpsi(stack, cfg)
+            g = np.swapaxes(d, 1, 2) @ d
         gt = np.swapaxes(g, 1, 2)
         bound = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
         asymmetric = np.flatnonzero(np.max(np.abs(g - gt), axis=(1, 2)) > bound)
@@ -140,10 +147,10 @@ class Chart:
         return 0.5 * (g + gt)
 
     def dpsi(self, x, cfg: DiffConfig | None = None) -> Array:
-        """D(psi) at x for an embedded chart; the metric there is its Gram matrix."""
-        x = np.asarray(x, dtype=float)
-        return memoized(self._memo, ("dpsi", x.tobytes(), cfg),
-                        lambda: np.array(self.embedding.dpsi(x, cfg or DiffConfig())))
+        """D(psi) at x for an embedded chart, or the stack of them at the rows of
+        a stack x; the metric there is its Gram matrix."""
+        return memoized_rows(self._memo, "dpsi", x,
+                             lambda stack: self.embedding.dpsi(stack, cfg or DiffConfig()), cfg)
 
     def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
         """Inverse metric at x, or the stack of them at the rows of a stack x

@@ -7,10 +7,10 @@ Every operator reads a :class:`PointJet` (x, Dphi from one :func:`differential`
 stencil, the source metric g and the one-SVD rank split of Dphi) at a point or
 at the rows of a (k, source dim) stack, a point being the one-row case of the
 same code and each row equal to its point's bit for bit.  A map check builds
-one with :func:`point_jet` for all its samples.  A jet builds two things when
-first read and shares them with every reader: ``jet.split``, its
-:func:`conformality` data, and ``jet.stencil``, the jet at the first-order
-stencil points of all its rows, as one stack.  The third-order operators
+one with :func:`point_jet` for all its samples.  A jet builds, when first read,
+and shares with every reader ``jet.split``, its :func:`conformality` data,
+``jet.lift``, its horizontal-lift matrices, and ``jet.stencil``, the jet at the
+first-order stencil points of all its rows, as one stack.  The third-order operators
 (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
 :func:`lifted_structure_jet`, :func:`condition_ii_residual`) difference values
 computed on that stencil jet, so a check takes at most two :func:`differential`
@@ -101,8 +101,8 @@ class PointJet:
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
-    ``split`` and ``stencil`` are built when first read and then kept; a jet
-    made by :meth:`take` reads both from the jet it was taken from.
+    ``split``, ``lift`` and ``stencil`` are built when first read and then kept;
+    a jet made by :meth:`take` reads them from the jet it was taken from.
     """
 
     spec: MapSpec
@@ -129,6 +129,15 @@ class PointJet:
             return conformality(self)
         whole, rows = self.whole
         return [whole.split] if rows is None else [whole.split[r] for r in rows]
+
+    @cached_property
+    def lift(self) -> Array:
+        """The :func:`_lift_matrix` at the jet's point or rows (NaN at rows that are
+        not regular)."""
+        if self.x.ndim == 1:
+            return self.take().lift[0]
+        whole, rows = self.whole or (None, None)
+        return _lift_matrix(self) if rows is None else whole.lift[rows]
 
     @cached_property
     def stencil(self) -> PointJet:
@@ -179,10 +188,8 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
         raise MissingStructure("holomorphy needs almost-complex structures on both charts")
     d, y = jet.differential, spec(jet.x)
     j_src, j_tgt = spec.source_structure(jet.x), spec.target_structure(y)
-    h = spec.target.metric(y, spec.cfg)
-    for r in range(len(d)):
-        require_almost_hermitian(jet.metric[r], j_src[r], jet.x[r])
-        require_almost_hermitian(h[r], j_tgt[r], y[r])
+    require_almost_hermitian(jet.metric, j_src, jet.x)
+    require_almost_hermitian(spec.target.metric(y, spec.cfg), j_tgt, y)
     return [float(np.linalg.norm(m)) for m in d @ j_src - j_tgt @ d]
 
 
@@ -344,15 +351,11 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     frame = frame_at(jet)
     # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
     dframe = numdiff.difference(frame_at(jet.stencil), jet.x, cfg)
-    p_v = _vertical_projector(jet)
-    out = np.zeros(jet.x.shape)
-    for r in range(len(out)):
-        total = np.zeros(spec.source.dim)
-        for a in range(frame.shape[2]):
-            v, dv = frame[r, :, a], dframe[r, :, :, a]
-            total = total + np.einsum("i,ik->k", v, dv) + np.einsum("kij,i,j->k", gamma[r], v, v)
-        out[r] = total - p_v[r] @ total
-    return out
+    total = np.zeros(jet.x.shape)
+    for a in range(frame.shape[2]):
+        v, dv = frame[:, :, a], dframe[..., a]
+        total = total + np.einsum("ri,rik->rk", v, dv) + np.einsum("rkij,ri,rj->rk", gamma, v, v)
+    return total - (_vertical_projector(jet) @ total[..., None])[..., 0]
 
 
 def require_regular(jet: PointJet, what: str) -> None:
@@ -385,17 +388,21 @@ def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[flo
     |(nabla_V J) Y| at each row, from the map's jet and the source structure's
     jet at the same points."""
     require_regular(jet, "superminimality needs a regular point")
-    return [max([0.0, *(g_norm(s.metric, nabla_J(s, v, y)) for v in conf.vertical_basis
-                        for y in unit_axes(s.metric))])
-            for conf, s in zip(jet.split, structure.rows())]
+    g, vertical = structure.metric, zip(*(conf.vertical_basis for conf in jet.split))
+    return np.max([np.zeros(len(jet.x)), *(g_norm(g, nabla_J(structure, np.stack(v), y))
+                                           for v in vertical for y in unit_axes(g))],
+                  axis=0).tolist()
 
 
-@_rowwise
 def _lift_matrix(jet: PointJet) -> Array:
-    """Horizontal-lift operator L with dphi L = id and image H at each row."""
-    require_regular(jet, "horizontal lift needs a regular point")
-    a = np.stack([np.column_stack(conf.horizontal_basis) for conf in jet.split])
-    return a @ np.linalg.inv(jet.differential @ a)
+    """Horizontal-lift operator L with dphi L = id and image H at each regular row
+    of a stacked jet, NaN at the others; readers take it from ``jet.lift``."""
+    out = np.full(np.swapaxes(jet.differential, 1, 2).shape, np.nan)
+    rows = [r for r, conf in enumerate(jet.split) if conf.regular]
+    if rows:
+        a = np.stack([np.column_stack(jet.split[r].horizontal_basis) for r in rows])
+        out[rows] = a @ np.linalg.inv(jet.differential[rows] @ a)
+    return out
 
 
 def _require_liftable(spec: MapSpec, orientation: int) -> None:
@@ -413,7 +420,7 @@ def lifted_j(jet: PointJet, orientation: int) -> Array:
     conformality data."""
     spec = jet.spec
     _require_liftable(spec, orientation)
-    lift = _lift_matrix(jet)
+    require_regular(jet, "horizontal lift needs a regular point")
     dims = [len(conf.vertical_basis) for conf in jet.split if len(conf.vertical_basis) != 2]
     if dims:
         raise FibreDimension(f"lift needs 2-dimensional fibres, got {dims[0]}")
@@ -427,7 +434,7 @@ def lifted_j(jet: PointJet, orientation: int) -> Array:
     g_v1, g_v2 = ((jet.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
     rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
     j_tgt = spec.target_structure(spec(jet.x))
-    return lift @ j_tgt @ jet.differential + rot
+    return jet.lift @ j_tgt @ jet.differential + rot
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -473,35 +480,32 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     if spec.target_structure is None:
         raise MissingStructure("condition (ii) needs the target structure")
     require_regular(jet, "condition (ii) needs regular samples")
-    bases = [hermitian_frame(spec.target, spec.target_structure, y, cfg) for y in spec(jet.x)]
-    m = bases[0].m
-    if m < 2:
-        return [0.0] * len(bases)
+    base = hermitian_frame(spec.target, spec.target_structure, spec(jet.x), cfg)
+    if base.m < 2:
+        return [0.0] * len(jet.x)
     stencil = jet.stencil
-    y, zs = spec(stencil.x), np.empty((len(stencil.x), m, spec.target.dim), dtype=complex)
-    for pivots in dict.fromkeys(base.pivots for base in bases):
-        at = _blocks(jet, [r for r, base in enumerate(bases) if base.pivots == pivots])
+    y, zs = spec(stencil.x), np.empty((len(stencil.x), base.m, spec.target.dim), dtype=complex)
+    for pivots in dict.fromkeys(base.pivots):
+        at = _blocks(jet, [r for r, row in enumerate(base.pivots) if row == pivots])
         zs[at] = np.stack(hermitian_frame(spec.target, spec.target_structure, y[at], cfg,
                                           pivots).complex_frame, axis=1)
+    require_regular(stencil, "horizontal lift needs a regular point")
     # dz[r, part, k, i, :] = d_i of that part of the lifted Z_k at row r; each (part, k)
     # slice of a row is C-contiguous, as in manifold.lie_bracket, so brackets match it
     dz = np.ascontiguousarray(np.moveaxis(
-        numdiff.difference(_lifts(_lift_matrix(stencil), zs), jet.x, cfg), 1, 3))
-    at_x = _lifts(_lift_matrix(jet), np.stack([np.stack(base.complex_frame) for base in bases]))
-    p_v = _vertical_projector(jet)
-    out = []
-    for r, s in enumerate(structure.rows()):
-        def bracket(a: tuple, b: tuple) -> Array:
-            """[A, B] of two real fields, each named by (part, k)."""
-            return (np.einsum("i,ik->k", at_x[r][a], dz[r][b])
-                    - np.einsum("i,ik->k", at_x[r][b], dz[r][a]))
+        numdiff.difference(_lifts(stencil.lift, zs), jet.x, cfg), 1, 3))
+    at_x = _lifts(jet.lift, np.stack(base.complex_frame, axis=1))
+    at_x, dz = np.moveaxis(at_x, 0, 2), np.moveaxis(dz, 0, 2)  # [part, k, r, ...]
 
-        worst = 0.0
-        for k in range(m):
-            for l in range(k + 1, m):
-                zw = ((bracket((0, k), (0, l)) - bracket((1, k), (1, l)))
-                      + 1j * (bracket((0, k), (1, l)) + bracket((1, k), (0, l))))
-                part01 = antiholomorphic_part(s.j, p_v[r] @ zw)
-                worst = max(worst, g_norm(jet.metric[r], part01))
-        out.append(worst)
-    return out
+    def bracket(a: tuple, b: tuple) -> Array:
+        """[A, B] at every row of two real fields, each named by (part, k)."""
+        return np.einsum("ri,rik->rk", at_x[a], dz[b]) - np.einsum("ri,rik->rk", at_x[b], dz[a])
+
+    worst, p_v = np.zeros(len(jet.x)), _vertical_projector(jet)
+    for k in range(base.m):
+        for l in range(k + 1, base.m):
+            zw = ((bracket((0, k), (0, l)) - bracket((1, k), (1, l)))
+                  + 1j * (bracket((0, k), (1, l)) + bracket((1, k), (0, l))))
+            part01 = antiholomorphic_part(structure.j, (p_v @ zw[..., None])[..., 0])
+            worst = np.maximum(worst, g_norm(jet.metric, part01))
+    return worst.tolist()

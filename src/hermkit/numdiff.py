@@ -114,12 +114,17 @@ def memoized_rows(memo: dict, tag: str, x, compute: Callable[[Array], Array], *e
     ``compute`` maps a (k, n) stack to the stack of its k values:
     it is called once, on the distinct rows not stored yet (a point goes in as
     one row).  A point is looked up by its own key: a hit is one dict read.
+    The computed stack is stored C-contiguous; when every row is a distinct miss
+    it is returned (frozen), otherwise the stored rows are stacked.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return memoized(memo, (tag, x.tobytes(), *extra), lambda: compute(x[None])[0])
-    return np.stack(memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
-                             lambda missing: compute(x[missing])))
+    computed: list = []  # the stack of the missing rows
+    rows = memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
+                    lambda missing: computed.append(np.ascontiguousarray(compute(x[missing])))
+                    or computed[0])
+    return computed[0] if computed and len(computed[0]) == len(x) else np.stack(rows)
 
 
 def as_stack(values, points: Array, row_shape: tuple, owner: str) -> Array:

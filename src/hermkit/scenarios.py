@@ -44,12 +44,12 @@ from . import catalog, maps
 from .errors import (CriticalPoint, FibreDimension, PreconditionFailed,
                      TargetDimensionTooSmall, TooManyExcludedSamples,
                      UnknownScenario, WrongDimension)
-from .hermitian import (AlmostComplexField, StructureJet, classify_structure,
+from .hermitian import (AlmostComplexField, StructureJet, apply_j, classify_structure,
                         divergence_J, g_norm, invariant_residuals, nabla_J, nijenhuis,
                         structure_jet, unit_axes)
 from .manifold import Chart, SamplePlan
 from .maps import KIND_CRITICAL, KIND_DEGENERATE, ConformalityData, MapSpec, PointJet
-from .numdiff import TOLERANCE_FACTOR, DiffConfig
+from .numdiff import TOLERANCE_FACTOR, DiffConfig, g_length
 
 #: Tolerance coupling factor between the two sides of a proved implication.
 COUPLING = 10.0
@@ -164,13 +164,10 @@ def _map_scale(stack: PointJet) -> float:
 
 
 def _nijenhuis_residual(jet: StructureJet) -> float:
-    """Max |N(e_a, e_b)| over coordinate pairs at the jet's point."""
-    e = np.eye(len(jet.x))
-    worst = 0.0
-    for a in range(len(e)):
-        for b in range(a + 1, len(e)):
-            worst = max(worst, g_norm(jet.metric, nijenhuis(jet, e[a], e[b])))
-    return worst
+    """Max |N(e_a, e_b)| over coordinate pairs and the rows of a stacked jet."""
+    e = [np.broadcast_to(v, jet.x.shape) for v in np.eye(jet.x.shape[1])]
+    return max([0.0, *(float(np.max(g_norm(jet.metric, nijenhuis(jet, ea, eb))))
+                       for a, ea in enumerate(e) for eb in e[a + 1:])])
 
 
 def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[PointJet, float]:
@@ -184,8 +181,8 @@ def _lift_invariants(stack: PointJet, orientation: int) -> tuple[dict, int]:
     """max|J^2 + I| and max|J^T g J - g| of the lifted J over the first five
     samples, and their number."""
     first = stack.take(np.arange(min(5, len(stack.x))))
-    square, compatibility = invariant_residuals(first.metric, maps.lifted_j(first, orientation))
-    return {"square": square, "compatibility": compatibility}, len(first.x)
+    square, compat = invariant_residuals(first.metric, maps.lifted_j(first, orientation))
+    return {"square": float(np.max(square)), "compatibility": float(np.max(compat))}, len(first.x)
 
 
 def _critical_count(confs: Sequence[ConformalityData]) -> int:
@@ -201,8 +198,7 @@ def _target_norms(stack: PointJet, vectors) -> list[float]:
     """The target-metric norm at phi(x) of each row of ``vectors``, a stack of
     target vectors at the rows of a stacked jet."""
     spec = stack.spec
-    h = spec.target.metric(spec(stack.x), spec.cfg)
-    return [g_norm(hr, v) for hr, v in zip(h, vectors)]
+    return g_norm(spec.target.metric(spec(stack.x), spec.cfg), vectors).tolist()
 
 
 def _tension_max(stack: PointJet) -> float:
@@ -217,8 +213,7 @@ def _fibre_residual(stack: PointJet) -> tuple[float, int, int]:
             raise CriticalPoint(f"degenerate-rank sample at {x!r}")
     rows = [r for r, c in enumerate(stack.split) if c.regular and not c.near_critical]
     excluded, used = sum(c.near_critical for c in stack.split), stack.take(rows)
-    values = [g_norm(g, v) for g, v in zip(used.metric, maps.fibre_mean_curvature(used))
-              ] if rows else []
+    values = g_norm(used.metric, maps.fibre_mean_curvature(used)).tolist() if rows else []
     _guard_excluded(excluded, len(stack.x), "fibre minimality")
     return max([0.0, *values]), len(values), excluded
 
@@ -410,8 +405,8 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
     stack, tol = _map_points(spec, plan)
-    target_nij = max([0.0, *map(_nijenhuis_residual, structure_jet(
-        spec.target, spec.target_structure, spec(stack.x), cfg, connection=False).rows())])
+    target_nij = _nijenhuis_residual(structure_jet(spec.target, spec.target_structure,
+                                                  spec(stack.x), cfg, connection=False))
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
     inv, _ = _lift_invariants(stack, orientation)
@@ -421,7 +416,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     included = stack.take(rows)
     lifted = maps.lifted_structure_jet(included, orientation)
     supermin = max(maps.superminimality_residual(included, lifted))
-    nij = max(map(_nijenhuis_residual, lifted.rows()))
+    nij = _nijenhuis_residual(lifted)
     cond_ii = max(maps.condition_ii_residual(included, lifted))
     checks = [
         check("fibres-superminimal", supermin, tol, used, excluded),
@@ -445,10 +440,10 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     cfg = spec.cfg
     stack, tol = _map_points(spec, plan)
     inv, inv_count = _lift_invariants(stack, orientation)
-    lifted, d = maps.lifted_structure_jet(stack, orientation).rows(), spec.source.dim
-    columns = [(lj.metric, lj.nabla[i, :, j]) for lj in lifted for i in range(d) for j in range(d)]
-    nabla = max(np.sqrt(max(float(t @ g @ t), 0.0)) for g, t in columns)
-    nij = max(map(_nijenhuis_residual, lifted))
+    lifted, d = maps.lifted_structure_jet(stack, orientation), spec.source.dim
+    nabla = max(float(np.max(g_length(lifted.nabla[:, i, :, j], lifted.metric)))
+                for i in range(d) for j in range(d))
+    nij = _nijenhuis_residual(lifted)
     checks = [
         check("lift-square-identity", inv["square"], 1e-9, inv_count),
         check("lift-metric-compatibility", inv["compatibility"], 1e-9, inv_count),
@@ -471,20 +466,16 @@ def check_gauduchon(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
         raise WrongDimension("this identity is specific to complex dimension 2")
     points = plan.points(chart, cfg)
     jets = structure_jet(chart, j_field, np.array(points), cfg)
-    r_delta = 0.0
-    r_lee = 0.0
-    norm_dev = 0.0
-    scale = 1.0
-    for jet, delta in zip(jets.rows(), divergence_J(jets)):
-        g = jet.metric
-        lee = jet.j @ delta
-        for y in (p for e in unit_axes(g) for p in (e, jet.j @ e)):
-            r_delta = max(r_delta, g_norm(g, nabla_J(jet, delta, y)))
-            r_lee = max(r_lee, g_norm(g, nabla_J(jet, lee, y)))
-        dn = g_norm(g, delta)
-        scale = max(scale, (1.0 + dn) * (1.0 + float(np.max(np.abs(jet.nabla)))))
-        if expected_delta_norm is not None:
-            norm_dev = max(norm_dev, abs(dn - expected_delta_norm))
+    g, delta = jets.metric, divergence_J(jets)
+    lee, r_delta, r_lee = apply_j(jets, delta), 0.0, 0.0
+    for y in (p for e in unit_axes(g) for p in (e, apply_j(jets, e))):
+        r_delta = max(r_delta, float(np.max(g_norm(g, nabla_J(jets, delta, y)))))
+        r_lee = max(r_lee, float(np.max(g_norm(g, nabla_J(jets, lee, y)))))
+    dn = g_norm(g, delta)
+    scale = max(1.0, float(np.max((1.0 + dn) * (1.0 + np.max(np.abs(jets.nabla),
+                                                              axis=(1, 2, 3))))))
+    norm_dev = (0.0 if expected_delta_norm is None
+                else float(np.max(np.abs(dn - expected_delta_norm))))
     tol = cfg.tolerance(scale)
     checks = [
         check("divergence-direction-parallel", r_delta, tol, len(points)),
@@ -501,15 +492,11 @@ def check_divergence_closed_form(chart: Chart, j_field: AlmostComplexField,
                                  r: int, s: int) -> VerificationReport:
     """Numerical div J on the odd-sphere product S^{2r+1} x S^{2s+1} against
     the closed form -2 (r J1 n1 + s J2 n2) pushed to chart components."""
-    points = plan.points(chart, cfg)
-    nums = divergence_J(structure_jet(chart, j_field, np.array(points), cfg))
-    worst = 0.0
-    scale = 1.0
-    for x, num in zip(points, nums):
-        ana = catalog.odd_sphere_product_divergence(chart, r, s, x, cfg)
-        worst = max(worst, float(np.max(np.abs(num - ana))))
-        scale = max(scale, 1.0 + float(np.max(np.abs(ana))))
-    tol = cfg.tolerance(scale)
+    points = np.array(plan.points(chart, cfg))
+    nums = divergence_J(structure_jet(chart, j_field, points, cfg))
+    ana = catalog.odd_sphere_product_divergence(chart, r, s, points, cfg)
+    worst = float(np.max(np.abs(nums - ana)))
+    tol = cfg.tolerance(max(1.0, 1.0 + float(np.max(np.abs(ana)))))
     return _report(scenario_id, [check("divergence-matches-closed-form", worst, tol,
                                        len(points))], plan, cfg, r=r, s=s)
 
@@ -521,21 +508,10 @@ def check_structure_verdicts(chart: Chart, j_field: AlmostComplexField, plan: Sa
     a ``holds`` check per class expected to hold, a ``fails`` rejection check
     per class expected to fail."""
     report = classify_structure(chart, j_field, plan, cfg)
-    tol = report.tolerance
-    n = len(report.samples)
-    residuals = {
-        "kahler": report.residual_kahler,
-        "one_two_symplectic": report.residual_12sympl,
-        "cosymplectic": report.residual_cosympl,
-        "integrable": report.residual_integrable,
-    }
-    checks = []
-    for name, value in residuals.items():
-        want = expected[name]
-        mode = "le" if want else "gt"
-        bound = tol if want else COUPLING * tol
-        checks.append(check(f"{name}-{'holds' if want else 'fails'}", value, bound,
-                            n, mode=mode))
+    tol, n = report.tolerance, len(report.samples)
+    checks = [check(f"{name}-holds", value, tol, n) if expected[name]
+              else check(f"{name}-fails", value, COUPLING * tol, n, mode="gt")
+              for name, value in report.residuals.items()]
     return _report(scenario_id, checks, plan, cfg,
                    structure_report=report.to_dict())
 

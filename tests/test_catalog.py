@@ -7,7 +7,7 @@ import pytest
 
 from hermkit import catalog
 from hermkit.errors import DegenerateParameters
-from hermkit.hermitian import classify_structure
+from hermkit.hermitian import classify_structure, invariant_residuals
 from hermkit.manifold import Embedding, SamplePlan
 from hermkit.numdiff import DiffConfig
 
@@ -17,7 +17,7 @@ def test_sphere_jacobian_matches_finite_differences(n, cfg, rng):
     fd_embedding = Embedding(n + 1, catalog.sphere_psi)
     for _ in range(3):
         theta = rng.uniform(0.35, 1.15, size=n)
-        analytic = catalog.sphere_jacobian(theta)
+        analytic = catalog.sphere_jacobian(theta[None])[0]
         numeric = fd_embedding.dpsi(theta, cfg)
         npt.assert_allclose(analytic, numeric, atol=1e-9)
 
@@ -42,9 +42,29 @@ def sphere_jacobian_rowwise(theta):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sphere_jacobian_running_products_are_exact(n, rng):
-    for _ in range(3):
-        theta = rng.uniform(0.35, 1.15, size=n)
-        assert np.array_equal(catalog.sphere_jacobian(theta), sphere_jacobian_rowwise(theta))
+    """On a stack, each row equals the products formed afresh at that point."""
+    stack = rng.uniform(0.35, 1.15, size=(7, n))
+    jac = catalog.sphere_jacobian(stack)
+    assert jac.shape == (7, n + 1, n)
+    for theta, row in zip(stack, jac):
+        assert np.array_equal(row, sphere_jacobian_rowwise(theta))
+
+
+@pytest.mark.parametrize("entry_id", ["ce-2-1", "ce-1-0", "annulus-radial",
+                                      "hopf-fibre-inclusion"])
+def test_stacked_jacobian_equals_each_row(entry_id, cfg):
+    """The analytic Jacobian of a sphere product, of the annulus and of the fibre
+    inclusion on a stack (and on strided columns of one) equals each row alone."""
+    for chart in catalog.get_entry(entry_id, cfg).charts.values():
+        if chart.embedding is None:
+            continue
+        stack = np.array(SamplePlan(seed=4, count=9).points(chart, cfg))
+        jac = chart.embedding.jacobian
+        rows = [jac(stack[i:i + 1])[0] for i in range(len(stack))]
+        assert np.array_equal(jac(stack), rows), chart.name
+        wide = np.repeat(stack, 2, axis=1)[:, ::2]  # the same rows, not contiguous
+        assert np.array_equal(jac(wide), rows), chart.name
+        assert np.array_equal(chart.embedding.dpsi(stack, cfg), rows), chart.name
 
 
 def ambient_j_column(r, s, p, w):
@@ -65,13 +85,39 @@ def ambient_j_column(r, s, p, w):
 @pytest.mark.parametrize("r, s", [(1, 0), (0, 1), (1, 1), (2, 1)])
 def test_ambient_j_on_a_column_block_matches_each_column(r, s, cfg):
     chart = catalog.calabi_eckmann(r, s, cfg).charts["ce"]
-    for x in SamplePlan(seed=2, count=3).points(chart, cfg):
+    stack = np.array(SamplePlan(seed=2, count=3).points(chart, cfg))
+    blocks = catalog._ambient_j_product(r, s, chart.embedding.psi(stack),
+                                        chart.embedding.dpsi(stack, cfg))
+    for x, block in zip(stack, blocks):
         dpsi = chart.embedding.dpsi(x, cfg)
         p = chart.embedding.psi(x)
-        block = catalog._ambient_j_product(r, s, p, dpsi)
         columns = np.column_stack([ambient_j_column(r, s, p, dpsi[:, k])
                                    for k in range(chart.dim)])
         assert np.array_equal(block, columns)
+
+
+@pytest.mark.parametrize("r, s", [(1, 0), (0, 1), (1, 1), (2, 1)])
+def test_ambient_j_divergence_and_orientation_on_a_stack_equal_each_row(r, s, cfg):
+    """J, the closed-form divergence and the fibre orientation form on a stack
+    equal, bit for bit, each row computed alone on a fresh chart."""
+    stack = np.array(SamplePlan(seed=3, count=6).points(
+        catalog.calabi_eckmann(r, s, cfg).charts["ce"], cfg))
+
+    def fresh():
+        entry = catalog.calabi_eckmann(r, s, cfg)
+        chart = entry.charts["ce"]
+        return (chart, entry.structures["J"].fn,
+                catalog._fibre_orientation_from_ambient(chart, r, cfg))
+
+    chart, j_fn, omega = fresh()
+    stacked = (j_fn(stack), catalog.odd_sphere_product_divergence(chart, r, s, stack, cfg),
+               omega(stack))
+    for i, x in enumerate(stack):
+        chart, j_fn, omega = fresh()
+        assert np.array_equal(stacked[0][i], j_fn(x[None])[0])
+        assert np.array_equal(stacked[1][i],
+                              catalog.odd_sphere_product_divergence(chart, r, s, x, cfg))
+        assert np.array_equal(stacked[2][i], omega(x[None])[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -86,7 +132,8 @@ def test_real_complex_round_trip(rng):
     npt.assert_allclose(catalog.to_real(catalog.to_complex(v)), v)
     j = catalog.multiplication_by_i(3)
     npt.assert_allclose(j @ v, catalog.to_real(1j * catalog.to_complex(v)))
-    npt.assert_array_equal(catalog._i_times(v), catalog.to_real(1j * catalog.to_complex(v)))
+    npt.assert_array_equal(catalog._i_times(v[:, None])[:, 0],
+                           catalog.to_real(1j * catalog.to_complex(v)))
     npt.assert_allclose(j @ j, -np.eye(6))
 
 
@@ -117,9 +164,10 @@ def test_entry_objects_satisfy_invariants(entry_id, cfg):
             assert np.min(np.linalg.eigvalsh(g)) > 0
     for structure in entry.structures.values():
         points = plan.points(structure.chart, cfg)
-        res = structure.invariant_residuals(points, cfg)
-        assert res["square"] <= 1e-9
-        assert res["compatibility"] <= 1e-9
+        square, compat = invariant_residuals(structure.chart.metric(points, cfg),
+                                             structure(points))
+        assert np.max(square) <= 1e-9
+        assert np.max(compat) <= 1e-9
     for spec in entry.maps.values():
         for x in plan.points(spec.source, cfg):
             y = spec(x)
@@ -218,7 +266,8 @@ def test_mobius_pole_names_the_offending_row(cfg):
 
 def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     """J, its closed-form divergence and the metric share one D(psi) per point:
-    the embedding is differentiated once at each point classify reaches."""
+    the embedding is differentiated once at each point classify reaches, each
+    stack row counting as one point."""
     entry = catalog.calabi_eckmann(1, 1, cfg)
     chart = entry.charts["ce"]
     seen = []
@@ -226,13 +275,11 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
 
     def recording(self, x, cfg):
         if self is chart.embedding:
-            seen.append(np.asarray(x, dtype=float).tobytes())
+            seen.extend(p.tobytes() for p in np.atleast_2d(np.asarray(x, dtype=float)))
         return dpsi(self, x, cfg)
 
     monkeypatch.setattr(Embedding, "dpsi", recording)
     plan = SamplePlan(count=2)
     classify_structure(chart, entry.structures["J"], plan, cfg)
-    for x in plan.points(chart, cfg):
-        catalog.odd_sphere_product_divergence(chart, 1, 1, x, cfg)
-    assert seen
-    assert len(seen) == len(set(seen))
+    catalog.odd_sphere_product_divergence(chart, 1, 1, np.array(plan.points(chart, cfg)), cfg)
+    assert len(seen) == len(set(seen)) == 2 * (1 + 4 * chart.dim)

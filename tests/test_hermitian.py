@@ -349,7 +349,8 @@ def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
     built = []
     frame_at = hermitian.hermitian_frame
     monkeypatch.setattr(hermitian, "hermitian_frame", lambda chart, j_field, x, *args:
-                        built.append(np.asarray(x).tobytes()) or frame_at(chart, j_field, x, *args))
+                        built.extend(p.tobytes() for p in np.atleast_2d(x))
+                        or frame_at(chart, j_field, x, *args))
     entry = catalog.complex_projective(2)
     chart, j_field = entry.charts["cp"], entry.structures["J"]
     plan = SamplePlan(count=2)
@@ -412,16 +413,16 @@ def test_classify_real_form_and_complex_form_pass_or_fail_together(name, cfg):
 
 
 def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
-    """The sample's frame is the only frame classification builds: one
-    lookup per sample, none on a stencil."""
+    """The samples' frames are the only frames classification builds: at most
+    one lookup per distinct pivot tuple, none on a stencil."""
     calls = []
     lookup = hermitian.hermitian_frame
-    monkeypatch.setattr(hermitian, "hermitian_frame",
-                        lambda *args, **kwargs: calls.append(1) or lookup(*args, **kwargs))
+    monkeypatch.setattr(hermitian, "hermitian_frame", lambda *args, **kwargs:
+                        calls.append(lookup(*args, **kwargs)) or calls[-1])
     entry = catalog.calabi_eckmann(1, 1)
-    plan = SamplePlan(count=2)
+    plan = SamplePlan(count=5)
     classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
-    assert len(calls) == plan.count
+    assert 0 < len(calls) <= len({p for frame in calls for p in frame.pivots})
 
 
 def test_classify_rejects_incompatible_structure(cfg):
@@ -477,7 +478,7 @@ def test_stacked_frame_equals_frames_at_points(name, cfg):
         pivots = hermitian_frame(chart, j_field, x, cfg).pivots
         stack = stencil_stack(x, cfg)
         stacked = hermitian_frame(chart, j_field, stack, cfg, pivots)
-        assert stacked.pivots == pivots and stacked.m == chart.dim // 2
+        assert stacked.pivots == (pivots,) * len(stack) and stacked.m == chart.dim // 2
         fresh_chart, fresh_j = chart_and_structure(name, cfg)  # empty memos
         for r, p in enumerate(stack):
             at_p = hermitian_frame(fresh_chart, fresh_j, p, cfg, pivots)
@@ -488,11 +489,29 @@ def test_stacked_frame_equals_frames_at_points(name, cfg):
                 assert np.array_equal(a[r], b)
 
 
-def test_stacked_frame_needs_pivots(cfg):
-    chart, j_field = chart_and_structure("cp-2", cfg)
-    stack = stencil_stack(np.array([0.3, 0.2, -0.1, 0.4]), cfg)
-    with pytest.raises(ValueError, match="pivots"):
-        hermitian_frame(chart, j_field, stack, cfg)
+def test_stacked_greedy_frame_parts_rows_that_pick_different_pivots(cfg):
+    """Without pivots, one stacked greedy pass picks each row's: the standard J
+    (J e_1 = e_2) gives (0, 2), J e_1 = e_3 gives (0, 1).  Each row equals the
+    frame built at its point alone on fresh memos, under ``np.array_equal``."""
+    crossed = np.zeros((4, 4))
+    crossed[[2, 0, 3, 1], [0, 2, 1, 3]] = [1.0, -1.0, 1.0, -1.0]
+
+    def fresh():
+        chart = Chart(dim=4, box=Box((-1.0,) * 4, (1.0,) * 4),
+                      metric_fn=numdiff.by_row(lambda p: (1.0 + p @ p) * np.eye(4)))
+        return chart, AlmostComplexField(chart, numdiff.by_row(
+            lambda p: catalog.multiplication_by_i(2) if p[0] < 0.0 else crossed))
+
+    stack = np.array(SamplePlan(seed=2, count=8).points(fresh()[0], cfg))
+    stack[:, 0] = np.abs(stack[:, 0]) * np.tile([-1.0, 1.0], 4)
+    frame = hermitian_frame(*fresh(), stack, cfg)
+    assert frame.pivots == ((0, 2), (0, 1)) * 4
+    for r, x in enumerate(stack):
+        alone = hermitian_frame(*fresh(), x, cfg)
+        assert alone.pivots == frame.pivots[r]
+        for a, b in zip(frame.real_frame + frame.complex_frame,
+                        alone.real_frame + alone.complex_frame):
+            assert np.array_equal(a[r], b)
 
 
 def test_stacked_frame_rejects_a_dependent_recorded_pivot(cfg):
@@ -531,13 +550,36 @@ def test_stacked_structure_jet_equals_one_point_calls_bit_for_bit(name, cfg):
         points = np.array(SamplePlan(seed=3, count=3).points(chart, cfg))
         jets = structure_jet(chart, j_field, points, cfg)
         delta, lee = divergence_J(jets), lee_vector(jets)
-        rows = jets.rows()
         for r, x in enumerate(points):
             fresh_chart, fresh_j = structure_cases(name, cfg)[case]
             jet = structure_jet(fresh_chart, fresh_j, x, cfg)
             for part in ("x", "metric", "j", "dj", "gamma", "nabla"):
                 assert getattr(jets, part).shape == (3, *getattr(jet, part).shape)
                 assert np.array_equal(getattr(jets, part)[r], getattr(jet, part)), (r, part)
-                assert np.array_equal(getattr(rows[r], part), getattr(jet, part))
             assert np.array_equal(delta[r], divergence_J(jet))
             assert np.array_equal(lee[r], lee_vector(jet))
+
+
+@pytest.mark.parametrize("name", ["cp-2", "ce-1-1", "ce-2-1", "conformal-dsl"])
+def test_stacked_nijenhuis_and_nabla_j_equal_each_row(name, cfg):
+    """N(X, Y), (nabla_X J) Y and their g-norms on a stacked jet with stacks of
+    vectors equal, under ``np.array_equal``, each row's on the point's jet with
+    that row's vectors: the frame vectors, the coordinate axes (broadcast) and
+    div J."""
+    chart, j_field = chart_and_structure(name, cfg)
+    points = np.array(SamplePlan(seed=6, count=5).points(chart, cfg))
+    jets = structure_jet(chart, j_field, points, cfg)
+    frame = hermitian_frame(chart, j_field, points, cfg)
+    axes = [np.broadcast_to(e, points.shape) for e in np.eye(chart.dim)]
+    vectors = [*frame.real_frame, *axes[:2], divergence_J(jets)]
+    pairs = [(u, v) for a, u in enumerate(vectors) for v in vectors[a + 1:]]
+    stacked = [(f(jets, u, v), g_norm(jets.metric, f(jets, u, v)))
+               for u, v in pairs for f in (nijenhuis, nabla_J)]
+    for r, x in enumerate(points):
+        fresh_chart, fresh_j = chart_and_structure(name, cfg)
+        jet = structure_jet(fresh_chart, fresh_j, x, cfg)
+        alone = [(f(jet, u[r], v[r]), g_norm(jet.metric, f(jet, u[r], v[r])))
+                 for u, v in pairs for f in (nijenhuis, nabla_J)]
+        for (vec, norm), (vec_r, norm_r) in zip(stacked, alone):
+            assert np.array_equal(vec[r], vec_r)
+            assert norm[r] == norm_r

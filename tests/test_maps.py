@@ -7,7 +7,7 @@ import pytest
 from hermkit import catalog, geodsl, hermitian, maps, numdiff, scenarios
 from hermkit.errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
                             MissingStructure, WrongDimension)
-from hermkit.hermitian import antiholomorphic_part, g_norm, structure_jet
+from hermkit.hermitian import antiholomorphic_part, g_norm, invariant_residuals, structure_jet
 from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
                           conformality, condition_ii_residual, differential,
@@ -304,9 +304,9 @@ def test_lift_plus_reproduces_standard_structure(punctured1):
 def test_lift_minus_valid_but_not_parallel(punctured1):
     lifted = lift_structure(punctured1, -1)
     x = np.array([1.4, 0.2, -0.3, 0.5])
-    inv = lifted.invariant_residuals([x], punctured1.cfg)
-    assert inv["square"] <= 1e-9
-    assert inv["compatibility"] <= 1e-9
+    square, compat = invariant_residuals(punctured1.source.metric(x, punctured1.cfg), lifted(x))
+    assert square <= 1e-9
+    assert compat <= 1e-9
     t = structure_jet(punctured1.source, lifted, x, punctured1.cfg).nabla
     assert np.max(np.abs(t)) >= 1e-3
 
@@ -370,7 +370,7 @@ def lifted_field(spec, base, k, part):
     def at(p):
         zs = hermitian.hermitian_frame(spec.target, spec.target_structure, spec(p), spec.cfg,
                                        base.pivots).complex_frame
-        return maps._lift_matrix(point_jet(spec, p)) @ part(zs[k])
+        return point_jet(spec, p).lift @ part(zs[k])
     return VectorField(spec.source, at)
 
 
@@ -463,12 +463,12 @@ def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
     stack = PUNCTURED2_POINT + 1e-3 * np.vstack([np.eye(6), -np.eye(6)])
     jets = point_jet(punctured2, stack)
     frame_at = vertical_frame_field(point_jet(punctured2, PUNCTURED2_POINT))
-    frames, lifts = frame_at(jets), maps._lift_matrix(jets)
+    frames, lifts = frame_at(jets), jets.lift
     projectors = _vertical_projector(jets)
     for r, x in enumerate(stack):
         jet = point_jet(dataclasses.replace(punctured2), x)
         assert np.array_equal(frames[r], frame_at(jet))
-        assert np.array_equal(lifts[r], maps._lift_matrix(jet))
+        assert np.array_equal(lifts[r], jet.lift)
         assert np.array_equal(projectors[r], _vertical_projector(jet))
 
 

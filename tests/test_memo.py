@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermkit import catalog, maps, scenarios
+from hermkit import catalog, maps, numdiff, scenarios
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
 from hermkit.hermitian import hermitian_frame
 from hermkit.manifold import Box, Chart, SamplePlan, christoffel
@@ -176,6 +176,30 @@ def test_row_keys_store_nothing_when_the_stack_raises():
             row[...] = 0.0
     again = memoized(memo, keys[::-1], failing)
     assert again[0] is rows[1] and again[1] is rows[0]
+
+
+def test_all_miss_stack_is_the_frozen_computed_stack():
+    """When every row of a stack is a distinct miss, the computed stack comes back
+    as it is: read-only and equal to the rows now stored; a stack with a hit is
+    stacked from the stored rows."""
+    memo, asked, computed = {}, [], []
+
+    def compute(stack):
+        asked.append(stack)
+        computed.append(2.0 * stack)
+        return computed[-1]
+
+    stack = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    out = numdiff.memoized_rows(memo, "v", stack, compute)
+    assert out is computed[0]
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[...] = 0.0
+    assert np.array_equal(out, [memo[("v", p.tobytes())] for p in stack])
+    assert np.array_equal(out, 2.0 * stack) and len(asked) == 1
+    mixed = numdiff.memoized_rows(memo, "v", np.array([[0.3, 0.4], [0.7, 0.8]]), compute)
+    assert np.array_equal(mixed, [[0.6, 0.8], [1.4, 1.6]])
+    assert np.array_equal(asked[1], [[0.7, 0.8]])
 
 
 def test_map_stack_that_raises_stores_no_row():

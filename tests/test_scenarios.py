@@ -352,7 +352,8 @@ def test_condition_ii_builds_one_target_frame_per_sample(monkeypatch):
     built = []
     frame_at = maps.hermitian_frame
     monkeypatch.setattr(maps, "hermitian_frame", lambda chart, j_field, x, *args:
-                        built.append(np.asarray(x).tobytes()) or frame_at(chart, j_field, x, *args))
+                        built.extend(p.tobytes() for p in np.atleast_2d(x))
+                        or frame_at(chart, j_field, x, *args))
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
@@ -376,3 +377,19 @@ def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
     plan = SamplePlan(0, 2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
     assert 0 < len(calls) <= plan.count * 2
+
+
+def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypatch):
+    """The lift checks read the horizontal-lift matrices from the jets' ``lift``:
+    the invariants, the lifted structure jet and condition (ii) share one build
+    on the sample rows and one on the rows of the stencil jet."""
+    built = []
+    lift_matrix = maps._lift_matrix
+    monkeypatch.setattr(maps, "_lift_matrix",
+                        lambda jet: built.append(len(jet.x)) or lift_matrix(jet))
+    sid = "punctured-hopf-2-integrability-plus"
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    plan = SamplePlan(0, 2)
+    assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
+    assert built == [plan.count, plan.count * 4 * spec.source.dim]
