@@ -209,16 +209,18 @@ def _ambient_j_product(r: int, s: int, p: Array, w: Array) -> Array:
     return np.concatenate([out1, out2], axis=1)
 
 
-def _chart_components(chart: Chart, x: Array, cfg: DiffConfig, ambient: Array) -> Array:
-    """Chart components g^{-1} D(psi)^T v of the columns v of ``ambient``, at x or its rows."""
-    return np.linalg.solve(chart.metric(x, cfg), np.swapaxes(chart.dpsi(x, cfg), -1, -2) @ ambient)
+def _chart_components(g: Array, dpsi: Array, ambient: Array) -> Array:
+    """Chart components g^{-1} D(psi)^T v of the columns v of ``ambient``, from the
+    metric g and the D(psi) at a point or at each row of a stack."""
+    return np.linalg.solve(g, np.swapaxes(dpsi, -1, -2) @ ambient)
 
 
 def odd_sphere_product_structure(chart: Chart, r: int, s: int,
                                  cfg: DiffConfig = DEFAULT_CFG) -> AlmostComplexField:
     def j_at(x: Array) -> Array:
-        ambient = _ambient_j_product(r, s, chart.embedding.psi(x), chart.dpsi(x, cfg))
-        return _chart_components(chart, x, cfg, ambient)
+        dpsi = chart.dpsi(x, cfg)
+        ambient = _ambient_j_product(r, s, chart.embedding.psi(x), dpsi)
+        return _chart_components(chart.metric(x, cfg), dpsi, ambient)
 
     return AlmostComplexField(chart, j_at, source="ambient")
 
@@ -229,7 +231,7 @@ def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
     x = np.asarray(x, dtype=float)
     a1, ip = 2 * r + 2, _i_times(chart.embedding.psi(x)[..., None])
     ambient = -2.0 * np.concatenate([r * ip[..., :a1, :], s * ip[..., a1:, :]], axis=-2)
-    return _chart_components(chart, x, cfg, ambient)[..., 0]
+    return _chart_components(chart.metric(x, cfg), chart.dpsi(x, cfg), ambient)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +268,8 @@ def _fibre_orientation_from_ambient(chart: Chart, r: int,
         ip1 = _i_times(chart.embedding.psi(x)[..., None])
         ip2 = ip1.copy()
         ip1[:, a1:], ip2[:, :a1] = 0.0, 0.0
-        ga, gb = (chart.metric(x, cfg) @ _chart_components(chart, x, cfg, ip) for ip in (ip1, ip2))
+        g, dpsi = chart.metric(x, cfg), chart.dpsi(x, cfg)
+        ga, gb = (g @ _chart_components(g, dpsi, ip) for ip in (ip1, ip2))
         return ga * np.swapaxes(gb, 1, 2) - gb * np.swapaxes(ga, 1, 2)
 
     return omega

@@ -19,14 +19,14 @@ row equal to its point's jet bit for bit.  Callers pass the stacked jet down
 at the samples' Hermitian frames (Gray & Hervella 1980), built by one stacked
 greedy pass of :func:`hermitian_frame`.
 
-Each :class:`AlmostComplexField` memoizes J(x) per row (see
-``numdiff.memoized`` for the contract); g(x) and the Christoffel symbols come
-from the chart's memo.  Hermitian frames are not memoized.
+Nothing is cached by point: J(x), g(x), the Christoffel symbols and the
+Hermitian frames are computed on the stack they are asked for, and a check
+passes the jet it holds instead of asking again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from . import numdiff
 from .errors import PreconditionFailed, RankDeficient
 from .manifold import Chart, SamplePlan, christoffel
-from .numdiff import Array, DiffConfig, as_stack, g_length, memoized_rows, project_out
+from .numdiff import Array, DiffConfig, as_stack, g_length, on_rows, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
@@ -58,13 +58,12 @@ class AlmostComplexField:
     chart: Chart
     fn: Callable[[Array], Array]
     source: str = "intrinsic"
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
         """J at a point, or the stack of J at the rows of a (k, dim) stack."""
         d = self.chart.dim
-        return memoized_rows(self._memo, "J", x, lambda stack: as_stack(
-            self.fn(stack), stack, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn"))
+        return on_rows(lambda stack: as_stack(
+            self.fn(stack), stack, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn"), x)
 
 
 def invariant_residuals(g: Array, j: Array) -> tuple[Array, Array]:

@@ -12,20 +12,21 @@ a stack with one batched inversion; :func:`numdiff.by_row` and
 :func:`gradient` takes such a stack function too, at a point or a stack.
 There are no atlases or transition functions.
 
-Each chart memoizes g(x), D(psi)(x) for an embedded chart and the Christoffel
-symbols per row and ``DiffConfig`` (see ``numdiff.memoized`` for the contract).
+Nothing is cached by point: g(x), D(psi)(x) and the Christoffel symbols are
+computed on the stack they are asked for, and a check passes the stacks it
+holds instead of asking again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import numdiff
 from .errors import DslError, EvaluationOutsideDomain, GeometryError, SingularMetric
-from .numdiff import Array, DiffConfig, as_stack, memoized_rows
+from .numdiff import Array, DiffConfig, as_stack, on_rows
 
 #: Symmetry slack accepted from a user-supplied metric field.
 METRIC_SYMMETRY_TOL = 1e-12
@@ -100,7 +101,6 @@ class Chart:
     embedding: Embedding | None = None
     predicate: Callable[[Array], bool] | None = None
     name: str = ""
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.metric_fn is None) == (self.embedding is None):
@@ -130,7 +130,7 @@ class Chart:
     def metric(self, x, cfg: DiffConfig | None = None) -> Array:
         """Metric matrix at x, or the stack of them at the rows of a stack x;
         for embedded charts this is Dpsi^T Dpsi."""
-        return memoized_rows(self._memo, "g", x, lambda stack: self._metric(stack, cfg), cfg)
+        return on_rows(lambda stack: self._metric(stack, cfg), x)
 
     def _metric(self, stack: Array, cfg: DiffConfig | None) -> Array:
         if self.metric_fn is not None:
@@ -149,8 +149,7 @@ class Chart:
     def dpsi(self, x, cfg: DiffConfig | None = None) -> Array:
         """D(psi) at x for an embedded chart, or the stack of them at the rows of
         a stack x; the metric there is its Gram matrix."""
-        return memoized_rows(self._memo, "dpsi", x,
-                             lambda stack: self.embedding.dpsi(stack, cfg or DiffConfig()), cfg)
+        return self.embedding.dpsi(x, cfg or DiffConfig())
 
     def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
         """Inverse metric at x, or the stack of them at the rows of a stack x
@@ -191,9 +190,8 @@ def constant_field(chart: Chart, v) -> VectorField:
 def christoffel(chart: Chart, x, cfg: DiffConfig) -> Array:
     """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)
     as the array ``gamma[k, i, j]``, symmetric in (i, j), or their stack at the
-    rows of a stack x: one metric stencil for all rows not memoized yet."""
-    return memoized_rows(chart._memo, "gamma", x, lambda stack: _christoffel(chart, stack, cfg),
-                         cfg)
+    rows of a stack x: one metric stencil for all rows."""
+    return on_rows(lambda stack: _christoffel(chart, stack, cfg), x)
 
 
 def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:

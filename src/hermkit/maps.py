@@ -19,8 +19,8 @@ stencil for all its samples.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images; a single point is passed as one row.
-Each :class:`MapSpec` memoizes phi(x) per row, and nothing else (see
-``numdiff.memoized`` for the contract).
+Nothing is cached by point: phi is evaluated on the stack it is asked for, and
+a check passes the jet it holds instead of asking again.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, 
                         hermitian_frame, lee_vector, nabla_J, nabla_j_tensor,
                         require_almost_hermitian, structure_jet, unit_axes)
 from .manifold import Chart, christoffel, gradient
-from .numdiff import (Array, DiffConfig, as_stack, g_length, gram_schmidt, memoized_rows,
+from .numdiff import (Array, DiffConfig, as_stack, g_length, gram_schmidt, on_rows,
                       orthonormalize, project_out)
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
@@ -71,12 +71,11 @@ class MapSpec:
     target_structure: AlmostComplexField | None = None
     fibre_orientation: Callable[[Array], Array] | None = None
     name: str = ""
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Array:
         """phi at a point, or at each row of a (k, source dim) stack."""
-        return memoized_rows(self._memo, "phi", x, lambda stack: as_stack(
-            self.fn(stack), stack, (self.target.dim,), f"map {self.name or '(unnamed)'}: fn"))
+        return on_rows(lambda stack: as_stack(
+            self.fn(stack), stack, (self.target.dim,), f"map {self.name or '(unnamed)'}: fn"), x)
 
 
 def differential(spec: MapSpec, x) -> Array:

@@ -13,14 +13,15 @@ of :func:`stencil`, so a caller that already holds those values (a map's jets
 at the stencil points of all the samples of a check) differences them alone.
 :func:`project_out`, on a vector or a stack, is the package's only Gram-Schmidt
 step; :func:`gram_schmidt`, :func:`orthonormalize` and every frame
-construction in ``hermitian`` and ``maps`` are built on it.  :func:`memoized`
-is the package's only cache, and its docstring states the contract every memo
-keeps.
+construction in ``hermitian`` and ``maps`` are built on it.
+
+Nothing is cached by point: a check builds each stack it needs once and passes
+it down, and :func:`on_rows` calls a stack function at a point as one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,91 +57,29 @@ class DiffConfig:
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        object.__setattr__(self, "_hash", hash(astuple(self)))  # memo keys hash it often
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def tolerance(self, scale: float = 1.0) -> float:
         """Scale-aware residual bound for inputs of the given magnitude."""
         return self.tolerance_abs + TOLERANCE_FACTOR * self.step**2 * abs(scale)
 
 
-def memoized(memo: dict, key, compute: Callable):
-    """``memo[key]``, computed by ``compute()`` and stored on a miss.
-
-    The package's only cache: each ``MapSpec`` (tag ``"phi"``), ``Chart``
-    (``"g"``, ``"gamma"``, ``"dpsi"``) and ``AlmostComplexField`` (``"J"``)
-    owns one ``_memo`` dict, and every entry keeps this contract:
-
-    * the key names the value and holds the exact bytes of the float64
-      point, as in ``("g", x.tobytes(), cfg)``;
-    * the value is one array, which is made read-only, so ``compute`` must
-      return arrays nobody else holds (a copy of what a user function
-      returns);
-    * only successes are stored, so a call that raises raises again;
-    * no stored value refers to the memo's owner, so the memo is freed by
-      reference counting with it; ``_memo`` is an ``init=False`` field, so
-      ``dataclasses.replace`` starts an empty one.
-
-    ``key`` may also be a list of row keys, as in ``[("phi", p.tobytes()) for p
-    in stack]``: ``compute`` gets the positions of the first occurrences of the
-    keys not stored yet and stacks their values; each row is stored as its own
-    entry, and the list of the entries for ``key`` is returned.
-    """
-    if isinstance(key, list):
-        found = [memo.get(k) for k in key]
-        missing: dict = {}  # first position of each key not stored yet
-        for i, k in enumerate(key):
-            if found[i] is None:
-                missing.setdefault(k, i)
-        if missing:
-            rows = list(_freeze(compute(list(missing.values()))))
-            memo.update(zip(missing, rows))
-            for i, row in zip(missing.values(), rows):
-                found[i] = row
-            found = [memo[k] if v is None else v for k, v in zip(key, found)]  # repeated keys
-        return found
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _freeze(compute())
-    return value
-
-
-def memoized_rows(memo: dict, tag: str, x, compute: Callable[[Array], Array], *extra):
-    """The value at a point, or the stack of the values at the rows of a stack.
-
-    Each row is memoized under ``(tag, row.tobytes(), *extra)``, and
-    ``compute`` maps a (k, n) stack to the stack of its k values:
-    it is called once, on the distinct rows not stored yet (a point goes in as
-    one row).  A point is looked up by its own key: a hit is one dict read.
-    The computed stack is stored C-contiguous; when every row is a distinct miss
-    it is returned (frozen), otherwise the stored rows are stacked.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return memoized(memo, (tag, x.tobytes(), *extra), lambda: compute(x[None])[0])
-    computed: list = []  # the stack of the missing rows
-    rows = memoized(memo, [(tag, p.tobytes(), *extra) for p in x],
-                    lambda missing: computed.append(np.ascontiguousarray(compute(x[missing])))
-                    or computed[0])
-    return computed[0] if computed and len(computed[0]) == len(x) else np.stack(rows)
-
-
 def as_stack(values, points: Array, row_shape: tuple, owner: str) -> Array:
-    """What a stack function returned on ``points``, as a new float array of
-    shape (len(points), *row_shape); any other shape raises ``WrongDimension``
-    naming ``owner``."""
-    out, expected = np.array(values, dtype=float), (len(points), *row_shape)
+    """What a stack function returned on ``points``, as a new C-contiguous float
+    array of shape (len(points), *row_shape) (its layout decides the last bits of
+    the products read from it); any other shape raises ``WrongDimension`` naming
+    ``owner``."""
+    out, expected = np.array(values, dtype=float, order="C"), (len(points), *row_shape)
     if out.shape != expected:
         raise WrongDimension(f"{owner} returned {out.shape} for a stack of shape "
                              f"{points.shape}, expected {expected}")
     return out
 
 
-def _freeze(value: Array) -> Array:
-    value.flags.writeable = False
-    return value
+def on_rows(compute: Callable[[Array], Array], x) -> Array:
+    """``compute``, a stack function, at the rows of a (k, n) stack ``x``, or at a
+    point ``x`` as its one-row case."""
+    x = np.asarray(x, dtype=float)
+    return compute(x) if x.ndim == 2 else compute(x[None])[0]
 
 
 def by_row(f: Callable[[Array], Array | float]) -> Callable[[Array], Array]:

@@ -359,15 +359,18 @@ def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
         assert built.count(x.tobytes()) == 1
 
 
-def test_classify_builds_each_metric_once_per_point(memo_builds, cfg):
-    """Stencils ask the chart for stacks of metrics; each row is still built
-    once, however many stencils and samples share it."""
-    built = memo_builds(numdiff, "g")
-    entry = catalog.calabi_eckmann(1, 1, cfg)
-    plan = SamplePlan(count=2)
-    classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
-    assert len(built) > 2 * 4 * 4
-    assert all(len(ids) == 1 for ids in built.values())
+def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
+    """Stencils ask the chart for stacks of metrics: classify builds metrics on
+    as many stacks at 3 samples as at 2, each holding its rows for all the
+    samples."""
+    rows = {2: [], 3: []}
+    build = Chart._metric
+    for count, seen in rows.items():
+        monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg:
+                            seen.append(len(x)) or build(self, x, cfg))
+        entry = catalog.calabi_eckmann(1, 1, cfg)
+        classify_structure(entry.charts["ce"], entry.structures["J"], SamplePlan(count=count), cfg)
+    assert rows[2] and [3 * n for n in rows[2]] == [2 * n for n in rows[3]]
 
 
 def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
@@ -450,7 +453,7 @@ J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
 def chart_and_structure(name, cfg):
-    """A fresh (chart, J) for a one-chart catalog entry, the chart of a
+    """The (chart, J) of a one-chart catalog entry, the chart of a
     scenario row, or the conformally flat config."""
     if name == "conformal-dsl":
         return geodsl.to_chart(geodsl.parse(CONFORMAL_SRC))
@@ -479,9 +482,8 @@ def test_stacked_frame_equals_frames_at_points(name, cfg):
         stack = stencil_stack(x, cfg)
         stacked = hermitian_frame(chart, j_field, stack, cfg, pivots)
         assert stacked.pivots == (pivots,) * len(stack) and stacked.m == chart.dim // 2
-        fresh_chart, fresh_j = chart_and_structure(name, cfg)  # empty memos
         for r, p in enumerate(stack):
-            at_p = hermitian_frame(fresh_chart, fresh_j, p, cfg, pivots)
+            at_p = hermitian_frame(chart, j_field, p, cfg, pivots)
             assert at_p.pivots == pivots
             for a, b in zip(stacked.real_frame + stacked.complex_frame,
                             at_p.real_frame + at_p.complex_frame):
@@ -492,22 +494,20 @@ def test_stacked_frame_equals_frames_at_points(name, cfg):
 def test_stacked_greedy_frame_parts_rows_that_pick_different_pivots(cfg):
     """Without pivots, one stacked greedy pass picks each row's: the standard J
     (J e_1 = e_2) gives (0, 2), J e_1 = e_3 gives (0, 1).  Each row equals the
-    frame built at its point alone on fresh memos, under ``np.array_equal``."""
+    frame built at its point alone, under ``np.array_equal``."""
     crossed = np.zeros((4, 4))
     crossed[[2, 0, 3, 1], [0, 2, 1, 3]] = [1.0, -1.0, 1.0, -1.0]
 
-    def fresh():
-        chart = Chart(dim=4, box=Box((-1.0,) * 4, (1.0,) * 4),
-                      metric_fn=numdiff.by_row(lambda p: (1.0 + p @ p) * np.eye(4)))
-        return chart, AlmostComplexField(chart, numdiff.by_row(
-            lambda p: catalog.multiplication_by_i(2) if p[0] < 0.0 else crossed))
-
-    stack = np.array(SamplePlan(seed=2, count=8).points(fresh()[0], cfg))
+    chart = Chart(dim=4, box=Box((-1.0,) * 4, (1.0,) * 4),
+                  metric_fn=numdiff.by_row(lambda p: (1.0 + p @ p) * np.eye(4)))
+    j_field = AlmostComplexField(chart, numdiff.by_row(
+        lambda p: catalog.multiplication_by_i(2) if p[0] < 0.0 else crossed))
+    stack = np.array(SamplePlan(seed=2, count=8).points(chart, cfg))
     stack[:, 0] = np.abs(stack[:, 0]) * np.tile([-1.0, 1.0], 4)
-    frame = hermitian_frame(*fresh(), stack, cfg)
+    frame = hermitian_frame(chart, j_field, stack, cfg)
     assert frame.pivots == ((0, 2), (0, 1)) * 4
     for r, x in enumerate(stack):
-        alone = hermitian_frame(*fresh(), x, cfg)
+        alone = hermitian_frame(chart, j_field, x, cfg)
         assert alone.pivots == frame.pivots[r]
         for a, b in zip(frame.real_frame + frame.complex_frame,
                         alone.real_frame + alone.complex_frame):
@@ -534,8 +534,8 @@ def test_stacked_frame_rejects_a_dependent_recorded_pivot(cfg):
 
 
 def structure_cases(name, cfg):
-    """Fresh (chart, J) pairs: the source and the target of a map entry, or
-    the one chart of ``chart_and_structure``."""
+    """(chart, J) pairs: the source and the target of a map entry, or the one
+    chart of ``chart_and_structure``."""
     if name in ("hopf-s3", "product-hopf-1-1"):
         entry = catalog.get_entry(name, cfg)
         return [(entry.charts[k], entry.structures[k]) for k in ("source", "target")]
@@ -545,14 +545,13 @@ def structure_cases(name, cfg):
 @pytest.mark.parametrize("name", ["hopf-s3", "product-hopf-1-1", "ce-2-1", "conformal-dsl"])
 def test_stacked_structure_jet_equals_one_point_calls_bit_for_bit(name, cfg):
     """Every part of a stacked structure jet, its div J and its Lee field equal
-    the one-point calls row by row, each point computed on fresh memos."""
-    for case, (chart, j_field) in enumerate(structure_cases(name, cfg)):
+    the one-point calls row by row."""
+    for chart, j_field in structure_cases(name, cfg):
         points = np.array(SamplePlan(seed=3, count=3).points(chart, cfg))
         jets = structure_jet(chart, j_field, points, cfg)
         delta, lee = divergence_J(jets), lee_vector(jets)
         for r, x in enumerate(points):
-            fresh_chart, fresh_j = structure_cases(name, cfg)[case]
-            jet = structure_jet(fresh_chart, fresh_j, x, cfg)
+            jet = structure_jet(chart, j_field, x, cfg)
             for part in ("x", "metric", "j", "dj", "gamma", "nabla"):
                 assert getattr(jets, part).shape == (3, *getattr(jet, part).shape)
                 assert np.array_equal(getattr(jets, part)[r], getattr(jet, part)), (r, part)
@@ -576,8 +575,7 @@ def test_stacked_nijenhuis_and_nabla_j_equal_each_row(name, cfg):
     stacked = [(f(jets, u, v), g_norm(jets.metric, f(jets, u, v)))
                for u, v in pairs for f in (nijenhuis, nabla_J)]
     for r, x in enumerate(points):
-        fresh_chart, fresh_j = chart_and_structure(name, cfg)
-        jet = structure_jet(fresh_chart, fresh_j, x, cfg)
+        jet = structure_jet(chart, j_field, x, cfg)
         alone = [(f(jet, u[r], v[r]), g_norm(jet.metric, f(jet, u[r], v[r])))
                  for u, v in pairs for f in (nijenhuis, nabla_J)]
         for (vec, norm), (vec_r, norm_r) in zip(stacked, alone):

@@ -125,10 +125,7 @@ def test_conformality_partial_rank_degenerate():
 
 @pytest.mark.parametrize("operator", [conformality, _vertical_projector])
 def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
-    """Building the jet takes the one SVD; the operators that read it take none.
-
-    A fresh map: the module's ``hopf`` already holds jets in its memo."""
-    hopf = dataclasses.replace(hopf)
+    """Building the jet takes the one SVD; the operators that read it take none."""
     calls = []
     svd = np.linalg.svd
 
@@ -407,8 +404,7 @@ def test_condition_ii_matches_the_bracket_route(orientation):
     points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
     structure = structure_jet(spec.source, lift_structure(spec, orientation), points, spec.cfg)
     residual = max(condition_ii_residual(point_jet(spec, points), structure))
-    fresh = catalog.punctured_hopf(2).maps["hopf"]  # an empty memo: the oracle computes afresh
-    oracle = condition_ii_bracket_route(condition_ii_samples(fresh, orientation, points))
+    oracle = condition_ii_bracket_route(condition_ii_samples(spec, orientation, points))
     assert residual == oracle
     assert oracle > 0.0
 
@@ -444,8 +440,7 @@ def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
     assert [c.near_critical for c in confs] == [False] * 4 + [True] + [False] * 2
     assert [len(c.horizontal_basis) for c in confs] == [2, 0, 1, 0, 2, 2, 1]
     for r, x in enumerate(RAGGED_ROWS):
-        alone = dataclasses.replace(spec)  # an empty memo: the point is computed afresh
-        jet = point_jet(alone, x)
+        jet = point_jet(spec, x)
         for part in ("x", "differential", "metric", "singular_values", "vt", "rank"):
             assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)), (r, part)
         one, row = conformality(jet), confs[r]
@@ -466,7 +461,7 @@ def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
     frames, lifts = frame_at(jets), jets.lift
     projectors = _vertical_projector(jets)
     for r, x in enumerate(stack):
-        jet = point_jet(dataclasses.replace(punctured2), x)
+        jet = point_jet(punctured2, x)
         assert np.array_equal(frames[r], frame_at(jet))
         assert np.array_equal(lifts[r], jet.lift)
         assert np.array_equal(projectors[r], _vertical_projector(jet))
@@ -480,7 +475,6 @@ def test_map_that_does_not_broadcast_is_rejected():
         spec(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
     with pytest.raises(WrongDimension, match="per-point"):
         scenarios.check_harmonic_morphism(spec, SamplePlan(count=2))
-    assert spec._memo == {}
 
 
 DSL_MAP_SRC = """\
@@ -498,8 +492,8 @@ map product -> 2 = [x1*x3 - x2*x4, x1*x4 + x2*x3]
 """
 
 
-def fresh_map(name):
-    """A map with empty memos: a catalog map entry's map or the DSL map."""
+def map_named(name):
+    """A catalog map entry's map or the DSL map."""
     if name == "dsl":
         return geodsl.to_map(geodsl.parse(DSL_MAP_SRC), "product", catalog.DEFAULT_CFG)
     return catalog.get_entry(name).maps["hopf"]
@@ -508,14 +502,14 @@ def fresh_map(name):
 @pytest.mark.parametrize("name", ["hopf-s3", "product-hopf-1-1", "dsl"])
 def test_stacked_tension_equals_one_point_calls_bit_for_bit(name):
     """nabla dphi, the tension and the Lee push-forward read from a stacked jet
-    equal the one-point calls row by row, each point on fresh memos."""
-    spec = fresh_map(name)
+    equal the one-point calls row by row."""
+    spec = map_named(name)
     points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
     stack = point_jet(spec, points)
     sff, tau, push = sff_tensor(stack), tension(stack), lee_pushforward(stack)
     assert tau.shape == (3, spec.target.dim)
     for r, x in enumerate(points):
-        jet = point_jet(fresh_map(name), x)
+        jet = point_jet(spec, x)
         assert np.array_equal(sff[r], sff_tensor(jet))
         assert np.array_equal(tau[r], tension(jet))
         assert np.array_equal(push[r], lee_pushforward(jet))
@@ -527,14 +521,14 @@ def test_harmonic_morphism_check_takes_one_second_partial(monkeypatch):
     original = numdiff.second_partial
     monkeypatch.setattr(numdiff, "second_partial", lambda f, x, *args, **kwargs:
                         shapes.append(np.shape(x)) or original(f, x, *args, **kwargs))
-    scenarios.check_harmonic_morphism(fresh_map("dsl"), SamplePlan(count=4))
+    scenarios.check_harmonic_morphism(map_named("dsl"), SamplePlan(count=4))
     assert shapes == [(4, 4)]
 
 
 def test_stacked_operators_equal_one_point_calls_bit_for_bit():
     """Holomorphy, fibre mean curvature, homothety, superminimality, condition (ii)
     and the lifted structure jet read from one stacked jet (and its one stencil
-    jet) equal the one-point calls row by row, each point on fresh memos."""
+    jet) equal the one-point calls row by row."""
     spec = catalog.punctured_hopf(2).maps["hopf"]
     points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
     stack = point_jet(spec, points)
@@ -545,15 +539,14 @@ def test_stacked_operators_equal_one_point_calls_bit_for_bit():
             "superminimality": superminimality_residual(stack, source),
             "condition (ii)": condition_ii_residual(stack, lifted)}
     for r, x in enumerate(points):
-        fresh = catalog.punctured_hopf(2).maps["hopf"]
-        jet = point_jet(fresh, x)
-        lifted_at = structure_jet(fresh.source, lift_structure(fresh, +1), x, fresh.cfg)
+        jet = point_jet(spec, x)
+        lifted_at = structure_jet(spec.source, lift_structure(spec, +1), x, spec.cfg)
         for part in ("j", "dj", "nabla"):
             assert np.array_equal(getattr(lifted, part)[r], getattr(lifted_at, part)), part
         alone = {"holomorphy": holomorphy_residual(jet), "fibre": fibre_mean_curvature(jet),
                  "homothety": homothety_residual(jet),
                  "superminimality": superminimality_residual(
-                     jet, structure_jet(fresh.source, fresh.source_structure, x, fresh.cfg)),
+                     jet, structure_jet(spec.source, spec.source_structure, x, spec.cfg)),
                  "condition (ii)": condition_ii_residual(jet, lifted_at)}
         for name, value in alone.items():
             assert np.array_equal(rows[name][r], value), name

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from hermkit import catalog, cli, hermitian, maps, numdiff, scenarios
+from hermkit import catalog, cli, hermitian, manifold, maps, numdiff, scenarios
 from hermkit.errors import (PreconditionFailed, TargetDimensionTooSmall,
                             TooManyExcludedSamples, UnknownScenario, WrongDimension)
 from hermkit.manifold import Box, Chart, SamplePlan
@@ -336,14 +336,17 @@ def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3-surface-case", "product-hopf-1-1-two-of-three"])
-def test_christoffel_built_once_per_sample(sid, memo_builds):
-    """The source chart builds its Christoffel symbols at a sample once, however
-    many operators read them there."""
-    built = memo_builds(numdiff, "gamma")
-    plan = SamplePlan(count=2)
-    assert run_scenario(sid, plan, CFG).overall
-    for x in sample_points(sid, plan):
-        assert len(built[x.tobytes()]) == 1
+def test_christoffel_built_once_per_sample(sid, monkeypatch):
+    """A check builds Christoffel symbols on as many stacks at 3 samples as at 2,
+    each the stack of all its samples, never one sample alone."""
+    rows = []
+    build = manifold._christoffel
+    monkeypatch.setattr(manifold, "_christoffel", lambda chart, x, cfg:
+                        rows.append(len(x)) or build(chart, x, cfg))
+    for count in (2, 3):
+        assert run_scenario(sid, SamplePlan(count=count), CFG).overall
+    assert rows.count(2) == rows.count(3) > 0
+    assert set(rows) == {2, 3}
 
 
 def test_condition_ii_builds_one_target_frame_per_sample(monkeypatch):
