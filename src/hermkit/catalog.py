@@ -7,9 +7,10 @@ All sphere charts use products of angular coordinates on dense open sets; the
 boxes keep samples well away from coordinate degeneracies and, for Hopf-type
 maps, keep the first complex coordinate bounded away from zero.
 
-The embeddings' Jacobians, the ambient J, its fibre orientation form and the
-closed-form divergence take a (k, n) stack in one call, each row bit for bit
-its point's; only the Fubini-Study metrics go row by row (see :func:`fs_metric`).
+The Fubini-Study metrics, the embeddings' Jacobians, the ambient J, its fibre
+orientation form and the closed-form divergence take a (k, n) stack in one
+call, each row bit for bit its point's (see :func:`fs_metric` for how the
+metric keeps that).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import DegenerateParameters
 from .hermitian import AlmostComplexField
 from .manifold import Box, Chart, Embedding
 from .maps import MapSpec
-from .numdiff import Array, DiffConfig, by_row, constant
+from .numdiff import Array, DiffConfig, constant
 
 DEFAULT_CFG = DiffConfig()
 
@@ -134,32 +135,34 @@ def flat_chart(dim: int, lo: float, hi: float, scale: float = 1.0, name: str = "
 
 
 def fs_metric(n: int) -> Callable[[Array], Array]:
-    """Fubini-Study metric on the affine chart of CP^n in real coordinates, at
-    one point.
+    """Fubini-Study metric on the affine chart of CP^n in real coordinates, as a
+    stack function: (k, 2n) points to their (k, 2n, 2n) metrics.
 
     Normalized so the projection from the unit sphere is a Riemannian
-    submersion (holomorphic sectional curvature 4).  Charts evaluate it row
-    by row: on a stack, the broadcast sums round differently in the last bit.
+    submersion (holomorphic sectional curvature 4).  Each row equals the metric
+    of its point alone bit for bit: |w|^2 is one ``np.vdot`` per row (a
+    broadcast sum rounds differently in the last bit for n >= 2), and the
+    denominator is squared by ``np.float_power``, libm pow as ``**`` on a float
+    (``d * d`` differs from it in the last bit).
     """
     basis = np.zeros((n, 2 * n), dtype=complex)
     for k in range(n):
-        basis[k, 2 * k] = 1.0
-        basis[k, 2 * k + 1] = 1j
+        basis[k, 2 * k], basis[k, 2 * k + 1] = 1.0, 1j
+    a = (basis.T.conj() @ basis).conj()  # hermitian pairings of the real basis vectors
 
     def metric(x: Array) -> Array:
         w = to_complex(x)
-        denom = 1.0 + float(np.real(np.vdot(w, w)))
-        a = basis.T.conj() @ basis  # hermitian pairings of the real basis vectors
-        u = basis.T @ np.conj(w)    # u_a = <E_a, w>
-        herm = denom * a.conj() - np.outer(u, np.conj(u))
-        return np.real(herm) / denom**2
+        denom = 1.0 + np.array([np.vdot(row, row).real for row in w])
+        u = np.conj(w) @ basis  # u[r, a] = <E_a, w_r>
+        herm = denom[:, None, None] * a - u[:, :, None] * np.conj(u)[:, None]
+        return np.real(herm) / np.float_power(denom, 2)[:, None, None]
 
     return metric
 
 
 def fs_chart(n: int, half_width: float = 6.0, name: str = "") -> Chart:
     box = Box((-half_width,) * (2 * n), (half_width,) * (2 * n))
-    return Chart(dim=2 * n, box=box, metric_fn=by_row(fs_metric(n)), name=name or f"cp{n}")
+    return Chart(dim=2 * n, box=box, metric_fn=fs_metric(n), name=name or f"cp{n}")
 
 
 def product_fs_metric(r: int, s: int, scale: float = 1.0) -> Callable[[Array], Array]:
@@ -167,12 +170,12 @@ def product_fs_metric(r: int, s: int, scale: float = 1.0) -> Callable[[Array], A
     m2 = fs_metric(s) if s > 0 else None
 
     def metric(x: Array) -> Array:
-        d = len(x)
-        out = np.zeros((d, d))
+        d = x.shape[1]
+        out = np.zeros((len(x), d, d))
         if m1 is not None:
-            out[: 2 * r, : 2 * r] = m1(x[: 2 * r])
+            out[:, : 2 * r, : 2 * r] = m1(x[:, : 2 * r])
         if m2 is not None:
-            out[2 * r:, 2 * r:] = m2(x[2 * r:])
+            out[:, 2 * r:, 2 * r:] = m2(x[:, 2 * r:])
         return scale**2 * out
 
     return metric
@@ -182,7 +185,7 @@ def product_fs_chart(r: int, s: int, scale: float = 1.0, half_width: float = 6.0
                      name: str = "") -> Chart:
     d = 2 * (r + s)
     box = Box((-half_width,) * d, (half_width,) * d)
-    return Chart(dim=d, box=box, metric_fn=by_row(product_fs_metric(r, s, scale)),
+    return Chart(dim=d, box=box, metric_fn=product_fs_metric(r, s, scale),
                  name=name or f"cp{r}xcp{s}")
 
 
@@ -452,9 +455,9 @@ def punctured_hopf(n: int, perturbed: bool = False,
     base_metric = fs_metric(n)
     if perturbed:
         def metric(x):
-            return np.exp(0.5 * x[0]) * base_metric(x)
+            return np.exp(0.5 * x[:, 0])[:, None, None] * base_metric(x)
         target = Chart(dim=2 * n, box=Box((-6.0,) * 2 * n, (6.0,) * 2 * n),
-                       metric_fn=by_row(metric), name=f"cp{n}-conformal")
+                       metric_fn=metric, name=f"cp{n}-conformal")
     else:
         target = fs_chart(n)
     j_tgt = constant_structure(target, multiplication_by_i(n))

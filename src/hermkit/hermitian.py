@@ -11,13 +11,14 @@ Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
 :func:`dj_stack` stencil and, unless built with ``connection=False`` (all the
 Nijenhuis tensor needs), the Christoffel symbols and nabla J.
 :func:`structure_jet` builds it once per (structure, stack of points): one J
-call, one :func:`dj_stack` stencil and one ``christoffel`` call for all the
-samples of a check, a point being the one-row case of the same code and each
-row equal to its point's jet bit for bit.  Callers pass the stacked jet down
+call, one :func:`dj_stack` stencil and one ``christoffel`` call (none when the
+caller passes the symbols it holds) for all the samples of a check, a point
+being the one-row case of the same code and each row equal to its point's jet
+bit for bit.  Callers pass the stacked jet down
 (with stacks of vectors), so no operator evaluates or differentiates J again.
 :func:`classify_structure` decides every class from the real form of nabla J
 at the samples' Hermitian frames (Gray & Hervella 1980), built by one stacked
-greedy pass of :func:`hermitian_frame`.
+greedy pass of :func:`stacked_hermitian_frame` from the jet's g and J.
 
 Nothing is cached by point: J(x), g(x), the Christoffel symbols and the
 Hermitian frames are computed on the stack they are asked for, and a check
@@ -122,29 +123,32 @@ class HermitianFrame:
 
 def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
                     pivots: tuple | None = None) -> HermitianFrame:
-    """Greedy Hermitian frame at x: pick a unit e_k, append Je_k, project, repeat.
-
-    Candidates are the coordinate axes in order; with ``pivots`` given, exactly
-    those candidate indices are used: the pivots of the frame at a base point
-    give a frame field that is smooth near it.  ``x`` is a point, built as a
-    one-row stack (``chart`` must be the chart of ``j_field``); or a (k, dim)
-    stack, each frame vector then being a (k, dim) stack whose rows equal the
-    frames at those points bit for bit, and ``pivots`` of the frame the tuple
-    of each row's pivots.  One stacked greedy pass picks every row's pivots.
-    """
+    """:func:`stacked_hermitian_frame` of g and J at x, a (k, dim) stack, or at a
+    point as its one-row case (``chart`` must be the chart of ``j_field``)."""
     x = np.asarray(x, dtype=float)
-    d = chart.dim
+    stack = np.atleast_2d(x)
+    frame = stacked_hermitian_frame(chart.metric(stack, cfg), j_field(stack), pivots)
+    if x.ndim == 2:
+        return frame
+    return HermitianFrame(tuple(v[0] for v in frame.real_frame),
+                          tuple(v[0] for v in frame.complex_frame), frame.pivots[0])
+
+
+def stacked_hermitian_frame(g: Array, j: Array, pivots: tuple | None = None) -> HermitianFrame:
+    """Greedy Hermitian frames at (k, dim, dim) stacks g and J, pick a unit e_k,
+    append Je_k, project, repeat: each frame vector a (k, dim) stack whose rows
+    equal the frames at those rows alone bit for bit, ``pivots`` the tuple of
+    each row's pivots.  Candidates are the coordinate axes in order; with
+    ``pivots`` given, exactly those candidate indices are used: the pivots of
+    the frame at a base point give a frame field that is smooth near it."""
+    d = g.shape[-1]
     if d % 2 != 0:
         raise RankDeficient("almost complex structures need an even-dimensional chart")
-    stack = np.atleast_2d(x)
-    g, j = chart.metric(stack, cfg), j_field(stack)
     chol_t = np.swapaxes(np.linalg.cholesky(g), 1, 2)  # its 2-norm sets each row's rank scale
     tol = np.linalg.norm(chol_t, ord=2, axis=(1, 2))[:, None] * numdiff.RANK_RTOL
-    frame, used = np.empty((d, *stack.shape)), [()] * len(stack)
+    frame, used = np.empty((d, len(g), d)), [()] * len(g)
     _greedy_frame(g, j, tol, pivots is not None, tuple(range(d) if pivots is None else pivots),
-                  np.arange(len(stack)), frame, used)
-    if x.ndim == 1:
-        frame, used = frame[:, 0], used[0]
+                  np.arange(len(g)), frame, used)
     e_list, je_list = list(frame[0::2]), list(frame[1::2])
     complex_frame = tuple((e - 1j * je) / SQRT2 for e, je in zip(e_list, je_list))
     return HermitianFrame(tuple(e_list + je_list), complex_frame, tuple(used))
@@ -219,16 +223,18 @@ class StructureJet:
 
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-                  connection: bool = True) -> StructureJet:
+                  connection: bool = True, gamma: Array | None = None) -> StructureJet:
     """Evaluate g and J at x, or at the rows of a stack x, once, differentiate
-    J once and, with ``connection``, build the Christoffel symbols and nabla J."""
+    J once and, with ``connection``, build nabla J from ``gamma``, the Christoffel
+    symbols at x that the caller holds, or else from a new ``christoffel`` call."""
     x = np.asarray(x, dtype=float)
     g = chart.metric(x, cfg)
     j = j_field(x)
-    gamma = christoffel(chart, x, cfg) if connection else None
+    if connection and gamma is None:
+        gamma = christoffel(chart, x, cfg)
     dj = dj_stack(chart, j_field, x, cfg)
     nabla = nabla_j_tensor(gamma, j, dj) if connection else None
-    return StructureJet(x, g, j, dj, gamma, nabla)
+    return StructureJet(x, g, j, dj, gamma if connection else None, nabla)
 
 
 def apply_j(jet: StructureJet, v) -> Array:
@@ -324,7 +330,7 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     g, j, t = jets.metric, jets.j, jets.nabla
     scale = max(1.0, float(np.max(1.0 + np.max(np.abs(jets.gamma), axis=(1, 2, 3))
                                   * (1.0 + np.max(np.abs(j), axis=(1, 2))))))
-    frame = hermitian_frame(chart, j_field, stack, cfg)
+    frame = stacked_hermitian_frame(g, j)
     require_almost_hermitian(g, j, stack)
     u = np.stack(frame.real_frame, axis=-1)  # u[r, :, a] is the a-th frame vector at row r
     ju = j @ u

@@ -9,8 +9,9 @@ at the rows of a (k, source dim) stack, a point being the one-row case of the
 same code and each row equal to its point's bit for bit.  A map check builds
 one with :func:`point_jet` for all its samples.  A jet builds, when first read,
 and shares with every reader ``jet.split``, its :func:`conformality` data,
-``jet.lift``, its horizontal-lift matrices, and ``jet.stencil``, the jet at the
-first-order stencil points of all its rows, as one stack.  The third-order operators
+``jet.lift``, its horizontal-lift matrices, ``jet.gamma``, the source
+Christoffel symbols, and ``jet.stencil``, the jet at the first-order stencil
+points of all its rows, as one stack.  The third-order operators
 (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
 :func:`lifted_structure_jet`, :func:`condition_ii_residual`) difference values
 computed on that stencil jet, so a check takes at most two :func:`differential`
@@ -100,7 +101,7 @@ class PointJet:
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
-    ``split``, ``lift`` and ``stencil`` are built when first read and then kept;
+    ``split``, ``lift``, ``gamma`` and ``stencil`` are built when first read and then kept;
     a jet made by :meth:`take` reads them from the jet it was taken from.
     """
 
@@ -137,6 +138,14 @@ class PointJet:
             return self.take().lift[0]
         whole, rows = self.whole or (None, None)
         return _lift_matrix(self) if rows is None else whole.lift[rows]
+
+    @cached_property
+    def gamma(self) -> Array:
+        """The source Christoffel symbols at the jet's point or rows."""
+        if self.whole is None:
+            return christoffel(self.spec.source, self.x, self.spec.cfg)
+        whole, rows = self.whole
+        return whole.gamma[None] if rows is None else whole.gamma[rows]
 
     @cached_property
     def stencil(self) -> PointJet:
@@ -258,8 +267,7 @@ def sff_tensor(jet: PointJet) -> Array:
     spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.spec.cfg
     fx = spec(x)
     spec.target.require_interior(fx, cfg)
-    gamma_m = christoffel(spec.source, x, cfg)
-    gamma_n = christoffel(spec.target, fx, cfg)
+    gamma_m, gamma_n = jet.gamma, christoffel(spec.target, fx, cfg)
     out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
            - np.einsum("...kij,...gk->...ijg", gamma_m, d)
            + np.einsum("...gab,...ai,...bj->...ijg", gamma_n, d, d))
@@ -283,7 +291,8 @@ def lee_pushforward(jet: PointJet) -> Array:
     if spec.source_structure is None:
         raise MissingStructure("the Lee push-forward needs an almost-complex structure "
                                "on the source")
-    lee = lee_vector(structure_jet(spec.source, spec.source_structure, jet.x, spec.cfg))
+    lee = lee_vector(structure_jet(spec.source, spec.source_structure, jet.x, spec.cfg,
+                                   gamma=jet.gamma))
     return (jet.differential @ lee[..., None])[..., 0]
 
 
@@ -344,12 +353,10 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame at each
     row; the zero vector exactly when the fibre is minimal there (0-dimensional
     fibres are).  The frame field is differenced on the jet's stencil jet."""
-    spec, cfg = jet.spec, jet.spec.cfg
     frame_at = vertical_frame_field(jet)
-    gamma = christoffel(spec.source, jet.x, cfg)
-    frame = frame_at(jet)
+    gamma, frame = jet.gamma, frame_at(jet)
     # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
-    dframe = numdiff.difference(frame_at(jet.stencil), jet.x, cfg)
+    dframe = numdiff.difference(frame_at(jet.stencil), jet.x, jet.spec.cfg)
     total = np.zeros(jet.x.shape)
     for a in range(frame.shape[2]):
         v, dv = frame[:, :, a], dframe[..., a]
@@ -452,10 +459,8 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
 def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
     """The structure jet of the lifted J at the rows of a stacked map jet: J from
     the jet, d J differenced on its stencil jet, with the connection."""
-    spec, cfg = jet.spec, jet.spec.cfg
-    j = lifted_j(jet, orientation)
-    gamma = christoffel(spec.source, jet.x, cfg)
-    dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, cfg)
+    j, gamma = lifted_j(jet, orientation), jet.gamma
+    dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, jet.spec.cfg)
     return StructureJet(jet.x, jet.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
 
 

@@ -355,7 +355,8 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
-    source = structure_jet(spec.source, spec.source_structure, stack.x, cfg)
+    source = structure_jet(spec.source, spec.source_structure, stack.x, cfg,
+                           gamma=stack.gamma)
     source_cos = max([0.0, *map(g_norm, source.metric, divergence_J(source))])
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
                                        points=spec(stack.x))

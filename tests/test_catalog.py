@@ -134,15 +134,64 @@ def test_fs_metric_known_values():
     """At w = 0 the metric is Euclidean.  On the line (n = 1) it is conformal,
     ds^2 = |dw|^2 / (1+|w|^2)^2; for n = 2 the direction complex-orthogonal to
     w only contracts by one power of 1+|w|^2."""
-    g1 = catalog.fs_metric(1)
-    npt.assert_allclose(g1(np.zeros(2)), np.eye(2), atol=1e-14)
-    w = np.array([0.7, 0.0])
-    npt.assert_allclose(g1(w), np.eye(2) / (1.0 + 0.49) ** 2, atol=1e-12)
-    g2 = catalog.fs_metric(2)
-    gw = g2(np.array([0.7, 0.0, 0.0, 0.0]))
+    origin, w = catalog.fs_metric(1)(np.array([[0.0, 0.0], [0.7, 0.0]]))
+    npt.assert_allclose(origin, np.eye(2), atol=1e-14)
+    npt.assert_allclose(w, np.eye(2) / (1.0 + 0.49) ** 2, atol=1e-12)
+    (gw,) = catalog.fs_metric(2)(np.array([[0.7, 0.0, 0.0, 0.0]]))
     npt.assert_allclose(gw[0, 0], 1.0 / (1.0 + 0.49) ** 2, atol=1e-12)
     npt.assert_allclose(gw[2, 2], 1.0 / (1.0 + 0.49), atol=1e-12)
     npt.assert_allclose(gw[3, 3], 1.0 / (1.0 + 0.49), atol=1e-12)
+
+
+def fs_metric_at_a_point(n):
+    """The Fubini-Study metric of one point, as the chart evaluated it row by row."""
+    basis = np.zeros((n, 2 * n), dtype=complex)
+    for k in range(n):
+        basis[k, 2 * k] = 1.0
+        basis[k, 2 * k + 1] = 1j
+
+    def metric(x):
+        w = catalog.to_complex(x)
+        denom = 1.0 + float(np.real(np.vdot(w, w)))
+        a = basis.T.conj() @ basis
+        u = basis.T @ np.conj(w)
+        herm = denom * a.conj() - np.outer(u, np.conj(u))
+        return np.real(herm) / denom**2
+
+    return metric
+
+
+def product_fs_metric_at_a_point(r, s, scale):
+    m1, m2 = (fs_metric_at_a_point(k) if k > 0 else None for k in (r, s))
+
+    def metric(x):
+        out = np.zeros((len(x), len(x)))
+        if m1 is not None:
+            out[: 2 * r, : 2 * r] = m1(x[: 2 * r])
+        if m2 is not None:
+            out[2 * r:, 2 * r:] = m2(x[2 * r:])
+        return scale**2 * out
+
+    return metric
+
+
+def conformal_fs_metric_at_a_point(n):
+    return lambda x: np.exp(0.5 * x[0]) * fs_metric_at_a_point(n)(x)
+
+
+@pytest.mark.parametrize("stacked,at_point,dim", [
+    *((catalog.fs_metric(n), fs_metric_at_a_point(n), 2 * n) for n in (1, 2, 3)),
+    *((catalog.product_fs_metric(r, s, scale), product_fs_metric_at_a_point(r, s, scale),
+       2 * (r + s)) for r, s, scale in ((1, 1, 1.0), (1, 0, 1.5), (2, 1, 1.5), (0, 2, 1.0))),
+    *((catalog.punctured_hopf(n, perturbed=True).charts["target"].metric_fn,
+       conformal_fs_metric_at_a_point(n), 2 * n) for n in (1, 2))])
+def test_stacked_fs_metrics_equal_the_point_formula_bit_for_bit(stacked, at_point, dim):
+    """Each row of a stacked Fubini-Study metric, plain, product or conformally
+    stretched, is its point's metric by the per-point formula, sign bits included."""
+    x = np.random.default_rng(dim).uniform(-6.0, 6.0, (1500, dim))
+    got, want = stacked(x), np.stack([at_point(p) for p in x])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("entry_id", catalog.entry_ids())
@@ -259,8 +308,10 @@ def test_mobius_pole_names_the_offending_row(cfg):
 
 def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     """J hands its D(psi) to the chart components instead of asking the chart
-    again: classify and the closed-form divergence at 2 samples differentiate
-    the embedding at 162 rows (214 when J asked twice)."""
+    again, and classify builds its frames from the structure jet's g and J:
+    classify and the closed-form divergence at 2 samples differentiate the
+    embedding at 156 rows (162 when the frames evaluated g and J again, 214
+    when J asked twice)."""
     entry = catalog.calabi_eckmann(1, 1, cfg)
     chart = entry.charts["ce"]
     rows = []
@@ -275,4 +326,4 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     plan = SamplePlan(count=2)
     classify_structure(chart, entry.structures["J"], plan, cfg)
     catalog.odd_sphere_product_divergence(chart, 1, 1, np.array(plan.points(chart, cfg)), cfg)
-    assert sum(rows) == 162
+    assert sum(rows) == 156

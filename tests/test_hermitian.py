@@ -345,18 +345,21 @@ def test_classify_deterministic(torus, cfg, plan):
 
 
 def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
-    """Every real-form residual at a sample reads the one frame built there."""
+    """Every real-form residual at a sample reads the one frame built there,
+    from the g and J rows the structure jet holds: no frame evaluates them again."""
     built = []
-    frame_at = hermitian.hermitian_frame
-    monkeypatch.setattr(hermitian, "hermitian_frame", lambda chart, j_field, x, *args:
-                        built.extend(p.tobytes() for p in np.atleast_2d(x))
-                        or frame_at(chart, j_field, x, *args))
+    frame_of = hermitian.stacked_hermitian_frame
+    monkeypatch.setattr(hermitian, "stacked_hermitian_frame", lambda g, j, *args:
+                        built.extend(zip(g, j)) or frame_of(g, j, *args))
+    monkeypatch.setattr(hermitian, "hermitian_frame", None)
     entry = catalog.complex_projective(2)
     chart, j_field = entry.charts["cp"], entry.structures["J"]
     plan = SamplePlan(count=2)
     classify_structure(chart, j_field, plan, cfg)
-    for x in plan.points(chart, cfg):
-        assert built.count(x.tobytes()) == 1
+    points = plan.points(chart, cfg)
+    assert len(built) == len(points)
+    for (g, j), x in zip(built, points):
+        assert np.array_equal(g, chart.metric(x, cfg)) and np.array_equal(j, j_field(x))
 
 
 def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
@@ -419,8 +422,8 @@ def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
     """The samples' frames are the only frames classification builds: at most
     one lookup per distinct pivot tuple, none on a stencil."""
     calls = []
-    lookup = hermitian.hermitian_frame
-    monkeypatch.setattr(hermitian, "hermitian_frame", lambda *args, **kwargs:
+    lookup = hermitian.stacked_hermitian_frame
+    monkeypatch.setattr(hermitian, "stacked_hermitian_frame", lambda *args, **kwargs:
                         calls.append(lookup(*args, **kwargs)) or calls[-1])
     entry = catalog.calabi_eckmann(1, 1)
     plan = SamplePlan(count=5)

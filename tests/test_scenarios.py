@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -396,3 +397,30 @@ def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypat
     plan = SamplePlan(0, 2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
     assert built == [plan.count, plan.count * 4 * spec.source.dim]
+
+
+MAP_SCENARIOS = [sid for sid, (_, _, entry_id, key, _) in scenarios.SCENARIOS.items()
+                 if key in catalog.get_entry(entry_id, CFG).maps]
+
+
+def test_there_are_29_map_scenarios():
+    assert len(MAP_SCENARIOS) == 29
+
+
+@pytest.mark.parametrize("sid", MAP_SCENARIOS)
+def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
+    """The tension, the Lee push-forward, the fibre mean curvature and the lifted
+    structure read the source Christoffel symbols from the sample jet's
+    ``gamma``: no Christoffel build on the source chart repeats a row that the
+    check has already built.  The source is a renamed copy of the chart, so the
+    target side of a map into its own chart (the identity) is not counted."""
+    _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
+    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"))
+    built = []
+    build = manifold._christoffel
+    monkeypatch.setattr(manifold, "_christoffel", lambda chart, x, cfg: built.extend(
+        p.tobytes() for p in x if chart is spec.source) or build(chart, x, cfg))
+    check_map = getattr(scenarios, check_name)
+    assert check_map(spec, plan=SamplePlan(count=2), scenario_id=sid, **kwargs).overall
+    assert built and len(built) == len(set(built))
