@@ -190,7 +190,7 @@ def product_fs_chart(r: int, s: int, scale: float = 1.0, half_width: float = 6.0
 
 
 def constant_structure(chart: Chart, j: Array) -> AlmostComplexField:
-    return AlmostComplexField(chart, constant(j), source="intrinsic")
+    return AlmostComplexField(chart, constant(j))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def odd_sphere_product_structure(chart: Chart, r: int, s: int,
         ambient = _ambient_j_product(r, s, chart.embedding.psi(x), dpsi)
         return _chart_components(chart.metric(x, cfg), dpsi, ambient)
 
-    return AlmostComplexField(chart, j_at, source="ambient")
+    return AlmostComplexField(chart, j_at)
 
 
 def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,

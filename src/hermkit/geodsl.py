@@ -725,7 +725,7 @@ def to_chart(config: GeoConfig, name: str = "user"):
     if structure_fn is not None:
         if config.incompatibility is not None:
             raise ConfigError(config.incompatibility)
-        structure = AlmostComplexField(chart, structure_fn, source="intrinsic")
+        structure = AlmostComplexField(chart, structure_fn)
     return chart, structure
 
 
@@ -743,6 +743,6 @@ def to_map(config: GeoConfig, name: str, cfg, source_chart=None, structure=None)
     target_structure = None
     if target_dim % 2 == 0 and structure is not None:
         target_structure = AlmostComplexField(
-            target, constant(multiplication_by_i(target_dim // 2)), source="intrinsic")
+            target, constant(multiplication_by_i(target_dim // 2)))
     return MapSpec(source_chart, target, fn, cfg, source_structure=structure,
                    target_structure=target_structure, name=name)

@@ -10,11 +10,11 @@ The pointwise structure operators (nabla J, div J, the Lee field, the
 Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
 :func:`dj_stack` stencil and, unless built with ``connection=False`` (all the
 Nijenhuis tensor needs), the Christoffel symbols and nabla J.
-:func:`structure_jet` builds it once per (structure, stack of points): one J
-call, one :func:`dj_stack` stencil and one ``christoffel`` call (none when the
-caller passes the symbols it holds) for all the samples of a check, a point
-being the one-row case of the same code and each row equal to its point's jet
-bit for bit.  Callers pass the stacked jet down
+:func:`structure_jet` builds it once per (structure, stack of points): one
+metric, one J, one :func:`dj_stack` and one ``christoffel`` call for all the
+samples of a check, a point being the one-row case of the same code and each row
+equal to its point's jet bit for bit (a map check's ``maps.PointJet.structure``
+reuses its g and Christoffel symbols).  Callers pass the stacked jet down
 (with stacks of vectors), so no operator evaluates or differentiates J again.
 :func:`classify_structure` decides every class from the real form of nabla J
 at the samples' Hermitian frames (Gray & Hervella 1980), built by one stacked
@@ -51,14 +51,10 @@ class AlmostComplexField:
 
     ``fn`` maps a (k, dim) stack of points to the (k, dim, dim) stack of J
     there, so :func:`dj_stack` evaluates it once per stencil.
-    ``source`` records how the field was built: ``intrinsic`` (given directly),
-    ``ambient`` (an ambient-space rule pushed to the chart through an
-    embedding), or ``lifted`` (produced by ``maps.lift_structure``).
     """
 
     chart: Chart
     fn: Callable[[Array], Array]
-    source: str = "intrinsic"
 
     def __call__(self, x) -> Array:
         """J at a point, or the stack of J at the rows of a (k, dim) stack."""
@@ -223,18 +219,15 @@ class StructureJet:
 
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-                  connection: bool = True, gamma: Array | None = None) -> StructureJet:
+                  connection: bool = True) -> StructureJet:
     """Evaluate g and J at x, or at the rows of a stack x, once, differentiate
-    J once and, with ``connection``, build nabla J from ``gamma``, the Christoffel
-    symbols at x that the caller holds, or else from a new ``christoffel`` call."""
+    J once and, with ``connection``, build the Christoffel symbols and nabla J."""
     x = np.asarray(x, dtype=float)
-    g = chart.metric(x, cfg)
-    j = j_field(x)
-    if connection and gamma is None:
-        gamma = christoffel(chart, x, cfg)
+    g, j = chart.metric(x, cfg), j_field(x)
+    gamma = christoffel(chart, x, cfg) if connection else None
     dj = dj_stack(chart, j_field, x, cfg)
     nabla = nabla_j_tensor(gamma, j, dj) if connection else None
-    return StructureJet(x, g, j, dj, gamma if connection else None, nabla)
+    return StructureJet(x, g, j, dj, gamma, nabla)
 
 
 def apply_j(jet: StructureJet, v) -> Array:

@@ -4,14 +4,14 @@ fibre geometry, superminimality, and lifted almost Hermitian structures on the
 total space of a conformal submersion with 2-dimensional fibres.
 
 Every operator reads a :class:`PointJet` (x, Dphi from one :func:`differential`
-stencil, the source metric g and the one-SVD rank split of Dphi) at a point or
-at the rows of a (k, source dim) stack, a point being the one-row case of the
-same code and each row equal to its point's bit for bit.  A map check builds
-one with :func:`point_jet` for all its samples.  A jet builds, when first read,
-and shares with every reader ``jet.split``, its :func:`conformality` data,
-``jet.lift``, its horizontal-lift matrices, ``jet.gamma``, the source
-Christoffel symbols, and ``jet.stencil``, the jet at the first-order stencil
-points of all its rows, as one stack.  The third-order operators
+stencil, the source metric g, phi(x), the target metric h there and the one-SVD
+rank split of Dphi) at a point or at the rows of a (k, source dim) stack, a point
+being the one-row case of the same code and each row equal to its point's bit for
+bit.  A map check builds one with :func:`point_jet` for all its samples.  A jet
+builds, when first read, and shares with every reader ``jet.split``, its
+:func:`conformality` data, ``jet.lift``, its horizontal-lift matrices, ``jet.gamma``,
+the source Christoffel symbols, ``jet.structure``, the source structure jet, and
+``jet.stencil``, the jet at the stencil points of all its rows.  The third-order operators
 (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
 :func:`lifted_structure_jet`, :func:`condition_ii_residual`) difference values
 computed on that stencil jet, so a check takes at most two :func:`differential`
@@ -34,9 +34,9 @@ import numpy as np
 
 from . import numdiff
 from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
-from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
-                        hermitian_frame, lee_vector, nabla_J, nabla_j_tensor,
-                        require_almost_hermitian, structure_jet, unit_axes)
+from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, dj_stack,
+                        g_norm, lee_vector, nabla_J, nabla_j_tensor, require_almost_hermitian,
+                        stacked_hermitian_frame, unit_axes)
 from .manifold import Chart, christoffel, gradient
 from .numdiff import (Array, DiffConfig, as_stack, g_length, gram_schmidt, on_rows,
                       orthonormalize, project_out)
@@ -96,19 +96,21 @@ def differential(spec: MapSpec, x) -> Array:
 
 @dataclass(frozen=True)
 class PointJet:
-    """Dphi(x), the source metric g(x) and the SVD of Dphi at one point, or
+    """Dphi(x), g(x), phi(x), h(phi(x)) and the SVD of Dphi at one point, or
     their stacks (``rank`` an integer array) at the rows of a stack.
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
-    ``split``, ``lift``, ``gamma`` and ``stencil`` are built when first read and then kept;
-    a jet made by :meth:`take` reads them from the jet it was taken from.
+    The cached properties are built when first read and then kept; a jet made by
+    :meth:`take` reads all but ``structure`` from the jet it was taken from.
     """
 
     spec: MapSpec
     x: Array
     differential: Array
     metric: Array
+    image: Array
+    target_metric: Array
     singular_values: Array
     vt: Array
     rank: int | Array
@@ -117,8 +119,8 @@ class PointJet:
     def take(self, rows=None) -> PointJet:
         """The rows ``rows`` (an index array) of a stacked jet, or a point's jet as a
         one-row stack (``rows=None``)."""
-        parts = (self.x, self.differential, self.metric, self.singular_values, self.vt,
-                 self.rank)
+        parts = (self.x, self.differential, self.metric, self.image, self.target_metric,
+                 self.singular_values, self.vt, self.rank)
         return PointJet(self.spec, *(np.asarray(p)[None] if rows is None else p[rows]
                                      for p in parts), whole=(self, rows))
 
@@ -148,6 +150,13 @@ class PointJet:
         return whole.gamma[None] if rows is None else whole.gamma[rows]
 
     @cached_property
+    def structure(self) -> StructureJet:
+        """The source structure jet at the jet's point or rows, on its g and ``gamma``."""
+        x, j_field, gamma = self.x, self.spec.source_structure, self.gamma
+        j, dj = j_field(x), dj_stack(self.spec.source, j_field, x, self.spec.cfg)
+        return StructureJet(x, self.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
+
+    @cached_property
     def stencil(self) -> PointJet:
         """The stencil jet: the stacked jet at the ``numdiff.stencil`` points of the
         jet's point or rows, in their order (one block of rows per row)."""
@@ -166,15 +175,16 @@ def _blocks(jet: PointJet, rows) -> Array:
 
 def point_jet(spec: MapSpec, x) -> PointJet:
     """Differentiate the map at x, or at each row of a stack x, once and split
-    the differential by rank: one :func:`differential` (one map call), one metric
-    call and one batched SVD, the rank decided per row."""
+    the differential by rank: one :func:`differential`, one call each of phi and
+    the source and target metrics, and one batched SVD, the rank decided per row."""
     x = np.array(x, dtype=float)
     d = differential(spec, x)
-    g = spec.source.metric(x, spec.cfg)
+    g, y = spec.source.metric(x, spec.cfg), spec(x)
+    h = spec.target.metric(y, spec.cfg)
     _, sv, vt = np.linalg.svd(d)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
-    return PointJet(spec, x, d, g, sv, vt, rank if x.ndim == 2 else int(rank))
+    return PointJet(spec, x, d, g, y, h, sv, vt, rank if x.ndim == 2 else int(rank))
 
 
 def _rowwise(op: Callable) -> Callable:
@@ -194,10 +204,10 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
     spec = jet.spec
     if spec.source_structure is None or spec.target_structure is None:
         raise MissingStructure("holomorphy needs almost-complex structures on both charts")
-    d, y = jet.differential, spec(jet.x)
+    d, y = jet.differential, jet.image
     j_src, j_tgt = spec.source_structure(jet.x), spec.target_structure(y)
     require_almost_hermitian(jet.metric, j_src, jet.x)
-    require_almost_hermitian(spec.target.metric(y, spec.cfg), j_tgt, y)
+    require_almost_hermitian(jet.target_metric, j_tgt, y)
     return [float(np.linalg.norm(m)) for m in d @ j_src - j_tgt @ d]
 
 
@@ -226,13 +236,10 @@ class ConformalityData:
 def conformality(jet: PointJet) -> list[ConformalityData]:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
     conformal dphi is on the horizontal part, at each row: rows of equal rank run
-    as one stack (sub-stacks where Gram-Schmidt keeps different vectors), with one
-    target metric call for all.  Readers take it from ``jet.split``, built once."""
-    spec, d, g, sv, vt = jet.spec, jet.differential, jet.metric, jet.singular_values, jet.vt
+    as one stack (sub-stacks where Gram-Schmidt keeps different vectors), in the
+    jet's target metric.  Readers take it from ``jet.split``, built once."""
+    d, g, sv, vt = jet.differential, jet.metric, jet.singular_values, jet.vt
     n, out = d.shape[1], [None] * len(d)
-    h_tgt, active = np.zeros((len(d), n, n)), jet.rank > 0
-    if active.any():
-        h_tgt[active] = spec.target.metric(spec(jet.x[active]), spec.cfg)
     for rank in sorted(set(jet.rank.tolist())):
         rows = np.flatnonzero(jet.rank == rank)
         kind = KIND_CRITICAL if rank == 0 else KIND_DEGENERATE if rank < n else KIND_REGULAR
@@ -245,7 +252,7 @@ def conformality(jet: PointJet) -> list[ConformalityData]:
             at, h = rows[part], len(horiz)
             img = (np.stack([(d[at] @ u[:, :, None])[:, :, 0] for u in horiz], axis=-1)
                    if horiz else np.zeros((len(at), n, 0)))
-            gram = np.swapaxes(img, 1, 2) @ h_tgt[at] @ img
+            gram = np.swapaxes(img, 1, 2) @ jet.target_metric[at] @ img
             lam_sq = np.diagonal(gram, axis1=1, axis2=2).sum(axis=1) / max(h, 1)
             padded = np.zeros((len(at), n, n))
             padded[:, :h, :h] = gram
@@ -264,8 +271,7 @@ def conformality(jet: PointJet) -> list[ConformalityData]:
 def sff_tensor(jet: PointJet) -> Array:
     """All components of nabla dphi at the jet's point, shape (d, d, n), or
     their stack at the rows of a stacked jet."""
-    spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.spec.cfg
-    fx = spec(x)
+    spec, x, d, fx, cfg = jet.spec, jet.x, jet.differential, jet.image, jet.spec.cfg
     spec.target.require_interior(fx, cfg)
     gamma_m, gamma_n = jet.gamma, christoffel(spec.target, fx, cfg)
     out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
@@ -279,8 +285,8 @@ def sff_tensor(jet: PointJet) -> Array:
 def tension(jet: PointJet) -> Array:
     """Tension field tau = g^{ij} (nabla dphi)_{ij} at the jet's point, or its
     stack at the rows of a stacked jet."""
-    g_inv = jet.spec.source.metric_inverse(jet.x, jet.spec.cfg)
-    return np.einsum("...ij,...ijg->...g", g_inv, sff_tensor(jet))
+    sff = sff_tensor(jet)  # its Christoffel build has checked that g is invertible
+    return np.einsum("...ij,...ijg->...g", np.linalg.inv(jet.metric), sff)
 
 
 def lee_pushforward(jet: PointJet) -> Array:
@@ -291,8 +297,7 @@ def lee_pushforward(jet: PointJet) -> Array:
     if spec.source_structure is None:
         raise MissingStructure("the Lee push-forward needs an almost-complex structure "
                                "on the source")
-    lee = lee_vector(structure_jet(spec.source, spec.source_structure, jet.x, spec.cfg,
-                                   gamma=jet.gamma))
+    lee = lee_vector(jet.structure)
     return (jet.differential @ lee[..., None])[..., 0]
 
 
@@ -384,8 +389,7 @@ def homothety_residual(jet: PointJet) -> list[float]:
         lam_sq.append(conf.dilation**2)
     # gradient evaluates its function on exactly these stencil points
     grad = gradient(spec.source, lambda points: np.array(lam_sq), jet.x, cfg)
-    h = spec.target.metric(spec(jet.x), cfg)
-    return [g_norm(hr, d @ v) for hr, d, v in zip(h, jet.differential, grad)]
+    return [g_norm(h, d @ v) for h, d, v in zip(jet.target_metric, jet.differential, grad)]
 
 
 @_rowwise
@@ -439,8 +443,7 @@ def lifted_j(jet: PointJet, orientation: int) -> Array:
     sigma = (orientation * np.sign(signed))[:, None, None]
     g_v1, g_v2 = ((jet.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
     rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
-    j_tgt = spec.target_structure(spec(jet.x))
-    return jet.lift @ j_tgt @ jet.differential + rot
+    return jet.lift @ spec.target_structure(jet.image) @ jet.differential + rot
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -453,7 +456,7 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
     """
     _require_liftable(spec, orientation)
     return AlmostComplexField(spec.source, lambda stack: lifted_j(point_jet(spec, stack),
-                                                                  orientation), source="lifted")
+                                                                  orientation))
 
 
 def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
@@ -480,19 +483,19 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     Each row's target Hermitian frame at phi(x) fixes the pivots of its frame
     field; the lifted frame fields are differenced on the map's stencil jet.
     """
-    spec, cfg = jet.spec, jet.spec.cfg
-    if spec.target_structure is None:
+    spec, cfg, j_tgt = jet.spec, jet.spec.cfg, jet.spec.target_structure
+    if j_tgt is None:
         raise MissingStructure("condition (ii) needs the target structure")
     require_regular(jet, "condition (ii) needs regular samples")
-    base = hermitian_frame(spec.target, spec.target_structure, spec(jet.x), cfg)
+    base = stacked_hermitian_frame(jet.target_metric, j_tgt(jet.image))
     if base.m < 2:
         return [0.0] * len(jet.x)
     stencil = jet.stencil
-    y, zs = spec(stencil.x), np.empty((len(stencil.x), base.m, spec.target.dim), dtype=complex)
+    zs = np.empty((len(stencil.x), base.m, spec.target.dim), dtype=complex)
     for pivots in dict.fromkeys(base.pivots):
         at = _blocks(jet, [r for r, row in enumerate(base.pivots) if row == pivots])
-        zs[at] = np.stack(hermitian_frame(spec.target, spec.target_structure, y[at], cfg,
-                                          pivots).complex_frame, axis=1)
+        zs[at] = np.stack(stacked_hermitian_frame(
+            stencil.target_metric[at], j_tgt(stencil.image[at]), pivots).complex_frame, axis=1)
     require_regular(stencil, "horizontal lift needs a regular point")
     # dz[r, part, k, i, :] = d_i of that part of the lifted Z_k at row r; each (part, k)
     # slice of a row is C-contiguous, as in manifold.lie_bracket, so brackets match it

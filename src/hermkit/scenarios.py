@@ -28,8 +28,9 @@ A map check builds the map's jets at its samples once, as one stack, in
 :meth:`maps.PointJet.take` selects from it), one stacked call each: the
 conformality data, holomorphy, the tension, the Lee push-forward and the
 third-order operators, which share the jet's one stencil jet.  So a map check
-takes at most two ``maps.differential`` calls.  A structure check builds one
-stacked structure jet for all its samples (the lift checks, one for the lifted
+takes at most two ``maps.differential`` calls, and reads phi, the target metric
+and the source structure jet at its samples from the jet.  A structure check builds
+one stacked structure jet for all its samples (the lift checks, one for the lifted
 J) and reads its rows.
 """
 
@@ -194,15 +195,10 @@ def _conformality_max(confs: Sequence[ConformalityData]) -> float:
     return max([0.0, *(c.conformality_residual for c in confs if c.kind != KIND_CRITICAL)])
 
 
-def _target_norms(stack: PointJet, vectors) -> list[float]:
-    """The target-metric norm at phi(x) of each row of ``vectors``, a stack of
-    target vectors at the rows of a stacked jet."""
-    spec = stack.spec
-    return g_norm(spec.target.metric(spec(stack.x), spec.cfg), vectors).tolist()
-
-
-def _tension_max(stack: PointJet) -> float:
-    return max([0.0, *_target_norms(stack, maps.tension(stack))])
+def _target_max(stack: PointJet, vectors) -> float:
+    """The largest target-metric norm at phi(x) over the rows of ``vectors``, a
+    stack of target vectors at the rows of a stacked jet."""
+    return max([0.0, *g_norm(stack.target_metric, vectors).tolist()])
 
 
 def _fibre_residual(stack: PointJet) -> tuple[float, int, int]:
@@ -247,7 +243,7 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     confs, n = stack.split, len(stack.x)
     checks = [
         check("horizontally-weakly-conformal", _conformality_max(confs), tol, n),
-        check("tension-vanishes", _tension_max(stack), tol, n),
+        check("tension-vanishes", _target_max(stack, maps.tension(stack)), tol, n),
     ]
     if include_holomorphy:
         checks.insert(0, check("holomorphic", max(maps.holomorphy_residual(stack)), tol, n))
@@ -268,7 +264,7 @@ def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
     genuinely large (rejection mode)."""
     stack, tol = _map_points(spec, plan)
     conf_res = _conformality_max(stack.split)
-    tension_res = _tension_max(stack)
+    tension_res = _target_max(stack, maps.tension(stack))
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
               len(stack.x), mode="gt", conformality=conf_res, tension=tension_res),
@@ -290,7 +286,7 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         return VerificationReport(report.scenario_id, report.checks, meta)
     stack, tol = _map_points(spec, plan)
     maps.require_regular(stack, "two-of-three needs regular samples")
-    tension = _target_norms(stack, maps.tension(stack))
+    tension = g_norm(stack.target_metric, maps.tension(stack)).tolist()
     hm_res = max([0.0, *(r for c, t in zip(stack.split, tension) for r in (
         c.conformality_residual, t))])
     fibre_res, used, excluded = _fibre_residual(stack)
@@ -318,8 +314,8 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
         raise WrongDimension("surface case needs a target of real dimension 2")
     stack, tol = _map_points(spec, plan)
     holo = _require_holomorphic(spec, stack, tol)
-    tension_res = _tension_max(stack)
-    lee_res = max([0.0, *_target_norms(stack, maps.lee_pushforward(stack))])
+    tension_res = _target_max(stack, maps.tension(stack))
+    lee_res = _target_max(stack, maps.lee_pushforward(stack))
     confs = stack.split
     fibre_res, used, excluded = _fibre_residual(stack)
     hm_res = max(_conformality_max(confs), tension_res)
@@ -355,13 +351,12 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
-    source = structure_jet(spec.source, spec.source_structure, stack.x, cfg,
-                           gamma=stack.gamma)
+    source = stack.structure
     source_cos = max([0.0, *map(g_norm, source.metric, divergence_J(source))])
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
-                                       points=spec(stack.x))
+                                       points=stack.image)
     target_cos = target_report.residual_cosympl
-    hm_res = max(conf_res, _tension_max(stack))
+    hm_res = max(conf_res, _target_max(stack, maps.tension(stack)))
     checks = [
         biconditional_check("target-cosymplectic-iff-harmonic-morphism",
                             target_cos, hm_res, tol, len(stack.x)),
@@ -384,16 +379,15 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
     stack, tol = _map_points(spec, plan)
     _require_holomorphic(spec, stack, tol)
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
-                                       points=spec(stack.x))
+                                       points=stack.image)
     if not target_report.verdicts["one_two_symplectic"]:
         raise PreconditionFailed("target (1,2)-symplectic",
                                  f"residual {target_report.residual_12sympl}")
-    tau = maps.tension(stack)
-    push = maps.lee_pushforward(stack)
+    tau, push = maps.tension(stack), maps.lee_pushforward(stack)
     checks = [check("tension-equals-minus-lee-pushforward",
-                    max([0.0, *_target_norms(stack, tau + push)]), tol, len(stack.x),
-                    tension_norm=max([0.0, *_target_norms(stack, tau)]),
-                    lee_pushforward_norm=max([0.0, *_target_norms(stack, push)]))]
+                    _target_max(stack, tau + push), tol, len(stack.x),
+                    tension_norm=_target_max(stack, tau),
+                    lee_pushforward_norm=_target_max(stack, push))]
     return _report(scenario_id, checks, plan, cfg, map=spec.name)
 
 
@@ -407,7 +401,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
     stack, tol = _map_points(spec, plan)
     target_nij = _nijenhuis_residual(structure_jet(spec.target, spec.target_structure,
-                                                  spec(stack.x), cfg, connection=False))
+                                                  stack.image, cfg, connection=False))
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
     inv, _ = _lift_invariants(stack, orientation)

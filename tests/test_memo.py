@@ -92,6 +92,45 @@ def test_map_check_takes_two_differentials(sid, count, monkeypatch):
     assert calls[0] == (count, entry.maps[key].source.dim)
 
 
+@pytest.mark.parametrize("sid", MAP_SCENARIOS)
+def test_map_check_evaluates_phi_on_its_samples_once(sid, monkeypatch):
+    """phi(x) at the samples is the sample jet's ``image``: the check's map runs
+    on the stack of its samples once (the map inside a composition is another
+    ``MapSpec`` and is not counted)."""
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    entry = catalog.get_entry(entry_id, CFG)
+    spec, plan = entry.maps[key], SamplePlan(count=2)
+    samples, seen = np.array(plan.points(spec.source, CFG)), []
+    call = MapSpec.__call__
+    monkeypatch.setattr(MapSpec, "__call__", lambda self, x: seen.append(
+        self is spec and np.array_equal(x, samples)) or call(self, x))
+    assert run_row(sid, entry, plan).overall
+    assert sum(seen) == 1
+
+
+def test_surface_case_builds_each_sample_metric_twice(monkeypatch):
+    """In the surface case the target metric at phi(samples) is built by the
+    sample jet and by the target Christoffel build, and the source metric at the
+    samples by the sample jet and by the source Christoffel build; no operator
+    builds either again.  Source and target are renamed copies of their charts,
+    so the source structure's own metric evaluations are not counted."""
+    sid = "hopf-s3-surface-case"
+    _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
+    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"),
+                               target=dataclasses.replace(spec.target, name="target"))
+    plan = SamplePlan(count=2)
+    samples = np.array(plan.points(spec.source, CFG))
+    images, built = spec(samples), []
+    metric = Chart._metric
+    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: built.append(
+        "target" if self is spec.target and np.array_equal(x, images) else
+        "source" if self is spec.source and np.array_equal(x, samples) else
+        None) or metric(self, x, cfg))
+    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+    assert 0 < built.count("target") <= 2 and 0 < built.count("source") <= 2
+
+
 def test_stacked_jet_raises_what_its_first_bad_row_raises():
     """A stack whose second row is outside the chart raises the class and the
     message of that row alone."""

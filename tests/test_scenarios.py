@@ -315,22 +315,15 @@ def test_each_sample_is_differentiated_once(sid, monkeypatch):
 def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
     """The lifted J is read from the map's jets: at a sample by the structure jet
     and by the invariant check, at each point of the sample's stencil once (the
-    stencil jet's row), and the lifted field itself is never evaluated."""
-    read, evaluated = [], []
+    stencil jet's row), and the lifted field itself is never built."""
+    read = []
     lifted_j = maps.lifted_j
-    call = hermitian.AlmostComplexField.__call__
-
-    def recording_call(self, x):
-        evaluated.append(self.source)
-        return call(self, x)
-
     monkeypatch.setattr(maps, "lifted_j", lambda jet, orientation:
                         read.extend(np.atleast_2d(jet.x)) or lifted_j(jet, orientation))
-    monkeypatch.setattr(hermitian.AlmostComplexField, "__call__", recording_call)
+    monkeypatch.setattr(maps, "lift_structure", None)
     sid = "punctured-hopf-1-lift-plus"
     plan = SamplePlan(count=2)
     assert run_scenario(sid, plan, CFG).overall
-    assert "lifted" not in evaluated
     for x in sample_points(sid, plan):
         assert times_at(read, x) == 2
         assert [times_at(read, p) for p in numdiff.stencil(x, CFG)] == [1] * 4 * 4
@@ -351,20 +344,21 @@ def test_christoffel_built_once_per_sample(sid, monkeypatch):
 
 
 def test_condition_ii_builds_one_target_frame_per_sample(monkeypatch):
-    """Condition (ii) builds the target's Hermitian frame at phi(x) once: its
-    frame field near phi(x) reuses the base frame there."""
+    """Condition (ii) builds the target's Hermitian frame at phi(x) once, from
+    the target g and J there: its frame field near phi(x) reuses the base frame."""
     built = []
-    frame_at = maps.hermitian_frame
-    monkeypatch.setattr(maps, "hermitian_frame", lambda chart, j_field, x, *args:
-                        built.extend(p.tobytes() for p in np.atleast_2d(x))
-                        or frame_at(chart, j_field, x, *args))
+    frame_of = maps.stacked_hermitian_frame
+    monkeypatch.setattr(maps, "stacked_hermitian_frame", lambda g, j, *args:
+                        built.extend(zip(g, j)) or frame_of(g, j, *args))
+    monkeypatch.setattr(hermitian, "hermitian_frame", None)
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     plan = SamplePlan(count=2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
     for x in sample_points(sid, plan):
-        assert built.count(spec(x).tobytes()) == 1
+        h, j = spec.target.metric(spec(x), CFG), spec.target_structure(spec(x))
+        assert sum(np.array_equal(g, h) and np.array_equal(k, j) for g, k in built) == 1
 
 
 def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
@@ -372,8 +366,8 @@ def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
     stencil points of the lifted frame fields' one stencil in one stacked
     call: at most 2 lookups per sample."""
     calls = []
-    lookup = maps.hermitian_frame
-    monkeypatch.setattr(maps, "hermitian_frame",
+    lookup = maps.stacked_hermitian_frame
+    monkeypatch.setattr(maps, "stacked_hermitian_frame",
                         lambda *args, **kwargs: calls.append(1) or lookup(*args, **kwargs))
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
