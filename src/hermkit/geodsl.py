@@ -14,6 +14,10 @@ right-associative and binds tighter than unary minus, so ``-x1^2`` is
 ``-(x1^2)``.  The grammar has no conditionals or user functions, keeping every
 parsed field smooth.
 
+Parsing.  A line is split into tokens by one regular-expression scan and parsed
+by recursive descent, ``+ - * /`` by precedence climbing.  :func:`parse` then
+checks g, J and every map on the stack of five probe points, each check once.
+
 Evaluation contract.  :func:`evaluate` is the reference: it walks the tree at
 one point in Python floats and ``math``.  Each config entry is compiled once
 (:func:`compile_exprs`) into a closure over a (k, dim) stack of points, so
@@ -40,7 +44,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -145,8 +149,8 @@ def compile_exprs(exprs, lines=None) -> Callable[[np.ndarray], np.ndarray]:
     the config line of each expression; an ``EvaluationError`` then starts
     with ``line <n>:`` (``None`` marks an expression with no line).
     """
-    index: dict = {}  # keyed by repr, once per tree: trees compare Num(0.0) equal to Num(-0.0)
-    columns = [index.setdefault(repr(e), (len(index), e))[0] for e in exprs]
+    index: dict = {}  # keyed by source form: trees compare Num(0.0) equal to Num(-0.0)
+    columns = [index.setdefault(pretty(e), (len(index), e))[0] for e in exprs]
     parts = [_compile(e) for _, e in index.values()]
 
     def fn(points):
@@ -281,8 +285,7 @@ def _pretty(expr: Expr, parent: int) -> str:
 # tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER IDENT SYMBOL END
     text: str
     line: int
@@ -290,42 +293,41 @@ class _Token:
 
 
 #: One token after optional whitespace: an ASCII number or name, a symbol, or
-#: the end of the line (a comment runs to it).
+#: (BAD) a character that starts none of them.
 _TOKEN = re.compile(r"\s*(?:(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
                     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYMBOL>->|[-+*/^()\[\],=])"
-                    r"|(?P<END>#|\Z))")
+                    r"|(?P<BAD>\S))")
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens, pos = [], 0
-    while (match := _TOKEN.match(text, pos)) is not None:
-        kind = match.lastgroup
-        if kind == "END":
-            return tokens + [_Token("END", "", line_no, len(text) + 1)]
-        tokens.append(_Token(kind, match[kind], line_no, match.start(kind) + 1))
-        pos = match.end()
-    i = len(text) - len(text[pos:].lstrip())
-    raise DslSyntaxError(line_no, i + 1, f"a token (got {text[i]!r})")
+    """The tokens of a line up to its comment (``#``), then END at its end."""
+    tokens = [_Token(kind := m.lastgroup, m[kind], line_no, m.start(kind) + 1)
+              for m in _TOKEN.finditer(text.partition("#")[0])]
+    for tok in tokens:
+        if tok.kind == "BAD":
+            raise DslSyntaxError(line_no, tok.col, f"a token (got {tok.text!r})")
+    tokens.append(_Token("END", "", line_no, len(text) + 1))
+    return tokens
+
+
+#: Precedence of the left-associative binary operators.
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
-    """Recursive descent over one statement line."""
+    """Recursive descent over one statement line; ``+ - * /`` by precedence climbing."""
 
     def __init__(self, tokens: list[_Token], dim: int | None):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
     def error(self, expected: str):
-        tok = self.current
+        tok = self.tokens[self.pos]
         raise DslSyntaxError(tok.line, tok.col, expected)
 
     def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        tok = self.current
+        tok = self.tokens[self.pos]
         if tok.kind == kind and (text is None or tok.text == text):
             self.pos += 1
             return tok
@@ -338,73 +340,58 @@ class _Parser:
         return tok
 
     def at_end(self) -> bool:
-        return self.current.kind == "END"
+        return self.tokens[self.pos].kind == "END"
 
     # expression grammar -----------------------------------------------------
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            if self.accept("SYMBOL", "+"):
-                node = BinOp("+", node, self.term())
-            elif self.accept("SYMBOL", "-"):
-                node = BinOp("-", node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
+    def expr(self, least: int = 1) -> Expr:
+        """Operands joined by binary operators of precedence ``least`` or more."""
         node = self.unary()
-        while True:
-            if self.accept("SYMBOL", "*"):
-                node = BinOp("*", node, self.unary())
-            elif self.accept("SYMBOL", "/"):
-                node = BinOp("/", node, self.unary())
-            else:
-                return node
+        while (prec := _BINARY.get(op := self.tokens[self.pos].text, 0)) >= least:
+            self.pos += 1
+            node = BinOp(op, node, self.expr(prec + 1))
+        return node
 
     def unary(self) -> Expr:
+        """Unary minus, or an atom raised (right-associatively) to a unary."""
         if self.accept("SYMBOL", "-"):
             return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
         if self.accept("SYMBOL", "^"):
             return BinOp("^", base, self.unary())
         return base
 
     def atom(self) -> Expr:
-        tok = self.accept("NUMBER")
-        if tok is not None:
+        tok = self.tokens[self.pos]
+        if tok.kind not in ("NUMBER", "IDENT") and tok.text != "(":
+            self.error("a number, coordinate, function or '('")
+        self.pos += 1
+        if tok.kind == "NUMBER":
             return Num(float(tok.text))
-        if self.accept("SYMBOL", "("):
+        if tok.kind == "SYMBOL":
             node = self.expr()
             self.expect("SYMBOL", ")")
             return node
-        tok = self.accept("IDENT")
-        if tok is not None:
-            name = tok.text
-            if name in FUNCTIONS:
-                self.expect("SYMBOL", "(")
-                args = [self.expr()]
-                while self.accept("SYMBOL", ","):
-                    args.append(self.expr())
-                self.expect("SYMBOL", ")")
-                arity = FUNCTIONS[name][0]
-                if len(args) != arity:
-                    raise DslSyntaxError(tok.line, tok.col,
-                                         f"{arity} argument(s) to {name}")
-                return Call(name, tuple(args))
-            if name.startswith("x") and name[1:].isdigit():
-                index = int(name[1:])
-                if index < 1:
-                    raise UnknownSymbol(f"line {tok.line}: {name!r} is not a coordinate")
-                if self.dim is not None and index > self.dim:
-                    raise DimensionMismatch(
-                        f"line {tok.line}: coordinate {name} exceeds dimension {self.dim}")
-                return Coord(index)
-            raise UnknownSymbol(f"line {tok.line}, col {tok.col}: unknown symbol {name!r}")
-        self.error("a number, coordinate, function or '('")
+        name = tok.text
+        if name in FUNCTIONS:
+            self.expect("SYMBOL", "(")
+            args = [self.expr()]
+            while self.accept("SYMBOL", ","):
+                args.append(self.expr())
+            self.expect("SYMBOL", ")")
+            arity = FUNCTIONS[name][0]
+            if len(args) != arity:
+                raise DslSyntaxError(tok.line, tok.col, f"{arity} argument(s) to {name}")
+            return Call(name, tuple(args))
+        if name.startswith("x") and name[1:].isdigit():
+            index = int(name[1:])
+            if index < 1:
+                raise UnknownSymbol(f"line {tok.line}: {name!r} is not a coordinate")
+            if self.dim is not None and index > self.dim:
+                raise DimensionMismatch(
+                    f"line {tok.line}: coordinate {name} exceeds dimension {self.dim}")
+            return Coord(index)
+        raise UnknownSymbol(f"line {tok.line}, col {tok.col}: unknown symbol {name!r}")
 
     # bracketed collections ---------------------------------------------------
 
@@ -440,7 +427,8 @@ def parse_expr(text: str, dim: int | None = None, line_no: int = 1) -> Expr:
     try:
         node = parser.expr()
     except RecursionError:
-        raise DslSyntaxError(line_no, parser.current.col, "a less deeply nested expression")
+        raise DslSyntaxError(line_no, parser.tokens[parser.pos].col,
+                             "a less deeply nested expression")
     if not parser.at_end():
         parser.error("end of expression")
     return node
@@ -507,14 +495,13 @@ class GeoConfig:
         """The target dimension and the (k, dim) -> (k, target dim) stack function."""
         return self.maps[name][0], self._stack_fns[("map", name)]
 
-    def probe_points(self, count: int = 5) -> list[np.ndarray]:
-        lo = np.array([a for a, _ in self.domain])
-        hi = np.array([b for _, b in self.domain])
-        rng = np.random.default_rng(0)
-        pts = [0.5 * (lo + hi)]
-        for _ in range(count - 1):
-            pts.append(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
-        return pts
+    def probe_points(self, count: int = 5) -> np.ndarray:
+        """The (count, dim) probe stack: the box centre, then seeded draws away
+        from the box faces."""
+        lo, hi = np.array(self.domain).T
+        draws = np.random.default_rng(0).uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo),
+                                                 (count - 1, self.dim))
+        return np.vstack([0.5 * (lo + hi), draws])
 
     def to_source(self) -> str:
         lines = [f"dim = {self.dim}"]
@@ -683,30 +670,27 @@ def _assemble_matrix(matrix, elems, dim: int, label: str, lines: dict):
 
 
 def _validate(config: GeoConfig) -> None:
-    """Probe g, J and every map at once on the stack of probe points."""
-    probes = np.array(config.probe_points())
+    """Probe g, J and every map at once on the stack of probe points; a warning
+    names each probe where it is seen, an error the first (``rows[:1]``)."""
+    probes = config.probe_points()
     raws = config._stack_fns["g"](probes)
     metrics = 0.5 * (raws + np.swapaxes(raws, 1, 2))
-    for p, raw, g in zip(probes, raws, metrics):
-        asym = float(np.max(np.abs(raw - raw.T)))
-        if asym > SYMMETRY_WARN:
-            config.warnings.append(
-                f"metric asymmetry {asym:.3g} at probe {p.tolist()}; symmetrized")
-        if np.linalg.eigvalsh(g).min() <= 0:
-            raise ConfigError(f"metric is not positive-definite at probe {p.tolist()}")
+    asymmetry = np.max(np.abs(raws - np.swapaxes(raws, 1, 2)), axis=(1, 2))
+    config.warnings += [f"metric asymmetry {a:.3g} at probe {p.tolist()}; symmetrized"
+                        for p, a in zip(probes, asymmetry) if a > SYMMETRY_WARN]
+    for r in np.flatnonzero(np.linalg.eigvalsh(metrics).min(axis=1) <= 0)[:1]:
+        raise ConfigError(f"metric is not positive-definite at probe {probes[r].tolist()}")
     structure = config.structure_fn()
     if structure is not None:
         if config.dim % 2 != 0:
             raise ConfigError("J needs an even-dimensional chart")
-        for p, g, j in zip(probes, metrics, structure(probes)):
-            resid, compat = invariant_residuals(g, j)
-            if resid > J_SQUARE_TOL:
-                raise ConfigError(
-                    f"J^2 + I has residual {resid:.3g} at probe {p.tolist()}")
-            if (config.incompatibility is None
-                    and compat > J_SQUARE_TOL * max(1.0, float(np.max(np.abs(g))))):
-                config.incompatibility = (f"J is not g-compatible: g(J., J.) - g has "
-                                          f"residual {compat:.3g} at probe {p.tolist()}")
+        square, compat = invariant_residuals(metrics, structure(probes))
+        for r in np.flatnonzero(square > J_SQUARE_TOL)[:1]:
+            raise ConfigError(f"J^2 + I has residual {square[r]:.3g} at probe {probes[r].tolist()}")
+        bound = J_SQUARE_TOL * np.maximum(1.0, np.max(np.abs(metrics), axis=(1, 2)))
+        for r in np.flatnonzero(compat > bound)[:1]:
+            config.incompatibility = (f"J is not g-compatible: g(J., J.) - g has "
+                                      f"residual {compat[r]:.3g} at probe {probes[r].tolist()}")
     for name in config.maps:
         config.map_fn(name)[1](probes)
 

@@ -55,13 +55,6 @@ class Box:
         hi = np.asarray(self.hi)
         return bool(np.all(x >= lo + margin) and np.all(x <= hi - margin))
 
-    def sample(self, rng: np.random.Generator, margin: float) -> Array:
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
-        if np.any(lo >= hi):
-            raise ValueError("margin leaves no interior to sample")
-        return rng.uniform(lo, hi)
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -247,15 +240,21 @@ def gradient(chart: Chart, f: Callable[[Array], Array], x, cfg: DiffConfig) -> A
 
 
 def sample_points(chart: Chart, seed: int, count: int, margin: float) -> list[Array]:
-    """Seeded interior samples; reproducible for equal arguments."""
+    """Seeded interior samples; reproducible for equal arguments.  Each round
+    draws the missing points as one block (the numbers of one draw per point)
+    and keeps, in draw order, the rows inside the box and the chart's predicate."""
     rng = np.random.default_rng(seed)
-    pts = []
-    attempts = 0
+    lo, hi = np.asarray(chart.box.lo) + margin, np.asarray(chart.box.hi) - margin
+    if np.any(lo >= hi):
+        raise ValueError("margin leaves no interior to sample")
+    pts, attempts = [], 0
     while len(pts) < count:
-        p = chart.box.sample(rng, margin)
-        attempts += 1
-        if chart.contains(p, margin):
-            pts.append(p)
+        block = rng.uniform(lo, hi, (count - len(pts), chart.dim))
+        attempts += len(block)
+        keep = np.all((block >= lo) & (block <= hi), axis=1)
+        if chart.predicate is not None:
+            keep[keep] = [bool(chart.predicate(p)) for p in block[keep]]
+        pts.extend(block[keep])
         if attempts > 100 * count:
             raise EvaluationOutsideDomain(
                 f"{chart.name or 'chart'}: could not draw {count} interior samples")

@@ -4,14 +4,15 @@ fibre geometry, superminimality, and lifted almost Hermitian structures on the
 total space of a conformal submersion with 2-dimensional fibres.
 
 Every operator reads a :class:`PointJet` (x, Dphi from one :func:`differential`
-stencil, the source metric g, phi(x), the target metric h there and the one-SVD
-rank split of Dphi) at a point or at the rows of a (k, source dim) stack, a point
-being the one-row case of the same code and each row equal to its point's bit for
-bit.  A map check builds one with :func:`point_jet` for all its samples.  A jet
-builds, when first read, and shares with every reader ``jet.split``, its
-:func:`conformality` data, ``jet.lift``, its horizontal-lift matrices, ``jet.gamma``,
-the source Christoffel symbols, ``jet.structure``, the source structure jet, and
-``jet.stencil``, the jet at the stencil points of all its rows.  The third-order operators
+stencil, the source metric g and the one-SVD rank split of Dphi) at a point or at
+the rows of a (k, source dim) stack, a point being the one-row case of the same
+code and each row equal to its point's bit for bit.  A map check builds one with
+:func:`point_jet` for all its samples.  A jet builds, when first read, and shares
+with every reader ``jet.image``, phi(x), ``jet.target_metric``, h there,
+``jet.j``, the source J, ``jet.split``, its :func:`conformality` data,
+``jet.lift``, its horizontal-lift matrices, ``jet.gamma``, the source Christoffel
+symbols, ``jet.structure``, the source structure jet, and ``jet.stencil``, the jet
+at the stencil points of all its rows.  The third-order operators
 (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
 :func:`lifted_structure_jet`, :func:`condition_ii_residual`) difference values
 computed on that stencil jet, so a check takes at most two :func:`differential`
@@ -96,8 +97,8 @@ def differential(spec: MapSpec, x) -> Array:
 
 @dataclass(frozen=True)
 class PointJet:
-    """Dphi(x), g(x), phi(x), h(phi(x)) and the SVD of Dphi at one point, or
-    their stacks (``rank`` an integer array) at the rows of a stack.
+    """Dphi(x), g(x) and the SVD of Dphi at one point, or their stacks (``rank``
+    an integer array) at the rows of a stack.
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
@@ -109,8 +110,6 @@ class PointJet:
     x: Array
     differential: Array
     metric: Array
-    image: Array
-    target_metric: Array
     singular_values: Array
     vt: Array
     rank: int | Array
@@ -119,10 +118,14 @@ class PointJet:
     def take(self, rows=None) -> PointJet:
         """The rows ``rows`` (an index array) of a stacked jet, or a point's jet as a
         one-row stack (``rows=None``)."""
-        parts = (self.x, self.differential, self.metric, self.image, self.target_metric,
-                 self.singular_values, self.vt, self.rank)
+        parts = (self.x, self.differential, self.metric, self.singular_values, self.vt, self.rank)
         return PointJet(self.spec, *(np.asarray(p)[None] if rows is None else p[rows]
                                      for p in parts), whole=(self, rows))
+
+    def _taken(self, name: str) -> Array:
+        """The cached property ``name`` of the jet this one was taken from, at its rows."""
+        part, rows = getattr(self.whole[0], name), self.whole[1]
+        return part[None] if rows is None else part[rows]
 
     @cached_property
     def split(self) -> ConformalityData | list[ConformalityData]:
@@ -142,18 +145,32 @@ class PointJet:
         return _lift_matrix(self) if rows is None else whole.lift[rows]
 
     @cached_property
+    def image(self) -> Array:
+        """phi at the jet's point or rows."""
+        return self.spec(self.x) if self.whole is None else self._taken("image")
+
+    @cached_property
+    def target_metric(self) -> Array:
+        """The target metric h at phi of the jet's point or rows."""
+        return (self.spec.target.metric(self.image, self.spec.cfg) if self.whole is None
+                else self._taken("target_metric"))
+
+    @cached_property
     def gamma(self) -> Array:
         """The source Christoffel symbols at the jet's point or rows."""
-        if self.whole is None:
-            return christoffel(self.spec.source, self.x, self.spec.cfg)
-        whole, rows = self.whole
-        return whole.gamma[None] if rows is None else whole.gamma[rows]
+        return (christoffel(self.spec.source, self.x, self.spec.cfg) if self.whole is None
+                else self._taken("gamma"))
+
+    @cached_property
+    def j(self) -> Array:
+        """The source structure J at the jet's point or rows."""
+        return self.spec.source_structure(self.x) if self.whole is None else self._taken("j")
 
     @cached_property
     def structure(self) -> StructureJet:
-        """The source structure jet at the jet's point or rows, on its g and ``gamma``."""
-        x, j_field, gamma = self.x, self.spec.source_structure, self.gamma
-        j, dj = j_field(x), dj_stack(self.spec.source, j_field, x, self.spec.cfg)
+        """The source structure jet at the jet's point or rows, on its g, J and ``gamma``."""
+        x, gamma, j = self.x, self.gamma, self.j
+        dj = dj_stack(self.spec.source, self.spec.source_structure, x, self.spec.cfg)
         return StructureJet(x, self.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
 
     @cached_property
@@ -175,16 +192,15 @@ def _blocks(jet: PointJet, rows) -> Array:
 
 def point_jet(spec: MapSpec, x) -> PointJet:
     """Differentiate the map at x, or at each row of a stack x, once and split
-    the differential by rank: one :func:`differential`, one call each of phi and
-    the source and target metrics, and one batched SVD, the rank decided per row."""
+    the differential by rank: one :func:`differential`, one source metric call
+    and one batched SVD, the rank decided per row (phi and h at first read)."""
     x = np.array(x, dtype=float)
     d = differential(spec, x)
-    g, y = spec.source.metric(x, spec.cfg), spec(x)
-    h = spec.target.metric(y, spec.cfg)
+    g = spec.source.metric(x, spec.cfg)
     _, sv, vt = np.linalg.svd(d)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
-    return PointJet(spec, x, d, g, y, h, sv, vt, rank if x.ndim == 2 else int(rank))
+    return PointJet(spec, x, d, g, sv, vt, rank if x.ndim == 2 else int(rank))
 
 
 def _rowwise(op: Callable) -> Callable:
@@ -204,8 +220,8 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
     spec = jet.spec
     if spec.source_structure is None or spec.target_structure is None:
         raise MissingStructure("holomorphy needs almost-complex structures on both charts")
-    d, y = jet.differential, jet.image
-    j_src, j_tgt = spec.source_structure(jet.x), spec.target_structure(y)
+    d, y, j_src = jet.differential, jet.image, jet.j
+    j_tgt = spec.target_structure(y)
     require_almost_hermitian(jet.metric, j_src, jet.x)
     require_almost_hermitian(jet.target_metric, j_tgt, y)
     return [float(np.linalg.norm(m)) for m in d @ j_src - j_tgt @ d]

@@ -254,6 +254,158 @@ def test_function_arity_checked():
         geodsl.parse_expr("atan2(x1)", dim=2)
 
 
+DEEP = "(" * 4000 + "1" + ")" * 4000
+
+#: Every error branch of ``parse`` and ``_validate``: the source, then the class,
+#: line, col (None where the exception has none) and message of what it raises.
+PARSE_ERRORS = [
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x1 $ 2]", DslSyntaxError, 3, 18,
+     "line 3, col 18: expected a token (got '$')"),
+    ("5 = 3", DslSyntaxError, 1, 1, "line 1, col 1: expected ident"),
+    ("dim 2", DslSyntaxError, 1, 5, "line 1, col 5: expected ="),
+    ("dim = x1", DslSyntaxError, 1, 7, "line 1, col 7: expected number"),
+    ("dim = 0", DslSyntaxError, 1, 7, "line 1, col 7: expected a positive integer dimension"),
+    ("dim = 2\nfoo = 3", DslSyntaxError, 2, 1,
+     "line 2, col 1: expected 'dim', 'domain', 'g', 'J' or 'map'"),
+    ("dim = 2\ng = [[1, 0], [0, 1]] 7", DslSyntaxError, 2, 22,
+     "line 2, col 22: expected end of line"),
+    ("dim = 2\ng = [[1, 0], [0, )]]", DslSyntaxError, 2, 18,
+     "line 2, col 18: expected a number, coordinate, function or '('"),
+    ("dim = 2\ng = [[1, 0], [0, 2 * - ]]", DslSyntaxError, 2, 24,
+     "line 2, col 24: expected a number, coordinate, function or '('"),
+    ("dim = 2\ng = [[1, 0], [0, (1 + 2]]", DslSyntaxError, 2, 24, "line 2, col 24: expected )"),
+    ("dim = 2\ng = [[1, 0], [0, sin(x1, x2)]]", DslSyntaxError, 2, 18,
+     "line 2, col 18: expected 1 argument(s) to sin"),
+    ("dim = 2\ng = [[1, 0], [0, atan2(x1)]]", DslSyntaxError, 2, 18,
+     "line 2, col 18: expected 2 argument(s) to atan2"),
+    ("dim = 2\ng = [[1, 0], [0, sin x1]]", DslSyntaxError, 2, 22, "line 2, col 22: expected ("),
+    ("dim = 2\ng = [[1, 0], [0, x0]]", UnknownSymbol, None, None,
+     "line 2: 'x0' is not a coordinate"),
+    ("dim = 2\ng = [[1, 0], [0, x3]]", DimensionMismatch, None, None,
+     "line 2: coordinate x3 exceeds dimension 2"),
+    ("dim = 2\ng = [[1, 0], [0, y1]]", UnknownSymbol, None, None,
+     "line 2, col 18: unknown symbol 'y1'"),
+    ("dim = 2\ng[0][1] = 1", DslSyntaxError, 2, 3, "line 2, col 3: expected 1-based indices"),
+    ("dim = 2\ng[1] = 1", DslSyntaxError, 2, 6, "line 2, col 6: expected ["),
+    ("dim = 2\ng = [1, 0]", DslSyntaxError, 2, 6, "line 2, col 6: expected ["),
+    ("dim = 2\nmap f = [x1]", DslSyntaxError, 2, 7, "line 2, col 7: expected ->"),
+    ("dim = 2\nmap -> 1 = [x1]", DslSyntaxError, 2, 5, "line 2, col 5: expected ident"),
+    ("dim = 2\nmap f -> 2 = [x1]", DimensionMismatch, None, None,
+     "line 2: map 'f' declares target dimension 2 but has 1 components"),
+    ("dim = 2\ndomain y1 = [0, 1]", DslSyntaxError, 2, 8,
+     "line 2, col 8: expected a coordinate name like x1"),
+    ("dim = 2\ndomain x1 = [0 1]", DslSyntaxError, 2, 16, "line 2, col 16: expected ,"),
+    ("dim = 2\ndomain x1 = [x1, 1]", DslSyntaxError, 2, 1, "line 2, col 1: expected a "
+     "constant expression (coordinate x1 beyond point of dimension 0)"),
+    ("dim = 2\ndomain x1 = [0, log(0)]", DslSyntaxError, 2, 1, "line 2, col 1: expected a "
+     "constant expression (math domain error in log(0.0) at [])"),
+    ("dim = 2\ndomain x1 = [1, 1]", ConfigError, None, None,
+     "line 2: empty domain interval for x1"),
+    ("dim = 2\ndomain x3 = [0, 1]\ng = [[1, 0], [0, 1]]", DimensionMismatch, None, None,
+     "domain declared for x3 but dim = 2"),
+    ("g = [[1, 0], [0, 1]]", ConfigError, None, None, "no 'dim = <n>' statement"),
+    ("dim = 2", ConfigError, None, None,
+     "no metric given (use 'g = [[...]]' or 'g[i][j] = ...')"),
+    ("g = [[1, 0], [0, x3^2 + 1]]\ndim = 2", DimensionMismatch, None, None,
+     "line 1: coordinate x3 exceeds dimension 2"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\ng[1][1] = 2", ConfigError, None, None,
+     "g: mix of whole-matrix and elementwise assignments"),
+    ("dim = 2\ng = [[1, 0, 0], [0, 1, 0]]", DimensionMismatch, None, None,
+     "g must be a 2 x 2 matrix"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nJ = [[0, -1], [1, 0], [0, 0]]", DimensionMismatch,
+     None, None, "J must be a 2 x 2 matrix"),
+    ("dim = 2\ng[3][1] = 1", DimensionMismatch, None, None, "g[3][1] exceeds dimension 2"),
+    ("dim = 2\ng = [[1, 0], [0, " + DEEP + "]]", DslSyntaxError, 0, 0,
+     "line 0, col 0: expected a less deeply nested input"),
+    (b"dim = \xff", DslSyntaxError, 0, 0, "line 0, col 0: expected UTF-8 text ('utf-8' codec "
+     "can't decode byte 0xff in position 6: invalid start byte)"),
+    # _validate: the first probe is the box centre, the others are seeded draws
+    ("dim = 2\ng = [[1, 0], [0, -1]]", ConfigError, None, None,
+     "metric is not positive-definite at probe [0.0, 0.0]"),
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0], [0, x1 + 0.2]]", ConfigError, None, None,
+     "metric is not positive-definite at probe [-0.7344423617020885, -0.7735557831543535]"),
+    ("dim = 1\ng = [[1]]\nJ = [[0]]", ConfigError, None, None,
+     "J needs an even-dimensional chart"),
+    ("dim = 2\ng = [[1,0],[0,1]]\nJ = [[1, 0], [0, 1]]", ConfigError, None, None,
+     "J^2 + I has residual 2 at probe [0.0, 0.0]"),
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0], [0, 1]]\nJ = [[x1, -1], [1, 0]]", ConfigError,
+     None, None, "J^2 + I has residual 0.219 at probe [0.21913869971432698, -0.36834125797780753]"),
+    # J is incompatible at the first probe, J^2 + I fails at the second
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0], [0, 4]]\nJ = [[x1, -1], [1, 0]]",
+     ConfigError, None, None,
+     "J^2 + I has residual 0.219 at probe [0.21913869971432698, -0.36834125797780753]"),
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0], [0, 1 + log(x1)]]", EvaluationError, None,
+     None, "line 3: math domain error in 1.0 + log(x1) at [0.0, 0.0]"),
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0], [0, 1]]\nJ = [[0, -1], [1, log(x1)]]",
+     EvaluationError, None, None, "line 4: math domain error in log(x1) at [0.0, 0.0]"),
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x2 + log(x1)]",
+     EvaluationError, None, None, "line 4: math domain error in x2 + log(x1) at [0.0, 0.0]"),
+]
+
+
+@pytest.mark.parametrize("src, cls, line, col, message", PARSE_ERRORS)
+def test_parse_errors_name_their_place(src, cls, line, col, message):
+    with pytest.raises(DslError) as err:
+        geodsl.parse(src)
+    exc = err.value
+    assert (type(exc), getattr(exc, "line", None), getattr(exc, "col", None), str(exc)) == (
+        cls, line, col, message)
+
+
+@pytest.mark.parametrize("text, col, expected", [
+    ("1 +", 4, "a number, coordinate, function or '('"),
+    ("-", 2, "a number, coordinate, function or '('"),
+    ("(1", 3, ")"),
+    ("1 2", 3, "end of expression"),
+    ("sin", 4, "("),
+])
+def test_parse_expr_errors_name_their_place(text, col, expected):
+    with pytest.raises(DslSyntaxError) as err:
+        geodsl.parse_expr(text)
+    assert (err.value.line, err.value.col, err.value.expected) == (1, col, expected)
+
+
+def test_parse_expr_too_deep_is_a_syntax_error():
+    """Where the nesting runs out depends on the interpreter's recursion limit."""
+    with pytest.raises(DslSyntaxError, match="expected a less deeply nested expression"):
+        geodsl.parse_expr(DEEP)
+
+
+@pytest.mark.parametrize("src, warnings, incompatibility", [
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0.001 * x1], [0, 1]]", [
+        "metric asymmetry 0.000219 at probe [0.21913869971432698, -0.36834125797780753]; "
+        "symmetrized",
+        "metric asymmetry 0.000734 at probe [-0.7344423617020885, -0.7735557831543535]; "
+        "symmetrized",
+        "metric asymmetry 0.000501 at probe [0.5012323827204359, 0.6604089236443549]; "
+        "symmetrized",
+        "metric asymmetry 0.000171 at probe [0.17061724122748778, 0.3671944975743975]; "
+        "symmetrized"], None),
+    ("dim = 2\ndomain x1 = [-1, 1]\ng = [[1, 0], [0, 1 + x1^2]]\nJ = [[0, -1], [1, 0]]", [],
+     "J is not g-compatible: g(J., J.) - g has residual 0.048 at probe "
+     "[0.21913869971432698, -0.36834125797780753]"),
+    ("dim = 2\ng = [[1, 0], [0, 4]]\nJ = [[0, -1], [1, 0]]", [],
+     "J is not g-compatible: g(J., J.) - g has residual 3 at probe [0.0, 0.0]"),
+])
+def test_validation_names_each_probe_in_order(src, warnings, incompatibility):
+    """Asymmetry warns at every probe where it is seen, in probe order; an
+    incompatible J is recorded at the first probe where it is seen."""
+    config = geodsl.parse(src)
+    assert (config.warnings, config.incompatibility) == (warnings, incompatibility)
+
+
+_PARSED = st.recursive(st.builds(geodsl.Num, st.floats(0.0, 1e6) | st.sampled_from([1e-300, 1e308]))
+                       | st.builds(geodsl.Coord, st.integers(1, 2)), _tree, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_PARSED)
+def test_printed_tree_parses_back_to_itself(tree):
+    """Trees with the parser's literals (no negative numbers) parse back from
+    their printed form, so precedence and associativity are the printer's."""
+    assert geodsl.parse_expr(geodsl.pretty(tree), dim=2) == tree
+
+
 def test_structure_square_identity_rejected():
     with pytest.raises(ConfigError):
         geodsl.parse("dim = 2\ng = [[1,0],[0,1]]\nJ = [[1, 0], [0, 1]]")

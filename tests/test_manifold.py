@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from hermkit import catalog
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric, WrongDimension
 from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
                               christoffel, constant_field, covariant_derivative,
-                              gradient, lie_bracket)
+                              gradient, lie_bracket, sample_points)
 from hermkit.numdiff import DiffConfig, by_row, constant
 
 
@@ -309,6 +310,64 @@ def test_sample_plan_reproducible():
     assert all(np.array_equal(p, q) for p, q in zip(a, b))
     margin = 4 * cfg.step
     assert all(chart.contains(p, margin) for p in a)
+
+
+def per_point_samples(chart, seed, count, margin):
+    """The sampler drawing, box-testing and ``Chart.contains``-testing one point
+    at a time: the reference that ``sample_points`` equals."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.asarray(chart.box.lo) + margin, np.asarray(chart.box.hi) - margin
+    pts, attempts = [], 0
+    while len(pts) < count:
+        p = rng.uniform(lo, hi)
+        attempts += 1
+        if chart.contains(p, margin):
+            pts.append(p)
+        if attempts > 100 * count:
+            raise EvaluationOutsideDomain(
+                f"{chart.name or 'chart'}: could not draw {count} interior samples")
+    return pts
+
+
+def away_from_origin(chart, radius):
+    """``chart`` with a predicate that rejects the points within ``radius`` of 0."""
+    return dataclasses.replace(chart, predicate=lambda p: float(p @ p) > radius ** 2,
+                               name=f"{chart.name}-{radius}")
+
+
+SAMPLED_CHARTS = {
+    "flat2": flat2(),
+    "s2": sphere2(),
+    **{f"punctured-c{n + 1}": catalog.punctured_hopf(n).charts["source"] for n in (1, 2)},
+    **{f"punctured-c{n + 1}-ball": away_from_origin(
+        catalog.punctured_hopf(n).charts["source"], 2.0) for n in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("margin", [1e-3, 0.05, 0.3])
+@pytest.mark.parametrize("key", SAMPLED_CHARTS)
+def test_block_sampler_equals_the_per_point_draws(key, margin):
+    """One block draw per round gives the per-point draws bit for bit, in draw
+    order, over seeds and counts; the -ball charts reject some draws."""
+    chart = SAMPLED_CHARTS[key]
+    for seed, count in itertools.product(range(5), (1, 2, 5, 16)):
+        got, ref = sample_points(chart, seed, count, margin), per_point_samples(chart, seed,
+                                                                                 count, margin)
+        assert len(got) == len(ref) == count
+        assert np.stack(got).tobytes() == np.stack(ref).tobytes()
+
+
+def test_sampler_that_finds_no_interior_point_names_the_chart():
+    chart = away_from_origin(flat2(), 10.0)
+    for count in (1, 3):
+        with pytest.raises(EvaluationOutsideDomain) as ref:
+            per_point_samples(chart, 0, count, 0.01)
+        with pytest.raises(EvaluationOutsideDomain) as got:
+            sample_points(chart, 0, count, 0.01)
+        assert str(got.value) == str(ref.value) == (
+            f"flat2-10.0: could not draw {count} interior samples")
+    with pytest.raises(ValueError, match="margin leaves no interior"):
+        sample_points(chart, 0, 2, 2.0)
 
 
 def test_sample_plan_validation():

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hermkit import catalog, maps, scenarios
+from hermkit import catalog, maps, numdiff, scenarios
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
-from hermkit.hermitian import hermitian_frame
+from hermkit.hermitian import AlmostComplexField, hermitian_frame
 from hermkit.manifold import Box, Chart, SamplePlan
 from hermkit.maps import MapSpec, point_jet
 from hermkit.numdiff import DiffConfig, constant
@@ -129,6 +129,39 @@ def test_surface_case_builds_each_sample_metric_twice(monkeypatch):
         None) or metric(self, x, cfg))
     assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
     assert 0 < built.count("target") <= 2 and 0 < built.count("source") <= 2
+
+
+def test_source_j_runs_on_the_samples_once(monkeypatch):
+    """Holomorphy and the source structure jet read J at the samples from the
+    sample jet's ``j``: the source structure runs on the sample stack once."""
+    sid = "hopf-s3-surface-case"
+    _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
+    spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
+    samples, seen = np.array(plan.points(spec.source, CFG)), []
+    call = AlmostComplexField.__call__
+    monkeypatch.setattr(AlmostComplexField, "__call__", lambda self, x: seen.append(
+        self is spec.source_structure and np.array_equal(x, samples)) or call(self, x))
+    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+    assert sum(seen) == 1
+
+
+@pytest.mark.parametrize("sid, builds", [
+    ("hopf-s3", 0), ("hopf-s3-surface-case", 0), ("annulus-radial-fibres", 0),
+    ("product-hopf-1-1-two-of-three", 1),  # homothety reads the stencil's dilations
+    ("punctured-hopf-1-integrability-plus", 1),  # condition (ii) reads its frames
+])
+def test_stencil_target_metric_built_only_where_read(sid, builds, monkeypatch):
+    """The stencil jet builds h at phi of its rows only for a check that reads it."""
+    _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
+    spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
+    samples = np.array(plan.points(spec.source, CFG))
+    images = spec(numdiff.stencil(samples, CFG).reshape(-1, samples.shape[1]))
+    built = []
+    metric = Chart._metric
+    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: built.append(
+        self is spec.target and np.array_equal(x, images)) or metric(self, x, cfg))
+    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+    assert sum(built) == builds
 
 
 def test_stacked_jet_raises_what_its_first_bad_row_raises():
