@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateParameters
 from .hermitian import AlmostComplexField
-from .manifold import Box, Chart, Embedding
+from .manifold import Box, Chart, Embedding, gram_metric
 from .maps import MapSpec
 from .numdiff import Array, DiffConfig, constant
 
@@ -223,7 +223,7 @@ def odd_sphere_product_structure(chart: Chart, r: int, s: int,
     def j_at(x: Array) -> Array:
         dpsi = chart.dpsi(x, cfg)
         ambient = _ambient_j_product(r, s, chart.embedding.psi(x), dpsi)
-        return _chart_components(chart.metric(x, cfg), dpsi, ambient)
+        return _chart_components(gram_metric(dpsi), dpsi, ambient)
 
     return AlmostComplexField(chart, j_at)
 
@@ -234,7 +234,8 @@ def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
     x = np.asarray(x, dtype=float)
     a1, ip = 2 * r + 2, _i_times(chart.embedding.psi(x)[..., None])
     ambient = -2.0 * np.concatenate([r * ip[..., :a1, :], s * ip[..., a1:, :]], axis=-2)
-    return _chart_components(chart.metric(x, cfg), chart.dpsi(x, cfg), ambient)[..., 0]
+    dpsi = chart.dpsi(x, cfg)
+    return _chart_components(gram_metric(dpsi), dpsi, ambient)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,8 @@ def _fibre_orientation_from_ambient(chart: Chart, r: int,
         ip1 = _i_times(chart.embedding.psi(x)[..., None])
         ip2 = ip1.copy()
         ip1[:, a1:], ip2[:, :a1] = 0.0, 0.0
-        g, dpsi = chart.metric(x, cfg), chart.dpsi(x, cfg)
+        dpsi = chart.dpsi(x, cfg)
+        g = gram_metric(dpsi)
         ga, gb = (g @ _chart_components(g, dpsi, ip) for ip in (ip1, ip2))
         return ga * np.swapaxes(gb, 1, 2) - gb * np.swapaxes(ga, 1, 2)
 

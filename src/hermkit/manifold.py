@@ -10,6 +10,9 @@ row of a stack of points as one stencil, as :meth:`Chart.metric_inverse` takes
 a stack with one batched inversion; :func:`numdiff.by_row` and
 :func:`numdiff.constant` make one from a per-point rule or a constant matrix.
 :func:`gradient` takes such a stack function too, at a point or a stack.
+:func:`levi_civita` is the Christoffel build's last step, which a caller that
+holds g and its stencil values (a map's jet) runs alone, and
+:func:`gram_metric` the embedded metric from a D(psi) a caller holds.
 There are no atlases or transition functions.
 
 Nothing is cached by point: g(x), D(psi)(x) and the Christoffel symbols are
@@ -126,12 +129,10 @@ class Chart:
         return on_rows(lambda stack: self._metric(stack, cfg), x)
 
     def _metric(self, stack: Array, cfg: DiffConfig | None) -> Array:
-        if self.metric_fn is not None:
-            g = as_stack(self.metric_fn(stack), stack, (self.dim, self.dim),
-                         f"chart {self.name or '(unnamed)'}: metric_fn")
-        else:
-            d = self.dpsi(stack, cfg)
-            g = np.swapaxes(d, 1, 2) @ d
+        if self.metric_fn is None:
+            return gram_metric(self.dpsi(stack, cfg))
+        g = as_stack(self.metric_fn(stack), stack, (self.dim, self.dim),
+                     f"chart {self.name or '(unnamed)'}: metric_fn")
         gt = np.swapaxes(g, 1, 2)
         bound = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
         asymmetric = np.flatnonzero(np.max(np.abs(g - gt), axis=(1, 2)) > bound)
@@ -145,23 +146,35 @@ class Chart:
         return self.embedding.dpsi(x, cfg or DiffConfig())
 
     def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
-        """Inverse metric at x, or the stack of them at the rows of a stack x
-        (one batched ``inv`` and one batched ``eigvalsh``); raises
-        ``SingularMetric`` where g is singular or not positive-definite, as
-        the first bad row alone would."""
+        """Inverse metric at x, or the stack of them at the rows of a stack x, by
+        :func:`invert_metric`."""
         x = np.asarray(x, dtype=float)
-        g = self.metric(x, cfg)
-        try:
-            inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            problem = "is singular"
-        else:
-            problem = None if np.min(np.linalg.eigvalsh(g)) > 0 else "is not positive-definite"
-        if problem:
-            for p in x if x.ndim == 2 else ():  # name the first bad row
-                self.metric_inverse(p, cfg)
-            raise SingularMetric(f"metric at {x!r} {problem}")
-        return inv
+        return invert_metric(self.metric(x, cfg), x)
+
+
+def gram_metric(dpsi: Array) -> Array:
+    """The metric D(psi)^T D(psi) of an embedded chart from D(psi) at a point, or
+    at each row of a stack, symmetrized."""
+    g = np.swapaxes(dpsi, -1, -2) @ dpsi
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def invert_metric(g: Array, x: Array) -> Array:
+    """The inverse of the metric g at x, or of each metric of a stack g at the rows
+    of x (one batched ``inv`` and one batched ``eigvalsh``); raises
+    ``SingularMetric`` where g is singular or not positive-definite, as the first
+    bad row alone would."""
+    try:
+        inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        problem = "is singular"
+    else:
+        problem = None if np.min(np.linalg.eigvalsh(g)) > 0 else "is not positive-definite"
+    if problem:
+        for row in zip(g, x) if x.ndim == 2 else ():  # name the first bad row
+            invert_metric(*row)
+        raise SingularMetric(f"metric at {x!r} {problem}")
+    return inv
 
 
 @dataclass(frozen=True)
@@ -199,6 +212,12 @@ def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:
         for p in x if len(x) > 1 else ():
             _christoffel(chart, p[None], cfg)
         raise
+    return levi_civita(g_inv, dg)
+
+
+def levi_civita(g_inv: Array, dg: Array) -> Array:
+    """The symbols at the rows of a stack from the inverse metric there and the
+    metric's first partials, ``dg[r, i, j, l] = d_i g_{jl}`` at row r."""
     # combined[r, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     combined = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
     gamma = 0.5 * np.einsum("rkl,rijl->rkij", g_inv, combined)

@@ -7,17 +7,18 @@ Every operator reads a :class:`PointJet` (x, Dphi from one :func:`differential`
 stencil, the source metric g and the one-SVD rank split of Dphi) at a point or at
 the rows of a (k, source dim) stack, a point being the one-row case of the same
 code and each row equal to its point's bit for bit.  A map check builds one with
-:func:`point_jet` for all its samples.  A jet builds, when first read, and shares
-with every reader ``jet.image``, phi(x), ``jet.target_metric``, h there,
-``jet.j``, the source J, ``jet.split``, its :func:`conformality` data,
-``jet.lift``, its horizontal-lift matrices, ``jet.gamma``, the source Christoffel
-symbols, ``jet.structure``, the source structure jet, and ``jet.stencil``, the jet
-at the stencil points of all its rows.  The third-order operators
+:func:`point_jet` for all its samples, and a check that differences on their
+stencil points builds one jet over both: the sample jet and ``jet.stencil`` are
+its two row ranges.  A jet builds, when first read, and shares with every reader
+``jet.image``, phi(x), ``jet.target_metric``, h there, ``jet.j``, the source J,
+and ``jet.split``, its :func:`conformality` data (an array per field), each on
+the range that reads it; ``jet.lift``, its horizontal-lift matrices, once over
+both; ``jet.gamma``, the source Christoffel symbols, from the metrics at both;
+and ``jet.structure``, the source structure jet.  The third-order operators
 (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
-:func:`lifted_structure_jet`, :func:`condition_ii_residual`) difference values
-computed on that stencil jet, so a check takes at most two :func:`differential`
-calls; :func:`sff_tensor` and :func:`tension` take one ``second_partial``
-stencil for all its samples.
+:func:`lifted_structure_jet`, :func:`condition_ii_residual`) compute what they
+read at both ranges once, over ``jet.both``; :func:`sff_tensor` and
+:func:`tension` take one ``second_partial`` stencil for all its samples.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images; a single point is passed as one row.
@@ -38,7 +39,7 @@ from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, Miss
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, dj_stack,
                         g_norm, lee_vector, nabla_J, nabla_j_tensor, require_almost_hermitian,
                         stacked_hermitian_frame, unit_axes)
-from .manifold import Chart, christoffel, gradient
+from .manifold import Chart, christoffel, gradient, invert_metric, levi_civita
 from .numdiff import (Array, DiffConfig, as_stack, g_length, gram_schmidt, on_rows,
                       orthonormalize, project_out)
 
@@ -95,6 +96,10 @@ def differential(spec: MapSpec, x) -> Array:
     return np.ascontiguousarray(np.swapaxes(d, -1, -2))
 
 
+#: The parts a jet over samples and their stencil points builds on each range apart.
+_HALVED = ("image", "target_metric", "j", "split")
+
+
 @dataclass(frozen=True)
 class PointJet:
     """Dphi(x), g(x) and the SVD of Dphi at one point, or their stacks (``rank``
@@ -103,7 +108,9 @@ class PointJet:
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
     The cached properties are built when first read and then kept; a jet made by
-    :meth:`take` reads all but ``structure`` from the jet it was taken from.
+    :meth:`take` reads all but ``structure`` from the jet it was taken from.  A
+    jet with ``samples`` holds them and then their stencil points, builds the
+    ``_HALVED`` parts on its two ``halves`` apart and ``gamma`` at the samples.
     """
 
     spec: MapSpec
@@ -114,57 +121,71 @@ class PointJet:
     vt: Array
     rank: int | Array
     whole: tuple | None = field(default=None, repr=False)  # (jet, rows) for a taken jet
+    samples: int | None = None
 
     def take(self, rows=None) -> PointJet:
         """The rows ``rows`` (an index array) of a stacked jet, or a point's jet as a
-        one-row stack (``rows=None``)."""
+        one-row stack (``rows=None``); rows of a taken jet are taken from its jet."""
+        if self.whole is not None and self.whole[1] is not None:
+            return self.whole[0].take(self.whole[1][rows])
+        rows = None if rows is None else np.asarray(rows, dtype=int)
         parts = (self.x, self.differential, self.metric, self.singular_values, self.vt, self.rank)
         return PointJet(self.spec, *(np.asarray(p)[None] if rows is None else p[rows]
                                      for p in parts), whole=(self, rows))
 
-    def _taken(self, name: str) -> Array:
-        """The cached property ``name`` of the jet this one was taken from, at its rows."""
-        part, rows = getattr(self.whole[0], name), self.whole[1]
-        return part[None] if rows is None else part[rows]
+    def _part(self, name: str, build: Callable) -> Array | ConformalityData:
+        """``build(self)``; a taken jet reads its rows of its jet's part, from a half
+        that holds them all if one does, and a jet with ``samples`` joins its halves'."""
+        whole, rows = self.whole or (None, None)
+        halved = name in _HALVED and (whole or self).samples is not None
+        if whole is None:
+            return _join(*(getattr(half, name) for half in self.halves)) if halved else build(self)
+        if rows is None:
+            return getattr(whole, name)[None]
+        for half, start in zip(whole.halves, (0, whole.samples)) if halved else ():
+            if np.all((rows >= start) & (rows < start + len(half.x))):
+                return getattr(half, name)[rows - start]
+        return getattr(whole, name)[rows]
 
     @cached_property
-    def split(self) -> ConformalityData | list[ConformalityData]:
+    def halves(self) -> tuple[PointJet, PointJet]:
+        """The jets at the samples and at their stencil points of a jet with ``samples``."""
+        return tuple(PointJet(self.spec, self.x[cut], self.differential[cut], self.metric[cut],
+                              self.singular_values[cut], self.vt[cut], self.rank[cut])
+                     for cut in (slice(None, self.samples), slice(self.samples, None)))
+
+    @cached_property
+    def split(self) -> ConformalityData:
         """The :func:`conformality` data at the jet's point or rows."""
-        if self.whole is None:
-            return conformality(self)
-        whole, rows = self.whole
-        return [whole.split] if rows is None else [whole.split[r] for r in rows]
+        return self._part("split", conformality)
 
     @cached_property
     def lift(self) -> Array:
         """The :func:`_lift_matrix` at the jet's point or rows (NaN at rows that are
-        not regular)."""
-        if self.x.ndim == 1:
-            return self.take().lift[0]
-        whole, rows = self.whole or (None, None)
-        return _lift_matrix(self) if rows is None else whole.lift[rows]
+        not regular), one build over all the rows of the jet it was taken from."""
+        return self._part("lift", _lift_matrix)
 
     @cached_property
     def image(self) -> Array:
         """phi at the jet's point or rows."""
-        return self.spec(self.x) if self.whole is None else self._taken("image")
+        return self._part("image", lambda jet: jet.spec(jet.x))
 
     @cached_property
     def target_metric(self) -> Array:
         """The target metric h at phi of the jet's point or rows."""
-        return (self.spec.target.metric(self.image, self.spec.cfg) if self.whole is None
-                else self._taken("target_metric"))
+        return self._part("target_metric",
+                          lambda jet: jet.spec.target.metric(jet.image, jet.spec.cfg))
 
     @cached_property
     def gamma(self) -> Array:
-        """The source Christoffel symbols at the jet's point or rows."""
-        return (christoffel(self.spec.source, self.x, self.spec.cfg) if self.whole is None
-                else self._taken("gamma"))
+        """The source Christoffel symbols at the jet's point or rows (of a jet with
+        ``samples``: at the samples, from g there and at their stencil points)."""
+        return self._part("gamma", _source_gamma)
 
     @cached_property
     def j(self) -> Array:
         """The source structure J at the jet's point or rows."""
-        return self.spec.source_structure(self.x) if self.whole is None else self._taken("j")
+        return self._part("j", lambda jet: jet.spec.source_structure(jet.x))
 
     @cached_property
     def structure(self) -> StructureJet:
@@ -174,33 +195,63 @@ class PointJet:
         return StructureJet(x, self.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
 
     @cached_property
+    def both(self) -> PointJet:
+        """The stacked jet at its rows and then at the ``numdiff.stencil`` points of
+        each (one block of rows per row, in order): rows of the jet it was taken
+        from when that holds them, else a jet built for them."""
+        whole, rows = self.whole or (None, None)
+        if rows is None or whole.samples is None:
+            return point_jet(self.spec, self.x, stencil=True).both
+        per = len(whole.x) // whole.samples - 1
+        return whole.take(np.concatenate([rows, whole.samples + _blocks(rows, per)]))
+
+    @cached_property
     def stencil(self) -> PointJet:
-        """The stencil jet: the stacked jet at the ``numdiff.stencil`` points of the
-        jet's point or rows, in their order (one block of rows per row)."""
-        if self.whole is None:
-            points = numdiff.stencil(self.x, self.spec.cfg)
-            return point_jet(self.spec, points.reshape(-1, points.shape[-1]))
-        whole, rows = self.whole
-        return whole.stencil if rows is None else whole.stencil.take(_blocks(whole, rows))
+        """The stacked jet at the stencil points of the jet's rows: ``both`` past them."""
+        return self.both.take(np.arange(len(self.x), len(self.both.x)))
 
 
-def _blocks(jet: PointJet, rows) -> Array:
-    """The rows of ``jet.stencil`` that belong to the rows ``rows`` of a stacked jet."""
-    per = len(jet.stencil.x) // len(jet.x)
+def _blocks(rows, per: int) -> Array:
+    """The stencil rows of the rows ``rows``, counted from the first stencil row,
+    when each row has a block of ``per``."""
     return (np.asarray(rows, dtype=int)[:, None] * per + np.arange(per)).ravel()
 
 
-def point_jet(spec: MapSpec, x) -> PointJet:
+def _join(head, tail):
+    """Two parts at consecutive row ranges as one."""
+    if isinstance(head, ConformalityData):
+        return ConformalityData(*map(_join, vars(head).values(), vars(tail).values()))
+    return np.concatenate([head, tail])
+
+
+def _source_gamma(jet: PointJet) -> Array:
+    """The source Christoffel symbols at the rows of a jet, or at the samples of a
+    jet with ``samples`` from its own g, differenced at their stencil rows."""
+    spec, k = jet.spec, jet.samples
+    if k is None:
+        return christoffel(spec.source, jet.x, spec.cfg)
+    x = jet.x[:k]
+    return levi_civita(invert_metric(jet.metric[:k], x),
+                       numdiff.difference(jet.metric[k:], x, spec.cfg))
+
+
+def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
     """Differentiate the map at x, or at each row of a stack x, once and split
     the differential by rank: one :func:`differential`, one source metric call
-    and one batched SVD, the rank decided per row (phi and h at first read)."""
+    and one batched SVD, the rank decided per row (phi and h at first read).
+    With ``stencil`` the rows are those of a stack x and then its
+    ``numdiff.stencil`` points, and the jet returned is the one at x's rows."""
     x = np.array(x, dtype=float)
-    d = differential(spec, x)
-    g = spec.source.metric(x, spec.cfg)
+    rows = (np.concatenate([x, numdiff.stencil(x, spec.cfg).reshape(-1, x.shape[1])])
+            if stencil else x)
+    d = differential(spec, rows)
+    g = spec.source.metric(rows, spec.cfg)
     _, sv, vt = np.linalg.svd(d)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
-    return PointJet(spec, x, d, g, sv, vt, rank if x.ndim == 2 else int(rank))
+    jet = PointJet(spec, rows, d, g, sv, vt, rank if x.ndim == 2 else int(rank),
+                   samples=len(x) if stencil else None)
+    return jet.take(np.arange(len(x))) if stencil else jet
 
 
 def _rowwise(op: Callable) -> Callable:
@@ -229,37 +280,51 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
 
 @dataclass(frozen=True)
 class ConformalityData:
-    """Pointwise horizontal-conformality report.
+    """Horizontal-conformality report, an array per field over the rows of a jet.
 
-    ``kind`` is ``regular`` (full rank onto the target), ``critical`` (rank 0)
-    or ``degenerate`` (intermediate rank, reported as conformality failure).
-    ``dilation`` is positive exactly on regular points.
+    A row is ``regular`` (full rank onto the target), ``critical`` (rank 0) or
+    ``degenerate`` (intermediate rank, reported as conformality failure), as
+    ``kind`` names it; ``dilation`` is positive and ``near_critical`` may hold only
+    on regular rows.  The g-orthonormal bases of ker dphi and of its complement are
+    ``vertical[r, :n - rank]`` and ``horizontal[r, :horizontal_count]``, padded
+    with zero vectors.
     """
 
-    kind: str
-    dilation: float
-    conformality_residual: float
-    vertical_basis: tuple
-    horizontal_basis: tuple
-    near_critical: bool = False
+    rank: Array
+    dilation: Array
+    conformality_residual: Array
+    near_critical: Array
+    vertical: Array
+    horizontal: Array
+    horizontal_count: Array
+
+    def __getitem__(self, rows) -> ConformalityData:
+        return ConformalityData(*(part[rows] for part in vars(self).values()))
 
     @property
-    def regular(self) -> bool:
-        return self.kind == KIND_REGULAR
+    def regular(self) -> Array:
+        return self.rank == self.horizontal.shape[-2]
+
+    @property
+    def kind(self) -> Array:
+        return np.where(self.rank == 0, KIND_CRITICAL,
+                        np.where(self.regular, KIND_REGULAR, KIND_DEGENERATE))
 
 
 @_rowwise
-def conformality(jet: PointJet) -> list[ConformalityData]:
+def conformality(jet: PointJet) -> ConformalityData:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
     conformal dphi is on the horizontal part, at each row: rows of equal rank run
     as one stack (sub-stacks where Gram-Schmidt keeps different vectors), in the
     jet's target metric.  Readers take it from ``jet.split``, built once."""
     d, g, sv, vt = jet.differential, jet.metric, jet.singular_values, jet.vt
-    n, out = d.shape[1], [None] * len(d)
+    k, t, n = d.shape
+    out = ConformalityData(jet.rank, np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool),
+                           np.zeros((k, n, n)), np.zeros((k, t, n)), np.zeros(k, dtype=int))
     for rank in sorted(set(jet.rank.tolist())):
         rows = np.flatnonzero(jet.rank == rank)
-        kind = KIND_CRITICAL if rank == 0 else KIND_DEGENERATE if rank < n else KIND_REGULAR
-        vertical = orthonormalize([vt[rows, i] for i in range(rank, vt.shape[1])], g[rows])
+        vertical = orthonormalize([vt[rows, i] for i in range(rank, n)], g[rows])
+        out.vertical[rows, :n - rank] = np.stack(vertical, axis=1) if vertical else 0.0
         # Horizontal = g-orthogonal complement of the kernel: project each row-space
         # vector off the kernel first and the earlier horizontal vectors second.
         tol = numdiff.RANK_RTOL * np.maximum(1.0, sv[rows, 0])
@@ -267,20 +332,19 @@ def conformality(jet: PointJet) -> list[ConformalityData]:
                                         vertical):
             at, h = rows[part], len(horiz)
             img = (np.stack([(d[at] @ u[:, :, None])[:, :, 0] for u in horiz], axis=-1)
-                   if horiz else np.zeros((len(at), n, 0)))
+                   if horiz else np.zeros((len(at), t, 0)))
             gram = np.swapaxes(img, 1, 2) @ jet.target_metric[at] @ img
             lam_sq = np.diagonal(gram, axis1=1, axis2=2).sum(axis=1) / max(h, 1)
-            padded = np.zeros((len(at), n, n))
+            padded = np.zeros((len(at), t, t))
             padded[:, :h, :h] = gram
-            flat = (padded - lam_sq[:, None, None] * np.eye(n)).reshape(len(at), 1, n * n)
-            residual = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0].tolist()
-            near = (sv[at, rank - 1] <= NEAR_CRITICAL_FACTOR * (sv[at, 0] * RANK_FACTOR)).tolist()
-            lam = np.sqrt(np.maximum(lam_sq, 0.0)).tolist()
-            for i, r in enumerate(at):
-                regular = kind == KIND_REGULAR
-                out[r] = ConformalityData(kind, lam[i] if regular else 0.0, residual[i],
-                                          tuple(v[part[i]] for v in vertical),
-                                          tuple(u[i] for u in horiz), regular and near[i])
+            flat = (padded - lam_sq[:, None, None] * np.eye(t)).reshape(len(at), 1, t * t)
+            out.conformality_residual[at] = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0]
+            out.horizontal[at, :h] = np.stack(horiz, axis=1) if horiz else 0.0
+            out.horizontal_count[at] = h
+            if rank == t:
+                out.dilation[at] = np.sqrt(np.maximum(lam_sq, 0.0))
+                out.near_critical[at] = sv[at, rank - 1] <= NEAR_CRITICAL_FACTOR * (
+                    sv[at, 0] * RANK_FACTOR)
     return out
 
 
@@ -329,12 +393,13 @@ def _vertical_projector(jet: PointJet) -> Array:
     return out
 
 
-def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
+def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..., Array]:
     """Smooth g-orthonormal vertical frame near the jet's point, or near each row
-    of a stacked jet: a function from the jet at nearby points (for a stacked
-    jet, in one block of rows per row, as in ``jet.stencil``) to the frame there,
+    of a stacked jet: a function from the jet at nearby points (and, if held,
+    their vertical projectors, as ``p_v`` at the jet's rows) to the frame there,
     as a matrix whose columns are the frame vectors (a 0-dimensional fibre has
-    the empty frame).
+    the empty frame).  ``owner[i]`` is the row of ``jet`` that point i is near:
+    by default, one block of points per row in order, as in ``jet.stencil``.
 
     Fixed coordinate axes (chosen per row of ``jet`` by largest vertical
     projection, ties broken by index) are pushed through the pointwise
@@ -347,7 +412,8 @@ def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
     if bad.size:
         raise CriticalPoint(f"no vertical frame at non-regular point {base.x[bad[0]]!r}")
     n, k = spec.source.dim, spec.source.dim - spec.target.dim
-    p_v, g0, rows = _vertical_projector(base), base.metric, np.arange(len(base.x))
+    p_v = _vertical_projector(base) if p_v is None else p_v
+    g0, rows = base.metric, np.arange(len(base.x))
     axes, basis = np.zeros((len(rows), 0), dtype=int), []
     for _ in range(k):  # pivoted: each axis must stay independent of the earlier ones
         w = np.stack([project_out(p_v[:, :, i], basis, g0) for i in range(n)], axis=1)
@@ -359,9 +425,10 @@ def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
         axes = np.column_stack([axes, best])
         basis.append(w[rows, best] / score[rows, best, None])
 
-    def frame_at(at: PointJet) -> Array:
-        p, g = _vertical_projector(at).reshape(-1, n, n), at.metric.reshape(-1, n, n)
-        cols, rows = np.repeat(axes, len(p) // len(axes), axis=0), np.arange(len(p))
+    def frame_at(at: PointJet, p: Array | None = None, owner: Array | None = None) -> Array:
+        p = (_vertical_projector(at) if p is None else p).reshape(-1, n, n)
+        g, rows = at.metric.reshape(-1, n, n), np.arange(len(p))
+        cols = np.repeat(axes, len(p) // len(axes), axis=0) if owner is None else axes[owner]
         frame = orthonormalize([p[rows, :, cols[:, a]] for a in range(k)], g, required=k)
         out = np.stack(frame, axis=-1) if k else np.zeros((len(p), n, 0))
         return out if at.x.ndim == 2 else out[0]
@@ -373,38 +440,42 @@ def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
 def fibre_mean_curvature(jet: PointJet) -> Array:
     """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame at each
     row; the zero vector exactly when the fibre is minimal there (0-dimensional
-    fibres are).  The frame field is differenced on the jet's stencil jet."""
-    frame_at = vertical_frame_field(jet)
-    gamma, frame = jet.gamma, frame_at(jet)
+    fibres are).  The projectors and the frames are built once over ``jet.both``
+    (a sample fixes the axes of its block of stencil rows), and the frames are
+    differenced at its stencil rows."""
+    both, k = jet.both, len(jet.x)
+    p_v = _vertical_projector(both)
+    owner = np.concatenate([np.arange(k), np.repeat(np.arange(k), len(both.x) // k - 1)])
+    frames = vertical_frame_field(jet, p_v[:k])(both, p_v, owner)
+    gamma, frame = jet.gamma, frames[:k]
     # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
-    dframe = numdiff.difference(frame_at(jet.stencil), jet.x, jet.spec.cfg)
+    dframe = numdiff.difference(frames[k:], jet.x, jet.spec.cfg)
     total = np.zeros(jet.x.shape)
     for a in range(frame.shape[2]):
         v, dv = frame[:, :, a], dframe[..., a]
         total = total + np.einsum("ri,rik->rk", v, dv) + np.einsum("rkij,ri,rj->rk", gamma, v, v)
-    return total - (_vertical_projector(jet) @ total[..., None])[..., 0]
+    return total - (p_v[:k] @ total[..., None])[..., 0]
 
 
 def require_regular(jet: PointJet, what: str) -> None:
     """Raise ``CriticalPoint`` at the first row of the jet that is not regular."""
-    for conf in jet.split:
-        if not conf.regular:
-            raise CriticalPoint(f"{what}, got {conf.kind}")
+    bad = np.flatnonzero(~jet.split.regular)
+    if bad.size:
+        raise CriticalPoint(f"{what}, got {jet.split.kind[bad[0]]}")
 
 
 @_rowwise
 def homothety_residual(jet: PointJet) -> list[float]:
     """|dphi(grad lambda^2)| in the target metric at each row, lambda^2 read at
-    the points of the jet's stencil jet."""
-    spec, cfg = jet.spec, jet.spec.cfg
+    the jet's stencil rows."""
+    spec, cfg, stencil = jet.spec, jet.spec.cfg, jet.stencil
     require_regular(jet, "homothety residual needs regular samples")
-    lam_sq = []
-    for p, conf in zip(jet.stencil.x, jet.stencil.split):
-        if not conf.regular:
-            raise CriticalPoint(f"dilation field hit a non-regular stencil point {p!r}")
-        lam_sq.append(conf.dilation**2)
+    bad = np.flatnonzero(~stencil.split.regular)
+    if bad.size:
+        raise CriticalPoint(f"dilation field hit a non-regular stencil point {stencil.x[bad[0]]!r}")
+    lam_sq = np.float_power(stencil.split.dilation, 2)  # libm pow, as ** on a float
     # gradient evaluates its function on exactly these stencil points
-    grad = gradient(spec.source, lambda points: np.array(lam_sq), jet.x, cfg)
+    grad = gradient(spec.source, lambda points: lam_sq, jet.x, cfg)
     return [g_norm(h, d @ v) for h, d, v in zip(jet.target_metric, jet.differential, grad)]
 
 
@@ -414,19 +485,21 @@ def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[flo
     |(nabla_V J) Y| at each row, from the map's jet and the source structure's
     jet at the same points."""
     require_regular(jet, "superminimality needs a regular point")
-    g, vertical = structure.metric, zip(*(conf.vertical_basis for conf in jet.split))
-    return np.max([np.zeros(len(jet.x)), *(g_norm(g, nabla_J(structure, np.stack(v), y))
+    g, k = structure.metric, jet.spec.source.dim - jet.spec.target.dim
+    vertical = [np.ascontiguousarray(jet.split.vertical[:, a]) for a in range(k)]
+    return np.max([np.zeros(len(jet.x)), *(g_norm(g, nabla_J(structure, v, y))
                                            for v in vertical for y in unit_axes(g))],
                   axis=0).tolist()
 
 
+@_rowwise
 def _lift_matrix(jet: PointJet) -> Array:
     """Horizontal-lift operator L with dphi L = id and image H at each regular row
     of a stacked jet, NaN at the others; readers take it from ``jet.lift``."""
     out = np.full(np.swapaxes(jet.differential, 1, 2).shape, np.nan)
-    rows = [r for r, conf in enumerate(jet.split) if conf.regular]
-    if rows:
-        a = np.stack([np.column_stack(jet.split[r].horizontal_basis) for r in rows])
+    rows = np.flatnonzero(jet.split.regular)
+    if rows.size:
+        a = np.ascontiguousarray(np.swapaxes(jet.split.horizontal[rows], 1, 2))
         out[rows] = a @ np.linalg.inv(jet.differential[rows] @ a)
     return out
 
@@ -447,10 +520,10 @@ def lifted_j(jet: PointJet, orientation: int) -> Array:
     spec = jet.spec
     _require_liftable(spec, orientation)
     require_regular(jet, "horizontal lift needs a regular point")
-    dims = [len(conf.vertical_basis) for conf in jet.split if len(conf.vertical_basis) != 2]
-    if dims:
-        raise FibreDimension(f"lift needs 2-dimensional fibres, got {dims[0]}")
-    v1, v2 = (np.stack(v) for v in zip(*(conf.vertical_basis for conf in jet.split)))
+    if spec.source.dim - spec.target.dim != 2:
+        raise FibreDimension(f"lift needs 2-dimensional fibres, got "
+                             f"{spec.source.dim - spec.target.dim}")
+    v1, v2 = (np.ascontiguousarray(jet.split.vertical[:, a]) for a in (0, 1))
     omega = as_stack(spec.fibre_orientation(jet.x), jet.x, (spec.source.dim,) * 2,
                      f"map {spec.name or '(unnamed)'}: fibre_orientation")
     signed = (v1[:, None] @ omega @ v2[:, :, None])[:, 0, 0]
@@ -476,10 +549,10 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
 
 
 def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
-    """The structure jet of the lifted J at the rows of a stacked map jet: J from
-    the jet, d J differenced on its stencil jet, with the connection."""
-    j, gamma = lifted_j(jet, orientation), jet.gamma
-    dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, jet.spec.cfg)
+    """The structure jet of the lifted J at the rows of a stacked map jet: J built
+    once over ``jet.both``, d J differenced at its stencil rows, with the connection."""
+    lifted, k, gamma = lifted_j(jet.both, orientation), len(jet.x), jet.gamma
+    j, dj = lifted[:k], numdiff.difference(lifted[k:], jet.x, jet.spec.cfg)
     return StructureJet(jet.x, jet.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
 
 
@@ -509,7 +582,8 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     stencil = jet.stencil
     zs = np.empty((len(stencil.x), base.m, spec.target.dim), dtype=complex)
     for pivots in dict.fromkeys(base.pivots):
-        at = _blocks(jet, [r for r, row in enumerate(base.pivots) if row == pivots])
+        at = _blocks([r for r, row in enumerate(base.pivots) if row == pivots],
+                     len(stencil.x) // len(jet.x))
         zs[at] = np.stack(stacked_hermitian_frame(
             stencil.target_metric[at], j_tgt(stencil.image[at]), pivots).complex_frame, axis=1)
     require_regular(stencil, "horizontal lift needs a regular point")

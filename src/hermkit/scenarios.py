@@ -23,15 +23,16 @@ that entry, and the check's keyword arguments.  :func:`run_scenario` builds the
 entry at the run's ``DiffConfig`` and calls the check on the map, or on the
 chart with the entry's structure ``J``.
 
-A map check builds the map's jets at its samples once, as one stack, in
+A map check builds the map's jet at its samples once, as one stack, in
 :func:`_map_points`, and every operator reads that stacked jet (or the rows
 :meth:`maps.PointJet.take` selects from it), one stacked call each: the
 conformality data, holomorphy, the tension, the Lee push-forward and the
-third-order operators, which share the jet's one stencil jet.  So a map check
-takes at most two ``maps.differential`` calls, and reads phi, the target metric
-and the source structure jet at its samples from the jet.  A structure check builds
-one stacked structure jet for all its samples (the lift checks, one for the lifted
-J) and reads its rows.
+third-order operators.  A check that reads the stencil (fibres, homothety, the
+lifts) builds the jet over its samples and their stencil points at once.  So a
+map check takes one ``maps.differential`` call, and reads phi, the target metric,
+the conformality data and the source structure jet at its samples from the jet.
+A structure check builds one stacked structure jet for all its samples (the lift
+checks, one for the lifted J) and reads its rows.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .hermitian import (AlmostComplexField, StructureJet, apply_j, classify_stru
                         divergence_J, g_norm, invariant_residuals, nabla_J, nijenhuis,
                         structure_jet, unit_axes)
 from .manifold import Chart, SamplePlan
-from .maps import KIND_CRITICAL, KIND_DEGENERATE, ConformalityData, MapSpec, PointJet
-from .numdiff import TOLERANCE_FACTOR, DiffConfig, g_length
+from .maps import KIND_DEGENERATE, ConformalityData, MapSpec, PointJet
+from .numdiff import TOLERANCE_FACTOR, Array, DiffConfig, g_length
 
 #: Tolerance coupling factor between the two sides of a proved implication.
 COUPLING = 10.0
@@ -171,28 +172,24 @@ def _nijenhuis_residual(jet: StructureJet) -> float:
                        for a, ea in enumerate(e) for eb in e[a + 1:])])
 
 
-def _map_points(spec: MapSpec, plan: SamplePlan) -> tuple[PointJet, float]:
-    """The stacked jet at the plan's samples on its source and the map-residual
-    tolerance."""
-    stack = maps.point_jet(spec, np.array(plan.points(spec.source, spec.cfg)))
+def _map_points(spec: MapSpec, plan: SamplePlan,
+                stencil: bool = False) -> tuple[PointJet, float]:
+    """The stacked jet at the plan's samples on its source (with ``stencil``, built
+    with their stencil points) and the map-residual tolerance."""
+    stack = maps.point_jet(spec, np.array(plan.points(spec.source, spec.cfg)), stencil)
     return stack, spec.cfg.tolerance(_map_scale(stack))
 
 
-def _lift_invariants(stack: PointJet, orientation: int) -> tuple[dict, int]:
-    """max|J^2 + I| and max|J^T g J - g| of the lifted J over the first five
+def _lift_invariants(metric: Array, j: Array) -> tuple[dict, int]:
+    """max|J^2 + I| and max|J^T g J - g| of a lifted J over the first five
     samples, and their number."""
-    first = stack.take(np.arange(min(5, len(stack.x))))
-    square, compat = invariant_residuals(first.metric, maps.lifted_j(first, orientation))
-    return {"square": float(np.max(square)), "compatibility": float(np.max(compat))}, len(first.x)
+    square, compat = invariant_residuals(metric[:5], j[:5])
+    return {"square": float(np.max(square)), "compatibility": float(np.max(compat))}, len(square)
 
 
-def _critical_count(confs: Sequence[ConformalityData]) -> int:
-    return sum(c.kind == KIND_CRITICAL for c in confs)
-
-
-def _conformality_max(confs: Sequence[ConformalityData]) -> float:
+def _conformality_max(confs: ConformalityData) -> float:
     """Largest conformality residual over the non-critical samples."""
-    return max([0.0, *(c.conformality_residual for c in confs if c.kind != KIND_CRITICAL)])
+    return float(np.max(confs.conformality_residual[confs.rank > 0], initial=0.0))
 
 
 def _target_max(stack: PointJet, vectors) -> float:
@@ -204,14 +201,14 @@ def _target_max(stack: PointJet, vectors) -> float:
 def _fibre_residual(stack: PointJet) -> tuple[float, int, int]:
     """Max fibre mean-curvature norm over regular, non-near-critical samples,
     with the number of samples used and excluded; too many exclusions raise."""
-    for x, c in zip(stack.x, stack.split):
-        if c.kind == KIND_DEGENERATE:
-            raise CriticalPoint(f"degenerate-rank sample at {x!r}")
-    rows = [r for r, c in enumerate(stack.split) if c.regular and not c.near_critical]
-    excluded, used = sum(c.near_critical for c in stack.split), stack.take(rows)
-    values = g_norm(used.metric, maps.fibre_mean_curvature(used)).tolist() if rows else []
+    degenerate = np.flatnonzero(stack.split.kind == KIND_DEGENERATE)
+    if degenerate.size:
+        raise CriticalPoint(f"degenerate-rank sample at {stack.x[degenerate[0]]!r}")
+    rows = np.flatnonzero(stack.split.regular & ~stack.split.near_critical)
+    excluded, used = int(np.sum(stack.split.near_critical)), stack.take(rows)
+    values = g_norm(used.metric, maps.fibre_mean_curvature(used)) if rows.size else []
     _guard_excluded(excluded, len(stack.x), "fibre minimality")
-    return max([0.0, *values]), len(values), excluded
+    return float(np.max(values, initial=0.0)), len(values), excluded
 
 
 def _require_holomorphic(spec: MapSpec, stack: PointJet, tol: float) -> float:
@@ -239,7 +236,7 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     flagged; optional extras add holomorphy, fibre minimality and a pinned
     dilation value to the report.
     """
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, stencil=include_fibres)
     confs, n = stack.split, len(stack.x)
     checks = [
         check("horizontally-weakly-conformal", _conformality_max(confs), tol, n),
@@ -248,14 +245,14 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     if include_holomorphy:
         checks.insert(0, check("holomorphic", max(maps.holomorphy_residual(stack)), tol, n))
     if expected_dilation is not None:
-        dev = max([0.0, *(abs(c.dilation - expected_dilation)
-                          for c in confs if c.kind != KIND_CRITICAL)])
+        dev = float(np.max(np.abs(confs.dilation[confs.rank > 0] - expected_dilation),
+                           initial=0.0))
         checks.append(check("dilation-deviation", dev, tol, n, expected=expected_dilation))
     if include_fibres:
         fibre_res, used, excluded = _fibre_residual(stack)
         checks.append(check("fibre-minimality", fibre_res, tol, used, excluded))
-    return _report(scenario_id, checks, plan, spec.cfg, critical_samples=_critical_count(confs),
-                   map=spec.name)
+    return _report(scenario_id, checks, plan, spec.cfg,
+                   critical_samples=int(np.sum(confs.rank == 0)), map=spec.name)
 
 
 def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
@@ -284,11 +281,10 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         meta = dict(report.metadata)
         meta["routed"] = "surface-case"
         return VerificationReport(report.scenario_id, report.checks, meta)
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, stencil=True)
     maps.require_regular(stack, "two-of-three needs regular samples")
-    tension = g_norm(stack.target_metric, maps.tension(stack)).tolist()
-    hm_res = max([0.0, *(r for c, t in zip(stack.split, tension) for r in (
-        c.conformality_residual, t))])
+    tension = g_norm(stack.target_metric, maps.tension(stack))
+    hm_res = float(np.max([stack.split.conformality_residual, tension], initial=0.0))
     fibre_res, used, excluded = _fibre_residual(stack)
     hom_res = max(maps.homothety_residual(stack))
     n = len(stack.x)
@@ -312,7 +308,7 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
     fibre minimality at regular points."""
     if spec.target.dim != 2:
         raise WrongDimension("surface case needs a target of real dimension 2")
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, stencil=True)
     holo = _require_holomorphic(spec, stack, tol)
     tension_res = _target_max(stack, maps.tension(stack))
     lee_res = _target_max(stack, maps.lee_pushforward(stack))
@@ -327,7 +323,7 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
                             tol, used, excluded),
     ]
     return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
-                   critical_samples=_critical_count(confs),
+                   critical_samples=int(np.sum(confs.rank == 0)),
                    residuals={"lee_pushforward": lee_res, "tension": tension_res,
                               "fibre_minimality": fibre_res})
 
@@ -399,13 +395,14 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     cfg = spec.cfg
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, stencil=True)
     target_nij = _nijenhuis_residual(structure_jet(spec.target, spec.target_structure,
                                                   stack.image, cfg, connection=False))
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
-    inv, _ = _lift_invariants(stack, orientation)
-    rows = [r for r, c in enumerate(stack.split) if c.regular and not c.near_critical]
+    first = stack.take(np.arange(min(5, len(stack.x))))
+    inv, _ = _lift_invariants(first.metric, maps.lifted_j(first, orientation))
+    rows = np.flatnonzero(stack.split.regular & ~stack.split.near_critical)
     used, excluded = len(rows), len(stack.x) - len(rows)
     _guard_excluded(excluded, len(stack.x), "integrability sampling")
     included = stack.take(rows)
@@ -433,9 +430,9 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     otherwise it must exceed the non-parallelism floor of 1e-3 somewhere.
     """
     cfg = spec.cfg
-    stack, tol = _map_points(spec, plan)
-    inv, inv_count = _lift_invariants(stack, orientation)
+    stack, tol = _map_points(spec, plan, stencil=True)
     lifted, d = maps.lifted_structure_jet(stack, orientation), spec.source.dim
+    inv, inv_count = _lift_invariants(lifted.metric, lifted.j)
     nabla = max(float(np.max(g_length(lifted.nabla[:, i, :, j], lifted.metric)))
                 for i in range(d) for j in range(d))
     nij = _nijenhuis_residual(lifted)
@@ -515,9 +512,9 @@ def check_radial_fibres(spec: MapSpec, plan: SamplePlan, scenario_id: str,
                         target_scale: float) -> VerificationReport:
     """Straight radial fibres of the annulus projection are minimal, and the
     dilation is target_scale / r."""
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, stencil=True)
     fibre_res, used, excluded = _fibre_residual(stack)
-    dev = max(abs(c.dilation - target_scale / x[0]) for x, c in zip(stack.x, stack.split))
+    dev = float(np.max(np.abs(stack.split.dilation - target_scale / stack.x[:, 0])))
     checks = [
         check("fibre-minimality", fibre_res, tol, used, excluded),
         check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(stack.x)),

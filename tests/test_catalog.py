@@ -307,11 +307,12 @@ def test_mobius_pole_names_the_offending_row(cfg):
 
 
 def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
-    """J hands its D(psi) to the chart components instead of asking the chart
-    again, and classify builds its frames from the structure jet's g and J:
-    classify and the closed-form divergence at 2 samples differentiate the
-    embedding at 156 rows (162 when the frames evaluated g and J again, 214
-    when J asked twice)."""
+    """J and the closed-form divergence take g from the D(psi) they hold
+    (``manifold.gram_metric``) instead of asking the chart again, and classify
+    builds its frames from the structure jet's g and J: classify and the
+    divergence at 2 samples differentiate the embedding at 104 rows (156 when J
+    and the divergence asked the chart for g, 162 when the frames evaluated g and
+    J again, 214 when J asked twice)."""
     entry = catalog.calabi_eckmann(1, 1, cfg)
     chart = entry.charts["ce"]
     rows = []
@@ -326,4 +327,4 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     plan = SamplePlan(count=2)
     classify_structure(chart, entry.structures["J"], plan, cfg)
     catalog.odd_sphere_product_divergence(chart, 1, 1, np.array(plan.points(chart, cfg)), cfg)
-    assert sum(rows) == 156
+    assert sum(rows) == 104

@@ -8,7 +8,7 @@ from hermkit import catalog, geodsl, hermitian, maps, numdiff, scenarios
 from hermkit.errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
                             MissingStructure, WrongDimension)
 from hermkit.hermitian import antiholomorphic_part, g_norm, invariant_residuals, structure_jet
-from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
+from hermkit.manifold import Box, Chart, SamplePlan, VectorField, christoffel, lie_bracket
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
                           conformality, condition_ii_residual, differential,
                           fibre_mean_curvature, holomorphy_residual,
@@ -94,10 +94,10 @@ def test_conformality_hopf_submersion(hopf):
     assert c.regular
     npt.assert_allclose(c.dilation, 1.0, atol=1e-9)
     assert c.conformality_residual <= 1e-9
-    assert len(c.vertical_basis) == 2 and len(c.horizontal_basis) == 2
+    assert hopf.source.dim - c.rank == 2 and c.horizontal_count == 2
     g = hopf.source.metric(CE_POINT, hopf.cfg)
-    for v in c.vertical_basis:
-        for h in c.horizontal_basis:
+    for v in c.vertical[:2]:
+        for h in c.horizontal[:2]:
             assert abs(v @ g @ h) <= 1e-9
 
 
@@ -147,9 +147,9 @@ def test_vertical_projector_matches_split(request, spec_name, point):
     jet = jet_of(spec, point)
     c = conformality(jet)
     p_v = _vertical_projector(jet)
-    for v in c.vertical_basis:
+    for v in c.vertical[:spec.source.dim - c.rank]:
         npt.assert_allclose(p_v @ v, v, atol=1e-10)
-    for h in c.horizontal_basis:
+    for h in c.horizontal[:c.horizontal_count]:
         npt.assert_allclose(p_v @ h, 0.0, atol=1e-10)
     npt.assert_allclose(p_v @ p_v, p_v, atol=1e-10)
 
@@ -428,28 +428,27 @@ RAGGED_ROWS = np.array([[0.5, 0.7], [0.0, 0.0], [0.0, 0.7], [0.0, -0.7], [0.6, 2
 
 
 def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
-    """Every part of a stacked jet and of its conformality data equals the
-    one-point call at that row, on a stack that mixes regular, near-critical,
-    critical and degenerate rows and a row whose horizontal vector is dropped."""
+    """Every part of a stacked jet and every array of its conformality data equals
+    the one-point call at that row, on a stack that mixes regular, near-critical,
+    critical and degenerate rows and a row whose horizontal vector is dropped;
+    the bases past each row's count are zero vectors."""
     spec = ragged_map()
     stack = point_jet(spec, RAGGED_ROWS)
     confs = conformality(stack)
-    kinds = [c.kind for c in confs]
-    assert kinds == ["regular", "critical", "degenerate", "degenerate", "regular", "regular",
-                     "degenerate"]
-    assert [c.near_critical for c in confs] == [False] * 4 + [True] + [False] * 2
-    assert [len(c.horizontal_basis) for c in confs] == [2, 0, 1, 0, 2, 2, 1]
+    assert confs.kind.tolist() == ["regular", "critical", "degenerate", "degenerate", "regular",
+                                   "regular", "degenerate"]
+    assert confs.near_critical.tolist() == [False] * 4 + [True] + [False] * 2
+    assert confs.horizontal_count.tolist() == [2, 0, 1, 0, 2, 2, 1]
+    assert (2 - confs.rank).tolist() == [0, 2, 1, 1, 0, 0, 1]
     for r, x in enumerate(RAGGED_ROWS):
         jet = point_jet(spec, x)
         for part in ("x", "differential", "metric", "singular_values", "vt", "rank"):
             assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)), (r, part)
-        one, row = conformality(jet), confs[r]
-        assert (one.kind, one.near_critical) == (row.kind, row.near_critical)
-        assert np.array_equal([one.dilation, one.conformality_residual],
-                              [row.dilation, row.conformality_residual])
-        for basis in ("vertical_basis", "horizontal_basis"):
-            a, b = getattr(one, basis), getattr(row, basis)
-            assert len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
+        one = conformality(jet)
+        for part in [f.name for f in dataclasses.fields(one)] + ["kind", "regular"]:
+            assert np.array_equal(getattr(one, part), getattr(confs, part)[r]), (r, part)
+        assert not np.any(confs.vertical[r, 2 - confs.rank[r]:])
+        assert not np.any(confs.horizontal[r, confs.horizontal_count[r]:])
 
 
 def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
@@ -465,6 +464,38 @@ def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
         assert np.array_equal(frames[r], frame_at(jet))
         assert np.array_equal(lifts[r], jet.lift)
         assert np.array_equal(projectors[r], _vertical_projector(jet))
+
+
+@pytest.mark.parametrize("name, key", [("hopf-s3", "hopf"), ("punctured-hopf-2", "hopf"),
+                                       ("annulus-radial", "radial")])
+def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
+    """Every part of a jet built over the samples and their stencil points equals
+    that of the sample jet and of the stencil jet built apart: the fields, every
+    conformality array and the lift at both row ranges, Gamma against
+    ``christoffel``, the vertical frames (a sample fixes the axes of its block of
+    stencil rows) and the fibre mean curvature, which also equals each point's
+    alone on a 3-point plan."""
+    spec = catalog.get_entry(name).maps[key]
+    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
+    joint, samples = point_jet(spec, points, stencil=True), point_jet(spec, points)
+    stencil = point_jet(spec, numdiff.stencil(points, spec.cfg).reshape(-1, spec.source.dim))
+    for jet, alone in ((joint, samples), (joint.stencil, stencil)):
+        for part in ("x", "differential", "metric", "singular_values", "vt", "rank", "lift"):
+            assert np.array_equal(getattr(jet, part), getattr(alone, part)), part
+        for part in dataclasses.fields(alone.split):
+            assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))
+    assert np.array_equal(joint.gamma, christoffel(spec.source, points, spec.cfg))
+    both, k = joint.both, len(points)
+    p_v = _vertical_projector(both)
+    owner = np.concatenate([np.arange(k), np.repeat(np.arange(k), len(both.x) // k - 1)])
+    frames = vertical_frame_field(joint, p_v[:k])(both, p_v, owner)
+    frame_at = vertical_frame_field(samples)
+    assert np.array_equal(frames[:k], frame_at(samples))
+    assert np.array_equal(frames[k:], frame_at(stencil))
+    curvature = fibre_mean_curvature(joint)
+    assert np.array_equal(curvature, fibre_mean_curvature(samples))
+    for r, x in enumerate(points):
+        assert np.array_equal(curvature[r], fibre_mean_curvature(point_jet(spec, x)))
 
 
 def test_map_that_does_not_broadcast_is_rejected():

@@ -18,7 +18,7 @@ import pytest
 from hermkit import catalog, maps, numdiff, scenarios
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
 from hermkit.hermitian import AlmostComplexField, hermitian_frame
-from hermkit.manifold import Box, Chart, SamplePlan
+from hermkit.manifold import Box, Chart, Embedding, SamplePlan
 from hermkit.maps import MapSpec, point_jet
 from hermkit.numdiff import DiffConfig, constant
 
@@ -79,17 +79,22 @@ def test_map_calls_do_not_grow_with_the_samples(sid):
 @pytest.mark.parametrize("count", [2, 3])
 @pytest.mark.parametrize("sid", MAP_SCENARIOS)
 def test_map_check_takes_two_differentials(sid, count, monkeypatch):
-    """A map check differentiates the map at most twice: its samples, then its
-    stencil jet."""
+    """A map check differentiates the map once (it took two, the samples and then
+    their stencil jet): on its samples, and for a check that reads the stencil
+    on their stencil points after them, in one stack."""
     calls = []
     differential = maps.differential
     monkeypatch.setattr(maps, "differential", lambda spec, x:
-                        calls.append(np.shape(x)) or differential(spec, x))
+                        calls.append(np.array(x)) or differential(spec, x))
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
     entry = catalog.get_entry(entry_id, CFG)
-    assert run_row(sid, entry, SamplePlan(0, count)).overall
-    assert 0 < len(calls) <= 2
-    assert calls[0] == (count, entry.maps[key].source.dim)
+    plan, spec = SamplePlan(0, count), entry.maps[key]
+    assert run_row(sid, entry, plan).overall
+    samples = np.array(plan.points(spec.source, CFG))
+    (x,) = calls
+    assert np.array_equal(x[:count], samples)
+    assert len(x) == count or np.array_equal(
+        x[count:], numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim))
 
 
 @pytest.mark.parametrize("sid", MAP_SCENARIOS)
@@ -110,10 +115,11 @@ def test_map_check_evaluates_phi_on_its_samples_once(sid, monkeypatch):
 
 def test_surface_case_builds_each_sample_metric_twice(monkeypatch):
     """In the surface case the target metric at phi(samples) is built by the
-    sample jet and by the target Christoffel build, and the source metric at the
-    samples by the sample jet and by the source Christoffel build; no operator
-    builds either again.  Source and target are renamed copies of their charts,
-    so the source structure's own metric evaluations are not counted."""
+    sample jet and by the target Christoffel build, and the source metric at each
+    sample once, as a row of the jet's stack (the source Christoffel symbols
+    invert and difference the jet's own metrics); no operator builds either
+    again.  Source and target are renamed copies of their charts, so the source
+    structure's own metric evaluations are not counted."""
     sid = "hopf-s3-surface-case"
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
@@ -121,14 +127,34 @@ def test_surface_case_builds_each_sample_metric_twice(monkeypatch):
                                target=dataclasses.replace(spec.target, name="target"))
     plan = SamplePlan(count=2)
     samples = np.array(plan.points(spec.source, CFG))
-    images, built = spec(samples), []
+    images, built, rows = spec(samples), [], []
     metric = Chart._metric
     monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: built.append(
-        "target" if self is spec.target and np.array_equal(x, images) else
-        "source" if self is spec.source and np.array_equal(x, samples) else
-        None) or metric(self, x, cfg))
+        self is spec.target and np.array_equal(x, images)) or rows.extend(
+        x if self is spec.source else ()) or metric(self, x, cfg))
     assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
-    assert 0 < built.count("target") <= 2 and 0 < built.count("source") <= 2
+    assert 0 < sum(built) <= 2
+    assert [sum(np.array_equal(p, x) for p in rows) for x in samples] == [1] * len(samples)
+
+
+def test_surface_case_builds_dpsi_and_g_on_the_sample_stack_at_most_once(monkeypatch):
+    """The ambient J takes g from the D(psi) it holds (``manifold.gram_metric``),
+    and the source Christoffel symbols invert the jet's own g: D(psi) and the
+    metric each run at most once on exactly the sample stack (4 times D(psi)
+    before: the jet, J directly, J through ``chart.metric`` and
+    ``metric_inverse``)."""
+    sid = "hopf-s3-surface-case"
+    _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
+    spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
+    samples, seen = np.array(plan.points(spec.source, CFG)), []
+    dpsi, metric = Embedding.dpsi, Chart._metric
+    monkeypatch.setattr(Embedding, "dpsi", lambda self, x, cfg: seen.append(
+        ("dpsi", np.array_equal(x, samples))) or dpsi(self, x, cfg))
+    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: seen.append(
+        ("metric", np.array_equal(x, samples))) or metric(self, x, cfg))
+    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+    assert seen.count(("dpsi", True)) <= 1 and seen.count(("metric", True)) <= 1
+    assert seen.count(("dpsi", False)) > 0 and seen.count(("metric", False)) > 0
 
 
 def test_source_j_runs_on_the_samples_once(monkeypatch):
@@ -151,17 +177,23 @@ def test_source_j_runs_on_the_samples_once(monkeypatch):
     ("punctured-hopf-1-integrability-plus", 1),  # condition (ii) reads its frames
 ])
 def test_stencil_target_metric_built_only_where_read(sid, builds, monkeypatch):
-    """The stencil jet builds h at phi of its rows only for a check that reads it."""
+    """A check builds h at phi of its stencil points only where it reads it, and
+    then at each of them once: no target-metric build holds a stencil image row
+    in the fibre-only checks, and in the others every stencil image row is built
+    exactly once.  Stencil points along a fibre can have a sample's image bit for
+    bit, which h is built at anyway; those rows are not counted."""
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
     samples = np.array(plan.points(spec.source, CFG))
-    images = spec(numdiff.stencil(samples, CFG).reshape(-1, samples.shape[1]))
-    built = []
+    images = [y for y in spec(numdiff.stencil(samples, CFG).reshape(-1, samples.shape[1]))
+              if not any(np.array_equal(y, f) for f in spec(samples))]
+    rows = []
     metric = Chart._metric
-    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: built.append(
-        self is spec.target and np.array_equal(x, images)) or metric(self, x, cfg))
+    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: rows.extend(
+        x if self is spec.target else ()) or metric(self, x, cfg))
     assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
-    assert sum(built) == builds
+    assert images and [sum(np.array_equal(p, y) for p in rows) for y in images] == [
+        builds] * len(images)
 
 
 def test_stacked_jet_raises_what_its_first_bad_row_raises():

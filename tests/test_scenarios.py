@@ -313,9 +313,10 @@ def test_each_sample_is_differentiated_once(sid, monkeypatch):
 
 
 def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
-    """The lifted J is read from the map's jets: at a sample by the structure jet
-    and by the invariant check, at each point of the sample's stencil once (the
-    stencil jet's row), and the lifted field itself is never built."""
+    """The lifted J is built once, by the structure jet, at each sample and at
+    each point of its stencil (rows of the map's one jet); the invariant check
+    reads the structure jet's J (it built J at the samples again before), and the
+    lifted field itself is never built."""
     read = []
     lifted_j = maps.lifted_j
     monkeypatch.setattr(maps, "lifted_j", lambda jet, orientation:
@@ -325,7 +326,7 @@ def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
     plan = SamplePlan(count=2)
     assert run_scenario(sid, plan, CFG).overall
     for x in sample_points(sid, plan):
-        assert times_at(read, x) == 2
+        assert times_at(read, x) == 1
         assert [times_at(read, p) for p in numdiff.stencil(x, CFG)] == [1] * 4 * 4
 
 
@@ -378,19 +379,22 @@ def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
 
 
 def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypatch):
-    """The lift checks read the horizontal-lift matrices from the jets' ``lift``:
+    """The lift checks read the horizontal-lift matrices from the jet's ``lift``:
     the invariants, the lifted structure jet and condition (ii) share one build
-    on the sample rows and one on the rows of the stencil jet."""
+    over the sample rows and then their stencil rows (one build on each before)."""
     built = []
     lift_matrix = maps._lift_matrix
     monkeypatch.setattr(maps, "_lift_matrix",
-                        lambda jet: built.append(len(jet.x)) or lift_matrix(jet))
+                        lambda jet: built.append(jet.x) or lift_matrix(jet))
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     plan = SamplePlan(0, 2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
-    assert built == [plan.count, plan.count * 4 * spec.source.dim]
+    samples = np.array(sample_points(sid, plan))
+    (rows,) = built
+    assert np.array_equal(rows, np.concatenate(
+        [samples, numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim)]))
 
 
 MAP_SCENARIOS = [sid for sid, (_, _, entry_id, key, _) in scenarios.SCENARIOS.items()
@@ -405,16 +409,20 @@ def test_there_are_29_map_scenarios():
 def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
     """The tension, the Lee push-forward, the fibre mean curvature and the lifted
     structure read the source Christoffel symbols from the sample jet's
-    ``gamma``: no Christoffel build on the source chart repeats a row that the
-    check has already built.  The source is a renamed copy of the chart, so the
-    target side of a map into its own chart (the identity) is not counted."""
+    ``gamma``: no source Christoffel build repeats a row that the check has
+    already built, by either route: ``christoffel`` on the source chart, or the
+    jet's own g inverted (``maps.invert_metric``) and differenced at its stencil
+    rows.  The source is a renamed copy of the chart, so the target side of a map
+    into its own chart (the identity) is not counted."""
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"))
     built = []
-    build = manifold._christoffel
+    build, invert = manifold._christoffel, maps.invert_metric
     monkeypatch.setattr(manifold, "_christoffel", lambda chart, x, cfg: built.extend(
         p.tobytes() for p in x if chart is spec.source) or build(chart, x, cfg))
+    monkeypatch.setattr(maps, "invert_metric", lambda g, x: built.extend(
+        p.tobytes() for p in x) or invert(g, x))
     check_map = getattr(scenarios, check_name)
     assert check_map(spec, plan=SamplePlan(count=2), scenario_id=sid, **kwargs).overall
     assert built and len(built) == len(set(built))
