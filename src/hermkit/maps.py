@@ -570,7 +570,7 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     each row, from the map's jet and the source structure's jet at the same points.
 
     Each row's target Hermitian frame at phi(x) fixes the pivots of its frame
-    field; the lifted frame fields are differenced on the map's stencil jet.
+    field; the lifted frame fields are differenced at the jet's stencil rows.
     """
     spec, cfg, j_tgt = jet.spec, jet.spec.cfg, jet.spec.target_structure
     if j_tgt is None:
