@@ -7,33 +7,27 @@ field machinery (metrics, connections, brackets) stays real-valued and the
 complex-bilinear / Hermitian extensions of the metric are applied explicitly.
 
 The pointwise structure operators (nabla J, div J, the Lee field, the
-Nijenhuis tensor) read a :class:`StructureJet`: g(x), J(x), d J from one
-:func:`dj_stack` stencil and, unless built with ``connection=False`` (all the
-Nijenhuis tensor needs), the Christoffel symbols and nabla J.
-:func:`structure_jet` builds it once per (structure, stack of points): one
-metric, one J, one :func:`dj_stack` and one ``christoffel`` call for all the
-samples of a check, a point being the one-row case of the same code and each row
-equal to its point's jet bit for bit (a map check's ``maps.PointJet.structure``
-reuses its g and Christoffel symbols).  Callers pass the stacked jet down
-(with stacks of vectors), so no operator evaluates or differentiates J again.
-:func:`classify_structure` decides every class from the real form of nabla J
-at the samples' Hermitian frames (Gray & Hervella 1980), built by one stacked
-greedy pass of :func:`stacked_hermitian_frame` from the jet's g and J.
-
-Nothing is cached by point: J(x), g(x), the Christoffel symbols and the
-Hermitian frames are computed on the stack they are asked for, and a check
-passes the jet it holds instead of asking again.
+Nijenhuis tensor) read a :class:`StructureJet`: g, J, d J and, unless built
+with ``connection=False`` (all the Nijenhuis tensor needs), the Christoffel
+symbols and nabla J.  :func:`structure_jet` builds it for all the samples of a
+check from one metric and one J call on the samples and then their
+``numdiff.stencil`` points (a map check's ``maps.PointJet.structure`` reuses its
+g and Christoffel symbols); :func:`pair_norms` evaluates an operator at every
+pair of vectors in one call.  :func:`classify_structure` decides every class
+from the real form of nabla J at the samples' Hermitian frames (Gray & Hervella
+1980).  Nothing is cached by point: a check passes down the jet it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import numdiff
-from .errors import PreconditionFailed, RankDeficient
+from .errors import DslError, GeometryError, PreconditionFailed, RankDeficient
 from .manifold import Chart, SamplePlan, christoffel
 from .numdiff import Array, DiffConfig, as_stack, g_length, on_rows, project_out
 
@@ -50,7 +44,7 @@ class AlmostComplexField:
     """A field of endomorphisms J with J^2 = -I, compatible with the metric.
 
     ``fn`` maps a (k, dim) stack of points to the (k, dim, dim) stack of J
-    there, so :func:`dj_stack` evaluates it once per stencil.
+    there, so :func:`structure_jet` evaluates it once for all its rows.
     """
 
     chart: Chart
@@ -89,9 +83,10 @@ def unit_axes(g: Array) -> list[Array]:
 
 
 def g_norm(g: Array, v: Array) -> float | Array:
-    """Norm of a real or complex vector in (the extension of) g, or of each row of stacks."""
+    """Norm of a real or complex vector in (the extension of) g, or of each row of
+    stacks (vectors with any leading axes before the rows)."""
     norm = np.sqrt(np.maximum(np.real(v[..., None, :] @ g @ np.conj(v)[..., None]), 0.0))
-    return float(norm[0, 0]) if norm.ndim == 2 else norm[:, 0, 0]
+    return float(norm[0, 0]) if norm.ndim == 2 else norm[..., 0, 0]
 
 
 def antiholomorphic_part(j: Array, w: Array) -> Array:
@@ -220,14 +215,29 @@ class StructureJet:
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
                   connection: bool = True) -> StructureJet:
-    """Evaluate g and J at x, or at the rows of a stack x, once, differentiate
-    J once and, with ``connection``, build the Christoffel symbols and nabla J."""
+    """The jet at the rows of a stack x (a point: its one-row case) from g and J
+    evaluated once on the rows and then their ``numdiff.stencil`` points (g at the
+    rows alone without ``connection``), d J and Gamma from the stencil rows; on an
+    error the rows are built alone, so the error raised is the first bad row's."""
     x = np.asarray(x, dtype=float)
-    g, j = chart.metric(x, cfg), j_field(x)
-    gamma = christoffel(chart, x, cfg) if connection else None
-    dj = dj_stack(chart, j_field, x, cfg)
-    nabla = nabla_j_tensor(gamma, j, dj) if connection else None
-    return StructureJet(x, g, j, dj, gamma, nabla)
+    if x.ndim == 1:
+        jet = structure_jet(chart, j_field, x[None], cfg, connection)
+        return StructureJet(x, *(None if p is None else p[0] for p in list(vars(jet).values())[1:]))
+    k = len(x)
+    try:
+        if connection:
+            chart.require_interior(x, cfg)
+        rows = np.concatenate([x, numdiff.stencil(x, cfg, chart.contains).reshape(-1, x.shape[1])])
+        j = j_field(rows)  # J first, then g: only copies of their sample rows are kept
+        j, dj = j[:k].copy(), numdiff.difference(j[k:], x, cfg)
+        g = chart.metric(rows if connection else x, cfg)
+        gamma = christoffel(chart, x, cfg, g) if connection else None
+    except (GeometryError, DslError, ValueError):
+        for r in range(k) if k > 1 else ():
+            structure_jet(chart, j_field, x[r:r + 1], cfg, connection)
+        raise
+    return StructureJet(x, g[:k].copy(), j, dj, gamma, gamma if gamma is None else
+                        nabla_j_tensor(gamma, j, dj))
 
 
 def apply_j(jet: StructureJet, v) -> Array:
@@ -268,6 +278,13 @@ def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
     a3 = apply_j(jet, np.einsum("...i,...ikj,...j->...k", yv, d, xv))  # -J[JX, Y]
     a4 = apply_j(jet, np.einsum("...i,...ikj,...j->...k", xv, d, yv))  # -J[X, JY]
     return a1 - a2 + a3 - a4
+
+
+def pair_norms(op: Callable, jet: StructureJet, pairs: Iterable[tuple]) -> Array:
+    """|op(jet, X, Y)| in g at each row of a stacked jet for every pair (X, Y) of vectors
+    or (k, dim) stacks of them, as (pairs, k): one ``op`` call, the pairs a leading axis."""
+    xs, ys = (np.stack([np.broadcast_to(v, jet.x.shape) for v in vs]) for vs in zip(*pairs))
+    return g_norm(jet.metric, op(jet, xs, ys))
 
 
 @dataclass(frozen=True)
@@ -316,7 +333,7 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     sample where (g, J) is not almost Hermitian: such a pair has no
     classification.  The structure jet and the Hermitian frames of all samples
     are built first, each as one stack, and every residual is one stacked pass
-    (the Nijenhuis one per frame pair).
+    (the Nijenhuis one over all frame pairs, by :func:`pair_norms`).
     """
     stack = np.array(plan.points(chart, cfg) if points is None else points, dtype=float)
     jets = structure_jet(chart, j_field, stack, cfg)
@@ -333,10 +350,8 @@ def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePl
     r_kahler, r_12 = (float(np.max(np.sqrt(np.maximum(
         np.einsum("rkab,rkl,rlab->rab", a, g, a), 0.0)), initial=0.0)) for a in (nab, s12))
     r_cosympl = float(np.max(g_norm(g, divergence_J(jets)), initial=0.0))
-    r_nij = max([0.0, *(float(np.max(g_norm(g, nijenhuis(jets, ea, eb))))
-                        for a, ea in enumerate(frame.real_frame)
-                        for eb in frame.real_frame[a + 1:])])
+    r_nij = float(np.max(pair_norms(nijenhuis, jets, combinations(frame.real_frame, 2))))
     tol = cfg.tolerance(scale)
     residuals = (r_kahler, r_12, r_cosympl, r_nij)
-    return StructureReport(*residuals, dict(zip(CLASSES, (r <= tol for r in residuals))),
+    return StructureReport(*residuals, dict(zip(CLASSES, (bool(r <= tol) for r in residuals))),
                            tuple(stack), tol, scale)

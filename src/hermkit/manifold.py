@@ -4,16 +4,14 @@ A :class:`Chart` is a coordinate box plus a metric field.  The metric is either
 supplied directly (intrinsic) or derived from an embedding ``psi`` into
 Euclidean space as ``Dpsi^T Dpsi``.  A ``metric_fn`` maps a (k, dim) stack of
 points to the (k, dim, dim) stack of their metric matrices, and an
-embedding's ``jacobian`` the stack to the stack of D(psi), so
-:func:`christoffel` evaluates either once per stencil: at a point, or at every
-row of a stack of points as one stencil, as :meth:`Chart.metric_inverse` takes
-a stack with one batched inversion; :func:`numdiff.by_row` and
-:func:`numdiff.constant` make one from a per-point rule or a constant matrix.
-:func:`gradient` takes such a stack function too, at a point or a stack.
-:func:`levi_civita` is the Christoffel build's last step, which a caller that
-holds g and its stencil values (a map's jet) runs alone, and
-:func:`gram_metric` the embedded metric from a D(psi) a caller holds.
-There are no atlases or transition functions.
+embedding's ``jacobian`` the stack to the stack of D(psi); :func:`numdiff.by_row`
+and :func:`numdiff.constant` make one from a per-point rule or a constant matrix.
+:func:`christoffel` builds the symbols from one metric stencil and inverts g by
+:func:`invert_metric`; a caller that holds g at x, or at x and its stencil
+points (a structure or a map jet), passes it instead of evaluating it again.
+:func:`gradient` takes a stack function too, and :func:`gram_metric` is the
+embedded metric from a D(psi) a caller holds.  There are no atlases or
+transition functions.
 
 Nothing is cached by point: g(x), D(psi)(x) and the Christoffel symbols are
 computed on the stack they are asked for, and a check passes the stacks it
@@ -193,32 +191,32 @@ def constant_field(chart: Chart, v) -> VectorField:
     return VectorField(chart, lambda x: v)
 
 
-def christoffel(chart: Chart, x, cfg: DiffConfig) -> Array:
+def christoffel(chart: Chart, x, cfg: DiffConfig, metric: Array | None = None) -> Array:
     """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)
     as the array ``gamma[k, i, j]``, symmetric in (i, j), or their stack at the
-    rows of a stack x: one metric stencil for all rows."""
-    return on_rows(lambda stack: _christoffel(chart, stack, cfg), x)
+    rows of a stack x: one metric stencil for all rows.  ``metric``, g held by the
+    caller at x or at x and then its ``numdiff.stencil`` points, is not evaluated
+    again; a caller that holds it at the stencil points has checked the interior."""
+    return on_rows(lambda stack: _christoffel(chart, stack, cfg, None if metric is None else
+                                              np.reshape(metric, (-1, chart.dim, chart.dim))), x)
 
 
-def _christoffel(chart: Chart, x: Array, cfg: DiffConfig) -> Array:
-    """The symbols at the rows of a (k, n) stack; on an error the rows are
-    built alone, so the error raised is the first bad row's."""
+def _christoffel(chart: Chart, x: Array, cfg: DiffConfig, g: Array | None) -> Array:
+    """The symbols at the rows of a (k, n) stack (from g as held, if given); on an
+    error the rows are built alone, so the error raised is the first bad row's."""
+    k, held = len(x), g is not None and len(g) > len(x)  # held: g at the stencil points too
     try:
-        chart.require_interior(x, cfg)
-        g_inv = chart.metric_inverse(x, cfg)
-        dg = numdiff.partial(lambda stack: chart.metric(stack, cfg), x, cfg,
-                             domain=chart.contains)  # dg[r, i, j, l] = d_i g_{jl} at row r
+        if not held:
+            chart.require_interior(x, cfg)
+        g_inv = chart.metric_inverse(x, cfg) if g is None else invert_metric(g[:k], x)
+        dg = (numdiff.difference(g[k:], x, cfg) if held else
+              numdiff.partial(lambda s: chart.metric(s, cfg), x, cfg, domain=chart.contains))
     except (GeometryError, DslError, ValueError):
-        for p in x if len(x) > 1 else ():
-            _christoffel(chart, p[None], cfg)
+        for r in range(k) if k > 1 else ():
+            _christoffel(chart, x[r:r + 1], cfg, None if g is None else np.concatenate(
+                [g[r:r + 1], g[k:].reshape(k, -1, *g.shape[1:])[r]]))
         raise
-    return levi_civita(g_inv, dg)
-
-
-def levi_civita(g_inv: Array, dg: Array) -> Array:
-    """The symbols at the rows of a stack from the inverse metric there and the
-    metric's first partials, ``dg[r, i, j, l] = d_i g_{jl}`` at row r."""
-    # combined[r, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
+    # combined[r, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}, from dg[r, i, j, l] = d_i g_{jl}
     combined = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
     gamma = 0.5 * np.einsum("rkl,rijl->rkij", g_inv, combined)
     return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
@@ -228,11 +226,8 @@ def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: Dif
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_{ij} X^i Y^j at x."""
     if x_field.chart is not y_field.chart:
         raise ValueError("fields live on different charts")
-    chart = x_field.chart
     x = np.asarray(x, dtype=float)
-    gamma = christoffel(chart, x, cfg)
-    xv = x_field(x)
-    yv = y_field(x)
+    gamma, xv, yv = christoffel(x_field.chart, x, cfg), x_field(x), y_field(x)
     dy = numdiff.partial(numdiff.by_row(y_field), x, cfg)
     return np.einsum("i,ik->k", xv, dy) + np.einsum("kij,i,j->k", gamma, xv, yv)
 
@@ -241,10 +236,8 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) 
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k at x."""
     if x_field.chart is not y_field.chart:
         raise ValueError("fields live on different charts")
-    chart = x_field.chart
     x = np.asarray(x, dtype=float)
-    xv = x_field(x)
-    yv = y_field(x)
+    xv, yv = x_field(x), y_field(x)
     dy = numdiff.partial(numdiff.by_row(y_field), x, cfg)
     dx = numdiff.partial(numdiff.by_row(x_field), x, cfg)
     return np.einsum("i,ik->k", xv, dy) - np.einsum("i,ik->k", yv, dx)

@@ -10,15 +10,17 @@ code and each row equal to its point's bit for bit.  A map check builds one with
 :func:`point_jet` for all its samples, and a check that differences on their
 stencil points builds one jet over both: the sample jet and ``jet.stencil`` are
 its two row ranges.  A jet builds, when first read, and shares with every reader
-``jet.image``, phi(x), ``jet.target_metric``, h there, ``jet.j``, the source J,
-and ``jet.split``, its :func:`conformality` data (an array per field), each on
-the range that reads it; ``jet.lift``, its horizontal-lift matrices, once over
-both; ``jet.gamma``, the source Christoffel symbols, from the metrics at both;
-and ``jet.structure``, the source structure jet.  The third-order operators
+``jet.image``, phi(x), ``jet.target_metric`` and ``jet.target_j``, h and the
+target J there, ``jet.j``, the source J, and ``jet.split``, its
+:func:`conformality` data (an array per field), each on the range that reads
+it; ``jet.lift``, its horizontal-lift matrices, once over both; ``jet.gamma``,
+the source Christoffel symbols, from the metrics at both; and
+``jet.structure``, the source structure jet.  The third-order operators
 (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
 :func:`lifted_structure_jet`, :func:`condition_ii_residual`) compute what they
 read at both ranges once, over ``jet.both``; :func:`sff_tensor` and
-:func:`tension` take one ``second_partial`` stencil for all its samples.
+:func:`tension` take one ``second_partial`` stencil for all its samples, and the
+target Christoffel symbols from h at phi(x) and at its stencil points.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images; a single point is passed as one row.
@@ -39,7 +41,7 @@ from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, Miss
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, dj_stack,
                         g_norm, lee_vector, nabla_J, nabla_j_tensor, require_almost_hermitian,
                         stacked_hermitian_frame, unit_axes)
-from .manifold import Chart, christoffel, gradient, invert_metric, levi_civita
+from .manifold import Chart, christoffel, invert_metric
 from .numdiff import (Array, DiffConfig, as_stack, g_length, gram_schmidt, on_rows,
                       orthonormalize, project_out)
 
@@ -97,7 +99,7 @@ def differential(spec: MapSpec, x) -> Array:
 
 
 #: The parts a jet over samples and their stencil points builds on each range apart.
-_HALVED = ("image", "target_metric", "j", "split")
+_HALVED = ("image", "target_metric", "target_j", "j", "split")
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,16 @@ class PointJet:
                           lambda jet: jet.spec.target.metric(jet.image, jet.spec.cfg))
 
     @cached_property
+    def target_j(self) -> Array:
+        """The target structure J at phi of the jet's point or rows."""
+        return self._part("target_j", lambda jet: jet.spec.target_structure(jet.image))
+
+    @cached_property
     def gamma(self) -> Array:
         """The source Christoffel symbols at the jet's point or rows (of a jet with
-        ``samples``: at the samples, from g there and at their stencil points)."""
-        return self._part("gamma", _source_gamma)
+        ``samples``: at the samples), from the jet's g at its rows."""
+        return self._part("gamma", lambda jet: christoffel(
+            jet.spec.source, jet.x[:jet.samples], jet.spec.cfg, jet.metric))
 
     @cached_property
     def j(self) -> Array:
@@ -224,17 +232,6 @@ def _join(head, tail):
     return np.concatenate([head, tail])
 
 
-def _source_gamma(jet: PointJet) -> Array:
-    """The source Christoffel symbols at the rows of a jet, or at the samples of a
-    jet with ``samples`` from its own g, differenced at their stencil rows."""
-    spec, k = jet.spec, jet.samples
-    if k is None:
-        return christoffel(spec.source, jet.x, spec.cfg)
-    x = jet.x[:k]
-    return levi_civita(invert_metric(jet.metric[:k], x),
-                       numdiff.difference(jet.metric[k:], x, spec.cfg))
-
-
 def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
     """Differentiate the map at x, or at each row of a stack x, once and split
     the differential by rank: one :func:`differential`, one source metric call
@@ -271,8 +268,7 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
     spec = jet.spec
     if spec.source_structure is None or spec.target_structure is None:
         raise MissingStructure("holomorphy needs almost-complex structures on both charts")
-    d, y, j_src = jet.differential, jet.image, jet.j
-    j_tgt = spec.target_structure(y)
+    d, y, j_src, j_tgt = jet.differential, jet.image, jet.j, jet.target_j
     require_almost_hermitian(jet.metric, j_src, jet.x)
     require_almost_hermitian(jet.target_metric, j_tgt, y)
     return [float(np.linalg.norm(m)) for m in d @ j_src - j_tgt @ d]
@@ -353,7 +349,7 @@ def sff_tensor(jet: PointJet) -> Array:
     their stack at the rows of a stacked jet."""
     spec, x, d, fx, cfg = jet.spec, jet.x, jet.differential, jet.image, jet.spec.cfg
     spec.target.require_interior(fx, cfg)
-    gamma_m, gamma_n = jet.gamma, christoffel(spec.target, fx, cfg)
+    gamma_m, gamma_n = jet.gamma, christoffel(spec.target, fx, cfg, jet.target_metric)
     out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
            - np.einsum("...kij,...gk->...ijg", gamma_m, d)
            + np.einsum("...gab,...ai,...bj->...ijg", gamma_n, d, d))
@@ -467,16 +463,15 @@ def require_regular(jet: PointJet, what: str) -> None:
 @_rowwise
 def homothety_residual(jet: PointJet) -> list[float]:
     """|dphi(grad lambda^2)| in the target metric at each row, lambda^2 read at
-    the jet's stencil rows."""
-    spec, cfg, stencil = jet.spec, jet.spec.cfg, jet.stencil
+    the jet's stencil rows and g inverted at its rows."""
+    cfg, stencil = jet.spec.cfg, jet.stencil
     require_regular(jet, "homothety residual needs regular samples")
     bad = np.flatnonzero(~stencil.split.regular)
     if bad.size:
         raise CriticalPoint(f"dilation field hit a non-regular stencil point {stencil.x[bad[0]]!r}")
     lam_sq = np.float_power(stencil.split.dilation, 2)  # libm pow, as ** on a float
-    # gradient evaluates its function on exactly these stencil points
-    grad = gradient(spec.source, lambda points: lam_sq, jet.x, cfg)
-    return [g_norm(h, d @ v) for h, d, v in zip(jet.target_metric, jet.differential, grad)]
+    grad = (invert_metric(jet.metric, jet.x) @ numdiff.difference(lam_sq, jet.x, cfg)[..., None])
+    return [g_norm(h, d @ v) for h, d, v in zip(jet.target_metric, jet.differential, grad[..., 0])]
 
 
 @_rowwise
@@ -532,7 +527,7 @@ def lifted_j(jet: PointJet, orientation: int) -> Array:
     sigma = (orientation * np.sign(signed))[:, None, None]
     g_v1, g_v2 = ((jet.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
     rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
-    return jet.lift @ spec.target_structure(jet.image) @ jet.differential + rot
+    return jet.lift @ jet.target_j @ jet.differential + rot
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -572,11 +567,11 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     Each row's target Hermitian frame at phi(x) fixes the pivots of its frame
     field; the lifted frame fields are differenced at the jet's stencil rows.
     """
-    spec, cfg, j_tgt = jet.spec, jet.spec.cfg, jet.spec.target_structure
-    if j_tgt is None:
+    spec, cfg = jet.spec, jet.spec.cfg
+    if spec.target_structure is None:
         raise MissingStructure("condition (ii) needs the target structure")
     require_regular(jet, "condition (ii) needs regular samples")
-    base = stacked_hermitian_frame(jet.target_metric, j_tgt(jet.image))
+    base = stacked_hermitian_frame(jet.target_metric, jet.target_j)
     if base.m < 2:
         return [0.0] * len(jet.x)
     stencil = jet.stencil
@@ -585,7 +580,7 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
         at = _blocks([r for r, row in enumerate(base.pivots) if row == pivots],
                      len(stencil.x) // len(jet.x))
         zs[at] = np.stack(stacked_hermitian_frame(
-            stencil.target_metric[at], j_tgt(stencil.image[at]), pivots).complex_frame, axis=1)
+            stencil.target_metric[at], stencil.target_j[at], pivots).complex_frame, axis=1)
     require_regular(stencil, "horizontal lift needs a regular point")
     # dz[r, part, k, i, :] = d_i of that part of the lifted Z_k at row r; each (part, k)
     # slice of a row is C-contiguous, as in manifold.lie_bracket, so brackets match it

@@ -38,6 +38,7 @@ checks, one for the lifted J) and reads its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +49,7 @@ from .errors import (CriticalPoint, FibreDimension, PreconditionFailed,
                      UnknownScenario, WrongDimension)
 from .hermitian import (AlmostComplexField, StructureJet, apply_j, classify_structure,
                         divergence_J, g_norm, invariant_residuals, nabla_J, nijenhuis,
-                        structure_jet, unit_axes)
+                        pair_norms, structure_jet, unit_axes)
 from .manifold import Chart, SamplePlan
 from .maps import KIND_DEGENERATE, ConformalityData, MapSpec, PointJet
 from .numdiff import TOLERANCE_FACTOR, Array, DiffConfig, g_length
@@ -166,10 +167,8 @@ def _map_scale(stack: PointJet) -> float:
 
 
 def _nijenhuis_residual(jet: StructureJet) -> float:
-    """Max |N(e_a, e_b)| over coordinate pairs and the rows of a stacked jet."""
-    e = [np.broadcast_to(v, jet.x.shape) for v in np.eye(jet.x.shape[1])]
-    return max([0.0, *(float(np.max(g_norm(jet.metric, nijenhuis(jet, ea, eb))))
-                       for a, ea in enumerate(e) for eb in e[a + 1:])])
+    """Max |N(e_a, e_b)| over coordinate pairs and the rows of a stacked jet, in one pass."""
+    return float(np.max(pair_norms(nijenhuis, jet, combinations(np.eye(jet.x.shape[1]), 2))))
 
 
 def _map_points(spec: MapSpec, plan: SamplePlan,
@@ -348,7 +347,7 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
     source = stack.structure
-    source_cos = max([0.0, *map(g_norm, source.metric, divergence_J(source))])
+    source_cos = float(np.max(g_norm(source.metric, divergence_J(source)), initial=0.0))
     target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
                                        points=stack.image)
     target_cos = target_report.residual_cosympl
@@ -431,10 +430,9 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     """
     cfg = spec.cfg
     stack, tol = _map_points(spec, plan, stencil=True)
-    lifted, d = maps.lifted_structure_jet(stack, orientation), spec.source.dim
+    lifted = maps.lifted_structure_jet(stack, orientation)
     inv, inv_count = _lift_invariants(lifted.metric, lifted.j)
-    nabla = max(float(np.max(g_length(lifted.nabla[:, i, :, j], lifted.metric)))
-                for i in range(d) for j in range(d))
+    nabla = float(np.max(g_length(np.moveaxis(lifted.nabla, (1, 3), (0, 1)), lifted.metric)))
     nij = _nijenhuis_residual(lifted)
     checks = [
         check("lift-square-identity", inv["square"], 1e-9, inv_count),
@@ -459,10 +457,9 @@ def check_gauduchon(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
     points = plan.points(chart, cfg)
     jets = structure_jet(chart, j_field, np.array(points), cfg)
     g, delta = jets.metric, divergence_J(jets)
-    lee, r_delta, r_lee = apply_j(jets, delta), 0.0, 0.0
-    for y in (p for e in unit_axes(g) for p in (e, apply_j(jets, e))):
-        r_delta = max(r_delta, float(np.max(g_norm(g, nabla_J(jets, delta, y)))))
-        r_lee = max(r_lee, float(np.max(g_norm(g, nabla_J(jets, lee, y)))))
+    probes = [p for e in unit_axes(g) for p in (e, apply_j(jets, e))]
+    norms = pair_norms(nabla_J, jets, product((delta, apply_j(jets, delta)), probes))
+    r_delta, r_lee = (float(np.max(half)) for half in np.split(norms, 2))
     dn = g_norm(g, delta)
     scale = max(1.0, float(np.max((1.0 + dn) * (1.0 + np.max(np.abs(jets.nabla),
                                                               axis=(1, 2, 3))))))

@@ -308,11 +308,14 @@ def test_mobius_pole_names_the_offending_row(cfg):
 
 def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     """J and the closed-form divergence take g from the D(psi) they hold
-    (``manifold.gram_metric``) instead of asking the chart again, and classify
-    builds its frames from the structure jet's g and J: classify and the
-    divergence at 2 samples differentiate the embedding at 104 rows (156 when J
-    and the divergence asked the chart for g, 162 when the frames evaluated g and
-    J again, 214 when J asked twice)."""
+    (``manifold.gram_metric``) instead of asking the chart again, classify
+    builds its frames from the structure jet's g and J, and the structure jet
+    evaluates g and J once each on the samples and their stencil points: classify
+    at 2 samples differentiates the embedding in 2 calls on those 2 + 2 * 24 rows,
+    and the divergence in 1 call on the 2 samples, 102 rows in all (104 in 6 calls
+    when the jet asked for g at the samples twice and for g and J on the stencil
+    apart, 156 when J and the divergence asked the chart for g, 162 when the frames
+    evaluated g and J again, 214 when J asked twice)."""
     entry = catalog.calabi_eckmann(1, 1, cfg)
     chart = entry.charts["ce"]
     rows = []
@@ -327,4 +330,4 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     plan = SamplePlan(count=2)
     classify_structure(chart, entry.structures["J"], plan, cfg)
     catalog.odd_sphere_product_divergence(chart, 1, 1, np.array(plan.points(chart, cfg)), cfg)
-    assert sum(rows) == 104
+    assert rows == [50, 50, 2]

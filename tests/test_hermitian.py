@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +12,7 @@ from hermkit.errors import PreconditionFailed, RankDeficient
 from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
                                classify_structure, divergence_J, g_norm, hermitian_frame,
                                lee_vector, nabla_J, nijenhuis, structure_jet)
-from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, constant_field,
+from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, christoffel, constant_field,
                               covariant_derivative, lie_bracket)
 from hermkit.numdiff import constant, orthonormalize
 
@@ -377,16 +381,29 @@ def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
 
 
 def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
-    """All samples of a classification share one d J stencil and one
-    Christoffel call."""
-    calls = {"dj_stack": [], "christoffel": []}
-    for name, at in (("dj_stack", 2), ("christoffel", 1)):  # the position of x
-        original = getattr(hermitian, name)
-        monkeypatch.setattr(hermitian, name, lambda *args, _name=name, _at=at, _f=original:
-                            calls[_name].append(np.shape(args[_at])) or _f(*args))
+    """All samples of a classification share one stack, the 3 samples and then
+    their 3 * 24 stencil points: g and J are evaluated once each on it, the
+    Christoffel symbols are built once, at the samples, from that g (no metric
+    call of their own), J is never differenced through ``dj_stack``, and the
+    chart checks its domain twice, at the samples' interior and at the stencil
+    points (three times when the Christoffel build and ``dj_stack`` checked apart)."""
+    calls = {"metric": [], "j": [], "dj_stack": [], "christoffel": [], "contains": []}
+    contains = Chart.contains
+    monkeypatch.setattr(Chart, "contains", lambda self, x, margin=0.0:
+                        calls["contains"].append(np.shape(x)) or contains(self, x, margin))
+    metric, j_call = Chart._metric, AlmostComplexField.__call__
+    monkeypatch.setattr(Chart, "_metric", lambda self, x, c:
+                        calls["metric"].append(x.shape) or metric(self, x, c))
+    monkeypatch.setattr(AlmostComplexField, "__call__", lambda self, x:
+                        calls["j"].append(np.shape(x)) or j_call(self, x))
+    monkeypatch.setattr(hermitian, "dj_stack", lambda *args: calls["dj_stack"].append(args))
+    christoffel = hermitian.christoffel
+    monkeypatch.setattr(hermitian, "christoffel", lambda chart, x, cfg, g: calls[
+        "christoffel"].append((x.shape, g.shape)) or christoffel(chart, x, cfg, g))
     entry = catalog.calabi_eckmann(1, 1, cfg)
     classify_structure(entry.charts["ce"], entry.structures["J"], SamplePlan(count=3), cfg)
-    assert calls == {"dj_stack": [(3, 6)], "christoffel": [(3, 6)]}
+    assert calls == {"metric": [(75, 6)], "j": [(75, 6)], "dj_stack": [],
+                     "christoffel": [((3, 6), (75, 6, 6))], "contains": [(3, 6), (72, 6)]}
 
 
 def test_dj_stack_evaluates_j_once_per_stencil(cfg):
@@ -584,3 +601,127 @@ def test_stacked_nijenhuis_and_nabla_j_equal_each_row(name, cfg):
         for (vec, norm), (vec_r, norm_r) in zip(stacked, alone):
             assert np.array_equal(vec[r], vec_r)
             assert norm[r] == norm_r
+
+
+def structure_chart(name, cfg):
+    """``chart_and_structure``, or the Kodaira-Thurston chart with its almost
+    Kaehler (``kt-almost-kahler``) or its integrable (``kt-integrable``) J."""
+    pairs = {"kt-almost-kahler": ((0, 2), (1, 3)), "kt-integrable": ((0, 1), (2, 3))}
+    return kodaira_thurston(pairs[name]) if name in pairs else chart_and_structure(name, cfg)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ce-1-1", "ce-2-1", "cp-1", "cp-2", "conformal-dsl"])
+@pytest.mark.parametrize("connection", [True, False])
+def test_structure_jet_equals_the_separate_calls_bit_for_bit(name, connection, cfg):
+    """The jet reads g and J at the samples and their stencil points from one
+    stack; every part equals, sign bits included, what the chart and the field
+    give apart: ``chart.metric`` and J at the samples, ``dj_stack``,
+    ``christoffel`` and nabla J from those; at a stack and at one point."""
+    chart, j_field = structure_chart(name, cfg)
+    points = np.array(SamplePlan(seed=4, count=3).points(chart, cfg))
+    for x in (points, points[1]):
+        jet = structure_jet(chart, j_field, x, cfg, connection)
+        g, j, dj = chart.metric(x, cfg), j_field(x), hermitian.dj_stack(chart, j_field, x, cfg)
+        gamma = christoffel(chart, x, cfg) if connection else None
+        nabla = None if gamma is None else hermitian.nabla_j_tensor(gamma, j, dj)
+        for part, value in {"x": x, "metric": g, "j": j, "dj": dj, "gamma": gamma,
+                            "nabla": nabla}.items():
+            got = getattr(jet, part)
+            assert got is None if value is None else same_bits(got, value), (part, x.ndim)
+
+
+def pairwise_max(op, jet, pairs) -> float:
+    """The largest |op(jet, X, Y)| in g over the pairs and rows, one ``op`` call
+    per pair: the loop that ``hermitian.pair_norms`` replaced."""
+    return max([0.0, *(float(np.max(g_norm(jet.metric, op(jet, u, v)))) for u, v in pairs)])
+
+
+@pytest.mark.parametrize("name", ["torus-classify", "cp-2", "ce-1-0", "ce-1-1",
+                                  "conformal-dsl", "kt-almost-kahler", "kt-integrable"])
+def test_stacked_pair_maxima_equal_the_pairwise_loops_bit_for_bit(name, cfg):
+    """classify's Nijenhuis residual over the frame pairs, the scenarios'
+    Nijenhuis residual over the coordinate pairs and, in complex dimension 2,
+    the Gauduchon maxima over 8 probes in the directions div J and J div J are
+    one ``pair_norms`` pass each, and equal the one-call-per-pair loops."""
+    chart, j_field = structure_chart(name, cfg)
+    plan = SamplePlan(seed=2, count=4)
+    report = classify_structure(chart, j_field, plan, cfg)
+    jets = structure_jet(chart, j_field, np.array(report.samples), cfg)
+    frame = hermitian.stacked_hermitian_frame(jets.metric, jets.j).real_frame
+    frame_pairs = [(u, v) for a, u in enumerate(frame) for v in frame[a + 1:]]
+    assert report.residual_integrable == pairwise_max(nijenhuis, jets, frame_pairs)
+    axes = [np.broadcast_to(e, jets.x.shape) for e in np.eye(chart.dim)]
+    axis_pairs = [(u, v) for a, u in enumerate(axes) for v in axes[a + 1:]]
+    assert scenarios._nijenhuis_residual(jets) == pairwise_max(nijenhuis, jets, axis_pairs)
+    if name == "kt-almost-kahler":
+        assert report.residual_integrable > 0.4
+    if chart.dim == 4:
+        gauduchon = scenarios.check_gauduchon(chart, j_field, plan, cfg)
+        delta = divergence_J(jets)
+        probes = [p for e in hermitian.unit_axes(jets.metric)
+                  for p in (e, hermitian.apply_j(jets, e))]
+        for c, v in zip(gauduchon.checks, (delta, hermitian.apply_j(jets, delta))):
+            assert c.residual == pairwise_max(nabla_J, jets, [(v, y) for y in probes]), c.name
+
+
+def diagonal_structure():
+    """g = diag(1, x1) on (-1, 1)^2, singular on x1 = 0 and indefinite left of it,
+    with a J that has no value past x2 = 0.5."""
+    def j_fn(p):
+        if np.any(p[:, 1] > 0.5):
+            raise ValueError(f"J undefined at {p[p[:, 1] > 0.5][0].tolist()}")
+        return constant([[0.0, -1.0], [1.0, 0.0]])(p)
+
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), name="diagonal",
+                  metric_fn=lambda p: np.stack([np.diag([1.0, v]) for v in p[:, 0]]))
+    return chart, AlmostComplexField(chart, j_fn)
+
+
+def raised(call):
+    """The type and message of what ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+#: Rows that fail alone: outside the interior, a singular and an indefinite
+#: metric, and J undefined at a stencil point only.
+BAD_ROWS = {"outside": [0.9999, 0.1], "singular": [0.0, 0.1], "indefinite": [-0.5, 0.1],
+            "stencil": [0.3, 0.49996]}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(BAD_ROWS)))
+def test_stacked_structure_jet_raises_what_its_first_bad_row_raises(order, cfg):
+    """A stack with bad rows after good ones raises the error, type and message,
+    that its first bad row raises alone.  With the connection that is also what
+    the separate ``christoffel`` and ``dj_stack`` calls raised first, except when
+    the first bad row is the one whose J fails at a stencil point only: those
+    calls raised a later row's metric error before ``dj_stack`` evaluated J."""
+    chart, j_field = diagonal_structure()
+    stack = np.array([[0.5, 0.1], [0.3, -0.2], *(BAD_ROWS[name] for name in order)])
+    for connection in (True, False):
+        alone = [raised(lambda: structure_jet(chart, j_field, p, cfg, connection))
+                 for p in stack]
+        expected = next(e for e in alone if e is not None)
+        assert raised(lambda: structure_jet(chart, j_field, stack, cfg, connection)) == expected
+    separate = raised(lambda: (christoffel(chart, stack, cfg),
+                               hermitian.dj_stack(chart, j_field, stack, cfg)))
+    assert (separate == raised(lambda: structure_jet(chart, j_field, stack, cfg))) == (
+        order[0] != "stencil")
+
+
+def test_classify_verdicts_are_python_bools(torus, cfg, plan):
+    """A tolerance that is a NumPy float makes ``r <= tol`` a ``numpy.bool_``;
+    the verdicts are cast, so the report still encodes as JSON."""
+    chart, j_field = torus
+    numpy_cfg = dataclasses.replace(cfg, tolerance_abs=np.float64(cfg.tolerance_abs))
+    assert isinstance(numpy_cfg.tolerance(1.0), np.floating)
+    report = classify_structure(chart, j_field, plan, numpy_cfg)
+    assert all(type(v) is bool for v in report.verdicts.values())
+    assert json.loads(json.dumps(report.to_dict()))["verdicts"] == report.verdicts

@@ -333,15 +333,18 @@ def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
 @pytest.mark.parametrize("sid", ["hopf-s3-surface-case", "product-hopf-1-1-two-of-three"])
 def test_christoffel_built_once_per_sample(sid, monkeypatch):
     """A check builds Christoffel symbols on as many stacks at 3 samples as at 2,
-    each the stack of all its samples, never one sample alone."""
-    rows = []
+    each the stack of all its samples, never one sample alone, and every build,
+    source or target, is given the metric at its rows that the map's jet holds."""
+    rows, held = [], []
     build = manifold._christoffel
-    monkeypatch.setattr(manifold, "_christoffel", lambda chart, x, cfg:
-                        rows.append(len(x)) or build(chart, x, cfg))
+    monkeypatch.setattr(manifold, "_christoffel", lambda chart, x, cfg, g:
+                        rows.append(len(x)) or held.append(g is not None)
+                        or build(chart, x, cfg, g))
     for count in (2, 3):
         assert run_scenario(sid, SamplePlan(count=count), CFG).overall
     assert rows.count(2) == rows.count(3) > 0
     assert set(rows) == {2, 3}
+    assert all(held)
 
 
 def test_condition_ii_builds_one_target_frame_per_sample(monkeypatch):
@@ -410,19 +413,83 @@ def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
     """The tension, the Lee push-forward, the fibre mean curvature and the lifted
     structure read the source Christoffel symbols from the sample jet's
     ``gamma``: no source Christoffel build repeats a row that the check has
-    already built, by either route: ``christoffel`` on the source chart, or the
-    jet's own g inverted (``maps.invert_metric``) and differenced at its stencil
-    rows.  The source is a renamed copy of the chart, so the target side of a map
-    into its own chart (the identity) is not counted."""
+    already built, and every build reads the jet's own g (at the samples, and at
+    their stencil points for a jet over both) instead of evaluating it again:
+    ``christoffel`` is the one route, given the metric the jet holds.  The source
+    is a renamed copy of the chart, so the target side of a map into its own
+    chart (the identity) is not counted."""
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"))
-    built = []
-    build, invert = manifold._christoffel, maps.invert_metric
-    monkeypatch.setattr(manifold, "_christoffel", lambda chart, x, cfg: built.extend(
-        p.tobytes() for p in x if chart is spec.source) or build(chart, x, cfg))
-    monkeypatch.setattr(maps, "invert_metric", lambda g, x: built.extend(
-        p.tobytes() for p in x) or invert(g, x))
+    built, held = [], []
+
+    def recording(chart, x, cfg, g):
+        if chart is spec.source:
+            built.extend(p.tobytes() for p in x)
+            held.append(g is not None)
+        return build(chart, x, cfg, g)
+
+    build = manifold._christoffel
+    monkeypatch.setattr(manifold, "_christoffel", recording)
     check_map = getattr(scenarios, check_name)
     assert check_map(spec, plan=SamplePlan(count=2), scenario_id=sid, **kwargs).overall
-    assert built and len(built) == len(set(built))
+    assert built and len(built) == len(set(built)) and all(held)
+
+
+def map_spec(sid):
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    return catalog.get_entry(entry_id, CFG).maps[key]
+
+
+def run_on(spec, sid, plan):
+    _, check_name, _, _, kwargs = scenarios.SCENARIOS[sid]
+    return getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs)
+
+
+@pytest.mark.parametrize("sid", ["hopf-s3", "hopf-s3-surface-case", "product-hopf-1-1"])
+def test_target_metric_at_each_image_is_built_once(sid, monkeypatch):
+    """The tension's target Christoffel symbols read h at phi(x) from the jet's
+    ``target_metric`` and evaluate h only at the stencil points of phi(x): h is
+    built at each sample's image once (twice when the Christoffel build asked the
+    chart for it again)."""
+    spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
+    metric = Chart._metric
+    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: (
+        rows.extend(x) if self is spec.target else None) or metric(self, x, cfg))
+    assert run_on(spec, sid, plan).overall
+    for x in sample_points(sid, plan):
+        assert times_at(rows, spec(x)) == 1
+
+
+@pytest.mark.parametrize("sid", ["product-hopf-1-1-two-of-three",
+                                 "punctured-hopf-2-two-of-three"])
+def test_source_metric_at_each_sample_is_built_once(sid, monkeypatch):
+    """The homothety residual inverts the jet's g at the samples instead of
+    asking the chart through ``manifold.gradient``: g is built at each sample
+    once, as a row of the jet's one stack (twice before)."""
+    spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
+    metric = Chart._metric
+    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: (
+        rows.extend(x) if self is spec.source else None) or metric(self, x, cfg))
+    monkeypatch.setattr(manifold, "gradient", None)
+    assert run_on(spec, sid, plan).overall
+    for x in sample_points(sid, plan):
+        assert times_at(rows, x) == 1
+
+
+def test_target_j_at_each_stencil_image_is_evaluated_once(monkeypatch):
+    """The lifted J and condition (ii) read the target J at phi of the stencil
+    points from the jet's ``target_j``: J is evaluated at each stencil image once
+    (twice when condition (ii) evaluated it again)."""
+    sid = "punctured-hopf-2-integrability-plus"
+    spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
+    call = hermitian.AlmostComplexField.__call__
+    monkeypatch.setattr(hermitian.AlmostComplexField, "__call__", lambda self, x: (
+        rows.extend(np.atleast_2d(x)) if self is spec.target_structure else None)
+        or call(self, x))
+    assert run_on(spec, sid, plan).overall
+    samples = np.array(sample_points(sid, plan))
+    images = spec(numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim))
+    assert len(images) == 2 * 4 * spec.source.dim
+    for y in images:
+        assert times_at(rows, y) == 1
