@@ -214,7 +214,7 @@ def _ambient_j_product(r: int, s: int, p: Array, w: Array) -> Array:
 
 def _chart_components(g: Array, dpsi: Array, ambient: Array) -> Array:
     """Chart components g^{-1} D(psi)^T v of the columns v of ``ambient``, from the
-    metric g and the D(psi) at a point or at each row of a stack."""
+    metric g and the D(psi) at each row of a stack."""
     return np.linalg.solve(g, np.swapaxes(dpsi, -1, -2) @ ambient)
 
 
@@ -230,7 +230,7 @@ def odd_sphere_product_structure(chart: Chart, r: int, s: int,
 
 def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
                                   cfg: DiffConfig = DEFAULT_CFG) -> Array:
-    """Chart components of the closed-form divergence -2(r J1 n1 + s J2 n2) at x or its rows."""
+    """Chart components of the closed-form divergence -2(r J1 n1 + s J2 n2) at the rows of x."""
     x = np.asarray(x, dtype=float)
     a1, ip = 2 * r + 2, _i_times(chart.embedding.psi(x)[..., None])
     ambient = -2.0 * np.concatenate([r * ip[..., :a1, :], s * ip[..., a1:, :]], axis=-2)

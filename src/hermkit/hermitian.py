@@ -6,30 +6,33 @@ Complex tangent vectors are numpy complex arrays over chart coordinates; all
 field machinery (metrics, connections, brackets) stays real-valued and the
 complex-bilinear / Hermitian extensions of the metric are applied explicitly.
 
-The pointwise structure operators (nabla J, div J, the Lee field, the
-Nijenhuis tensor) read a :class:`StructureJet`: g, J, d J and, unless built
-with ``connection=False`` (all the Nijenhuis tensor needs), the Christoffel
-symbols and nabla J.  :func:`structure_jet` builds it for all the samples of a
-check from one metric and one J call on the samples and then their
-``numdiff.stencil`` points (a map check's ``maps.PointJet.structure`` reuses its
-g and Christoffel symbols); :func:`pair_norms` evaluates an operator at every
-pair of vectors in one call.  :func:`classify_structure` decides every class
-from the real form of nabla J at the samples' Hermitian frames (Gray & Hervella
-1980).  Nothing is cached by point: a check passes down the jet it holds.
+Every operator here takes a (k, dim) stack x of points, one per row (a point is
+its one-row stack), and returns the stack of its values at the rows, each row as
+alone; a 1-D point raises ``WrongDimension``.  The structure operators (nabla J,
+div J, the Lee field, the Nijenhuis tensor) read a :class:`StructureJet`: g, J,
+d J and, unless built with ``connection=False`` (all the Nijenhuis tensor
+needs), the Christoffel symbols and nabla J.  :func:`structure_jet` builds it
+for all the samples of a check from one metric and one J call on the samples and
+then their ``numdiff.stencil`` points (a map check's ``maps.PointJet.structure``
+reuses its g and Christoffel symbols); :func:`pair_norms` evaluates an operator
+at every pair of vectors in one call.  :func:`classify_structure` decides every
+class from the real form of nabla J at the samples' Hermitian frames (Gray &
+Hervella 1980).  Nothing is cached by point: a check passes down the jet it
+holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import numdiff
 from .errors import DslError, GeometryError, PreconditionFailed, RankDeficient
 from .manifold import Chart, SamplePlan, christoffel
-from .numdiff import Array, DiffConfig, as_stack, g_length, on_rows, project_out
+from .numdiff import Array, DiffConfig, as_points, as_stack, g_length, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
 #: as almost Hermitian (scaled by max(1, max|g|) where g enters).
@@ -51,14 +54,13 @@ class AlmostComplexField:
     fn: Callable[[Array], Array]
 
     def __call__(self, x) -> Array:
-        """J at a point, or the stack of J at the rows of a (k, dim) stack."""
-        d = self.chart.dim
-        return on_rows(lambda stack: as_stack(
-            self.fn(stack), stack, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn"), x)
+        """The stack of J at the rows of x."""
+        x, d = as_points(x), self.chart.dim
+        return as_stack(self.fn(x), x, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn")
 
 
 def invariant_residuals(g: Array, j: Array) -> tuple[Array, Array]:
-    """max|J^2 + I| and max|J^T g J - g| at one point, or at each row of stacks."""
+    """max|J^2 + I| and max|J^T g J - g| at each row of stacks g and J."""
     return (np.max(np.abs(j @ j + np.eye(j.shape[-1])), axis=(-2, -1)),
             np.max(np.abs(np.swapaxes(j, -1, -2) @ g @ j - g), axis=(-2, -1)))
 
@@ -77,20 +79,20 @@ def require_almost_hermitian(g: Array, j: Array, x: Array) -> None:
 
 
 def unit_axes(g: Array) -> list[Array]:
-    """The coordinate axes scaled to unit length in g, or (stacks) in each metric of a stack."""
+    """The coordinate axes scaled to unit length in each metric of a stack g, as (k, d) stacks."""
     d = g.shape[-1]
     return [np.eye(d)[i] / np.sqrt(g[..., i, i])[..., None] for i in range(d)]
 
 
-def g_norm(g: Array, v: Array) -> float | Array:
-    """Norm of a real or complex vector in (the extension of) g, or of each row of
-    stacks (vectors with any leading axes before the rows)."""
+def g_norm(g: Array, v: Array) -> Array:
+    """Norm of each real or complex vector of a stack in (the extension of) the
+    metric of its row (vectors with any leading axes before the rows)."""
     norm = np.sqrt(np.maximum(np.real(v[..., None, :] @ g @ np.conj(v)[..., None]), 0.0))
-    return float(norm[0, 0]) if norm.ndim == 2 else norm[..., 0, 0]
+    return norm[..., 0, 0]
 
 
 def antiholomorphic_part(j: Array, w: Array) -> Array:
-    """(0,1)-part (w + i J w) / 2 of a (possibly complex) vector, or of each row of a stack."""
+    """(0,1)-part (w + i J w) / 2 of each (possibly complex) vector of a stack."""
     return 0.5 * (w + 1j * (j @ w[..., None])[..., 0])
 
 
@@ -114,15 +116,9 @@ class HermitianFrame:
 
 def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
                     pivots: tuple | None = None) -> HermitianFrame:
-    """:func:`stacked_hermitian_frame` of g and J at x, a (k, dim) stack, or at a
-    point as its one-row case (``chart`` must be the chart of ``j_field``)."""
-    x = np.asarray(x, dtype=float)
-    stack = np.atleast_2d(x)
-    frame = stacked_hermitian_frame(chart.metric(stack, cfg), j_field(stack), pivots)
-    if x.ndim == 2:
-        return frame
-    return HermitianFrame(tuple(v[0] for v in frame.real_frame),
-                          tuple(v[0] for v in frame.complex_frame), frame.pivots[0])
+    """:func:`stacked_hermitian_frame` of g and J at the rows of x (``chart`` must
+    be the chart of ``j_field``)."""
+    return stacked_hermitian_frame(chart.metric(x, cfg), j_field(x), pivots)
 
 
 def stacked_hermitian_frame(g: Array, j: Array, pivots: tuple | None = None) -> HermitianFrame:
@@ -182,15 +178,14 @@ def _greedy_frame(g: Array, j: Array, tol: Array, fixed: bool, candidates: tuple
 
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
-    """Plain coordinate derivatives d_i J, stacked as [i, k, j], or as
-    [r, i, k, j] at the rows r of a stack x, from one stencil."""
+    """Plain coordinate derivatives d_i J at the rows r of x, as [r, i, k, j],
+    from one stencil."""
     return numdiff.partial(j_field, x, cfg, domain=chart.contains)
 
 
 def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
-    """Covariant derivative of J as the array T[i, k, j] = (nabla_i J)^k_j, from
-    the Christoffel symbols, J and the stack d_i J at one point, or their
-    stacks at the rows of a stack of points.
+    """Covariant derivative of J as the stack T[r, i, k, j] = (nabla_i J)^k_j at
+    rows r, from the stacks of the Christoffel symbols, J and d_i J there.
 
     (nabla_i J)^k_j = d_i J^k_j + Gamma^k_{il} J^l_j - Gamma^l_{ij} J^k_l.
     """
@@ -200,10 +195,9 @@ def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
 
 @dataclass(frozen=True)
 class StructureJet:
-    """g, J and d J at one point (``dj[i, k, j]`` = d_i J^k_j), with the
-    Christoffel symbols and ``nabla[i, k, j]`` = (nabla_i J)^k_j, or ``None``
-    for both when built without the connection; or the stacks of them at the
-    rows of a stack of points, each part with a leading row axis."""
+    """The stacks of g, J and d J (``dj[r, i, k, j]`` = d_i J^k_j) at the rows r of
+    x, with those of the Christoffel symbols and ``nabla[r, i, k, j]`` =
+    (nabla_i J)^k_j, or ``None`` for both when built without the connection."""
 
     x: Array
     metric: Array
@@ -215,14 +209,11 @@ class StructureJet:
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
                   connection: bool = True) -> StructureJet:
-    """The jet at the rows of a stack x (a point: its one-row case) from g and J
-    evaluated once on the rows and then their ``numdiff.stencil`` points (g at the
-    rows alone without ``connection``), d J and Gamma from the stencil rows; on an
-    error the rows are built alone, so the error raised is the first bad row's."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        jet = structure_jet(chart, j_field, x[None], cfg, connection)
-        return StructureJet(x, *(None if p is None else p[0] for p in list(vars(jet).values())[1:]))
+    """The jet at the rows of x from g and J evaluated once on the rows and then
+    their ``numdiff.stencil`` points (g at the rows alone without ``connection``),
+    d J and Gamma from the stencil rows; on an error the rows are built alone, so
+    the error raised is the first bad row's."""
+    x = as_points(x)
     k = len(x)
     try:
         if connection:
@@ -241,12 +232,12 @@ def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
 
 
 def apply_j(jet: StructureJet, v) -> Array:
-    """J v at the jet's point, or row by row for a stacked jet and a stack of vectors."""
+    """J v row by row, for a stack of vectors (any leading axes before the rows)."""
     return (jet.j @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def nabla_J(jet: StructureJet, x_vec, y_vec) -> Array:
-    """(nabla_X J) Y at the jet's point or rows; extension-independent in X and Y."""
+    """(nabla_X J) Y at the jet's rows; extension-independent in X and Y."""
     return np.einsum("...ikj,...i,...j->...k", jet.nabla, np.asarray(x_vec, dtype=float),
                      np.asarray(y_vec, dtype=float))
 
@@ -255,13 +246,12 @@ def divergence_J(jet: StructureJet) -> Array:
     """div J = trace of nabla J over any g-orthonormal frame, as g^{ij}(nabla_i J)^k_j.
 
     The jet's Christoffel build has already checked that g is invertible.
-    A stacked jet gives the stack of div J at its rows.
     """
     return np.einsum("...ij,...ikj->...k", np.linalg.inv(jet.metric), jet.nabla)
 
 
 def lee_vector(jet: StructureJet) -> Array:
-    """The Lee-type vector field J(div J) at the jet's point, or its stack."""
+    """The Lee-type vector field J(div J) at the jet's rows."""
     return apply_j(jet, divergence_J(jet))
 
 
@@ -269,8 +259,7 @@ def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
     """Nijenhuis tensor N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y].
 
     Evaluated on the constant-component extensions of X and Y, for which the
-    bracket of the J-transformed fields contracts against d_i J directly.  A
-    stacked jet takes stacks of vectors and gives the stack of N at its rows.
+    bracket of the J-transformed fields contracts against d_i J directly.
     """
     xv, yv, d = np.asarray(x_vec, dtype=float), np.asarray(y_vec, dtype=float), jet.dj
     a1 = np.einsum("...i,...ikj,...j->...k", apply_j(jet, xv), d, yv)  # (JX)^i (d_i J) Y
@@ -281,8 +270,9 @@ def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
 
 
 def pair_norms(op: Callable, jet: StructureJet, pairs: Iterable[tuple]) -> Array:
-    """|op(jet, X, Y)| in g at each row of a stacked jet for every pair (X, Y) of vectors
-    or (k, dim) stacks of them, as (pairs, k): one ``op`` call, the pairs a leading axis."""
+    """|op(jet, X, Y)| in g at each row of a jet for every pair (X, Y) of constant
+    vectors or (k, dim) stacks of them, as (pairs, k): one ``op`` call, the pairs a
+    leading axis."""
     xs, ys = (np.stack([np.broadcast_to(v, jet.x.shape) for v in vs]) for vs in zip(*pairs))
     return g_norm(jet.metric, op(jet, xs, ys))
 
@@ -320,22 +310,22 @@ class StructureReport:
 
 def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
                        cfg: DiffConfig,
-                       points: Sequence[Array] | None = None) -> StructureReport:
+                       points: Array | None = None) -> StructureReport:
     """Classify (chart, J) at the plan's sample points.
 
     Residuals are maxima over samples, and over X, Y in each sample's
     Hermitian frame, of the real-form conditions on nabla J (Gray & Hervella
     1980): Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
     ``|(nabla_X J) Y + (nabla_JX J) J Y|``; cosymplectic ``|div J|``;
-    integrable ``|N(X, Y)|``.  ``points`` overrides the plan's samples (used
-    when a map pushes samples onto this chart).
+    integrable ``|N(X, Y)|``.  ``points``, a (k, dim) stack, overrides the
+    plan's samples (used when a map pushes samples onto this chart).
     Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at a
     sample where (g, J) is not almost Hermitian: such a pair has no
     classification.  The structure jet and the Hermitian frames of all samples
     are built first, each as one stack, and every residual is one stacked pass
     (the Nijenhuis one over all frame pairs, by :func:`pair_norms`).
     """
-    stack = np.array(plan.points(chart, cfg) if points is None else points, dtype=float)
+    stack = plan.points(chart, cfg) if points is None else as_points(points)
     jets = structure_jet(chart, j_field, stack, cfg)
     g, j, t = jets.metric, jets.j, jets.nabla
     scale = max(1.0, float(np.max(1.0 + np.max(np.abs(jets.gamma), axis=(1, 2, 3))

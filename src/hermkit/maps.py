@@ -3,18 +3,19 @@ horizontal conformality and dilation, second fundamental form and tension,
 fibre geometry, superminimality, and lifted almost Hermitian structures on the
 total space of a conformal submersion with 2-dimensional fibres.
 
-Every operator reads a :class:`PointJet` (x, Dphi from one :func:`differential`
-stencil, the source metric g and the one-SVD rank split of Dphi) at a point or at
-the rows of a (k, source dim) stack, a point being the one-row case of the same
-code and each row equal to its point's bit for bit.  A map check builds one with
-:func:`point_jet` for all its samples, and a check that differences on their
-stencil points builds one jet over both: the sample jet and ``jet.stencil`` are
-its two row ranges.  A jet builds, when first read, and shares with every reader
-``jet.image``, phi(x), ``jet.target_metric`` and ``jet.target_j``, h and the
-target J there, ``jet.j``, the source J, and ``jet.split``, its
-:func:`conformality` data (an array per field), each on the range that reads
-it; ``jet.lift``, its horizontal-lift matrices, once over both; ``jet.gamma``,
-the source Christoffel symbols, from the metrics at both; and
+Points are (k, source dim) stacks, one point per row (a point is its one-row
+stack), and a 1-D point raises ``WrongDimension``.  Every operator reads a
+:class:`PointJet` (x, Dphi from one :func:`differential` stencil, the source
+metric g and the one-SVD rank split of Dphi) at the rows of such a stack and
+returns one value per row, each row as alone, bit for bit.  A map check builds
+one with :func:`point_jet` for all its samples, and a check that differences on
+their stencil points builds one jet over both: the sample jet and
+``jet.stencil`` are its two row ranges.  A jet builds, when first read, and
+shares with every reader ``jet.image``, phi(x), ``jet.target_metric`` and
+``jet.target_j``, h and the target J there, ``jet.j``, the source J, and
+``jet.split``, its :func:`conformality` data (an array per field), each on the
+range that reads it; ``jet.lift``, its horizontal-lift matrices, once over both;
+``jet.gamma``, the source Christoffel symbols, from the metrics at both; and
 ``jet.structure``, the source structure jet.  The third-order operators
 (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
 :func:`lifted_structure_jet`, :func:`condition_ii_residual`) compute what they
@@ -23,15 +24,15 @@ read at both ranges once, over ``jet.both``; :func:`sff_tensor` and
 target Christoffel symbols from h at phi(x) and at its stencil points.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
-(k, target dim) stack of their images; a single point is passed as one row.
-Nothing is cached by point: phi is evaluated on the stack it is asked for, and
-a check passes the jet it holds instead of asking again.
+(k, target dim) stack of their images.  Nothing is cached by point: phi is
+evaluated on the stack it is asked for, and a check passes the jet it holds
+instead of asking again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,7 @@ from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, 
                         g_norm, lee_vector, nabla_J, nabla_j_tensor, require_almost_hermitian,
                         stacked_hermitian_frame, unit_axes)
 from .manifold import Chart, christoffel, invert_metric
-from .numdiff import (Array, DiffConfig, as_stack, g_length, gram_schmidt, on_rows,
+from .numdiff import (Array, DiffConfig, as_points, as_stack, g_length, gram_schmidt,
                       orthonormalize, project_out)
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
@@ -78,22 +79,21 @@ class MapSpec:
     name: str = ""
 
     def __call__(self, x) -> Array:
-        """phi at a point, or at each row of a (k, source dim) stack."""
-        return on_rows(lambda stack: as_stack(
-            self.fn(stack), stack, (self.target.dim,), f"map {self.name or '(unnamed)'}: fn"), x)
+        """phi at each row of x."""
+        x = as_points(x)
+        return as_stack(self.fn(x), x, (self.target.dim,), f"map {self.name or '(unnamed)'}: fn")
 
 
 def differential(spec: MapSpec, x) -> Array:
-    """The differential as a (target dim) x (source dim) array of partials, or their
-    stack at the rows of a stack (one map call; errors are those of the first bad row)."""
-    x = np.asarray(x, dtype=float)
+    """The stack of differentials, (target dim) x (source dim) arrays of partials,
+    at the rows of x (one map call; errors are those of the first bad row)."""
+    x = as_points(x)
     try:
         spec.source.require_interior(x, spec.cfg)
         d = numdiff.partial(spec, x, spec.cfg, domain=spec.source.contains)
     except EvaluationOutsideDomain:
-        if x.ndim == 2:  # name the first row that fails alone
-            for p in x:
-                differential(spec, p)
+        for r in range(len(x)) if len(x) > 1 else ():  # name the first row that fails alone
+            differential(spec, x[r:r + 1])
         raise
     return np.ascontiguousarray(np.swapaxes(d, -1, -2))
 
@@ -104,8 +104,8 @@ _HALVED = ("image", "target_metric", "target_j", "j", "split")
 
 @dataclass(frozen=True)
 class PointJet:
-    """Dphi(x), g(x) and the SVD of Dphi at one point, or their stacks (``rank``
-    an integer array) at the rows of a stack.
+    """The stacks of Dphi(x), g(x) and the SVD of Dphi, with ``rank`` an integer
+    array, at the rows of x.
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
@@ -121,19 +121,18 @@ class PointJet:
     metric: Array
     singular_values: Array
     vt: Array
-    rank: int | Array
+    rank: Array
     whole: tuple | None = field(default=None, repr=False)  # (jet, rows) for a taken jet
     samples: int | None = None
 
-    def take(self, rows=None) -> PointJet:
-        """The rows ``rows`` (an index array) of a stacked jet, or a point's jet as a
-        one-row stack (``rows=None``); rows of a taken jet are taken from its jet."""
-        if self.whole is not None and self.whole[1] is not None:
+    def take(self, rows) -> PointJet:
+        """The rows ``rows`` (an index array) of the jet; rows of a taken jet are
+        taken from its jet."""
+        if self.whole is not None:
             return self.whole[0].take(self.whole[1][rows])
-        rows = None if rows is None else np.asarray(rows, dtype=int)
+        rows = np.asarray(rows, dtype=int)
         parts = (self.x, self.differential, self.metric, self.singular_values, self.vt, self.rank)
-        return PointJet(self.spec, *(np.asarray(p)[None] if rows is None else p[rows]
-                                     for p in parts), whole=(self, rows))
+        return PointJet(self.spec, *(p[rows] for p in parts), whole=(self, rows))
 
     def _part(self, name: str, build: Callable) -> Array | ConformalityData:
         """``build(self)``; a taken jet reads its rows of its jet's part, from a half
@@ -142,8 +141,6 @@ class PointJet:
         halved = name in _HALVED and (whole or self).samples is not None
         if whole is None:
             return _join(*(getattr(half, name) for half in self.halves)) if halved else build(self)
-        if rows is None:
-            return getattr(whole, name)[None]
         for half, start in zip(whole.halves, (0, whole.samples)) if halved else ():
             if np.all((rows >= start) & (rows < start + len(half.x))):
                 return getattr(half, name)[rows - start]
@@ -158,64 +155,70 @@ class PointJet:
 
     @cached_property
     def split(self) -> ConformalityData:
-        """The :func:`conformality` data at the jet's point or rows."""
+        """The :func:`conformality` data at the jet's rows."""
         return self._part("split", conformality)
 
     @cached_property
     def lift(self) -> Array:
-        """The :func:`_lift_matrix` at the jet's point or rows (NaN at rows that are
-        not regular), one build over all the rows of the jet it was taken from."""
+        """The :func:`_lift_matrix` at the jet's rows (NaN at rows that are not
+        regular), one build over all the rows of the jet it was taken from."""
         return self._part("lift", _lift_matrix)
 
     @cached_property
     def image(self) -> Array:
-        """phi at the jet's point or rows."""
+        """phi at the jet's rows."""
         return self._part("image", lambda jet: jet.spec(jet.x))
 
     @cached_property
     def target_metric(self) -> Array:
-        """The target metric h at phi of the jet's point or rows."""
+        """The target metric h at phi of the jet's rows."""
         return self._part("target_metric",
                           lambda jet: jet.spec.target.metric(jet.image, jet.spec.cfg))
 
     @cached_property
     def target_j(self) -> Array:
-        """The target structure J at phi of the jet's point or rows."""
+        """The target structure J at phi of the jet's rows."""
         return self._part("target_j", lambda jet: jet.spec.target_structure(jet.image))
 
     @cached_property
     def gamma(self) -> Array:
-        """The source Christoffel symbols at the jet's point or rows (of a jet with
+        """The source Christoffel symbols at the jet's rows (of a jet with
         ``samples``: at the samples), from the jet's g at its rows."""
         return self._part("gamma", lambda jet: christoffel(
             jet.spec.source, jet.x[:jet.samples], jet.spec.cfg, jet.metric))
 
     @cached_property
     def j(self) -> Array:
-        """The source structure J at the jet's point or rows."""
+        """The source structure J at the jet's rows."""
         return self._part("j", lambda jet: jet.spec.source_structure(jet.x))
 
     @cached_property
+    def metric_inverse(self) -> Array:
+        """g^-1 at the jet's rows, by ``invert_metric`` (its own rows only: a sample
+        jet does not invert its stencil rows)."""
+        return invert_metric(self.metric, self.x)
+
+    @cached_property
     def structure(self) -> StructureJet:
-        """The source structure jet at the jet's point or rows, on its g, J and ``gamma``."""
+        """The source structure jet at the jet's rows, on its g, J and ``gamma``."""
         x, gamma, j = self.x, self.gamma, self.j
         dj = dj_stack(self.spec.source, self.spec.source_structure, x, self.spec.cfg)
         return StructureJet(x, self.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
 
     @cached_property
     def both(self) -> PointJet:
-        """The stacked jet at its rows and then at the ``numdiff.stencil`` points of
-        each (one block of rows per row, in order): rows of the jet it was taken
-        from when that holds them, else a jet built for them."""
+        """The jet at its rows and then at the ``numdiff.stencil`` points of each
+        (one block of rows per row, in order): rows of the jet it was taken from
+        when that holds them, else a jet built for them."""
         whole, rows = self.whole or (None, None)
-        if rows is None or whole.samples is None:
+        if whole is None or whole.samples is None:
             return point_jet(self.spec, self.x, stencil=True).both
         per = len(whole.x) // whole.samples - 1
         return whole.take(np.concatenate([rows, whole.samples + _blocks(rows, per)]))
 
     @cached_property
     def stencil(self) -> PointJet:
-        """The stacked jet at the stencil points of the jet's rows: ``both`` past them."""
+        """The jet at the stencil points of the jet's rows: ``both`` past them."""
         return self.both.take(np.arange(len(self.x), len(self.both.x)))
 
 
@@ -233,12 +236,12 @@ def _join(head, tail):
 
 
 def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
-    """Differentiate the map at x, or at each row of a stack x, once and split
-    the differential by rank: one :func:`differential`, one source metric call
-    and one batched SVD, the rank decided per row (phi and h at first read).
-    With ``stencil`` the rows are those of a stack x and then its
-    ``numdiff.stencil`` points, and the jet returned is the one at x's rows."""
-    x = np.array(x, dtype=float)
+    """Differentiate the map at each row of x once and split the differential by
+    rank: one :func:`differential`, one source metric call and one batched SVD,
+    the rank decided per row (phi and h at first read).  With ``stencil`` the
+    rows are those of x and then its ``numdiff.stencil`` points, and the jet
+    returned is the one at x's rows."""
+    x = np.array(as_points(x))
     rows = (np.concatenate([x, numdiff.stencil(x, spec.cfg).reshape(-1, x.shape[1])])
             if stencil else x)
     d = differential(spec, rows)
@@ -246,21 +249,10 @@ def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
     _, sv, vt = np.linalg.svd(d)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
-    jet = PointJet(spec, rows, d, g, sv, vt, rank if x.ndim == 2 else int(rank),
-                   samples=len(x) if stencil else None)
+    jet = PointJet(spec, rows, d, g, sv, vt, rank, samples=len(x) if stencil else None)
     return jet.take(np.arange(len(x))) if stencil else jet
 
 
-def _rowwise(op: Callable) -> Callable:
-    """``op`` of a stacked jet, which returns one value per row, also taking a
-    point's jet (and a structure jet at the point): its value is the one row's."""
-    @wraps(op)
-    def at(jet: PointJet, *args):
-        return op(jet, *args) if jet.x.ndim == 2 else op(jet.take(), *args)[0]
-    return at
-
-
-@_rowwise
 def holomorphy_residual(jet: PointJet) -> list[float]:
     """Frobenius norm of dphi J - J_target(phi(x)) dphi at each row; raises
     ``PreconditionFailed`` unless (g, J) is almost Hermitian at x and phi(x)
@@ -307,7 +299,6 @@ class ConformalityData:
                         np.where(self.regular, KIND_REGULAR, KIND_DEGENERATE))
 
 
-@_rowwise
 def conformality(jet: PointJet) -> ConformalityData:
     """Split T_x into ker dphi and its g-orthogonal complement and measure how
     conformal dphi is on the horizontal part, at each row: rows of equal rank run
@@ -345,8 +336,7 @@ def conformality(jet: PointJet) -> ConformalityData:
 
 
 def sff_tensor(jet: PointJet) -> Array:
-    """All components of nabla dphi at the jet's point, shape (d, d, n), or
-    their stack at the rows of a stacked jet."""
+    """All components of nabla dphi at the jet's rows, as (k, d, d, n)."""
     spec, x, d, fx, cfg = jet.spec, jet.x, jet.differential, jet.image, jet.spec.cfg
     spec.target.require_interior(fx, cfg)
     gamma_m, gamma_n = jet.gamma, christoffel(spec.target, fx, cfg, jet.target_metric)
@@ -359,16 +349,14 @@ def sff_tensor(jet: PointJet) -> Array:
 
 
 def tension(jet: PointJet) -> Array:
-    """Tension field tau = g^{ij} (nabla dphi)_{ij} at the jet's point, or its
-    stack at the rows of a stacked jet."""
-    sff = sff_tensor(jet)  # its Christoffel build has checked that g is invertible
-    return np.einsum("...ij,...ijg->...g", np.linalg.inv(jet.metric), sff)
+    """Tension field tau = g^{ij} (nabla dphi)_{ij} at the jet's rows."""
+    sff = sff_tensor(jet)
+    return np.einsum("...ij,...ijg->...g", jet.metric_inverse, sff)
 
 
 def lee_pushforward(jet: PointJet) -> Array:
-    """dphi(J div J) at the jet's point, the push-forward of the source's
-    Lee-type field, or its stack at the rows of a stacked jet; the tension
-    identity reads tau = -dphi(J div J)."""
+    """dphi(J div J) at the jet's rows, the push-forward of the source's Lee-type
+    field; the tension identity reads tau = -dphi(J div J)."""
     spec = jet.spec
     if spec.source_structure is None:
         raise MissingStructure("the Lee push-forward needs an almost-complex structure "
@@ -377,7 +365,6 @@ def lee_pushforward(jet: PointJet) -> Array:
     return (jet.differential @ lee[..., None])[..., 0]
 
 
-@_rowwise
 def _vertical_projector(jet: PointJet) -> Array:
     """g-orthogonal projector onto ker dphi at each row (basis independent, smooth)."""
     out = np.zeros(jet.metric.shape)
@@ -390,12 +377,12 @@ def _vertical_projector(jet: PointJet) -> Array:
 
 
 def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..., Array]:
-    """Smooth g-orthonormal vertical frame near the jet's point, or near each row
-    of a stacked jet: a function from the jet at nearby points (and, if held,
-    their vertical projectors, as ``p_v`` at the jet's rows) to the frame there,
-    as a matrix whose columns are the frame vectors (a 0-dimensional fibre has
-    the empty frame).  ``owner[i]`` is the row of ``jet`` that point i is near:
-    by default, one block of points per row in order, as in ``jet.stencil``.
+    """Smooth g-orthonormal vertical frame near each row of the jet: a function
+    from the jet at nearby points (and, if held, their vertical projectors, as
+    ``p_v`` at the jet's rows) to the frame at each point, as a matrix whose
+    columns are the frame vectors (a 0-dimensional fibre has the empty frame).
+    ``owner[i]`` is the row of ``jet`` that point i is near: by default, one
+    block of points per row in order, as in ``jet.stencil``.
 
     Fixed coordinate axes (chosen per row of ``jet`` by largest vertical
     projection, ties broken by index) are pushed through the pointwise
@@ -403,13 +390,13 @@ def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..
     deterministic and smooth wherever the projections stay independent.
     Raises ``CriticalPoint`` at the first row of ``jet`` that is not regular.
     """
-    spec, base = jet.spec, jet if jet.x.ndim == 2 else jet.take()
-    bad = np.flatnonzero(base.rank < spec.target.dim)
+    spec = jet.spec
+    bad = np.flatnonzero(jet.rank < spec.target.dim)
     if bad.size:
-        raise CriticalPoint(f"no vertical frame at non-regular point {base.x[bad[0]]!r}")
+        raise CriticalPoint(f"no vertical frame at non-regular point {jet.x[bad[0]]!r}")
     n, k = spec.source.dim, spec.source.dim - spec.target.dim
-    p_v = _vertical_projector(base) if p_v is None else p_v
-    g0, rows = base.metric, np.arange(len(base.x))
+    p_v = _vertical_projector(jet) if p_v is None else p_v
+    g0, rows = jet.metric, np.arange(len(jet.x))
     axes, basis = np.zeros((len(rows), 0), dtype=int), []
     for _ in range(k):  # pivoted: each axis must stay independent of the earlier ones
         w = np.stack([project_out(p_v[:, :, i], basis, g0) for i in range(n)], axis=1)
@@ -422,17 +409,15 @@ def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..
         basis.append(w[rows, best] / score[rows, best, None])
 
     def frame_at(at: PointJet, p: Array | None = None, owner: Array | None = None) -> Array:
-        p = (_vertical_projector(at) if p is None else p).reshape(-1, n, n)
-        g, rows = at.metric.reshape(-1, n, n), np.arange(len(p))
+        p = _vertical_projector(at) if p is None else p
+        rows = np.arange(len(p))
         cols = np.repeat(axes, len(p) // len(axes), axis=0) if owner is None else axes[owner]
-        frame = orthonormalize([p[rows, :, cols[:, a]] for a in range(k)], g, required=k)
-        out = np.stack(frame, axis=-1) if k else np.zeros((len(p), n, 0))
-        return out if at.x.ndim == 2 else out[0]
+        frame = orthonormalize([p[rows, :, cols[:, a]] for a in range(k)], at.metric)
+        return np.stack(frame, axis=-1) if k else np.zeros((len(p), n, 0))
 
     return frame_at
 
 
-@_rowwise
 def fibre_mean_curvature(jet: PointJet) -> Array:
     """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame at each
     row; the zero vector exactly when the fibre is minimal there (0-dimensional
@@ -460,21 +445,19 @@ def require_regular(jet: PointJet, what: str) -> None:
         raise CriticalPoint(f"{what}, got {jet.split.kind[bad[0]]}")
 
 
-@_rowwise
 def homothety_residual(jet: PointJet) -> list[float]:
     """|dphi(grad lambda^2)| in the target metric at each row, lambda^2 read at
-    the jet's stencil rows and g inverted at its rows."""
+    the jet's stencil rows and g^-1 from ``jet.metric_inverse``."""
     cfg, stencil = jet.spec.cfg, jet.stencil
     require_regular(jet, "homothety residual needs regular samples")
     bad = np.flatnonzero(~stencil.split.regular)
     if bad.size:
         raise CriticalPoint(f"dilation field hit a non-regular stencil point {stencil.x[bad[0]]!r}")
     lam_sq = np.float_power(stencil.split.dilation, 2)  # libm pow, as ** on a float
-    grad = (invert_metric(jet.metric, jet.x) @ numdiff.difference(lam_sq, jet.x, cfg)[..., None])
-    return [g_norm(h, d @ v) for h, d, v in zip(jet.target_metric, jet.differential, grad[..., 0])]
+    grad = jet.metric_inverse @ numdiff.difference(lam_sq, jet.x, cfg)[..., None]
+    return g_norm(jet.target_metric, (jet.differential @ grad)[..., 0]).tolist()
 
 
-@_rowwise
 def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[float]:
     """max over vertical frame vectors V and unit coordinate axes Y of
     |(nabla_V J) Y| at each row, from the map's jet and the source structure's
@@ -487,10 +470,9 @@ def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[flo
                   axis=0).tolist()
 
 
-@_rowwise
 def _lift_matrix(jet: PointJet) -> Array:
     """Horizontal-lift operator L with dphi L = id and image H at each regular row
-    of a stacked jet, NaN at the others; readers take it from ``jet.lift``."""
+    of the jet, NaN at the others; readers take it from ``jet.lift``."""
     out = np.full(np.swapaxes(jet.differential, 1, 2).shape, np.nan)
     rows = np.flatnonzero(jet.split.regular)
     if rows.size:
@@ -508,7 +490,6 @@ def _require_liftable(spec: MapSpec, orientation: int) -> None:
         raise MissingStructure("lift_structure needs a fibre orientation form on the map")
 
 
-@_rowwise
 def lifted_j(jet: PointJet, orientation: int) -> Array:
     """The lifted J of :func:`lift_structure` at each row, from the jet's
     conformality data."""
@@ -544,7 +525,7 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
 
 
 def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
-    """The structure jet of the lifted J at the rows of a stacked map jet: J built
+    """The structure jet of the lifted J at the rows of a map jet: J built
     once over ``jet.both``, d J differenced at its stencil rows, with the connection."""
     lifted, k, gamma = lifted_j(jet.both, orientation), len(jet.x), jet.gamma
     j, dj = lifted[:k], numdiff.difference(lifted[k:], jet.x, jet.spec.cfg)
@@ -558,7 +539,6 @@ def _lifts(lift: Array, zs: Array) -> Array:
     return (lift[:, None, None] @ parts[..., None])[..., 0]
 
 
-@_rowwise
 def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]:
     """max (0,1)-part norm of the vertical component of [Z, W] over pairs of
     horizontal (1,0) frame fields built by the horizontal-lift construction, at

@@ -175,7 +175,7 @@ def _map_points(spec: MapSpec, plan: SamplePlan,
                 stencil: bool = False) -> tuple[PointJet, float]:
     """The stacked jet at the plan's samples on its source (with ``stencil``, built
     with their stencil points) and the map-residual tolerance."""
-    stack = maps.point_jet(spec, np.array(plan.points(spec.source, spec.cfg)), stencil)
+    stack = maps.point_jet(spec, plan.points(spec.source, spec.cfg), stencil)
     return stack, spec.cfg.tolerance(_map_scale(stack))
 
 
@@ -455,7 +455,7 @@ def check_gauduchon(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
     if chart.dim != 4:
         raise WrongDimension("this identity is specific to complex dimension 2")
     points = plan.points(chart, cfg)
-    jets = structure_jet(chart, j_field, np.array(points), cfg)
+    jets = structure_jet(chart, j_field, points, cfg)
     g, delta = jets.metric, divergence_J(jets)
     probes = [p for e in unit_axes(g) for p in (e, apply_j(jets, e))]
     norms = pair_norms(nabla_J, jets, product((delta, apply_j(jets, delta)), probes))
@@ -481,7 +481,7 @@ def check_divergence_closed_form(chart: Chart, j_field: AlmostComplexField,
                                  r: int, s: int) -> VerificationReport:
     """Numerical div J on the odd-sphere product S^{2r+1} x S^{2s+1} against
     the closed form -2 (r J1 n1 + s J2 n2) pushed to chart components."""
-    points = np.array(plan.points(chart, cfg))
+    points = plan.points(chart, cfg)
     nums = divergence_J(structure_jet(chart, j_field, points, cfg))
     ana = catalog.odd_sphere_product_divergence(chart, r, s, points, cfg)
     worst = float(np.max(np.abs(nums - ana)))

@@ -18,7 +18,7 @@ def test_sphere_jacobian_matches_finite_differences(n, cfg, rng):
     for _ in range(3):
         theta = rng.uniform(0.35, 1.15, size=n)
         analytic = catalog.sphere_jacobian(theta[None])[0]
-        numeric = fd_embedding.dpsi(theta, cfg)
+        numeric = fd_embedding.dpsi(theta[None], cfg)[0]
         npt.assert_allclose(analytic, numeric, atol=1e-9)
 
 
@@ -89,7 +89,7 @@ def test_ambient_j_on_a_column_block_matches_each_column(r, s, cfg):
     blocks = catalog._ambient_j_product(r, s, chart.embedding.psi(stack),
                                         chart.embedding.dpsi(stack, cfg))
     for x, block in zip(stack, blocks):
-        dpsi = chart.embedding.dpsi(x, cfg)
+        (dpsi,) = chart.embedding.dpsi(x[None], cfg)
         p = chart.embedding.psi(x)
         columns = np.column_stack([ambient_j_column(r, s, p, dpsi[:, k])
                                    for k in range(chart.dim)])
@@ -109,7 +109,7 @@ def test_ambient_j_divergence_and_orientation_on_a_stack_equal_each_row(r, s, cf
     for i, x in enumerate(stack):
         assert np.array_equal(stacked[0][i], j_fn(x[None])[0])
         assert np.array_equal(stacked[1][i],
-                              catalog.odd_sphere_product_divergence(chart, r, s, x, cfg))
+                              catalog.odd_sphere_product_divergence(chart, r, s, x[None], cfg)[0])
         assert np.array_equal(stacked[2][i], omega(x[None])[0])
 
 
@@ -201,9 +201,8 @@ def test_entry_objects_satisfy_invariants(entry_id, cfg):
     entry = catalog.get_entry(entry_id)
     plan = SamplePlan(seed=13, count=20)
     for chart in entry.charts.values():
-        for x in plan.points(chart, cfg):
-            g = chart.metric(x, cfg)
-            assert np.min(np.linalg.eigvalsh(g)) > 0
+        g = chart.metric(plan.points(chart, cfg), cfg)
+        assert np.min(np.linalg.eigvalsh(g)) > 0
     for structure in entry.structures.values():
         points = plan.points(structure.chart, cfg)
         square, compat = invariant_residuals(structure.chart.metric(points, cfg),
@@ -211,9 +210,9 @@ def test_entry_objects_satisfy_invariants(entry_id, cfg):
         assert np.max(square) <= 1e-9
         assert np.max(compat) <= 1e-9
     for spec in entry.maps.values():
-        for x in plan.points(spec.source, cfg):
-            y = spec(x)
-            assert spec.target.contains(y, 4 * cfg.step), (entry_id, spec.name, x, y)
+        points = plan.points(spec.source, cfg)
+        for x, y in zip(points, spec(points)):
+            assert spec.target.contains(y[None], 4 * cfg.step), (entry_id, spec.name, x, y)
 
 
 def test_product_metric_matches_ambient_lengths(cfg):
@@ -222,10 +221,9 @@ def test_product_metric_matches_ambient_lengths(cfg):
     entry = catalog.calabi_eckmann(1, 1)
     chart = entry.charts["ce"]
     fd_embedding = Embedding(chart.embedding.ambient_dim, chart.embedding.psi)
-    for x in SamplePlan(seed=3, count=5).points(chart, cfg):
-        g = chart.metric(x, cfg)
-        d = fd_embedding.dpsi(x, cfg)
-        npt.assert_allclose(g, d.T @ d, atol=1e-9)
+    points = SamplePlan(seed=3, count=5).points(chart, cfg)
+    g, d = chart.metric(points, cfg), fd_embedding.dpsi(points, cfg)
+    npt.assert_allclose(g, np.swapaxes(d, 1, 2) @ d, atol=1e-9)
 
 
 def test_affine_chart_coordinates_of_hopf_image(cfg):
@@ -233,16 +231,16 @@ def test_affine_chart_coordinates_of_hopf_image(cfg):
     complex coordinate."""
     entry = catalog.hopf_map(1)
     spec = entry.maps["hopf"]
-    x = np.array([0.5, 0.7, 0.9, 1.1])
-    p = spec.source.embedding.psi(x)
+    x = np.array([[0.5, 0.7, 0.9, 1.1]])
+    (p,) = spec.source.embedding.psi(x)
     z = catalog.to_complex(p[:4])
-    npt.assert_allclose(spec(x), catalog.to_real(z[1:] / z[0]), atol=1e-14)
+    npt.assert_allclose(spec(x), [catalog.to_real(z[1:] / z[0])], atol=1e-14)
 
 
 def test_mobius_identity_parameters_reproduce_map(cfg):
     base = catalog.hopf_map(1)
     composed = catalog.mobius_postcompose(base, (1.0, 0.0, 0.0, 1.0))
-    x = np.array([0.5, 0.7, 0.9, 1.1])
+    x = np.array([[0.5, 0.7, 0.9, 1.1]])
     npt.assert_allclose(composed.maps["hopf"](x), base.maps["hopf"](x), atol=1e-14)
 
 
@@ -267,10 +265,10 @@ def test_get_entry_passes_config_to_maps():
 def test_perturbed_target_is_conformally_stretched(cfg):
     flat = catalog.punctured_hopf(2)
     bent = catalog.punctured_hopf(2, perturbed=True)
-    w = np.array([0.4, -0.2, 0.1, 0.3])
+    w = np.array([[0.4, -0.2, 0.1, 0.3]])
     g0 = flat.charts["target"].metric(w, cfg)
     g1 = bent.charts["target"].metric(w, cfg)
-    npt.assert_allclose(g1, np.exp(0.5 * w[0]) * g0, atol=1e-12)
+    npt.assert_allclose(g1, np.exp(0.5 * w[0, 0]) * g0, atol=1e-12)
 
 
 @pytest.mark.parametrize("entry_id", catalog.entry_ids())
@@ -288,7 +286,8 @@ def test_closures_evaluate_a_stack_as_its_rows(entry_id, cfg):
         if chart.embedding is not None:
             rows = np.array([chart.embedding.psi(p) for p in stack])
             assert np.array_equal(chart.embedding.psi(stack), rows), chart.name
-        rows = np.array([dataclasses.replace(chart).metric(p, cfg) for p in stack])
+        rows = np.concatenate([dataclasses.replace(chart).metric(stack[i:i + 1], cfg)
+                               for i in range(len(stack))])
         assert np.array_equal(dataclasses.replace(chart).metric(stack, cfg), rows), chart.name
     for name, structure in entry.structures.items():
         stack = np.array(plan.points(structure.chart, cfg))
@@ -300,7 +299,7 @@ def test_mobius_pole_names_the_offending_row(cfg):
     base = catalog.hopf_map(1, cfg)
     spec = base.maps["hopf"]
     stack = np.array(SamplePlan(seed=5, count=3).points(spec.source, cfg))
-    w = complex(*spec(stack[1]))
+    w = complex(*spec(stack[1:2])[0])
     composed = catalog.mobius_postcompose(base, (1.0, 0.0, 1.0, -w)).maps["hopf"]
     with pytest.raises(DegenerateParameters, match=re.escape(repr(stack[1]))):
         composed.fn(stack)
@@ -323,7 +322,7 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
 
     def recording(self, x, cfg):
         if self is chart.embedding:
-            rows.append(len(np.atleast_2d(x)))
+            rows.append(len(x))
         return dpsi(self, x, cfg)
 
     monkeypatch.setattr(Embedding, "dpsi", recording)

@@ -504,10 +504,10 @@ def test_to_chart_and_map(cfg):
     chart, structure = geodsl.to_chart(config)
     assert chart.dim == 2
     assert structure is not None
-    npt.assert_allclose(structure(np.array([1.0, 1.0])),
-                        np.array([[0.0, -1.0], [1.0, 0.0]]))
+    npt.assert_allclose(structure(np.array([[1.0, 1.0]])),
+                        np.array([[[0.0, -1.0], [1.0, 0.0]]]))
     spec = geodsl.to_map(config, "square", cfg)
-    npt.assert_allclose(spec(np.array([2.0, 1.0])), [3.0, 4.0])
+    npt.assert_allclose(spec(np.array([[2.0, 1.0]])), [[3.0, 4.0]])
     assert spec.source_structure is not None
     assert spec.target_structure is not None
 
@@ -531,7 +531,7 @@ def test_config_functions_run_once_per_stack(monkeypatch, cfg):
     assert calls == [(4, (5, 2)), (4, (5, 2)), (2, (5, 2))]
     calls.clear()
     chart, structure = geodsl.to_chart(config)
-    x = np.array([1.0, 2.0])
+    x = np.array([[1.0, 2.0]])
     christoffel(chart, x, cfg)
     dj_stack(chart, structure, x, cfg)
     assert calls == [(4, (1, 2)), (4, (8, 2)), (4, (8, 2))]

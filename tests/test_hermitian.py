@@ -9,13 +9,13 @@ import pytest
 from hermkit import catalog, hermitian, numdiff, scenarios
 from hermkit import geodsl
 from hermkit.errors import PreconditionFailed, RankDeficient
-from hermkit.hermitian import (AlmostComplexField, antiholomorphic_part,
+from hermkit.hermitian import (AlmostComplexField, HermitianFrame, antiholomorphic_part,
                                classify_structure, divergence_J, g_norm, hermitian_frame,
                                lee_vector, nabla_J, nijenhuis, structure_jet)
-from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, christoffel, constant_field,
+from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, christoffel,
                               covariant_derivative, lie_bracket)
 from hermkit.numdiff import constant, orthonormalize
-
+from test_manifold import constant_field
 
 
 def bilinear(g, z, w) -> complex:
@@ -34,9 +34,15 @@ def frame_residual(frame, g) -> float:
     return worst
 
 
+def frame_row(frame, r) -> HermitianFrame:
+    """The frame at row r of a stacked frame, its vectors 1-D."""
+    return HermitianFrame(tuple(v[r] for v in frame.real_frame),
+                          tuple(v[r] for v in frame.complex_frame), frame.pivots[r])
+
+
 def cov_complex(direction, re_field, im_field, x, cfg):
     """Complex-bilinear covariant derivative of the field re + i im along a
-    complex direction at x, from four real covariant derivatives."""
+    complex direction at the rows of x, from four real covariant derivatives."""
     a, b = (constant_field(re_field.chart, part(direction)) for part in (np.real, np.imag))
     cov = lambda v, w: covariant_derivative(v, w, x, cfg)
     out = cov(a, re_field) + 1j * cov(a, im_field)
@@ -46,29 +52,24 @@ def cov_complex(direction, re_field, im_field, x, cfg):
 def complex_form_residuals(chart, j_field, points, cfg) -> tuple:
     """The (1,2)-symplectic and cosymplectic Hermitian-frame residuals, with
     every frame field a separate real and imaginary vector field and each
-    nabla_{conj Z_k} Z_l built by :func:`cov_complex`."""
+    nabla_{conj Z_k} Z_l built by :func:`cov_complex`, one sample at a time."""
     r_12_c = r_cos_c = 0.0
-    for x in points:
-        frame = hermitian_frame(chart, j_field, x, cfg)
+    for x in np.asarray(points)[:, None]:  # each sample as a one-row stack
+        frame = frame_row(hermitian_frame(chart, j_field, x, cfg), 0)
         g, j = chart.metric(x, cfg), j_field(x)
-        frames = {}  # 4 m^2 covariant derivatives read the frame at each stencil point
 
-        def frame_at(p):
-            if p.tobytes() not in frames:
-                frames[p.tobytes()] = hermitian_frame(chart, j_field, p, cfg, frame.pivots)
-            return frames[p.tobytes()]
+        def z_part(l, part):  # the frame field with the sample's pivots, on a stack
+            return VectorField(chart, lambda p: part(hermitian_frame(
+                chart, j_field, p, cfg, frame.pivots).complex_frame[l]))
 
-        def z_part(l, part):
-            return VectorField(chart, lambda p: part(frame_at(p).complex_frame[l]))
-
-        cosym_sum = np.zeros(chart.dim, dtype=complex)
+        cosym_sum = np.zeros((1, chart.dim), dtype=complex)
         for k, zk in enumerate(frame.complex_frame):
             for l in range(frame.m):
                 cov = cov_complex(np.conj(zk), z_part(l, np.real), z_part(l, np.imag), x, cfg)
                 if l == k:
                     cosym_sum = cosym_sum + cov
-                r_12_c = max(r_12_c, g_norm(g, antiholomorphic_part(j, cov)))
-        r_cos_c = max(r_cos_c, g_norm(g, antiholomorphic_part(j, cosym_sum)))
+                r_12_c = max(r_12_c, float(g_norm(g, antiholomorphic_part(j, cov))[0]))
+        r_cos_c = max(r_cos_c, float(g_norm(g, antiholomorphic_part(j, cosym_sum))[0]))
     return r_12_c, r_cos_c
 
 
@@ -92,18 +93,19 @@ def cp1():
 
 def test_frame_flat_torus(torus, cfg):
     chart, j_field = torus
-    frame = hermitian_frame(chart, j_field, np.array([0.5, 0.9]), cfg)
+    frame = hermitian_frame(chart, j_field, np.array([[0.5, 0.9]]), cfg)
     assert frame.m == 1
-    npt.assert_allclose(frame.real_frame, [[1.0, 0.0], [0.0, 1.0]])  # e_1, J e_1
+    npt.assert_allclose(frame.real_frame, [[[1.0, 0.0]], [[0.0, 1.0]]])  # e_1, J e_1
     assert len(frame.complex_frame) == 1
 
 
 def test_frame_hermitian_property_on_product_sphere(ce10, cfg):
     """<Z_k, conj Z_l> = delta_kl and <Z_k, Z_l> = 0 in the bilinear extension."""
     chart, j_field = ce10
-    for x in SamplePlan(seed=5, count=10).points(chart, cfg):
-        frame = hermitian_frame(chart, j_field, x, cfg)
-        g = chart.metric(x, cfg)
+    points = SamplePlan(seed=5, count=10).points(chart, cfg)
+    frames, gs = hermitian_frame(chart, j_field, points, cfg), chart.metric(points, cfg)
+    for r, g in enumerate(gs):
+        frame = frame_row(frames, r)
         assert frame_residual(frame, g) <= 1e-10
         u = np.column_stack(frame.real_frame)
         assert np.max(np.abs(u.T @ g @ u - np.eye(4))) <= 1e-10
@@ -111,20 +113,19 @@ def test_frame_hermitian_property_on_product_sphere(ce10, cfg):
 
 def test_nabla_j_constant_structure(torus, cfg):
     chart, j_field = torus
-    t = structure_jet(chart, j_field, np.array([0.6, 1.0]), cfg).nabla
+    t = structure_jet(chart, j_field, np.array([[0.6, 1.0]]), cfg).nabla
     npt.assert_allclose(t, 0.0, atol=1e-12)
 
 
 def test_nabla_j_kaehler_metric(cp1, cfg, plan):
     chart, j_field = cp1
-    for x in plan.points(chart, cfg):
-        t = structure_jet(chart, j_field, x, cfg).nabla
-        assert np.max(np.abs(t)) <= cfg.tolerance(1.0)
+    t = structure_jet(chart, j_field, plan.points(chart, cfg), cfg).nabla
+    assert np.max(np.abs(t)) <= cfg.tolerance(1.0)
 
 
 def test_nabla_j_nonzero_on_product_sphere(ce10, cfg):
     chart, j_field = ce10
-    jet = structure_jet(chart, j_field, np.array([0.5, 0.7, 0.9, 1.1]), cfg)
+    jet = structure_jet(chart, j_field, np.array([[0.5, 0.7, 0.9, 1.1]]), cfg)
     worst = 0.0
     for i in range(4):
         for j in range(4):
@@ -136,13 +137,13 @@ def test_nabla_j_nonzero_on_product_sphere(ce10, cfg):
 
 def test_divergence_flat_structures(torus, cfg):
     chart, j_field = torus
-    npt.assert_allclose(divergence_J(structure_jet(chart, j_field, np.array([0.6, 0.9]), cfg)),
+    npt.assert_allclose(divergence_J(structure_jet(chart, j_field, np.array([[0.6, 0.9]]), cfg)),
                         0.0, atol=1e-12)
 
 
 def test_divergence_kaehler_is_zero(cp1, cfg):
     chart, j_field = cp1
-    val = divergence_J(structure_jet(chart, j_field, np.array([0.4, -0.7]), cfg))
+    val = divergence_J(structure_jet(chart, j_field, np.array([[0.4, -0.7]]), cfg))
     npt.assert_allclose(val, 0.0, atol=1e-8)
 
 
@@ -151,16 +152,16 @@ def test_divergence_matches_closed_form(r, s, cfg):
     entry = catalog.calabi_eckmann(r, s)
     chart = entry.charts["ce"]
     j_field = entry.structures["J"]
-    for x in SamplePlan(seed=2, count=3).points(chart, cfg):
-        num = divergence_J(structure_jet(chart, j_field, x, cfg))
-        ana = catalog.odd_sphere_product_divergence(chart, r, s, x, cfg)
-        npt.assert_allclose(num, ana, atol=1e-7)
+    points = SamplePlan(seed=2, count=3).points(chart, cfg)
+    num = divergence_J(structure_jet(chart, j_field, points, cfg))
+    ana = catalog.odd_sphere_product_divergence(chart, r, s, points, cfg)
+    npt.assert_allclose(num, ana, atol=1e-7)
 
 
 def divergence_J_frame(jet, frame_vectors):
     """div J summed explicitly over a supplied g-orthonormal frame: the oracle
     for :func:`divergence_J` (frame independence of the trace)."""
-    out = np.zeros(len(jet.x))
+    out = np.zeros(jet.x.shape)
     for u in frame_vectors:
         out = out + nabla_J(jet, u, u)
     return out
@@ -169,9 +170,9 @@ def divergence_J_frame(jet, frame_vectors):
 def test_divergence_frame_independent(ce10, cfg, rng):
     """Tracing over a random g-orthonormal frame gives the same vector."""
     chart, j_field = ce10
-    x = np.array([0.6, 0.8, 1.0, 0.5])
+    x = np.array([[0.6, 0.8, 1.0, 0.5]])
     g = chart.metric(x, cfg)
-    frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
+    frame = orthonormalize([rng.normal(size=(1, 4)) for _ in range(4)], g)
     jet = structure_jet(chart, j_field, x, cfg)
     via_frame = divergence_J_frame(jet, frame)
     via_trace = divergence_J(jet)
@@ -181,7 +182,7 @@ def test_divergence_frame_independent(ce10, cfg, rng):
 def test_lee_vector_norm_preserved(ce10, cfg):
     """|J div J| = |div J| since J is isometric; the product-sphere value is 2."""
     chart, j_field = ce10
-    x = np.array([0.5, 0.7, 0.9, 1.1])
+    x = np.array([[0.5, 0.7, 0.9, 1.1]])
     jet = structure_jet(chart, j_field, x, cfg)
     g = jet.metric
     delta = divergence_J(jet)
@@ -192,13 +193,13 @@ def test_lee_vector_norm_preserved(ce10, cfg):
 
 def test_lee_vector_flat(torus, cfg):
     chart, j_field = torus
-    npt.assert_allclose(lee_vector(structure_jet(chart, j_field, np.array([0.5, 0.5]), cfg)),
+    npt.assert_allclose(lee_vector(structure_jet(chart, j_field, np.array([[0.5, 0.5]]), cfg)),
                         0.0, atol=1e-12)
 
 
 def test_nijenhuis_flat_and_projective(torus, cp1, cfg):
-    for chart, j_field, x in [(torus[0], torus[1], np.array([0.5, 0.8])),
-                              (cp1[0], cp1[1], np.array([0.4, -0.6]))]:
+    for chart, j_field, x in [(torus[0], torus[1], np.array([[0.5, 0.8]])),
+                              (cp1[0], cp1[1], np.array([[0.4, -0.6]]))]:
         jet = structure_jet(chart, j_field, x, cfg)
         val = nijenhuis(jet, np.eye(chart.dim)[0], np.eye(chart.dim)[1])
         npt.assert_allclose(val, 0.0, atol=1e-10)
@@ -206,7 +207,7 @@ def test_nijenhuis_flat_and_projective(torus, cp1, cfg):
 
 def test_nijenhuis_integrable_product_sphere(ce10, cfg):
     chart, j_field = ce10
-    jet = structure_jet(chart, j_field, np.array([0.5, 0.7, 0.9, 1.1]), cfg)
+    jet = structure_jet(chart, j_field, np.array([[0.5, 0.7, 0.9, 1.1]]), cfg)
     for a in range(4):
         for b in range(a + 1, 4):
             val = nijenhuis(jet, np.eye(4)[a], np.eye(4)[b])
@@ -215,7 +216,7 @@ def test_nijenhuis_integrable_product_sphere(ce10, cfg):
 
 def test_nijenhuis_antisymmetric(ce10, cfg, rng):
     chart, j_field = ce10
-    jet = structure_jet(chart, j_field, np.array([0.6, 0.9, 0.7, 1.0]), cfg)
+    jet = structure_jet(chart, j_field, np.array([[0.6, 0.9, 0.7, 1.0]]), cfg)
     u = rng.normal(size=4)
     v = rng.normal(size=4)
     npt.assert_allclose(nijenhuis(jet, u, v), -nijenhuis(jet, v, u), atol=1e-9)
@@ -223,30 +224,31 @@ def test_nijenhuis_antisymmetric(ce10, cfg, rng):
 
 def test_nijenhuis_scaling_tensorial(ce10, cfg, rng):
     chart, j_field = ce10
-    jet = structure_jet(chart, j_field, np.array([0.6, 0.9, 0.7, 1.0]), cfg)
+    jet = structure_jet(chart, j_field, np.array([[0.6, 0.9, 0.7, 1.0]]), cfg)
     u = rng.normal(size=4)
     v = rng.normal(size=4)
     npt.assert_allclose(nijenhuis(jet, 2.5 * u, v), 2.5 * nijenhuis(jet, u, v), atol=1e-9)
 
 
 def nijenhuis_bracket_route(chart, j_field, x, xv, yv, cfg):
-    """Literal bracket evaluation of N(X, Y) on constant-component X and Y: the
-    slow oracle for :func:`nijenhuis`."""
-    j_at = j_field(x)
+    """Literal bracket evaluation of N(X, Y) on constant-component X and Y at a
+    one-row stack x: the slow oracle for :func:`nijenhuis`."""
+    (j_at,) = j_field(x)
     xf, yf = constant_field(chart, xv), constant_field(chart, yv)
     jxf = VectorField(chart, lambda p: j_field(p) @ xv)
     jyf = VectorField(chart, lambda p: j_field(p) @ yv)
-    return (lie_bracket(jxf, jyf, x, cfg) - j_at @ lie_bracket(jxf, yf, x, cfg)
-            - j_at @ lie_bracket(xf, jyf, x, cfg) - lie_bracket(xf, yf, x, cfg))
+    bracket = lambda a, b: lie_bracket(a, b, x, cfg)[0]
+    return (bracket(jxf, jyf) - j_at @ bracket(jxf, yf) - j_at @ bracket(xf, jyf)
+            - bracket(xf, yf))
 
 
 def test_nijenhuis_two_routes_agree(ce10, cfg, rng):
     """The derivative-stack contraction equals the literal bracket evaluation."""
     chart, j_field = ce10
-    x = np.array([0.5, 0.8, 1.0, 0.6])
+    x = np.array([[0.5, 0.8, 1.0, 0.6]])
     u = rng.normal(size=4)
     v = rng.normal(size=4)
-    fast = nijenhuis(structure_jet(chart, j_field, x, cfg), u, v)
+    (fast,) = nijenhuis(structure_jet(chart, j_field, x, cfg), u, v)
     slow = nijenhuis_bracket_route(chart, j_field, x, u, v, cfg)
     npt.assert_allclose(fast, slow, atol=1e-7)
 
@@ -255,8 +257,7 @@ def test_type_projectors(ce10, cfg, rng):
     """X = X^{1,0} + X^{0,1} and J X^{1,0} = i X^{1,0}; for a real X the
     (1,0)-part is the conjugate of the (0,1)-part."""
     chart, j_field = ce10
-    x = np.array([0.5, 0.7, 0.9, 1.1])
-    j = j_field(x)
+    (j,) = j_field(np.array([[0.5, 0.7, 0.9, 1.1]]))
     v = rng.normal(size=4)
     anti = antiholomorphic_part(j, v)
     hol = np.conj(anti)
@@ -362,8 +363,8 @@ def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
     classify_structure(chart, j_field, plan, cfg)
     points = plan.points(chart, cfg)
     assert len(built) == len(points)
-    for (g, j), x in zip(built, points):
-        assert np.array_equal(g, chart.metric(x, cfg)) and np.array_equal(j, j_field(x))
+    for (g, j), g_x, j_x in zip(built, chart.metric(points, cfg), j_field(points)):
+        assert np.array_equal(g, g_x) and np.array_equal(j, j_x)
 
 
 def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
@@ -371,9 +372,9 @@ def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
     as many stacks at 3 samples as at 2, each holding its rows for all the
     samples."""
     rows = {2: [], 3: []}
-    build = Chart._metric
+    build = Chart.metric
     for count, seen in rows.items():
-        monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg:
+        monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None:
                             seen.append(len(x)) or build(self, x, cfg))
         entry = catalog.calabi_eckmann(1, 1, cfg)
         classify_structure(entry.charts["ce"], entry.structures["J"], SamplePlan(count=count), cfg)
@@ -391,8 +392,8 @@ def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
     contains = Chart.contains
     monkeypatch.setattr(Chart, "contains", lambda self, x, margin=0.0:
                         calls["contains"].append(np.shape(x)) or contains(self, x, margin))
-    metric, j_call = Chart._metric, AlmostComplexField.__call__
-    monkeypatch.setattr(Chart, "_metric", lambda self, x, c:
+    metric, j_call = Chart.metric, AlmostComplexField.__call__
+    monkeypatch.setattr(Chart, "metric", lambda self, x, c=None:
                         calls["metric"].append(x.shape) or metric(self, x, c))
     monkeypatch.setattr(AlmostComplexField, "__call__", lambda self, x:
                         calls["j"].append(np.shape(x)) or j_call(self, x))
@@ -414,9 +415,9 @@ def test_dj_stack_evaluates_j_once_per_stencil(cfg):
         return constant([[0.0, -1.0], [1.0, 0.0]])(stack)
 
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
-    dj = hermitian.dj_stack(chart, AlmostComplexField(chart, j_fn), np.array([0.2, 0.1]), cfg)
+    dj = hermitian.dj_stack(chart, AlmostComplexField(chart, j_fn), np.array([[0.2, 0.1]]), cfg)
     assert shapes == [(8, 2)]
-    assert np.array_equal(dj, np.zeros((2, 2, 2)))
+    assert np.array_equal(dj, np.zeros((1, 2, 2, 2)))
 
 
 @pytest.mark.parametrize("name", [*(sid for sid in scenarios.scenario_ids()
@@ -495,26 +496,26 @@ def stencil_stack(x, cfg):
 @pytest.mark.parametrize("name", ["cp-2", "ce-1-1", "ce-2-1", "conformal-dsl"])
 def test_stacked_frame_equals_frames_at_points(name, cfg):
     """One frame build on a stencil stack gives, row by row, the frames built
-    at each point alone with the same pivots, under ``np.array_equal``."""
+    at each point's one-row stack with the same pivots, under ``np.array_equal``."""
     chart, j_field = chart_and_structure(name, cfg)
     for x in SamplePlan(seed=3, count=2).points(chart, cfg):
-        pivots = hermitian_frame(chart, j_field, x, cfg).pivots
+        (pivots,) = hermitian_frame(chart, j_field, x[None], cfg).pivots
         stack = stencil_stack(x, cfg)
         stacked = hermitian_frame(chart, j_field, stack, cfg, pivots)
         assert stacked.pivots == (pivots,) * len(stack) and stacked.m == chart.dim // 2
-        for r, p in enumerate(stack):
-            at_p = hermitian_frame(chart, j_field, p, cfg, pivots)
-            assert at_p.pivots == pivots
+        for r in range(len(stack)):
+            at_p = hermitian_frame(chart, j_field, stack[r:r + 1], cfg, pivots)
+            assert at_p.pivots == (pivots,)
             for a, b in zip(stacked.real_frame + stacked.complex_frame,
                             at_p.real_frame + at_p.complex_frame):
                 assert a.shape == (len(stack), chart.dim)
-                assert np.array_equal(a[r], b)
+                assert np.array_equal(a[r], b[0])
 
 
 def test_stacked_greedy_frame_parts_rows_that_pick_different_pivots(cfg):
     """Without pivots, one stacked greedy pass picks each row's: the standard J
     (J e_1 = e_2) gives (0, 2), J e_1 = e_3 gives (0, 1).  Each row equals the
-    frame built at its point alone, under ``np.array_equal``."""
+    frame built at its one-row stack, under ``np.array_equal``."""
     crossed = np.zeros((4, 4))
     crossed[[2, 0, 3, 1], [0, 2, 1, 3]] = [1.0, -1.0, 1.0, -1.0]
 
@@ -522,16 +523,16 @@ def test_stacked_greedy_frame_parts_rows_that_pick_different_pivots(cfg):
                   metric_fn=numdiff.by_row(lambda p: (1.0 + p @ p) * np.eye(4)))
     j_field = AlmostComplexField(chart, numdiff.by_row(
         lambda p: catalog.multiplication_by_i(2) if p[0] < 0.0 else crossed))
-    stack = np.array(SamplePlan(seed=2, count=8).points(chart, cfg))
+    stack = SamplePlan(seed=2, count=8).points(chart, cfg)
     stack[:, 0] = np.abs(stack[:, 0]) * np.tile([-1.0, 1.0], 4)
     frame = hermitian_frame(chart, j_field, stack, cfg)
     assert frame.pivots == ((0, 2), (0, 1)) * 4
-    for r, x in enumerate(stack):
-        alone = hermitian_frame(chart, j_field, x, cfg)
-        assert alone.pivots == frame.pivots[r]
+    for r in range(len(stack)):
+        alone = hermitian_frame(chart, j_field, stack[r:r + 1], cfg)
+        assert alone.pivots == (frame.pivots[r],)
         for a, b in zip(frame.real_frame + frame.complex_frame,
                         alone.real_frame + alone.complex_frame):
-            assert np.array_equal(a[r], b)
+            assert np.array_equal(a[r], b[0])
 
 
 def test_stacked_frame_rejects_a_dependent_recorded_pivot(cfg):
@@ -544,9 +545,9 @@ def test_stacked_frame_rejects_a_dependent_recorded_pivot(cfg):
     chart = Chart(dim=4, box=Box((-1.0,) * 4, (1.0,) * 4), metric_fn=constant(np.eye(4)))
     j_field = AlmostComplexField(chart, numdiff.by_row(
         lambda p: paired if p[0] < 0.0 else crossed))
-    left = np.array([-0.5, 0.1, 0.2, 0.3])
-    assert hermitian_frame(chart, j_field, left, cfg).pivots == (0, 2)
-    stack = np.stack([left, -left])
+    left = np.array([[-0.5, 0.1, 0.2, 0.3]])
+    assert hermitian_frame(chart, j_field, left, cfg).pivots == ((0, 2),)
+    stack = np.concatenate([left, -left])
     with pytest.raises(RankDeficient, match="^recorded pivot 2 became dependent$"):
         hermitian_frame(chart, j_field, stack, cfg, (0, 2))
     with pytest.raises(RankDeficient, match="^recorded pivot 2 became dependent$"):
@@ -565,28 +566,28 @@ def structure_cases(name, cfg):
 @pytest.mark.parametrize("name", ["hopf-s3", "product-hopf-1-1", "ce-2-1", "conformal-dsl"])
 def test_stacked_structure_jet_equals_one_point_calls_bit_for_bit(name, cfg):
     """Every part of a stacked structure jet, its div J and its Lee field equal
-    the one-point calls row by row."""
+    the one-row stacks' row by row."""
     for chart, j_field in structure_cases(name, cfg):
-        points = np.array(SamplePlan(seed=3, count=3).points(chart, cfg))
+        points = SamplePlan(seed=3, count=3).points(chart, cfg)
         jets = structure_jet(chart, j_field, points, cfg)
         delta, lee = divergence_J(jets), lee_vector(jets)
-        for r, x in enumerate(points):
-            jet = structure_jet(chart, j_field, x, cfg)
+        for r in range(len(points)):
+            jet = structure_jet(chart, j_field, points[r:r + 1], cfg)
             for part in ("x", "metric", "j", "dj", "gamma", "nabla"):
-                assert getattr(jets, part).shape == (3, *getattr(jet, part).shape)
-                assert np.array_equal(getattr(jets, part)[r], getattr(jet, part)), (r, part)
-            assert np.array_equal(delta[r], divergence_J(jet))
-            assert np.array_equal(lee[r], lee_vector(jet))
+                assert getattr(jets, part).shape == (3, *getattr(jet, part).shape[1:])
+                assert np.array_equal(getattr(jets, part)[r], getattr(jet, part)[0]), (r, part)
+            assert np.array_equal(delta[r], divergence_J(jet)[0])
+            assert np.array_equal(lee[r], lee_vector(jet)[0])
 
 
 @pytest.mark.parametrize("name", ["cp-2", "ce-1-1", "ce-2-1", "conformal-dsl"])
 def test_stacked_nijenhuis_and_nabla_j_equal_each_row(name, cfg):
     """N(X, Y), (nabla_X J) Y and their g-norms on a stacked jet with stacks of
-    vectors equal, under ``np.array_equal``, each row's on the point's jet with
+    vectors equal, under ``np.array_equal``, each row's on the one-row jet with
     that row's vectors: the frame vectors, the coordinate axes (broadcast) and
     div J."""
     chart, j_field = chart_and_structure(name, cfg)
-    points = np.array(SamplePlan(seed=6, count=5).points(chart, cfg))
+    points = SamplePlan(seed=6, count=5).points(chart, cfg)
     jets = structure_jet(chart, j_field, points, cfg)
     frame = hermitian_frame(chart, j_field, points, cfg)
     axes = [np.broadcast_to(e, points.shape) for e in np.eye(chart.dim)]
@@ -594,13 +595,13 @@ def test_stacked_nijenhuis_and_nabla_j_equal_each_row(name, cfg):
     pairs = [(u, v) for a, u in enumerate(vectors) for v in vectors[a + 1:]]
     stacked = [(f(jets, u, v), g_norm(jets.metric, f(jets, u, v)))
                for u, v in pairs for f in (nijenhuis, nabla_J)]
-    for r, x in enumerate(points):
-        jet = structure_jet(chart, j_field, x, cfg)
-        alone = [(f(jet, u[r], v[r]), g_norm(jet.metric, f(jet, u[r], v[r])))
+    for r in range(len(points)):
+        jet, at = structure_jet(chart, j_field, points[r:r + 1], cfg), slice(r, r + 1)
+        alone = [(f(jet, u[at], v[at]), g_norm(jet.metric, f(jet, u[at], v[at])))
                  for u, v in pairs for f in (nijenhuis, nabla_J)]
         for (vec, norm), (vec_r, norm_r) in zip(stacked, alone):
-            assert np.array_equal(vec[r], vec_r)
-            assert norm[r] == norm_r
+            assert np.array_equal(vec[r], vec_r[0])
+            assert norm[r] == norm_r[0]
 
 
 def structure_chart(name, cfg):
@@ -620,10 +621,10 @@ def test_structure_jet_equals_the_separate_calls_bit_for_bit(name, connection, c
     """The jet reads g and J at the samples and their stencil points from one
     stack; every part equals, sign bits included, what the chart and the field
     give apart: ``chart.metric`` and J at the samples, ``dj_stack``,
-    ``christoffel`` and nabla J from those; at a stack and at one point."""
+    ``christoffel`` and nabla J from those; at a stack and at a one-row stack."""
     chart, j_field = structure_chart(name, cfg)
-    points = np.array(SamplePlan(seed=4, count=3).points(chart, cfg))
-    for x in (points, points[1]):
+    points = SamplePlan(seed=4, count=3).points(chart, cfg)
+    for x in (points, points[1:2]):
         jet = structure_jet(chart, j_field, x, cfg, connection)
         g, j, dj = chart.metric(x, cfg), j_field(x), hermitian.dj_stack(chart, j_field, x, cfg)
         gamma = christoffel(chart, x, cfg) if connection else None
@@ -631,7 +632,7 @@ def test_structure_jet_equals_the_separate_calls_bit_for_bit(name, connection, c
         for part, value in {"x": x, "metric": g, "j": j, "dj": dj, "gamma": gamma,
                             "nabla": nabla}.items():
             got = getattr(jet, part)
-            assert got is None if value is None else same_bits(got, value), (part, x.ndim)
+            assert got is None if value is None else same_bits(got, value), (part, len(x))
 
 
 def pairwise_max(op, jet, pairs) -> float:
@@ -699,15 +700,15 @@ BAD_ROWS = {"outside": [0.9999, 0.1], "singular": [0.0, 0.1], "indefinite": [-0.
 @pytest.mark.parametrize("order", list(itertools.permutations(BAD_ROWS)))
 def test_stacked_structure_jet_raises_what_its_first_bad_row_raises(order, cfg):
     """A stack with bad rows after good ones raises the error, type and message,
-    that its first bad row raises alone.  With the connection that is also what
+    that its first bad row raises alone, as a one-row stack.  With the connection that is also what
     the separate ``christoffel`` and ``dj_stack`` calls raised first, except when
     the first bad row is the one whose J fails at a stencil point only: those
     calls raised a later row's metric error before ``dj_stack`` evaluated J."""
     chart, j_field = diagonal_structure()
     stack = np.array([[0.5, 0.1], [0.3, -0.2], *(BAD_ROWS[name] for name in order)])
     for connection in (True, False):
-        alone = [raised(lambda: structure_jet(chart, j_field, p, cfg, connection))
-                 for p in stack]
+        alone = [raised(lambda: structure_jet(chart, j_field, stack[r:r + 1], cfg, connection))
+                 for r in range(len(stack))]
         expected = next(e for e in alone if e is not None)
         assert raised(lambda: structure_jet(chart, j_field, stack, cfg, connection)) == expected
     separate = raised(lambda: (christoffel(chart, stack, cfg),

@@ -9,9 +9,14 @@ import pytest
 from hermkit import catalog
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric, WrongDimension
 from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
-                              christoffel, constant_field, covariant_derivative,
-                              gradient, lie_bracket, sample_points)
-from hermkit.numdiff import DiffConfig, by_row, constant
+                              christoffel, covariant_derivative, gradient, lie_bracket,
+                              sample_points)
+from hermkit.numdiff import DiffConfig, by_row, constant, partial
+
+
+def constant_field(chart, v) -> VectorField:
+    """The field with the components ``v`` at every point."""
+    return VectorField(chart, constant(v))
 
 
 def flat2():
@@ -37,8 +42,8 @@ def test_chart_contains_applies_the_predicate_to_every_row():
     assert chart.contains([[0.5, 0.5], [-0.5, 0.2]])
     assert not chart.contains([[0.5, 0.5], [0.0, 0.05]])
     assert not chart.contains([[0.5, 0.5], [1.5, 0.5]])
-    assert chart.contains([0.5, 0.5])
-    assert not chart.contains([0.0, 0.05])
+    assert chart.contains([[0.5, 0.5]])
+    assert not chart.contains([[0.0, 0.05]])
 
 
 def test_chart_requires_exactly_one_metric_source():
@@ -50,11 +55,11 @@ def test_metric_rejects_asymmetry():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)),
                   metric_fn=constant([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(SingularMetric):
-        chart.metric(np.zeros(2))
+        chart.metric(np.zeros((1, 2)))
 
 
 def test_christoffel_evaluates_the_metric_once_per_stencil(cfg):
-    """metric_fn runs once at the point and once on all 4 * dim stencil rows."""
+    """metric_fn runs once at the row and once on all 4 * dim stencil rows."""
     shapes = []
 
     def metric_fn(stack):
@@ -62,9 +67,9 @@ def test_christoffel_evaluates_the_metric_once_per_stencil(cfg):
         return by_row(lambda p: np.diag([1.0, 1.0 + p[0] ** 2]))(stack)
 
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=metric_fn)
-    gamma = christoffel(chart, np.array([0.3, 0.4]), cfg)
+    gamma = christoffel(chart, np.array([[0.3, 0.4]]), cfg)
     assert shapes == [(1, 2), (8, 2)]
-    npt.assert_allclose(gamma[1, 0, 1], 0.3 / (1.0 + 0.3 ** 2), rtol=1e-9)
+    npt.assert_allclose(gamma[0, 1, 0, 1], 0.3 / (1.0 + 0.3 ** 2), rtol=1e-9)
 
 
 def diagonal_chart():
@@ -99,9 +104,10 @@ def require_interior(chart, x, cfg):
 def test_stacked_geometry_raises_what_its_first_bad_row_raises(operator, order, cfg):
     """A stack with an out-of-domain row, a singular-metric row and a row whose
     metric is not positive-definite, in any order after good rows, raises the
-    error (type and message) that its first bad row raises alone."""
+    error (type and message) that its first bad row raises alone, as a one-row stack."""
     stack = np.array([*GOOD, *(BAD[name] for name in order)])
-    alone = [raised(lambda: operator(diagonal_chart(), p, cfg)) for p in stack]
+    alone = [raised(lambda: operator(diagonal_chart(), stack[r:r + 1], cfg))
+             for r in range(len(stack))]
     expected = next(e for e in alone if e is not None)
     assert expected[0] in (EvaluationOutsideDomain, SingularMetric)
     assert raised(lambda: operator(diagonal_chart(), stack, cfg)) == expected
@@ -110,33 +116,32 @@ def test_stacked_geometry_raises_what_its_first_bad_row_raises(operator, order, 
 @pytest.mark.parametrize("entry_id, key", [("hopf-s3", "source"), ("hopf-s3", "target"),
                                            ("product-hopf-1-1", "source"), ("ce-2-1", "ce")])
 def test_stacked_christoffel_and_inverse_metric_equal_point_calls(entry_id, key, cfg):
-    """Row by row, bit for bit."""
+    """Row by row, bit for bit, each row its one-row stack's."""
     chart = catalog.get_entry(entry_id, cfg).charts[key]
-    points = np.array(SamplePlan(seed=3, count=3).points(chart, cfg))
+    points = SamplePlan(seed=3, count=3).points(chart, cfg)
     gammas, g_inv = christoffel(chart, points, cfg), chart.metric_inverse(points, cfg)
     assert gammas.shape == (3, chart.dim, chart.dim, chart.dim)
-    for r, x in enumerate(points):
-        assert np.array_equal(gammas[r], christoffel(chart, x, cfg))
-        assert np.array_equal(g_inv[r], chart.metric_inverse(x, cfg))
+    for r in range(len(points)):
+        assert np.array_equal(gammas[r], christoffel(chart, points[r:r + 1], cfg)[0])
+        assert np.array_equal(g_inv[r], chart.metric_inverse(points[r:r + 1], cfg)[0])
 
 
 def test_metric_fn_must_return_a_stack():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=lambda x: np.eye(2),
                   name="per-point")
     with pytest.raises(WrongDimension, match=r"per-point.*\(2, 2\).*\(1, 2\).*\(1, 2, 2\)"):
-        chart.metric(np.zeros(2))
+        chart.metric(np.zeros((1, 2)))
 
 
 def test_christoffel_flat_is_zero(cfg):
-    gamma = christoffel(flat2(), np.array([0.3, 0.4]), cfg)
+    gamma = christoffel(flat2(), np.array([[0.3, 0.4]]), cfg)
     npt.assert_allclose(gamma, 0.0, atol=1e-12)
 
 
 def test_christoffel_round_sphere_closed_form(cfg):
     """Round-sphere chart: Gamma^th_{ph ph} = -sin th cos th and
     Gamma^ph_{th ph} = cot th."""
-    x = np.array([1.0, 0.8])
-    gamma = christoffel(sphere2(), x, cfg)
+    (gamma,) = christoffel(sphere2(), np.array([[1.0, 0.8]]), cfg)
     npt.assert_allclose(gamma[0, 1, 1], -math.sin(1.0) * math.cos(1.0), atol=1e-9)
     npt.assert_allclose(gamma[1, 0, 1], 1.0 / math.tan(1.0), atol=1e-9)
     npt.assert_allclose(gamma[0, 0, 0], 0.0, atol=1e-9)
@@ -145,32 +150,32 @@ def test_christoffel_round_sphere_closed_form(cfg):
 def test_christoffel_fubini_study_origin(cfg):
     """The projective-space metric is Euclidean to second order at w = 0."""
     chart = catalog.fs_chart(1)
-    gamma = christoffel(chart, np.zeros(2), cfg)
+    gamma = christoffel(chart, np.zeros((1, 2)), cfg)
     npt.assert_allclose(gamma, 0.0, atol=1e-9)
 
 
 def test_christoffel_lower_symmetry_exact(cfg):
-    gamma = christoffel(sphere2(), np.array([0.9, 0.7]), cfg)
-    npt.assert_allclose(gamma, np.swapaxes(gamma, 1, 2), rtol=0, atol=0)
+    gamma = christoffel(sphere2(), np.array([[0.9, 0.7]]), cfg)
+    npt.assert_allclose(gamma, np.swapaxes(gamma, 2, 3), rtol=0, atol=0)
 
 
 def test_christoffel_outside_domain(cfg):
     with pytest.raises(EvaluationOutsideDomain):
-        christoffel(sphere2(), np.array([0.3, 0.7]), cfg)  # on the box edge
+        christoffel(sphere2(), np.array([[0.3, 0.7]]), cfg)  # on the box edge
 
 
 def test_covariant_derivative_flat_constants(cfg):
     chart = flat2()
     x_field = constant_field(chart, [1.0, 2.0])
     y_field = constant_field(chart, [0.5, -1.0])
-    val = covariant_derivative(x_field, y_field, np.array([0.1, 0.2]), cfg)
+    val = covariant_derivative(x_field, y_field, np.array([[0.1, 0.2]]), cfg)
     npt.assert_allclose(val, 0.0, atol=1e-12)
 
 
 def test_covariant_derivative_meridians_are_geodesics(cfg):
     chart = sphere2()
     theta = constant_field(chart, [1.0, 0.0])
-    val = covariant_derivative(theta, theta, np.array([1.0, 0.8]), cfg)
+    val = covariant_derivative(theta, theta, np.array([[1.0, 0.8]]), cfg)
     npt.assert_allclose(val, 0.0, atol=1e-9)
 
 
@@ -183,40 +188,42 @@ def test_metric_compatibility_probe(entry_id, chart_key, cfg, plan):
     x_field = constant_field(chart, np.arange(1.0, d + 1.0) / d)
     y_field = VectorField(chart, lambda p: np.sin(p) + 1.5)
     z_field = VectorField(chart, lambda p: np.cos(p) * 0.5 + 1.0)
-    for x in plan.points(chart, cfg):
-        inner = lambda p: float(y_field(p) @ chart.metric(p, cfg) @ z_field(p))
-        from hermkit.numdiff import by_row, partial
-        d_inner = partial(by_row(inner), x, cfg)
-        lhs = sum(x_field(x)[i] * d_inner[i] for i in range(d))
-        g = chart.metric(x, cfg)
-        rhs = (covariant_derivative(x_field, y_field, x, cfg) @ g @ z_field(x)
-               + y_field(x) @ g @ covariant_derivative(x_field, z_field, x, cfg))
-        assert abs(lhs - rhs) <= cfg.tolerance(10.0)
+    x = plan.points(chart, cfg)
+
+    def pair(u, g, v):
+        return np.einsum("ri,rij,rj->r", u, g, v)
+
+    d_inner = partial(lambda p: pair(y_field(p), chart.metric(p, cfg), z_field(p)), x, cfg)
+    lhs = np.einsum("ri,ri->r", x_field(x), d_inner)
+    g = chart.metric(x, cfg)
+    rhs = (pair(covariant_derivative(x_field, y_field, x, cfg), g, z_field(x))
+           + pair(y_field(x), g, covariant_derivative(x_field, z_field, x, cfg)))
+    assert np.max(np.abs(lhs - rhs)) <= cfg.tolerance(10.0)
 
 
 def test_lie_bracket_coordinate_fields_commute(cfg):
     chart = flat2()
     val = lie_bracket(constant_field(chart, [1.0, 0.0]), constant_field(chart, [0.0, 1.0]),
-                      np.array([0.1, -0.4]), cfg)
+                      np.array([[0.1, -0.4]]), cfg)
     npt.assert_allclose(val, 0.0, atol=1e-12)
 
 
 def test_lie_bracket_rotation_field(cfg):
     # [(-y, x), (1, 0)] = (0, -1) by expanding X^i d_i Y - Y^i d_i X
     chart = flat2()
-    rot = VectorField(chart, lambda p: np.array([-p[1], p[0]]))
+    rot = VectorField(chart, lambda p: np.stack([-p[:, 1], p[:, 0]], axis=1))
     ex = constant_field(chart, [1.0, 0.0])
-    val = lie_bracket(rot, ex, np.array([0.3, 0.5]), cfg)
-    npt.assert_allclose(val, [0.0, -1.0], atol=1e-10)
+    val = lie_bracket(rot, ex, np.array([[0.3, 0.5]]), cfg)
+    npt.assert_allclose(val, [[0.0, -1.0]], atol=1e-10)
 
 
 def test_lie_bracket_antisymmetry(cfg, rng):
     chart = flat2()
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2))
-    x_field = VectorField(chart, lambda p: a @ np.sin(p))
-    y_field = VectorField(chart, lambda p: b @ np.cos(p))
-    x = np.array([0.2, 0.6])
+    x_field = VectorField(chart, lambda p: np.sin(p) @ a.T)
+    y_field = VectorField(chart, lambda p: np.cos(p) @ b.T)
+    x = np.array([[0.2, 0.6]])
     fwd = lie_bracket(x_field, y_field, x, cfg)
     bwd = lie_bracket(y_field, x_field, x, cfg)
     npt.assert_allclose(fwd, -bwd, atol=1e-9)
@@ -226,11 +233,11 @@ def test_lie_bracket_jacobi_identity(cfg):
     """Cyclic sum of nested brackets vanishes; nested differencing loosens the
     attainable tolerance to ~1e-5."""
     chart = flat2()
-    x_field = VectorField(chart, lambda p: np.array([math.sin(p[1]), p[0] ** 2]))
-    y_field = VectorField(chart, lambda p: np.array([p[0] * p[1], math.cos(p[0])]))
-    z_field = VectorField(chart, lambda p: np.array([p[1] ** 2, p[0] + p[1]]))
-    x = np.array([0.4, 0.3])
-    total = np.zeros(2)
+    x_field = VectorField(chart, by_row(lambda p: np.array([math.sin(p[1]), p[0] ** 2])))
+    y_field = VectorField(chart, by_row(lambda p: np.array([p[0] * p[1], math.cos(p[0])])))
+    z_field = VectorField(chart, by_row(lambda p: np.array([p[1] ** 2, p[0] + p[1]])))
+    x = np.array([[0.4, 0.3]])
+    total = np.zeros((1, 2))
     for a, b, c in ((x_field, y_field, z_field), (y_field, z_field, x_field),
                     (z_field, x_field, y_field)):
         inner = VectorField(chart, lambda p, b=b, c=c: lie_bracket(b, c, p, cfg))
@@ -239,35 +246,35 @@ def test_lie_bracket_jacobi_identity(cfg):
 
 
 def test_gradient_flat_linear(cfg):
-    val = gradient(flat2(), lambda p: p[:, 0], np.array([0.3, 0.1]), cfg)
-    npt.assert_allclose(val, [1.0, 0.0], atol=1e-10)
+    val = gradient(flat2(), lambda p: p[:, 0], np.array([[0.3, 0.1]]), cfg)
+    npt.assert_allclose(val, [[1.0, 0.0]], atol=1e-10)
 
 
 def test_gradient_sphere_polar_angle(cfg):
     # g^{th th} = 1 on the round sphere, so grad(theta) = d/d theta
-    val = gradient(sphere2(), lambda p: p[:, 0], np.array([1.0, 0.8]), cfg)
-    npt.assert_allclose(val, [1.0, 0.0], atol=1e-9)
+    val = gradient(sphere2(), lambda p: p[:, 0], np.array([[1.0, 0.8]]), cfg)
+    npt.assert_allclose(val, [[1.0, 0.0]], atol=1e-9)
 
 
 def test_gradient_constant(cfg):
-    val = gradient(sphere2(), constant(2.5), np.array([1.0, 0.8]), cfg)
+    val = gradient(sphere2(), constant(2.5), np.array([[1.0, 0.8]]), cfg)
     npt.assert_allclose(val, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("count", [4, 3])
 def test_gradient_on_a_stack_equals_each_point_bit_for_bit(count, cfg):
     """On fs_chart(2) (dim 4), a stack of as many rows as the dimension and one
-    of fewer rows: the (k, n) stack of gradients, each row its point's."""
+    of fewer rows: the (k, n) stack of gradients, each row its one-row stack's."""
     chart = catalog.fs_chart(2)
-    points = np.array(SamplePlan(seed=2, count=count).points(chart, cfg))
+    points = SamplePlan(seed=2, count=count).points(chart, cfg)
 
     def f(p):
         return np.sin(p[:, 0]) * p[:, 1] + p[:, 2] ** 2 - np.cos(p[:, 3])
 
     stack = gradient(chart, f, points, cfg)
     assert stack.shape == (count, 4)
-    for row, x in zip(stack, points):
-        assert np.array_equal(row, gradient(chart, f, x, cfg))
+    for r in range(count):
+        assert np.array_equal(stack[r], gradient(chart, f, points[r:r + 1], cfg)[0])
 
 
 def embedded_chart(emb, dim):
@@ -278,16 +285,16 @@ def test_embedded_pullbacks_identity(cfg):
     """The metric pulled back by the identity embedding, and the projection
     (Dpsi^T Dpsi)^{-1} Dpsi^T built from it, are the identity."""
     emb = Embedding(2, lambda x: np.array(x, dtype=float))
-    x = np.array([0.3, 0.4])
-    g = embedded_chart(emb, 2).metric(x, cfg)
+    x = np.array([[0.3, 0.4]])
+    (g,), (d,) = embedded_chart(emb, 2).metric(x, cfg), emb.dpsi(x, cfg)
     npt.assert_allclose(g, np.eye(2), atol=1e-10)
-    npt.assert_allclose(np.linalg.solve(g, emb.dpsi(x, cfg).T), np.eye(2), atol=1e-10)
+    npt.assert_allclose(np.linalg.solve(g, d.T), np.eye(2), atol=1e-10)
 
 
 def test_embedded_pullbacks_unit_circle(cfg):
     emb = Embedding(2, lambda t: np.array([math.cos(t[0]), math.sin(t[0])]))
-    g = embedded_chart(emb, 1).metric(np.array([0.7]), cfg)
-    npt.assert_allclose(g, [[1.0]], atol=1e-10)
+    g = embedded_chart(emb, 1).metric(np.array([[0.7]]), cfg)
+    npt.assert_allclose(g, [[[1.0]]], atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -295,9 +302,9 @@ def test_projection_left_inverse_of_embedding(n, cfg):
     """The projection built from the chart's pulled-back metric is a left
     inverse of Dpsi, so tangent ambient vectors map back to chart components."""
     emb = catalog.sphere_embedding(n)
-    x = np.linspace(0.4, 1.1, n)
-    d = emb.dpsi(x, cfg)
-    proj = np.linalg.solve(embedded_chart(emb, n).metric(x, cfg), d.T)
+    x = np.linspace(0.4, 1.1, n)[None]
+    (d,) = emb.dpsi(x, cfg)
+    proj = np.linalg.solve(embedded_chart(emb, n).metric(x, cfg)[0], d.T)
     npt.assert_allclose(proj @ d, np.eye(n), atol=1e-9)
 
 
@@ -307,9 +314,8 @@ def test_sample_plan_reproducible():
     plan = SamplePlan(seed=3, count=8)
     a = plan.points(chart, cfg)
     b = plan.points(chart, cfg)
-    assert all(np.array_equal(p, q) for p, q in zip(a, b))
-    margin = 4 * cfg.step
-    assert all(chart.contains(p, margin) for p in a)
+    assert a.shape == (8, 2) and np.array_equal(a, b)
+    assert chart.contains(a, 4 * cfg.step)
 
 
 def per_point_samples(chart, seed, count, margin):
@@ -321,7 +327,7 @@ def per_point_samples(chart, seed, count, margin):
     while len(pts) < count:
         p = rng.uniform(lo, hi)
         attempts += 1
-        if chart.contains(p, margin):
+        if chart.contains(p[None], margin):
             pts.append(p)
         if attempts > 100 * count:
             raise EvaluationOutsideDomain(
@@ -353,8 +359,8 @@ def test_block_sampler_equals_the_per_point_draws(key, margin):
     for seed, count in itertools.product(range(5), (1, 2, 5, 16)):
         got, ref = sample_points(chart, seed, count, margin), per_point_samples(chart, seed,
                                                                                  count, margin)
-        assert len(got) == len(ref) == count
-        assert np.stack(got).tobytes() == np.stack(ref).tobytes()
+        assert got.shape == (count, chart.dim) and len(ref) == count
+        assert got.tobytes() == np.stack(ref).tobytes()
 
 
 def test_sampler_that_finds_no_interior_point_names_the_chart():

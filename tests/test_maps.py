@@ -38,8 +38,8 @@ def punctured2():
     return catalog.punctured_hopf(2).maps["hopf"]
 
 
-CE_POINT = np.array([0.5, 0.7, 0.9, 1.1])
-PUNCTURED2_POINT = np.array([1.4, 0.2, -0.3, 0.5, 0.1, -0.2])
+CE_POINT = np.array([[0.5, 0.7, 0.9, 1.1]])
+PUNCTURED2_POINT = np.array([[1.4, 0.2, -0.3, 0.5, 0.1, -0.2]])
 
 
 def flat_map(fn, source_dim=2, target_dim=2, lo=-2.0, hi=2.0):
@@ -53,20 +53,20 @@ def flat_map(fn, source_dim=2, target_dim=2, lo=-2.0, hi=2.0):
 
 def test_differential_identity(torus_entry):
     spec = torus_entry.maps["identity"]
-    d = differential(spec, np.array([0.8, 0.9]))
-    npt.assert_allclose(d, np.eye(2), atol=1e-11)
+    d = differential(spec, np.array([[0.8, 0.9]]))
+    npt.assert_allclose(d, [np.eye(2)], atol=1e-11)
 
 
 def test_differential_constant():
     spec = flat_map(lambda x: np.tile([1.0, 2.0], (len(x), 1)))
-    d = differential(spec, np.array([0.1, 0.2]))
+    d = differential(spec, np.array([[0.1, 0.2]]))
     npt.assert_allclose(d, 0.0, atol=1e-12)
 
 
 def test_differential_hopf_rank(hopf):
     d = differential(hopf, CE_POINT)
-    assert d.shape == (2, 4)
-    assert np.linalg.matrix_rank(d, tol=1e-8) == 2
+    assert d.shape == (1, 2, 4)
+    assert np.linalg.matrix_rank(d[0], tol=1e-8) == 2
 
 
 def jet_of(spec, x):
@@ -74,50 +74,51 @@ def jet_of(spec, x):
 
 
 def test_holomorphy_identity(torus_entry):
-    assert holomorphy_residual(jet_of(torus_entry.maps["identity"], [0.8, 0.9])) <= 1e-12
+    (val,) = holomorphy_residual(jet_of(torus_entry.maps["identity"], [[0.8, 0.9]]))
+    assert val <= 1e-12
 
 
 def test_holomorphy_conjugation_value(torus_entry):
     # direct 2x2 arithmetic: |d J - J' d|_F = 2 sqrt(2) for (x, y) -> (x, -y)
-    val = holomorphy_residual(jet_of(torus_entry.maps["conjugation"], [0.8, 0.9]))
-    npt.assert_allclose(val, 2.0 * np.sqrt(2.0), atol=1e-10)
+    val = holomorphy_residual(jet_of(torus_entry.maps["conjugation"], [[0.8, 0.9]]))
+    npt.assert_allclose(val, [2.0 * np.sqrt(2.0)], atol=1e-10)
 
 
 def test_holomorphy_missing_structure():
     spec = flat_map(lambda x: np.array(x))
     with pytest.raises(MissingStructure):
-        holomorphy_residual(jet_of(spec, [0.1, 0.1]))
+        holomorphy_residual(jet_of(spec, [[0.1, 0.1]]))
 
 
 def test_conformality_hopf_submersion(hopf):
-    c = conformality(jet_of(hopf, CE_POINT))
+    c = conformality(jet_of(hopf, CE_POINT))[0]
     assert c.regular
     npt.assert_allclose(c.dilation, 1.0, atol=1e-9)
     assert c.conformality_residual <= 1e-9
     assert hopf.source.dim - c.rank == 2 and c.horizontal_count == 2
-    g = hopf.source.metric(CE_POINT, hopf.cfg)
+    (g,) = hopf.source.metric(CE_POINT, hopf.cfg)
     for v in c.vertical[:2]:
         for h in c.horizontal[:2]:
             assert abs(v @ g @ h) <= 1e-9
 
 
 def test_conformality_punctured_dilation(punctured1):
-    z = np.array([1.0, 0.25, 0.3, 0.15])
+    z = np.array([[1.0, 0.25, 0.3, 0.15]])
     z = 2.0 * z / np.linalg.norm(z)
     c = conformality(jet_of(punctured1, z))
-    npt.assert_allclose(c.dilation, 0.5, atol=1e-9)
+    npt.assert_allclose(c.dilation, [0.5], atol=1e-9)
 
 
 def test_conformality_critical_constant():
     spec = flat_map(lambda x: np.ones((len(x), 2)))
-    c = conformality(jet_of(spec, [0.3, 0.4]))
+    c = conformality(jet_of(spec, [[0.3, 0.4]]))[0]
     assert c.kind == KIND_CRITICAL
     assert c.dilation == 0.0
 
 
 def test_conformality_partial_rank_degenerate():
     spec = flat_map(lambda x: x * [1.0, 0.0])
-    c = conformality(jet_of(spec, [0.3, 0.4]))
+    c = conformality(jet_of(spec, [[0.3, 0.4]]))[0]
     assert c.kind == KIND_DEGENERATE
     assert c.dilation == 0.0
     assert c.conformality_residual > 0.1
@@ -145,8 +146,8 @@ def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
 def test_vertical_projector_matches_split(request, spec_name, point):
     spec = request.getfixturevalue(spec_name)
     jet = jet_of(spec, point)
-    c = conformality(jet)
-    p_v = _vertical_projector(jet)
+    c = conformality(jet)[0]
+    (p_v,) = _vertical_projector(jet)
     for v in c.vertical[:spec.source.dim - c.rank]:
         npt.assert_allclose(p_v @ v, v, atol=1e-10)
     for h in c.horizontal[:c.horizontal_count]:
@@ -159,29 +160,29 @@ def test_vertical_projector_matches_split(request, spec_name, point):
 def test_vertical_frame_field_orthonormal_in_kernel(request, spec_name, point):
     spec = request.getfixturevalue(spec_name)
     jet = jet_of(spec, point)
-    frame = vertical_frame_field(jet)(jet)
+    (frame,) = vertical_frame_field(jet)(jet)
     assert frame.shape == (spec.source.dim, spec.source.dim - spec.target.dim)
-    g = spec.source.metric(point, spec.cfg)
+    (g,) = spec.source.metric(point, spec.cfg)
     npt.assert_allclose(frame.T @ g @ frame, np.eye(frame.shape[1]), atol=1e-12)
-    npt.assert_allclose(jet.differential @ frame, 0.0, atol=1e-8)
+    npt.assert_allclose(jet.differential[0] @ frame, 0.0, atol=1e-8)
 
 
 def test_vertical_frame_field_needs_regular():
     spec = flat_map(lambda x: x * [1.0, 0.0])
     with pytest.raises(CriticalPoint):
-        vertical_frame_field(jet_of(spec, [0.3, 0.4]))
+        vertical_frame_field(jet_of(spec, [[0.3, 0.4]]))
 
 
 def test_sff_identity_and_linear(torus_entry):
     spec = torus_entry.maps["identity"]
-    npt.assert_allclose(sff_tensor(jet_of(spec, [0.8, 0.9]))[0, 1], 0.0, atol=1e-9)
+    npt.assert_allclose(sff_tensor(jet_of(spec, [[0.8, 0.9]]))[0, 0, 1], 0.0, atol=1e-9)
     linear = flat_map(lambda x: x @ np.array([[2.0, -1.0], [1.0, 1.0]]))
-    npt.assert_allclose(sff_tensor(jet_of(linear, [0.2, 0.1]))[0, 0], 0.0, atol=1e-9)
+    npt.assert_allclose(sff_tensor(jet_of(linear, [[0.2, 0.1]]))[0, 0, 0], 0.0, atol=1e-9)
 
 
 def test_sff_symmetry_bitwise(hopf):
     sff = sff_tensor(jet_of(hopf, CE_POINT))
-    assert np.array_equal(sff, np.swapaxes(sff, 0, 1))
+    assert np.array_equal(sff, np.swapaxes(sff, 1, 2))
 
 
 def test_fibre_inclusion_is_geodesic(cfg):
@@ -189,24 +190,24 @@ def test_fibre_inclusion_is_geodesic(cfg):
     curve in the 3-sphere (trace of the second fundamental form)."""
     entry = catalog.hopf_fibre_inclusion()
     spec = entry.maps["inclusion"]
-    tau = tension(jet_of(spec, [0.05]))
-    h = spec.target.metric(spec(np.array([0.05])), cfg)
-    assert g_norm(h, tau) <= 1e-6
+    tau = tension(jet_of(spec, [[0.05]]))
+    h = spec.target.metric(spec(np.array([[0.05]])), cfg)
+    assert g_norm(h, tau)[0] <= 1e-6
 
 
 def test_tension_identity_flat(torus_entry):
-    tau = tension(jet_of(torus_entry.maps["identity"], [0.8, 0.9]))
+    tau = tension(jet_of(torus_entry.maps["identity"], [[0.8, 0.9]]))
     npt.assert_allclose(tau, 0.0, atol=1e-9)
 
 
 def test_tension_square_map_harmonic(torus_entry):
     spec = torus_entry.maps["square"]
-    x = np.array([0.8, 0.9])
+    x = np.array([[0.8, 0.9]])
     jet = jet_of(spec, x)
     tau = tension(jet)
     npt.assert_allclose(tau, 0.0, atol=1e-7)
     h = spec.target.metric(spec(x), spec.cfg)
-    assert g_norm(h, tau + lee_pushforward(jet)) <= 1e-7
+    assert g_norm(h, tau + lee_pushforward(jet))[0] <= 1e-7
 
 
 def test_tension_computes_no_lee_field(hopf, monkeypatch):
@@ -215,19 +216,19 @@ def test_tension_computes_no_lee_field(hopf, monkeypatch):
 
     monkeypatch.setattr(hermitian, "lee_vector", fail)
     monkeypatch.setattr(maps, "lee_vector", fail)
-    assert tension(jet_of(hopf, CE_POINT)).shape == (2,)
+    assert tension(jet_of(hopf, CE_POINT)).shape == (1, 2)
 
 
 def test_lee_pushforward_needs_source_structure():
     spec = flat_map(lambda x: x[:, :2])
     with pytest.raises(MissingStructure):
-        lee_pushforward(jet_of(spec, [0.1, 0.2]))
+        lee_pushforward(jet_of(spec, [[0.1, 0.2]]))
 
 
 def tension_in_frame(jet, frame_vectors):
-    """Tension summed explicitly over a g-orthonormal frame: the oracle for
-    :func:`tension` (frame independence of the trace)."""
-    sff = sff_tensor(jet)
+    """Tension summed explicitly over a g-orthonormal frame at a one-row jet: the
+    oracle for :func:`tension` (frame independence of the trace)."""
+    (sff,) = sff_tensor(jet)
     out = np.zeros(jet.spec.target.dim)
     for u in frame_vectors:
         out = out + np.einsum("i,j,ijg->g", u, u, sff)
@@ -236,29 +237,29 @@ def tension_in_frame(jet, frame_vectors):
 
 def test_tension_frame_independent(hopf, rng):
     g = hopf.source.metric(CE_POINT, hopf.cfg)
-    frame = orthonormalize([rng.normal(size=4) for _ in range(4)], g)
+    frame = orthonormalize([rng.normal(size=(1, 4)) for _ in range(4)], g)
     jet = jet_of(hopf, CE_POINT)
-    via_frame = tension_in_frame(jet, frame)
-    direct = tension(jet)
+    via_frame = tension_in_frame(jet, [u[0] for u in frame])
+    (direct,) = tension(jet)
     npt.assert_allclose(via_frame, direct, atol=1e-5)
 
 
 def test_fibre_mean_curvature_hopf(hopf):
     val = fibre_mean_curvature(jet_of(hopf, CE_POINT))
     g = hopf.source.metric(CE_POINT, hopf.cfg)
-    assert g_norm(g, val) <= 1e-6
+    assert g_norm(g, val)[0] <= 1e-6
 
 
 def test_fibre_mean_curvature_needs_regular():
     spec = flat_map(lambda x: np.ones((len(x), 2)))
     with pytest.raises(CriticalPoint):
-        fibre_mean_curvature(jet_of(spec, [0.3, 0.4]))
+        fibre_mean_curvature(jet_of(spec, [[0.3, 0.4]]))
 
 
 def test_annulus_fibres_straight_and_dilation_scales(cfg):
     """Radial fibres are straight lines in the flat metric; rescaling the
     target multiplies the dilation but not the fibre curvature."""
-    x = np.array([1.5, 0.6])
+    x = np.array([[1.5, 0.6]])
     for scale in (1.0, 1.7):
         entry = catalog.annulus_radial(target_scale=scale)
         spec = entry.maps["radial"]
@@ -266,44 +267,44 @@ def test_annulus_fibres_straight_and_dilation_scales(cfg):
         mc = fibre_mean_curvature(jet)
         assert np.linalg.norm(mc) <= 1e-7
         c = conformality(jet)
-        npt.assert_allclose(c.dilation, scale / x[0], atol=1e-9)
+        npt.assert_allclose(c.dilation, scale / x[:, 0], atol=1e-9)
 
 
 def test_homothety_hopf_and_punctured(hopf, punctured1):
-    assert homothety_residual(jet_of(hopf, CE_POINT)) <= 1e-6
+    assert homothety_residual(jet_of(hopf, CE_POINT))[0] <= 1e-6
     # grad(lambda^2) is proportional to the position vector, which is vertical
-    z = np.array([1.4, 0.2, -0.3, 0.5])
-    assert homothety_residual(jet_of(punctured1, z)) <= 1e-5
+    z = np.array([[1.4, 0.2, -0.3, 0.5]])
+    assert homothety_residual(jet_of(punctured1, z))[0] <= 1e-5
 
 
 def test_homothety_mobius_composite_nonzero():
     entry = catalog.mobius_postcompose(catalog.hopf_map(1), (1.0, 0.3, 0.1, 1.0))
     spec = entry.maps["hopf"]
-    assert homothety_residual(jet_of(spec, CE_POINT)) > 1e-3
+    assert homothety_residual(jet_of(spec, CE_POINT))[0] > 1e-3
 
 
 def test_superminimality_constant_structure():
     entry = catalog.flat_t4()
     spec = entry.maps["projection"]
-    x = np.array([0.8, 0.9, 1.0, 1.1])
+    x = np.array([[0.8, 0.9, 1.0, 1.1]])
     structure = structure_jet(spec.source, entry.structures["J"], x, spec.cfg)
-    assert superminimality_residual(jet_of(spec, x), structure) <= 1e-10
+    assert superminimality_residual(jet_of(spec, x), structure)[0] <= 1e-10
 
 
 def test_lift_plus_reproduces_standard_structure(punctured1):
     lifted = lift_structure(punctured1, +1)
-    x = np.array([1.4, 0.2, -0.3, 0.5])
-    npt.assert_allclose(lifted(x), catalog.multiplication_by_i(2), atol=1e-10)
+    x = np.array([[1.4, 0.2, -0.3, 0.5]])
+    npt.assert_allclose(lifted(x), [catalog.multiplication_by_i(2)], atol=1e-10)
     t = structure_jet(punctured1.source, lifted, x, punctured1.cfg).nabla
     assert np.max(np.abs(t)) <= 1e-7
 
 
 def test_lift_minus_valid_but_not_parallel(punctured1):
     lifted = lift_structure(punctured1, -1)
-    x = np.array([1.4, 0.2, -0.3, 0.5])
+    x = np.array([[1.4, 0.2, -0.3, 0.5]])
     square, compat = invariant_residuals(punctured1.source.metric(x, punctured1.cfg), lifted(x))
-    assert square <= 1e-9
-    assert compat <= 1e-9
+    assert square[0] <= 1e-9
+    assert compat[0] <= 1e-9
     t = structure_jet(punctured1.source, lifted, x, punctured1.cfg).nabla
     assert np.max(np.abs(t)) >= 1e-3
 
@@ -315,7 +316,7 @@ def test_lift_makes_map_holomorphic(punctured1, orientation):
     spec = MapSpec(punctured1.source, punctured1.target, punctured1.fn,
                    punctured1.cfg, source_structure=lifted,
                    target_structure=punctured1.target_structure)
-    assert holomorphy_residual(jet_of(spec, [1.4, 0.2, -0.3, 0.5])) <= 1e-8
+    assert holomorphy_residual(jet_of(spec, [[1.4, 0.2, -0.3, 0.5]]))[0] <= 1e-8
 
 
 def test_lift_requires_two_dimensional_fibres():
@@ -328,7 +329,7 @@ def test_lift_requires_two_dimensional_fibres():
     spec = MapSpec(src, tgt, lambda x: x[:, :2], cfg,
                    target_structure=j_tgt, fibre_orientation=lambda x: omega)
     with pytest.raises(FibreDimension):
-        lift_structure(spec, +1)(np.zeros(3))
+        lift_structure(spec, +1)(np.zeros((1, 3)))
 
 
 def test_lift_requires_orientation_and_target_structure(hopf):
@@ -342,58 +343,62 @@ def test_lift_requires_orientation_and_target_structure(hopf):
 
 
 def condition_ii_at(spec, orientation, x):
+    """The condition (ii) residual at a one-row stack x."""
     lifted = lift_structure(spec, orientation)
     jet = jet_of(spec, x)
     structure = structure_jet(spec.source, lifted, x, spec.cfg)
-    return condition_ii_residual(jet, structure)
+    (residual,) = condition_ii_residual(jet, structure)
+    return residual
 
 
 def test_condition_ii_product_projection():
     spec = catalog.flat_t4().maps["projection"]
-    assert condition_ii_at(spec, +1, np.array([0.8, 0.9, 1.0, 1.1])) <= 1e-9
+    assert condition_ii_at(spec, +1, np.array([[0.8, 0.9, 1.0, 1.1]])) <= 1e-9
 
 
 def test_condition_ii_complex_line_target_trivial(punctured1):
-    assert condition_ii_at(punctured1, +1, np.array([1.4, 0.2, -0.3, 0.5])) == 0.0
+    assert condition_ii_at(punctured1, +1, np.array([[1.4, 0.2, -0.3, 0.5]])) == 0.0
 
 
 def test_condition_ii_punctured_two(punctured2):
     assert condition_ii_at(punctured2, +1, PUNCTURED2_POINT) <= 1e-6
 
 
-def lifted_field(spec, base, k, part):
+def lifted_field(spec, pivots, k, part):
     """One part of the horizontal lift of the frame field Z_k, smooth near the
     base point's image (the base frame's pivots)."""
     def at(p):
         zs = hermitian.hermitian_frame(spec.target, spec.target_structure, spec(p), spec.cfg,
-                                       base.pivots).complex_frame
-        return point_jet(spec, p).lift @ part(zs[k])
+                                       pivots).complex_frame
+        return (point_jet(spec, p).lift @ part(zs[k])[..., None])[..., 0]
     return VectorField(spec.source, at)
 
 
 def condition_ii_bracket_route(samples):
     """Condition (ii) through four ``lie_bracket`` calls per (k, l) pair, each
     differentiating its own two lifted fields: the reference for
-    :func:`condition_ii_residual`."""
+    :func:`condition_ii_residual`, at one-row jets."""
     worst = 0.0
     for jet, structure in samples:
         spec, x, cfg = jet.spec, jet.x, jet.spec.cfg
         base = hermitian.hermitian_frame(spec.target, spec.target_structure, spec(x), cfg)
-        p_v = _vertical_projector(jet)
+        (pivots,), p_v = base.pivots, _vertical_projector(jet)
         for k in range(base.m):
             for l in range(k + 1, base.m):
-                zr, zi = lifted_field(spec, base, k, np.real), lifted_field(spec, base, k, np.imag)
-                wr, wi = lifted_field(spec, base, l, np.real), lifted_field(spec, base, l, np.imag)
+                zr, zi = (lifted_field(spec, pivots, k, part) for part in (np.real, np.imag))
+                wr, wi = (lifted_field(spec, pivots, l, part) for part in (np.real, np.imag))
                 bracket = ((lie_bracket(zr, wr, x, cfg) - lie_bracket(zi, wi, x, cfg))
                            + 1j * (lie_bracket(zr, wi, x, cfg) + lie_bracket(zi, wr, x, cfg)))
-                part01 = antiholomorphic_part(structure.j, p_v @ bracket)
-                worst = max(worst, g_norm(jet.metric, part01))
+                part01 = antiholomorphic_part(structure.j, (p_v @ bracket[..., None])[..., 0])
+                worst = max(worst, float(g_norm(jet.metric, part01)[0]))
     return worst
 
 
 def condition_ii_samples(spec, orientation, points):
     lifted = lift_structure(spec, orientation)
-    return [(jet_of(spec, x), structure_jet(spec.source, lifted, x, spec.cfg)) for x in points]
+    return [(jet_of(spec, points[r:r + 1]),
+             structure_jet(spec.source, lifted, points[r:r + 1], spec.cfg))
+            for r in range(len(points))]
 
 
 @pytest.mark.parametrize("orientation", [+1, -1])
@@ -429,7 +434,7 @@ RAGGED_ROWS = np.array([[0.5, 0.7], [0.0, 0.0], [0.0, 0.7], [0.0, -0.7], [0.6, 2
 
 def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
     """Every part of a stacked jet and every array of its conformality data equals
-    the one-point call at that row, on a stack that mixes regular, near-critical,
+    the one-row stack's at that row, on a stack that mixes regular, near-critical,
     critical and degenerate rows and a row whose horizontal vector is dropped;
     the bases past each row's count are zero vectors."""
     spec = ragged_map()
@@ -440,11 +445,11 @@ def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
     assert confs.near_critical.tolist() == [False] * 4 + [True] + [False] * 2
     assert confs.horizontal_count.tolist() == [2, 0, 1, 0, 2, 2, 1]
     assert (2 - confs.rank).tolist() == [0, 2, 1, 1, 0, 0, 1]
-    for r, x in enumerate(RAGGED_ROWS):
-        jet = point_jet(spec, x)
+    for r in range(len(RAGGED_ROWS)):
+        jet = point_jet(spec, RAGGED_ROWS[r:r + 1])
         for part in ("x", "differential", "metric", "singular_values", "vt", "rank"):
-            assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)), (r, part)
-        one = conformality(jet)
+            assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)[0]), (r, part)
+        one = conformality(jet)[0]
         for part in [f.name for f in dataclasses.fields(one)] + ["kind", "regular"]:
             assert np.array_equal(getattr(one, part), getattr(confs, part)[r]), (r, part)
         assert not np.any(confs.vertical[r, 2 - confs.rank[r]:])
@@ -453,17 +458,17 @@ def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
 
 def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
     """The vertical frame field and the horizontal lift read from a stacked jet
-    equal the one-point calls row by row."""
+    equal the one-row stacks' row by row."""
     stack = PUNCTURED2_POINT + 1e-3 * np.vstack([np.eye(6), -np.eye(6)])
     jets = point_jet(punctured2, stack)
     frame_at = vertical_frame_field(point_jet(punctured2, PUNCTURED2_POINT))
     frames, lifts = frame_at(jets), jets.lift
     projectors = _vertical_projector(jets)
-    for r, x in enumerate(stack):
-        jet = point_jet(punctured2, x)
-        assert np.array_equal(frames[r], frame_at(jet))
-        assert np.array_equal(lifts[r], jet.lift)
-        assert np.array_equal(projectors[r], _vertical_projector(jet))
+    for r in range(len(stack)):
+        jet = point_jet(punctured2, stack[r:r + 1])
+        assert np.array_equal(frames[r], frame_at(jet)[0])
+        assert np.array_equal(lifts[r], jet.lift[0])
+        assert np.array_equal(projectors[r], _vertical_projector(jet)[0])
 
 
 @pytest.mark.parametrize("name, key", [("hopf-s3", "hopf"), ("punctured-hopf-2", "hopf"),
@@ -474,9 +479,9 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
     conformality array and the lift at both row ranges, Gamma against
     ``christoffel``, the vertical frames (a sample fixes the axes of its block of
     stencil rows) and the fibre mean curvature, which also equals each point's
-    alone on a 3-point plan."""
+    one-row stack's on a 3-point plan."""
     spec = catalog.get_entry(name).maps[key]
-    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
+    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
     joint, samples = point_jet(spec, points, stencil=True), point_jet(spec, points)
     stencil = point_jet(spec, numdiff.stencil(points, spec.cfg).reshape(-1, spec.source.dim))
     for jet, alone in ((joint, samples), (joint.stencil, stencil)):
@@ -494,8 +499,9 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
     assert np.array_equal(frames[k:], frame_at(stencil))
     curvature = fibre_mean_curvature(joint)
     assert np.array_equal(curvature, fibre_mean_curvature(samples))
-    for r, x in enumerate(points):
-        assert np.array_equal(curvature[r], fibre_mean_curvature(point_jet(spec, x)))
+    for r in range(len(points)):
+        alone = fibre_mean_curvature(point_jet(spec, points[r:r + 1]))
+        assert np.array_equal(curvature[r], alone[0])
 
 
 def test_map_that_does_not_broadcast_is_rejected():
@@ -533,17 +539,17 @@ def map_named(name):
 @pytest.mark.parametrize("name", ["hopf-s3", "product-hopf-1-1", "dsl"])
 def test_stacked_tension_equals_one_point_calls_bit_for_bit(name):
     """nabla dphi, the tension and the Lee push-forward read from a stacked jet
-    equal the one-point calls row by row."""
+    equal the one-row stacks' row by row."""
     spec = map_named(name)
-    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
+    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
     stack = point_jet(spec, points)
     sff, tau, push = sff_tensor(stack), tension(stack), lee_pushforward(stack)
     assert tau.shape == (3, spec.target.dim)
-    for r, x in enumerate(points):
-        jet = point_jet(spec, x)
-        assert np.array_equal(sff[r], sff_tensor(jet))
-        assert np.array_equal(tau[r], tension(jet))
-        assert np.array_equal(push[r], lee_pushforward(jet))
+    for r in range(len(points)):
+        jet = point_jet(spec, points[r:r + 1])
+        assert np.array_equal(sff[r], sff_tensor(jet)[0])
+        assert np.array_equal(tau[r], tension(jet)[0])
+        assert np.array_equal(push[r], lee_pushforward(jet)[0])
 
 
 def test_harmonic_morphism_check_takes_one_second_partial(monkeypatch):
@@ -559,9 +565,9 @@ def test_harmonic_morphism_check_takes_one_second_partial(monkeypatch):
 def test_stacked_operators_equal_one_point_calls_bit_for_bit():
     """Holomorphy, fibre mean curvature, homothety, superminimality, condition (ii)
     and the lifted structure jet read from one stacked jet (and its one stencil
-    jet) equal the one-point calls row by row."""
+    jet) equal the one-row stacks' row by row."""
     spec = catalog.punctured_hopf(2).maps["hopf"]
-    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
+    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
     stack = point_jet(spec, points)
     lifted = maps.lifted_structure_jet(stack, +1)
     source = structure_jet(spec.source, spec.source_structure, points, spec.cfg)
@@ -569,18 +575,19 @@ def test_stacked_operators_equal_one_point_calls_bit_for_bit():
             "homothety": homothety_residual(stack),
             "superminimality": superminimality_residual(stack, source),
             "condition (ii)": condition_ii_residual(stack, lifted)}
-    for r, x in enumerate(points):
+    for r in range(len(points)):
+        x = points[r:r + 1]
         jet = point_jet(spec, x)
         lifted_at = structure_jet(spec.source, lift_structure(spec, +1), x, spec.cfg)
         for part in ("j", "dj", "nabla"):
-            assert np.array_equal(getattr(lifted, part)[r], getattr(lifted_at, part)), part
+            assert np.array_equal(getattr(lifted, part)[r], getattr(lifted_at, part)[0]), part
         alone = {"holomorphy": holomorphy_residual(jet), "fibre": fibre_mean_curvature(jet),
                  "homothety": homothety_residual(jet),
                  "superminimality": superminimality_residual(
                      jet, structure_jet(spec.source, spec.source_structure, x, spec.cfg)),
                  "condition (ii)": condition_ii_residual(jet, lifted_at)}
         for name, value in alone.items():
-            assert np.array_equal(rows[name][r], value), name
+            assert np.array_equal(rows[name][r], value[0]), name
     assert max(rows["condition (ii)"]) > 0.0
 
 
@@ -600,7 +607,7 @@ def test_stack_whose_stencil_leaves_the_chart_raises_what_that_sample_raises(ope
     bad = np.array(spec.source.box.lo) + 2.5 * spec.cfg.step
     with pytest.raises(EvaluationOutsideDomain) as alone:
         operator(point_jet(spec, bad[None]))
-    stack = point_jet(spec, np.array([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01, bad]))
+    stack = point_jet(spec, np.concatenate([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01, bad[None]]))
     with pytest.raises(EvaluationOutsideDomain) as stacked:
         operator(stack)
     assert "closer than" in str(alone.value)
@@ -615,7 +622,33 @@ def test_condition_ii_with_a_non_regular_later_sample_raises_what_it_raises():
         spec.target, catalog.multiplication_by_i(1)))
     critical = np.zeros(4)
     with pytest.raises(CriticalPoint) as alone:
-        condition_ii_residual(point_jet(spec, critical), None)
+        condition_ii_residual(point_jet(spec, critical[None]), None)
     with pytest.raises(CriticalPoint) as stacked:
         condition_ii_residual(point_jet(spec, np.array([[0.5, 0.6, 0.7, 0.8], critical])), None)
     assert str(stacked.value) == str(alone.value)
+
+
+#: Operators called on the Hopf map's source: each takes a (k, 4) stack.
+STACK_OPERATORS = {
+    "partial": lambda spec, x: numdiff.partial(spec, x, spec.cfg),
+    "second_partial": lambda spec, x: numdiff.second_partial(spec, x, spec.cfg),
+    "christoffel": lambda spec, x: christoffel(spec.source, x, spec.cfg),
+    "differential": differential,
+    "point_jet": point_jet,
+    "structure_jet": lambda spec, x: structure_jet(spec.source, spec.source_structure, x,
+                                                   spec.cfg),
+    "Chart.metric": lambda spec, x: spec.source.metric(x, spec.cfg),
+    "MapSpec.__call__": lambda spec, x: spec(x),
+    "AlmostComplexField.__call__": lambda spec, x: spec.source_structure(x),
+}
+
+
+@pytest.mark.parametrize("name", STACK_OPERATORS)
+def test_a_one_dimensional_point_raises_wrong_dimension(name, hopf):
+    """A 1-D point is not read as a one-row stack: it raises ``WrongDimension``
+    naming its shape, and the one-row stack of the same point is accepted."""
+    operator = STACK_OPERATORS[name]
+    with pytest.raises(WrongDimension,
+                       match=r"^expected a \(k, n\) stack of points, got shape \(4,\)$"):
+        operator(hopf, CE_POINT[0])
+    operator(hopf, CE_POINT)

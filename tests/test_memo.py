@@ -128,8 +128,8 @@ def test_surface_case_builds_each_sample_metric_twice(monkeypatch):
     plan = SamplePlan(count=2)
     samples = np.array(plan.points(spec.source, CFG))
     images, built, rows = spec(samples), [], []
-    metric = Chart._metric
-    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: built.append(
+    metric = Chart.metric
+    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: built.append(
         self is spec.target and np.array_equal(x, images)) or rows.extend(
         x if self is spec.source else ()) or metric(self, x, cfg))
     assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
@@ -147,10 +147,10 @@ def test_surface_case_builds_dpsi_and_g_on_the_sample_stack_at_most_once(monkeyp
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
     samples, seen = np.array(plan.points(spec.source, CFG)), []
-    dpsi, metric = Embedding.dpsi, Chart._metric
+    dpsi, metric = Embedding.dpsi, Chart.metric
     monkeypatch.setattr(Embedding, "dpsi", lambda self, x, cfg: seen.append(
         ("dpsi", np.array_equal(x, samples))) or dpsi(self, x, cfg))
-    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: seen.append(
+    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: seen.append(
         ("metric", np.array_equal(x, samples))) or metric(self, x, cfg))
     assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
     assert seen.count(("dpsi", True)) <= 1 and seen.count(("metric", True)) <= 1
@@ -188,8 +188,8 @@ def test_stencil_target_metric_built_only_where_read(sid, builds, monkeypatch):
     images = [y for y in spec(numdiff.stencil(samples, CFG).reshape(-1, samples.shape[1]))
               if not any(np.array_equal(y, f) for f in spec(samples))]
     rows = []
-    metric = Chart._metric
-    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: rows.extend(
+    metric = Chart.metric
+    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: rows.extend(
         x if self is spec.target else ()) or metric(self, x, cfg))
     assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
     assert images and [sum(np.array_equal(p, y) for p in rows) for y in images] == [
@@ -202,7 +202,7 @@ def test_stacked_jet_raises_what_its_first_bad_row_raises():
     spec = hopf()
     bad = np.array(spec.source.box.lo, dtype=float)
     with pytest.raises(EvaluationOutsideDomain) as alone:
-        point_jet(spec, bad)
+        point_jet(spec, bad[None])
     with pytest.raises(EvaluationOutsideDomain) as stacked:
         point_jet(spec, np.array([CE_POINT, bad, CE_POINT - 0.1]))
     assert str(stacked.value) == str(alone.value)
@@ -214,7 +214,7 @@ def test_stacked_frame_at_stencil_points_keeps_the_pivots():
     entry = catalog.calabi_eckmann(1, 1, CFG)
     chart, structure = entry.charts["ce"], entry.structures["J"]
     (x,) = SamplePlan(count=1).points(chart, CFG)
-    pivots = hermitian_frame(chart, structure, x, CFG).pivots
+    (pivots,) = hermitian_frame(chart, structure, x[None], CFG).pivots
     stack = x + CFG.step * np.vstack([np.eye(6), -np.eye(6)])
     assert hermitian_frame(chart, structure, stack, CFG, pivots).m == 3
 
@@ -222,10 +222,10 @@ def test_stacked_frame_at_stencil_points_keeps_the_pivots():
 def test_map_value_keeps_no_alias_of_the_callers_point():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
     spec = MapSpec(chart, chart, lambda x: x, CFG)
-    x = np.array([0.1, 0.2])
+    x = np.array([[0.1, 0.2]])
     y = spec(x)
-    x[0] = 0.5
-    assert y.tolist() == [0.1, 0.2]
+    x[0, 0] = 0.5
+    assert y.tolist() == [[0.1, 0.2]]
 
 
 def test_failed_evaluation_stores_nothing():
@@ -238,7 +238,7 @@ def test_failed_evaluation_stores_nothing():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=asymmetric)
     for _ in range(2):
         with pytest.raises(SingularMetric, match="not symmetric"):
-            chart.metric([0.0, 0.0], CFG)
+            chart.metric([[0.0, 0.0]], CFG)
     assert len(calls) == 2
 
 
@@ -247,7 +247,7 @@ def test_jet_outside_the_domain_raises_each_time():
     lo = np.array(spec.source.box.lo, dtype=float)
     for _ in range(2):
         with pytest.raises(EvaluationOutsideDomain, match="closer than"):
-            point_jet(spec, lo)
+            point_jet(spec, lo[None])
 
 
 @pytest.fixture

@@ -200,9 +200,9 @@ def test_zero_dimensional_fibres_are_minimal():
     assert report.overall
     assert report.metadata["residuals"]["fibre_minimality"] == 0.0
     assert report.get_check("morphism-iff-minimal-fibres").samples_used == SMALL.count
-    jet = maps.point_jet(spec, np.array([0.1, 0.2]))
-    assert maps.vertical_frame_field(jet)(jet).shape == (2, 0)
-    assert maps.fibre_mean_curvature(jet).tolist() == [0.0, 0.0]
+    jet = maps.point_jet(spec, np.array([[0.1, 0.2]]))
+    assert maps.vertical_frame_field(jet)(jet).shape == (1, 2, 0)
+    assert maps.fibre_mean_curvature(jet).tolist() == [[0.0, 0.0]]
 
 
 def test_lemma_precondition_target_not_symplectic():
@@ -293,6 +293,19 @@ def times_at(points, x):
     return sum(np.array_equal(p, x) for p in points)
 
 
+def wrap_christoffel(monkeypatch, record):
+    """Wrap ``christoffel`` at every module that binds it: ``record(chart, x,
+    metric)`` sees every build, including the row-by-row builds of an error."""
+    build = manifold.christoffel
+
+    def recording(chart, x, cfg, metric=None):
+        record(chart, x, metric)
+        return build(chart, x, cfg, metric)
+
+    for module in (manifold, hermitian, maps):
+        monkeypatch.setattr(module, "christoffel", recording)
+
+
 @pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma",
                                  "punctured-hopf-2-integrability-plus"])
 def test_each_sample_is_differentiated_once(sid, monkeypatch):
@@ -302,7 +315,7 @@ def test_each_sample_is_differentiated_once(sid, monkeypatch):
     differential = maps.differential
 
     def recording(spec, x):
-        seen.extend(np.atleast_2d(np.array(x, dtype=float)))
+        seen.extend(np.array(x, dtype=float))
         return differential(spec, x)
 
     monkeypatch.setattr(maps, "differential", recording)
@@ -320,14 +333,14 @@ def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
     read = []
     lifted_j = maps.lifted_j
     monkeypatch.setattr(maps, "lifted_j", lambda jet, orientation:
-                        read.extend(np.atleast_2d(jet.x)) or lifted_j(jet, orientation))
+                        read.extend(jet.x) or lifted_j(jet, orientation))
     monkeypatch.setattr(maps, "lift_structure", None)
     sid = "punctured-hopf-1-lift-plus"
     plan = SamplePlan(count=2)
     assert run_scenario(sid, plan, CFG).overall
     for x in sample_points(sid, plan):
         assert times_at(read, x) == 1
-        assert [times_at(read, p) for p in numdiff.stencil(x, CFG)] == [1] * 4 * 4
+        assert [times_at(read, p) for p in numdiff.stencil(x[None], CFG)[0]] == [1] * 4 * 4
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3-surface-case", "product-hopf-1-1-two-of-three"])
@@ -336,10 +349,8 @@ def test_christoffel_built_once_per_sample(sid, monkeypatch):
     each the stack of all its samples, never one sample alone, and every build,
     source or target, is given the metric at its rows that the map's jet holds."""
     rows, held = [], []
-    build = manifold._christoffel
-    monkeypatch.setattr(manifold, "_christoffel", lambda chart, x, cfg, g:
-                        rows.append(len(x)) or held.append(g is not None)
-                        or build(chart, x, cfg, g))
+    wrap_christoffel(monkeypatch, lambda chart, x, g: rows.append(len(x))
+                     or held.append(g is not None))
     for count in (2, 3):
         assert run_scenario(sid, SamplePlan(count=count), CFG).overall
     assert rows.count(2) == rows.count(3) > 0
@@ -360,8 +371,8 @@ def test_condition_ii_builds_one_target_frame_per_sample(monkeypatch):
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     plan = SamplePlan(count=2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
-    for x in sample_points(sid, plan):
-        h, j = spec.target.metric(spec(x), CFG), spec.target_structure(spec(x))
+    images = spec(sample_points(sid, plan))
+    for h, j in zip(spec.target.metric(images, CFG), spec.target_structure(images)):
         assert sum(np.array_equal(g, h) and np.array_equal(k, j) for g, k in built) == 1
 
 
@@ -423,14 +434,12 @@ def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"))
     built, held = [], []
 
-    def recording(chart, x, cfg, g):
+    def recording(chart, x, g):
         if chart is spec.source:
             built.extend(p.tobytes() for p in x)
             held.append(g is not None)
-        return build(chart, x, cfg, g)
 
-    build = manifold._christoffel
-    monkeypatch.setattr(manifold, "_christoffel", recording)
+    wrap_christoffel(monkeypatch, recording)
     check_map = getattr(scenarios, check_name)
     assert check_map(spec, plan=SamplePlan(count=2), scenario_id=sid, **kwargs).overall
     assert built and len(built) == len(set(built)) and all(held)
@@ -453,12 +462,12 @@ def test_target_metric_at_each_image_is_built_once(sid, monkeypatch):
     built at each sample's image once (twice when the Christoffel build asked the
     chart for it again)."""
     spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
-    metric = Chart._metric
-    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: (
+    metric = Chart.metric
+    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: (
         rows.extend(x) if self is spec.target else None) or metric(self, x, cfg))
     assert run_on(spec, sid, plan).overall
-    for x in sample_points(sid, plan):
-        assert times_at(rows, spec(x)) == 1
+    for y in spec(sample_points(sid, plan)):
+        assert times_at(rows, y) == 1
 
 
 @pytest.mark.parametrize("sid", ["product-hopf-1-1-two-of-three",
@@ -468,8 +477,8 @@ def test_source_metric_at_each_sample_is_built_once(sid, monkeypatch):
     asking the chart through ``manifold.gradient``: g is built at each sample
     once, as a row of the jet's one stack (twice before)."""
     spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
-    metric = Chart._metric
-    monkeypatch.setattr(Chart, "_metric", lambda self, x, cfg: (
+    metric = Chart.metric
+    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: (
         rows.extend(x) if self is spec.source else None) or metric(self, x, cfg))
     monkeypatch.setattr(manifold, "gradient", None)
     assert run_on(spec, sid, plan).overall
@@ -485,7 +494,7 @@ def test_target_j_at_each_stencil_image_is_evaluated_once(monkeypatch):
     spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
     call = hermitian.AlmostComplexField.__call__
     monkeypatch.setattr(hermitian.AlmostComplexField, "__call__", lambda self, x: (
-        rows.extend(np.atleast_2d(x)) if self is spec.target_structure else None)
+        rows.extend(x) if self is spec.target_structure else None)
         or call(self, x))
     assert run_on(spec, sid, plan).overall
     samples = np.array(sample_points(sid, plan))
