@@ -46,12 +46,16 @@ sys.path.insert(0, str(ROOT / "hermbench"))
 import workloads  # noqa: E402
 from hermkit import cli, geodsl, scenarios  # noqa: E402
 
-#: (seed, extra flags) for every report.
+#: (seed, extra flags) for every report; the last two cells sit in the roundoff
+#: (step 1e-5) and truncation (step 1e-3 without Richardson) regimes, where the
+#: third-order map operators are most sensitive to the order of their arithmetic.
 GRID = (
     (0, ("--points", "3")),
     (1, ("--points", "3")),
     (5, ("--points", "2", "--step", "1e-3")),
     (2, ("--points", "2", "--richardson", "off")),
+    (3, ("--points", "2", "--step", "1e-5")),
+    (3, ("--points", "2", "--step", "1e-3", "--richardson", "off")),
 )
 #: Seeds of the generated DSL configs.
 DSL_SEEDS = (0, 1, 7)

@@ -24,6 +24,7 @@ holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -70,7 +71,7 @@ def require_almost_hermitian(g: Array, j: Array, x: Array) -> None:
     of stacks g, J and x; the error names the first row that is not."""
     square, compat = invariant_residuals(g, j)
     bound = J_SQUARE_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-    bad = np.flatnonzero(np.maximum(square, compat) > bound)
+    bad = np.flatnonzero((square > J_SQUARE_TOL) | (compat > bound))
     if bad.size:
         r = bad[0]
         raise PreconditionFailed(
@@ -204,7 +205,11 @@ class StructureJet:
     j: Array
     dj: Array
     gamma: Array | None
-    nabla: Array | None
+
+    @cached_property
+    def nabla(self) -> Array | None:
+        """:func:`nabla_j_tensor` of the jet's Christoffel symbols, J and d J."""
+        return None if self.gamma is None else nabla_j_tensor(self.gamma, self.j, self.dj)
 
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
@@ -227,8 +232,7 @@ def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
         for r in range(k) if k > 1 else ():
             structure_jet(chart, j_field, x[r:r + 1], cfg, connection)
         raise
-    return StructureJet(x, g[:k].copy(), j, dj, gamma, gamma if gamma is None else
-                        nabla_j_tensor(gamma, j, dj))
+    return StructureJet(x, g[:k].copy(), j, dj, gamma)
 
 
 def apply_j(jet: StructureJet, v) -> Array:

@@ -8,20 +8,22 @@ stack), and a 1-D point raises ``WrongDimension``.  Every operator reads a
 :class:`PointJet` (x, Dphi from one :func:`differential` stencil, the source
 metric g and the one-SVD rank split of Dphi) at the rows of such a stack and
 returns one value per row, each row as alone, bit for bit.  A map check builds
-one with :func:`point_jet` for all its samples, and a check that differences on
-their stencil points builds one jet over both: the sample jet and
-``jet.stencil`` are its two row ranges.  A jet builds, when first read, and
-shares with every reader ``jet.image``, phi(x), ``jet.target_metric`` and
-``jet.target_j``, h and the target J there, ``jet.j``, the source J, and
-``jet.split``, its :func:`conformality` data (an array per field), each on the
-range that reads it; ``jet.lift``, its horizontal-lift matrices, once over both;
-``jet.gamma``, the source Christoffel symbols, from the metrics at both; and
-``jet.structure``, the source structure jet.  The third-order operators
-(:func:`fibre_mean_curvature`, :func:`homothety_residual`,
-:func:`lifted_structure_jet`, :func:`condition_ii_residual`) compute what they
-read at both ranges once, over ``jet.both``; :func:`sff_tensor` and
-:func:`tension` take one ``second_partial`` stencil for all its samples, and the
-target Christoffel symbols from h at phi(x) and at its stencil points.
+one with :func:`point_jet` for all its samples; a check that differences on
+their stencil points builds it with ``stencil=True``, which runs the one
+differential, metric call and SVD on the samples and then their stencil points
+and returns the jet at the samples holding the jet at the stencil points,
+``jet.stencil``.  Each jet builds, when first read, and shares with every reader
+``jet.image``, phi(x), ``jet.target_metric`` and ``jet.target_j``, h and the
+target J there, ``jet.j``, the source J, ``jet.split``, its :func:`conformality`
+data (an array per field), ``jet.lift``, its horizontal-lift matrices,
+``jet.gamma``, the source Christoffel symbols (from the stencil jet's g when it
+holds one), and ``jet.structure``, the source structure jet.  The third-order
+operators (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
+:func:`lifted_structure_jet`, :func:`condition_ii_residual`) read what they
+need on ``jet`` and on ``jet.stencil`` and difference the latter;
+:func:`sff_tensor` and :func:`tension` take one ``second_partial`` stencil for
+all its samples, and the target Christoffel symbols from h at phi(x) and at its
+stencil points.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images.  Nothing is cached by point: phi is
@@ -40,7 +42,7 @@ import numpy as np
 from . import numdiff
 from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, dj_stack,
-                        g_norm, lee_vector, nabla_J, nabla_j_tensor, require_almost_hermitian,
+                        g_norm, lee_vector, nabla_J, require_almost_hermitian,
                         stacked_hermitian_frame, unit_axes)
 from .manifold import Chart, christoffel, invert_metric
 from .numdiff import (Array, DiffConfig, as_points, as_stack, g_length, gram_schmidt,
@@ -98,10 +100,6 @@ def differential(spec: MapSpec, x) -> Array:
     return np.ascontiguousarray(np.swapaxes(d, -1, -2))
 
 
-#: The parts a jet over samples and their stencil points builds on each range apart.
-_HALVED = ("image", "target_metric", "target_j", "j", "split")
-
-
 @dataclass(frozen=True)
 class PointJet:
     """The stacks of Dphi(x), g(x) and the SVD of Dphi, with ``rank`` an integer
@@ -110,9 +108,11 @@ class PointJet:
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
     The cached properties are built when first read and then kept; a jet made by
-    :meth:`take` reads all but ``structure`` from the jet it was taken from.  A
-    jet with ``samples`` holds them and then their stencil points, builds the
-    ``_HALVED`` parts on its two ``halves`` apart and ``gamma`` at the samples.
+    :meth:`take` reads its rows of the jet it was taken from (of that jet's
+    ``stencil`` for its own), but for ``metric_inverse`` and ``structure``.
+    ``stencil`` is a second jet, at the ``numdiff.stencil`` points of the rows:
+    ``built_stencil`` when :func:`point_jet` built the two together, else one
+    built when first read.
     """
 
     spec: MapSpec
@@ -123,7 +123,7 @@ class PointJet:
     vt: Array
     rank: Array
     whole: tuple | None = field(default=None, repr=False)  # (jet, rows) for a taken jet
-    samples: int | None = None
+    built_stencil: PointJet | None = field(default=None, repr=False)
 
     def take(self, rows) -> PointJet:
         """The rows ``rows`` (an index array) of the jet; rows of a taken jet are
@@ -135,23 +135,11 @@ class PointJet:
         return PointJet(self.spec, *(p[rows] for p in parts), whole=(self, rows))
 
     def _part(self, name: str, build: Callable) -> Array | ConformalityData:
-        """``build(self)``; a taken jet reads its rows of its jet's part, from a half
-        that holds them all if one does, and a jet with ``samples`` joins its halves'."""
-        whole, rows = self.whole or (None, None)
-        halved = name in _HALVED and (whole or self).samples is not None
-        if whole is None:
-            return _join(*(getattr(half, name) for half in self.halves)) if halved else build(self)
-        for half, start in zip(whole.halves, (0, whole.samples)) if halved else ():
-            if np.all((rows >= start) & (rows < start + len(half.x))):
-                return getattr(half, name)[rows - start]
+        """``build(self)``; a taken jet reads its rows of its jet's part."""
+        if self.whole is None:
+            return build(self)
+        whole, rows = self.whole
         return getattr(whole, name)[rows]
-
-    @cached_property
-    def halves(self) -> tuple[PointJet, PointJet]:
-        """The jets at the samples and at their stencil points of a jet with ``samples``."""
-        return tuple(PointJet(self.spec, self.x[cut], self.differential[cut], self.metric[cut],
-                              self.singular_values[cut], self.vt[cut], self.rank[cut])
-                     for cut in (slice(None, self.samples), slice(self.samples, None)))
 
     @cached_property
     def split(self) -> ConformalityData:
@@ -161,7 +149,7 @@ class PointJet:
     @cached_property
     def lift(self) -> Array:
         """The :func:`_lift_matrix` at the jet's rows (NaN at rows that are not
-        regular), one build over all the rows of the jet it was taken from."""
+        regular)."""
         return self._part("lift", _lift_matrix)
 
     @cached_property
@@ -182,10 +170,11 @@ class PointJet:
 
     @cached_property
     def gamma(self) -> Array:
-        """The source Christoffel symbols at the jet's rows (of a jet with
-        ``samples``: at the samples), from the jet's g at its rows."""
+        """The source Christoffel symbols at the jet's rows, from the jet's g at its
+        rows and, when it was built with its stencil jet, that jet's g."""
         return self._part("gamma", lambda jet: christoffel(
-            jet.spec.source, jet.x[:jet.samples], jet.spec.cfg, jet.metric))
+            jet.spec.source, jet.x, jet.spec.cfg, jet.metric if jet.built_stencil is None
+            else np.concatenate([jet.metric, jet.built_stencil.metric])))
 
     @cached_property
     def j(self) -> Array:
@@ -194,53 +183,38 @@ class PointJet:
 
     @cached_property
     def metric_inverse(self) -> Array:
-        """g^-1 at the jet's rows, by ``invert_metric`` (its own rows only: a sample
-        jet does not invert its stencil rows)."""
+        """g^-1 at the jet's rows, by ``invert_metric``."""
         return invert_metric(self.metric, self.x)
 
     @cached_property
     def structure(self) -> StructureJet:
         """The source structure jet at the jet's rows, on its g, J and ``gamma``."""
-        x, gamma, j = self.x, self.gamma, self.j
-        dj = dj_stack(self.spec.source, self.spec.source_structure, x, self.spec.cfg)
-        return StructureJet(x, self.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
-
-    @cached_property
-    def both(self) -> PointJet:
-        """The jet at its rows and then at the ``numdiff.stencil`` points of each
-        (one block of rows per row, in order): rows of the jet it was taken from
-        when that holds them, else a jet built for them."""
-        whole, rows = self.whole or (None, None)
-        if whole is None or whole.samples is None:
-            return point_jet(self.spec, self.x, stencil=True).both
-        per = len(whole.x) // whole.samples - 1
-        return whole.take(np.concatenate([rows, whole.samples + _blocks(rows, per)]))
+        dj = dj_stack(self.spec.source, self.spec.source_structure, self.x, self.spec.cfg)
+        return StructureJet(self.x, self.metric, self.j, dj, self.gamma)
 
     @cached_property
     def stencil(self) -> PointJet:
-        """The jet at the stencil points of the jet's rows: ``both`` past them."""
-        return self.both.take(np.arange(len(self.x), len(self.both.x)))
+        """The jet at the ``numdiff.stencil`` points of the jet's rows (one block of
+        points per row, in order): of a taken jet, its rows' blocks of its jet's
+        stencil jet; else the one built with it, or one built for them."""
+        if self.whole is not None:
+            whole, rows = self.whole
+            return whole.stencil.take(_blocks(rows, len(whole.stencil.x) // len(whole.x)))
+        return self.built_stencil or point_jet(
+            self.spec, numdiff.stencil(self.x, self.spec.cfg).reshape(-1, self.x.shape[1]))
 
 
 def _blocks(rows, per: int) -> Array:
-    """The stencil rows of the rows ``rows``, counted from the first stencil row,
-    when each row has a block of ``per``."""
+    """The stencil rows of the rows ``rows`` when each row has a block of ``per``."""
     return (np.asarray(rows, dtype=int)[:, None] * per + np.arange(per)).ravel()
-
-
-def _join(head, tail):
-    """Two parts at consecutive row ranges as one."""
-    if isinstance(head, ConformalityData):
-        return ConformalityData(*map(_join, vars(head).values(), vars(tail).values()))
-    return np.concatenate([head, tail])
 
 
 def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
     """Differentiate the map at each row of x once and split the differential by
     rank: one :func:`differential`, one source metric call and one batched SVD,
-    the rank decided per row (phi and h at first read).  With ``stencil`` the
-    rows are those of x and then its ``numdiff.stencil`` points, and the jet
-    returned is the one at x's rows."""
+    the rank decided per row (phi and h at first read).  With ``stencil`` these
+    run on the rows of x and then its ``numdiff.stencil`` points, and the jet at
+    x's rows holds the jet at the stencil points as ``built_stencil``."""
     x = np.array(as_points(x))
     rows = (np.concatenate([x, numdiff.stencil(x, spec.cfg).reshape(-1, x.shape[1])])
             if stencil else x)
@@ -249,8 +223,9 @@ def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
     _, sv, vt = np.linalg.svd(d)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
-    jet = PointJet(spec, rows, d, g, sv, vt, rank, samples=len(x) if stencil else None)
-    return jet.take(np.arange(len(x))) if stencil else jet
+    parts, k = (rows, d, g, sv, vt, rank), len(x)
+    return PointJet(spec, *(p[:k] for p in parts), built_stencil=PointJet(
+        spec, *(p[k:] for p in parts)) if stencil else None)
 
 
 def holomorphy_residual(jet: PointJet) -> list[float]:
@@ -378,11 +353,10 @@ def _vertical_projector(jet: PointJet) -> Array:
 
 def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..., Array]:
     """Smooth g-orthonormal vertical frame near each row of the jet: a function
-    from the jet at nearby points (and, if held, their vertical projectors, as
+    from the jet at nearby points, one block of points per row in order (the jet
+    itself, or ``jet.stencil``), and, if held, their vertical projectors (as
     ``p_v`` at the jet's rows) to the frame at each point, as a matrix whose
     columns are the frame vectors (a 0-dimensional fibre has the empty frame).
-    ``owner[i]`` is the row of ``jet`` that point i is near: by default, one
-    block of points per row in order, as in ``jet.stencil``.
 
     Fixed coordinate axes (chosen per row of ``jet`` by largest vertical
     projection, ties broken by index) are pushed through the pointwise
@@ -408,10 +382,9 @@ def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..
         axes = np.column_stack([axes, best])
         basis.append(w[rows, best] / score[rows, best, None])
 
-    def frame_at(at: PointJet, p: Array | None = None, owner: Array | None = None) -> Array:
+    def frame_at(at: PointJet, p: Array | None = None) -> Array:
         p = _vertical_projector(at) if p is None else p
-        rows = np.arange(len(p))
-        cols = np.repeat(axes, len(p) // len(axes), axis=0) if owner is None else axes[owner]
+        rows, cols = np.arange(len(p)), np.repeat(axes, len(p) // len(axes), axis=0)
         frame = orthonormalize([p[rows, :, cols[:, a]] for a in range(k)], at.metric)
         return np.stack(frame, axis=-1) if k else np.zeros((len(p), n, 0))
 
@@ -421,21 +394,18 @@ def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..
 def fibre_mean_curvature(jet: PointJet) -> Array:
     """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame at each
     row; the zero vector exactly when the fibre is minimal there (0-dimensional
-    fibres are).  The projectors and the frames are built once over ``jet.both``
-    (a sample fixes the axes of its block of stencil rows), and the frames are
-    differenced at its stencil rows."""
-    both, k = jet.both, len(jet.x)
-    p_v = _vertical_projector(both)
-    owner = np.concatenate([np.arange(k), np.repeat(np.arange(k), len(both.x) // k - 1)])
-    frames = vertical_frame_field(jet, p_v[:k])(both, p_v, owner)
-    gamma, frame = jet.gamma, frames[:k]
+    fibres are).  A sample fixes the axes of the frames at its stencil points,
+    which are differenced at ``jet.stencil``."""
+    p_v = _vertical_projector(jet)
+    frame_at = vertical_frame_field(jet, p_v)
+    gamma, frame = jet.gamma, frame_at(jet, p_v)
     # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
-    dframe = numdiff.difference(frames[k:], jet.x, jet.spec.cfg)
+    dframe = numdiff.difference(frame_at(jet.stencil), jet.x, jet.spec.cfg)
     total = np.zeros(jet.x.shape)
     for a in range(frame.shape[2]):
         v, dv = frame[:, :, a], dframe[..., a]
         total = total + np.einsum("ri,rik->rk", v, dv) + np.einsum("rkij,ri,rj->rk", gamma, v, v)
-    return total - (p_v[:k] @ total[..., None])[..., 0]
+    return total - (p_v @ total[..., None])[..., 0]
 
 
 def require_regular(jet: PointJet, what: str) -> None:
@@ -525,11 +495,11 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
 
 
 def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
-    """The structure jet of the lifted J at the rows of a map jet: J built
-    once over ``jet.both``, d J differenced at its stencil rows, with the connection."""
-    lifted, k, gamma = lifted_j(jet.both, orientation), len(jet.x), jet.gamma
-    j, dj = lifted[:k], numdiff.difference(lifted[k:], jet.x, jet.spec.cfg)
-    return StructureJet(jet.x, jet.metric, j, dj, gamma, nabla_j_tensor(gamma, j, dj))
+    """The structure jet of the lifted J at the rows of a map jet: J at the jet's
+    rows, d J differenced at ``jet.stencil``, with the connection."""
+    j = lifted_j(jet, orientation)
+    dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, jet.spec.cfg)
+    return StructureJet(jet.x, jet.metric, j, dj, jet.gamma)
 
 
 def _lifts(lift: Array, zs: Array) -> Array:

@@ -28,9 +28,10 @@ A map check builds the map's jet at its samples once, as one stack, in
 :meth:`maps.PointJet.take` selects from it), one stacked call each: the
 conformality data, holomorphy, the tension, the Lee push-forward and the
 third-order operators.  A check that reads the stencil (fibres, homothety, the
-lifts) builds the jet over its samples and their stencil points at once.  So a
-map check takes one ``maps.differential`` call, and reads phi, the target metric,
-the conformality data and the source structure jet at its samples from the jet.
+lifts) builds the sample jet together with the jet at their stencil points that
+it holds, ``jet.stencil``, from one stack.  So a map check takes one
+``maps.differential`` call, and reads phi, the target metric, the conformality
+data and the source structure jet at its samples from the jet.
 A structure check builds one stacked structure jet for all its samples (the lift
 checks, one for the lifted J) and reads its rows.
 """

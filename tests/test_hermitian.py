@@ -459,6 +459,16 @@ def test_classify_rejects_incompatible_structure(cfg):
     assert err.value.precondition == "almost Hermitian"
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_square_residual_bound_does_not_scale_with_the_metric(scale):
+    """max|J^2 + I| is held to ``J_SQUARE_TOL`` itself, as geodsl validates it:
+    a J rotated by pi/2 + 1e-7 (J^2 + I = 2e-7, J^T g J = g) is rejected under
+    g = I and under g = 1e4 I alike."""
+    angle = np.pi / 2 + 1e-7
+    j = np.array([[[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]])
+    with pytest.raises(PreconditionFailed, match=r"J\^2 \+ I residual 2e-07"):
+        hermitian.require_almost_hermitian(scale * np.eye(2)[None], j, np.zeros((1, 2)))
+
 CONFORMAL_SRC = """
 dim = 4
 domain x1 = [-1.0, 1.0]

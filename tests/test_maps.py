@@ -474,12 +474,11 @@ def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
 @pytest.mark.parametrize("name, key", [("hopf-s3", "hopf"), ("punctured-hopf-2", "hopf"),
                                        ("annulus-radial", "radial")])
 def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
-    """Every part of a jet built over the samples and their stencil points equals
-    that of the sample jet and of the stencil jet built apart: the fields, every
-    conformality array and the lift at both row ranges, Gamma against
-    ``christoffel``, the vertical frames (a sample fixes the axes of its block of
-    stencil rows) and the fibre mean curvature, which also equals each point's
-    one-row stack's on a 3-point plan."""
+    """Every part of a jet built with its stencil jet equals that of the sample
+    jet and of the stencil jet built apart: the fields, every conformality array
+    and the lift at both, Gamma against ``christoffel``, the vertical frames (a
+    sample fixes the axes of its block of stencil points) and the fibre mean
+    curvature, which also equals each point's one-row stack's on a 3-point plan."""
     spec = catalog.get_entry(name).maps[key]
     points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
     joint, samples = point_jet(spec, points, stencil=True), point_jet(spec, points)
@@ -490,13 +489,10 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
         for part in dataclasses.fields(alone.split):
             assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))
     assert np.array_equal(joint.gamma, christoffel(spec.source, points, spec.cfg))
-    both, k = joint.both, len(points)
-    p_v = _vertical_projector(both)
-    owner = np.concatenate([np.arange(k), np.repeat(np.arange(k), len(both.x) // k - 1)])
-    frames = vertical_frame_field(joint, p_v[:k])(both, p_v, owner)
-    frame_at = vertical_frame_field(samples)
-    assert np.array_equal(frames[:k], frame_at(samples))
-    assert np.array_equal(frames[k:], frame_at(stencil))
+    p_v = _vertical_projector(joint)
+    joint_frame_at, frame_at = vertical_frame_field(joint, p_v), vertical_frame_field(samples)
+    assert np.array_equal(joint_frame_at(joint, p_v), frame_at(samples))
+    assert np.array_equal(joint_frame_at(joint.stencil), frame_at(stencil))
     curvature = fibre_mean_curvature(joint)
     assert np.array_equal(curvature, fibre_mean_curvature(samples))
     for r in range(len(points)):

@@ -97,6 +97,21 @@ def test_map_check_takes_two_differentials(sid, count, monkeypatch):
         x[count:], numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim))
 
 
+def test_stencil_of_a_jet_built_without_one_differentiates_only_its_points(monkeypatch):
+    """Reading ``stencil`` on a jet built without one takes one
+    ``maps.differential`` call, on exactly the stencil points of its rows (not
+    on the rows again); a taken jet reads its rows' blocks of that stencil jet."""
+    spec = hopf()
+    samples = np.array(SamplePlan(seed=0, count=2).points(spec.source, CFG))
+    jet, calls = point_jet(spec, samples), []
+    differential = maps.differential
+    monkeypatch.setattr(maps, "differential", lambda spec, x:
+                        calls.append(np.array(x)) or differential(spec, x))
+    points = numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim)
+    assert np.array_equal(jet.stencil.x, points)
+    assert np.array_equal(jet.take([1]).stencil.x, points[len(points) // 2:])
+    (x,) = calls
+    assert np.array_equal(x, points)
 @pytest.mark.parametrize("sid", MAP_SCENARIOS)
 def test_map_check_evaluates_phi_on_its_samples_once(sid, monkeypatch):
     """phi(x) at the samples is the sample jet's ``image``: the check's map runs

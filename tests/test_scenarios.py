@@ -327,9 +327,9 @@ def test_each_sample_is_differentiated_once(sid, monkeypatch):
 
 def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
     """The lifted J is built once, by the structure jet, at each sample and at
-    each point of its stencil (rows of the map's one jet); the invariant check
-    reads the structure jet's J (it built J at the samples again before), and the
-    lifted field itself is never built."""
+    each point of its stencil (on the map's sample jet and its stencil jet); the
+    invariant check reads the structure jet's J (it built J at the samples again
+    before), and the lifted field itself is never built."""
     read = []
     lifted_j = maps.lifted_j
     monkeypatch.setattr(maps, "lifted_j", lambda jet, orientation:
@@ -393,9 +393,9 @@ def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
 
 
 def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypatch):
-    """The lift checks read the horizontal-lift matrices from the jet's ``lift``:
+    """The lift checks read the horizontal-lift matrices from the jets' ``lift``:
     the invariants, the lifted structure jet and condition (ii) share one build
-    over the sample rows and then their stencil rows (one build on each before)."""
+    on the sample jet and one on its stencil jet."""
     built = []
     lift_matrix = maps._lift_matrix
     monkeypatch.setattr(maps, "_lift_matrix",
@@ -406,9 +406,9 @@ def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypat
     plan = SamplePlan(0, 2)
     assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
     samples = np.array(sample_points(sid, plan))
-    (rows,) = built
-    assert np.array_equal(rows, np.concatenate(
-        [samples, numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim)]))
+    at_samples, at_stencil = built
+    assert np.array_equal(at_samples, samples)
+    assert np.array_equal(at_stencil, numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim))
 
 
 MAP_SCENARIOS = [sid for sid, (_, _, entry_id, key, _) in scenarios.SCENARIOS.items()
@@ -425,10 +425,10 @@ def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
     structure read the source Christoffel symbols from the sample jet's
     ``gamma``: no source Christoffel build repeats a row that the check has
     already built, and every build reads the jet's own g (at the samples, and at
-    their stencil points for a jet over both) instead of evaluating it again:
-    ``christoffel`` is the one route, given the metric the jet holds.  The source
-    is a renamed copy of the chart, so the target side of a map into its own
-    chart (the identity) is not counted."""
+    their stencil points for a jet built with its stencil jet) instead of
+    evaluating it again: ``christoffel`` is the one route, given the metric the
+    jet holds.  The source is a renamed copy of the chart, so the target side of
+    a map into its own chart (the identity) is not counted."""
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"))
