@@ -5,6 +5,9 @@ is printed per report:
 
 * ``run`` for every scenario at each setting of a flag grid (``--report
   json``);
+* one line per cell of the seed × step × Richardson sweep (``SWEEP_*``),
+  hashing the cell's ``run --report json`` outputs and exit codes of all
+  scenarios, in scenario order;
 * ``list``;
 * ``classify`` and ``check-map`` (``--report json``) on the benchmark's
   generated DSL configs for a few seeds, written to a temporary directory by
@@ -57,6 +60,11 @@ GRID = (
     (3, ("--points", "2", "--step", "1e-5")),
     (3, ("--points", "2", "--step", "1e-3", "--richardson", "off")),
 )
+#: The sweep: every scenario at ``SWEEP_POINTS`` points, in every cell of
+#: seeds × steps × Richardson on/off; some runs exit 1 (a failed check).
+SWEEP_SEEDS = (0, 1, 2, 3)
+SWEEP_STEPS = ("1e-3", "1e-4", "1e-5")
+SWEEP_POINTS = "10"
 #: Seeds of the generated DSL configs.
 DSL_SEEDS = (0, 1, 7)
 #: Hand-written configs: log, tan, atan2, sqrt and non-integer ^ in g and in maps.
@@ -90,14 +98,28 @@ map curved -> 2 = [log(1 + x1^2 + x2^2) + tan(0.3*x3), atan2(x2, x1)^1.5 + x4]
 HAND_FLAGS = ("--report", "json", "--seed", "0", "--points", "3")
 
 
-def digest(argv: list[str]) -> str:
-    """SHA-256 of what ``hermkit`` prints for ``argv``."""
+def run(argv: list[str]) -> tuple[str, int]:
+    """What ``hermkit`` prints for ``argv``, and its exit code (never 2)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     if code == 2:
         raise SystemExit(f"hermkit {' '.join(argv)} exited 2")
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return out.getvalue(), code
+
+
+def digest(argv: list[str]) -> str:
+    """SHA-256 of what ``hermkit`` prints for ``argv``."""
+    return hashlib.sha256(run(argv)[0].encode("utf-8")).hexdigest()
+
+
+def sweep_digest(extra: list[str]) -> str:
+    """SHA-256 of every scenario's report and exit code under ``extra``."""
+    sha = hashlib.sha256()
+    for sid in scenarios.scenario_ids():
+        text, code = run(["run", sid, *extra, "--report", "json"])
+        sha.update(f"{sid} {code}\n{text}".encode("utf-8"))
+    return sha.hexdigest()
 
 
 def lines():
@@ -106,6 +128,12 @@ def lines():
         for sid in scenarios.scenario_ids():
             extra = ["--seed", str(seed), *flags]
             yield f"{digest(['run', sid, *extra, '--report', 'json'])}  {sid}  {' '.join(extra)}"
+    for seed in SWEEP_SEEDS:
+        for step in SWEEP_STEPS:
+            for richardson in ("on", "off"):
+                extra = ["--seed", str(seed), "--points", SWEEP_POINTS,
+                         "--step", step, "--richardson", richardson]
+                yield f"{sweep_digest(extra)}  sweep  {' '.join(extra)}"
     yield f"{digest(['list'])}  list"
     with tempfile.TemporaryDirectory() as tmp:
         for seed in DSL_SEEDS:

@@ -11,7 +11,7 @@ from .hermitian import (AlmostComplexField, HermitianFrame, StructureJet,
                         StructureReport, classify_structure, divergence_J,
                         hermitian_frame, lee_vector, nabla_J, nijenhuis, structure_jet)
 from .manifold import (Box, Chart, Embedding, SamplePlan, VectorField, christoffel,
-                       covariant_derivative, gradient, lie_bracket)
+                       covariant_derivative, gradient, lie_bracket, metric_derivative)
 from .maps import (ConformalityData, MapSpec, PointJet, condition_ii_residual,
                    conformality, differential, fibre_mean_curvature,
                    holomorphy_residual, homothety_residual, lee_pushforward,
@@ -35,7 +35,7 @@ __all__ = [
     "by_row", "christoffel", "classify_structure", "condition_ii_residual", "conformality",
     "covariant_derivative", "differential", "divergence_J",
     "fibre_mean_curvature", "gradient", "hermitian_frame", "holomorphy_residual",
-    "homothety_residual", "lee_pushforward", "lee_vector", "lie_bracket",
+    "homothety_residual", "lee_pushforward", "lee_vector", "lie_bracket", "metric_derivative",
     "lift_structure", "nabla_J", "nijenhuis", "orthonormalize", "partial", "point_jet",
     "run_scenario", "scenario_description", "scenario_ids",
     "second_partial", "structure_jet", "superminimality_residual", "tension",

@@ -144,14 +144,15 @@ def _load_config(path: Path) -> geodsl.GeoConfig:
 
 
 def _cmd_classify(args) -> int:
-    from .hermitian import classify_structure
+    from .hermitian import classify_structure, structure_jet
 
     config = _load_config(args.config)
     chart, structure = geodsl.to_chart(config)
     if structure is None:
         raise DslError("classify needs a 'J = ...' block in the config")
     cfg = _diff_config(args)
-    report = classify_structure(chart, structure, _plan(args), cfg)
+    points = _plan(args).points(chart, cfg)
+    report = classify_structure(structure_jet(chart, structure, points, cfg))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": _flags_dict(args),

@@ -8,22 +8,21 @@ complex-bilinear / Hermitian extensions of the metric are applied explicitly.
 
 Every operator here takes a (k, dim) stack x of points, one per row (a point is
 its one-row stack), and returns the stack of its values at the rows, each row as
-alone; a 1-D point raises ``WrongDimension``.  The structure operators (nabla J,
-div J, the Lee field, the Nijenhuis tensor) read a :class:`StructureJet`: g, J,
-d J and, unless built with ``connection=False`` (all the Nijenhuis tensor
-needs), the Christoffel symbols and nabla J.  :func:`structure_jet` builds it
-for all the samples of a check from one metric and one J call on the samples and
-then their ``numdiff.stencil`` points (a map check's ``maps.PointJet.structure``
-reuses its g and Christoffel symbols); :func:`pair_norms` evaluates an operator
-at every pair of vectors in one call.  :func:`classify_structure` decides every
-class from the real form of nabla J at the samples' Hermitian frames (Gray &
-Hervella 1980).  Nothing is cached by point: a check passes down the jet it
-holds.
+alone; a 1-D point raises ``WrongDimension``.  A :class:`StructureJet` is the
+one owner of a chart's g, g^-1, Christoffel symbols, J, d J and nabla J at a
+stack, each built once; :func:`structure_jet` builds it for a check's samples
+from one metric and one J call on the samples and their ``numdiff.stencil``
+points, and a map jet holds one per side (``maps.PointJet.source``,
+``target``).  The structure operators (nabla J, div J, the Lee field, the
+Nijenhuis tensor) and :func:`classify_structure`, which decides every class
+from the real form of nabla J at a jet's Hermitian frames (Gray & Hervella
+1980), read a jet; :func:`pair_norms` evaluates an operator at every pair of
+vectors in one call.  Nothing is cached by point: a check passes down the jet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DslError, GeometryError, PreconditionFailed, RankDeficient
-from .manifold import Chart, SamplePlan, christoffel
+from .manifold import Chart, christoffel, invert_metric, metric_derivative
 from .numdiff import Array, DiffConfig, as_points, as_stack, g_length, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
@@ -194,45 +193,72 @@ def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
             - np.einsum("...lij,...kl->...ikj", gamma, j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureJet:
-    """The stacks of g, J and d J (``dj[r, i, k, j]`` = d_i J^k_j) at the rows r of
-    x, with those of the Christoffel symbols and ``nabla[r, i, k, j]`` =
-    (nabla_i J)^k_j, or ``None`` for both when built without the connection."""
+    """g, g^-1, the Christoffel symbols ``gamma[r, k, i, j]``, J, d J (``dj[r, i, k, j]``
+    = d_i J^k_j) and ``nabla[r, i, k, j]`` = (nabla_i J)^k_j at the rows r of x.
 
+    g is given; every other part (:attr:`PARTS`) is built when first read and then
+    kept, unless ``held`` (its builder's arrays, by name) holds it: g^-1 by
+    ``invert_metric``, Gamma from g^-1 and ``manifold.metric_derivative`` (on an
+    error, the first bad row's), J from ``j_field`` and d J by :func:`dj_stack`.
+    """
+
+    PARTS = ("metric_inverse", "gamma", "j", "dj", "nabla")
+    chart: Chart
+    j_field: AlmostComplexField | None
     x: Array
+    cfg: DiffConfig
     metric: Array
-    j: Array
-    dj: Array
-    gamma: Array | None
+    held: InitVar[dict | None] = None
+
+    def __post_init__(self, held):
+        for name, value in (held or {}).items():  # read as the part itself
+            object.__setattr__(self, name, value)
+
+    def __getitem__(self, rows) -> StructureJet:
+        """The jet at the rows ``rows``, holding those rows of every part built so far."""
+        built = {name: vars(self)[name][rows] for name in self.PARTS if name in vars(self)}
+        return StructureJet(self.chart, self.j_field, self.x[rows], self.cfg, self.metric[rows],
+                            built)
+
+    metric_inverse = cached_property(lambda jet: invert_metric(jet.metric, jet.x))
+    j = cached_property(lambda jet: jet.j_field(jet.x))
+    dj = cached_property(lambda jet: dj_stack(jet.chart, jet.j_field, jet.x, jet.cfg))
+    nabla = cached_property(lambda jet: nabla_j_tensor(jet.gamma, jet.j, jet.dj))
 
     @cached_property
-    def nabla(self) -> Array | None:
-        """:func:`nabla_j_tensor` of the jet's Christoffel symbols, J and d J."""
-        return None if self.gamma is None else nabla_j_tensor(self.gamma, self.j, self.dj)
+    def gamma(self) -> Array:
+        try:
+            dg = metric_derivative(self.chart, self.x, self.cfg)
+            return christoffel(self.metric_inverse, dg)
+        except (GeometryError, DslError, ValueError):
+            for r in range(len(self.x)) if len(self.x) > 1 else ():
+                self[r:r + 1].gamma  # noqa: B018 - raises the first bad row's error
+            raise
 
 
-def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-                  connection: bool = True) -> StructureJet:
-    """The jet at the rows of x from g and J evaluated once on the rows and then
-    their ``numdiff.stencil`` points (g at the rows alone without ``connection``),
-    d J and Gamma from the stencil rows; on an error the rows are built alone, so
-    the error raised is the first bad row's."""
+def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> StructureJet:
+    """The jet at the rows of x holding g^-1, Gamma, J and d J, from g and J
+    evaluated once on the rows and then their ``numdiff.stencil`` points: d J and
+    Gamma from the stencil rows; on an error the rows are built alone, so the
+    error raised is the first bad row's."""
     x = as_points(x)
     k = len(x)
     try:
-        if connection:
-            chart.require_interior(x, cfg)
+        chart.require_interior(x, cfg)
         rows = np.concatenate([x, numdiff.stencil(x, cfg, chart.contains).reshape(-1, x.shape[1])])
         j = j_field(rows)  # J first, then g: only copies of their sample rows are kept
         j, dj = j[:k].copy(), numdiff.difference(j[k:], x, cfg)
-        g = chart.metric(rows if connection else x, cfg)
-        gamma = christoffel(chart, x, cfg, g) if connection else None
+        g = chart.metric(rows, cfg)
+        g_inv = invert_metric(g[:k], x)
     except (GeometryError, DslError, ValueError):
         for r in range(k) if k > 1 else ():
-            structure_jet(chart, j_field, x[r:r + 1], cfg, connection)
+            structure_jet(chart, j_field, x[r:r + 1], cfg)
         raise
-    return StructureJet(x, g[:k].copy(), j, dj, gamma)
+    gamma = christoffel(g_inv, numdiff.difference(g[k:], x, cfg))
+    return StructureJet(chart, j_field, x, cfg, g[:k].copy(),
+                        {"metric_inverse": g_inv, "gamma": gamma, "j": j, "dj": dj})
 
 
 def apply_j(jet: StructureJet, v) -> Array:
@@ -247,11 +273,8 @@ def nabla_J(jet: StructureJet, x_vec, y_vec) -> Array:
 
 
 def divergence_J(jet: StructureJet) -> Array:
-    """div J = trace of nabla J over any g-orthonormal frame, as g^{ij}(nabla_i J)^k_j.
-
-    The jet's Christoffel build has already checked that g is invertible.
-    """
-    return np.einsum("...ij,...ikj->...k", np.linalg.inv(jet.metric), jet.nabla)
+    """div J = trace of nabla J over any g-orthonormal frame, as g^{ij}(nabla_i J)^k_j."""
+    return np.einsum("...ij,...ikj->...k", jet.metric_inverse, jet.nabla)
 
 
 def lee_vector(jet: StructureJet) -> Array:
@@ -312,40 +335,35 @@ class StructureReport:
         }
 
 
-def classify_structure(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
-                       cfg: DiffConfig,
-                       points: Array | None = None) -> StructureReport:
-    """Classify (chart, J) at the plan's sample points.
+def classify_structure(jet: StructureJet) -> StructureReport:
+    """Classify the chart and J of a structure jet at its rows.
 
-    Residuals are maxima over samples, and over X, Y in each sample's
-    Hermitian frame, of the real-form conditions on nabla J (Gray & Hervella
-    1980): Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
+    Residuals are maxima over the rows, and over X, Y in each row's Hermitian
+    frame, of the real-form conditions on nabla J (Gray & Hervella 1980):
+    Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
     ``|(nabla_X J) Y + (nabla_JX J) J Y|``; cosymplectic ``|div J|``;
-    integrable ``|N(X, Y)|``.  ``points``, a (k, dim) stack, overrides the
-    plan's samples (used when a map pushes samples onto this chart).
-    Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at a
-    sample where (g, J) is not almost Hermitian: such a pair has no
-    classification.  The structure jet and the Hermitian frames of all samples
-    are built first, each as one stack, and every residual is one stacked pass
-    (the Nijenhuis one over all frame pairs, by :func:`pair_norms`).
+    integrable ``|N(X, Y)|``.  Raises ``PreconditionFailed``
+    (:func:`require_almost_hermitian`) at a row where (g, J) is not almost
+    Hermitian, before any frame is built: such a pair has no classification.
+    The Hermitian frames of all rows are built as one stack, and every residual
+    is one stacked pass (the Nijenhuis one over all frame pairs, by
+    :func:`pair_norms`).
     """
-    stack = plan.points(chart, cfg) if points is None else as_points(points)
-    jets = structure_jet(chart, j_field, stack, cfg)
-    g, j, t = jets.metric, jets.j, jets.nabla
-    scale = max(1.0, float(np.max(1.0 + np.max(np.abs(jets.gamma), axis=(1, 2, 3))
+    g, j = jet.metric, jet.j
+    require_almost_hermitian(g, j, jet.x)
+    scale = max(1.0, float(np.max(1.0 + np.max(np.abs(jet.gamma), axis=(1, 2, 3))
                                   * (1.0 + np.max(np.abs(j), axis=(1, 2))))))
     frame = stacked_hermitian_frame(g, j)
-    require_almost_hermitian(g, j, stack)
     u = np.stack(frame.real_frame, axis=-1)  # u[r, :, a] is the a-th frame vector at row r
     ju = j @ u
-    nab = np.einsum("rikj,ria,rjb->rkab", t, u, u)
-    nab_j = np.einsum("rikj,ria,rjb->rkab", t, ju, ju)
+    nab = np.einsum("rikj,ria,rjb->rkab", jet.nabla, u, u)
+    nab_j = np.einsum("rikj,ria,rjb->rkab", jet.nabla, ju, ju)
     s12 = nab + nab_j
     r_kahler, r_12 = (float(np.max(np.sqrt(np.maximum(
         np.einsum("rkab,rkl,rlab->rab", a, g, a), 0.0)), initial=0.0)) for a in (nab, s12))
-    r_cosympl = float(np.max(g_norm(g, divergence_J(jets)), initial=0.0))
-    r_nij = float(np.max(pair_norms(nijenhuis, jets, combinations(frame.real_frame, 2))))
-    tol = cfg.tolerance(scale)
+    r_cosympl = float(np.max(g_norm(g, divergence_J(jet)), initial=0.0))
+    r_nij = float(np.max(pair_norms(nijenhuis, jet, combinations(frame.real_frame, 2))))
+    tol = jet.cfg.tolerance(scale)
     residuals = (r_kahler, r_12, r_cosympl, r_nij)
     return StructureReport(*residuals, dict(zip(CLASSES, (bool(r <= tol) for r in residuals))),
-                           tuple(stack), tol, scale)
+                           tuple(jet.x), tol, scale)

@@ -9,12 +9,11 @@ the stack of its values at the rows, each row as alone; a 1-D point raises
 (k, dim, dim) stack of their metric matrices, an embedding's ``jacobian`` the
 stack to the stack of D(psi) and a :class:`VectorField`'s ``fn`` the stack to
 its (k, dim) vectors; :func:`numdiff.by_row` and :func:`numdiff.constant` make
-one from a per-point rule or a constant.  :func:`christoffel` builds the
-symbols from one metric stencil and inverts g by :func:`invert_metric`; a
-caller that holds g at x, or at x and its stencil points (a structure or a map
-jet), passes it instead of evaluating it again.  :func:`gram_metric` is the
-embedded metric from a D(psi) a caller holds.  There are no atlases or
-transition functions.
+one from a per-point rule or a constant.  :func:`christoffel` is the
+Levi-Civita formula alone, on g^-1 and d g (:func:`metric_derivative`) that a
+``hermitian.StructureJet``, the one owner of g, g^-1, Gamma, J and d J at a
+check's samples, holds.  :func:`gram_metric` is the embedded metric from a
+D(psi) a caller holds.  There are no atlases or transition functions.
 
 Nothing is cached by point: g(x), D(psi)(x) and the Christoffel symbols are
 computed on the stack they are asked for, and a check passes the stacks it
@@ -29,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import DslError, EvaluationOutsideDomain, GeometryError, SingularMetric
+from .errors import EvaluationOutsideDomain, SingularMetric
 from .numdiff import Array, DiffConfig, as_points, as_stack
 
 #: Symmetry slack accepted from a user-supplied metric field.
@@ -186,27 +185,17 @@ class VectorField:
                         f"vector field on {self.chart.name or '(unnamed)'}: fn")
 
 
-def christoffel(chart: Chart, x, cfg: DiffConfig, metric: Array | None = None) -> Array:
+def metric_derivative(chart: Chart, x, cfg: DiffConfig) -> Array:
+    """d g at the rows r of x as ``dg[r, i, j, l]`` = d_i g_jl, from one metric call
+    on the stencils of all rows, once each row is checked to lie inside enough."""
+    chart.require_interior(x, cfg)
+    return numdiff.partial(lambda s: chart.metric(s, cfg), x, cfg, domain=chart.contains)
+
+
+def christoffel(g_inv: Array, dg: Array) -> Array:
     """Levi-Civita symbols Gamma^k_{ij} = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)
-    at the rows r of x as the stack ``gamma[r, k, i, j]``, symmetric in (i, j):
-    one metric stencil for all rows.  ``metric``, g held by the caller at x or at
-    x and then its ``numdiff.stencil`` points, is not evaluated again; a caller
-    that holds it at the stencil points has checked the interior.  On an error
-    the rows are built alone, so the error raised is the first bad row's."""
-    x, g = as_points(x), metric
-    k, held = len(x), g is not None and len(g) > len(x)  # held: g at the stencil points too
-    try:
-        if not held:
-            chart.require_interior(x, cfg)
-        g_inv = chart.metric_inverse(x, cfg) if g is None else invert_metric(g[:k], x)
-        dg = (numdiff.difference(g[k:], x, cfg) if held else
-              numdiff.partial(lambda s: chart.metric(s, cfg), x, cfg, domain=chart.contains))
-    except (GeometryError, DslError, ValueError):
-        for r in range(k) if k > 1 else ():
-            christoffel(chart, x[r:r + 1], cfg, None if g is None else np.concatenate(
-                [g[r:r + 1], g[k:].reshape(k, -1, *g.shape[1:])[r]]))
-        raise
-    # combined[r, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}, from dg[r, i, j, l] = d_i g_{jl}
+    at the rows r of stacks g^-1 and ``dg[r, i, j, l]`` = d_i g_jl, as the stack
+    ``gamma[r, k, i, j]``, symmetric in (i, j)."""
     combined = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
     gamma = 0.5 * np.einsum("rkl,rijl->rkij", g_inv, combined)
     return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
@@ -216,8 +205,9 @@ def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: Dif
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_{ij} X^i Y^j at the rows of x."""
     if x_field.chart is not y_field.chart:
         raise ValueError("fields live on different charts")
-    gamma, xv, yv = christoffel(x_field.chart, x, cfg), x_field(x), y_field(x)
-    dy = numdiff.partial(y_field, x, cfg)
+    chart = x_field.chart
+    gamma = christoffel(chart.metric_inverse(x, cfg), metric_derivative(chart, x, cfg))
+    xv, yv, dy = x_field(x), y_field(x), numdiff.partial(y_field, x, cfg)
     return (np.einsum("...i,...ik->...k", xv, dy)
             + np.einsum("...kij,...i,...j->...k", gamma, xv, yv))
 

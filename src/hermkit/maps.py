@@ -13,17 +13,17 @@ their stencil points builds it with ``stencil=True``, which runs the one
 differential, metric call and SVD on the samples and then their stencil points
 and returns the jet at the samples holding the jet at the stencil points,
 ``jet.stencil``.  Each jet builds, when first read, and shares with every reader
-``jet.image``, phi(x), ``jet.target_metric`` and ``jet.target_j``, h and the
-target J there, ``jet.j``, the source J, ``jet.split``, its :func:`conformality`
-data (an array per field), ``jet.lift``, its horizontal-lift matrices,
-``jet.gamma``, the source Christoffel symbols (from the stencil jet's g when it
-holds one), and ``jet.structure``, the source structure jet.  The third-order
+``jet.image``, phi(x), ``jet.split``, its :func:`conformality` data (an array
+per field), ``jet.lift``, its horizontal-lift matrices, and one
+``hermitian.StructureJet`` per side, the one owner of that side's g, g^-1,
+Christoffel symbols, J and d J: ``jet.source`` at x, on the jet's g (its
+Christoffel symbols from the stencil jet's g when built with one), and
+``jet.target`` at phi(x), on h there.  The third-order
 operators (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
 :func:`lifted_structure_jet`, :func:`condition_ii_residual`) read what they
 need on ``jet`` and on ``jet.stencil`` and difference the latter;
 :func:`sff_tensor` and :func:`tension` take one ``second_partial`` stencil for
-all its samples, and the target Christoffel symbols from h at phi(x) and at its
-stencil points.
+all its samples and the Christoffel symbols of both sides.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images.  Nothing is cached by point: phi is
@@ -41,9 +41,9 @@ import numpy as np
 
 from . import numdiff
 from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
-from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, dj_stack,
-                        g_norm, lee_vector, nabla_J, require_almost_hermitian,
-                        stacked_hermitian_frame, unit_axes)
+from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
+                        lee_vector, nabla_J, require_almost_hermitian, stacked_hermitian_frame,
+                        unit_axes)
 from .manifold import Chart, christoffel, invert_metric
 from .numdiff import (Array, DiffConfig, as_points, as_stack, g_length, gram_schmidt,
                       orthonormalize, project_out)
@@ -109,7 +109,8 @@ class PointJet:
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
     The cached properties are built when first read and then kept; a jet made by
     :meth:`take` reads its rows of the jet it was taken from (of that jet's
-    ``stencil`` for its own), but for ``metric_inverse`` and ``structure``.
+    ``stencil`` for its own).  ``source`` and ``target`` are the structure jets of
+    the two sides, at x and at phi(x).
     ``stencil`` is a second jet, at the ``numdiff.stencil`` points of the rows:
     ``built_stencil`` when :func:`point_jet` built the two together, else one
     built when first read.
@@ -134,7 +135,7 @@ class PointJet:
         parts = (self.x, self.differential, self.metric, self.singular_values, self.vt, self.rank)
         return PointJet(self.spec, *(p[rows] for p in parts), whole=(self, rows))
 
-    def _part(self, name: str, build: Callable) -> Array | ConformalityData:
+    def _part(self, name: str, build: Callable) -> Array | ConformalityData | StructureJet:
         """``build(self)``; a taken jet reads its rows of its jet's part."""
         if self.whole is None:
             return build(self)
@@ -158,39 +159,18 @@ class PointJet:
         return self._part("image", lambda jet: jet.spec(jet.x))
 
     @cached_property
-    def target_metric(self) -> Array:
-        """The target metric h at phi of the jet's rows."""
-        return self._part("target_metric",
-                          lambda jet: jet.spec.target.metric(jet.image, jet.spec.cfg))
+    def source(self) -> StructureJet:
+        """The source structure jet at the jet's rows, on the jet's g; with the
+        stencil jet built with it, the Christoffel symbols from that jet's g."""
+        return self._part("source", _source_jet)
 
     @cached_property
-    def target_j(self) -> Array:
-        """The target structure J at phi of the jet's rows."""
-        return self._part("target_j", lambda jet: jet.spec.target_structure(jet.image))
-
-    @cached_property
-    def gamma(self) -> Array:
-        """The source Christoffel symbols at the jet's rows, from the jet's g at its
-        rows and, when it was built with its stencil jet, that jet's g."""
-        return self._part("gamma", lambda jet: christoffel(
-            jet.spec.source, jet.x, jet.spec.cfg, jet.metric if jet.built_stencil is None
-            else np.concatenate([jet.metric, jet.built_stencil.metric])))
-
-    @cached_property
-    def j(self) -> Array:
-        """The source structure J at the jet's rows."""
-        return self._part("j", lambda jet: jet.spec.source_structure(jet.x))
-
-    @cached_property
-    def metric_inverse(self) -> Array:
-        """g^-1 at the jet's rows, by ``invert_metric``."""
-        return invert_metric(self.metric, self.x)
-
-    @cached_property
-    def structure(self) -> StructureJet:
-        """The source structure jet at the jet's rows, on its g, J and ``gamma``."""
-        dj = dj_stack(self.spec.source, self.spec.source_structure, self.x, self.spec.cfg)
-        return StructureJet(self.x, self.metric, self.j, dj, self.gamma)
+    def target(self) -> StructureJet:
+        """The target structure jet at phi of the jet's rows, on h there."""
+        spec = self.spec
+        return self._part("target", lambda jet: StructureJet(
+            spec.target, spec.target_structure, jet.image, spec.cfg,
+            spec.target.metric(jet.image, spec.cfg)))
 
     @cached_property
     def stencil(self) -> PointJet:
@@ -202,6 +182,17 @@ class PointJet:
             return whole.stencil.take(_blocks(rows, len(whole.stencil.x) // len(whole.x)))
         return self.built_stencil or point_jet(
             self.spec, numdiff.stencil(self.x, self.spec.cfg).reshape(-1, self.x.shape[1]))
+
+
+def _source_jet(jet: PointJet) -> StructureJet:
+    """The source structure jet of a jet; one built with its stencil jet holds g^-1
+    and the Christoffel symbols from its g and the stencil jet's."""
+    spec, held = jet.spec, None
+    if jet.built_stencil is not None:
+        g_inv = invert_metric(jet.metric, jet.x)
+        dg = numdiff.difference(jet.built_stencil.metric, jet.x, spec.cfg)
+        held = {"metric_inverse": g_inv, "gamma": christoffel(g_inv, dg)}
+    return StructureJet(spec.source, spec.source_structure, jet.x, spec.cfg, jet.metric, held)
 
 
 def _blocks(rows, per: int) -> Array:
@@ -235,9 +226,9 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
     spec = jet.spec
     if spec.source_structure is None or spec.target_structure is None:
         raise MissingStructure("holomorphy needs almost-complex structures on both charts")
-    d, y, j_src, j_tgt = jet.differential, jet.image, jet.j, jet.target_j
+    d, y, j_src, j_tgt = jet.differential, jet.image, jet.source.j, jet.target.j
     require_almost_hermitian(jet.metric, j_src, jet.x)
-    require_almost_hermitian(jet.target_metric, j_tgt, y)
+    require_almost_hermitian(jet.target.metric, j_tgt, y)
     return [float(np.linalg.norm(m)) for m in d @ j_src - j_tgt @ d]
 
 
@@ -295,7 +286,7 @@ def conformality(jet: PointJet) -> ConformalityData:
             at, h = rows[part], len(horiz)
             img = (np.stack([(d[at] @ u[:, :, None])[:, :, 0] for u in horiz], axis=-1)
                    if horiz else np.zeros((len(at), t, 0)))
-            gram = np.swapaxes(img, 1, 2) @ jet.target_metric[at] @ img
+            gram = np.swapaxes(img, 1, 2) @ jet.target.metric[at] @ img
             lam_sq = np.diagonal(gram, axis1=1, axis2=2).sum(axis=1) / max(h, 1)
             padded = np.zeros((len(at), t, t))
             padded[:, :h, :h] = gram
@@ -312,9 +303,8 @@ def conformality(jet: PointJet) -> ConformalityData:
 
 def sff_tensor(jet: PointJet) -> Array:
     """All components of nabla dphi at the jet's rows, as (k, d, d, n)."""
-    spec, x, d, fx, cfg = jet.spec, jet.x, jet.differential, jet.image, jet.spec.cfg
-    spec.target.require_interior(fx, cfg)
-    gamma_m, gamma_n = jet.gamma, christoffel(spec.target, fx, cfg, jet.target_metric)
+    spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.spec.cfg
+    gamma_m, gamma_n = jet.source.gamma, jet.target.gamma
     out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
            - np.einsum("...kij,...gk->...ijg", gamma_m, d)
            + np.einsum("...gab,...ai,...bj->...ijg", gamma_n, d, d))
@@ -326,7 +316,7 @@ def sff_tensor(jet: PointJet) -> Array:
 def tension(jet: PointJet) -> Array:
     """Tension field tau = g^{ij} (nabla dphi)_{ij} at the jet's rows."""
     sff = sff_tensor(jet)
-    return np.einsum("...ij,...ijg->...g", jet.metric_inverse, sff)
+    return np.einsum("...ij,...ijg->...g", jet.source.metric_inverse, sff)
 
 
 def lee_pushforward(jet: PointJet) -> Array:
@@ -336,7 +326,7 @@ def lee_pushforward(jet: PointJet) -> Array:
     if spec.source_structure is None:
         raise MissingStructure("the Lee push-forward needs an almost-complex structure "
                                "on the source")
-    lee = lee_vector(jet.structure)
+    lee = lee_vector(jet.source)
     return (jet.differential @ lee[..., None])[..., 0]
 
 
@@ -398,7 +388,7 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     which are differenced at ``jet.stencil``."""
     p_v = _vertical_projector(jet)
     frame_at = vertical_frame_field(jet, p_v)
-    gamma, frame = jet.gamma, frame_at(jet, p_v)
+    gamma, frame = jet.source.gamma, frame_at(jet, p_v)
     # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
     dframe = numdiff.difference(frame_at(jet.stencil), jet.x, jet.spec.cfg)
     total = np.zeros(jet.x.shape)
@@ -417,15 +407,15 @@ def require_regular(jet: PointJet, what: str) -> None:
 
 def homothety_residual(jet: PointJet) -> list[float]:
     """|dphi(grad lambda^2)| in the target metric at each row, lambda^2 read at
-    the jet's stencil rows and g^-1 from ``jet.metric_inverse``."""
+    the jet's stencil rows and g^-1 from ``jet.source``."""
     cfg, stencil = jet.spec.cfg, jet.stencil
     require_regular(jet, "homothety residual needs regular samples")
     bad = np.flatnonzero(~stencil.split.regular)
     if bad.size:
         raise CriticalPoint(f"dilation field hit a non-regular stencil point {stencil.x[bad[0]]!r}")
     lam_sq = np.float_power(stencil.split.dilation, 2)  # libm pow, as ** on a float
-    grad = jet.metric_inverse @ numdiff.difference(lam_sq, jet.x, cfg)[..., None]
-    return g_norm(jet.target_metric, (jet.differential @ grad)[..., 0]).tolist()
+    grad = jet.source.metric_inverse @ numdiff.difference(lam_sq, jet.x, cfg)[..., None]
+    return g_norm(jet.target.metric, (jet.differential @ grad)[..., 0]).tolist()
 
 
 def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[float]:
@@ -478,7 +468,7 @@ def lifted_j(jet: PointJet, orientation: int) -> Array:
     sigma = (orientation * np.sign(signed))[:, None, None]
     g_v1, g_v2 = ((jet.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
     rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
-    return jet.lift @ jet.target_j @ jet.differential + rot
+    return jet.lift @ jet.target.j @ jet.differential + rot
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
@@ -495,11 +485,14 @@ def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
 
 
 def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
-    """The structure jet of the lifted J at the rows of a map jet: J at the jet's
-    rows, d J differenced at ``jet.stencil``, with the connection."""
+    """The source structure jet of a map jet with the lifted J in place of J: J at
+    the jet's rows, d J differenced at ``jet.stencil``, g, g^-1 and Gamma the
+    source jet's."""
     j = lifted_j(jet, orientation)
     dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, jet.spec.cfg)
-    return StructureJet(jet.x, jet.metric, j, dj, jet.gamma)
+    source = jet.source
+    return StructureJet(source.chart, None, source.x, source.cfg, source.metric, {
+        "metric_inverse": source.metric_inverse, "gamma": source.gamma, "j": j, "dj": dj})
 
 
 def _lifts(lift: Array, zs: Array) -> Array:
@@ -521,7 +514,7 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     if spec.target_structure is None:
         raise MissingStructure("condition (ii) needs the target structure")
     require_regular(jet, "condition (ii) needs regular samples")
-    base = stacked_hermitian_frame(jet.target_metric, jet.target_j)
+    base = stacked_hermitian_frame(jet.target.metric, jet.target.j)
     if base.m < 2:
         return [0.0] * len(jet.x)
     stencil = jet.stencil
@@ -530,7 +523,7 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
         at = _blocks([r for r, row in enumerate(base.pivots) if row == pivots],
                      len(stencil.x) // len(jet.x))
         zs[at] = np.stack(stacked_hermitian_frame(
-            stencil.target_metric[at], stencil.target_j[at], pivots).complex_frame, axis=1)
+            stencil.target.metric[at], stencil.target.j[at], pivots).complex_frame, axis=1)
     require_regular(stencil, "horizontal lift needs a regular point")
     # dz[r, part, k, i, :] = d_i of that part of the lifted Z_k at row r; each (part, k)
     # slice of a row is C-contiguous, as in manifold.lie_bracket, so brackets match it

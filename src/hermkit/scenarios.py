@@ -31,7 +31,9 @@ third-order operators.  A check that reads the stencil (fibres, homothety, the
 lifts) builds the sample jet together with the jet at their stencil points that
 it holds, ``jet.stencil``, from one stack.  So a map check takes one
 ``maps.differential`` call, and reads phi, the target metric, the conformality
-data and the source structure jet at its samples from the jet.
+data and the structure jets of both sides from the jet: ``jet.source`` owns g,
+g^-1, Gamma, J and d J at the samples, ``jet.target`` owns them at phi of the
+samples, where the target is classified and its Nijenhuis tensor read.
 A structure check builds one stacked structure jet for all its samples (the lift
 checks, one for the lifted J) and reads its rows.
 """
@@ -195,7 +197,7 @@ def _conformality_max(confs: ConformalityData) -> float:
 def _target_max(stack: PointJet, vectors) -> float:
     """The largest target-metric norm at phi(x) over the rows of ``vectors``, a
     stack of target vectors at the rows of a stacked jet."""
-    return max([0.0, *g_norm(stack.target_metric, vectors).tolist()])
+    return max([0.0, *g_norm(stack.target.metric, vectors).tolist()])
 
 
 def _fibre_residual(stack: PointJet) -> tuple[float, int, int]:
@@ -283,7 +285,7 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         return VerificationReport(report.scenario_id, report.checks, meta)
     stack, tol = _map_points(spec, plan, stencil=True)
     maps.require_regular(stack, "two-of-three needs regular samples")
-    tension = g_norm(stack.target_metric, maps.tension(stack))
+    tension = g_norm(stack.target.metric, maps.tension(stack))
     hm_res = float(np.max([stack.split.conformality_residual, tension], initial=0.0))
     fibre_res, used, excluded = _fibre_residual(stack)
     hom_res = max(maps.homothety_residual(stack))
@@ -340,18 +342,14 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     With ``expect_both_fail`` both sides of the biconditional must also be
     genuinely nonzero.
     """
-    cfg = spec.cfg
     stack, tol = _map_points(spec, plan)
     _require_holomorphic(spec, stack, tol)
     conf_res = _conformality_max(stack.split)
     if conf_res > tol:
         raise PreconditionFailed("horizontally weakly conformal",
                                  f"residual {conf_res} > {tol}")
-    source = stack.structure
-    source_cos = float(np.max(g_norm(source.metric, divergence_J(source)), initial=0.0))
-    target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
-                                       points=stack.image)
-    target_cos = target_report.residual_cosympl
+    source_cos = float(np.max(g_norm(stack.source.metric, divergence_J(stack.source)), initial=0.0))
+    target_cos = classify_structure(stack.target).residual_cosympl
     hm_res = max(conf_res, _target_max(stack, maps.tension(stack)))
     checks = [
         biconditional_check("target-cosymplectic-iff-harmonic-morphism",
@@ -360,7 +358,7 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     if expect_both_fail:
         checks.append(check("both-sides-nonzero", min(target_cos, hm_res),
                             COUPLING * tol, len(stack.x), mode="gt"))
-    return _report(scenario_id, checks, plan, cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
                    coverage="target classified at pushed samples (density surrogate)",
                    source_cosymplectic_residual=source_cos,
                    residuals={"target_cosymplectic": target_cos,
@@ -371,11 +369,9 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
                         scenario_id: str = "tension-identity") -> VerificationReport:
     """tau(phi) = -dphi(J div J) for holomorphic maps into a (1,2)-symplectic
     target, as a samplewise residual."""
-    cfg = spec.cfg
     stack, tol = _map_points(spec, plan)
     _require_holomorphic(spec, stack, tol)
-    target_report = classify_structure(spec.target, spec.target_structure, plan, cfg,
-                                       points=stack.image)
+    target_report = classify_structure(stack.target)
     if not target_report.verdicts["one_two_symplectic"]:
         raise PreconditionFailed("target (1,2)-symplectic",
                                  f"residual {target_report.residual_12sympl}")
@@ -384,7 +380,7 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
                     _target_max(stack, tau + push), tol, len(stack.x),
                     tension_norm=_target_max(stack, tau),
                     lee_pushforward_norm=_target_max(stack, push))]
-    return _report(scenario_id, checks, plan, cfg, map=spec.name)
+    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name)
 
 
 def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePlan,
@@ -392,12 +388,10 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     """Lifted structures on a conformal submersion with 1-complex-dimensional
     fibres: superminimal fibres plus the horizontal bracket condition force the
     lifted structure to be integrable."""
-    cfg = spec.cfg
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
     stack, tol = _map_points(spec, plan, stencil=True)
-    target_nij = _nijenhuis_residual(structure_jet(spec.target, spec.target_structure,
-                                                  stack.image, cfg, connection=False))
+    target_nij = _nijenhuis_residual(stack.target)
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
     first = stack.take(np.arange(min(5, len(stack.x))))
@@ -416,7 +410,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
         implication_check("lifted-structure-integrable", max(supermin, cond_ii), nij,
                           tol, used, excluded),
     ]
-    return _report(scenario_id, checks, plan, cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
                    orientation=orientation, lifted_invariants=inv,
                    residuals={"superminimality": supermin, "condition_ii": cond_ii,
                               "nijenhuis": nij})
@@ -497,7 +491,7 @@ def check_structure_verdicts(chart: Chart, j_field: AlmostComplexField, plan: Sa
     """Structure classification scored against the expected verdict pattern:
     a ``holds`` check per class expected to hold, a ``fails`` rejection check
     per class expected to fail."""
-    report = classify_structure(chart, j_field, plan, cfg)
+    report = classify_structure(structure_jet(chart, j_field, plan.points(chart, cfg), cfg))
     tol, n = report.tolerance, len(report.samples)
     checks = [check(f"{name}-holds", value, tol, n) if expected[name]
               else check(f"{name}-fails", value, COUPLING * tol, n, mode="gt")

@@ -7,7 +7,7 @@ import pytest
 
 from hermkit import catalog
 from hermkit.errors import DegenerateParameters
-from hermkit.hermitian import classify_structure, invariant_residuals
+from hermkit.hermitian import classify_structure, invariant_residuals, structure_jet
 from hermkit.manifold import Embedding, SamplePlan
 from hermkit.numdiff import DiffConfig
 
@@ -327,6 +327,6 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
 
     monkeypatch.setattr(Embedding, "dpsi", recording)
     plan = SamplePlan(count=2)
-    classify_structure(chart, entry.structures["J"], plan, cfg)
+    classify_structure(structure_jet(chart, entry.structures["J"], plan.points(chart, cfg), cfg))
     catalog.odd_sphere_product_divergence(chart, 1, 1, np.array(plan.points(chart, cfg)), cfg)
     assert rows == [50, 50, 2]

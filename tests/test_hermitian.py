@@ -9,13 +9,13 @@ import pytest
 from hermkit import catalog, hermitian, numdiff, scenarios
 from hermkit import geodsl
 from hermkit.errors import PreconditionFailed, RankDeficient
-from hermkit.hermitian import (AlmostComplexField, HermitianFrame, antiholomorphic_part,
-                               classify_structure, divergence_J, g_norm, hermitian_frame,
-                               lee_vector, nabla_J, nijenhuis, structure_jet)
+from hermkit.hermitian import (AlmostComplexField, HermitianFrame, StructureJet,
+                               antiholomorphic_part, classify_structure, divergence_J, g_norm,
+                               hermitian_frame, lee_vector, nabla_J, nijenhuis, structure_jet)
 from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, christoffel,
                               covariant_derivative, lie_bracket)
 from hermkit.numdiff import constant, orthonormalize
-from test_manifold import constant_field
+from test_manifold import chart_gamma, constant_field, lazy_jet
 
 
 def bilinear(g, z, w) -> complex:
@@ -38,6 +38,12 @@ def frame_row(frame, r) -> HermitianFrame:
     """The frame at row r of a stacked frame, its vectors 1-D."""
     return HermitianFrame(tuple(v[r] for v in frame.real_frame),
                           tuple(v[r] for v in frame.complex_frame), frame.pivots[r])
+
+
+def classify(chart, j_field, plan, cfg):
+    """``classify_structure`` of the structure jet at the plan's samples, as the CLI
+    and ``scenarios.check_structure_verdicts`` build it."""
+    return classify_structure(structure_jet(chart, j_field, plan.points(chart, cfg), cfg))
 
 
 def cov_complex(direction, re_field, im_field, x, cfg):
@@ -276,7 +282,7 @@ def test_bilinear_extension_is_complex_bilinear(rng):
 
 def test_classify_flat_torus_all_true(torus, cfg, plan):
     chart, j_field = torus
-    report = classify_structure(chart, j_field, plan, cfg)
+    report = classify(chart, j_field, plan, cfg)
     assert all(report.verdicts.values())
     assert report.residual_kahler <= 1e-10
     r_12_c, r_cos_c = complex_form_residuals(chart, j_field, report.samples, cfg)
@@ -285,12 +291,12 @@ def test_classify_flat_torus_all_true(torus, cfg, plan):
 
 
 def test_classify_projective_all_true(cp1, cfg, plan):
-    report = classify_structure(cp1[0], cp1[1], plan, cfg)
+    report = classify(cp1[0], cp1[1], plan, cfg)
     assert all(report.verdicts.values())
 
 
 def test_classify_product_sphere_pattern(ce10, cfg, plan):
-    report = classify_structure(ce10[0], ce10[1], plan, cfg)
+    report = classify(ce10[0], ce10[1], plan, cfg)
     assert report.verdicts == {"kahler": False, "one_two_symplectic": False,
                                "cosymplectic": False, "integrable": True}
     # the Hermitian-frame forms detect the same failures
@@ -334,7 +340,7 @@ def test_classify_separates_one_two_symplectic_from_kahler(pairs, expected, cfg)
     and cosymplectic but neither Kaehler nor integrable, and J E1 = E2,
     J E3 = E4 is integrable only: the (1,2)-symplectic residual is not the
     Kaehler one."""
-    report = classify_structure(*kodaira_thurston(pairs), SamplePlan(0, 3), cfg)
+    report = classify(*kodaira_thurston(pairs), SamplePlan(0, 3), cfg)
     assert report.verdicts == expected
     assert report.residual_kahler > 0.4
     for name, holds in expected.items():
@@ -344,8 +350,8 @@ def test_classify_separates_one_two_symplectic_from_kahler(pairs, expected, cfg)
 
 def test_classify_deterministic(torus, cfg, plan):
     chart, j_field = torus
-    a = classify_structure(chart, j_field, plan, cfg).to_dict()
-    b = classify_structure(chart, j_field, plan, cfg).to_dict()
+    a = classify(chart, j_field, plan, cfg).to_dict()
+    b = classify(chart, j_field, plan, cfg).to_dict()
     assert a == b
 
 
@@ -360,7 +366,7 @@ def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
     entry = catalog.complex_projective(2)
     chart, j_field = entry.charts["cp"], entry.structures["J"]
     plan = SamplePlan(count=2)
-    classify_structure(chart, j_field, plan, cfg)
+    classify(chart, j_field, plan, cfg)
     points = plan.points(chart, cfg)
     assert len(built) == len(points)
     for (g, j), g_x, j_x in zip(built, chart.metric(points, cfg), j_field(points)):
@@ -377,17 +383,18 @@ def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
         monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None:
                             seen.append(len(x)) or build(self, x, cfg))
         entry = catalog.calabi_eckmann(1, 1, cfg)
-        classify_structure(entry.charts["ce"], entry.structures["J"], SamplePlan(count=count), cfg)
+        classify(entry.charts["ce"], entry.structures["J"], SamplePlan(count=count), cfg)
     assert rows[2] and [3 * n for n in rows[2]] == [2 * n for n in rows[3]]
 
 
 def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
     """All samples of a classification share one stack, the 3 samples and then
     their 3 * 24 stencil points: g and J are evaluated once each on it, the
-    Christoffel symbols are built once, at the samples, from that g (no metric
-    call of their own), J is never differenced through ``dj_stack``, and the
-    chart checks its domain twice, at the samples' interior and at the stencil
-    points (three times when the Christoffel build and ``dj_stack`` checked apart)."""
+    Christoffel symbols are built once, at the samples, from g^-1 there and d g
+    differenced from that g (no metric call of their own), J is never
+    differenced through ``dj_stack``, and the chart checks its domain twice, at
+    the samples' interior and at the stencil points (three times when the
+    Christoffel build and ``dj_stack`` checked apart)."""
     calls = {"metric": [], "j": [], "dj_stack": [], "christoffel": [], "contains": []}
     contains = Chart.contains
     monkeypatch.setattr(Chart, "contains", lambda self, x, margin=0.0:
@@ -399,12 +406,12 @@ def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
                         calls["j"].append(np.shape(x)) or j_call(self, x))
     monkeypatch.setattr(hermitian, "dj_stack", lambda *args: calls["dj_stack"].append(args))
     christoffel = hermitian.christoffel
-    monkeypatch.setattr(hermitian, "christoffel", lambda chart, x, cfg, g: calls[
-        "christoffel"].append((x.shape, g.shape)) or christoffel(chart, x, cfg, g))
+    monkeypatch.setattr(hermitian, "christoffel", lambda g_inv, dg: calls[
+        "christoffel"].append((g_inv.shape, dg.shape)) or christoffel(g_inv, dg))
     entry = catalog.calabi_eckmann(1, 1, cfg)
-    classify_structure(entry.charts["ce"], entry.structures["J"], SamplePlan(count=3), cfg)
+    classify(entry.charts["ce"], entry.structures["J"], SamplePlan(count=3), cfg)
     assert calls == {"metric": [(75, 6)], "j": [(75, 6)], "dj_stack": [],
-                     "christoffel": [((3, 6), (75, 6, 6))], "contains": [(3, 6), (72, 6)]}
+                     "christoffel": [((3, 6, 6), (3, 6, 6, 6))], "contains": [(3, 6), (72, 6)]}
 
 
 def test_dj_stack_evaluates_j_once_per_stencil(cfg):
@@ -428,7 +435,7 @@ def test_classify_real_form_and_complex_form_pass_or_fail_together(name, cfg):
     biconditional coupling, on the chart of every ``*-classify`` scenario and
     on the conformally flat config."""
     chart, j_field = chart_and_structure(name, cfg)
-    report = classify_structure(chart, j_field, SamplePlan(seed=3, count=3), cfg)
+    report = classify(chart, j_field, SamplePlan(seed=3, count=3), cfg)
     r_12_c, r_cos_c = complex_form_residuals(chart, j_field, report.samples, cfg)
     for real, complex_form in ((report.residual_12sympl, r_12_c),
                                (report.residual_cosympl, r_cos_c)):
@@ -445,18 +452,20 @@ def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
                         calls.append(lookup(*args, **kwargs)) or calls[-1])
     entry = catalog.calabi_eckmann(1, 1)
     plan = SamplePlan(count=5)
-    classify_structure(entry.charts["ce"], entry.structures["J"], plan, cfg)
+    classify(entry.charts["ce"], entry.structures["J"], plan, cfg)
     assert 0 < len(calls) <= len({p for frame in calls for p in frame.pivots})
 
 
 def test_classify_rejects_incompatible_structure(cfg):
-    """The standard J is not compatible with g = diag(1, 4): J^T g J = diag(4, 1)."""
-    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)),
-                  metric_fn=constant(np.diag([1.0, 4.0])))
-    j_field = AlmostComplexField(chart, constant([[0.0, -1.0], [1.0, 0.0]]))
-    with pytest.raises(PreconditionFailed) as err:
-        classify_structure(chart, j_field, SamplePlan(count=3), cfg)
-    assert err.value.precondition == "almost Hermitian"
+    """The standard J is not compatible with g = diag(1, 4): J^T g J = diag(4, 1).
+    J = I on the flat chart has J^2 + I = 2 I: the almost Hermitian check runs
+    before a Hermitian frame is built, where J e_1 would collapse onto e_1."""
+    for metric, j in ((np.diag([1.0, 4.0]), [[0.0, -1.0], [1.0, 0.0]]), (np.eye(2), np.eye(2))):
+        chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(metric))
+        j_field = AlmostComplexField(chart, constant(np.asarray(j, dtype=float)))
+        with pytest.raises(PreconditionFailed) as err:
+            classify(chart, j_field, SamplePlan(count=3), cfg)
+        assert err.value.precondition == "almost Hermitian"
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -626,23 +635,28 @@ def same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name", ["ce-1-1", "ce-2-1", "cp-1", "cp-2", "conformal-dsl"])
-@pytest.mark.parametrize("connection", [True, False])
-def test_structure_jet_equals_the_separate_calls_bit_for_bit(name, connection, cfg):
+@pytest.mark.parametrize("held", [True, False])
+def test_structure_jet_equals_the_separate_calls_bit_for_bit(name, held, cfg):
     """The jet reads g and J at the samples and their stencil points from one
-    stack; every part equals, sign bits included, what the chart and the field
-    give apart: ``chart.metric`` and J at the samples, ``dj_stack``,
-    ``christoffel`` and nabla J from those; at a stack and at a one-row stack."""
+    stack and holds every part (``structure_jet``), or builds each part when
+    first read (``lazy_jet``, which holds no part before it is read, so an unread
+    connection is never built); every part equals, sign bits
+    included, what the chart and the field give apart: ``chart.metric``,
+    ``chart.metric_inverse`` and J at the samples, ``dj_stack``, the Christoffel
+    symbols from ``metric_derivative`` and nabla J from those; at a stack and at
+    a one-row stack."""
     chart, j_field = structure_chart(name, cfg)
     points = SamplePlan(seed=4, count=3).points(chart, cfg)
     for x in (points, points[1:2]):
-        jet = structure_jet(chart, j_field, x, cfg, connection)
+        jet = (structure_jet if held else lazy_jet)(chart, j_field, x, cfg)
+        assert set(vars(jet)) & set(StructureJet.PARTS) == (set(StructureJet.PARTS) - {"nabla"}
+                                                           if held else set())
         g, j, dj = chart.metric(x, cfg), j_field(x), hermitian.dj_stack(chart, j_field, x, cfg)
-        gamma = christoffel(chart, x, cfg) if connection else None
-        nabla = None if gamma is None else hermitian.nabla_j_tensor(gamma, j, dj)
-        for part, value in {"x": x, "metric": g, "j": j, "dj": dj, "gamma": gamma,
-                            "nabla": nabla}.items():
-            got = getattr(jet, part)
-            assert got is None if value is None else same_bits(got, value), (part, len(x))
+        gamma = chart_gamma(chart, x, cfg)
+        nabla = hermitian.nabla_j_tensor(gamma, j, dj)
+        for part, value in {"x": x, "metric": g, "metric_inverse": chart.metric_inverse(x, cfg),
+                            "j": j, "dj": dj, "gamma": gamma, "nabla": nabla}.items():
+            assert same_bits(getattr(jet, part), value), (part, len(x))
 
 
 def pairwise_max(op, jet, pairs) -> float:
@@ -660,7 +674,7 @@ def test_stacked_pair_maxima_equal_the_pairwise_loops_bit_for_bit(name, cfg):
     one ``pair_norms`` pass each, and equal the one-call-per-pair loops."""
     chart, j_field = structure_chart(name, cfg)
     plan = SamplePlan(seed=2, count=4)
-    report = classify_structure(chart, j_field, plan, cfg)
+    report = classify(chart, j_field, plan, cfg)
     jets = structure_jet(chart, j_field, np.array(report.samples), cfg)
     frame = hermitian.stacked_hermitian_frame(jets.metric, jets.j).real_frame
     frame_pairs = [(u, v) for a, u in enumerate(frame) for v in frame[a + 1:]]
@@ -710,18 +724,21 @@ BAD_ROWS = {"outside": [0.9999, 0.1], "singular": [0.0, 0.1], "indefinite": [-0.
 @pytest.mark.parametrize("order", list(itertools.permutations(BAD_ROWS)))
 def test_stacked_structure_jet_raises_what_its_first_bad_row_raises(order, cfg):
     """A stack with bad rows after good ones raises the error, type and message,
-    that its first bad row raises alone, as a one-row stack.  With the connection that is also what
-    the separate ``christoffel`` and ``dj_stack`` calls raised first, except when
+    that its first bad row raises alone, as a one-row stack: ``structure_jet``,
+    and on a jet that builds each part when first read, its Christoffel symbols
+    and, apart, its J and d J (all the Nijenhuis tensor reads).  That is also
+    what the separate Christoffel and ``dj_stack`` calls raise first, except when
     the first bad row is the one whose J fails at a stencil point only: those
-    calls raised a later row's metric error before ``dj_stack`` evaluated J."""
+    calls raise a later row's metric error before ``dj_stack`` evaluates J."""
     chart, j_field = diagonal_structure()
     stack = np.array([[0.5, 0.1], [0.3, -0.2], *(BAD_ROWS[name] for name in order)])
-    for connection in (True, False):
-        alone = [raised(lambda: structure_jet(chart, j_field, stack[r:r + 1], cfg, connection))
+    for build in (structure_jet, lambda *a: lazy_jet(*a).gamma,
+                  lambda *a: (lambda jet: (jet.j, jet.dj))(lazy_jet(*a))):
+        alone = [raised(lambda: build(chart, j_field, stack[r:r + 1], cfg))
                  for r in range(len(stack))]
         expected = next(e for e in alone if e is not None)
-        assert raised(lambda: structure_jet(chart, j_field, stack, cfg, connection)) == expected
-    separate = raised(lambda: (christoffel(chart, stack, cfg),
+        assert raised(lambda: build(chart, j_field, stack, cfg)) == expected
+    separate = raised(lambda: (lazy_jet(chart, j_field, stack, cfg).gamma,
                                hermitian.dj_stack(chart, j_field, stack, cfg)))
     assert (separate == raised(lambda: structure_jet(chart, j_field, stack, cfg))) == (
         order[0] != "stencil")
@@ -733,6 +750,6 @@ def test_classify_verdicts_are_python_bools(torus, cfg, plan):
     chart, j_field = torus
     numpy_cfg = dataclasses.replace(cfg, tolerance_abs=np.float64(cfg.tolerance_abs))
     assert isinstance(numpy_cfg.tolerance(1.0), np.floating)
-    report = classify_structure(chart, j_field, plan, numpy_cfg)
+    report = classify(chart, j_field, plan, numpy_cfg)
     assert all(type(v) is bool for v in report.verdicts.values())
     assert json.loads(json.dumps(report.to_dict()))["verdicts"] == report.verdicts

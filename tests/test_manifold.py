@@ -7,16 +7,23 @@ import numpy.testing as npt
 import pytest
 
 from hermkit import catalog
+from hermkit.hermitian import StructureJet
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric, WrongDimension
 from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
                               christoffel, covariant_derivative, gradient, lie_bracket,
-                              sample_points)
+                              metric_derivative, sample_points)
 from hermkit.numdiff import DiffConfig, by_row, constant, partial
 
 
 def constant_field(chart, v) -> VectorField:
     """The field with the components ``v`` at every point."""
     return VectorField(chart, constant(v))
+
+
+def chart_gamma(chart, x, cfg):
+    """The chart's Christoffel symbols at the rows of x: ``christoffel`` of g^-1
+    there and of d g from one metric stencil."""
+    return christoffel(chart.metric_inverse(x, cfg), metric_derivative(chart, x, cfg))
 
 
 def flat2():
@@ -59,7 +66,8 @@ def test_metric_rejects_asymmetry():
 
 
 def test_christoffel_evaluates_the_metric_once_per_stencil(cfg):
-    """metric_fn runs once at the row and once on all 4 * dim stencil rows."""
+    """metric_fn runs once at the row (for g^-1) and once on all 4 * dim stencil
+    rows (``metric_derivative``)."""
     shapes = []
 
     def metric_fn(stack):
@@ -67,7 +75,7 @@ def test_christoffel_evaluates_the_metric_once_per_stencil(cfg):
         return by_row(lambda p: np.diag([1.0, 1.0 + p[0] ** 2]))(stack)
 
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=metric_fn)
-    gamma = christoffel(chart, np.array([[0.3, 0.4]]), cfg)
+    gamma = chart_gamma(chart, np.array([[0.3, 0.4]]), cfg)
     assert shapes == [(1, 2), (8, 2)]
     npt.assert_allclose(gamma[0, 1, 0, 1], 0.3 / (1.0 + 0.3 ** 2), rtol=1e-9)
 
@@ -99,12 +107,25 @@ def require_interior(chart, x, cfg):
     return chart.require_interior(x, cfg)
 
 
-@pytest.mark.parametrize("operator", [christoffel, metric_inverse, require_interior])
+def lazy_jet(chart, j_field, x, cfg) -> StructureJet:
+    """The structure jet on g at the rows alone, every other part built when first
+    read, as each side of a map jet is."""
+    return StructureJet(chart, j_field, x, cfg, chart.metric(x, cfg))
+
+
+def lazy_gamma(chart, x, cfg):
+    return lazy_jet(chart, None, x, cfg).gamma
+
+
+@pytest.mark.parametrize("operator", [pytest.param(lazy_gamma, id="christoffel"),
+                                      metric_inverse, require_interior])
 @pytest.mark.parametrize("order", list(itertools.permutations(BAD)))
 def test_stacked_geometry_raises_what_its_first_bad_row_raises(operator, order, cfg):
     """A stack with an out-of-domain row, a singular-metric row and a row whose
     metric is not positive-definite, in any order after good rows, raises the
-    error (type and message) that its first bad row raises alone, as a one-row stack."""
+    error (type and message) that its first bad row raises alone, as a one-row
+    stack: the Christoffel symbols of a structure jet (g^-1 and ``metric_derivative``),
+    g^-1 and the interior check."""
     stack = np.array([*GOOD, *(BAD[name] for name in order)])
     alone = [raised(lambda: operator(diagonal_chart(), stack[r:r + 1], cfg))
              for r in range(len(stack))]
@@ -119,10 +140,10 @@ def test_stacked_christoffel_and_inverse_metric_equal_point_calls(entry_id, key,
     """Row by row, bit for bit, each row its one-row stack's."""
     chart = catalog.get_entry(entry_id, cfg).charts[key]
     points = SamplePlan(seed=3, count=3).points(chart, cfg)
-    gammas, g_inv = christoffel(chart, points, cfg), chart.metric_inverse(points, cfg)
+    gammas, g_inv = chart_gamma(chart, points, cfg), chart.metric_inverse(points, cfg)
     assert gammas.shape == (3, chart.dim, chart.dim, chart.dim)
     for r in range(len(points)):
-        assert np.array_equal(gammas[r], christoffel(chart, points[r:r + 1], cfg)[0])
+        assert np.array_equal(gammas[r], chart_gamma(chart, points[r:r + 1], cfg)[0])
         assert np.array_equal(g_inv[r], chart.metric_inverse(points[r:r + 1], cfg)[0])
 
 
@@ -134,14 +155,14 @@ def test_metric_fn_must_return_a_stack():
 
 
 def test_christoffel_flat_is_zero(cfg):
-    gamma = christoffel(flat2(), np.array([[0.3, 0.4]]), cfg)
+    gamma = chart_gamma(flat2(), np.array([[0.3, 0.4]]), cfg)
     npt.assert_allclose(gamma, 0.0, atol=1e-12)
 
 
 def test_christoffel_round_sphere_closed_form(cfg):
     """Round-sphere chart: Gamma^th_{ph ph} = -sin th cos th and
     Gamma^ph_{th ph} = cot th."""
-    (gamma,) = christoffel(sphere2(), np.array([[1.0, 0.8]]), cfg)
+    (gamma,) = chart_gamma(sphere2(), np.array([[1.0, 0.8]]), cfg)
     npt.assert_allclose(gamma[0, 1, 1], -math.sin(1.0) * math.cos(1.0), atol=1e-9)
     npt.assert_allclose(gamma[1, 0, 1], 1.0 / math.tan(1.0), atol=1e-9)
     npt.assert_allclose(gamma[0, 0, 0], 0.0, atol=1e-9)
@@ -150,18 +171,18 @@ def test_christoffel_round_sphere_closed_form(cfg):
 def test_christoffel_fubini_study_origin(cfg):
     """The projective-space metric is Euclidean to second order at w = 0."""
     chart = catalog.fs_chart(1)
-    gamma = christoffel(chart, np.zeros((1, 2)), cfg)
+    gamma = chart_gamma(chart, np.zeros((1, 2)), cfg)
     npt.assert_allclose(gamma, 0.0, atol=1e-9)
 
 
 def test_christoffel_lower_symmetry_exact(cfg):
-    gamma = christoffel(sphere2(), np.array([[0.9, 0.7]]), cfg)
+    gamma = chart_gamma(sphere2(), np.array([[0.9, 0.7]]), cfg)
     npt.assert_allclose(gamma, np.swapaxes(gamma, 2, 3), rtol=0, atol=0)
 
 
 def test_christoffel_outside_domain(cfg):
     with pytest.raises(EvaluationOutsideDomain):
-        christoffel(sphere2(), np.array([[0.3, 0.7]]), cfg)  # on the box edge
+        chart_gamma(sphere2(), np.array([[0.3, 0.7]]), cfg)  # on the box edge
 
 
 def test_covariant_derivative_flat_constants(cfg):

@@ -8,7 +8,7 @@ from hermkit import catalog, geodsl, hermitian, maps, numdiff, scenarios
 from hermkit.errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
                             MissingStructure, WrongDimension)
 from hermkit.hermitian import antiholomorphic_part, g_norm, invariant_residuals, structure_jet
-from hermkit.manifold import Box, Chart, SamplePlan, VectorField, christoffel, lie_bracket
+from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
                           conformality, condition_ii_residual, differential,
                           fibre_mean_curvature, holomorphy_residual,
@@ -16,6 +16,7 @@ from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_pro
                           point_jet, sff_tensor, superminimality_residual, tension,
                           vertical_frame_field)
 from hermkit.numdiff import constant, orthonormalize
+from test_manifold import chart_gamma
 
 
 @pytest.fixture(scope="module")
@@ -476,7 +477,7 @@ def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
 def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
     """Every part of a jet built with its stencil jet equals that of the sample
     jet and of the stencil jet built apart: the fields, every conformality array
-    and the lift at both, Gamma against ``christoffel``, the vertical frames (a
+    and the lift at both, Gamma against the chart's, the vertical frames (a
     sample fixes the axes of its block of stencil points) and the fibre mean
     curvature, which also equals each point's one-row stack's on a 3-point plan."""
     spec = catalog.get_entry(name).maps[key]
@@ -488,7 +489,7 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
             assert np.array_equal(getattr(jet, part), getattr(alone, part)), part
         for part in dataclasses.fields(alone.split):
             assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))
-    assert np.array_equal(joint.gamma, christoffel(spec.source, points, spec.cfg))
+    assert np.array_equal(joint.source.gamma, chart_gamma(spec.source, points, spec.cfg))
     p_v = _vertical_projector(joint)
     joint_frame_at, frame_at = vertical_frame_field(joint, p_v), vertical_frame_field(samples)
     assert np.array_equal(joint_frame_at(joint, p_v), frame_at(samples))
@@ -628,7 +629,7 @@ def test_condition_ii_with_a_non_regular_later_sample_raises_what_it_raises():
 STACK_OPERATORS = {
     "partial": lambda spec, x: numdiff.partial(spec, x, spec.cfg),
     "second_partial": lambda spec, x: numdiff.second_partial(spec, x, spec.cfg),
-    "christoffel": lambda spec, x: christoffel(spec.source, x, spec.cfg),
+    "christoffel": lambda spec, x: chart_gamma(spec.source, x, spec.cfg),
     "differential": differential,
     "point_jet": point_jet,
     "structure_jet": lambda spec, x: structure_jet(spec.source, spec.source_structure, x,

@@ -294,16 +294,36 @@ def times_at(points, x):
 
 
 def wrap_christoffel(monkeypatch, record):
-    """Wrap ``christoffel`` at every module that binds it: ``record(chart, x,
-    metric)`` sees every build, including the row-by-row builds of an error."""
-    build = manifold.christoffel
+    """Wrap every Christoffel build at every module that binds ``christoffel``:
+    ``record(chart, x, inverted)`` sees each build, with its rows x and whether
+    the g^-1 it reads is one that ``invert_metric`` returned.  A structure jet
+    builds its symbols when first read, right after ``metric_derivative``, which
+    names the chart; a map jet built with its stencil jet builds its source
+    symbols in ``maps`` from the g^-1 it inverted at its rows, ``chart`` None."""
+    inverted, pending = {}, []
+    invert, derivative, build = (manifold.invert_metric, manifold.metric_derivative,
+                                 manifold.christoffel)
 
-    def recording(chart, x, cfg, metric=None):
-        record(chart, x, metric)
-        return build(chart, x, cfg, metric)
+    def inverting(g, x):
+        out = invert(g, x)
+        inverted[id(out)] = (out, x)  # the array is kept, so its id is not reused
+        return out
 
+    def differencing(chart, x, cfg):
+        pending.append((chart, x))
+        return derivative(chart, x, cfg)
+
+    def recording(g_inv, dg):
+        chart, x = pending.pop() if pending else (None, inverted[id(g_inv)][1])
+        record(chart, x, id(g_inv) in inverted)
+        return build(g_inv, dg)
+
+    wrappers = {"invert_metric": inverting, "metric_derivative": differencing,
+                "christoffel": recording}
     for module in (manifold, hermitian, maps):
-        monkeypatch.setattr(module, "christoffel", recording)
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma",
@@ -347,10 +367,11 @@ def test_lifted_structure_jet_built_once_per_sample(monkeypatch):
 def test_christoffel_built_once_per_sample(sid, monkeypatch):
     """A check builds Christoffel symbols on as many stacks at 3 samples as at 2,
     each the stack of all its samples, never one sample alone, and every build,
-    source or target, is given the metric at its rows that the map's jet holds."""
+    source or target, reads the g^-1 that its structure jet's one
+    ``invert_metric`` call built from the metric the map's jet holds."""
     rows, held = [], []
-    wrap_christoffel(monkeypatch, lambda chart, x, g: rows.append(len(x))
-                     or held.append(g is not None))
+    wrap_christoffel(monkeypatch, lambda chart, x, inverted: rows.append(len(x))
+                     or held.append(inverted))
     for count in (2, 3):
         assert run_scenario(sid, SamplePlan(count=count), CFG).overall
     assert rows.count(2) == rows.count(3) > 0
@@ -423,21 +444,21 @@ def test_there_are_29_map_scenarios():
 def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
     """The tension, the Lee push-forward, the fibre mean curvature and the lifted
     structure read the source Christoffel symbols from the sample jet's
-    ``gamma``: no source Christoffel build repeats a row that the check has
-    already built, and every build reads the jet's own g (at the samples, and at
-    their stencil points for a jet built with its stencil jet) instead of
-    evaluating it again: ``christoffel`` is the one route, given the metric the
-    jet holds.  The source is a renamed copy of the chart, so the target side of
-    a map into its own chart (the identity) is not counted."""
+    ``source``: no source Christoffel build repeats a row that the check has
+    already built, and every build reads the g^-1 that the source jet inverted
+    from the jet's own g (``christoffel`` inverts nothing; its d g comes from the
+    stencil jet's g for a jet built with one).  The source is a renamed copy of
+    the chart, so the target side of a map into its own chart (the identity) is
+    not counted."""
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec = catalog.get_entry(entry_id, CFG).maps[key]
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"))
     built, held = [], []
 
-    def recording(chart, x, g):
-        if chart is spec.source:
+    def recording(chart, x, inverted):
+        if chart is None or chart is spec.source:  # None: built in maps, on the source
             built.extend(p.tobytes() for p in x)
-            held.append(g is not None)
+            held.append(inverted)
 
     wrap_christoffel(monkeypatch, recording)
     check_map = getattr(scenarios, check_name)
@@ -468,6 +489,53 @@ def test_target_metric_at_each_image_is_built_once(sid, monkeypatch):
     assert run_on(spec, sid, plan).overall
     for y in spec(sample_points(sid, plan)):
         assert times_at(rows, y) == 1
+
+
+#: Work of a check at ``SamplePlan(seed=0, count=4)``: each side's structure jet
+#: builds its Christoffel symbols, h, J and g^-1 (one ``inv`` and one ``eigvalsh``)
+#: once, and every reader shares them (before: 3 Christoffel builds, 136 target
+#: metric rows, 72 target J rows, 6 ``inv`` and 4 ``eigvalsh`` calls on the map
+#: checks, and 2 ``inv`` calls on the classification).
+SIDE_WORK = {"christoffel": 2, "target metric rows": 68, "target J rows": 68, "inv": 2,
+             "eigvalsh": 2}
+
+
+@pytest.mark.parametrize("sid, work", [
+    ("product-hopf-1-1-lemma", SIDE_WORK),
+    ("punctured-hopf-2-cosymplectic-image", SIDE_WORK),
+    ("ce-1-1-classify", {"christoffel": 1, "inv": 1, "eigvalsh": 1})])
+def test_each_side_builds_its_structure_jet_once(sid, work, monkeypatch):
+    """The source and the target structure jets of a map check, and the one jet
+    of a classification, each build Gamma, g^-1, h and the target J once: the
+    tension, the Lee push-forward, div J, the target classification and the
+    Christoffel builds all read them."""
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    entry = catalog.get_entry(entry_id, CFG)
+    spec, count = entry.maps.get(key), dict.fromkeys(work, 0)
+
+    def counting(name, call, rows=lambda *args: 1):
+        return lambda *args: count.__setitem__(name, count[name] + rows(*args)) or call(*args)
+
+    build = manifold.christoffel
+    for module in (manifold, hermitian, maps):
+        monkeypatch.setattr(module, "christoffel", counting("christoffel", build))
+    if spec:
+        monkeypatch.setattr(Chart, "metric", counting(
+            "target metric rows", Chart.metric, lambda chart, x, cfg=None:
+            len(x) if chart is spec.target else 0))
+        monkeypatch.setattr(type(spec.target_structure), "__call__", counting(
+            "target J rows", type(spec.target_structure).__call__,
+            lambda field, x: len(x) if field is spec.target_structure else 0))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    plan = SamplePlan(seed=0, count=4)
+    if spec:
+        assert run_on(spec, sid, plan).overall
+    else:
+        _, check_name, _, _, kwargs = scenarios.SCENARIOS[sid]
+        assert getattr(scenarios, check_name)(entry.charts[key], entry.structures["J"],
+                                              plan=plan, cfg=CFG, **kwargs).overall
+    assert count == work
 
 
 @pytest.mark.parametrize("sid", ["product-hopf-1-1-two-of-three",
