@@ -22,7 +22,7 @@ vectors in one call.  Nothing is cached by point: a check passes down the jet.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable
@@ -193,49 +193,62 @@ def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
             - np.einsum("...lij,...kl->...ikj", gamma, j))
 
 
+def _part(build: Callable) -> cached_property:
+    """A part of a structure jet, kept once read: the array its builder holds under
+    the part's name, else ``build(jet)``; a taken jet reads its rows of its jet's part."""
+    def read(jet: StructureJet) -> Array:
+        if part.attrname in jet.held:
+            return jet.held[part.attrname]
+        whole, rows = jet.whole or (None, None)
+        return build(jet) if whole is None else getattr(whole, part.attrname)[rows]
+    part = cached_property(read)
+    return part
+
+
+def _christoffel(jet: StructureJet) -> Array:
+    """The Christoffel symbols of a jet: the interior checked, then g^-1, then d g by
+    ``manifold.metric_derivative``; on an error the rows are built alone, so the
+    error raised is the first bad row's."""
+    chart, x, cfg = jet.chart, jet.x, jet.cfg
+    try:
+        chart.require_interior(x, cfg)
+        return christoffel(jet.metric_inverse, metric_derivative(chart, x, cfg))
+    except (GeometryError, DslError, ValueError):
+        for r in range(len(x)) if len(x) > 1 else ():
+            _christoffel(StructureJet(chart, None, x[r:r + 1], cfg, jet.metric[r:r + 1]))
+        raise
+
+
 @dataclass(frozen=True, eq=False)
 class StructureJet:
     """g, g^-1, the Christoffel symbols ``gamma[r, k, i, j]``, J, d J (``dj[r, i, k, j]``
     = d_i J^k_j) and ``nabla[r, i, k, j]`` = (nabla_i J)^k_j at the rows r of x.
 
-    g is given; every other part (:attr:`PARTS`) is built when first read and then
-    kept, unless ``held`` (its builder's arrays, by name) holds it: g^-1 by
-    ``invert_metric``, Gamma from g^-1 and ``manifold.metric_derivative`` (on an
-    error, the first bad row's), J from ``j_field`` and d J by :func:`dj_stack`.
+    g is given; every other part is built when first read and then kept, unless
+    ``held`` (its builder's arrays, by part name) holds it: g^-1 by
+    ``invert_metric``, Gamma by :func:`_christoffel`, J by ``j_field``, d J by
+    :func:`dj_stack`.  A jet taken by indexing reads its rows of the parts of the
+    jet it was taken from, built there on all its rows, as ``maps.PointJet.take``.
     """
 
-    PARTS = ("metric_inverse", "gamma", "j", "dj", "nabla")
     chart: Chart
     j_field: AlmostComplexField | None
     x: Array
     cfg: DiffConfig
     metric: Array
-    held: InitVar[dict | None] = None
-
-    def __post_init__(self, held):
-        for name, value in (held or {}).items():  # read as the part itself
-            object.__setattr__(self, name, value)
+    held: dict = field(default_factory=dict, repr=False)
+    whole: tuple | None = field(default=None, repr=False)  # (jet, rows) for a taken jet
 
     def __getitem__(self, rows) -> StructureJet:
-        """The jet at the rows ``rows``, holding those rows of every part built so far."""
-        built = {name: vars(self)[name][rows] for name in self.PARTS if name in vars(self)}
+        """The jet at the rows ``rows`` (an index array) of this one."""
         return StructureJet(self.chart, self.j_field, self.x[rows], self.cfg, self.metric[rows],
-                            built)
+                            whole=(self, rows))
 
-    metric_inverse = cached_property(lambda jet: invert_metric(jet.metric, jet.x))
-    j = cached_property(lambda jet: jet.j_field(jet.x))
-    dj = cached_property(lambda jet: dj_stack(jet.chart, jet.j_field, jet.x, jet.cfg))
-    nabla = cached_property(lambda jet: nabla_j_tensor(jet.gamma, jet.j, jet.dj))
-
-    @cached_property
-    def gamma(self) -> Array:
-        try:
-            dg = metric_derivative(self.chart, self.x, self.cfg)
-            return christoffel(self.metric_inverse, dg)
-        except (GeometryError, DslError, ValueError):
-            for r in range(len(self.x)) if len(self.x) > 1 else ():
-                self[r:r + 1].gamma  # noqa: B018 - raises the first bad row's error
-            raise
+    metric_inverse = _part(lambda jet: invert_metric(jet.metric, jet.x))
+    gamma = _part(_christoffel)
+    j = _part(lambda jet: jet.j_field(jet.x))
+    dj = _part(lambda jet: dj_stack(jet.chart, jet.j_field, jet.x, jet.cfg))
+    nabla = _part(lambda jet: nabla_j_tensor(jet.gamma, jet.j, jet.dj))
 
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> StructureJet:

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import EvaluationOutsideDomain, SingularMetric
+from .errors import DslError, EvaluationOutsideDomain, GeometryError, SingularMetric
 from .numdiff import Array, DiffConfig, as_points, as_stack
 
 #: Symmetry slack accepted from a user-supplied metric field.
@@ -187,8 +187,8 @@ class VectorField:
 
 def metric_derivative(chart: Chart, x, cfg: DiffConfig) -> Array:
     """d g at the rows r of x as ``dg[r, i, j, l]`` = d_i g_jl, from one metric call
-    on the stencils of all rows, once each row is checked to lie inside enough."""
-    chart.require_interior(x, cfg)
+    on the stencils of all rows; the caller checks the interior first
+    (:meth:`Chart.require_interior`)."""
     return numdiff.partial(lambda s: chart.metric(s, cfg), x, cfg, domain=chart.contains)
 
 
@@ -202,11 +202,20 @@ def christoffel(g_inv: Array, dg: Array) -> Array:
 
 
 def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) -> Array:
-    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_{ij} X^i Y^j at the rows of x."""
+    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_{ij} X^i Y^j at the rows of x, Gamma
+    built as ``hermitian.StructureJet`` builds it: the interior checked, then g^-1,
+    then d g; on an error there the rows are taken alone, so the error raised is
+    the first bad row's."""
     if x_field.chart is not y_field.chart:
         raise ValueError("fields live on different charts")
-    chart = x_field.chart
-    gamma = christoffel(chart.metric_inverse(x, cfg), metric_derivative(chart, x, cfg))
+    chart, x = x_field.chart, as_points(x)
+    try:
+        chart.require_interior(x, cfg)
+        gamma = christoffel(chart.metric_inverse(x, cfg), metric_derivative(chart, x, cfg))
+    except (GeometryError, DslError, ValueError):
+        for r in range(len(x)) if len(x) > 1 else ():
+            covariant_derivative(x_field, y_field, x[r:r + 1], cfg)
+        raise
     xv, yv, dy = x_field(x), y_field(x), numdiff.partial(y_field, x, cfg)
     return (np.einsum("...i,...ik->...k", xv, dy)
             + np.einsum("...kij,...i,...j->...k", gamma, xv, yv))

@@ -187,7 +187,7 @@ class PointJet:
 def _source_jet(jet: PointJet) -> StructureJet:
     """The source structure jet of a jet; one built with its stencil jet holds g^-1
     and the Christoffel symbols from its g and the stencil jet's."""
-    spec, held = jet.spec, None
+    spec, held = jet.spec, {}
     if jet.built_stencil is not None:
         g_inv = invert_metric(jet.metric, jet.x)
         dg = numdiff.difference(jet.built_stencil.metric, jet.x, spec.cfg)

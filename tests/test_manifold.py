@@ -21,8 +21,9 @@ def constant_field(chart, v) -> VectorField:
 
 
 def chart_gamma(chart, x, cfg):
-    """The chart's Christoffel symbols at the rows of x: ``christoffel`` of g^-1
-    there and of d g from one metric stencil."""
+    """The chart's Christoffel symbols at the rows of x: the interior checked,
+    then ``christoffel`` of g^-1 there and of d g from one metric stencil."""
+    chart.require_interior(x, cfg)
     return christoffel(chart.metric_inverse(x, cfg), metric_derivative(chart, x, cfg))
 
 
@@ -117,21 +118,43 @@ def lazy_gamma(chart, x, cfg):
     return lazy_jet(chart, None, x, cfg).gamma
 
 
+def covariant(chart, x, cfg):
+    return covariant_derivative(constant_field(chart, [1.0, 0.0]),
+                                constant_field(chart, [0.0, 1.0]), x, cfg)
+
+
 @pytest.mark.parametrize("operator", [pytest.param(lazy_gamma, id="christoffel"),
-                                      metric_inverse, require_interior])
+                                      metric_inverse, require_interior, covariant])
 @pytest.mark.parametrize("order", list(itertools.permutations(BAD)))
 def test_stacked_geometry_raises_what_its_first_bad_row_raises(operator, order, cfg):
     """A stack with an out-of-domain row, a singular-metric row and a row whose
     metric is not positive-definite, in any order after good rows, raises the
     error (type and message) that its first bad row raises alone, as a one-row
     stack: the Christoffel symbols of a structure jet (g^-1 and ``metric_derivative``),
-    g^-1 and the interior check."""
+    g^-1, the interior check and ``covariant_derivative``."""
     stack = np.array([*GOOD, *(BAD[name] for name in order)])
     alone = [raised(lambda: operator(diagonal_chart(), stack[r:r + 1], cfg))
              for r in range(len(stack))]
     expected = next(e for e in alone if e is not None)
     assert expected[0] in (EvaluationOutsideDomain, SingularMetric)
     assert raised(lambda: operator(diagonal_chart(), stack, cfg)) == expected
+
+
+@pytest.mark.parametrize("operator", [pytest.param(lazy_gamma, id="christoffel"), covariant])
+def test_christoffel_checks_the_interior_then_g_then_the_stencil(operator, cfg):
+    """At a row with two faults the Christoffel build raises the first it checks:
+    the interior before a singular g (g = diag(1, x1) is singular on x1 = 0), and
+    a singular g before a metric that has no value at a stencil point only."""
+    def metric_fn(p):
+        if np.any(p[:, 1] > 0.5):
+            raise ValueError("metric undefined past x2 = 0.5")
+        return diagonal_chart().metric_fn(p)
+
+    with pytest.raises(EvaluationOutsideDomain):
+        operator(diagonal_chart(), np.array([[0.0, 0.9999]]), cfg)
+    with pytest.raises(SingularMetric):
+        operator(dataclasses.replace(diagonal_chart(), metric_fn=metric_fn),
+                 np.array([[0.0, 0.49996]]), cfg)
 
 
 @pytest.mark.parametrize("entry_id, key", [("hopf-s3", "source"), ("hopf-s3", "target"),

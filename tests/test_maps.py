@@ -6,7 +6,7 @@ import pytest
 
 from hermkit import catalog, geodsl, hermitian, maps, numdiff, scenarios
 from hermkit.errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
-                            MissingStructure, WrongDimension)
+                            MissingStructure, SingularMetric, WrongDimension)
 from hermkit.hermitian import antiholomorphic_part, g_norm, invariant_residuals, structure_jet
 from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
@@ -609,6 +609,38 @@ def test_stack_whose_stencil_leaves_the_chart_raises_what_that_sample_raises(ope
         operator(stack)
     assert "closer than" in str(alone.value)
     assert str(stacked.value) == str(alone.value)
+
+
+def test_a_taken_jet_reads_its_rows_of_both_structure_jets(punctured2):
+    """A structure-jet part first read on a taken jet is built once, on every row
+    of the jet it was taken from, and the taken jet reads its rows of it."""
+    calls, j = [], punctured2.target_structure
+    spec = dataclasses.replace(punctured2, target_structure=hermitian.AlmostComplexField(
+        j.chart, lambda y: calls.append(len(y)) or j.fn(y)))
+    jet = point_jet(spec, np.concatenate([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01,
+                                          PUNCTURED2_POINT - 0.01]))
+    taken, rows = jet.take(np.array([2, 0])), [2, 0]
+    for side in ("source", "target"):
+        for part in ("metric_inverse", "gamma"):
+            assert np.array_equal(getattr(getattr(taken, side), part),
+                                  getattr(getattr(jet, side), part)[rows]), (side, part)
+    assert np.array_equal(taken.target.j, jet.target.j[rows])
+    assert calls == [3]
+
+
+def test_tension_builds_the_source_christoffel_symbols_before_the_target_ones():
+    """At a sample with two faults, a singular source metric (g = diag(1, x1) at
+    x1 = 0) and an image closer than 2 steps to the target's boundary, the tension
+    raises the source's error: the source Christoffel symbols are built first, then
+    the target's, whose build checks the interior at phi(x)."""
+    cfg = catalog.DEFAULT_CFG
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    src = Chart(dim=2, box=box, metric_fn=lambda p: np.stack([np.diag([1.0, v]) for v in p[:, 0]]))
+    tgt = Chart(dim=2, box=box, metric_fn=constant(np.eye(2)))
+    edge = 1.0 - 1.5 * cfg.step
+    jet = point_jet(MapSpec(src, tgt, lambda x: x + [0.0, edge], cfg), np.zeros((1, 2)))
+    with pytest.raises(SingularMetric):
+        tension(jet)
 
 
 def test_condition_ii_with_a_non_regular_later_sample_raises_what_it_raises():

@@ -296,17 +296,25 @@ def times_at(points, x):
 def wrap_christoffel(monkeypatch, record):
     """Wrap every Christoffel build at every module that binds ``christoffel``:
     ``record(chart, x, inverted)`` sees each build, with its rows x and whether
-    the g^-1 it reads is one that ``invert_metric`` returned.  A structure jet
-    builds its symbols when first read, right after ``metric_derivative``, which
-    names the chart; a map jet built with its stencil jet builds its source
-    symbols in ``maps`` from the g^-1 it inverted at its rows, ``chart`` None."""
-    inverted, pending = {}, []
+    the g^-1 it reads is one that ``invert_metric`` returned on a metric held by
+    its caller, not one that ``Chart.metric_inverse`` evaluated g for again.  A
+    structure jet builds its symbols when first read, right after
+    ``metric_derivative``, which names the chart; a map jet built with its
+    stencil jet builds its source symbols in ``maps`` from the g^-1 it inverted
+    at its rows, ``chart`` None."""
+    inverted, fresh, pending = {}, {}, []
     invert, derivative, build = (manifold.invert_metric, manifold.metric_derivative,
                                  manifold.christoffel)
+    chart_inverse = manifold.Chart.metric_inverse
 
     def inverting(g, x):
         out = invert(g, x)
         inverted[id(out)] = (out, x)  # the array is kept, so its id is not reused
+        return out
+
+    def evaluating(chart, x, cfg=None):
+        out = chart_inverse(chart, x, cfg)
+        fresh[id(out)] = out
         return out
 
     def differencing(chart, x, cfg):
@@ -315,7 +323,7 @@ def wrap_christoffel(monkeypatch, record):
 
     def recording(g_inv, dg):
         chart, x = pending.pop() if pending else (None, inverted[id(g_inv)][1])
-        record(chart, x, id(g_inv) in inverted)
+        record(chart, x, id(g_inv) in inverted and id(g_inv) not in fresh)
         return build(g_inv, dg)
 
     wrappers = {"invert_metric": inverting, "metric_derivative": differencing,
@@ -324,6 +332,7 @@ def wrap_christoffel(monkeypatch, record):
         for name, wrapper in wrappers.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(manifold.Chart, "metric_inverse", evaluating)
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma",
