@@ -613,10 +613,11 @@ def mobius_postcompose(entry: CatalogEntry, params: tuple, map_name: str = "hopf
 # registry
 # ---------------------------------------------------------------------------
 
+# Factories are looked up when called, so a wrapper on the module attribute runs.
 _BUILDERS: dict[str, Callable[[DiffConfig], CatalogEntry]] = {
-    "flat-torus": flat_torus,
+    "flat-torus": lambda cfg: flat_torus(cfg),
     "complex-plane": lambda cfg: complex_plane(),
-    "flat-t4": flat_t4,
+    "flat-t4": lambda cfg: flat_t4(cfg),
     "cp-1": lambda cfg: complex_projective(1),
     "cp-2": lambda cfg: complex_projective(2),
     "ce-1-0": lambda cfg: calabi_eckmann(1, 0, cfg),
@@ -633,10 +634,10 @@ _BUILDERS: dict[str, Callable[[DiffConfig], CatalogEntry]] = {
     "punctured-hopf-1": lambda cfg: punctured_hopf(1, cfg=cfg),
     "punctured-hopf-2": lambda cfg: punctured_hopf(2, cfg=cfg),
     "punctured-hopf-2-perturbed": lambda cfg: punctured_hopf(2, perturbed=True, cfg=cfg),
-    "hopf-surface-coords": hopf_surface_coords,
+    "hopf-surface-coords": lambda cfg: hopf_surface_coords(cfg),
     "annulus-radial": lambda cfg: annulus_radial(cfg=cfg),
     "annulus-radial-rescaled": lambda cfg: annulus_radial(target_scale=1.7, cfg=cfg),
-    "hopf-fibre-inclusion": hopf_fibre_inclusion,
+    "hopf-fibre-inclusion": lambda cfg: hopf_fibre_inclusion(cfg),
 }
 
 

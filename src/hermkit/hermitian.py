@@ -8,9 +8,9 @@ complex-bilinear / Hermitian extensions of the metric are applied explicitly.
 
 Every operator here takes a (k, dim) stack x of points, one per row (a point is
 its one-row stack), and returns the stack of its values at the rows, each row as
-alone; a 1-D point raises ``WrongDimension``.  A :class:`StructureJet` is the
-one owner of a chart's g, g^-1, Christoffel symbols, J, d J and nabla J at a
-stack, each built once; :func:`structure_jet` builds it for a check's samples
+alone; a 1-D point raises ``WrongDimension``.  A :class:`StructureJet`, a
+``numdiff.Jet``, is the one owner of a chart's g, g^-1, Christoffel symbols, J,
+d J and nabla J at a stack; :func:`structure_jet` builds it for a check's samples
 from one metric and one J call on the samples and their ``numdiff.stencil``
 points, and a map jet holds one per side (``maps.PointJet.source``,
 ``target``).  The structure operators (nabla J, div J, the Lee field, the
@@ -22,8 +22,7 @@ vectors in one call.  Nothing is cached by point: a check passes down the jet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -193,18 +192,6 @@ def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
             - np.einsum("...lij,...kl->...ikj", gamma, j))
 
 
-def _part(build: Callable) -> cached_property:
-    """A part of a structure jet, kept once read: the array its builder holds under
-    the part's name, else ``build(jet)``; a taken jet reads its rows of its jet's part."""
-    def read(jet: StructureJet) -> Array:
-        if part.attrname in jet.held:
-            return jet.held[part.attrname]
-        whole, rows = jet.whole or (None, None)
-        return build(jet) if whole is None else getattr(whole, part.attrname)[rows]
-    part = cached_property(read)
-    return part
-
-
 def _christoffel(jet: StructureJet) -> Array:
     """The Christoffel symbols of a jet: the interior checked, then g^-1, then d g by
     ``manifold.metric_derivative``; on an error the rows are built alone, so the
@@ -215,40 +202,29 @@ def _christoffel(jet: StructureJet) -> Array:
         return christoffel(jet.metric_inverse, metric_derivative(chart, x, cfg))
     except (GeometryError, DslError, ValueError):
         for r in range(len(x)) if len(x) > 1 else ():
-            _christoffel(StructureJet(chart, None, x[r:r + 1], cfg, jet.metric[r:r + 1]))
+            _christoffel(StructureJet(chart, None, x[r:r + 1], cfg,
+                                      held={"metric": jet.metric[r:r + 1]}))
         raise
 
 
 @dataclass(frozen=True, eq=False)
-class StructureJet:
+class StructureJet(numdiff.Jet):
     """g, g^-1, the Christoffel symbols ``gamma[r, k, i, j]``, J, d J (``dj[r, i, k, j]``
-    = d_i J^k_j) and ``nabla[r, i, k, j]`` = (nabla_i J)^k_j at the rows r of x.
-
-    g is given; every other part is built when first read and then kept, unless
-    ``held`` (its builder's arrays, by part name) holds it: g^-1 by
-    ``invert_metric``, Gamma by :func:`_christoffel`, J by ``j_field``, d J by
-    :func:`dj_stack`.  A jet taken by indexing reads its rows of the parts of the
-    jet it was taken from, built there on all its rows, as ``maps.PointJet.take``.
-    """
+    = d_i J^k_j) and ``nabla[r, i, k, j]`` = (nabla_i J)^k_j at the rows r of x, each
+    a ``numdiff.part``: g is held; g^-1 is built by ``invert_metric``, Gamma by
+    :func:`_christoffel`, J by ``j_field`` and d J by :func:`dj_stack`."""
 
     chart: Chart
     j_field: AlmostComplexField | None
     x: Array
     cfg: DiffConfig
-    metric: Array
-    held: dict = field(default_factory=dict, repr=False)
-    whole: tuple | None = field(default=None, repr=False)  # (jet, rows) for a taken jet
 
-    def __getitem__(self, rows) -> StructureJet:
-        """The jet at the rows ``rows`` (an index array) of this one."""
-        return StructureJet(self.chart, self.j_field, self.x[rows], self.cfg, self.metric[rows],
-                            whole=(self, rows))
-
-    metric_inverse = _part(lambda jet: invert_metric(jet.metric, jet.x))
-    gamma = _part(_christoffel)
-    j = _part(lambda jet: jet.j_field(jet.x))
-    dj = _part(lambda jet: dj_stack(jet.chart, jet.j_field, jet.x, jet.cfg))
-    nabla = _part(lambda jet: nabla_j_tensor(jet.gamma, jet.j, jet.dj))
+    metric = numdiff.part()
+    metric_inverse = numdiff.part(lambda jet: invert_metric(jet.metric, jet.x))
+    gamma = numdiff.part(_christoffel)
+    j = numdiff.part(lambda jet: jet.j_field(jet.x))
+    dj = numdiff.part(lambda jet: dj_stack(jet.chart, jet.j_field, jet.x, jet.cfg))
+    nabla = numdiff.part(lambda jet: nabla_j_tensor(jet.gamma, jet.j, jet.dj))
 
 
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> StructureJet:
@@ -270,8 +246,8 @@ def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig)
             structure_jet(chart, j_field, x[r:r + 1], cfg)
         raise
     gamma = christoffel(g_inv, numdiff.difference(g[k:], x, cfg))
-    return StructureJet(chart, j_field, x, cfg, g[:k].copy(),
-                        {"metric_inverse": g_inv, "gamma": gamma, "j": j, "dj": dj})
+    return StructureJet(chart, j_field, x, cfg, held={
+        "metric": g[:k].copy(), "metric_inverse": g_inv, "gamma": gamma, "j": j, "dj": dj})
 
 
 def apply_j(jet: StructureJet, v) -> Array:

@@ -12,18 +12,17 @@ one with :func:`point_jet` for all its samples; a check that differences on
 their stencil points builds it with ``stencil=True``, which runs the one
 differential, metric call and SVD on the samples and then their stencil points
 and returns the jet at the samples holding the jet at the stencil points,
-``jet.stencil``.  Each jet builds, when first read, and shares with every reader
-``jet.image``, phi(x), ``jet.split``, its :func:`conformality` data (an array
-per field), ``jet.lift``, its horizontal-lift matrices, and one
-``hermitian.StructureJet`` per side, the one owner of that side's g, g^-1,
-Christoffel symbols, J and d J: ``jet.source`` at x, on the jet's g (its
-Christoffel symbols from the stencil jet's g when built with one), and
-``jet.target`` at phi(x), on h there.  The third-order
-operators (:func:`fibre_mean_curvature`, :func:`homothety_residual`,
-:func:`lifted_structure_jet`, :func:`condition_ii_residual`) read what they
-need on ``jet`` and on ``jet.stencil`` and difference the latter;
-:func:`sff_tensor` and :func:`tension` take one ``second_partial`` stencil for
-all its samples and the Christoffel symbols of both sides.
+``jet.stencil``.  Its other parts follow the ``numdiff.Jet`` convention: phi(x),
+the :func:`conformality` data, the horizontal lift, the vertical projector and
+one ``hermitian.StructureJet`` per side, ``jet.source`` at x (its Christoffel
+symbols from the stencil jet's g when it holds one) and ``jet.target`` at
+phi(x), on h there, the one owner of that side's g, J and their derivatives.
+The third-order operators (:func:`fibre_mean_curvature`,
+:func:`homothety_residual`, :func:`lifted_structure_jet`,
+:func:`condition_ii_residual`) read what they need on ``jet`` and on
+``jet.stencil`` and difference the latter; :func:`sff_tensor` and
+:func:`tension` take one ``second_partial`` stencil for all its samples and the
+Christoffel symbols of both sides.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images.  Nothing is cached by point: phi is
@@ -33,7 +32,7 @@ instead of asking again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -100,99 +99,58 @@ def differential(spec: MapSpec, x) -> Array:
     return np.ascontiguousarray(np.swapaxes(d, -1, -2))
 
 
-@dataclass(frozen=True)
-class PointJet:
-    """The stacks of Dphi(x), g(x) and the SVD of Dphi, with ``rank`` an integer
-    array, at the rows of x.
+@dataclass(frozen=True, eq=False)
+class PointJet(numdiff.Jet):
+    """A ``numdiff.Jet`` at the rows of x: the stacks of Dphi(x), g(x) and the SVD
+    of Dphi, with ``rank`` an integer array, held; phi (``image``), the
+    :func:`conformality` data (``split``), the :func:`_lift_matrix` (``lift``, NaN
+    at rows that are not regular), the :func:`_vertical_projector` (``projector``)
+    and the structure jets of the two sides, ``source`` at x on the jet's g and
+    ``target`` at phi(x) on h there, built from them.
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
-    The cached properties are built when first read and then kept; a jet made by
-    :meth:`take` reads its rows of the jet it was taken from (of that jet's
-    ``stencil`` for its own).  ``source`` and ``target`` are the structure jets of
-    the two sides, at x and at phi(x).
-    ``stencil`` is a second jet, at the ``numdiff.stencil`` points of the rows:
-    ``built_stencil`` when :func:`point_jet` built the two together, else one
-    built when first read.
     """
 
     spec: MapSpec
     x: Array
-    differential: Array
-    metric: Array
-    singular_values: Array
-    vt: Array
-    rank: Array
-    whole: tuple | None = field(default=None, repr=False)  # (jet, rows) for a taken jet
-    built_stencil: PointJet | None = field(default=None, repr=False)
 
-    def take(self, rows) -> PointJet:
-        """The rows ``rows`` (an index array) of the jet; rows of a taken jet are
-        taken from its jet."""
-        if self.whole is not None:
-            return self.whole[0].take(self.whole[1][rows])
-        rows = np.asarray(rows, dtype=int)
-        parts = (self.x, self.differential, self.metric, self.singular_values, self.vt, self.rank)
-        return PointJet(self.spec, *(p[rows] for p in parts), whole=(self, rows))
-
-    def _part(self, name: str, build: Callable) -> Array | ConformalityData | StructureJet:
-        """``build(self)``; a taken jet reads its rows of its jet's part."""
-        if self.whole is None:
-            return build(self)
-        whole, rows = self.whole
-        return getattr(whole, name)[rows]
-
-    @cached_property
-    def split(self) -> ConformalityData:
-        """The :func:`conformality` data at the jet's rows."""
-        return self._part("split", conformality)
-
-    @cached_property
-    def lift(self) -> Array:
-        """The :func:`_lift_matrix` at the jet's rows (NaN at rows that are not
-        regular)."""
-        return self._part("lift", _lift_matrix)
-
-    @cached_property
-    def image(self) -> Array:
-        """phi at the jet's rows."""
-        return self._part("image", lambda jet: jet.spec(jet.x))
-
-    @cached_property
-    def source(self) -> StructureJet:
-        """The source structure jet at the jet's rows, on the jet's g; with the
-        stencil jet built with it, the Christoffel symbols from that jet's g."""
-        return self._part("source", _source_jet)
-
-    @cached_property
-    def target(self) -> StructureJet:
-        """The target structure jet at phi of the jet's rows, on h there."""
-        spec = self.spec
-        return self._part("target", lambda jet: StructureJet(
-            spec.target, spec.target_structure, jet.image, spec.cfg,
-            spec.target.metric(jet.image, spec.cfg)))
+    differential = numdiff.part()
+    metric = numdiff.part()
+    singular_values = numdiff.part()
+    vt = numdiff.part()
+    rank = numdiff.part()
+    # the builders are looked up when called, so a wrapper on the module function runs
+    split = numdiff.part(lambda jet: conformality(jet))
+    lift = numdiff.part(lambda jet: _lift_matrix(jet))
+    projector = numdiff.part(lambda jet: _vertical_projector(jet))
+    image = numdiff.part(lambda jet: jet.spec(jet.x))
+    source = numdiff.part(lambda jet: _source_jet(jet))
+    target = numdiff.part(lambda jet: StructureJet(
+        jet.spec.target, jet.spec.target_structure, jet.image, jet.spec.cfg,
+        held={"metric": jet.spec.target.metric(jet.image, jet.spec.cfg)}))
 
     @cached_property
     def stencil(self) -> PointJet:
         """The jet at the ``numdiff.stencil`` points of the jet's rows (one block of
-        points per row, in order): of a taken jet, its rows' blocks of its jet's
-        stencil jet; else the one built with it, or one built for them."""
+        points per row, in order): of a taken jet, its rows' blocks of its root's
+        stencil jet; else the held one, or one built for them."""
         if self.whole is not None:
-            whole, rows = self.whole
-            return whole.stencil.take(_blocks(rows, len(whole.stencil.x) // len(whole.x)))
-        return self.built_stencil or point_jet(
+            root, rows = self.whole
+            return root.stencil[_blocks(rows, len(root.stencil.x) // len(root.x))]
+        return self.held.get("stencil") or point_jet(
             self.spec, numdiff.stencil(self.x, self.spec.cfg).reshape(-1, self.x.shape[1]))
 
 
 def _source_jet(jet: PointJet) -> StructureJet:
-    """The source structure jet of a jet; one built with its stencil jet holds g^-1
-    and the Christoffel symbols from its g and the stencil jet's."""
-    spec, held = jet.spec, {}
-    if jet.built_stencil is not None:
+    """The source structure jet of a jet on its g; one that holds its stencil jet
+    also holds g^-1 and the Christoffel symbols from its g and the stencil jet's."""
+    spec, held = jet.spec, {"metric": jet.metric}
+    if "stencil" in jet.held:
         g_inv = invert_metric(jet.metric, jet.x)
-        dg = numdiff.difference(jet.built_stencil.metric, jet.x, spec.cfg)
-        held = {"metric_inverse": g_inv, "gamma": christoffel(g_inv, dg)}
-    return StructureJet(spec.source, spec.source_structure, jet.x, spec.cfg, jet.metric, held)
+        dg = numdiff.difference(jet.stencil.metric, jet.x, spec.cfg)
+        held.update(metric_inverse=g_inv, gamma=christoffel(g_inv, dg))
+    return StructureJet(spec.source, spec.source_structure, jet.x, spec.cfg, held=held)
 
 
 def _blocks(rows, per: int) -> Array:
@@ -205,7 +163,7 @@ def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
     rank: one :func:`differential`, one source metric call and one batched SVD,
     the rank decided per row (phi and h at first read).  With ``stencil`` these
     run on the rows of x and then its ``numdiff.stencil`` points, and the jet at
-    x's rows holds the jet at the stencil points as ``built_stencil``."""
+    x's rows holds the jet at the stencil points as ``stencil``."""
     x = np.array(as_points(x))
     rows = (np.concatenate([x, numdiff.stencil(x, spec.cfg).reshape(-1, x.shape[1])])
             if stencil else x)
@@ -214,9 +172,11 @@ def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
     _, sv, vt = np.linalg.svd(d)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
-    parts, k = (rows, d, g, sv, vt, rank), len(x)
-    return PointJet(spec, *(p[:k] for p in parts), built_stencil=PointJet(
-        spec, *(p[k:] for p in parts)) if stencil else None)
+    parts, k = dict(differential=d, metric=g, singular_values=sv, vt=vt, rank=rank), len(x)
+    held = {name: p[:k] for name, p in parts.items()}
+    if stencil:
+        held["stencil"] = PointJet(spec, rows[k:], held={name: p[k:] for name, p in parts.items()})
+    return PointJet(spec, rows[:k], held=held)
 
 
 def holomorphy_residual(jet: PointJet) -> list[float]:
@@ -341,11 +301,10 @@ def _vertical_projector(jet: PointJet) -> Array:
     return out
 
 
-def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..., Array]:
+def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
     """Smooth g-orthonormal vertical frame near each row of the jet: a function
     from the jet at nearby points, one block of points per row in order (the jet
-    itself, or ``jet.stencil``), and, if held, their vertical projectors (as
-    ``p_v`` at the jet's rows) to the frame at each point, as a matrix whose
+    itself, or ``jet.stencil``), to the frame at each point, as a matrix whose
     columns are the frame vectors (a 0-dimensional fibre has the empty frame).
 
     Fixed coordinate axes (chosen per row of ``jet`` by largest vertical
@@ -359,8 +318,7 @@ def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..
     if bad.size:
         raise CriticalPoint(f"no vertical frame at non-regular point {jet.x[bad[0]]!r}")
     n, k = spec.source.dim, spec.source.dim - spec.target.dim
-    p_v = _vertical_projector(jet) if p_v is None else p_v
-    g0, rows = jet.metric, np.arange(len(jet.x))
+    p_v, g0, rows = jet.projector, jet.metric, np.arange(len(jet.x))
     axes, basis = np.zeros((len(rows), 0), dtype=int), []
     for _ in range(k):  # pivoted: each axis must stay independent of the earlier ones
         w = np.stack([project_out(p_v[:, :, i], basis, g0) for i in range(n)], axis=1)
@@ -372,8 +330,8 @@ def vertical_frame_field(jet: PointJet, p_v: Array | None = None) -> Callable[..
         axes = np.column_stack([axes, best])
         basis.append(w[rows, best] / score[rows, best, None])
 
-    def frame_at(at: PointJet, p: Array | None = None) -> Array:
-        p = _vertical_projector(at) if p is None else p
+    def frame_at(at: PointJet) -> Array:
+        p = at.projector
         rows, cols = np.arange(len(p)), np.repeat(axes, len(p) // len(axes), axis=0)
         frame = orthonormalize([p[rows, :, cols[:, a]] for a in range(k)], at.metric)
         return np.stack(frame, axis=-1) if k else np.zeros((len(p), n, 0))
@@ -386,16 +344,15 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
     row; the zero vector exactly when the fibre is minimal there (0-dimensional
     fibres are).  A sample fixes the axes of the frames at its stencil points,
     which are differenced at ``jet.stencil``."""
-    p_v = _vertical_projector(jet)
-    frame_at = vertical_frame_field(jet, p_v)
-    gamma, frame = jet.source.gamma, frame_at(jet, p_v)
+    frame_at = vertical_frame_field(jet)
+    gamma, frame = jet.source.gamma, frame_at(jet)
     # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
     dframe = numdiff.difference(frame_at(jet.stencil), jet.x, jet.spec.cfg)
     total = np.zeros(jet.x.shape)
     for a in range(frame.shape[2]):
         v, dv = frame[:, :, a], dframe[..., a]
         total = total + np.einsum("ri,rik->rk", v, dv) + np.einsum("rkij,ri,rj->rk", gamma, v, v)
-    return total - (p_v @ total[..., None])[..., 0]
+    return total - (jet.projector @ total[..., None])[..., 0]
 
 
 def require_regular(jet: PointJet, what: str) -> None:
@@ -491,8 +448,9 @@ def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
     j = lifted_j(jet, orientation)
     dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, jet.spec.cfg)
     source = jet.source
-    return StructureJet(source.chart, None, source.x, source.cfg, source.metric, {
-        "metric_inverse": source.metric_inverse, "gamma": source.gamma, "j": j, "dj": dj})
+    return StructureJet(source.chart, None, source.x, source.cfg, held={
+        "metric": source.metric, "metric_inverse": source.metric_inverse,
+        "gamma": source.gamma, "j": j, "dj": dj})
 
 
 def _lifts(lift: Array, zs: Array) -> Array:
@@ -536,7 +494,7 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
         """[A, B] at every row of two real fields, each named by (part, k)."""
         return np.einsum("ri,rik->rk", at_x[a], dz[b]) - np.einsum("ri,rik->rk", at_x[b], dz[a])
 
-    worst, p_v = np.zeros(len(jet.x)), _vertical_projector(jet)
+    worst, p_v = np.zeros(len(jet.x)), jet.projector
     for k in range(base.m):
         for l in range(k + 1, base.m):
             zw = ((bracket((0, k), (0, l)) - bracket((1, k), (1, l)))

@@ -19,13 +19,18 @@ samples of a check) differences them alone.  :func:`project_out` is the
 package's only Gram-Schmidt step; :func:`gram_schmidt`, :func:`orthonormalize`
 and every frame construction in ``hermitian`` and ``maps`` are built on it.
 
+A :class:`Jet` holds arrays at the rows of a stack ``x``, each a :func:`part`:
+built once, when first read, unless the jet's builder holds it (``held``, by
+part name).  ``jet[rows]`` is the jet at some of its rows; it holds no part
+and reads its rows of its root jet's parts, built there on all the root's rows.
 Nothing is cached by point: a check builds each stack it needs once and passes
-it down.
+down the jet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,6 +91,40 @@ def as_points(x) -> Array:
     if x.ndim != 2:
         raise WrongDimension(f"expected a (k, n) stack of points, got shape {x.shape}")
     return x
+
+
+def part(build: Callable | None = None) -> cached_property:
+    """A part of a :class:`Jet`, kept once read: the array its builder holds under
+    the part's name, else a taken jet's rows of its root jet's part, else
+    ``build(jet)`` (a part without ``build`` must be held)."""
+    def read(jet: Jet):
+        name = prop.attrname
+        if name in jet.held or jet.whole is None and build is None:
+            return jet.held[name]  # KeyError when a part without build is not held
+        if jet.whole is not None:
+            root, rows = jet.whole
+            return getattr(root, name)[rows]
+        return build(jet)
+    prop = cached_property(read)
+    return prop
+
+
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """The base of a jet: arrays at the rows of a stack ``x`` (a subclass's field),
+    each a :func:`part`; ``held`` and ``whole`` are keyword-only, so a subclass
+    declares its own fields positionally."""
+
+    held: dict = field(default_factory=dict, kw_only=True, repr=False)
+    whole: tuple | None = field(default=None, kw_only=True, repr=False)  # (root jet, rows)
+
+    def __getitem__(self, rows) -> Jet:
+        """The jet at the rows ``rows`` (an index array) of this one, taken from its root."""
+        if self.whole is not None:
+            root, at = self.whole
+            return root[at[rows]]
+        rows = np.asarray(rows)
+        return replace(self, x=self.x[rows], held={}, whole=(self, rows))
 
 
 def by_row(f: Callable[[Array], Array | float]) -> Callable[[Array], Array]:

@@ -24,12 +24,12 @@ entry at the run's ``DiffConfig`` and calls the check on the map, or on the
 chart with the entry's structure ``J``.
 
 A map check builds the map's jet at its samples once, as one stack, in
-:func:`_map_points`, and every operator reads that stacked jet (or the rows
-:meth:`maps.PointJet.take` selects from it), one stacked call each: the
-conformality data, holomorphy, the tension, the Lee push-forward and the
-third-order operators.  A check that reads the stencil (fibres, homothety, the
-lifts) builds the sample jet together with the jet at their stencil points that
-it holds, ``jet.stencil``, from one stack.  So a map check takes one
+:func:`_map_points`, and every operator reads that stacked jet (or the jet at
+some of its rows, ``stack[rows]``, as ``numdiff.Jet`` takes it), one stacked
+call each: the conformality data, holomorphy, the tension, the Lee push-forward
+and the third-order operators.  A check that reads the stencil (fibres,
+homothety, the lifts) builds the sample jet together with the jet at their
+stencil points that it holds, ``jet.stencil``, from one stack.  So a map check takes one
 ``maps.differential`` call, and reads phi, the target metric, the conformality
 data and the structure jets of both sides from the jet: ``jet.source`` owns g,
 g^-1, Gamma, J and d J at the samples, ``jet.target`` owns them at phi of the
@@ -184,7 +184,7 @@ def _map_points(spec: MapSpec, plan: SamplePlan,
 
 def _lift_invariants(metric: Array, j: Array) -> tuple[dict, int]:
     """max|J^2 + I| and max|J^T g J - g| of a lifted J over the first five
-    samples, and their number."""
+    rows of its structure jet, and their number."""
     square, compat = invariant_residuals(metric[:5], j[:5])
     return {"square": float(np.max(square)), "compatibility": float(np.max(compat))}, len(square)
 
@@ -207,7 +207,7 @@ def _fibre_residual(stack: PointJet) -> tuple[float, int, int]:
     if degenerate.size:
         raise CriticalPoint(f"degenerate-rank sample at {stack.x[degenerate[0]]!r}")
     rows = np.flatnonzero(stack.split.regular & ~stack.split.near_critical)
-    excluded, used = int(np.sum(stack.split.near_critical)), stack.take(rows)
+    excluded, used = int(np.sum(stack.split.near_critical)), stack[rows]
     values = g_norm(used.metric, maps.fibre_mean_curvature(used)) if rows.size else []
     _guard_excluded(excluded, len(stack.x), "fibre minimality")
     return float(np.max(values, initial=0.0)), len(values), excluded
@@ -394,13 +394,12 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     target_nij = _nijenhuis_residual(stack.target)
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
-    first = stack.take(np.arange(min(5, len(stack.x))))
-    inv, _ = _lift_invariants(first.metric, maps.lifted_j(first, orientation))
     rows = np.flatnonzero(stack.split.regular & ~stack.split.near_critical)
     used, excluded = len(rows), len(stack.x) - len(rows)
     _guard_excluded(excluded, len(stack.x), "integrability sampling")
-    included = stack.take(rows)
+    included = stack[rows]
     lifted = maps.lifted_structure_jet(included, orientation)
+    inv, _ = _lift_invariants(lifted.metric, lifted.j)
     supermin = max(maps.superminimality_residual(included, lifted))
     nij = _nijenhuis_residual(lifted)
     cond_ii = max(maps.condition_ii_residual(included, lifted))

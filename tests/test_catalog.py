@@ -262,6 +262,20 @@ def test_get_entry_passes_config_to_maps():
     assert entry.maps["hopf"].cfg.step == 1e-3
 
 
+@pytest.mark.parametrize("entry_id, factory", [
+    ("flat-torus", "flat_torus"), ("flat-t4", "flat_t4"),
+    ("hopf-surface-coords", "hopf_surface_coords"),
+    ("hopf-fibre-inclusion", "hopf_fibre_inclusion")])
+def test_get_entry_calls_the_factory_the_module_holds(entry_id, factory, monkeypatch):
+    """``get_entry`` looks each factory up on the module when it builds the entry,
+    so a wrapper installed there (as the benchmark's tracer installs one) runs."""
+    calls, build = [], getattr(catalog, factory)
+    monkeypatch.setattr(catalog, factory, lambda cfg: calls.append(cfg) or build(cfg))
+    cfg = DiffConfig(step=1e-3)
+    assert catalog.get_entry(entry_id, cfg).id == entry_id
+    assert calls == [cfg]
+
+
 def test_perturbed_target_is_conformally_stretched(cfg):
     flat = catalog.punctured_hopf(2)
     bent = catalog.punctured_hopf(2, perturbed=True)

@@ -653,7 +653,7 @@ def test_structure_jet_equals_the_separate_calls_bit_for_bit(name, held, cfg):
     points = SamplePlan(seed=4, count=3).points(chart, cfg)
     for x in (points, points[1:2]):
         jet = (structure_jet if held else lazy_jet)(chart, j_field, x, cfg)
-        assert set(jet.held) == (set(PARTS) - {"nabla"} if held else set())
+        assert set(jet.held) == ({"metric", *PARTS} - {"nabla"} if held else {"metric"})
         assert not set(vars(jet)) & set(PARTS)  # no part read yet
         g, j, dj = chart.metric(x, cfg), j_field(x), hermitian.dj_stack(chart, j_field, x, cfg)
         gamma = chart_gamma(chart, x, cfg)

@@ -111,7 +111,7 @@ def require_interior(chart, x, cfg):
 def lazy_jet(chart, j_field, x, cfg) -> StructureJet:
     """The structure jet on g at the rows alone, every other part built when first
     read, as each side of a map jet is."""
-    return StructureJet(chart, j_field, x, cfg, chart.metric(x, cfg))
+    return StructureJet(chart, j_field, x, cfg, held={"metric": chart.metric(x, cfg)})
 
 
 def lazy_gamma(chart, x, cfg):

@@ -490,9 +490,8 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
         for part in dataclasses.fields(alone.split):
             assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))
     assert np.array_equal(joint.source.gamma, chart_gamma(spec.source, points, spec.cfg))
-    p_v = _vertical_projector(joint)
-    joint_frame_at, frame_at = vertical_frame_field(joint, p_v), vertical_frame_field(samples)
-    assert np.array_equal(joint_frame_at(joint, p_v), frame_at(samples))
+    joint_frame_at, frame_at = vertical_frame_field(joint), vertical_frame_field(samples)
+    assert np.array_equal(joint_frame_at(joint), frame_at(samples))
     assert np.array_equal(joint_frame_at(joint.stencil), frame_at(stencil))
     curvature = fibre_mean_curvature(joint)
     assert np.array_equal(curvature, fibre_mean_curvature(samples))
@@ -619,7 +618,7 @@ def test_a_taken_jet_reads_its_rows_of_both_structure_jets(punctured2):
         j.chart, lambda y: calls.append(len(y)) or j.fn(y)))
     jet = point_jet(spec, np.concatenate([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01,
                                           PUNCTURED2_POINT - 0.01]))
-    taken, rows = jet.take(np.array([2, 0])), [2, 0]
+    taken, rows = jet[np.array([2, 0])], [2, 0]
     for side in ("source", "target"):
         for part in ("metric_inverse", "gamma"):
             assert np.array_equal(getattr(getattr(taken, side), part),

@@ -17,7 +17,7 @@ import pytest
 
 from hermkit import catalog, maps, numdiff, scenarios
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric
-from hermkit.hermitian import AlmostComplexField, hermitian_frame
+from hermkit.hermitian import AlmostComplexField, StructureJet, hermitian_frame
 from hermkit.manifold import Box, Chart, Embedding, SamplePlan
 from hermkit.maps import MapSpec, point_jet
 from hermkit.numdiff import DiffConfig, constant
@@ -109,9 +109,60 @@ def test_stencil_of_a_jet_built_without_one_differentiates_only_its_points(monke
                         calls.append(np.array(x)) or differential(spec, x))
     points = numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim)
     assert np.array_equal(jet.stencil.x, points)
-    assert np.array_equal(jet.take([1]).stencil.x, points[len(points) // 2:])
+    assert np.array_equal(jet[[1]].stencil.x, points[len(points) // 2:])
     (x,) = calls
     assert np.array_equal(x, points)
+
+
+def counted_structure_jet(monkeypatch, calls):
+    """Structure jets on the Calabi-Eckmann chart whose J records the rows it runs
+    on, and the part read: J."""
+    entry = catalog.get_entry("ce-1-1", CFG)
+    chart, j = entry.charts["ce"], entry.structures["J"]
+    counted = AlmostComplexField(chart, lambda x: calls.append(len(x)) or j.fn(x))
+    return chart, lambda x: StructureJet(chart, counted, x, CFG,
+                                         held={"metric": chart.metric(x, CFG)}), "j"
+
+
+def counted_point_jet(monkeypatch, calls):
+    """Hopf map jets, with the vertical projector recording the rows it is built
+    on, and the part read: the projector."""
+    projector = maps._vertical_projector
+    monkeypatch.setattr(maps, "_vertical_projector",
+                        lambda jet: calls.append(len(jet.x)) or projector(jet))
+    spec = hopf()
+    return spec.source, lambda x: point_jet(spec, x), "projector"
+
+
+@pytest.mark.parametrize("counted, scenario", [
+    (counted_structure_jet, None),
+    (counted_point_jet, ("product-hopf-1-1-two-of-three", [4, 96]))])
+def test_a_part_read_through_two_taken_jets_is_built_once_on_the_root(counted, scenario,
+                                                                      monkeypatch):
+    """One convention for both jet types (``numdiff.Jet``): a jet taken from a
+    taken jet is taken from the root jet, holds no part before it is read, and
+    reads its rows of the root's part, built once on all the root's rows, bit for
+    bit the part built on those rows alone.  A two-of-three check builds the
+    vertical projector once on its sample jet and once on its stencil jet."""
+    calls = []
+    chart, make, name = counted(monkeypatch, calls)
+    x = SamplePlan(seed=0, count=4).points(chart, CFG)
+    jet = make(x)
+    taken = jet[[3, 1, 0]][[2, 0]]
+    assert taken.whole[0] is jet and taken.whole[1].tolist() == [0, 3]
+    assert taken.held == {} and name not in vars(taken)
+    value = getattr(taken, name)
+    assert calls == [4]
+    alone = getattr(make(x[[0, 3]]), name)
+    assert calls == [4, 2]
+    assert value.shape == alone.shape and value.tobytes() == alone.tobytes()
+    if scenario:
+        sid, rows = scenario
+        calls.clear()
+        assert scenarios.run_scenario(sid, SamplePlan(seed=0, count=4), CFG).overall
+        assert calls == rows
+
+
 @pytest.mark.parametrize("sid", MAP_SCENARIOS)
 def test_map_check_evaluates_phi_on_its_samples_once(sid, monkeypatch):
     """phi(x) at the samples is the sample jet's ``image``: the check's map runs

@@ -422,6 +422,37 @@ def test_condition_ii_looks_up_one_frame_per_stencil_point(monkeypatch):
     assert 0 < len(calls) <= plan.count * 2
 
 
+@pytest.mark.parametrize("count, near_critical", [(4, None), (10, 1)])
+def test_integrability_reads_the_lift_invariants_from_its_lifted_jet(count, near_critical,
+                                                                     monkeypatch):
+    """The lifted J is built once on the included samples and once on their stencil
+    points, and the lift invariants are read from it: over the first five included
+    samples, so a near-critical sample among the first five is left out of them."""
+    rows, lifted_j, conformality = [], maps.lifted_j, maps.conformality
+    monkeypatch.setattr(maps, "lifted_j", lambda jet, orientation:
+                        rows.append(len(jet.x)) or lifted_j(jet, orientation))
+
+    def marked(jet):
+        split = conformality(jet)
+        if len(jet.x) == count and near_critical is not None:
+            split.near_critical[near_critical] = True
+        return split
+
+    monkeypatch.setattr(maps, "conformality", marked)
+    sid = "punctured-hopf-2-integrability-plus"
+    _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
+    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    plan = SamplePlan(0, count)
+    report = scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid)
+    used = [r for r in range(count) if r != near_critical]
+    assert report.overall and rows == [len(used), 24 * len(used)]
+    first = sample_points(sid, plan)[used[:5]]
+    square, compat = hermitian.invariant_residuals(
+        spec.source.metric(first, CFG), lifted_j(maps.point_jet(spec, first), 1))
+    assert report.metadata["lifted_invariants"] == {
+        "square": float(np.max(square)), "compatibility": float(np.max(compat))}
+
+
 def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypatch):
     """The lift checks read the horizontal-lift matrices from the jets' ``lift``:
     the invariants, the lifted structure jet and condition (ii) share one build
