@@ -5,9 +5,12 @@ is printed per report:
 
 * ``run`` for every scenario at each setting of a flag grid (``--report
   json``);
-* one line per cell of the seed × step × Richardson sweep (``SWEEP_*``),
-  hashing the cell's ``run --report json`` outputs and exit codes of all
-  scenarios, in scenario order;
+* two lines per cell of the seed × step × Richardson sweep (``SWEEP_*``):
+  ``sweep`` hashes the cell's ``run --report json`` outputs and exit codes of
+  all scenarios, in scenario order, and ``verdicts`` hashes, from the same
+  runs, only each scenario's id, exit code and every check's (name, verdict),
+  so a change that moves residuals shows a verdict flip as a changed
+  ``verdicts`` line;
 * ``list``;
 * ``classify`` and ``check-map`` (``--report json``) on the benchmark's
   generated DSL configs for a few seeds, written to a temporary directory by
@@ -38,6 +41,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -113,13 +117,17 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(run(argv)[0].encode("utf-8")).hexdigest()
 
 
-def sweep_digest(extra: list[str]) -> str:
-    """SHA-256 of every scenario's report and exit code under ``extra``."""
-    sha = hashlib.sha256()
+def sweep_digests(extra: list[str]) -> tuple[str, str]:
+    """SHA-256 of every scenario's report and exit code under ``extra``, and of
+    every scenario's id, exit code and checks' (name, verdict) alone."""
+    reports, verdicts = hashlib.sha256(), hashlib.sha256()
     for sid in scenarios.scenario_ids():
         text, code = run(["run", sid, *extra, "--report", "json"])
-        sha.update(f"{sid} {code}\n{text}".encode("utf-8"))
-    return sha.hexdigest()
+        reports.update(f"{sid} {code}\n{text}".encode("utf-8"))
+        checks = [(check["name"], check["verdict"])
+                  for report in json.loads(text)["reports"] for check in report["checks"]]
+        verdicts.update(f"{sid} {code} {checks!r}\n".encode("utf-8"))
+    return reports.hexdigest(), verdicts.hexdigest()
 
 
 def lines():
@@ -133,7 +141,9 @@ def lines():
             for richardson in ("on", "off"):
                 extra = ["--seed", str(seed), "--points", SWEEP_POINTS,
                          "--step", step, "--richardson", richardson]
-                yield f"{sweep_digest(extra)}  sweep  {' '.join(extra)}"
+                reports, verdicts = sweep_digests(extra)
+                yield f"{reports}  sweep  {' '.join(extra)}"
+                yield f"{verdicts}  verdicts  {' '.join(extra)}"
     yield f"{digest(['list'])}  list"
     with tempfile.TemporaryDirectory() as tmp:
         for seed in DSL_SEEDS:

@@ -17,10 +17,10 @@ the :func:`conformality` data, the horizontal lift, the vertical projector and
 one ``hermitian.StructureJet`` per side, ``jet.source`` at x (its Christoffel
 symbols from the stencil jet's g when it holds one) and ``jet.target`` at
 phi(x), on h there, the one owner of that side's g, J and their derivatives.
-The third-order operators (:func:`fibre_mean_curvature`,
-:func:`homothety_residual`, :func:`lifted_structure_jet`,
-:func:`condition_ii_residual`) read what they need on ``jet`` and on
-``jet.stencil`` and difference the latter; :func:`sff_tensor` and
+The third-order operators difference a part of ``jet.stencil``: the vertical
+projector (:func:`fibre_mean_curvature`), lambda^2 (:func:`homothety_residual`),
+the lifted J or lifted frames (:func:`lifted_structure_jet`,
+:func:`condition_ii_residual`); :func:`sff_tensor` and
 :func:`tension` take one ``second_partial`` stencil for all its samples and the
 Christoffel symbols of both sides.
 
@@ -44,8 +44,7 @@ from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, 
                         lee_vector, nabla_J, require_almost_hermitian, stacked_hermitian_frame,
                         unit_axes)
 from .manifold import Chart, christoffel, invert_metric
-from .numdiff import (Array, DiffConfig, as_points, as_stack, g_length, gram_schmidt,
-                      orthonormalize, project_out)
+from .numdiff import Array, DiffConfig, as_points, as_stack, gram_schmidt, orthonormalize
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
 RANK_FACTOR = 1e-6
@@ -104,9 +103,10 @@ class PointJet(numdiff.Jet):
     """A ``numdiff.Jet`` at the rows of x: the stacks of Dphi(x), g(x) and the SVD
     of Dphi, with ``rank`` an integer array, held; phi (``image``), the
     :func:`conformality` data (``split``), the :func:`_lift_matrix` (``lift``, NaN
-    at rows that are not regular), the :func:`_vertical_projector` (``projector``)
-    and the structure jets of the two sides, ``source`` at x on the jet's g and
-    ``target`` at phi(x) on h there, built from them.
+    at rows that are not regular), the :func:`_vertical_projector` (``projector``,
+    differenced by the fibre mean curvature) and the structure jets of the two
+    sides, ``source`` at x on the jet's g and ``target`` at phi(x) on h there,
+    built from them.
 
     Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
     ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
@@ -301,58 +301,22 @@ def _vertical_projector(jet: PointJet) -> Array:
     return out
 
 
-def vertical_frame_field(jet: PointJet) -> Callable[[PointJet], Array]:
-    """Smooth g-orthonormal vertical frame near each row of the jet: a function
-    from the jet at nearby points, one block of points per row in order (the jet
-    itself, or ``jet.stencil``), to the frame at each point, as a matrix whose
-    columns are the frame vectors (a 0-dimensional fibre has the empty frame).
-
-    Fixed coordinate axes (chosen per row of ``jet`` by largest vertical
-    projection, ties broken by index) are pushed through the pointwise
-    ker-dphi projector and orthonormalized in the metric; the construction is
-    deterministic and smooth wherever the projections stay independent.
-    Raises ``CriticalPoint`` at the first row of ``jet`` that is not regular.
-    """
-    spec = jet.spec
-    bad = np.flatnonzero(jet.rank < spec.target.dim)
-    if bad.size:
-        raise CriticalPoint(f"no vertical frame at non-regular point {jet.x[bad[0]]!r}")
-    n, k = spec.source.dim, spec.source.dim - spec.target.dim
-    p_v, g0, rows = jet.projector, jet.metric, np.arange(len(jet.x))
-    axes, basis = np.zeros((len(rows), 0), dtype=int), []
-    for _ in range(k):  # pivoted: each axis must stay independent of the earlier ones
-        w = np.stack([project_out(p_v[:, :, i], basis, g0) for i in range(n)], axis=1)
-        score = g_length(w, g0[:, None])[..., 0]
-        score[rows[:, None], axes] = -1.0
-        best = np.argmax(score, axis=1)
-        if np.any(score[rows, best] <= numdiff.RANK_RTOL):
-            raise CriticalPoint("vertical projections of the coordinate axes are degenerate")
-        axes = np.column_stack([axes, best])
-        basis.append(w[rows, best] / score[rows, best, None])
-
-    def frame_at(at: PointJet) -> Array:
-        p = at.projector
-        rows, cols = np.arange(len(p)), np.repeat(axes, len(p) // len(axes), axis=0)
-        frame = orthonormalize([p[rows, :, cols[:, a]] for a in range(k)], at.metric)
-        return np.stack(frame, axis=-1) if k else np.zeros((len(p), n, 0))
-
-    return frame_at
-
-
 def fibre_mean_curvature(jet: PointJet) -> Array:
-    """Horizontal part of sum_a nabla_{v_a} v_a over a vertical frame at each
-    row; the zero vector exactly when the fibre is minimal there (0-dimensional
-    fibres are).  A sample fixes the axes of the frames at its stencil points,
-    which are differenced at ``jet.stencil``."""
-    frame_at = vertical_frame_field(jet)
-    gamma, frame = jet.source.gamma, frame_at(jet)
-    # dframe[r, i, :, a] is the i-th partial derivative of the a-th frame vector at row r.
-    dframe = numdiff.difference(frame_at(jet.stencil), jet.x, jet.spec.cfg)
-    total = np.zeros(jet.x.shape)
-    for a in range(frame.shape[2]):
-        v, dv = frame[:, :, a], dframe[..., a]
-        total = total + np.einsum("ri,rik->rk", v, dv) + np.einsum("rkij,ri,rj->rk", gamma, v, v)
-    return total - (jet.projector @ total[..., None])[..., 0]
+    """Mean curvature (I - P) tr_V(nabla P) of the fibre through each row, for the
+    vertical projector P: H^k = (I - P)^k_m (d_i P^m_j + Gamma^m_ij) VV^ij with VV =
+    P g^-1 (= sum_a v_a v_a^T over a g-orthonormal vertical frame), d P differenced
+    at ``jet.stencil``; 0 exactly where the fibre is minimal (0-dimensional ones
+    are).  Raises ``CriticalPoint`` at the first row of ``jet``, then of
+    ``jet.stencil``, of rank below the target dimension."""
+    for at in (jet, jet.stencil):
+        bad = np.flatnonzero(at.rank < jet.spec.target.dim)
+        if bad.size:
+            raise CriticalPoint(f"fibre mean curvature at rank {at.rank[bad[0]]}: {at.x[bad[0]]!r}")
+    p = jet.projector
+    dp = numdiff.difference(jet.stencil.projector, jet.x, jet.spec.cfg)  # [r, i, m, j]
+    total = np.einsum("rimj,rij->rm", dp + np.moveaxis(jet.source.gamma, 1, 2),
+                      p @ jet.source.metric_inverse)
+    return total - (p @ total[..., None])[..., 0]
 
 
 def require_regular(jet: PointJet, what: str) -> None:

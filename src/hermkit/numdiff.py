@@ -17,7 +17,7 @@ one and :func:`constant` one that is the same at every row.  :func:`partial` is
 that already holds those values (a map's jets at the stencil points of all the
 samples of a check) differences them alone.  :func:`project_out` is the
 package's only Gram-Schmidt step; :func:`gram_schmidt`, :func:`orthonormalize`
-and every frame construction in ``hermitian`` and ``maps`` are built on it.
+(the bases of ``maps.conformality``) and the frames of ``hermitian`` use it.
 
 A :class:`Jet` holds arrays at the rows of a stack ``x``, each a :func:`part`:
 built once, when first read, unless the jet's builder holds it (``held``, by

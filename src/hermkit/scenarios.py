@@ -27,13 +27,14 @@ A map check builds the map's jet at its samples once, as one stack, in
 :func:`_map_points`, and every operator reads that stacked jet (or the jet at
 some of its rows, ``stack[rows]``, as ``numdiff.Jet`` takes it), one stacked
 call each: the conformality data, holomorphy, the tension, the Lee push-forward
-and the third-order operators.  A check that reads the stencil (fibres,
-homothety, the lifts) builds the sample jet together with the jet at their
-stencil points that it holds, ``jet.stencil``, from one stack.  So a map check takes one
-``maps.differential`` call, and reads phi, the target metric, the conformality
-data and the structure jets of both sides from the jet: ``jet.source`` owns g,
-g^-1, Gamma, J and d J at the samples, ``jet.target`` owns them at phi of the
-samples, where the target is classified and its Nijenhuis tensor read.
+and the third-order operators.  A check that reads the stencil builds the sample
+jet holding the jet at their stencil points, ``jet.stencil``, from one stack, and
+differences the vertical projector (fibres), lambda^2 or the lifts there.  So a
+map check takes one ``maps.differential`` call, and reads phi, the target metric,
+the conformality data and the structure jets of both sides from the jet:
+``jet.source`` owns g, g^-1, Gamma, J and d J at the samples, ``jet.target`` owns
+them at phi of the samples, where the target is classified and its Nijenhuis
+tensor read.
 A structure check builds one stacked structure jet for all its samples (the lift
 checks, one for the lifted J) and reads its rows.
 """

@@ -13,8 +13,7 @@ from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_pro
                           conformality, condition_ii_residual, differential,
                           fibre_mean_curvature, holomorphy_residual,
                           homothety_residual, lee_pushforward, lift_structure,
-                          point_jet, sff_tensor, superminimality_residual, tension,
-                          vertical_frame_field)
+                          point_jet, sff_tensor, superminimality_residual, tension)
 from hermkit.numdiff import constant, orthonormalize
 from test_manifold import chart_gamma
 
@@ -156,24 +155,6 @@ def test_vertical_projector_matches_split(request, spec_name, point):
     npt.assert_allclose(p_v @ p_v, p_v, atol=1e-10)
 
 
-@pytest.mark.parametrize("spec_name, point", [("hopf", CE_POINT),
-                                              ("punctured2", PUNCTURED2_POINT)])
-def test_vertical_frame_field_orthonormal_in_kernel(request, spec_name, point):
-    spec = request.getfixturevalue(spec_name)
-    jet = jet_of(spec, point)
-    (frame,) = vertical_frame_field(jet)(jet)
-    assert frame.shape == (spec.source.dim, spec.source.dim - spec.target.dim)
-    (g,) = spec.source.metric(point, spec.cfg)
-    npt.assert_allclose(frame.T @ g @ frame, np.eye(frame.shape[1]), atol=1e-12)
-    npt.assert_allclose(jet.differential[0] @ frame, 0.0, atol=1e-8)
-
-
-def test_vertical_frame_field_needs_regular():
-    spec = flat_map(lambda x: x * [1.0, 0.0])
-    with pytest.raises(CriticalPoint):
-        vertical_frame_field(jet_of(spec, [[0.3, 0.4]]))
-
-
 def test_sff_identity_and_linear(torus_entry):
     spec = torus_entry.maps["identity"]
     npt.assert_allclose(sff_tensor(jet_of(spec, [[0.8, 0.9]]))[0, 0, 1], 0.0, atol=1e-9)
@@ -252,9 +233,27 @@ def test_fibre_mean_curvature_hopf(hopf):
 
 
 def test_fibre_mean_curvature_needs_regular():
-    spec = flat_map(lambda x: np.ones((len(x), 2)))
-    with pytest.raises(CriticalPoint):
-        fibre_mean_curvature(jet_of(spec, [[0.3, 0.4]]))
+    for fn in (lambda x: np.ones((len(x), 2)), lambda x: x * [1.0, 0.0]):  # rank 0, rank 1
+        with pytest.raises(CriticalPoint):
+            fibre_mean_curvature(jet_of(flat_map(fn), [[0.3, 0.4]]))
+
+
+def test_fibre_mean_curvature_raises_at_a_critical_stencil_point():
+    """x1^2 is regular at x1 = 1e-4, but its stencil point (0, 0.3) is critical,
+    where the vertical projector is no fibre's, so it is not differenced."""
+    spec = flat_map(lambda x: x[:, :1] ** 2, target_dim=1)
+    with pytest.raises(CriticalPoint, match=r"rank 0: array\(\[0\. *, 0\.3\]\)"):
+        fibre_mean_curvature(point_jet(spec, [[1e-4, 0.3]], stencil=True))
+
+
+@pytest.mark.parametrize("point", [[0.9, 1.1], [0.9, 1.1, 1.2]], ids=["n=2", "n=3"])
+def test_fibre_mean_curvature_of_the_spheres_of_the_radius(point):
+    """The fibres of |x| are round spheres, whose mean curvature -(n - 1) x / |x|^2
+    points to the origin."""
+    x, n = np.array([point]), len(point)
+    spec = flat_map(lambda y: np.linalg.norm(y, axis=1, keepdims=True), n, 1, 0.5, 1.5)
+    npt.assert_allclose(fibre_mean_curvature(jet_of(spec, x)), -(n - 1) * x / np.sum(x ** 2),
+                        atol=1e-6)
 
 
 def test_annulus_fibres_straight_and_dilation_scales(cfg):
@@ -458,16 +457,13 @@ def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
 
 
 def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
-    """The vertical frame field and the horizontal lift read from a stacked jet
+    """The horizontal lift and the vertical projector read from a stacked jet
     equal the one-row stacks' row by row."""
     stack = PUNCTURED2_POINT + 1e-3 * np.vstack([np.eye(6), -np.eye(6)])
     jets = point_jet(punctured2, stack)
-    frame_at = vertical_frame_field(point_jet(punctured2, PUNCTURED2_POINT))
-    frames, lifts = frame_at(jets), jets.lift
-    projectors = _vertical_projector(jets)
+    lifts, projectors = jets.lift, _vertical_projector(jets)
     for r in range(len(stack)):
         jet = point_jet(punctured2, stack[r:r + 1])
-        assert np.array_equal(frames[r], frame_at(jet)[0])
         assert np.array_equal(lifts[r], jet.lift[0])
         assert np.array_equal(projectors[r], _vertical_projector(jet)[0])
 
@@ -477,9 +473,8 @@ def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
 def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
     """Every part of a jet built with its stencil jet equals that of the sample
     jet and of the stencil jet built apart: the fields, every conformality array
-    and the lift at both, Gamma against the chart's, the vertical frames (a
-    sample fixes the axes of its block of stencil points) and the fibre mean
-    curvature, which also equals each point's one-row stack's on a 3-point plan."""
+    and the lift at both, Gamma against the chart's and the fibre mean curvature,
+    which also equals each point's one-row stack's on a 3-point plan."""
     spec = catalog.get_entry(name).maps[key]
     points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
     joint, samples = point_jet(spec, points, stencil=True), point_jet(spec, points)
@@ -490,9 +485,6 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
         for part in dataclasses.fields(alone.split):
             assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))
     assert np.array_equal(joint.source.gamma, chart_gamma(spec.source, points, spec.cfg))
-    joint_frame_at, frame_at = vertical_frame_field(joint), vertical_frame_field(samples)
-    assert np.array_equal(joint_frame_at(joint), frame_at(samples))
-    assert np.array_equal(joint_frame_at(joint.stencil), frame_at(stencil))
     curvature = fibre_mean_curvature(joint)
     assert np.array_equal(curvature, fibre_mean_curvature(samples))
     for r in range(len(points)):
