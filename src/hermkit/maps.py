@@ -6,10 +6,13 @@ total space of a conformal submersion with 2-dimensional fibres.
 Points are (k, source dim) stacks, one point per row (a point is its one-row
 stack), and a 1-D point raises ``WrongDimension``.  Every operator reads a
 :class:`PointJet` (x, Dphi from one :func:`differential` stencil, the source
-metric g and the one-SVD rank split of Dphi) at the rows of such a stack and
-returns one value per row, each row as alone, bit for bit.  A map check builds
-one with :func:`point_jet` for all its samples; a check that differences on
-their stencil points builds it with ``stencil=True``, which runs the one
+metric g, and the singular values and rank of Dphi from one batched SVD) at
+the rows of such a stack and returns one value per row, each row as alone, bit
+for bit.  No basis of the fibre or of its complement is built: conformality, the
+horizontal lift, the vertical projector, the lifted J and superminimality are
+read from the co-metric Dphi g^-1 Dphi^T (Baird & Wood 2003).  A map check
+builds one with :func:`point_jet` for all its samples; a check that differences
+on their stencil points builds it with ``stencil=True``, which runs the one
 differential, metric call and SVD on the samples and then their stencil points
 and returns the jet at the samples holding the jet at the stencil points,
 ``jet.stencil``.  Its other parts follow the ``numdiff.Jet`` convention: phi(x),
@@ -18,11 +21,11 @@ one ``hermitian.StructureJet`` per side, ``jet.source`` at x (its Christoffel
 symbols from the stencil jet's g when it holds one) and ``jet.target`` at
 phi(x), on h there, the one owner of that side's g, J and their derivatives.
 The third-order operators difference a part of ``jet.stencil``: the vertical
-projector (:func:`fibre_mean_curvature`), lambda^2 (:func:`homothety_residual`),
-the lifted J or lifted frames (:func:`lifted_structure_jet`,
-:func:`condition_ii_residual`); :func:`sff_tensor` and
-:func:`tension` take one ``second_partial`` stencil for all its samples and the
-Christoffel symbols of both sides.
+projector (:func:`fibre_mean_curvature`), lambda^2
+(:func:`homothety_residual`), the lifted J or lifted frames
+(:func:`lifted_structure_jet`, :func:`condition_ii_residual`);
+:func:`sff_tensor` and :func:`tension` take one ``second_partial`` stencil for
+all its samples and the Christoffel symbols of both sides.
 
 A :class:`MapSpec`'s ``fn`` maps a (k, source dim) stack of points to the
 (k, target dim) stack of their images.  Nothing is cached by point: phi is
@@ -41,10 +44,10 @@ import numpy as np
 from . import numdiff
 from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
 from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
-                        lee_vector, nabla_J, require_almost_hermitian, stacked_hermitian_frame,
+                        lee_vector, require_almost_hermitian, stacked_hermitian_frame,
                         unit_axes)
 from .manifold import Chart, christoffel, invert_metric
-from .numdiff import Array, DiffConfig, as_points, as_stack, gram_schmidt, orthonormalize
+from .numdiff import Array, DiffConfig, as_points, as_stack
 
 #: A singular value of the differential counts as zero below sigma_max * RANK_FACTOR.
 RANK_FACTOR = 1e-6
@@ -100,16 +103,15 @@ def differential(spec: MapSpec, x) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class PointJet(numdiff.Jet):
-    """A ``numdiff.Jet`` at the rows of x: the stacks of Dphi(x), g(x) and the SVD
-    of Dphi, with ``rank`` an integer array, held; phi (``image``), the
-    :func:`conformality` data (``split``), the :func:`_lift_matrix` (``lift``, NaN
-    at rows that are not regular), the :func:`_vertical_projector` (``projector``,
-    differenced by the fibre mean curvature) and the structure jets of the two
-    sides, ``source`` at x on the jet's g and ``target`` at phi(x) on h there,
-    built from them.
+    """A ``numdiff.Jet`` at the rows of x: the stacks of Dphi(x), g(x) and the
+    singular values of Dphi, with ``rank`` an integer array, held; phi
+    (``image``), the :func:`conformality` data (``split``), the
+    :func:`_lift_matrix` (``lift``, NaN at rows of rank below the target
+    dimension), the :func:`_vertical_projector` (``projector``, differenced by the
+    fibre mean curvature) and the structure jets of the two sides, ``source`` at
+    x on the jet's g and ``target`` at phi(x) on h there, built from them.
 
-    Singular values at most sigma_max * RANK_FACTOR count as zero, so the rows
-    ``vt[rank:]`` span ker dphi and ``vt[:rank]`` its Euclidean complement.
+    Singular values at most sigma_max * RANK_FACTOR count as zero.
     """
 
     spec: MapSpec
@@ -118,7 +120,6 @@ class PointJet(numdiff.Jet):
     differential = numdiff.part()
     metric = numdiff.part()
     singular_values = numdiff.part()
-    vt = numdiff.part()
     rank = numdiff.part()
     # the builders are looked up when called, so a wrapper on the module function runs
     split = numdiff.part(lambda jet: conformality(jet))
@@ -169,10 +170,10 @@ def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
             if stencil else x)
     d = differential(spec, rows)
     g = spec.source.metric(rows, spec.cfg)
-    _, sv, vt = np.linalg.svd(d)
+    sv = np.linalg.svd(d, compute_uv=False)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
-    parts, k = dict(differential=d, metric=g, singular_values=sv, vt=vt, rank=rank), len(x)
+    parts, k = dict(differential=d, metric=g, singular_values=sv, rank=rank), len(x)
     held = {name: p[:k] for name, p in parts.items()}
     if stencil:
         held["stencil"] = PointJet(spec, rows[k:], held={name: p[k:] for name, p in parts.items()})
@@ -196,28 +197,20 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
 class ConformalityData:
     """Horizontal-conformality report, an array per field over the rows of a jet.
 
-    A row is ``regular`` (full rank onto the target), ``critical`` (rank 0) or
-    ``degenerate`` (intermediate rank, reported as conformality failure), as
-    ``kind`` names it; ``dilation`` is positive and ``near_critical`` may hold only
-    on regular rows.  The g-orthonormal bases of ker dphi and of its complement are
-    ``vertical[r, :n - rank]`` and ``horizontal[r, :horizontal_count]``, padded
-    with zero vectors.
+    A row is ``regular`` (rank equal to the target dimension), ``critical``
+    (rank 0) or ``degenerate`` (intermediate rank, reported as conformality
+    failure), as ``kind`` names it; ``dilation`` is positive and
+    ``near_critical`` may hold only on regular rows.
     """
 
     rank: Array
     dilation: Array
     conformality_residual: Array
     near_critical: Array
-    vertical: Array
-    horizontal: Array
-    horizontal_count: Array
+    regular: Array
 
     def __getitem__(self, rows) -> ConformalityData:
         return ConformalityData(*(part[rows] for part in vars(self).values()))
-
-    @property
-    def regular(self) -> Array:
-        return self.rank == self.horizontal.shape[-2]
 
     @property
     def kind(self) -> Array:
@@ -226,39 +219,22 @@ class ConformalityData:
 
 
 def conformality(jet: PointJet) -> ConformalityData:
-    """Split T_x into ker dphi and its g-orthogonal complement and measure how
-    conformal dphi is on the horizontal part, at each row: rows of equal rank run
-    as one stack (sub-stacks where Gram-Schmidt keeps different vectors), in the
-    jet's target metric.  Readers take it from ``jet.split``, built once."""
-    d, g, sv, vt = jet.differential, jet.metric, jet.singular_values, jet.vt
-    k, t, n = d.shape
-    out = ConformalityData(jet.rank, np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool),
-                           np.zeros((k, n, n)), np.zeros((k, t, n)), np.zeros(k, dtype=int))
-    for rank in sorted(set(jet.rank.tolist())):
-        rows = np.flatnonzero(jet.rank == rank)
-        vertical = orthonormalize([vt[rows, i] for i in range(rank, n)], g[rows])
-        out.vertical[rows, :n - rank] = np.stack(vertical, axis=1) if vertical else 0.0
-        # Horizontal = g-orthogonal complement of the kernel: project each row-space
-        # vector off the kernel first and the earlier horizontal vectors second.
-        tol = numdiff.RANK_RTOL * np.maximum(1.0, sv[rows, 0])
-        for part, horiz in gram_schmidt([vt[rows, i] for i in range(rank)], g[rows], tol,
-                                        vertical):
-            at, h = rows[part], len(horiz)
-            img = (np.stack([(d[at] @ u[:, :, None])[:, :, 0] for u in horiz], axis=-1)
-                   if horiz else np.zeros((len(at), t, 0)))
-            gram = np.swapaxes(img, 1, 2) @ jet.target.metric[at] @ img
-            lam_sq = np.diagonal(gram, axis1=1, axis2=2).sum(axis=1) / max(h, 1)
-            padded = np.zeros((len(at), t, t))
-            padded[:, :h, :h] = gram
-            flat = (padded - lam_sq[:, None, None] * np.eye(t)).reshape(len(at), 1, t * t)
-            out.conformality_residual[at] = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0]
-            out.horizontal[at, :h] = np.stack(horiz, axis=1) if horiz else 0.0
-            out.horizontal_count[at] = h
-            if rank == t:
-                out.dilation[at] = np.sqrt(np.maximum(lam_sq, 0.0))
-                out.near_critical[at] = sv[at, rank - 1] <= NEAR_CRITICAL_FACTOR * (
-                    sv[at, 0] * RANK_FACTOR)
-    return out
+    """How conformal dphi is on the g-orthogonal complement of its kernel, at
+    each row, from the co-metric: M = Dphi g^-1 Dphi^T h has the eigenvalues of
+    the Gram matrix in h of dphi on a g-orthonormal horizontal basis, zeros
+    included, so lambda^2 = tr M / max(rank, 1) and the residual, that Gram
+    matrix less lambda^2 I in the Frobenius norm, is sqrt(tr (M - lambda^2 I)^2).
+    h is not inverted.  Readers take it from ``jet.split``, built once."""
+    d, sv, rank = jet.differential, jet.singular_values, jet.rank
+    _, t, n = d.shape
+    m = d @ jet.source.metric_inverse @ np.swapaxes(d, 1, 2) @ jet.target.metric
+    lam_sq = np.trace(m, axis1=1, axis2=2) / np.maximum(rank, 1)
+    dev = m - lam_sq[:, None, None] * np.eye(t)
+    residual = np.sqrt(np.maximum(np.einsum("rij,rji->r", dev, dev), 0.0))
+    regular = rank == t
+    near = sv[:, min(t, n) - 1] <= NEAR_CRITICAL_FACTOR * (sv[:, 0] * RANK_FACTOR)
+    return ConformalityData(rank, np.where(regular, np.sqrt(np.maximum(lam_sq, 0.0)), 0.0),
+                            residual, regular & near, regular)
 
 
 def sff_tensor(jet: PointJet) -> Array:
@@ -291,14 +267,9 @@ def lee_pushforward(jet: PointJet) -> Array:
 
 
 def _vertical_projector(jet: PointJet) -> Array:
-    """g-orthogonal projector onto ker dphi at each row (basis independent, smooth)."""
-    out = np.zeros(jet.metric.shape)
-    for rank in sorted(set(jet.rank[jet.rank < out.shape[-1]].tolist())):
-        rows = np.flatnonzero(jet.rank == rank)
-        null_t, g = jet.vt[rows, rank:], jet.metric[rows]
-        null = np.swapaxes(null_t, 1, 2)
-        out[rows] = null @ np.linalg.solve(null_t @ g @ null, null_t @ g)
-    return out
+    """g-orthogonal projector I - L Dphi onto ker dphi at each row, for the
+    :func:`_lift_matrix` L (NaN where the rank is below the target dimension)."""
+    return np.eye(jet.differential.shape[-1]) - jet.lift @ jet.differential
 
 
 def fibre_mean_curvature(jet: PointJet) -> Array:
@@ -340,25 +311,28 @@ def homothety_residual(jet: PointJet) -> list[float]:
 
 
 def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[float]:
-    """max over vertical frame vectors V and unit coordinate axes Y of
-    |(nabla_V J) Y| at each row, from the map's jet and the source structure's
-    jet at the same points."""
+    """max over unit coordinate axes Y of the RMS of |(nabla_V J) Y| over a
+    g-orthonormal basis V of the fibre at each row, sqrt(tr(X^T g X P g^-1) / k)
+    for X = (nabla_. J) Y P, the vertical projector P and the fibre dimension k,
+    from the map's jet and the source structure's jet at the same points."""
     require_regular(jet, "superminimality needs a regular point")
-    g, k = structure.metric, jet.spec.source.dim - jet.spec.target.dim
-    vertical = [np.ascontiguousarray(jet.split.vertical[:, a]) for a in range(k)]
-    return np.max([np.zeros(len(jet.x)), *(g_norm(g, nabla_J(structure, v, y))
-                                           for v in vertical for y in unit_axes(g))],
-                  axis=0).tolist()
+    g, p = structure.metric, jet.projector
+    xs = np.einsum("rikj,rbj,rim->rbkm", structure.nabla, np.stack(unit_axes(g), axis=1), p)
+    sq = np.einsum("rbkm,rkl,rbln,rnm->rb", xs, g, xs, p @ structure.metric_inverse)
+    k = max(jet.spec.source.dim - jet.spec.target.dim, 1)
+    return np.sqrt(np.max(np.maximum(sq, 0.0), axis=1) / k).tolist()
 
 
 def _lift_matrix(jet: PointJet) -> Array:
-    """Horizontal-lift operator L with dphi L = id and image H at each regular row
-    of the jet, NaN at the others; readers take it from ``jet.lift``."""
-    out = np.full(np.swapaxes(jet.differential, 1, 2).shape, np.nan)
-    rows = np.flatnonzero(jet.split.regular)
+    """Horizontal-lift operator L = g^-1 Dphi^T (Dphi g^-1 Dphi^T)^-1, with
+    dphi L = id and image H, at each row of the jet whose rank is the target
+    dimension, NaN at the others; readers take it from ``jet.lift``."""
+    d = jet.differential
+    out = np.full(np.swapaxes(d, 1, 2).shape, np.nan)
+    rows = np.flatnonzero(jet.rank == d.shape[1])
     if rows.size:
-        a = np.ascontiguousarray(np.swapaxes(jet.split.horizontal[rows], 1, 2))
-        out[rows] = a @ np.linalg.inv(jet.differential[rows] @ a)
+        a = jet.source.metric_inverse[rows] @ np.swapaxes(d[rows], 1, 2)
+        out[rows] = a @ np.linalg.inv(d[rows] @ a)
     return out
 
 
@@ -372,24 +346,25 @@ def _require_liftable(spec: MapSpec, orientation: int) -> None:
 
 
 def lifted_j(jet: PointJet, orientation: int) -> Array:
-    """The lifted J of :func:`lift_structure` at each row, from the jet's
-    conformality data."""
+    """The lifted J of :func:`lift_structure` at each row: L J_target dphi on the
+    horizontal space, for the jet's lift L, and on the fibre the rotation
+    -orientation W / s, for W = g^-1 P^T omega P by the jet's vertical projector P
+    and the map's fibre orientation form omega, and s = sqrt(-tr(W^2) / 2), which
+    is |omega(v1, v2)| on any g-orthonormal basis v1, v2 of the fibre."""
     spec = jet.spec
     _require_liftable(spec, orientation)
     require_regular(jet, "horizontal lift needs a regular point")
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension(f"lift needs 2-dimensional fibres, got "
                              f"{spec.source.dim - spec.target.dim}")
-    v1, v2 = (np.ascontiguousarray(jet.split.vertical[:, a]) for a in (0, 1))
     omega = as_stack(spec.fibre_orientation(jet.x), jet.x, (spec.source.dim,) * 2,
                      f"map {spec.name or '(unnamed)'}: fibre_orientation")
-    signed = (v1[:, None] @ omega @ v2[:, :, None])[:, 0, 0]
-    if np.any(np.abs(signed) < 1e-12):
+    p = jet.projector
+    w = jet.source.metric_inverse @ np.swapaxes(p, 1, 2) @ omega @ p
+    s = np.sqrt(np.maximum(-0.5 * np.einsum("rij,rji->r", w, w), 0.0))
+    if np.any(s < 1e-12):
         raise ValueError("fibre orientation form is degenerate on the fibre")
-    sigma = (orientation * np.sign(signed))[:, None, None]
-    g_v1, g_v2 = ((jet.metric @ v[:, :, None])[:, :, 0] for v in (v1, v2))
-    rot = sigma * (v2[:, :, None] * g_v1[:, None] - v1[:, :, None] * g_v2[:, None])
-    return jet.lift @ jet.target.j @ jet.differential + rot
+    return jet.lift @ jet.target.j @ jet.differential - orientation * w / s[:, None, None]
 
 
 def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:

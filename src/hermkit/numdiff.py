@@ -1,10 +1,10 @@
 """Deterministic finite-difference differentiation and metric-aware orthonormalization.
 
 Everything downstream (connections, tension fields, structure tensors) is built
-on the two stencil routines and the Gram-Schmidt step in this module, so the
-error behaviour of the whole package is pinned down here: central differences
-are second order in ``step``, and the optional Richardson extrapolation removes
-the leading error term.
+on the two stencil routines in this module, so the error behaviour of the
+whole package is pinned down here: central differences are second order in
+``step``, and the optional Richardson extrapolation removes the leading error
+term.
 
 Points are (k, n) stacks, one point per row, here and in ``manifold``, ``maps``
 and ``hermitian``; a single point is the one-row stack x[None], and
@@ -16,8 +16,8 @@ one and :func:`constant` one that is the same at every row.  :func:`partial` is
 :func:`difference` of the values at the points of :func:`stencil`, so a caller
 that already holds those values (a map's jets at the stencil points of all the
 samples of a check) differences them alone.  :func:`project_out` is the
-package's only Gram-Schmidt step; :func:`gram_schmidt`, :func:`orthonormalize`
-(the bases of ``maps.conformality``) and the frames of ``hermitian`` use it.
+package's only Gram-Schmidt step; :func:`orthonormalize` and the frames of
+``hermitian`` use it.
 
 A :class:`Jet` holds arrays at the rows of a stack ``x``, each a :func:`part`:
 built once, when first read, unless the jet's builder holds it (``held``, by
@@ -267,29 +267,6 @@ def project_out(v: Array, basis: Sequence[Array], g: Array) -> Array:
     return w
 
 
-def gram_schmidt(vectors: Sequence[Array], g: Array, tol: Array,
-                 basis: tuple = ()) -> list[tuple[Array, tuple]]:
-    """Modified Gram-Schmidt of (k, d) stacks of vectors in a (k, d, d) stack of
-    metrics, each row bit for bit as alone: in order, each vector is projected
-    off ``basis`` (g-orthonormal (k, d) stacks, not returned) and the vectors
-    kept before it, and kept, normalized, where its g-length exceeds ``tol``
-    (one per row).  Rows that keep different vectors part into sub-stacks: the
-    result is a list of groups (positions of their rows, kept (k, d) stacks).
-    """
-    kept: tuple = ()
-    for v in vectors:
-        w = project_out(v, basis + kept, g)
-        n = g_length(w, g)
-        keep = n[:, 0] > tol
-        if keep.all():
-            kept += (w / n,)
-        elif keep.any():  # the rows disagree: each part starts again on its own
-            return [(np.flatnonzero(part)[rows], vs) for part in (keep, ~keep)
-                    for rows, vs in gram_schmidt([u[part] for u in vectors], g[part],
-                                                 tol[part], tuple(b[part] for b in basis))]
-    return [(np.arange(len(g)), kept)]
-
-
 def orthonormalize(vectors: Sequence[Array], g: Array) -> tuple:
     """Modified Gram-Schmidt of (k, d) stacks of vectors in a (k, d, d) stack of
     metrics, in the given order: the g-orthonormal (k, d) stacks, as a tuple.
@@ -303,10 +280,13 @@ def orthonormalize(vectors: Sequence[Array], g: Array) -> tuple:
         return ()
     # Largest singular value of the g-weighted collection sets each row's rank scale.
     chol_t = np.swapaxes(np.linalg.cholesky(g), 1, 2)
-    smax = np.linalg.norm(chol_t @ np.stack(vecs, axis=-1), ord=2, axis=(1, 2))
-    # the group of the first row that keeps too few, if any
-    _, kept = min(gram_schmidt(vecs, g, smax * RANK_RTOL),
-                  key=lambda group: (len(group[1]) == len(vecs), group[0][0]))
-    if len(kept) < len(vecs):
-        raise RankDeficient(f"requested {len(vecs)} independent vectors, got {len(kept)}")
+    tol = np.linalg.norm(chol_t @ np.stack(vecs, axis=-1), ord=2, axis=(1, 2)) * RANK_RTOL
+    kept: tuple = ()
+    for i, v in enumerate(vecs):
+        w = project_out(v, kept, g)
+        n = g_length(w, g)
+        if not np.all(n[:, 0] > tol):
+            raise RankDeficient(f"requested {len(vecs)} independent vectors, vector {i + 1} "
+                                f"depends on the ones before it")
+        kept += (w / n,)
     return kept

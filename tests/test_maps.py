@@ -95,11 +95,10 @@ def test_conformality_hopf_submersion(hopf):
     assert c.regular
     npt.assert_allclose(c.dilation, 1.0, atol=1e-9)
     assert c.conformality_residual <= 1e-9
-    assert hopf.source.dim - c.rank == 2 and c.horizontal_count == 2
-    (g,) = hopf.source.metric(CE_POINT, hopf.cfg)
-    for v in c.vertical[:2]:
-        for h in c.horizontal[:2]:
-            assert abs(v @ g @ h) <= 1e-9
+    assert hopf.source.dim - c.rank == 2
+    # the lift's image, H, is g-orthogonal to the projector's, ker dphi
+    jet = jet_of(hopf, CE_POINT)
+    npt.assert_allclose(jet.lift[0].T @ jet.metric[0] @ jet.projector[0], 0.0, atol=1e-9)
 
 
 def test_conformality_punctured_dilation(punctured1):
@@ -124,6 +123,40 @@ def test_conformality_partial_rank_degenerate():
     assert c.conformality_residual > 0.1
 
 
+def test_conformality_of_a_map_into_a_larger_target():
+    """The Hopf fibre inclusion, a great circle in S^3 (n = 1, t = 3), has rank 1
+    and no regular row: degenerate with residual sqrt(2), and near_critical reads
+    the one singular value there is, not a column t - 1."""
+    spec = catalog.get_entry("hopf-fibre-inclusion").maps["inclusion"]
+    points = SamplePlan(seed=0, count=3).points(spec.source, spec.cfg)
+    c = conformality(point_jet(spec, points))
+    assert c.kind.tolist() == [KIND_DEGENERATE] * 3
+    npt.assert_allclose(c.conformality_residual, np.sqrt(2.0), atol=1e-8)
+    assert not c.near_critical.any()
+
+
+def test_conformality_needs_a_positive_definite_source_metric():
+    """A source metric diag(1, -1) raises ``SingularMetric`` from g^-1, not a
+    numpy error."""
+    src = Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)),
+                metric_fn=constant(np.diag([1.0, -1.0])))
+    spec = dataclasses.replace(flat_map(lambda x: x[:, :1] + x[:, 1:] ** 2, target_dim=1),
+                               source=src)
+    with pytest.raises(SingularMetric, match="not positive-definite"):
+        conformality(jet_of(spec, [[0.3, 0.4]]))
+
+
+def test_conformality_reads_an_indefinite_target_metric():
+    """The identity into h = diag(1, -1) is regular with lambda^2 = tr h / 2 = 0
+    and residual |h|_F = sqrt(2); h is not inverted, so nothing raises."""
+    tgt = Chart(dim=2, box=Box((-1e3, -1e3), (1e3, 1e3)),
+                metric_fn=constant(np.diag([1.0, -1.0])))
+    spec = dataclasses.replace(flat_map(lambda x: np.array(x)), target=tgt)
+    c = conformality(jet_of(spec, [[0.3, 0.4]]))[0]
+    assert c.regular and c.dilation == 0.0
+    npt.assert_allclose(c.conformality_residual, np.sqrt(2.0), rtol=1e-12)
+
+
 @pytest.mark.parametrize("operator", [conformality, _vertical_projector])
 def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
     """Building the jet takes the one SVD; the operators that read it take none."""
@@ -136,7 +169,7 @@ def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     jet = jet_of(hopf, CE_POINT)
-    assert len(calls) == 1
+    assert calls == [{"compute_uv": False}]
     operator(jet)
     assert len(calls) == 1
 
@@ -144,15 +177,16 @@ def test_rank_split_takes_one_svd(hopf, monkeypatch, operator):
 @pytest.mark.parametrize("spec_name, point", [("hopf", CE_POINT),
                                               ("punctured2", PUNCTURED2_POINT)])
 def test_vertical_projector_matches_split(request, spec_name, point):
+    """P is the g-orthogonal projector onto ker dphi: dphi P = 0, g P is
+    symmetric, P^2 = P and tr P = n - t."""
     spec = request.getfixturevalue(spec_name)
     jet = jet_of(spec, point)
-    c = conformality(jet)[0]
-    (p_v,) = _vertical_projector(jet)
-    for v in c.vertical[:spec.source.dim - c.rank]:
-        npt.assert_allclose(p_v @ v, v, atol=1e-10)
-    for h in c.horizontal[:c.horizontal_count]:
-        npt.assert_allclose(p_v @ h, 0.0, atol=1e-10)
+    assert conformality(jet)[0].regular
+    (p_v,), (d,), (g,) = _vertical_projector(jet), jet.differential, jet.metric
+    npt.assert_allclose(d @ p_v, 0.0, atol=1e-10)
+    npt.assert_allclose(g @ p_v, (g @ p_v).T, atol=1e-10)
     npt.assert_allclose(p_v @ p_v, p_v, atol=1e-10)
+    npt.assert_allclose(np.trace(p_v), spec.source.dim - spec.target.dim, atol=1e-10)
 
 
 def test_sff_identity_and_linear(torus_entry):
@@ -291,6 +325,49 @@ def test_superminimality_constant_structure():
     assert superminimality_residual(jet_of(spec, x), structure)[0] <= 1e-10
 
 
+def hopf_surface_coords_samples():
+    """The ``coords`` map of ``hopf-surface-coords``, its source structure jet and
+    its map jet at three samples."""
+    entry = catalog.get_entry("hopf-surface-coords")
+    spec = entry.maps["coords"]
+    points = SamplePlan(seed=0, count=3).points(spec.source, spec.cfg)
+    structure = structure_jet(spec.source, entry.structures["source"], points, spec.cfg)
+    return spec, structure, point_jet(spec, points)
+
+
+def test_superminimality_nonzero_on_hopf_surface_coords():
+    _, structure, jet = hopf_surface_coords_samples()
+    npt.assert_allclose(superminimality_residual(jet, structure),
+                        [0.91826, 0.634567, 0.763915], atol=1e-6)
+
+
+def test_superminimality_is_the_rms_over_a_vertical_basis(rng):
+    """The residual is max over unit axes Y of sqrt(mean_a |(nabla_{v_a} J) Y|^2)
+    for any g-orthonormal basis v_a of the fibre, here one orthonormalized from the
+    projections of random vectors."""
+    spec, structure, jet = hopf_surface_coords_samples()
+    g, k = structure.metric, spec.source.dim - spec.target.dim
+    vectors = [(jet.projector @ rng.normal(size=(3, spec.source.dim, 1)))[..., 0]
+               for _ in range(k)]
+    basis = orthonormalize(vectors, g)
+    rms = [np.sqrt(np.mean([g_norm(g, hermitian.nabla_J(structure, v, y)) ** 2
+                            for v in basis], axis=0)) for y in hermitian.unit_axes(g)]
+    npt.assert_allclose(superminimality_residual(jet, structure), np.max(rms, axis=0),
+                        rtol=1e-12)
+
+
+def test_lifted_j_rejects_an_orientation_form_that_vanishes_on_the_fibre(punctured1):
+    """omega = Dphi^T A Dphi, for A antisymmetric on the target, is nonzero but
+    vanishes on ker dphi, so the fibre has no orientation."""
+    def omega(x):
+        d = differential(punctured1, x)
+        return np.swapaxes(d, 1, 2) @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ d
+
+    spec = dataclasses.replace(punctured1, fibre_orientation=omega)
+    with pytest.raises(ValueError, match="degenerate on the fibre"):
+        maps.lifted_j(point_jet(spec, [[1.4, 0.2, -0.3, 0.5]]), +1)
+
+
 def test_lift_plus_reproduces_standard_structure(punctured1):
     lifted = lift_structure(punctured1, +1)
     x = np.array([[1.4, 0.2, -0.3, 0.5]])
@@ -416,8 +493,8 @@ def test_condition_ii_matches_the_bracket_route(orientation):
 
 def ragged_map():
     """(x, y) -> (x^2, y^2) with g = diag(1, s): rank 2 off the axes, 1 on them and
-    0 at the origin; s = 1e-24 below y = -0.5, where the horizontal vector of a
-    rank-1 row has g-length 1e-12 and Gram-Schmidt drops it."""
+    0 at the origin; s = 1e-24 below y = -0.5, where g^-1 is 1e24 along y, so the
+    rank-1 row (0, -0.7) reads its true, huge conformality residual, 1.96e24."""
     def metric(x):
         s = np.where(x[:, 1] < -0.5, 1e-24, 1.0)
         return np.stack([np.diag([1.0, v]) for v in s])
@@ -435,25 +512,23 @@ RAGGED_ROWS = np.array([[0.5, 0.7], [0.0, 0.0], [0.0, 0.7], [0.0, -0.7], [0.6, 2
 def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
     """Every part of a stacked jet and every array of its conformality data equals
     the one-row stack's at that row, on a stack that mixes regular, near-critical,
-    critical and degenerate rows and a row whose horizontal vector is dropped;
-    the bases past each row's count are zero vectors."""
+    critical and degenerate rows and a row whose source metric is 1e-24 along an
+    axis."""
     spec = ragged_map()
     stack = point_jet(spec, RAGGED_ROWS)
     confs = conformality(stack)
     assert confs.kind.tolist() == ["regular", "critical", "degenerate", "degenerate", "regular",
                                    "regular", "degenerate"]
     assert confs.near_critical.tolist() == [False] * 4 + [True] + [False] * 2
-    assert confs.horizontal_count.tolist() == [2, 0, 1, 0, 2, 2, 1]
     assert (2 - confs.rank).tolist() == [0, 2, 1, 1, 0, 0, 1]
+    npt.assert_allclose(confs.conformality_residual[3], 1.96e24, rtol=1e-12)
     for r in range(len(RAGGED_ROWS)):
         jet = point_jet(spec, RAGGED_ROWS[r:r + 1])
-        for part in ("x", "differential", "metric", "singular_values", "vt", "rank"):
+        for part in ("x", "differential", "metric", "singular_values", "rank"):
             assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)[0]), (r, part)
         one = conformality(jet)[0]
-        for part in [f.name for f in dataclasses.fields(one)] + ["kind", "regular"]:
+        for part in [f.name for f in dataclasses.fields(one)] + ["kind"]:
             assert np.array_equal(getattr(one, part), getattr(confs, part)[r]), (r, part)
-        assert not np.any(confs.vertical[r, 2 - confs.rank[r]:])
-        assert not np.any(confs.horizontal[r, confs.horizontal_count[r]:])
 
 
 def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
@@ -480,7 +555,7 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
     joint, samples = point_jet(spec, points, stencil=True), point_jet(spec, points)
     stencil = point_jet(spec, numdiff.stencil(points, spec.cfg).reshape(-1, spec.source.dim))
     for jet, alone in ((joint, samples), (joint.stencil, stencil)):
-        for part in ("x", "differential", "metric", "singular_values", "vt", "rank", "lift"):
+        for part in ("x", "differential", "metric", "singular_values", "rank", "lift"):
             assert np.array_equal(getattr(jet, part), getattr(alone, part)), part
         for part in dataclasses.fields(alone.split):
             assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))

@@ -5,9 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from hermkit.errors import EvaluationOutsideDomain, RankDeficient
-from hermkit.numdiff import (RANK_RTOL, TOLERANCE_FACTOR, DiffConfig, by_row, difference,
-                             gram_schmidt, orthonormalize, partial, project_out,
-                             second_partial, stencil)
+from hermkit.numdiff import (TOLERANCE_FACTOR, DiffConfig, by_row, difference,
+                             orthonormalize, partial, project_out, second_partial, stencil)
 
 
 def partial_axis(f, x, i, cfg, domain=None):
@@ -314,14 +313,18 @@ def test_orthonormalize_scales_by_metric():
 
 
 def test_gram_schmidt_drops_dependent_vectors():
-    """Gram-Schmidt drops a dependent vector; orthonormalize, whose stacks keep
-    every vector, raises on it instead."""
+    """Orthonormalize keeps every vector of every row, so it raises at the first
+    vector that depends on the ones before it, also where only one row of a
+    stack does; without it the rest orthonormalize."""
     vecs = rows([1.0, 0.0], [2.0, 0.0], [0.0, 1.0])
-    ((kept_rows, basis),) = gram_schmidt(vecs, np.eye(2)[None], np.array([RANK_RTOL]))
-    assert kept_rows.tolist() == [0]
-    npt.assert_allclose(np.column_stack([b[0] for b in basis]), np.eye(2))
-    with pytest.raises(RankDeficient, match="^requested 3 independent vectors, got 2$"):
+    with pytest.raises(RankDeficient, match="^requested 3 independent vectors, vector 2 "
+                                            "depends on the ones before it$"):
         orthonormalize(vecs, np.eye(2)[None])
+    basis = orthonormalize([vecs[0], vecs[2]], np.eye(2)[None])
+    npt.assert_allclose(np.column_stack([b[0] for b in basis]), np.eye(2))
+    stacked = [np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [3.0, 0.0]])]
+    with pytest.raises(RankDeficient, match="vector 2 depends"):
+        orthonormalize(stacked, np.stack([np.eye(2)] * 2))
 
 
 def test_orthonormalize_rank_deficient():
