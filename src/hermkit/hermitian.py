@@ -1,6 +1,5 @@
-"""Almost-complex structure fields: Hermitian frames, nabla J, div J, Lee field,
-Nijenhuis tensor and the Kaehler / (1,2)-symplectic / cosymplectic / integrable
-classification.
+"""Almost-complex structure fields: nabla J, div J, Lee field, Nijenhuis tensor
+and the Kaehler / (1,2)-symplectic / cosymplectic / integrable classification.
 
 Complex tangent vectors are numpy complex arrays over chart coordinates; all
 field machinery (metrics, connections, brackets) stays real-valued and the
@@ -15,9 +14,12 @@ from one metric and one J call on the samples and their ``numdiff.stencil``
 points, and a map jet holds one per side (``maps.PointJet.source``,
 ``target``).  The structure operators (nabla J, div J, the Lee field, the
 Nijenhuis tensor) and :func:`classify_structure`, which decides every class
-from the real form of nabla J at a jet's Hermitian frames (Gray & Hervella
-1980), read a jet; :func:`pair_norms` evaluates an operator at every pair of
-vectors in one call.  Nothing is cached by point: a check passes down the jet.
+from the real form of nabla J at each row's g-unit coordinate axes
+(:func:`unit_axes`), read a jet; :func:`pair_norms` evaluates an operator at
+every pair of vectors in one call.  The conditions are tensors, so any spanning
+set gives the same verdicts (Gray & Hervella 1980): :func:`hermitian_frame`
+is only the oracle of that.  Nothing is cached by point: a check passes down
+the jet.
 """
 
 from __future__ import annotations
@@ -97,83 +99,48 @@ def antiholomorphic_part(j: Array, w: Array) -> Array:
 
 @dataclass(frozen=True)
 class HermitianFrame:
-    """Orthonormal frame {e_1..e_m, Je_1..Je_m} with Z_k = (e_k - i Je_k)/sqrt(2).
-
-    ``pivots`` records which candidate vectors seeded each e_k; re-running the
-    construction with the same pivots at nearby points yields a smooth frame
-    field.
-    """
+    """Orthonormal frame {e_1..e_m, Je_1..Je_m} with Z_k = (e_k - i Je_k)/sqrt(2)."""
 
     real_frame: tuple  # e_1..e_m, Je_1..Je_m
     complex_frame: tuple  # m complex arrays Z_k; the conjugates span T^{0,1}
-    pivots: tuple
 
     @property
     def m(self) -> int:
         return len(self.complex_frame)
 
 
-def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig,
-                    pivots: tuple | None = None) -> HermitianFrame:
-    """:func:`stacked_hermitian_frame` of g and J at the rows of x (``chart`` must
-    be the chart of ``j_field``)."""
-    return stacked_hermitian_frame(chart.metric(x, cfg), j_field(x), pivots)
-
-
-def stacked_hermitian_frame(g: Array, j: Array, pivots: tuple | None = None) -> HermitianFrame:
-    """Greedy Hermitian frames at (k, dim, dim) stacks g and J, pick a unit e_k,
-    append Je_k, project, repeat: each frame vector a (k, dim) stack whose rows
-    equal the frames at those rows alone bit for bit, ``pivots`` the tuple of
-    each row's pivots.  Candidates are the coordinate axes in order; with
-    ``pivots`` given, exactly those candidate indices are used: the pivots of
-    the frame at a base point give a frame field that is smooth near it."""
-    d = g.shape[-1]
-    if d % 2 != 0:
-        raise RankDeficient("almost complex structures need an even-dimensional chart")
-    chol_t = np.swapaxes(np.linalg.cholesky(g), 1, 2)  # its 2-norm sets each row's rank scale
-    tol = np.linalg.norm(chol_t, ord=2, axis=(1, 2))[:, None] * numdiff.RANK_RTOL
-    frame, used = np.empty((d, len(g), d)), [()] * len(g)
-    _greedy_frame(g, j, tol, pivots is not None, tuple(range(d) if pivots is None else pivots),
-                  np.arange(len(g)), frame, used)
-    e_list, je_list = list(frame[0::2]), list(frame[1::2])
+def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x,
+                    cfg: DiffConfig) -> HermitianFrame:
+    """Greedy Hermitian frames of g and J at the rows of x (``chart`` must be the
+    chart of ``j_field``), one pass per row: the first coordinate axis not in the
+    span so far, projected and made unit, is e_k, then J e_k projected; each frame
+    vector is a (k, dim) stack.  No check reads it: the structure residuals take
+    unit axes, and a frame is the oracle that they do not depend on the basis."""
+    g, j = chart.metric(x, cfg), j_field(x)
+    d, rows = g.shape[-1], []
+    for g_r, j_r in zip(g[:, None], j[:, None]):  # each row a one-row stack
+        tol = np.linalg.norm(np.linalg.cholesky(g_r[0]), ord=2) * numdiff.RANK_RTOL
+        basis: tuple = ()
+        for e in np.eye(d)[:, None]:
+            if len(basis) == d:
+                break
+            w = project_out(e, basis, g_r)
+            n = g_length(w, g_r)
+            if n[0, 0] <= tol:
+                continue
+            ek = w / n
+            jek = project_out((j_r @ ek[..., None])[..., 0], basis + (ek,), g_r)
+            njk = g_length(jek, g_r)
+            if njk[0, 0] <= tol:
+                raise RankDeficient("J e_k collapsed onto the accepted span; J or g is broken")
+            basis += (ek, jek / njk)
+        if len(basis) != d:
+            raise RankDeficient("could not complete a Hermitian frame from coordinate axes")
+        rows.append(basis)
+    frame = [np.concatenate(vs) for vs in zip(*rows)]
+    e_list, je_list = frame[0::2], frame[1::2]
     complex_frame = tuple((e - 1j * je) / SQRT2 for e, je in zip(e_list, je_list))
-    return HermitianFrame(tuple(e_list + je_list), complex_frame, tuple(used))
-
-
-def _greedy_frame(g: Array, j: Array, tol: Array, fixed: bool, candidates: tuple, rows: Array,
-                  frame: Array, used: list, basis: tuple = (), picked: tuple = ()) -> None:
-    """Write e_1, Je_1, ... at stacks g and J, from the axes ``candidates`` after ``basis``
-    (from the axes ``picked``), into ``frame[:, rows]`` and the pivots into ``used``; rows
-    that skip different axes go on as sub-stacks (with ``fixed`` none may skip)."""
-    d = g.shape[-1]
-    for pos, idx in enumerate(candidates):
-        if len(basis) == d:
-            break
-        e = np.zeros(g.shape[:-1])
-        e[:, idx] = 1.0
-        w = project_out(e, basis, g)
-        n = g_length(w, g)
-        skip = (n <= tol)[:, 0]
-        if skip.any() and fixed:
-            raise RankDeficient(f"recorded pivot {idx} became dependent")
-        if skip.all():
-            continue
-        if skip.any():  # the rows disagree: each part goes on from this candidate alone
-            for part in (~skip, skip):
-                _greedy_frame(g[part], j[part], tol[part], fixed, candidates[pos:], rows[part],
-                              frame, used, tuple(b[part] for b in basis), picked)
-            return
-        ek = w / n
-        jek = project_out((j @ ek[..., None])[..., 0], basis + (ek,), g)
-        njk = g_length(jek, g)
-        if np.any(njk <= tol):
-            raise RankDeficient("J e_k collapsed onto the accepted span; J or g is broken")
-        basis, picked = basis + (ek, jek / njk), picked + (idx,)
-    if len(basis) != d:
-        raise RankDeficient("could not complete a Hermitian frame from coordinate axes")
-    frame[:, rows] = basis
-    for r in rows:
-        used[r] = picked
+    return HermitianFrame(tuple(e_list + je_list), complex_frame)
 
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
@@ -324,35 +291,38 @@ class StructureReport:
         }
 
 
+def nijenhuis_residual(jet: StructureJet) -> float:
+    """max |N(X, Y)| in g over the pairs of g-unit coordinate axes and the rows of a
+    jet, in one :func:`pair_norms` pass."""
+    return float(np.max(pair_norms(nijenhuis, jet, combinations(unit_axes(jet.metric), 2))))
+
+
 def classify_structure(jet: StructureJet) -> StructureReport:
     """Classify the chart and J of a structure jet at its rows.
 
-    Residuals are maxima over the rows, and over X, Y in each row's Hermitian
-    frame, of the real-form conditions on nabla J (Gray & Hervella 1980):
-    Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
+    Residuals are maxima over the rows, and over X, Y among each row's g-unit
+    coordinate axes, of the real-form conditions on nabla J (Gray & Hervella
+    1980): Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
     ``|(nabla_X J) Y + (nabla_JX J) J Y|``; cosymplectic ``|div J|``;
-    integrable ``|N(X, Y)|``.  Raises ``PreconditionFailed``
-    (:func:`require_almost_hermitian`) at a row where (g, J) is not almost
-    Hermitian, before any frame is built: such a pair has no classification.
-    The Hermitian frames of all rows are built as one stack, and every residual
-    is one stacked pass (the Nijenhuis one over all frame pairs, by
-    :func:`pair_norms`).
+    integrable ``|N(X, Y)|`` (:func:`nijenhuis_residual`).  Each condition is
+    a tensor, so it vanishes on a basis exactly when it vanishes on any other:
+    the axes need no Hermitian frame (:func:`hermitian_frame` is the oracle of
+    that).  Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at
+    a row where (g, J) is not almost Hermitian: such a pair has no
+    classification.  Every residual is one stacked pass over all the rows.
     """
     g, j = jet.metric, jet.j
     require_almost_hermitian(g, j, jet.x)
     scale = max(1.0, float(np.max(1.0 + np.max(np.abs(jet.gamma), axis=(1, 2, 3))
                                   * (1.0 + np.max(np.abs(j), axis=(1, 2))))))
-    frame = stacked_hermitian_frame(g, j)
-    u = np.stack(frame.real_frame, axis=-1)  # u[r, :, a] is the a-th frame vector at row r
+    u = np.stack(unit_axes(g), axis=-1)  # u[r, :, a] is the a-th unit axis at row r
     ju = j @ u
     nab = np.einsum("rikj,ria,rjb->rkab", jet.nabla, u, u)
-    nab_j = np.einsum("rikj,ria,rjb->rkab", jet.nabla, ju, ju)
-    s12 = nab + nab_j
+    s12 = nab + np.einsum("rikj,ria,rjb->rkab", jet.nabla, ju, ju)
     r_kahler, r_12 = (float(np.max(np.sqrt(np.maximum(
         np.einsum("rkab,rkl,rlab->rab", a, g, a), 0.0)), initial=0.0)) for a in (nab, s12))
     r_cosympl = float(np.max(g_norm(g, divergence_J(jet)), initial=0.0))
-    r_nij = float(np.max(pair_norms(nijenhuis, jet, combinations(frame.real_frame, 2))))
     tol = jet.cfg.tolerance(scale)
-    residuals = (r_kahler, r_12, r_cosympl, r_nij)
+    residuals = (r_kahler, r_12, r_cosympl, nijenhuis_residual(jet))
     return StructureReport(*residuals, dict(zip(CLASSES, (bool(r <= tol) for r in residuals))),
                            tuple(jet.x), tol, scale)

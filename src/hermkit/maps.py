@@ -22,8 +22,8 @@ symbols from the stencil jet's g when it holds one) and ``jet.target`` at
 phi(x), on h there, the one owner of that side's g, J and their derivatives.
 The third-order operators difference a part of ``jet.stencil``: the vertical
 projector (:func:`fibre_mean_curvature`), lambda^2
-(:func:`homothety_residual`), the lifted J or lifted frames
-(:func:`lifted_structure_jet`, :func:`condition_ii_residual`);
+(:func:`homothety_residual`), the lifted J or the lifted (1,0)-parts of the
+target's unit axes (:func:`lifted_structure_jet`, :func:`condition_ii_residual`);
 :func:`sff_tensor` and :func:`tension` take one ``second_partial`` stencil for
 all its samples and the Christoffel symbols of both sides.
 
@@ -37,15 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from . import numdiff
 from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
-from .hermitian import (AlmostComplexField, StructureJet, antiholomorphic_part, g_norm,
-                        lee_vector, require_almost_hermitian, stacked_hermitian_frame,
-                        unit_axes)
+from .hermitian import (SQRT2, AlmostComplexField, StructureJet, antiholomorphic_part,
+                        apply_j, g_norm, lee_vector, require_almost_hermitian, unit_axes)
 from .manifold import Chart, christoffel, invert_metric
 from .numdiff import Array, DiffConfig, as_points, as_stack
 
@@ -105,11 +105,12 @@ def differential(spec: MapSpec, x) -> Array:
 class PointJet(numdiff.Jet):
     """A ``numdiff.Jet`` at the rows of x: the stacks of Dphi(x), g(x) and the
     singular values of Dphi, with ``rank`` an integer array, held; phi
-    (``image``), the :func:`conformality` data (``split``), the
-    :func:`_lift_matrix` (``lift``, NaN at rows of rank below the target
-    dimension), the :func:`_vertical_projector` (``projector``, differenced by the
-    fibre mean curvature) and the structure jets of the two sides, ``source`` at
-    x on the jet's g and ``target`` at phi(x) on h there, built from them.
+    (``image``), the co-metric Dphi g^-1 Dphi^T (``cometric``), the
+    :func:`conformality` data (``split``), the :func:`_lift_matrix` (``lift``, NaN
+    at rows of rank below the target dimension), the :func:`_vertical_projector`
+    (``projector``, differenced by the fibre mean curvature) and the structure
+    jets of the two sides, ``source`` at x on the jet's g and ``target`` at phi(x)
+    on h there, built from them.
 
     Singular values at most sigma_max * RANK_FACTOR count as zero.
     """
@@ -121,6 +122,8 @@ class PointJet(numdiff.Jet):
     metric = numdiff.part()
     singular_values = numdiff.part()
     rank = numdiff.part()
+    cometric = numdiff.part(lambda jet: jet.differential @ jet.source.metric_inverse
+                            @ np.swapaxes(jet.differential, 1, 2))
     # the builders are looked up when called, so a wrapper on the module function runs
     split = numdiff.part(lambda jet: conformality(jet))
     lift = numdiff.part(lambda jet: _lift_matrix(jet))
@@ -199,18 +202,22 @@ class ConformalityData:
 
     A row is ``regular`` (rank equal to the target dimension), ``critical``
     (rank 0) or ``degenerate`` (intermediate rank, reported as conformality
-    failure), as ``kind`` names it; ``dilation`` is positive and
-    ``near_critical`` may hold only on regular rows.
+    failure), as ``kind`` names it; ``dilation_sq``, lambda^2 (``dilation`` is
+    lambda), is positive and ``near_critical`` may hold only on regular rows.
     """
 
     rank: Array
-    dilation: Array
+    dilation_sq: Array
     conformality_residual: Array
     near_critical: Array
     regular: Array
 
     def __getitem__(self, rows) -> ConformalityData:
         return ConformalityData(*(part[rows] for part in vars(self).values()))
+
+    @property
+    def dilation(self) -> Array:
+        return np.sqrt(self.dilation_sq)
 
     @property
     def kind(self) -> Array:
@@ -220,20 +227,20 @@ class ConformalityData:
 
 def conformality(jet: PointJet) -> ConformalityData:
     """How conformal dphi is on the g-orthogonal complement of its kernel, at
-    each row, from the co-metric: M = Dphi g^-1 Dphi^T h has the eigenvalues of
+    each row, from the co-metric: M = ``jet.cometric`` h has the eigenvalues of
     the Gram matrix in h of dphi on a g-orthonormal horizontal basis, zeros
     included, so lambda^2 = tr M / max(rank, 1) and the residual, that Gram
     matrix less lambda^2 I in the Frobenius norm, is sqrt(tr (M - lambda^2 I)^2).
     h is not inverted.  Readers take it from ``jet.split``, built once."""
     d, sv, rank = jet.differential, jet.singular_values, jet.rank
     _, t, n = d.shape
-    m = d @ jet.source.metric_inverse @ np.swapaxes(d, 1, 2) @ jet.target.metric
+    m = jet.cometric @ jet.target.metric
     lam_sq = np.trace(m, axis1=1, axis2=2) / np.maximum(rank, 1)
     dev = m - lam_sq[:, None, None] * np.eye(t)
     residual = np.sqrt(np.maximum(np.einsum("rij,rji->r", dev, dev), 0.0))
     regular = rank == t
     near = sv[:, min(t, n) - 1] <= NEAR_CRITICAL_FACTOR * (sv[:, 0] * RANK_FACTOR)
-    return ConformalityData(rank, np.where(regular, np.sqrt(np.maximum(lam_sq, 0.0)), 0.0),
+    return ConformalityData(rank, np.where(regular, np.maximum(lam_sq, 0.0), 0.0),
                             residual, regular & near, regular)
 
 
@@ -305,8 +312,8 @@ def homothety_residual(jet: PointJet) -> list[float]:
     bad = np.flatnonzero(~stencil.split.regular)
     if bad.size:
         raise CriticalPoint(f"dilation field hit a non-regular stencil point {stencil.x[bad[0]]!r}")
-    lam_sq = np.float_power(stencil.split.dilation, 2)  # libm pow, as ** on a float
-    grad = jet.source.metric_inverse @ numdiff.difference(lam_sq, jet.x, cfg)[..., None]
+    grad = (jet.source.metric_inverse
+            @ numdiff.difference(stencil.split.dilation_sq, jet.x, cfg)[..., None])
     return g_norm(jet.target.metric, (jet.differential @ grad)[..., 0]).tolist()
 
 
@@ -331,8 +338,8 @@ def _lift_matrix(jet: PointJet) -> Array:
     out = np.full(np.swapaxes(d, 1, 2).shape, np.nan)
     rows = np.flatnonzero(jet.rank == d.shape[1])
     if rows.size:
-        a = jet.source.metric_inverse[rows] @ np.swapaxes(d[rows], 1, 2)
-        out[rows] = a @ np.linalg.inv(d[rows] @ a)
+        out[rows] = (jet.source.metric_inverse[rows] @ np.swapaxes(d[rows], 1, 2)
+                     @ np.linalg.inv(jet.cometric[rows]))
     return out
 
 
@@ -392,52 +399,47 @@ def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
         "gamma": source.gamma, "j": j, "dj": dj})
 
 
-def _lifts(lift: Array, zs: Array) -> Array:
-    """[Re, Im] of the horizontal lifts of frames ``zs`` ([r, k, :]) by the
-    lift matrices at the rows r, as [r, part, k, :]."""
-    parts = np.stack([zs.real, zs.imag], axis=-3)
-    return (lift[:, None, None] @ parts[..., None])[..., 0]
+def _lifted_axes(jet: PointJet) -> Array:
+    """[Re, Im] of the horizontal lifts of the (1,0)-parts (e_a - i J e_a)/sqrt(2)
+    of the h-unit coordinate axes e_a at phi(x), by the lift matrices at the jet's
+    rows r, as [r, part, a, :]."""
+    e = np.stack(unit_axes(jet.target.metric))  # [a, r, :]
+    z = (e - 1j * apply_j(jet.target, e)) / SQRT2
+    parts = np.moveaxis(np.stack([z.real, z.imag]), 2, 0)  # [r, part, a, :]
+    return (jet.lift[:, None, None] @ parts[..., None])[..., 0]
 
 
 def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]:
-    """max (0,1)-part norm of the vertical component of [Z, W] over pairs of
-    horizontal (1,0) frame fields built by the horizontal-lift construction, at
-    each row, from the map's jet and the source structure's jet at the same points.
-
-    Each row's target Hermitian frame at phi(x) fixes the pivots of its frame
-    field; the lifted frame fields are differenced at the jet's stencil rows.
-    """
+    """max (0,1)-part norm of the vertical component of [Z, W] over the pairs of
+    fields :func:`_lifted_axes`, differenced at the jet's stencil rows, at each
+    row, from the map's jet and the source structure's jet at the same points.
+    The condition is C^inf-linear in Z and W (VZ = 0), so any spanning set of
+    horizontal (1,0) fields gives its verdict: no Hermitian frame is built.
+    Raises ``PreconditionFailed`` unless (h, J) is almost Hermitian at phi(x); a
+    target of dimension below 4 has one (1,0) direction and reads 0."""
     spec, cfg = jet.spec, jet.spec.cfg
     if spec.target_structure is None:
         raise MissingStructure("condition (ii) needs the target structure")
     require_regular(jet, "condition (ii) needs regular samples")
-    base = stacked_hermitian_frame(jet.target.metric, jet.target.j)
-    if base.m < 2:
+    require_almost_hermitian(jet.target.metric, jet.target.j, jet.image)
+    if spec.target.dim < 4:
         return [0.0] * len(jet.x)
     stencil = jet.stencil
-    zs = np.empty((len(stencil.x), base.m, spec.target.dim), dtype=complex)
-    for pivots in dict.fromkeys(base.pivots):
-        at = _blocks([r for r, row in enumerate(base.pivots) if row == pivots],
-                     len(stencil.x) // len(jet.x))
-        zs[at] = np.stack(stacked_hermitian_frame(
-            stencil.target.metric[at], stencil.target.j[at], pivots).complex_frame, axis=1)
     require_regular(stencil, "horizontal lift needs a regular point")
-    # dz[r, part, k, i, :] = d_i of that part of the lifted Z_k at row r; each (part, k)
+    # dz[r, part, a, i, :] = d_i of that part of the lifted Z_a at row r; each (part, a)
     # slice of a row is C-contiguous, as in manifold.lie_bracket, so brackets match it
     dz = np.ascontiguousarray(np.moveaxis(
-        numdiff.difference(_lifts(stencil.lift, zs), jet.x, cfg), 1, 3))
-    at_x = _lifts(jet.lift, np.stack(base.complex_frame, axis=1))
-    at_x, dz = np.moveaxis(at_x, 0, 2), np.moveaxis(dz, 0, 2)  # [part, k, r, ...]
+        numdiff.difference(_lifted_axes(stencil), jet.x, cfg), 1, 3))
+    at_x, dz = np.moveaxis(_lifted_axes(jet), 0, 2), np.moveaxis(dz, 0, 2)  # [part, a, r, ...]
 
     def bracket(a: tuple, b: tuple) -> Array:
-        """[A, B] at every row of two real fields, each named by (part, k)."""
+        """[A, B] at every row of two real fields, each named by (part, a)."""
         return np.einsum("ri,rik->rk", at_x[a], dz[b]) - np.einsum("ri,rik->rk", at_x[b], dz[a])
 
     worst, p_v = np.zeros(len(jet.x)), jet.projector
-    for k in range(base.m):
-        for l in range(k + 1, base.m):
-            zw = ((bracket((0, k), (0, l)) - bracket((1, k), (1, l)))
-                  + 1j * (bracket((0, k), (1, l)) + bracket((1, k), (0, l))))
-            part01 = antiholomorphic_part(structure.j, (p_v @ zw[..., None])[..., 0])
-            worst = np.maximum(worst, g_norm(jet.metric, part01))
+    for k, l in combinations(range(spec.target.dim), 2):
+        zw = ((bracket((0, k), (0, l)) - bracket((1, k), (1, l)))
+              + 1j * (bracket((0, k), (1, l)) + bracket((1, k), (0, l))))
+        part01 = antiholomorphic_part(structure.j, (p_v @ zw[..., None])[..., 0])
+        worst = np.maximum(worst, g_norm(jet.metric, part01))
     return worst.tolist()

@@ -42,7 +42,7 @@ checks, one for the lifted J) and reads its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +51,9 @@ from . import catalog, maps
 from .errors import (CriticalPoint, FibreDimension, PreconditionFailed,
                      TargetDimensionTooSmall, TooManyExcludedSamples,
                      UnknownScenario, WrongDimension)
-from .hermitian import (AlmostComplexField, StructureJet, apply_j, classify_structure,
-                        divergence_J, g_norm, invariant_residuals, nabla_J, nijenhuis,
-                        pair_norms, structure_jet, unit_axes)
+from .hermitian import (AlmostComplexField, apply_j, classify_structure, divergence_J, g_norm,
+                        invariant_residuals, nabla_J, nijenhuis_residual, pair_norms,
+                        structure_jet, unit_axes)
 from .manifold import Chart, SamplePlan
 from .maps import KIND_DEGENERATE, ConformalityData, MapSpec, PointJet
 from .numdiff import TOLERANCE_FACTOR, Array, DiffConfig, g_length
@@ -168,11 +168,6 @@ def _map_scale(stack: PointJet) -> float:
     """Input-magnitude scale for map residual tolerances: differentials enter
     the tension and conformality sums quadratically."""
     return (1.0 + max([0.0, *(float(np.linalg.norm(d)) for d in stack.differential)])) ** 2
-
-
-def _nijenhuis_residual(jet: StructureJet) -> float:
-    """Max |N(e_a, e_b)| over coordinate pairs and the rows of a stacked jet, in one pass."""
-    return float(np.max(pair_norms(nijenhuis, jet, combinations(np.eye(jet.x.shape[1]), 2))))
 
 
 def _map_points(spec: MapSpec, plan: SamplePlan,
@@ -392,7 +387,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
     stack, tol = _map_points(spec, plan, stencil=True)
-    target_nij = _nijenhuis_residual(stack.target)
+    target_nij = nijenhuis_residual(stack.target)
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
     rows = np.flatnonzero(stack.split.regular & ~stack.split.near_critical)
@@ -402,7 +397,7 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
     lifted = maps.lifted_structure_jet(included, orientation)
     inv, _ = _lift_invariants(lifted.metric, lifted.j)
     supermin = max(maps.superminimality_residual(included, lifted))
-    nij = _nijenhuis_residual(lifted)
+    nij = nijenhuis_residual(lifted)
     cond_ii = max(maps.condition_ii_residual(included, lifted))
     checks = [
         check("fibres-superminimal", supermin, tol, used, excluded),
@@ -428,7 +423,7 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
     lifted = maps.lifted_structure_jet(stack, orientation)
     inv, inv_count = _lift_invariants(lifted.metric, lifted.j)
     nabla = float(np.max(g_length(np.moveaxis(lifted.nabla, (1, 3), (0, 1)), lifted.metric)))
-    nij = _nijenhuis_residual(lifted)
+    nij = nijenhuis_residual(lifted)
     checks = [
         check("lift-square-identity", inv["square"], 1e-9, inv_count),
         check("lift-metric-compatibility", inv["compatibility"], 1e-9, inv_count),

@@ -8,7 +8,7 @@ import pytest
 
 from hermkit import catalog, hermitian, numdiff, scenarios
 from hermkit import geodsl
-from hermkit.errors import PreconditionFailed, RankDeficient
+from hermkit.errors import PreconditionFailed
 from hermkit.hermitian import (AlmostComplexField, HermitianFrame, antiholomorphic_part,
                                classify_structure, divergence_J, g_norm,
                                hermitian_frame, lee_vector, nabla_J, nijenhuis, structure_jet)
@@ -37,7 +37,7 @@ def frame_residual(frame, g) -> float:
 def frame_row(frame, r) -> HermitianFrame:
     """The frame at row r of a stacked frame, its vectors 1-D."""
     return HermitianFrame(tuple(v[r] for v in frame.real_frame),
-                          tuple(v[r] for v in frame.complex_frame), frame.pivots[r])
+                          tuple(v[r] for v in frame.complex_frame))
 
 
 def classify(chart, j_field, plan, cfg):
@@ -64,9 +64,9 @@ def complex_form_residuals(chart, j_field, points, cfg) -> tuple:
         frame = frame_row(hermitian_frame(chart, j_field, x, cfg), 0)
         g, j = chart.metric(x, cfg), j_field(x)
 
-        def z_part(l, part):  # the frame field with the sample's pivots, on a stack
+        def z_part(l, part):  # the greedy frame field, which picks the sample's axes near it
             return VectorField(chart, lambda p: part(hermitian_frame(
-                chart, j_field, p, cfg, frame.pivots).complex_frame[l]))
+                chart, j_field, p, cfg).complex_frame[l]))
 
         cosym_sum = np.zeros((1, chart.dim), dtype=complex)
         for k, zk in enumerate(frame.complex_frame):
@@ -355,22 +355,17 @@ def test_classify_deterministic(torus, cfg, plan):
     assert a == b
 
 
-def test_classify_builds_one_hermitian_frame_per_sample(monkeypatch, cfg):
-    """Every real-form residual at a sample reads the one frame built there,
-    from the g and J rows the structure jet holds: no frame evaluates them again."""
-    built = []
-    frame_of = hermitian.stacked_hermitian_frame
-    monkeypatch.setattr(hermitian, "stacked_hermitian_frame", lambda g, j, *args:
-                        built.extend(zip(g, j)) or frame_of(g, j, *args))
+def test_classify_builds_no_hermitian_frame(monkeypatch, cfg):
+    """classify reads its residuals at the unit axes of the g rows the structure
+    jet holds: no Hermitian frame is built and no vector is projected, at the
+    samples or at a stencil, and the report is the one built unpatched."""
+    entry = catalog.calabi_eckmann(1, 1)
+    chart, j_field, plan = entry.charts["ce"], entry.structures["J"], SamplePlan(count=5)
+    expected = classify(chart, j_field, plan, cfg).to_dict()
     monkeypatch.setattr(hermitian, "hermitian_frame", None)
-    entry = catalog.complex_projective(2)
-    chart, j_field = entry.charts["cp"], entry.structures["J"]
-    plan = SamplePlan(count=2)
-    classify(chart, j_field, plan, cfg)
-    points = plan.points(chart, cfg)
-    assert len(built) == len(points)
-    for (g, j), g_x, j_x in zip(built, chart.metric(points, cfg), j_field(points)):
-        assert np.array_equal(g, g_x) and np.array_equal(j, j_x)
+    monkeypatch.setattr(hermitian, "project_out", None)
+    monkeypatch.setattr(numdiff, "project_out", None)
+    assert classify(chart, j_field, plan, cfg).to_dict() == expected
 
 
 def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
@@ -443,23 +438,9 @@ def test_classify_real_form_and_complex_form_pass_or_fail_together(name, cfg):
                                              report.tolerance, len(report.samples)).verdict
 
 
-def test_classify_looks_up_one_frame_per_stencil_point(monkeypatch, cfg):
-    """The samples' frames are the only frames classification builds: at most
-    one lookup per distinct pivot tuple, none on a stencil."""
-    calls = []
-    lookup = hermitian.stacked_hermitian_frame
-    monkeypatch.setattr(hermitian, "stacked_hermitian_frame", lambda *args, **kwargs:
-                        calls.append(lookup(*args, **kwargs)) or calls[-1])
-    entry = catalog.calabi_eckmann(1, 1)
-    plan = SamplePlan(count=5)
-    classify(entry.charts["ce"], entry.structures["J"], plan, cfg)
-    assert 0 < len(calls) <= len({p for frame in calls for p in frame.pivots})
-
-
 def test_classify_rejects_incompatible_structure(cfg):
     """The standard J is not compatible with g = diag(1, 4): J^T g J = diag(4, 1).
-    J = I on the flat chart has J^2 + I = 2 I: the almost Hermitian check runs
-    before a Hermitian frame is built, where J e_1 would collapse onto e_1."""
+    J = I on the flat chart has J^2 + I = 2 I: neither is classified."""
     for metric, j in ((np.diag([1.0, 4.0]), [[0.0, -1.0], [1.0, 0.0]]), (np.eye(2), np.eye(2))):
         chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(metric))
         j_field = AlmostComplexField(chart, constant(np.asarray(j, dtype=float)))
@@ -493,7 +474,7 @@ J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
 def chart_and_structure(name, cfg):
-    """The (chart, J) of a one-chart catalog entry, the chart of a
+    """The (chart, J) of a catalog entry (J on its chart), the chart of a
     scenario row, or the conformally flat config."""
     if name == "conformal-dsl":
         return geodsl.to_chart(geodsl.parse(CONFORMAL_SRC))
@@ -501,9 +482,8 @@ def chart_and_structure(name, cfg):
         _, _, entry_id, key, _ = scenarios.SCENARIOS[name]
         entry = catalog.get_entry(entry_id, cfg)
         return entry.charts[key], entry.structures["J"]
-    entry = catalog.get_entry(name, cfg)
-    (chart,), j_field = entry.charts.values(), entry.structures["J"]
-    return chart, j_field
+    j_field = catalog.get_entry(name, cfg).structures["J"]
+    return j_field.chart, j_field
 
 
 def stencil_stack(x, cfg):
@@ -515,16 +495,14 @@ def stencil_stack(x, cfg):
 @pytest.mark.parametrize("name", ["cp-2", "ce-1-1", "ce-2-1", "conformal-dsl"])
 def test_stacked_frame_equals_frames_at_points(name, cfg):
     """One frame build on a stencil stack gives, row by row, the frames built
-    at each point's one-row stack with the same pivots, under ``np.array_equal``."""
+    at each point's one-row stack, under ``np.array_equal``, each complete."""
     chart, j_field = chart_and_structure(name, cfg)
     for x in SamplePlan(seed=3, count=2).points(chart, cfg):
-        (pivots,) = hermitian_frame(chart, j_field, x[None], cfg).pivots
         stack = stencil_stack(x, cfg)
-        stacked = hermitian_frame(chart, j_field, stack, cfg, pivots)
-        assert stacked.pivots == (pivots,) * len(stack) and stacked.m == chart.dim // 2
+        stacked = hermitian_frame(chart, j_field, stack, cfg)
+        assert stacked.m == chart.dim // 2
         for r in range(len(stack)):
-            at_p = hermitian_frame(chart, j_field, stack[r:r + 1], cfg, pivots)
-            assert at_p.pivots == (pivots,)
+            at_p = hermitian_frame(chart, j_field, stack[r:r + 1], cfg)
             for a, b in zip(stacked.real_frame + stacked.complex_frame,
                             at_p.real_frame + at_p.complex_frame):
                 assert a.shape == (len(stack), chart.dim)
@@ -532,9 +510,10 @@ def test_stacked_frame_equals_frames_at_points(name, cfg):
 
 
 def test_stacked_greedy_frame_parts_rows_that_pick_different_pivots(cfg):
-    """Without pivots, one stacked greedy pass picks each row's: the standard J
-    (J e_1 = e_2) gives (0, 2), J e_1 = e_3 gives (0, 1).  Each row equals the
-    frame built at its one-row stack, under ``np.array_equal``."""
+    """Each row picks its own axes: under the standard J (J e_1 = e_2) the
+    frame is e_1, e_3, J e_1 ~ e_2, J e_3 ~ e_4; under J e_1 = e_3 it is
+    e_1, e_2, J e_1 ~ e_3, J e_2 ~ e_4.  Each row equals the frame built at
+    its one-row stack, under ``np.array_equal``."""
     crossed = np.zeros((4, 4))
     crossed[[2, 0, 3, 1], [0, 2, 1, 3]] = [1.0, -1.0, 1.0, -1.0]
 
@@ -545,32 +524,13 @@ def test_stacked_greedy_frame_parts_rows_that_pick_different_pivots(cfg):
     stack = SamplePlan(seed=2, count=8).points(chart, cfg)
     stack[:, 0] = np.abs(stack[:, 0]) * np.tile([-1.0, 1.0], 4)
     frame = hermitian_frame(chart, j_field, stack, cfg)
-    assert frame.pivots == ((0, 2), (0, 1)) * 4
+    axes = np.stack([np.argmax(np.abs(v), axis=1) for v in frame.real_frame], axis=1)
+    assert axes.tolist() == [[0, 2, 1, 3], [0, 1, 2, 3]] * 4
     for r in range(len(stack)):
         alone = hermitian_frame(chart, j_field, stack[r:r + 1], cfg)
-        assert alone.pivots == (frame.pivots[r],)
         for a, b in zip(frame.real_frame + frame.complex_frame,
                         alone.real_frame + alone.complex_frame):
             assert np.array_equal(a[r], b[0])
-
-
-def test_stacked_frame_rejects_a_dependent_recorded_pivot(cfg):
-    """Left of x1 = 0, J pairs (x1, x2) and (x3, x4), so the greedy frame records
-    pivots (0, 2); right of it J pairs (x1, x3), where axis 3 becomes J e_1."""
-    paired = np.zeros((4, 4))
-    paired[[1, 0, 3, 2], [0, 1, 2, 3]] = [1.0, -1.0, 1.0, -1.0]
-    crossed = np.zeros((4, 4))
-    crossed[[2, 0, 3, 1], [0, 2, 1, 3]] = [1.0, -1.0, 1.0, -1.0]
-    chart = Chart(dim=4, box=Box((-1.0,) * 4, (1.0,) * 4), metric_fn=constant(np.eye(4)))
-    j_field = AlmostComplexField(chart, numdiff.by_row(
-        lambda p: paired if p[0] < 0.0 else crossed))
-    left = np.array([[-0.5, 0.1, 0.2, 0.3]])
-    assert hermitian_frame(chart, j_field, left, cfg).pivots == ((0, 2),)
-    stack = np.concatenate([left, -left])
-    with pytest.raises(RankDeficient, match="^recorded pivot 2 became dependent$"):
-        hermitian_frame(chart, j_field, stack, cfg, (0, 2))
-    with pytest.raises(RankDeficient, match="^recorded pivot 2 became dependent$"):
-        hermitian_frame(chart, j_field, -left, cfg, (0, 2))
 
 
 def structure_cases(name, cfg):
@@ -672,20 +632,18 @@ def pairwise_max(op, jet, pairs) -> float:
 @pytest.mark.parametrize("name", ["torus-classify", "cp-2", "ce-1-0", "ce-1-1",
                                   "conformal-dsl", "kt-almost-kahler", "kt-integrable"])
 def test_stacked_pair_maxima_equal_the_pairwise_loops_bit_for_bit(name, cfg):
-    """classify's Nijenhuis residual over the frame pairs, the scenarios'
-    Nijenhuis residual over the coordinate pairs and, in complex dimension 2,
-    the Gauduchon maxima over 8 probes in the directions div J and J div J are
-    one ``pair_norms`` pass each, and equal the one-call-per-pair loops."""
+    """The Nijenhuis residual over the pairs of unit axes, which classify reports,
+    and, in complex dimension 2, the Gauduchon maxima over 8 probes in the
+    directions div J and J div J are one ``pair_norms`` pass each, and equal the
+    one-call-per-pair loops."""
     chart, j_field = structure_chart(name, cfg)
     plan = SamplePlan(seed=2, count=4)
     report = classify(chart, j_field, plan, cfg)
     jets = structure_jet(chart, j_field, np.array(report.samples), cfg)
-    frame = hermitian.stacked_hermitian_frame(jets.metric, jets.j).real_frame
-    frame_pairs = [(u, v) for a, u in enumerate(frame) for v in frame[a + 1:]]
-    assert report.residual_integrable == pairwise_max(nijenhuis, jets, frame_pairs)
-    axes = [np.broadcast_to(e, jets.x.shape) for e in np.eye(chart.dim)]
+    axes = hermitian.unit_axes(jets.metric)
     axis_pairs = [(u, v) for a, u in enumerate(axes) for v in axes[a + 1:]]
-    assert scenarios._nijenhuis_residual(jets) == pairwise_max(nijenhuis, jets, axis_pairs)
+    assert report.residual_integrable == hermitian.nijenhuis_residual(jets)
+    assert report.residual_integrable == pairwise_max(nijenhuis, jets, axis_pairs)
     if name == "kt-almost-kahler":
         assert report.residual_integrable > 0.4
     if chart.dim == 4:
@@ -695,6 +653,38 @@ def test_stacked_pair_maxima_equal_the_pairwise_loops_bit_for_bit(name, cfg):
                   for p in (e, hermitian.apply_j(jets, e))]
         for c, v in zip(gauduchon.checks, (delta, hermitian.apply_j(jets, delta))):
             assert c.residual == pairwise_max(nabla_J, jets, [(v, y) for y in probes]), c.name
+
+
+def frame_route(jet) -> dict:
+    """The four residuals of ``classify_structure`` with X and Y over each row's
+    Hermitian frame (``hermitian_frame``) in place of its unit axes."""
+    frame = hermitian_frame(jet.chart, jet.j_field, jet.x, jet.cfg).real_frame
+    u = np.stack(frame, axis=-1)  # u[r, :, a] is the a-th frame vector at row r
+    nab = np.einsum("rikj,ria,rjb->rkab", jet.nabla, u, u)
+    s12 = nab + np.einsum("rikj,ria,rjb->rkab", jet.nabla, jet.j @ u, jet.j @ u)
+    kahler, one_two = (float(np.max(g_norm(jet.metric, np.moveaxis(a, (2, 3), (0, 1)))))
+                       for a in (nab, s12))
+    cosympl = float(np.max(g_norm(jet.metric, divergence_J(jet))))
+    pairs = [(u, v) for a, u in enumerate(frame) for v in frame[a + 1:]]
+    return dict(zip(hermitian.CLASSES, (kahler, one_two, cosympl,
+                                        pairwise_max(nijenhuis, jet, pairs))))
+
+
+@pytest.mark.parametrize("name", ["flat-torus", "cp-1", "cp-2", "ce-1-0", "ce-0-1", "ce-1-1",
+                                  "ce-2-1", "flat-t4", "kt-almost-kahler", "kt-integrable"])
+def test_classify_on_unit_axes_agrees_with_the_hermitian_frames(name, cfg):
+    """Every condition is a tensor, so it vanishes on the unit axes exactly when
+    it vanishes on a Hermitian frame (Gray & Hervella 1980): on every catalog
+    structure and both Kodaira-Thurston J's, classify gives the four verdicts of
+    the frame route, and a residual the frames read above 10 tol reads above
+    10 tol on the axes."""
+    chart, j_field = structure_chart(name, cfg)
+    jet = structure_jet(chart, j_field, SamplePlan(seed=1, count=6).points(chart, cfg), cfg)
+    report, framed = classify_structure(jet), frame_route(jet)
+    assert report.verdicts == {c: r <= report.tolerance for c, r in framed.items()}
+    for c, r in framed.items():
+        if r > 10.0 * report.tolerance:
+            assert report.residuals[c] > 10.0 * report.tolerance, c
 
 
 def diagonal_structure():

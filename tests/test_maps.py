@@ -6,7 +6,8 @@ import pytest
 
 from hermkit import catalog, geodsl, hermitian, maps, numdiff, scenarios
 from hermkit.errors import (CriticalPoint, EvaluationOutsideDomain, FibreDimension,
-                            MissingStructure, SingularMetric, WrongDimension)
+                            MissingStructure, PreconditionFailed, SingularMetric,
+                            WrongDimension)
 from hermkit.hermitian import antiholomorphic_part, g_norm, invariant_residuals, structure_jet
 from hermkit.manifold import Box, Chart, SamplePlan, VectorField, lie_bracket
 from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_projector,
@@ -441,29 +442,44 @@ def test_condition_ii_punctured_two(punctured2):
     assert condition_ii_at(punctured2, +1, PUNCTURED2_POINT) <= 1e-6
 
 
-def lifted_field(spec, pivots, k, part):
-    """One part of the horizontal lift of the frame field Z_k, smooth near the
-    base point's image (the base frame's pivots)."""
+@pytest.mark.parametrize("name, x", [("punctured1", [[1.4, 0.2, -0.3, 0.5]]),
+                                     ("punctured2", PUNCTURED2_POINT)])
+def test_condition_ii_rejects_a_target_j_that_is_not_almost_hermitian(name, x, request):
+    """J = 2 J_std at phi(x) has J^2 + I = -3 I: condition (ii) raises
+    ``PreconditionFailed`` on a complex-line target as on C^2, and reads no
+    residual."""
+    spec = request.getfixturevalue(name)
+    m = spec.target.dim // 2
+    spec = dataclasses.replace(spec, target_structure=catalog.constant_structure(
+        spec.target, 2.0 * catalog.multiplication_by_i(m)))
+    with pytest.raises(PreconditionFailed) as err:
+        condition_ii_residual(jet_of(spec, x), None)
+    assert err.value.precondition == "almost Hermitian"
+
+
+def lifted_axis(spec, a, part):
+    """One part of the horizontal lift of Z_a = (e_a - i J e_a)/sqrt(2), for the
+    a-th h-unit coordinate axis e_a at the image, as a field on the source."""
     def at(p):
-        zs = hermitian.hermitian_frame(spec.target, spec.target_structure, spec(p), spec.cfg,
-                                       pivots).complex_frame
-        return (point_jet(spec, p).lift @ part(zs[k])[..., None])[..., 0]
+        y = spec(p)
+        e = hermitian.unit_axes(spec.target.metric(y, spec.cfg))[a]
+        z = (e - 1j * (spec.target_structure(y) @ e[..., None])[..., 0]) / np.sqrt(2.0)
+        return (point_jet(spec, p).lift @ part(z)[..., None])[..., 0]
     return VectorField(spec.source, at)
 
 
 def condition_ii_bracket_route(samples):
-    """Condition (ii) through four ``lie_bracket`` calls per (k, l) pair, each
-    differentiating its own two lifted fields: the reference for
+    """Condition (ii) through four ``lie_bracket`` calls per pair a < b of target
+    axes, each differentiating its own two lifted fields: the reference for
     :func:`condition_ii_residual`, at one-row jets."""
     worst = 0.0
     for jet, structure in samples:
         spec, x, cfg = jet.spec, jet.x, jet.spec.cfg
-        base = hermitian.hermitian_frame(spec.target, spec.target_structure, spec(x), cfg)
-        (pivots,), p_v = base.pivots, _vertical_projector(jet)
-        for k in range(base.m):
-            for l in range(k + 1, base.m):
-                zr, zi = (lifted_field(spec, pivots, k, part) for part in (np.real, np.imag))
-                wr, wi = (lifted_field(spec, pivots, l, part) for part in (np.real, np.imag))
+        p_v = _vertical_projector(jet)
+        for k in range(spec.target.dim):
+            for l in range(k + 1, spec.target.dim):
+                zr, zi = (lifted_axis(spec, k, part) for part in (np.real, np.imag))
+                wr, wi = (lifted_axis(spec, l, part) for part in (np.real, np.imag))
                 bracket = ((lie_bracket(zr, wr, x, cfg) - lie_bracket(zi, wi, x, cfg))
                            + 1j * (lie_bracket(zr, wi, x, cfg) + lie_bracket(zi, wr, x, cfg)))
                 part01 = antiholomorphic_part(structure.j, (p_v @ bracket[..., None])[..., 0])
@@ -480,8 +496,8 @@ def condition_ii_samples(spec, orientation, points):
 
 @pytest.mark.parametrize("orientation", [+1, -1])
 def test_condition_ii_matches_the_bracket_route(orientation):
-    """One stencil for all lifted frame fields of all samples gives bit for bit
-    the residual of four Lie brackets per (k, l) pair at each sample."""
+    """One stencil for all lifted axis fields of all samples gives bit for bit
+    the residual of four Lie brackets per pair of target axes at each sample."""
     spec = catalog.punctured_hopf(2).maps["hopf"]
     points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
     structure = structure_jet(spec.source, lift_structure(spec, orientation), points, spec.cfg)
@@ -524,10 +540,10 @@ def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
     npt.assert_allclose(confs.conformality_residual[3], 1.96e24, rtol=1e-12)
     for r in range(len(RAGGED_ROWS)):
         jet = point_jet(spec, RAGGED_ROWS[r:r + 1])
-        for part in ("x", "differential", "metric", "singular_values", "rank"):
+        for part in ("x", "differential", "metric", "singular_values", "rank", "cometric"):
             assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)[0]), (r, part)
         one = conformality(jet)[0]
-        for part in [f.name for f in dataclasses.fields(one)] + ["kind"]:
+        for part in [f.name for f in dataclasses.fields(one)] + ["kind", "dilation"]:
             assert np.array_equal(getattr(one, part), getattr(confs, part)[r]), (r, part)
 
 
@@ -555,7 +571,8 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
     joint, samples = point_jet(spec, points, stencil=True), point_jet(spec, points)
     stencil = point_jet(spec, numdiff.stencil(points, spec.cfg).reshape(-1, spec.source.dim))
     for jet, alone in ((joint, samples), (joint.stencil, stencil)):
-        for part in ("x", "differential", "metric", "singular_values", "rank", "lift"):
+        for part in ("x", "differential", "metric", "singular_values", "rank", "cometric",
+                     "lift"):
             assert np.array_equal(getattr(jet, part), getattr(alone, part)), part
         for part in dataclasses.fields(alone.split):
             assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))

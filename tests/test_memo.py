@@ -275,14 +275,18 @@ def test_stacked_jet_raises_what_its_first_bad_row_raises():
 
 
 def test_stacked_frame_at_stencil_points_keeps_the_pivots():
-    """The pivots of the frame at a point give a full frame at the stack of its
-    stencil points."""
+    """The greedy frame picks the point's axes at every stencil point around it:
+    the frame at the stack of the stencil points is complete, and each of its
+    vectors moves by O(step) from the point's (another axis would move it by O(1))."""
     entry = catalog.calabi_eckmann(1, 1, CFG)
     chart, structure = entry.charts["ce"], entry.structures["J"]
     (x,) = SamplePlan(count=1).points(chart, CFG)
-    (pivots,) = hermitian_frame(chart, structure, x[None], CFG).pivots
+    at_x = hermitian_frame(chart, structure, x[None], CFG)
     stack = x + CFG.step * np.vstack([np.eye(6), -np.eye(6)])
-    assert hermitian_frame(chart, structure, stack, CFG, pivots).m == 3
+    frames = hermitian_frame(chart, structure, stack, CFG)
+    assert frames.m == 3
+    for near, at in zip(frames.real_frame, at_x.real_frame):
+        assert np.max(np.abs(near - at)) <= 100.0 * CFG.step
 
 
 def test_map_value_keeps_no_alias_of_the_callers_point():
