@@ -14,9 +14,11 @@ right-associative and binds tighter than unary minus, so ``-x1^2`` is
 ``-(x1^2)``.  The grammar has no conditionals or user functions, keeping every
 parsed field smooth.
 
-Parsing.  A line is split into tokens by one regular-expression scan and parsed
-by recursive descent, ``+ - * /`` by precedence climbing.  :func:`parse` then
-checks g, J and every map on the stack of five probe points, each check once.
+Parsing.  One ``findall`` of the token pattern splits a line into its number,
+name and symbol strings, which recursive descent reads as they are (``+ - * /``
+by precedence climbing).  A token's column is computed only to raise an error,
+by scanning that line again.  :func:`parse` then checks g, J and every map on
+the stack of five probe points, each check once.
 
 Evaluation contract.  :func:`evaluate` is the reference: it walks the tree at
 one point in Python floats and ``math``.  Each config entry is compiled once
@@ -145,13 +147,15 @@ def compile_exprs(exprs, lines=None) -> Callable[[np.ndarray], np.ndarray]:
     to the (k, len(exprs)) array of their values, equal bit for bit to
     :func:`evaluate` at each row and expression.
 
-    Each distinct expression is compiled once.  ``lines``, when given, holds
-    the config line of each expression; an ``EvaluationError`` then starts
-    with ``line <n>:`` (``None`` marks an expression with no line).
+    Expressions with one structural key share a column.  :func:`_compile` builds the
+    key as it compiles and writes numbers in it by ``repr``: trees compare Num(0.0)
+    equal to Num(-0.0).  ``lines``, when given, holds the config line of each
+    expression; an ``EvaluationError`` then starts with ``line <n>:`` (``None``: none).
     """
-    index: dict = {}  # keyed by source form: trees compare Num(0.0) equal to Num(-0.0)
-    columns = [index.setdefault(pretty(e), (len(index), e))[0] for e in exprs]
-    parts = [_compile(e) for _, e in index.values()]
+    index: dict = {}
+    columns = [index.setdefault(key, (len(index), part))[0]
+               for part, key in map(_compile, exprs)]
+    parts = [part for _, part in index.values()]
 
     def fn(points):
         points = np.asarray(points, dtype=float)
@@ -193,11 +197,12 @@ def _divide(a, b):
 
 
 def _elementwise(fn: Callable) -> Callable:
-    """``fn`` applied row by row to its arguments, stacks or floats."""
+    """``fn`` applied row by row to its arguments, stacks or floats (one a stack)."""
     def kernel(*values):
         columns = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v)
                    for v in values]
-        return np.array(list(map(fn, *columns)), dtype=float)
+        rows = len(next(v for v in values if isinstance(v, np.ndarray)))
+        return np.fromiter(map(fn, *columns), float, count=rows)
     return kernel
 
 
@@ -209,37 +214,38 @@ _KERNELS = {"neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
 _NO_POINT = np.zeros(0)
 
 
-def _compile(expr: Expr):
-    """``expr`` as a closure over a (k, n) stack of points, or as the float
-    :func:`evaluate` gives when it reads no coordinate."""
+def _compile(expr: Expr) -> tuple:
+    """``expr`` as a closure over a (k, n) stack of points, or the float :func:`evaluate`
+    gives when it reads no coordinate; and its structural key: a number's ``repr``, a
+    coordinate's index, else the operator or function name and the argument keys."""
     if isinstance(expr, Num):
-        return expr.value
+        return expr.value, repr(expr.value)
     if isinstance(expr, Coord):
         i = expr.index - 1
-        return lambda points: points[:, i]
-    if isinstance(expr, Neg):
-        name, args = "neg", [_compile(expr.arg)]
-    elif isinstance(expr, BinOp):
-        name, args = expr.op, [_compile(expr.left), _compile(expr.right)]
+        return (lambda points: points[:, i]), expr.index
+    if isinstance(expr, BinOp):
+        (a, key_a), (b, key_b) = _compile(expr.left), _compile(expr.right)
+        name, key = expr.op, (expr.op, key_a, key_b)
     else:
-        name, args = expr.name, [_compile(a) for a in expr.args]
-    if name == "/" and not callable(args[1]) and args[1] == 0.0:
-        return _unevaluable  # Python's / raises at every row
-    if not any(callable(a) for a in args):
-        try:
-            return _eval(expr, _NO_POINT)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            return _unevaluable
+        name, args = ("neg", (expr.arg,)) if isinstance(expr, Neg) else (expr.name, expr.args)
+        a, key_a = _compile(args[0])
+        b, key_b = _compile(args[1]) if len(args) == 2 else (None, None)  # None: unary
+        key = (name, key_a) if b is None else (name, key_a, key_b)
+    if name == "/" and b == 0.0:
+        return _unevaluable, key  # Python's / raises at every row
     kernel = _KERNELS[name]
-    if len(args) == 1:
-        (a,) = args
-        return lambda points: kernel(a(points))
-    a, b = args
-    if not callable(a):
-        return lambda points: kernel(a, b(points))
-    if not callable(b):
-        return lambda points: kernel(a(points), b)
-    return lambda points: kernel(a(points), b(points))
+    if callable(a):
+        if b is None:
+            return (lambda points: kernel(a(points))), key
+        if callable(b):
+            return (lambda points: kernel(a(points), b(points))), key
+        return (lambda points: kernel(a(points), b)), key
+    if callable(b):
+        return (lambda points: kernel(a, b(points))), key
+    try:
+        return _eval(expr, _NO_POINT), key
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return _unevaluable, key
 
 
 def _unevaluable(points):
@@ -300,7 +306,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    """The tokens of a line up to its comment (``#``), then END at its end."""
+    """The tokens of a line up to its comment (``#``), then END at its end: the column oracle."""
     tokens = [_Token(kind := m.lastgroup, m[kind], line_no, m.start(kind) + 1)
               for m in _TOKEN.finditer(text.partition("#")[0])]
     for tok in tokens:
@@ -315,120 +321,121 @@ _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
-    """Recursive descent over one statement line; ``+ - * /`` by precedence climbing."""
+    """Recursive descent over one statement line; ``+ - * /`` by precedence climbing.
+    It reads the NUMBER, IDENT and SYMBOL fields of ``_TOKEN.findall``, one tuple
+    each with END ("" in each) last; a token is of the field it is not empty in.
+    Columns come from :func:`_tokenize_line`, on the error path only."""
 
-    def __init__(self, tokens: list[_Token], dim: int | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.dim = dim
+    def __init__(self, text: str, line: int, dim: int | None):
+        self.number, self.ident, self.symbol, bad = zip(
+            *_TOKEN.findall(text.partition("#")[0]), ("", "", "", ""))
+        if any(bad):
+            _tokenize_line(text, line)  # raises at the first BAD token
+        self.text, self.line, self.dim, self.pos = text, line, dim, 0
 
-    def error(self, expected: str):
-        tok = self.tokens[self.pos]
-        raise DslSyntaxError(tok.line, tok.col, expected)
+    def error(self, expected: str, at: int | None = None):
+        """Raise ``DslSyntaxError`` at token ``at`` (default: the next one)."""
+        col = _tokenize_line(self.text, self.line)[self.pos if at is None else at].col
+        raise DslSyntaxError(self.line, col, expected)
 
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and (text is None or tok.text == text):
-            self.pos += 1
-            return tok
-        return None
+    def accept(self, symbol: str) -> bool:
+        found = self.symbol[self.pos] == symbol
+        self.pos += found
+        return found
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            self.error(text if text is not None else kind.lower())
-        return tok
+    def expect(self, *symbols: str) -> None:
+        for symbol in symbols:
+            if not self.accept(symbol):
+                self.error(symbol)
+
+    def take(self, field: tuple, expected: str) -> str:
+        """The next token's text in ``field`` (``self.number`` or ``self.ident``)."""
+        text = field[self.pos]
+        if not text:
+            self.error(expected)
+        self.pos += 1
+        return text
+
+    def count(self, what: str) -> int:
+        """The next token as a positive integer, else an error expecting ``what`` there."""
+        value = float(self.take(self.number, "number"))
+        if not (value.is_integer() and value >= 1):
+            self.error(what, self.pos - 1)
+        return int(value)
 
     def at_end(self) -> bool:
-        return self.tokens[self.pos].kind == "END"
+        return self.pos == len(self.symbol) - 1
 
-    # expression grammar -----------------------------------------------------
-
-    def expr(self, least: int = 1) -> Expr:
-        """Operands joined by binary operators of precedence ``least`` or more."""
-        node = self.unary()
-        while (prec := _BINARY.get(op := self.tokens[self.pos].text, 0)) >= least:
+    def expr(self, least: int = 1, node: Expr | None = None) -> Expr:
+        """Operands joined by binary operators of precedence ``least`` or more,
+        from ``node`` when the first operand is parsed already."""
+        if node is None:
+            node = self.operand()
+        while (prec := _BINARY.get(op := self.symbol[self.pos], 0)) >= least:
             self.pos += 1
-            node = BinOp(op, node, self.expr(prec + 1))
+            right = self.operand()
+            if _BINARY.get(self.symbol[self.pos], 0) > prec:
+                right = self.expr(prec + 1, right)
+            node = BinOp(op, node, right)
         return node
 
-    def unary(self) -> Expr:
-        """Unary minus, or an atom raised (right-associatively) to a unary."""
-        if self.accept("SYMBOL", "-"):
-            return Neg(self.unary())
-        base = self.atom()
-        if self.accept("SYMBOL", "^"):
-            return BinOp("^", base, self.unary())
+    def operand(self) -> Expr:
+        """Unary minus, or an atom raised (right-associatively) to an operand."""
+        at = self.pos
+        self.pos += 1
+        if number := self.number[at]:
+            base = Num(float(number))
+        elif (symbol := self.symbol[at]) == "-":
+            return Neg(self.operand())
+        elif symbol == "(":
+            base = self.expr()
+            self.expect(")")
+        else:
+            base = self.named(at)
+        if self.symbol[self.pos] == "^":
+            self.pos += 1
+            return BinOp("^", base, self.operand())
         return base
 
-    def atom(self) -> Expr:
-        tok = self.tokens[self.pos]
-        if tok.kind not in ("NUMBER", "IDENT") and tok.text != "(":
-            self.error("a number, coordinate, function or '('")
-        self.pos += 1
-        if tok.kind == "NUMBER":
-            return Num(float(tok.text))
-        if tok.kind == "SYMBOL":
-            node = self.expr()
-            self.expect("SYMBOL", ")")
-            return node
-        name = tok.text
+    def named(self, at: int) -> Expr:
+        """The function call or coordinate that token ``at`` names."""
+        name = self.ident[at]
+        if not name:
+            self.error("a number, coordinate, function or '('", at)
         if name in FUNCTIONS:
-            self.expect("SYMBOL", "(")
-            args = [self.expr()]
-            while self.accept("SYMBOL", ","):
-                args.append(self.expr())
-            self.expect("SYMBOL", ")")
+            args = self.sequence(self.expr, "(", ")")
             arity = FUNCTIONS[name][0]
             if len(args) != arity:
-                raise DslSyntaxError(tok.line, tok.col, f"{arity} argument(s) to {name}")
+                self.error(f"{arity} argument(s) to {name}", at)
             return Call(name, tuple(args))
         if name.startswith("x") and name[1:].isdigit():
             index = int(name[1:])
             if index < 1:
-                raise UnknownSymbol(f"line {tok.line}: {name!r} is not a coordinate")
+                raise UnknownSymbol(f"line {self.line}: {name!r} is not a coordinate")
             if self.dim is not None and index > self.dim:
                 raise DimensionMismatch(
-                    f"line {tok.line}: coordinate {name} exceeds dimension {self.dim}")
+                    f"line {self.line}: coordinate {name} exceeds dimension {self.dim}")
             return Coord(index)
-        raise UnknownSymbol(f"line {tok.line}, col {tok.col}: unknown symbol {name!r}")
+        col = _tokenize_line(self.text, self.line)[at].col
+        raise UnknownSymbol(f"line {self.line}, col {col}: unknown symbol {name!r}")
 
-    # bracketed collections ---------------------------------------------------
-
-    def vector(self) -> list[Expr]:
-        self.expect("SYMBOL", "[")
-        items = [self.expr()]
-        while self.accept("SYMBOL", ","):
-            items.append(self.expr())
-        self.expect("SYMBOL", "]")
+    def sequence(self, item: Callable, opening: str = "[", closing: str = "]") -> list:
+        """One or more ``item()`` separated by commas, in brackets."""
+        self.expect(opening)
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect(closing)
         return items
-
-    def matrix(self) -> list[list[Expr]]:
-        self.expect("SYMBOL", "[")
-        rows = [self.vector()]
-        while self.accept("SYMBOL", ","):
-            rows.append(self.vector())
-        self.expect("SYMBOL", "]")
-        return rows
-
-
-def _positive_int(tok: _Token, what: str) -> int:
-    """The value of a number token that is a positive integer; else ``DslSyntaxError``
-    naming ``what`` was expected there."""
-    value = float(tok.text)
-    if not (value.is_integer() and value >= 1):
-        raise DslSyntaxError(tok.line, tok.col, what)
-    return int(value)
 
 
 def parse_expr(text: str, dim: int | None = None, line_no: int = 1) -> Expr:
     """Parse one standalone expression."""
-    parser = _Parser(_tokenize_line(text, line_no), dim)
+    parser = _Parser(text, line_no, dim)
     try:
         node = parser.expr()
     except RecursionError:
-        raise DslSyntaxError(line_no, parser.tokens[parser.pos].col,
-                             "a less deeply nested expression")
+        parser.error("a less deeply nested expression")
     if not parser.at_end():
         parser.error("end of expression")
     return node
@@ -507,13 +514,10 @@ class GeoConfig:
         lines = [f"dim = {self.dim}"]
         for i, (a, b) in enumerate(self.domain):
             lines.append(f"domain x{i + 1} = [{a!r}, {b!r}]")
-        rows = ", ".join("[" + ", ".join(pretty(e) for e in row) + "]"
-                         for row in self.metric)
-        lines.append(f"g = [{rows}]")
-        if self.structure is not None:
-            rows = ", ".join("[" + ", ".join(pretty(e) for e in row) + "]"
-                             for row in self.structure)
-            lines.append(f"J = [{rows}]")
+        for label, matrix in (("g", self.metric), ("J", self.structure)):
+            if matrix is not None:
+                rows = ", ".join("[" + ", ".join(map(pretty, row)) + "]" for row in matrix)
+                lines.append(f"{label} = [{rows}]")
         for name, (target_dim, exprs) in self.maps.items():
             body = ", ".join(pretty(e) for e in exprs)
             lines.append(f"map {name} -> {target_dim} = [{body}]")
@@ -553,50 +557,46 @@ def _parse(source: str) -> GeoConfig:
     statements: list[tuple] = []
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
-        p = _Parser(tokens, dim)
+        p = _Parser(raw, line_no, dim)
         if p.at_end():
             continue
-        head = p.expect("IDENT")
-        if head.text == "dim":
-            p.expect("SYMBOL", "=")
-            dim = _positive_int(p.expect("NUMBER"), "a positive integer dimension")
-        elif head.text == "domain":
-            axis = p.expect("IDENT")
-            if not (axis.text.startswith("x") and axis.text[1:].isdigit()):
-                raise DslSyntaxError(axis.line, axis.col, "a coordinate name like x1")
-            idx = int(axis.text[1:])
-            p.expect("SYMBOL", "=")
-            p.expect("SYMBOL", "[")
+        head = p.take(p.ident, "ident")
+        if head == "dim":
+            p.expect("=")
+            dim = p.count("a positive integer dimension")
+        elif head == "domain":
+            axis = p.take(p.ident, "ident")
+            if not (axis.startswith("x") and axis[1:].isdigit()):
+                p.error("a coordinate name like x1", p.pos - 1)
+            idx = int(axis[1:])
+            p.expect("=", "[")
             lo = _constant(p.expr(), line_no)
-            p.expect("SYMBOL", ",")
+            p.expect(",")
             hi = _constant(p.expr(), line_no)
-            p.expect("SYMBOL", "]")
+            p.expect("]")
             if lo >= hi:
                 raise ConfigError(f"line {line_no}: empty domain interval for x{idx}")
             domain[idx] = (lo, hi)
-        elif head.text in ("g", "J"):
-            if p.accept("SYMBOL", "["):
-                i = _positive_int(p.expect("NUMBER"), "1-based indices")
-                p.expect("SYMBOL", "]")
-                p.expect("SYMBOL", "[")
-                j = _positive_int(p.expect("NUMBER"), "1-based indices")
-                p.expect("SYMBOL", "]")
-                p.expect("SYMBOL", "=")
+        elif head in ("g", "J"):
+            if p.accept("["):
+                i = p.count("1-based indices")
+                p.expect("]", "[")
+                j = p.count("1-based indices")
+                p.expect("]", "=")
                 expr = p.expr()
-                elements[head.text][(i, j)] = (expr, line_no)
+                elements[head][(i, j)] = (expr, line_no)
                 statements.append((line_no, [expr], dim))
             else:
-                p.expect("SYMBOL", "=")
-                rows = p.matrix()
-                matrices[head.text] = (rows, line_no)
+                p.expect("=")
+                rows = p.sequence(lambda: p.sequence(p.expr))
+                matrices[head] = (rows, line_no)
                 statements.append((line_no, [e for row in rows for e in row], dim))
-        elif head.text == "map":
-            name = p.expect("IDENT").text
-            p.expect("SYMBOL", "->")
-            target_dim = _positive_int(p.expect("NUMBER"), "a positive target dimension")
-            p.expect("SYMBOL", "=")
-            exprs = p.vector()
+        elif head == "map":
+            name = p.take(p.ident, "ident")
+            p.expect("->")
+            target_dim = p.count("a positive target dimension")
+            p.expect("=")
+            exprs = p.sequence(p.expr)
             if len(exprs) != target_dim:
                 raise DimensionMismatch(
                     f"line {line_no}: map {name!r} declares target dimension "
@@ -605,8 +605,7 @@ def _parse(source: str) -> GeoConfig:
             lines[("map", name)] = line_no
             statements.append((line_no, exprs, dim))
         else:
-            raise DslSyntaxError(head.line, head.col,
-                                 "'dim', 'domain', 'g', 'J' or 'map'")
+            p.error("'dim', 'domain', 'g', 'J' or 'map'", 0)
         if not p.at_end():
             p.error("end of line")
 

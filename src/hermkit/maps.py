@@ -415,8 +415,8 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     row, from the map's jet and the source structure's jet at the same points.
     The condition is C^inf-linear in Z and W (VZ = 0), so any spanning set of
     horizontal (1,0) fields gives its verdict: no Hermitian frame is built.
-    Raises ``PreconditionFailed`` unless (h, J) is almost Hermitian at phi(x); a
-    target of dimension below 4 has one (1,0) direction and reads 0."""
+    Raises ``PreconditionFailed`` unless (h, J) is almost Hermitian at phi(x) and, for
+    a target of dimension 4 or more, at the stencil images; below 4 it reads 0."""
     spec, cfg = jet.spec, jet.spec.cfg
     if spec.target_structure is None:
         raise MissingStructure("condition (ii) needs the target structure")
@@ -426,6 +426,7 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
         return [0.0] * len(jet.x)
     stencil = jet.stencil
     require_regular(stencil, "horizontal lift needs a regular point")
+    require_almost_hermitian(stencil.target.metric, stencil.target.j, stencil.image)
     # dz[r, part, a, i, :] = d_i of that part of the lifted Z_a at row r; each (part, a)
     # slice of a row is C-contiguous, as in manifold.lie_bracket, so brackets match it
     dz = np.ascontiguousarray(np.moveaxis(

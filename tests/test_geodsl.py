@@ -261,6 +261,20 @@ DEEP = "(" * 4000 + "1" + ")" * 4000
 PARSE_ERRORS = [
     ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x1 $ 2]", DslSyntaxError, 3, 18,
      "line 3, col 18: expected a token (got '$')"),
+    # edges of the token scan: a bare '.', a character no token starts with after a
+    # valid one, a tab, a number run into a name, and a '$' in a comment
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x1 + .]", DslSyntaxError, 3, 20,
+     "line 3, col 20: expected a token (got '.')"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x1 > 2]", DslSyntaxError, 3, 18,
+     "line 3, col 18: expected a token (got '>')"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x1 - > 2]", DslSyntaxError, 3, 20,
+     "line 3, col 20: expected a token (got '>')"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\n\tmap f -> 1 = [x1 $]", DslSyntaxError, 3, 19,
+     "line 3, col 19: expected a token (got '$')"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x1 + 2.5e]", DslSyntaxError, 3, 23,
+     "line 3, col 23: expected ]"),
+    ("dim = 2\ng = [[1, 0], [0, 1]]\nmap f -> 1 = [x1 # $ ]", DslSyntaxError, 3, 23,
+     "line 3, col 23: expected ]"),
     ("5 = 3", DslSyntaxError, 1, 1, "line 1, col 1: expected ident"),
     ("dim 2", DslSyntaxError, 1, 5, "line 1, col 5: expected ="),
     ("dim = x1", DslSyntaxError, 1, 7, "line 1, col 7: expected number"),
@@ -366,9 +380,12 @@ def test_parse_expr_errors_name_their_place(text, col, expected):
 
 
 def test_parse_expr_too_deep_is_a_syntax_error():
-    """Where the nesting runs out depends on the interpreter's recursion limit."""
-    with pytest.raises(DslSyntaxError, match="expected a less deeply nested expression"):
-        geodsl.parse_expr(DEEP)
+    """Where the nesting runs out depends on the interpreter's recursion limit; the
+    error names the column of the token reached there, an opening parenthesis."""
+    with pytest.raises(DslSyntaxError, match="expected a less deeply nested expression") as err:
+        geodsl.parse_expr(DEEP, line_no=7)
+    assert err.value.line == 7
+    assert 1 < err.value.col <= 4000 and DEEP[err.value.col - 1] == "("
 
 
 @pytest.mark.parametrize("src, warnings, incompatibility", [
@@ -535,6 +552,52 @@ def test_config_functions_run_once_per_stack(monkeypatch, cfg):
     chart_gamma(chart, x, cfg)
     dj_stack(chart, structure, x, cfg)
     assert calls == [(4, (1, 2)), (4, (8, 2)), (4, (8, 2))]
+
+
+#: A 4-dimensional config in the style of the benchmark's generator: a conformally
+#: flat metric, the standard J and two maps.
+CONFORMAL_SRC = """# conformal
+dim = 4
+domain x1 = [-1.0, 1.0]
+domain x2 = [-1.0, 1.0]
+domain x3 = [-1.0, 1.0]
+domain x4 = [-1.0, 1.0]
+g = [[exp(2*(0.28*sin(1.03*x1 + 0.83*x3))), 0.0, 0.0, 0.0], \
+[0.0, exp(2*(0.28*sin(1.03*x1 + 0.83*x3))), 0.0, 0.0], \
+[0.0, 0.0, exp(2*(0.28*sin(1.03*x1 + 0.83*x3))), 0.0], \
+[0.0, 0.0, 0.0, exp(2*(0.28*sin(1.03*x1 + 0.83*x3)))]]
+J = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]]
+map holo -> 2 = [-0.09*x1^2 + 0.28*x1*x2 - 1.06*x1 + 0.09*x2^2, -0.14*x1^2 - 0.18*x1*x2]
+map quad -> 2 = [0.86*x1^2 + 0.65*x2^2 + 0.54*x3, 0.88*x1*x3 + 0.52*x4]
+"""
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named geodsl function to record the arguments of its calls."""
+    calls = {name: [] for name in names}
+    for name in names:
+        fn = getattr(geodsl, name)
+        monkeypatch.setattr(geodsl, name, lambda *args, fn=fn, seen=calls[name]:
+                            seen.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("src", [TORUS_SRC, CONFORMAL_SRC], ids=["torus", "conformal"])
+def test_a_config_that_parses_is_scanned_once_and_never_printed(monkeypatch, src):
+    """Columns and printed forms are error-path work: a config that parses
+    needs neither."""
+    calls = _count_calls(monkeypatch, "_tokenize_line", "pretty")
+    geodsl.parse(src)
+    assert calls == {"_tokenize_line": [], "pretty": []}
+
+
+def test_a_bad_line_is_scanned_for_columns_once(monkeypatch):
+    """The column of an error comes from one more scan of its line, and only that."""
+    bad = "map broken -> 2 = [x1 + x2, x3 *]"
+    calls = _count_calls(monkeypatch, "_tokenize_line")
+    with pytest.raises(DslSyntaxError, match="line 11, col 33: expected a number"):
+        geodsl.parse(CONFORMAL_SRC + bad)
+    assert calls == {"_tokenize_line": [(bad, 11)]}
 
 
 INCOMPATIBLE_J_SRC = """

@@ -457,6 +457,24 @@ def test_condition_ii_rejects_a_target_j_that_is_not_almost_hermitian(name, x, r
     assert err.value.precondition == "almost Hermitian"
 
 
+def test_condition_ii_rejects_a_target_j_that_is_almost_hermitian_only_at_the_image(punctured2):
+    """J = J_std at rows equal to phi(x) and 2 J_std at every other row: (h, J)
+    passes at phi(x), but condition (ii) differences J at the stencil images and
+    raises ``PreconditionFailed`` there."""
+    image = punctured2(PUNCTURED2_POINT)
+    j_std = catalog.multiplication_by_i(punctured2.target.dim // 2)
+
+    def j(y):
+        at_image = (y == image).all(axis=1)[:, None, None]
+        return np.where(at_image, j_std, 2.0 * j_std)
+    spec = dataclasses.replace(punctured2, target_structure=hermitian.AlmostComplexField(
+        punctured2.target, j))
+    with pytest.raises(PreconditionFailed) as err:
+        condition_ii_at(spec, +1, PUNCTURED2_POINT)
+    assert err.value.precondition == "almost Hermitian"
+    assert "J^2 + I residual 3" in str(err.value)
+
+
 def lifted_axis(spec, a, part):
     """One part of the horizontal lift of Z_a = (e_a - i J e_a)/sqrt(2), for the
     a-th h-unit coordinate axis e_a at the image, as a field on the source."""
