@@ -220,9 +220,9 @@ def _compile(expr: Expr) -> tuple:
     coordinate's index, else the operator or function name and the argument keys."""
     if isinstance(expr, Num):
         return expr.value, repr(expr.value)
+    # closures bind operands as defaults: captured, each would be a cell made on every call
     if isinstance(expr, Coord):
-        i = expr.index - 1
-        return (lambda points: points[:, i]), expr.index
+        return (lambda points, i=expr.index - 1: points[:, i]), expr.index
     if isinstance(expr, BinOp):
         (a, key_a), (b, key_b) = _compile(expr.left), _compile(expr.right)
         name, key = expr.op, (expr.op, key_a, key_b)
@@ -236,12 +236,12 @@ def _compile(expr: Expr) -> tuple:
     kernel = _KERNELS[name]
     if callable(a):
         if b is None:
-            return (lambda points: kernel(a(points))), key
+            return (lambda points, f=kernel, a=a: f(a(points))), key
         if callable(b):
-            return (lambda points: kernel(a(points), b(points))), key
-        return (lambda points: kernel(a(points), b)), key
+            return (lambda points, f=kernel, a=a, b=b: f(a(points), b(points))), key
+        return (lambda points, f=kernel, a=a, b=b: f(a(points), b)), key
     if callable(b):
-        return (lambda points: kernel(a, b(points))), key
+        return (lambda points, f=kernel, a=a, b=b: f(a, b(points))), key
     try:
         return _eval(expr, _NO_POINT), key
     except (ValueError, OverflowError, ZeroDivisionError):
