@@ -5,7 +5,9 @@ projections, and a few auxiliary fixtures used by the verification scenarios.
 
 All sphere charts use products of angular coordinates on dense open sets; the
 boxes keep samples well away from coordinate degeneracies and, for Hopf-type
-maps, keep the first complex coordinate bounded away from zero.
+maps, keep the first complex coordinate bounded away from zero.  Angular
+coordinates are orthogonal, so their metric D(psi)^T D(psi) is diagonal and
+chart components divide by it (:func:`_chart_components`), with no solve.
 
 The Fubini-Study metrics, the embeddings' Jacobians, the ambient J, its fibre
 orientation form and the closed-form divergence take a (k, n) stack in one
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateParameters
 from .hermitian import AlmostComplexField
-from .manifold import Box, Chart, Embedding, gram_metric
+from .manifold import Box, Chart, Embedding
 from .maps import MapSpec
 from .numdiff import Array, DiffConfig, constant
 
@@ -212,18 +214,17 @@ def _ambient_j_product(r: int, s: int, p: Array, w: Array) -> Array:
     return np.concatenate([out1, out2], axis=1)
 
 
-def _chart_components(g: Array, dpsi: Array, ambient: Array) -> Array:
-    """Chart components g^{-1} D(psi)^T v of the columns v of ``ambient``, from the
-    metric g and the D(psi) at each row of a stack."""
-    return np.linalg.solve(g, np.swapaxes(dpsi, -1, -2) @ ambient)
+def _chart_components(dpsi: Array, ambient: Array) -> Array:
+    """Chart components g^{-1} D(psi)^T v = (D(psi)^T v)_i / |d_i psi|^2 of the columns v
+    of ``ambient`` at each row of a stack of D(psi), for orthogonal coordinates."""
+    return (np.swapaxes(dpsi, -1, -2) @ ambient) / np.sum(dpsi * dpsi, axis=-2)[..., None]
 
 
 def odd_sphere_product_structure(chart: Chart, r: int, s: int,
                                  cfg: DiffConfig = DEFAULT_CFG) -> AlmostComplexField:
     def j_at(x: Array) -> Array:
         dpsi = chart.dpsi(x, cfg)
-        ambient = _ambient_j_product(r, s, chart.embedding.psi(x), dpsi)
-        return _chart_components(gram_metric(dpsi), dpsi, ambient)
+        return _chart_components(dpsi, _ambient_j_product(r, s, chart.embedding.psi(x), dpsi))
 
     return AlmostComplexField(chart, j_at)
 
@@ -234,8 +235,7 @@ def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
     x = np.asarray(x, dtype=float)
     a1, ip = 2 * r + 2, _i_times(chart.embedding.psi(x)[..., None])
     ambient = -2.0 * np.concatenate([r * ip[..., :a1, :], s * ip[..., a1:, :]], axis=-2)
-    dpsi = chart.dpsi(x, cfg)
-    return _chart_components(gram_metric(dpsi), dpsi, ambient)[..., 0]
+    return _chart_components(chart.dpsi(x, cfg), ambient)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +269,9 @@ def _fibre_orientation_from_ambient(chart: Chart, r: int,
     a1 = 2 * r + 2
 
     def omega(x: Array) -> Array:
-        ip1 = _i_times(chart.embedding.psi(x)[..., None])
-        ip2 = ip1.copy()
-        ip1[:, a1:], ip2[:, :a1] = 0.0, 0.0
-        dpsi = chart.dpsi(x, cfg)
-        g = gram_metric(dpsi)
-        ga, gb = (g @ _chart_components(g, dpsi, ip) for ip in (ip1, ip2))
+        ip = _i_times(chart.embedding.psi(x)[..., None])
+        dpsi_t = np.swapaxes(chart.dpsi(x, cfg), 1, 2)
+        ga, gb = dpsi_t[..., :a1] @ ip[:, :a1], dpsi_t[..., a1:] @ ip[:, a1:]  # g(J_k n_k, .)
         return ga * np.swapaxes(gb, 1, 2) - gb * np.swapaxes(ga, 1, 2)
 
     return omega

@@ -13,20 +13,19 @@ d J and nabla J at a stack; :func:`structure_jet` builds it for a check's sample
 from one metric and one J call on the samples and their ``numdiff.stencil``
 points, and a map jet holds one per side (``maps.PointJet.source``,
 ``target``).  The structure operators (nabla J, div J, the Lee field, the
-Nijenhuis tensor) and :func:`classify_structure`, which decides every class
-from the real form of nabla J at each row's g-unit coordinate axes
-(:func:`unit_axes`), read a jet; :func:`pair_norms` evaluates an operator at
-every pair of vectors in one call.  The conditions are tensors, so any spanning
-set gives the same verdicts (Gray & Hervella 1980): :func:`hermitian_frame`
-is only the oracle of that.  Nothing is cached by point: a check passes down
-the jet.
+Nijenhuis tensor) and :func:`classify_structure` read a jet.  The residuals
+take the g-unit coordinate axes u_a = e_a / s_a, s_a = sqrt(g_aa): the axes are
+diagonal, so a tensor's value on a pair of them is its component divided by
+s_a s_b (:func:`unit_pair_max`), with no contraction against the axes.  The
+conditions are tensors, so any basis gives the same verdicts (Gray & Hervella
+1980): :func:`hermitian_frame` is only the oracle of that.  Nothing is cached
+by point: a check passes down the jet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +89,20 @@ def g_norm(g: Array, v: Array) -> Array:
     metric of its row (vectors with any leading axes before the rows)."""
     norm = np.sqrt(np.maximum(np.real(v[..., None, :] @ g @ np.conj(v)[..., None]), 0.0))
     return norm[..., 0, 0]
+
+
+def column_norms_sq(g: Array, t: Array) -> Array:
+    """Squared g[r]-norm of each column of each matrix of a stack t[r, ..., :, c]."""
+    g = g.reshape(g.shape[:1] + (1,) * (t.ndim - 3) + g.shape[1:])
+    return np.sum(t * (g @ t), axis=-2)
+
+
+def unit_pair_max(g: Array, t: Array) -> float:
+    """max over rows r and axes a, b of |t[r, a, :, b]| in g / (s_a s_b): the largest
+    norm of a vector-valued form with axis components t on pairs of g-unit axes."""
+    gd = np.diagonal(g, axis1=1, axis2=2)
+    sq = column_norms_sq(g, t) / (gd[:, :, None] * gd[:, None, :])
+    return float(np.sqrt(np.max(sq, initial=0.0)))
 
 
 def antiholomorphic_part(j: Array, w: Array) -> Array:
@@ -252,14 +265,6 @@ def nijenhuis(jet: StructureJet, x_vec, y_vec) -> Array:
     return a1 - a2 + a3 - a4
 
 
-def pair_norms(op: Callable, jet: StructureJet, pairs: Iterable[tuple]) -> Array:
-    """|op(jet, X, Y)| in g at each row of a jet for every pair (X, Y) of constant
-    vectors or (k, dim) stacks of them, as (pairs, k): one ``op`` call, the pairs a
-    leading axis."""
-    xs, ys = (np.stack([np.broadcast_to(v, jet.x.shape) for v in vs]) for vs in zip(*pairs))
-    return g_norm(jet.metric, op(jet, xs, ys))
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """Residuals and verdicts of the pointwise structure classification, each
@@ -292,9 +297,11 @@ class StructureReport:
 
 
 def nijenhuis_residual(jet: StructureJet) -> float:
-    """max |N(X, Y)| in g over the pairs of g-unit coordinate axes and the rows of a
-    jet, in one :func:`pair_norms` pass."""
-    return float(np.max(pair_norms(nijenhuis, jet, combinations(unit_axes(jet.metric), 2))))
+    """max |N(X, Y)| in g over pairs of g-unit axes and rows: N(e_a, e_b) = A[a, :, b] -
+    A[b, :, a], A[a, :, b] = J^i_a d_i J e_b - J d_a J e_b (:func:`nijenhuis`'s terms)."""
+    j, dj = jet.j, jet.dj
+    a = np.einsum("ria,rikb->rakb", j, dj) - j[:, None] @ dj
+    return unit_pair_max(jet.metric, a - np.swapaxes(a, 1, 3))
 
 
 def classify_structure(jet: StructureJet) -> StructureReport:
@@ -302,27 +309,21 @@ def classify_structure(jet: StructureJet) -> StructureReport:
 
     Residuals are maxima over the rows, and over X, Y among each row's g-unit
     coordinate axes, of the real-form conditions on nabla J (Gray & Hervella
-    1980): Kaehler ``|(nabla_X J) Y|``; (1,2)-symplectic
-    ``|(nabla_X J) Y + (nabla_JX J) J Y|``; cosymplectic ``|div J|``;
-    integrable ``|N(X, Y)|`` (:func:`nijenhuis_residual`).  Each condition is
-    a tensor, so it vanishes on a basis exactly when it vanishes on any other:
-    the axes need no Hermitian frame (:func:`hermitian_frame` is the oracle of
-    that).  Raises ``PreconditionFailed`` (:func:`require_almost_hermitian`) at
-    a row where (g, J) is not almost Hermitian: such a pair has no
-    classification.  Every residual is one stacked pass over all the rows.
+    1980), read off components (:func:`unit_pair_max`): Kaehler
+    ``|(nabla_X J) Y|``, the components ``nabla[r, a, :, b]``; (1,2)-symplectic
+    ``|(nabla_X J) Y + (nabla_JX J) J Y|``, which adds J^i_a (nabla_i J J)^k_b;
+    cosymplectic ``|div J|``; integrable ``|N(X, Y)|``
+    (:func:`nijenhuis_residual`).  Raises ``PreconditionFailed``
+    (:func:`require_almost_hermitian`) at a row where (g, J) is not almost
+    Hermitian: such a pair has no classification.
     """
-    g, j = jet.metric, jet.j
+    g, j, nabla = jet.metric, jet.j, jet.nabla
     require_almost_hermitian(g, j, jet.x)
     scale = max(1.0, float(np.max(1.0 + np.max(np.abs(jet.gamma), axis=(1, 2, 3))
                                   * (1.0 + np.max(np.abs(j), axis=(1, 2))))))
-    u = np.stack(unit_axes(g), axis=-1)  # u[r, :, a] is the a-th unit axis at row r
-    ju = j @ u
-    nab = np.einsum("rikj,ria,rjb->rkab", jet.nabla, u, u)
-    s12 = nab + np.einsum("rikj,ria,rjb->rkab", jet.nabla, ju, ju)
-    r_kahler, r_12 = (float(np.max(np.sqrt(np.maximum(
-        np.einsum("rkab,rkl,rlab->rab", a, g, a), 0.0)), initial=0.0)) for a in (nab, s12))
-    r_cosympl = float(np.max(g_norm(g, divergence_J(jet)), initial=0.0))
+    s12 = nabla + np.einsum("ria,rikb->rakb", j, nabla @ j[:, None])
+    residuals = (unit_pair_max(g, nabla), unit_pair_max(g, s12),
+                 float(np.max(g_norm(g, divergence_J(jet)), initial=0.0)), nijenhuis_residual(jet))
     tol = jet.cfg.tolerance(scale)
-    residuals = (r_kahler, r_12, r_cosympl, nijenhuis_residual(jet))
     return StructureReport(*residuals, dict(zip(CLASSES, (bool(r <= tol) for r in residuals))),
                            tuple(jet.x), tol, scale)

@@ -321,13 +321,14 @@ def superminimality_residual(jet: PointJet, structure: StructureJet) -> list[flo
     """max over unit coordinate axes Y of the RMS of |(nabla_V J) Y| over a
     g-orthonormal basis V of the fibre at each row, sqrt(tr(X^T g X P g^-1) / k)
     for X = (nabla_. J) Y P, the vertical projector P and the fibre dimension k,
-    from the map's jet and the source structure's jet at the same points."""
+    from the map's jet and the source structure's jet at the same points; for
+    Y = e_b / sqrt(g_bb), X is ``nabla[r, :, :, b]`` P / sqrt(g_bb)."""
     require_regular(jet, "superminimality needs a regular point")
     g, p = structure.metric, jet.projector
-    xs = np.einsum("rikj,rbj,rim->rbkm", structure.nabla, np.stack(unit_axes(g), axis=1), p)
-    sq = np.einsum("rbkm,rkl,rbln,rnm->rb", xs, g, xs, p @ structure.metric_inverse)
-    k = max(jet.spec.source.dim - jet.spec.target.dim, 1)
-    return np.sqrt(np.max(np.maximum(sq, 0.0), axis=1) / k).tolist()
+    xs = np.einsum("rikb,rim->rbkm", structure.nabla, p)
+    sq = np.sum(xs * (g[:, None] @ xs @ (p @ structure.metric_inverse)[:, None]), axis=(-2, -1))
+    sq = np.maximum(sq / np.diagonal(g, axis1=1, axis2=2), 0.0)
+    return np.sqrt(np.max(sq, axis=1) / max(jet.spec.source.dim - jet.spec.target.dim, 1)).tolist()
 
 
 def _lift_matrix(jet: PointJet) -> Array:

@@ -42,7 +42,6 @@ checks, one for the lifted J) and reads its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +50,9 @@ from . import catalog, maps
 from .errors import (CriticalPoint, FibreDimension, PreconditionFailed,
                      TargetDimensionTooSmall, TooManyExcludedSamples,
                      UnknownScenario, WrongDimension)
-from .hermitian import (AlmostComplexField, apply_j, classify_structure, divergence_J, g_norm,
-                        invariant_residuals, nabla_J, nijenhuis_residual, pair_norms,
-                        structure_jet, unit_axes)
+from .hermitian import (AlmostComplexField, apply_j, classify_structure, column_norms_sq,
+                        divergence_J, g_norm, invariant_residuals, nijenhuis_residual,
+                        structure_jet)
 from .manifold import Chart, SamplePlan
 from .maps import KIND_DEGENERATE, ConformalityData, MapSpec, PointJet
 from .numdiff import TOLERANCE_FACTOR, Array, DiffConfig, g_length
@@ -440,16 +439,18 @@ def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
 def check_gauduchon(chart: Chart, j_field: AlmostComplexField, plan: SamplePlan,
                     cfg: DiffConfig, scenario_id: str = "gauduchon",
                     expected_delta_norm: float | None = None) -> VerificationReport:
-    """On complex dimension 2, J is parallel in the directions div J and
-    J div J, over eight probe vectors per sample."""
+    """On complex dimension 2, J is parallel in the directions X = div J and
+    J div J, over eight probes Y per sample, the unit axes e_a / s_a and their J:
+    (nabla_X J) Y are the columns of X^i nabla_i J and of X^i nabla_i J J over s_a."""
     if chart.dim != 4:
         raise WrongDimension("this identity is specific to complex dimension 2")
     points = plan.points(chart, cfg)
     jets = structure_jet(chart, j_field, points, cfg)
     g, delta = jets.metric, divergence_J(jets)
-    probes = [p for e in unit_axes(g) for p in (e, apply_j(jets, e))]
-    norms = pair_norms(nabla_J, jets, product((delta, apply_j(jets, delta)), probes))
-    r_delta, r_lee = (float(np.max(half)) for half in np.split(norms, 2))
+    t = np.einsum("rxi,rikj->rxkj", np.stack([delta, apply_j(jets, delta)], axis=1), jets.nabla)
+    sq = column_norms_sq(g, np.concatenate([t, t @ jets.j[:, None]], axis=-1))
+    worst = np.max(sq / np.tile(np.diagonal(g, axis1=1, axis2=2), 2)[:, None], axis=(0, 2))
+    r_delta, r_lee = np.sqrt(np.maximum(worst, 0.0)).tolist()
     dn = g_norm(g, delta)
     scale = max(1.0, float(np.max((1.0 + dn) * (1.0 + np.max(np.abs(jets.nabla),
                                                               axis=(1, 2, 3))))))

@@ -5,10 +5,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog
+from hermkit import catalog, numdiff
 from hermkit.errors import DegenerateParameters
 from hermkit.hermitian import classify_structure, invariant_residuals, structure_jet
-from hermkit.manifold import Embedding, SamplePlan
+from hermkit.manifold import Embedding, SamplePlan, gram_metric
 from hermkit.numdiff import DiffConfig
 
 
@@ -111,6 +111,34 @@ def test_ambient_j_divergence_and_orientation_on_a_stack_equal_each_row(r, s, cf
         assert np.array_equal(stacked[1][i],
                               catalog.odd_sphere_product_divergence(chart, r, s, x[None], cfg)[0])
         assert np.array_equal(stacked[2][i], omega(x[None])[0])
+
+
+#: (entry id, chart name) of every embedded chart the catalog builds: the angular
+#: charts (the ``ce-*`` charts, which are also the Hopf sources, and S^3), the
+#: polar annulus and the Hopf circle.
+EMBEDDED_CHARTS = [(entry_id, name) for entry_id in catalog.entry_ids()
+                   for name, chart in catalog.get_entry(entry_id).charts.items()
+                   if chart.embedding is not None]
+
+
+@pytest.mark.parametrize("entry_id, name", EMBEDDED_CHARTS)
+def test_embedded_metrics_are_diagonal_so_chart_components_divide(entry_id, name, cfg, rng):
+    """The premise of ``_chart_components``: the coordinates are orthogonal, so
+    D(psi)^T D(psi) is diagonal to roundoff at the samples and at their stencil
+    points, and dividing D(psi)^T v by |d_i psi|^2 gives the components that a
+    linear solve with that metric gives, within a few eps."""
+    chart = catalog.get_entry(entry_id, cfg).charts[name]
+    x = np.array(SamplePlan(seed=5, count=8).points(chart, cfg))
+    rows = np.concatenate([x, numdiff.stencil(x, cfg, chart.contains).reshape(-1, chart.dim)])
+    dpsi = chart.dpsi(rows, cfg)
+    g = gram_metric(dpsi)
+    off = g * (1.0 - np.eye(chart.dim))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(off) <= 2.0 * eps * np.max(np.abs(g), axis=(1, 2))[:, None, None])
+    v = rng.normal(size=(len(rows), chart.embedding.ambient_dim, 3))
+    solved = np.linalg.solve(g, np.swapaxes(dpsi, 1, 2) @ v)
+    bound = 4.0 * eps * np.max(np.abs(solved), axis=1, keepdims=True)
+    assert np.all(np.abs(catalog._chart_components(dpsi, v) - solved) <= bound)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -320,9 +348,9 @@ def test_mobius_pole_names_the_offending_row(cfg):
 
 
 def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
-    """J and the closed-form divergence take g from the D(psi) they hold
-    (``manifold.gram_metric``) instead of asking the chart again, classify
-    builds its frames from the structure jet's g and J, and the structure jet
+    """J and the closed-form divergence take |d_i psi|^2 from the D(psi) they hold
+    (``catalog._chart_components``) instead of asking the chart for g, classify
+    reads the structure jet's g and J, and the structure jet
     evaluates g and J once each on the samples and their stencil points: classify
     at 2 samples differentiates the embedding in 2 calls on those 2 + 2 * 24 rows,
     and the divergence in 1 call on the 2 samples, 102 rows in all (104 in 6 calls

@@ -204,11 +204,11 @@ def test_surface_case_builds_each_sample_metric_twice(monkeypatch):
 
 
 def test_surface_case_builds_dpsi_and_g_on_the_sample_stack_at_most_once(monkeypatch):
-    """The ambient J takes g from the D(psi) it holds (``manifold.gram_metric``),
-    and the source Christoffel symbols invert the jet's own g: D(psi) and the
-    metric each run at most once on exactly the sample stack (4 times D(psi)
-    before: the jet, J directly, J through ``chart.metric`` and
-    ``metric_inverse``)."""
+    """The ambient J takes |d_i psi|^2 from the D(psi) it holds
+    (``catalog._chart_components``), and the source Christoffel symbols invert
+    the jet's own g: D(psi) and the metric each run at most once on exactly the
+    sample stack (4 times D(psi) before: the jet, J directly, J through
+    ``chart.metric`` and ``metric_inverse``)."""
     sid = "hopf-s3-surface-case"
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
     spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
