@@ -12,7 +12,9 @@ chart components divide by it (:func:`_chart_components`), with no solve.
 The Fubini-Study metrics, the embeddings' Jacobians, the ambient J, its fibre
 orientation form and the closed-form divergence take a (k, n) stack in one
 call, each row bit for bit its point's (see :func:`fs_metric` for how the
-metric keeps that).
+metric keeps that).  The Calabi-Eckmann J is one function of the points and
+D(psi) there (:func:`odd_sphere_product_structure`): a structure jet evaluates
+D(psi) once on its stack and reads both g and J from it.
 """
 
 from __future__ import annotations
@@ -142,10 +144,11 @@ def fs_metric(n: int) -> Callable[[Array], Array]:
 
     Normalized so the projection from the unit sphere is a Riemannian
     submersion (holomorphic sectional curvature 4).  Each row equals the metric
-    of its point alone bit for bit: |w|^2 is one ``np.vdot`` per row (a
-    broadcast sum rounds differently in the last bit for n >= 2), and the
-    denominator is squared by ``np.float_power``, libm pow as ``**`` on a float
-    (``d * d`` differs from it in the last bit).
+    of its point alone bit for bit: |w|^2 is one ``np.vecdot`` over the rows,
+    which makes one BLAS ``zdotc`` per row as ``np.vdot`` does (a broadcast sum
+    rounds differently in the last bit for n >= 2), and the denominator is
+    squared by ``np.float_power``, libm pow as ``**`` on a float (``d * d``
+    differs from it in the last bit).
     """
     basis = np.zeros((n, 2 * n), dtype=complex)
     for k in range(n):
@@ -154,7 +157,7 @@ def fs_metric(n: int) -> Callable[[Array], Array]:
 
     def metric(x: Array) -> Array:
         w = to_complex(x)
-        denom = 1.0 + np.array([np.vdot(row, row).real for row in w])
+        denom = 1.0 + np.vecdot(w, w).real
         u = np.conj(w) @ basis  # u[r, a] = <E_a, w_r>
         herm = denom[:, None, None] * a - u[:, :, None] * np.conj(u)[:, None]
         return np.real(herm) / np.float_power(denom, 2)[:, None, None]
@@ -222,11 +225,12 @@ def _chart_components(dpsi: Array, ambient: Array) -> Array:
 
 def odd_sphere_product_structure(chart: Chart, r: int, s: int,
                                  cfg: DiffConfig = DEFAULT_CFG) -> AlmostComplexField:
-    def j_at(x: Array) -> Array:
-        dpsi = chart.dpsi(x, cfg)
+    """The standard J of S^{2r+1} x S^{2s+1} on an angular product chart, read off
+    D(psi): a ``structure_jet`` passes the D(psi) it holds, a call builds it."""
+    def j_at(x: Array, dpsi: Array) -> Array:
         return _chart_components(dpsi, _ambient_j_product(r, s, chart.embedding.psi(x), dpsi))
 
-    return AlmostComplexField(chart, j_at)
+    return AlmostComplexField(chart, lambda x: j_at(x, chart.dpsi(x, cfg)), j_at)
 
 
 def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,

@@ -10,10 +10,11 @@ its one-row stack), and returns the stack of its values at the rows, each row as
 alone; a 1-D point raises ``WrongDimension``.  A :class:`StructureJet`, a
 ``numdiff.Jet``, is the one owner of a chart's g, g^-1, Christoffel symbols, J,
 d J and nabla J at a stack; :func:`structure_jet` builds it for a check's samples
-from one metric and one J call on the samples and their ``numdiff.stencil``
-points, and a map jet holds one per side (``maps.PointJet.source``,
-``target``).  The structure operators (nabla J, div J, the Lee field, the
-Nijenhuis tensor) and :func:`classify_structure` read a jet.  The residuals
+from one g and one J call on the samples and their ``numdiff.stencil`` points
+(on an embedded chart both read one D(psi) there), and a map jet holds one per
+side (``maps.PointJet.source``, ``target``).  The structure operators (nabla J,
+div J, the Lee field, the Nijenhuis tensor) and :func:`classify_structure` read
+a jet.  The residuals
 take the g-unit coordinate axes u_a = e_a / s_a, s_a = sqrt(g_aa): the axes are
 diagonal, so a tensor's value on a pair of them is its component divided by
 s_a s_b (:func:`unit_pair_max`), with no contraction against the axes.  The
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DslError, GeometryError, PreconditionFailed, RankDeficient
-from .manifold import Chart, christoffel, invert_metric, metric_derivative
+from .manifold import Chart, christoffel, gram_metric, invert_metric, metric_derivative
 from .numdiff import Array, DiffConfig, as_points, as_stack, g_length, project_out
 
 #: Bound on max|J^2 + I| and max|J^T g J - g| within which a (g, J) pair counts
@@ -47,16 +48,24 @@ class AlmostComplexField:
     """A field of endomorphisms J with J^2 = -I, compatible with the metric.
 
     ``fn`` maps a (k, dim) stack of points to the (k, dim, dim) stack of J
-    there, so :func:`structure_jet` evaluates it once for all its rows.
+    there, so :func:`structure_jet` evaluates it once for all its rows.  On an
+    embedded chart ``of_dpsi``, when given, is the same J from the points and the
+    chart's D(psi) at them, and ``fn`` builds that D(psi) itself.
     """
 
     chart: Chart
     fn: Callable[[Array], Array]
+    of_dpsi: Callable[[Array, Array], Array] | None = None
 
-    def __call__(self, x) -> Array:
-        """The stack of J at the rows of x."""
+    def __call__(self, x, dpsi: Array | None = None) -> Array:
+        """The stack of J at the rows of x, read off ``dpsi``, the chart's D(psi)
+        there, when the field has ``of_dpsi`` and the caller holds it."""
         x, d = as_points(x), self.chart.dim
-        return as_stack(self.fn(x), x, (d, d), f"structure on {self.chart.name or '(unnamed)'}: fn")
+        if dpsi is None or self.of_dpsi is None:
+            j, owner = self.fn(x), "fn"
+        else:
+            j, owner = self.of_dpsi(x, dpsi), "of_dpsi"
+        return as_stack(j, x, (d, d), f"structure on {self.chart.name or '(unnamed)'}: {owner}")
 
 
 def invariant_residuals(g: Array, j: Array) -> tuple[Array, Array]:
@@ -210,16 +219,19 @@ class StructureJet(numdiff.Jet):
 def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> StructureJet:
     """The jet at the rows of x holding g^-1, Gamma, J and d J, from g and J
     evaluated once on the rows and then their ``numdiff.stencil`` points: d J and
-    Gamma from the stencil rows; on an error the rows are built alone, so the
-    error raised is the first bad row's."""
+    Gamma from the stencil rows.  On an embedded chart D(psi) is evaluated once on
+    those rows, g is its ``gram_metric`` and J reads it (``AlmostComplexField``);
+    on an error the rows are built alone, so the error raised is the first bad
+    row's."""
     x = as_points(x)
     k = len(x)
     try:
         chart.require_interior(x, cfg)
         rows = np.concatenate([x, numdiff.stencil(x, cfg, chart.contains).reshape(-1, x.shape[1])])
-        j = j_field(rows)  # J first, then g: only copies of their sample rows are kept
+        dpsi = None if chart.embedding is None else chart.dpsi(rows, cfg)
+        j = j_field(rows, dpsi)  # J first, then g: only copies of their sample rows are kept
         j, dj = j[:k].copy(), numdiff.difference(j[k:], x, cfg)
-        g = chart.metric(rows, cfg)
+        g = chart.metric(rows, cfg) if dpsi is None else gram_metric(dpsi)
         g_inv = invert_metric(g[:k], x)
     except (GeometryError, DslError, ValueError):
         for r in range(k) if k > 1 else ():

@@ -123,7 +123,8 @@ class Chart:
 
     def metric(self, x, cfg: DiffConfig | None = None) -> Array:
         """The stack of metric matrices at the rows of x; for embedded charts
-        this is Dpsi^T Dpsi."""
+        this is :func:`gram_metric` of D(psi) there, which a
+        ``hermitian.structure_jet`` applies to the D(psi) it holds instead."""
         x = as_points(x)
         if self.metric_fn is None:
             return gram_metric(self.dpsi(x, cfg))

@@ -193,7 +193,9 @@ def holomorphy_residual(jet: PointJet) -> list[float]:
     d, y, j_src, j_tgt = jet.differential, jet.image, jet.source.j, jet.target.j
     require_almost_hermitian(jet.metric, j_src, jet.x)
     require_almost_hermitian(jet.target.metric, j_tgt, y)
-    return [float(np.linalg.norm(m)) for m in d @ j_src - j_tgt @ d]
+    m = d @ j_src - j_tgt @ d
+    m = m.reshape(len(m), m.shape[1] * m.shape[2])
+    return np.sqrt(np.vecdot(m, m)).tolist()  # one ddot per row, as np.linalg.norm makes
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,11 @@ def _guard_excluded(excluded: int, total: int, what: str) -> None:
 
 def _map_scale(stack: PointJet) -> float:
     """Input-magnitude scale for map residual tolerances: differentials enter
-    the tension and conformality sums quadratically."""
-    return (1.0 + max([0.0, *(float(np.linalg.norm(d)) for d in stack.differential)])) ** 2
+    the tension and conformality sums quadratically: the largest Frobenius norm,
+    one ddot per row as ``np.linalg.norm`` makes."""
+    d = stack.differential
+    d = d.reshape(len(d), d.shape[1] * d.shape[2])
+    return (1.0 + float(np.max(np.sqrt(np.vecdot(d, d)), initial=0.0))) ** 2
 
 
 def _map_points(spec: MapSpec, plan: SamplePlan,

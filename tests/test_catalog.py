@@ -8,7 +8,7 @@ import pytest
 from hermkit import catalog, numdiff
 from hermkit.errors import DegenerateParameters
 from hermkit.hermitian import classify_structure, invariant_residuals, structure_jet
-from hermkit.manifold import Embedding, SamplePlan, gram_metric
+from hermkit.manifold import Embedding, SamplePlan, christoffel, gram_metric, invert_metric
 from hermkit.numdiff import DiffConfig
 
 
@@ -215,11 +215,26 @@ def conformal_fs_metric_at_a_point(n):
        conformal_fs_metric_at_a_point(n), 2 * n) for n in (1, 2))])
 def test_stacked_fs_metrics_equal_the_point_formula_bit_for_bit(stacked, at_point, dim):
     """Each row of a stacked Fubini-Study metric, plain, product or conformally
-    stretched, is its point's metric by the per-point formula, sign bits included."""
+    stretched, is its point's metric by the per-point formula, sign bits included;
+    on the stack of 24 samples and their stencil points (216 to 600 rows), as a
+    structure jet asks, each row is also the metric of that row alone."""
     x = np.random.default_rng(dim).uniform(-6.0, 6.0, (1500, dim))
     got, want = stacked(x), np.stack([at_point(p) for p in x])
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    rows = np.concatenate([x[:24], numdiff.stencil(x[:24], DiffConfig()).reshape(-1, dim)])
+    assert len(rows) >= 200
+    assert np.array_equal(stacked(rows), np.concatenate([stacked(r[None]) for r in rows]))
+
+
+def test_fs_metric_makes_no_vdot_call(monkeypatch):
+    """|w|^2 is one ``np.vecdot`` over the rows, not one ``np.vdot`` per row."""
+    def vdot(*args):
+        raise AssertionError("np.vdot called")
+
+    monkeypatch.setattr(np, "vdot", vdot)
+    for n in (1, 2, 3):
+        assert catalog.fs_metric(n)(np.full((5, 2 * n), 0.3)).shape == (5, 2 * n, 2 * n)
 
 
 @pytest.mark.parametrize("entry_id", catalog.entry_ids())
@@ -352,11 +367,12 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     (``catalog._chart_components``) instead of asking the chart for g, classify
     reads the structure jet's g and J, and the structure jet
     evaluates g and J once each on the samples and their stencil points: classify
-    at 2 samples differentiates the embedding in 2 calls on those 2 + 2 * 24 rows,
-    and the divergence in 1 call on the 2 samples, 102 rows in all (104 in 6 calls
-    when the jet asked for g at the samples twice and for g and J on the stencil
-    apart, 156 when J and the divergence asked the chart for g, 162 when the frames
-    evaluated g and J again, 214 when J asked twice)."""
+    at 2 samples differentiates the embedding in 1 call on those 2 + 2 * 24 rows,
+    whose D(psi) gives both g and J, and the divergence in 1 call on the 2 samples,
+    52 rows in all (102 in 3 calls when g and J each built D(psi) on the stack,
+    104 in 6 calls when the jet asked for g at the samples twice and for g and J on
+    the stencil apart, 156 when J and the divergence asked the chart for g, 162
+    when the frames evaluated g and J again, 214 when J asked twice)."""
     entry = catalog.calabi_eckmann(1, 1, cfg)
     chart = entry.charts["ce"]
     rows = []
@@ -371,4 +387,29 @@ def test_odd_sphere_structure_reads_dpsi_from_the_chart(monkeypatch, cfg):
     plan = SamplePlan(count=2)
     classify_structure(structure_jet(chart, entry.structures["J"], plan.points(chart, cfg), cfg))
     catalog.odd_sphere_product_divergence(chart, 1, 1, np.array(plan.points(chart, cfg)), cfg)
-    assert rows == [50, 50, 2]
+    assert rows == [50, 2]
+
+
+@pytest.mark.parametrize("entry_id", ["ce-0-1", "ce-1-0", "ce-1-1", "ce-2-1"])
+def test_structure_jet_reads_g_and_j_off_one_dpsi(monkeypatch, entry_id, cfg):
+    """A structure jet on a Calabi-Eckmann chart evaluates D(psi) once on its stack
+    of samples and stencil points, and the g, J, d J and Christoffel symbols it
+    holds equal, bit for bit, the chart's metric and the field's J evaluated on
+    that stack apart and differenced."""
+    entry = catalog.get_entry(entry_id, cfg)
+    chart, j_field = entry.charts["ce"], entry.structures["J"]
+    x = SamplePlan(seed=5, count=3).points(chart, cfg)
+    calls, dpsi = [], Embedding.dpsi
+    monkeypatch.setattr(Embedding, "dpsi", lambda self, p, c: (
+        self is chart.embedding and calls.append(len(p))) or dpsi(self, p, c))
+    jet = structure_jet(chart, j_field, x, cfg)
+    assert calls == [3 + 3 * 4 * chart.dim]
+    monkeypatch.undo()
+    rows = np.concatenate([x, numdiff.stencil(x, cfg, chart.contains).reshape(-1, chart.dim)])
+    g, j = chart.metric(rows, cfg), j_field(rows)
+    g_inv = invert_metric(g[:3], x)
+    assert np.array_equal(jet.metric, g[:3])
+    assert np.array_equal(jet.metric_inverse, g_inv)
+    assert np.array_equal(jet.j, j[:3])
+    assert np.array_equal(jet.dj, numdiff.difference(j[3:], x, cfg))
+    assert np.array_equal(jet.gamma, christoffel(g_inv, numdiff.difference(g[3:], x, cfg)))

@@ -12,7 +12,7 @@ from hermkit.errors import PreconditionFailed
 from hermkit.hermitian import (AlmostComplexField, HermitianFrame, antiholomorphic_part,
                                classify_structure, divergence_J, g_norm,
                                hermitian_frame, lee_vector, nabla_J, nijenhuis, structure_jet)
-from hermkit.manifold import (Box, Chart, SamplePlan, VectorField, christoffel,
+from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField, christoffel,
                               covariant_derivative, lie_bracket)
 from hermkit.numdiff import constant, orthonormalize
 from test_manifold import chart_gamma, constant_field, lazy_jet
@@ -369,43 +369,50 @@ def test_classify_builds_no_hermitian_frame(monkeypatch, cfg):
 
 
 def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
-    """Stencils ask the chart for stacks of metrics: classify builds metrics on
-    as many stacks at 3 samples as at 2, each holding its rows for all the
-    samples."""
+    """Stencils ask the embedding for stacks of D(psi), whose Gram matrices are the
+    metrics: classify on an embedded chart builds D(psi) on as many stacks at 3
+    samples as at 2, one, holding its rows for all the samples and their stencil
+    points (two when the metric and J each built their own)."""
     rows = {2: [], 3: []}
-    build = Chart.metric
+    build = Embedding.dpsi
     for count, seen in rows.items():
-        monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None:
-                            seen.append(len(x)) or build(self, x, cfg))
         entry = catalog.calabi_eckmann(1, 1, cfg)
+        whole = entry.charts["ce"].embedding  # not its factors' embeddings
+        monkeypatch.setattr(Embedding, "dpsi", lambda self, x, cfg, whole=whole:
+                            (self is whole and seen.append(len(x))) or build(self, x, cfg))
         classify(entry.charts["ce"], entry.structures["J"], SamplePlan(count=count), cfg)
-    assert rows[2] and [3 * n for n in rows[2]] == [2 * n for n in rows[3]]
+    assert rows == {2: [50], 3: [75]}
 
 
 def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
     """All samples of a classification share one stack, the 3 samples and then
-    their 3 * 24 stencil points: g and J are evaluated once each on it, the
-    Christoffel symbols are built once, at the samples, from g^-1 there and d g
-    differenced from that g (no metric call of their own), J is never
+    their 3 * 24 stencil points: D(psi) is evaluated once on it and g (its Gram
+    matrix) and J are read off it, with no metric call (one metric call and a
+    second D(psi) inside J before), the Christoffel symbols are built once, at the
+    samples, from g^-1 there and d g differenced from that g, J is never
     differenced through ``dj_stack``, and the chart checks its domain twice, at
     the samples' interior and at the stencil points (three times when the
     Christoffel build and ``dj_stack`` checked apart)."""
-    calls = {"metric": [], "j": [], "dj_stack": [], "christoffel": [], "contains": []}
+    calls = {"metric": [], "dpsi": [], "j": [], "dj_stack": [], "christoffel": [],
+             "contains": []}
     contains = Chart.contains
     monkeypatch.setattr(Chart, "contains", lambda self, x, margin=0.0:
                         calls["contains"].append(np.shape(x)) or contains(self, x, margin))
-    metric, j_call = Chart.metric, AlmostComplexField.__call__
+    metric, dpsi, j_call = Chart.metric, Embedding.dpsi, AlmostComplexField.__call__
     monkeypatch.setattr(Chart, "metric", lambda self, x, c=None:
                         calls["metric"].append(x.shape) or metric(self, x, c))
-    monkeypatch.setattr(AlmostComplexField, "__call__", lambda self, x:
-                        calls["j"].append(np.shape(x)) or j_call(self, x))
+    monkeypatch.setattr(AlmostComplexField, "__call__", lambda self, x, d=None:
+                        calls["j"].append(np.shape(x)) or j_call(self, x, d))
     monkeypatch.setattr(hermitian, "dj_stack", lambda *args: calls["dj_stack"].append(args))
     christoffel = hermitian.christoffel
     monkeypatch.setattr(hermitian, "christoffel", lambda g_inv, dg: calls[
         "christoffel"].append((g_inv.shape, dg.shape)) or christoffel(g_inv, dg))
     entry = catalog.calabi_eckmann(1, 1, cfg)
+    monkeypatch.setattr(Embedding, "dpsi", lambda self, x, c: (
+        self is entry.charts["ce"].embedding and calls["dpsi"].append(x.shape))
+        or dpsi(self, x, c))
     classify(entry.charts["ce"], entry.structures["J"], SamplePlan(count=3), cfg)
-    assert calls == {"metric": [(75, 6)], "j": [(75, 6)], "dj_stack": [],
+    assert calls == {"metric": [], "dpsi": [(75, 6)], "j": [(75, 6)], "dj_stack": [],
                      "christoffel": [((3, 6, 6), (3, 6, 6, 6))], "contains": [(3, 6), (72, 6)]}
 
 

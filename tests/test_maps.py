@@ -74,6 +74,20 @@ def jet_of(spec, x):
     return point_jet(spec, np.asarray(x, dtype=float))
 
 
+@pytest.mark.parametrize("entry_id", [e for e in catalog.entry_ids() if catalog.get_entry(e).maps])
+def test_row_norms_equal_the_per_row_norm_loop_bit_for_bit(entry_id, cfg):
+    """``scenarios._map_scale`` and :func:`holomorphy_residual` take each row's
+    Frobenius norm from one ``np.vecdot`` over the rows flattened: bit for bit the
+    per-row ``np.linalg.norm`` loops they replace, on every catalog map."""
+    for spec in catalog.get_entry(entry_id, cfg).maps.values():
+        stack = jet_of(spec, SamplePlan(seed=3, count=12).points(spec.source, cfg))
+        d = stack.differential
+        assert scenarios._map_scale(stack) == (1.0 + max(float(np.linalg.norm(m)) for m in d)) ** 2
+        if spec.source_structure is not None and spec.target_structure is not None:
+            loop = [float(np.linalg.norm(m)) for m in d @ stack.source.j - stack.target.j @ d]
+            assert holomorphy_residual(stack) == loop
+
+
 def test_holomorphy_identity(torus_entry):
     (val,) = holomorphy_residual(jet_of(torus_entry.maps["identity"], [[0.8, 0.9]]))
     assert val <= 1e-12
