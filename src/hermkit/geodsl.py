@@ -21,10 +21,12 @@ by scanning that line again.  :func:`parse` then checks g, J and every map on
 the stack of five probe points, each check once.
 
 Evaluation contract.  :func:`evaluate` is the reference: it walks the tree at
-one point in Python floats and ``math``.  Each config entry is compiled once
-(:func:`compile_exprs`) into a closure over a (k, dim) stack of points, so
-the metric, J and map functions take whole stencils.  The compiled closures
-give :func:`evaluate`'s values bit for bit on every platform:
+one point in Python floats and ``math``.  Each config entry (g, J, a map) is
+compiled once (:func:`compile_exprs`) into one straight-line program over a
+(k, dim) stack of points, with one step per structural key, so the metric, J
+and map functions take whole stencils and a subtree repeated in an entry (the
+``x1^2`` of both components of a map) is evaluated once per stack.  The
+program gives :func:`evaluate`'s values bit for bit on every platform:
 
 * arithmetic and negation are NumPy array operations, which round like
   Python's float operators (IEEE 754);
@@ -70,30 +72,32 @@ FUNCTIONS = {
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
+# The parser builds the nodes and nothing mutates them.  Slotted dataclasses keep
+# ==, hash and repr, and build in half the time of frozen ones (no object.__setattr__).
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Coord:
     index: int  # 1-based, as written
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinOp:
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call:
     name: str
     args: tuple
@@ -147,25 +151,31 @@ def compile_exprs(exprs, lines=None) -> Callable[[np.ndarray], np.ndarray]:
     to the (k, len(exprs)) array of their values, equal bit for bit to
     :func:`evaluate` at each row and expression.
 
-    Expressions with one structural key share a column.  :func:`_compile` builds the
-    key as it compiles and writes numbers in it by ``repr``: trees compare Num(0.0)
-    equal to Num(-0.0).  ``lines``, when given, holds the config line of each
-    expression; an ``EvaluationError`` then starts with ``line <n>:`` (``None``: none).
+    One straight-line program computes them, one step per structural key
+    (:func:`_compile`): a subtree repeated within or across the expressions is
+    evaluated once per stack.  ``lines``, when given, holds the config line of
+    each expression; an ``EvaluationError`` then starts with ``line <n>:``
+    (``None``: none).
     """
-    index: dict = {}
-    columns = [index.setdefault(key, (len(index), part))[0]
-               for part, key in map(_compile, exprs)]
-    parts = [part for _, part in index.values()]
+    slots: dict = {}
+    program: list = []
+    columns = [_compile(e, slots, program) for e in exprs]
+    distinct = list(dict.fromkeys(columns))
+    gather = [distinct.index(o) for o in columns]
+    outputs = [float(o) if isinstance(o, str) else o for o in distinct]  # a slot or a float
 
     def fn(points):
         points = np.asarray(points, dtype=float)
-        values = np.empty((len(points), len(parts)))
+        values = [points]
+        out = np.empty((len(points), len(outputs)))
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                for c, part in enumerate(parts):
-                    values[:, c] = part(points) if callable(part) else part
-            if np.isfinite(values).all():
-                return values[:, columns]
+                for step in program:
+                    values.append(step(values))
+                for c, o in enumerate(outputs):
+                    out[:, c] = values[o] if isinstance(o, int) else o
+            if np.isfinite(out).all():
+                return out[:, gather]
         except (ArithmeticError, ValueError):
             pass
         return _row_by_row(exprs, lines, points)
@@ -214,41 +224,54 @@ _KERNELS = {"neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
 _NO_POINT = np.zeros(0)
 
 
-def _compile(expr: Expr) -> tuple:
-    """``expr`` as a closure over a (k, n) stack of points, or the float :func:`evaluate`
-    gives when it reads no coordinate; and its structural key: a number's ``repr``, a
-    coordinate's index, else the operator or function name and the argument keys."""
-    if isinstance(expr, Num):
-        return expr.value, repr(expr.value)
-    # closures bind operands as defaults: captured, each would be a cell made on every call
-    if isinstance(expr, Coord):
-        return (lambda points, i=expr.index - 1: points[:, i]), expr.index
+def _compile(expr: Expr, slots: dict, program: list):
+    """``expr``'s operand: the ``repr`` of the float :func:`evaluate` gives when
+    ``expr`` reads no coordinate, else its slot, 1 + the index of its step in
+    ``program`` (slot 0 holds the points).  ``slots`` maps each key to its slot:
+    a coordinate's index, or the operator or function name and the operands, so
+    subtrees share a step when they are equal with numbers, and subtrees that
+    read no coordinate, compared by the ``repr`` of their value (trees compare
+    Num(0.0) equal to Num(-0.0))."""
     if isinstance(expr, BinOp):
-        (a, key_a), (b, key_b) = _compile(expr.left), _compile(expr.right)
-        name, key = expr.op, (expr.op, key_a, key_b)
+        key = (expr.op, _compile(expr.left, slots, program), _compile(expr.right, slots, program))
+    elif isinstance(expr, Num):
+        return repr(expr.value)
+    elif isinstance(expr, Coord):
+        key = expr.index
     else:
         name, args = ("neg", (expr.arg,)) if isinstance(expr, Neg) else (expr.name, expr.args)
-        a, key_a = _compile(args[0])
-        b, key_b = _compile(args[1]) if len(args) == 2 else (None, None)  # None: unary
-        key = (name, key_a) if b is None else (name, key_a, key_b)
-    if name == "/" and b == 0.0:
-        return _unevaluable, key  # Python's / raises at every row
-    kernel = _KERNELS[name]
-    if callable(a):
-        if b is None:
-            return (lambda points, f=kernel, a=a: f(a(points))), key
-        if callable(b):
-            return (lambda points, f=kernel, a=a, b=b: f(a(points), b(points))), key
-        return (lambda points, f=kernel, a=a, b=b: f(a(points), b)), key
-    if callable(b):
-        return (lambda points, f=kernel, a=a, b=b: f(a, b(points))), key
-    try:
-        return _eval(expr, _NO_POINT), key
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return _unevaluable, key
+        a, *b = (_compile(arg, slots, program) for arg in args)
+        key = (name, a, *b) if b else (name, a, None)  # None: unary
+    slot = slots.get(key)
+    if slot is not None:
+        return slot
+    # steps bind operands as defaults: captured, each would be a cell made on every call
+    if isinstance(key, int):
+        step = lambda values, i=key - 1: values[0][:, i]
+    else:
+        name, a, b = key
+        f = _KERNELS[name]
+        if name == "/" and isinstance(b, str) and float(b) == 0.0:
+            step = _unevaluable  # Python's / raises at every row
+        elif isinstance(a, str) and (b is None or isinstance(b, str)):
+            try:
+                return repr(_eval(expr, _NO_POINT))
+            except (ValueError, OverflowError, ZeroDivisionError):
+                step = _unevaluable
+        elif b is None:
+            step = lambda values, f=f, a=a: f(values[a])
+        elif isinstance(a, str):
+            step = lambda values, f=f, a=float(a), b=b: f(a, values[b])
+        elif isinstance(b, str):
+            step = lambda values, f=f, a=a, b=float(b): f(values[a], b)
+        else:
+            step = lambda values, f=f, a=a, b=b: f(values[a], values[b])
+    program.append(step)
+    slots[key] = len(program)
+    return len(program)
 
 
-def _unevaluable(points):
+def _unevaluable(values):
     """A subexpression that raises wherever it is evaluated; the row-by-row
     fallback reports it with :func:`evaluate`'s message."""
     raise ArithmeticError("subexpression does not evaluate")

@@ -211,6 +211,63 @@ def test_compiled_entries_that_differ_in_the_sign_of_a_zero_stay_apart():
     assert np.signbit(values).tolist() == [[False, True, False], [True, False, True]]
 
 
+def test_a_subtree_shared_by_two_entries_runs_its_kernel_once_per_stack(monkeypatch):
+    """x1^2 occurs in both expressions: one step computes it for the stack."""
+    calls = []
+    power = geodsl._KERNELS["^"]
+    monkeypatch.setitem(geodsl._KERNELS, "^", lambda *args: calls.append(1) or power(*args))
+    fn = geodsl.compile_exprs([geodsl.parse_expr("x1^2 + x2", dim=2),
+                               geodsl.parse_expr("3*x1^2", dim=2)])
+    for rows in (1, 4):
+        calls.clear()
+        values = fn(np.full((rows, 2), 1.5))
+        assert len(calls) == 1
+        assert values.tolist() == [[3.75, 6.75]] * rows
+
+
+def test_subtrees_that_differ_in_the_sign_of_a_zero_keep_their_own_steps():
+    """atan2(x1*0.0, -1) and atan2(x1*-0.0, -1) compare equal as trees, but at
+    x1 > 0 they are +pi and -pi: each keeps its own steps."""
+    plus, minus = (geodsl.Call("atan2", (geodsl.BinOp("*", geodsl.Coord(1), geodsl.Num(z)),
+                                         geodsl.Num(-1.0))) for z in (0.0, -0.0))
+    assert plus == minus
+    stack = np.array([[2.0], [0.5]])
+    got = geodsl.compile_exprs([plus, minus])(stack)
+    ref = np.array([[geodsl.evaluate(e, p) for e in (plus, minus)] for p in stack])
+    assert got.tobytes() == ref.tobytes()
+    assert got[:, 0].tolist() == [math.pi] * 2 and got[:, 1].tolist() == [-math.pi] * 2
+
+
+def _flip_zeros(tree):
+    """``tree`` with every 0.0 literal made -0.0 and every -0.0 made 0.0: a tree
+    that compares equal to it."""
+    if isinstance(tree, geodsl.Num):
+        return geodsl.Num(-tree.value) if tree.value == 0.0 else tree
+    if isinstance(tree, geodsl.Neg):
+        return geodsl.Neg(_flip_zeros(tree.arg))
+    if isinstance(tree, geodsl.BinOp):
+        return geodsl.BinOp(tree.op, _flip_zeros(tree.left), _flip_zeros(tree.right))
+    if isinstance(tree, geodsl.Call):
+        return geodsl.Call(tree.name, tuple(map(_flip_zeros, tree.args)))
+    return tree
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_EXPRS, _EXPRS, st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=5))
+def test_entries_that_reuse_subtrees_equal_evaluate_bit_for_bit(a, b, rows):
+    """Entries built from shared subtrees, and a twin of a that differs only in
+    the sign of its zeros, give evaluate's bits at each row, or raise the
+    EvaluationError it raises first."""
+    exprs = [geodsl.BinOp("+", a, b), geodsl.BinOp("*", a, a), geodsl.Neg(b), a, _flip_zeros(a)]
+    stack = np.array(rows)
+    ref = _outcome(lambda: np.array([[geodsl.evaluate(e, p) for e in exprs] for p in stack]))
+    got = _outcome(lambda: geodsl.compile_exprs(exprs)(stack))
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("src,line", [
     ("g = [[1, 0], [0, x3^2 + 1]]\ndim = 2", 1),
     ("map m -> 1 = [x7]\ndim = 2\ng = [[1, 0], [0, 1]]", 1),
