@@ -17,7 +17,10 @@ is printed per report:
   ``hermbench/workloads.py``;
 * ``classify`` and ``check-map`` on the fixed configs in ``HAND_CONFIGS``,
   whose metrics and maps use the functions and the non-integer powers the
-  generated configs leave out.
+  generated configs leave out;
+* ``errors``: the exit code, output and error message of ``classify`` and
+  ``check-map`` on the fixed configs in ``ERROR_CONFIGS``, which end in an
+  error (exit 2), so that the rows the contract checks name are pinned too.
 
 Run it on two checkouts and ``diff`` the outputs to confirm that a refactor
 leaves the reports byte-identical:
@@ -100,6 +103,49 @@ map curved -> 2 = [log(1 + x1^2 + x2^2) + tan(0.3*x3), atan2(x2, x1)^1.5 + x4]
 }
 #: Flags of every hand-written config call.
 HAND_FLAGS = ("--report", "json", "--seed", "0", "--points", "3")
+#: Configs whose calls end in an error, each with its calls.  The metrics of the
+#: ``band`` configs are positive-definite on the probe region, the inner 80 % of
+#: the box, so they parse, but not in the outer band, where a sample other than
+#: the first falls: the first bad row is named.  ``domain x0`` names no
+#: coordinate.  A form feed in a comment does not end its line, so the error is
+#: on line 5.
+ERROR_CONFIGS = {
+    "band-2d": ("""\
+dim = 2
+domain x1 = [-1, 1]
+domain x2 = [-1, 1]
+g = [[0.85 - x2, 0], [0, 0.85 - x2]]
+J = [[0, -1], [1, 0]]
+map square -> 2 = [x1^2 - x2^2, 2*x1*x2]
+""", [("classify",), ("check-map", "--map", "square")]),
+    "band-4d": ("""\
+dim = 4
+domain x1 = [-1, 1]
+domain x2 = [-1, 1]
+domain x3 = [-1, 1]
+domain x4 = [-1, 1]
+g[1][1] = 0.65 - x2^2
+g[2][2] = 0.65 - x2^2
+g[3][3] = 0.65 - x2^2
+g[4][4] = 0.65 - x2^2
+J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+map fold -> 2 = [x1*x3 - x2*x4, x1*x4 + x2*x3]
+""", [("classify",), ("check-map", "--map", "fold")]),
+    "domain-x0": ("""\
+dim = 2
+domain x0 = [0, 1]
+g = [[1, 0], [0, 1]]
+""", [("classify",)]),
+    "formfeed-comment": ("""\
+dim = 2
+# a comment\fg = [[1, 0]]
+g = [[1, 0], [0, 1]]
+J = [[0, -1], [1, 0]]
+map f -> 2 = [x1]
+""", [("classify",)]),
+}
+#: Flags of every call on an ``ERROR_CONFIGS`` config.
+ERROR_FLAGS = ("--report", "json", "--seed", "0", "--points", "6")
 
 
 def run(argv: list[str]) -> tuple[str, int]:
@@ -110,6 +156,17 @@ def run(argv: list[str]) -> tuple[str, int]:
     if code == 2:
         raise SystemExit(f"hermkit {' '.join(argv)} exited 2")
     return out.getvalue(), code
+
+
+def error_digest(argv: list[str]) -> str:
+    """SHA-256 of the exit code, output and error message of ``hermkit`` on
+    ``argv``, which must exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 2:
+        raise SystemExit(f"hermkit {' '.join(argv)} exited {code}, not 2")
+    return hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode("utf-8")).hexdigest()
 
 
 def digest(argv: list[str]) -> str:
@@ -157,6 +214,12 @@ def lines():
             for call in calls:
                 line = digest([*call, "--config", str(path), *HAND_FLAGS])
                 yield f"{line}  {' '.join(call)} {name}"
+        for name, (source, calls) in ERROR_CONFIGS.items():
+            path = Path(tmp) / f"{name}.geo"
+            path.write_text(source, encoding="utf-8")
+            for call in calls:
+                line = error_digest([*call, "--config", str(path), *ERROR_FLAGS])
+                yield f"{line}  errors {' '.join(call)} {name}"
 
 
 def by_label(text_lines) -> dict:

@@ -1,6 +1,7 @@
 """A small plain-text config language for charts, metrics, structures and maps.
 
-Statement forms (one per line, ``#`` starts a comment)::
+Statement forms (one per line, lines broken at ``\\n``, ``\\r\\n`` and ``\\r`` only;
+``#`` starts a comment)::
 
     dim = 2
     domain x1 = [0.2, 1.7]
@@ -55,7 +56,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch, DslSyntaxError,
                      EvaluationError, UnknownSymbol)
 from .hermitian import J_SQUARE_TOL, AlmostComplexField, invariant_residuals
-from .manifold import Box, Chart
+from .manifold import Box, Chart, positive_definite
 from .numdiff import constant
 
 FUNCTIONS = {
@@ -321,6 +322,9 @@ class _Token(NamedTuple):
     col: int
 
 
+#: A line break: only the universal newlines, so that a form feed, a vertical tab
+#: or U+2028 in a comment stays in its line (``str.splitlines`` breaks at those too).
+_NEWLINE = re.compile(r"\r\n|\r|\n")
 #: One token after optional whitespace: an ASCII number or name, a symbol, or
 #: (BAD) a character that starts none of them.
 _TOKEN = re.compile(r"\s*(?:(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
@@ -579,7 +583,7 @@ def _parse(source: str) -> GeoConfig:
     # (line, expressions, dim while parsing) of every g, J and map statement
     statements: list[tuple] = []
 
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    for line_no, raw in enumerate(_NEWLINE.split(source), start=1):
         p = _Parser(raw, line_no, dim)
         if p.at_end():
             continue
@@ -592,6 +596,8 @@ def _parse(source: str) -> GeoConfig:
             if not (axis.startswith("x") and axis[1:].isdigit()):
                 p.error("a coordinate name like x1", p.pos - 1)
             idx = int(axis[1:])
+            if idx < 1:
+                raise UnknownSymbol(f"line {line_no}: {axis!r} is not a coordinate")
             p.expect("=", "[")
             lo = _constant(p.expr(), line_no)
             p.expect(",")
@@ -700,7 +706,8 @@ def _validate(config: GeoConfig) -> None:
     asymmetry = np.max(np.abs(raws - np.swapaxes(raws, 1, 2)), axis=(1, 2))
     config.warnings += [f"metric asymmetry {a:.3g} at probe {p.tolist()}; symmetrized"
                         for p, a in zip(probes, asymmetry) if a > SYMMETRY_WARN]
-    for r in np.flatnonzero(np.linalg.eigvalsh(metrics).min(axis=1) <= 0)[:1]:
+    if not positive_definite(metrics):
+        r = next(r for r in range(len(probes)) if not positive_definite(metrics[r:r + 1]))
         raise ConfigError(f"metric is not positive-definite at probe {probes[r].tolist()}")
     structure = config.structure_fn()
     if structure is not None:

@@ -68,18 +68,32 @@ class AlmostComplexField:
         return as_stack(j, x, (d, d), f"structure on {self.chart.name or '(unnamed)'}: {owner}")
 
 
+def _invariant_errors(g: Array, j: Array) -> tuple[Array, Array]:
+    """|J^2 + I| and |J^T g J - g|, entry by entry, at each row of stacks g and J."""
+    return (np.abs(j @ j + np.eye(j.shape[-1])), np.abs(np.swapaxes(j, -1, -2) @ g @ j - g))
+
+
 def invariant_residuals(g: Array, j: Array) -> tuple[Array, Array]:
     """max|J^2 + I| and max|J^T g J - g| at each row of stacks g and J."""
-    return (np.max(np.abs(j @ j + np.eye(j.shape[-1])), axis=(-2, -1)),
-            np.max(np.abs(np.swapaxes(j, -1, -2) @ g @ j - g), axis=(-2, -1)))
+    square, compat = _invariant_errors(g, j)
+    return np.max(square, axis=(-2, -1)), np.max(compat, axis=(-2, -1))
 
 
 def require_almost_hermitian(g: Array, j: Array, x: Array) -> None:
     """Raise ``PreconditionFailed`` unless (g, J) is almost Hermitian at every row
-    of stacks g, J and x; the error names the first row that is not."""
-    square, compat = invariant_residuals(g, j)
+    of stacks g, J and x; the error names the first row that is not.
+
+    A row is almost Hermitian when max|J^2 + I| is within ``J_SQUARE_TOL`` and
+    max|J^T g J - g| within ``J_SQUARE_TOL * max(1, max|g|)``; a residual that is
+    not within its bound, NaN among them, fails.  The stack passes at once when
+    both residuals of every row are within ``J_SQUARE_TOL``, every row's smallest
+    bound; only otherwise are the rows' bounds computed."""
+    square, compat = _invariant_errors(g, j)
+    if square.max(initial=0.0) <= J_SQUARE_TOL and compat.max(initial=0.0) <= J_SQUARE_TOL:
+        return
+    square, compat = np.max(square, axis=(1, 2)), np.max(compat, axis=(1, 2))
     bound = J_SQUARE_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-    bad = np.flatnonzero((square > J_SQUARE_TOL) | (compat > bound))
+    bad = np.flatnonzero(~((square <= J_SQUARE_TOL) & (compat <= bound)))
     if bad.size:
         r = bad[0]
         raise PreconditionFailed(

@@ -18,11 +18,16 @@ D(psi) a caller holds.  There are no atlases or transition functions.
 Nothing is cached by point: g(x), D(psi)(x) and the Christoffel symbols are
 computed on the stack they are asked for, and a check passes the stacks it
 holds instead of asking again.
+
+The contract checks (the box, the symmetry of g, positive-definiteness in
+:func:`invert_metric`) decide a whole stack in a fixed handful of NumPy calls
+and take the rows one by one only to name the first that fails, so a stack
+raises what its first bad row raises alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,26 +42,30 @@ METRIC_SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned coordinate domain."""
+    """Axis-aligned coordinate domain [lo, hi]; it keeps the bounds as the (2, dim)
+    array ``bounds`` = [lo, hi], which :meth:`contains` compares a whole stack with."""
 
     lo: tuple
     hi: tuple
+    bounds: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi length mismatch")
         if any(l >= h for l, h in zip(self.lo, self.hi)):
             raise ValueError("empty box")
+        object.__setattr__(self, "bounds", np.array([self.lo, self.hi], dtype=float))
 
     @property
     def dim(self) -> int:
         return len(self.lo)
 
     def contains(self, x, margin: float = 0.0) -> bool:
+        """Whether lo + margin <= x <= hi - margin at every coordinate of x, a point
+        or a stack of them; a NaN coordinate is outside."""
         x = np.asarray(x, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return bool(np.all(x >= lo + margin) and np.all(x <= hi - margin))
+        lo, hi = self.bounds
+        return bool(((x >= lo + margin) & (x <= hi - margin)).all())
 
 
 @dataclass(frozen=True)
@@ -124,17 +133,25 @@ class Chart:
     def metric(self, x, cfg: DiffConfig | None = None) -> Array:
         """The stack of metric matrices at the rows of x; for embedded charts
         this is :func:`gram_metric` of D(psi) there, which a
-        ``hermitian.structure_jet`` applies to the D(psi) it holds instead."""
+        ``hermitian.structure_jet`` applies to the D(psi) it holds instead.
+
+        A ``metric_fn``'s g must be symmetric to within ``METRIC_SYMMETRY_TOL *
+        max(1, max|g|)`` at each row; the stack passes at once when its largest
+        asymmetry is within ``METRIC_SYMMETRY_TOL``, every row's smallest bound,
+        and only otherwise are the rows' bounds computed and the first row past
+        its bound named.  g is returned symmetrized."""
         x = as_points(x)
         if self.metric_fn is None:
             return gram_metric(self.dpsi(x, cfg))
         g = as_stack(self.metric_fn(x), x, (self.dim, self.dim),
                      f"chart {self.name or '(unnamed)'}: metric_fn")
         gt = np.swapaxes(g, 1, 2)
-        bound = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-        asymmetric = np.flatnonzero(np.max(np.abs(g - gt), axis=(1, 2)) > bound)
-        if asymmetric.size:
-            raise SingularMetric(f"metric at {x[asymmetric[0]]!r} is not symmetric")
+        asymmetry = np.abs(g - gt)
+        if not asymmetry.max(initial=0.0) <= METRIC_SYMMETRY_TOL:
+            bound = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+            asymmetric = np.flatnonzero(np.max(asymmetry, axis=(1, 2)) > bound)
+            if asymmetric.size:
+                raise SingularMetric(f"metric at {x[asymmetric[0]]!r} is not symmetric")
         return 0.5 * (g + gt)
 
     def dpsi(self, x, cfg: DiffConfig | None = None) -> Array:
@@ -157,19 +174,32 @@ def gram_metric(dpsi: Array) -> Array:
 
 def invert_metric(g: Array, x: Array) -> Array:
     """The inverse of each metric of a stack g at the rows of x (one batched
-    ``inv`` and one batched ``eigvalsh``); raises ``SingularMetric`` where g is
-    singular or not positive-definite, as the first bad row alone would."""
+    ``inv`` and one batched ``cholesky``, :func:`positive_definite`); raises
+    ``SingularMetric`` where g is singular or not positive-definite, as the first
+    bad row alone would."""
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         problem = "is singular"
     else:
-        problem = None if np.min(np.linalg.eigvalsh(g)) > 0 else "is not positive-definite"
+        problem = None if positive_definite(g) else "is not positive-definite"
     if problem:
         for r in range(len(x)) if len(x) > 1 else ():  # name the first bad row
             invert_metric(g[r:r + 1], x[r:r + 1])
         raise SingularMetric(f"metric at {x[0]!r} {problem}")
     return inv
+
+
+def positive_definite(g: Array) -> bool:
+    """Whether every matrix of a stack g is positive-definite: one batched Cholesky
+    factorization succeeds and the diagonal of its factor is finite and positive
+    (NumPy factors a NaN matrix into NaN without raising, and a NaN fails both
+    comparisons)."""
+    try:
+        diagonal = np.linalg.cholesky(g).diagonal(0, -2, -1)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(diagonal.min(initial=np.inf) > 0 and diagonal.max(initial=0.0) < np.inf)
 
 
 @dataclass(frozen=True)
@@ -243,7 +273,7 @@ def sample_points(chart: Chart, seed: int, count: int, margin: float) -> Array:
     one draw per point) and keeps, in draw order, the rows inside the box and the
     chart's predicate."""
     rng = np.random.default_rng(seed)
-    lo, hi = np.asarray(chart.box.lo) + margin, np.asarray(chart.box.hi) - margin
+    lo, hi = chart.box.bounds[0] + margin, chart.box.bounds[1] - margin
     if np.any(lo >= hi):
         raise ValueError("margin leaves no interior to sample")
     pts, attempts = np.empty((0, chart.dim)), 0

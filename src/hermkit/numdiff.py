@@ -138,6 +138,12 @@ def constant(value) -> Callable[[Array], Array]:
     return lambda points: np.broadcast_to(value, (len(points), *value.shape))
 
 
+#: The two signs of a stencil offset, and the signs along (e_i, e_j) of the four
+#: corners of a mixed second difference, as (4, 1, 1) columns.
+_SIGNS = np.array([1.0, -1.0])
+_CORNERS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None, None]
+
+
 def _require_resolved(x: Array, offset: float, step: float) -> None:
     """Raise ``ValueError`` when x + offset or x - offset rounds back to x in
     some coordinate of a row of x: the stencil would difference f at x against
@@ -162,18 +168,22 @@ def _require_domain(points: Array, domain) -> None:
 def stencil(x, cfg: DiffConfig, domain: Callable[[Array], bool] | None = None) -> Array:
     """The points at which :func:`partial` evaluates its function, (k, m, n) at
     the rows of x, each row's m points ordered [step, sign, axis i] (x + s e_i,
-    then x - s e_i, which is x + (-s) e_i bit for bit).
+    then x - s e_i, which is x + (-s) e_i bit for bit).  The offsets are one
+    product of the signed steps with the identity, so an offset of -s on one axis
+    is -0.0 on the others, and x + offset keeps the signed zeros of
+    x + (-s) e_i.
 
     ``domain``, when given, is called once on the stack of all the points and
     must hold for every one.  Raises ``ValueError`` when the smallest offset
     does not move some coordinate of ``x``.
     """
     x = as_points(x)
-    eye = np.eye(x.shape[1])
+    n = x.shape[1]
     steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
     _require_resolved(x, steps[-1], cfg.step)
-    points = x[:, None, :] + np.concatenate([s * eye for h in steps for s in (h, -h)])
-    _require_domain(points.reshape(-1, x.shape[1]), domain)
+    offsets = np.multiply.outer(steps, _SIGNS)[..., None, None] * np.eye(n)
+    points = x[:, None, :] + offsets.reshape(-1, n)
+    _require_domain(points.reshape(-1, n), domain)
     return points
 
 
@@ -223,13 +233,13 @@ def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
     steps = [2.0 * cfg.step, cfg.step] if cfg.richardson else [cfg.step]
     _require_resolved(x, cfg.step, cfg.step)
     i, j = np.triu_indices(n, 1)
-    ei, ej = eye[i], eye[j]
-    # offsets: [step, sign, axis] on the diagonal, then [step, corner, pair]; each
-    # coordinate moves by at most one nonzero term, so x + offset is x + s e_i + s e_j
-    # bit for bit
-    offsets = np.concatenate([s * e for s in steps for e in (eye, -eye)]
-                             + [s * a + s * b for s in steps
-                                for a, b in ((ei, ej), (ei, -ej), (-ei, ej), (-ei, -ej))])
+    # offsets: [step, sign, axis] on the diagonal, then [step, corner, pair], the
+    # corners (+-s) e_i + (+-s) e_j in the order ++, +-, -+, --; each coordinate
+    # moves by at most one nonzero term, so x + offset is x + s e_i + s e_j bit for
+    # bit, and a coordinate that neither moves is -0.0 only in the -- corner
+    s = np.asarray(steps)[:, None, None, None]
+    offsets = np.concatenate([(s * _SIGNS[:, None, None] * eye).reshape(-1, n),
+                              (s * _CORNERS[0] * eye[i] + s * _CORNERS[1] * eye[j]).reshape(-1, n)])
     points = np.concatenate([x[:, None], x[:, None] + offsets], axis=1)
     _require_domain(points.reshape(-1, n), domain)
     v = np.asarray(f(points.reshape(-1, n)))

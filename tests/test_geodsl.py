@@ -374,6 +374,13 @@ PARSE_ERRORS = [
      "line 2: empty domain interval for x1"),
     ("dim = 2\ndomain x3 = [0, 1]\ng = [[1, 0], [0, 1]]", DimensionMismatch, None, None,
      "domain declared for x3 but dim = 2"),
+    # x0 names no coordinate in a domain line, as in an expression
+    ("dim = 2\ndomain x0 = [0, 1]\ng = [[1, 0], [0, 1]]", UnknownSymbol, None, None,
+     "line 2: 'x0' is not a coordinate"),
+    ("dim = 2\ndomain x00 = [0, 1]\ng = [[1, 0], [0, 1]]", UnknownSymbol, None, None,
+     "line 2: 'x00' is not a coordinate"),
+    ("dim = 2\ng = [[1, 0], [0, x0]]", UnknownSymbol, None, None,
+     "line 2: 'x0' is not a coordinate"),
     ("g = [[1, 0], [0, 1]]", ConfigError, None, None, "no 'dim = <n>' statement"),
     ("dim = 2", ConfigError, None, None,
      "no metric given (use 'g = [[...]]' or 'g[i][j] = ...')"),
@@ -421,6 +428,30 @@ def test_parse_errors_name_their_place(src, cls, line, col, message):
     exc = err.value
     assert (type(exc), getattr(exc, "line", None), getattr(exc, "col", None), str(exc)) == (
         cls, line, col, message)
+
+
+#: The line breaks of ``str.splitlines`` that are not universal newlines.
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=[hex(ord(c)) for c in NOT_NEWLINES])
+def test_a_comment_holding_a_non_newline_break_stays_one_line(char):
+    """Only \\n, \\r\\n and \\r end a line: a comment that holds another of
+    ``str.splitlines``' breaks is one comment, and the line of a later error is
+    counted by newlines."""
+    src = f"dim = 2\n# a{char}b = 3\ng = [[1, 0], [0, 1]]\nJ = [[0, -1], [1, 0]]\n"
+    assert geodsl.parse(src) == geodsl.parse(src.replace(char, " "))
+    with pytest.raises(DslSyntaxError) as err:
+        geodsl.parse(src + "foo = 3\n")
+    assert (err.value.line, err.value.col) == (5, 1)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_universal_newlines_end_lines(newline):
+    src = newline.join(["dim = 2", "# comment", "g = [[1, 0], [0, 1]]", "dim = x1"])
+    with pytest.raises(DslSyntaxError) as err:
+        geodsl.parse(src)
+    assert (err.value.line, err.value.col) == (4, 7)
 
 
 @pytest.mark.parametrize("text, col, expected", [

@@ -456,6 +456,43 @@ def test_classify_rejects_incompatible_structure(cfg):
         assert err.value.precondition == "almost Hermitian"
 
 
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("entry, bad", [((1, "j", (0, 0)), 1), ((1, "j", (1, 0)), 1),
+                                        ((2, "g", (1, 1)), 2), ((0, "g", (0, 1)), 0)],
+                         ids=["J00", "J10", "g11", "g01"])
+def test_a_nan_in_g_or_j_is_not_almost_hermitian(entry, bad):
+    """A NaN residual is not within its bound: the row holding the NaN is named."""
+    row, name, (a, b) = entry
+    g, j = np.stack([np.eye(2)] * 3), np.stack([ROTATION] * 3)
+    {"g": g, "j": j}[name][row, a, b] = np.nan
+    x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    with pytest.raises(PreconditionFailed, match=rf"residual nan at \[{x[bad, 0]}, {x[bad, 1]}\]"):
+        hermitian.require_almost_hermitian(g, j, x)
+
+
+def test_the_only_bad_row_of_a_stack_is_named_when_it_is_the_last():
+    g, j = np.stack([np.eye(2)] * 4), np.stack([ROTATION] * 4)
+    j[3] = [[0.0, -1.0], [1.001, 0.0]]
+    x = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(PreconditionFailed, match=r"J\^2 \+ I residual 0.001, .* at \[6.0, 7.0\]"):
+        hermitian.require_almost_hermitian(g, j, x)
+
+
+def test_compatibility_bound_scales_per_row_with_the_metric():
+    """Under g = diag(1e4, 1e4 + 1e-6), J^T g J - g = 1e-6 lies between the unscaled
+    bound ``J_SQUARE_TOL`` and the row's bound 1e4 * ``J_SQUARE_TOL``: the row passes;
+    the same residual on a row with |g| = 1 fails."""
+    j = np.stack([ROTATION] * 2)
+    hermitian.require_almost_hermitian(np.stack([np.eye(2), np.diag([1e4, 1e4 + 1e-6])]), j,
+                                       np.zeros((2, 2)))
+    with pytest.raises(PreconditionFailed, match=r"g\(J., J.\) - g residual 1e-06"):
+        hermitian.require_almost_hermitian(np.stack([np.diag([1e4, 1e4 + 1e-6]),
+                                                     np.diag([1.0, 1.0 + 1e-6])]), j,
+                                           np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e4])
 def test_square_residual_bound_does_not_scale_with_the_metric(scale):
     """max|J^2 + I| is held to ``J_SQUARE_TOL`` itself, as geodsl validates it:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,8 +11,8 @@ from hermkit import catalog
 from hermkit.hermitian import StructureJet
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric, WrongDimension
 from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
-                              christoffel, covariant_derivative, gradient, lie_bracket,
-                              metric_derivative, sample_points)
+                              christoffel, covariant_derivative, gradient, invert_metric,
+                              lie_bracket, metric_derivative, positive_definite, sample_points)
 from hermkit.numdiff import DiffConfig, by_row, constant, partial
 
 
@@ -44,6 +45,19 @@ def test_box_contains_margin():
         Box((1.0,), (0.0,))
 
 
+def test_box_contains_checks_both_faces_of_every_row():
+    """A stack is inside only when every row clears both faces by the margin; a
+    NaN coordinate is outside."""
+    box = Box((0.0, -1.0), (1.0, 1.0))
+    inside = np.array([[0.5, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    assert box.contains(inside)
+    assert not box.contains(inside, margin=1e-9)
+    assert box.contains(inside[:1], margin=0.5) and not box.contains(inside[:1], margin=0.51)
+    for bad in ([-1e-300, 0.0], [0.5, 1.0 + 2e-16], [np.nan, 0.0], [0.5, -np.inf]):
+        assert not box.contains(np.vstack([inside, bad]))
+    assert box.contains(inside[0]) and not box.contains([0.5, np.nan])
+
+
 def test_chart_contains_applies_the_predicate_to_every_row():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)),
                   predicate=lambda p: float(p @ p) > 0.01)
@@ -64,6 +78,49 @@ def test_metric_rejects_asymmetry():
                   metric_fn=constant([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(SingularMetric):
         chart.metric(np.zeros((1, 2)))
+
+
+def test_metric_symmetry_bound_scales_with_the_metric():
+    """Asymmetry is held to ``METRIC_SYMMETRY_TOL * max(1, max|g|)`` at each row: an
+    asymmetry of 1e-8 passes at |g| = 1e6 (bound 1e-6) although it is above the
+    unscaled bound, and fails at |g| = 1; the error names the only bad row, the last."""
+    def chart(rows):
+        return Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)),
+                     metric_fn=lambda p: np.array(rows, dtype=float))
+
+    x = np.array([[0.1, 0.2], [0.3, 0.4]])
+    big = [[1e6, 0.0], [1e-8, 1e6]]
+    npt.assert_array_equal(chart([np.eye(2), big]).metric(x)[1], [[1e6, 5e-9], [5e-9, 1e6]])
+    with pytest.raises(SingularMetric, match=r"metric at array\(\[0.3, 0.4\]\) is not symmetric"):
+        chart([big, [[1.0, 0.0], [1e-8, 1.0]]]).metric(x)
+
+
+def diagonal_stack(*diagonals):
+    """The stack of the diagonal metrics with the given diagonals."""
+    return np.stack([np.diag(np.asarray(d, dtype=float)) for d in diagonals])
+
+
+@pytest.mark.parametrize("diagonals, bad, problem", [
+    ([(1, 2), (3, 4), (5, -6)], 2, "is not positive-definite"),
+    ([(1, 2), (3, -4), (5, 6), (7, -8)], 1, "is not positive-definite"),
+    ([(1, 2), (3, 4), (5, 0)], 2, "is singular"),
+    ([(1, 2), (np.nan, 4), (5, 6)], 1, "is not positive-definite"),
+    ([(1, 2), (3, 4), (np.inf, 6)], 2, "is not positive-definite")])
+def test_invert_metric_names_the_first_bad_row(diagonals, bad, problem):
+    """One batched Cholesky tests positive-definiteness; the error names the first
+    row that is indefinite, singular, NaN or infinite, with no numeric warning."""
+    x = np.arange(2.0 * len(diagonals)).reshape(-1, 2) / 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetric) as err:
+            invert_metric(diagonal_stack(*diagonals), x)
+    assert str(err.value) == f"metric at {x[bad]!r} {problem}"
+
+
+def test_invert_metric_inverts_a_positive_definite_stack():
+    g = diagonal_stack((1, 2), (4, 8))
+    npt.assert_array_equal(invert_metric(g, np.zeros((2, 2))), np.linalg.inv(g))
+    assert positive_definite(g) and not positive_definite(diagonal_stack((1, 2), (1, -1e-300)))
 
 
 def test_christoffel_evaluates_the_metric_once_per_stencil(cfg):

@@ -197,6 +197,38 @@ def test_stacked_stencils_equal_the_per_axis_reference(richardson):
                                   second_partial_axes(vector_field, x, i, j, cfg))
 
 
+def listed_stencil_points(x, cfg):
+    """The first- and second-difference stencil points of the rows of x, built as
+    x plus one offset array per step and sign (and per corner): the reference the
+    stencils must equal byte for byte."""
+    n, eye = x.shape[1], np.eye(x.shape[1])
+    steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
+    first = x[:, None, :] + np.concatenate([s * eye for h in steps for s in (h, -h)])
+    steps = [2.0 * cfg.step, cfg.step] if cfg.richardson else [cfg.step]
+    i, j = np.triu_indices(n, 1)
+    ei, ej = eye[i], eye[j]
+    offsets = np.concatenate([s * e for s in steps for e in (eye, -eye)]
+                             + [s * a + s * b for s in steps
+                                for a, b in ((ei, ej), (ei, -ej), (-ei, ej), (-ei, -ej))])
+    second = np.concatenate([x[:, None], x[:, None] + offsets], axis=1).reshape(-1, n)
+    return first, second
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stencil_points_keep_their_signed_zeros(richardson, n):
+    """At coordinates -0.0 and 0.0, where x + 0.0 and x + -0.0 differ in the sign
+    of a zero, both stencils evaluate at the listed points byte for byte."""
+    cfg = DiffConfig(step=1e-3, richardson=richardson)
+    x = np.array([[-0.0] * n, [0.0] * n, np.linspace(-0.7, 0.4, n)])
+    seen = []
+    second_partial(lambda p: seen.append(p.copy()) or p[:, 0], x, cfg)
+    first, second = listed_stencil_points(x, cfg)
+    assert stencil(x, cfg).tobytes() == first.tobytes()
+    assert seen[0].tobytes() == second.tobytes()
+    assert np.signbit(first).any() and not np.signbit(first).all()
+
+
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("shape", [(1, 3), (5, 3)])
 def test_partial_is_the_difference_of_the_values_on_the_stencil(richardson, shape):

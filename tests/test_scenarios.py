@@ -513,18 +513,19 @@ def test_target_metric_at_each_image_is_built_once(sid, monkeypatch):
 
 
 #: Work of a check at ``SamplePlan(seed=0, count=4)``: each side's structure jet
-#: builds its Christoffel symbols, h, J and g^-1 (one ``inv`` and one ``eigvalsh``)
-#: once, and every reader shares them (before: 3 Christoffel builds, 136 target
-#: metric rows, 72 target J rows, 6 ``inv`` and 4 ``eigvalsh`` calls on the map
-#: checks, and 2 ``inv`` calls on the classification).
+#: builds its Christoffel symbols, h, J and g^-1 (one ``inv`` and one ``cholesky``,
+#: the positive-definiteness test) once, and every reader shares them (before: 3
+#: Christoffel builds, 136 target metric rows, 72 target J rows, 6 ``inv`` and 4
+#: positive-definiteness tests on the map checks, and 2 ``inv`` calls on the
+#: classification).
 SIDE_WORK = {"christoffel": 2, "target metric rows": 68, "target J rows": 68, "inv": 2,
-             "eigvalsh": 2}
+             "cholesky": 2}
 
 
 @pytest.mark.parametrize("sid, work", [
     ("product-hopf-1-1-lemma", SIDE_WORK),
     ("punctured-hopf-2-cosymplectic-image", SIDE_WORK),
-    ("ce-1-1-classify", {"christoffel": 1, "inv": 1, "eigvalsh": 1})])
+    ("ce-1-1-classify", {"christoffel": 1, "inv": 1, "cholesky": 1})])
 def test_each_side_builds_its_structure_jet_once(sid, work, monkeypatch):
     """The source and the target structure jets of a map check, and the one jet
     of a classification, each build Gamma, g^-1, h and the target J once: the
@@ -548,7 +549,7 @@ def test_each_side_builds_its_structure_jet_once(sid, work, monkeypatch):
             "target J rows", type(spec.target_structure).__call__,
             lambda field, x: len(x) if field is spec.target_structure else 0))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
     plan = SamplePlan(seed=0, count=4)
     if spec:
         assert run_on(spec, sid, plan).overall
