@@ -379,8 +379,6 @@ PARSE_ERRORS = [
      "line 2: 'x0' is not a coordinate"),
     ("dim = 2\ndomain x00 = [0, 1]\ng = [[1, 0], [0, 1]]", UnknownSymbol, None, None,
      "line 2: 'x00' is not a coordinate"),
-    ("dim = 2\ng = [[1, 0], [0, x0]]", UnknownSymbol, None, None,
-     "line 2: 'x0' is not a coordinate"),
     ("g = [[1, 0], [0, 1]]", ConfigError, None, None, "no 'dim = <n>' statement"),
     ("dim = 2", ConfigError, None, None,
      "no metric given (use 'g = [[...]]' or 'g[i][j] = ...')"),
