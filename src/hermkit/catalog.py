@@ -15,6 +15,9 @@ call, each row bit for bit its point's (see :func:`fs_metric` for how the
 metric keeps that).  The Calabi-Eckmann J is one function of the points and
 D(psi) there (:func:`odd_sphere_product_structure`): a structure jet evaluates
 D(psi) once on its stack and reads both g and J from it.
+
+Every embedding carries its analytic Jacobian, so an entry is pointwise geometry
+only: nothing here takes a ``DiffConfig``, and one entry serves every config.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from .errors import DegenerateParameters
 from .hermitian import AlmostComplexField
 from .manifold import Box, Chart, Embedding
 from .maps import MapSpec
-from .numdiff import Array, DiffConfig, constant
-
-DEFAULT_CFG = DiffConfig()
+from .numdiff import Array, constant
 
 
 def to_complex(v: Array) -> Array:
@@ -106,8 +107,8 @@ def product_embedding(e1: Embedding, d1: int, e2: Embedding) -> Embedding:
 
     def jac(x: Array) -> Array:
         out = np.zeros((len(x), e1.ambient_dim + e2.ambient_dim, x.shape[1]))
-        out[:, :e1.ambient_dim, :d1] = e1.dpsi(x[:, :d1], DEFAULT_CFG)
-        out[:, e1.ambient_dim:, d1:] = e2.dpsi(x[:, d1:], DEFAULT_CFG)
+        out[:, :e1.ambient_dim, :d1] = e1.dpsi(x[:, :d1])
+        out[:, e1.ambient_dim:, d1:] = e2.dpsi(x[:, d1:])
         return out
 
     return Embedding(e1.ambient_dim + e2.ambient_dim, psi, jac)
@@ -223,23 +224,21 @@ def _chart_components(dpsi: Array, ambient: Array) -> Array:
     return (np.swapaxes(dpsi, -1, -2) @ ambient) / np.sum(dpsi * dpsi, axis=-2)[..., None]
 
 
-def odd_sphere_product_structure(chart: Chart, r: int, s: int,
-                                 cfg: DiffConfig = DEFAULT_CFG) -> AlmostComplexField:
+def odd_sphere_product_structure(chart: Chart, r: int, s: int) -> AlmostComplexField:
     """The standard J of S^{2r+1} x S^{2s+1} on an angular product chart, read off
     D(psi): a ``structure_jet`` passes the D(psi) it holds, a call builds it."""
     def j_at(x: Array, dpsi: Array) -> Array:
         return _chart_components(dpsi, _ambient_j_product(r, s, chart.embedding.psi(x), dpsi))
 
-    return AlmostComplexField(chart, lambda x: j_at(x, chart.dpsi(x, cfg)), j_at)
+    return AlmostComplexField(chart, lambda x: j_at(x, chart.embedding.dpsi(x)), j_at)
 
 
-def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x,
-                                  cfg: DiffConfig = DEFAULT_CFG) -> Array:
+def odd_sphere_product_divergence(chart: Chart, r: int, s: int, x) -> Array:
     """Chart components of the closed-form divergence -2(r J1 n1 + s J2 n2) at the rows of x."""
     x = np.asarray(x, dtype=float)
     a1, ip = 2 * r + 2, _i_times(chart.embedding.psi(x)[..., None])
     ambient = -2.0 * np.concatenate([r * ip[..., :a1, :], s * ip[..., a1:, :]], axis=-2)
-    return _chart_components(chart.dpsi(x, cfg), ambient)[..., 0]
+    return _chart_components(chart.embedding.dpsi(x), ambient)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +266,13 @@ def _product_hopf_fn(chart: Chart, r: int, s: int) -> Callable[[Array], Array]:
     return fn
 
 
-def _fibre_orientation_from_ambient(chart: Chart, r: int,
-                                    cfg: DiffConfig = DEFAULT_CFG) -> Callable[[Array], Array]:
+def _fibre_orientation_from_ambient(chart: Chart, r: int) -> Callable[[Array], Array]:
     """Orientation 2-form of the Hopf-fibre tangents span{J1 n1, J2 n2}: a stack function."""
     a1 = 2 * r + 2
 
     def omega(x: Array) -> Array:
         ip = _i_times(chart.embedding.psi(x)[..., None])
-        dpsi_t = np.swapaxes(chart.dpsi(x, cfg), 1, 2)
+        dpsi_t = np.swapaxes(chart.embedding.dpsi(x), 1, 2)
         ga, gb = dpsi_t[..., :a1] @ ip[:, :a1], dpsi_t[..., a1:] @ ip[:, a1:]  # g(J_k n_k, .)
         return ga * np.swapaxes(gb, 1, 2) - gb * np.swapaxes(ga, 1, 2)
 
@@ -308,7 +306,7 @@ def complex_plane() -> CatalogEntry:
     )
 
 
-def flat_torus(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def flat_torus() -> CatalogEntry:
     torus = flat_chart(2, 0.2, 1.7, name="torus")
     plane = complex_plane().charts["plane"]
     j_t = constant_structure(torus, multiplication_by_i(1))
@@ -329,13 +327,13 @@ def flat_torus(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
                         axis=1)
 
     maps = {
-        "identity": MapSpec(torus, torus, lambda x: np.array(x, dtype=float), cfg,
+        "identity": MapSpec(torus, torus, lambda x: np.array(x, dtype=float),
                             source_structure=j_t, target_structure=j_t, name="identity"),
-        "square": MapSpec(torus, plane, square, cfg,
+        "square": MapSpec(torus, plane, square,
                           source_structure=j_t, target_structure=j_p, name="square"),
-        "conjugation": MapSpec(torus, plane, conjugation, cfg,
+        "conjugation": MapSpec(torus, plane, conjugation,
                                source_structure=j_t, target_structure=j_p, name="conjugation"),
-        "nonconformal": MapSpec(torus, plane, nonconformal, cfg,
+        "nonconformal": MapSpec(torus, plane, nonconformal,
                                 source_structure=j_t, target_structure=j_p, name="nonconformal"),
     }
     return CatalogEntry(
@@ -348,14 +346,14 @@ def flat_torus(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     )
 
 
-def flat_t4(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def flat_t4() -> CatalogEntry:
     t4 = flat_chart(4, 0.2, 1.7, name="t4")
     torus = flat_chart(2, 0.2, 1.7, name="torus")
     j4 = constant_structure(t4, multiplication_by_i(2))
     j2 = constant_structure(torus, multiplication_by_i(1))
     omega = np.zeros((4, 4))
     omega[2, 3], omega[3, 2] = 1.0, -1.0
-    projection = MapSpec(t4, torus, lambda x: x[:, :2], cfg,
+    projection = MapSpec(t4, torus, lambda x: x[:, :2],
                          source_structure=j4, target_structure=j2,
                          fibre_orientation=constant(omega), name="projection")
     return CatalogEntry(
@@ -381,11 +379,11 @@ def complex_projective(n: int) -> CatalogEntry:
     )
 
 
-def calabi_eckmann(r: int, s: int, cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def calabi_eckmann(r: int, s: int) -> CatalogEntry:
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     chart = product_sphere_chart(2 * r + 1, 2 * s + 1, name=f"ce-{r}-{s}")
-    j = odd_sphere_product_structure(chart, r, s, cfg)
+    j = odd_sphere_product_structure(chart, r, s)
     return CatalogEntry(
         id=f"ce-{r}-{s}",
         description=f"S^{2*r+1} x S^{2*s+1} in angular coordinates with the "
@@ -397,19 +395,19 @@ def calabi_eckmann(r: int, s: int, cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntr
     )
 
 
-def hopf_map(r: int, cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def hopf_map(r: int) -> CatalogEntry:
     """Hopf projection of S^{2r+1} onto CP^r, carried on the S^{2r+1} x S^1
     product chart so that holomorphy is a well-posed check."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    base = calabi_eckmann(r, 0, cfg)
+    base = calabi_eckmann(r, 0)
     source = base.charts["ce"]
     j_src = base.structures["J"]
     target = fs_chart(r)
     j_tgt = constant_structure(target, multiplication_by_i(r))
-    spec = MapSpec(source, target, _product_hopf_fn(source, r, 0), cfg,
+    spec = MapSpec(source, target, _product_hopf_fn(source, r, 0),
                    source_structure=j_src, target_structure=j_tgt,
-                   fibre_orientation=_fibre_orientation_from_ambient(source, r, cfg),
+                   fibre_orientation=_fibre_orientation_from_ambient(source, r),
                    name=f"hopf-s{2 * r + 1}")
     return CatalogEntry(
         id=f"hopf-s{2 * r + 1}",
@@ -421,16 +419,15 @@ def hopf_map(r: int, cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     )
 
 
-def product_hopf(r: int, s: int, target_scale: float = 1.0,
-                 cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def product_hopf(r: int, s: int, target_scale: float = 1.0) -> CatalogEntry:
     if r < 1 or s < 1:
         raise ValueError("degenerate factors collapse to points; use hopf_map for s = 0")
-    base = calabi_eckmann(r, s, cfg)
+    base = calabi_eckmann(r, s)
     source = base.charts["ce"]
     j_src = base.structures["J"]
     target = product_fs_chart(r, s, scale=target_scale)
     j_tgt = constant_structure(target, multiplication_by_i(r + s))
-    spec = MapSpec(source, target, _product_hopf_fn(source, r, s), cfg,
+    spec = MapSpec(source, target, _product_hopf_fn(source, r, s),
                    source_structure=j_src, target_structure=j_tgt,
                    name=f"product-hopf-{r}-{s}")
     suffix = "" if target_scale == 1.0 else "-rescaled"
@@ -444,8 +441,7 @@ def product_hopf(r: int, s: int, target_scale: float = 1.0,
     )
 
 
-def punctured_hopf(n: int, perturbed: bool = False,
-                   cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def punctured_hopf(n: int, perturbed: bool = False) -> CatalogEntry:
     """The projection of C^{n+1} - {0} onto the affine chart of CP^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -471,7 +467,7 @@ def punctured_hopf(n: int, perturbed: bool = False,
         b = (j0 @ a[:, :, None])[:, :, 0]
         return a[:, :, None] * b[:, None] - b[:, :, None] * a[:, None]
 
-    spec = MapSpec(source, target, _affine_coords, cfg, source_structure=j_std,
+    spec = MapSpec(source, target, _affine_coords, source_structure=j_std,
                    target_structure=j_tgt, fibre_orientation=omega, name=f"punctured-hopf-{n}")
     suffix = "-perturbed" if perturbed else ""
     return CatalogEntry(
@@ -486,10 +482,10 @@ def punctured_hopf(n: int, perturbed: bool = False,
     )
 
 
-def hopf_surface_coords(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def hopf_surface_coords() -> CatalogEntry:
     """A local holomorphic coordinate map from the S^3 x S^1 chart to the plane
     whose tension and Lee push-forward are both nonzero."""
-    base = calabi_eckmann(1, 0, cfg)
+    base = calabi_eckmann(1, 0)
     source = base.charts["ce"]
     j_src = base.structures["J"]
     plane = complex_plane()
@@ -501,7 +497,7 @@ def hopf_surface_coords(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
         scale = np.exp(-x[:, 3])
         return np.stack([scale * p[:, 0], scale * p[:, 1]], axis=1)
 
-    spec = MapSpec(source, target, fn, cfg, source_structure=j_src,
+    spec = MapSpec(source, target, fn, source_structure=j_src,
                    target_structure=j_tgt, name="hopf-surface-coords")
     return CatalogEntry(
         id="hopf-surface-coords",
@@ -513,7 +509,7 @@ def hopf_surface_coords(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
     )
 
 
-def annulus_radial(target_scale: float = 1.0, cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def annulus_radial(target_scale: float = 1.0) -> CatalogEntry:
     """Flat annulus projected along rays onto a circle; fibres are straight
     radial segments, so their mean curvature vanishes while the dilation is
     the non-constant 1/r."""
@@ -530,7 +526,7 @@ def annulus_radial(target_scale: float = 1.0, cfg: DiffConfig = DEFAULT_CFG) -> 
                    embedding=Embedding(2, psi, jac), name="annulus")
     circle = Chart(dim=1, box=Box((0.0,), (1.2,)), metric_fn=constant([[target_scale**2]]),
                    name="circle")
-    spec = MapSpec(source, circle, lambda x: x[:, 1:], cfg, name="radial")
+    spec = MapSpec(source, circle, lambda x: x[:, 1:], name="radial")
     suffix = "" if target_scale == 1.0 else "-rescaled"
     return CatalogEntry(
         id=f"annulus-radial{suffix}",
@@ -540,7 +536,7 @@ def annulus_radial(target_scale: float = 1.0, cfg: DiffConfig = DEFAULT_CFG) -> 
     )
 
 
-def hopf_fibre_inclusion(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
+def hopf_fibre_inclusion() -> CatalogEntry:
     """Arc-length inclusion of one Hopf circle into the angular chart of S^3."""
     target = sphere_chart(3, name="s3")
     base_angles = np.array([0.7, 0.8, 0.9])
@@ -565,7 +561,7 @@ def hopf_fibre_inclusion(cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
         th3 = np.arctan2(p[:, 3], p[:, 2])
         return np.stack([th1, th2, th3], axis=1)
 
-    spec = MapSpec(source, target, angles, cfg, name="fibre-inclusion")
+    spec = MapSpec(source, target, angles, name="fibre-inclusion")
     return CatalogEntry(
         id="hopf-fibre-inclusion",
         description="isometric inclusion of a Hopf great circle into S^3",
@@ -595,7 +591,7 @@ def mobius_postcompose(entry: CatalogEntry, params: tuple, map_name: str = "hopf
                 f"pole of the fractional-linear map hit at {x[poles[0]]!r}")
         return to_real(((a * w + b) / denom)[:, None])
 
-    spec = MapSpec(base.source, base.target, fn, base.cfg,
+    spec = MapSpec(base.source, base.target, fn,
                    source_structure=base.source_structure,
                    target_structure=base.target_structure,
                    fibre_orientation=base.fibre_orientation,
@@ -615,30 +611,30 @@ def mobius_postcompose(entry: CatalogEntry, params: tuple, map_name: str = "hopf
 # ---------------------------------------------------------------------------
 
 # Factories are looked up when called, so a wrapper on the module attribute runs.
-_BUILDERS: dict[str, Callable[[DiffConfig], CatalogEntry]] = {
-    "flat-torus": lambda cfg: flat_torus(cfg),
-    "complex-plane": lambda cfg: complex_plane(),
-    "flat-t4": lambda cfg: flat_t4(cfg),
-    "cp-1": lambda cfg: complex_projective(1),
-    "cp-2": lambda cfg: complex_projective(2),
-    "ce-1-0": lambda cfg: calabi_eckmann(1, 0, cfg),
-    "ce-0-1": lambda cfg: calabi_eckmann(0, 1, cfg),
-    "ce-1-1": lambda cfg: calabi_eckmann(1, 1, cfg),
-    "ce-2-1": lambda cfg: calabi_eckmann(2, 1, cfg),
-    "hopf-s3": lambda cfg: hopf_map(1, cfg),
-    "hopf-s3-mobius-scale": lambda cfg: mobius_postcompose(
-        hopf_map(1, cfg), (2.0, 0.0, 0.0, 1.0), suffix="mobius-scale"),
-    "hopf-s3-mobius-generic": lambda cfg: mobius_postcompose(
-        hopf_map(1, cfg), (1.0, 0.3, 0.1, 1.0), suffix="mobius-generic"),
-    "product-hopf-1-1": lambda cfg: product_hopf(1, 1, cfg=cfg),
-    "product-hopf-1-1-rescaled": lambda cfg: product_hopf(1, 1, target_scale=1.5, cfg=cfg),
-    "punctured-hopf-1": lambda cfg: punctured_hopf(1, cfg=cfg),
-    "punctured-hopf-2": lambda cfg: punctured_hopf(2, cfg=cfg),
-    "punctured-hopf-2-perturbed": lambda cfg: punctured_hopf(2, perturbed=True, cfg=cfg),
-    "hopf-surface-coords": lambda cfg: hopf_surface_coords(cfg),
-    "annulus-radial": lambda cfg: annulus_radial(cfg=cfg),
-    "annulus-radial-rescaled": lambda cfg: annulus_radial(target_scale=1.7, cfg=cfg),
-    "hopf-fibre-inclusion": lambda cfg: hopf_fibre_inclusion(cfg),
+_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
+    "flat-torus": lambda: flat_torus(),
+    "complex-plane": lambda: complex_plane(),
+    "flat-t4": lambda: flat_t4(),
+    "cp-1": lambda: complex_projective(1),
+    "cp-2": lambda: complex_projective(2),
+    "ce-1-0": lambda: calabi_eckmann(1, 0),
+    "ce-0-1": lambda: calabi_eckmann(0, 1),
+    "ce-1-1": lambda: calabi_eckmann(1, 1),
+    "ce-2-1": lambda: calabi_eckmann(2, 1),
+    "hopf-s3": lambda: hopf_map(1),
+    "hopf-s3-mobius-scale": lambda: mobius_postcompose(
+        hopf_map(1), (2.0, 0.0, 0.0, 1.0), suffix="mobius-scale"),
+    "hopf-s3-mobius-generic": lambda: mobius_postcompose(
+        hopf_map(1), (1.0, 0.3, 0.1, 1.0), suffix="mobius-generic"),
+    "product-hopf-1-1": lambda: product_hopf(1, 1),
+    "product-hopf-1-1-rescaled": lambda: product_hopf(1, 1, target_scale=1.5),
+    "punctured-hopf-1": lambda: punctured_hopf(1),
+    "punctured-hopf-2": lambda: punctured_hopf(2),
+    "punctured-hopf-2-perturbed": lambda: punctured_hopf(2, perturbed=True),
+    "hopf-surface-coords": lambda: hopf_surface_coords(),
+    "annulus-radial": lambda: annulus_radial(),
+    "annulus-radial-rescaled": lambda: annulus_radial(target_scale=1.7),
+    "hopf-fibre-inclusion": lambda: hopf_fibre_inclusion(),
 }
 
 
@@ -646,10 +642,11 @@ def entry_ids() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def get_entry(entry_id: str, cfg: DiffConfig = DEFAULT_CFG) -> CatalogEntry:
-    """Build the named entry; maps and structures differentiate with ``cfg``."""
+def get_entry(entry_id: str) -> CatalogEntry:
+    """Build the named entry: pointwise geometry only, so one entry serves every
+    ``DiffConfig`` a check differentiates it with."""
     try:
         builder = _BUILDERS[entry_id]
     except KeyError:
         raise KeyError(f"unknown catalog entry {entry_id!r}") from None
-    return builder(cfg)
+    return builder()

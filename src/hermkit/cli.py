@@ -208,10 +208,9 @@ def _cmd_check_map(args) -> int:
     if args.map_name not in config.maps:
         raise DslError(f"config has no map named {args.map_name!r}; "
                        f"available: {sorted(config.maps)}")
-    cfg = _diff_config(args)
-    spec = geodsl.to_map(config, args.map_name, cfg)
+    spec = geodsl.to_map(config, args.map_name)
     report = scenarios.check_harmonic_morphism(
-        spec, _plan(args), scenario_id=f"user-map-{args.map_name}")
+        spec, _plan(args), _diff_config(args), scenario_id=f"user-map-{args.map_name}")
     payload = _report_payload([report], args)
     _emit(payload, args)
     return 0 if payload["overall"] else 1

@@ -742,7 +742,7 @@ def to_chart(config: GeoConfig, name: str = "user"):
     return chart, structure
 
 
-def to_map(config: GeoConfig, name: str, cfg, source_chart=None, structure=None):
+def to_map(config: GeoConfig, name: str, source_chart=None, structure=None):
     """Build a MapSpec for a named config map; the target is a flat chart."""
     from .catalog import multiplication_by_i
     from .maps import MapSpec
@@ -757,5 +757,5 @@ def to_map(config: GeoConfig, name: str, cfg, source_chart=None, structure=None)
     if target_dim % 2 == 0 and structure is not None:
         target_structure = AlmostComplexField(
             target, constant(multiplication_by_i(target_dim // 2)))
-    return MapSpec(source_chart, target, fn, cfg, source_structure=structure,
+    return MapSpec(source_chart, target, fn, source_structure=structure,
                    target_structure=target_structure, name=name)

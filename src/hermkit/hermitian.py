@@ -145,14 +145,13 @@ class HermitianFrame:
         return len(self.complex_frame)
 
 
-def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x,
-                    cfg: DiffConfig) -> HermitianFrame:
+def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x) -> HermitianFrame:
     """Greedy Hermitian frames of g and J at the rows of x (``chart`` must be the
     chart of ``j_field``), one pass per row: the first coordinate axis not in the
     span so far, projected and made unit, is e_k, then J e_k projected; each frame
     vector is a (k, dim) stack.  No check reads it: the structure residuals take
     unit axes, and a frame is the oracle that they do not depend on the basis."""
-    g, j = chart.metric(x, cfg), j_field(x)
+    g, j = chart.metric(x), j_field(x)
     d, rows = g.shape[-1], []
     for g_r, j_r in zip(g[:, None], j[:, None]):  # each row a one-row stack
         tol = np.linalg.norm(np.linalg.cholesky(g_r[0]), ord=2) * numdiff.RANK_RTOL
@@ -242,10 +241,10 @@ def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig)
     try:
         chart.require_interior(x, cfg)
         rows = np.concatenate([x, numdiff.stencil(x, cfg, chart.contains).reshape(-1, x.shape[1])])
-        dpsi = None if chart.embedding is None else chart.dpsi(rows, cfg)
+        dpsi = None if chart.embedding is None else chart.embedding.dpsi(rows)
         j = j_field(rows, dpsi)  # J first, then g: only copies of their sample rows are kept
         j, dj = j[:k].copy(), numdiff.difference(j[k:], x, cfg)
-        g = chart.metric(rows, cfg) if dpsi is None else gram_metric(dpsi)
+        g = chart.metric(rows) if dpsi is None else gram_metric(dpsi)
         g_inv = invert_metric(g[:k], x)
     except (GeometryError, DslError, ValueError):
         for r in range(k) if k > 1 else ():

@@ -2,7 +2,9 @@
 
 A :class:`Chart` is a coordinate box plus a metric field.  The metric is either
 supplied directly (intrinsic) or derived from an embedding ``psi`` into
-Euclidean space as ``Dpsi^T Dpsi``.  Every operator here takes a (k, dim)
+Euclidean space, with its analytic Jacobian, as ``Dpsi^T Dpsi``; g, g^-1 and
+D(psi) take no ``DiffConfig``, only the finite differences (d g, Gamma, brackets,
+gradients) and the interior check do.  Every operator here takes a (k, dim)
 stack x of points, one per row (a point is its one-row stack), and returns
 the stack of its values at the rows, each row as alone; a 1-D point raises
 ``WrongDimension``.  A ``metric_fn`` maps a stack of points to the
@@ -19,10 +21,10 @@ Nothing is cached by point: g(x), D(psi)(x) and the Christoffel symbols are
 computed on the stack they are asked for, and a check passes the stacks it
 holds instead of asking again.
 
-The contract checks (the box, the symmetry of g, positive-definiteness in
-:func:`invert_metric`) decide a whole stack in a fixed handful of NumPy calls
-and take the rows one by one only to name the first that fails, so a stack
-raises what its first bad row raises alone.
+The contract checks (the box, the finiteness and symmetry of g,
+positive-definiteness in :func:`invert_metric`) decide a whole stack in a fixed
+handful of NumPy calls and take the rows one by one only to name the first that
+fails, so a stack raises what its first bad row raises alone.
 """
 
 from __future__ import annotations
@@ -70,24 +72,18 @@ class Box:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Parametrization of a chart inside Euclidean R^ambient_dim.
-
-    ``jacobian`` is the analytic differential when available, as a stack function:
-    (k, dim) points to the (k, ambient_dim, dim) stack of D(psi).  Otherwise D(psi)
-    comes from one finite-difference stencil, with ``psi`` evaluated row by row.
-    """
+    """Parametrization of a chart inside Euclidean R^ambient_dim, with its analytic
+    differential ``jacobian``, a stack function: (k, dim) points to the
+    (k, ambient_dim, dim) stack of D(psi)."""
 
     ambient_dim: int
     psi: Callable[[Array], Array]
-    jacobian: Callable[[Array], Array] | None = None
+    jacobian: Callable[[Array], Array]
 
-    def dpsi(self, x, cfg: DiffConfig) -> Array:
-        """The stack of D(psi) at the rows of x."""
+    def dpsi(self, x) -> Array:
+        """The stack of D(psi) at the rows of x; the metric there is its Gram matrix."""
         x = as_points(x)
-        if self.jacobian is not None:
-            return as_stack(self.jacobian(x), x, (self.ambient_dim, x.shape[1]), "jacobian")
-        return np.ascontiguousarray(np.swapaxes(
-            numdiff.partial(numdiff.by_row(self.psi), x, cfg), 1, 2))
+        return as_stack(self.jacobian(x), x, (self.ambient_dim, x.shape[1]), "jacobian")
 
 
 @dataclass(frozen=True)
@@ -130,39 +126,37 @@ class Chart:
                                           f"than {depth}*step to the boundary")
         return x
 
-    def metric(self, x, cfg: DiffConfig | None = None) -> Array:
+    def metric(self, x) -> Array:
         """The stack of metric matrices at the rows of x; for embedded charts
         this is :func:`gram_metric` of D(psi) there, which a
         ``hermitian.structure_jet`` applies to the D(psi) it holds instead.
 
-        A ``metric_fn``'s g must be symmetric to within ``METRIC_SYMMETRY_TOL *
-        max(1, max|g|)`` at each row; the stack passes at once when its largest
-        asymmetry is within ``METRIC_SYMMETRY_TOL``, every row's smallest bound,
-        and only otherwise are the rows' bounds computed and the first row past
-        its bound named.  g is returned symmetrized."""
+        A ``metric_fn``'s g must be finite and symmetric to within
+        ``METRIC_SYMMETRY_TOL * max(1, max|g|)`` at each row; the stack passes at
+        once when its largest asymmetry is within ``METRIC_SYMMETRY_TOL``, every
+        row's smallest bound (a NaN or infinite entry makes it NaN or infinite),
+        and only otherwise are the rows' bounds computed and the first row that
+        is not finite or is past its bound named.  g is returned symmetrized."""
         x = as_points(x)
         if self.metric_fn is None:
-            return gram_metric(self.dpsi(x, cfg))
+            return gram_metric(self.embedding.dpsi(x))
         g = as_stack(self.metric_fn(x), x, (self.dim, self.dim),
                      f"chart {self.name or '(unnamed)'}: metric_fn")
         gt = np.swapaxes(g, 1, 2)
         asymmetry = np.abs(g - gt)
         if not asymmetry.max(initial=0.0) <= METRIC_SYMMETRY_TOL:
+            finite = np.isfinite(g).all(axis=(1, 2))
             bound = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-            asymmetric = np.flatnonzero(np.max(asymmetry, axis=(1, 2)) > bound)
-            if asymmetric.size:
-                raise SingularMetric(f"metric at {x[asymmetric[0]]!r} is not symmetric")
+            bad = np.flatnonzero(~finite | (np.max(asymmetry, axis=(1, 2)) > bound))
+            if bad.size:
+                problem = "is not symmetric" if finite[bad[0]] else "is not finite"
+                raise SingularMetric(f"metric at {x[bad[0]]!r} {problem}")
         return 0.5 * (g + gt)
 
-    def dpsi(self, x, cfg: DiffConfig | None = None) -> Array:
-        """The stack of D(psi) at the rows of x for an embedded chart; the metric
-        there is its Gram matrix."""
-        return self.embedding.dpsi(x, cfg or DiffConfig())
-
-    def metric_inverse(self, x, cfg: DiffConfig | None = None) -> Array:
+    def metric_inverse(self, x) -> Array:
         """The stack of inverse metrics at the rows of x, by :func:`invert_metric`."""
         x = as_points(x)
-        return invert_metric(self.metric(x, cfg), x)
+        return invert_metric(self.metric(x), x)
 
 
 def gram_metric(dpsi: Array) -> Array:
@@ -220,7 +214,7 @@ def metric_derivative(chart: Chart, x, cfg: DiffConfig) -> Array:
     """d g at the rows r of x as ``dg[r, i, j, l]`` = d_i g_jl, from one metric call
     on the stencils of all rows; the caller checks the interior first
     (:meth:`Chart.require_interior`)."""
-    return numdiff.partial(lambda s: chart.metric(s, cfg), x, cfg, domain=chart.contains)
+    return numdiff.partial(chart.metric, x, cfg, domain=chart.contains)
 
 
 def christoffel(g_inv: Array, dg: Array) -> Array:
@@ -242,7 +236,7 @@ def covariant_derivative(x_field: VectorField, y_field: VectorField, x, cfg: Dif
     chart, x = x_field.chart, as_points(x)
     try:
         chart.require_interior(x, cfg)
-        gamma = christoffel(chart.metric_inverse(x, cfg), metric_derivative(chart, x, cfg))
+        gamma = christoffel(chart.metric_inverse(x), metric_derivative(chart, x, cfg))
     except (GeometryError, DslError, ValueError):
         for r in range(len(x)) if len(x) > 1 else ():
             covariant_derivative(x_field, y_field, x[r:r + 1], cfg)
@@ -264,7 +258,7 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, x, cfg: DiffConfig) 
 def gradient(chart: Chart, f: Callable[[Array], Array], x, cfg: DiffConfig) -> Array:
     """(grad f)^k = g^{kl} d_l f at the rows of x; ``f`` maps a stack of points
     to the stack of its values, as for ``numdiff.partial``."""
-    return (chart.metric_inverse(x, cfg) @ numdiff.partial(f, x, cfg)[..., None])[..., 0]
+    return (chart.metric_inverse(x) @ numdiff.partial(f, x, cfg)[..., None])[..., 0]
 
 
 def sample_points(chart: Chart, seed: int, count: int, margin: float) -> Array:

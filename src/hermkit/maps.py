@@ -11,11 +11,12 @@ the rows of such a stack and returns one value per row, each row as alone, bit
 for bit.  No basis of the fibre or of its complement is built: conformality, the
 horizontal lift, the vertical projector, the lifted J and superminimality are
 read from the co-metric Dphi g^-1 Dphi^T (Baird & Wood 2003).  A map check
-builds one with :func:`point_jet` for all its samples; a check that differences
-on their stencil points builds it with ``stencil=True``, which runs the one
-differential, metric call and SVD on the samples and then their stencil points
-and returns the jet at the samples holding the jet at the stencil points,
-``jet.stencil``.  Its other parts follow the ``numdiff.Jet`` convention: phi(x),
+builds one with :func:`point_jet` for all its samples at its ``DiffConfig``,
+which the jet holds (``jet.cfg``) for every operator that differences; a check
+that differences on their stencil points builds it with ``stencil=True``, which
+runs the one differential, metric call and SVD on the samples and then their
+stencil points and returns the jet at the samples holding the jet at the
+stencil points, ``jet.stencil``.  Its other parts follow the ``numdiff.Jet`` convention: phi(x),
 the :func:`conformality` data, the horizontal lift, the vertical projector and
 one ``hermitian.StructureJet`` per side, ``jet.source`` at x (its Christoffel
 symbols from the stencil jet's g when it holds one) and ``jet.target`` at
@@ -62,7 +63,7 @@ KIND_DEGENERATE = "degenerate"
 
 @dataclass(frozen=True)
 class MapSpec:
-    """A chart-to-chart coordinate map with its differentiation configuration.
+    """A chart-to-chart coordinate map; a check's jets hold its ``DiffConfig``.
 
     The almost-complex structures are optional; holomorphy and tension-identity
     operations require them, metric-level operations do not.
@@ -75,7 +76,6 @@ class MapSpec:
     source: Chart
     target: Chart
     fn: Callable[[Array], Array]
-    cfg: DiffConfig
     source_structure: AlmostComplexField | None = None
     target_structure: AlmostComplexField | None = None
     fibre_orientation: Callable[[Array], Array] | None = None
@@ -87,24 +87,24 @@ class MapSpec:
         return as_stack(self.fn(x), x, (self.target.dim,), f"map {self.name or '(unnamed)'}: fn")
 
 
-def differential(spec: MapSpec, x) -> Array:
+def differential(spec: MapSpec, x, cfg: DiffConfig) -> Array:
     """The stack of differentials, (target dim) x (source dim) arrays of partials,
     at the rows of x (one map call; errors are those of the first bad row)."""
     x = as_points(x)
     try:
-        spec.source.require_interior(x, spec.cfg)
-        d = numdiff.partial(spec, x, spec.cfg, domain=spec.source.contains)
+        spec.source.require_interior(x, cfg)
+        d = numdiff.partial(spec, x, cfg, domain=spec.source.contains)
     except EvaluationOutsideDomain:
         for r in range(len(x)) if len(x) > 1 else ():  # name the first row that fails alone
-            differential(spec, x[r:r + 1])
+            differential(spec, x[r:r + 1], cfg)
         raise
     return np.ascontiguousarray(np.swapaxes(d, -1, -2))
 
 
 @dataclass(frozen=True, eq=False)
 class PointJet(numdiff.Jet):
-    """A ``numdiff.Jet`` at the rows of x: the stacks of Dphi(x), g(x) and the
-    singular values of Dphi, with ``rank`` an integer array, held; phi
+    """A ``numdiff.Jet`` at the rows of x, differenced with ``cfg``: Dphi(x), g(x)
+    and the singular values of Dphi, with ``rank`` an integer array, held; phi
     (``image``), the co-metric Dphi g^-1 Dphi^T (``cometric``), the
     :func:`conformality` data (``split``), the :func:`_lift_matrix` (``lift``, NaN
     at rows of rank below the target dimension), the :func:`_vertical_projector`
@@ -117,6 +117,7 @@ class PointJet(numdiff.Jet):
 
     spec: MapSpec
     x: Array
+    cfg: DiffConfig
 
     differential = numdiff.part()
     metric = numdiff.part()
@@ -131,8 +132,8 @@ class PointJet(numdiff.Jet):
     image = numdiff.part(lambda jet: jet.spec(jet.x))
     source = numdiff.part(lambda jet: _source_jet(jet))
     target = numdiff.part(lambda jet: StructureJet(
-        jet.spec.target, jet.spec.target_structure, jet.image, jet.spec.cfg,
-        held={"metric": jet.spec.target.metric(jet.image, jet.spec.cfg)}))
+        jet.spec.target, jet.spec.target_structure, jet.image, jet.cfg,
+        held={"metric": jet.spec.target.metric(jet.image)}))
 
     @cached_property
     def stencil(self) -> PointJet:
@@ -143,7 +144,7 @@ class PointJet(numdiff.Jet):
             root, rows = self.whole
             return root.stencil[_blocks(rows, len(root.stencil.x) // len(root.x))]
         return self.held.get("stencil") or point_jet(
-            self.spec, numdiff.stencil(self.x, self.spec.cfg).reshape(-1, self.x.shape[1]))
+            self.spec, numdiff.stencil(self.x, self.cfg).reshape(-1, self.x.shape[1]), self.cfg)
 
 
 def _source_jet(jet: PointJet) -> StructureJet:
@@ -152,9 +153,9 @@ def _source_jet(jet: PointJet) -> StructureJet:
     spec, held = jet.spec, {"metric": jet.metric}
     if "stencil" in jet.held:
         g_inv = invert_metric(jet.metric, jet.x)
-        dg = numdiff.difference(jet.stencil.metric, jet.x, spec.cfg)
+        dg = numdiff.difference(jet.stencil.metric, jet.x, jet.cfg)
         held.update(metric_inverse=g_inv, gamma=christoffel(g_inv, dg))
-    return StructureJet(spec.source, spec.source_structure, jet.x, spec.cfg, held=held)
+    return StructureJet(spec.source, spec.source_structure, jet.x, jet.cfg, held=held)
 
 
 def _blocks(rows, per: int) -> Array:
@@ -162,25 +163,26 @@ def _blocks(rows, per: int) -> Array:
     return (np.asarray(rows, dtype=int)[:, None] * per + np.arange(per)).ravel()
 
 
-def point_jet(spec: MapSpec, x, stencil: bool = False) -> PointJet:
-    """Differentiate the map at each row of x once and split the differential by
-    rank: one :func:`differential`, one source metric call and one batched SVD,
-    the rank decided per row (phi and h at first read).  With ``stencil`` these
-    run on the rows of x and then its ``numdiff.stencil`` points, and the jet at
-    x's rows holds the jet at the stencil points as ``stencil``."""
+def point_jet(spec: MapSpec, x, cfg: DiffConfig, stencil: bool = False) -> PointJet:
+    """Differentiate the map with ``cfg`` at each row of x once and split the
+    differential by rank: one :func:`differential`, one source metric call and one
+    batched SVD, the rank decided per row (phi and h at first read).  With
+    ``stencil`` these run on the rows of x and then its ``numdiff.stencil``
+    points, and the jet at x's rows holds the jet at the stencil points."""
     x = np.array(as_points(x))
-    rows = (np.concatenate([x, numdiff.stencil(x, spec.cfg).reshape(-1, x.shape[1])])
+    rows = (np.concatenate([x, numdiff.stencil(x, cfg).reshape(-1, x.shape[1])])
             if stencil else x)
-    d = differential(spec, rows)
-    g = spec.source.metric(rows, spec.cfg)
+    d = differential(spec, rows, cfg)
+    g = spec.source.metric(rows)
     sv = np.linalg.svd(d, compute_uv=False)
     smax = np.max(sv, axis=-1, initial=0.0)
     rank = np.where(smax > 0, np.sum(sv > (smax * RANK_FACTOR)[..., None], axis=-1), 0)
     parts, k = dict(differential=d, metric=g, singular_values=sv, rank=rank), len(x)
     held = {name: p[:k] for name, p in parts.items()}
     if stencil:
-        held["stencil"] = PointJet(spec, rows[k:], held={name: p[k:] for name, p in parts.items()})
-    return PointJet(spec, rows[:k], held=held)
+        held["stencil"] = PointJet(spec, rows[k:], cfg,
+                                   held={name: p[k:] for name, p in parts.items()})
+    return PointJet(spec, rows[:k], cfg, held=held)
 
 
 def holomorphy_residual(jet: PointJet) -> list[float]:
@@ -248,7 +250,7 @@ def conformality(jet: PointJet) -> ConformalityData:
 
 def sff_tensor(jet: PointJet) -> Array:
     """All components of nabla dphi at the jet's rows, as (k, d, d, n)."""
-    spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.spec.cfg
+    spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.cfg
     gamma_m, gamma_n = jet.source.gamma, jet.target.gamma
     out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
            - np.einsum("...kij,...gk->...ijg", gamma_m, d)
@@ -293,7 +295,7 @@ def fibre_mean_curvature(jet: PointJet) -> Array:
         if bad.size:
             raise CriticalPoint(f"fibre mean curvature at rank {at.rank[bad[0]]}: {at.x[bad[0]]!r}")
     p = jet.projector
-    dp = numdiff.difference(jet.stencil.projector, jet.x, jet.spec.cfg)  # [r, i, m, j]
+    dp = numdiff.difference(jet.stencil.projector, jet.x, jet.cfg)  # [r, i, m, j]
     total = np.einsum("rimj,rij->rm", dp + np.moveaxis(jet.source.gamma, 1, 2),
                       p @ jet.source.metric_inverse)
     return total - (p @ total[..., None])[..., 0]
@@ -309,7 +311,7 @@ def require_regular(jet: PointJet, what: str) -> None:
 def homothety_residual(jet: PointJet) -> list[float]:
     """|dphi(grad lambda^2)| in the target metric at each row, lambda^2 read at
     the jet's stencil rows and g^-1 from ``jet.source``."""
-    cfg, stencil = jet.spec.cfg, jet.stencil
+    cfg, stencil = jet.cfg, jet.stencil
     require_regular(jet, "homothety residual needs regular samples")
     bad = np.flatnonzero(~stencil.split.regular)
     if bad.size:
@@ -377,16 +379,17 @@ def lifted_j(jet: PointJet, orientation: int) -> Array:
     return jet.lift @ jet.target.j @ jet.differential - orientation * w / s[:, None, None]
 
 
-def lift_structure(spec: MapSpec, orientation: int) -> AlmostComplexField:
+def lift_structure(spec: MapSpec, orientation: int, cfg: DiffConfig) -> AlmostComplexField:
     """Lift the target structure through a horizontally conformal submersion with
     2-dimensional oriented fibres.
 
     On the horizontal space J = (dphi|_H)^{-1} J_target dphi|_H; on the fibre
     tangent it rotates by +90 degrees (orientation=+1) or -90 degrees in the
-    metric, the sense fixed by the map's fibre orientation form (see :func:`lifted_j`).
+    metric, the sense fixed by the map's fibre orientation form (see :func:`lifted_j`);
+    the differential of the map is taken with ``cfg``.
     """
     _require_liftable(spec, orientation)
-    return AlmostComplexField(spec.source, lambda stack: lifted_j(point_jet(spec, stack),
+    return AlmostComplexField(spec.source, lambda stack: lifted_j(point_jet(spec, stack, cfg),
                                                                   orientation))
 
 
@@ -395,7 +398,7 @@ def lifted_structure_jet(jet: PointJet, orientation: int) -> StructureJet:
     the jet's rows, d J differenced at ``jet.stencil``, g, g^-1 and Gamma the
     source jet's."""
     j = lifted_j(jet, orientation)
-    dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, jet.spec.cfg)
+    dj = numdiff.difference(lifted_j(jet.stencil, orientation), jet.x, jet.cfg)
     source = jet.source
     return StructureJet(source.chart, None, source.x, source.cfg, held={
         "metric": source.metric, "metric_inverse": source.metric_inverse,
@@ -420,7 +423,7 @@ def condition_ii_residual(jet: PointJet, structure: StructureJet) -> list[float]
     horizontal (1,0) fields gives its verdict: no Hermitian frame is built.
     Raises ``PreconditionFailed`` unless (h, J) is almost Hermitian at phi(x) and, for
     a target of dimension 4 or more, at the stencil images; below 4 it reads 0."""
-    spec, cfg = jet.spec, jet.spec.cfg
+    spec, cfg = jet.spec, jet.cfg
     if spec.target_structure is None:
         raise MissingStructure("condition (ii) needs the target structure")
     require_regular(jet, "condition (ii) needs regular samples")

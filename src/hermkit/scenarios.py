@@ -20,8 +20,9 @@ Registry
 ``SCENARIOS`` is a data table: each row names a description, a ``check_*``
 function of this module, a catalog entry id, the key of a map or a chart in
 that entry, and the check's keyword arguments.  :func:`run_scenario` builds the
-entry at the run's ``DiffConfig`` and calls the check on the map, or on the
-chart with the entry's structure ``J``.
+entry, which holds no ``DiffConfig``, and calls the check on the map, or on the
+chart with the entry's structure ``J``, passing every check the run's one
+``DiffConfig`` after the plan.
 
 A map check builds the map's jet at its samples once, as one stack, in
 :func:`_map_points`, and every operator reads that stacked jet (or the jet at
@@ -172,12 +173,12 @@ def _map_scale(stack: PointJet) -> float:
     return (1.0 + float(np.max(np.sqrt(np.vecdot(d, d)), initial=0.0))) ** 2
 
 
-def _map_points(spec: MapSpec, plan: SamplePlan,
+def _map_points(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig,
                 stencil: bool = False) -> tuple[PointJet, float]:
-    """The stacked jet at the plan's samples on its source (with ``stencil``, built
-    with their stencil points) and the map-residual tolerance."""
-    stack = maps.point_jet(spec, plan.points(spec.source, spec.cfg), stencil)
-    return stack, spec.cfg.tolerance(_map_scale(stack))
+    """The stacked jet at the plan's samples on its source, at ``cfg`` (with
+    ``stencil``, built with their stencil points), and the map-residual tolerance."""
+    stack = maps.point_jet(spec, plan.points(spec.source, cfg), cfg, stencil)
+    return stack, cfg.tolerance(_map_scale(stack))
 
 
 def _lift_invariants(metric: Array, j: Array) -> tuple[dict, int]:
@@ -225,7 +226,7 @@ def _require_holomorphic(spec: MapSpec, stack: PointJet, tol: float) -> float:
 # map-level scenario assemblies
 # ---------------------------------------------------------------------------
 
-def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
+def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig,
                             scenario_id: str = "harmonic-morphism",
                             include_holomorphy: bool = False,
                             include_fibres: bool = False,
@@ -236,7 +237,7 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     flagged; optional extras add holomorphy, fibre minimality and a pinned
     dilation value to the report.
     """
-    stack, tol = _map_points(spec, plan, stencil=include_fibres)
+    stack, tol = _map_points(spec, plan, cfg, stencil=include_fibres)
     confs, n = stack.split, len(stack.x)
     checks = [
         check("horizontally-weakly-conformal", _conformality_max(confs), tol, n),
@@ -251,24 +252,24 @@ def check_harmonic_morphism(spec: MapSpec, plan: SamplePlan,
     if include_fibres:
         fibre_res, used, excluded = _fibre_residual(stack)
         checks.append(check("fibre-minimality", fibre_res, tol, used, excluded))
-    return _report(scenario_id, checks, plan, spec.cfg,
+    return _report(scenario_id, checks, plan, cfg,
                    critical_samples=int(np.sum(confs.rank == 0)), map=spec.name)
 
 
-def check_rejected_morphism(spec: MapSpec, plan: SamplePlan,
+def check_rejected_morphism(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig,
                             scenario_id: str) -> VerificationReport:
     """The detector must *fail* this map: conformality or tension residual is
     genuinely large (rejection mode)."""
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, cfg)
     conf_res = _conformality_max(stack.split)
     tension_res = _target_max(stack, maps.tension(stack))
     return _report(scenario_id, [
         check("non-morphism-detected", max(conf_res, tension_res), COUPLING * tol,
               len(stack.x), mode="gt", conformality=conf_res, tension=tension_res),
-    ], plan, spec.cfg, map=spec.name)
+    ], plan, cfg, map=spec.name)
 
 
-def check_two_of_three(spec: MapSpec, plan: SamplePlan,
+def check_two_of_three(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig,
                        scenario_id: str = "two-of-three") -> VerificationReport:
     """For targets of real dimension > 2: of {harmonic morphism, minimal fibres,
     horizontal homothety}, any two passing force the third at the coupling
@@ -277,11 +278,11 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         if spec.source_structure is None or spec.target_structure is None:
             raise TargetDimensionTooSmall(
                 "target has real dimension 2 and no structures for the surface case")
-        report = check_surface_case(spec, plan, scenario_id=scenario_id)
+        report = check_surface_case(spec, plan, cfg, scenario_id=scenario_id)
         meta = dict(report.metadata)
         meta["routed"] = "surface-case"
         return VerificationReport(report.scenario_id, report.checks, meta)
-    stack, tol = _map_points(spec, plan, stencil=True)
+    stack, tol = _map_points(spec, plan, cfg, stencil=True)
     maps.require_regular(stack, "two-of-three needs regular samples")
     tension = g_norm(stack.target.metric, maps.tension(stack))
     hm_res = float(np.max([stack.split.conformality_residual, tension], initial=0.0))
@@ -296,19 +297,19 @@ def check_two_of_three(spec: MapSpec, plan: SamplePlan,
         implication_check("morphism+homothetic-imply-minimal",
                           max(hm_res, hom_res), fibre_res, tol, used, excluded),
     ]
-    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    residuals={"harmonic_morphism": hm_res, "fibre_minimality": fibre_res,
                               "homothety": hom_res})
 
 
-def check_surface_case(spec: MapSpec, plan: SamplePlan,
+def check_surface_case(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig,
                        scenario_id: str = "surface-case") -> VerificationReport:
     """Holomorphic maps to a 1-complex-dimensional target: the Lee push-forward
     vanishes exactly when the tension does, and the morphism verdict matches
     fibre minimality at regular points."""
     if spec.target.dim != 2:
         raise WrongDimension("surface case needs a target of real dimension 2")
-    stack, tol = _map_points(spec, plan, stencil=True)
+    stack, tol = _map_points(spec, plan, cfg, stencil=True)
     holo = _require_holomorphic(spec, stack, tol)
     tension_res = _target_max(stack, maps.tension(stack))
     lee_res = _target_max(stack, maps.lee_pushforward(stack))
@@ -322,13 +323,13 @@ def check_surface_case(spec: MapSpec, plan: SamplePlan,
         biconditional_check("morphism-iff-minimal-fibres", hm_res, fibre_res,
                             tol, used, excluded),
     ]
-    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    critical_samples=int(np.sum(confs.rank == 0)),
                    residuals={"lee_pushforward": lee_res, "tension": tension_res,
                               "fibre_minimality": fibre_res})
 
 
-def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
+def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig,
                              scenario_id: str = "cosymplectic-image",
                              expect_both_fail: bool = False) -> VerificationReport:
     """For a holomorphic horizontally weakly conformal map, the target is
@@ -340,7 +341,7 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     With ``expect_both_fail`` both sides of the biconditional must also be
     genuinely nonzero.
     """
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, cfg)
     _require_holomorphic(spec, stack, tol)
     conf_res = _conformality_max(stack.split)
     if conf_res > tol:
@@ -356,18 +357,18 @@ def check_cosymplectic_image(spec: MapSpec, plan: SamplePlan,
     if expect_both_fail:
         checks.append(check("both-sides-nonzero", min(target_cos, hm_res),
                             COUPLING * tol, len(stack.x), mode="gt"))
-    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    coverage="target classified at pushed samples (density surrogate)",
                    source_cosymplectic_residual=source_cos,
                    residuals={"target_cosymplectic": target_cos,
                               "harmonic_morphism": hm_res})
 
 
-def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
+def check_lemma_tension(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig,
                         scenario_id: str = "tension-identity") -> VerificationReport:
     """tau(phi) = -dphi(J div J) for holomorphic maps into a (1,2)-symplectic
     target, as a samplewise residual."""
-    stack, tol = _map_points(spec, plan)
+    stack, tol = _map_points(spec, plan, cfg)
     _require_holomorphic(spec, stack, tol)
     target_report = classify_structure(stack.target)
     if not target_report.verdicts["one_two_symplectic"]:
@@ -378,17 +379,18 @@ def check_lemma_tension(spec: MapSpec, plan: SamplePlan,
                     _target_max(stack, tau + push), tol, len(stack.x),
                     tension_norm=_target_max(stack, tau),
                     lee_pushforward_norm=_target_max(stack, push))]
-    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name)
+    return _report(scenario_id, checks, plan, cfg, map=spec.name)
 
 
 def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePlan,
+                                cfg: DiffConfig,
                                 scenario_id: str = "integrability") -> VerificationReport:
     """Lifted structures on a conformal submersion with 1-complex-dimensional
     fibres: superminimal fibres plus the horizontal bracket condition force the
     lifted structure to be integrable."""
     if spec.source.dim - spec.target.dim != 2:
         raise FibreDimension("integrability scenario needs 2-dimensional fibres")
-    stack, tol = _map_points(spec, plan, stencil=True)
+    stack, tol = _map_points(spec, plan, cfg, stencil=True)
     target_nij = nijenhuis_residual(stack.target)
     if target_nij > tol:
         raise PreconditionFailed("target Hermitian", f"Nijenhuis residual {target_nij}")
@@ -407,21 +409,21 @@ def check_integrability_theorem(spec: MapSpec, orientation: int, plan: SamplePla
         implication_check("lifted-structure-integrable", max(supermin, cond_ii), nij,
                           tol, used, excluded),
     ]
-    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name,
+    return _report(scenario_id, checks, plan, cfg, map=spec.name,
                    orientation=orientation, lifted_invariants=inv,
                    residuals={"superminimality": supermin, "condition_ii": cond_ii,
                               "nijenhuis": nij})
 
 
 def check_lifted_structure(spec: MapSpec, orientation: int, plan: SamplePlan,
-                           scenario_id: str, expect_parallel: bool) -> VerificationReport:
+                           cfg: DiffConfig, scenario_id: str,
+                           expect_parallel: bool) -> VerificationReport:
     """Integrability and (non-)parallelism of one lifted structure.
 
     With ``expect_parallel`` the covariant derivative of the lift must vanish;
     otherwise it must exceed the non-parallelism floor of 1e-3 somewhere.
     """
-    cfg = spec.cfg
-    stack, tol = _map_points(spec, plan, stencil=True)
+    stack, tol = _map_points(spec, plan, cfg, stencil=True)
     lifted = maps.lifted_structure_jet(stack, orientation)
     inv, inv_count = _lift_invariants(lifted.metric, lifted.j)
     nabla = float(np.max(g_length(np.moveaxis(lifted.nabla, (1, 3), (0, 1)), lifted.metric)))
@@ -477,7 +479,7 @@ def check_divergence_closed_form(chart: Chart, j_field: AlmostComplexField,
     the closed form -2 (r J1 n1 + s J2 n2) pushed to chart components."""
     points = plan.points(chart, cfg)
     nums = divergence_J(structure_jet(chart, j_field, points, cfg))
-    ana = catalog.odd_sphere_product_divergence(chart, r, s, points, cfg)
+    ana = catalog.odd_sphere_product_divergence(chart, r, s, points)
     worst = float(np.max(np.abs(nums - ana)))
     tol = cfg.tolerance(max(1.0, 1.0 + float(np.max(np.abs(ana)))))
     return _report(scenario_id, [check("divergence-matches-closed-form", worst, tol,
@@ -499,18 +501,18 @@ def check_structure_verdicts(chart: Chart, j_field: AlmostComplexField, plan: Sa
                    structure_report=report.to_dict())
 
 
-def check_radial_fibres(spec: MapSpec, plan: SamplePlan, scenario_id: str,
+def check_radial_fibres(spec: MapSpec, plan: SamplePlan, cfg: DiffConfig, scenario_id: str,
                         target_scale: float) -> VerificationReport:
     """Straight radial fibres of the annulus projection are minimal, and the
     dilation is target_scale / r."""
-    stack, tol = _map_points(spec, plan, stencil=True)
+    stack, tol = _map_points(spec, plan, cfg, stencil=True)
     fibre_res, used, excluded = _fibre_residual(stack)
     dev = float(np.max(np.abs(stack.split.dilation - target_scale / stack.x[:, 0])))
     checks = [
         check("fibre-minimality", fibre_res, tol, used, excluded),
         check("dilation-matches-target-rescaled-1-over-r", dev, tol, len(stack.x)),
     ]
-    return _report(scenario_id, checks, plan, spec.cfg, map=spec.name)
+    return _report(scenario_id, checks, plan, cfg, map=spec.name)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +658,7 @@ def scenario_description(scenario_id: str) -> str:
 
 
 def run_scenario(scenario_id: str, plan: SamplePlan, cfg: DiffConfig) -> VerificationReport:
-    """Build the scenario's catalog entry at ``cfg`` and run its check on the
+    """Build the scenario's catalog entry and run its check at ``cfg`` on the
     named map, or on the named chart with the entry's structure ``J``.
 
     Deterministic for equal (scenario_id, plan, cfg).
@@ -665,11 +667,9 @@ def run_scenario(scenario_id: str, plan: SamplePlan, cfg: DiffConfig) -> Verific
         _, check_name, entry_id, key, kwargs = SCENARIOS[scenario_id]
     except KeyError:
         raise UnknownScenario(f"unknown scenario {scenario_id!r}") from None
-    entry = catalog.get_entry(entry_id, cfg)
+    entry = catalog.get_entry(entry_id)
     # Looked up at call time, so a wrapper installed on the module attribute
     # (as a tracer does) is the one that runs.
     run = globals()[check_name]
-    if key in entry.maps:
-        return run(entry.maps[key], plan=plan, scenario_id=scenario_id, **kwargs)
-    return run(entry.charts[key], entry.structures["J"], plan=plan, cfg=cfg,
-               scenario_id=scenario_id, **kwargs)
+    on = (entry.maps[key],) if key in entry.maps else (entry.charts[key], entry.structures["J"])
+    return run(*on, plan=plan, cfg=cfg, scenario_id=scenario_id, **kwargs)

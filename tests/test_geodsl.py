@@ -602,14 +602,14 @@ def test_parser_never_panics_on_near_miss_text(text):
         pass
 
 
-def test_to_chart_and_map(cfg):
+def test_to_chart_and_map():
     config = geodsl.parse(TORUS_SRC)
     chart, structure = geodsl.to_chart(config)
     assert chart.dim == 2
     assert structure is not None
     npt.assert_allclose(structure(np.array([[1.0, 1.0]])),
                         np.array([[[0.0, -1.0], [1.0, 0.0]]]))
-    spec = geodsl.to_map(config, "square", cfg)
+    spec = geodsl.to_map(config, "square")
     npt.assert_allclose(spec(np.array([[2.0, 1.0]])), [[3.0, 4.0]])
     assert spec.source_structure is not None
     assert spec.target_structure is not None

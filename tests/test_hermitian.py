@@ -61,12 +61,12 @@ def complex_form_residuals(chart, j_field, points, cfg) -> tuple:
     nabla_{conj Z_k} Z_l built by :func:`cov_complex`, one sample at a time."""
     r_12_c = r_cos_c = 0.0
     for x in np.asarray(points)[:, None]:  # each sample as a one-row stack
-        frame = frame_row(hermitian_frame(chart, j_field, x, cfg), 0)
-        g, j = chart.metric(x, cfg), j_field(x)
+        frame = frame_row(hermitian_frame(chart, j_field, x), 0)
+        g, j = chart.metric(x), j_field(x)
 
         def z_part(l, part):  # the greedy frame field, which picks the sample's axes near it
             return VectorField(chart, lambda p: part(hermitian_frame(
-                chart, j_field, p, cfg).complex_frame[l]))
+                chart, j_field, p).complex_frame[l]))
 
         cosym_sum = np.zeros((1, chart.dim), dtype=complex)
         for k, zk in enumerate(frame.complex_frame):
@@ -97,9 +97,9 @@ def cp1():
     return entry.charts["cp"], entry.structures["J"]
 
 
-def test_frame_flat_torus(torus, cfg):
+def test_frame_flat_torus(torus):
     chart, j_field = torus
-    frame = hermitian_frame(chart, j_field, np.array([[0.5, 0.9]]), cfg)
+    frame = hermitian_frame(chart, j_field, np.array([[0.5, 0.9]]))
     assert frame.m == 1
     npt.assert_allclose(frame.real_frame, [[[1.0, 0.0]], [[0.0, 1.0]]])  # e_1, J e_1
     assert len(frame.complex_frame) == 1
@@ -109,7 +109,7 @@ def test_frame_hermitian_property_on_product_sphere(ce10, cfg):
     """<Z_k, conj Z_l> = delta_kl and <Z_k, Z_l> = 0 in the bilinear extension."""
     chart, j_field = ce10
     points = SamplePlan(seed=5, count=10).points(chart, cfg)
-    frames, gs = hermitian_frame(chart, j_field, points, cfg), chart.metric(points, cfg)
+    frames, gs = hermitian_frame(chart, j_field, points), chart.metric(points)
     for r, g in enumerate(gs):
         frame = frame_row(frames, r)
         assert frame_residual(frame, g) <= 1e-10
@@ -160,7 +160,7 @@ def test_divergence_matches_closed_form(r, s, cfg):
     j_field = entry.structures["J"]
     points = SamplePlan(seed=2, count=3).points(chart, cfg)
     num = divergence_J(structure_jet(chart, j_field, points, cfg))
-    ana = catalog.odd_sphere_product_divergence(chart, r, s, points, cfg)
+    ana = catalog.odd_sphere_product_divergence(chart, r, s, points)
     npt.assert_allclose(num, ana, atol=1e-7)
 
 
@@ -177,7 +177,7 @@ def test_divergence_frame_independent(ce10, cfg, rng):
     """Tracing over a random g-orthonormal frame gives the same vector."""
     chart, j_field = ce10
     x = np.array([[0.6, 0.8, 1.0, 0.5]])
-    g = chart.metric(x, cfg)
+    g = chart.metric(x)
     frame = orthonormalize([rng.normal(size=(1, 4)) for _ in range(4)], g)
     jet = structure_jet(chart, j_field, x, cfg)
     via_frame = divergence_J_frame(jet, frame)
@@ -259,7 +259,7 @@ def test_nijenhuis_two_routes_agree(ce10, cfg, rng):
     npt.assert_allclose(fast, slow, atol=1e-7)
 
 
-def test_type_projectors(ce10, cfg, rng):
+def test_type_projectors(ce10, rng):
     """X = X^{1,0} + X^{0,1} and J X^{1,0} = i X^{1,0}; for a real X the
     (1,0)-part is the conjugate of the (0,1)-part."""
     chart, j_field = ce10
@@ -376,10 +376,10 @@ def test_classify_metric_builds_do_not_grow_with_the_samples(monkeypatch, cfg):
     rows = {2: [], 3: []}
     build = Embedding.dpsi
     for count, seen in rows.items():
-        entry = catalog.calabi_eckmann(1, 1, cfg)
+        entry = catalog.calabi_eckmann(1, 1)
         whole = entry.charts["ce"].embedding  # not its factors' embeddings
-        monkeypatch.setattr(Embedding, "dpsi", lambda self, x, cfg, whole=whole:
-                            (self is whole and seen.append(len(x))) or build(self, x, cfg))
+        monkeypatch.setattr(Embedding, "dpsi", lambda self, x, whole=whole:
+                            (self is whole and seen.append(len(x))) or build(self, x))
         classify(entry.charts["ce"], entry.structures["J"], SamplePlan(count=count), cfg)
     assert rows == {2: [50], 3: [75]}
 
@@ -399,18 +399,18 @@ def test_classify_builds_one_stacked_structure_jet(monkeypatch, cfg):
     monkeypatch.setattr(Chart, "contains", lambda self, x, margin=0.0:
                         calls["contains"].append(np.shape(x)) or contains(self, x, margin))
     metric, dpsi, j_call = Chart.metric, Embedding.dpsi, AlmostComplexField.__call__
-    monkeypatch.setattr(Chart, "metric", lambda self, x, c=None:
-                        calls["metric"].append(x.shape) or metric(self, x, c))
+    monkeypatch.setattr(Chart, "metric", lambda self, x:
+                        calls["metric"].append(x.shape) or metric(self, x))
     monkeypatch.setattr(AlmostComplexField, "__call__", lambda self, x, d=None:
                         calls["j"].append(np.shape(x)) or j_call(self, x, d))
     monkeypatch.setattr(hermitian, "dj_stack", lambda *args: calls["dj_stack"].append(args))
     christoffel = hermitian.christoffel
     monkeypatch.setattr(hermitian, "christoffel", lambda g_inv, dg: calls[
         "christoffel"].append((g_inv.shape, dg.shape)) or christoffel(g_inv, dg))
-    entry = catalog.calabi_eckmann(1, 1, cfg)
-    monkeypatch.setattr(Embedding, "dpsi", lambda self, x, c: (
+    entry = catalog.calabi_eckmann(1, 1)
+    monkeypatch.setattr(Embedding, "dpsi", lambda self, x: (
         self is entry.charts["ce"].embedding and calls["dpsi"].append(x.shape))
-        or dpsi(self, x, c))
+        or dpsi(self, x))
     classify(entry.charts["ce"], entry.structures["J"], SamplePlan(count=3), cfg)
     assert calls == {"metric": [], "dpsi": [(75, 6)], "j": [(75, 6)], "dj_stack": [],
                      "christoffel": [((3, 6, 6), (3, 6, 6, 6))], "contains": [(3, 6), (72, 6)]}
@@ -436,7 +436,7 @@ def test_classify_real_form_and_complex_form_pass_or_fail_together(name, cfg):
     with the Hermitian-frame form of the same conditions under the scenarios'
     biconditional coupling, on the chart of every ``*-classify`` scenario and
     on the conformally flat config."""
-    chart, j_field = chart_and_structure(name, cfg)
+    chart, j_field = chart_and_structure(name)
     report = classify(chart, j_field, SamplePlan(seed=3, count=3), cfg)
     r_12_c, r_cos_c = complex_form_residuals(chart, j_field, report.samples, cfg)
     for real, complex_form in ((report.residual_12sympl, r_12_c),
@@ -517,16 +517,16 @@ J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 """
 
 
-def chart_and_structure(name, cfg):
+def chart_and_structure(name):
     """The (chart, J) of a catalog entry (J on its chart), the chart of a
     scenario row, or the conformally flat config."""
     if name == "conformal-dsl":
         return geodsl.to_chart(geodsl.parse(CONFORMAL_SRC))
     if name in scenarios.SCENARIOS:
         _, _, entry_id, key, _ = scenarios.SCENARIOS[name]
-        entry = catalog.get_entry(entry_id, cfg)
+        entry = catalog.get_entry(entry_id)
         return entry.charts[key], entry.structures["J"]
-    j_field = catalog.get_entry(name, cfg).structures["J"]
+    j_field = catalog.get_entry(name).structures["J"]
     return j_field.chart, j_field
 
 
@@ -540,13 +540,13 @@ def stencil_stack(x, cfg):
 def test_stacked_frame_equals_frames_at_points(name, cfg):
     """One frame build on a stencil stack gives, row by row, the frames built
     at each point's one-row stack, under ``np.array_equal``, each complete."""
-    chart, j_field = chart_and_structure(name, cfg)
+    chart, j_field = chart_and_structure(name)
     for x in SamplePlan(seed=3, count=2).points(chart, cfg):
         stack = stencil_stack(x, cfg)
-        stacked = hermitian_frame(chart, j_field, stack, cfg)
+        stacked = hermitian_frame(chart, j_field, stack)
         assert stacked.m == chart.dim // 2
         for r in range(len(stack)):
-            at_p = hermitian_frame(chart, j_field, stack[r:r + 1], cfg)
+            at_p = hermitian_frame(chart, j_field, stack[r:r + 1])
             for a, b in zip(stacked.real_frame + stacked.complex_frame,
                             at_p.real_frame + at_p.complex_frame):
                 assert a.shape == (len(stack), chart.dim)
@@ -567,30 +567,30 @@ def test_stacked_greedy_frame_parts_rows_that_pick_different_pivots(cfg):
         lambda p: catalog.multiplication_by_i(2) if p[0] < 0.0 else crossed))
     stack = SamplePlan(seed=2, count=8).points(chart, cfg)
     stack[:, 0] = np.abs(stack[:, 0]) * np.tile([-1.0, 1.0], 4)
-    frame = hermitian_frame(chart, j_field, stack, cfg)
+    frame = hermitian_frame(chart, j_field, stack)
     axes = np.stack([np.argmax(np.abs(v), axis=1) for v in frame.real_frame], axis=1)
     assert axes.tolist() == [[0, 2, 1, 3], [0, 1, 2, 3]] * 4
     for r in range(len(stack)):
-        alone = hermitian_frame(chart, j_field, stack[r:r + 1], cfg)
+        alone = hermitian_frame(chart, j_field, stack[r:r + 1])
         for a, b in zip(frame.real_frame + frame.complex_frame,
                         alone.real_frame + alone.complex_frame):
             assert np.array_equal(a[r], b[0])
 
 
-def structure_cases(name, cfg):
+def structure_cases(name):
     """(chart, J) pairs: the source and the target of a map entry, or the one
     chart of ``chart_and_structure``."""
     if name in ("hopf-s3", "product-hopf-1-1"):
-        entry = catalog.get_entry(name, cfg)
+        entry = catalog.get_entry(name)
         return [(entry.charts[k], entry.structures[k]) for k in ("source", "target")]
-    return [chart_and_structure(name, cfg)]
+    return [chart_and_structure(name)]
 
 
 @pytest.mark.parametrize("name", ["hopf-s3", "product-hopf-1-1", "ce-2-1", "conformal-dsl"])
 def test_stacked_structure_jet_equals_one_point_calls_bit_for_bit(name, cfg):
     """Every part of a stacked structure jet, its div J and its Lee field equal
     the one-row stacks' row by row."""
-    for chart, j_field in structure_cases(name, cfg):
+    for chart, j_field in structure_cases(name):
         points = SamplePlan(seed=3, count=3).points(chart, cfg)
         jets = structure_jet(chart, j_field, points, cfg)
         delta, lee = divergence_J(jets), lee_vector(jets)
@@ -609,10 +609,10 @@ def test_stacked_nijenhuis_and_nabla_j_equal_each_row(name, cfg):
     vectors equal, under ``np.array_equal``, each row's on the one-row jet with
     that row's vectors: the frame vectors, the coordinate axes (broadcast) and
     div J."""
-    chart, j_field = chart_and_structure(name, cfg)
+    chart, j_field = chart_and_structure(name)
     points = SamplePlan(seed=6, count=5).points(chart, cfg)
     jets = structure_jet(chart, j_field, points, cfg)
-    frame = hermitian_frame(chart, j_field, points, cfg)
+    frame = hermitian_frame(chart, j_field, points)
     axes = [np.broadcast_to(e, points.shape) for e in np.eye(chart.dim)]
     vectors = [*frame.real_frame, *axes[:2], divergence_J(jets)]
     pairs = [(u, v) for a, u in enumerate(vectors) for v in vectors[a + 1:]]
@@ -627,11 +627,11 @@ def test_stacked_nijenhuis_and_nabla_j_equal_each_row(name, cfg):
             assert norm[r] == norm_r[0]
 
 
-def structure_chart(name, cfg):
+def structure_chart(name):
     """``chart_and_structure``, or the Kodaira-Thurston chart with its almost
     Kaehler (``kt-almost-kahler``) or its integrable (``kt-integrable``) J."""
     pairs = {"kt-almost-kahler": ((0, 2), (1, 3)), "kt-integrable": ((0, 1), (2, 3))}
-    return kodaira_thurston(pairs[name]) if name in pairs else chart_and_structure(name, cfg)
+    return kodaira_thurston(pairs[name]) if name in pairs else chart_and_structure(name)
 
 
 #: The parts of a structure jet beyond g.
@@ -653,16 +653,16 @@ def test_structure_jet_equals_the_separate_calls_bit_for_bit(name, held, cfg):
     ``chart.metric_inverse`` and J at the samples, ``dj_stack``, the Christoffel
     symbols from ``metric_derivative`` and nabla J from those; at a stack and at
     a one-row stack."""
-    chart, j_field = structure_chart(name, cfg)
+    chart, j_field = structure_chart(name)
     points = SamplePlan(seed=4, count=3).points(chart, cfg)
     for x in (points, points[1:2]):
         jet = (structure_jet if held else lazy_jet)(chart, j_field, x, cfg)
         assert set(jet.held) == ({"metric", *PARTS} - {"nabla"} if held else {"metric"})
         assert not set(vars(jet)) & set(PARTS)  # no part read yet
-        g, j, dj = chart.metric(x, cfg), j_field(x), hermitian.dj_stack(chart, j_field, x, cfg)
+        g, j, dj = chart.metric(x), j_field(x), hermitian.dj_stack(chart, j_field, x, cfg)
         gamma = chart_gamma(chart, x, cfg)
         nabla = hermitian.nabla_j_tensor(gamma, j, dj)
-        for part, value in {"x": x, "metric": g, "metric_inverse": chart.metric_inverse(x, cfg),
+        for part, value in {"x": x, "metric": g, "metric_inverse": chart.metric_inverse(x),
                             "j": j, "dj": dj, "gamma": gamma, "nabla": nabla}.items():
             assert same_bits(getattr(jet, part), value), (part, len(x))
 
@@ -690,7 +690,7 @@ def test_stacked_pair_maxima_equal_the_pairwise_loops_bit_for_bit(name, cfg):
     loops of ``nabla_J`` and ``nijenhuis`` to a few roundoffs of the jet's
     magnitudes (the arithmetic order differs, so not bit for bit); the reported
     Nijenhuis residual is ``nijenhuis_residual``'s bit for bit."""
-    chart, j_field = structure_chart(name, cfg)
+    chart, j_field = structure_chart(name)
     plan = SamplePlan(seed=2, count=4)
     report = classify(chart, j_field, plan, cfg)
     jets = structure_jet(chart, j_field, np.array(report.samples), cfg)
@@ -726,7 +726,7 @@ def test_stacked_pair_maxima_equal_the_pairwise_loops_bit_for_bit(name, cfg):
 def frame_route(jet) -> dict:
     """The four residuals of ``classify_structure`` with X and Y over each row's
     Hermitian frame (``hermitian_frame``) in place of its unit axes."""
-    frame = hermitian_frame(jet.chart, jet.j_field, jet.x, jet.cfg).real_frame
+    frame = hermitian_frame(jet.chart, jet.j_field, jet.x).real_frame
     u = np.stack(frame, axis=-1)  # u[r, :, a] is the a-th frame vector at row r
     nab = np.einsum("rikj,ria,rjb->rkab", jet.nabla, u, u)
     s12 = nab + np.einsum("rikj,ria,rjb->rkab", jet.nabla, jet.j @ u, jet.j @ u)
@@ -746,7 +746,7 @@ def test_classify_on_unit_axes_agrees_with_the_hermitian_frames(name, cfg):
     structure and both Kodaira-Thurston J's, classify gives the four verdicts of
     the frame route, and a residual the frames read above 10 tol reads above
     10 tol on the axes."""
-    chart, j_field = structure_chart(name, cfg)
+    chart, j_field = structure_chart(name)
     jet = structure_jet(chart, j_field, SamplePlan(seed=1, count=6).points(chart, cfg), cfg)
     report, framed = classify_structure(jet), frame_route(jet)
     assert report.verdicts == {c: r <= report.tolerance for c, r in framed.items()}

@@ -1,14 +1,15 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hermkit import catalog
-from hermkit.hermitian import StructureJet
+from hermkit import catalog, numdiff
+from hermkit.hermitian import AlmostComplexField, StructureJet, classify_structure, structure_jet
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric, WrongDimension
 from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
                               christoffel, covariant_derivative, gradient, invert_metric,
@@ -25,7 +26,7 @@ def chart_gamma(chart, x, cfg):
     """The chart's Christoffel symbols at the rows of x: the interior checked,
     then ``christoffel`` of g^-1 there and of d g from one metric stencil."""
     chart.require_interior(x, cfg)
-    return christoffel(chart.metric_inverse(x, cfg), metric_derivative(chart, x, cfg))
+    return christoffel(chart.metric_inverse(x), metric_derivative(chart, x, cfg))
 
 
 def flat2():
@@ -38,11 +39,14 @@ def sphere2():
 
 
 def test_box_contains_margin():
-    box = Box((0.0,), (1.0,))
+    box, twin = Box((0.0,), (1.0,)), Box((0.0,), (1.0,))
     assert box.contains([0.5])
     assert not box.contains([0.05], margin=0.1)
     with pytest.raises(ValueError):
         Box((1.0,), (0.0,))
+    # the bounds array is not compared, hashed or shown
+    assert box == twin and hash(box) == hash(twin) and box != Box((0.0,), (2.0,))
+    assert repr(box) == repr(twin) == "Box(lo=(0.0,), hi=(1.0,))"
 
 
 def test_box_contains_checks_both_faces_of_every_row():
@@ -93,6 +97,33 @@ def test_metric_symmetry_bound_scales_with_the_metric():
     npt.assert_array_equal(chart([np.eye(2), big]).metric(x)[1], [[1e6, 5e-9], [5e-9, 1e6]])
     with pytest.raises(SingularMetric, match=r"metric at array\(\[0.3, 0.4\]\) is not symmetric"):
         chart([big, [[1.0, 0.0], [1e-8, 1.0]]]).metric(x)
+
+
+def nan_beyond_half():
+    """A flat chart whose ``metric_fn`` is NaN where x1 > 0.5."""
+    def metric_fn(x):
+        g = np.tile(np.eye(2), (len(x), 1, 1))
+        g[x[:, 0] > 0.5] = np.nan
+        return g
+
+    return Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=metric_fn)
+
+
+def test_metric_rejects_a_non_finite_row(cfg):
+    """A NaN metric raises ``SingularMetric`` naming the first such row, also at a
+    stencil point: d g (and a classification, whose structure jet differences g
+    there) is not built from it (both read NaN rows, and classify called the
+    structure integrable, before)."""
+    chart, x = nan_beyond_half(), np.array([[0.5, 0.0]])
+    stack = np.array([[0.1, 0.0], [0.2, 0.0], [0.7, 0.0], [0.9, 0.0]])
+    with pytest.raises(SingularMetric, match=re.escape(f"metric at {stack[2]!r} is not finite")):
+        chart.metric(stack)
+    first = re.escape(f"metric at {numdiff.stencil(x, cfg)[0, 0]!r} is not finite")
+    with pytest.raises(SingularMetric, match=first):
+        metric_derivative(chart, x, cfg)
+    j_field = AlmostComplexField(chart, constant([[0.0, -1.0], [1.0, 0.0]]))
+    with pytest.raises(SingularMetric, match=first):
+        classify_structure(structure_jet(chart, j_field, x, cfg))
 
 
 def diagonal_stack(*diagonals):
@@ -158,7 +189,7 @@ def raised(call):
 
 
 def metric_inverse(chart, x, cfg):
-    return chart.metric_inverse(x, cfg)
+    return chart.metric_inverse(x)
 
 
 def require_interior(chart, x, cfg):
@@ -168,7 +199,7 @@ def require_interior(chart, x, cfg):
 def lazy_jet(chart, j_field, x, cfg) -> StructureJet:
     """The structure jet on g at the rows alone, every other part built when first
     read, as each side of a map jet is."""
-    return StructureJet(chart, j_field, x, cfg, held={"metric": chart.metric(x, cfg)})
+    return StructureJet(chart, j_field, x, cfg, held={"metric": chart.metric(x)})
 
 
 def lazy_gamma(chart, x, cfg):
@@ -218,13 +249,13 @@ def test_christoffel_checks_the_interior_then_g_then_the_stencil(operator, cfg):
                                            ("product-hopf-1-1", "source"), ("ce-2-1", "ce")])
 def test_stacked_christoffel_and_inverse_metric_equal_point_calls(entry_id, key, cfg):
     """Row by row, bit for bit, each row its one-row stack's."""
-    chart = catalog.get_entry(entry_id, cfg).charts[key]
+    chart = catalog.get_entry(entry_id).charts[key]
     points = SamplePlan(seed=3, count=3).points(chart, cfg)
-    gammas, g_inv = chart_gamma(chart, points, cfg), chart.metric_inverse(points, cfg)
+    gammas, g_inv = chart_gamma(chart, points, cfg), chart.metric_inverse(points)
     assert gammas.shape == (3, chart.dim, chart.dim, chart.dim)
     for r in range(len(points)):
         assert np.array_equal(gammas[r], chart_gamma(chart, points[r:r + 1], cfg)[0])
-        assert np.array_equal(g_inv[r], chart.metric_inverse(points[r:r + 1], cfg)[0])
+        assert np.array_equal(g_inv[r], chart.metric_inverse(points[r:r + 1])[0])
 
 
 def test_metric_fn_must_return_a_stack():
@@ -294,9 +325,9 @@ def test_metric_compatibility_probe(entry_id, chart_key, cfg, plan):
     def pair(u, g, v):
         return np.einsum("ri,rij,rj->r", u, g, v)
 
-    d_inner = partial(lambda p: pair(y_field(p), chart.metric(p, cfg), z_field(p)), x, cfg)
+    d_inner = partial(lambda p: pair(y_field(p), chart.metric(p), z_field(p)), x, cfg)
     lhs = np.einsum("ri,ri->r", x_field(x), d_inner)
-    g = chart.metric(x, cfg)
+    g = chart.metric(x)
     rhs = (pair(covariant_derivative(x_field, y_field, x, cfg), g, z_field(x))
            + pair(y_field(x), g, covariant_derivative(x_field, z_field, x, cfg)))
     assert np.max(np.abs(lhs - rhs)) <= cfg.tolerance(10.0)
@@ -382,30 +413,32 @@ def embedded_chart(emb, dim):
     return Chart(dim=dim, box=Box((-2.0,) * dim, (2.0,) * dim), embedding=emb)
 
 
-def test_embedded_pullbacks_identity(cfg):
+def test_embedded_pullbacks_identity():
     """The metric pulled back by the identity embedding, and the projection
     (Dpsi^T Dpsi)^{-1} Dpsi^T built from it, are the identity."""
-    emb = Embedding(2, lambda x: np.array(x, dtype=float))
+    emb = Embedding(2, lambda x: np.array(x, dtype=float), constant(np.eye(2)))
     x = np.array([[0.3, 0.4]])
-    (g,), (d,) = embedded_chart(emb, 2).metric(x, cfg), emb.dpsi(x, cfg)
-    npt.assert_allclose(g, np.eye(2), atol=1e-10)
-    npt.assert_allclose(np.linalg.solve(g, d.T), np.eye(2), atol=1e-10)
+    (g,), (d,) = embedded_chart(emb, 2).metric(x), emb.dpsi(x)
+    assert np.array_equal(g, np.eye(2))
+    assert np.array_equal(np.linalg.solve(g, d.T), np.eye(2))
 
 
-def test_embedded_pullbacks_unit_circle(cfg):
-    emb = Embedding(2, lambda t: np.array([math.cos(t[0]), math.sin(t[0])]))
-    g = embedded_chart(emb, 1).metric(np.array([[0.7]]), cfg)
-    npt.assert_allclose(g, [[[1.0]]], atol=1e-10)
+def test_embedded_pullbacks_unit_circle():
+    """The arc-length circle t -> (cos t, sin t) pulls back g = sin^2 + cos^2 = 1."""
+    emb = Embedding(2, lambda t: np.stack([np.cos(t[:, 0]), np.sin(t[:, 0])], axis=1),
+                    lambda t: np.stack([-np.sin(t), np.cos(t)], axis=1))
+    g = embedded_chart(emb, 1).metric(np.array([[0.7]]))
+    npt.assert_allclose(g, [[[1.0]]], rtol=0.0, atol=2e-16)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_projection_left_inverse_of_embedding(n, cfg):
+def test_projection_left_inverse_of_embedding(n):
     """The projection built from the chart's pulled-back metric is a left
     inverse of Dpsi, so tangent ambient vectors map back to chart components."""
     emb = catalog.sphere_embedding(n)
     x = np.linspace(0.4, 1.1, n)[None]
-    (d,) = emb.dpsi(x, cfg)
-    proj = np.linalg.solve(embedded_chart(emb, n).metric(x, cfg)[0], d.T)
+    (d,) = emb.dpsi(x)
+    proj = np.linalg.solve(embedded_chart(emb, n).metric(x)[0], d.T)
     npt.assert_allclose(proj @ d, np.eye(n), atol=1e-9)
 
 

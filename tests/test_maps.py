@@ -15,7 +15,7 @@ from hermkit.maps import (KIND_CRITICAL, KIND_DEGENERATE, MapSpec, _vertical_pro
                           fibre_mean_curvature, holomorphy_residual,
                           homothety_residual, lee_pushforward, lift_structure,
                           point_jet, sff_tensor, superminimality_residual, tension)
-from hermkit.numdiff import constant, orthonormalize
+from hermkit.numdiff import DiffConfig, constant, orthonormalize
 from test_manifold import chart_gamma
 
 
@@ -39,39 +39,39 @@ def punctured2():
     return catalog.punctured_hopf(2).maps["hopf"]
 
 
+CFG = DiffConfig()
 CE_POINT = np.array([[0.5, 0.7, 0.9, 1.1]])
 PUNCTURED2_POINT = np.array([[1.4, 0.2, -0.3, 0.5, 0.1, -0.2]])
 
 
 def flat_map(fn, source_dim=2, target_dim=2, lo=-2.0, hi=2.0):
-    cfg = catalog.DEFAULT_CFG
     src = Chart(dim=source_dim, box=Box((lo,) * source_dim, (hi,) * source_dim),
                 metric_fn=constant(np.eye(source_dim)))
     tgt = Chart(dim=target_dim, box=Box((-1e3,) * target_dim, (1e3,) * target_dim),
                 metric_fn=constant(np.eye(target_dim)))
-    return MapSpec(src, tgt, fn, cfg)
+    return MapSpec(src, tgt, fn)
 
 
 def test_differential_identity(torus_entry):
     spec = torus_entry.maps["identity"]
-    d = differential(spec, np.array([[0.8, 0.9]]))
+    d = differential(spec, np.array([[0.8, 0.9]]), CFG)
     npt.assert_allclose(d, [np.eye(2)], atol=1e-11)
 
 
 def test_differential_constant():
     spec = flat_map(lambda x: np.tile([1.0, 2.0], (len(x), 1)))
-    d = differential(spec, np.array([[0.1, 0.2]]))
+    d = differential(spec, np.array([[0.1, 0.2]]), CFG)
     npt.assert_allclose(d, 0.0, atol=1e-12)
 
 
 def test_differential_hopf_rank(hopf):
-    d = differential(hopf, CE_POINT)
+    d = differential(hopf, CE_POINT, CFG)
     assert d.shape == (1, 2, 4)
     assert np.linalg.matrix_rank(d[0], tol=1e-8) == 2
 
 
 def jet_of(spec, x):
-    return point_jet(spec, np.asarray(x, dtype=float))
+    return point_jet(spec, np.asarray(x, dtype=float), CFG)
 
 
 @pytest.mark.parametrize("entry_id", [e for e in catalog.entry_ids() if catalog.get_entry(e).maps])
@@ -79,7 +79,7 @@ def test_row_norms_equal_the_per_row_norm_loop_bit_for_bit(entry_id, cfg):
     """``scenarios._map_scale`` and :func:`holomorphy_residual` take each row's
     Frobenius norm from one ``np.vecdot`` over the rows flattened: bit for bit the
     per-row ``np.linalg.norm`` loops they replace, on every catalog map."""
-    for spec in catalog.get_entry(entry_id, cfg).maps.values():
+    for spec in catalog.get_entry(entry_id).maps.values():
         stack = jet_of(spec, SamplePlan(seed=3, count=12).points(spec.source, cfg))
         d = stack.differential
         assert scenarios._map_scale(stack) == (1.0 + max(float(np.linalg.norm(m)) for m in d)) ** 2
@@ -143,8 +143,8 @@ def test_conformality_of_a_map_into_a_larger_target():
     and no regular row: degenerate with residual sqrt(2), and near_critical reads
     the one singular value there is, not a column t - 1."""
     spec = catalog.get_entry("hopf-fibre-inclusion").maps["inclusion"]
-    points = SamplePlan(seed=0, count=3).points(spec.source, spec.cfg)
-    c = conformality(point_jet(spec, points))
+    points = SamplePlan(seed=0, count=3).points(spec.source, CFG)
+    c = conformality(point_jet(spec, points, CFG))
     assert c.kind.tolist() == [KIND_DEGENERATE] * 3
     npt.assert_allclose(c.conformality_residual, np.sqrt(2.0), atol=1e-8)
     assert not c.near_critical.any()
@@ -216,13 +216,13 @@ def test_sff_symmetry_bitwise(hopf):
     assert np.array_equal(sff, np.swapaxes(sff, 1, 2))
 
 
-def test_fibre_inclusion_is_geodesic(cfg):
+def test_fibre_inclusion_is_geodesic():
     """The great-circle fibre of the Hopf projection has vanishing tension as a
     curve in the 3-sphere (trace of the second fundamental form)."""
     entry = catalog.hopf_fibre_inclusion()
     spec = entry.maps["inclusion"]
     tau = tension(jet_of(spec, [[0.05]]))
-    h = spec.target.metric(spec(np.array([[0.05]])), cfg)
+    h = spec.target.metric(spec(np.array([[0.05]])))
     assert g_norm(h, tau)[0] <= 1e-6
 
 
@@ -237,7 +237,7 @@ def test_tension_square_map_harmonic(torus_entry):
     jet = jet_of(spec, x)
     tau = tension(jet)
     npt.assert_allclose(tau, 0.0, atol=1e-7)
-    h = spec.target.metric(spec(x), spec.cfg)
+    h = spec.target.metric(spec(x))
     assert g_norm(h, tau + lee_pushforward(jet))[0] <= 1e-7
 
 
@@ -267,7 +267,7 @@ def tension_in_frame(jet, frame_vectors):
 
 
 def test_tension_frame_independent(hopf, rng):
-    g = hopf.source.metric(CE_POINT, hopf.cfg)
+    g = hopf.source.metric(CE_POINT)
     frame = orthonormalize([rng.normal(size=(1, 4)) for _ in range(4)], g)
     jet = jet_of(hopf, CE_POINT)
     via_frame = tension_in_frame(jet, [u[0] for u in frame])
@@ -277,7 +277,7 @@ def test_tension_frame_independent(hopf, rng):
 
 def test_fibre_mean_curvature_hopf(hopf):
     val = fibre_mean_curvature(jet_of(hopf, CE_POINT))
-    g = hopf.source.metric(CE_POINT, hopf.cfg)
+    g = hopf.source.metric(CE_POINT)
     assert g_norm(g, val)[0] <= 1e-6
 
 
@@ -292,7 +292,7 @@ def test_fibre_mean_curvature_raises_at_a_critical_stencil_point():
     where the vertical projector is no fibre's, so it is not differenced."""
     spec = flat_map(lambda x: x[:, :1] ** 2, target_dim=1)
     with pytest.raises(CriticalPoint, match=r"rank 0: array\(\[0\. *, 0\.3\]\)"):
-        fibre_mean_curvature(point_jet(spec, [[1e-4, 0.3]], stencil=True))
+        fibre_mean_curvature(point_jet(spec, [[1e-4, 0.3]], CFG, stencil=True))
 
 
 @pytest.mark.parametrize("point", [[0.9, 1.1], [0.9, 1.1, 1.2]], ids=["n=2", "n=3"])
@@ -305,7 +305,7 @@ def test_fibre_mean_curvature_of_the_spheres_of_the_radius(point):
                         atol=1e-6)
 
 
-def test_annulus_fibres_straight_and_dilation_scales(cfg):
+def test_annulus_fibres_straight_and_dilation_scales():
     """Radial fibres are straight lines in the flat metric; rescaling the
     target multiplies the dilation but not the fibre curvature."""
     x = np.array([[1.5, 0.6]])
@@ -336,7 +336,7 @@ def test_superminimality_constant_structure():
     entry = catalog.flat_t4()
     spec = entry.maps["projection"]
     x = np.array([[0.8, 0.9, 1.0, 1.1]])
-    structure = structure_jet(spec.source, entry.structures["J"], x, spec.cfg)
+    structure = structure_jet(spec.source, entry.structures["J"], x, CFG)
     assert superminimality_residual(jet_of(spec, x), structure)[0] <= 1e-10
 
 
@@ -345,9 +345,9 @@ def hopf_surface_coords_samples():
     its map jet at three samples."""
     entry = catalog.get_entry("hopf-surface-coords")
     spec = entry.maps["coords"]
-    points = SamplePlan(seed=0, count=3).points(spec.source, spec.cfg)
-    structure = structure_jet(spec.source, entry.structures["source"], points, spec.cfg)
-    return spec, structure, point_jet(spec, points)
+    points = SamplePlan(seed=0, count=3).points(spec.source, CFG)
+    structure = structure_jet(spec.source, entry.structures["source"], points, CFG)
+    return spec, structure, point_jet(spec, points, CFG)
 
 
 def test_superminimality_nonzero_on_hopf_surface_coords():
@@ -375,70 +375,68 @@ def test_lifted_j_rejects_an_orientation_form_that_vanishes_on_the_fibre(punctur
     """omega = Dphi^T A Dphi, for A antisymmetric on the target, is nonzero but
     vanishes on ker dphi, so the fibre has no orientation."""
     def omega(x):
-        d = differential(punctured1, x)
+        d = differential(punctured1, x, CFG)
         return np.swapaxes(d, 1, 2) @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ d
 
     spec = dataclasses.replace(punctured1, fibre_orientation=omega)
     with pytest.raises(ValueError, match="degenerate on the fibre"):
-        maps.lifted_j(point_jet(spec, [[1.4, 0.2, -0.3, 0.5]]), +1)
+        maps.lifted_j(point_jet(spec, [[1.4, 0.2, -0.3, 0.5]], CFG), +1)
 
 
 def test_lift_plus_reproduces_standard_structure(punctured1):
-    lifted = lift_structure(punctured1, +1)
+    lifted = lift_structure(punctured1, +1, CFG)
     x = np.array([[1.4, 0.2, -0.3, 0.5]])
     npt.assert_allclose(lifted(x), [catalog.multiplication_by_i(2)], atol=1e-10)
-    t = structure_jet(punctured1.source, lifted, x, punctured1.cfg).nabla
+    t = structure_jet(punctured1.source, lifted, x, CFG).nabla
     assert np.max(np.abs(t)) <= 1e-7
 
 
 def test_lift_minus_valid_but_not_parallel(punctured1):
-    lifted = lift_structure(punctured1, -1)
+    lifted = lift_structure(punctured1, -1, CFG)
     x = np.array([[1.4, 0.2, -0.3, 0.5]])
-    square, compat = invariant_residuals(punctured1.source.metric(x, punctured1.cfg), lifted(x))
+    square, compat = invariant_residuals(punctured1.source.metric(x), lifted(x))
     assert square[0] <= 1e-9
     assert compat[0] <= 1e-9
-    t = structure_jet(punctured1.source, lifted, x, punctured1.cfg).nabla
+    t = structure_jet(punctured1.source, lifted, x, CFG).nabla
     assert np.max(np.abs(t)) >= 1e-3
 
 
 @pytest.mark.parametrize("orientation", [+1, -1])
 def test_lift_makes_map_holomorphic(punctured1, orientation):
     """dphi J = J_target dphi holds by construction for either orientation."""
-    lifted = lift_structure(punctured1, orientation)
-    spec = MapSpec(punctured1.source, punctured1.target, punctured1.fn,
-                   punctured1.cfg, source_structure=lifted,
+    lifted = lift_structure(punctured1, orientation, CFG)
+    spec = MapSpec(punctured1.source, punctured1.target, punctured1.fn, source_structure=lifted,
                    target_structure=punctured1.target_structure)
     assert holomorphy_residual(jet_of(spec, [[1.4, 0.2, -0.3, 0.5]]))[0] <= 1e-8
 
 
 def test_lift_requires_two_dimensional_fibres():
-    cfg = catalog.DEFAULT_CFG
     src = Chart(dim=3, box=Box((-1.0,) * 3, (1.0,) * 3), metric_fn=constant(np.eye(3)))
     tgt = catalog.flat_chart(2, -2.0, 2.0)
     j_tgt = catalog.constant_structure(tgt, catalog.multiplication_by_i(1))
     omega = np.zeros((3, 3))
     omega[1, 2], omega[2, 1] = 1.0, -1.0
-    spec = MapSpec(src, tgt, lambda x: x[:, :2], cfg,
+    spec = MapSpec(src, tgt, lambda x: x[:, :2],
                    target_structure=j_tgt, fibre_orientation=lambda x: omega)
     with pytest.raises(FibreDimension):
-        lift_structure(spec, +1)(np.zeros((1, 3)))
+        lift_structure(spec, +1, CFG)(np.zeros((1, 3)))
 
 
 def test_lift_requires_orientation_and_target_structure(hopf):
-    bare = MapSpec(hopf.source, hopf.target, hopf.fn, hopf.cfg)
+    bare = MapSpec(hopf.source, hopf.target, hopf.fn)
     with pytest.raises(MissingStructure):
-        lift_structure(bare, +1)
-    no_orientation = MapSpec(hopf.source, hopf.target, hopf.fn, hopf.cfg,
+        lift_structure(bare, +1, CFG)
+    no_orientation = MapSpec(hopf.source, hopf.target, hopf.fn,
                              target_structure=hopf.target_structure)
     with pytest.raises(MissingStructure):
-        lift_structure(no_orientation, +1)
+        lift_structure(no_orientation, +1, CFG)
 
 
 def condition_ii_at(spec, orientation, x):
     """The condition (ii) residual at a one-row stack x."""
-    lifted = lift_structure(spec, orientation)
+    lifted = lift_structure(spec, orientation, CFG)
     jet = jet_of(spec, x)
-    structure = structure_jet(spec.source, lifted, x, spec.cfg)
+    structure = structure_jet(spec.source, lifted, x, CFG)
     (residual,) = condition_ii_residual(jet, structure)
     return residual
 
@@ -494,9 +492,9 @@ def lifted_axis(spec, a, part):
     a-th h-unit coordinate axis e_a at the image, as a field on the source."""
     def at(p):
         y = spec(p)
-        e = hermitian.unit_axes(spec.target.metric(y, spec.cfg))[a]
+        e = hermitian.unit_axes(spec.target.metric(y))[a]
         z = (e - 1j * (spec.target_structure(y) @ e[..., None])[..., 0]) / np.sqrt(2.0)
-        return (point_jet(spec, p).lift @ part(z)[..., None])[..., 0]
+        return (point_jet(spec, p, CFG).lift @ part(z)[..., None])[..., 0]
     return VectorField(spec.source, at)
 
 
@@ -506,7 +504,7 @@ def condition_ii_bracket_route(samples):
     :func:`condition_ii_residual`, at one-row jets."""
     worst = 0.0
     for jet, structure in samples:
-        spec, x, cfg = jet.spec, jet.x, jet.spec.cfg
+        spec, x, cfg = jet.spec, jet.x, jet.cfg
         p_v = _vertical_projector(jet)
         for k in range(spec.target.dim):
             for l in range(k + 1, spec.target.dim):
@@ -520,9 +518,9 @@ def condition_ii_bracket_route(samples):
 
 
 def condition_ii_samples(spec, orientation, points):
-    lifted = lift_structure(spec, orientation)
+    lifted = lift_structure(spec, orientation, CFG)
     return [(jet_of(spec, points[r:r + 1]),
-             structure_jet(spec.source, lifted, points[r:r + 1], spec.cfg))
+             structure_jet(spec.source, lifted, points[r:r + 1], CFG))
             for r in range(len(points))]
 
 
@@ -531,9 +529,9 @@ def test_condition_ii_matches_the_bracket_route(orientation):
     """One stencil for all lifted axis fields of all samples gives bit for bit
     the residual of four Lie brackets per pair of target axes at each sample."""
     spec = catalog.punctured_hopf(2).maps["hopf"]
-    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, spec.cfg))
-    structure = structure_jet(spec.source, lift_structure(spec, orientation), points, spec.cfg)
-    residual = max(condition_ii_residual(point_jet(spec, points), structure))
+    points = np.array(SamplePlan(seed=3, count=3).points(spec.source, CFG))
+    structure = structure_jet(spec.source, lift_structure(spec, orientation, CFG), points, CFG)
+    residual = max(condition_ii_residual(point_jet(spec, points, CFG), structure))
     oracle = condition_ii_bracket_route(condition_ii_samples(spec, orientation, points))
     assert residual == oracle
     assert oracle > 0.0
@@ -547,10 +545,9 @@ def ragged_map():
         s = np.where(x[:, 1] < -0.5, 1e-24, 1.0)
         return np.stack([np.diag([1.0, v]) for v in s])
 
-    cfg = catalog.DEFAULT_CFG
     src = Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)), metric_fn=metric)
     tgt = Chart(dim=2, box=Box((-1e3, -1e3), (1e3, 1e3)), metric_fn=constant(np.eye(2)))
-    return MapSpec(src, tgt, lambda x: x**2, cfg)
+    return MapSpec(src, tgt, lambda x: x**2)
 
 
 RAGGED_ROWS = np.array([[0.5, 0.7], [0.0, 0.0], [0.0, 0.7], [0.0, -0.7], [0.6, 2e-6],
@@ -563,7 +560,7 @@ def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
     critical and degenerate rows and a row whose source metric is 1e-24 along an
     axis."""
     spec = ragged_map()
-    stack = point_jet(spec, RAGGED_ROWS)
+    stack = point_jet(spec, RAGGED_ROWS, CFG)
     confs = conformality(stack)
     assert confs.kind.tolist() == ["regular", "critical", "degenerate", "degenerate", "regular",
                                    "regular", "degenerate"]
@@ -571,7 +568,7 @@ def test_stacked_jet_and_conformality_equal_one_point_calls_bit_for_bit():
     assert (2 - confs.rank).tolist() == [0, 2, 1, 1, 0, 0, 1]
     npt.assert_allclose(confs.conformality_residual[3], 1.96e24, rtol=1e-12)
     for r in range(len(RAGGED_ROWS)):
-        jet = point_jet(spec, RAGGED_ROWS[r:r + 1])
+        jet = point_jet(spec, RAGGED_ROWS[r:r + 1], CFG)
         for part in ("x", "differential", "metric", "singular_values", "rank", "cometric"):
             assert np.array_equal(getattr(stack, part)[r], getattr(jet, part)[0]), (r, part)
         one = conformality(jet)[0]
@@ -583,10 +580,10 @@ def test_stacked_frames_and_lifts_equal_one_point_calls_bit_for_bit(punctured2):
     """The horizontal lift and the vertical projector read from a stacked jet
     equal the one-row stacks' row by row."""
     stack = PUNCTURED2_POINT + 1e-3 * np.vstack([np.eye(6), -np.eye(6)])
-    jets = point_jet(punctured2, stack)
+    jets = point_jet(punctured2, stack, CFG)
     lifts, projectors = jets.lift, _vertical_projector(jets)
     for r in range(len(stack)):
-        jet = point_jet(punctured2, stack[r:r + 1])
+        jet = point_jet(punctured2, stack[r:r + 1], CFG)
         assert np.array_equal(lifts[r], jet.lift[0])
         assert np.array_equal(projectors[r], _vertical_projector(jet)[0])
 
@@ -599,20 +596,20 @@ def test_joint_jet_equals_the_sample_and_stencil_jets_bit_for_bit(name, key):
     and the lift at both, Gamma against the chart's and the fibre mean curvature,
     which also equals each point's one-row stack's on a 3-point plan."""
     spec = catalog.get_entry(name).maps[key]
-    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
-    joint, samples = point_jet(spec, points, stencil=True), point_jet(spec, points)
-    stencil = point_jet(spec, numdiff.stencil(points, spec.cfg).reshape(-1, spec.source.dim))
+    points = SamplePlan(seed=3, count=3).points(spec.source, CFG)
+    joint, samples = point_jet(spec, points, CFG, stencil=True), point_jet(spec, points, CFG)
+    stencil = point_jet(spec, numdiff.stencil(points, CFG).reshape(-1, spec.source.dim), CFG)
     for jet, alone in ((joint, samples), (joint.stencil, stencil)):
         for part in ("x", "differential", "metric", "singular_values", "rank", "cometric",
                      "lift"):
             assert np.array_equal(getattr(jet, part), getattr(alone, part)), part
         for part in dataclasses.fields(alone.split):
             assert np.array_equal(getattr(jet.split, part.name), getattr(alone.split, part.name))
-    assert np.array_equal(joint.source.gamma, chart_gamma(spec.source, points, spec.cfg))
+    assert np.array_equal(joint.source.gamma, chart_gamma(spec.source, points, CFG))
     curvature = fibre_mean_curvature(joint)
     assert np.array_equal(curvature, fibre_mean_curvature(samples))
     for r in range(len(points)):
-        alone = fibre_mean_curvature(point_jet(spec, points[r:r + 1]))
+        alone = fibre_mean_curvature(point_jet(spec, points[r:r + 1], CFG))
         assert np.array_equal(curvature[r], alone[0])
 
 
@@ -623,7 +620,7 @@ def test_map_that_does_not_broadcast_is_rejected():
     with pytest.raises(WrongDimension, match=r"per-point.*\(2, 2\).*\(3, 2\).*\(3, 2\)"):
         spec(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
     with pytest.raises(WrongDimension, match="per-point"):
-        scenarios.check_harmonic_morphism(spec, SamplePlan(count=2))
+        scenarios.check_harmonic_morphism(spec, SamplePlan(count=2), CFG)
 
 
 DSL_MAP_SRC = """\
@@ -644,7 +641,7 @@ map product -> 2 = [x1*x3 - x2*x4, x1*x4 + x2*x3]
 def map_named(name):
     """A catalog map entry's map or the DSL map."""
     if name == "dsl":
-        return geodsl.to_map(geodsl.parse(DSL_MAP_SRC), "product", catalog.DEFAULT_CFG)
+        return geodsl.to_map(geodsl.parse(DSL_MAP_SRC), "product")
     return catalog.get_entry(name).maps["hopf"]
 
 
@@ -653,12 +650,12 @@ def test_stacked_tension_equals_one_point_calls_bit_for_bit(name):
     """nabla dphi, the tension and the Lee push-forward read from a stacked jet
     equal the one-row stacks' row by row."""
     spec = map_named(name)
-    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
-    stack = point_jet(spec, points)
+    points = SamplePlan(seed=3, count=3).points(spec.source, CFG)
+    stack = point_jet(spec, points, CFG)
     sff, tau, push = sff_tensor(stack), tension(stack), lee_pushforward(stack)
     assert tau.shape == (3, spec.target.dim)
     for r in range(len(points)):
-        jet = point_jet(spec, points[r:r + 1])
+        jet = point_jet(spec, points[r:r + 1], CFG)
         assert np.array_equal(sff[r], sff_tensor(jet)[0])
         assert np.array_equal(tau[r], tension(jet)[0])
         assert np.array_equal(push[r], lee_pushforward(jet)[0])
@@ -670,7 +667,7 @@ def test_harmonic_morphism_check_takes_one_second_partial(monkeypatch):
     original = numdiff.second_partial
     monkeypatch.setattr(numdiff, "second_partial", lambda f, x, *args, **kwargs:
                         shapes.append(np.shape(x)) or original(f, x, *args, **kwargs))
-    scenarios.check_harmonic_morphism(map_named("dsl"), SamplePlan(count=4))
+    scenarios.check_harmonic_morphism(map_named("dsl"), SamplePlan(count=4), CFG)
     assert shapes == [(4, 4)]
 
 
@@ -679,24 +676,24 @@ def test_stacked_operators_equal_one_point_calls_bit_for_bit():
     and the lifted structure jet read from one stacked jet (and its one stencil
     jet) equal the one-row stacks' row by row."""
     spec = catalog.punctured_hopf(2).maps["hopf"]
-    points = SamplePlan(seed=3, count=3).points(spec.source, spec.cfg)
-    stack = point_jet(spec, points)
+    points = SamplePlan(seed=3, count=3).points(spec.source, CFG)
+    stack = point_jet(spec, points, CFG)
     lifted = maps.lifted_structure_jet(stack, +1)
-    source = structure_jet(spec.source, spec.source_structure, points, spec.cfg)
+    source = structure_jet(spec.source, spec.source_structure, points, CFG)
     rows = {"holomorphy": holomorphy_residual(stack), "fibre": fibre_mean_curvature(stack),
             "homothety": homothety_residual(stack),
             "superminimality": superminimality_residual(stack, source),
             "condition (ii)": condition_ii_residual(stack, lifted)}
     for r in range(len(points)):
         x = points[r:r + 1]
-        jet = point_jet(spec, x)
-        lifted_at = structure_jet(spec.source, lift_structure(spec, +1), x, spec.cfg)
+        jet = point_jet(spec, x, CFG)
+        lifted_at = structure_jet(spec.source, lift_structure(spec, +1, CFG), x, CFG)
         for part in ("j", "dj", "nabla"):
             assert np.array_equal(getattr(lifted, part)[r], getattr(lifted_at, part)[0]), part
         alone = {"holomorphy": holomorphy_residual(jet), "fibre": fibre_mean_curvature(jet),
                  "homothety": homothety_residual(jet),
                  "superminimality": superminimality_residual(
-                     jet, structure_jet(spec.source, spec.source_structure, x, spec.cfg)),
+                     jet, structure_jet(spec.source, spec.source_structure, x, CFG)),
                  "condition (ii)": condition_ii_residual(jet, lifted_at)}
         for name, value in alone.items():
             assert np.array_equal(rows[name][r], value[0]), name
@@ -705,7 +702,7 @@ def test_stacked_operators_equal_one_point_calls_bit_for_bit():
 
 def source_structure_jet(jet):
     spec = jet.spec
-    return structure_jet(spec.source, spec.source_structure, jet.x, spec.cfg)
+    return structure_jet(spec.source, spec.source_structure, jet.x, CFG)
 
 
 @pytest.mark.parametrize("operator", [
@@ -716,10 +713,11 @@ def test_stack_whose_stencil_leaves_the_chart_raises_what_that_sample_raises(ope
     """The stencil jet of a later sample leaves the chart (its own jet does not):
     the stack raises the class and the message of that sample alone."""
     spec = catalog.punctured_hopf(2).maps["hopf"]
-    bad = np.array(spec.source.box.lo) + 2.5 * spec.cfg.step
+    bad = np.array(spec.source.box.lo) + 2.5 * CFG.step
     with pytest.raises(EvaluationOutsideDomain) as alone:
-        operator(point_jet(spec, bad[None]))
-    stack = point_jet(spec, np.concatenate([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01, bad[None]]))
+        operator(point_jet(spec, bad[None], CFG))
+    stack = point_jet(spec, np.concatenate([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01, bad[None]]),
+                      CFG)
     with pytest.raises(EvaluationOutsideDomain) as stacked:
         operator(stack)
     assert "closer than" in str(alone.value)
@@ -733,7 +731,7 @@ def test_a_taken_jet_reads_its_rows_of_both_structure_jets(punctured2):
     spec = dataclasses.replace(punctured2, target_structure=hermitian.AlmostComplexField(
         j.chart, lambda y: calls.append(len(y)) or j.fn(y)))
     jet = point_jet(spec, np.concatenate([PUNCTURED2_POINT, PUNCTURED2_POINT + 0.01,
-                                          PUNCTURED2_POINT - 0.01]))
+                                          PUNCTURED2_POINT - 0.01]), CFG)
     taken, rows = jet[np.array([2, 0])], [2, 0]
     for side in ("source", "target"):
         for part in ("metric_inverse", "gamma"):
@@ -748,12 +746,11 @@ def test_tension_builds_the_source_christoffel_symbols_before_the_target_ones():
     x1 = 0) and an image closer than 2 steps to the target's boundary, the tension
     raises the source's error: the source Christoffel symbols are built first, then
     the target's, whose build checks the interior at phi(x)."""
-    cfg = catalog.DEFAULT_CFG
     box = Box((-1.0, -1.0), (1.0, 1.0))
     src = Chart(dim=2, box=box, metric_fn=lambda p: np.stack([np.diag([1.0, v]) for v in p[:, 0]]))
     tgt = Chart(dim=2, box=box, metric_fn=constant(np.eye(2)))
-    edge = 1.0 - 1.5 * cfg.step
-    jet = point_jet(MapSpec(src, tgt, lambda x: x + [0.0, edge], cfg), np.zeros((1, 2)))
+    edge = 1.0 - 1.5 * CFG.step
+    jet = point_jet(MapSpec(src, tgt, lambda x: x + [0.0, edge]), np.zeros((1, 2)), CFG)
     with pytest.raises(SingularMetric):
         tension(jet)
 
@@ -766,22 +763,22 @@ def test_condition_ii_with_a_non_regular_later_sample_raises_what_it_raises():
         spec.target, catalog.multiplication_by_i(1)))
     critical = np.zeros(4)
     with pytest.raises(CriticalPoint) as alone:
-        condition_ii_residual(point_jet(spec, critical[None]), None)
+        condition_ii_residual(point_jet(spec, critical[None], CFG), None)
     with pytest.raises(CriticalPoint) as stacked:
-        condition_ii_residual(point_jet(spec, np.array([[0.5, 0.6, 0.7, 0.8], critical])), None)
+        condition_ii_residual(point_jet(spec, np.array([[0.5, 0.6, 0.7, 0.8], critical]), CFG),
+                              None)
     assert str(stacked.value) == str(alone.value)
 
 
 #: Operators called on the Hopf map's source: each takes a (k, 4) stack.
 STACK_OPERATORS = {
-    "partial": lambda spec, x: numdiff.partial(spec, x, spec.cfg),
-    "second_partial": lambda spec, x: numdiff.second_partial(spec, x, spec.cfg),
-    "christoffel": lambda spec, x: chart_gamma(spec.source, x, spec.cfg),
-    "differential": differential,
-    "point_jet": point_jet,
-    "structure_jet": lambda spec, x: structure_jet(spec.source, spec.source_structure, x,
-                                                   spec.cfg),
-    "Chart.metric": lambda spec, x: spec.source.metric(x, spec.cfg),
+    "partial": lambda spec, x: numdiff.partial(spec, x, CFG),
+    "second_partial": lambda spec, x: numdiff.second_partial(spec, x, CFG),
+    "christoffel": lambda spec, x: chart_gamma(spec.source, x, CFG),
+    "differential": lambda spec, x: differential(spec, x, CFG),
+    "point_jet": lambda spec, x: point_jet(spec, x, CFG),
+    "structure_jet": lambda spec, x: structure_jet(spec.source, spec.source_structure, x, CFG),
+    "Chart.metric": lambda spec, x: spec.source.metric(x),
     "MapSpec.__call__": lambda spec, x: spec(x),
     "AlmostComplexField.__call__": lambda spec, x: spec.source_structure(x),
 }

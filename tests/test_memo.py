@@ -47,15 +47,14 @@ def run_row(sid, entry, plan, spec=None):
     when given."""
     _, check_name, _, key, kwargs = scenarios.SCENARIOS[sid]
     run = getattr(scenarios, check_name)
-    if key in entry.maps:
-        return run(spec or entry.maps[key], plan=plan, scenario_id=sid, **kwargs)
-    return run(entry.charts[key], entry.structures["J"], plan=plan, cfg=CFG,
-               scenario_id=sid, **kwargs)
+    on = ((spec or entry.maps[key],) if key in entry.maps
+          else (entry.charts[key], entry.structures["J"]))
+    return run(*on, plan=plan, cfg=CFG, scenario_id=sid, **kwargs)
 
 
 MAP_SCENARIOS = [sid for sid in scenarios.scenario_ids()
-                 if scenarios.SCENARIOS[sid][3] in catalog.get_entry(scenarios.SCENARIOS[sid][2],
-                                                                    CFG).maps]
+                 if scenarios.SCENARIOS[sid][3] in catalog.get_entry(
+                     scenarios.SCENARIOS[sid][2]).maps]
 
 
 def test_twenty_nine_map_scenarios():
@@ -69,7 +68,7 @@ def test_map_calls_do_not_grow_with_the_samples(sid):
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
     calls = {}
     for count in (2, 3):
-        entry = catalog.get_entry(entry_id, CFG)
+        entry = catalog.get_entry(entry_id)
         spec, calls[count] = counting(entry.maps[key])
         assert run_row(sid, entry, SamplePlan(seed=0, count=count), spec).overall
     assert 0 < len(calls[2]) == len(calls[3]) <= 10
@@ -84,10 +83,10 @@ def test_map_check_takes_two_differentials(sid, count, monkeypatch):
     on their stencil points after them, in one stack."""
     calls = []
     differential = maps.differential
-    monkeypatch.setattr(maps, "differential", lambda spec, x:
-                        calls.append(np.array(x)) or differential(spec, x))
+    monkeypatch.setattr(maps, "differential", lambda spec, x, cfg:
+                        calls.append(np.array(x)) or differential(spec, x, cfg))
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    entry = catalog.get_entry(entry_id, CFG)
+    entry = catalog.get_entry(entry_id)
     plan, spec = SamplePlan(0, count), entry.maps[key]
     assert run_row(sid, entry, plan).overall
     samples = np.array(plan.points(spec.source, CFG))
@@ -103,10 +102,10 @@ def test_stencil_of_a_jet_built_without_one_differentiates_only_its_points(monke
     on the rows again); a taken jet reads its rows' blocks of that stencil jet."""
     spec = hopf()
     samples = np.array(SamplePlan(seed=0, count=2).points(spec.source, CFG))
-    jet, calls = point_jet(spec, samples), []
+    jet, calls = point_jet(spec, samples, CFG), []
     differential = maps.differential
-    monkeypatch.setattr(maps, "differential", lambda spec, x:
-                        calls.append(np.array(x)) or differential(spec, x))
+    monkeypatch.setattr(maps, "differential", lambda spec, x, cfg:
+                        calls.append(np.array(x)) or differential(spec, x, cfg))
     points = numdiff.stencil(samples, CFG).reshape(-1, spec.source.dim)
     assert np.array_equal(jet.stencil.x, points)
     assert np.array_equal(jet[[1]].stencil.x, points[len(points) // 2:])
@@ -117,11 +116,11 @@ def test_stencil_of_a_jet_built_without_one_differentiates_only_its_points(monke
 def counted_structure_jet(monkeypatch, calls):
     """Structure jets on the Calabi-Eckmann chart whose J records the rows it runs
     on, and the part read: J."""
-    entry = catalog.get_entry("ce-1-1", CFG)
+    entry = catalog.get_entry("ce-1-1")
     chart, j = entry.charts["ce"], entry.structures["J"]
     counted = AlmostComplexField(chart, lambda x: calls.append(len(x)) or j.fn(x))
     return chart, lambda x: StructureJet(chart, counted, x, CFG,
-                                         held={"metric": chart.metric(x, CFG)}), "j"
+                                         held={"metric": chart.metric(x)}), "j"
 
 
 def counted_point_jet(monkeypatch, calls):
@@ -131,7 +130,7 @@ def counted_point_jet(monkeypatch, calls):
     monkeypatch.setattr(maps, "_vertical_projector",
                         lambda jet: calls.append(len(jet.x)) or projector(jet))
     spec = hopf()
-    return spec.source, lambda x: point_jet(spec, x), "projector"
+    return spec.source, lambda x: point_jet(spec, x, CFG), "projector"
 
 
 @pytest.mark.parametrize("counted, scenario", [
@@ -169,7 +168,7 @@ def test_map_check_evaluates_phi_on_its_samples_once(sid, monkeypatch):
     on the stack of its samples once (the map inside a composition is another
     ``MapSpec`` and is not counted)."""
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    entry = catalog.get_entry(entry_id, CFG)
+    entry = catalog.get_entry(entry_id)
     spec, plan = entry.maps[key], SamplePlan(count=2)
     samples, seen = np.array(plan.points(spec.source, CFG)), []
     call = MapSpec.__call__
@@ -188,17 +187,18 @@ def test_surface_case_builds_each_sample_metric_twice(monkeypatch):
     structure's own metric evaluations are not counted."""
     sid = "hopf-s3-surface-case"
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
-    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    spec = catalog.get_entry(entry_id).maps[key]
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"),
                                target=dataclasses.replace(spec.target, name="target"))
     plan = SamplePlan(count=2)
     samples = np.array(plan.points(spec.source, CFG))
     images, built, rows = spec(samples), [], []
     metric = Chart.metric
-    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: built.append(
+    monkeypatch.setattr(Chart, "metric", lambda self, x: built.append(
         self is spec.target and np.array_equal(x, images)) or rows.extend(
-        x if self is spec.source else ()) or metric(self, x, cfg))
-    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+        x if self is spec.source else ()) or metric(self, x))
+    assert getattr(scenarios, check_name)(spec, plan=plan, cfg=CFG, scenario_id=sid,
+                                          **kwargs).overall
     assert 0 < sum(built) <= 2
     assert [sum(np.array_equal(p, x) for p in rows) for x in samples] == [1] * len(samples)
 
@@ -211,14 +211,15 @@ def test_surface_case_builds_dpsi_and_g_on_the_sample_stack_at_most_once(monkeyp
     ``chart.metric`` and ``metric_inverse``)."""
     sid = "hopf-s3-surface-case"
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
-    spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
+    spec, plan = catalog.get_entry(entry_id).maps[key], SamplePlan(count=2)
     samples, seen = np.array(plan.points(spec.source, CFG)), []
     dpsi, metric = Embedding.dpsi, Chart.metric
-    monkeypatch.setattr(Embedding, "dpsi", lambda self, x, cfg: seen.append(
-        ("dpsi", np.array_equal(x, samples))) or dpsi(self, x, cfg))
-    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: seen.append(
-        ("metric", np.array_equal(x, samples))) or metric(self, x, cfg))
-    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+    monkeypatch.setattr(Embedding, "dpsi", lambda self, x: seen.append(
+        ("dpsi", np.array_equal(x, samples))) or dpsi(self, x))
+    monkeypatch.setattr(Chart, "metric", lambda self, x: seen.append(
+        ("metric", np.array_equal(x, samples))) or metric(self, x))
+    assert getattr(scenarios, check_name)(spec, plan=plan, cfg=CFG, scenario_id=sid,
+                                          **kwargs).overall
     assert seen.count(("dpsi", True)) <= 1 and seen.count(("metric", True)) <= 1
     assert seen.count(("dpsi", False)) > 0 and seen.count(("metric", False)) > 0
 
@@ -228,12 +229,13 @@ def test_source_j_runs_on_the_samples_once(monkeypatch):
     sample jet's ``j``: the source structure runs on the sample stack once."""
     sid = "hopf-s3-surface-case"
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
-    spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
+    spec, plan = catalog.get_entry(entry_id).maps[key], SamplePlan(count=2)
     samples, seen = np.array(plan.points(spec.source, CFG)), []
     call = AlmostComplexField.__call__
     monkeypatch.setattr(AlmostComplexField, "__call__", lambda self, x: seen.append(
         self is spec.source_structure and np.array_equal(x, samples)) or call(self, x))
-    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+    assert getattr(scenarios, check_name)(spec, plan=plan, cfg=CFG, scenario_id=sid,
+                                          **kwargs).overall
     assert sum(seen) == 1
 
 
@@ -249,15 +251,16 @@ def test_stencil_target_metric_built_only_where_read(sid, builds, monkeypatch):
     exactly once.  Stencil points along a fibre can have a sample's image bit for
     bit, which h is built at anyway; those rows are not counted."""
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
-    spec, plan = catalog.get_entry(entry_id, CFG).maps[key], SamplePlan(count=2)
+    spec, plan = catalog.get_entry(entry_id).maps[key], SamplePlan(count=2)
     samples = np.array(plan.points(spec.source, CFG))
     images = [y for y in spec(numdiff.stencil(samples, CFG).reshape(-1, samples.shape[1]))
               if not any(np.array_equal(y, f) for f in spec(samples))]
     rows = []
     metric = Chart.metric
-    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: rows.extend(
-        x if self is spec.target else ()) or metric(self, x, cfg))
-    assert getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs).overall
+    monkeypatch.setattr(Chart, "metric", lambda self, x: rows.extend(
+        x if self is spec.target else ()) or metric(self, x))
+    assert getattr(scenarios, check_name)(spec, plan=plan, cfg=CFG, scenario_id=sid,
+                                          **kwargs).overall
     assert images and [sum(np.array_equal(p, y) for p in rows) for y in images] == [
         builds] * len(images)
 
@@ -268,9 +271,9 @@ def test_stacked_jet_raises_what_its_first_bad_row_raises():
     spec = hopf()
     bad = np.array(spec.source.box.lo, dtype=float)
     with pytest.raises(EvaluationOutsideDomain) as alone:
-        point_jet(spec, bad[None])
+        point_jet(spec, bad[None], CFG)
     with pytest.raises(EvaluationOutsideDomain) as stacked:
-        point_jet(spec, np.array([CE_POINT, bad, CE_POINT - 0.1]))
+        point_jet(spec, np.array([CE_POINT, bad, CE_POINT - 0.1]), CFG)
     assert str(stacked.value) == str(alone.value)
 
 
@@ -278,12 +281,12 @@ def test_stacked_frame_at_stencil_points_keeps_the_pivots():
     """The greedy frame picks the point's axes at every stencil point around it:
     the frame at the stack of the stencil points is complete, and each of its
     vectors moves by O(step) from the point's (another axis would move it by O(1))."""
-    entry = catalog.calabi_eckmann(1, 1, CFG)
+    entry = catalog.calabi_eckmann(1, 1)
     chart, structure = entry.charts["ce"], entry.structures["J"]
     (x,) = SamplePlan(count=1).points(chart, CFG)
-    at_x = hermitian_frame(chart, structure, x[None], CFG)
+    at_x = hermitian_frame(chart, structure, x[None])
     stack = x + CFG.step * np.vstack([np.eye(6), -np.eye(6)])
-    frames = hermitian_frame(chart, structure, stack, CFG)
+    frames = hermitian_frame(chart, structure, stack)
     assert frames.m == 3
     for near, at in zip(frames.real_frame, at_x.real_frame):
         assert np.max(np.abs(near - at)) <= 100.0 * CFG.step
@@ -291,7 +294,7 @@ def test_stacked_frame_at_stencil_points_keeps_the_pivots():
 
 def test_map_value_keeps_no_alias_of_the_callers_point():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
-    spec = MapSpec(chart, chart, lambda x: x, CFG)
+    spec = MapSpec(chart, chart, lambda x: x)
     x = np.array([[0.1, 0.2]])
     y = spec(x)
     x[0, 0] = 0.5
@@ -308,7 +311,7 @@ def test_failed_evaluation_stores_nothing():
     chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=asymmetric)
     for _ in range(2):
         with pytest.raises(SingularMetric, match="not symmetric"):
-            chart.metric([[0.0, 0.0]], CFG)
+            chart.metric([[0.0, 0.0]])
     assert len(calls) == 2
 
 
@@ -317,7 +320,7 @@ def test_jet_outside_the_domain_raises_each_time():
     lo = np.array(spec.source.box.lo, dtype=float)
     for _ in range(2):
         with pytest.raises(EvaluationOutsideDomain, match="closer than"):
-            point_jet(spec, lo[None])
+            point_jet(spec, lo[None], CFG)
 
 
 @pytest.fixture
@@ -332,7 +335,7 @@ def no_cyclic_gc():
 def test_entry_freed_by_refcount(sid, no_cyclic_gc):
     """With the cyclic collector off, a scenario's maps and charts are freed as
     soon as the entry and the report are dropped: nothing holds its owner."""
-    entry = catalog.get_entry(scenarios.SCENARIOS[sid][2], CFG)
+    entry = catalog.get_entry(scenarios.SCENARIOS[sid][2])
     report = run_row(sid, entry, SamplePlan(0, 1))
     refs = [weakref.ref(obj) for obj in (*entry.maps.values(), *entry.charts.values(),
                                           *entry.structures.values())]

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from hermkit import catalog, cli, hermitian, manifold, maps, numdiff, scenarios
+from hermkit import catalog, cli, geodsl, hermitian, manifold, maps, numdiff, scenarios
 from hermkit.errors import (PreconditionFailed, TargetDimensionTooSmall,
                             TooManyExcludedSamples, UnknownScenario, WrongDimension)
 from hermkit.manifold import Box, Chart, SamplePlan
@@ -76,11 +76,8 @@ def test_table_row_resolves(sid):
     entry = catalog.get_entry(entry_id)
     assert (key in entry.maps) != (key in entry.charts)
     signature = inspect.signature(run)
-    if key in entry.maps:
-        signature.bind(entry.maps[key], plan=SMALL, scenario_id=sid, **kwargs)
-    else:
-        signature.bind(entry.charts[key], entry.structures["J"], plan=SMALL, cfg=CFG,
-                       scenario_id=sid, **kwargs)
+    on = (entry.maps[key],) if key in entry.maps else (entry.charts[key], entry.structures["J"])
+    signature.bind(*on, plan=SMALL, cfg=CFG, scenario_id=sid, **kwargs)
 
 
 def test_unknown_scenario():
@@ -100,6 +97,53 @@ def test_run_scenario_deterministic():
     a = run_scenario("hopf-s3", SMALL, CFG).to_dict()
     b = run_scenario("hopf-s3", SMALL, CFG).to_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("entry_id", ["hopf-s3", "punctured-hopf-1", "ce-1-0"])
+def test_one_entry_serves_every_config(entry_id):
+    """Geometry holds no ``DiffConfig``: one entry, built once, checked at two
+    configs, gives for every scenario on it the report that ``run_scenario``
+    gives at each (the Hopf map, the lift rows, and the chart checks), and the
+    two configs are told apart."""
+    entry = catalog.get_entry(entry_id)
+    sids = [sid for sid, row in scenarios.SCENARIOS.items() if row[2] == entry_id]
+    assert len(sids) >= 2
+    for sid in sids:
+        _, check_name, _, key, kwargs = scenarios.SCENARIOS[sid]
+        on = ((entry.maps[key],) if key in entry.maps
+              else (entry.charts[key], entry.structures["J"]))
+        reports = []
+        for cfg in (DiffConfig(step=1e-3), DiffConfig(step=1e-4, richardson=False)):
+            report = getattr(scenarios, check_name)(*on, plan=SMALL, cfg=cfg, scenario_id=sid,
+                                                    **kwargs).to_dict()
+            assert report == run_scenario(sid, SMALL, cfg).to_dict(), (sid, cfg)
+            reports.append(report["checks"])
+        assert reports[0] != reports[1], sid
+
+
+def test_geometry_takes_no_diff_config():
+    """No field of the geometry's classes and no parameter of a public catalog
+    builder, of ``get_entry``, of the pointwise chart methods or of ``to_map`` is a
+    ``DiffConfig``: only a check's jets hold one."""
+    def mentions_config(annotation, default=inspect.Parameter.empty):
+        return "DiffConfig" in str(annotation) or isinstance(default, DiffConfig)
+
+    for cls in (Chart, manifold.Embedding, MapSpec, hermitian.AlmostComplexField,
+                catalog.CatalogEntry):
+        fields = dataclasses.fields(cls)
+        assert fields and not [f.name for f in fields if mentions_config(f.type, f.default)]
+    builders = [fn for name, fn in inspect.getmembers(catalog, inspect.isfunction)
+                if fn.__module__ == catalog.__name__ and not name.startswith("_")]
+    pointwise = [Chart.metric, Chart.metric_inverse, manifold.Embedding.dpsi,
+                 hermitian.hermitian_frame, geodsl.to_map]
+    assert catalog.get_entry in builders and catalog.hopf_map in builders
+    for fn in builders + pointwise:
+        params = inspect.signature(fn).parameters.values()
+        assert not [p.name for p in params
+                    if p.name == "cfg" or mentions_config(p.annotation, p.default)], fn
+    assert not hasattr(catalog, "DEFAULT_CFG")
+    for dependent in (maps.PointJet, hermitian.StructureJet):
+        assert "cfg" in {f.name for f in dataclasses.fields(dependent)}
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3", "product-hopf-1-1-lemma",
@@ -153,7 +197,7 @@ def test_coupling_monotone_in_tolerance():
 def test_lemma_precondition_antiholomorphic():
     entry = catalog.flat_torus()
     with pytest.raises(PreconditionFailed) as err:
-        check_lemma_tension(entry.maps["conjugation"], SMALL)
+        check_lemma_tension(entry.maps["conjugation"], SMALL, CFG)
     assert err.value.precondition == "holomorphic"
 
 
@@ -166,12 +210,12 @@ def identity_map(source_g, target_g) -> MapSpec:
     charts = [Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(g))
               for g in (source_g, target_g)]
     source, target = (hermitian.AlmostComplexField(c, constant(STANDARD_J)) for c in charts)
-    return MapSpec(charts[0], charts[1], lambda x: x, CFG, source_structure=source,
+    return MapSpec(charts[0], charts[1], lambda x: x, source_structure=source,
                    target_structure=target)
 
 
-@pytest.mark.parametrize("run", [check_surface_case, check_lemma_tension, lambda spec, plan:
-                                 scenarios.check_harmonic_morphism(spec, plan,
+@pytest.mark.parametrize("run", [check_surface_case, check_lemma_tension, lambda spec, plan, cfg:
+                                 scenarios.check_harmonic_morphism(spec, plan, cfg,
                                                                    include_holomorphy=True)])
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_map_checks_reject_incompatible_structure(run, side):
@@ -180,15 +224,15 @@ def test_map_checks_reject_incompatible_structure(run, side):
     bad, good = np.diag([1.0, 4.0]), np.eye(2)
     spec = identity_map(bad, good) if side == "source" else identity_map(good, bad)
     with pytest.raises(PreconditionFailed) as err:
-        run(spec, SMALL)
+        run(spec, SMALL, CFG)
     assert err.value.precondition == "almost Hermitian"
     assert "g(J., J.) - g residual 3" in str(err.value)
 
 
 def test_map_checks_accept_compatible_structure():
     spec = identity_map(np.eye(2), 4.0 * np.eye(2))
-    assert check_lemma_tension(spec, SMALL).overall
-    assert scenarios.check_harmonic_morphism(spec, SMALL, include_holomorphy=True).overall
+    assert check_lemma_tension(spec, SMALL, CFG).overall
+    assert scenarios.check_harmonic_morphism(spec, SMALL, CFG, include_holomorphy=True).overall
 
 
 def test_zero_dimensional_fibres_are_minimal():
@@ -196,30 +240,30 @@ def test_zero_dimensional_fibres_are_minimal():
     which are trivially minimal: the surface case holds and the fibre residual
     is exactly 0."""
     spec = identity_map(np.eye(2), 4.0 * np.eye(2))
-    report = check_surface_case(spec, SMALL)
+    report = check_surface_case(spec, SMALL, CFG)
     assert report.overall
     assert report.metadata["residuals"]["fibre_minimality"] == 0.0
     assert report.get_check("morphism-iff-minimal-fibres").samples_used == SMALL.count
-    jet = maps.point_jet(spec, np.array([[0.1, 0.2]]))
+    jet = maps.point_jet(spec, np.array([[0.1, 0.2]]), CFG)
     assert maps.fibre_mean_curvature(jet).tolist() == [[0.0, 0.0]]
 
 
 def test_lemma_precondition_target_not_symplectic():
     entry = catalog.punctured_hopf(2, perturbed=True)
     with pytest.raises(PreconditionFailed) as err:
-        check_lemma_tension(entry.maps["hopf"], SMALL)
+        check_lemma_tension(entry.maps["hopf"], SMALL, CFG)
     assert "symplectic" in err.value.precondition
 
 
 def test_two_of_three_dimension_gate_without_structures():
     entry = catalog.annulus_radial()
     with pytest.raises(TargetDimensionTooSmall):
-        check_two_of_three(entry.maps["radial"], SMALL)
+        check_two_of_three(entry.maps["radial"], SMALL, CFG)
 
 
 def test_two_of_three_routes_to_surface_case():
     entry = catalog.flat_t4()
-    report = check_two_of_three(entry.maps["projection"], SMALL, scenario_id="t4")
+    report = check_two_of_three(entry.maps["projection"], SMALL, CFG, scenario_id="t4")
     assert report.metadata["routed"] == "surface-case"
     assert report.overall
 
@@ -227,7 +271,7 @@ def test_two_of_three_routes_to_surface_case():
 def test_surface_case_requires_surface():
     entry = catalog.product_hopf(1, 1)
     with pytest.raises(WrongDimension):
-        check_surface_case(entry.maps["hopf"], SMALL)
+        check_surface_case(entry.maps["hopf"], SMALL, CFG)
 
 
 def test_gauduchon_requires_complex_dimension_two():
@@ -239,18 +283,17 @@ def test_gauduchon_requires_complex_dimension_two():
 def test_near_critical_exclusion_cap():
     """A map whose differential keeps one singular value barely above the rank
     threshold excludes every sample and must error instead of passing silently."""
-    cfg = CFG
     src = Chart(dim=2, box=Box((0.0, 0.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
     tgt = Chart(dim=2, box=Box((-2.0, -2.0), (2.0, 2.0)), metric_fn=constant(np.eye(2)))
-    spec = MapSpec(src, tgt, lambda x: x * [1.0, 5e-6], cfg)
+    spec = MapSpec(src, tgt, lambda x: x * [1.0, 5e-6])
     with pytest.raises(TooManyExcludedSamples):
-        scenarios.check_harmonic_morphism(spec, SMALL, include_fibres=True)
+        scenarios.check_harmonic_morphism(spec, SMALL, CFG, include_fibres=True)
 
 
 def test_rejected_morphism_catches_good_maps_too():
     """The rejection check must fail (overall False) on an actual morphism."""
     entry = catalog.hopf_map(1)
-    report = check_rejected_morphism(entry.maps["hopf"], SMALL, "hopf-not-rejected")
+    report = check_rejected_morphism(entry.maps["hopf"], SMALL, CFG, "hopf-not-rejected")
     assert not report.overall
 
 
@@ -285,7 +328,7 @@ def test_lift_invariant_checks_count_the_points_they_use():
 def sample_points(sid, plan):
     """The plan's samples on the source of a map scenario's map."""
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    return plan.points(catalog.get_entry(entry_id, CFG).maps[key].source, CFG)
+    return plan.points(catalog.get_entry(entry_id).maps[key].source, CFG)
 
 
 def times_at(points, x):
@@ -311,8 +354,8 @@ def wrap_christoffel(monkeypatch, record):
         inverted[id(out)] = (out, x)  # the array is kept, so its id is not reused
         return out
 
-    def evaluating(chart, x, cfg=None):
-        out = chart_inverse(chart, x, cfg)
+    def evaluating(chart, x):
+        out = chart_inverse(chart, x)
         fresh[id(out)] = out
         return out
 
@@ -342,9 +385,9 @@ def test_each_sample_is_differentiated_once(sid, monkeypatch):
     seen = []
     differential = maps.differential
 
-    def recording(spec, x):
+    def recording(spec, x, cfg):
         seen.extend(np.array(x, dtype=float))
-        return differential(spec, x)
+        return differential(spec, x, cfg)
 
     monkeypatch.setattr(maps, "differential", recording)
     plan = SamplePlan(count=2)
@@ -393,13 +436,13 @@ def test_condition_ii_builds_no_target_frame(monkeypatch):
     projected, and the report is the one built unpatched."""
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    spec = catalog.get_entry(entry_id).maps[key]
     plan = SamplePlan(count=2)
-    expected = scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid)
+    expected = scenarios.check_integrability_theorem(spec, 1, plan, CFG, scenario_id=sid)
     monkeypatch.setattr(hermitian, "hermitian_frame", None)
     monkeypatch.setattr(hermitian, "project_out", None)
     monkeypatch.setattr(numdiff, "project_out", None)
-    report = scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid)
+    report = scenarios.check_integrability_theorem(spec, 1, plan, CFG, scenario_id=sid)
     assert report.overall and report.to_dict() == expected.to_dict()
 
 
@@ -422,14 +465,14 @@ def test_integrability_reads_the_lift_invariants_from_its_lifted_jet(count, near
     monkeypatch.setattr(maps, "conformality", marked)
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    spec = catalog.get_entry(entry_id).maps[key]
     plan = SamplePlan(0, count)
-    report = scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid)
+    report = scenarios.check_integrability_theorem(spec, 1, plan, CFG, scenario_id=sid)
     used = [r for r in range(count) if r != near_critical]
     assert report.overall and rows == [len(used), 24 * len(used)]
     first = sample_points(sid, plan)[used[:5]]
     square, compat = hermitian.invariant_residuals(
-        spec.source.metric(first, CFG), lifted_j(maps.point_jet(spec, first), 1))
+        spec.source.metric(first), lifted_j(maps.point_jet(spec, first, CFG), 1))
     assert report.metadata["lifted_invariants"] == {
         "square": float(np.max(square)), "compatibility": float(np.max(compat))}
 
@@ -444,9 +487,9 @@ def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypat
                         lambda jet: built.append(jet.x) or lift_matrix(jet))
     sid = "punctured-hopf-2-integrability-plus"
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    spec = catalog.get_entry(entry_id).maps[key]
     plan = SamplePlan(0, 2)
-    assert scenarios.check_integrability_theorem(spec, 1, plan, scenario_id=sid).overall
+    assert scenarios.check_integrability_theorem(spec, 1, plan, CFG, scenario_id=sid).overall
     samples = np.array(sample_points(sid, plan))
     at_samples, at_stencil = built
     assert np.array_equal(at_samples, samples)
@@ -454,7 +497,7 @@ def test_lift_matrix_built_once_on_the_samples_and_once_on_the_stencil(monkeypat
 
 
 MAP_SCENARIOS = [sid for sid, (_, _, entry_id, key, _) in scenarios.SCENARIOS.items()
-                 if key in catalog.get_entry(entry_id, CFG).maps]
+                 if key in catalog.get_entry(entry_id).maps]
 
 
 def test_there_are_29_map_scenarios():
@@ -472,7 +515,7 @@ def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
     the chart, so the target side of a map into its own chart (the identity) is
     not counted."""
     _, check_name, entry_id, key, kwargs = scenarios.SCENARIOS[sid]
-    spec = catalog.get_entry(entry_id, CFG).maps[key]
+    spec = catalog.get_entry(entry_id).maps[key]
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source, name="source"))
     built, held = [], []
 
@@ -483,18 +526,18 @@ def test_map_check_builds_each_source_christoffel_row_once(sid, monkeypatch):
 
     wrap_christoffel(monkeypatch, recording)
     check_map = getattr(scenarios, check_name)
-    assert check_map(spec, plan=SamplePlan(count=2), scenario_id=sid, **kwargs).overall
+    assert check_map(spec, plan=SamplePlan(count=2), cfg=CFG, scenario_id=sid, **kwargs).overall
     assert built and len(built) == len(set(built)) and all(held)
 
 
 def map_spec(sid):
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    return catalog.get_entry(entry_id, CFG).maps[key]
+    return catalog.get_entry(entry_id).maps[key]
 
 
 def run_on(spec, sid, plan):
     _, check_name, _, _, kwargs = scenarios.SCENARIOS[sid]
-    return getattr(scenarios, check_name)(spec, plan=plan, scenario_id=sid, **kwargs)
+    return getattr(scenarios, check_name)(spec, plan=plan, cfg=CFG, scenario_id=sid, **kwargs)
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3", "hopf-s3-surface-case", "product-hopf-1-1"])
@@ -505,8 +548,8 @@ def test_target_metric_at_each_image_is_built_once(sid, monkeypatch):
     chart for it again)."""
     spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
     metric = Chart.metric
-    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: (
-        rows.extend(x) if self is spec.target else None) or metric(self, x, cfg))
+    monkeypatch.setattr(Chart, "metric", lambda self, x: (
+        rows.extend(x) if self is spec.target else None) or metric(self, x))
     assert run_on(spec, sid, plan).overall
     for y in spec(sample_points(sid, plan)):
         assert times_at(rows, y) == 1
@@ -532,7 +575,7 @@ def test_each_side_builds_its_structure_jet_once(sid, work, monkeypatch):
     tension, the Lee push-forward, div J, the target classification and the
     Christoffel builds all read them."""
     _, _, entry_id, key, _ = scenarios.SCENARIOS[sid]
-    entry = catalog.get_entry(entry_id, CFG)
+    entry = catalog.get_entry(entry_id)
     spec, count = entry.maps.get(key), dict.fromkeys(work, 0)
 
     def counting(name, call, rows=lambda *args: 1):
@@ -543,7 +586,7 @@ def test_each_side_builds_its_structure_jet_once(sid, work, monkeypatch):
         monkeypatch.setattr(module, "christoffel", counting("christoffel", build))
     if spec:
         monkeypatch.setattr(Chart, "metric", counting(
-            "target metric rows", Chart.metric, lambda chart, x, cfg=None:
+            "target metric rows", Chart.metric, lambda chart, x:
             len(x) if chart is spec.target else 0))
         monkeypatch.setattr(type(spec.target_structure), "__call__", counting(
             "target J rows", type(spec.target_structure).__call__,
@@ -568,8 +611,8 @@ def test_source_metric_at_each_sample_is_built_once(sid, monkeypatch):
     once, as a row of the jet's one stack (twice before)."""
     spec, plan, rows = map_spec(sid), SamplePlan(count=2), []
     metric = Chart.metric
-    monkeypatch.setattr(Chart, "metric", lambda self, x, cfg=None: (
-        rows.extend(x) if self is spec.source else None) or metric(self, x, cfg))
+    monkeypatch.setattr(Chart, "metric", lambda self, x: (
+        rows.extend(x) if self is spec.source else None) or metric(self, x))
     monkeypatch.setattr(manifold, "gradient", None)
     assert run_on(spec, sid, plan).overall
     for x in sample_points(sid, plan):
