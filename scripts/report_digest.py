@@ -108,7 +108,10 @@ HAND_FLAGS = ("--report", "json", "--seed", "0", "--points", "3")
 #: the box, so they parse, but not in the outer band, where a sample other than
 #: the first falls: the first bad row is named.  ``domain x0`` names no
 #: coordinate.  A form feed in a comment does not end its line, so the error is
-#: on line 5.
+#: on line 5.  The two domain errors: an x1 interval narrower than twice the
+#: sampling margin (4 steps a side) leaves nothing to sample, and a map whose
+#: images lie past the flat target's box (+-1e9) fails the target's interior
+#: check, which names the first image.
 ERROR_CONFIGS = {
     "band-2d": ("""\
 dim = 2
@@ -143,6 +146,18 @@ g = [[1, 0], [0, 1]]
 J = [[0, -1], [1, 0]]
 map f -> 2 = [x1]
 """, [("classify",)]),
+    "narrow-domain": ("""\
+dim = 2
+domain x1 = [0, 0.0005]
+g = [[1, 0], [0, 1]]
+J = [[0, -1], [1, 0]]
+""", [("classify",)]),
+    "far-target": ("""\
+dim = 2
+g = [[1, 0], [0, 1]]
+J = [[0, -1], [1, 0]]
+map far -> 2 = [2e9 + x1, x2]
+""", [("check-map", "--map", "far")]),
 }
 #: Flags of every call on an ``ERROR_CONFIGS`` config.
 ERROR_FLAGS = ("--report", "json", "--seed", "0", "--points", "6")

@@ -292,21 +292,22 @@ class CatalogEntry:
     charts: dict
     structures: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
 
 def complex_plane() -> CatalogEntry:
+    """The flat complex line; its constant structure on the flat metric is Kaehler."""
     chart = flat_chart(2, -8.0, 8.0, name="plane")
     return CatalogEntry(
         id="complex-plane",
         description="flat complex line, standard structure",
         charts={"plane": chart},
         structures={"J": constant_structure(chart, multiplication_by_i(1))},
-        notes={"kahler": "constant structure on a flat metric"},
     )
 
 
 def flat_torus() -> CatalogEntry:
+    """The flat 2-torus chart with its constant structure, whose divergence
+    vanishes identically, and maps from it into the plane."""
     torus = flat_chart(2, 0.2, 1.7, name="torus")
     plane = complex_plane().charts["plane"]
     j_t = constant_structure(torus, multiplication_by_i(1))
@@ -342,7 +343,6 @@ def flat_torus() -> CatalogEntry:
         charts={"torus": torus, "plane": plane},
         structures={"J": j_t},
         maps=maps,
-        notes={"divergence": "vanishes identically for the constant structure"},
     )
 
 
@@ -366,6 +366,8 @@ def flat_t4() -> CatalogEntry:
 
 
 def complex_projective(n: int) -> CatalogEntry:
+    """The affine chart of CP^n: Fubini-Study is Kaehler, and its connection
+    coefficients vanish at 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
     chart = fs_chart(n)
@@ -375,11 +377,13 @@ def complex_projective(n: int) -> CatalogEntry:
                     "(unit-sphere quotient normalization)",
         charts={"cp": chart},
         structures={"J": constant_structure(chart, multiplication_by_i(n))},
-        notes={"kahler": "Fubini-Study is Kaehler; connection coefficients vanish at 0"},
     )
 
 
 def calabi_eckmann(r: int, s: int) -> CatalogEntry:
+    """S^{2r+1} x S^{2s+1} with its standard structure, cosymplectic exactly when
+    r = s = 0; div J is -2(r J1 n1 + s J2 n2) in ambient terms
+    (:func:`odd_sphere_product_divergence`)."""
     if r < 0 or s < 0:
         raise ValueError("r and s must be >= 0")
     chart = product_sphere_chart(2 * r + 1, 2 * s + 1, name=f"ce-{r}-{s}")
@@ -390,8 +394,6 @@ def calabi_eckmann(r: int, s: int) -> CatalogEntry:
                     "standard almost Hermitian structure",
         charts={"ce": chart},
         structures={"J": j},
-        notes={"divergence": "-2(r J1 n1 + s J2 n2) in ambient terms",
-               "cosymplectic": "holds exactly when r = s = 0"},
     )
 
 
@@ -442,7 +444,8 @@ def product_hopf(r: int, s: int, target_scale: float = 1.0) -> CatalogEntry:
 
 
 def punctured_hopf(n: int, perturbed: bool = False) -> CatalogEntry:
-    """The projection of C^{n+1} - {0} onto the affine chart of CP^n."""
+    """The projection of C^{n+1} - {0} onto the affine chart of CP^n, with dilation
+    1/|z| at the point z."""
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 2 * n + 2
@@ -478,7 +481,6 @@ def punctured_hopf(n: int, perturbed: bool = False) -> CatalogEntry:
         charts={"source": source, "target": target},
         structures={"source": j_std, "target": j_tgt},
         maps={"hopf": spec},
-        notes={"dilation": "1/|z| at the point z"},
     )
 
 

@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermkit",
         description="chart-local numerical checks for almost Hermitian geometry "
-                    "and harmonic-morphism predicates")
+                    "and harmonic-morphism criteria")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_numeric_flags(p):

@@ -6,7 +6,7 @@ class GeometryError(Exception):
 
 
 class EvaluationOutsideDomain(GeometryError):
-    """A finite-difference stencil point left the chart domain."""
+    """A point lies too close to its chart's boundary for a stencil around it."""
 
 
 class RankDeficient(GeometryError):

@@ -180,8 +180,15 @@ def hermitian_frame(chart: Chart, j_field: AlmostComplexField, x) -> HermitianFr
 
 def dj_stack(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig) -> Array:
     """Plain coordinate derivatives d_i J at the rows r of x, as [r, i, k, j],
-    from one stencil."""
-    return numdiff.partial(j_field, x, cfg, domain=chart.contains)
+    from one stencil around rows the chart's interior check accepts; on an error
+    the rows are differenced alone, so the error raised is the first bad row's."""
+    x = as_points(x)
+    try:
+        return numdiff.partial(j_field, chart.require_interior(x, cfg), cfg)
+    except (GeometryError, DslError, ValueError):
+        for r in range(len(x)) if len(x) > 1 else ():
+            dj_stack(chart, j_field, x[r:r + 1], cfg)
+        raise
 
 
 def nabla_j_tensor(gamma: Array, j: Array, dj: Array) -> Array:
@@ -240,7 +247,7 @@ def structure_jet(chart: Chart, j_field: AlmostComplexField, x, cfg: DiffConfig)
     k = len(x)
     try:
         chart.require_interior(x, cfg)
-        rows = np.concatenate([x, numdiff.stencil(x, cfg, chart.contains).reshape(-1, x.shape[1])])
+        rows = np.concatenate([x, numdiff.stencil(x, cfg).reshape(-1, x.shape[1])])
         dpsi = None if chart.embedding is None else chart.embedding.dpsi(rows)
         j = j_field(rows, dpsi)  # J first, then g: only copies of their sample rows are kept
         j, dj = j[:k].copy(), numdiff.difference(j[k:], x, cfg)

@@ -17,11 +17,20 @@ Levi-Civita formula alone, on g^-1 and d g (:func:`metric_derivative`) that a
 check's samples, holds.  :func:`gram_metric` is the embedded metric from a
 D(psi) a caller holds.  There are no atlases or transition functions.
 
+A chart's domain is its box, and there is one domain check:
+:meth:`Chart.require_interior` accepts a row when it lies at least
+``INTERIOR_DEPTH * step`` inside the box.  Every stencil is taken around rows it
+has accepted, and no stencil offset exceeds ``INTERIOR_DEPTH * step`` (the
+(2h, h) Richardson pair of ``numdiff.second_partial`` is the largest), so
+every stencil point lies in the box and none is tested again.  This holds bit
+for bit because :meth:`Box.contains` compares as a stencil computes, x - margin
+against lo and x + margin against hi, and rounding is monotone in the offset.
+
 Nothing is cached by point: g(x), D(psi)(x) and the Christoffel symbols are
 computed on the stack they are asked for, and a check passes the stacks it
 holds instead of asking again.
 
-The contract checks (the box, the finiteness and symmetry of g,
+The contract checks (the interior, the finiteness and symmetry of g,
 positive-definiteness in :func:`invert_metric`) decide a whole stack in a fixed
 handful of NumPy calls and take the rows one by one only to name the first that
 fails, so a stack raises what its first bad row raises alone.
@@ -29,6 +38,7 @@ fails, so a stack raises what its first bad row raises alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,12 +50,16 @@ from .numdiff import Array, DiffConfig, as_points, as_stack
 
 #: Symmetry slack accepted from a user-supplied metric field.
 METRIC_SYMMETRY_TOL = 1e-12
+#: How many steps inside the box :meth:`Chart.require_interior` wants every row:
+#: the largest stencil offset, ``numdiff.second_partial``'s Richardson 2h.
+INTERIOR_DEPTH = 2.0
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned coordinate domain [lo, hi]; it keeps the bounds as the (2, dim)
-    array ``bounds`` = [lo, hi], which :meth:`contains` compares a whole stack with."""
+    """Axis-aligned coordinate domain [lo, hi] with finite bounds; it keeps them as
+    the (2, dim) array ``bounds`` = [lo, hi], which :meth:`contains` compares a
+    whole stack with."""
 
     lo: tuple
     hi: tuple
@@ -54,8 +68,10 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi length mismatch")
-        if any(l >= h for l, h in zip(self.lo, self.hi)):
-            raise ValueError("empty box")
+        if not all(-math.inf < l < h < math.inf for l, h in zip(self.lo, self.hi)):
+            if all(map(math.isfinite, (*self.lo, *self.hi))):
+                raise ValueError("empty box")
+            raise ValueError(f"box bounds must be finite, got {self.lo!r} and {self.hi!r}")
         object.__setattr__(self, "bounds", np.array([self.lo, self.hi], dtype=float))
 
     @property
@@ -63,11 +79,12 @@ class Box:
         return len(self.lo)
 
     def contains(self, x, margin: float = 0.0) -> bool:
-        """Whether lo + margin <= x <= hi - margin at every coordinate of x, a point
-        or a stack of them; a NaN coordinate is outside."""
+        """Whether x - margin >= lo and x + margin <= hi at every coordinate of x, a
+        point or a stack of them, compared as a stencil offset of at most margin
+        computes its points; a NaN coordinate is outside."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.bounds
-        return bool(((x >= lo + margin) & (x <= hi - margin)).all())
+        return bool(((x - margin >= lo) & (x + margin <= hi)).all())
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,6 @@ class Chart:
     box: Box
     metric_fn: Callable[[Array], Array] | None = None
     embedding: Embedding | None = None
-    predicate: Callable[[Array], bool] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -108,22 +124,19 @@ class Chart:
             raise ValueError("box dimension does not match chart dimension")
 
     def contains(self, x, margin: float = 0.0) -> bool:
-        """Whether every row of x lies in the chart."""
-        x = as_points(x)
-        ok = self.box.contains(x, margin)
-        if ok and self.predicate is not None:
-            ok = all(bool(self.predicate(p)) for p in x)
-        return ok
+        """Whether every row of x lies in the chart's box, margin inside it."""
+        return self.box.contains(as_points(x), margin)
 
-    def require_interior(self, x, cfg: DiffConfig, depth: float = 2.0) -> Array:
-        """Check that a depth*step stencil around every row of x stays inside the
-        chart; the error names the first row that fails alone."""
+    def require_interior(self, x, cfg: DiffConfig) -> Array:
+        """x as a stack, when every row lies ``INTERIOR_DEPTH * step`` inside the box
+        (the one domain check; see the module docstring); the error names the
+        first row that fails alone."""
         x = as_points(x)
-        margin = depth * cfg.step
+        margin = INTERIOR_DEPTH * cfg.step
         if not self.contains(x, margin):
             bad = next(r for r in range(len(x)) if not self.contains(x[r:r + 1], margin))
             raise EvaluationOutsideDomain(f"{self.name or 'chart'}: point {x[bad]!r} closer "
-                                          f"than {depth}*step to the boundary")
+                                          f"than {INTERIOR_DEPTH}*step to the boundary")
         return x
 
     def metric(self, x) -> Array:
@@ -143,9 +156,10 @@ class Chart:
         g = as_stack(self.metric_fn(x), x, (self.dim, self.dim),
                      f"chart {self.name or '(unnamed)'}: metric_fn")
         gt = np.swapaxes(g, 1, 2)
-        asymmetry = np.abs(g - gt)
-        if not asymmetry.max(initial=0.0) <= METRIC_SYMMETRY_TOL:
-            finite = np.isfinite(g).all(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # inf - inf where an infinite entry meets its transpose
+            asymmetry = g - gt
+        if not asymmetry.max(initial=0.0) <= METRIC_SYMMETRY_TOL:  # antisymmetric: max = max |.|
+            asymmetry, finite = np.abs(asymmetry), np.isfinite(g).all(axis=(1, 2))
             bound = METRIC_SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
             bad = np.flatnonzero(~finite | (np.max(asymmetry, axis=(1, 2)) > bound))
             if bad.size:
@@ -214,7 +228,7 @@ def metric_derivative(chart: Chart, x, cfg: DiffConfig) -> Array:
     """d g at the rows r of x as ``dg[r, i, j, l]`` = d_i g_jl, from one metric call
     on the stencils of all rows; the caller checks the interior first
     (:meth:`Chart.require_interior`)."""
-    return numdiff.partial(chart.metric, x, cfg, domain=chart.contains)
+    return numdiff.partial(chart.metric, x, cfg)
 
 
 def christoffel(g_inv: Array, dg: Array) -> Array:
@@ -262,26 +276,13 @@ def gradient(chart: Chart, f: Callable[[Array], Array], x, cfg: DiffConfig) -> A
 
 
 def sample_points(chart: Chart, seed: int, count: int, margin: float) -> Array:
-    """Seeded interior samples, as a (count, dim) stack; reproducible for equal
-    arguments.  Each round draws the missing points as one block (the numbers of
-    one draw per point) and keeps, in draw order, the rows inside the box and the
-    chart's predicate."""
-    rng = np.random.default_rng(seed)
+    """Seeded interior samples, as a (count, dim) stack drawn uniformly in the box
+    shrunk by margin on every side (one seeded block, the numbers of one draw per
+    point); reproducible for equal arguments."""
     lo, hi = chart.box.bounds[0] + margin, chart.box.bounds[1] - margin
     if np.any(lo >= hi):
         raise ValueError("margin leaves no interior to sample")
-    pts, attempts = np.empty((0, chart.dim)), 0
-    while len(pts) < count:
-        block = rng.uniform(lo, hi, (count - len(pts), chart.dim))
-        attempts += len(block)
-        keep = np.all((block >= lo) & (block <= hi), axis=1)
-        if chart.predicate is not None:
-            keep[keep] = [bool(chart.predicate(p)) for p in block[keep]]
-        pts = np.concatenate([pts, block[keep]])
-        if attempts > 100 * count:
-            raise EvaluationOutsideDomain(
-                f"{chart.name or 'chart'}: could not draw {count} interior samples")
-    return pts
+    return np.random.default_rng(seed).uniform(lo, hi, (count, chart.dim))
 
 
 @dataclass(frozen=True)

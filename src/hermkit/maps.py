@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import CriticalPoint, EvaluationOutsideDomain, FibreDimension, MissingStructure
+from .errors import CriticalPoint, FibreDimension, MissingStructure
 from .hermitian import (SQRT2, AlmostComplexField, StructureJet, antiholomorphic_part,
                         apply_j, g_norm, lee_vector, require_almost_hermitian, unit_axes)
 from .manifold import Chart, christoffel, invert_metric
@@ -89,15 +89,9 @@ class MapSpec:
 
 def differential(spec: MapSpec, x, cfg: DiffConfig) -> Array:
     """The stack of differentials, (target dim) x (source dim) arrays of partials,
-    at the rows of x (one map call; errors are those of the first bad row)."""
-    x = as_points(x)
-    try:
-        spec.source.require_interior(x, cfg)
-        d = numdiff.partial(spec, x, cfg, domain=spec.source.contains)
-    except EvaluationOutsideDomain:
-        for r in range(len(x)) if len(x) > 1 else ():  # name the first row that fails alone
-            differential(spec, x[r:r + 1], cfg)
-        raise
+    at the rows of x, from one map call once the source's interior check has
+    accepted every row: a row outside raises before phi is evaluated at any."""
+    d = numdiff.partial(spec, spec.source.require_interior(x, cfg), cfg)
     return np.ascontiguousarray(np.swapaxes(d, -1, -2))
 
 
@@ -252,7 +246,7 @@ def sff_tensor(jet: PointJet) -> Array:
     """All components of nabla dphi at the jet's rows, as (k, d, d, n)."""
     spec, x, d, cfg = jet.spec, jet.x, jet.differential, jet.cfg
     gamma_m, gamma_n = jet.source.gamma, jet.target.gamma
-    out = (numdiff.second_partial(spec, x, cfg, domain=spec.source.contains)
+    out = (numdiff.second_partial(spec, x, cfg)
            - np.einsum("...kij,...gk->...ijg", gamma_m, d)
            + np.einsum("...gab,...ai,...bj->...ijg", gamma_n, d, d))
     i, j = np.tril_indices(spec.source.dim, -1)

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationOutsideDomain, RankDeficient, WrongDimension
+from .errors import RankDeficient, WrongDimension
 
 Array = np.ndarray
 
@@ -156,16 +156,7 @@ def _require_resolved(x: Array, offset: float, step: float) -> None:
                          f"{point.tolist()}: x +- {offset!r} rounds back to x")
 
 
-def _require_domain(points: Array, domain) -> None:
-    """One ``domain`` call on the whole (k, n) stack of stencil points; only when
-    that fails are the rows walked, as one-row stacks, to name the first one outside."""
-    if domain is not None and not domain(points):
-        for r in range(len(points)):
-            if not domain(points[r:r + 1]):
-                raise EvaluationOutsideDomain(f"stencil point {points[r]!r} outside domain")
-
-
-def stencil(x, cfg: DiffConfig, domain: Callable[[Array], bool] | None = None) -> Array:
+def stencil(x, cfg: DiffConfig) -> Array:
     """The points at which :func:`partial` evaluates its function, (k, m, n) at
     the rows of x, each row's m points ordered [step, sign, axis i] (x + s e_i,
     then x - s e_i, which is x + (-s) e_i bit for bit).  The offsets are one
@@ -173,18 +164,15 @@ def stencil(x, cfg: DiffConfig, domain: Callable[[Array], bool] | None = None) -
     is -0.0 on the others, and x + offset keeps the signed zeros of
     x + (-s) e_i.
 
-    ``domain``, when given, is called once on the stack of all the points and
-    must hold for every one.  Raises ``ValueError`` when the smallest offset
-    does not move some coordinate of ``x``.
+    Raises ``ValueError`` when the smallest offset does not move some coordinate
+    of ``x``.
     """
     x = as_points(x)
     n = x.shape[1]
     steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
     _require_resolved(x, steps[-1], cfg.step)
     offsets = np.multiply.outer(steps, _SIGNS)[..., None, None] * np.eye(n)
-    points = x[:, None, :] + offsets.reshape(-1, n)
-    _require_domain(points.reshape(-1, n), domain)
-    return points
+    return x[:, None, :] + offsets.reshape(-1, n)
 
 
 def difference(values, x, cfg: DiffConfig) -> Array:
@@ -202,28 +190,25 @@ def difference(values, x, cfg: DiffConfig) -> Array:
     return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
 
 
-def partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
-            domain: Callable[[Array], bool] | None = None) -> Array:
+def partial(f: Callable[[Array], Array], x, cfg: DiffConfig) -> Array:
     """Every first partial derivative of ``f`` at the rows r of ``x``, as
     ``[r, i, ...]``: :func:`difference` of ``f`` on the :func:`stencil` points.
 
     ``f`` maps a (k, n) stack of points to the stack of its k values; it is
     called once, on the stencils of all axes (and rows) together.
     """
-    points = stencil(x, cfg, domain)
+    points = stencil(x, cfg)
     return difference(f(points.reshape(-1, points.shape[-1])), x, cfg)
 
 
-def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
-                   domain: Callable[[Array], bool] | None = None) -> Array:
+def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig) -> Array:
     """Every second partial derivative of ``f`` at the rows r of ``x``, as the
     array ``[r, i, j, ...]``, symmetric in (i, j).
 
     ``f`` maps a stack of points to the stack of its values and is called
     once, on one stack holding, row after row: the centre x (shared by every
     diagonal stencil), the three-point stencils on the diagonal and the four
-    corner points of each pair i < j; ``domain`` is called once, on exactly
-    those points.  The Richardson pair here is (2h, h) rather than (h, h/2):
+    corner points of each pair i < j.  The Richardson pair here is (2h, h) rather than (h, h/2):
     second-difference roundoff grows like 1/h**2, so halving the step would
     amplify it 4x.  Raises ``ValueError`` when the step does not move some
     coordinate of ``x``.
@@ -241,7 +226,6 @@ def second_partial(f: Callable[[Array], Array], x, cfg: DiffConfig,
     offsets = np.concatenate([(s * _SIGNS[:, None, None] * eye).reshape(-1, n),
                               (s * _CORNERS[0] * eye[i] + s * _CORNERS[1] * eye[j]).reshape(-1, n)])
     points = np.concatenate([x[:, None], x[:, None] + offsets], axis=1)
-    _require_domain(points.reshape(-1, n), domain)
     v = np.asarray(f(points.reshape(-1, n)))
     v = v.reshape(len(x), 1 + len(offsets), *v.shape[1:])
     centre, vd = v[:, :1], v[:, 1:1 + 2 * len(steps) * n].reshape(

@@ -11,10 +11,10 @@ import pytest
 from hermkit import catalog, numdiff
 from hermkit.hermitian import AlmostComplexField, StructureJet, classify_structure, structure_jet
 from hermkit.errors import EvaluationOutsideDomain, SingularMetric, WrongDimension
-from hermkit.manifold import (Box, Chart, Embedding, SamplePlan, VectorField,
+from hermkit.manifold import (INTERIOR_DEPTH, Box, Chart, Embedding, SamplePlan, VectorField,
                               christoffel, covariant_derivative, gradient, invert_metric,
                               lie_bracket, metric_derivative, positive_definite, sample_points)
-from hermkit.numdiff import DiffConfig, by_row, constant, partial
+from hermkit.numdiff import DiffConfig, by_row, constant, partial, second_partial
 
 
 def constant_field(chart, v) -> VectorField:
@@ -62,14 +62,79 @@ def test_box_contains_checks_both_faces_of_every_row():
     assert box.contains(inside[0]) and not box.contains([0.5, np.nan])
 
 
-def test_chart_contains_applies_the_predicate_to_every_row():
-    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)),
-                  predicate=lambda p: float(p @ p) > 0.01)
-    assert chart.contains([[0.5, 0.5], [-0.5, 0.2]])
-    assert not chart.contains([[0.5, 0.5], [0.0, 0.05]])
-    assert not chart.contains([[0.5, 0.5], [1.5, 0.5]])
-    assert chart.contains([[0.5, 0.5]])
-    assert not chart.contains([[0.0, 0.05]])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_box_rejects_non_finite_bounds(side, bad):
+    """A NaN or infinite bound on either side is rejected (``l >= h`` is False for
+    NaN, so the empty-box test alone let it through)."""
+    bounds = {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+    bounds[side][0] = bad
+    with pytest.raises(ValueError, match="box bounds must be finite"):
+        Box(tuple(bounds["lo"]), tuple(bounds["hi"]))
+
+
+def test_chart_contains_is_its_box_test():
+    """A chart's domain is its box: ``Chart.contains`` is ``Box.contains`` on every
+    row of a stack, with or without a margin, and a 1-D point is no stack."""
+    chart = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(np.eye(2)))
+    stacks = [[[0.5, 0.5], [-0.5, 0.2]], [[0.5, 0.5], [0.0, 0.05]], [[0.5, 0.5], [1.5, 0.5]],
+              [[0.5, 0.5]], [[0.0, 0.05]], [[0.95, 0.0]], [[np.nan, 0.0]]]
+    for stack, margin in itertools.product(stacks, (0.0, 0.1)):
+        assert chart.contains(stack, margin) == chart.box.contains(stack, margin)
+    assert chart.contains(stacks[1]) and not chart.contains(stacks[2])
+    assert chart.contains(stacks[5]) and not chart.contains(stacks[5], 0.1)
+    with pytest.raises(WrongDimension):
+        chart.contains([0.5, 0.5])
+
+
+#: A lower bound and a step at which lo + 2*step rounds so that x - 2*step < lo.
+ROUNDING_LO, ROUNDING_STEP = 0.0008576047895108019, 3e-4
+
+
+def interior_rows(chart, cfg):
+    """Rows that ``require_interior`` accepts, each coordinate within a few ulps of
+    lo + 2*step or hi - 2*step (taken as the float sums): every combination of
+    the accepted ones on the two axes."""
+    margin = INTERIOR_DEPTH * cfg.step
+    near = []
+    for lo, hi in chart.box.bounds.T:
+        values = []
+        for start, toward in ((lo + margin, np.inf), (hi - margin, -np.inf)):
+            for _ in range(4):
+                values.append(start)
+                start = np.nextafter(start, toward)
+        near.append(values)
+    rows = np.array(list(itertools.product(*near)))
+    accepted = []
+    for row in rows:
+        try:
+            accepted.append(chart.require_interior(row[None], cfg)[0])
+        except EvaluationOutsideDomain:
+            pass
+    return rows, np.array(accepted)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("step", [1e-3, ROUNDING_STEP, 1e-4, 1e-5])
+@pytest.mark.parametrize("lo, hi", [(ROUNDING_LO, 1.0), (0.2, 1.7), (-0.7, 0.7), (1.0, 2.5)])
+def test_interior_rows_keep_every_stencil_point_in_the_box(lo, hi, step, richardson):
+    """The guarantee that lets ``require_interior`` be the one domain check: at
+    rows it accepts, also at lo + 2*step and hi - 2*step exactly, every point of
+    ``numdiff.stencil`` and of ``second_partial``'s evaluation stack lies in the
+    box.  ``Box.contains`` compares x - margin with lo, as the stencil computes
+    x - 2*step; comparing x with lo + margin accepts x = lo + 2*step at
+    (ROUNDING_LO, ROUNDING_STEP), whose x - 2*step rounds below lo."""
+    cfg = DiffConfig(step=step, richardson=richardson)
+    chart = Chart(dim=2, box=Box((lo, -hi), (hi, -lo)), metric_fn=constant(np.eye(2)))
+    rows, accepted = interior_rows(chart, cfg)
+    exact = [(chart.box.bounds[0] + INTERIOR_DEPTH * step)[0],
+             (chart.box.bounds[1] - INTERIOR_DEPTH * step)[0]]
+    assert len(accepted) >= len(rows) // 4 and np.isin(exact, accepted[:, 0]).any()
+    seen = []
+    second_partial(lambda p: seen.append(p.copy()) or p[:, 0], accepted, cfg)
+    for points in (numdiff.stencil(accepted, cfg).reshape(-1, 2), seen[0]):
+        for point in points:
+            assert chart.box.contains(point), (point, chart.box)
 
 
 def test_chart_requires_exactly_one_metric_source():
@@ -99,31 +164,41 @@ def test_metric_symmetry_bound_scales_with_the_metric():
         chart([big, [[1.0, 0.0], [1e-8, 1.0]]]).metric(x)
 
 
-def nan_beyond_half():
-    """A flat chart whose ``metric_fn`` is NaN where x1 > 0.5."""
+def non_finite_beyond_half(value=np.nan, entries=((0, 0), (0, 1), (1, 0), (1, 1))):
+    """A flat chart whose ``metric_fn`` puts ``value`` at ``entries`` of g (at every
+    entry by default) where x1 > 0.5."""
     def metric_fn(x):
         g = np.tile(np.eye(2), (len(x), 1, 1))
-        g[x[:, 0] > 0.5] = np.nan
+        for i, j in entries:
+            g[x[:, 0] > 0.5, i, j] = value
         return g
 
     return Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=metric_fn)
 
 
 def test_metric_rejects_a_non_finite_row(cfg):
-    """A NaN metric raises ``SingularMetric`` naming the first such row, also at a
-    stencil point: d g (and a classification, whose structure jet differences g
-    there) is not built from it (both read NaN rows, and classify called the
-    structure integrable, before)."""
-    chart, x = nan_beyond_half(), np.array([[0.5, 0.0]])
+    """A NaN metric, an infinite diagonal entry (g - g^T is inf - inf there) and an
+    infinite entry equal to its transpose raise ``SingularMetric`` naming the first
+    such row, with no numeric warning, also at a stencil point: d g (and a
+    classification, whose structure jet differences g there) is not built from it
+    (for NaN both read NaN rows, and classify called the structure integrable,
+    before)."""
+    x = np.array([[0.5, 0.0]])
     stack = np.array([[0.1, 0.0], [0.2, 0.0], [0.7, 0.0], [0.9, 0.0]])
-    with pytest.raises(SingularMetric, match=re.escape(f"metric at {stack[2]!r} is not finite")):
-        chart.metric(stack)
     first = re.escape(f"metric at {numdiff.stencil(x, cfg)[0, 0]!r} is not finite")
-    with pytest.raises(SingularMetric, match=first):
-        metric_derivative(chart, x, cfg)
-    j_field = AlmostComplexField(chart, constant([[0.0, -1.0], [1.0, 0.0]]))
-    with pytest.raises(SingularMetric, match=first):
-        classify_structure(structure_jet(chart, j_field, x, cfg))
+    for chart in (non_finite_beyond_half(), non_finite_beyond_half(np.inf, [(0, 0)]),
+                  non_finite_beyond_half(-np.inf, [(1, 1)]),
+                  non_finite_beyond_half(np.inf, [(0, 1), (1, 0)])):
+        j_field = AlmostComplexField(chart, constant([[0.0, -1.0], [1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMetric,
+                               match=re.escape(f"metric at {stack[2]!r} is not finite")):
+                chart.metric(stack)
+            with pytest.raises(SingularMetric, match=first):
+                metric_derivative(chart, x, cfg)
+            with pytest.raises(SingularMetric, match=first):
+                classify_structure(structure_jet(chart, j_field, x, cfg))
 
 
 def diagonal_stack(*diagonals):
@@ -453,61 +528,42 @@ def test_sample_plan_reproducible():
 
 
 def per_point_samples(chart, seed, count, margin):
-    """The sampler drawing, box-testing and ``Chart.contains``-testing one point
-    at a time: the reference that ``sample_points`` equals."""
+    """The sampler drawing one point at a time in the box shrunk by the margin:
+    the reference that ``sample_points`` equals."""
     rng = np.random.default_rng(seed)
     lo, hi = np.asarray(chart.box.lo) + margin, np.asarray(chart.box.hi) - margin
-    pts, attempts = [], 0
-    while len(pts) < count:
-        p = rng.uniform(lo, hi)
-        attempts += 1
-        if chart.contains(p[None], margin):
-            pts.append(p)
-        if attempts > 100 * count:
-            raise EvaluationOutsideDomain(
-                f"{chart.name or 'chart'}: could not draw {count} interior samples")
-    return pts
-
-
-def away_from_origin(chart, radius):
-    """``chart`` with a predicate that rejects the points within ``radius`` of 0."""
-    return dataclasses.replace(chart, predicate=lambda p: float(p @ p) > radius ** 2,
-                               name=f"{chart.name}-{radius}")
+    return [rng.uniform(lo, hi) for _ in range(count)]
 
 
 SAMPLED_CHARTS = {
     "flat2": flat2(),
     "s2": sphere2(),
     **{f"punctured-c{n + 1}": catalog.punctured_hopf(n).charts["source"] for n in (1, 2)},
-    **{f"punctured-c{n + 1}-ball": away_from_origin(
-        catalog.punctured_hopf(n).charts["source"], 2.0) for n in (1, 2)},
 }
 
 
 @pytest.mark.parametrize("margin", [1e-3, 0.05, 0.3])
 @pytest.mark.parametrize("key", SAMPLED_CHARTS)
 def test_block_sampler_equals_the_per_point_draws(key, margin):
-    """One block draw per round gives the per-point draws bit for bit, in draw
-    order, over seeds and counts; the -ball charts reject some draws."""
+    """One block draw gives the per-point draws bit for bit, in draw order, over
+    seeds and counts, and every sample lies margin inside the box."""
     chart = SAMPLED_CHARTS[key]
     for seed, count in itertools.product(range(5), (1, 2, 5, 16)):
         got, ref = sample_points(chart, seed, count, margin), per_point_samples(chart, seed,
                                                                                  count, margin)
         assert got.shape == (count, chart.dim) and len(ref) == count
         assert got.tobytes() == np.stack(ref).tobytes()
+        assert np.all((got >= chart.box.bounds[0] + margin) & (got <= chart.box.bounds[1] - margin))
 
 
-def test_sampler_that_finds_no_interior_point_names_the_chart():
-    chart = away_from_origin(flat2(), 10.0)
-    for count in (1, 3):
-        with pytest.raises(EvaluationOutsideDomain) as ref:
-            per_point_samples(chart, 0, count, 0.01)
-        with pytest.raises(EvaluationOutsideDomain) as got:
-            sample_points(chart, 0, count, 0.01)
-        assert str(got.value) == str(ref.value) == (
-            f"flat2-10.0: could not draw {count} interior samples")
+def test_sampler_margin_that_leaves_no_interior_raises():
+    """A margin at least half the box's width on some axis leaves nothing to draw."""
+    for margin in (2.0, 3.0):
+        with pytest.raises(ValueError, match="margin leaves no interior"):
+            sample_points(flat2(), 0, 2, margin)
+    chart = Chart(dim=2, box=Box((0.0, -1.0), (5e-4, 1.0)), metric_fn=constant(np.eye(2)))
     with pytest.raises(ValueError, match="margin leaves no interior"):
-        sample_points(chart, 0, 2, 2.0)
+        SamplePlan(count=6).points(chart, DiffConfig())
 
 
 def test_sample_plan_validation():

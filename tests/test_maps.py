@@ -724,6 +724,28 @@ def test_stack_whose_stencil_leaves_the_chart_raises_what_that_sample_raises(ope
     assert str(stacked.value) == str(alone.value)
 
 
+def test_differential_checks_every_rows_interior_before_phi():
+    """The interior check is the differential's precondition on the whole stack:
+    a later row outside raises before phi runs, so an earlier row at which phi
+    fails does not (it fails alone)."""
+    chart, calls = Chart(dim=2, box=Box((-1.0, -1.0), (1.0, 1.0)), metric_fn=constant(
+        np.eye(2)), name="square"), []
+
+    def fn(x):
+        calls.append(len(x))
+        if np.any(x[:, 1] > 0.5):
+            raise ValueError("phi undefined past x2 = 0.5")
+        return x
+
+    spec = MapSpec(chart, chart, fn)
+    with pytest.raises(ValueError, match="phi undefined"):
+        maps.differential(spec, np.array([[0.1, 0.6]]), CFG)
+    calls.clear()
+    with pytest.raises(EvaluationOutsideDomain, match=r"square: point array\(\[0.99999, 0"):
+        maps.differential(spec, np.array([[0.1, 0.6], [0.99999, 0.0]]), CFG)
+    assert calls == []
+
+
 def test_a_taken_jet_reads_its_rows_of_both_structure_jets(punctured2):
     """A structure-jet part first read on a taken jet is built once, on every row
     of the jet it was taken from, and the taken jet reads its rows of it."""

@@ -5,19 +5,18 @@ import numpy.testing as npt
 import pytest
 
 from hermkit.errors import EvaluationOutsideDomain, RankDeficient
-from hermkit.numdiff import (TOLERANCE_FACTOR, DiffConfig, by_row, difference,
+from hermkit.manifold import Box, Chart
+from hermkit.numdiff import (TOLERANCE_FACTOR, DiffConfig, by_row, constant, difference,
                              orthonormalize, partial, project_out, second_partial, stencil)
 
 
-def partial_axis(f, x, i, cfg, domain=None):
+def partial_axis(f, x, i, cfg):
     """The first partial along one axis, one per-point ``f`` call per stencil
     point: the reference the stacked :func:`partial` must equal bit for bit."""
     x = np.asarray(x, dtype=float)
     e = np.eye(len(x))[i]
     steps = [cfg.step, cfg.step / 2.0] if cfg.richardson else [cfg.step]
     points = [p for s in steps for p in (x + s * e, x - s * e)]
-    if domain is not None and not all(domain(p) for p in points):
-        raise EvaluationOutsideDomain("stencil point outside domain")
     v = [np.asarray(f(p)) for p in points]
     d = [(v[2 * k] - v[2 * k + 1]) / (2.0 * s) for k, s in enumerate(steps)]
     return (4.0 * d[1] - d[0]) / 3.0 if cfg.richardson else d[0]
@@ -145,36 +144,53 @@ def test_convergence_order_on_exp(richardson, lo, hi):
     assert lo <= ratio <= hi
 
 
+def chart_on(lo, hi) -> Chart:
+    """A flat chart on the box [lo, hi]."""
+    return Chart(dim=len(lo), box=Box(lo, hi), metric_fn=constant(np.eye(len(lo))))
+
+
 def test_partial_domain_guard(cfg):
-    domain = lambda p: bool(np.all(np.abs(p) <= 1.0))
-    partial(by_row(lambda x: x[0] ** 2), np.array([[0.5]]), cfg, domain=domain)
+    """A stencil's domain guard is the chart's interior check on the rows it is
+    taken around; ``partial`` itself tests no point."""
+    chart, f = chart_on((-1.0,), (1.0,)), by_row(lambda x: x[0] ** 2)
+    partial(f, chart.require_interior(np.array([[0.5]]), cfg), cfg)
     with pytest.raises(EvaluationOutsideDomain):
-        partial(by_row(lambda x: x[0] ** 2), np.array([[1.0]]), cfg, domain=domain)
+        chart.require_interior(np.array([[1.0]]), cfg)
+    npt.assert_allclose(partial(f, np.array([[1.0]]), cfg), [[2.0]], rtol=1e-9)
 
 
 def test_second_partial_checks_the_points_it_evaluates(cfg):
-    """The diagonal stencil reaches x +- 2h, not the corners x +- 4h."""
-    domain = lambda p: bool(np.all(p[:, 0] <= 1.0))
+    """The diagonal stencil reaches x +- 2h, not the corners x +- 4h, so the
+    interior check at 2h keeps every point it evaluates in the box."""
+    chart, seen = chart_on((0.0, 0.0), (1.0, 1.0)), []
     f = by_row(lambda p: p[0] ** 2)
-    val = second_partial(f, np.array([[1.0 - 3e-4, 0.5]]), cfg, domain=domain)[0, 0, 0]
+    x = chart.require_interior(np.array([[1.0 - 3e-4, 0.5]]), cfg)
+    val = second_partial(lambda p: seen.append(p.copy()) or f(p), x, cfg)[0, 0, 0]
     npt.assert_allclose(val, 2.0, atol=1e-7)
+    assert np.max(np.abs(seen[0] - x)) == pytest.approx(2.0 * cfg.step, rel=1e-9)
+    assert chart.contains(seen[0])
     with pytest.raises(EvaluationOutsideDomain):
-        second_partial(f, np.array([[1.0 - 1e-4, 0.5]]), cfg, domain=domain)
+        chart.require_interior(np.array([[1.0 - 1e-4, 0.5]]), cfg)
 
 
-def test_stencil_domain_checked_in_one_call(cfg):
-    stacks = []
+def count_box_tests(monkeypatch) -> list:
+    """The shapes of the stacks that ``Box.contains`` is called on, as it runs."""
+    shapes, contains = [], Box.contains
+    monkeypatch.setattr(Box, "contains", lambda self, p, margin=0.0:
+                        shapes.append(np.shape(p)) or contains(self, p, margin))
+    return shapes
 
-    def domain(p):
-        stacks.append(np.shape(p))
-        return bool(np.all(np.abs(p) <= 1.0))
 
-    partial(by_row(lambda x: x[0] ** 2), np.array([[0.5]]), cfg, domain=domain)
-    assert stacks == [(4, 1)]
+def test_stencil_domain_checked_in_one_call(monkeypatch, cfg):
+    """The interior check tests a stack in one ``Box.contains`` call; only when it
+    fails are the rows taken alone, up to the first bad one, which it names."""
+    chart, stacks = chart_on((-1.0,), (1.0,)), count_box_tests(monkeypatch)
+    chart.require_interior(np.array([[0.5], [-0.5]]), cfg)
+    assert stacks == [(2, 1)]
     stacks.clear()
-    with pytest.raises(EvaluationOutsideDomain, match=r"array\(\[1.0001\]\)"):
-        partial(by_row(lambda x: x[0] ** 2), np.array([[1.0]]), cfg, domain=domain)
-    assert stacks == [(4, 1), (1, 1)]  # the stack, then its rows as one-row stacks
+    with pytest.raises(EvaluationOutsideDomain, match=r"array\(\[1.\]\)"):
+        chart.require_interior(np.array([[0.5], [1.0], [2.0]]), cfg)
+    assert stacks == [(3, 1), (1, 1), (1, 1)]  # the stack, then its rows as one-row stacks
 
 
 def vector_field(x):
@@ -244,41 +260,36 @@ def test_partial_is_the_difference_of_the_values_on_the_stencil(richardson, shap
 
 
 @pytest.mark.parametrize("stencil, rows", [(partial, 4 * 3), (second_partial, 1 + 4 * 3 + 8 * 3)])
-def test_one_domain_call_and_one_function_call_per_stencil(stencil, rows, cfg):
-    domains, calls = [], []
-
-    def domain(p):
-        domains.append(np.shape(p))
-        return True
+def test_one_domain_call_and_one_function_call_per_stencil(stencil, rows, monkeypatch, cfg):
+    """One interior check on the row (not on the stencil points) and one function
+    call on all the stencil points."""
+    chart, calls = chart_on((-2.0,) * 3, (2.0,) * 3), []
+    domains = count_box_tests(monkeypatch)
 
     def f(points):
         calls.append(np.shape(points))
         return by_row(vector_field)(points)
 
-    stencil(f, np.array([[0.31, -0.77, 1.2]]), cfg, domain=domain)
-    assert domains == [(rows, 3)]
+    stencil(f, chart.require_interior(np.array([[0.31, -0.77, 1.2]]), cfg), cfg)
+    assert domains == [(1, 3)]
     assert calls == [(rows, 3)]
 
 
 @pytest.mark.parametrize("richardson", [True, False])
 def test_stacked_second_partial_equals_each_row_alone(richardson):
-    """A (k, n) stack takes one domain call and one function call, on the
-    stencils of all its rows, and each row equals its one-row stack bit for bit."""
+    """A (k, n) stack takes one function call, on the stencils of all its rows,
+    and each row equals its one-row stack bit for bit."""
     cfg = DiffConfig(richardson=richardson)
     stack = np.array([[0.31, -0.77, 1.2], [0.0, 0.5, -0.25], [-1.1, 0.2, 0.4]])
-    domains, calls = [], []
-
-    def domain(p):
-        domains.append(np.shape(p))
-        return True
+    calls = []
 
     def f(points):
         calls.append(np.shape(points))
         return by_row(vector_field)(points)
 
-    out = second_partial(f, stack, cfg, domain=domain)
+    out = second_partial(f, stack, cfg)
     per_row = 1 + 4 * 3 + 8 * 3 if richardson else 1 + 2 * 3 + 4 * 3
-    assert domains == calls == [(3 * per_row, 3)]
+    assert calls == [(3 * per_row, 3)]
     assert out.shape == (3, 3, 3, 4)
     for r in range(len(stack)):
         assert np.array_equal(out[r], second_partial(by_row(vector_field), stack[r:r + 1],
@@ -286,14 +297,16 @@ def test_stacked_second_partial_equals_each_row_alone(richardson):
 
 
 def test_stacked_second_partial_names_the_first_row_outside(cfg):
-    domain = lambda p: bool(np.all(p[:, 0] <= 1.0))
-    f = by_row(lambda p: p[0] ** 2)
+    """The interior check on the rows of a second partial names the first row
+    whose 2h stencil would leave the box, as that row alone."""
+    chart = chart_on((0.0, 0.0), (1.0, 1.0))
     stack = np.array([[0.5, 0.5], [1.0 - 1e-4, 0.5], [1.0 - 5e-5, 0.5]])
     with pytest.raises(EvaluationOutsideDomain) as alone:
-        second_partial(f, stack[1:2], cfg, domain=domain)
+        chart.require_interior(stack[1:2], cfg)
     with pytest.raises(EvaluationOutsideDomain) as stacked:
-        second_partial(f, stack, cfg, domain=domain)
+        chart.require_interior(stack, cfg)
     assert str(stacked.value) == str(alone.value)
+    assert "array([0.9999, 0.5   ])" in str(alone.value)
 
 
 def test_hessian_centre_evaluated_once(cfg):
